@@ -374,13 +374,14 @@ pub fn migration_burst(
     window: Duration,
     seed: u64,
 ) -> MigrationBurstResult {
-    use amoeba_dir_core::cluster::RebalancerParams;
+    use amoeba_dir_core::cluster::{RebalancerParams, ServiceSpec};
     use amoeba_dir_core::{DirClientError, DirError, ShardMap};
 
     let mut tb = testbed_with(Variant::Group, seed, |p| {
         p.shards = shards;
         if rebalance {
-            p.lease_service = true;
+            p.services
+                .push(ServiceSpec::of::<amoeba_dir_core::LeaseService>());
             // Trigger thresholds chosen to fire hard on the initial
             // hotspot (hot/cold ratio is effectively infinite while a
             // shard sits idle) and go quiet once the placement is

@@ -9,6 +9,7 @@ use amoeba_disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
 use amoeba_flip::{HostAddr, NetParams, Network, NodeStack, SegmentId, Topology};
 use amoeba_group::{GroupConfig, GroupPeer};
 use amoeba_rpc::{RpcClient, RpcNode};
+use amoeba_rsm::service::{start_service, Service, ServiceClient, ServiceDeps, ServiceHandle};
 use amoeba_sim::{Ctx, NodeId, Resource, Simulation, Spawn};
 
 use amoeba_flip::Port;
@@ -17,13 +18,8 @@ use crate::cache::{start_invalidation_listener, CacheParams, DirCache};
 use crate::client::DirClient;
 use crate::config::{DirParams, ServiceConfig, StorageKind};
 use crate::server_group::{start_group_server, GroupDirServer, GroupServerDeps};
-use crate::server_lease::{start_lease_server, LeaseClient, LeaseServer, LeaseServerDeps};
-use crate::server_lock::{start_lock_server, LockClient, LockServer, LockServerDeps};
+use crate::server_lease::{LeaseClient, LeaseService};
 use crate::server_nfs::{start_nfs_server, NfsServerDeps};
-use crate::server_queue::{start_queue_server, QueueClient, QueueServer, QueueServerDeps};
-use crate::server_registry::{
-    start_registry_server, RegistryClient, RegistryServer, RegistryServerDeps,
-};
 use crate::server_rpc::{start_rpc_server, RpcServerDeps};
 
 /// Which directory service implementation a cluster runs.
@@ -164,6 +160,30 @@ impl ClusterTopology {
     }
 }
 
+/// A running auxiliary-service replica, type-erased: a boxed
+/// [`ServiceHandle`] of whichever [`Service`] the spec named.
+type AnyHandle = Box<dyn std::any::Any + Send + Sync>;
+
+/// One entry of [`ClusterParams::services`]: an auxiliary replicated
+/// service (any [`Service`] of the `amoeba-rsm` harness) to run on the
+/// group variants' shard-0 columns. Each forms its own group over the
+/// machines' shared kernels, next to the directory shard's own.
+#[derive(Debug, Clone, Copy)]
+pub struct ServiceSpec {
+    name: &'static str,
+    start: fn(&dyn Spawn, ServiceDeps) -> AnyHandle,
+}
+
+impl ServiceSpec {
+    /// The spec that runs service `S`.
+    pub fn of<S: Service>() -> ServiceSpec {
+        ServiceSpec {
+            name: S::NAME,
+            start: |spawner, deps| Box::new(start_service::<S>(spawner, deps)),
+        }
+    }
+}
+
 /// Tunables of the load-driven shard rebalancer (see
 /// [`ClusterParams::rebalancer`]): a background process that samples
 /// every shard's [`amoeba_rsm::ReplicaStats`] once per `interval` and,
@@ -217,26 +237,15 @@ pub struct ClusterParams {
     pub dir: DirParams,
     /// Group communication parameters (resilience defaults to n−1).
     pub group: GroupConfig,
-    /// Also run the replicated lock/registry service on the group
-    /// variants' columns (a second consumer of the same `amoeba-rsm`
-    /// driver, forming its own group over the shared kernels).
-    pub lock_service: bool,
-    /// Also run the replicated port-name registry on the group
-    /// variants' columns (the third `amoeba-rsm` consumer; lets routed
-    /// clients resolve service names to FLIP ports across segments).
-    pub registry_service: bool,
-    /// Also run the replicated FIFO queue service on the group
-    /// variants' shard-0 columns (the fourth `amoeba-rsm` consumer;
-    /// its group shares those machines' kernels with the directory
-    /// shard's own group).
-    pub queue_service: bool,
-    /// Also run the replicated lease service on the group variants'
-    /// shard-0 columns (the fifth `amoeba-rsm` consumer: TTL grants
-    /// over logical time; the rebalancer's migration-coordinator
-    /// fence).
-    pub lease_service: bool,
+    /// Auxiliary replicated services to also run on the group
+    /// variants' shard-0 columns, started in list order — e.g. the
+    /// lock, registry, queue and lease services (further consumers of
+    /// the same `amoeba-rsm` driver, each forming its own group over
+    /// the shared kernels).
+    pub services: Vec<ServiceSpec>,
     /// Run a load-driven shard rebalancer (group variants with more
-    /// than one shard; requires [`lease_service`](Self::lease_service)).
+    /// than one shard; requires the [`LeaseService`] among
+    /// [`services`](Self::services): its migration-coordinator fence).
     pub rebalancer: Option<RebalancerParams>,
     /// How many replica groups the directory service is sharded into
     /// (group variants only; each shard gets its own column set,
@@ -272,10 +281,7 @@ impl ClusterParams {
             disk: DiskParams::wren_iv(),
             dir,
             group: GroupConfig::with_resilience(variant.servers().saturating_sub(1) as u32),
-            lock_service: false,
-            registry_service: false,
-            queue_service: false,
-            lease_service: false,
+            services: Vec::new(),
             rebalancer: None,
             shards: 1,
             dir_cache: None,
@@ -361,18 +367,10 @@ pub struct Column {
     /// The directory server handle of the current incarnation (group
     /// variants only).
     pub server: Option<GroupDirServer>,
-    /// The lock-service replica of the current incarnation (group
-    /// variants with `lock_service` only).
-    pub lock: Option<LockServer>,
-    /// The registry replica of the current incarnation (group variants
-    /// with `registry_service` only).
-    pub registry: Option<RegistryServer>,
-    /// The queue-service replica of the current incarnation (group
-    /// variants with `queue_service`, shard-0 columns only).
-    pub queue: Option<QueueServer>,
-    /// The lease-service replica of the current incarnation (group
-    /// variants with `lease_service`, shard-0 columns only).
-    pub lease: Option<LeaseServer>,
+    /// The auxiliary-service replicas of the current incarnation, one
+    /// per [`ClusterParams::services`] entry (group variants, shard-0
+    /// columns only); see [`Cluster::service`].
+    services: Vec<AnyHandle>,
 }
 
 impl std::fmt::Debug for Column {
@@ -471,10 +469,7 @@ impl Cluster {
                     bullet_store,
                     nvram,
                     server: None,
-                    lock: None,
-                    registry: None,
-                    queue: None,
-                    lease: None,
+                    services: Vec::new(),
                 };
                 start_column(sim, &params, &mut column);
                 columns.push(column);
@@ -503,13 +498,9 @@ impl Cluster {
     /// RPC client, for talking to other services (e.g. Bullet) from the
     /// same machine.
     pub fn client_machine(&mut self, sim: &Simulation) -> (DirClient, RpcClient, NodeId) {
-        let id = self.next_client;
-        self.next_client += 1;
-        let sim_node = sim.add_node(&format!("client-{id}"));
-        let stack = self.net.attach_to(self.params.net_topology.client_segment);
+        let (id, sim_node, rpc) = self.client_node(sim, "client");
         amoeba_telemetry::Telemetry::from_handle(&sim.handle())
-            .name_machine(u64::from(stack.addr().0), &format!("client-{id}"));
-        let rpc = RpcNode::start(sim, sim_node, stack);
+            .name_machine(u64::from(rpc.addr().0), &format!("client-{id}"));
         let rpc_client = RpcClient::new(&rpc);
         // Each client machine starts its root-placement round-robin
         // at its own index, so first creates spread across shards
@@ -593,96 +584,37 @@ impl Cluster {
         self.group_server(self.column_index(shard, i))
     }
 
-    /// The lock-service replica of column `i`'s current incarnation.
+    /// The replica of auxiliary service `S` in column `i`'s current
+    /// incarnation.
     ///
     /// # Panics
     ///
-    /// Panics unless the cluster was started with
-    /// [`ClusterParams::lock_service`] on a group variant.
-    pub fn lock_server(&self, i: usize) -> &LockServer {
+    /// Panics unless the cluster was started with `S` among
+    /// [`ClusterParams::services`] on a group variant.
+    pub fn service<S: Service>(&self, i: usize) -> &ServiceHandle<S> {
         self.columns[i]
-            .lock
-            .as_ref()
-            .expect("column has no running lock server")
+            .services
+            .iter()
+            .find_map(|h| h.downcast_ref())
+            .unwrap_or_else(|| panic!("column has no running {} server", S::NAME))
     }
 
-    /// Creates a fresh client machine with a lock-service client.
-    pub fn lock_client(&mut self, sim: &Simulation) -> (LockClient, NodeId) {
+    /// Creates a fresh client machine with a client of auxiliary
+    /// service `S`.
+    pub fn service_client<S: Service>(&mut self, sim: &Simulation) -> (S::Client, NodeId) {
+        let (_, sim_node, rpc) = self.client_node(sim, &format!("{}-client", S::NAME));
+        let client = ServiceClient::<S>::new(RpcClient::new(&rpc));
+        (client.into(), sim_node)
+    }
+
+    /// Adds the next client machine, `<kind>-<id>`, on the client
+    /// segment.
+    fn client_node(&mut self, sim: &Simulation, kind: &str) -> (u32, NodeId, RpcNode) {
         let id = self.next_client;
         self.next_client += 1;
-        let sim_node = sim.add_node(&format!("lock-client-{id}"));
+        let sim_node = sim.add_node(&format!("{kind}-{id}"));
         let stack = self.net.attach_to(self.params.net_topology.client_segment);
-        let rpc = RpcNode::start(sim, sim_node, stack);
-        (LockClient::new(RpcClient::new(&rpc)), sim_node)
-    }
-
-    /// The registry replica of column `i`'s current incarnation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the cluster was started with
-    /// [`ClusterParams::registry_service`] on a group variant.
-    pub fn registry_server(&self, i: usize) -> &RegistryServer {
-        self.columns[i]
-            .registry
-            .as_ref()
-            .expect("column has no running registry server")
-    }
-
-    /// Creates a fresh client machine with a registry client.
-    pub fn registry_client(&mut self, sim: &Simulation) -> (RegistryClient, NodeId) {
-        let id = self.next_client;
-        self.next_client += 1;
-        let sim_node = sim.add_node(&format!("registry-client-{id}"));
-        let stack = self.net.attach_to(self.params.net_topology.client_segment);
-        let rpc = RpcNode::start(sim, sim_node, stack);
-        (RegistryClient::new(RpcClient::new(&rpc)), sim_node)
-    }
-
-    /// The queue-service replica of column `i`'s current incarnation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the cluster was started with
-    /// [`ClusterParams::queue_service`] on a group variant.
-    pub fn queue_server(&self, i: usize) -> &QueueServer {
-        self.columns[i]
-            .queue
-            .as_ref()
-            .expect("column has no running queue server")
-    }
-
-    /// Creates a fresh client machine with a queue-service client.
-    pub fn queue_client(&mut self, sim: &Simulation) -> (QueueClient, NodeId) {
-        let id = self.next_client;
-        self.next_client += 1;
-        let sim_node = sim.add_node(&format!("queue-client-{id}"));
-        let stack = self.net.attach_to(self.params.net_topology.client_segment);
-        let rpc = RpcNode::start(sim, sim_node, stack);
-        (QueueClient::new(RpcClient::new(&rpc)), sim_node)
-    }
-
-    /// The lease-service replica of column `i`'s current incarnation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the cluster was started with
-    /// [`ClusterParams::lease_service`] on a group variant.
-    pub fn lease_server(&self, i: usize) -> &LeaseServer {
-        self.columns[i]
-            .lease
-            .as_ref()
-            .expect("column has no running lease server")
-    }
-
-    /// Creates a fresh client machine with a lease-service client.
-    pub fn lease_client(&mut self, sim: &Simulation) -> (LeaseClient, NodeId) {
-        let id = self.next_client;
-        self.next_client += 1;
-        let sim_node = sim.add_node(&format!("lease-client-{id}"));
-        let stack = self.net.attach_to(self.params.net_topology.client_segment);
-        let rpc = RpcNode::start(sim, sim_node, stack);
-        (LeaseClient::new(RpcClient::new(&rpc)), sim_node)
+        (id, sim_node, RpcNode::start(sim, sim_node, stack))
     }
 }
 
@@ -764,58 +696,23 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
             // The auxiliary replicated services form their own groups
             // over shard 0's machines (more groups per GroupPeer; with
             // several shards they coexist with the shard's own group).
-            if params.lock_service && column.shard == 0 {
-                column.lock = Some(start_lock_server(
-                    spawner,
-                    LockServerDeps {
-                        n,
-                        me: column.index,
-                        sim_node: column.sim_node,
-                        rpc: rpc.clone(),
-                        peer: peer.clone(),
-                        threads: 2,
-                    },
-                ));
-            }
-            if params.registry_service && column.shard == 0 {
-                column.registry = Some(start_registry_server(
-                    spawner,
-                    RegistryServerDeps {
-                        n,
-                        me: column.index,
-                        sim_node: column.sim_node,
-                        rpc: rpc.clone(),
-                        peer: peer.clone(),
-                        threads: 2,
-                    },
-                ));
-            }
-            if params.queue_service && column.shard == 0 {
-                column.queue = Some(start_queue_server(
-                    spawner,
-                    QueueServerDeps {
-                        n,
-                        me: column.index,
-                        sim_node: column.sim_node,
-                        rpc: rpc.clone(),
-                        peer: peer.clone(),
-                        threads: 2,
-                    },
-                ));
-            }
-            if params.lease_service && column.shard == 0 {
-                column.lease = Some(start_lease_server(
-                    spawner,
-                    LeaseServerDeps {
-                        n,
-                        me: column.index,
-                        sim_node: column.sim_node,
-                        rpc,
-                        peer,
-                        threads: 2,
-                    },
-                ));
-            }
+            let specs: &[ServiceSpec] = if column.shard == 0 {
+                &params.services
+            } else {
+                &[]
+            };
+            let start_one = |spec: &ServiceSpec| {
+                let deps = ServiceDeps {
+                    n,
+                    me: column.index,
+                    sim_node: column.sim_node,
+                    rpc: rpc.clone(),
+                    peer: peer.clone(),
+                    threads: 2,
+                };
+                (spec.start)(spawner, deps)
+            };
+            column.services = specs.iter().map(start_one).collect();
         }
         Variant::Rpc => {
             let deps = RpcServerDeps {
@@ -863,7 +760,7 @@ fn start_rebalancer(sim: &Simulation, params: &ClusterParams, net: &Network, col
         "the rebalancer needs a sharded group deployment"
     );
     assert!(
-        params.lease_service,
+        params.services.iter().any(|s| s.name == LeaseService::NAME),
         "the rebalancer needs the lease service (its migration-coordinator fence)"
     );
     let n = params.variant.servers();

@@ -40,8 +40,8 @@
 //! copy + tombstone two-step, the old shard keeps a **forwarding stub**
 //! so old capabilities stay valid forever, and a load-driven
 //! [`Rebalancer`](cluster::RebalancerParams) — fenced by the replicated
-//! lease service ([`start_lease_server`], the fifth `amoeba-rsm`
-//! consumer) — drains hot shards without a redeploy.
+//! lease service ([`LeaseService`], the fifth `amoeba-rsm` consumer) —
+//! drains hot shards without a redeploy.
 //!
 //! ## The cached read path
 //!
@@ -157,21 +157,16 @@ pub use report::{ClusterReport, MachineReport};
 pub use rights::Rights;
 pub use server_group::{start_group_server, GroupDirServer, GroupServerDeps};
 pub use server_lease::{
-    start_lease_server, LeaseClient, LeaseError, LeaseReply, LeaseRequest, LeaseServer,
-    LeaseServerDeps, LeaseStateMachine, LEASE_PORT,
+    LeaseClient, LeaseError, LeaseReply, LeaseRequest, LeaseService, LeaseTable, LEASE_PORT,
 };
-pub use server_lock::{
-    start_lock_server, LockClient, LockError, LockReply, LockRequest, LockServer, LockServerDeps,
-    LockStateMachine,
-};
+pub use server_lock::{LockClient, LockError, LockReply, LockRequest, LockService, LockTable};
 pub use server_nfs::{start_nfs_server, NfsDirServer, NfsServerDeps};
 pub use server_queue::{
-    start_queue_server, QueueClient, QueueError, QueueReply, QueueRequest, QueueServer,
-    QueueServerDeps, QueueStateMachine, QUEUE_PORT,
+    QueueClient, QueueError, QueueReply, QueueRequest, QueueService, QueueTable, QUEUE_PORT,
 };
 pub use server_registry::{
-    start_registry_server, RegistryClient, RegistryError, RegistryReply, RegistryRequest,
-    RegistryServer, RegistryServerDeps, RegistryStateMachine, REGISTRY_PORT,
+    RegistryClient, RegistryError, RegistryReply, RegistryRequest, RegistryService, RegistryTable,
+    REGISTRY_PORT,
 };
 pub use server_rpc::{start_rpc_server, RpcDirServer, RpcServerDeps};
 pub use shard::ShardMap;

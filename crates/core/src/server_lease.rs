@@ -4,19 +4,19 @@
 //! migration coordinator per directory.
 //!
 //! Like the lock and queue services, the whole service is this file: a
-//! wire format, a deterministic state machine over a `HashMap`, and an
-//! RPC front end calling [`Replica::submit`] /
-//! [`Replica::read_barrier`]. There is **zero group-protocol code**
-//! here. The machine is fully volatile — a rebooted replica recovers
-//! purely from a peer's snapshot — so it uses the §3.2 improved
-//! recovery rule (a volatile machine mourns no one).
+//! wire format, a deterministic [`Service::apply`] over a `HashMap`,
+//! and a typed client; the state machine, server loop and client
+//! plumbing are the [`amoeba_rsm::service`] harness. There is **zero
+//! group-protocol code** here. The state is fully volatile — a rebooted
+//! replica recovers purely from a peer's snapshot.
 //!
 //! ## Logical time
 //!
 //! The state machine keeps no wall clock (a replicated machine must be
 //! deterministic, and the simulator's clock is not part of the
 //! replicated state). Instead it counts **applied operations**: every
-//! replicated op ticks the clock by one, and a grant with TTL `t`
+//! replicated op ticks the clock by one (bytes that do not decode never
+//! reach `apply` and tick nothing), and a grant with TTL `t`
 //! expires once `t` further operations have been ordered. A crashed
 //! coordinator therefore blocks a contender for at most `ttl` of the
 //! contender's own (clock-ticking) grant attempts — deterministic,
@@ -57,15 +57,12 @@
 //! (this file), wall-clock deadlines for read caching ([`crate::cache`]).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
-use amoeba_flip::{Payload, Port};
-use amoeba_group::GroupPeer;
-use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
-use amoeba_rsm::{RecoveryInfo, Replica, ReplicaDeps, RsmConfig, RsmError, StateMachine};
-use amoeba_sim::{Ctx, NodeId, Spawn};
-use parking_lot::Mutex;
+use amoeba_flip::Port;
+use amoeba_rpc::{RpcClient, RpcError};
+use amoeba_rsm::service::{Service, ServiceClient, Wire};
+use amoeba_sim::Ctx;
 
 /// The public FLIP port of the lease service.
 pub const LEASE_PORT: Port = Port::from_raw(0x004C_5345); // "LSE"
@@ -144,32 +141,19 @@ const LR_FREE: u8 = 6;
 const LR_MALFORMED: u8 = 7;
 const LR_NO_MAJORITY: u8 = 8;
 
-impl LeaseRequest {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::new();
+impl Wire for LeaseRequest {
+    fn put(&self, w: &mut WireWriter) {
         match self {
             LeaseRequest::Grant { name, owner, ttl } => {
-                w.u8(LS_GRANT).string(name).u64(*owner).u64(*ttl);
+                w.u8(LS_GRANT).string(name).u64(*owner).u64(*ttl)
             }
-            LeaseRequest::Release { name, owner } => {
-                w.u8(LS_RELEASE).string(name).u64(*owner);
-            }
-            LeaseRequest::Query { name } => {
-                w.u8(LS_QUERY).string(name);
-            }
-        }
-        w.finish_payload()
+            LeaseRequest::Release { name, owner } => w.u8(LS_RELEASE).string(name).u64(*owner),
+            LeaseRequest::Query { name } => w.u8(LS_QUERY).string(name),
+        };
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<LeaseRequest, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let m = match r.u8("lease req tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<LeaseRequest, DecodeError> {
+        Ok(match r.u8("lease req tag")? {
             LS_GRANT => LeaseRequest::Grant {
                 name: r.string("lease name")?,
                 owner: r.u64("lease owner")?,
@@ -183,53 +167,26 @@ impl LeaseRequest {
                 name: r.string("lease name")?,
             },
             _ => return Err(DecodeError::new("lease req tag")),
-        };
-        r.expect_end("lease req trailing")?;
-        Ok(m)
+        })
     }
 }
 
-impl LeaseReply {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::new();
+impl Wire for LeaseReply {
+    fn put(&self, w: &mut WireWriter) {
         match self {
-            LeaseReply::Granted { expires } => {
-                w.u8(LR_GRANTED).u64(*expires);
-            }
-            LeaseReply::Busy { holder, expires } => {
-                w.u8(LR_BUSY).u64(*holder).u64(*expires);
-            }
-            LeaseReply::Ok => {
-                w.u8(LR_OK);
-            }
-            LeaseReply::NotHeld => {
-                w.u8(LR_NOT_HELD);
-            }
-            LeaseReply::Held { holder, expires } => {
-                w.u8(LR_HELD).u64(*holder).u64(*expires);
-            }
-            LeaseReply::Free => {
-                w.u8(LR_FREE);
-            }
-            LeaseReply::Malformed => {
-                w.u8(LR_MALFORMED);
-            }
-            LeaseReply::NoMajority => {
-                w.u8(LR_NO_MAJORITY);
-            }
-        }
-        w.finish_payload()
+            LeaseReply::Granted { expires } => w.u8(LR_GRANTED).u64(*expires),
+            LeaseReply::Busy { holder, expires } => w.u8(LR_BUSY).u64(*holder).u64(*expires),
+            LeaseReply::Ok => w.u8(LR_OK),
+            LeaseReply::NotHeld => w.u8(LR_NOT_HELD),
+            LeaseReply::Held { holder, expires } => w.u8(LR_HELD).u64(*holder).u64(*expires),
+            LeaseReply::Free => w.u8(LR_FREE),
+            LeaseReply::Malformed => w.u8(LR_MALFORMED),
+            LeaseReply::NoMajority => w.u8(LR_NO_MAJORITY),
+        };
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<LeaseReply, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let m = match r.u8("lease rep tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<LeaseReply, DecodeError> {
+        Ok(match r.u8("lease rep tag")? {
             LR_GRANTED => LeaseReply::Granted {
                 expires: r.u64("lease expires")?,
             },
@@ -247,82 +204,74 @@ impl LeaseReply {
             LR_MALFORMED => LeaseReply::Malformed,
             LR_NO_MAJORITY => LeaseReply::NoMajority,
             _ => return Err(DecodeError::new("lease rep tag")),
-        };
-        r.expect_end("lease rep trailing")?;
-        Ok(m)
+        })
     }
 }
 
 // ---------------------------------------------------------------------
-// The state machine.
+// The state and its ops.
 // ---------------------------------------------------------------------
 
-struct LeaseState {
+/// The replicated lease table over its logical clock.
+#[derive(Debug, Default)]
+pub struct LeaseTable {
     /// Logical clock: one tick per applied (replicated) operation.
     clock: u64,
     /// name → (owner token, logical expiry).
     leases: HashMap<String, (u64, u64)>,
-    /// Logical version, for recovery's source election.
-    update_seq: u64,
-    /// Applied cursor, kept in the same critical section as the state.
-    applied_seq: u64,
 }
 
-/// The replicated lease table: a volatile, deterministic
-/// [`StateMachine`]. Durability comes entirely from replication.
-pub struct LeaseStateMachine {
-    n: usize,
-    state: Mutex<LeaseState>,
-}
-
-impl std::fmt::Debug for LeaseStateMachine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LeaseStateMachine")
-    }
-}
-
-impl LeaseStateMachine {
-    /// An empty lease table for an `n`-replica service.
-    pub fn new(n: usize) -> LeaseStateMachine {
-        LeaseStateMachine {
-            n,
-            state: Mutex::new(LeaseState {
-                clock: 0,
-                leases: HashMap::new(),
-                update_seq: 0,
-                applied_seq: 0,
-            }),
-        }
-    }
-
+impl LeaseTable {
     /// Who holds `name`, if unexpired (serve only behind a read
-    /// barrier).
+    /// barrier): `(owner, logical expiry)`.
     pub fn holder(&self, name: &str) -> Option<(u64, u64)> {
-        let st = self.state.lock();
-        st.leases
-            .get(name)
-            .copied()
-            .filter(|(_, expires)| *expires > st.clock)
+        let live = |(_, expires): &(u64, u64)| *expires > self.clock;
+        self.leases.get(name).copied().filter(live)
     }
 
     /// The current logical clock (diagnostics/tests).
     pub fn clock(&self) -> u64 {
-        self.state.lock().clock
+        self.clock
     }
 }
 
-impl StateMachine for LeaseStateMachine {
-    fn apply(&self, _ctx: &Ctx, seq: u64, op: &Payload) -> Payload {
-        let mut st = self.state.lock();
-        st.applied_seq = st.applied_seq.max(seq);
-        st.update_seq += 1;
+impl Wire for LeaseTable {
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(self.clock);
+        self.leases.put(w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<LeaseTable, DecodeError> {
+        Ok(LeaseTable {
+            clock: r.u64("clock")?,
+            leases: Wire::get(r)?,
+        })
+    }
+}
+
+/// The lease service, as the harness sees it.
+#[derive(Debug)]
+pub struct LeaseService;
+
+impl Service for LeaseService {
+    const NAME: &'static str = "lease";
+    const PROC: &'static str = "lease";
+    const PORT: Port = LEASE_PORT;
+    const NO_MAJORITY: LeaseReply = LeaseReply::NoMajority;
+    const MALFORMED: LeaseReply = LeaseReply::Malformed;
+    type State = LeaseTable;
+    type Request = LeaseRequest;
+    type Reply = LeaseReply;
+    type Client = LeaseClient;
+
+    fn apply(table: &mut LeaseTable, req: LeaseRequest) -> LeaseReply {
         // Every ordered operation ticks logical time — this is what
         // lets a contender's own retries age a dead holder's grant out.
-        st.clock += 1;
-        let clock = st.clock;
-        let reply = match LeaseRequest::decode(op) {
-            Ok(LeaseRequest::Grant { name, owner, ttl }) => {
-                match st.leases.get(&name).copied() {
+        table.clock += 1;
+        let clock = table.clock;
+        let reply = match req {
+            LeaseRequest::Grant { name, owner, ttl } => {
+                match table.leases.get(&name).copied() {
                     // An unexpired lease held by someone else wins.
                     Some((holder, expires)) if expires > clock && holder != owner => {
                         LeaseReply::Busy { holder, expires }
@@ -330,189 +279,40 @@ impl StateMachine for LeaseStateMachine {
                     // Free, expired, or our own (renew): (re)grant.
                     _ => {
                         let expires = clock + ttl.max(1);
-                        st.leases.insert(name, (owner, expires));
+                        table.leases.insert(name, (owner, expires));
                         LeaseReply::Granted { expires }
                     }
                 }
             }
-            Ok(LeaseRequest::Release { name, owner }) => match st.leases.get(&name).copied() {
+            LeaseRequest::Release { name, owner } => match table.leases.get(&name).copied() {
                 Some((holder, expires)) if expires > clock && holder == owner => {
-                    st.leases.remove(&name);
+                    table.leases.remove(&name);
                     LeaseReply::Ok
                 }
                 _ => LeaseReply::NotHeld,
             },
-            _ => LeaseReply::Malformed, // queries are never replicated
+            LeaseRequest::Query { .. } => LeaseReply::Malformed, // never replicated
         };
         // Expired residue is garbage; drop it eagerly (deterministic:
         // depends only on replicated state and the clock).
-        st.leases.retain(|_, (_, expires)| *expires > clock);
-        reply.encode()
+        table.leases.retain(|_, (_, expires)| *expires > clock);
+        reply
     }
 
-    fn recovery_info(&self) -> RecoveryInfo {
-        RecoveryInfo {
-            update_seq: self.state.lock().update_seq,
-            // Volatile state: we cannot know who crashed before us.
-            mourned: vec![false; self.n],
-        }
-    }
-
-    fn snapshot(&self, _ctx: &Ctx) -> (u64, Payload) {
-        let st = self.state.lock();
-        let mut names: Vec<&String> = st.leases.keys().collect();
-        names.sort_unstable(); // deterministic encoding
-        let mut w = WireWriter::new();
-        w.u64(st.update_seq).u64(st.clock).u32(names.len() as u32);
-        for name in names {
-            let (owner, expires) = st.leases[name];
-            w.string(name).u64(owner).u64(expires);
-        }
-        (st.applied_seq, w.finish_payload())
-    }
-
-    fn install(&self, _ctx: &Ctx, cursor: u64, snap: &Payload) -> bool {
-        let mut r = WireReader::of(snap);
-        let (update_seq, clock, n) = match (r.u64("update seq"), r.u64("clock"), r.u32("leases")) {
-            (Ok(u), Ok(c), Ok(n)) if (n as usize) <= 1_000_000 => (u, c, n),
-            _ => return false,
-        };
-        let mut leases = HashMap::with_capacity(n as usize);
-        for _ in 0..n {
-            match (
-                r.string("lease name"),
-                r.u64("lease owner"),
-                r.u64("lease expires"),
-            ) {
-                (Ok(name), Ok(owner), Ok(expires)) => {
-                    leases.insert(name, (owner, expires));
-                }
-                _ => return false,
-            }
-        }
-        let mut st = self.state.lock();
-        st.leases = leases;
-        st.clock = clock;
-        st.update_seq = update_seq;
-        st.applied_seq = cursor;
-        true
-    }
-
-    fn align_cursor(&self, _ctx: &Ctx, cursor: u64) {
-        // A new instance's order restarts: set absolutely.
-        self.state.lock().applied_seq = cursor;
-    }
-
-    fn on_membership(&self, _ctx: &Ctx, seq: u64, _config: &[bool]) {
-        if seq > 0 {
-            let mut st = self.state.lock();
-            st.applied_seq = st.applied_seq.max(seq);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Server wiring and client stub.
-// ---------------------------------------------------------------------
-
-/// Everything needed to start one lease-service replica: like the lock
-/// and queue services, no disk, no Bullet, no NVRAM — replication is
-/// the only durability.
-pub struct LeaseServerDeps {
-    /// Total replicas.
-    pub n: usize,
-    /// This replica's index in `0..n`.
-    pub me: usize,
-    /// The machine this replica runs on.
-    pub sim_node: NodeId,
-    /// RPC kernel of the machine (shared with other services).
-    pub rpc: RpcNode,
-    /// Group kernel of the machine (shared with other services; the
-    /// lease group forms on its own port).
-    pub peer: GroupPeer,
-    /// Request threads to spawn.
-    pub threads: usize,
-}
-
-impl std::fmt::Debug for LeaseServerDeps {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LeaseServerDeps(replica {})", self.me)
-    }
-}
-
-/// Handle to one running lease-service replica.
-#[derive(Clone, Debug)]
-pub struct LeaseServer {
-    replica: Replica<LeaseStateMachine>,
-}
-
-impl LeaseServer {
-    /// Whether the replica is serving.
-    pub fn is_normal(&self) -> bool {
-        self.replica.is_normal()
-    }
-
-    /// The replica's lease table (diagnostics/tests).
-    pub fn machine(&self) -> &Arc<LeaseStateMachine> {
-        self.replica.machine()
-    }
-}
-
-/// Starts one replica of the lease service.
-pub fn start_lease_server(spawner: &impl Spawn, deps: LeaseServerDeps) -> LeaseServer {
-    let LeaseServerDeps {
-        n,
-        me,
-        sim_node,
-        rpc,
-        peer,
-        threads,
-    } = deps;
-    let sm = Arc::new(LeaseStateMachine::new(n));
-    let mut cfg = RsmConfig::new("amoeba.lease", n, me);
-    // Volatile machine: only the §3.2 improved rule can ever let it
-    // recover from less than the full replica set (see the lock
-    // service for the full argument).
-    cfg.improved_recovery = true;
-    let replica = Replica::start(
-        spawner,
-        ReplicaDeps {
-            cfg,
-            sim_node,
-            rpc: rpc.clone(),
-            peer,
-            sm,
-        },
-    );
-    for t in 0..threads.max(1) {
-        let srv = RpcServer::new(&rpc, LEASE_PORT);
-        let replica = replica.clone();
-        spawner.spawn_boxed(
-            Some(sim_node),
-            &format!("lease{me}-srv{t}"),
-            Box::new(move |ctx| loop {
-                let incoming = srv.getreq(ctx);
-                let reply = match LeaseRequest::decode(&incoming.data) {
-                    Ok(LeaseRequest::Query { name }) => match replica.read_barrier(ctx) {
-                        Ok(()) => match replica.machine().holder(&name) {
-                            Some((holder, expires)) => LeaseReply::Held { holder, expires },
-                            None => LeaseReply::Free,
-                        },
-                        Err(_) => LeaseReply::NoMajority,
-                    },
-                    Ok(op) => match replica.submit(ctx, op.encode()) {
-                        Ok(bytes) => LeaseReply::decode(&bytes).unwrap_or(LeaseReply::Malformed),
-                        Err(RsmError::NotInService | RsmError::Aborted) => LeaseReply::NoMajority,
-                        Err(RsmError::ResultLost) => LeaseReply::Malformed,
-                    },
-                    Err(_) => LeaseReply::Malformed,
-                };
-                srv.putrep(&incoming, reply.encode());
+    fn read(table: &LeaseTable, req: &LeaseRequest) -> Option<LeaseReply> {
+        match req {
+            LeaseRequest::Query { name } => Some(match table.holder(name) {
+                Some((holder, expires)) => LeaseReply::Held { holder, expires },
+                None => LeaseReply::Free,
             }),
-        );
+            _ => None,
+        }
     }
-    LeaseServer { replica }
 }
+
+// ---------------------------------------------------------------------
+// Typed client.
+// ---------------------------------------------------------------------
 
 /// Errors surfaced by [`LeaseClient`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -539,22 +339,18 @@ impl std::error::Error for LeaseError {}
 
 /// Client stub for the lease service.
 #[derive(Clone, Debug)]
-pub struct LeaseClient {
-    rpc: RpcClient,
+pub struct LeaseClient(ServiceClient<LeaseService>);
+
+impl From<ServiceClient<LeaseService>> for LeaseClient {
+    fn from(client: ServiceClient<LeaseService>) -> LeaseClient {
+        LeaseClient(client)
+    }
 }
 
 impl LeaseClient {
     /// Creates a stub talking to the service through `rpc`.
     pub fn new(rpc: RpcClient) -> LeaseClient {
-        LeaseClient { rpc }
-    }
-
-    fn call(&self, ctx: &Ctx, req: LeaseRequest) -> Result<LeaseReply, LeaseError> {
-        let bytes = self
-            .rpc
-            .trans(ctx, LEASE_PORT, req.encode())
-            .map_err(LeaseError::Rpc)?;
-        LeaseReply::decode(&bytes).map_err(|_| LeaseError::Service)
+        LeaseClient(ServiceClient::new(rpc))
     }
 
     /// Acquires (or renews) `name` for `owner`. Returns the logical
@@ -570,14 +366,10 @@ impl LeaseClient {
         owner: u64,
         ttl: u64,
     ) -> Result<Option<u64>, LeaseError> {
-        match self.call(
-            ctx,
-            LeaseRequest::Grant {
-                name: name.to_owned(),
-                owner,
-                ttl,
-            },
-        )? {
+        let name = name.to_owned();
+        let req = LeaseRequest::Grant { name, owner, ttl };
+        let reply = self.0.op(ctx, "cli.ls.grant", &req);
+        match reply.map_err(LeaseError::Rpc)? {
             LeaseReply::Granted { expires } => Ok(Some(expires)),
             LeaseReply::Busy { .. } => Ok(None),
             LeaseReply::NoMajority => Err(LeaseError::NoMajority),
@@ -592,13 +384,10 @@ impl LeaseClient {
     ///
     /// [`LeaseError::NoMajority`] while the service is recovering.
     pub fn release(&self, ctx: &Ctx, name: &str, owner: u64) -> Result<bool, LeaseError> {
-        match self.call(
-            ctx,
-            LeaseRequest::Release {
-                name: name.to_owned(),
-                owner,
-            },
-        )? {
+        let name = name.to_owned();
+        let req = LeaseRequest::Release { name, owner };
+        let reply = self.0.op(ctx, "cli.ls.release", &req);
+        match reply.map_err(LeaseError::Rpc)? {
             LeaseReply::Ok => Ok(true),
             LeaseReply::NotHeld => Ok(false),
             LeaseReply::NoMajority => Err(LeaseError::NoMajority),
@@ -612,61 +401,14 @@ impl LeaseClient {
     ///
     /// [`LeaseError::NoMajority`] while the service is recovering.
     pub fn query(&self, ctx: &Ctx, name: &str) -> Result<Option<(u64, u64)>, LeaseError> {
-        match self.call(
-            ctx,
-            LeaseRequest::Query {
-                name: name.to_owned(),
-            },
-        )? {
+        let name = name.to_owned();
+        let req = LeaseRequest::Query { name };
+        let reply = self.0.op(ctx, "cli.ls.query", &req);
+        match reply.map_err(LeaseError::Rpc)? {
             LeaseReply::Held { holder, expires } => Ok(Some((holder, expires))),
             LeaseReply::Free => Ok(None),
             LeaseReply::NoMajority => Err(LeaseError::NoMajority),
             _ => Err(LeaseError::Service),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn requests_and_replies_round_trip() {
-        let reqs = [
-            LeaseRequest::Grant {
-                name: "mig:1:2".into(),
-                owner: 77,
-                ttl: 32,
-            },
-            LeaseRequest::Release {
-                name: "mig:1:2".into(),
-                owner: 77,
-            },
-            LeaseRequest::Query { name: "x".into() },
-        ];
-        for m in reqs {
-            assert_eq!(LeaseRequest::decode(&m.encode()).unwrap(), m);
-        }
-        let reps = [
-            LeaseReply::Granted { expires: 40 },
-            LeaseReply::Busy {
-                holder: 9,
-                expires: 40,
-            },
-            LeaseReply::Ok,
-            LeaseReply::NotHeld,
-            LeaseReply::Held {
-                holder: 9,
-                expires: 40,
-            },
-            LeaseReply::Free,
-            LeaseReply::Malformed,
-            LeaseReply::NoMajority,
-        ];
-        for m in reps {
-            assert_eq!(LeaseReply::decode(&m.encode()).unwrap(), m);
-        }
-        assert!(LeaseRequest::decode(&[99]).is_err());
-        assert!(LeaseReply::decode(&[]).is_err());
     }
 }

@@ -1,27 +1,23 @@
 //! A replicated lock/registry service — the second consumer of the
-//! [`amoeba_rsm`] API, proving the claim the crate makes: implement a
-//! [`StateMachine`], get a fault-tolerant service.
+//! [`amoeba_rsm`] API, proving the claim the crate makes: a
+//! fault-tolerant service is its state and its ops.
 //!
-//! The whole service is this file: a wire format, a ~hundred-line
-//! deterministic state machine over a `HashMap`, and an RPC front end
-//! that calls [`Replica::submit`] / [`Replica::read_barrier`]. There
-//! is **zero group-protocol code** here — ordering, majority rule,
-//! apply batching, reset and recovery (including state transfer to a
-//! rebooted replica) all come from the generic driver. The machine is
-//! fully volatile: it skips every durable-bookkeeping hook and relies
-//! on its peers' snapshots after a reboot, exactly the trait's
-//! defaults.
+//! The whole service is this file: a wire format, a deterministic
+//! [`Service::apply`] over a `HashMap`, and a typed client. There is
+//! **zero group-protocol code** here — ordering, majority rule, apply
+//! batching, reset and recovery (including state transfer to a
+//! rebooted replica) come from the generic driver, and the state
+//! machine, server loop and client plumbing from the
+//! [`amoeba_rsm::service`] harness. The state is fully volatile: a
+//! rebooted replica relies on its peers' snapshots.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
-use amoeba_flip::{Payload, Port};
-use amoeba_group::GroupPeer;
-use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
-use amoeba_rsm::{RecoveryInfo, Replica, ReplicaDeps, RsmConfig, RsmError, StateMachine};
-use amoeba_sim::{Ctx, NodeId, Spawn};
-use parking_lot::Mutex;
+use amoeba_flip::Port;
+use amoeba_rpc::{RpcClient, RpcError};
+use amoeba_rsm::service::{Service, ServiceClient, Wire};
+use amoeba_sim::Ctx;
 
 /// The public FLIP port of the lock service.
 pub const LOCK_PORT: Port = Port::from_raw(0x004C_4F43); // "LOC"
@@ -81,32 +77,17 @@ const R_NOT_HELD: u8 = 5;
 const R_MALFORMED: u8 = 6;
 const R_NO_MAJORITY: u8 = 7;
 
-impl LockRequest {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::new();
+impl Wire for LockRequest {
+    fn put(&self, w: &mut WireWriter) {
         match self {
-            LockRequest::Acquire { name, owner } => {
-                w.u8(L_ACQUIRE).string(name).u64(*owner);
-            }
-            LockRequest::Release { name, owner } => {
-                w.u8(L_RELEASE).string(name).u64(*owner);
-            }
-            LockRequest::Query { name } => {
-                w.u8(L_QUERY).string(name);
-            }
-        }
-        w.finish_payload()
+            LockRequest::Acquire { name, owner } => w.u8(L_ACQUIRE).string(name).u64(*owner),
+            LockRequest::Release { name, owner } => w.u8(L_RELEASE).string(name).u64(*owner),
+            LockRequest::Query { name } => w.u8(L_QUERY).string(name),
+        };
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<LockRequest, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let m = match r.u8("lock req tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<LockRequest, DecodeError> {
+        Ok(match r.u8("lock req tag")? {
             L_ACQUIRE => LockRequest::Acquire {
                 name: r.string("lock name")?,
                 owner: r.u64("lock owner")?,
@@ -119,50 +100,25 @@ impl LockRequest {
                 name: r.string("lock name")?,
             },
             _ => return Err(DecodeError::new("lock req tag")),
-        };
-        r.expect_end("lock req trailing")?;
-        Ok(m)
+        })
     }
 }
 
-impl LockReply {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::new();
+impl Wire for LockReply {
+    fn put(&self, w: &mut WireWriter) {
         match self {
-            LockReply::Ok => {
-                w.u8(R_OK);
-            }
-            LockReply::Held(o) => {
-                w.u8(R_HELD).u64(*o);
-            }
-            LockReply::Free => {
-                w.u8(R_FREE);
-            }
-            LockReply::Busy(o) => {
-                w.u8(R_BUSY).u64(*o);
-            }
-            LockReply::NotHeld => {
-                w.u8(R_NOT_HELD);
-            }
-            LockReply::Malformed => {
-                w.u8(R_MALFORMED);
-            }
-            LockReply::NoMajority => {
-                w.u8(R_NO_MAJORITY);
-            }
-        }
-        w.finish_payload()
+            LockReply::Ok => w.u8(R_OK),
+            LockReply::Held(o) => w.u8(R_HELD).u64(*o),
+            LockReply::Free => w.u8(R_FREE),
+            LockReply::Busy(o) => w.u8(R_BUSY).u64(*o),
+            LockReply::NotHeld => w.u8(R_NOT_HELD),
+            LockReply::Malformed => w.u8(R_MALFORMED),
+            LockReply::NoMajority => w.u8(R_NO_MAJORITY),
+        };
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<LockReply, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let m = match r.u8("lock rep tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<LockReply, DecodeError> {
+        Ok(match r.u8("lock rep tag")? {
             R_OK => LockReply::Ok,
             R_HELD => LockReply::Held(r.u64("holder")?),
             R_FREE => LockReply::Free,
@@ -171,266 +127,66 @@ impl LockReply {
             R_MALFORMED => LockReply::Malformed,
             R_NO_MAJORITY => LockReply::NoMajority,
             _ => return Err(DecodeError::new("lock rep tag")),
-        };
-        r.expect_end("lock rep trailing")?;
-        Ok(m)
+        })
     }
 }
 
 // ---------------------------------------------------------------------
-// The state machine.
+// The state and its ops.
 // ---------------------------------------------------------------------
 
-struct LockState {
-    /// lock name → owner token.
-    held: HashMap<String, u64>,
-    /// Logical version (one per applied op), for recovery's source
-    /// election.
-    update_seq: u64,
-    /// Applied cursor, kept in the same critical section as the state.
-    applied_seq: u64,
-}
+/// The replicated lock table: lock name → owner token.
+pub type LockTable = HashMap<String, u64>;
 
-/// The replicated lock table: a volatile, deterministic
-/// [`StateMachine`]. Durability comes entirely from replication — a
-/// rebooted replica recovers the table from a peer's snapshot.
-pub struct LockStateMachine {
-    n: usize,
-    state: Mutex<LockState>,
-}
+/// The lock/registry service, as the harness sees it.
+#[derive(Debug)]
+pub struct LockService;
 
-impl std::fmt::Debug for LockStateMachine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LockStateMachine")
-    }
-}
+impl Service for LockService {
+    const NAME: &'static str = "lock";
+    const PROC: &'static str = "lock";
+    const PORT: Port = LOCK_PORT;
+    const NO_MAJORITY: LockReply = LockReply::NoMajority;
+    const MALFORMED: LockReply = LockReply::Malformed;
+    type State = LockTable;
+    type Request = LockRequest;
+    type Reply = LockReply;
+    type Client = LockClient;
 
-impl LockStateMachine {
-    /// An empty lock table for an `n`-replica service.
-    pub fn new(n: usize) -> LockStateMachine {
-        LockStateMachine {
-            n,
-            state: Mutex::new(LockState {
-                held: HashMap::new(),
-                update_seq: 0,
-                applied_seq: 0,
-            }),
-        }
-    }
-
-    /// Who currently holds `name` (serve only behind a read barrier).
-    pub fn holder(&self, name: &str) -> Option<u64> {
-        self.state.lock().held.get(name).copied()
-    }
-
-    /// Number of held locks (diagnostics/tests).
-    pub fn held_count(&self) -> usize {
-        self.state.lock().held.len()
-    }
-}
-
-impl StateMachine for LockStateMachine {
-    fn apply(&self, _ctx: &Ctx, seq: u64, op: &Payload) -> Payload {
-        let mut st = self.state.lock();
-        st.applied_seq = st.applied_seq.max(seq);
-        st.update_seq += 1;
-        let reply = match LockRequest::decode(op) {
-            Ok(LockRequest::Acquire { name, owner }) => match st.held.get(&name) {
+    fn apply(held: &mut LockTable, req: LockRequest) -> LockReply {
+        match req {
+            LockRequest::Acquire { name, owner } => match held.get(&name) {
                 Some(holder) if *holder != owner => LockReply::Busy(*holder),
                 _ => {
-                    st.held.insert(name, owner);
+                    held.insert(name, owner);
                     LockReply::Ok
                 }
             },
-            Ok(LockRequest::Release { name, owner }) => match st.held.get(&name) {
+            LockRequest::Release { name, owner } => match held.get(&name) {
                 Some(holder) if *holder == owner => {
-                    st.held.remove(&name);
+                    held.remove(&name);
                     LockReply::Ok
                 }
                 _ => LockReply::NotHeld,
             },
-            _ => LockReply::Malformed, // queries are never replicated
-        };
-        reply.encode()
-    }
-
-    fn recovery_info(&self) -> RecoveryInfo {
-        RecoveryInfo {
-            update_seq: self.state.lock().update_seq,
-            // Volatile state: we cannot know who crashed before us.
-            mourned: vec![false; self.n],
+            LockRequest::Query { .. } => LockReply::Malformed, // never replicated
         }
     }
 
-    fn snapshot(&self, _ctx: &Ctx) -> (u64, Payload) {
-        let st = self.state.lock();
-        let mut names: Vec<&String> = st.held.keys().collect();
-        names.sort_unstable(); // deterministic encoding
-        let mut w = WireWriter::new();
-        w.u64(st.update_seq).u32(names.len() as u32);
-        for name in names {
-            w.string(name).u64(st.held[name]);
-        }
-        (st.applied_seq, w.finish_payload())
-    }
-
-    fn install(&self, _ctx: &Ctx, cursor: u64, snap: &Payload) -> bool {
-        let mut r = WireReader::of(snap);
-        let (update_seq, n) = match (r.u64("update seq"), r.u32("locks")) {
-            (Ok(u), Ok(n)) if (n as usize) <= 1_000_000 => (u, n),
-            _ => return false,
-        };
-        let mut held = HashMap::with_capacity(n as usize);
-        for _ in 0..n {
-            match (r.string("lock name"), r.u64("lock owner")) {
-                (Ok(name), Ok(owner)) => {
-                    held.insert(name, owner);
-                }
-                _ => return false,
-            }
-        }
-        let mut st = self.state.lock();
-        st.held = held;
-        st.update_seq = update_seq;
-        st.applied_seq = cursor;
-        true
-    }
-
-    fn align_cursor(&self, _ctx: &Ctx, cursor: u64) {
-        // A new instance's order restarts: set absolutely.
-        self.state.lock().applied_seq = cursor;
-    }
-
-    fn on_membership(&self, _ctx: &Ctx, seq: u64, _config: &[bool]) {
-        if seq > 0 {
-            let mut st = self.state.lock();
-            st.applied_seq = st.applied_seq.max(seq);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Server wiring and client stub.
-// ---------------------------------------------------------------------
-
-/// Everything needed to start one lock-service replica. Note what is
-/// *not* here compared to the directory server: no disk, no Bullet, no
-/// NVRAM — replication is the only durability.
-pub struct LockServerDeps {
-    /// Total replicas / this replica's index.
-    pub n: usize,
-    /// This replica's index in `0..n`.
-    pub me: usize,
-    /// The machine this replica runs on.
-    pub sim_node: NodeId,
-    /// RPC kernel of the machine (shared with other services).
-    pub rpc: RpcNode,
-    /// Group kernel of the machine (shared with other services; the
-    /// lock group forms on its own port).
-    pub peer: GroupPeer,
-    /// Request threads to spawn.
-    pub threads: usize,
-}
-
-impl std::fmt::Debug for LockServerDeps {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LockServerDeps(replica {})", self.me)
-    }
-}
-
-/// Handle to one running lock-service replica.
-#[derive(Clone, Debug)]
-pub struct LockServer {
-    replica: Replica<LockStateMachine>,
-}
-
-impl LockServer {
-    /// Whether the replica is serving.
-    pub fn is_normal(&self) -> bool {
-        self.replica.is_normal()
-    }
-
-    /// The replica's lock table (diagnostics/tests).
-    pub fn machine(&self) -> &Arc<LockStateMachine> {
-        self.replica.machine()
-    }
-}
-
-/// Starts one replica of the lock/registry service.
-pub fn start_lock_server(spawner: &impl Spawn, deps: LockServerDeps) -> LockServer {
-    let LockServerDeps {
-        n,
-        me,
-        sim_node,
-        rpc,
-        peer,
-        threads,
-    } = deps;
-    let sm = Arc::new(LockStateMachine::new(n));
-    let mut cfg = RsmConfig::new("amoeba.lock", n, me);
-    // A volatile machine mourns no one, so the strict last-set rule
-    // would demand *every* replica be present after a majority loss.
-    // The §3.2 improved rule — a stayed-up replica holding the highest
-    // version vouches for the missing ones — is the only recovery
-    // evidence a diskless service has, and it is sufficient: state
-    // lives wherever the group last had a majority.
-    cfg.improved_recovery = true;
-    let replica = Replica::start(
-        spawner,
-        ReplicaDeps {
-            cfg,
-            sim_node,
-            rpc: rpc.clone(),
-            peer,
-            sm,
-        },
-    );
-    for t in 0..threads.max(1) {
-        let srv = RpcServer::new(&rpc, LOCK_PORT);
-        let replica = replica.clone();
-        spawner.spawn_boxed(
-            Some(sim_node),
-            &format!("lock{me}-srv{t}"),
-            Box::new(move |ctx| loop {
-                let incoming = srv.getreq(ctx);
-                // Server-side span parented to the client's context; the
-                // submit inherits it via the ambient context, so a traced
-                // acquire shows client → lock server → sequencer →
-                // replicas as one connected tree.
-                let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
-                let span = tele.begin_child("lock.srv", u64::from(srv.addr().0), incoming.trace);
-                let prev = amoeba_telemetry::set_current_ctx(span);
-                let reply = match LockRequest::decode(&incoming.data) {
-                    Ok(LockRequest::Query { name }) => match replica.read_barrier(ctx) {
-                        Ok(()) => match replica.machine().holder(&name) {
-                            Some(owner) => LockReply::Held(owner),
-                            None => LockReply::Free,
-                        },
-                        Err(_) => LockReply::NoMajority,
-                    },
-                    Ok(op) => {
-                        match replica.submit_traced(
-                            ctx,
-                            op.encode(),
-                            amoeba_telemetry::current_ctx(),
-                        ) {
-                            Ok(bytes) => LockReply::decode(&bytes).unwrap_or(LockReply::Malformed),
-                            Err(RsmError::NotInService | RsmError::Aborted) => {
-                                LockReply::NoMajority
-                            }
-                            Err(RsmError::ResultLost) => LockReply::Malformed,
-                        }
-                    }
-                    Err(_) => LockReply::Malformed,
-                };
-                amoeba_telemetry::set_current_ctx(prev);
-                tele.end(span);
-                srv.putrep(&incoming, reply.encode());
+    fn read(held: &LockTable, req: &LockRequest) -> Option<LockReply> {
+        match req {
+            LockRequest::Query { name } => Some(match held.get(name) {
+                Some(owner) => LockReply::Held(*owner),
+                None => LockReply::Free,
             }),
-        );
+            _ => None,
+        }
     }
-    LockServer { replica }
 }
+
+// ---------------------------------------------------------------------
+// Typed client.
+// ---------------------------------------------------------------------
 
 /// Errors surfaced by [`LockClient`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -463,51 +219,18 @@ impl std::error::Error for LockError {}
 
 /// Client stub for the lock/registry service.
 #[derive(Clone, Debug)]
-pub struct LockClient {
-    rpc: RpcClient,
+pub struct LockClient(ServiceClient<LockService>);
+
+impl From<ServiceClient<LockService>> for LockClient {
+    fn from(client: ServiceClient<LockService>) -> LockClient {
+        LockClient(client)
+    }
 }
 
 impl LockClient {
     /// Creates a stub talking to the service through `rpc`.
     pub fn new(rpc: RpcClient) -> LockClient {
-        LockClient { rpc }
-    }
-
-    fn call(&self, ctx: &Ctx, req: LockRequest) -> Result<LockReply, LockError> {
-        let bytes = self
-            .rpc
-            .trans(ctx, LOCK_PORT, req.encode())
-            .map_err(LockError::Rpc)?;
-        LockReply::decode(&bytes).map_err(|_| LockError::Service)
-    }
-
-    /// Wraps one public operation in a client span (root when the
-    /// process has no ambient context) and a latency histogram — the
-    /// same shape as `DirClient`'s per-op instrumentation.
-    fn op<T>(
-        &self,
-        ctx: &Ctx,
-        name: &'static str,
-        f: impl FnOnce() -> Result<T, LockError>,
-    ) -> Result<T, LockError> {
-        let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
-        if !tele.is_enabled() {
-            return f();
-        }
-        let machine = u64::from(self.rpc.addr().0);
-        let outer = amoeba_telemetry::current_ctx();
-        let span = if outer.is_some() {
-            tele.begin_child(name, machine, outer)
-        } else {
-            tele.begin_root(name, machine)
-        };
-        let prev = amoeba_telemetry::set_current_ctx(span);
-        let start = ctx.now();
-        let r = f();
-        amoeba_telemetry::set_current_ctx(prev);
-        tele.end(span);
-        tele.observe_since(name, start);
-        r
+        LockClient(ServiceClient::new(rpc))
     }
 
     /// Acquires `name` for `owner`.
@@ -516,20 +239,15 @@ impl LockClient {
     ///
     /// [`LockError::Busy`] if held by another owner.
     pub fn acquire(&self, ctx: &Ctx, name: &str, owner: u64) -> Result<(), LockError> {
-        self.op(ctx, "cli.lk.acquire", || {
-            match self.call(
-                ctx,
-                LockRequest::Acquire {
-                    name: name.to_owned(),
-                    owner,
-                },
-            )? {
-                LockReply::Ok => Ok(()),
-                LockReply::Busy(o) => Err(LockError::Busy(o)),
-                LockReply::NoMajority => Err(LockError::NoMajority),
-                _ => Err(LockError::Service),
-            }
-        })
+        let name = name.to_owned();
+        let req = LockRequest::Acquire { name, owner };
+        let reply = self.0.op(ctx, "cli.lk.acquire", &req);
+        match reply.map_err(LockError::Rpc)? {
+            LockReply::Ok => Ok(()),
+            LockReply::Busy(o) => Err(LockError::Busy(o)),
+            LockReply::NoMajority => Err(LockError::NoMajority),
+            _ => Err(LockError::Service),
+        }
     }
 
     /// Releases `name` held by `owner`.
@@ -538,20 +256,15 @@ impl LockClient {
     ///
     /// [`LockError::NotHeld`] if the caller does not hold it.
     pub fn release(&self, ctx: &Ctx, name: &str, owner: u64) -> Result<(), LockError> {
-        self.op(ctx, "cli.lk.release", || {
-            match self.call(
-                ctx,
-                LockRequest::Release {
-                    name: name.to_owned(),
-                    owner,
-                },
-            )? {
-                LockReply::Ok => Ok(()),
-                LockReply::NotHeld => Err(LockError::NotHeld),
-                LockReply::NoMajority => Err(LockError::NoMajority),
-                _ => Err(LockError::Service),
-            }
-        })
+        let name = name.to_owned();
+        let req = LockRequest::Release { name, owner };
+        let reply = self.0.op(ctx, "cli.lk.release", &req);
+        match reply.map_err(LockError::Rpc)? {
+            LockReply::Ok => Ok(()),
+            LockReply::NotHeld => Err(LockError::NotHeld),
+            LockReply::NoMajority => Err(LockError::NoMajority),
+            _ => Err(LockError::Service),
+        }
     }
 
     /// Who holds `name`, if anyone.
@@ -560,55 +273,14 @@ impl LockClient {
     ///
     /// [`LockError::Service`] / [`LockError::Rpc`] on failure.
     pub fn query(&self, ctx: &Ctx, name: &str) -> Result<Option<u64>, LockError> {
-        self.op(ctx, "cli.lk.query", || {
-            match self.call(
-                ctx,
-                LockRequest::Query {
-                    name: name.to_owned(),
-                },
-            )? {
-                LockReply::Held(o) => Ok(Some(o)),
-                LockReply::Free => Ok(None),
-                LockReply::NoMajority => Err(LockError::NoMajority),
-                _ => Err(LockError::Service),
-            }
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn requests_and_replies_round_trip() {
-        let reqs = [
-            LockRequest::Acquire {
-                name: "a/b".into(),
-                owner: 9,
-            },
-            LockRequest::Release {
-                name: "x".into(),
-                owner: 1,
-            },
-            LockRequest::Query { name: "q".into() },
-        ];
-        for m in reqs {
-            assert_eq!(LockRequest::decode(&m.encode()).unwrap(), m);
+        let name = name.to_owned();
+        let req = LockRequest::Query { name };
+        let reply = self.0.op(ctx, "cli.lk.query", &req);
+        match reply.map_err(LockError::Rpc)? {
+            LockReply::Held(o) => Ok(Some(o)),
+            LockReply::Free => Ok(None),
+            LockReply::NoMajority => Err(LockError::NoMajority),
+            _ => Err(LockError::Service),
         }
-        let reps = [
-            LockReply::Ok,
-            LockReply::Held(5),
-            LockReply::Free,
-            LockReply::Busy(7),
-            LockReply::NotHeld,
-            LockReply::Malformed,
-            LockReply::NoMajority,
-        ];
-        for m in reps {
-            assert_eq!(LockReply::decode(&m.encode()).unwrap(), m);
-        }
-        assert!(LockRequest::decode(&[99]).is_err());
-        assert!(LockReply::decode(&[]).is_err());
     }
 }

@@ -1,16 +1,15 @@
 //! A replicated FIFO queue service — the fourth consumer of the
 //! [`amoeba_rsm`] API, and the one that exercises *several groups per
 //! machine*: in a sharded deployment its replicas share their machines
-//! (and their [`GroupPeer`] kernels) with the directory shards, forming
-//! yet another independent group on its own port.
+//! (and their group kernels) with the directory shards, forming yet
+//! another independent group on its own port.
 //!
 //! Like the lock service, the whole service is this file: a wire
-//! format, a deterministic state machine over a map of `VecDeque`s, and
-//! an RPC front end calling [`Replica::submit`] /
-//! [`Replica::read_barrier`]. There is **zero group-protocol code**
-//! here. The machine is fully volatile — a rebooted replica recovers
-//! purely from a peer's snapshot — so, like the lock service, it uses
-//! the §3.2 improved recovery rule (a volatile machine mourns no one).
+//! format, a deterministic [`Service::apply`] over a map of
+//! `VecDeque`s, and a typed client; the state machine, server loop and
+//! client plumbing are the [`amoeba_rsm::service`] harness. There is
+//! **zero group-protocol code** here. The state is fully volatile — a
+//! rebooted replica recovers purely from a peer's snapshot.
 //!
 //! Semantics: per-queue FIFO order is the group's total order —
 //! concurrent enqueuers from different machines are ordered by the
@@ -19,15 +18,12 @@
 //! majority).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
-use amoeba_flip::{Payload, Port};
-use amoeba_group::GroupPeer;
-use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
-use amoeba_rsm::{RecoveryInfo, Replica, ReplicaDeps, RsmConfig, RsmError, StateMachine};
-use amoeba_sim::{Ctx, NodeId, Spawn};
-use parking_lot::Mutex;
+use amoeba_flip::Port;
+use amoeba_rpc::{RpcClient, RpcError};
+use amoeba_rsm::service::{Service, ServiceClient, Wire};
+use amoeba_sim::Ctx;
 
 /// The public FLIP port of the queue service.
 pub const QUEUE_PORT: Port = Port::from_raw(0x0051_5545); // "QUE"
@@ -80,32 +76,17 @@ const QR_EMPTY: u8 = 3;
 const QR_MALFORMED: u8 = 4;
 const QR_NO_MAJORITY: u8 = 5;
 
-impl QueueRequest {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::new();
+impl Wire for QueueRequest {
+    fn put(&self, w: &mut WireWriter) {
         match self {
-            QueueRequest::Enqueue { queue, item } => {
-                w.u8(Q_ENQUEUE).string(queue).bytes(item);
-            }
-            QueueRequest::Dequeue { queue } => {
-                w.u8(Q_DEQUEUE).string(queue);
-            }
-            QueueRequest::Peek { queue } => {
-                w.u8(Q_PEEK).string(queue);
-            }
-        }
-        w.finish_payload()
+            QueueRequest::Enqueue { queue, item } => w.u8(Q_ENQUEUE).string(queue).bytes(item),
+            QueueRequest::Dequeue { queue } => w.u8(Q_DEQUEUE).string(queue),
+            QueueRequest::Peek { queue } => w.u8(Q_PEEK).string(queue),
+        };
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<QueueRequest, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let m = match r.u8("queue req tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<QueueRequest, DecodeError> {
+        Ok(match r.u8("queue req tag")? {
             Q_ENQUEUE => QueueRequest::Enqueue {
                 queue: r.string("queue name")?,
                 item: r.bytes("queue item")?.to_vec(),
@@ -117,324 +98,89 @@ impl QueueRequest {
                 queue: r.string("queue name")?,
             },
             _ => return Err(DecodeError::new("queue req tag")),
-        };
-        r.expect_end("queue req trailing")?;
-        Ok(m)
+        })
     }
 }
 
-impl QueueReply {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::new();
+impl Wire for QueueReply {
+    fn put(&self, w: &mut WireWriter) {
         match self {
-            QueueReply::Ok => {
-                w.u8(QR_OK);
-            }
-            QueueReply::Item(bytes) => {
-                w.u8(QR_ITEM).bytes(bytes);
-            }
-            QueueReply::Empty => {
-                w.u8(QR_EMPTY);
-            }
-            QueueReply::Malformed => {
-                w.u8(QR_MALFORMED);
-            }
-            QueueReply::NoMajority => {
-                w.u8(QR_NO_MAJORITY);
-            }
-        }
-        w.finish_payload()
+            QueueReply::Ok => w.u8(QR_OK),
+            QueueReply::Item(bytes) => w.u8(QR_ITEM).bytes(bytes),
+            QueueReply::Empty => w.u8(QR_EMPTY),
+            QueueReply::Malformed => w.u8(QR_MALFORMED),
+            QueueReply::NoMajority => w.u8(QR_NO_MAJORITY),
+        };
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<QueueReply, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let m = match r.u8("queue rep tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<QueueReply, DecodeError> {
+        Ok(match r.u8("queue rep tag")? {
             QR_OK => QueueReply::Ok,
             QR_ITEM => QueueReply::Item(r.bytes("queue item")?.to_vec()),
             QR_EMPTY => QueueReply::Empty,
             QR_MALFORMED => QueueReply::Malformed,
             QR_NO_MAJORITY => QueueReply::NoMajority,
             _ => return Err(DecodeError::new("queue rep tag")),
-        };
-        r.expect_end("queue rep trailing")?;
-        Ok(m)
+        })
     }
 }
 
 // ---------------------------------------------------------------------
-// The state machine.
+// The state and its ops.
 // ---------------------------------------------------------------------
 
-struct QueueState {
-    /// queue name → elements, head first.
-    queues: HashMap<String, VecDeque<Vec<u8>>>,
-    /// Logical version (one per applied op), for recovery's source
-    /// election.
-    update_seq: u64,
-    /// Applied cursor, kept in the same critical section as the state.
-    applied_seq: u64,
-}
+/// The replicated queue table: queue name → elements, head first.
+pub type QueueTable = HashMap<String, VecDeque<Vec<u8>>>;
 
-/// The replicated queue table: a volatile, deterministic
-/// [`StateMachine`]. Durability comes entirely from replication.
-pub struct QueueStateMachine {
-    n: usize,
-    state: Mutex<QueueState>,
-}
+/// The queue service, as the harness sees it.
+#[derive(Debug)]
+pub struct QueueService;
 
-impl std::fmt::Debug for QueueStateMachine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "QueueStateMachine")
-    }
-}
+impl Service for QueueService {
+    const NAME: &'static str = "queue";
+    const PROC: &'static str = "queue";
+    const PORT: Port = QUEUE_PORT;
+    const NO_MAJORITY: QueueReply = QueueReply::NoMajority;
+    const MALFORMED: QueueReply = QueueReply::Malformed;
+    type State = QueueTable;
+    type Request = QueueRequest;
+    type Reply = QueueReply;
+    type Client = QueueClient;
 
-impl QueueStateMachine {
-    /// An empty queue table for an `n`-replica service.
-    pub fn new(n: usize) -> QueueStateMachine {
-        QueueStateMachine {
-            n,
-            state: Mutex::new(QueueState {
-                queues: HashMap::new(),
-                update_seq: 0,
-                applied_seq: 0,
-            }),
-        }
-    }
-
-    /// The head of `queue` without removing it (serve only behind a
-    /// read barrier).
-    pub fn head(&self, queue: &str) -> Option<Vec<u8>> {
-        self.state
-            .lock()
-            .queues
-            .get(queue)
-            .and_then(|q| q.front().cloned())
-    }
-
-    /// Elements currently in `queue` (diagnostics/tests).
-    pub fn len(&self, queue: &str) -> usize {
-        self.state.lock().queues.get(queue).map_or(0, |q| q.len())
-    }
-}
-
-impl StateMachine for QueueStateMachine {
-    fn apply(&self, _ctx: &Ctx, seq: u64, op: &Payload) -> Payload {
-        let mut st = self.state.lock();
-        st.applied_seq = st.applied_seq.max(seq);
-        st.update_seq += 1;
-        let reply = match QueueRequest::decode(op) {
-            Ok(QueueRequest::Enqueue { queue, item }) => {
-                st.queues.entry(queue).or_default().push_back(item);
+    fn apply(queues: &mut QueueTable, req: QueueRequest) -> QueueReply {
+        match req {
+            QueueRequest::Enqueue { queue, item } => {
+                queues.entry(queue).or_default().push_back(item);
                 QueueReply::Ok
             }
-            Ok(QueueRequest::Dequeue { queue }) => {
-                let item = st.queues.get_mut(&queue).and_then(|q| q.pop_front());
-                if st.queues.get(&queue).is_some_and(|q| q.is_empty()) {
-                    st.queues.remove(&queue); // empty queues leave no residue
+            QueueRequest::Dequeue { queue } => {
+                let item = queues.get_mut(&queue).and_then(|q| q.pop_front());
+                if queues.get(&queue).is_some_and(|q| q.is_empty()) {
+                    queues.remove(&queue); // empty queues leave no residue
                 }
                 match item {
                     Some(bytes) => QueueReply::Item(bytes),
                     None => QueueReply::Empty,
                 }
             }
-            _ => QueueReply::Malformed, // peeks are never replicated
-        };
-        reply.encode()
-    }
-
-    fn recovery_info(&self) -> RecoveryInfo {
-        RecoveryInfo {
-            update_seq: self.state.lock().update_seq,
-            // Volatile state: we cannot know who crashed before us.
-            mourned: vec![false; self.n],
+            QueueRequest::Peek { .. } => QueueReply::Malformed, // never replicated
         }
     }
 
-    fn snapshot(&self, _ctx: &Ctx) -> (u64, Payload) {
-        let st = self.state.lock();
-        let mut names: Vec<&String> = st.queues.keys().collect();
-        names.sort_unstable(); // deterministic encoding
-        let mut w = WireWriter::new();
-        w.u64(st.update_seq).u32(names.len() as u32);
-        for name in names {
-            let q = &st.queues[name];
-            w.string(name).u32(q.len() as u32);
-            for item in q {
-                w.bytes(item);
-            }
-        }
-        (st.applied_seq, w.finish_payload())
-    }
-
-    fn install(&self, _ctx: &Ctx, cursor: u64, snap: &Payload) -> bool {
-        let mut r = WireReader::of(snap);
-        let (update_seq, n) = match (r.u64("update seq"), r.u32("queues")) {
-            (Ok(u), Ok(n)) if (n as usize) <= 1_000_000 => (u, n),
-            _ => return false,
-        };
-        let mut queues = HashMap::with_capacity(n as usize);
-        for _ in 0..n {
-            let (name, len) = match (r.string("queue name"), r.u32("queue len")) {
-                (Ok(name), Ok(len)) if (len as usize) <= 1_000_000 => (name, len),
-                _ => return false,
-            };
-            let mut q = VecDeque::with_capacity(len as usize);
-            for _ in 0..len {
-                match r.bytes("queue item") {
-                    Ok(bytes) => q.push_back(bytes.to_vec()),
-                    _ => return false,
-                }
-            }
-            queues.insert(name, q);
-        }
-        let mut st = self.state.lock();
-        st.queues = queues;
-        st.update_seq = update_seq;
-        st.applied_seq = cursor;
-        true
-    }
-
-    fn align_cursor(&self, _ctx: &Ctx, cursor: u64) {
-        // A new instance's order restarts: set absolutely.
-        self.state.lock().applied_seq = cursor;
-    }
-
-    fn on_membership(&self, _ctx: &Ctx, seq: u64, _config: &[bool]) {
-        if seq > 0 {
-            let mut st = self.state.lock();
-            st.applied_seq = st.applied_seq.max(seq);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Server wiring and client stub.
-// ---------------------------------------------------------------------
-
-/// Everything needed to start one queue-service replica: like the lock
-/// service, no disk, no Bullet, no NVRAM — replication is the only
-/// durability.
-pub struct QueueServerDeps {
-    /// Total replicas.
-    pub n: usize,
-    /// This replica's index in `0..n`.
-    pub me: usize,
-    /// The machine this replica runs on.
-    pub sim_node: NodeId,
-    /// RPC kernel of the machine (shared with other services).
-    pub rpc: RpcNode,
-    /// Group kernel of the machine (shared with other services; the
-    /// queue group forms on its own port).
-    pub peer: GroupPeer,
-    /// Request threads to spawn.
-    pub threads: usize,
-}
-
-impl std::fmt::Debug for QueueServerDeps {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "QueueServerDeps(replica {})", self.me)
-    }
-}
-
-/// Handle to one running queue-service replica.
-#[derive(Clone, Debug)]
-pub struct QueueServer {
-    replica: Replica<QueueStateMachine>,
-}
-
-impl QueueServer {
-    /// Whether the replica is serving.
-    pub fn is_normal(&self) -> bool {
-        self.replica.is_normal()
-    }
-
-    /// The replica's queue table (diagnostics/tests).
-    pub fn machine(&self) -> &Arc<QueueStateMachine> {
-        self.replica.machine()
-    }
-}
-
-/// Starts one replica of the queue service.
-pub fn start_queue_server(spawner: &impl Spawn, deps: QueueServerDeps) -> QueueServer {
-    let QueueServerDeps {
-        n,
-        me,
-        sim_node,
-        rpc,
-        peer,
-        threads,
-    } = deps;
-    let sm = Arc::new(QueueStateMachine::new(n));
-    let mut cfg = RsmConfig::new("amoeba.queue", n, me);
-    // Volatile machine: only the §3.2 improved rule can ever let it
-    // recover from less than the full replica set (see the lock
-    // service for the full argument).
-    cfg.improved_recovery = true;
-    let replica = Replica::start(
-        spawner,
-        ReplicaDeps {
-            cfg,
-            sim_node,
-            rpc: rpc.clone(),
-            peer,
-            sm,
-        },
-    );
-    for t in 0..threads.max(1) {
-        let srv = RpcServer::new(&rpc, QUEUE_PORT);
-        let replica = replica.clone();
-        spawner.spawn_boxed(
-            Some(sim_node),
-            &format!("queue{me}-srv{t}"),
-            Box::new(move |ctx| loop {
-                let incoming = srv.getreq(ctx);
-                // The server-side span, parented to the client's request
-                // context (same idiom as the directory initiator): the
-                // replica submit below inherits it through the ambient
-                // context, so a traced enqueue yields one connected tree
-                // across client, server, sequencer and replicas.
-                let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
-                let span = tele.begin_child("queue.srv", u64::from(srv.addr().0), incoming.trace);
-                let prev = amoeba_telemetry::set_current_ctx(span);
-                let reply = match QueueRequest::decode(&incoming.data) {
-                    Ok(QueueRequest::Peek { queue }) => match replica.read_barrier(ctx) {
-                        Ok(()) => match replica.machine().head(&queue) {
-                            Some(item) => QueueReply::Item(item),
-                            None => QueueReply::Empty,
-                        },
-                        Err(_) => QueueReply::NoMajority,
-                    },
-                    Ok(op) => {
-                        match replica.submit_traced(
-                            ctx,
-                            op.encode(),
-                            amoeba_telemetry::current_ctx(),
-                        ) {
-                            Ok(bytes) => {
-                                QueueReply::decode(&bytes).unwrap_or(QueueReply::Malformed)
-                            }
-                            Err(RsmError::NotInService | RsmError::Aborted) => {
-                                QueueReply::NoMajority
-                            }
-                            Err(RsmError::ResultLost) => QueueReply::Malformed,
-                        }
-                    }
-                    Err(_) => QueueReply::Malformed,
-                };
-                amoeba_telemetry::set_current_ctx(prev);
-                tele.end(span);
-                srv.putrep(&incoming, reply.encode());
+    fn read(queues: &QueueTable, req: &QueueRequest) -> Option<QueueReply> {
+        match req {
+            QueueRequest::Peek { queue } => Some(match queues.get(queue).and_then(|q| q.front()) {
+                Some(item) => QueueReply::Item(item.clone()),
+                None => QueueReply::Empty,
             }),
-        );
+            _ => None,
+        }
     }
-    QueueServer { replica }
 }
+
+// ---------------------------------------------------------------------
+// Typed client.
+// ---------------------------------------------------------------------
 
 /// Errors surfaced by [`QueueClient`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -461,51 +207,18 @@ impl std::error::Error for QueueError {}
 
 /// Client stub for the queue service.
 #[derive(Clone, Debug)]
-pub struct QueueClient {
-    rpc: RpcClient,
+pub struct QueueClient(ServiceClient<QueueService>);
+
+impl From<ServiceClient<QueueService>> for QueueClient {
+    fn from(client: ServiceClient<QueueService>) -> QueueClient {
+        QueueClient(client)
+    }
 }
 
 impl QueueClient {
     /// Creates a stub talking to the service through `rpc`.
     pub fn new(rpc: RpcClient) -> QueueClient {
-        QueueClient { rpc }
-    }
-
-    fn call(&self, ctx: &Ctx, req: QueueRequest) -> Result<QueueReply, QueueError> {
-        let bytes = self
-            .rpc
-            .trans(ctx, QUEUE_PORT, req.encode())
-            .map_err(QueueError::Rpc)?;
-        QueueReply::decode(&bytes).map_err(|_| QueueError::Service)
-    }
-
-    /// Wraps one public operation in a client span (root when the
-    /// process has no ambient context) and a latency histogram — the
-    /// same shape as `DirClient`'s per-op instrumentation.
-    fn op<T>(
-        &self,
-        ctx: &Ctx,
-        name: &'static str,
-        f: impl FnOnce() -> Result<T, QueueError>,
-    ) -> Result<T, QueueError> {
-        let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
-        if !tele.is_enabled() {
-            return f();
-        }
-        let machine = u64::from(self.rpc.addr().0);
-        let outer = amoeba_telemetry::current_ctx();
-        let span = if outer.is_some() {
-            tele.begin_child(name, machine, outer)
-        } else {
-            tele.begin_root(name, machine)
-        };
-        let prev = amoeba_telemetry::set_current_ctx(span);
-        let start = ctx.now();
-        let r = f();
-        amoeba_telemetry::set_current_ctx(prev);
-        tele.end(span);
-        tele.observe_since(name, start);
-        r
+        QueueClient(ServiceClient::new(rpc))
     }
 
     /// Appends `item` to the tail of `queue`.
@@ -514,19 +227,14 @@ impl QueueClient {
     ///
     /// [`QueueError::NoMajority`] while the service is recovering.
     pub fn enqueue(&self, ctx: &Ctx, queue: &str, item: Vec<u8>) -> Result<(), QueueError> {
-        self.op(ctx, "cli.q.enqueue", || {
-            match self.call(
-                ctx,
-                QueueRequest::Enqueue {
-                    queue: queue.to_owned(),
-                    item,
-                },
-            )? {
-                QueueReply::Ok => Ok(()),
-                QueueReply::NoMajority => Err(QueueError::NoMajority),
-                _ => Err(QueueError::Service),
-            }
-        })
+        let queue = queue.to_owned();
+        let req = QueueRequest::Enqueue { queue, item };
+        let reply = self.0.op(ctx, "cli.q.enqueue", &req);
+        match reply.map_err(QueueError::Rpc)? {
+            QueueReply::Ok => Ok(()),
+            QueueReply::NoMajority => Err(QueueError::NoMajority),
+            _ => Err(QueueError::Service),
+        }
     }
 
     /// Removes and returns the head of `queue` (`None` if empty).
@@ -535,19 +243,15 @@ impl QueueClient {
     ///
     /// [`QueueError::NoMajority`] while the service is recovering.
     pub fn dequeue(&self, ctx: &Ctx, queue: &str) -> Result<Option<Vec<u8>>, QueueError> {
-        self.op(ctx, "cli.q.dequeue", || {
-            match self.call(
-                ctx,
-                QueueRequest::Dequeue {
-                    queue: queue.to_owned(),
-                },
-            )? {
-                QueueReply::Item(bytes) => Ok(Some(bytes)),
-                QueueReply::Empty => Ok(None),
-                QueueReply::NoMajority => Err(QueueError::NoMajority),
-                _ => Err(QueueError::Service),
-            }
-        })
+        let queue = queue.to_owned();
+        let req = QueueRequest::Dequeue { queue };
+        let reply = self.0.op(ctx, "cli.q.dequeue", &req);
+        match reply.map_err(QueueError::Rpc)? {
+            QueueReply::Item(bytes) => Ok(Some(bytes)),
+            QueueReply::Empty => Ok(None),
+            QueueReply::NoMajority => Err(QueueError::NoMajority),
+            _ => Err(QueueError::Service),
+        }
     }
 
     /// Reads the head of `queue` without removing it.
@@ -556,52 +260,14 @@ impl QueueClient {
     ///
     /// [`QueueError::NoMajority`] while the service is recovering.
     pub fn peek(&self, ctx: &Ctx, queue: &str) -> Result<Option<Vec<u8>>, QueueError> {
-        self.op(ctx, "cli.q.peek", || {
-            match self.call(
-                ctx,
-                QueueRequest::Peek {
-                    queue: queue.to_owned(),
-                },
-            )? {
-                QueueReply::Item(bytes) => Ok(Some(bytes)),
-                QueueReply::Empty => Ok(None),
-                QueueReply::NoMajority => Err(QueueError::NoMajority),
-                _ => Err(QueueError::Service),
-            }
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn requests_and_replies_round_trip() {
-        let reqs = [
-            QueueRequest::Enqueue {
-                queue: "jobs".into(),
-                item: vec![1, 2, 3],
-            },
-            QueueRequest::Dequeue {
-                queue: "jobs".into(),
-            },
-            QueueRequest::Peek { queue: "q".into() },
-        ];
-        for m in reqs {
-            assert_eq!(QueueRequest::decode(&m.encode()).unwrap(), m);
+        let queue = queue.to_owned();
+        let req = QueueRequest::Peek { queue };
+        let reply = self.0.op(ctx, "cli.q.peek", &req);
+        match reply.map_err(QueueError::Rpc)? {
+            QueueReply::Item(bytes) => Ok(Some(bytes)),
+            QueueReply::Empty => Ok(None),
+            QueueReply::NoMajority => Err(QueueError::NoMajority),
+            _ => Err(QueueError::Service),
         }
-        let reps = [
-            QueueReply::Ok,
-            QueueReply::Item(vec![9]),
-            QueueReply::Empty,
-            QueueReply::Malformed,
-            QueueReply::NoMajority,
-        ];
-        for m in reps {
-            assert_eq!(QueueReply::decode(&m.encode()).unwrap(), m);
-        }
-        assert!(QueueRequest::decode(&[99]).is_err());
-        assert!(QueueReply::decode(&[]).is_err());
     }
 }

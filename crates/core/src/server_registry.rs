@@ -1,27 +1,25 @@
 //! A replicated port-name registry — the third consumer of the
-//! [`amoeba_rsm`] API: a [`StateMachine`] mapping service *names* to
-//! FLIP [`Port`]s, with **zero group-protocol code**.
+//! [`amoeba_rsm`] API: a [`Service`] mapping service *names* to FLIP
+//! [`Port`]s, with **zero group-protocol code**.
 //!
 //! On an internetwork this is what lets a routed client find a service
 //! it has never heard of: ask the registry (itself located via the
 //! expanding-ring broadcast on its well-known port) for the service's
 //! port by name, then locate *that* port — which may live any number of
-//! segments away. Like the lock service the machine is fully volatile:
+//! segments away. Like the lock service the state is fully volatile:
 //! ordering, majority rule, apply batching and recovery (peer-snapshot
-//! state transfer after a reboot) all come from the generic
-//! [`Replica`] driver, and the §3.2 improved recovery rule stands in
-//! for the durable configuration vector a diskless service cannot keep.
+//! state transfer after a reboot) all come from the generic driver
+//! under the [`amoeba_rsm::service`] harness, and the §3.2 improved
+//! recovery rule stands in for the durable configuration vector a
+//! diskless service cannot keep.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
-use amoeba_flip::{Payload, Port};
-use amoeba_group::GroupPeer;
-use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
-use amoeba_rsm::{RecoveryInfo, Replica, ReplicaDeps, RsmConfig, RsmError, StateMachine};
-use amoeba_sim::{Ctx, NodeId, Spawn};
-use parking_lot::Mutex;
+use amoeba_flip::Port;
+use amoeba_rpc::{RpcClient, RpcError};
+use amoeba_rsm::service::{Service, ServiceClient, Wire};
+use amoeba_sim::Ctx;
 
 /// The well-known public FLIP port of the registry service.
 pub const REGISTRY_PORT: Port = Port::from_raw(0x0052_4547); // "REG"
@@ -77,32 +75,19 @@ const P_CONFLICT: u8 = 4;
 const P_MALFORMED: u8 = 5;
 const P_NO_MAJORITY: u8 = 6;
 
-impl RegistryRequest {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::new();
+impl Wire for RegistryRequest {
+    fn put(&self, w: &mut WireWriter) {
         match self {
             RegistryRequest::Register { name, port } => {
-                w.u8(G_REGISTER).string(name).u64(port.as_raw());
+                w.u8(G_REGISTER).string(name).u64(port.as_raw())
             }
-            RegistryRequest::Unregister { name } => {
-                w.u8(G_UNREGISTER).string(name);
-            }
-            RegistryRequest::Lookup { name } => {
-                w.u8(G_LOOKUP).string(name);
-            }
-        }
-        w.finish_payload()
+            RegistryRequest::Unregister { name } => w.u8(G_UNREGISTER).string(name),
+            RegistryRequest::Lookup { name } => w.u8(G_LOOKUP).string(name),
+        };
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<RegistryRequest, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let m = match r.u8("registry req tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<RegistryRequest, DecodeError> {
+        Ok(match r.u8("registry req tag")? {
             G_REGISTER => RegistryRequest::Register {
                 name: r.string("service name")?,
                 port: Port::from_raw(r.u64("service port")?),
@@ -114,47 +99,24 @@ impl RegistryRequest {
                 name: r.string("service name")?,
             },
             _ => return Err(DecodeError::new("registry req tag")),
-        };
-        r.expect_end("registry req trailing")?;
-        Ok(m)
+        })
     }
 }
 
-impl RegistryReply {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::new();
+impl Wire for RegistryReply {
+    fn put(&self, w: &mut WireWriter) {
         match self {
-            RegistryReply::Ok => {
-                w.u8(P_OK);
-            }
-            RegistryReply::Bound(p) => {
-                w.u8(P_BOUND).u64(p.as_raw());
-            }
-            RegistryReply::Unbound => {
-                w.u8(P_UNBOUND);
-            }
-            RegistryReply::Conflict(p) => {
-                w.u8(P_CONFLICT).u64(p.as_raw());
-            }
-            RegistryReply::Malformed => {
-                w.u8(P_MALFORMED);
-            }
-            RegistryReply::NoMajority => {
-                w.u8(P_NO_MAJORITY);
-            }
-        }
-        w.finish_payload()
+            RegistryReply::Ok => w.u8(P_OK),
+            RegistryReply::Bound(p) => w.u8(P_BOUND).u64(p.as_raw()),
+            RegistryReply::Unbound => w.u8(P_UNBOUND),
+            RegistryReply::Conflict(p) => w.u8(P_CONFLICT).u64(p.as_raw()),
+            RegistryReply::Malformed => w.u8(P_MALFORMED),
+            RegistryReply::NoMajority => w.u8(P_NO_MAJORITY),
+        };
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<RegistryReply, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let m = match r.u8("registry rep tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<RegistryReply, DecodeError> {
+        Ok(match r.u8("registry rep tag")? {
             P_OK => RegistryReply::Ok,
             P_BOUND => RegistryReply::Bound(Port::from_raw(r.u64("bound port")?)),
             P_UNBOUND => RegistryReply::Unbound,
@@ -162,248 +124,63 @@ impl RegistryReply {
             P_MALFORMED => RegistryReply::Malformed,
             P_NO_MAJORITY => RegistryReply::NoMajority,
             _ => return Err(DecodeError::new("registry rep tag")),
-        };
-        r.expect_end("registry rep trailing")?;
-        Ok(m)
+        })
     }
 }
 
 // ---------------------------------------------------------------------
-// The state machine.
+// The state and its ops.
 // ---------------------------------------------------------------------
 
-struct RegistryState {
-    /// service name → port.
-    bound: HashMap<String, Port>,
-    /// Logical version (one per applied op), for recovery's source
-    /// election.
-    update_seq: u64,
-    /// Applied cursor, kept in the same critical section as the state.
-    applied_seq: u64,
-}
+/// The replicated binding table: service name → port.
+pub type RegistryTable = HashMap<String, Port>;
 
-/// The replicated name→port table: a volatile, deterministic
-/// [`StateMachine`]. Durability comes entirely from replication — a
-/// rebooted replica recovers the table from a peer's snapshot.
-pub struct RegistryStateMachine {
-    n: usize,
-    state: Mutex<RegistryState>,
-}
+/// The port-name registry, as the harness sees it.
+#[derive(Debug)]
+pub struct RegistryService;
 
-impl std::fmt::Debug for RegistryStateMachine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RegistryStateMachine")
-    }
-}
+impl Service for RegistryService {
+    const NAME: &'static str = "registry";
+    const PROC: &'static str = "reg";
+    const PORT: Port = REGISTRY_PORT;
+    const NO_MAJORITY: RegistryReply = RegistryReply::NoMajority;
+    const MALFORMED: RegistryReply = RegistryReply::Malformed;
+    type State = RegistryTable;
+    type Request = RegistryRequest;
+    type Reply = RegistryReply;
+    type Client = RegistryClient;
 
-impl RegistryStateMachine {
-    /// An empty registry for an `n`-replica service.
-    pub fn new(n: usize) -> RegistryStateMachine {
-        RegistryStateMachine {
-            n,
-            state: Mutex::new(RegistryState {
-                bound: HashMap::new(),
-                update_seq: 0,
-                applied_seq: 0,
-            }),
-        }
-    }
-
-    /// The port bound to `name` (serve only behind a read barrier).
-    pub fn bound_port(&self, name: &str) -> Option<Port> {
-        self.state.lock().bound.get(name).copied()
-    }
-
-    /// Number of bound names (diagnostics/tests).
-    pub fn bound_count(&self) -> usize {
-        self.state.lock().bound.len()
-    }
-}
-
-impl StateMachine for RegistryStateMachine {
-    fn apply(&self, _ctx: &Ctx, seq: u64, op: &Payload) -> Payload {
-        let mut st = self.state.lock();
-        st.applied_seq = st.applied_seq.max(seq);
-        st.update_seq += 1;
-        let reply = match RegistryRequest::decode(op) {
-            Ok(RegistryRequest::Register { name, port }) => match st.bound.get(&name) {
+    fn apply(bound: &mut RegistryTable, req: RegistryRequest) -> RegistryReply {
+        match req {
+            RegistryRequest::Register { name, port } => match bound.get(&name) {
                 Some(existing) if *existing != port => RegistryReply::Conflict(*existing),
                 _ => {
-                    st.bound.insert(name, port);
+                    bound.insert(name, port);
                     RegistryReply::Ok
                 }
             },
-            Ok(RegistryRequest::Unregister { name }) => {
-                st.bound.remove(&name);
+            RegistryRequest::Unregister { name } => {
+                bound.remove(&name);
                 RegistryReply::Ok
             }
-            _ => RegistryReply::Malformed, // lookups are never replicated
-        };
-        reply.encode()
-    }
-
-    fn recovery_info(&self) -> RecoveryInfo {
-        RecoveryInfo {
-            update_seq: self.state.lock().update_seq,
-            // Volatile state: we cannot know who crashed before us.
-            mourned: vec![false; self.n],
+            RegistryRequest::Lookup { .. } => RegistryReply::Malformed, // never replicated
         }
     }
 
-    fn snapshot(&self, _ctx: &Ctx) -> (u64, Payload) {
-        let st = self.state.lock();
-        let mut names: Vec<&String> = st.bound.keys().collect();
-        names.sort_unstable(); // deterministic encoding
-        let mut w = WireWriter::new();
-        w.u64(st.update_seq).u32(names.len() as u32);
-        for name in names {
-            w.string(name).u64(st.bound[name].as_raw());
-        }
-        (st.applied_seq, w.finish_payload())
-    }
-
-    fn install(&self, _ctx: &Ctx, cursor: u64, snap: &Payload) -> bool {
-        let mut r = WireReader::of(snap);
-        let (update_seq, n) = match (r.u64("update seq"), r.u32("bindings")) {
-            (Ok(u), Ok(n)) if (n as usize) <= 1_000_000 => (u, n),
-            _ => return false,
-        };
-        let mut bound = HashMap::with_capacity(n as usize);
-        for _ in 0..n {
-            match (r.string("service name"), r.u64("service port")) {
-                (Ok(name), Ok(port)) => {
-                    bound.insert(name, Port::from_raw(port));
-                }
-                _ => return false,
-            }
-        }
-        let mut st = self.state.lock();
-        st.bound = bound;
-        st.update_seq = update_seq;
-        st.applied_seq = cursor;
-        true
-    }
-
-    fn align_cursor(&self, _ctx: &Ctx, cursor: u64) {
-        // A new instance's order restarts: set absolutely.
-        self.state.lock().applied_seq = cursor;
-    }
-
-    fn on_membership(&self, _ctx: &Ctx, seq: u64, _config: &[bool]) {
-        if seq > 0 {
-            let mut st = self.state.lock();
-            st.applied_seq = st.applied_seq.max(seq);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Server wiring and client stub.
-// ---------------------------------------------------------------------
-
-/// Everything needed to start one registry replica — like the lock
-/// service, no disk, no Bullet, no NVRAM: replication is the only
-/// durability.
-pub struct RegistryServerDeps {
-    /// Total replicas.
-    pub n: usize,
-    /// This replica's index in `0..n`.
-    pub me: usize,
-    /// The machine this replica runs on.
-    pub sim_node: NodeId,
-    /// RPC kernel of the machine (shared with other services).
-    pub rpc: RpcNode,
-    /// Group kernel of the machine (shared with other services; the
-    /// registry group forms on its own port).
-    pub peer: GroupPeer,
-    /// Request threads to spawn.
-    pub threads: usize,
-}
-
-impl std::fmt::Debug for RegistryServerDeps {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RegistryServerDeps(replica {})", self.me)
-    }
-}
-
-/// Handle to one running registry replica.
-#[derive(Clone, Debug)]
-pub struct RegistryServer {
-    replica: Replica<RegistryStateMachine>,
-}
-
-impl RegistryServer {
-    /// Whether the replica is serving.
-    pub fn is_normal(&self) -> bool {
-        self.replica.is_normal()
-    }
-
-    /// The replica's binding table (diagnostics/tests).
-    pub fn machine(&self) -> &Arc<RegistryStateMachine> {
-        self.replica.machine()
-    }
-}
-
-/// Starts one replica of the port-name registry.
-pub fn start_registry_server(spawner: &impl Spawn, deps: RegistryServerDeps) -> RegistryServer {
-    let RegistryServerDeps {
-        n,
-        me,
-        sim_node,
-        rpc,
-        peer,
-        threads,
-    } = deps;
-    let sm = Arc::new(RegistryStateMachine::new(n));
-    let mut cfg = RsmConfig::new("amoeba.registry", n, me);
-    // Same reasoning as the lock service: a volatile machine mourns no
-    // one, so only the §3.2 improved rule (a stayed-up replica with the
-    // highest version vouches for the missing) lets a diskless service
-    // recover from anything less than a full reassembly.
-    cfg.improved_recovery = true;
-    let replica = Replica::start(
-        spawner,
-        ReplicaDeps {
-            cfg,
-            sim_node,
-            rpc: rpc.clone(),
-            peer,
-            sm,
-        },
-    );
-    for t in 0..threads.max(1) {
-        let srv = RpcServer::new(&rpc, REGISTRY_PORT);
-        let replica = replica.clone();
-        spawner.spawn_boxed(
-            Some(sim_node),
-            &format!("reg{me}-srv{t}"),
-            Box::new(move |ctx| loop {
-                let incoming = srv.getreq(ctx);
-                let reply = match RegistryRequest::decode(&incoming.data) {
-                    Ok(RegistryRequest::Lookup { name }) => match replica.read_barrier(ctx) {
-                        Ok(()) => match replica.machine().bound_port(&name) {
-                            Some(port) => RegistryReply::Bound(port),
-                            None => RegistryReply::Unbound,
-                        },
-                        Err(_) => RegistryReply::NoMajority,
-                    },
-                    Ok(op) => match replica.submit(ctx, op.encode()) {
-                        Ok(bytes) => {
-                            RegistryReply::decode(&bytes).unwrap_or(RegistryReply::Malformed)
-                        }
-                        Err(RsmError::NotInService | RsmError::Aborted) => {
-                            RegistryReply::NoMajority
-                        }
-                        Err(RsmError::ResultLost) => RegistryReply::Malformed,
-                    },
-                    Err(_) => RegistryReply::Malformed,
-                };
-                srv.putrep(&incoming, reply.encode());
+    fn read(bound: &RegistryTable, req: &RegistryRequest) -> Option<RegistryReply> {
+        match req {
+            RegistryRequest::Lookup { name } => Some(match bound.get(name) {
+                Some(port) => RegistryReply::Bound(*port),
+                None => RegistryReply::Unbound,
             }),
-        );
+            _ => None,
+        }
     }
-    RegistryServer { replica }
 }
+
+// ---------------------------------------------------------------------
+// Typed client.
+// ---------------------------------------------------------------------
 
 /// Errors surfaced by [`RegistryClient`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -433,8 +210,12 @@ impl std::error::Error for RegistryError {}
 
 /// Client stub for the port-name registry.
 #[derive(Clone, Debug)]
-pub struct RegistryClient {
-    rpc: RpcClient,
+pub struct RegistryClient(ServiceClient<RegistryService>);
+
+impl From<ServiceClient<RegistryService>> for RegistryClient {
+    fn from(client: ServiceClient<RegistryService>) -> RegistryClient {
+        RegistryClient(client)
+    }
 }
 
 impl RegistryClient {
@@ -442,15 +223,7 @@ impl RegistryClient {
     /// registry itself is found by the locate broadcast on
     /// [`REGISTRY_PORT`]).
     pub fn new(rpc: RpcClient) -> RegistryClient {
-        RegistryClient { rpc }
-    }
-
-    fn call(&self, ctx: &Ctx, req: RegistryRequest) -> Result<RegistryReply, RegistryError> {
-        let bytes = self
-            .rpc
-            .trans(ctx, REGISTRY_PORT, req.encode())
-            .map_err(RegistryError::Rpc)?;
-        RegistryReply::decode(&bytes).map_err(|_| RegistryError::Service)
+        RegistryClient(ServiceClient::new(rpc))
     }
 
     /// Binds `name` to `port`.
@@ -459,13 +232,10 @@ impl RegistryClient {
     ///
     /// [`RegistryError::Conflict`] if bound to a different port.
     pub fn register(&self, ctx: &Ctx, name: &str, port: Port) -> Result<(), RegistryError> {
-        match self.call(
-            ctx,
-            RegistryRequest::Register {
-                name: name.to_owned(),
-                port,
-            },
-        )? {
+        let name = name.to_owned();
+        let req = RegistryRequest::Register { name, port };
+        let reply = self.0.op(ctx, "cli.reg.register", &req);
+        match reply.map_err(RegistryError::Rpc)? {
             RegistryReply::Ok => Ok(()),
             RegistryReply::Conflict(p) => Err(RegistryError::Conflict(p)),
             RegistryReply::NoMajority => Err(RegistryError::NoMajority),
@@ -479,12 +249,10 @@ impl RegistryClient {
     ///
     /// [`RegistryError::NoMajority`] / transport errors.
     pub fn unregister(&self, ctx: &Ctx, name: &str) -> Result<(), RegistryError> {
-        match self.call(
-            ctx,
-            RegistryRequest::Unregister {
-                name: name.to_owned(),
-            },
-        )? {
+        let name = name.to_owned();
+        let req = RegistryRequest::Unregister { name };
+        let reply = self.0.op(ctx, "cli.reg.unregister", &req);
+        match reply.map_err(RegistryError::Rpc)? {
             RegistryReply::Ok => Ok(()),
             RegistryReply::NoMajority => Err(RegistryError::NoMajority),
             _ => Err(RegistryError::Service),
@@ -497,49 +265,14 @@ impl RegistryClient {
     ///
     /// [`RegistryError::Service`] / [`RegistryError::Rpc`] on failure.
     pub fn lookup(&self, ctx: &Ctx, name: &str) -> Result<Option<Port>, RegistryError> {
-        match self.call(
-            ctx,
-            RegistryRequest::Lookup {
-                name: name.to_owned(),
-            },
-        )? {
+        let name = name.to_owned();
+        let req = RegistryRequest::Lookup { name };
+        let reply = self.0.op(ctx, "cli.reg.lookup", &req);
+        match reply.map_err(RegistryError::Rpc)? {
             RegistryReply::Bound(p) => Ok(Some(p)),
             RegistryReply::Unbound => Ok(None),
             RegistryReply::NoMajority => Err(RegistryError::NoMajority),
             _ => Err(RegistryError::Service),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn requests_and_replies_round_trip() {
-        let reqs = [
-            RegistryRequest::Register {
-                name: "svc/dir".into(),
-                port: Port::from_name("amoeba.dir"),
-            },
-            RegistryRequest::Unregister { name: "x".into() },
-            RegistryRequest::Lookup { name: "q".into() },
-        ];
-        for m in reqs {
-            assert_eq!(RegistryRequest::decode(&m.encode()).unwrap(), m);
-        }
-        let reps = [
-            RegistryReply::Ok,
-            RegistryReply::Bound(Port::from_raw(55)),
-            RegistryReply::Unbound,
-            RegistryReply::Conflict(Port::from_raw(9)),
-            RegistryReply::Malformed,
-            RegistryReply::NoMajority,
-        ];
-        for m in reps {
-            assert_eq!(RegistryReply::decode(&m.encode()).unwrap(), m);
-        }
-        assert!(RegistryRequest::decode(&[77]).is_err());
-        assert!(RegistryReply::decode(&[]).is_err());
     }
 }

@@ -7,8 +7,9 @@
 //! replicated service — join/create, majority rule, view-change
 //! bookkeeping, Skeen-style recovery with state transfer, and **apply
 //! batching** (group commit) — with zero group-protocol code of your
-//! own. The directory service and the lock/registry service in
-//! `amoeba-dir-core` are both built on it.
+//! own. The directory service in `amoeba-dir-core` implements the trait
+//! directly; its volatile auxiliary services (lock, registry, queue,
+//! lease) are each just a state and its ops on the [`service`] harness.
 //!
 //! ## Division of labour
 //!
@@ -82,15 +83,13 @@
 //!
 //! ## Using it
 //!
-//! ```ignore
-//! struct Counter { /* Mutex<(u64 cursor, u64 value)> */ }
-//! impl StateMachine for Counter { /* apply/snapshot/install */ }
-//!
-//! let replica = Replica::start(&sim, ReplicaDeps { cfg, sim_node, rpc, peer, sm });
-//! // any request thread:
-//! let reply = replica.submit(ctx, op_bytes)?;   // replicated write
-//! replica.read_barrier(ctx)?;                   // then read local state
-//! ```
+//! A machine with durable state implements [`StateMachine`] and hands
+//! it to [`Replica::start`]; any request thread then calls
+//! [`Replica::submit`] for a replicated write and
+//! [`Replica::read_barrier`] before a local read. A *volatile* service
+//! needs none of that: the [`service`] module turns a state and its ops
+//! into machine, server and client — its docs define a complete
+//! replicated counter as a running example.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -99,6 +98,7 @@ mod config;
 mod machine;
 mod recovery;
 mod replica;
+pub mod service;
 
 pub use config::RsmConfig;
 pub use machine::{RecoveryInfo, RsmError, StateMachine};

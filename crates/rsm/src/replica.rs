@@ -197,7 +197,7 @@ impl<S: StateMachine> Replica<S> {
     /// Starts all driver processes of one replica: the always-on
     /// internal recovery RPC service and the main (recovery → event
     /// loop) process.
-    pub fn start(spawner: &impl Spawn, deps: ReplicaDeps<S>) -> Replica<S> {
+    pub fn start(spawner: &(impl Spawn + ?Sized), deps: ReplicaDeps<S>) -> Replica<S> {
         let ReplicaDeps {
             cfg,
             sim_node,
@@ -458,10 +458,7 @@ impl<S: StateMachine> Replica<S> {
                 shared.stayed_up = true;
                 shared.stats.recoveries += 1;
             }
-            match pipeline {
-                Some((job_tx, done_rx)) => self.event_loop_pipelined(ctx, &group, job_tx, done_rx),
-                None => self.event_loop(ctx, &group),
-            }
+            self.event_loop(ctx, &group, pipeline);
             // Collapsed: back to recovery.
             {
                 let mut shared = self.shared.lock();
@@ -474,129 +471,43 @@ impl<S: StateMachine> Replica<S> {
 
     /// The group event loop. Returns when the group is beyond repair
     /// (full recovery required).
-    fn event_loop(&self, ctx: &Ctx, group: &Arc<Group>) {
-        loop {
-            let first = match group.recv_timeout(ctx, self.cfg.idle_timeout) {
-                Some(e) => e,
-                None => {
-                    self.sm.idle(ctx);
-                    continue;
-                }
-            };
-            // Collect a batch: the first event plus every consecutive
-            // already-delivered message, up to the apply-batch cap.
-            // Membership events and errors end the batch (processed
-            // after the batch publishes).
-            let cap = self.cfg.apply_batch.max(1);
-            let mut msgs: Vec<(SeqNo, Payload, amoeba_telemetry::TraceCtx)> = Vec::new();
-            let mut tail: Option<Result<GroupEvent, GroupError>> = None;
-            let mut next = Some(first);
-            loop {
-                match next {
-                    Some(Ok(GroupEvent::Message {
-                        seq, data, trace, ..
-                    })) => msgs.push((seq, data, trace)),
-                    Some(other) => {
-                        tail = Some(other);
-                        break;
-                    }
-                    None => break,
-                }
-                if msgs.len() >= cap || group.pending_events() == 0 {
-                    break;
-                }
-                next = group.recv_timeout(ctx, Duration::ZERO);
-            }
-
-            // Apply the batch, then one group-commit flush, then
-            // publish: waiters never observe un-flushed state.
-            if !msgs.is_empty() {
-                let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
-                let covered = { self.shared.lock().published_seq };
-                let mut results: Vec<(SeqNo, Payload)> = Vec::with_capacity(msgs.len());
-                for (seq, data, trace) in &msgs {
-                    if *seq <= covered {
-                        continue; // already covered by a fetched state snapshot
-                    }
-                    let span = tele.begin_child("rsm.apply", self.machine, *trace);
-                    let reply = self.sm.apply(ctx, *seq, data);
-                    tele.end(span);
-                    results.push((*seq, reply));
-                }
-                if !results.is_empty() {
-                    self.sm.flush(ctx);
-                    let last = results.last().map(|(s, _)| *s).unwrap_or(covered);
-                    let mut shared = self.shared.lock();
-                    shared.stats.applied += results.len() as u64;
-                    shared.stats.batches += 1;
-                    shared.published_seq = shared.published_seq.max(last);
-                    for (seq, reply) in results {
-                        shared.results.insert(seq, reply);
-                    }
-                    shared.prune_results();
-                    shared.wake_published();
-                }
-            }
-
-            match tail {
-                None => {}
-                Some(Ok(GroupEvent::Message { .. })) => unreachable!("messages batch above"),
-                Some(Ok(GroupEvent::Joined { seq, .. }))
-                | Some(Ok(GroupEvent::Left { seq, .. })) => {
-                    let view = group.info().map(|i| i.view).unwrap_or_default();
-                    self.sm.on_membership(ctx, seq, &self.config_of(&view));
-                    let mut shared = self.shared.lock();
-                    shared.published_seq = shared.published_seq.max(seq);
-                    shared.wake_published();
-                }
-                Some(Ok(GroupEvent::ResetDone { view, .. })) => {
-                    // A reset consumes no slot: record the new
-                    // configuration only.
-                    self.sm.on_membership(ctx, 0, &self.config_of(&view));
-                }
-                Some(Err(GroupError::Failed)) => {
-                    // Rebuild a majority of the group; if that fails,
-                    // fall back to full recovery.
-                    match group.reset(ctx, self.cfg.majority(), Duration::from_secs(3)) {
-                        Ok(_info) => continue, // ResetDone event follows
-                        Err(_) => return,
-                    }
-                }
-                Some(Err(_)) => return, // dead / expelled: recovery
-            }
-        }
-    }
-
-    /// The pipelined group event loop (`flush_window` > 1): applies
-    /// batches and hands each, sealed, to the flusher process, running
-    /// at most `flush_window` sealed-but-unretired batches ahead.
-    /// Publication (waiter wakeups, `published_seq`) happens in the
-    /// flusher as flushes retire in seqno order, so the durability
-    /// contract is identical to the serial loop — only the overlap of
-    /// apply N+1 with the disk time of batch N is new. Every
-    /// non-message path (idle, membership, reset, collapse) drains the
-    /// window first, so recovery and commit-block writers never race a
-    /// staged flush. Returns when the group is beyond repair.
-    fn event_loop_pipelined(
+    ///
+    /// Each iteration collects a batch of delivered operations, applies
+    /// it and commits it — the only step that forks on `pipeline`:
+    ///
+    /// * `None` (`flush_window` = 1): one inline
+    ///   [`flush`](StateMachine::flush), then publish — waiters never
+    ///   observe un-flushed state.
+    /// * `Some` (`flush_window` > 1): the batch is sealed and handed to
+    ///   the flusher process, the loop running at most `flush_window`
+    ///   sealed-but-unretired batches ahead. Publication (waiter
+    ///   wakeups, `published_seq`) happens in the flusher as flushes
+    ///   retire in seqno order, so the durability contract is identical
+    ///   — only the overlap of apply N+1 with the disk time of batch N
+    ///   is new.
+    ///
+    /// Every non-message path (idle, membership, reset, collapse) drains
+    /// the window first — a no-op with nothing in flight — so recovery
+    /// and commit-block writers never race a staged flush.
+    fn event_loop(
         &self,
         ctx: &Ctx,
         group: &Arc<Group>,
-        job_tx: &MailboxTx<FlushJob>,
-        done_rx: &MailboxRx<SeqNo>,
+        pipeline: &Option<(MailboxTx<FlushJob>, MailboxRx<SeqNo>)>,
     ) {
-        let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
         let window = self.cfg.flush_window.max(1);
         let mut inflight = 0usize;
         let mut token = 0u64;
-        // Local applied cursor: the event loop runs ahead of
+        // Local applied cursor: with a pipeline the loop runs ahead of
         // `published_seq` by up to `window` batches, so the
-        // already-covered check must use its own cursor (seeded from
-        // what recovery's state fetch covered).
+        // already-covered check uses its own cursor (seeded from what
+        // recovery's state fetch covered).
         let mut applied_seq = { self.shared.lock().published_seq };
         let drain = |ctx: &Ctx, inflight: &mut usize| {
-            while *inflight > 0 {
-                done_rx.recv(ctx);
-                *inflight -= 1;
+            if let Some((_, done_rx)) = pipeline {
+                for _ in 0..std::mem::take(inflight) {
+                    done_rx.recv(ctx);
+                }
             }
         };
         loop {
@@ -608,7 +519,10 @@ impl<S: StateMachine> Replica<S> {
                     continue;
                 }
             };
-            // Batch collection, identical to the serial loop.
+            // Collect a batch: the first event plus every consecutive
+            // already-delivered message, up to the apply-batch cap.
+            // Membership events and errors end the batch (processed
+            // after the batch commits).
             let cap = self.cfg.apply_batch.max(1);
             let mut msgs: Vec<(SeqNo, Payload, amoeba_telemetry::TraceCtx)> = Vec::new();
             let mut tail: Option<Result<GroupEvent, GroupError>> = None;
@@ -632,49 +546,64 @@ impl<S: StateMachine> Replica<S> {
 
             // Retire any flushes that completed while we were applying
             // or waiting — without blocking.
-            while inflight > 0 && done_rx.try_recv().is_some() {
-                inflight -= 1;
+            if let Some((_, done_rx)) = pipeline {
+                while inflight > 0 && done_rx.try_recv().is_some() {
+                    inflight -= 1;
+                }
             }
 
-            if !msgs.is_empty() {
-                let mut results: Vec<(SeqNo, Payload)> = Vec::with_capacity(msgs.len());
-                let mut first_trace = amoeba_telemetry::TraceCtx::NONE;
-                for (seq, data, trace) in &msgs {
-                    if *seq <= applied_seq {
-                        continue; // already covered by a fetched state snapshot
-                    }
-                    if results.is_empty() {
-                        first_trace = *trace;
-                    }
-                    let span = tele.begin_child("rsm.apply", self.machine, *trace);
-                    let reply = self.sm.apply(ctx, *seq, data);
-                    tele.end(span);
-                    results.push((*seq, reply));
+            let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
+            let mut results: Vec<(SeqNo, Payload)> = Vec::with_capacity(msgs.len());
+            let mut first_trace = amoeba_telemetry::TraceCtx::NONE;
+            for (seq, data, trace) in &msgs {
+                if *seq <= applied_seq {
+                    continue; // already covered by a fetched state snapshot
                 }
-                if !results.is_empty() {
-                    let last = results.last().map(|(s, _)| *s).expect("non-empty");
-                    applied_seq = last;
-                    // Window full: block until the oldest flush retires.
-                    while inflight >= window {
-                        done_rx.recv(ctx);
-                        inflight -= 1;
-                        self.shared.lock().stats.window_stalls += 1;
-                    }
-                    token += 1;
-                    self.sm.seal_batch(ctx, token);
-                    job_tx.send(FlushJob {
-                        token,
-                        last_seq: last,
-                        results,
-                        trace: first_trace,
-                    });
-                    inflight += 1;
-                    {
+                if results.is_empty() {
+                    first_trace = *trace;
+                }
+                let span = tele.begin_child("rsm.apply", self.machine, *trace);
+                let reply = self.sm.apply(ctx, *seq, data);
+                tele.end(span);
+                results.push((*seq, reply));
+            }
+            if let Some(&(last, _)) = results.last() {
+                applied_seq = last;
+                match pipeline {
+                    None => {
+                        // One group-commit flush, then publish.
+                        self.sm.flush(ctx);
                         let mut shared = self.shared.lock();
-                        shared.stats.flush_inflight_hwm =
-                            shared.stats.flush_inflight_hwm.max(inflight as u64);
+                        shared.stats.applied += results.len() as u64;
+                        shared.stats.batches += 1;
+                        shared.published_seq = shared.published_seq.max(last);
+                        shared.results.extend(results);
+                        shared.prune_results();
+                        shared.wake_published();
                     }
-                    tele.gauge("rsm.flush_queue", inflight as i64);
+                    Some((job_tx, done_rx)) => {
+                        // Window full: block until the oldest flush retires.
+                        while inflight >= window {
+                            done_rx.recv(ctx);
+                            inflight -= 1;
+                            self.shared.lock().stats.window_stalls += 1;
+                        }
+                        token += 1;
+                        self.sm.seal_batch(ctx, token);
+                        job_tx.send(FlushJob {
+                            token,
+                            last_seq: last,
+                            results,
+                            trace: first_trace,
+                        });
+                        inflight += 1;
+                        {
+                            let mut shared = self.shared.lock();
+                            shared.stats.flush_inflight_hwm =
+                                shared.stats.flush_inflight_hwm.max(inflight as u64);
+                        }
+                        tele.gauge("rsm.flush_queue", inflight as i64);
+                    }
                 }
             }
 

@@ -479,6 +479,28 @@ mod tests {
         assert!(k.mailbox_ready(m).is_empty());
     }
 
+    /// A dropped receiver retires its record, so channels made per
+    /// RPC / per wait do not accumulate for the life of the run; a late
+    /// send to the retired mailbox wakes no one.
+    #[test]
+    fn dropped_receivers_leave_no_mailbox_record() {
+        let shared = Arc::new(Mutex::new(kernel()));
+        let (_tx, _rx) = crate::mailbox::channel_impl::<u8>(&shared);
+        let before = shared.lock().mailboxes.len();
+        for i in 0..10_000u32 {
+            let (tx, rx) = crate::mailbox::channel_impl::<u32>(&shared);
+            tx.send(i);
+            drop(rx);
+        }
+        assert_eq!(shared.lock().mailboxes.len(), before);
+        let mut k = shared.lock();
+        while let Some(ev) = k.pop_event() {
+            if let EventKind::Action(f) = ev.kind {
+                assert!(f(&mut k).is_empty(), "a retired mailbox wakes no one");
+            }
+        }
+    }
+
     #[test]
     fn node_lifecycle() {
         let mut k = kernel();

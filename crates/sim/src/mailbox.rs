@@ -7,7 +7,7 @@
 //! always deterministic.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -60,9 +60,25 @@ impl<T: Send + 'static> MailboxTx<T> {
 }
 
 /// The receiving half of a mailbox; owned by one process at a time.
+/// Dropping it retires the kernel's record of the mailbox (later sends
+/// queue up unread and wake no one).
 pub struct MailboxRx<T> {
     id: MailboxId,
     queue: Arc<Mutex<VecDeque<T>>>,
+    /// Weak: receivers held by test code or leaked threads may outlive
+    /// the kernel, and must not lock it while it is being torn down.
+    shared: Weak<Mutex<Kernel>>,
+}
+
+impl<T> Drop for MailboxRx<T> {
+    fn drop(&mut self) {
+        // Never runs under the kernel lock: receivers live in process
+        // stacks and handles, and no message type carries one, so the
+        // kernel's own event closures never drop a `MailboxRx`.
+        if let Some(shared) = self.shared.upgrade() {
+            shared.lock().mailboxes.remove(&self.id);
+        }
+    }
 }
 
 impl<T> std::fmt::Debug for MailboxRx<T> {
@@ -192,6 +208,10 @@ pub(crate) fn channel_impl<T: Send + 'static>(
             queue: Arc::clone(&queue),
             shared: Arc::clone(shared),
         },
-        MailboxRx { id, queue },
+        MailboxRx {
+            id,
+            queue,
+            shared: Arc::downgrade(shared),
+        },
     )
 }

@@ -387,21 +387,18 @@ impl Simulation {
     /// Sends `Kill` to a (dead-marked or teardown) process and waits for its
     /// final `Exited` ack, then joins the thread.
     fn kill_handshake(&mut self, pid: ProcId) {
+        // The join handle is taken out and joined only after the lock
+        // is released: a thread's last drops may need the kernel lock.
         let (tx, join) = {
             let mut k = self.shared.lock();
             let p = match k.procs.get_mut(&pid) {
                 Some(p) => p,
                 None => return,
             };
-            if p.state == ProcState::Exited {
-                if let Some(j) = p.join.take() {
-                    let _ = j.join();
-                }
-                return;
-            }
-            (p.resume_tx.clone(), p.join.take())
+            let tx = (p.state != ProcState::Exited).then(|| p.resume_tx.clone());
+            (tx, p.join.take())
         };
-        if tx.send(Resume::Kill).is_ok() {
+        if tx.is_some_and(|tx| tx.send(Resume::Kill).is_ok()) {
             // The only runnable thread is now the dying one; its final yield
             // must be the Exited ack.
             loop {

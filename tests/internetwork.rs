@@ -7,8 +7,10 @@
 
 use std::time::Duration;
 
-use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::{Capability, DirClient, DirClientError, DirError, Rights};
+use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, ServiceSpec, Variant};
+use amoeba_dirsvc::dir::{
+    Capability, DirClient, DirClientError, DirError, LockService, RegistryService, Rights,
+};
 use amoeba_dirsvc::flip::SegmentId;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
 
@@ -221,8 +223,10 @@ fn registry_resolves_service_names_across_segments() {
     // locate for which crosses the router via the expanding ring.
     let mut sim = Simulation::new(83);
     let mut params = ClusterParams::routed(Variant::Group);
-    params.registry_service = true;
-    params.lock_service = true;
+    params.services = vec![
+        ServiceSpec::of::<LockService>(),
+        ServiceSpec::of::<RegistryService>(),
+    ];
     let mut cluster = Cluster::start(&sim, params);
     let (client, _) = cluster.client(&sim);
     let c2 = client.clone();
@@ -230,7 +234,7 @@ fn registry_resolves_service_names_across_segments() {
     sim.run_for(Duration::from_secs(30));
     let root = setup.take().expect("routed service formed");
 
-    let (reg, _) = cluster.registry_client(&sim);
+    let (reg, _) = cluster.service_client::<RegistryService>(&sim);
     let dir_port = amoeba_dirsvc::dir::ServiceConfig::new(3, 0).public_port;
     let out = sim.spawn("registrar", move |ctx| {
         let mut ok = false;
@@ -269,15 +273,16 @@ fn registry_resolves_service_names_across_segments() {
     assert_eq!(check.take(), Some(true));
     // All three registry replicas converged on the binding.
     for i in 0..3 {
+        let registry = cluster.service::<RegistryService>(i).machine();
         assert_eq!(
-            cluster.registry_server(i).machine().bound_port("svc/dir"),
+            registry.read(|bound| bound.get("svc/dir").copied()),
             Some(dir_port),
             "replica {i} must hold the binding"
         );
     }
     // And the lock service co-exists on the same kernels, across the
     // same router.
-    let (lock, _) = cluster.lock_client(&sim);
+    let (lock, _) = cluster.service_client::<LockService>(&sim);
     let locked = sim.spawn("lock", move |ctx| {
         lock.acquire(ctx, "inter/lock", 9).is_ok() && lock.query(ctx, "inter/lock") == Ok(Some(9))
     });

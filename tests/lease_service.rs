@@ -4,14 +4,14 @@
 
 use std::time::Duration;
 
-use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::LeaseError;
+use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, ServiceSpec, Variant};
+use amoeba_dirsvc::dir::{LeaseError, LeaseService};
 use amoeba_dirsvc::sim::Simulation;
 
 fn lease_cluster(seed: u64) -> (Simulation, Cluster) {
     let mut sim = Simulation::new(seed);
     let mut params = ClusterParams::paper(Variant::Group);
-    params.lease_service = true;
+    params.services.push(ServiceSpec::of::<LeaseService>());
     params.seed = seed;
     let cluster = Cluster::start(&sim, params);
     sim.run_for(Duration::from_secs(5)); // let the groups form
@@ -22,7 +22,7 @@ fn lease_cluster(seed: u64) -> (Simulation, Cluster) {
 #[test]
 fn grant_renew_release_and_query() {
     let (mut sim, mut cluster) = lease_cluster(311);
-    let (client, _) = cluster.lease_client(&sim);
+    let (client, _) = cluster.service_client::<LeaseService>(&sim);
     let out = sim.spawn("app", move |ctx| {
         // Grant.
         let e1 = loop {
@@ -56,7 +56,7 @@ fn dead_holder_expires_under_contention() {
     // with applied ops, so the contender's own retries age the grant
     // out: after `ttl` ordered operations the takeover must succeed.
     let (mut sim, mut cluster) = lease_cluster(313);
-    let (client, _) = cluster.lease_client(&sim);
+    let (client, _) = cluster.service_client::<LeaseService>(&sim);
     let out = sim.spawn("app", move |ctx| {
         client
             .grant(ctx, "mig:hot", 1, 5)
@@ -93,7 +93,7 @@ fn racing_grants_have_exactly_one_winner() {
     let (mut sim, mut cluster) = lease_cluster(317);
     let mut outs = Vec::new();
     for c in 0..4u64 {
-        let (client, _) = cluster.lease_client(&sim);
+        let (client, _) = cluster.service_client::<LeaseService>(&sim);
         outs.push(sim.spawn(&format!("racer{c}"), move |ctx| loop {
             match client.grant(ctx, "mig:contended", c + 1, 1_000) {
                 Ok(won) => return won.is_some(),
@@ -117,7 +117,7 @@ fn crashed_replica_rejoins_via_peer_snapshot() {
     // from a peer's snapshot, and grants survive a single-replica
     // crash + rejoin.
     let (mut sim, mut cluster) = lease_cluster(331);
-    let (client, _) = cluster.lease_client(&sim);
+    let (client, _) = cluster.service_client::<LeaseService>(&sim);
     let c2 = client.clone();
     let setup = sim.spawn("setup", move |ctx| {
         loop {
@@ -143,12 +143,15 @@ fn crashed_replica_rejoins_via_peer_snapshot() {
     });
     sim.run_for(Duration::from_secs(20));
     assert_eq!(probe.take(), Some(Some(42)));
-    assert!(cluster.lease_server(2).is_normal(), "replica 2 rejoined");
+    assert!(
+        cluster.service::<LeaseService>(2).is_normal(),
+        "replica 2 rejoined"
+    );
     assert_eq!(
         cluster
-            .lease_server(2)
+            .service::<LeaseService>(2)
             .machine()
-            .holder("mig:durable")
+            .read(|t| t.holder("mig:durable"))
             .map(|(o, _)| o),
         Some(42),
         "the rejoined replica's own table holds the grant"

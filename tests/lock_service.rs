@@ -5,14 +5,14 @@
 
 use std::time::Duration;
 
-use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::LockError;
+use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, ServiceSpec, Variant};
+use amoeba_dirsvc::dir::{LockError, LockService};
 use amoeba_dirsvc::sim::Simulation;
 
 fn lock_cluster(seed: u64) -> (Simulation, Cluster) {
     let sim = Simulation::new(seed);
     let mut params = ClusterParams::paper(Variant::Group);
-    params.lock_service = true;
+    params.services.push(ServiceSpec::of::<LockService>());
     let cluster = Cluster::start(&sim, params);
     (sim, cluster)
 }
@@ -20,7 +20,7 @@ fn lock_cluster(seed: u64) -> (Simulation, Cluster) {
 #[test]
 fn lock_semantics_end_to_end() {
     let (mut sim, mut cluster) = lock_cluster(101);
-    let (client, _) = cluster.lock_client(&sim);
+    let (client, _) = cluster.service_client::<LockService>(&sim);
     let out = sim.spawn("app", move |ctx| {
         // Retry until the lock group has formed.
         loop {
@@ -63,7 +63,7 @@ fn lock_semantics_end_to_end() {
 #[test]
 fn new_instance_after_majority_loss_does_not_skip_operations() {
     let (mut sim, mut cluster) = lock_cluster(107);
-    let (client, _) = cluster.lock_client(&sim);
+    let (client, _) = cluster.service_client::<LockService>(&sim);
     let c = client.clone();
     // Drive the applied cursor well past anything a fresh instance
     // will reach with its first few slots.
@@ -97,13 +97,19 @@ fn new_instance_after_majority_loss_does_not_skip_operations() {
     sim.run_for(Duration::from_secs(5));
     cluster.restart_server(&sim, 1);
     sim.run_for(Duration::from_secs(60));
-    assert!(cluster.lock_server(0).is_normal(), "survivor not serving");
-    assert!(cluster.lock_server(1).is_normal(), "replica 1 not serving");
+    assert!(
+        cluster.service::<LockService>(0).is_normal(),
+        "survivor not serving"
+    );
+    assert!(
+        cluster.service::<LockService>(1).is_normal(),
+        "replica 1 not serving"
+    );
     cluster.restart_server(&sim, 2);
     sim.run_for(Duration::from_secs(60));
     for i in 0..3 {
         assert!(
-            cluster.lock_server(i).is_normal(),
+            cluster.service::<LockService>(i).is_normal(),
             "lock replica {i} did not re-enter service"
         );
     }
@@ -133,22 +139,22 @@ fn new_instance_after_majority_loss_does_not_skip_operations() {
     assert_eq!(out.take(), Some(true));
     sim.run_for(Duration::from_secs(5)); // let the order drain everywhere
     for i in 0..3 {
-        let m = cluster.lock_server(i).machine();
+        let m = cluster.service::<LockService>(i).machine();
         for k in 0..5u64 {
             assert_eq!(
-                m.holder(&format!("post-{k}")),
+                m.read(|t| t.get(&format!("post-{k}")).copied()),
                 Some(100 + k),
                 "replica {i} skipped a new-instance operation"
             );
         }
-        assert_eq!(m.held_count(), 30, "replica {i} lock table diverged");
+        assert_eq!(m.read(|t| t.len()), 30, "replica {i} lock table diverged");
     }
 }
 
 #[test]
 fn lock_state_survives_crash_and_rejoin_via_state_transfer() {
     let (mut sim, mut cluster) = lock_cluster(103);
-    let (client, _) = cluster.lock_client(&sim);
+    let (client, _) = cluster.service_client::<LockService>(&sim);
     let c2 = client.clone();
     let out = sim.spawn("setup", move |ctx| {
         loop {
@@ -191,11 +197,11 @@ fn lock_state_survives_crash_and_rejoin_via_state_transfer() {
     cluster.restart_server(&sim, 2);
     let deadline = Duration::from_secs(40);
     sim.run_for(deadline);
-    let rejoined = cluster.lock_server(2);
+    let rejoined = cluster.service::<LockService>(2);
     assert!(rejoined.is_normal(), "lock replica 2 did not rejoin");
     let m = rejoined.machine();
-    assert_eq!(m.holder("a"), Some(1));
-    assert_eq!(m.holder("b"), Some(2));
-    assert_eq!(m.holder("c"), Some(3));
-    assert_eq!(m.held_count(), 3);
+    assert_eq!(m.read(|t| t.get("a").copied()), Some(1));
+    assert_eq!(m.read(|t| t.get("b").copied()), Some(2));
+    assert_eq!(m.read(|t| t.get("c").copied()), Some(3));
+    assert_eq!(m.read(|t| t.len()), 3);
 }

@@ -5,9 +5,10 @@
 
 use std::time::Duration;
 
-use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, RebalancerParams, Variant};
+use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, RebalancerParams, ServiceSpec, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirClient, DirClientError, DirError, DirReply, DirRequest, Rights, ShardMap,
+    Capability, DirClient, DirClientError, DirError, DirReply, DirRequest, LeaseService, Rights,
+    ShardMap,
 };
 use amoeba_dirsvc::rpc::RpcClient;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
@@ -488,7 +489,7 @@ fn rebalancer_moves_hot_directories_off_a_skewed_shard() {
     let mut sim = Simulation::new(433);
     let mut params = ClusterParams::sharded(Variant::Group, 2);
     params.seed = 433;
-    params.lease_service = true;
+    params.services.push(ServiceSpec::of::<LeaseService>());
     params.rebalancer = Some(RebalancerParams {
         interval: Duration::from_secs(1),
         skew_ratio: 2.0,

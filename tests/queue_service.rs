@@ -6,14 +6,14 @@
 
 use std::time::Duration;
 
-use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::{QueueError, Rights};
+use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, ServiceSpec, Variant};
+use amoeba_dirsvc::dir::{QueueError, QueueService, Rights};
 use amoeba_dirsvc::sim::Simulation;
 
 fn queue_cluster(seed: u64, shards: usize) -> (Simulation, Cluster) {
     let sim = Simulation::new(seed);
     let mut params = ClusterParams::sharded(Variant::Group, shards);
-    params.queue_service = true;
+    params.services.push(ServiceSpec::of::<QueueService>());
     params.seed = seed;
     let cluster = Cluster::start(&sim, params);
     (sim, cluster)
@@ -22,7 +22,7 @@ fn queue_cluster(seed: u64, shards: usize) -> (Simulation, Cluster) {
 #[test]
 fn fifo_semantics_end_to_end() {
     let (mut sim, mut cluster) = queue_cluster(301, 1);
-    let (client, _) = cluster.queue_client(&sim);
+    let (client, _) = cluster.service_client::<QueueService>(&sim);
     let out = sim.spawn("app", move |ctx| {
         // Retry until the queue group has formed.
         loop {
@@ -52,7 +52,7 @@ fn fifo_semantics_end_to_end() {
 #[test]
 fn concurrent_consumers_get_each_element_exactly_once() {
     let (mut sim, mut cluster) = queue_cluster(307, 1);
-    let (producer, _) = cluster.queue_client(&sim);
+    let (producer, _) = cluster.service_client::<QueueService>(&sim);
     let fill = sim.spawn("producer", move |ctx| {
         let mut ok = 0u32;
         for i in 0..20u8 {
@@ -72,7 +72,7 @@ fn concurrent_consumers_get_each_element_exactly_once() {
     // total order hands each element to exactly one of them.
     let mut outs = Vec::new();
     for c in 0..3 {
-        let (consumer, _) = cluster.queue_client(&sim);
+        let (consumer, _) = cluster.service_client::<QueueService>(&sim);
         outs.push(sim.spawn(&format!("consumer{c}"), move |ctx| {
             let mut got = Vec::new();
             loop {
@@ -96,7 +96,7 @@ fn concurrent_consumers_get_each_element_exactly_once() {
 #[test]
 fn queue_survives_replica_crash_and_rejoin() {
     let (mut sim, mut cluster) = queue_cluster(311, 1);
-    let (client, _) = cluster.queue_client(&sim);
+    let (client, _) = cluster.service_client::<QueueService>(&sim);
     let c2 = client.clone();
     let pre = sim.spawn("pre", move |ctx| {
         for _ in 0..100 {
@@ -125,16 +125,15 @@ fn queue_survives_replica_crash_and_rejoin() {
     cluster.restart_server(&sim, 1);
     sim.run_for(Duration::from_secs(20));
     assert!(
-        cluster.queue_server(1).is_normal(),
+        cluster.service::<QueueService>(1).is_normal(),
         "rebooted queue replica rejoined"
     );
     // The rebooted replica recovered the whole queue from a peer's
     // snapshot (it has no disk of its own).
-    assert_eq!(cluster.queue_server(1).machine().len("q"), 2);
-    assert_eq!(
-        cluster.queue_server(1).machine().head("q"),
-        Some(b"before".to_vec())
-    );
+    let replica = cluster.service::<QueueService>(1);
+    let q = replica.machine().read(|queues| queues["q"].clone());
+    assert_eq!(q.len(), 2);
+    assert_eq!(q.front(), Some(&b"before".to_vec()));
 }
 
 #[test]
@@ -145,7 +144,7 @@ fn queue_and_sharded_directory_share_machines() {
     let (mut sim, mut cluster) = queue_cluster(313, 2);
     assert_eq!(cluster.columns.len(), 6);
     let (dir_client, _) = cluster.client(&sim);
-    let (q_client, _) = cluster.queue_client(&sim);
+    let (q_client, _) = cluster.service_client::<QueueService>(&sim);
     let out = sim.spawn("app", move |ctx| {
         let root = loop {
             match dir_client.create_dir(ctx, &["owner"]) {

@@ -10,12 +10,13 @@ use std::time::Duration;
 use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirOp, DirParams, DirectoryStateMachine, LockRequest, LockStateMachine, Rights,
+    Capability, DirOp, DirParams, DirectoryStateMachine, LockRequest, LockService, Rights,
     ServiceConfig,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, RawPartition, VDisk};
 use amoeba_dirsvc::flip::{NetParams, Network, Payload};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
+use amoeba_dirsvc::rsm::service::{ServiceMachine, Wire};
 use amoeba_dirsvc::rsm::StateMachine;
 use amoeba_dirsvc::sim::{Ctx, NodeId, Resource, Simulation};
 use std::sync::Mutex;
@@ -225,9 +226,9 @@ fn directory_machine_conforms() {
 #[test]
 fn lock_machine_conforms() {
     let mut sim = Simulation::new(7);
-    let a = LockStateMachine::new(3);
-    let b = LockStateMachine::new(3);
-    let f = LockStateMachine::new(3);
+    let a = ServiceMachine::<LockService>::new(3);
+    let b = ServiceMachine::<LockService>::new(3);
+    let f = ServiceMachine::<LockService>::new(3);
     let acq = |name: &str, owner: u64| {
         LockRequest::Acquire {
             name: name.into(),
