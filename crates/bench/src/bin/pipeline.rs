@@ -1366,7 +1366,65 @@ fn micro_points() -> Vec<(String, f64)> {
         black_box(payload.slice(64..1024));
     });
     out.push((r.name, r.ns_per_op));
+    out.extend(sim_kernel_points());
     out
+}
+
+/// Host ns per kernel event at the two ends of the simulator's cost: an
+/// event that wakes another process (one thread hand-off) and one that
+/// wakes the process that dispatched it (none). The timings are printed;
+/// what is asserted is the exact hand-off count behind each.
+fn sim_kernel_points() -> Vec<(String, f64)> {
+    use amoeba_sim::Simulation;
+    const ROUNDS: u64 = 20_000;
+    let time = |name: &str, sim: &mut Simulation| {
+        let t0 = std::time::Instant::now();
+        let stats = sim.run();
+        let ns = t0.elapsed().as_nanos() as f64 / stats.events as f64;
+        println!(
+            "{name:<44} {ns:>14.1} ns/event ({} events, {} hand-offs)",
+            stats.events, stats.handoffs
+        );
+        (stats, (name.to_owned(), ns))
+    };
+
+    let mut sim = Simulation::new(1);
+    let (to_b, b_rx) = sim.channel::<u64>();
+    let (to_a, a_rx) = sim.channel::<u64>();
+    sim.spawn("ping", move |ctx| {
+        for i in 0..ROUNDS {
+            to_b.send(i);
+            a_rx.recv(ctx);
+        }
+    });
+    sim.spawn("pong", move |ctx| {
+        for _ in 0..ROUNDS {
+            to_a.send(b_rx.recv(ctx));
+        }
+    });
+    let (stats, handoff) = time("micro/sim_handoff", &mut sim);
+    // Events: two starts and one delivery per message. Hand-offs: driver
+    // → ping, ping → pong at pong's start (pong then takes the first ping
+    // off its own dispatch), one per later message, and back to the driver.
+    assert_eq!(
+        (stats.events, stats.handoffs),
+        (2 * ROUNDS + 2, 2 * ROUNDS + 2),
+        "sim_handoff: one hand-off per message"
+    );
+
+    let mut sim = Simulation::new(1);
+    sim.spawn("sleeper", |ctx| {
+        for _ in 0..2 * ROUNDS {
+            ctx.sleep(Duration::from_millis(1));
+        }
+    });
+    let (stats, self_wake) = time("micro/sim_self_wake", &mut sim);
+    assert_eq!(
+        (stats.events, stats.handoffs),
+        (2 * ROUNDS + 1, 2),
+        "sim_self_wake: no hand-off between the driver's first and last"
+    );
+    vec![handoff, self_wake]
 }
 
 /// Raw `SendToGroup` throughput (the layer accept batching optimizes),

@@ -144,16 +144,18 @@ fn handle(
                 kind: BulletErrorKind::BadCapability,
             },
         },
-        BulletRequest::Delete { cap } => {
-            if store.remove(cap) {
+        BulletRequest::Delete { cap } => match store.remove(cap) {
+            Some((start, nblocks)) => {
                 cache.lock().remove(&cap.object);
+                // Not a disk operation: the blocks just stop holding the
+                // dead file's bytes in host memory.
+                disk.vdisk().discard(base_block + start, nblocks);
                 BulletReply::Done
-            } else {
-                BulletReply::Error {
-                    kind: BulletErrorKind::BadCapability,
-                }
             }
-        }
+            None => BulletReply::Error {
+                kind: BulletErrorKind::BadCapability,
+            },
+        },
     }
 }
 

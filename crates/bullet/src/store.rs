@@ -23,6 +23,8 @@ struct StoreInner {
     inodes: HashMap<u64, Inode>,
     next_object: u64,
     next_block: u64,
+    /// The allocator has wrapped: a live file may lie over an older one.
+    wrapped: bool,
     nblocks: u64,
     block_size: usize,
     check_seed: u64,
@@ -57,6 +59,7 @@ impl BulletStore {
                 inodes: HashMap::new(),
                 next_object: 1,
                 next_block: 0,
+                wrapped: false,
                 nblocks,
                 block_size,
                 check_seed,
@@ -69,8 +72,10 @@ impl BulletStore {
     /// capability and the starting block, or `None` if the disk is full.
     ///
     /// Allocation is bump-pointer (files are immutable and the simulation
-    /// workloads recycle the disk long before it fills; deletions simply
-    /// free the inode, as in log-structured allocation before cleaning).
+    /// workloads recycle the disk long before it fills; deletions free
+    /// the inode and hand the extent back to the disk, see [`Self::remove`],
+    /// but never move the pointer, as in log-structured allocation before
+    /// cleaning).
     pub(crate) fn allocate(&self, len_bytes: usize) -> Option<(FileCap, u64, u64)> {
         let mut i = self.inner.lock();
         let nblocks = (len_bytes.max(1)).div_ceil(i.block_size) as u64;
@@ -78,6 +83,7 @@ impl BulletStore {
             // Wrap around: a trivial cleaner that reuses the start of the
             // area. Fine for simulation workloads whose live set is small.
             i.next_block = 0;
+            i.wrapped = true;
             if nblocks > i.nblocks {
                 return None;
             }
@@ -111,16 +117,29 @@ impl BulletStore {
         }
     }
 
-    /// Deletes the file if the capability is valid.
-    pub(crate) fn remove(&self, cap: FileCap) -> bool {
+    /// Deletes the file if the capability is valid, and returns the
+    /// extent `(start_block, nblocks)` the disk may forget: the file's
+    /// own — or an empty one if, the allocator having wrapped around, a
+    /// younger live file lies over part of it. Only a wrapped store pays
+    /// for that check (a scan of the live inodes).
+    pub(crate) fn remove(&self, cap: FileCap) -> Option<(u64, u64)> {
         let mut i = self.inner.lock();
-        match i.inodes.get(&cap.object) {
-            Some(inode) if inode.check == cap.check => {
-                i.inodes.remove(&cap.object);
-                true
-            }
-            _ => false,
+        if i.inodes.get(&cap.object)?.check != cap.check {
+            return None;
         }
+        let bs = i.block_size;
+        let extent =
+            |f: &Inode| f.start_block..f.start_block + f.len_bytes.max(1).div_ceil(bs) as u64;
+        let freed = extent(&i.inodes.remove(&cap.object)?);
+        let overlaid = i.wrapped
+            && i.inodes
+                .values()
+                .map(extent)
+                .any(|live| live.start < freed.end && freed.start < live.end);
+        Some((
+            freed.start,
+            if overlaid { 0 } else { freed.end - freed.start },
+        ))
     }
 
     /// Number of live files.
@@ -146,9 +165,9 @@ mod tests {
         assert_eq!(start, 0);
         let inode = s.lookup(cap).unwrap();
         assert_eq!(inode.len_bytes, 1000);
-        assert!(s.remove(cap));
+        assert_eq!(s.remove(cap), Some((0, 2)));
         assert!(s.lookup(cap).is_none());
-        assert!(!s.remove(cap));
+        assert_eq!(s.remove(cap), None);
     }
 
     #[test]
@@ -160,7 +179,7 @@ mod tests {
             check: cap.check ^ 1,
         };
         assert!(s.lookup(forged).is_none());
-        assert!(!s.remove(forged));
+        assert_eq!(s.remove(forged), None);
     }
 
     #[test]
@@ -185,6 +204,15 @@ mod tests {
         let _ = s.allocate(512 * 3).unwrap(); // blocks 0..3
         let (_, start, _) = s.allocate(512 * 2).unwrap(); // wraps to 0
         assert_eq!(start, 0);
+    }
+
+    #[test]
+    fn removing_a_file_a_younger_one_overwrote_frees_no_blocks() {
+        let s = BulletStore::new(4, 512, 7);
+        let (old, _, _) = s.allocate(512 * 3).unwrap(); // blocks 0..3
+        let (young, _, _) = s.allocate(512 * 2).unwrap(); // wraps: blocks 0..2
+        assert_eq!(s.remove(old), Some((0, 0)));
+        assert_eq!(s.remove(young), Some((0, 2)));
     }
 
     #[test]

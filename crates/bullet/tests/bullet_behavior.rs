@@ -54,6 +54,39 @@ fn create_read_delete_cycle() {
     assert_eq!(gone, Err(BulletError::BadCapability));
 }
 
+/// Every directory update creates a file and deletes its predecessor:
+/// the dead file's blocks must stop holding memory, or a long run's
+/// footprint grows with simulated time.
+#[test]
+fn deleted_files_leave_no_resident_blocks() {
+    let Rig {
+        mut sim,
+        client,
+        disk,
+    } = rig();
+    let d = disk.clone();
+    let out = sim.spawn("app", move |ctx| {
+        let keep = client.create(ctx, vec![1u8; 5000]).unwrap();
+        let resident = d.resident_blocks();
+        let stats = d.stats();
+        let cap = client.create(ctx, vec![2u8; 9000]).unwrap();
+        let writes = d.stats().since(&stats);
+        client.delete(ctx, cap).unwrap();
+        assert_eq!(d.stats().since(&stats), writes, "a delete is no disk op");
+        assert_eq!(d.resident_blocks(), resident);
+        for _ in 0..1_000 {
+            let cap = client.create(ctx, vec![3u8; 9000]).unwrap();
+            client.delete(ctx, cap).unwrap();
+        }
+        assert_eq!(d.resident_blocks(), resident, "1,000 cycles later");
+        // The first deleted file lay in blocks 2..5, right after `keep`.
+        assert!((2..5).all(|b| d.read_block(b).iter().all(|&x| x == 0)));
+        client.read(ctx, keep).unwrap().len()
+    });
+    sim.run_for(Duration::from_secs(200));
+    assert_eq!(out.take(), Some(5000));
+}
+
 #[test]
 fn create_costs_one_disk_write_run() {
     let Rig {

@@ -115,6 +115,23 @@ impl VDisk {
         i.blocks.insert(block, buf);
     }
 
+    /// Forgets the contents of `count` blocks from `start`: they read as
+    /// zeroes again and hold no memory. Bookkeeping for the layer that
+    /// owns the blocks (a deleted file's extent), not a disk operation:
+    /// it takes no simulated time and is not counted in the stats.
+    pub fn discard(&self, start: u64, count: u64) {
+        let mut i = self.inner.lock();
+        for block in start..start + count {
+            i.blocks.remove(&block);
+        }
+    }
+
+    /// Blocks currently holding host memory; a probe for tests.
+    #[doc(hidden)]
+    pub fn resident_blocks(&self) -> usize {
+        self.inner.lock().blocks.len()
+    }
+
     /// Physical-operation counters.
     pub fn stats(&self) -> DiskStats {
         self.inner.lock().stats
@@ -165,6 +182,23 @@ mod tests {
         let _ = d.read_block(0);
         let s = d.stats();
         assert_eq!((s.reads, s.writes, s.blocks), (1, 2, 3));
+    }
+
+    #[test]
+    fn discarded_blocks_read_zero_and_are_not_counted() {
+        let d = VDisk::new(8, 4);
+        for b in 2..6 {
+            d.write_block(b, &[7; 4]);
+        }
+        let before = d.stats();
+        d.discard(3, 2);
+        assert_eq!(d.stats(), before);
+        assert_eq!(d.read_block(2), vec![7; 4]);
+        assert_eq!(d.read_block(3), vec![0; 4]);
+        assert_eq!(d.read_block(4), vec![0; 4]);
+        assert_eq!(d.read_block(5), vec![7; 4]);
+        d.discard(0, 8);
+        assert_eq!(d.resident_blocks(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The per-machine group-communication kernel: packet dispatch, timers,
 //! and the app-facing primitive implementations.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use amoeba_flip::{Dest, GroupAddr, HostAddr, NodeStack, Packet, Port};
@@ -28,7 +28,10 @@ pub(crate) struct InstanceSlot {
 }
 
 pub(crate) struct PeerInner {
-    pub instances: HashMap<u64, InstanceSlot>,
+    /// Ordered by instance id: ticks, flushes and join replies walk every
+    /// instance and emit messages as they go, so the walk order must
+    /// repeat from run to run.
+    pub instances: BTreeMap<u64, InstanceSlot>,
     pub join_reply_waiters: HashMap<u64, MailboxTx<GroupMsg>>,
     pub join_ack_waiters: HashMap<u64, MailboxTx<GroupMsg>>,
     pub next_local_id: u64,
@@ -70,7 +73,7 @@ impl GroupPeer {
             handle,
             cfg,
             inner: Arc::new(Mutex::new(PeerInner {
-                instances: HashMap::new(),
+                instances: BTreeMap::new(),
                 join_reply_waiters: HashMap::new(),
                 join_ack_waiters: HashMap::new(),
                 next_local_id: 1,
@@ -165,7 +168,7 @@ impl GroupPeer {
 
     /// Flushes every instance's pending accept batch (end of a burst).
     fn flush_all(&self, ctx: &Ctx) {
-        let mut work: Vec<(u64, Vec<Action>)> = {
+        let work: Vec<(u64, Vec<Action>)> = {
             let mut inner = self.inner.lock();
             inner
                 .instances
@@ -174,9 +177,6 @@ impl GroupPeer {
                 .filter(|(_, actions)| !actions.is_empty())
                 .collect()
         };
-        // Instance-id order: the map iterates in hash order, which varies
-        // between runs, and the flush order decides message emission order.
-        work.sort_unstable_by_key(|(id, _)| *id);
         for (id, actions) in work {
             for a in actions {
                 self.execute(ctx, id, a);
@@ -201,7 +201,7 @@ impl GroupPeer {
                 if *joiner == self.stack.addr() {
                     return; // our own broadcast
                 }
-                let mut replies: Vec<(u64, Action)> = {
+                let replies: Vec<(u64, Action)> = {
                     let inner = self.inner.lock();
                     inner
                         .instances
@@ -212,7 +212,6 @@ impl GroupPeer {
                         })
                         .collect()
                 };
-                replies.sort_unstable_by_key(|(id, _)| *id);
                 for (id, action) in replies {
                     self.execute(ctx, id, action);
                 }

@@ -1,15 +1,16 @@
 //! The process-side API: everything a simulated process may do.
 
 use std::cell::RefCell;
-use std::panic::panic_any;
+use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::ids::{MailboxId, NodeId, ProcId};
-use crate::kernel::{Kernel, KillToken, Resume, WakeReason, YieldKind, YieldMsg};
+use crate::kernel::{
+    hand_off, panic_message, HandOff, Kernel, KillToken, Next, WakeReason, Wakeup, YieldKind,
+};
 use crate::mailbox::{channel_impl, MailboxRx, MailboxTx};
 use crate::process::ProcOutput;
 use crate::rng::SimRng;
@@ -17,8 +18,9 @@ use crate::time::SimTime;
 
 /// The execution context handed to every simulated process.
 ///
-/// All blocking calls (`sleep`, `recv`, …) yield to the simulator kernel; no
-/// real time passes. A `Ctx` is only usable from the process it was created
+/// All blocking calls (`sleep`, `recv`, …) yield the baton and run the
+/// simulator's event loop until this process is due again; no real time
+/// passes. A `Ctx` is only usable from the process it was created
 /// for and must never be sent elsewhere.
 ///
 /// # Crash semantics
@@ -31,8 +33,8 @@ pub struct Ctx {
     node: Option<NodeId>,
     name: String,
     shared: Arc<Mutex<Kernel>>,
-    yield_tx: Sender<YieldMsg>,
-    resume_rx: Receiver<Resume>,
+    /// Where this thread parks while another holds the baton.
+    cell: Arc<HandOff<Wakeup>>,
     rng: RefCell<SimRng>,
 }
 
@@ -47,14 +49,12 @@ impl std::fmt::Debug for Ctx {
 }
 
 impl Ctx {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         pid: ProcId,
         node: Option<NodeId>,
         name: String,
         shared: Arc<Mutex<Kernel>>,
-        yield_tx: Sender<YieldMsg>,
-        resume_rx: Receiver<Resume>,
+        cell: Arc<HandOff<Wakeup>>,
         rng: SimRng,
     ) -> Self {
         Ctx {
@@ -62,8 +62,7 @@ impl Ctx {
             node,
             name,
             shared,
-            yield_tx,
-            resume_rx,
+            cell,
             rng: RefCell::new(rng),
         }
     }
@@ -188,21 +187,9 @@ impl Ctx {
         &self.shared
     }
 
-    pub(crate) fn yield_tx(&self) -> &Sender<YieldMsg> {
-        &self.yield_tx
-    }
-
-    /// Blocks in the initial handshake; `None` means killed before start.
-    pub(crate) fn wait_first(&self) -> Option<()> {
-        match self.resume_rx.recv() {
-            Ok(Resume::Go(_)) => Some(()),
-            _ => None,
-        }
-    }
-
-    /// Unwinds this thread because its node crashed.
-    fn die(&self) -> ! {
-        panic_any(KillToken)
+    /// Parks until the first activation; false means killed before it.
+    pub(crate) fn wait_first(&self) -> bool {
+        matches!(self.cell.take(), Wakeup::Run(_))
     }
 
     /// Panics with [`KillToken`] if this process has been marked dead.
@@ -215,32 +202,51 @@ impl Ctx {
             .map(|p| p.dead)
             .unwrap_or(true);
         if dead {
-            self.die();
+            panic_any(KillToken::Crashed);
         }
     }
 
-    /// Digest of this process's RNG state (for record/replay yields).
-    pub(crate) fn rng_digest(&self) -> u64 {
-        self.rng.borrow().digest()
+    /// Records this process's yield, then runs the event loop on this
+    /// thread until some process must run. Returns the wake reason if
+    /// that is this process; otherwise the baton has been handed on.
+    fn yield_baton(&self, kind: YieldKind) -> Option<WakeReason> {
+        let mut k = self.shared.lock();
+        k.record_yield(self.pid, kind, self.rng.borrow().digest());
+        match k.dispatch() {
+            Next::Run(pid, reason) if pid == self.pid => Some(reason),
+            next => {
+                hand_off(k, next);
+                None
+            }
+        }
     }
 
-    /// Yields to the kernel and blocks until resumed.
+    /// Yields and blocks until this process is due again.
     pub(crate) fn block(&self, kind: YieldKind) -> WakeReason {
-        if self
-            .yield_tx
-            .send(YieldMsg {
-                pid: self.pid,
-                kind,
-                rng_digest: self.rng_digest(),
+        self.yield_baton(kind)
+            .unwrap_or_else(|| match self.cell.take() {
+                Wakeup::Run(reason) => reason,
+                Wakeup::Kill => panic_any(KillToken::Reaped),
             })
-            .is_err()
-        {
-            // The simulation was dropped; unwind quietly.
-            self.die();
-        }
-        match self.resume_rx.recv() {
-            Ok(Resume::Go(reason)) => reason,
-            _ => self.die(),
+    }
+
+    /// The body returned (`panic: None`) or panicked: the final yield.
+    ///
+    /// Nothing catches a panic above this call, and the event loop it
+    /// runs can panic (a replay divergence, a kernel `expect`). That
+    /// would end this thread with the baton in hand and leave the driver
+    /// parked for ever, so the baton goes to the driver with the text.
+    pub(crate) fn exit(&self, panic: Option<String>) {
+        let last_yield = AssertUnwindSafe(|| {
+            let woken = self.yield_baton(YieldKind::Exited { panic });
+            debug_assert!(woken.is_none(), "an exited process was resumed");
+        });
+        if let Err(payload) = catch_unwind(last_yield) {
+            let mut k = self.shared.lock();
+            let msg = panic_message(payload);
+            k.poisoned
+                .get_or_insert(format!("'{}' ({}): {msg}", self.name, self.pid));
+            hand_off(k, Next::Stop);
         }
     }
 

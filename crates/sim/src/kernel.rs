@@ -1,21 +1,32 @@
-//! The simulator kernel: event queue, process table, wake bookkeeping.
+//! The simulator kernel: event queue, process table, wake bookkeeping and
+//! the event loop ([`Kernel::dispatch`]).
 //!
-//! The kernel enforces the central invariant of the simulator: **at any
-//! instant at most one thread runs** — either the kernel loop (in
-//! [`crate::Simulation`]) or exactly one process thread that the kernel has
-//! resumed and is waiting on. All cross-thread coordination goes through a
-//! strict resume/yield handshake, which makes execution deterministic
-//! regardless of OS scheduling.
+//! The kernel enforces the central invariant of the simulator: **exactly
+//! one thread holds the baton** — the driver (the thread inside
+//! [`crate::Simulation::run`]) or one process thread. Only the holder
+//! runs simulated code or touches the kernel. There is no scheduler
+//! thread: a process that blocks records its own yield and runs the event
+//! loop itself until some process must run. If that process is itself it
+//! just returns; otherwise it passes the baton through that process's
+//! one-value [`HandOff`] cell and parks on its own. A thread that has
+//! handed off may still be running for a moment, but touches nothing
+//! except its own cell. The driver gets the baton back only for what
+//! needs it ([`Next::Reap`], [`Next::Stop`]). Which OS thread dispatches
+//! an event never influences what the event does, so execution is
+//! deterministic regardless of OS scheduling.
+//!
+//! An [`ActionFn`] therefore runs on whichever thread dispatches it and
+//! must not read thread-locals (`amoeba_telemetry`'s current-span slot is
+//! per simulated process). The only action is mailbox delivery.
 
 use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::panic;
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Condvar, Once};
 use std::thread::JoinHandle;
 
-use crossbeam_channel::Sender;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::ids::{MailboxId, NodeId, ProcId};
 use crate::record::{fault_codes, RecMode, SimTrace, StepTag, TraceStep};
@@ -24,7 +35,14 @@ use crate::time::SimTime;
 
 /// Panic payload used to unwind a killed process thread. Never observed by
 /// user code: the thread wrapper catches it and reports a clean exit.
-pub(crate) struct KillToken;
+pub(crate) enum KillToken {
+    /// The process found itself dead while running (it crashed its own
+    /// node): it still holds the baton and exits like any other process.
+    Crashed,
+    /// `Kill` arrived through the hand-off cell: the driver holds the
+    /// baton and is joining this thread, which must touch nothing.
+    Reaped,
+}
 
 /// Silences the default panic hook for [`KillToken`] unwinds so crashing
 /// simulated nodes does not spam stderr.
@@ -52,10 +70,58 @@ pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Sent by the kernel to a process thread to let it run (or die).
-pub(crate) enum Resume {
-    Go(WakeReason),
+/// A one-value cell a thread parks on until another thread fills it: the
+/// only cross-thread signalling in the simulator.
+pub(crate) struct HandOff<T> {
+    slot: std::sync::Mutex<Option<T>>,
+    filled: Condvar,
+}
+
+/// Why locking a [`HandOff`] cannot fail.
+const NEVER_POISONED: &str = "no thread panics while it holds a hand-off cell's lock";
+
+impl<T> HandOff<T> {
+    pub fn new() -> Self {
+        HandOff {
+            slot: std::sync::Mutex::new(None),
+            filled: Condvar::new(),
+        }
+    }
+
+    pub fn put(&self, value: T) {
+        *self.slot.lock().expect(NEVER_POISONED) = Some(value);
+        self.filled.notify_one();
+    }
+
+    /// Parks the calling thread until the cell is filled; empties it.
+    pub fn take(&self) -> T {
+        let mut slot = self.slot.lock().expect(NEVER_POISONED);
+        loop {
+            match slot.take() {
+                Some(value) => return value,
+                None => slot = self.filled.wait(slot).expect(NEVER_POISONED),
+            }
+        }
+    }
+}
+
+/// What a parked process thread finds in its hand-off cell.
+pub(crate) enum Wakeup {
+    /// The baton: run, for this reason.
+    Run(WakeReason),
+    /// Unwind and finish; the driver keeps the baton and joins the thread.
     Kill,
+}
+
+/// Where the baton goes when [`Kernel::dispatch`] returns.
+pub(crate) enum Next {
+    /// To this process (already marked running).
+    Run(ProcId, WakeReason),
+    /// To the driver, to kill-handshake and join these dead processes.
+    Reap(Vec<ProcId>),
+    /// To the driver, for good: quiescence, the deadline, the event
+    /// budget, or a process panic.
+    Stop,
 }
 
 /// Why a blocked process was resumed.
@@ -71,15 +137,7 @@ pub(crate) enum WakeReason {
     TimedOut,
 }
 
-/// Sent by a process thread to the kernel when it gives up the CPU.
-pub(crate) struct YieldMsg {
-    pub pid: ProcId,
-    pub kind: YieldKind,
-    /// Digest of the process's RNG state at the yield; lets record/replay
-    /// catch divergent draws without recording each one.
-    pub rng_digest: u64,
-}
-
+/// How a process gives up the baton.
 pub(crate) enum YieldKind {
     /// Block until the given instant.
     Sleep { until: SimTime },
@@ -104,9 +162,9 @@ pub(crate) enum BlockKind {
 pub(crate) enum ProcState {
     /// Spawned; the `Start` event has not run yet.
     Ready,
-    /// Currently executing (the kernel is waiting for its yield).
+    /// Holds the baton, or is about to be handed it.
     Running,
-    /// Parked in the resume handshake.
+    /// Parked on its hand-off cell.
     Blocked,
     /// The thread body has finished (normally, by panic, or by kill).
     Exited,
@@ -115,7 +173,7 @@ pub(crate) enum ProcState {
 pub(crate) struct ProcRec {
     pub name: String,
     pub node: Option<NodeId>,
-    pub resume_tx: Sender<Resume>,
+    pub cell: Arc<HandOff<Wakeup>>,
     pub join: Option<JoinHandle<()>>,
     pub state: ProcState,
     pub block: BlockKind,
@@ -145,7 +203,7 @@ pub(crate) struct Wake {
     pub reason: WakeReason,
 }
 
-pub(crate) type ActionFn = Box<dyn FnOnce(&mut Kernel) -> Vec<Wake> + Send>;
+pub(crate) type ActionFn = Box<dyn FnOnce(&mut Kernel) -> Option<Wake> + Send>;
 
 pub(crate) enum EventKind {
     /// First activation of a spawned process.
@@ -193,8 +251,17 @@ pub(crate) struct Kernel {
     pub nodes: HashMap<NodeId, NodeRec>,
     next_node: u32,
     pub seed: u64,
-    pub yield_tx: Sender<YieldMsg>,
+    /// The driver's hand-off cell.
+    pub driver: Arc<HandOff<Next>>,
+    /// Limits of the current `run*` call: events after `deadline` stay
+    /// queued, and at most `budget` more events are processed.
+    pub deadline: Option<SimTime>,
+    pub budget: u64,
     pub events_processed: u64,
+    /// Times the baton moved to another OS thread.
+    pub handoffs: u64,
+    /// Panic text of a process that panicked; the driver re-raises it.
+    pub poisoned: Option<String>,
     pub trace: Option<Vec<(SimTime, String)>>,
     /// Decision-trace recording/replay state (see [`crate::record`]).
     pub(crate) rec: RecMode,
@@ -204,7 +271,7 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    pub fn new(seed: u64, yield_tx: Sender<YieldMsg>) -> Self {
+    pub fn new(seed: u64) -> Self {
         Kernel {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
@@ -216,8 +283,12 @@ impl Kernel {
             nodes: HashMap::new(),
             next_node: 0,
             seed,
-            yield_tx,
+            driver: Arc::new(HandOff::new()),
+            deadline: None,
+            budget: 0,
             events_processed: 0,
+            handoffs: 0,
+            poisoned: None,
             trace: None,
             rec: RecMode::Off,
             user_data: None,
@@ -240,8 +311,8 @@ impl Kernel {
         self.rec.checkpoint(step);
     }
 
-    /// Checkpoints a just-popped event (called by the run loop).
-    pub(crate) fn checkpoint_event(&mut self, ev: &EventEntry) {
+    /// Checkpoints a just-popped event.
+    fn checkpoint_event(&mut self, ev: &EventEntry) {
         if matches!(self.rec, RecMode::Off) {
             return;
         }
@@ -284,7 +355,7 @@ impl Kernel {
 
     pub fn schedule_action<F>(&mut self, time: SimTime, f: F)
     where
-        F: FnOnce(&mut Kernel) -> Vec<Wake> + Send + 'static,
+        F: FnOnce(&mut Kernel) -> Option<Wake> + Send + 'static,
     {
         self.schedule(time, EventKind::Action(Box::new(f)));
     }
@@ -295,6 +366,120 @@ impl Kernel {
 
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek().map(|e| e.time)
+    }
+
+    /// The event loop. Runs on whichever thread holds the baton — a
+    /// process that just yielded, or the driver — until the baton has to
+    /// go somewhere, and says where.
+    pub fn dispatch(&mut self) -> Next {
+        while self.budget > 0 && self.poisoned.is_none() {
+            match (self.peek_time(), self.deadline) {
+                (None, _) => break,
+                (Some(t), Some(d)) if t > d => {
+                    self.now = d;
+                    break;
+                }
+                _ => {}
+            }
+            let ev = self.pop_event().expect("peeked event vanished");
+            self.now = ev.time;
+            self.events_processed += 1;
+            self.budget -= 1;
+            self.checkpoint_event(&ev);
+            let wake = match ev.kind {
+                EventKind::Start(pid) => {
+                    let ready =
+                        matches!(self.procs.get(&pid), Some(p) if p.state == ProcState::Ready);
+                    ready.then_some(Wake {
+                        pid,
+                        reason: WakeReason::First,
+                    })
+                }
+                EventKind::Timer { pid, gen } => match self.procs.get(&pid) {
+                    Some(p) if p.state == ProcState::Blocked && p.gen == gen => match p.block {
+                        BlockKind::Sleep => Some(WakeReason::Slept),
+                        BlockKind::Wait => Some(WakeReason::TimedOut),
+                        BlockKind::None => None,
+                    }
+                    .map(|reason| Wake { pid, reason }),
+                    _ => None,
+                },
+                EventKind::Action(f) => f(self),
+                EventKind::Reap(pids) => return Next::Reap(pids),
+            };
+            if let Some(Wake { pid, reason }) = wake {
+                if self.resume(pid, reason) {
+                    return Next::Run(pid, reason);
+                }
+            }
+        }
+        Next::Stop
+    }
+
+    /// Marks `pid` running for `reason`; false if it is dead or gone.
+    fn resume(&mut self, pid: ProcId, reason: WakeReason) -> bool {
+        self.clear_waits(pid);
+        let p = match self.procs.get_mut(&pid) {
+            Some(p) if !p.dead && p.state != ProcState::Exited => p,
+            _ => return false,
+        };
+        p.state = ProcState::Running;
+        p.block = BlockKind::None;
+        p.gen += 1;
+        let (code, idx) = match reason {
+            WakeReason::First => (0, 0),
+            WakeReason::Slept => (1, 0),
+            WakeReason::MailboxReady(i) => (2, i as u64),
+            WakeReason::TimedOut => (3, 0),
+        };
+        self.checkpoint(StepTag::Resume, pid.0, code, idx);
+        true
+    }
+
+    /// Records how the running process `pid` gives up the baton.
+    /// `rng_digest` is a digest of its RNG state; it lets record/replay
+    /// catch divergent draws without recording each one.
+    pub fn record_yield(&mut self, pid: ProcId, kind: YieldKind, rng_digest: u64) {
+        let kind_code = match &kind {
+            YieldKind::Sleep { .. } => 0,
+            YieldKind::Wait { .. } => 1,
+            YieldKind::Exited { .. } => 2,
+        };
+        self.checkpoint(StepTag::Yield, pid.0, kind_code, rng_digest);
+        let now = self.now;
+        let p = self.procs.get_mut(&pid).expect("yield from unknown proc");
+        let gen = p.gen;
+        match kind {
+            YieldKind::Sleep { until } => {
+                p.state = ProcState::Blocked;
+                p.block = BlockKind::Sleep;
+                self.schedule(until.max(now), EventKind::Timer { pid, gen });
+            }
+            YieldKind::Wait { boxes, deadline } => {
+                p.state = ProcState::Blocked;
+                p.block = BlockKind::Wait;
+                for (idx, b) in boxes.iter().enumerate() {
+                    if let Some(rec) = self.mailboxes.get_mut(b) {
+                        rec.waiter = Some((pid, gen, idx));
+                    }
+                }
+                p.wait_boxes = boxes;
+                if let Some(d) = deadline {
+                    self.schedule(d.max(now), EventKind::Timer { pid, gen });
+                }
+            }
+            YieldKind::Exited { panic } => {
+                p.state = ProcState::Exited;
+                p.block = BlockKind::None;
+                if let Some(msg) = panic {
+                    self.poisoned = Some(format!("'{}' ({pid}): {msg}", p.name));
+                }
+                if let Some(n) = p.node.and_then(|n| self.nodes.get_mut(&n)) {
+                    n.procs.remove(&pid);
+                }
+                self.clear_waits(pid);
+            }
+        }
     }
 
     pub fn alloc_pid(&mut self) -> ProcId {
@@ -330,24 +515,13 @@ impl Kernel {
     }
 
     /// A message arrived at `id`; returns the waiter to wake, if any.
-    pub fn mailbox_ready(&mut self, id: MailboxId) -> Vec<Wake> {
-        let rec = match self.mailboxes.get_mut(&id) {
-            Some(r) => r,
-            None => return Vec::new(),
-        };
-        let (pid, gen, idx) = match rec.waiter.take() {
-            Some(w) => w,
-            None => return Vec::new(),
-        };
-        match self.procs.get(&pid) {
-            Some(p) if !p.dead && p.state == ProcState::Blocked && p.gen == gen => {
-                vec![Wake {
-                    pid,
-                    reason: WakeReason::MailboxReady(idx),
-                }]
-            }
-            _ => Vec::new(),
-        }
+    pub fn mailbox_ready(&mut self, id: MailboxId) -> Option<Wake> {
+        let (pid, gen, idx) = self.mailboxes.get_mut(&id)?.waiter.take()?;
+        let p = self.procs.get(&pid)?;
+        (p.state == ProcState::Blocked && p.gen == gen).then_some(Wake {
+            pid,
+            reason: WakeReason::MailboxReady(idx),
+        })
     }
 
     /// Clears this process's wait registrations (it is about to run).
@@ -425,6 +599,24 @@ impl Kernel {
     }
 }
 
+/// Passes the baton to whoever `next` names. Takes the kernel guard so the
+/// lock is released before the receiver wakes (it would only block on it).
+pub(crate) fn hand_off(mut k: MutexGuard<'_, Kernel>, next: Next) {
+    k.handoffs += 1;
+    match next {
+        Next::Run(pid, reason) => {
+            let cell = Arc::clone(&k.procs[&pid].cell);
+            drop(k);
+            cell.put(Wakeup::Run(reason));
+        }
+        to_driver => {
+            let cell = Arc::clone(&k.driver);
+            drop(k);
+            cell.put(to_driver);
+        }
+    }
+}
+
 /// Registers a new process and schedules its first activation.
 ///
 /// This is a free function (not a method) because constructing the process's
@@ -446,13 +638,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::unbounded;
 
     fn kernel() -> Kernel {
-        let (tx, _rx) = unbounded();
-        // Leak the receiver end on purpose: these tests never resume procs.
-        std::mem::forget(_rx);
-        Kernel::new(1, tx)
+        Kernel::new(1)
     }
 
     #[test]
@@ -476,7 +664,7 @@ mod tests {
     fn mailbox_ready_without_waiter_is_noop() {
         let mut k = kernel();
         let m = k.alloc_mailbox();
-        assert!(k.mailbox_ready(m).is_empty());
+        assert!(k.mailbox_ready(m).is_none());
     }
 
     /// A dropped receiver retires its record, so channels made per
@@ -496,7 +684,7 @@ mod tests {
         let mut k = shared.lock();
         while let Some(ev) = k.pop_event() {
             if let EventKind::Action(f) = ev.kind {
-                assert!(f(&mut k).is_empty(), "a retired mailbox wakes no one");
+                assert!(f(&mut k).is_none(), "a retired mailbox wakes no one");
             }
         }
     }

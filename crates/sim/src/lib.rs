@@ -1,9 +1,12 @@
 //! # amoeba-sim — deterministic discrete-event simulation kernel
 //!
 //! The substrate for the Amoeba directory-service reproduction: a
-//! discrete-event simulator whose "processes" are green threads (one OS
-//! thread each) driven by a strict resume/yield handshake, so that **exactly
-//! one thread runs at any instant** and execution is bit-exactly
+//! discrete-event simulator whose "processes" are OS threads that pass a
+//! baton: **exactly one thread holds it at any instant**, only the holder
+//! runs simulated code, and a process that blocks runs the event loop
+//! itself until it knows who is next — itself (it just carries on) or
+//! another thread (it wakes that one and parks). Which thread dispatches
+//! an event never changes what the event does, so execution is bit-exactly
 //! deterministic for a given seed.
 //!
 //! Protocol code written against this crate reads like ordinary blocking

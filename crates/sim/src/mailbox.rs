@@ -52,6 +52,7 @@ impl<T: Send + 'static> MailboxTx<T> {
         let id = self.id;
         let mut k = self.shared.lock();
         let t = k.now + delay;
+        // Runs on whichever thread dispatches it: no thread-locals here.
         k.schedule_action(t, move |k| {
             queue.lock().push_back(msg);
             k.mailbox_ready(id)

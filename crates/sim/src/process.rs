@@ -1,17 +1,15 @@
 //! Process spawning: each simulated process is an OS thread that only runs
-//! while the kernel has explicitly resumed it.
+//! while it holds the baton (see [`crate::kernel`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crossbeam_channel::unbounded;
 use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 use crate::ids::{NodeId, ProcId};
 use crate::kernel::{
-    panic_message, BlockKind, EventKind, Kernel, KillToken, ProcRec, ProcState, Resume, YieldKind,
-    YieldMsg,
+    panic_message, BlockKind, EventKind, HandOff, Kernel, KillToken, ProcRec, ProcState,
 };
 
 /// Handle to a spawned process's eventual return value.
@@ -64,10 +62,10 @@ where
     F: FnOnce(&Ctx) -> R + Send + 'static,
     R: Send + 'static,
 {
-    let (resume_tx, resume_rx) = unbounded::<Resume>();
+    let hand_off_cell = Arc::new(HandOff::new());
     let cell: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
 
-    let (pid, yield_tx, rng, start_time) = {
+    let (pid, rng, start_time) = {
         let mut k = shared.lock();
         let pid = k.alloc_pid();
         if let Some(n) = node {
@@ -82,7 +80,7 @@ where
             node.map(|n| n.0 as u64 + 1).unwrap_or(0),
             crate::record::fnv1a(name.as_bytes()),
         );
-        (pid, k.yield_tx.clone(), rng, k.now)
+        (pid, rng, k.now)
     };
 
     let ctx = Ctx::new(
@@ -90,8 +88,7 @@ where
         node,
         name.to_owned(),
         Arc::clone(shared),
-        yield_tx.clone(),
-        resume_rx,
+        Arc::clone(&hand_off_cell),
         rng,
     );
 
@@ -100,31 +97,22 @@ where
     let join = std::thread::Builder::new()
         .name(thread_name)
         .spawn(move || {
-            // Wait for the first activation (or an early kill).
-            let go = matches!(ctx.wait_first(), Some(())); // None => killed before start
-            let panic_msg = if go {
-                match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                    Ok(val) => {
-                        *cell_in.lock() = Some(val);
-                        None
-                    }
-                    Err(payload) => {
-                        if payload.is::<KillToken>() {
-                            None
-                        } else {
-                            Some(panic_message(payload))
-                        }
-                    }
+            if !ctx.wait_first() {
+                return; // killed before the first activation
+            }
+            let panic = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+                Ok(val) => {
+                    *cell_in.lock() = Some(val);
+                    None
                 }
-            } else {
-                None
+                Err(payload) => match payload.downcast_ref::<KillToken>() {
+                    // The driver holds the baton and is joining this thread.
+                    Some(KillToken::Reaped) => return,
+                    Some(KillToken::Crashed) => None,
+                    None => Some(panic_message(payload)),
+                },
             };
-            // Final ack to the kernel; ignore send failure at teardown.
-            let _ = ctx.yield_tx().send(YieldMsg {
-                pid,
-                kind: YieldKind::Exited { panic: panic_msg },
-                rng_digest: ctx.rng_digest(),
-            });
+            ctx.exit(panic);
         })
         .expect("failed to spawn simulator thread");
 
@@ -135,7 +123,7 @@ where
             ProcRec {
                 name: name.to_owned(),
                 node,
-                resume_tx,
+                cell: hand_off_cell,
                 join: Some(join),
                 state: ProcState::Ready,
                 block: BlockKind::None,

@@ -3,13 +3,18 @@
 //! # Determinism contract
 //!
 //! A simulation run is a pure function of `(program, seed)`: the kernel
-//! processes events in strict `(time, seq)` order, at most one thread runs
-//! at any instant, and every random draw comes from [`crate::SimRng`]
-//! streams forked deterministically from the seed. The kernel may consult
-//! **nothing else** — no wall clock, no OS entropy, no address-dependent
-//! hashing, no iteration over randomized containers — when making a
-//! scheduling decision. Under that contract, re-running the same program
-//! with the same seed reproduces the run bit-exactly.
+//! processes events in strict `(time, seq)` order, exactly one thread
+//! *holds the baton* at any instant — only it runs simulated code or
+//! touches the kernel; a thread that has handed the baton on may still be
+//! running, but touches nothing except its own hand-off cell — and every
+//! random draw comes from [`crate::SimRng`] streams forked
+//! deterministically from the seed. The kernel may consult **nothing
+//! else** — no wall clock, no OS entropy, no address-dependent hashing, no
+//! iteration over randomized containers, and no thread-local (the event
+//! loop runs on whichever thread holds the baton, so *which* thread
+//! dispatches an event is not part of the run) — when making a scheduling
+//! decision. Under that contract, re-running the same program with the
+//! same seed reproduces the run bit-exactly.
 //!
 //! Recording turns that implicit property into a checkable artifact: every
 //! nondeterministic-looking decision the kernel makes (which event pops
@@ -24,12 +29,14 @@
 //! **cross-checks** every decision against the recorded step at the same
 //! position. The first departure panics with a `replay divergence` message
 //! naming the step index, what the trace expected and what the live run
-//! did. A passing replay is therefore a proof that the run was reproduced
+//! did, and checking stops there: whichever thread found it, the panic
+//! reaches the caller of `run`, and the teardown is not compared. A
+//! passing replay is therefore a proof that the run was reproduced
 //! decision-for-decision — and a failing one points at the exact first
 //! decision where determinism broke (typically an un-audited `HashMap`
 //! iteration or a real-time dependency leaking into the model).
 //!
-//! RNG draws happen inside process threads without the kernel lock, so they
+//! RNG draws happen in process code, outside the kernel, so they
 //! are not recorded one-by-one; instead every yield carries a digest of the
 //! yielding process's RNG state ([`crate::SimRng::digest`]). The xoshiro
 //! state is a perfect summary of the draw history, so a divergent draw is
@@ -242,10 +249,13 @@ impl RecMode {
                 }
                 let expected = steps[*cursor];
                 if expected != step {
+                    // Stop checking: the run is torn down from here, and
+                    // a second panic on the way out would mask this one.
+                    let at = std::mem::replace(cursor, steps.len());
                     panic!(
                         "replay divergence at step {}: expected {:?} t={}ns \
                          (a={} b={} c={}), got {:?} t={}ns (a={} b={} c={})",
-                        *cursor,
+                        at,
                         expected.tag,
                         expected.time_ns,
                         expected.a,

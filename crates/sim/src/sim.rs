@@ -1,20 +1,19 @@
-//! The [`Simulation`]: owner of the kernel and driver of the event loop.
+//! The [`Simulation`]: owner of the kernel and the *driver* — the thread
+//! that starts the event loop, parks while process threads pass the baton
+//! among themselves, and takes it back to reap crashed processes, to
+//! re-raise a process panic, and when the run is over.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 use crate::ids::{NodeId, ProcId};
-use crate::kernel::{
-    install_quiet_panic_hook, BlockKind, EventKind, Kernel, ProcState, Resume, Wake, WakeReason,
-    YieldKind, YieldMsg,
-};
+use crate::kernel::{hand_off, install_quiet_panic_hook, HandOff, Kernel, Next, ProcState, Wakeup};
 use crate::mailbox::{channel_impl, MailboxRx, MailboxTx};
 use crate::process::ProcOutput;
-use crate::record::{RecMode, SimTrace, StepTag};
+use crate::record::{RecMode, SimTrace};
 use crate::time::SimTime;
 
 /// Statistics returned by [`Simulation::run`].
@@ -24,6 +23,11 @@ pub struct RunStats {
     pub events: u64,
     /// Virtual time when the run stopped.
     pub end_time: SimTime,
+    /// Total moves of the baton from one OS thread to another so far: a
+    /// process waking another, the driver starting one, the driver
+    /// getting it back. A process that wakes itself makes none. Exact
+    /// and deterministic, like `events`.
+    pub handoffs: u64,
 }
 
 /// A deterministic discrete-event simulation.
@@ -48,9 +52,8 @@ pub struct RunStats {
 /// ```
 pub struct Simulation {
     shared: Arc<Mutex<Kernel>>,
-    yield_rx: Receiver<YieldMsg>,
-    /// Set when a process panicked; the panic is re-raised after teardown.
-    poisoned: Option<String>,
+    /// Where this thread parks while process threads hold the baton.
+    driver: Arc<HandOff<Next>>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -68,11 +71,10 @@ impl Simulation {
     /// Creates an empty simulation with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         install_quiet_panic_hook();
-        let (yield_tx, yield_rx) = unbounded();
+        let kernel = Kernel::new(seed);
         Simulation {
-            shared: Arc::new(Mutex::new(Kernel::new(seed, yield_tx))),
-            yield_rx,
-            poisoned: None,
+            driver: Arc::clone(&kernel.driver),
+            shared: Arc::new(Mutex::new(kernel)),
         }
     }
 
@@ -206,220 +208,61 @@ impl Simulation {
     }
 
     fn run_inner(&mut self, deadline: Option<SimTime>, max_events: u64) -> RunStats {
-        let mut processed = 0u64;
-        while processed < max_events {
-            let event = {
-                let mut k = self.shared.lock();
-                match k.peek_time() {
-                    None => break,
-                    Some(t) => {
-                        if let Some(d) = deadline {
-                            if t > d {
-                                k.now = d;
-                                break;
-                            }
-                        }
-                        let ev = k.pop_event().expect("peeked event vanished");
-                        k.now = ev.time;
-                        k.events_processed += 1;
-                        k.checkpoint_event(&ev);
-                        ev
-                    }
-                }
-            };
-            processed += 1;
-            match event.kind {
-                EventKind::Start(pid) => {
-                    let ok = {
-                        let k = self.shared.lock();
-                        matches!(
-                            k.procs.get(&pid),
-                            Some(p) if !p.dead && p.state == ProcState::Ready
-                        )
-                    };
-                    if ok {
-                        self.resume(pid, WakeReason::First);
-                    }
-                }
-                EventKind::Timer { pid, gen } => {
-                    let reason = {
-                        let k = self.shared.lock();
-                        match k.procs.get(&pid) {
-                            Some(p) if !p.dead && p.state == ProcState::Blocked && p.gen == gen => {
-                                match p.block {
-                                    BlockKind::Sleep => Some(WakeReason::Slept),
-                                    BlockKind::Wait => Some(WakeReason::TimedOut),
-                                    BlockKind::None => None,
-                                }
-                            }
-                            _ => None,
-                        }
-                    };
-                    if let Some(r) = reason {
-                        self.resume(pid, r);
-                    }
-                }
-                EventKind::Action(f) => {
-                    let wakes: Vec<Wake> = {
-                        let mut k = self.shared.lock();
-                        f(&mut k)
-                    };
-                    for w in wakes {
-                        self.resume(w.pid, w.reason);
-                    }
-                }
-                EventKind::Reap(pids) => {
+        let mut next = {
+            let mut k = self.shared.lock();
+            k.deadline = deadline;
+            k.budget = max_events;
+            k.dispatch()
+        };
+        loop {
+            next = match next {
+                Next::Stop => break,
+                Next::Reap(pids) => {
                     for pid in pids {
                         self.kill_handshake(pid);
                     }
+                    self.shared.lock().dispatch()
                 }
-            }
-            if let Some(msg) = self.poisoned.take() {
-                self.teardown();
-                panic!("simulated process panicked: {msg}");
-            }
+                run => {
+                    hand_off(self.shared.lock(), run);
+                    self.driver.take()
+                }
+            };
         }
-        let k = self.shared.lock();
+        let mut k = self.shared.lock();
+        if let Some(msg) = k.poisoned.take() {
+            drop(k);
+            self.teardown();
+            panic!("simulated process panicked: {msg}");
+        }
         RunStats {
             events: k.events_processed,
             end_time: k.now,
+            handoffs: k.handoffs,
         }
     }
 
-    /// Resumes `pid` and blocks until it yields again; then records the new
-    /// blocking state in the kernel.
-    fn resume(&mut self, pid: ProcId, reason: WakeReason) {
-        let tx = {
-            let mut k = self.shared.lock();
-            k.clear_waits(pid);
-            let p = match k.procs.get_mut(&pid) {
-                Some(p) => p,
-                None => return,
-            };
-            if p.dead || p.state == ProcState::Exited {
-                return;
-            }
-            p.state = ProcState::Running;
-            p.block = BlockKind::None;
-            p.gen += 1;
-            let tx = p.resume_tx.clone();
-            let (code, idx) = match reason {
-                WakeReason::First => (0, 0),
-                WakeReason::Slept => (1, 0),
-                WakeReason::MailboxReady(i) => (2, i as u64),
-                WakeReason::TimedOut => (3, 0),
-            };
-            k.checkpoint(StepTag::Resume, pid.0, code, idx);
-            tx
-        };
-        if tx.send(Resume::Go(reason)).is_err() {
-            return;
-        }
-        let y = self
-            .yield_rx
-            .recv()
-            .expect("process thread vanished without yielding");
-        debug_assert_eq!(y.pid, pid, "yield from unexpected process");
-        self.process_yield(y);
-    }
-
-    fn process_yield(&mut self, y: YieldMsg) {
-        let pid = y.pid;
-        let mut k = self.shared.lock();
-        let kind_code = match &y.kind {
-            YieldKind::Sleep { .. } => 0,
-            YieldKind::Wait { .. } => 1,
-            YieldKind::Exited { .. } => 2,
-        };
-        k.checkpoint(StepTag::Yield, pid.0, kind_code, y.rng_digest);
-        match y.kind {
-            YieldKind::Sleep { until } => {
-                let gen = {
-                    let p = k.procs.get_mut(&pid).expect("yield from unknown proc");
-                    p.state = ProcState::Blocked;
-                    p.block = BlockKind::Sleep;
-                    p.gen
-                };
-                let t = until.max(k.now);
-                k.schedule(t, EventKind::Timer { pid, gen });
-            }
-            YieldKind::Wait { boxes, deadline } => {
-                let gen = {
-                    let p = k.procs.get_mut(&pid).expect("yield from unknown proc");
-                    p.state = ProcState::Blocked;
-                    p.block = BlockKind::Wait;
-                    p.wait_boxes = boxes.clone();
-                    p.gen
-                };
-                for (idx, b) in boxes.iter().enumerate() {
-                    if let Some(rec) = k.mailboxes.get_mut(b) {
-                        rec.waiter = Some((pid, gen, idx));
-                    }
-                }
-                if let Some(d) = deadline {
-                    let t = d.max(k.now);
-                    k.schedule(t, EventKind::Timer { pid, gen });
-                }
-            }
-            YieldKind::Exited { panic } => {
-                if let Some(p) = k.procs.get_mut(&pid) {
-                    p.state = ProcState::Exited;
-                    p.block = BlockKind::None;
-                }
-                k.clear_waits(pid);
-                if let Some(node) = k.procs.get(&pid).and_then(|p| p.node) {
-                    if let Some(n) = k.nodes.get_mut(&node) {
-                        n.procs.remove(&pid);
-                    }
-                }
-                if let Some(msg) = panic {
-                    let name = k
-                        .procs
-                        .get(&pid)
-                        .map(|p| p.name.clone())
-                        .unwrap_or_default();
-                    self.poisoned = Some(format!("'{name}' ({pid}): {msg}"));
-                }
-            }
-        }
-    }
-
-    /// Sends `Kill` to a (dead-marked or teardown) process and waits for its
-    /// final `Exited` ack, then joins the thread.
+    /// Tells a parked process to unwind (it is marked dead, or this is
+    /// teardown) and joins its thread. Only the driver does this, holding
+    /// the baton, so no simulated code runs meanwhile.
     fn kill_handshake(&mut self, pid: ProcId) {
-        // The join handle is taken out and joined only after the lock
-        // is released: a thread's last drops may need the kernel lock.
-        let (tx, join) = {
+        // Joined only after the lock is released: a thread's last drops
+        // may need the kernel lock.
+        let (cell, join) = {
             let mut k = self.shared.lock();
             let p = match k.procs.get_mut(&pid) {
                 Some(p) => p,
                 None => return,
             };
-            let tx = (p.state != ProcState::Exited).then(|| p.resume_tx.clone());
-            (tx, p.join.take())
+            let cell = (p.state != ProcState::Exited).then(|| Arc::clone(&p.cell));
+            p.state = ProcState::Exited;
+            let join = p.join.take();
+            k.clear_waits(pid);
+            (cell, join)
         };
-        if tx.is_some_and(|tx| tx.send(Resume::Kill).is_ok()) {
-            // The only runnable thread is now the dying one; its final yield
-            // must be the Exited ack.
-            loop {
-                match self.yield_rx.recv() {
-                    Ok(y) if y.pid == pid && matches!(y.kind, YieldKind::Exited { .. }) => {
-                        // Killed processes never propagate panics.
-                        let mut k = self.shared.lock();
-                        if let Some(p) = k.procs.get_mut(&pid) {
-                            p.state = ProcState::Exited;
-                        }
-                        k.clear_waits(pid);
-                        break;
-                    }
-                    Ok(_) => {
-                        // A stale yield from this pid (can't happen with the
-                        // handshake, but don't wedge if it does).
-                        continue;
-                    }
-                    Err(_) => break,
-                }
-            }
+        if let Some(cell) = cell {
+            // Killed processes never propagate panics.
+            cell.put(Wakeup::Kill);
         }
         if let Some(j) = join {
             let _ = j.join();

@@ -1,6 +1,8 @@
 //! Behavioural tests for the simulation kernel: scheduling order, blocking
 //! primitives, timeouts, node crashes, and determinism.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -281,24 +283,171 @@ fn message_to_dead_process_is_dropped_silently() {
 fn run_until_stops_at_deadline() {
     let mut sim = Simulation::new(1);
     let out = sim.spawn("p", |ctx| {
-        ctx.sleep(Duration::from_millis(100));
-        true
+        ctx.sleep(Duration::from_millis(4));
+        ctx.sleep(Duration::from_millis(96));
+        ctx.now()
     });
+    // The deadline is met on the process's thread (it dispatches its own
+    // timers); the later timer stays queued and `now` is the deadline.
     let stats = sim.run_until(SimTime::from_millis(10));
     assert_eq!(stats.end_time, SimTime::from_millis(10));
+    assert_eq!(sim.now(), SimTime::from_millis(10));
+    assert_eq!(stats.events, 2, "the start and the 4 ms timer");
     assert!(!out.is_ready());
-    sim.run();
-    assert_eq!(out.take(), Some(true));
+    let stats = sim.run();
+    assert_eq!(stats.events, 3);
+    assert_eq!(out.take(), Some(SimTime::from_millis(100)));
+}
+
+/// Two processes bouncing `rounds` pings and pongs: 2 × `rounds` messages.
+fn ping_pong(sim: &Simulation, rounds: u64) {
+    let (to_b, b_rx) = sim.channel::<u64>();
+    let (to_a, a_rx) = sim.channel::<u64>();
+    sim.spawn("a", move |ctx| {
+        for i in 0..rounds {
+            to_b.send(i);
+            assert_eq!(a_rx.recv(ctx), i);
+        }
+    });
+    sim.spawn("b", move |ctx| {
+        for _ in 0..rounds {
+            to_a.send(b_rx.recv(ctx));
+        }
+    });
 }
 
 #[test]
-fn run_with_limit_bounds_events() {
+fn run_with_limit_counts_events_across_process_boundaries() {
     let mut sim = Simulation::new(1);
-    sim.spawn("looper", |ctx| loop {
-        ctx.sleep(MS);
+    ping_pong(&sim, 1_000);
+    // The budget runs out on whichever thread is dispatching; every call
+    // processes exactly what it was given and the game goes on.
+    assert_eq!(sim.run_with_limit(50).events, 50);
+    assert_eq!(sim.run_with_limit(7).events, 57);
+    assert_eq!(sim.run_with_limit(0).events, 57);
+    // Two starts and one delivery per message.
+    assert_eq!(sim.run().events, 2 + 2_000);
+}
+
+#[test]
+fn a_process_that_wakes_itself_makes_no_handoff() {
+    let mut sim = Simulation::new(1);
+    sim.spawn("sleeper", |ctx| {
+        for _ in 0..1_000 {
+            ctx.sleep(MS);
+        }
     });
-    let stats = sim.run_with_limit(50);
-    assert!(stats.events <= 50);
+    let stats = sim.run();
+    assert_eq!(stats.events, 1 + 1_000);
+    // Driver → sleeper at its start, sleeper → driver at quiescence;
+    // the thousand timers in between fire on the sleeper's own thread.
+    assert_eq!(stats.handoffs, 2);
+}
+
+#[test]
+fn ping_pong_makes_one_handoff_per_message() {
+    let handoffs = |rounds: u64| {
+        let mut sim = Simulation::new(1);
+        ping_pong(&sim, rounds);
+        sim.run().handoffs
+    };
+    // Driver → a, a → b (b's start; b then takes the first ping off its
+    // own dispatch), one per later message, and the return to the driver.
+    assert_eq!(handoffs(100), 2 * 100 + 2);
+    assert_eq!(handoffs(1_100) - handoffs(100), 2 * 1_000);
+}
+
+/// Set when dropped: a process's stack is unwound — and, the kernel
+/// joining what it kills, seen to be — by the time `run` returns.
+struct Unwound(Arc<AtomicBool>);
+
+impl Unwound {
+    fn flag() -> (Unwound, Arc<AtomicBool>) {
+        let flag = Arc::new(AtomicBool::new(false));
+        (Unwound(Arc::clone(&flag)), flag)
+    }
+}
+
+impl Drop for Unwound {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn crashing_its_own_node_ends_a_running_process_and_its_parked_neighbours() {
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("n");
+    let (guard_a, unwound_a) = Unwound::flag();
+    let (guard_b, unwound_b) = Unwound::flag();
+    let (_tx, rx) = sim.channel::<u8>();
+    let parked = sim.spawn_on(node, "parked", move |ctx| {
+        let _guard = guard_b;
+        rx.recv(ctx)
+    });
+    let suicidal = sim.spawn_on(node, "suicidal", move |ctx| {
+        let _guard = guard_a;
+        ctx.sleep(MS);
+        ctx.crash_node(node);
+        unreachable!("crash_node of one's own node does not return");
+    });
+    let bystander = sim.spawn("bystander", |ctx| {
+        ctx.sleep(5 * MS);
+        ctx.now()
+    });
+    let stats = sim.run();
+    assert!(unwound_a.load(Ordering::SeqCst) && unwound_b.load(Ordering::SeqCst));
+    assert_eq!((parked.take(), suicidal.take()), (None, None));
+    assert_eq!(bystander.take(), Some(SimTime::from_millis(5)));
+    assert_eq!(stats.end_time, SimTime::from_millis(5));
+}
+
+#[test]
+fn a_process_killed_before_its_first_activation_never_runs() {
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("n");
+    let (guard, unwound) = Unwound::flag();
+    let ran = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&ran);
+    let out = sim.spawn_on(node, "stillborn", move |_ctx| {
+        let _guard = guard;
+        r.store(true, Ordering::SeqCst);
+    });
+    sim.crash_node(node);
+    let stats = sim.run();
+    assert_eq!(stats.events, 2, "its start (ignored) and the reap");
+    assert!(!ran.load(Ordering::SeqCst));
+    assert!(unwound.load(Ordering::SeqCst), "its closure was dropped");
+    assert_eq!(out.take(), None);
+}
+
+#[test]
+fn a_panic_on_a_thread_the_driver_did_not_wake_is_reraised_by_run() {
+    let (guard, unwound) = Unwound::flag();
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Simulation::new(1);
+        let (tx, rx) = sim.channel::<u8>();
+        sim.spawn("waker", move |ctx| {
+            let _guard = guard;
+            ctx.sleep(MS);
+            tx.send(1);
+            ctx.sleep(Duration::from_secs(1));
+            unreachable!("torn down while parked");
+        });
+        // Woken by `waker`'s thread, not the driver's, and panics there.
+        sim.spawn("bomb", move |ctx| {
+            let v = rx.recv(ctx);
+            panic!("boom {v}");
+        });
+        sim.run();
+    }))
+    .expect_err("the panic must reach the caller of run");
+    let msg = err.downcast_ref::<String>().expect("a formatted message");
+    assert_eq!(msg, "simulated process panicked: 'bomb' (proc#1): boom 1");
+    assert!(
+        unwound.load(Ordering::SeqCst),
+        "the other process was reaped"
+    );
 }
 
 #[test]

@@ -126,6 +126,76 @@ fn replay_of_divergent_program_panics() {
 }
 
 #[test]
+fn divergence_found_on_a_process_thread_reaches_the_caller_of_run() {
+    // Two processes wake each other, so the event loop runs on their
+    // threads; the replayed program sleeps longer in round 5, and the
+    // timer that pops at the wrong time is found by whichever of them is
+    // dispatching — not by the driver, which must still re-raise it.
+    fn program(sim: &Simulation, slow_round: u64) {
+        let (to_b, b_rx) = sim.channel::<u64>();
+        let (to_a, a_rx) = sim.channel::<u64>();
+        sim.spawn("a", move |ctx| {
+            for i in 0..10 {
+                let extra = if i == slow_round { 50 } else { 0 };
+                ctx.sleep(Duration::from_micros(100 + extra));
+                to_b.send(i);
+                a_rx.recv(ctx);
+            }
+        });
+        sim.spawn("b", move |ctx| {
+            for _ in 0..10 {
+                to_a.send(b_rx.recv(ctx));
+            }
+        });
+    }
+    let mut sim = Simulation::recording(21);
+    program(&sim, u64::MAX);
+    sim.run();
+    let trace = sim.take_recording().unwrap();
+
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Simulation::replaying(&trace);
+        program(&sim, 5);
+        sim.run();
+    }))
+    .expect_err("divergent replay must panic");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.starts_with("simulated process panicked: ")
+            && msg.contains("replay divergence at step"),
+        "unexpected panic: {msg}"
+    );
+}
+
+#[test]
+fn divergence_found_by_an_exiting_process_reaches_the_caller_of_run() {
+    // 'a' returns while 'b' still sleeps, so a's final yield dispatches
+    // b's timer — outside the catch_unwind around a's body. The panic
+    // must still hand the baton to the driver, not strand it parked.
+    fn program(sim: &Simulation, b_sleep_us: u64) {
+        sim.spawn("a", |ctx| ctx.sleep(Duration::from_micros(100)));
+        sim.spawn("b", move |ctx| ctx.sleep(Duration::from_micros(b_sleep_us)));
+    }
+    let mut sim = Simulation::recording(23);
+    program(&sim, 200);
+    sim.run();
+    let trace = sim.take_recording().unwrap();
+
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Simulation::replaying(&trace);
+        program(&sim, 250);
+        sim.run();
+    }))
+    .expect_err("divergent replay must panic");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.starts_with("simulated process panicked: 'a'")
+            && msg.contains("replay divergence at step"),
+        "unexpected panic: {msg}"
+    );
+}
+
+#[test]
 fn recording_survives_a_process_panic() {
     // A runner wraps the simulation in catch_unwind and pulls the trace
     // from a handle afterwards — the failure-capture path explore uses.
@@ -146,4 +216,22 @@ fn recording_survives_a_process_panic() {
         .expect("trace retrievable after panic");
     assert!(!trace.steps.is_empty());
     assert_eq!(trace.seed, 17);
+}
+
+/// Captured on the commit before the kernel loop moved from a scheduler
+/// thread onto the yielding threads: the checkpoint order (event → resume
+/// → … → yield) and every operand must not have changed.
+#[test]
+fn trace_matches_the_golden_digest() {
+    let trace = record_once(7, true);
+    let digest = trace
+        .to_bytes()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        (trace.steps.len(), digest),
+        (334, 16_095_821_225_445_374_181)
+    );
 }
