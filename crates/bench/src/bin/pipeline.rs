@@ -1367,6 +1367,7 @@ fn micro_points() -> Vec<(String, f64)> {
     });
     out.push((r.name, r.ns_per_op));
     out.extend(sim_kernel_points());
+    out.extend(kernel_handler_points());
     out
 }
 
@@ -1425,6 +1426,118 @@ fn sim_kernel_points() -> Vec<(String, f64)> {
         "sim_self_wake: no hand-off between the driver's first and last"
     );
     vec![handoff, self_wake]
+}
+
+/// Host ns per null RPC and per ordered group send: the two paths whose
+/// packet demultiplexing is kernel handlers, not processes. Printed; what
+/// is asserted is the exact hand-offs per call, which a dispatcher hop
+/// anywhere on either path would raise.
+fn kernel_handler_points() -> Vec<(String, f64)> {
+    use amoeba_flip::{NetParams, Network, Port};
+    use amoeba_group::{GroupConfig, GroupPeer};
+    use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
+    use amoeba_sim::{SimTime, Simulation};
+    const CALLS: u64 = 1_000;
+    // Every set-up below is done, and the caller asleep until `start`,
+    // well before `warm`.
+    let (warm, start) = (SimTime::from_secs(4), SimTime::from_secs(5));
+    // Runs the warm-up, then times the calls; `per_call` hand-offs each,
+    // plus the driver's hand-off to the caller and the one back.
+    let time = |name: &str, sim: &mut Simulation, end: Option<SimTime>, per_call: u64| {
+        let before = sim.run_until(warm);
+        let t0 = std::time::Instant::now();
+        let after = match end {
+            Some(end) => sim.run_until(end),
+            None => sim.run(),
+        };
+        let ns = t0.elapsed().as_nanos() as f64 / CALLS as f64;
+        let handoffs = after.handoffs - before.handoffs;
+        println!(
+            "{name:<44} {ns:>14.1} ns/call ({handoffs} hand-offs, {} handler calls)",
+            after.handler_calls - before.handler_calls
+        );
+        assert_eq!(
+            handoffs,
+            per_call * CALLS + 2,
+            "{name}: {per_call} hand-offs per call"
+        );
+        (name.to_owned(), ns)
+    };
+
+    // Two machines, one server thread, null requests and replies.
+    let mut sim = Simulation::new(1);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 1);
+    let service = Port::from_name("null");
+    let nodes = ["server", "client"].map(|name| {
+        let sim_node = sim.add_node(name);
+        (sim_node, RpcNode::start(&sim, sim_node, net.attach()))
+    });
+    let (server_node, server) = (nodes[0].0, RpcServer::new(&nodes[0].1, service));
+    sim.spawn_on(server_node, "null-server", move |ctx| loop {
+        let req = server.getreq(ctx);
+        server.putrep(&req, Vec::new());
+    });
+    let client = RpcClient::new(&nodes[1].1);
+    let done = sim.spawn_on(nodes[1].0, "caller", move |ctx| {
+        // The locate, and the port cache filled.
+        client
+            .trans(ctx, service, Vec::new())
+            .expect("warm-up call");
+        ctx.sleep_until(start);
+        for _ in 0..CALLS {
+            client.trans(ctx, service, Vec::new()).expect("null call");
+        }
+    });
+    // Caller → server thread → caller: the RPC kernel on either machine
+    // wakes no one.
+    let rpc = time("micro/rpc_null_call", &mut sim, None, 2);
+    assert!(done.is_ready(), "rpc_null_call: every call returned");
+
+    // Three members; member 1 (not the sequencer) sends, and every
+    // member has a receiver taking each message off.
+    let mut sim = Simulation::new(1);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 1);
+    let port = Port::from_name("micro-group");
+    let members = [0, 1, 2u64].map(|i| {
+        let sim_node = sim.add_node(&format!("m{i}"));
+        let peer = GroupPeer::start(&sim, sim_node, net.attach(), GroupConfig::lan());
+        sim.spawn_on(sim_node, &format!("member{i}"), move |ctx| {
+            let g = std::sync::Arc::new(if i == 0 {
+                peer.create(port, i)
+            } else {
+                ctx.sleep(Duration::from_millis(10 * i));
+                peer.join(ctx, port, i, Duration::from_secs(5))
+                    .expect("join")
+            });
+            while g.info().expect("a member").view.len() < 3 {
+                ctx.sleep(Duration::from_millis(5));
+            }
+            if i == 1 {
+                let g = std::sync::Arc::clone(&g);
+                ctx.spawn("sender", move |ctx| {
+                    ctx.sleep_until(start);
+                    for _ in 0..CALLS {
+                        g.send(ctx, vec![0xA5u8; 64]).expect("ordered send");
+                    }
+                });
+            }
+            let mut got = 0;
+            while got < CALLS {
+                if let Ok(amoeba_group::GroupEvent::Message { .. }) = g.recv(ctx) {
+                    got += 1;
+                }
+            }
+        })
+    });
+    // The sender and the three receivers are each woken once per message;
+    // the three group kernels, their ticks included, wake no one.
+    let end = SimTime::from_secs(60);
+    let group = time("micro/group_send", &mut sim, Some(end), 4);
+    assert!(
+        members.iter().all(|m| m.is_ready()),
+        "group_send: every member got every message"
+    );
+    vec![rpc, group]
 }
 
 /// Raw `SendToGroup` throughput (the layer accept batching optimizes),

@@ -1,6 +1,6 @@
 //! The per-host protocol stack: port binding and transmission.
 
-use amoeba_sim::MailboxRx;
+use amoeba_sim::{MailboxRx, NodeId};
 
 use crate::addr::{Dest, GroupAddr, HostAddr};
 use crate::bytes::Payload;
@@ -12,8 +12,9 @@ use crate::topology::SegmentId;
 /// A host's attachment to the network.
 ///
 /// Cloning is cheap; clones refer to the same host. Binding a port yields a
-/// mailbox of incoming [`Packet`]s; binding an already-bound port replaces
-/// the previous binding (used when a crashed machine reboots).
+/// mailbox of incoming [`Packet`]s, or hands them to a kernel handler;
+/// binding an already-bound port replaces the previous binding (used when
+/// a crashed machine reboots).
 #[derive(Clone)]
 pub struct NodeStack {
     addr: HostAddr,
@@ -61,6 +62,21 @@ impl NodeStack {
             table.lock().insert(port, tx);
         }
         rx
+    }
+
+    /// Binds `port` to a kernel handler on `sim_node` (see
+    /// [`SimHandle::handler`](amoeba_sim::SimHandle::handler)): `f` is
+    /// called with each packet as it is delivered, and dies with the
+    /// machine. Replaces any previous binding for the port.
+    pub fn bind_handler(
+        &self,
+        port: Port,
+        sim_node: NodeId,
+        name: &str,
+        f: impl FnMut(Packet) + Send + 'static,
+    ) {
+        let rx = self.bind(port);
+        self.net.handle().handler(sim_node, name, rx, f);
     }
 
     /// Removes the binding for `port`; subsequent packets are dropped.

@@ -228,6 +228,46 @@ fn rebinding_a_port_replaces_the_old_mailbox() {
 }
 
 #[test]
+fn a_packet_in_flight_across_a_reboot_reaches_neither_handler() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+    let mut sim = Simulation::new(1);
+    let n = net(&sim, NetParams::lan_10mbps());
+    let a = n.attach();
+    let b = n.attach();
+    let machine = sim.add_node("b");
+    let port = Port::from_name("t");
+    let bind = move |stack: &amoeba_flip::NodeStack| {
+        let seen = Arc::new(AtomicU32::new(0));
+        let count = Arc::clone(&seen);
+        stack.bind_handler(port, machine, "count", move |_pkt| {
+            count.fetch_add(1, Ordering::SeqCst);
+        });
+        seen
+    };
+    let old_seen = bind(&b);
+    let old_state = Arc::downgrade(&old_seen);
+    let b_addr = b.addr();
+    let new_seen = sim.spawn("chaos", move |ctx| {
+        a.send(b_addr, port, vec![1]);
+        // The machine's RAM goes while the frame is on the wire; its NIC
+        // stays up, so the frame still arrives.
+        ctx.crash_node(machine);
+        ctx.revive_node(machine);
+        let new_seen = bind(&b);
+        ctx.sleep(Duration::from_millis(10));
+        a.send(b_addr, port, vec![2]);
+        ctx.sleep(Duration::from_millis(10));
+        new_seen.load(Ordering::SeqCst)
+    });
+    sim.run();
+    assert_eq!(new_seen.take(), Some(1), "only the packet sent after it");
+    assert_eq!(old_seen.load(Ordering::SeqCst), 0);
+    drop(old_seen);
+    assert!(old_state.upgrade().is_none(), "the network kept no handler");
+}
+
+#[test]
 fn wire_serializes_back_to_back_sends() {
     // The shared ether carries one frame at a time: a big packet sent
     // first delays a small one behind it (no magic reordering on a

@@ -242,7 +242,7 @@ impl Group {
                 None => return Err(GroupError::Dead),
             }
         };
-        self.peer.run_actions(ctx, self.instance, actions);
+        self.peer.run_actions(self.instance, actions);
         rx.recv(ctx)
     }
 
@@ -330,7 +330,7 @@ impl Group {
                     Some(Some(actions)) => (rx, actions),
                 }
             };
-            self.peer.run_actions(ctx, self.instance, actions);
+            self.peer.run_actions(self.instance, actions);
             match rx.recv_deadline(ctx, deadline) {
                 Some(Ok(())) => return self.info(),
                 Some(Err(GroupError::ResetFailed)) => {
@@ -359,7 +359,7 @@ impl Group {
                 None => return, // already gone
             }
         };
-        self.peer.run_actions(ctx, self.instance, actions);
+        self.peer.run_actions(self.instance, actions);
         // Bounded wait: if the sequencer is unreachable the instance will
         // fail and dissolve through other paths; don't hang forever.
         let _ = rx.recv_timeout(ctx, Duration::from_secs(5));

@@ -1,11 +1,16 @@
 //! The per-machine group-communication kernel: packet dispatch, timers,
 //! and the app-facing primitive implementations.
+//!
+//! Like Amoeba's, this is kernel code, not threads: the group port and the
+//! peer's two timers (the protocol tick and the accept-batch flush) are
+//! simulator kernel handlers, run at delivery by whichever thread is
+//! dispatching. They never block, and take trace context from the packet.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use amoeba_flip::{Dest, GroupAddr, HostAddr, NodeStack, Packet, Port};
-use amoeba_sim::{Ctx, MailboxRx, MailboxTx, NodeId, SimHandle, Spawn};
+use amoeba_sim::{MailboxTx, NodeId, SimHandle, Spawn};
 use parking_lot::Mutex;
 
 use crate::config::GroupConfig;
@@ -35,6 +40,18 @@ pub(crate) struct PeerInner {
     pub join_reply_waiters: HashMap<u64, MailboxTx<GroupMsg>>,
     pub join_ack_waiters: HashMap<u64, MailboxTx<GroupMsg>>,
     pub next_local_id: u64,
+    /// A [`Timer::Flush`] is on its way.
+    flush_scheduled: bool,
+}
+
+/// What the peer's timer handler is called with.
+enum Timer {
+    /// Once, when the peer starts: the first tick is one interval away.
+    Arm,
+    /// Every `tick_interval`: drive each instance's protocol timers.
+    Tick,
+    /// `batch_delay` after the first deferred accept: send the batch.
+    Flush,
 }
 
 /// One machine's group-communication kernel.
@@ -58,8 +75,8 @@ impl std::fmt::Debug for GroupPeer {
 }
 
 impl GroupPeer {
-    /// Binds the group port and starts the dispatcher and ticker processes
-    /// on `sim_node` (they die when the machine crashes).
+    /// Binds the group port and the peer's timers to kernel handlers on
+    /// `sim_node` (they die when the machine crashes).
     pub fn start(
         spawner: &impl Spawn,
         sim_node: NodeId,
@@ -67,7 +84,6 @@ impl GroupPeer {
         cfg: GroupConfig,
     ) -> GroupPeer {
         let handle = spawner.sim_handle();
-        let rx = stack.bind(GROUP_PORT);
         let peer = GroupPeer {
             stack,
             handle,
@@ -77,21 +93,38 @@ impl GroupPeer {
                 join_reply_waiters: HashMap::new(),
                 join_ack_waiters: HashMap::new(),
                 next_local_id: 1,
+                flush_scheduled: false,
             })),
         };
-        let dispatcher = peer.clone();
-        let (flush_tx, flush_rx) = peer.handle.channel::<()>();
-        spawner.spawn_boxed(
-            Some(sim_node),
-            &format!("grp-dispatch@{}", peer.stack.addr()),
-            Box::new(move |ctx| dispatcher.dispatch_loop(ctx, rx, flush_tx, flush_rx)),
+        let (timer_tx, timer_rx) = peer.handle.channel::<Timer>();
+        let (kernel, flush_tx) = (peer.clone(), timer_tx.clone());
+        peer.stack.bind_handler(
+            GROUP_PORT,
+            sim_node,
+            &format!("grp@{}", peer.stack.addr()),
+            move |pkt| kernel.handle_packet(pkt, &flush_tx),
         );
-        let ticker = peer.clone();
-        spawner.spawn_boxed(
-            Some(sim_node),
-            &format!("grp-tick@{}", peer.stack.addr()),
-            Box::new(move |ctx| ticker.tick_loop(ctx)),
+        let (kernel, tick_tx) = (peer.clone(), timer_tx.clone());
+        peer.handle.handler(
+            sim_node,
+            &format!("grp-timer@{}", peer.stack.addr()),
+            timer_rx,
+            move |timer| match timer {
+                Timer::Arm => tick_tx.send_after(kernel.cfg.tick_interval, Timer::Tick),
+                Timer::Tick => {
+                    kernel.tick();
+                    tick_tx.send_after(kernel.cfg.tick_interval, Timer::Tick);
+                }
+                Timer::Flush => {
+                    kernel.inner.lock().flush_scheduled = false;
+                    kernel.flush_all();
+                }
+            },
         );
+        // Armed through the event queue, not from here, so that whatever
+        // else starts in this instant keeps its place relative to the
+        // first tick.
+        timer_tx.send(Timer::Arm);
         peer
     }
 
@@ -109,13 +142,8 @@ impl GroupPeer {
             .map(|s| s.inst.stats)
     }
 
-    fn dispatch_loop(
-        &self,
-        ctx: &Ctx,
-        rx: MailboxRx<Packet>,
-        flush_tx: MailboxTx<()>,
-        flush_rx: MailboxRx<()>,
-    ) {
+    /// Handles one packet from the group port.
+    fn handle_packet(&self, mut pkt: Packet, timer_tx: &MailboxTx<Timer>) {
         // With a coalescing window configured, packet handling defers the
         // sequencer's accept multicasts; a one-shot timer flushes what
         // accumulated. (The engine itself still flushes early the moment
@@ -123,51 +151,29 @@ impl GroupPeer {
         // fallback bound.)
         let batch_delay = self.cfg.batch_delay;
         let windowed = self.cfg.max_batch > 1 && !batch_delay.is_zero();
-        let mut flush_scheduled = false;
-        loop {
-            match amoeba_sim::select2(ctx, &rx, &flush_rx) {
-                amoeba_sim::Either::Left(first) => {
-                    // Drain the burst: every packet already queued arrived
-                    // in the same network round and batches regardless of
-                    // the window.
-                    let mut pkt = first;
-                    loop {
-                        let more_pending = !rx.is_empty();
-                        if let Ok(msg) = GroupMsg::decode(&pkt.payload) {
-                            let tags = std::mem::take(&mut pkt.trace);
-                            self.handle_msg(ctx, pkt.src, msg, windowed || more_pending, tags);
-                        }
-                        match rx.try_recv() {
-                            Some(next) => pkt = next,
-                            None => break,
-                        }
-                    }
-                    if !windowed {
-                        self.flush_all(ctx);
-                    } else if !flush_scheduled && self.any_pending_batch() {
-                        flush_tx.send_after(batch_delay, ());
-                        flush_scheduled = true;
-                    }
-                }
-                amoeba_sim::Either::Right(()) => {
-                    flush_scheduled = false;
-                    self.flush_all(ctx);
-                }
-            }
+        if let Ok(msg) = GroupMsg::decode(&pkt.payload) {
+            let tags = std::mem::take(&mut pkt.trace);
+            self.handle_msg(pkt.src, msg, windowed, tags);
+        }
+        if !windowed {
+            self.flush_all();
+        } else if self.flush_now_due() {
+            timer_tx.send_after(batch_delay, Timer::Flush);
         }
     }
 
-    /// Whether any instance holds accepts awaiting a batch flush.
-    fn any_pending_batch(&self) -> bool {
-        self.inner
-            .lock()
-            .instances
-            .values()
-            .any(|s| s.inst.has_pending_batch())
+    /// Whether some instance holds accepts awaiting a batch flush and no
+    /// [`Timer::Flush`] is on its way; marks one as being so.
+    fn flush_now_due(&self) -> bool {
+        let mut inner = self.inner.lock();
+        let due =
+            !inner.flush_scheduled && inner.instances.values().any(|s| s.inst.has_pending_batch());
+        inner.flush_scheduled |= due;
+        due
     }
 
     /// Flushes every instance's pending accept batch (end of a burst).
-    fn flush_all(&self, ctx: &Ctx) {
+    fn flush_all(&self) {
         let work: Vec<(u64, Vec<Action>)> = {
             let mut inner = self.inner.lock();
             inner
@@ -178,15 +184,12 @@ impl GroupPeer {
                 .collect()
         };
         for (id, actions) in work {
-            for a in actions {
-                self.execute(ctx, id, a);
-            }
+            self.run_actions(id, actions);
         }
     }
 
     fn handle_msg(
         &self,
-        ctx: &Ctx,
         src: HostAddr,
         msg: GroupMsg,
         defer_flush: bool,
@@ -213,7 +216,7 @@ impl GroupPeer {
                         .collect()
                 };
                 for (id, action) in replies {
-                    self.execute(ctx, id, action);
+                    self.execute(id, action);
                 }
             }
             GroupMsg::JoinReply { join_id, .. } => {
@@ -248,36 +251,29 @@ impl GroupPeer {
                         None => Vec::new(),
                     }
                 };
-                for a in actions {
-                    self.execute(ctx, instance, a);
-                }
+                self.run_actions(instance, actions);
             }
         }
     }
 
-    fn tick_loop(&self, ctx: &Ctx) {
-        let interval = self.cfg.tick_interval;
-        loop {
-            ctx.sleep(interval);
-            let now = self.handle.now();
-            let work: Vec<(u64, Vec<Action>)> = {
-                let mut inner = self.inner.lock();
-                inner
-                    .instances
-                    .iter_mut()
-                    .map(|(id, slot)| (*id, slot.inst.tick(now)))
-                    .collect()
-            };
-            for (id, actions) in work {
-                for a in actions {
-                    self.execute(ctx, id, a);
-                }
-            }
+    /// Drives every instance's protocol timers.
+    fn tick(&self) {
+        let now = self.handle.now();
+        let work: Vec<(u64, Vec<Action>)> = {
+            let mut inner = self.inner.lock();
+            inner
+                .instances
+                .iter_mut()
+                .map(|(id, slot)| (*id, slot.inst.tick(now)))
+                .collect()
+        };
+        for (id, actions) in work {
+            self.run_actions(id, actions);
         }
     }
 
     /// Executes one engine action. Must NOT be called with `inner` locked.
-    pub(crate) fn execute(&self, _ctx: &Ctx, instance: u64, action: Action) {
+    pub(crate) fn execute(&self, instance: u64, action: Action) {
         match action {
             Action::Traced(tags, inner) => match *inner {
                 Action::Unicast(host, msg) => {
@@ -292,7 +288,7 @@ impl GroupPeer {
                         tags,
                     );
                 }
-                other => self.execute(_ctx, instance, other),
+                other => self.execute(instance, other),
             },
             Action::Unicast(host, msg) => {
                 self.stack
@@ -401,9 +397,9 @@ impl GroupPeer {
     }
 
     /// Runs engine actions produced while holding the lock, after release.
-    pub(crate) fn run_actions(&self, ctx: &Ctx, instance: u64, actions: Vec<Action>) {
+    pub(crate) fn run_actions(&self, instance: u64, actions: Vec<Action>) {
         for a in actions {
-            self.execute(ctx, instance, a);
+            self.execute(instance, a);
         }
     }
 }

@@ -1,15 +1,18 @@
-//! The per-host RPC "kernel": dispatcher process, port cache, call tables.
+//! The per-host RPC "kernel": packet handler, port cache, call tables.
 //!
 //! In Amoeba the kernel owns RPC port handling: it answers locate
 //! broadcasts with HEREIS when a server thread is listening, hands requests
 //! to waiting threads, and answers NOTHERE when none is — the behaviour the
 //! paper's §4.2 server-selection analysis (Fig. 8) hinges on. [`RpcNode`]
-//! reproduces exactly that, one instance per simulated machine.
+//! reproduces exactly that, one instance per simulated machine, and as
+//! kernel code: the RPC port is bound to a simulator kernel handler, run
+//! at packet delivery by whichever thread is dispatching, so demultiplexing
+//! a packet wakes only the thread it is for.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use amoeba_flip::{Dest, HostAddr, NodeStack, Payload, Port};
+use amoeba_flip::{Dest, HostAddr, NodeStack, Packet, Payload, Port};
 use amoeba_sim::{MailboxRx, MailboxTx, NodeId, SimHandle, Spawn};
 use parking_lot::Mutex;
 
@@ -83,8 +86,8 @@ struct NodeInner {
 
 /// One machine's RPC kernel. Cheap to clone; all clones are the same node.
 ///
-/// Create with [`RpcNode::start`], which spawns the dispatcher process on
-/// the machine's simulation node so that it dies (with its tables) when the
+/// Create with [`RpcNode::start`], which binds the packet handler on the
+/// machine's simulation node so that it dies (with its tables) when the
 /// machine crashes.
 #[derive(Clone)]
 pub struct RpcNode {
@@ -100,10 +103,9 @@ impl std::fmt::Debug for RpcNode {
 }
 
 impl RpcNode {
-    /// Binds the RPC port and starts the dispatcher on `sim_node`.
+    /// Binds the RPC port to this node's packet handler on `sim_node`.
     pub fn start(spawner: &impl Spawn, sim_node: NodeId, stack: NodeStack) -> RpcNode {
         let handle = spawner.sim_handle();
-        let rx = stack.bind(RPC_PORT);
         let node = RpcNode {
             stack,
             handle,
@@ -115,11 +117,12 @@ impl RpcNode {
                 next_id: 1,
             })),
         };
-        let dispatcher = node.clone();
-        spawner.spawn_boxed(
-            Some(sim_node),
-            &format!("rpc-dispatch@{}", node.stack.addr()),
-            Box::new(move |ctx| dispatcher.dispatch_loop(ctx, rx)),
+        let kernel = node.clone();
+        node.stack.bind_handler(
+            RPC_PORT,
+            sim_node,
+            &format!("rpc@{}", node.stack.addr()),
+            move |pkt| kernel.handle_packet(pkt),
         );
         node
     }
@@ -134,98 +137,97 @@ impl RpcNode {
         &self.stack
     }
 
-    fn dispatch_loop(&self, ctx: &amoeba_sim::Ctx, rx: MailboxRx<amoeba_flip::Packet>) {
-        loop {
-            let pkt = rx.recv(ctx);
-            let msg = match RpcMsg::decode(&pkt.payload) {
-                Ok(m) => m,
-                Err(_) => continue, // malformed packets are dropped
-            };
-            let rx_trace = pkt
-                .trace
-                .first()
-                .map(|&(_, c)| c)
-                .unwrap_or(amoeba_telemetry::TraceCtx::NONE);
-            match msg {
-                RpcMsg::Locate {
-                    service,
-                    client,
-                    locate_id,
-                } => {
-                    let listening = {
-                        let inner = self.inner.lock();
-                        inner
-                            .services
-                            .get(&service)
-                            .map(|s| !s.waiting.is_empty())
-                            .unwrap_or(false)
-                    };
-                    if listening {
-                        self.stack.send(
-                            Dest::Unicast(client),
-                            RPC_PORT,
-                            RpcMsg::HereIs {
-                                service,
-                                server: self.stack.addr(),
-                                locate_id,
-                            }
-                            .encode(),
-                        );
-                    }
-                }
-                RpcMsg::HereIs {
-                    service,
-                    server,
-                    locate_id,
-                } => {
-                    let waiter = {
-                        let mut inner = self.inner.lock();
-                        inner.cache.add(service, server);
-                        inner.locates.remove(&locate_id)
-                    };
-                    if let Some(w) = waiter {
-                        w.send(server);
-                    }
-                }
-                RpcMsg::Request {
-                    service,
-                    client,
-                    tid,
-                    data,
-                } => {
-                    let listener = {
-                        let mut inner = self.inner.lock();
-                        inner
-                            .services
-                            .get_mut(&service)
-                            .and_then(|s| s.waiting.pop_front())
-                    };
-                    match listener {
-                        Some(w) => w.send(IncomingRequest {
+    /// Demultiplexes one packet. Runs as a kernel handler: never blocks,
+    /// and takes the trace context from the packet, not from the thread.
+    fn handle_packet(&self, pkt: Packet) {
+        let msg = match RpcMsg::decode(&pkt.payload) {
+            Ok(m) => m,
+            Err(_) => return, // malformed packets are dropped
+        };
+        let rx_trace = pkt
+            .trace
+            .first()
+            .map(|&(_, c)| c)
+            .unwrap_or(amoeba_telemetry::TraceCtx::NONE);
+        match msg {
+            RpcMsg::Locate {
+                service,
+                client,
+                locate_id,
+            } => {
+                let listening = {
+                    let inner = self.inner.lock();
+                    inner
+                        .services
+                        .get(&service)
+                        .map(|s| !s.waiting.is_empty())
+                        .unwrap_or(false)
+                };
+                if listening {
+                    self.stack.send(
+                        Dest::Unicast(client),
+                        RPC_PORT,
+                        RpcMsg::HereIs {
                             service,
-                            client,
-                            tid,
-                            data,
-                            trace: rx_trace,
-                        }),
-                        None => self.stack.send(
-                            Dest::Unicast(client),
-                            RPC_PORT,
-                            RpcMsg::NotHere { tid, service }.encode(),
-                        ),
-                    }
+                            server: self.stack.addr(),
+                            locate_id,
+                        }
+                        .encode(),
+                    );
                 }
-                RpcMsg::Reply { tid, data } => {
-                    let waiter = self.inner.lock().calls.remove(&tid);
-                    if let Some(w) = waiter {
-                        w.send(CallEvent::Reply(data));
-                    }
+            }
+            RpcMsg::HereIs {
+                service,
+                server,
+                locate_id,
+            } => {
+                let waiter = {
+                    let mut inner = self.inner.lock();
+                    inner.cache.add(service, server);
+                    inner.locates.remove(&locate_id)
+                };
+                if let Some(w) = waiter {
+                    w.send(server);
                 }
-                RpcMsg::NotHere { tid, .. } => {
-                    let waiter = self.inner.lock().calls.remove(&tid);
-                    if let Some(w) = waiter {
-                        w.send(CallEvent::NotHere);
-                    }
+            }
+            RpcMsg::Request {
+                service,
+                client,
+                tid,
+                data,
+            } => {
+                let listener = {
+                    let mut inner = self.inner.lock();
+                    inner
+                        .services
+                        .get_mut(&service)
+                        .and_then(|s| s.waiting.pop_front())
+                };
+                match listener {
+                    Some(w) => w.send(IncomingRequest {
+                        service,
+                        client,
+                        tid,
+                        data,
+                        trace: rx_trace,
+                    }),
+                    None => self.stack.send(
+                        Dest::Unicast(client),
+                        RPC_PORT,
+                        RpcMsg::NotHere { tid, service }.encode(),
+                    ),
+                }
+            }
+            RpcMsg::Reply { tid, data } => {
+                let waiter = self.inner.lock().calls.remove(&tid);
+                if let Some(w) = waiter {
+                    w.send(CallEvent::Reply(data));
+                }
+            }
+            RpcMsg::NotHere { tid, .. } => {
+                let waiter = self.inner.lock().calls.remove(&tid);
+                if let Some(w) = waiter {
+                    w.send(CallEvent::NotHere);
                 }
             }
         }

@@ -9,7 +9,8 @@ use parking_lot::Mutex;
 
 use crate::ids::{MailboxId, NodeId, ProcId};
 use crate::kernel::{
-    hand_off, panic_message, HandOff, Kernel, KillToken, Next, WakeReason, Wakeup, YieldKind,
+    dispatch, hand_off, panic_message, HandOff, Kernel, KillToken, Next, WakeReason, Wakeup,
+    YieldKind,
 };
 use crate::mailbox::{channel_impl, MailboxRx, MailboxTx};
 use crate::process::ProcOutput;
@@ -155,7 +156,9 @@ impl Ctx {
     /// Persistent objects (simulated disks, NVRAM) survive.
     pub fn crash_node(&self, node: NodeId) {
         self.check_alive();
-        self.shared.lock().crash_node(node);
+        let handlers = self.shared.lock().crash_node(node);
+        // Their state may own things whose drop locks the kernel.
+        drop(handlers);
         // If we crashed our own node, die right here.
         self.check_alive();
     }
@@ -212,9 +215,9 @@ impl Ctx {
     fn yield_baton(&self, kind: YieldKind) -> Option<WakeReason> {
         let mut k = self.shared.lock();
         k.record_yield(self.pid, kind, self.rng.borrow().digest());
-        match k.dispatch() {
-            Next::Run(pid, reason) if pid == self.pid => Some(reason),
-            next => {
+        match dispatch(&self.shared, k) {
+            (_, Next::Run(pid, reason)) if pid == self.pid => Some(reason),
+            (k, next) => {
                 hand_off(k, next);
                 None
             }
@@ -250,14 +253,10 @@ impl Ctx {
         }
     }
 
-    /// Blocks until one of `boxes` is non-empty or `deadline` passes.
-    /// The caller must have checked that all the boxes are currently empty.
-    pub(crate) fn block_wait(
-        &self,
-        boxes: Vec<MailboxId>,
-        deadline: Option<SimTime>,
-    ) -> WakeReason {
+    /// Blocks until `mailbox` is non-empty or `deadline` passes.
+    /// The caller must have checked that the mailbox is currently empty.
+    pub(crate) fn block_wait(&self, mailbox: MailboxId, deadline: Option<SimTime>) -> WakeReason {
         self.check_alive();
-        self.block(YieldKind::Wait { boxes, deadline })
+        self.block(YieldKind::Wait { mailbox, deadline })
     }
 }

@@ -9,8 +9,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::kernel::Kernel;
+use crate::ids::NodeId;
+use crate::kernel::{Handler, Kernel};
 use crate::mailbox::{channel_impl, MailboxRx, MailboxTx};
+use crate::record::{fnv1a, StepTag};
 use crate::time::SimTime;
 
 /// A capability to create mailboxes and read the virtual clock.
@@ -39,6 +41,67 @@ impl SimHandle {
     /// Creates a new typed mailbox.
     pub fn channel<T: Send + 'static>(&self) -> (MailboxTx<T>, MailboxRx<T>) {
         channel_impl(&self.shared)
+    }
+
+    /// Makes `f` the reader of `rx`'s mailbox: a *kernel handler* on
+    /// `node`, called with each message at the instant it is delivered,
+    /// by whichever thread is running the event loop — no process is
+    /// woken, so a delivery costs no thread switch. This is for code that
+    /// takes no simulated time and only passes messages on (a machine's
+    /// packet demultiplexers and protocol timers).
+    ///
+    /// `f` runs with the kernel unlocked: it may send, read the clock and
+    /// touch its own state. It must not block (it has no
+    /// [`Ctx`](crate::Ctx)) and must not read thread-locals (the calling
+    /// thread is an arbitrary process's, or the driver's). It is not a
+    /// process — no RNG stream, no [`ProcOutput`](crate::ProcOutput) —
+    /// but is numbered like one: it takes the next [`ProcId`](crate::ProcId),
+    /// so turning a process into a handler leaves the ids, and the RNG
+    /// streams keyed by them, of all later processes as they were. A
+    /// panic in `f` stops the run and is re-raised by `run` as
+    /// `handler '<name>': …`.
+    ///
+    /// The kernel owns `f` and `rx`. When `node` crashes both are dropped
+    /// and messages still in flight are discarded; register anew after
+    /// the reboot. Messages that reached the mailbox before this call are
+    /// handled along with the first one delivered after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is crashed.
+    pub fn handler<T: Send + 'static>(
+        &self,
+        node: NodeId,
+        name: &str,
+        rx: MailboxRx<T>,
+        mut f: impl FnMut(T) + Send + 'static,
+    ) {
+        let mailbox = rx.id();
+        let call = Box::new(move || {
+            while let Some(msg) = rx.try_recv() {
+                f(msg);
+            }
+        });
+        let mut k = self.shared.lock();
+        assert!(
+            k.node_alive(node),
+            "cannot register a handler on crashed node {node}"
+        );
+        let pid = k.alloc_pid();
+        k.checkpoint(
+            StepTag::Spawn,
+            pid.0,
+            node.0 as u64 + 1,
+            fnv1a(name.as_bytes()),
+        );
+        k.handlers.insert(
+            mailbox,
+            Arc::new(Handler {
+                name: name.to_owned(),
+                node,
+                call: Mutex::new(call),
+            }),
+        );
     }
 
     /// The current virtual time.

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// Identifies a simulated process (a green thread driven by the kernel).
+/// Identifies a simulated process (a thread driven by the kernel). Kernel
+/// handlers are numbered from the same counter.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub(crate) u64);
 

@@ -18,11 +18,25 @@
 //! An [`ActionFn`] therefore runs on whichever thread dispatches it and
 //! must not read thread-locals (`amoeba_telemetry`'s current-span slot is
 //! per simulated process). The only action is mailbox delivery.
+//!
+//! # Kernel handlers
+//!
+//! A mailbox may be read by a [`Handler`] instead of a process: a closure
+//! the kernel owns, registered for a node, that is called with each
+//! message *at delivery time* by whichever thread is dispatching — the
+//! baton stays where it is and no thread is woken. [`dispatch`] calls it
+//! with the kernel unlocked, so it may send, read the clock and touch its
+//! own state. It must not block (it has no [`crate::Ctx`]) and must not
+//! read thread-locals, and it is not a process: no RNG stream, no
+//! [`crate::ProcOutput`], no `Resume`/`Yield` steps — its call is the
+//! `EventAction` step of the delivery. It dies with its node:
+//! [`Kernel::crash_node`] takes it out of the table, and a message still
+//! in flight to it is dropped.
 
 use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::panic;
+use std::panic::{self, catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Once};
 use std::thread::JoinHandle;
 
@@ -113,7 +127,7 @@ pub(crate) enum Wakeup {
     Kill,
 }
 
-/// Where the baton goes when [`Kernel::dispatch`] returns.
+/// Where the baton goes when [`dispatch`] returns.
 pub(crate) enum Next {
     /// To this process (already marked running).
     Run(ProcId, WakeReason),
@@ -124,6 +138,14 @@ pub(crate) enum Next {
     Stop,
 }
 
+/// What the event loop stopped for.
+enum Step {
+    /// The baton must go somewhere.
+    Pass(Next),
+    /// The holder calls this handler, kernel unlocked, and dispatches on.
+    Call(Arc<Handler>),
+}
+
 /// Why a blocked process was resumed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum WakeReason {
@@ -131,8 +153,8 @@ pub(crate) enum WakeReason {
     First,
     /// A `sleep` deadline elapsed.
     Slept,
-    /// The mailbox at this index in the wait set became non-empty.
-    MailboxReady(usize),
+    /// The mailbox waited on became non-empty.
+    MailboxReady,
     /// A `recv_deadline` timed out.
     TimedOut,
 }
@@ -141,9 +163,9 @@ pub(crate) enum WakeReason {
 pub(crate) enum YieldKind {
     /// Block until the given instant.
     Sleep { until: SimTime },
-    /// Block until one of the mailboxes is non-empty, or the deadline.
+    /// Block until the mailbox is non-empty, or the deadline.
     Wait {
-        boxes: Vec<MailboxId>,
+        mailbox: MailboxId,
         deadline: Option<SimTime>,
     },
     /// The process body returned (`panic: None`) or panicked.
@@ -179,16 +201,27 @@ pub(crate) struct ProcRec {
     pub block: BlockKind,
     /// Wake generation; bumped on every resume so stale timers are ignored.
     pub gen: u64,
-    /// Mailboxes this process is currently registered as a waiter on.
-    pub wait_boxes: Vec<MailboxId>,
+    /// The mailbox this process is currently registered as the waiter on.
+    pub wait_box: Option<MailboxId>,
     /// Marked dead by a node crash; reaped lazily by a `Reap` event.
     pub dead: bool,
 }
 
 #[derive(Default)]
 pub(crate) struct MailboxRec {
-    /// At most one process may wait on a mailbox at a time.
-    pub waiter: Option<(ProcId, u64, usize)>,
+    /// At most one process may wait on a mailbox at a time: its id and
+    /// the wake generation it blocked in.
+    pub waiter: Option<(ProcId, u64)>,
+}
+
+/// A mailbox's reader that is kernel code, not a process (see the module
+/// documentation). Owned by the kernel's handler table alone; whoever
+/// dispatches a delivery borrows it for the length of the call.
+pub(crate) struct Handler {
+    pub name: String,
+    pub node: NodeId,
+    /// Takes the delivered message off the mailbox and handles it.
+    pub call: Mutex<Box<dyn FnMut() + Send>>,
 }
 
 pub(crate) struct NodeRec {
@@ -203,7 +236,20 @@ pub(crate) struct Wake {
     pub reason: WakeReason,
 }
 
-pub(crate) type ActionFn = Box<dyn FnOnce(&mut Kernel) -> Option<Wake> + Send>;
+/// Who reads the mailbox a message has just arrived at.
+pub(crate) enum Reader {
+    /// No one any more: the receiver was dropped, or the handler's node
+    /// crashed. The message is dropped.
+    Gone,
+    /// A process that is not waiting on it now; the message queues.
+    Busy,
+    /// A process blocked on it.
+    Waiting(Wake),
+    /// A kernel handler.
+    Handler(Arc<Handler>),
+}
+
+pub(crate) type ActionFn = Box<dyn FnOnce(&mut Kernel) -> Reader + Send>;
 
 pub(crate) enum EventKind {
     /// First activation of a spawned process.
@@ -248,6 +294,11 @@ pub(crate) struct Kernel {
     next_pid: u64,
     pub mailboxes: HashMap<MailboxId, MailboxRec>,
     next_mbox: u64,
+    /// Kernel handlers, by the mailbox each reads. An entry goes when
+    /// its node crashes; whoever removes entries drops them only after
+    /// releasing the kernel lock (a handler owns its `MailboxRx`, whose
+    /// drop locks the kernel).
+    pub handlers: HashMap<MailboxId, Arc<Handler>>,
     pub nodes: HashMap<NodeId, NodeRec>,
     next_node: u32,
     pub seed: u64,
@@ -260,6 +311,8 @@ pub(crate) struct Kernel {
     pub events_processed: u64,
     /// Times the baton moved to another OS thread.
     pub handoffs: u64,
+    /// Times a kernel handler was called.
+    pub handler_calls: u64,
     /// Panic text of a process that panicked; the driver re-raises it.
     pub poisoned: Option<String>,
     pub trace: Option<Vec<(SimTime, String)>>,
@@ -280,6 +333,7 @@ impl Kernel {
             next_pid: 0,
             mailboxes: HashMap::new(),
             next_mbox: 0,
+            handlers: HashMap::new(),
             nodes: HashMap::new(),
             next_node: 0,
             seed,
@@ -288,6 +342,7 @@ impl Kernel {
             budget: 0,
             events_processed: 0,
             handoffs: 0,
+            handler_calls: 0,
             poisoned: None,
             trace: None,
             rec: RecMode::Off,
@@ -355,7 +410,7 @@ impl Kernel {
 
     pub fn schedule_action<F>(&mut self, time: SimTime, f: F)
     where
-        F: FnOnce(&mut Kernel) -> Option<Wake> + Send + 'static,
+        F: FnOnce(&mut Kernel) -> Reader + Send + 'static,
     {
         self.schedule(time, EventKind::Action(Box::new(f)));
     }
@@ -368,10 +423,9 @@ impl Kernel {
         self.queue.peek().map(|e| e.time)
     }
 
-    /// The event loop. Runs on whichever thread holds the baton — a
-    /// process that just yielded, or the driver — until the baton has to
-    /// go somewhere, and says where.
-    pub fn dispatch(&mut self) -> Next {
+    /// The event loop proper: processes events until the baton has to go
+    /// somewhere or a handler must be called.
+    fn next(&mut self) -> Step {
         while self.budget > 0 && self.poisoned.is_none() {
             match (self.peek_time(), self.deadline) {
                 (None, _) => break,
@@ -404,21 +458,25 @@ impl Kernel {
                     .map(|reason| Wake { pid, reason }),
                     _ => None,
                 },
-                EventKind::Action(f) => f(self),
-                EventKind::Reap(pids) => return Next::Reap(pids),
+                EventKind::Action(f) => match f(self) {
+                    Reader::Gone | Reader::Busy => None,
+                    Reader::Waiting(wake) => Some(wake),
+                    Reader::Handler(h) => return Step::Call(h),
+                },
+                EventKind::Reap(pids) => return Step::Pass(Next::Reap(pids)),
             };
             if let Some(Wake { pid, reason }) = wake {
                 if self.resume(pid, reason) {
-                    return Next::Run(pid, reason);
+                    return Step::Pass(Next::Run(pid, reason));
                 }
             }
         }
-        Next::Stop
+        Step::Pass(Next::Stop)
     }
 
     /// Marks `pid` running for `reason`; false if it is dead or gone.
     fn resume(&mut self, pid: ProcId, reason: WakeReason) -> bool {
-        self.clear_waits(pid);
+        self.clear_wait(pid);
         let p = match self.procs.get_mut(&pid) {
             Some(p) if !p.dead && p.state != ProcState::Exited => p,
             _ => return false,
@@ -426,13 +484,13 @@ impl Kernel {
         p.state = ProcState::Running;
         p.block = BlockKind::None;
         p.gen += 1;
-        let (code, idx) = match reason {
-            WakeReason::First => (0, 0),
-            WakeReason::Slept => (1, 0),
-            WakeReason::MailboxReady(i) => (2, i as u64),
-            WakeReason::TimedOut => (3, 0),
+        let code = match reason {
+            WakeReason::First => 0,
+            WakeReason::Slept => 1,
+            WakeReason::MailboxReady => 2,
+            WakeReason::TimedOut => 3,
         };
-        self.checkpoint(StepTag::Resume, pid.0, code, idx);
+        self.checkpoint(StepTag::Resume, pid.0, code, 0);
         true
     }
 
@@ -455,15 +513,13 @@ impl Kernel {
                 p.block = BlockKind::Sleep;
                 self.schedule(until.max(now), EventKind::Timer { pid, gen });
             }
-            YieldKind::Wait { boxes, deadline } => {
+            YieldKind::Wait { mailbox, deadline } => {
                 p.state = ProcState::Blocked;
                 p.block = BlockKind::Wait;
-                for (idx, b) in boxes.iter().enumerate() {
-                    if let Some(rec) = self.mailboxes.get_mut(b) {
-                        rec.waiter = Some((pid, gen, idx));
-                    }
+                p.wait_box = Some(mailbox);
+                if let Some(rec) = self.mailboxes.get_mut(&mailbox) {
+                    rec.waiter = Some((pid, gen));
                 }
-                p.wait_boxes = boxes;
                 if let Some(d) = deadline {
                     self.schedule(d.max(now), EventKind::Timer { pid, gen });
                 }
@@ -477,7 +533,7 @@ impl Kernel {
                 if let Some(n) = p.node.and_then(|n| self.nodes.get_mut(&n)) {
                     n.procs.remove(&pid);
                 }
-                self.clear_waits(pid);
+                self.clear_wait(pid);
             }
         }
     }
@@ -514,43 +570,58 @@ impl Kernel {
         SimRng::new(self.seed).fork(pid.0.wrapping_add(1))
     }
 
-    /// A message arrived at `id`; returns the waiter to wake, if any.
-    pub fn mailbox_ready(&mut self, id: MailboxId) -> Option<Wake> {
-        let (pid, gen, idx) = self.mailboxes.get_mut(&id)?.waiter.take()?;
-        let p = self.procs.get(&pid)?;
-        (p.state == ProcState::Blocked && p.gen == gen).then_some(Wake {
-            pid,
-            reason: WakeReason::MailboxReady(idx),
-        })
+    /// A message is arriving at `id`: who reads it.
+    pub fn reader_of(&mut self, id: MailboxId) -> Reader {
+        let Some(rec) = self.mailboxes.get_mut(&id) else {
+            return Reader::Gone;
+        };
+        match rec.waiter.take() {
+            Some((pid, gen)) => match self.procs.get(&pid) {
+                Some(p) if p.state == ProcState::Blocked && p.gen == gen => Reader::Waiting(Wake {
+                    pid,
+                    reason: WakeReason::MailboxReady,
+                }),
+                _ => Reader::Busy,
+            },
+            None => match self.handlers.get(&id) {
+                Some(h) => Reader::Handler(Arc::clone(h)),
+                None => Reader::Busy,
+            },
+        }
     }
 
-    /// Clears this process's wait registrations (it is about to run).
-    pub fn clear_waits(&mut self, pid: ProcId) {
-        let boxes = match self.procs.get_mut(&pid) {
-            Some(p) => std::mem::take(&mut p.wait_boxes),
-            None => return,
+    /// Clears this process's wait registration (it is about to run).
+    pub fn clear_wait(&mut self, pid: ProcId) {
+        let Some(mailbox) = self.procs.get_mut(&pid).and_then(|p| p.wait_box.take()) else {
+            return;
         };
-        for b in boxes {
-            if let Some(rec) = self.mailboxes.get_mut(&b) {
-                if matches!(rec.waiter, Some((w, _, _)) if w == pid) {
-                    rec.waiter = None;
-                }
+        if let Some(rec) = self.mailboxes.get_mut(&mailbox) {
+            if matches!(rec.waiter, Some((w, _)) if w == pid) {
+                rec.waiter = None;
             }
         }
     }
 
-    /// Marks every process on `node` dead and schedules their reaping.
-    /// RAM state is lost; anything reachable only through those processes
-    /// is gone. Persistent stores (simulated disks, NVRAM) are plain shared
+    /// Marks every process on `node` dead and schedules their reaping,
+    /// and takes the node's handlers out of the table. RAM state is lost;
+    /// anything reachable only through those processes and handlers is
+    /// gone. Persistent stores (simulated disks, NVRAM) are plain shared
     /// objects and survive.
-    pub fn crash_node(&mut self, node: NodeId) {
+    ///
+    /// Returns the removed handlers: the caller drops them once it has
+    /// released the kernel lock.
+    #[must_use = "drop the handlers after releasing the kernel lock"]
+    pub fn crash_node(&mut self, node: NodeId) -> Vec<(MailboxId, Arc<Handler>)> {
         let pids: Vec<ProcId> = match self.nodes.get_mut(&node) {
             Some(n) => {
                 n.alive = false;
                 n.procs.iter().copied().collect()
             }
-            None => return,
+            None => return Vec::new(),
         };
+        let mut orphaned: Vec<_> = self.handlers.extract_if(|_, h| h.node == node).collect();
+        // In id order, so that what their drops do repeats run to run.
+        orphaned.sort_unstable_by_key(|(id, _)| *id);
         let mut doomed = Vec::new();
         for pid in pids {
             if let Some(p) = self.procs.get_mut(&pid) {
@@ -575,6 +646,20 @@ impl Kernel {
             let t = self.now;
             self.schedule(t, EventKind::Reap(doomed));
         }
+        orphaned
+    }
+
+    /// Empties the handler table and the event queue for the caller to
+    /// drop once it has released the kernel lock. Both reach back to the
+    /// kernel (a handler's state holds a [`crate::SimHandle`], a queued
+    /// message may hold a `MailboxTx`), so a kernel left holding them
+    /// would never be freed.
+    #[must_use = "drop the contents after releasing the kernel lock"]
+    pub fn clear(&mut self) -> impl Sized {
+        (
+            std::mem::take(&mut self.handlers),
+            std::mem::take(&mut self.queue),
+        )
     }
 
     /// Makes a crashed node able to host processes again (a "reboot").
@@ -595,6 +680,34 @@ impl Kernel {
         let now = self.now;
         if let Some(t) = &mut self.trace {
             t.push((now, msg));
+        }
+    }
+}
+
+/// The event loop. Runs on whichever thread holds the baton — a process
+/// that just yielded, or the driver — until the baton has to go somewhere,
+/// and says where. Kernel handlers are called from here, with the kernel
+/// unlocked; a panic in one goes to the driver under the handler's name
+/// instead of unwinding into whatever process happens to be dispatching.
+pub(crate) fn dispatch<'a>(
+    shared: &'a Mutex<Kernel>,
+    mut k: MutexGuard<'a, Kernel>,
+) -> (MutexGuard<'a, Kernel>, Next) {
+    loop {
+        let handler = match k.next() {
+            Step::Pass(next) => return (k, next),
+            Step::Call(handler) => handler,
+        };
+        k.handler_calls += 1;
+        drop(k);
+        let failure = catch_unwind(AssertUnwindSafe(|| (handler.call.lock())()))
+            .err()
+            .map(|payload| format!("handler '{}': {}", handler.name, panic_message(payload)));
+        drop(handler);
+        k = shared.lock();
+        if let Some(failure) = failure {
+            k.poisoned.get_or_insert(failure);
+            return (k, Next::Stop);
         }
     }
 }
@@ -661,15 +774,15 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_ready_without_waiter_is_noop() {
+    fn delivery_without_waiter_queues() {
         let mut k = kernel();
         let m = k.alloc_mailbox();
-        assert!(k.mailbox_ready(m).is_none());
+        assert!(matches!(k.reader_of(m), Reader::Busy));
     }
 
     /// A dropped receiver retires its record, so channels made per
     /// RPC / per wait do not accumulate for the life of the run; a late
-    /// send to the retired mailbox wakes no one.
+    /// send to the retired mailbox is dropped.
     #[test]
     fn dropped_receivers_leave_no_mailbox_record() {
         let shared = Arc::new(Mutex::new(kernel()));
@@ -684,9 +797,37 @@ mod tests {
         let mut k = shared.lock();
         while let Some(ev) = k.pop_event() {
             if let EventKind::Action(f) = ev.kind {
-                assert!(f(&mut k).is_none(), "a retired mailbox wakes no one");
+                assert!(matches!(f(&mut k), Reader::Gone));
             }
         }
+    }
+
+    /// A machine that crashes and reboots for ever registers its
+    /// handlers anew each time; the old ones, and their mailboxes, go.
+    #[test]
+    fn crashed_handlers_leave_no_record() {
+        let shared = Arc::new(Mutex::new(kernel()));
+        let handle = crate::SimHandle {
+            shared: Arc::clone(&shared),
+        };
+        let node = shared.lock().add_node("n");
+        let sizes = || {
+            let k = shared.lock();
+            (k.mailboxes.len(), k.handlers.len())
+        };
+        let before = sizes();
+        for _ in 0..1_000 {
+            for name in ["a", "b", "c"] {
+                let (_tx, rx) = handle.channel::<u8>();
+                handle.handler(node, name, rx, |_| {});
+            }
+            assert_eq!(sizes(), (before.0 + 3, before.1 + 3));
+            let orphaned = shared.lock().crash_node(node);
+            assert_eq!(orphaned.len(), 3);
+            drop(orphaned);
+            shared.lock().revive_node(node);
+        }
+        assert_eq!(sizes(), before);
     }
 
     #[test]
@@ -694,7 +835,7 @@ mod tests {
         let mut k = kernel();
         let n = k.add_node("srv");
         assert!(k.node_alive(n));
-        k.crash_node(n);
+        assert!(k.crash_node(n).is_empty(), "it had no handlers");
         assert!(!k.node_alive(n));
         k.revive_node(n);
         assert!(k.node_alive(n));

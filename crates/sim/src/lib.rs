@@ -9,6 +9,16 @@
 //! an event never changes what the event does, so execution is bit-exactly
 //! deterministic for a given seed.
 //!
+//! Code that takes no simulated time and only passes messages on — a
+//! machine's packet demultiplexers, its protocol timers — is not a process
+//! but a *kernel handler* ([`SimHandle::handler`]): a closure the
+//! simulator owns, called with each message of its mailbox at delivery
+//! time by whichever thread holds the baton, with the kernel unlocked. A
+//! handler may send, read the clock and touch its own state; it must not
+//! block (it has no [`Ctx`]) and must not read thread-locals (the thread
+//! is an arbitrary process's); it has no RNG stream and no
+//! [`ProcOutput`]; and it dies with its node.
+//!
 //! Protocol code written against this crate reads like ordinary blocking
 //! code — `ctx.sleep(..)`, `rx.recv(ctx)`, `tx.send(msg)` — exactly the
 //! style of the pseudocode in the ICDCS '93 paper (initiator threads that
@@ -18,7 +28,8 @@
 //!
 //! * Virtual time ([`SimTime`]) with nanosecond resolution.
 //! * Typed, deterministic [`mailboxes`](MailboxTx) with optional delivery
-//!   delays — the basis for the simulated network and disks.
+//!   delays — the basis for the simulated network and disks — read by a
+//!   process or by a kernel handler.
 //! * Crashable [`nodes`](NodeId): failure domains whose processes are killed
 //!   together, losing all RAM state, while shared persistent objects
 //!   survive — the paper's fail-stop model.
@@ -61,7 +72,7 @@ mod time;
 pub use ctx::Ctx;
 pub use handle::SimHandle;
 pub use ids::{NodeId, ProcId};
-pub use mailbox::{select2, select2_deadline, Either, MailboxRx, MailboxTx};
+pub use mailbox::{MailboxRx, MailboxTx};
 pub use process::ProcOutput;
 pub use record::{fault_codes, SimTrace, StepTag, TraceStep};
 pub use resource::Resource;

@@ -1,10 +1,12 @@
 //! Typed mailboxes: the only inter-process communication primitive.
 //!
-//! A mailbox is an unbounded FIFO queue with exactly one consumer process.
-//! Senders are cheap clones usable from any process *or* from outside the
-//! simulation (e.g. test setup code); a send schedules delivery through the
-//! kernel event queue, optionally after a delay, so message arrival order is
-//! always deterministic.
+//! A mailbox is an unbounded FIFO queue with exactly one consumer: a
+//! process that `recv`s from it, or a kernel handler
+//! ([`crate::SimHandle::handler`]) that is called with each message as it
+//! is delivered. Senders are cheap clones usable from any process, from a
+//! handler, *or* from outside the simulation (e.g. test setup code); a
+//! send schedules delivery through the kernel event queue, optionally
+//! after a delay, so message arrival order is always deterministic.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
@@ -14,7 +16,7 @@ use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 use crate::ids::MailboxId;
-use crate::kernel::{Kernel, WakeReason};
+use crate::kernel::{Kernel, Reader, WakeReason};
 use crate::time::SimTime;
 
 /// The sending half of a mailbox. Clonable and usable from anywhere.
@@ -54,15 +56,18 @@ impl<T: Send + 'static> MailboxTx<T> {
         let t = k.now + delay;
         // Runs on whichever thread dispatches it: no thread-locals here.
         k.schedule_action(t, move |k| {
-            queue.lock().push_back(msg);
-            k.mailbox_ready(id)
+            let reader = k.reader_of(id);
+            if !matches!(reader, Reader::Gone) {
+                queue.lock().push_back(msg);
+            }
+            reader
         });
     }
 }
 
-/// The receiving half of a mailbox; owned by one process at a time.
-/// Dropping it retires the kernel's record of the mailbox (later sends
-/// queue up unread and wake no one).
+/// The receiving half of a mailbox; owned by one process at a time, or
+/// by the kernel handler it was given to. Dropping it retires the
+/// kernel's record of the mailbox (later sends are dropped on delivery).
 pub struct MailboxRx<T> {
     id: MailboxId,
     queue: Arc<Mutex<VecDeque<T>>>,
@@ -74,8 +79,9 @@ pub struct MailboxRx<T> {
 impl<T> Drop for MailboxRx<T> {
     fn drop(&mut self) {
         // Never runs under the kernel lock: receivers live in process
-        // stacks and handles, and no message type carries one, so the
-        // kernel's own event closures never drop a `MailboxRx`.
+        // stacks, handles and kernel handlers (which the kernel drops
+        // unlocked), and no message type carries one, so the kernel's own
+        // event closures never drop a `MailboxRx`.
         if let Some(shared) = self.shared.upgrade() {
             shared.lock().mailboxes.remove(&self.id);
         }
@@ -110,7 +116,7 @@ impl<T: Send + 'static> MailboxRx<T> {
             if let Some(v) = self.try_recv() {
                 return v;
             }
-            let _ = ctx.block_wait(vec![self.id], None);
+            let _ = ctx.block_wait(self.id, None);
         }
     }
 
@@ -123,7 +129,7 @@ impl<T: Send + 'static> MailboxRx<T> {
             if ctx.now() >= deadline {
                 return None;
             }
-            match ctx.block_wait(vec![self.id], Some(deadline)) {
+            match ctx.block_wait(self.id, Some(deadline)) {
                 WakeReason::TimedOut => return self.try_recv(),
                 _ => continue,
             }
@@ -138,63 +144,6 @@ impl<T: Send + 'static> MailboxRx<T> {
 
     pub(crate) fn id(&self) -> MailboxId {
         self.id
-    }
-}
-
-/// The result of a two-way select.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Either<A, B> {
-    /// The first mailbox produced a message.
-    Left(A),
-    /// The second mailbox produced a message.
-    Right(B),
-}
-
-/// Blocks until either mailbox has a message; the first (left) mailbox wins
-/// ties deterministically.
-pub fn select2<A: Send + 'static, B: Send + 'static>(
-    ctx: &Ctx,
-    a: &MailboxRx<A>,
-    b: &MailboxRx<B>,
-) -> Either<A, B> {
-    loop {
-        if let Some(v) = a.try_recv() {
-            return Either::Left(v);
-        }
-        if let Some(v) = b.try_recv() {
-            return Either::Right(v);
-        }
-        let _ = ctx.block_wait(vec![a.id(), b.id()], None);
-    }
-}
-
-/// Like [`select2`] but gives up at `deadline`, returning `None`.
-pub fn select2_deadline<A: Send + 'static, B: Send + 'static>(
-    ctx: &Ctx,
-    a: &MailboxRx<A>,
-    b: &MailboxRx<B>,
-    deadline: SimTime,
-) -> Option<Either<A, B>> {
-    loop {
-        if let Some(v) = a.try_recv() {
-            return Some(Either::Left(v));
-        }
-        if let Some(v) = b.try_recv() {
-            return Some(Either::Right(v));
-        }
-        if ctx.now() >= deadline {
-            return None;
-        }
-        if ctx.block_wait(vec![a.id(), b.id()], Some(deadline)) == WakeReason::TimedOut {
-            // Final re-check: a message may have landed with the timeout.
-            if let Some(v) = a.try_recv() {
-                return Some(Either::Left(v));
-            }
-            if let Some(v) = b.try_recv() {
-                return Some(Either::Right(v));
-            }
-            return None;
-        }
     }
 }
 

@@ -128,7 +128,7 @@ where
                 state: ProcState::Ready,
                 block: BlockKind::None,
                 gen: 0,
-                wait_boxes: Vec::new(),
+                wait_box: None,
                 dead: false,
             },
         );

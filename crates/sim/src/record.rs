@@ -13,14 +13,20 @@
 //! iteration over randomized containers, and no thread-local (the event
 //! loop runs on whichever thread holds the baton, so *which* thread
 //! dispatches an event is not part of the run) — when making a scheduling
-//! decision. Under that contract, re-running the same program with the
-//! same seed reproduces the run bit-exactly.
+//! decision. Kernel handlers ([`crate::SimHandle::handler`]) are held to
+//! the same: they run on the dispatching thread, between two events, and
+//! may consult only their messages, their own state and the clock. Under
+//! that contract, re-running the same program with the same seed
+//! reproduces the run bit-exactly.
 //!
 //! Recording turns that implicit property into a checkable artifact: every
 //! nondeterministic-looking decision the kernel makes (which event pops
 //! next, which process resumes and why, what each process yields, every
 //! spawn, every fault-model action) is appended to a [`SimTrace`] as a
-//! fixed-size [`TraceStep`].
+//! fixed-size [`TraceStep`]. A kernel handler adds no step of its own
+//! kind: its registration is a `Spawn` step, each call is the
+//! `EventAction` step of the delivery that caused it, and what it sends
+//! shows as the `EventAction` steps that follow.
 //!
 //! # Replay is verify-mode
 //!
@@ -52,8 +58,8 @@
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum StepTag {
-    /// A process was registered: `a` = pid, `b` = node id + 1 (0 = none),
-    /// `c` = FNV-1a hash of the process name.
+    /// A process or a kernel handler was registered: `a` = pid, `b` = node
+    /// id + 1 (0 = none), `c` = FNV-1a hash of its name.
     Spawn = 1,
     /// A `Start` event popped: `a` = pid.
     EventStart = 2,
@@ -65,8 +71,7 @@ pub enum StepTag {
     /// `c` = last pid.
     EventReap = 5,
     /// A process was resumed: `a` = pid, `b` = wake-reason code
-    /// (0 First, 1 Slept, 2 MailboxReady, 3 TimedOut), `c` = mailbox
-    /// index for MailboxReady.
+    /// (0 First, 1 Slept, 2 MailboxReady, 3 TimedOut), `c` = 0.
     Resume = 6,
     /// A process yielded: `a` = pid, `b` = yield-kind code (0 Sleep,
     /// 1 Wait, 2 Exited), `c` = the process's RNG state digest.

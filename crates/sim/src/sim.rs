@@ -10,7 +10,9 @@ use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 use crate::ids::{NodeId, ProcId};
-use crate::kernel::{hand_off, install_quiet_panic_hook, HandOff, Kernel, Next, ProcState, Wakeup};
+use crate::kernel::{
+    dispatch, hand_off, install_quiet_panic_hook, HandOff, Kernel, Next, ProcState, Wakeup,
+};
 use crate::mailbox::{channel_impl, MailboxRx, MailboxTx};
 use crate::process::ProcOutput;
 use crate::record::{RecMode, SimTrace};
@@ -28,6 +30,10 @@ pub struct RunStats {
     /// getting it back. A process that wakes itself makes none. Exact
     /// and deterministic, like `events`.
     pub handoffs: u64,
+    /// Total calls of kernel handlers so far (see
+    /// [`SimHandle::handler`](crate::SimHandle::handler)): deliveries
+    /// that woke no thread. Exact and deterministic.
+    pub handler_calls: u64,
 }
 
 /// A deterministic discrete-event simulation.
@@ -133,7 +139,9 @@ impl Simulation {
 
     /// Crashes a node at the current instant.
     pub fn crash_node(&self, node: NodeId) {
-        self.shared.lock().crash_node(node);
+        let handlers = self.shared.lock().crash_node(node);
+        // Their state may own things whose drop locks the kernel.
+        drop(handlers);
     }
 
     /// Reboots a crashed node.
@@ -212,7 +220,7 @@ impl Simulation {
             let mut k = self.shared.lock();
             k.deadline = deadline;
             k.budget = max_events;
-            k.dispatch()
+            dispatch(&self.shared, k).1
         };
         loop {
             next = match next {
@@ -221,7 +229,7 @@ impl Simulation {
                     for pid in pids {
                         self.kill_handshake(pid);
                     }
-                    self.shared.lock().dispatch()
+                    dispatch(&self.shared, self.shared.lock()).1
                 }
                 run => {
                     hand_off(self.shared.lock(), run);
@@ -239,6 +247,7 @@ impl Simulation {
             events: k.events_processed,
             end_time: k.now,
             handoffs: k.handoffs,
+            handler_calls: k.handler_calls,
         }
     }
 
@@ -257,7 +266,7 @@ impl Simulation {
             let cell = (p.state != ProcState::Exited).then(|| Arc::clone(&p.cell));
             p.state = ProcState::Exited;
             let join = p.join.take();
-            k.clear_waits(pid);
+            k.clear_wait(pid);
             (cell, join)
         };
         if let Some(cell) = cell {
@@ -286,5 +295,7 @@ impl Simulation {
 impl Drop for Simulation {
     fn drop(&mut self) {
         self.teardown();
+        let contents = self.shared.lock().clear();
+        drop(contents);
     }
 }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use amoeba_sim::{select2, select2_deadline, Either, SimTime, Simulation};
+use amoeba_sim::{SimTime, Simulation};
 use parking_lot::Mutex;
 
 const MS: Duration = Duration::from_millis(1);
@@ -117,54 +117,6 @@ fn try_recv_and_len() {
     });
     sim.run();
     assert_eq!(got.take(), Some((2, Some(1), Some(2), None, true)));
-}
-
-#[test]
-fn select2_prefers_left_on_tie() {
-    let mut sim = Simulation::new(1);
-    let (txa, rxa) = sim.channel::<u8>();
-    let (txb, rxb) = sim.channel::<u8>();
-    txa.send(1);
-    txb.send(2);
-    let got = sim.spawn("sel", move |ctx| {
-        ctx.sleep(MS);
-        match select2(ctx, &rxa, &rxb) {
-            Either::Left(v) => ("left", v),
-            Either::Right(v) => ("right", v),
-        }
-    });
-    sim.run();
-    assert_eq!(got.take(), Some(("left", 1)));
-}
-
-#[test]
-fn select2_wakes_on_whichever_arrives() {
-    let mut sim = Simulation::new(1);
-    let (_txa, rxa) = sim.channel::<u8>();
-    let (txb, rxb) = sim.channel::<u8>();
-    sim.spawn("sender", move |ctx| {
-        ctx.sleep(3 * MS);
-        txb.send(9);
-    });
-    let got = sim.spawn("sel", move |ctx| match select2(ctx, &rxa, &rxb) {
-        Either::Left(v) => ("left", v),
-        Either::Right(v) => ("right", v),
-    });
-    sim.run();
-    assert_eq!(got.take(), Some(("right", 9)));
-}
-
-#[test]
-fn select2_deadline_times_out() {
-    let mut sim = Simulation::new(1);
-    let (_txa, rxa) = sim.channel::<u8>();
-    let (_txb, rxb) = sim.channel::<u8>();
-    let got = sim.spawn("sel", move |ctx| {
-        let r = select2_deadline(ctx, &rxa, &rxb, SimTime::from_millis(4));
-        (r.is_none(), ctx.now())
-    });
-    sim.run();
-    assert_eq!(got.take(), Some((true, SimTime::from_millis(4))));
 }
 
 #[test]
@@ -448,6 +400,171 @@ fn a_panic_on_a_thread_the_driver_did_not_wake_is_reraised_by_run() {
         unwound.load(Ordering::SeqCst),
         "the other process was reaped"
     );
+}
+
+/// Runs `program` and returns the text `run` panicked with.
+fn run_panic_text(program: impl FnOnce(&mut Simulation)) -> String {
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Simulation::new(1);
+        program(&mut sim);
+        sim.run();
+    }))
+    .expect_err("the panic must reach the caller of run");
+    err.downcast_ref::<String>()
+        .expect("a formatted message")
+        .clone()
+}
+
+#[test]
+fn a_handler_is_called_at_delivery_without_a_handoff() {
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("n");
+    let (tx, rx) = sim.channel::<u64>();
+    let (echo_tx, echo_rx) = sim.channel::<(u64, SimTime)>();
+    let clock = sim.handle();
+    sim.handle().handler(node, "echo", rx, move |v| {
+        echo_tx.send((v, clock.now()));
+    });
+    let got = sim.spawn("caller", move |ctx| {
+        (0..1_000)
+            .map(|i| {
+                tx.send_after(MS, i);
+                echo_rx.recv(ctx)
+            })
+            .collect::<Vec<_>>()
+    });
+    let stats = sim.run();
+    let expected: Vec<_> = (0..1_000)
+        .map(|i| (i, SimTime::from_millis(i + 1)))
+        .collect();
+    assert_eq!(got.take(), Some(expected));
+    // The caller's start and two deliveries per round; every event after
+    // the first is dispatched by the caller, handler calls included.
+    assert_eq!(
+        (stats.events, stats.handler_calls, stats.handoffs),
+        (1 + 2_000, 1_000, 2)
+    );
+}
+
+#[test]
+fn a_handler_takes_a_pid_so_later_rng_streams_stay_put() {
+    let draw = |with_handler: bool| {
+        let mut sim = Simulation::new(9);
+        let node = sim.add_node("n");
+        let (_tx, rx) = sim.channel::<u8>();
+        if with_handler {
+            sim.handle().handler(node, "first", rx, |_| {});
+        } else {
+            sim.spawn_on(node, "first", move |ctx| rx.recv(ctx));
+        }
+        let second = sim.spawn("second", |ctx| (ctx.pid(), ctx.with_rng(|r| r.next_u64())));
+        sim.run();
+        second.take()
+    };
+    assert_eq!(draw(true), draw(false));
+}
+
+#[test]
+fn a_handler_panic_reaches_the_caller_of_run_under_its_own_name() {
+    fn bomb(sim: &Simulation) -> amoeba_sim::MailboxTx<u8> {
+        let node = sim.add_node("n");
+        let (tx, rx) = sim.channel::<u8>();
+        sim.handle()
+            .handler(node, "bomb", rx, |v| panic!("boom {v}"));
+        tx
+    }
+    const TEXT: &str = "simulated process panicked: handler 'bomb': boom 7";
+
+    // Found by the driver: no process exists.
+    let msg = run_panic_text(|sim| bomb(sim).send(7));
+    assert_eq!(msg, TEXT);
+
+    // Found by a process thread, inside that process's `sleep`: it is
+    // torn down like any parked process, not blamed.
+    let (guard, unwound) = Unwound::flag();
+    let msg = run_panic_text(|sim| {
+        let tx = bomb(sim);
+        sim.spawn("bystander", move |ctx| {
+            let _guard = guard;
+            tx.send_after(MS, 7);
+            ctx.sleep(10 * MS);
+            unreachable!("torn down while parked");
+        });
+    });
+    assert_eq!(msg, TEXT);
+    assert!(unwound.load(Ordering::SeqCst), "the bystander was reaped");
+
+    // Found by a process that has returned, in its final yield.
+    let msg = run_panic_text(|sim| {
+        let tx = bomb(sim);
+        sim.spawn("leaver", move |_ctx| tx.send_after(MS, 7));
+    });
+    assert_eq!(msg, TEXT);
+}
+
+#[test]
+fn a_crash_drops_the_handler_and_what_was_in_flight_to_it() {
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("n");
+    let register = move |handle: &amoeba_sim::SimHandle, name: &str| {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (tx, rx) = handle.channel::<u32>();
+        let log = Arc::clone(&seen);
+        handle.handler(node, name, rx, move |v| log.lock().push(v));
+        (tx, seen)
+    };
+    let (old_tx, old_seen) = register(&sim.handle(), "old");
+    let state = Arc::downgrade(&old_seen);
+    drop(old_seen);
+    old_tx.send_after(MS, 1);
+    old_tx.send_after(3 * MS, 2); // in flight across the crash and reboot
+    let new_seen = sim.spawn("chaos", move |ctx| {
+        ctx.sleep(2 * MS);
+        let seen = state.upgrade().expect("alive with its node").lock().clone();
+        ctx.crash_node(node);
+        assert!(state.upgrade().is_none(), "the handler died with its node");
+        ctx.revive_node(node);
+        let (new_tx, new_seen) = register(&ctx.handle(), "new");
+        new_tx.send_after(2 * MS, 3);
+        ctx.sleep(5 * MS);
+        old_tx.send(4); // a sender that outlived the crash
+        ctx.sleep(MS);
+        let new_seen = new_seen.lock().clone();
+        (seen, new_seen)
+    });
+    let stats = sim.run();
+    assert_eq!(new_seen.take(), Some((vec![1], vec![3])));
+    assert_eq!(stats.handler_calls, 2);
+}
+
+#[test]
+fn dropping_the_simulation_frees_handlers_and_queued_messages() {
+    let sim = Simulation::new(1);
+    let node = sim.add_node("n");
+    let (tx, rx) = sim.channel::<Arc<()>>();
+    let state = Arc::new(());
+    let (handler_state, queued) = (Arc::downgrade(&state), Arc::new(()));
+    let message = Arc::downgrade(&queued);
+    // The handler's state reaches back to the kernel that owns it, as a
+    // protocol stack's does; so does a sender that outlives the run.
+    let handle = sim.handle();
+    sim.handle().handler(node, "h", rx, move |_| {
+        let _ = (&state, &handle);
+    });
+    tx.send_after(Duration::from_secs(3600), queued);
+    drop(sim);
+    assert!(handler_state.upgrade().is_none() && message.upgrade().is_none());
+    drop(tx);
+}
+
+#[test]
+#[should_panic(expected = "cannot register a handler on crashed node")]
+fn a_crashed_node_takes_no_handler() {
+    let sim = Simulation::new(1);
+    let node = sim.add_node("n");
+    sim.crash_node(node);
+    let (_tx, rx) = sim.channel::<u8>();
+    sim.handle().handler(node, "late", rx, |_| {});
 }
 
 #[test]

@@ -196,6 +196,45 @@ fn divergence_found_by_an_exiting_process_reaches_the_caller_of_run() {
 }
 
 #[test]
+fn divergence_found_inside_a_handler_reaches_the_caller_of_run_under_its_name() {
+    // The handler's own step (a fault record) departs from the trace: the
+    // checkpoint panics inside the handler, on the thread of 'sleeper',
+    // which happens to be dispatching and is not to blame.
+    fn program(sim: &Simulation, operand: u64) {
+        let node = sim.add_node("n");
+        let (tx, rx) = sim.channel::<u64>();
+        let handle = sim.handle();
+        sim.handle().handler(node, "nic", rx, move |v| {
+            handle.record_fault(amoeba_sim::fault_codes::NET_DOWN, v, 0);
+        });
+        sim.spawn("sleeper", move |ctx| {
+            tx.send_after(Duration::from_micros(100), operand);
+            ctx.sleep(Duration::from_micros(200));
+        });
+    }
+    let mut sim = Simulation::recording(25);
+    program(&sim, 1);
+    sim.run();
+    let trace = sim.take_recording().unwrap();
+
+    let mut sim = Simulation::replaying(&trace);
+    program(&sim, 1);
+    sim.run();
+
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Simulation::replaying(&trace);
+        program(&sim, 2);
+        sim.run();
+    }))
+    .expect_err("divergent replay must panic");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.starts_with("simulated process panicked: handler 'nic': replay divergence at step"),
+        "unexpected panic: {msg}"
+    );
+}
+
+#[test]
 fn recording_survives_a_process_panic() {
     // A runner wraps the simulation in catch_unwind and pulls the trace
     // from a handle afterwards — the failure-capture path explore uses.

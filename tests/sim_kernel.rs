@@ -1,9 +1,11 @@
-//! The simulator kernel's hand-off accounting and its crash edges, as
-//! seen through the umbrella crate (tier-1 runs only this package; the
-//! full set lives in `crates/sim/tests/kernel_behavior.rs`).
+//! The simulator kernel's hand-off accounting, its crash edges and its
+//! kernel handlers, as seen through the umbrella crate (tier-1 runs only
+//! this package; the full set lives in
+//! `crates/sim/tests/kernel_behavior.rs`).
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use amoeba_dirsvc::sim::{SimTime, Simulation};
@@ -91,4 +93,71 @@ fn crashed_processes_end_running_parked_or_unstarted() {
     assert!(flags.iter().all(|f| f.load(Ordering::SeqCst)));
     assert_eq!((parked.take(), running.take()), (None, None));
     assert_eq!(bystander.take(), Some(SimTime::from_millis(5)));
+}
+
+#[test]
+fn a_handler_panic_reaches_run_under_its_own_name_whoever_dispatched_it() {
+    // Dispatched by a process inside its `sleep`, then by one that has
+    // returned (its final yield): neither is blamed, neither wedges.
+    for leaves in [false, true] {
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            let mut sim = Simulation::new(1);
+            let node = sim.add_node("n");
+            let (tx, rx) = sim.channel::<u8>();
+            sim.handle()
+                .handler(node, "bomb", rx, |v| panic!("boom {v}"));
+            sim.spawn("bystander", move |ctx| {
+                tx.send_after(MS, 7);
+                if !leaves {
+                    ctx.sleep(10 * MS);
+                }
+            });
+            sim.run();
+        }))
+        .expect_err("the panic must reach the caller of run");
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("simulated process panicked: handler 'bomb': boom 7")
+        );
+    }
+}
+
+#[test]
+fn handlers_die_with_their_node_and_with_the_simulation() {
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("n");
+    let handle = sim.handle();
+    let register = move |name: &str| {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (tx, rx) = handle.channel::<u32>();
+        // Reaches back to the kernel, as a protocol stack's state does.
+        let (log, kernel) = (Arc::clone(&seen), handle.clone());
+        handle.handler(node, name, rx, move |v| {
+            log.lock().unwrap().push((v, kernel.now()));
+        });
+        (tx, seen)
+    };
+    let (old_tx, old_seen) = register("old");
+    old_tx.send_after(MS, 1);
+    old_tx.send_after(3 * MS, 2); // in flight across the crash and reboot
+    let stats = sim.run_until(SimTime::from_millis(2));
+    assert_eq!((stats.handler_calls, stats.handoffs), (1, 0));
+    assert_eq!(*old_seen.lock().unwrap(), [(1, SimTime::from_millis(1))]);
+
+    let old_state = Arc::downgrade(&old_seen);
+    drop(old_seen);
+    sim.crash_node(node);
+    assert!(old_state.upgrade().is_none(), "freed with its node");
+    sim.revive_node(node);
+    let (new_tx, new_seen) = register("new");
+    new_tx.send_after(2 * MS, 3);
+    old_tx.send(4); // a sender that outlived the crash
+    assert_eq!(sim.run().handler_calls, 2);
+    assert_eq!(*new_seen.lock().unwrap(), [(3, SimTime::from_millis(4))]);
+
+    let new_state = Arc::downgrade(&new_seen);
+    drop(new_seen);
+    new_tx.send_after(Duration::from_secs(3600), 5); // still queued
+    drop(sim);
+    assert!(new_state.upgrade().is_none(), "freed with the simulation");
 }

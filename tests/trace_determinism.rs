@@ -3,12 +3,13 @@
 //! unchanged" is checked, not assumed), and same-seed trace equality for
 //! a deployment with auxiliary services (≥ 2 group instances per peer).
 
+use std::collections::HashSet;
 use std::time::Duration;
 
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, ServiceSpec, Variant};
 use amoeba_dirsvc::dir::{Capability, DirClient, LockService, RegistryService, Rights};
 use amoeba_dirsvc::flip::Port;
-use amoeba_dirsvc::sim::{Ctx, SimTrace, Simulation};
+use amoeba_dirsvc::sim::{Ctx, SimTrace, Simulation, StepTag};
 
 fn fnv1a(data: &[u8]) -> u64 {
     data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -61,9 +62,48 @@ fn record_directory_crash_reboot() -> SimTrace {
     sim.take_recording().expect("recording was enabled")
 }
 
+/// What the processes saw that were processes before RPC port dispatch,
+/// group packet dispatch and the group ticker became kernel handlers:
+/// every `Resume` and `Yield` step (time, pid, reason or kind, RNG digest)
+/// of a process not named `rpc-dispatch@*`, `grp-dispatch@*` or
+/// `grp-tick@*`. Those three are gone now, so this is every such step.
+fn projected(trace: &SimTrace) -> (usize, u64) {
+    let kernel_names: HashSet<u64> = (0..256u32)
+        .flat_map(|h| {
+            ["rpc-dispatch", "grp-dispatch", "grp-tick"]
+                .map(|p| fnv1a(format!("{p}@host:{h}").as_bytes()))
+        })
+        .collect();
+    let kernel_pids: HashSet<u64> = trace
+        .steps
+        .iter()
+        .filter(|s| s.tag == StepTag::Spawn && kernel_names.contains(&s.c))
+        .map(|s| s.a)
+        .collect();
+    let mut bytes = Vec::new();
+    let mut steps = 0;
+    for s in &trace.steps {
+        if matches!(s.tag, StepTag::Resume | StepTag::Yield) && !kernel_pids.contains(&s.a) {
+            steps += 1;
+            bytes.extend_from_slice(&s.time_ns.to_le_bytes());
+            bytes.push(s.tag as u8);
+            for v in [s.a, s.b, s.c] {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+    (steps, fnv1a(&bytes))
+}
+
 #[test]
 fn directory_crash_reboot_trace_matches_the_golden_digest() {
     let trace = record_directory_crash_reboot();
+    assert_eq!(
+        projected(&trace),
+        (PROJECTED_STEPS, PROJECTED_DIGEST),
+        "some process was resumed, or yielded, at another time, for \
+         another reason or after other RNG draws than before the handlers"
+    );
     assert_eq!(
         (trace.steps.len(), fnv1a(&trace.to_bytes())),
         (GOLDEN_STEPS, GOLDEN_DIGEST),
@@ -71,8 +111,12 @@ fn directory_crash_reboot_trace_matches_the_golden_digest() {
     );
 }
 
-const GOLDEN_STEPS: usize = 26_449;
-const GOLDEN_DIGEST: u64 = 10_379_442_515_077_094_120;
+/// Captured on the commit before the handlers (PR 13), where the full
+/// trace had 26,449 steps and digest 10379442515077094120.
+const PROJECTED_STEPS: usize = 4_168;
+const PROJECTED_DIGEST: u64 = 7_959_870_571_809_880_628;
+const GOLDEN_STEPS: usize = 13_286;
+const GOLDEN_DIGEST: u64 = 4_760_539_658_903_339_064;
 
 /// `paper()` + lock + registry under load: three lock clients contending
 /// for one name, a registry client and a directory writer, across a
