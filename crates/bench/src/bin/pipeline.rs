@@ -57,29 +57,19 @@
 //! The update-burst and read-mix sections also report per-op-family
 //! p50/p95/p99 latencies from the telemetry histograms.
 //!
-//! A tenth, `<label>+pipelined-commit`, A/Bs the two-stage commit
-//! pipeline on the disk-bound update burst: `flush_window` 1 (the
-//! serial seed driver, bit-identical to the pre-pipeline build) vs 4
-//! vs 8, flat and at 4 shards, on the head-aware disk model in both
-//! arms — so the delta is the pipeline overlapping apply of batch N+1
-//! with the ~28 ms seek of batch N, plus per-op-family p50/p95/p99
-//! append latencies for every point.
-//!
-//! An eleventh, `<label>+group-log`, A/Bs the journaled commit path on
-//! the same burst: the pipelined region-phased flush (journal off,
-//! window 4 — the PR-9 reference) vs the group log (journal on) at
-//! windows 1/4/8, flat and at 4 shards, head-aware disk everywhere —
-//! so the delta is replacing each merged run's table/Bullet/commit
-//! region hops with ONE sequential journal append (background
+//! A tenth, `<label>+group-log`, A/Bs the journaled commit path on
+//! the disk-bound update burst: the in-place flush (journal off) vs the
+//! group log (journal on), flat and at 4 shards, head-aware disk
+//! everywhere — so the delta is replacing each batch's table/Bullet/
+//! commit-block writes with ONE sequential journal append (background
 //! checkpointer doing the writeback off the commit path). Every point
 //! reports disk seeks per append alongside throughput and per-family
-//! percentiles, plus an NVRAM-journal arm and the NVRAM pipelining A/B
-//! the journal unlocked (`flush_window` > 1 on NVRAM storage).
+//! p50/p95/p99 latencies.
 //!
 //! Run with: `cargo run -p amoeba-bench --release --bin pipeline -- <label>`
 //! (append `--internetwork-only` / `--shards-only` / `--migration-only`
 //! / `--read-mix-only` / `--record-only` / `--telemetry-only` /
-//! `--commit-only` / `--group-log-only` to refresh just that run). The `ci-smoke` label runs a seconds-long
+//! `--group-log-only` to refresh just that run). The `ci-smoke` label runs a seconds-long
 //! subset with tiny iteration counts against a scratch output file and
 //! asserts the emitted JSON is valid — the CI guard against bench
 //! bit-rot. The `trace` label instead runs one traced 4-shard cached
@@ -106,7 +96,6 @@ fn main() {
     let read_mix_only = args.iter().any(|a| a == "--read-mix-only");
     let record_only = args.iter().any(|a| a == "--record-only");
     let telemetry_only = args.iter().any(|a| a == "--telemetry-only");
-    let commit_only = args.iter().any(|a| a == "--commit-only");
     let group_log_only = args.iter().any(|a| a == "--group-log-only");
     let mut pos = args.iter().filter(|a| !a.starts_with("--"));
     let label = pos
@@ -165,12 +154,6 @@ fn main() {
         let telemetry = telemetry_overhead_run(&label);
         append_run(&out_path, "pipeline", &telemetry).expect("write BENCH_pipeline.json");
         println!("appended telemetry-overhead run to {}", out_path.display());
-        return;
-    }
-    if commit_only {
-        let commit = pipelined_commit_run(&label);
-        append_run(&out_path, "pipeline", &commit).expect("write BENCH_pipeline.json");
-        println!("appended pipelined-commit run to {}", out_path.display());
         return;
     }
     if group_log_only {
@@ -249,108 +232,26 @@ fn main() {
     let telemetry = telemetry_overhead_run(&label);
     append_run(&out_path, "pipeline", &telemetry).expect("write BENCH_pipeline.json");
 
-    // A/B nine: the two-stage commit pipeline (flush window 1/4/8).
-    let commit = pipelined_commit_run(&label);
-    append_run(&out_path, "pipeline", &commit).expect("write BENCH_pipeline.json");
-
-    // A/B ten: the group log (journaled commits, background writeback).
+    // A/B nine: the group log (journaled commits, background writeback).
     let glog = group_log_run(&label);
     append_run(&out_path, "pipeline", &glog).expect("write BENCH_pipeline.json");
     println!("appended runs to {}", out_path.display());
 }
 
-/// The pipelined-group-commit A/B: the disk-bound update burst at
-/// `flush_window` 1 (the serial seed driver — bit-identical to the
-/// pre-pipeline build), 4 and 8, flat and sharded 4 ways, with the
-/// head-aware disk model on in **every** arm so the delta is the
-/// pipeline alone: the replica applies batch N+1 (and the sequencer
-/// orders N+2…) while batch N's ~28 ms seek retires on the flusher.
-/// Per-op-family p50/p95/p99 latencies ride along for every point, and
-/// the `network` section records the window-over-serial speedups the
-/// acceptance bar reads (≥2× at 4 shards with window ≥ 4).
-fn pipelined_commit_run(label: &str) -> RunSummary {
-    use amoeba_bench::sharded_update_burst_with;
-    // 12 writers per shard: the pipeline is a bandwidth optimisation,
-    // so the A/B offers each shard enough closed-loop concurrency to
-    // fill the flush window — with ~3 writers a shard the queue never
-    // forms and both arms just measure single-op latency.
-    const N_WRITERS: usize = 48;
-    let warmup = Duration::from_secs(1);
-    let window = Duration::from_secs(8);
-    let mut run = RunSummary {
-        label: format!("{label}+pipelined-commit"),
-        ..Default::default()
-    };
-    for shards in [1usize, 4] {
-        let mut serial = f64::NAN;
-        for w in [1usize, 4, 8] {
-            let (r, latency) = sharded_update_burst_with(
-                shards,
-                false,
-                true,
-                N_WRITERS,
-                warmup,
-                window,
-                0x6C0D,
-                move |p| {
-                    p.dir.flush_window = w;
-                    p.disk.head_aware = true;
-                },
-            );
-            if w == 1 {
-                serial = r.ops_per_sec;
-            }
-            let p50 = latency
-                .iter()
-                .find(|(f, ..)| f == "cli.append_row")
-                .map(|(_, p50, ..)| *p50)
-                .unwrap_or(f64::NAN);
-            println!(
-                "  pipelined-commit/shards={shards}/window={w}: {:.1} appends/s \
-                 at {N_WRITERS} writers ({:.2}× serial), cli.append_row p50 {p50:.1} ms",
-                r.ops_per_sec,
-                r.ops_per_sec / serial
-            );
-            run.variants.push(VariantSummary {
-                variant: format!("Group(3)/pipelined-commit/shards={shards}/window={w}"),
-                n_clients: N_WRITERS,
-                lookup_ops_per_sec: f64::NAN,
-                update_ops_per_sec: r.ops_per_sec,
-                lookup_latency_ms: f64::NAN,
-                update_latency_ms: f64::NAN,
-            });
-            if w > 1 {
-                run.network.push((
-                    format!("pipelined-commit/shards={shards}/window{w}_over_serial"),
-                    r.ops_per_sec / serial,
-                ));
-            }
-            for (family, p50, p95, p99) in &latency {
-                let key = format!("pipelined-commit/shards={shards}/window={w}/{family}");
-                run.network.push((format!("{key}/p50_ms"), *p50));
-                run.network.push((format!("{key}/p95_ms"), *p95));
-                run.network.push((format!("{key}/p99_ms"), *p99));
-            }
-        }
-    }
-    run
-}
-
-/// The group-log A/B: the disk-bound update burst with the journaled
-/// commit path on (`dir.journal`) at `flush_window` 1/4/8, flat and
-/// sharded 4 ways, against the PR-9 pipelined region-phased flush
-/// (journal off, window 4) as the reference — head-aware disk in every
-/// arm, so the delta is purely commits moving from several region hops
-/// per merged run to one sequential journal append with the
-/// checkpointer draining the table in the background. Each point also
-/// reports disk seeks per append (the mechanism) and the per-op-family
-/// p50/p95/p99 latencies. Two extra arms cover what the journal
-/// unlocked: the journal on the battery-backed NVRAM device, and
-/// `flush_window` 4 on NVRAM *storage* (the pipeline used to be forced
-/// serial there).
+/// The group-log A/B: the disk-bound update burst with the in-place
+/// flush (`dir.journal` off) against the journaled commit path (on),
+/// flat and sharded 4 ways — head-aware disk in every arm, so the delta
+/// is purely commits moving from per-object table/Bullet/commit-block
+/// writes to one sequential journal append with the checkpointer
+/// draining the table in the background. Each point also reports disk
+/// seeks per append (the mechanism) and the per-op-family p50/p95/p99
+/// latencies.
 fn group_log_run(label: &str) -> RunSummary {
     use amoeba_bench::sharded_update_burst_with;
-    use amoeba_dir_core::StorageKind;
+    // 12 writers per shard: group commit is a bandwidth optimisation, so
+    // the A/B offers each shard enough closed-loop concurrency to form
+    // batches — with ~3 writers a shard both arms just measure
+    // single-op latency.
     const N_WRITERS: usize = 48;
     let warmup = Duration::from_secs(1);
     let window = Duration::from_secs(8);
@@ -358,68 +259,9 @@ fn group_log_run(label: &str) -> RunSummary {
         label: format!("{label}+group-log"),
         ..Default::default()
     };
-    let mut point = |name: String,
-                     shards: usize,
-                     r: &amoeba_bench::ShardBurstResult,
-                     latency: &[(String, f64, f64, f64)],
-                     ratio_over: f64| {
-        run.variants.push(VariantSummary {
-            variant: format!("Group(3)/{name}"),
-            n_clients: N_WRITERS,
-            lookup_ops_per_sec: f64::NAN,
-            update_ops_per_sec: r.ops_per_sec,
-            lookup_latency_ms: f64::NAN,
-            update_latency_ms: f64::NAN,
-        });
-        run.network
-            .push((format!("{name}/seeks_per_op"), r.seeks_per_op));
-        if ratio_over.is_finite() && ratio_over > 0.0 {
-            run.network.push((
-                format!("{name}/over_pipelined4"),
-                r.ops_per_sec / ratio_over,
-            ));
-        }
-        for (family, p50, p95, p99) in latency {
-            run.network.push((format!("{name}/{family}/p50_ms"), *p50));
-            run.network.push((format!("{name}/{family}/p95_ms"), *p95));
-            run.network.push((format!("{name}/{family}/p99_ms"), *p99));
-        }
-        println!(
-            "  group-log/{name}: {:.1} appends/s at {N_WRITERS} writers \
-             ({} shards), {:.2} seeks/append{}",
-            r.ops_per_sec,
-            shards,
-            r.seeks_per_op,
-            if ratio_over.is_finite() && ratio_over > 0.0 {
-                format!(" ({:.2}× pipelined w=4)", r.ops_per_sec / ratio_over)
-            } else {
-                String::new()
-            }
-        );
-    };
     for shards in [1usize, 4] {
-        // The reference arm: PR 9's pipelined region-phased flush.
-        let (pref, pref_lat) = sharded_update_burst_with(
-            shards,
-            false,
-            true,
-            N_WRITERS,
-            warmup,
-            window,
-            0x6C0D,
-            |p| {
-                p.dir.flush_window = 4;
-                p.disk.head_aware = true;
-            },
-        );
-        point(
-            format!("group-log/shards={shards}/pipelined-ref"),
-            shards,
-            &pref,
-            &pref_lat,
-            f64::NAN,
-        );
-        for w in [1usize, 4, 8] {
+        let mut in_place = f64::NAN;
+        for journal in [false, true] {
             let (r, latency) = sharded_update_burst_with(
                 shards,
                 false,
@@ -429,74 +271,45 @@ fn group_log_run(label: &str) -> RunSummary {
                 window,
                 0x6C0D,
                 move |p| {
-                    p.dir.flush_window = w;
-                    p.dir.journal = true;
+                    p.dir.journal = journal;
                     p.disk.head_aware = true;
                 },
             );
-            point(
-                format!("group-log/shards={shards}/window={w}"),
-                shards,
-                &r,
-                &latency,
-                pref.ops_per_sec,
+            let name = format!(
+                "group-log/shards={shards}/journal={}",
+                if journal { "on" } else { "off" }
             );
-        }
-    }
-    // The journal on battery-backed NVRAM: the commit point costs one
-    // NVRAM write instead of a disk rotation.
-    let (nvj, nvj_lat) =
-        sharded_update_burst_with(4, false, true, N_WRITERS, warmup, window, 0x6C0D, |p| {
-            p.dir.flush_window = 4;
-            p.dir.journal = true;
-            p.dir.journal_nvram = true;
-            p.disk.head_aware = true;
-        });
-    point(
-        "group-log/shards=4/nvram-journal/window=4".to_owned(),
-        4,
-        &nvj,
-        &nvj_lat,
-        f64::NAN,
-    );
-    // NVRAM *storage* pipelining, which the flush-window relaxation
-    // unlocked: serial vs window 4 on the 24 KB battery-backed RAM.
-    let mut nv_serial = f64::NAN;
-    for w in [1usize, 4] {
-        let (nv, _) = sharded_update_burst_with(
-            1,
-            false,
-            true,
-            N_WRITERS,
-            warmup,
-            window,
-            0x6C0D,
-            move |p| {
-                p.dir.storage = StorageKind::Nvram;
-                p.dir.flush_window = w;
-            },
-        );
-        if w == 1 {
-            nv_serial = nv.ops_per_sec;
-        }
-        println!(
-            "  group-log/nvram-storage/window={w}: {:.1} appends/s ({:.2}× serial)",
-            nv.ops_per_sec,
-            nv.ops_per_sec / nv_serial
-        );
-        run.variants.push(VariantSummary {
-            variant: format!("GroupNvram(3)/group-log/nvram-storage/window={w}"),
-            n_clients: N_WRITERS,
-            lookup_ops_per_sec: f64::NAN,
-            update_ops_per_sec: nv.ops_per_sec,
-            lookup_latency_ms: f64::NAN,
-            update_latency_ms: f64::NAN,
-        });
-        if w > 1 {
-            run.network.push((
-                format!("group-log/nvram-storage/window{w}_over_serial"),
-                nv.ops_per_sec / nv_serial,
-            ));
+            run.variants.push(VariantSummary {
+                variant: format!("Group(3)/{name}"),
+                n_clients: N_WRITERS,
+                lookup_ops_per_sec: f64::NAN,
+                update_ops_per_sec: r.ops_per_sec,
+                lookup_latency_ms: f64::NAN,
+                update_latency_ms: f64::NAN,
+            });
+            run.network
+                .push((format!("{name}/seeks_per_op"), r.seeks_per_op));
+            if journal {
+                run.network
+                    .push((format!("{name}/over_in_place"), r.ops_per_sec / in_place));
+            } else {
+                in_place = r.ops_per_sec;
+            }
+            for (family, p50, p95, p99) in &latency {
+                run.network.push((format!("{name}/{family}/p50_ms"), *p50));
+                run.network.push((format!("{name}/{family}/p95_ms"), *p95));
+                run.network.push((format!("{name}/{family}/p99_ms"), *p99));
+            }
+            println!(
+                "  {name}: {:.1} appends/s at {N_WRITERS} writers, {:.2} seeks/append{}",
+                r.ops_per_sec,
+                r.seeks_per_op,
+                if journal {
+                    format!(" ({:.2}× in place)", r.ops_per_sec / in_place)
+                } else {
+                    String::new()
+                }
+            );
         }
     }
     run
@@ -1081,15 +894,18 @@ fn ci_smoke() {
         run.network
             .push((format!("read-mix/cached/{family}/p99_ms"), *p99));
     }
-    // Pipelined group commit: a tiny flat serial-vs-window=4 A/B in its
-    // own `+pipelined-commit` run — asserts the two-stage driver, the
-    // staged flush path and the head-aware disk all drive end to end.
+    // The group log, in its own `+group-log` run: a tiny flat burst with
+    // the journal off and on. Both must complete appends, AND the
+    // journaled one must spend fewer head seeks per append than the
+    // in-place flush — the cheap end-to-end signal that commits really
+    // went down the journaled path (one sequential record append
+    // instead of table/Bullet/commit-block writes).
     let mut prun = RunSummary {
-        label: "ci-smoke+pipelined-commit".to_owned(),
+        label: "ci-smoke+group-log".to_owned(),
         ..Default::default()
     };
-    for w in [1usize, 4] {
-        let (p, _) = amoeba_bench::sharded_update_burst_with(
+    let smoke_burst = |journal: bool| {
+        amoeba_bench::sharded_update_burst_with(
             1,
             false,
             true,
@@ -1098,78 +914,36 @@ fn ci_smoke() {
             Duration::from_secs(2),
             0xC1,
             move |pa| {
-                pa.dir.flush_window = w;
+                pa.dir.journal = journal;
                 pa.disk.head_aware = true;
             },
-        );
+        )
+        .0
+    };
+    let (in_place, journaled) = (smoke_burst(false), smoke_burst(true));
+    for (name, p) in [("journal=off", &in_place), ("journal=on", &journaled)] {
         assert!(
             p.ops_per_sec > 0.0,
-            "pipelined-commit smoke run (window={w}) must complete appends"
+            "group-log smoke run ({name}) must complete appends"
         );
         prun.variants.push(VariantSummary {
-            variant: format!("ci-smoke/pipelined-commit/window={w}"),
+            variant: format!("ci-smoke/group-log/{name}"),
             n_clients: 2,
             lookup_ops_per_sec: f64::NAN,
             update_ops_per_sec: p.ops_per_sec,
             lookup_latency_ms: f64::NAN,
             update_latency_ms: f64::NAN,
         });
+        prun.network
+            .push((format!("group-log/{name}/seeks_per_op"), p.seeks_per_op));
     }
-    // The group log: the same tiny burst with the journal on must
-    // complete appends AND spend fewer head seeks per append than the
-    // region-phased flush it replaces — the cheap end-to-end signal
-    // that commits really went down the journaled path (one sequential
-    // record append instead of table/Bullet/commit region hops).
-    let (poff, _) = amoeba_bench::sharded_update_burst_with(
-        1,
-        false,
-        true,
-        2,
-        Duration::from_millis(500),
-        Duration::from_secs(2),
-        0xC1,
-        |pa| {
-            pa.dir.flush_window = 4;
-            pa.disk.head_aware = true;
-        },
-    );
-    let (pj, _) = amoeba_bench::sharded_update_burst_with(
-        1,
-        false,
-        true,
-        2,
-        Duration::from_millis(500),
-        Duration::from_secs(2),
-        0xC1,
-        |pa| {
-            pa.dir.flush_window = 4;
-            pa.dir.journal = true;
-            pa.disk.head_aware = true;
-        },
-    );
     assert!(
-        pj.ops_per_sec > 0.0,
-        "group-log smoke run must complete appends"
-    );
-    assert!(
-        pj.seeks_per_op < poff.seeks_per_op,
+        journaled.seeks_per_op < in_place.seeks_per_op,
         "the journaled path must seek less per append than the \
-         region-phased flush ({:.2} vs {:.2})",
-        pj.seeks_per_op,
-        poff.seeks_per_op
+         in-place flush ({:.2} vs {:.2})",
+        journaled.seeks_per_op,
+        in_place.seeks_per_op
     );
-    prun.variants.push(VariantSummary {
-        variant: "ci-smoke/group-log/window=4".to_owned(),
-        n_clients: 2,
-        lookup_ops_per_sec: f64::NAN,
-        update_ops_per_sec: pj.ops_per_sec,
-        lookup_latency_ms: f64::NAN,
-        update_latency_ms: f64::NAN,
-    });
-    prun.network
-        .push(("group-log/seeks_per_op".into(), pj.seeks_per_op));
-    prun.network
-        .push(("pipelined4/seeks_per_op".into(), poff.seeks_per_op));
     // Causal tracing: a tiny traced deployment must export Chrome trace
     // JSON that re-parses with a connected client-op span tree.
     let (mut ttb, tele) = amoeba_bench::testbed_traced(Variant::Group, 0xC1, |p| p.shards = 2);
@@ -1219,7 +993,7 @@ fn ci_smoke() {
     let _ = std::fs::remove_file(&path);
     append_run(&path, "pipeline", &run).expect("ci-smoke: write json");
     append_run(&path, "pipeline", &run).expect("ci-smoke: append json");
-    append_run(&path, "pipeline", &prun).expect("ci-smoke: append pipelined-commit json");
+    append_run(&path, "pipeline", &prun).expect("ci-smoke: append group-log json");
     let text = std::fs::read_to_string(&path).expect("ci-smoke: read back");
     assert!(
         text.starts_with("{\n  \"bench\": \"pipeline\"") && text.ends_with("\n  ]\n}\n"),
@@ -1245,10 +1019,11 @@ fn ci_smoke() {
         "ci-smoke: latency percentile entries must be present in the JSON"
     );
     assert!(
-        text.contains("\"label\": \"ci-smoke+pipelined-commit\"")
-            && text.contains("ci-smoke/pipelined-commit/window=1")
-            && text.contains("ci-smoke/pipelined-commit/window=4"),
-        "ci-smoke: the +pipelined-commit section must be present in the JSON"
+        text.contains("\"label\": \"ci-smoke+group-log\"")
+            && text.contains("ci-smoke/group-log/journal=off")
+            && text.contains("ci-smoke/group-log/journal=on")
+            && text.contains("group-log/journal=on/seeks_per_op"),
+        "ci-smoke: the +group-log section must be present in the JSON"
     );
     std::fs::remove_file(&path).expect("ci-smoke: cleanup");
     println!(

@@ -230,8 +230,8 @@ pub fn sharded_update_burst(
 }
 
 /// [`sharded_update_burst`] with a deployment-parameter hook (the
-/// pipelined-commit A/B sets `dir.flush_window` and `disk.head_aware`
-/// through it) plus per-op-family latency percentiles from a
+/// group-log A/B sets `dir.journal` and `disk.head_aware` through it)
+/// plus per-op-family latency percentiles from a
 /// metrics-only telemetry collector installed *after* setup, so the
 /// histograms cover exactly the measured burst. Returns the burst
 /// result and [`latency_rows`].
@@ -307,15 +307,6 @@ pub fn sharded_update_burst_with(
         },
     );
     let d = tb.cluster.net.stats().since(&before);
-    if std::env::var("BURST_STATS").is_ok() {
-        for s in 0..shards {
-            let st = tb.cluster.shard_server(s, 0).replica_stats();
-            eprintln!(
-                "    shard {s}: applied={} batches={} flush_runs={} hwm={} stalls={}",
-                st.applied, st.batches, st.flush_runs, st.flush_inflight_hwm, st.window_stalls
-            );
-        }
-    }
     let total_ops = ops_per_sec * window.as_secs_f64();
     let disk_seeks = tb
         .cluster

@@ -46,6 +46,28 @@ fn client_write_yields_one_connected_span_tree() {
         machines >= 3,
         "write must cross client, sequencer, and replicas; saw {machines}"
     );
+    // The commit wait is in the tree: every replica that applied one of
+    // the write's ops also shows the durable flush the op then waited
+    // for — on the stock disk path, at least one disk access long.
+    let one_access = tb.cluster.params.disk.access_time(1);
+    let named = |name: &str| -> Vec<&amoeba_telemetry::SpanRec> {
+        let in_trace =
+            |s: &&amoeba_telemetry::SpanRec| s.trace == root_span.trace && s.name == name;
+        spans.iter().filter(in_trace).collect()
+    };
+    let (applies, flushes) = (named("rsm.apply"), named("rsm.flush"));
+    assert!(applies.len() >= 3, "a replica group applied the write");
+    for a in &applies {
+        assert!(
+            flushes.iter().any(|f| f.machine == a.machine),
+            "machine {} applied the write but shows no rsm.flush span",
+            a.machine
+        );
+    }
+    for f in &flushes {
+        let took = f.end.expect("flush span closed") - f.start;
+        assert!(took >= one_access, "an rsm.flush took only {took:?}");
+    }
     // The same tree must survive the export round trip.
     let summary =
         amoeba_telemetry::validate_chrome_trace(&tele.export_chrome_json()).expect("valid export");

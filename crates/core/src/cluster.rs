@@ -411,11 +411,9 @@ const TABLE_BLOCKS: u64 = 64;
 
 /// Blocks reserved for the group log's journal region, carved between
 /// the table partition and the Bullet store: only when the journaled
-/// commit path is on *and* backed by the disk (an NVRAM-backed journal
-/// leaves the disk layout bit-identical to the journal-off build, as
-/// does journal-off itself).
+/// commit path is on (journal-off leaves the disk layout untouched).
 fn journal_carve(params: &ClusterParams) -> u64 {
-    if params.dir.journal && !params.dir.journal_nvram && params.dir.storage == StorageKind::Disk {
+    if params.dir.journal && params.dir.storage == StorageKind::Disk {
         params.disk.journal_blocks
     } else {
         0
@@ -631,21 +629,15 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
     );
     let partition = RawPartition::new(disk_srv.clone(), 0, TABLE_BLOCKS);
     // The group log's journal: carved from the disk right after the
-    // table partition, or kept in NVRAM. Reconstructed cold on every
-    // (re)start — `boot` recovers its cursor and surviving records.
-    let journal = if params.dir.journal && params.dir.storage == StorageKind::Disk {
-        if params.dir.journal_nvram {
-            Some(Journal::nvram(column.nvram.clone()))
-        } else {
-            Some(Journal::disk(RawPartition::new(
-                disk_srv.clone(),
-                TABLE_BLOCKS,
-                params.disk.journal_blocks,
-            )))
-        }
-    } else {
-        None
-    };
+    // table partition. Reconstructed cold on every (re)start — `boot`
+    // recovers its cursor and surviving records.
+    let journal = (params.dir.journal && params.dir.storage == StorageKind::Disk).then(|| {
+        Journal::disk(RawPartition::new(
+            disk_srv.clone(),
+            TABLE_BLOCKS,
+            params.disk.journal_blocks,
+        ))
+    });
     // The Bullet server of this column.
     let bullet_disk = DiskServer::start(
         spawner,

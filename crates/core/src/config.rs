@@ -97,36 +97,18 @@ pub struct DirParams {
     /// one batch before a single durable group-commit flush (`1`
     /// disables apply batching; see `amoeba_rsm`).
     pub apply_batch: usize,
-    /// Bounded in-flight window of the two-stage commit pipeline: how
-    /// many applied-but-unflushed batches the replica driver may run
-    /// ahead of its flusher stage. `1` (the default) is the classic
-    /// serial driver — apply, flush, publish in lockstep. Only
-    /// meaningful on the [`StorageKind::Disk`] commit path; the NVRAM
-    /// path's log append inside apply *is* the durable commit, so it
-    /// always drives the serial loop. See `amoeba_rsm::RsmConfig`.
-    pub flush_window: usize,
     /// The group log: route every group-commit flush through the disk's
     /// reserved journal region as one sequential record append, with a
     /// background checkpointer draining the dirty set into real
     /// Bullet/table blocks (see `amoeba_disk::Journal` and the module
     /// docs of [`crate::dir_sm`]). `false` (the default) keeps the
-    /// region-phased in-place flush, bit-identical to the pre-journal
-    /// build — the journal region is not even carved.
+    /// paper's in-place flush — each final directory and table block
+    /// written where it lives — and the journal region is not even
+    /// carved. Only meaningful with [`StorageKind::Disk`] storage.
     pub journal: bool,
-    /// Journal into a dedicated battery-backed NVRAM device instead of
-    /// the disk's journal region (only meaningful with
-    /// [`journal`](Self::journal) on and [`StorageKind::Disk`] storage).
-    pub journal_nvram: bool,
     /// How often the background checkpointer drains the journal when
     /// the journaled commit path is on.
     pub checkpoint_interval: Duration,
-    /// Replace the fixed anticipatory flush gather with an
-    /// arrival-rate-tracked one: the replica driver keeps an EWMA of
-    /// inter-submit gaps and gathers for twice that (clamped to
-    /// `[0.5 ms, flush_gather]`), so an idle service flushes promptly
-    /// and a saturated one still merges its window. Surfaced in
-    /// `amoeba_rsm::ReplicaStats::gather_ewma_us`.
-    pub adaptive_gather: bool,
     /// Enable the §3.2 improved two-server recovery rule.
     pub improved_recovery: bool,
     /// Disk or NVRAM commit path.
@@ -167,11 +149,8 @@ impl Default for DirParams {
             apply_cpu: Duration::from_micros(500),
             server_threads: 2,
             apply_batch: 32,
-            flush_window: 1,
             journal: false,
-            journal_nvram: false,
             checkpoint_interval: Duration::from_millis(250),
-            adaptive_gather: false,
             improved_recovery: false,
             storage: StorageKind::Disk,
             nvram_flush_threshold: 0.75,

@@ -24,57 +24,33 @@
 //!   commit (already amortized, §4.1); `flush` only polices the
 //!   fill-threshold background flush.
 //!
-//! ## Pipelined group commit (flush window > 1)
-//!
-//! With [`DirParams::flush_window`] > 1 the driver overlaps apply of
-//! batch N+1 with the durable flush of batch N, so the two flush
-//! stages replace `flush`:
-//!
-//! * `seal_batch` — on the event loop, right after the batch's applies:
-//!   coalesces the pending effects and captures everything their
-//!   durable flush needs (directory contents, table checks, the commit
-//!   seqno as of this batch) into an immutable [`StagedBatch`]. No disk
-//!   I/O; later applies cannot alter a sealed batch.
-//! * `flush_staged` — on the flusher process, in seal order: replays
-//!   the sealed acts against the object table's **durable mirror**
-//!   (exactly what is on disk), so table-block writes never leak the
-//!   RAM state running ahead of them, and old-file deletions free the
-//!   *durable* predecessor file — which also covers the
-//!   deleted-then-recreated case the serial path handles with an
-//!   explicit free list. The multi-object `recovering` guard brackets
-//!   each staged batch exactly as in the serial path, with the sealed
-//!   seqno, so a crash with up to W batches in flight salvages the
-//!   durable prefix and never observes un-flushed state.
-//! * `flush_staged_run` — the queued submission: when several sealed
-//!   batches wait behind one flush, they merge into a single batch
-//!   (per object only the last sealed act survives — interim versions
-//!   are never written) retired by one disk conversation. That
-//!   conversation is region-phased: guard block, then every Bullet
-//!   create back-to-back (sequential allocation ⇒ settled, seek-free
-//!   accesses), then each *distinct* touched table block exactly once,
-//!   then the commit block, then metadata-only frees — so k updates
-//!   cost ~2 seeks plus k settled writes instead of 2k seeks.
-//!
 //! ## The group log (journal on)
 //!
 //! With [`DirParams::journal`] the durable half of every commit changes
 //! shape: instead of writing a batch's Bullet files and table blocks in
-//! place (~2 seeks per run even region-phased), the flush path encodes
-//! the merged run as one self-delimiting, checksummed **journal
-//! record** ([`amoeba_disk::Journal`]) and appends it to the disk's
-//! reserved journal region — or to NVRAM with
-//! [`DirParams::journal_nvram`] — as a single sequential conversation,
-//! ~1 seek per run. The record's last frame is the commit point: once
-//! the append returns, every op of the run is durable and its
-//! initiators may be woken.
+//! place (at least a seek per object), `flush` seals the batch's final
+//! acts — directory contents, table checks, the commit seqno as of this
+//! batch, captured right after its applies into a [`StagedBatch`] —
+//! encodes them as one self-delimiting, checksummed **journal record**
+//! ([`amoeba_disk::Journal`]) and appends it to the disk's reserved
+//! journal region as a single sequential conversation, ~1 seek per
+//! batch. The record's last frame is the commit point: once the append
+//! returns, every op of the batch is durable and its initiators may be
+//! woken.
 //!
 //! The table writeback moves off the commit path entirely. Each
 //! journaled act also lands in a RAM **dirty set** (per object,
-//! last-wins — the queued-submission merge rule), which the driver's
-//! background checkpointer drains every
+//! last-wins — interim versions are never written back), which the
+//! driver's background checkpointer drains every
 //! [`DirParams::checkpoint_interval`] into real Bullet/table blocks and
-//! then advances the journal's tail. The ordering invariants that make
-//! a crash at any yield point safe:
+//! then advances the journal's tail. The drain replays the acts against
+//! the object table's **durable mirror** (exactly what is on disk), so
+//! its table-block writes never leak the RAM state running ahead of
+//! them and its deletions free the *durable* predecessor file, and it
+//! is region-phased: every Bullet create back-to-back, then each
+//! *distinct* touched table block exactly once, then the commit block
+//! if a covered batch lost a file, then metadata-only frees. The
+//! ordering invariants that make a crash at any yield point safe:
 //!
 //! 1. `journal_commit` inserts a batch's acts into the dirty set
 //!    **before** appending its record, and a checkpoint reads its reset
@@ -127,13 +103,8 @@ pub struct DirectoryStateMachine {
     params: DirParams,
     cpu: Resource,
     /// Disk effects of the batch being applied, deferred until the
-    /// driver's group-commit `flush` (or sealed per batch in pipelined
-    /// mode).
+    /// driver's group-commit `flush`.
     pending: Mutex<Vec<Effect>>,
-    /// Sealed-but-unflushed batches of the pipelined commit, in token
-    /// order: the event loop pushes in `seal_batch`, the flusher pops
-    /// in `flush_staged`.
-    staged: Mutex<std::collections::VecDeque<StagedBatch>>,
     /// The group log's writeback bookkeeping (see the module docs):
     /// the dirty set between journal appends and the checkpointer's
     /// table writeback. Unused with the journal off.
@@ -148,7 +119,7 @@ pub struct DirectoryStateMachine {
 #[derive(Default)]
 struct CkptState {
     /// Per-object final act of every journaled-but-not-yet-checkpointed
-    /// batch (last-wins — the queued-submission merge rule).
+    /// batch (last-wins: interim versions are never written back).
     dirty: std::collections::HashMap<u64, StagedAct>,
     /// Highest sealed commit seqno the dirty set covers; the
     /// checkpoint's commit-block write carries it.
@@ -174,7 +145,6 @@ impl DirectoryStateMachine {
             params,
             cpu,
             pending: Mutex::new(Vec::new()),
-            staged: Mutex::new(std::collections::VecDeque::new()),
             ckpt: Mutex::new(CkptState::default()),
         }
     }
@@ -283,33 +253,33 @@ enum FinalAct {
     Stub { old_file: FileCap },
 }
 
-/// One batch's durable work, sealed by `seal_batch` on the event loop
-/// and retired by `flush_staged` on the flusher — immutable from seal
-/// time on, so later applies can't reach into a batch already in
-/// flight.
+/// One journaled batch's durable work, sealed by `seal_acts` in `flush`
+/// right after the batch's applies: what its journal record encodes,
+/// and — merged per object in the dirty set — what a checkpoint drains.
 struct StagedBatch {
-    token: u64,
     acts: Vec<(u64, StagedAct)>,
     /// `Shared::commit.seqno` as of the end of this batch's applies:
-    /// the seqno the guard/commit-block writes of *this* batch carry.
-    /// Using the live value instead would let a crash salvage claim
-    /// coverage of later, still-unflushed batches.
+    /// the seqno the checkpoint's commit-block write carries. The
+    /// checkpointer runs beside the event loop, so the live value may
+    /// already cover later batches that are not in the drained set.
     commit_seqno: u64,
+    /// Whether the batch lost a file (delete / migration stub), so its
+    /// checkpoint must write the commit block.
     need_commit: bool,
 }
 
 /// Like [`FinalAct`], but self-contained: the check/seqno a table write
 /// needs are captured at seal time (exact — seal runs synchronously
 /// after the batch's applies), and old-file capabilities are *not*
-/// carried — the flusher frees whatever the durable mirror says is the
-/// object's current on-disk file.
+/// carried — the checkpoint frees whatever the durable mirror says is
+/// the object's current on-disk file.
 enum StagedAct {
     Store { dir: Directory, check: u64 },
     Drop,
     Stub { seqno: u64, check: u64 },
 }
 
-/// A [`StagedAct`] whose Bullet file (phase one of `flush_staged`) has
+/// A [`StagedAct`] whose Bullet file (phase one of `drain_acts`) has
 /// already been created — what remains is its object-table mutation.
 enum ResolvedAct {
     Store {
@@ -325,41 +295,11 @@ enum ResolvedAct {
 }
 
 impl DirectoryStateMachine {
-    /// Makes one sealed (possibly merged) batch durable: guard block,
-    /// then the batch's disk work in region-grouped phases so a
-    /// head-aware disk charges one seek per region instead of one per
-    /// object, then the commit block, then metadata-only frees.
-    fn flush_batch(&self, ctx: &Ctx, batch: StagedBatch) {
-        let applier = &self.applier;
-        if batch.acts.is_empty() {
-            return;
-        }
-        // The serial path's multi-object guard, per staged batch: a
-        // crash mid-flush must void (to the salvageable-prefix rule)
-        // rather than expose a half-written batch. The guard carries
-        // the sealed seqno — never the live one, which later unflushed
-        // batches may already have advanced.
-        let guard = batch.acts.len() > 1;
-        if guard {
-            let cb = {
-                let shared = applier.shared.lock();
-                let mut cb = shared.commit.clone();
-                cb.recovering = true;
-                cb.seqno = batch.commit_seqno;
-                cb
-            };
-            cb.write(&applier.partition, ctx);
-        }
-        let write_commit = guard || batch.need_commit;
-        self.drain_acts(ctx, batch, write_commit, guard);
-    }
-
-    /// The region-phased durable write-back of one batch's acts —
-    /// Bullet creates, mirror-tracked table blocks, optional commit
-    /// block, old-file frees — without any `recovering` bracket
-    /// (callers add their own when they need one; the checkpoint path
-    /// never does, journal replay covers its crashes).
-    fn drain_acts(&self, ctx: &Ctx, batch: StagedBatch, write_commit: bool, bump_epoch: bool) {
+    /// The checkpoint's region-phased durable write-back of the drained
+    /// acts — Bullet creates, mirror-tracked table blocks, the commit
+    /// block when a covered batch lost a file, old-file frees — without
+    /// any `recovering` bracket: journal replay covers its crashes.
+    fn drain_acts(&self, ctx: &Ctx, batch: StagedBatch) {
         let applier = &self.applier;
         // Phase one — Bullet creates. The batch's new files are written
         // back-to-back, so the store's sequential allocation turns each
@@ -393,7 +333,7 @@ impl DirectoryStateMachine {
         // first, then every *distinct* touched block is written exactly
         // once: a batch of appends to directories sharing a table block
         // costs one block write instead of one per directory, and the
-        // queued writes land on adjacent blocks.
+        // writes land on adjacent blocks.
         let (olds, waiters) = {
             let mut shared = applier.shared.lock();
             let mut olds: Vec<FileCap> = Vec::new();
@@ -448,14 +388,9 @@ impl DirectoryStateMachine {
         for w in waiters {
             w.recv(ctx);
         }
-        if write_commit {
+        if batch.need_commit {
             let cb = {
-                let mut shared = applier.shared.lock();
-                if bump_epoch {
-                    // Same epoch bookkeeping as the serial path: a
-                    // completed guarded flush closes one generation.
-                    shared.commit.epoch += 1;
-                }
+                let shared = applier.shared.lock();
                 let mut cb = shared.commit.clone();
                 cb.recovering = false;
                 cb.seqno = batch.commit_seqno;
@@ -475,7 +410,7 @@ impl DirectoryStateMachine {
     /// Captures coalesced final acts as a sealed batch: directory
     /// contents, table checks, and the commit seqno as of now (exact —
     /// callers run synchronously after the batch's applies).
-    fn seal_acts(&self, token: u64, acts: Vec<(u64, FinalAct)>, need_commit: bool) -> StagedBatch {
+    fn seal_acts(&self, acts: Vec<(u64, FinalAct)>, need_commit: bool) -> StagedBatch {
         let shared = self.applier.shared.lock();
         let acts = acts
             .into_iter()
@@ -496,7 +431,6 @@ impl DirectoryStateMachine {
             })
             .collect();
         StagedBatch {
-            token,
             acts,
             commit_seqno: shared.commit.seqno,
             need_commit,
@@ -504,7 +438,7 @@ impl DirectoryStateMachine {
     }
 
     /// The journaled commit: one sequential record append *is* the
-    /// durable group commit of the (merged) batch. The acts enter the
+    /// durable group commit of the batch. The acts enter the
     /// dirty set strictly before the append, so a concurrent
     /// checkpoint's tail advance can never outrun them (module-docs
     /// invariant 1).
@@ -572,29 +506,19 @@ impl DirectoryStateMachine {
         self.ckpt_acquire(ctx);
         // Mark before dirty snapshot (module-docs invariant 1).
         let mark = journal.next_seq();
-        let (acts, covered_seqno, need_commit) = {
+        let batch = {
             let mut ckpt = self.ckpt.lock();
             let mut acts: Vec<(u64, StagedAct)> =
                 std::mem::take(&mut ckpt.dirty).into_iter().collect();
             acts.sort_unstable_by_key(|&(o, _)| o);
-            (
+            StagedBatch {
                 acts,
-                ckpt.covered_seqno,
-                std::mem::take(&mut ckpt.need_commit),
-            )
+                commit_seqno: ckpt.covered_seqno,
+                need_commit: std::mem::take(&mut ckpt.need_commit),
+            }
         };
-        if !acts.is_empty() {
-            self.drain_acts(
-                ctx,
-                StagedBatch {
-                    token: 0,
-                    acts,
-                    commit_seqno: covered_seqno,
-                    need_commit,
-                },
-                need_commit,
-                false,
-            );
+        if !batch.acts.is_empty() {
+            self.drain_acts(ctx, batch);
         }
         // Tail advance strictly after the write-back is durable
         // (module-docs invariant 2).
@@ -647,7 +571,8 @@ fn decode_journal_record(bytes: &[u8]) -> Option<JournalRecord> {
     if n as usize > 1_000_000 {
         return None;
     }
-    let mut acts = Vec::with_capacity(n as usize);
+    // `n` is only a claim: grow as acts actually parse, never reserve by it.
+    let mut acts = Vec::new();
     for _ in 0..n {
         let object = r.u64("object").ok()?;
         let act = match r.u32("kind").ok()? {
@@ -753,11 +678,12 @@ impl StateMachine for DirectoryStateMachine {
         let (acts, frees, need_commit) = Self::coalesce(effects);
         if applier.journal.is_some() {
             // The group log: one sequential record append is the
-            // commit, even on the serial (window 1) driver. `frees` is
-            // deliberately dropped, as in `seal_batch`: the checkpoint
-            // frees the durable mirror's file when it stores the
-            // recreation, which *is* the pre-batch file.
-            let batch = self.seal_acts(0, acts, need_commit);
+            // commit. `frees` (pre-batch file of a deleted-then-recreated
+            // object) is deliberately dropped: the checkpoint frees the
+            // durable mirror's file when it stores the recreation, which
+            // *is* that pre-batch file — carrying the list too would
+            // free it twice.
+            let batch = self.seal_acts(acts, need_commit);
             self.journal_commit(ctx, batch);
             return;
         }
@@ -810,94 +736,6 @@ impl StateMachine for DirectoryStateMachine {
             };
             cb.write(&applier.partition, ctx);
         }
-    }
-
-    fn seal_batch(&self, _ctx: &Ctx, token: u64) {
-        let applier = &self.applier;
-        if applier.storage == StorageKind::Nvram {
-            // The log appends in `apply` already committed the batch;
-            // stage an empty marker so tokens stay in lockstep.
-            self.staged.lock().push_back(StagedBatch {
-                token,
-                acts: Vec::new(),
-                commit_seqno: 0,
-                need_commit: false,
-            });
-            return;
-        }
-        let effects = std::mem::take(&mut *self.pending.lock());
-        // `frees` (pre-batch file of a deleted-then-recreated object) is
-        // deliberately dropped: the flusher frees the durable mirror's
-        // file when it stores the recreation, which *is* that pre-batch
-        // file — carrying the list too would free it twice.
-        let (acts, _frees, need_commit) = Self::coalesce(effects);
-        let batch = self.seal_acts(token, acts, need_commit);
-        self.staged.lock().push_back(batch);
-    }
-
-    fn flush_staged(&self, ctx: &Ctx, token: u64) {
-        let batch = {
-            let mut staged = self.staged.lock();
-            let batch = staged.pop_front().expect("flush of an unsealed batch");
-            assert_eq!(batch.token, token, "staged flushes out of order");
-            batch
-        };
-        if self.applier.storage == StorageKind::Nvram {
-            self.flush(ctx); // fill-threshold policing only
-            return;
-        }
-        if self.applier.journal.is_some() {
-            self.journal_commit(ctx, batch);
-            return;
-        }
-        self.flush_batch(ctx, batch);
-    }
-
-    fn flush_staged_run(&self, ctx: &Ctx, first: u64, last: u64) {
-        if self.applier.storage == StorageKind::Nvram || first == last {
-            for token in first..=last {
-                self.flush_staged(ctx, token);
-            }
-            return;
-        }
-        // Merge the run into one batch: per object only the *last*
-        // sealed act survives — interim versions are never written,
-        // which is the queued submission's whole point. Old-file frees
-        // still come from the durable mirror at flush time, so the
-        // skipped interim files were never created and nothing leaks.
-        // The merged guard/commit block carries the last batch's
-        // sealed seqno, covering every merged batch.
-        let merged = {
-            let mut staged = self.staged.lock();
-            let mut acts: Vec<(u64, StagedAct)> = Vec::new();
-            let mut commit_seqno = 0;
-            let mut need_commit = false;
-            for token in first..=last {
-                let b = staged.pop_front().expect("flush of an unsealed batch");
-                assert_eq!(b.token, token, "staged flushes out of order");
-                commit_seqno = b.commit_seqno;
-                need_commit |= b.need_commit;
-                for (object, act) in b.acts {
-                    match acts.iter_mut().find(|(o, _)| *o == object) {
-                        Some(slot) => slot.1 = act,
-                        None => acts.push((object, act)),
-                    }
-                }
-            }
-            StagedBatch {
-                token: last,
-                acts,
-                commit_seqno,
-                need_commit,
-            }
-        };
-        if self.applier.journal.is_some() {
-            // The group log's headline path: the whole merged run
-            // commits as ONE sequential record append.
-            self.journal_commit(ctx, merged);
-            return;
-        }
-        self.flush_batch(ctx, merged);
     }
 
     fn checkpoint(&self, ctx: &Ctx) {
@@ -953,13 +791,11 @@ impl StateMachine for DirectoryStateMachine {
             }
             shared.commit = commit;
             shared.commit.recovering = false;
-            // Pipelined commit / group log: baseline the durable mirror
-            // at the just-loaded table — RAM and disk agree at boot,
-            // and from here on the flusher (or checkpointer) keeps the
-            // mirror equal to the disk while applies run ahead in RAM.
-            if (self.params.flush_window > 1 || applier.journal.is_some())
-                && applier.storage == StorageKind::Disk
-            {
+            // Group log: baseline the durable mirror at the just-loaded
+            // table — RAM and disk agree at boot, and from here on the
+            // checkpointer keeps the mirror equal to the disk while
+            // journaled applies run ahead in RAM.
+            if applier.journal.is_some() && applier.storage == StorageKind::Disk {
                 shared.table.enable_durable_mirror();
             }
         }
@@ -1222,7 +1058,9 @@ impl StateMachine for DirectoryStateMachine {
                 (Ok(u), Ok(c), Ok(n)) if (n as usize) <= 1_000_000 => (u, c, n),
                 _ => return false,
             };
-        let mut installed: Vec<(u64, u64, Directory)> = Vec::with_capacity(n as usize);
+        // The counts below are a peer's claims: every collection grows as
+        // its elements actually parse, none is reserved by a count.
+        let mut installed: Vec<(u64, u64, Directory)> = Vec::new();
         for _ in 0..n {
             let (object, check, bytes) =
                 match (r.u64("object"), r.u64("check"), r.bytes("dir bytes")) {
@@ -1238,7 +1076,7 @@ impl StateMachine for DirectoryStateMachine {
             Ok(n) if (n as usize) <= 1_000_000 => n,
             _ => return false,
         };
-        let mut completions = std::collections::HashMap::with_capacity(n_comp as usize);
+        let mut completions = std::collections::HashMap::new();
         for _ in 0..n_comp {
             match (r.u64("completion key"), r.u64("completion object")) {
                 (Ok(k), Ok(o)) => {
@@ -1251,8 +1089,7 @@ impl StateMachine for DirectoryStateMachine {
             Ok(n) if (n as usize) <= 1_000_000 => n,
             _ => return false,
         };
-        let mut stubs: Vec<(u64, u64, u64, crate::state::StubEntry)> =
-            Vec::with_capacity(n_stubs as usize);
+        let mut stubs: Vec<(u64, u64, u64, crate::state::StubEntry)> = Vec::new();
         for _ in 0..n_stubs {
             match (
                 r.u64("stub object"),
@@ -1274,8 +1111,7 @@ impl StateMachine for DirectoryStateMachine {
             Ok(n) if (n as usize) <= 1_000_000 => n,
             _ => return false,
         };
-        let mut rleases: Vec<(u64, crate::state::ReadLease)> =
-            Vec::with_capacity(n_leases as usize);
+        let mut rleases: Vec<(u64, crate::state::ReadLease)> = Vec::new();
         for _ in 0..n_leases {
             match (
                 r.u64("lease object"),
@@ -1362,9 +1198,8 @@ impl StateMachine for DirectoryStateMachine {
             }
         }
         // The install persisted every entry, so RAM and disk agree
-        // again: re-baseline the durable mirror (the driver drains the
-        // flush window before any recovery path, so no staged batch
-        // can be in flight here).
+        // again: re-baseline the durable mirror (recovery runs on the
+        // driver's main process, so no flush can be in flight here).
         {
             let mut shared = applier.shared.lock();
             if shared.table.mirror_enabled() {
@@ -1381,7 +1216,6 @@ impl StateMachine for DirectoryStateMachine {
             ckpt.dirty.clear();
             ckpt.need_commit = false;
         }
-        self.staged.lock().clear();
         true
     }
 
@@ -1414,5 +1248,61 @@ impl StateMachine for DirectoryStateMachine {
             shared.commit.clone()
         };
         cb.write(&self.applier.partition, ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amoeba_disk::{DiskParams, DiskServer, RawPartition, VDisk};
+    use amoeba_flip::{NetParams, Network};
+    use amoeba_rpc::{RpcClient, RpcNode};
+    use amoeba_sim::Simulation;
+
+    #[test]
+    fn journal_record_claiming_a_million_acts_over_an_empty_body_is_rejected() {
+        let mut w = WireWriter::new();
+        w.u64(7).u32(0).u32(1_000_000);
+        assert!(decode_journal_record(&w.finish()).is_none());
+    }
+
+    #[test]
+    fn snapshot_claiming_a_million_entries_over_an_empty_body_is_rejected() {
+        let mut sim = Simulation::new(1);
+        let node = sim.add_node("m");
+        let net = Network::new(sim.handle(), NetParams::default(), 1);
+        let rpc = RpcNode::start(&sim, node, net.attach());
+        let disk = DiskServer::start(&sim, node, VDisk::new(64, 4096), DiskParams::instant());
+        let cfg = crate::ServiceConfig::new(3, 0);
+        let sm = DirectoryStateMachine::standalone(
+            cfg.clone(),
+            DirParams::default(),
+            amoeba_bullet::BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0)),
+            RawPartition::new(disk, 0, 16),
+            None,
+            None,
+            Resource::new(sim.handle(), "cpu"),
+        );
+        // One snapshot per count field, each claiming a million
+        // elements with nothing behind the claim.
+        let snaps: Vec<Payload> = (0..4)
+            .map(|zero_counts| {
+                let mut w = WireWriter::new();
+                w.u64(1).u64(1); // update seq, commit seq
+                for _ in 0..zero_counts {
+                    w.u32(0);
+                }
+                w.u32(1_000_000);
+                w.finish_payload()
+            })
+            .collect();
+        let out = sim.spawn_on(node, "install", move |ctx| {
+            snaps
+                .iter()
+                .map(|s| sm.install(ctx, 0, s))
+                .collect::<Vec<_>>()
+        });
+        sim.run_for(std::time::Duration::from_secs(1));
+        assert_eq!(out.take(), Some(vec![false; 4]));
     }
 }

@@ -30,14 +30,15 @@ pub struct ObjEntry {
 #[derive(Debug)]
 pub struct ObjectTable {
     entries: Vec<Option<ObjEntry>>,
-    /// The **durable mirror** (pipelined group commit): exactly what is
-    /// on disk right now. With a flush window > 1 the apply loop runs
-    /// ahead of the flusher, so `entries` (RAM truth) and the disk
-    /// diverge by up to W batches; the flusher applies each sealed
-    /// batch to this mirror and encodes table blocks *from it*, never
-    /// from `entries`, so a block write can't leak a later batch's
-    /// state. `None` in the classic serial mode, where `entries` and
-    /// the disk never diverge outside a single flush.
+    /// The **durable mirror** (group log): exactly what is on disk
+    /// right now. With the journal on, a commit is a journal record and
+    /// the table blocks are written back later by the checkpointer, so
+    /// `entries` (RAM truth) and the disk diverge by every batch since
+    /// the last checkpoint; the checkpointer applies its drained acts
+    /// to this mirror and encodes table blocks *from it*, never from
+    /// `entries`, so a block write can't leak a later batch's state.
+    /// `None` with the journal off, where `entries` and the disk never
+    /// diverge outside a single flush.
     durable: Option<Vec<Option<ObjEntry>>>,
     partition: RawPartition,
     entries_per_block: usize,
@@ -167,8 +168,8 @@ impl ObjectTable {
     }
 
     /// The mirror's entry for `object` — what the disk holds *now*,
-    /// which in pipelined mode may trail [`get`](Self::get) by up to a
-    /// window of batches. Falls back to the RAM entry when the mirror
+    /// which with the journal on may trail [`get`](Self::get) by every
+    /// batch since the last checkpoint. Falls back to the RAM entry when the mirror
     /// is off (the two are then never observed apart).
     pub fn durable_get(&self, object: u64) -> Option<ObjEntry> {
         let slot = self.slot(object)?;
@@ -178,7 +179,7 @@ impl ObjectTable {
         }
     }
 
-    /// Sets the mirror's entry (the flusher, applying a sealed batch).
+    /// Sets the mirror's entry (the checkpointer, applying a drained act).
     /// No-op when the mirror is off.
     pub fn durable_set(&mut self, object: u64, entry: ObjEntry) {
         let Some(slot) = self.slot(object) else {
@@ -201,8 +202,8 @@ impl ObjectTable {
 
     /// [`flush_begin`](Self::flush_begin), but encoding the block from
     /// the durable mirror (falling back to RAM entries when the mirror
-    /// is off) — the pipelined flusher's block write, which must not
-    /// leak applied-but-unsealed later state onto disk.
+    /// is off) — the checkpointer's block write, which must not leak
+    /// the state of batches it has not drained onto disk.
     pub fn durable_flush_begin(&self, object: u64) -> Option<amoeba_sim::MailboxRx<()>> {
         let slot = self.slot(object)?;
         let src = self.durable.as_ref().unwrap_or(&self.entries);
@@ -218,8 +219,8 @@ impl ObjectTable {
     }
 
     /// The partition block holding `object`'s entry — lets the
-    /// pipelined flusher dedupe block writes when one batch touches
-    /// several objects that share a block.
+    /// checkpointer dedupe block writes when one drain touches several
+    /// objects that share a block.
     pub fn block_of(&self, object: u64) -> Option<u64> {
         let slot = self.slot(object)?;
         Some((slot / self.entries_per_block) as u64 + 1)
@@ -227,9 +228,9 @@ impl ObjectTable {
 
     /// [`durable_flush_begin`](Self::durable_flush_begin) addressed by
     /// partition block rather than object: encodes `block` from the
-    /// durable mirror and enqueues its write. The pipelined flusher
-    /// mutates the mirror for the whole batch first, then writes each
-    /// touched block exactly once — a batch of updates to directories
+    /// durable mirror and enqueues its write. The checkpointer mutates
+    /// the mirror for the whole drain first, then writes each touched
+    /// block exactly once — a drain of updates to directories
     /// sharing a block costs one disk access instead of one per
     /// directory.
     pub fn durable_flush_block_begin(&self, block: u64) -> Option<amoeba_sim::MailboxRx<()>> {
@@ -423,7 +424,7 @@ mod tests {
             t.flush_entry(ctx, 1);
             t.enable_durable_mirror();
             // RAM runs ahead (the apply loop): entry 1 mutated, entry 2
-            // created — neither change sealed/flushed yet.
+            // created — neither change checkpointed yet.
             t.set(1, entry(9));
             t.set(2, entry(2));
             assert_eq!(t.get(1), Some(entry(9)));
@@ -437,8 +438,8 @@ mod tests {
             let loaded = ObjectTable::load(part.clone(), ctx);
             assert_eq!(loaded.get(1), Some(entry(1)));
             assert_eq!(loaded.get(2), None);
-            // The flusher retires the sealed batch into the mirror; the
-            // next block write carries it.
+            // The checkpointer drains the acts into the mirror; the next
+            // block write carries them.
             t.durable_set(1, entry(9));
             t.durable_set(2, entry(2));
             if let Some(w) = t.durable_flush_begin(2) {

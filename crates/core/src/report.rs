@@ -223,9 +223,7 @@ mod tests {
                     aborted: 0,
                     recoveries: 1,
                     window_stalls: 0,
-                    flush_inflight_hwm: 1,
-                    flush_runs: 1,
-                    gather_ewma_us: 0,
+                    flush_runs: 0,
                 }),
                 group: None,
                 disk: DiskStats {

@@ -61,9 +61,8 @@ pub struct GroupServerDeps {
     pub partition: RawPartition,
     /// The machine's NVRAM, if the NVRAM commit path is configured.
     pub nvram: Option<Nvram>,
-    /// The group log's journal, when `params.journal` is on (backed by
-    /// the disk's reserved journal region, or by NVRAM with
-    /// `params.journal_nvram`).
+    /// The group log's journal over the disk's reserved journal region,
+    /// when `params.journal` is on.
     pub journal: Option<amoeba_disk::Journal>,
     /// The machine's CPU.
     pub cpu: Resource,
@@ -83,21 +82,6 @@ fn rsm_config(cfg: &ServiceConfig, params: &DirParams) -> RsmConfig {
     debug_assert_eq!(rsm.group_port, cfg.group_port);
     debug_assert_eq!(rsm.internal_ports[cfg.me], cfg.internal_port(cfg.me));
     rsm.apply_batch = params.apply_batch;
-    // Historically the NVRAM commit path forced the serial loop (its
-    // log append inside `apply` is already the durable commit, so the
-    // pipeline bought nothing and `flush` had to police the fill
-    // threshold inline). The staged path now polices the threshold too,
-    // so both storage kinds honour the configured window — on NVRAM the
-    // overlap is between apply CPU and the background disk writeback.
-    rsm.flush_window = params.flush_window;
-    rsm.flush_gather = if params.storage == StorageKind::Disk {
-        rsm.flush_gather
-    } else {
-        // NVRAM appends are µs-scale: gathering milliseconds to save a
-        // seek that is never paid would only add latency.
-        Duration::ZERO
-    };
-    rsm.adaptive_gather = params.adaptive_gather;
     // The checkpointer exists to drain the journal; without a journal
     // there is nothing to drain.
     rsm.checkpoint_interval = if params.journal && params.storage == StorageKind::Disk {

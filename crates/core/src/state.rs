@@ -198,7 +198,7 @@ pub(crate) struct Applier {
     /// The group log's journal, when the journaled commit path is on
     /// (`DirParams::journal`): flushes append one sequential record
     /// here and a background checkpointer drains the dirty set into the
-    /// table. `None` keeps the region-phased in-place flush.
+    /// table. `None` keeps the in-place flush.
     pub journal: Option<Journal>,
     /// Upper bound on granted read-lease durations, in simulated
     /// microseconds ([`crate::config::DirParams::max_lease`]): bounds

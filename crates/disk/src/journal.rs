@@ -2,7 +2,7 @@
 //! flush into **one sequential append** (§ "log-then-checkpoint", the
 //! classic fix for in-place table writes on the commit path).
 //!
-//! ## On-disk format (disk backend)
+//! ## On-disk format
 //!
 //! The journal owns a [`RawPartition`]. Block 0 is the superblock, the
 //! rest is a linear log of self-delimiting records, each framed into
@@ -43,14 +43,6 @@
 //! never erased — it stays in the log and its boot-time replay is
 //! idempotent. A failed reset is not an error; the next checkpoint
 //! retries.
-//!
-//! ## NVRAM backend
-//!
-//! With [`Journal::nvram`] the same API journals into a battery-backed
-//! [`Nvram`] device instead (records keyed by seq under a reserved
-//! tag): appends are atomic at the device level, so there are no torn
-//! records to truncate, and a full device surfaces as [`JournalFull`]
-//! exactly like a full disk region.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,15 +50,11 @@ use std::time::Duration;
 use amoeba_sim::Ctx;
 use parking_lot::Mutex;
 
-use crate::nvram::{NvRecord, Nvram};
 use crate::server::RawPartition;
 
 const SUPER_MAGIC: u32 = 0x4153_4A42; // "AJSB"
 const FRAME_MAGIC: u32 = 0x414A_524E; // "AJRN"
 const FRAME_HEADER: usize = 28;
-/// The NVRAM record tag reserved for journal records (directory object
-/// numbers are small; this can collide with nothing).
-const NVRAM_JOURNAL_TAG: u64 = u64::MAX;
 
 /// Error returned by [`Journal::append`] when the record does not fit:
 /// the caller must checkpoint (drain + reset) and retry.
@@ -92,18 +80,12 @@ fn fnv64(chunks: &[&[u8]]) -> u64 {
     h
 }
 
-#[derive(Clone)]
-enum Backend {
-    Disk(RawPartition),
-    Nvram(Nvram),
-}
-
 struct JState {
     /// Seq of the first live record (everything older was checkpointed).
     start_seq: u64,
     /// Seq the next append will carry.
     next_seq: u64,
-    /// First free block of the log area (disk backend; >= 1).
+    /// First free block of the log area (>= 1).
     next_block: u64,
     /// Sim-safe exclusion for append vs reset I/O: the owner holds this
     /// flag across its (blocking) disk conversation instead of an OS
@@ -117,7 +99,7 @@ struct JState {
 /// [`Journal::recover`] re-derives from the platters.
 #[derive(Clone)]
 pub struct Journal {
-    backend: Backend,
+    partition: RawPartition,
     block_size: usize,
     state: Arc<Mutex<JState>>,
 }
@@ -144,22 +126,7 @@ impl Journal {
         assert!(block_size > FRAME_HEADER, "blocks too small to frame");
         Journal {
             block_size,
-            backend: Backend::Disk(partition),
-            state: Arc::new(Mutex::new(JState {
-                start_seq: 1,
-                next_seq: 1,
-                next_block: 1,
-                busy: false,
-            })),
-        }
-    }
-
-    /// A journal over a battery-backed NVRAM device. The cursor starts
-    /// cold: call [`recover`](Self::recover) before use.
-    pub fn nvram(device: Nvram) -> Journal {
-        Journal {
-            block_size: 4096,
-            backend: Backend::Nvram(device),
+            partition,
             state: Arc::new(Mutex::new(JState {
                 start_seq: 1,
                 next_seq: 1,
@@ -171,10 +138,10 @@ impl Journal {
 
     /// A fresh handle over the same storage with a cold cursor — what a
     /// reboot of the owning machine produces (RAM state dies with the
-    /// crash; the platters/NVRAM keep their bits).
+    /// crash; the platters keep their bits).
     pub fn reopen(&self) -> Journal {
         Journal {
-            backend: self.backend.clone(),
+            partition: self.partition.clone(),
             block_size: self.block_size,
             state: Arc::new(Mutex::new(JState {
                 start_seq: 1,
@@ -206,29 +173,16 @@ impl Journal {
     /// record's payload in append order. Truncates at the first invalid
     /// frame (torn tail). Initializes the superblock on a virgin
     /// region. Must run before the first append after [`Self::disk`] /
-    /// [`Self::nvram`] / [`Self::reopen`].
+    /// [`Self::reopen`].
     pub fn recover(&self, ctx: &Ctx) -> Vec<Vec<u8>> {
         self.acquire(ctx);
-        let out = match &self.backend {
-            Backend::Disk(p) => self.recover_disk(ctx, p),
-            Backend::Nvram(nv) => {
-                let mut recs: Vec<NvRecord> = nv
-                    .snapshot()
-                    .into_iter()
-                    .filter(|r| r.tag == NVRAM_JOURNAL_TAG)
-                    .collect();
-                recs.sort_by_key(|r| r.uid);
-                let mut st = self.state.lock();
-                st.start_seq = recs.first().map(|r| r.uid).unwrap_or(1);
-                st.next_seq = recs.last().map(|r| r.uid + 1).unwrap_or(st.start_seq);
-                recs.into_iter().map(|r| r.data).collect()
-            }
-        };
+        let out = self.recover_locked(ctx);
         self.release();
         out
     }
 
-    fn recover_disk(&self, ctx: &Ctx, p: &RawPartition) -> Vec<Vec<u8>> {
+    fn recover_locked(&self, ctx: &Ctx) -> Vec<Vec<u8>> {
+        let p = &self.partition;
         let sb = p.read(ctx, 0);
         let start_seq = parse_superblock(&sb).unwrap_or_else(|| {
             // Virgin region: stamp an empty log.
@@ -274,7 +228,7 @@ impl Journal {
     /// # Errors
     ///
     /// [`JournalFull`] if the framed record does not fit in the free
-    /// tail of the region (or the NVRAM device): checkpoint and retry.
+    /// tail of the region: checkpoint and retry.
     pub fn append(&self, ctx: &Ctx, payload: &[u8]) -> Result<u64, JournalFull> {
         self.acquire(ctx);
         let r = self.append_locked(ctx, payload);
@@ -283,45 +237,27 @@ impl Journal {
     }
 
     fn append_locked(&self, ctx: &Ctx, payload: &[u8]) -> Result<u64, JournalFull> {
-        match &self.backend {
-            Backend::Nvram(nv) => {
-                let seq = self.state.lock().next_seq;
-                let rec = NvRecord {
-                    uid: seq,
-                    tag: NVRAM_JOURNAL_TAG,
-                    data: payload.to_vec(),
-                };
-                match nv.append(ctx, rec) {
-                    Ok(()) => {
-                        self.state.lock().next_seq = seq + 1;
-                        Ok(seq)
-                    }
-                    Err(_) => Err(JournalFull),
-                }
+        let p = &self.partition;
+        let per_frame = self.block_size - FRAME_HEADER;
+        let total = payload.len().div_ceil(per_frame).max(1);
+        let (seq, start) = {
+            let st = self.state.lock();
+            if st.next_block + total as u64 > p.len() {
+                return Err(JournalFull);
             }
-            Backend::Disk(p) => {
-                let per_frame = self.block_size - FRAME_HEADER;
-                let total = payload.len().div_ceil(per_frame).max(1);
-                let (seq, start) = {
-                    let st = self.state.lock();
-                    if st.next_block + total as u64 > p.len() {
-                        return Err(JournalFull);
-                    }
-                    (st.next_seq, st.next_block)
-                };
-                let frames: Vec<Vec<u8>> = (0..total)
-                    .map(|i| {
-                        let chunk = &payload[i * per_frame..payload.len().min((i + 1) * per_frame)];
-                        encode_frame(seq, i as u16, total as u16, chunk)
-                    })
-                    .collect();
-                p.write_run(ctx, start, frames);
-                let mut st = self.state.lock();
-                st.next_seq = seq + 1;
-                st.next_block = start + total as u64;
-                Ok(seq)
-            }
-        }
+            (st.next_seq, st.next_block)
+        };
+        let frames: Vec<Vec<u8>> = (0..total)
+            .map(|i| {
+                let chunk = &payload[i * per_frame..payload.len().min((i + 1) * per_frame)];
+                encode_frame(seq, i as u16, total as u16, chunk)
+            })
+            .collect();
+        p.write_run(ctx, start, frames);
+        let mut st = self.state.lock();
+        st.next_seq = seq + 1;
+        st.next_block = start + total as u64;
+        Ok(seq)
     }
 
     /// The seq the next append will carry. The checkpointer reads this
@@ -359,18 +295,10 @@ impl Journal {
     }
 
     fn reset_locked(&self, ctx: &Ctx, mark: u64) {
-        match &self.backend {
-            Backend::Disk(p) => {
-                p.write(ctx, 0, encode_superblock(mark));
-                let mut st = self.state.lock();
-                st.start_seq = mark;
-                st.next_block = 1;
-            }
-            Backend::Nvram(nv) => {
-                nv.annihilate(|r| r.tag == NVRAM_JOURNAL_TAG && r.uid < mark);
-                self.state.lock().start_seq = mark;
-            }
-        }
+        self.partition.write(ctx, 0, encode_superblock(mark));
+        let mut st = self.state.lock();
+        st.start_seq = mark;
+        st.next_block = 1;
     }
 
     /// Live records in the log.
@@ -382,18 +310,8 @@ impl Journal {
     /// Fill fraction of the region in `[0, 1]` (the checkpoint
     /// high-water signal).
     pub fn fill_fraction(&self) -> f64 {
-        match &self.backend {
-            Backend::Disk(p) => {
-                let used = self.state.lock().next_block.saturating_sub(1);
-                used as f64 / (p.len() - 1).max(1) as f64
-            }
-            Backend::Nvram(nv) => nv.fill_fraction(),
-        }
-    }
-
-    /// Whether the backend is the NVRAM device (diagnostics/benches).
-    pub fn is_nvram(&self) -> bool {
-        matches!(self.backend, Backend::Nvram(_))
+        let used = self.state.lock().next_block.saturating_sub(1);
+        used as f64 / (self.partition.len() - 1).max(1) as f64
     }
 }
 
@@ -588,42 +506,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(out.take(), Some((true, true)));
-    }
-
-    #[test]
-    fn nvram_backend_round_trips_and_resets() {
-        let mut sim = Simulation::new(1);
-        let nv = Nvram::new(64 * 1024, Duration::ZERO);
-        let j = Journal::nvram(nv.clone());
-        let j2 = j.clone();
-        let out = sim.spawn("w", move |ctx| {
-            j2.recover(ctx);
-            j2.append(ctx, b"one").unwrap();
-            j2.append(ctx, b"two").unwrap();
-            j2.depth()
-        });
-        sim.run();
-        assert_eq!(out.take(), Some(2));
-        let r = j.reopen();
-        let r2 = r.clone();
-        let out = sim.spawn("boot", move |ctx| {
-            let recs = r2.recover(ctx);
-            let mark = r2.next_seq();
-            let ok = r2.try_reset(ctx, mark);
-            (recs, ok, r2.depth())
-        });
-        sim.run();
-        let (recs, ok, depth) = out.take().unwrap();
-        assert_eq!(recs, vec![b"one".to_vec(), b"two".to_vec()]);
-        assert!(ok);
-        assert_eq!(depth, 0);
-        assert_eq!(
-            nv.snapshot()
-                .iter()
-                .filter(|r| r.tag == NVRAM_JOURNAL_TAG)
-                .count(),
-            0
-        );
     }
 
     #[test]

@@ -24,9 +24,10 @@ pub struct DiskParams {
     /// Model the head's position between requests: a write that lands
     /// on the block the head just wrote (or the next one over) skips
     /// the seek and pays only rotation + transfer. This is what makes
-    /// back-to-back commit-block writes — the pipelined group commit's
-    /// guard/commit bracket around each batch — cheaper than two full
-    /// random accesses, as on a real drive with an unmoved arm.
+    /// a journal append that lands where the previous one ended, and
+    /// the checkpointer's back-to-back writes within one disk region,
+    /// cheaper than full random accesses, as on a real drive with an
+    /// unmoved arm.
     /// `false` (the default) charges every request a full average
     /// access, the original model.
     pub head_aware: bool,

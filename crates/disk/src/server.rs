@@ -137,8 +137,9 @@ impl DiskServer {
 fn serve(ctx: &Ctx, rx: MailboxRx<DiskReq>, disk: VDisk, params: DiskParams) {
     // Where the head finished its previous access (head-aware mode): a
     // request landing on that block again, or the next one over,
-    // skips the seek. Consecutive commit-block writes (block 0, block 0)
-    // and table-block-then-commit-block runs are the beneficiaries.
+    // skips the seek. Journal appends that continue where the last one
+    // ended, and the checkpointer's writes to adjacent table blocks, are
+    // the beneficiaries.
     let mut head: Option<u64> = None;
     let charge = |ctx: &Ctx, head: &mut Option<u64>, start: u64, n: usize| {
         let settled = params.head_aware && head.map(|h| h.abs_diff(start) <= 1).unwrap_or(false);
@@ -356,8 +357,8 @@ mod tests {
             let srv = DiskServer::start(&sim, node, disk, params);
             let out = sim.spawn("app", move |ctx| {
                 let t0 = ctx.now();
-                // The pipelined commit's bracket: table block, then the
-                // commit block twice over (guard + final).
+                // A table block, then the commit block twice over (a
+                // guard/final bracket).
                 srv.write(ctx, 1, vec![1; 512]);
                 srv.write(ctx, 0, vec![2; 512]);
                 srv.write(ctx, 0, vec![3; 512]);

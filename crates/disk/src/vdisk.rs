@@ -18,9 +18,9 @@ pub struct DiskStats {
     pub blocks: u64,
     /// Accesses that paid a head repositioning (full seek + rotation).
     /// The serving process charges one per request the head was not
-    /// already settled on, so `seeks / flush runs` is the group log's
-    /// headline metric: a journaled run should cost ~1 where the
-    /// region-phased flush pays one per region.
+    /// already settled on, so seeks per committed batch is the group
+    /// log's headline metric: a journaled batch should cost ~1 where
+    /// the in-place flush pays at least one per object.
     pub seeks: u64,
 }
 

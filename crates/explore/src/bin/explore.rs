@@ -1,7 +1,7 @@
 //! `explore` — fault-schedule search and record/replay driver.
 //!
 //! ```text
-//! explore sweep [--big] [--schedules N] [--seed S] [--buggy] [--window W] [--journal]
+//! explore sweep [--big] [--schedules N] [--seed S] [--buggy] [--journal]
 //! explore ci-smoke
 //! explore replay <bundle.amrx>
 //! explore probe [--seeds N] [--fixed] [--loss L] [--trace out.json]
@@ -10,19 +10,19 @@
 //! - `sweep` runs `N` randomized fault schedules over the small (or
 //!   `--big`, ≥50-machine multi-hop) deployment; every failure is
 //!   shrunk, recorded, replay-verified, and written out as an `.amrx`
-//!   repro bundle. Exits nonzero if any failure was found. `--window`
-//!   sets the replicas' pipelined-commit flush window (default 4, so
-//!   sweeps exercise the two-stage driver; `1` is the serial seed
-//!   loop); `--journal` turns the group log on, so crash windows land
-//!   on journaled commits and mid-checkpoint drains.
+//!   repro bundle. Exits nonzero if any failure was found. `--journal`
+//!   turns the group log on, so crash windows land on journaled commits
+//!   and mid-checkpoint drains.
 //! - `ci-smoke` is the CI gate: a small clean sweep must find nothing
-//!   (serial, pipelined, and journaled — the journaled pass includes
-//!   the checkpoint-phase schedule, whose crash windows bracket the
+//!   (in place and journaled — the journaled pass includes the
+//!   checkpoint-phase schedule, whose crash windows bracket the
 //!   checkpointer's ticks, and round-trips an `.amrx` bundle with the
 //!   journal flag), and a deliberately re-introduced historical bug
 //!   (the gap-recovery retransmission bound) must be found, shrunk,
 //!   and deterministically replayed.
-//! - `replay` re-executes a repro bundle under verify-mode replay.
+//! - `replay` re-executes a repro bundle under verify-mode replay. A
+//!   bundle recorded with the removed two-stage commit pipeline engaged
+//!   is refused with that reason: its schedule no longer exists.
 
 use std::process::ExitCode;
 
@@ -38,7 +38,7 @@ fn main() -> ExitCode {
         Some("replay") => cmd_replay(&args[1..]),
         Some("probe") => cmd_probe(&args[1..]),
         _ => {
-            eprintln!("usage: explore <sweep [--big] [--schedules N] [--seed S] [--buggy] [--window W] [--journal] | ci-smoke | replay <bundle.amrx>>");
+            eprintln!("usage: explore <sweep [--big] [--schedules N] [--seed S] [--buggy] [--journal] | ci-smoke | replay <bundle.amrx>>");
             ExitCode::from(2)
         }
     }
@@ -72,16 +72,13 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         ScenarioParams::small(seed)
     };
     params.buggy_retrans_bound = flag(args, "--buggy");
-    params.flush_window = opt_u64(args, "--window", 4).clamp(1, 64) as usize;
     params.journal = flag(args, "--journal");
     println!(
-        "sweep: {} schedules over {} machines ({} shards, {} chain segments, \
-         flush window {}{}){}",
+        "sweep: {} schedules over {} machines ({} shards, {} chain segments{}){}",
         n,
         params.machines(),
         params.shards,
         params.chain_segments,
-        params.flush_window,
         if params.journal { ", group log on" } else { "" },
         if params.buggy_retrans_bound {
             ", historical retrans bug re-introduced"
@@ -176,35 +173,12 @@ fn cmd_ci_smoke() -> ExitCode {
         report.schedules_run
     );
 
-    // 1b. The same sweep with the two-stage commit pipeline engaged
-    //     (flush window 4): crashes and partitions now land with up to
-    //     four sealed batches in flight, and every durability invariant
-    //     must still hold.
-    let mut piped = clean.clone();
-    piped.flush_window = 4;
-    let report = sweep(&piped, 2, 0xC1);
-    if !report.failures.is_empty() {
-        for f in &report.failures {
-            eprintln!(
-                "ci-smoke: unexpected failure at flush window 4: {}",
-                f.report.summary()
-            );
-            eprintln!("  schedule:\n{}", f.minimal);
-        }
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "ci-smoke: pipelined (window=4) sweep ok ({} schedules)",
-        report.schedules_run
-    );
-
-    // 1c. The group log: the same sweep journaled (commits are journal
+    // 1b. The group log: the same sweep journaled (commits are journal
     //     appends, table writeback races the faults in the background
     //     checkpointer), plus the deterministic checkpoint-phase
     //     schedule — crash windows bracketing the checkpointer's ticks,
     //     where the journal is at high water and the drain half done.
     let mut journaled = clean.clone();
-    journaled.flush_window = 4;
     journaled.journal = true;
     let report = sweep(&journaled, 2, 0xC1);
     if !report.failures.is_empty() {

@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use amoeba_dir_core::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dir_core::{CacheParams, Capability, DirClient, Rights};
-use amoeba_flip::wire::{WireReader, WireWriter};
+use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
 use amoeba_sim::{Ctx, SimHandle, SimTime, SimTrace, Simulation};
 use parking_lot::Mutex;
 
@@ -77,17 +77,11 @@ pub struct ScenarioParams {
     /// bug ([`amoeba_group` `GroupConfig::buggy_retrans_bound`]) so the
     /// search can demonstrate finding it.
     pub buggy_retrans_bound: bool,
-    /// In-flight window of the replicas' two-stage commit pipeline
-    /// (`DirParams::flush_window`); `1` drives the serial seed loop.
-    /// Part of the repro-bundle encoding — the window changes the
-    /// simulated schedule, so a bundle must replay at the window it
-    /// was recorded with.
-    pub flush_window: usize,
     /// Run the replicas' group log (`DirParams::journal`): commits are
     /// sequential journal appends and the background checkpointer does
     /// the table writeback — so fault windows can land *inside* a
     /// checkpoint drain. Part of the repro-bundle encoding (appended
-    /// last, so pre-journal bundles decode with it off).
+    /// last, so pre-journal params decode with it off).
     pub journal: bool,
     /// Install the causal-tracing telemetry layer on the run and return
     /// its Chrome-trace export in [`ScenarioReport::chrome_trace`].
@@ -96,6 +90,11 @@ pub struct ScenarioParams {
     /// bundle encoding: a bundle replays the same with or without it.
     pub telemetry: bool,
 }
+
+/// What the repro-bundle slot that used to carry the replicas'
+/// commit-pipeline flush window must hold: window 1 was the serial
+/// loop, the only driver there is now.
+const SERIAL_COMMIT: u64 = 1;
 
 impl ScenarioParams {
     /// A small scenario: one 3-replica shard on a flat LAN, a couple of
@@ -109,7 +108,6 @@ impl ScenarioParams {
             writes_per_client: 6,
             dir_cache: true,
             buggy_retrans_bound: false,
-            flush_window: 1,
             journal: false,
             telemetry: false,
         }
@@ -127,7 +125,6 @@ impl ScenarioParams {
             writes_per_client: 4,
             dir_cache: true,
             buggy_retrans_bound: false,
-            flush_window: 1,
             journal: false,
             telemetry: false,
         }
@@ -147,26 +144,42 @@ impl ScenarioParams {
             .u64(self.writes_per_client as u64)
             .u8(u8::from(self.dir_cache))
             .u8(u8::from(self.buggy_retrans_bound))
-            .u64(self.flush_window as u64)
+            .u64(SERIAL_COMMIT) // the removed flush-window slot
             .u8(u8::from(self.journal));
     }
 
-    /// Deserializes params. `None` on malformed input.
-    pub fn decode(r: &mut WireReader) -> Option<ScenarioParams> {
-        Some(ScenarioParams {
-            seed: r.u64("sc seed").ok()?,
-            shards: (r.u64("sc shards").ok()?.clamp(1, 64)) as usize,
-            chain_segments: (r.u64("sc chain").ok()?.clamp(1, 64)) as usize,
-            clients: (r.u64("sc clients").ok()?.min(1_000)) as usize,
-            writes_per_client: (r.u64("sc writes").ok()?.min(10_000)) as usize,
-            dir_cache: r.u8("sc cache").ok()? != 0,
-            buggy_retrans_bound: r.u8("sc buggy").ok()? != 0,
-            flush_window: (r.u64("sc fwin").ok()?.clamp(1, 64)) as usize,
-            // Appended after the flush-window field: bundles recorded
-            // before the group log existed simply end here.
-            journal: r.u8("sc journal").map(|v| v != 0).unwrap_or(false),
+    /// Deserializes params.
+    ///
+    /// # Errors
+    ///
+    /// Malformed input, or params recorded with the removed two-stage
+    /// commit pipeline engaged: the window changed the simulated
+    /// schedule, so such a recording has nothing left to replay on.
+    pub fn decode(r: &mut WireReader) -> Result<ScenarioParams, String> {
+        let malformed = |e: DecodeError| format!("scenario params: {e}");
+        let mut params = ScenarioParams {
+            seed: r.u64("sc seed").map_err(malformed)?,
+            shards: (r.u64("sc shards").map_err(malformed)?.clamp(1, 64)) as usize,
+            chain_segments: (r.u64("sc chain").map_err(malformed)?.clamp(1, 64)) as usize,
+            clients: (r.u64("sc clients").map_err(malformed)?.min(1_000)) as usize,
+            writes_per_client: (r.u64("sc writes").map_err(malformed)?.min(10_000)) as usize,
+            dir_cache: r.u8("sc cache").map_err(malformed)? != 0,
+            buggy_retrans_bound: r.u8("sc buggy").map_err(malformed)? != 0,
+            journal: false,
             telemetry: false,
-        })
+        };
+        let window = r.u64("sc fwin").map_err(malformed)?;
+        if window != SERIAL_COMMIT {
+            return Err(format!(
+                "recorded with the two-stage commit pipeline engaged (flush window {window}); \
+                 the pipeline has been removed and the replicas now run one serial commit \
+                 loop, so the schedule this recording captured cannot be replayed"
+            ));
+        }
+        // Appended after the flush-window slot: params recorded before
+        // the group log existed simply end here.
+        params.journal = r.u8("sc journal").map(|v| v != 0).unwrap_or(false);
+        Ok(params)
     }
 }
 
@@ -307,7 +320,6 @@ fn run_inner(
     };
     cp.seed = params.seed;
     cp.group.buggy_retrans_bound = params.buggy_retrans_bound;
-    cp.dir.flush_window = params.flush_window;
     cp.dir.journal = params.journal;
     if params.dir_cache {
         cp.dir_cache = Some(CacheParams::default());

@@ -235,7 +235,7 @@ impl ReproBundle {
         if magic != REPRO_MAGIC {
             return Err("not a repro bundle (bad magic)".to_owned());
         }
-        let params = ScenarioParams::decode(&mut r).ok_or("malformed scenario params")?;
+        let params = ScenarioParams::decode(&mut r)?;
         let schedule = FaultSchedule::decode(&mut r).ok_or("malformed fault schedule")?;
         let trace_bytes = r.bytes("repro trace").map_err(|e| e.to_string())?;
         let trace = SimTrace::from_bytes(trace_bytes)?;
@@ -290,5 +290,55 @@ mod tests {
         assert_eq!(back.schedule, bundle.schedule);
         assert_eq!(back.trace.seed, 11);
         assert!(ReproBundle::from_bytes(b"garbage").is_err());
+    }
+
+    /// A bundle whose params carry `window` in the slot that used to
+    /// hold the commit pipeline's flush window, written field by field
+    /// as `ScenarioParams::encode` lays them out.
+    fn bundle_bytes_with_window(window: u64) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.bytes(REPRO_MAGIC);
+        w.u64(11).u64(1).u64(1).u64(2).u64(6).u8(1).u8(0);
+        w.u64(window).u8(1); // the slot, then the journal flag
+        FaultSchedule::none().encode(&mut w);
+        let trace = SimTrace {
+            seed: 11,
+            steps: Vec::new(),
+        };
+        w.bytes(&trace.to_bytes());
+        w.finish()
+    }
+
+    #[test]
+    fn a_serial_loop_bundle_decodes_with_its_journal_flag() {
+        let back = ReproBundle::from_bytes(&bundle_bytes_with_window(1)).expect("window 1");
+        let mut expect = ScenarioParams::small(11);
+        expect.journal = true;
+        assert_eq!(back.params, expect);
+        // What we write today is exactly that layout.
+        let again = ReproBundle::from_bytes(&back.to_bytes()).expect("round trip");
+        assert_eq!(again.params, expect);
+        assert_eq!(back.to_bytes(), bundle_bytes_with_window(1));
+    }
+
+    #[test]
+    fn a_pipelined_bundle_is_refused_with_the_reason() {
+        let err = ReproBundle::from_bytes(&bundle_bytes_with_window(4)).unwrap_err();
+        assert!(
+            err.contains("commit pipeline") && err.contains("flush window 4"),
+            "error must name the removed pipeline: {err}"
+        );
+    }
+
+    #[test]
+    fn params_that_end_before_the_journal_byte_decode_with_it_off() {
+        let mut w = WireWriter::new();
+        w.u64(11).u64(1).u64(1).u64(2).u64(6).u8(1).u8(0).u64(1);
+        let bytes = w.finish();
+        let params = ScenarioParams::decode(&mut WireReader::new(&bytes)).expect("pre-journal");
+        assert_eq!(params, ScenarioParams::small(11));
+        // A truncated encoding is still malformed, and says where.
+        let cut = ScenarioParams::decode(&mut WireReader::new(&bytes[..20])).unwrap_err();
+        assert!(cut.contains("sc chain"), "{cut}");
     }
 }

@@ -22,38 +22,6 @@ pub struct RsmConfig {
     /// before the single group-commit [`flush`](crate::StateMachine::flush).
     /// `1` disables apply batching.
     pub apply_batch: usize,
-    /// Bounded in-flight window of the two-stage commit pipeline: how
-    /// many applied-but-not-yet-flushed batches the event loop may run
-    /// ahead of the flusher stage. `1` (the default) is the classic
-    /// serial driver — apply, flush, publish, all on the event loop,
-    /// bit-identical to before the pipeline existed. Larger windows
-    /// overlap apply of batch N+1 with the durable flush of batch N;
-    /// `published_seq` still only advances as flushes retire in seqno
-    /// order, so the durability contract is unchanged. A machine driven
-    /// with a window > 1 must implement
-    /// [`seal_batch`](crate::StateMachine::seal_batch) /
-    /// [`flush_staged`](crate::StateMachine::flush_staged) (volatile
-    /// machines get them for free via the defaults).
-    pub flush_window: usize,
-    /// Pipelined mode's anticipatory gather: after picking up the first
-    /// sealed batch of a run, the flusher waits this long before
-    /// draining its queue and submitting, so ops ordered a few
-    /// milliseconds apart (a burst of initiators released by the
-    /// previous flush) merge into one disk conversation instead of
-    /// fragmenting into a run of one plus a run of the rest. A few ms
-    /// against a ~30 ms seek is a good trade; `ZERO` disables. Unused
-    /// with `flush_window` = 1.
-    pub flush_gather: Duration,
-    /// Adapt the anticipatory gather to the observed arrival rate
-    /// instead of always waiting the full [`flush_gather`]: the driver
-    /// tracks an EWMA of inter-submit gaps and the flusher gathers for
-    /// twice that, clamped to `[0.5 ms, flush_gather]` — a mostly-idle
-    /// service stops taxing every commit the full fixed gather, while a
-    /// saturated one still merges its window. The EWMA is surfaced as
-    /// [`ReplicaStats::gather_ewma_us`](crate::ReplicaStats::gather_ewma_us).
-    ///
-    /// [`flush_gather`]: Self::flush_gather
-    pub adaptive_gather: bool,
     /// When set, a background checkpointer process calls
     /// [`StateMachine::checkpoint`](crate::StateMachine::checkpoint)
     /// this often while the replica is in normal operation (the group
@@ -92,9 +60,6 @@ impl RsmConfig {
                 .map(|i| Port::from_name(&format!("{service}.internal.{i}")))
                 .collect(),
             apply_batch: 32,
-            flush_window: 1,
-            flush_gather: Duration::from_millis(8),
-            adaptive_gather: false,
             checkpoint_interval: None,
             idle_timeout: Duration::from_millis(200),
             join_timeout: Duration::from_millis(400),

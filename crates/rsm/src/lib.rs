@@ -41,40 +41,23 @@
 //!    sequence number, in ascending order, on every replica, with the
 //!    same bytes. `apply` must be deterministic: same state + same op
 //!    ⇒ same new state and same reply on every replica.
-//! 2. **Group commit, pipelined.** One or more `apply` calls are
-//!    followed by one durable flush. The driver *publishes* a batch —
-//!    wakes submitters, unblocks readers — only after its flush
+//! 2. **Group commit.** One or more `apply` calls are followed by one
+//!    durable [`StateMachine::flush`], inline on the event loop — the
+//!    paper's group thread (§3.1, Fig. 5). The driver *publishes* a
+//!    batch — wakes submitters, unblocks readers — only after its flush
 //!    returns, so a caller of [`Replica::submit`] never observes a
 //!    state that is not locally durable, and a crash between `apply`
-//!    and flush only ever loses *unacknowledged* operations. With
-//!    [`RsmConfig::flush_window`] = 1 (the default) apply and flush
-//!    run serially on the event loop. With a window W > 1 the driver
-//!    splits into a two-stage pipeline: the event loop applies batch
-//!    N+1 (and the sequencer orders N+2…) while a dedicated flusher
-//!    retires batch N's flush — up to W sealed batches in flight, each
-//!    sealed by [`StateMachine::seal_batch`] immediately after its
-//!    applies and made durable by [`StateMachine::flush_staged`] in
-//!    seal order. **The publish-after-ordered-flush invariant is
-//!    unchanged**: `published_seq` advances strictly in seqno order as
-//!    flushes retire, never as applies run ahead, so no client ever
-//!    observes un-flushed state and a crash with up to W batches in
-//!    flight loses only unacknowledged suffix operations — recovery
-//!    salvages exactly the durable prefix. When the flusher falls
-//!    behind, it retires every queued sealed batch as one
-//!    [`StateMachine::flush_staged_run`] (after a short anticipatory
-//!    gather, [`RsmConfig::flush_gather`]) so the machine can merge
-//!    their disk work — publishing still happens per batch, in order,
-//!    only after the run that covers it returned.
+//!    and flush only ever loses *unacknowledged* operations.
+//!    `published_seq` advances strictly in seqno order, one batch at a
+//!    time; nothing is applied while a flush is in progress.
 //! 3. **Batch atomicity.** A state machine whose flush cannot make a
-//!    multi-operation batch durable atomically must guard it (the
-//!    directory service marks its commit block so a crash mid-flush
-//!    makes the replica's state "worthless", forcing recovery to copy
-//!    from a peer) — recovery must never observe a *hole*: an applied
-//!    suffix with a missing middle. In pipelined mode the same guard
-//!    covers each staged batch as it flushes; batches not yet staged
-//!    to disk need no guard (nothing of them is on disk at all), and
-//!    the driver drains the window before any membership or recovery
-//!    path touches durable state.
+//!    multi-operation batch durable atomically must guard it — the
+//!    directory service marks its commit block so a crash mid-flush is
+//!    recognised at next boot (in-place flush), or journals the batch
+//!    as one checksummed record (group log) — because recovery must
+//!    never observe a *hole*: an applied suffix with a missing middle.
+//!    Membership changes and recovery run on the same process as the
+//!    loop, so they never find a flush in flight.
 //! 4. **Snapshots.** `snapshot` returns the applied-cursor and encoded
 //!    state read atomically (one critical section), so an installer can
 //!    skip every operation the snapshot already covers and replay only

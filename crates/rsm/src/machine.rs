@@ -76,48 +76,10 @@ pub trait StateMachine: Send + Sync + 'static {
         let _ = ctx;
     }
 
-    /// Pipelined-commit stage one: called by the event loop, synchronously
-    /// right after a batch's `apply` calls (before the next batch is
-    /// applied), when the driver runs with a
-    /// [`flush_window`](crate::RsmConfig::flush_window) > 1. The machine
-    /// must capture everything the batch's durable flush needs — its
-    /// effect set, sealed against later applies — under `token`, without
-    /// touching the disk. Default: no-op (a fully volatile machine has
-    /// nothing to stage).
-    fn seal_batch(&self, ctx: &Ctx, token: u64) {
-        let _ = (ctx, token);
-    }
-
-    /// Pipelined-commit stage two: called by the dedicated flusher
-    /// process, in token order, to make the batch sealed under `token`
-    /// durable. Runs concurrently with the event loop applying later
-    /// batches, so implementations must work only from the sealed
-    /// effect set (and their own durable bookkeeping), never from live
-    /// RAM state. Default: delegates to [`flush`](Self::flush), which
-    /// is correct for machines whose `flush` is a no-op.
-    fn flush_staged(&self, ctx: &Ctx, token: u64) {
-        let _ = token;
-        self.flush(ctx);
-    }
-
-    /// Retires the sealed batches `first..=last` as one queued
-    /// submission. When the flusher falls behind, several sealed
-    /// batches wait in its queue; retiring them in a single call lets
-    /// the machine merge their disk work (one guard, one commit block,
-    /// coalesced table-block writes) instead of paying a full disk
-    /// conversation per batch. Must be exactly equivalent, durably, to
-    /// calling [`flush_staged`](Self::flush_staged) once per token in
-    /// order — which is the default.
-    fn flush_staged_run(&self, ctx: &Ctx, first: u64, last: u64) {
-        for token in first..=last {
-            self.flush_staged(ctx, token);
-        }
-    }
-
     /// Called when the group has been idle for the configured idle
     /// timeout (background maintenance: the directory service flushes
-    /// its NVRAM log here, §4.1). In pipelined mode the driver drains
-    /// the flush window first, so `idle` never races a staged flush.
+    /// its NVRAM log here, §4.1). Runs on the event loop, so never
+    /// concurrently with `apply` or `flush`.
     fn idle(&self, ctx: &Ctx) {
         let _ = ctx;
     }
@@ -127,7 +89,7 @@ pub trait StateMachine: Send + Sync + 'static {
     /// [`checkpoint_interval`](crate::RsmConfig::checkpoint_interval)
     /// is set): drain journaled commits into their long-term durable
     /// form and advance the journal's tail. Runs concurrently with
-    /// applies and staged flushes, so implementations must do their own
+    /// `apply` and `flush`, so implementations must do their own
     /// sim-safe exclusion against the flush path (and never hold a lock
     /// across the drain's I/O). Default: no-op.
     fn checkpoint(&self, ctx: &Ctx) {

@@ -9,7 +9,7 @@ use std::time::Duration;
 use amoeba_flip::Payload;
 use amoeba_group::{Group, GroupError, GroupEvent, GroupPeer, SeqNo, View};
 use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
-use amoeba_sim::{Ctx, MailboxRx, MailboxTx, NodeId, Spawn};
+use amoeba_sim::{Ctx, MailboxTx, NodeId, Spawn};
 use parking_lot::Mutex;
 
 use crate::config::RsmConfig;
@@ -47,35 +47,14 @@ pub struct ReplicaStats {
     pub aborted: u64,
     /// Completed recovery passes (1 after a clean start).
     pub recoveries: u64,
-    /// Pipelined mode: times the event loop blocked because the flush
-    /// window was full (apply wanted to run ahead but could not).
+    /// Always 0. Nothing in the driver can stall on a window any more;
+    /// the field stays only because the frozen `perfbench/` reads it,
+    /// until a `benchmark` PR drops its row.
     pub window_stalls: u64,
-    /// Pipelined mode: high-water mark of in-flight (sealed, not yet
-    /// retired) flushes. Stays 0 with `flush_window` = 1.
-    pub flush_inflight_hwm: u64,
-    /// Pipelined mode: flusher disk conversations. `batches -
-    /// flush_runs` is how many sealed batches the queued-submission
-    /// merge absorbed. Stays 0 with `flush_window` = 1.
+    /// Always 0, kept for the same reader as
+    /// [`window_stalls`](Self::window_stalls): every batch is flushed
+    /// inline, so [`batches`](Self::batches) is the flush count.
     pub flush_runs: u64,
-    /// EWMA of inter-submit gaps in microseconds, tracked when
-    /// [`adaptive_gather`](crate::RsmConfig::adaptive_gather) is on
-    /// (stays 0 otherwise): the flusher's effective anticipatory gather
-    /// is twice this, clamped to `[0.5 ms, flush_gather]`.
-    pub gather_ewma_us: u64,
-}
-
-/// One sealed batch handed from the event loop to the flusher stage.
-struct FlushJob {
-    /// Seal token, strictly increasing; [`StateMachine::flush_staged`]
-    /// retires tokens in exactly this order.
-    token: u64,
-    /// Highest sequence number the batch applied.
-    last_seq: SeqNo,
-    /// Apply replies, published when the flush retires.
-    results: Vec<(SeqNo, Payload)>,
-    /// Ordering-span context of the batch's first applied message; the
-    /// flusher's `rsm.flush` span parents to it.
-    trace: amoeba_telemetry::TraceCtx,
 }
 
 /// Driver-owned mutable state. Lock discipline: never hold across a
@@ -95,9 +74,6 @@ pub(crate) struct DriverShared {
     pub waiters: Vec<(SeqNo, MailboxTx<Wake>)>,
     /// Apply replies by sequence number, for the initiating thread.
     pub results: HashMap<SeqNo, Payload>,
-    /// Simulated time of the previous `submit`, for the adaptive-gather
-    /// EWMA (0 = none yet).
-    pub last_submit_us: u64,
 }
 
 impl DriverShared {
@@ -110,7 +86,6 @@ impl DriverShared {
             stayed_up: false,
             waiters: Vec::new(),
             results: HashMap::new(),
-            last_submit_us: 0,
         }
     }
 
@@ -227,38 +202,11 @@ impl<S: StateMachine> Replica<S> {
             );
         }
 
-        // Pipelined commit (flush_window > 1): a dedicated flusher
-        // process retires sealed batches in token order while the event
-        // loop keeps applying. Window 1 spawns nothing and runs the
-        // exact serial code path.
-        let pipeline = if cfg.flush_window > 1 {
-            let handle = spawner.sim_handle();
-            let (job_tx, job_rx) = handle.channel::<FlushJob>();
-            let (done_tx, done_rx) = handle.channel::<SeqNo>();
-            let sm = Arc::clone(&sm);
-            let shared = Arc::clone(&shared);
-            let machine = replica.machine;
-            let gather = cfg.flush_gather;
-            let adaptive = cfg.adaptive_gather;
-            spawner.spawn_boxed(
-                Some(sim_node),
-                &format!("rsm{}-flusher", cfg.me),
-                Box::new(move |ctx| {
-                    flusher_loop(
-                        ctx, &*sm, &shared, machine, gather, adaptive, &job_rx, &done_tx,
-                    )
-                }),
-            );
-            Some((job_tx, done_rx))
-        } else {
-            None
-        };
-
         // Group-log checkpointer: a background process that periodically
         // asks the machine to drain its journal into long-term durable
         // form ([`StateMachine::checkpoint`]). Spawned only when the
-        // machine journals; runs concurrently with the event loop and
-        // flusher (the machine does its own sim-safe exclusion).
+        // machine journals; runs concurrently with the event loop (the
+        // machine does its own sim-safe exclusion).
         if let Some(interval) = cfg.checkpoint_interval {
             let sm = Arc::clone(&sm);
             let shared = Arc::clone(&shared);
@@ -292,7 +240,7 @@ impl<S: StateMachine> Replica<S> {
             spawner.spawn_boxed(
                 Some(sim_node),
                 &format!("rsm{}-main", cfg.me),
-                Box::new(move |ctx| replica.main_loop(ctx, &peer, &rpc_client, &pipeline)),
+                Box::new(move |ctx| replica.main_loop(ctx, &peer, &rpc_client)),
             );
         }
         replica
@@ -355,23 +303,7 @@ impl<S: StateMachine> Replica<S> {
         trace: amoeba_telemetry::TraceCtx,
     ) -> Result<Payload, RsmError> {
         let group = self.serving_group()?;
-        {
-            let mut shared = self.shared.lock();
-            shared.stats.submitted += 1;
-            if self.cfg.adaptive_gather {
-                // Arrival-rate EWMA (α = 1/8). Gaps are clamped to 1 s so
-                // one long silence does not poison the estimate for the
-                // next burst; `stats.submitted` above keeps this
-                // stats-only when the knob is off (bit-identical driver).
-                let now_us = ctx.now().as_nanos() / 1_000;
-                if shared.last_submit_us != 0 {
-                    let gap = now_us.saturating_sub(shared.last_submit_us).min(1_000_000);
-                    let e = shared.stats.gather_ewma_us;
-                    shared.stats.gather_ewma_us = if e == 0 { gap } else { e - e / 8 + gap / 8 };
-                }
-                shared.last_submit_us = now_us;
-            }
-        }
+        self.shared.lock().stats.submitted += 1;
         let seq = group
             .send_traced(ctx, op.into(), trace)
             .map_err(|_| RsmError::NotInService)?;
@@ -439,13 +371,7 @@ impl<S: StateMachine> Replica<S> {
     // ------------------------------------------------------------------
 
     /// Recovery → normal operation → (on collapse) recovery, forever.
-    fn main_loop(
-        &self,
-        ctx: &Ctx,
-        peer: &GroupPeer,
-        rpc: &RpcClient,
-        pipeline: &Option<(MailboxTx<FlushJob>, MailboxRx<SeqNo>)>,
-    ) {
+    fn main_loop(&self, ctx: &Ctx, peer: &GroupPeer, rpc: &RpcClient) {
         // Load whatever survived the reboot, once.
         self.sm.boot(ctx);
         loop {
@@ -458,7 +384,7 @@ impl<S: StateMachine> Replica<S> {
                 shared.stayed_up = true;
                 shared.stats.recoveries += 1;
             }
-            self.event_loop(ctx, &group, pipeline);
+            self.event_loop(ctx, &group);
             // Collapsed: back to recovery.
             {
                 let mut shared = self.shared.lock();
@@ -469,52 +395,18 @@ impl<S: StateMachine> Replica<S> {
         }
     }
 
-    /// The group event loop. Returns when the group is beyond repair
-    /// (full recovery required).
+    /// The group event loop — the paper's group thread (§3.1, Fig. 5).
+    /// Returns when the group is beyond repair (full recovery required).
     ///
     /// Each iteration collects a batch of delivered operations, applies
-    /// it and commits it — the only step that forks on `pipeline`:
-    ///
-    /// * `None` (`flush_window` = 1): one inline
-    ///   [`flush`](StateMachine::flush), then publish — waiters never
-    ///   observe un-flushed state.
-    /// * `Some` (`flush_window` > 1): the batch is sealed and handed to
-    ///   the flusher process, the loop running at most `flush_window`
-    ///   sealed-but-unretired batches ahead. Publication (waiter
-    ///   wakeups, `published_seq`) happens in the flusher as flushes
-    ///   retire in seqno order, so the durability contract is identical
-    ///   — only the overlap of apply N+1 with the disk time of batch N
-    ///   is new.
-    ///
-    /// Every non-message path (idle, membership, reset, collapse) drains
-    /// the window first — a no-op with nothing in flight — so recovery
-    /// and commit-block writers never race a staged flush.
-    fn event_loop(
-        &self,
-        ctx: &Ctx,
-        group: &Arc<Group>,
-        pipeline: &Option<(MailboxTx<FlushJob>, MailboxRx<SeqNo>)>,
-    ) {
-        let window = self.cfg.flush_window.max(1);
-        let mut inflight = 0usize;
-        let mut token = 0u64;
-        // Local applied cursor: with a pipeline the loop runs ahead of
-        // `published_seq` by up to `window` batches, so the
-        // already-covered check uses its own cursor (seeded from what
-        // recovery's state fetch covered).
-        let mut applied_seq = { self.shared.lock().published_seq };
-        let drain = |ctx: &Ctx, inflight: &mut usize| {
-            if let Some((_, done_rx)) = pipeline {
-                for _ in 0..std::mem::take(inflight) {
-                    done_rx.recv(ctx);
-                }
-            }
-        };
+    /// it, makes it durable with one inline
+    /// [`flush`](StateMachine::flush) and only then publishes it, so
+    /// waiters never observe un-flushed state.
+    fn event_loop(&self, ctx: &Ctx, group: &Arc<Group>) {
         loop {
             let first = match group.recv_timeout(ctx, self.cfg.idle_timeout) {
                 Some(e) => e,
                 None => {
-                    drain(ctx, &mut inflight);
                     self.sm.idle(ctx);
                     continue;
                 }
@@ -544,23 +436,12 @@ impl<S: StateMachine> Replica<S> {
                 next = group.recv_timeout(ctx, Duration::ZERO);
             }
 
-            // Retire any flushes that completed while we were applying
-            // or waiting — without blocking.
-            if let Some((_, done_rx)) = pipeline {
-                while inflight > 0 && done_rx.try_recv().is_some() {
-                    inflight -= 1;
-                }
-            }
-
             let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
+            let covered = { self.shared.lock().published_seq };
             let mut results: Vec<(SeqNo, Payload)> = Vec::with_capacity(msgs.len());
-            let mut first_trace = amoeba_telemetry::TraceCtx::NONE;
             for (seq, data, trace) in &msgs {
-                if *seq <= applied_seq {
+                if *seq <= covered {
                     continue; // already covered by a fetched state snapshot
-                }
-                if results.is_empty() {
-                    first_trace = *trace;
                 }
                 let span = tele.begin_child("rsm.apply", self.machine, *trace);
                 let reply = self.sm.apply(ctx, *seq, data);
@@ -568,43 +449,25 @@ impl<S: StateMachine> Replica<S> {
                 results.push((*seq, reply));
             }
             if let Some(&(last, _)) = results.last() {
-                applied_seq = last;
-                match pipeline {
-                    None => {
-                        // One group-commit flush, then publish.
-                        self.sm.flush(ctx);
-                        let mut shared = self.shared.lock();
-                        shared.stats.applied += results.len() as u64;
-                        shared.stats.batches += 1;
-                        shared.published_seq = shared.published_seq.max(last);
-                        shared.results.extend(results);
-                        shared.prune_results();
-                        shared.wake_published();
-                    }
-                    Some((job_tx, done_rx)) => {
-                        // Window full: block until the oldest flush retires.
-                        while inflight >= window {
-                            done_rx.recv(ctx);
-                            inflight -= 1;
-                            self.shared.lock().stats.window_stalls += 1;
-                        }
-                        token += 1;
-                        self.sm.seal_batch(ctx, token);
-                        job_tx.send(FlushJob {
-                            token,
-                            last_seq: last,
-                            results,
-                            trace: first_trace,
-                        });
-                        inflight += 1;
-                        {
-                            let mut shared = self.shared.lock();
-                            shared.stats.flush_inflight_hwm =
-                                shared.stats.flush_inflight_hwm.max(inflight as u64);
-                        }
-                        tele.gauge("rsm.flush_queue", inflight as i64);
-                    }
+                // One group-commit flush, then publish. Every op of the
+                // batch waits for the same flush, so each gets the span
+                // (under its own ordering context, like its apply span).
+                let spans: Vec<_> = msgs
+                    .iter()
+                    .filter(|(seq, ..)| *seq > covered)
+                    .map(|(.., trace)| tele.begin_child("rsm.flush", self.machine, *trace))
+                    .collect();
+                self.sm.flush(ctx);
+                for span in spans {
+                    tele.end(span);
                 }
+                let mut shared = self.shared.lock();
+                shared.stats.applied += results.len() as u64;
+                shared.stats.batches += 1;
+                shared.published_seq = shared.published_seq.max(last);
+                shared.results.extend(results);
+                shared.prune_results();
+                shared.wake_published();
             }
 
             match tail {
@@ -612,24 +475,18 @@ impl<S: StateMachine> Replica<S> {
                 Some(Ok(GroupEvent::Message { .. })) => unreachable!("messages batch above"),
                 Some(Ok(GroupEvent::Joined { seq, .. }))
                 | Some(Ok(GroupEvent::Left { seq, .. })) => {
-                    // Membership writes the durable configuration record:
-                    // retire every staged flush first.
-                    drain(ctx, &mut inflight);
                     let view = group.info().map(|i| i.view).unwrap_or_default();
                     self.sm.on_membership(ctx, seq, &self.config_of(&view));
-                    applied_seq = applied_seq.max(seq);
                     let mut shared = self.shared.lock();
                     shared.published_seq = shared.published_seq.max(seq);
                     shared.wake_published();
                 }
                 Some(Ok(GroupEvent::ResetDone { view, .. })) => {
-                    drain(ctx, &mut inflight);
                     // A reset consumes no slot: record the new
                     // configuration only.
                     self.sm.on_membership(ctx, 0, &self.config_of(&view));
                 }
                 Some(Err(GroupError::Failed)) => {
-                    drain(ctx, &mut inflight);
                     // Rebuild a majority of the group; if that fails,
                     // fall back to full recovery.
                     match group.reset(ctx, self.cfg.majority(), Duration::from_secs(3)) {
@@ -637,12 +494,7 @@ impl<S: StateMachine> Replica<S> {
                         Err(_) => return,
                     }
                 }
-                Some(Err(_)) => {
-                    // Dead / expelled: recovery. The window must be
-                    // empty before recovery's copy/install can run.
-                    drain(ctx, &mut inflight);
-                    return;
-                }
+                Some(Err(_)) => return, // dead / expelled: recovery
             }
         }
     }
@@ -657,83 +509,5 @@ impl<S: StateMachine> Replica<S> {
             }
         }
         config
-    }
-}
-
-/// The flusher stage of the pipelined commit: retires sealed batches
-/// strictly in token order — one [`StateMachine::flush_staged`] per
-/// job — and *publishes* each batch (stats, `published_seq`, results,
-/// waiter wakeups) only once its flush completed, so an acknowledged
-/// write is durable exactly as in the serial loop. Signals the event
-/// loop through `done_tx` after each retirement (its window
-/// bookkeeping and drains).
-#[allow(clippy::too_many_arguments)] // one call site, spawned by the driver
-fn flusher_loop<S: StateMachine>(
-    ctx: &Ctx,
-    sm: &S,
-    shared: &Arc<Mutex<DriverShared>>,
-    machine: u64,
-    base_gather: Duration,
-    adaptive: bool,
-    job_rx: &MailboxRx<FlushJob>,
-    done_tx: &MailboxTx<SeqNo>,
-) {
-    let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
-    loop {
-        // Queued submission: take every batch sealed while the previous
-        // flush was on the disk and retire them as one run — the
-        // machine merges their guard/commit blocks and coalesces writes
-        // that land in the same region. The event loop's window bound
-        // caps how many can be queued, so a run is at most the window.
-        let mut jobs = vec![job_rx.recv(ctx)];
-        let gather = if adaptive {
-            // Wait twice the observed inter-submit gap (clamped to
-            // [0.5 ms, base]): long enough that the burst released by
-            // the previous flush lands in this run, no longer.
-            let ewma = { shared.lock().stats.gather_ewma_us };
-            if ewma == 0 {
-                base_gather
-            } else {
-                let base_us = u64::try_from(base_gather.as_micros()).unwrap_or(u64::MAX);
-                Duration::from_micros((2 * ewma).clamp(500, base_us.max(500)))
-            }
-        } else {
-            base_gather
-        };
-        if !gather.is_zero() {
-            // Anticipatory gather: initiators released together by the
-            // previous flush order their next ops a few milliseconds
-            // apart; waiting that long merges them into this run
-            // instead of fragmenting it into a run of one plus a run
-            // of the rest.
-            ctx.sleep(gather);
-        }
-        while let Some(j) = job_rx.try_recv() {
-            jobs.push(j);
-        }
-        let first = jobs.first().map(|j| j.token).expect("non-empty");
-        let last = jobs.last().map(|j| j.token).expect("non-empty");
-        let span = tele.begin_child("rsm.flush", machine, jobs[0].trace);
-        sm.flush_staged_run(ctx, first, last);
-        tele.end(span);
-        {
-            let mut sh = shared.lock();
-            sh.stats.flush_runs += 1;
-            for job in &jobs {
-                sh.stats.applied += job.results.len() as u64;
-                sh.stats.batches += 1;
-                sh.published_seq = sh.published_seq.max(job.last_seq);
-            }
-            for job in &mut jobs {
-                for (seq, reply) in std::mem::take(&mut job.results) {
-                    sh.results.insert(seq, reply);
-                }
-            }
-            sh.prune_results();
-            sh.wake_published();
-        }
-        for job in jobs {
-            done_tx.send(job.last_seq);
-        }
     }
 }

@@ -183,3 +183,50 @@ fn path_resolution_and_create_all() {
     sim.run_for(Duration::from_secs(60));
     assert_eq!(out.take(), Some(true));
 }
+
+/// The commit wait is visible in a traced write on the stock
+/// configuration: every replica that applied the op also shows the
+/// durable flush the op then waited for (`rsm.flush`, at least one disk
+/// access long), in one connected span tree. (Mirrors
+/// `crates/bench/tests/telemetry.rs`, which tier-1 does not run.)
+#[test]
+fn a_traced_write_shows_its_commit_wait_on_every_replica() {
+    let mut sim = Simulation::new(0x5BA9);
+    let tele = amoeba_telemetry::Telemetry::install(&sim.handle());
+    let params = ClusterParams::paper(Variant::Group);
+    let one_access = params.disk.access_time(1);
+    let mut cluster = Cluster::start(&sim, params);
+    let (client, _) = cluster.client(&sim);
+    let done = sim.spawn("app", move |ctx| {
+        let root = ready_root(ctx, &client, &["owner"]);
+        client.append_row(ctx, root, "a", root, vec![Rights::ALL])
+    });
+    sim.run_for(Duration::from_secs(30));
+    assert_eq!(done.take(), Some(Ok(())));
+
+    let spans = tele.spans();
+    let root_span = spans
+        .iter()
+        .find(|s| s.name == "cli.append_row" && s.parent == 0)
+        .expect("client root span");
+    let (roots, orphans, _) = amoeba_telemetry::span_tree_stats(&spans, root_span.trace);
+    assert_eq!((roots, orphans), (1, 0), "one connected tree");
+    let named = |name: &str| -> Vec<&amoeba_telemetry::SpanRec> {
+        let in_trace =
+            |s: &&amoeba_telemetry::SpanRec| s.trace == root_span.trace && s.name == name;
+        spans.iter().filter(in_trace).collect()
+    };
+    let (applies, flushes) = (named("rsm.apply"), named("rsm.flush"));
+    assert_eq!(applies.len(), 3, "all three replicas applied the write");
+    for a in &applies {
+        assert!(
+            flushes.iter().any(|f| f.machine == a.machine),
+            "machine {} applied the write but shows no rsm.flush span",
+            a.machine
+        );
+    }
+    for f in &flushes {
+        let took = f.end.expect("flush span closed") - f.start;
+        assert!(took >= one_access, "an rsm.flush took only {took:?}");
+    }
+}

@@ -5,25 +5,43 @@
 //! kernel and (were they bound into the network's endpoint table instead
 //! of being owned by the kernel) themselves.
 //!
-//! One test in this file, alone in its process: it counts every byte.
+//! The same counter bounds what a decoder may allocate for input it
+//! goes on to reject: a peer's snapshot that *claims* a million entries
+//! must not make `install` reserve for them.
+//!
+//! The tests in this file count every byte the process allocates, so
+//! they take turns ([`ALONE`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
+use amoeba_dirsvc::bullet::BulletClient;
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::sim::Simulation;
+use amoeba_dirsvc::dir::{DirParams, DirectoryStateMachine, ServiceConfig};
+use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
+use amoeba_dirsvc::flip::wire::WireWriter;
+use amoeba_dirsvc::flip::{NetParams, Network};
+use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
+use amoeba_dirsvc::rsm::StateMachine;
+use amoeba_dirsvc::sim::{Resource, Simulation};
 
-/// The system allocator, counting live bytes.
+/// The system allocator, counting live bytes and bytes ever requested.
 struct Counting;
 
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by each test for its whole body: the counters are process-wide.
+static ALONE: Mutex<()> = Mutex::new(());
 
 // SAFETY: every call is passed to `System` unchanged; the counter is the
 // only addition and does not touch the memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -50,6 +68,7 @@ fn deployment_with_a_crash_and_a_reboot() {
 
 #[test]
 fn a_dropped_deployment_leaves_no_heap_behind() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     // Once for whatever is allocated once per process (thread-locals,
     // the panic hook, the test harness's own buffers).
     deployment_with_a_crash_and_a_reboot();
@@ -58,4 +77,56 @@ fn a_dropped_deployment_leaves_no_heap_behind() {
         deployment_with_a_crash_and_a_reboot();
     }
     assert_eq!(LIVE.load(Ordering::Relaxed), before);
+}
+
+#[test]
+fn a_rejected_snapshot_allocates_nothing_for_its_claimed_counts() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("m");
+    let net = Network::new(sim.handle(), NetParams::default(), 1);
+    let rpc = RpcNode::start(&sim, node, net.attach());
+    let disk = DiskServer::start(&sim, node, VDisk::new(64, 4096), DiskParams::instant());
+    let cfg = ServiceConfig::new(3, 0);
+    let sm = DirectoryStateMachine::standalone(
+        cfg.clone(),
+        DirParams::default(),
+        BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0)),
+        RawPartition::new(disk, 0, 16),
+        None,
+        None,
+        Resource::new(sim.handle(), "cpu"),
+    );
+    // One snapshot per count field (entries, completions, stubs, read
+    // leases): the counts before it are zero, it claims a million, and
+    // the body ends there.
+    let snaps: Vec<_> = (0..4)
+        .map(|zero_counts| {
+            let mut w = WireWriter::new();
+            w.u64(1).u64(1); // update seq, commit seq
+            for _ in 0..zero_counts {
+                w.u32(0);
+            }
+            w.u32(1_000_000);
+            w.finish_payload()
+        })
+        .collect();
+    let out = sim.spawn_on(node, "install", move |ctx| {
+        snaps
+            .iter()
+            .map(|snap| {
+                let before = REQUESTED.load(Ordering::Relaxed);
+                let installed = sm.install(ctx, 0, snap);
+                (installed, REQUESTED.load(Ordering::Relaxed) - before)
+            })
+            .collect::<Vec<_>>()
+    });
+    sim.run_for(Duration::from_secs(1));
+    for (installed, requested) in out.take().expect("install ran") {
+        assert!(!installed, "a snapshot with nothing behind its count");
+        assert!(
+            requested < 64 * 1024,
+            "rejecting it requested {requested} bytes of heap"
+        );
+    }
 }

@@ -328,251 +328,6 @@ fn probe_machine(ctx: &Ctx, original: &DirectoryStateMachine) -> u64 {
     probe.update_seq()
 }
 
-// ---------------------------------------------------------------------
-// Pipelined-commit (flush window > 1) crash matrix.
-// ---------------------------------------------------------------------
-
-/// The pipelined window is pure RAM until the flusher retires it: with
-/// three sealed batches staged and nothing flushed, a reboot sees the
-/// empty pre-window state; retiring staged flushes in token order then
-/// makes exactly the flushed prefix durable, batch by batch.
-#[test]
-fn pipelined_window_exposes_no_unflushed_state_and_retires_in_order() {
-    let mut sim = Simulation::new(0x91DE);
-    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 0x91DE);
-    let params = DirParams {
-        flush_window: 4,
-        ..DirParams::default()
-    };
-    let col = dir_column(&sim, &net, 0, DiskParams::instant(), params);
-    let sm = Arc::clone(&col.sm);
-    let port = ServiceConfig::new(3, 0).public_port;
-    let out = sim.spawn("pipelined-staging", move |ctx| {
-        sm.boot(ctx); // enables the durable mirror (flush_window > 1)
-        let cap = |object: u64, check: u64| Capability::owner(port, object, check);
-        // Three batches, sealed but not flushed: the whole window in RAM.
-        let batches: [Vec<Payload>; 3] = [
-            vec![
-                DirOp::Create {
-                    columns: vec!["owner".into()],
-                    check: 0xC1 | 1,
-                }
-                .encode(),
-                DirOp::Append {
-                    object: 1,
-                    name: "a".into(),
-                    cap: cap(1, 0xC1 | 1),
-                    col_rights: vec![Rights::ALL],
-                }
-                .encode(),
-            ],
-            vec![
-                DirOp::Create {
-                    columns: vec!["owner".into()],
-                    check: 0xC2 | 1,
-                }
-                .encode(),
-                DirOp::Append {
-                    object: 2,
-                    name: "x".into(),
-                    cap: cap(2, 0xC2 | 1),
-                    col_rights: vec![Rights::ALL],
-                }
-                .encode(),
-            ],
-            vec![DirOp::Append {
-                object: 1,
-                name: "b".into(),
-                cap: cap(1, 0xC1 | 1),
-                col_rights: vec![Rights::MODIFY],
-            }
-            .encode()],
-        ];
-        let mut seq = 0u64;
-        let mut batch_end = [0u64; 3];
-        for (token, ops) in batches.iter().enumerate() {
-            for op in ops {
-                seq += 1;
-                let _ = sm.apply(ctx, seq, op);
-            }
-            sm.seal_batch(ctx, token as u64);
-            batch_end[token] = seq;
-        }
-        assert_eq!(sm.update_seq(), seq, "RAM state covers the whole window");
-        assert_eq!(
-            probe_machine(ctx, &sm),
-            0,
-            "a reboot with the full window staged must expose nothing"
-        );
-        // Retire token 0 alone: exactly batch 1 becomes durable — the
-        // sealed-but-unflushed batches behind it stay invisible.
-        sm.flush_staged(ctx, 0);
-        assert_eq!(
-            probe_machine(ctx, &sm),
-            batch_end[0],
-            "flushing token 0 must make exactly its batch durable"
-        );
-        // Retire the rest in order: the whole window is durable.
-        sm.flush_staged(ctx, 1);
-        sm.flush_staged(ctx, 2);
-        assert_eq!(
-            probe_machine(ctx, &sm),
-            seq,
-            "in-order staged flushes must retire the whole window"
-        );
-        true
-    });
-    sim.run_for(Duration::from_secs(120));
-    assert_eq!(
-        out.take(),
-        Some(true),
-        "pipelined staging run did not finish"
-    );
-}
-
-/// Crash inside a guarded *staged* flush while a later sealed batch
-/// waits behind it in the window: boot finds the `recovering` guard
-/// with a non-zero epoch and salvages the durable prefix — at least
-/// the pre-window base, never anything from the batch that was still
-/// queued behind the crash.
-#[test]
-fn crash_mid_staged_flush_salvages_prefix_and_hides_queued_batches() {
-    let mut sim = Simulation::new(0x91F1);
-    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 0x91F1);
-    let params = DirParams {
-        flush_window: 4,
-        ..DirParams::default()
-    };
-    // Real Wren IV timing so the staged flush spans simulated time we
-    // can crash inside of.
-    let col = dir_column(&sim, &net, 0, DiskParams::wren_iv(), params.clone());
-    let sm = Arc::clone(&col.sm);
-    let sm2 = Arc::clone(&col.sm);
-    let port = ServiceConfig::new(3, 0).public_port;
-    // Seed through the *staged* path with a multi-object batch: its
-    // guarded completion stamps a non-zero epoch, exactly as the
-    // pipelined driver would have by the time real traffic flows.
-    let seeded = sim.spawn("seed", move |ctx| {
-        sm.boot(ctx);
-        let ops = [
-            DirOp::Create {
-                columns: vec!["owner".into()],
-                check: 0xC1 | 1,
-            }
-            .encode(),
-            DirOp::Append {
-                object: 1,
-                name: "a".into(),
-                cap: Capability::owner(port, 1, 0xC1 | 1),
-                col_rights: vec![Rights::ALL],
-            }
-            .encode(),
-            DirOp::Create {
-                columns: vec!["owner".into()],
-                check: 0xC2 | 1,
-            }
-            .encode(),
-            DirOp::Append {
-                object: 2,
-                name: "x".into(),
-                cap: Capability::owner(port, 2, 0xC2 | 1),
-                col_rights: vec![Rights::ALL],
-            }
-            .encode(),
-        ];
-        for (i, op) in ops.iter().enumerate() {
-            let _ = sm.apply(ctx, 1 + i as u64, op);
-        }
-        sm.seal_batch(ctx, 0);
-        sm.flush_staged(ctx, 0);
-        sm.update_seq()
-    });
-    sim.run_for(Duration::from_secs(30));
-    assert_eq!(seeded.take(), Some(4), "staged seed flush finished");
-
-    // Two more batches sealed into the window; the flusher dies inside
-    // the guarded flush of token 1 while token 2 waits behind it.
-    sim.spawn_on(col.node, "mutator", move |ctx| {
-        let mid = [
-            DirOp::Append {
-                object: 1,
-                name: "mid1".into(),
-                cap: Capability::owner(port, 1, 0xC1 | 1),
-                col_rights: vec![Rights::ALL],
-            }
-            .encode(),
-            DirOp::Append {
-                object: 2,
-                name: "mid2".into(),
-                cap: Capability::owner(port, 2, 0xC2 | 1),
-                col_rights: vec![Rights::ALL],
-            }
-            .encode(),
-        ];
-        for (i, op) in mid.iter().enumerate() {
-            let _ = sm2.apply(ctx, 5 + i as u64, op);
-        }
-        sm2.seal_batch(ctx, 1);
-        let late = DirOp::Append {
-            object: 1,
-            name: "late".into(),
-            cap: Capability::owner(port, 1, 0xC1 | 1),
-            col_rights: vec![Rights::ALL],
-        }
-        .encode();
-        let _ = sm2.apply(ctx, 7, &late);
-        sm2.seal_batch(ctx, 2);
-        sm2.flush_staged(ctx, 1); // dies mid-way when the node crashes
-    });
-    // The guard write lands (~41 ms in), the batch does not complete.
-    sim.run_for(Duration::from_millis(80));
-    sim.crash_node(col.node);
-    sim.run_for(Duration::from_millis(50));
-
-    // Reboot over the surviving platters.
-    sim.revive_node(col.node);
-    let disk = DiskServer::start(&sim, col.node, col.vdisk.clone(), DiskParams::instant());
-    let partition = RawPartition::new(disk, 0, TABLE_BLOCKS);
-    let cfg = ServiceConfig::new(3, 0);
-    let cpu = Resource::new(sim.handle(), "probe-cpu");
-    let rpc = RpcNode::start(&sim, col.node, net.attach());
-    let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0));
-    let probe = Arc::new(DirectoryStateMachine::standalone(
-        cfg,
-        params,
-        bullet,
-        partition.clone(),
-        None,
-        None,
-        cpu,
-    ));
-    let recovered = sim.spawn("reboot", move |ctx| {
-        use amoeba_dirsvc::dir::CommitBlock;
-        let commit = CommitBlock::read(&partition, ctx, 3).expect("commit block readable");
-        assert!(
-            commit.recovering,
-            "crash mid staged flush must leave the recovering guard set"
-        );
-        assert!(
-            commit.epoch > 0,
-            "a staged flush guard keeps the (non-zero) epoch"
-        );
-        probe.boot(ctx);
-        probe.update_seq()
-    });
-    sim.run_for(Duration::from_secs(20));
-    let salvaged = recovered.take().expect("reboot probe finished");
-    assert!(
-        salvaged >= 4,
-        "salvage must reach the durable pre-window base (got {salvaged})"
-    );
-    assert!(
-        salvaged < 7,
-        "the batch queued behind the crashed flush was never staged to \
-         disk and must stay invisible (got {salvaged})"
-    );
-}
-
 /// Crash in the middle of a *multi-object* batched flush: the commit
 /// block's `recovering` guard must make the replica's state worthless
 /// at next boot, so recovery copies a consistent state from a peer
@@ -661,16 +416,7 @@ fn crash_mid_multi_object_flush_voids_local_state() {
 /// recovery.
 #[test]
 fn crash_during_batched_apply_loses_no_acknowledged_update() {
-    crash_during_apply_scenario(1, 0x0DD5, false);
-}
-
-/// The same cluster crash with the two-stage commit pipeline engaged:
-/// the replica dies with up to four sealed batches in flight between
-/// the event loop and the flusher, and recovery must still surface
-/// every acknowledged append on every replica.
-#[test]
-fn crash_during_pipelined_apply_loses_no_acknowledged_update() {
-    crash_during_apply_scenario(4, 0x0DD6, false);
+    crash_during_apply_scenario(0x0DD5, false);
 }
 
 /// The same cluster crash with the group log on: commits are journal
@@ -679,13 +425,12 @@ fn crash_during_pipelined_apply_loses_no_acknowledged_update() {
 /// still, no acknowledged append may be lost anywhere.
 #[test]
 fn crash_during_journaled_apply_loses_no_acknowledged_update() {
-    crash_during_apply_scenario(4, 0x0DD7, true);
+    crash_during_apply_scenario(0x0DD7, true);
 }
 
-fn crash_during_apply_scenario(flush_window: usize, seed: u64, journal: bool) {
+fn crash_during_apply_scenario(seed: u64, journal: bool) {
     let mut sim = Simulation::new(seed);
     let mut params = ClusterParams::paper(Variant::Group);
-    params.dir.flush_window = flush_window;
     params.dir.journal = journal;
     let mut cluster = Cluster::start(&sim, params);
     let (client, _) = cluster.client(&sim);
