@@ -532,8 +532,60 @@ fn trace_export(out: &std::path::Path) {
         summary.events, summary.slices, summary.flow_pairs, summary.tracks
     );
     println!("  cluster totals: {applied} ops applied, {sends} group sends, {writes} disk writes");
+    print_busiest_roles(&tb.sim.activations());
     println!("{}", report.to_json());
     println!("wrote {}", out.display());
+}
+
+/// The ten busiest rows of the simulator's activation table, summed by
+/// role (a name with its numbers blanked: `dir#-srv#`, `rpc@host:#`):
+/// where the host's time goes, event by event. Each wake reason is
+/// printed as "handed the baton by another thread + woke itself".
+fn print_busiest_roles(table: &[amoeba_sim::Activations]) {
+    let mut roles: std::collections::BTreeMap<String, amoeba_sim::Activations> = Default::default();
+    for row in table {
+        let mut role = String::new();
+        for c in row.name.chars() {
+            if !c.is_ascii_digit() {
+                role.push(c);
+            } else if !role.ends_with('#') {
+                role.push('#');
+            }
+        }
+        let sum = roles.entry(role).or_default();
+        for reason in 0..4 {
+            sum.resumes[reason] += row.resumes[reason];
+            sum.handoffs_in[reason] += row.handoffs_in[reason];
+        }
+        sum.handler_calls += row.handler_calls;
+    }
+    let total = |r: &amoeba_sim::Activations| r.resumes.iter().sum::<u64>() + r.handler_calls;
+    let mut busiest: Vec<_> = roles.iter().collect();
+    busiest.sort_by_key(|(role, r)| (std::cmp::Reverse(total(r)), role.as_str()));
+    println!(
+        "  activations, 10 busiest of {} roles ({} names):",
+        roles.len(),
+        table.len()
+    );
+    println!(
+        "    {:<24} {:>9} {:>9} {:>6} {:>15} {:>15} {:>15}",
+        "role", "total", "handler", "first", "slept", "mailbox", "timed out"
+    );
+    for (role, r) in busiest.into_iter().take(10) {
+        let by = |reason: usize| {
+            let handed = r.handoffs_in[reason];
+            format!("{handed}+{}", r.resumes[reason] - handed)
+        };
+        println!(
+            "    {role:<24} {:>9} {:>9} {:>6} {:>15} {:>15} {:>15}",
+            total(r),
+            r.handler_calls,
+            r.resumes[0],
+            by(1),
+            by(2),
+            by(3)
+        );
+    }
 }
 
 /// The cached-read-path A/B: the zipfian read mix (readers resolving

@@ -613,10 +613,11 @@ impl DirClient {
         let mut fallback: Vec<(Capability, String)> = Vec::new();
         let mut fallback_idx: Vec<usize> = Vec::new();
         for (cap, idxs) in groups {
-            match self.fetch_into_cache(ctx, cache, cap)? {
-                Some(rows) => {
-                    for i in idxs {
-                        out[i] = rows.get(&items[i].1).copied();
+            let names: Vec<&str> = idxs.iter().map(|&i| items[i].1.as_str()).collect();
+            match self.fetch_into_cache(ctx, cache, cap, &names)? {
+                Some(answers) => {
+                    for (i, answer) in idxs.into_iter().zip(answers) {
+                        out[i] = answer;
                     }
                 }
                 // Uncacheable (the service refused the fetch, or a
@@ -640,17 +641,18 @@ impl DirClient {
     }
 
     /// The cache-miss path: fetch a directory's visible rows plus a
-    /// read lease (chasing `Moved` forwarding like every other call)
-    /// and install them. `Ok(None)` means the snapshot may not be
-    /// served — the service refused the fetch (e.g. a bad capability,
-    /// which the plain lookup path answers per-item) or its lease was
-    /// revoked while in flight.
+    /// read lease (chasing `Moved` forwarding like every other call),
+    /// look `names` up in them and install them. `Ok(None)` means the
+    /// snapshot may not be served — the service refused the fetch (e.g.
+    /// a bad capability, which the plain lookup path answers per-item)
+    /// or its lease was revoked while in flight.
     fn fetch_into_cache(
         &self,
         ctx: &Ctx,
         cache: &DirCache,
         cap: Capability,
-    ) -> Result<Option<HashMap<String, Capability>>, DirClientError> {
+        names: &[&str],
+    ) -> Result<Option<Vec<Option<Capability>>>, DirClientError> {
         let mut cur = self.resolve_cap(cap);
         for _ in 0..MAX_CHASE {
             let port = self.port_of_cap(&cur);
@@ -685,12 +687,13 @@ impl DirClient {
                         cache.note_renewal_saved();
                     }
                     let now_us = ctx.now().as_nanos() / 1_000;
+                    // Built once: the misses are answered from the map,
+                    // then the cache takes it.
                     let map: HashMap<String, Capability> =
                         rows.into_iter().map(|(n, c, _)| (n, c)).collect();
-                    if cache.install(epoch, &cur, map.clone(), deadline_us, now_us) {
-                        return Ok(Some(map));
-                    }
-                    return Ok(None);
+                    let answers = names.iter().map(|n| map.get(*n).copied()).collect();
+                    let servable = cache.install(epoch, &cur, map, deadline_us, now_us);
+                    return Ok(servable.then_some(answers));
                 }
                 DirReply::Err(_) => return Ok(None),
                 _ => return Err(DirClientError::Protocol),

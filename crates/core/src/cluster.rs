@@ -651,7 +651,7 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
         column.sim_node,
         &rpc,
         cfg.bullet_port(column.index),
-        disk_srv.clone(),
+        disk_srv,
         column.bullet_store.clone(),
         TABLE_BLOCKS + journal_carve(params),
         2,

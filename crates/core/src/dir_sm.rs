@@ -8,6 +8,11 @@
 //! * `apply` is deterministic and updates RAM state (directory cache,
 //!   object table, `update_seq`) plus the applied cursor in one
 //!   critical section; disk effects are *deferred* into a batch buffer.
+//!   An update publishes the one copy of the directory it edited as the
+//!   next version in the cache, and its deferred effect (and, journaled,
+//!   the dirty set) holds that same version. A reply is built and
+//!   encoded only where the driver says the op was submitted
+//!   (`reply`); everything else happens on every replica alike.
 //! * `flush` — called once per batch by the driver, before any
 //!   initiator is woken — coalesces the deferred effects: only each
 //!   object's **final** state is written (k updates to one directory
@@ -248,7 +253,7 @@ impl DirectoryStateMachine {
 }
 
 enum FinalAct {
-    Store(Directory),
+    Store(Arc<Directory>),
     Drop { old_file: FileCap },
     Stub { old_file: FileCap },
 }
@@ -274,7 +279,7 @@ struct StagedBatch {
 /// carried — the checkpoint frees whatever the durable mirror says is
 /// the object's current on-disk file.
 enum StagedAct {
-    Store { dir: Directory, check: u64 },
+    Store { dir: Arc<Directory>, check: u64 },
     Drop,
     Stub { seqno: u64, check: u64 },
 }
@@ -578,7 +583,7 @@ fn decode_journal_record(bytes: &[u8]) -> Option<JournalRecord> {
         let act = match r.u32("kind").ok()? {
             0 => {
                 let check = r.u64("check").ok()?;
-                let dir = Directory::decode(r.bytes("dir bytes").ok()?).ok()?;
+                let dir = Arc::new(Directory::decode(r.bytes("dir bytes").ok()?).ok()?);
                 StagedAct::Store { dir, check }
             }
             1 => StagedAct::Drop,
@@ -594,22 +599,31 @@ fn decode_journal_record(bytes: &[u8]) -> Option<JournalRecord> {
 }
 
 impl StateMachine for DirectoryStateMachine {
-    fn apply(&self, ctx: &Ctx, seq: u64, op: &Payload) -> Payload {
+    fn apply(&self, ctx: &Ctx, seq: u64, op: &Payload, reply: bool) -> Payload {
         let applier = &self.applier;
+        // What the initiating thread is owed; elsewhere nobody reads it,
+        // so nothing is encoded.
+        let answer = |r: DirReply| {
+            if reply {
+                r.encode().into()
+            } else {
+                Payload::empty()
+            }
+        };
         let op = match DirOp::decode(op) {
             Ok(op) => op,
             Err(_) => {
                 // Malformed ops still consume their slot.
                 let mut shared = applier.shared.lock();
                 shared.applied_group_seq = shared.applied_group_seq.max(seq);
-                return DirReply::Err(DirError::Malformed).encode().into();
+                return answer(DirReply::Err(DirError::Malformed));
             }
         };
         self.cpu.use_for(ctx, self.params.apply_cpu);
         applier.preload_for(ctx, &op);
         let planned = {
             let mut shared = applier.shared.lock();
-            let r = applier.plan(&mut shared, &op, None);
+            let r = applier.plan(&mut shared, &op, None, reply);
             // Revoke-on-apply: every object this op mutates loses its
             // outstanding read leases *in the same critical section as
             // the mutation* — ordered in the total order, so a grant
@@ -637,9 +651,9 @@ impl StateMachine for DirectoryStateMachine {
             shared.last_update_at = ctx.now();
             r
         };
-        let (reply, effects, useq) = match planned {
+        let (granted, effects, useq) = match planned {
             Ok(v) => v,
-            Err(e) => return DirReply::Err(e).encode().into(),
+            Err(e) => return answer(DirReply::Err(e)),
         };
         match applier.storage {
             StorageKind::Disk => self.pending.lock().extend(effects),
@@ -653,7 +667,7 @@ impl StateMachine for DirectoryStateMachine {
                 }
             }
         }
-        reply.encode().into()
+        answer(granted)
     }
 
     fn flush(&self, ctx: &Ctx) {
@@ -849,7 +863,7 @@ impl StateMachine for DirectoryStateMachine {
                                         check: *check,
                                     },
                                 );
-                                shared.cache.insert(object, dir.clone());
+                                shared.cache.insert(object, Arc::clone(dir));
                             }
                             StagedAct::Drop => {
                                 shared.table.clear(object);
@@ -1060,7 +1074,7 @@ impl StateMachine for DirectoryStateMachine {
             };
         // The counts below are a peer's claims: every collection grows as
         // its elements actually parse, none is reserved by a count.
-        let mut installed: Vec<(u64, u64, Directory)> = Vec::new();
+        let mut installed: Vec<(u64, u64, Arc<Directory>)> = Vec::new();
         for _ in 0..n {
             let (object, check, bytes) =
                 match (r.u64("object"), r.u64("check"), r.bytes("dir bytes")) {
@@ -1068,7 +1082,7 @@ impl StateMachine for DirectoryStateMachine {
                     _ => return false,
                 };
             match Directory::decode(bytes) {
-                Ok(dir) => installed.push((object, check, dir)),
+                Ok(dir) => installed.push((object, check, Arc::new(dir))),
                 Err(_) => return false,
             }
         }
@@ -1153,7 +1167,7 @@ impl StateMachine for DirectoryStateMachine {
                         check: *check,
                     },
                 );
-                shared.cache.insert(*object, dir.clone());
+                shared.cache.insert(*object, Arc::clone(dir));
             }
             shared.update_seq = update_seq;
             shared.commit.seqno = commit_seq;
@@ -1266,13 +1280,13 @@ mod tests {
         assert!(decode_journal_record(&w.finish()).is_none());
     }
 
-    #[test]
-    fn snapshot_claiming_a_million_entries_over_an_empty_body_is_rejected() {
-        let mut sim = Simulation::new(1);
+    /// A machine on one node with nothing behind its Bullet stub: good
+    /// for whatever never flushes.
+    fn machine(sim: &Simulation) -> (amoeba_sim::NodeId, DirectoryStateMachine) {
         let node = sim.add_node("m");
         let net = Network::new(sim.handle(), NetParams::default(), 1);
-        let rpc = RpcNode::start(&sim, node, net.attach());
-        let disk = DiskServer::start(&sim, node, VDisk::new(64, 4096), DiskParams::instant());
+        let rpc = RpcNode::start(sim, node, net.attach());
+        let disk = DiskServer::start(sim, node, VDisk::new(64, 4096), DiskParams::instant());
         let cfg = crate::ServiceConfig::new(3, 0);
         let sm = DirectoryStateMachine::standalone(
             cfg.clone(),
@@ -1283,6 +1297,55 @@ mod tests {
             None,
             Resource::new(sim.handle(), "cpu"),
         );
+        (node, sm)
+    }
+
+    #[test]
+    fn the_ram_cache_hands_out_one_version_until_an_update_publishes_the_next() {
+        let mut sim = Simulation::new(1);
+        let (node, sm) = machine(&sim);
+        let out = sim.spawn_on(node, "replica", move |ctx| {
+            let port = sm.applier.cfg.public_port;
+            let append = |name: &str| DirOp::Append {
+                object: 1,
+                name: name.into(),
+                cap: crate::Capability::owner(port, 1, 0xC1),
+                col_rights: vec![crate::Rights::ALL],
+            };
+            let create = DirOp::Create {
+                columns: vec!["owner".into()],
+                check: 0xC1,
+            };
+            sm.apply(ctx, 1, &create.encode(), false);
+            sm.apply(ctx, 2, &append("a").encode(), false);
+            let load = || sm.applier.load_dir(ctx, 1).expect("cached");
+            let (v1, again) = (load(), load());
+            assert!(Arc::ptr_eq(&v1, &again), "a read copies nothing");
+            // A refused update publishes nothing.
+            sm.apply(ctx, 3, &append("a").encode(), false);
+            assert!(Arc::ptr_eq(&v1, &load()));
+
+            sm.apply(ctx, 4, &append("b").encode(), false);
+            let v2 = load();
+            assert!(!Arc::ptr_eq(&v1, &v2), "an update edits its own copy");
+            assert_eq!((v1.rows.len(), v1.seqno), (1, 2), "and no one else's");
+            assert_eq!((v2.rows.len(), v2.seqno), (2, 4));
+            // The deferred disk effect is that version, not a copy of it.
+            let pending = sm.pending.lock();
+            let stored = pending.iter().rev().find_map(|e| match e {
+                Effect::StoreDir { dir, .. } => Some(dir),
+                _ => None,
+            });
+            assert!(Arc::ptr_eq(stored.expect("the append's effect"), &v2));
+        });
+        sim.run_for(std::time::Duration::from_secs(1));
+        assert!(out.is_ready(), "the checks ran");
+    }
+
+    #[test]
+    fn snapshot_claiming_a_million_entries_over_an_empty_body_is_rejected() {
+        let mut sim = Simulation::new(1);
+        let (node, sm) = machine(&sim);
         // One snapshot per count field, each claiming a million
         // elements with nothing behind the claim.
         let snaps: Vec<Payload> = (0..4)

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use amoeba_bullet::BulletClient;
 use amoeba_disk::{Nvram, RawPartition};
-use amoeba_flip::Port;
+use amoeba_flip::{Payload, Port};
 use amoeba_group::GroupPeer;
 use amoeba_rpc::{RpcClient, RpcNode, RpcParams, RpcServer};
 use amoeba_rsm::{Replica, ReplicaDeps, RsmConfig, RsmError};
@@ -125,7 +125,7 @@ pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupD
         shared: Arc::clone(&shared),
         bullet,
         partition,
-        nvram: nvram.clone(),
+        nvram,
         journal: if params.storage == StorageKind::Disk {
             journal
         } else {
@@ -219,6 +219,12 @@ impl GroupDirServer {
         self.replica.group_stats()
     }
 
+    /// [`Replica::unclaimed_results`] of this replica's driver.
+    #[doc(hidden)]
+    pub fn unclaimed_results(&self) -> usize {
+        self.replica.unclaimed_results()
+    }
+
     /// Mints the owner capability of a directory this shard stores —
     /// **cluster-management access** (the server knows every raw
     /// check), used by the rebalancer to coordinate migrations of
@@ -289,11 +295,16 @@ fn initiator_loop(
         let reply = handle_request(ctx, applier, replica, params, cpu, inval, &req);
         amoeba_telemetry::set_current_ctx(prev);
         tele.end(span);
-        srv.putrep(&incoming, reply.encode());
+        srv.putrep(
+            &incoming,
+            reply.unwrap_or_else(|e| DirReply::Err(e).encode().into()),
+        );
     }
 }
 
-/// One request through the Fig. 5 protocol.
+/// One request through the Fig. 5 protocol: the encoded reply, or the
+/// error this thread refuses the request with. An applied update's reply
+/// is the bytes its `apply` encoded, passed on as they are.
 #[allow(clippy::too_many_arguments)]
 fn handle_request(
     ctx: &Ctx,
@@ -303,7 +314,7 @@ fn handle_request(
     cpu: &Resource,
     inval: &RpcClient,
     req: &DirRequest,
-) -> DirReply {
+) -> Result<Payload, DirError> {
     // Piggybacked lease renewal: a `FetchDir` from a holder whose lease
     // is still registered (the write that revoked its previous lease
     // reinstated a successor under the grant's renewal budget) is served
@@ -314,12 +325,10 @@ fn handle_request(
     } = req
     {
         if applier.has_renewable_lease(ctx, cap, *owner, *ttl_us) {
-            if let Err(e) = replica.read_barrier(ctx) {
-                return DirReply::Err(rsm_err(e));
-            }
+            replica.read_barrier(ctx).map_err(rsm_err)?;
             cpu.use_for(ctx, params.read_cpu);
             if let Some(rep) = applier.serve_renewed_fetch(ctx, cap, *owner, *ttl_us) {
-                return rep;
+                return Ok(rep.encode().into());
             }
             // The lease vanished between the pre-check and the barrier —
             // fall through to the normal grant round.
@@ -330,36 +339,33 @@ fn handle_request(
         // drain everything the kernel has ordered before us. The
         // barrier also performs the majority check ("if (!majority())
         // return failure").
-        if let Err(e) = replica.read_barrier(ctx) {
-            return DirReply::Err(rsm_err(e));
-        }
+        replica.read_barrier(ctx).map_err(rsm_err)?;
         cpu.use_for(ctx, params.read_cpu);
-        applier.serve_read(ctx, req)
+        Ok(applier.serve_read(ctx, req).encode().into())
     } else {
         cpu.use_for(ctx, params.write_cpu);
         // "generate check-field; SendToGroup(request…)".
-        let op = match applier.prepare_write(ctx, req) {
-            Ok(op) => op,
-            Err(e) => return DirReply::Err(e),
-        };
+        let op = applier.prepare_write(ctx, req)?;
         // "wait until group thread has received and executed the
         // request" — submit blocks until the op is applied and
         // group-committed on this replica.
-        match replica.submit_traced(ctx, op.encode(), amoeba_telemetry::current_ctx()) {
-            Ok(reply) => {
-                let reply = DirReply::decode(&reply).unwrap_or(DirReply::Err(DirError::Internal));
-                // The cache fence: a successful update must not be
-                // acknowledged while any read lease granted before it
-                // could still serve the old contents (see
-                // [`crate::cache`]).
-                if !matches!(reply, DirReply::Err(_)) {
-                    let objects = fence_objects(&op, &reply);
-                    fence_cached_readers(ctx, applier, inval, &objects);
-                }
-                reply
+        let bytes = replica
+            .submit_traced(ctx, op.encode(), amoeba_telemetry::current_ctx())
+            .map_err(rsm_err)?;
+        // A grant mutates no rows, so it has nothing to fence: its
+        // snapshot is not even decoded on the way out.
+        if !matches!(op, DirOp::GrantRead { .. }) {
+            let reply = DirReply::decode(&bytes).map_err(|_| DirError::Internal)?;
+            // The cache fence: a successful update must not be
+            // acknowledged while any read lease granted before it
+            // could still serve the old contents (see
+            // [`crate::cache`]).
+            if !matches!(reply, DirReply::Err(_)) {
+                let objects = fence_objects(&op, &reply);
+                fence_cached_readers(ctx, applier, inval, &objects);
             }
-            Err(e) => DirReply::Err(rsm_err(e)),
         }
+        Ok(bytes)
     }
 }
 

@@ -144,7 +144,7 @@ impl Applier {
     pub(crate) fn apply_nfs(&self, ctx: &Ctx, op: &crate::ops::DirOp) -> DirReply {
         let planned = {
             let mut shared = self.shared.lock();
-            self.plan(&mut shared, op, None)
+            self.plan(&mut shared, op, None, true)
         };
         match planned {
             Ok((reply, _effects, _)) => {

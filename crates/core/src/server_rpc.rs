@@ -313,7 +313,7 @@ impl Applier {
         }
         let planned = {
             let mut shared = self.shared.lock();
-            self.plan(&mut shared, op, Some(useq))
+            self.plan(&mut shared, op, Some(useq), true)
         };
         match planned {
             Ok((reply, effects, _)) => {

@@ -33,8 +33,11 @@ pub(crate) struct Shared {
     pub mode: Mode,
     pub table: ObjectTable,
     /// Authoritative in-RAM directory contents (the paper's RAM cache;
-    /// lazily refilled from Bullet files after a reboot).
-    pub cache: HashMap<u64, Directory>,
+    /// lazily refilled from Bullet files after a reboot). Each entry is
+    /// one immutable *version* of its directory: readers, the planner
+    /// and the deferred disk effects share it, and an update publishes
+    /// the next version — the one copy it edited — in its place.
+    pub cache: HashMap<u64, Arc<Directory>>,
     /// Logical version counter, monotone across group incarnations;
     /// stored with every directory ("sequence number", Fig. 4/§3).
     pub update_seq: u64,
@@ -270,7 +273,7 @@ fn build_directory(
     columns: &[String],
     rows: &[(String, Capability, Vec<Rights>)],
     useq: u64,
-) -> Result<Directory, DirError> {
+) -> Result<Arc<Directory>, DirError> {
     if !(1..=4).contains(&columns.len()) {
         return Err(DirError::Malformed);
     }
@@ -280,15 +283,66 @@ fn build_directory(
             .map_err(structure_err)?;
     }
     dir.seqno = useq;
-    Ok(dir)
+    Ok(Arc::new(dir))
+}
+
+/// Publishes `dir` — the copy an update just edited, or a freshly built
+/// directory — as `object`'s next version: stamped with the update's
+/// seq, installed in the RAM cache, and handed to the disk path by the
+/// returned effect. All three hold the same allocation.
+fn publish(shared: &mut Shared, object: u64, mut dir: Arc<Directory>, useq: u64) -> Effect {
+    Arc::make_mut(&mut dir).seqno = useq;
+    shared.cache.insert(object, Arc::clone(&dir));
+    Effect::StoreDir { object, dir }
+}
+
+/// The snapshot a read lease covers: the rows the holder of `cap` can
+/// see, restricted exactly as `LookupSet` would restrict them. Rows the
+/// holder has no effective rights over are omitted — a cached lookup of
+/// their name answers `None`, just like the server would.
+fn lease_snapshot(
+    shared: &Shared,
+    public_port: Port,
+    dir: &Directory,
+    cap: &Capability,
+    deadline_us: u64,
+    renewed: bool,
+) -> DirReply {
+    let rows = dir
+        .rows
+        .iter()
+        .filter_map(|row| {
+            let eff = dir.effective_rights(row, cap.rights);
+            if eff == Rights::NONE {
+                return None;
+            }
+            let out_cap = restrict_with(shared, public_port, &row.cap, eff);
+            let visible_masks: Vec<Rights> = row
+                .col_rights
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| cap.rights.sees_column(*i))
+                .map(|(_, m)| *m)
+                .collect();
+            Some((row.name.clone(), out_cap, visible_masks))
+        })
+        .collect();
+    DirReply::Snapshot {
+        seqno: dir.seqno,
+        deadline_us,
+        renewed,
+        columns: dir.columns.clone(),
+        rows,
+    }
 }
 
 /// Storage effects produced by the deterministic plan phase.
 #[derive(Debug)]
 pub(crate) enum Effect {
+    /// Persist this version (the one the RAM cache holds).
     StoreDir {
         object: u64,
-        dir: Directory,
+        dir: Arc<Directory>,
     },
     DropDir {
         object: u64,
@@ -338,12 +392,13 @@ fn decode_nv_record(data: &[u8]) -> Option<(u64, DirOp)> {
 }
 
 impl Applier {
-    /// Fetches a directory's contents: RAM cache, else its Bullet file.
-    pub fn load_dir(&self, ctx: &Ctx, object: u64) -> Result<Directory, DirError> {
+    /// Fetches a directory's current version: RAM cache, else its
+    /// Bullet file.
+    pub fn load_dir(&self, ctx: &Ctx, object: u64) -> Result<Arc<Directory>, DirError> {
         {
             let shared = self.shared.lock();
             if let Some(d) = shared.cache.get(&object) {
-                return Ok(d.clone());
+                return Ok(Arc::clone(d));
             }
         }
         let entry = {
@@ -354,9 +409,9 @@ impl Applier {
             .bullet
             .read(ctx, entry.file_cap)
             .map_err(|_| DirError::Internal)?;
-        let dir = Directory::decode(&bytes).map_err(|_| DirError::Internal)?;
+        let dir = Arc::new(Directory::decode(&bytes).map_err(|_| DirError::Internal)?);
         let mut shared = self.shared.lock();
-        shared.cache.insert(object, dir.clone());
+        shared.cache.insert(object, Arc::clone(&dir));
         Ok(dir)
     }
 
@@ -403,11 +458,18 @@ impl Applier {
     /// Computes the new state and storage effects for `op`. Must be
     /// deterministic: every replica runs this on the same state in the
     /// same order. `forced_seq` pins the update seq during NVRAM replay.
+    ///
+    /// `reply == false` is the caller's promise to drop the returned
+    /// [`DirReply`] unread (a replica that did not initiate the op, a
+    /// replay): the one arm whose answer costs something to build — the
+    /// grant's snapshot — then returns a bare [`DirReply::Ok`] in its
+    /// place. Nothing else may depend on the flag.
     pub(crate) fn plan(
         &self,
         shared: &mut Shared,
         op: &DirOp,
         forced_seq: Option<u64>,
+        reply: bool,
     ) -> Result<(DirReply, Vec<Effect>, u64), DirError> {
         let useq = match forced_seq {
             Some(s) => {
@@ -493,18 +555,11 @@ impl Applier {
                 col_rights,
             } => {
                 let mut dir = self.dir_for_plan(shared, *object)?;
-                dir.append_row(name.clone(), *cap, col_rights.clone())
+                Arc::make_mut(&mut dir)
+                    .append_row(name.clone(), *cap, col_rights.clone())
                     .map_err(structure_err)?;
-                dir.seqno = useq;
-                shared.cache.insert(*object, dir.clone());
-                Ok((
-                    DirReply::Ok,
-                    vec![Effect::StoreDir {
-                        object: *object,
-                        dir,
-                    }],
-                    useq,
-                ))
+                let stored = publish(shared, *object, dir, useq);
+                Ok((DirReply::Ok, vec![stored], useq))
             }
             DirOp::Chmod {
                 object,
@@ -512,32 +567,19 @@ impl Applier {
                 col_rights,
             } => {
                 let mut dir = self.dir_for_plan(shared, *object)?;
-                dir.chmod_row(name, col_rights.clone())
+                Arc::make_mut(&mut dir)
+                    .chmod_row(name, col_rights.clone())
                     .map_err(structure_err)?;
-                dir.seqno = useq;
-                shared.cache.insert(*object, dir.clone());
-                Ok((
-                    DirReply::Ok,
-                    vec![Effect::StoreDir {
-                        object: *object,
-                        dir,
-                    }],
-                    useq,
-                ))
+                let stored = publish(shared, *object, dir, useq);
+                Ok((DirReply::Ok, vec![stored], useq))
             }
             DirOp::DeleteRow { object, name } => {
                 let mut dir = self.dir_for_plan(shared, *object)?;
-                dir.delete_row(name).map_err(structure_err)?;
-                dir.seqno = useq;
-                shared.cache.insert(*object, dir.clone());
-                Ok((
-                    DirReply::Ok,
-                    vec![Effect::StoreDir {
-                        object: *object,
-                        dir,
-                    }],
-                    useq,
-                ))
+                Arc::make_mut(&mut dir)
+                    .delete_row(name)
+                    .map_err(structure_err)?;
+                let stored = publish(shared, *object, dir, useq);
+                Ok((DirReply::Ok, vec![stored], useq))
             }
             DirOp::AppendLink {
                 object,
@@ -554,18 +596,11 @@ impl Applier {
                         Err(DirError::DuplicateName)
                     };
                 }
-                dir.append_row(name.clone(), *cap, col_rights.clone())
+                Arc::make_mut(&mut dir)
+                    .append_row(name.clone(), *cap, col_rights.clone())
                     .map_err(structure_err)?;
-                dir.seqno = useq;
-                shared.cache.insert(*object, dir.clone());
-                Ok((
-                    DirReply::Ok,
-                    vec![Effect::StoreDir {
-                        object: *object,
-                        dir,
-                    }],
-                    useq,
-                ))
+                let stored = publish(shared, *object, dir, useq);
+                Ok((DirReply::Ok, vec![stored], useq))
             }
             DirOp::Unlink { object, name } => {
                 if shared.table.get(*object).is_none() {
@@ -576,21 +611,15 @@ impl Applier {
                 if dir.find(name).is_none() {
                     return Ok((DirReply::Ok, Vec::new(), useq));
                 }
-                dir.delete_row(name).map_err(structure_err)?;
-                dir.seqno = useq;
-                shared.cache.insert(*object, dir.clone());
-                Ok((
-                    DirReply::Ok,
-                    vec![Effect::StoreDir {
-                        object: *object,
-                        dir,
-                    }],
-                    useq,
-                ))
+                Arc::make_mut(&mut dir)
+                    .delete_row(name)
+                    .map_err(structure_err)?;
+                let stored = publish(shared, *object, dir, useq);
+                Ok((DirReply::Ok, vec![stored], useq))
             }
             DirOp::ReplaceSet { items } => {
                 // Indivisible: validate everything, then mutate.
-                let mut dirs: HashMap<u64, Directory> = HashMap::new();
+                let mut dirs: HashMap<u64, Arc<Directory>> = HashMap::new();
                 for (object, name, _) in items {
                     if !dirs.contains_key(object) {
                         dirs.insert(*object, self.dir_for_plan(shared, *object)?);
@@ -600,17 +629,16 @@ impl Applier {
                     }
                 }
                 for (object, name, cap) in items {
-                    let dir = dirs.get_mut(object).expect("validated above");
+                    // Copies each directory at its first replacement only.
+                    let dir = Arc::make_mut(dirs.get_mut(object).expect("validated above"));
                     dir.replace_cap(name, *cap).expect("validated above");
                 }
                 let mut effects = Vec::new();
                 let mut objs: Vec<u64> = dirs.keys().copied().collect();
                 objs.sort_unstable();
                 for object in objs {
-                    let mut dir = dirs.remove(&object).expect("present");
-                    dir.seqno = useq;
-                    shared.cache.insert(object, dir.clone());
-                    effects.push(Effect::StoreDir { object, dir });
+                    let dir = dirs.remove(&object).expect("present");
+                    effects.push(publish(shared, object, dir, useq));
                 }
                 Ok((DirReply::Ok, effects, useq))
             }
@@ -631,7 +659,7 @@ impl Applier {
                         }
                         // Upsert: a retry after a Stale CAS carries newer
                         // contents — replace the dark copy wholesale.
-                        shared.cache.insert(object, dir.clone());
+                        let stored = publish(shared, object, dir, useq);
                         shared.table.set(
                             object,
                             ObjEntry {
@@ -640,11 +668,7 @@ impl Applier {
                                 check: entry.check,
                             },
                         );
-                        return Ok((
-                            DirReply::Cap(cap),
-                            vec![Effect::StoreDir { object, dir }],
-                            useq,
-                        ));
+                        return Ok((DirReply::Cap(cap), vec![stored], useq));
                     }
                 }
                 // Fresh install: allocate like a create, with the carried
@@ -654,7 +678,7 @@ impl Applier {
                 if object > shared.table.capacity() {
                     return Err(DirError::Internal);
                 }
-                shared.cache.insert(object, dir.clone());
+                let stored = publish(shared, object, dir, useq);
                 shared.table.set(
                     object,
                     ObjEntry {
@@ -665,11 +689,7 @@ impl Applier {
                 );
                 shared.completions.insert(*key, object);
                 let cap = Capability::owner(self.cfg.public_port, object, *check);
-                Ok((
-                    DirReply::Cap(cap),
-                    vec![Effect::StoreDir { object, dir }],
-                    useq,
-                ))
+                Ok((DirReply::Cap(cap), vec![stored], useq))
             }
             DirOp::InstallStub {
                 object,
@@ -761,41 +781,14 @@ impl Applier {
                     ttl_us: deadline_us.saturating_sub(*now_us),
                     renewals_left: self.lease_renewals,
                 });
-                // The snapshot the lease covers: the rows the holder can
-                // see, restricted exactly as `LookupSet` would restrict
-                // them. Rows the holder has no effective rights over are
-                // omitted — a cached lookup of their name answers `None`,
-                // just like the server would.
-                let rows = dir
-                    .rows
-                    .iter()
-                    .filter_map(|row| {
-                        let eff = dir.effective_rights(row, cap.rights);
-                        if eff == Rights::NONE {
-                            return None;
-                        }
-                        let out_cap = restrict_with(shared, self.cfg.public_port, &row.cap, eff);
-                        let visible_masks: Vec<Rights> = row
-                            .col_rights
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| cap.rights.sees_column(*i))
-                            .map(|(_, m)| *m)
-                            .collect();
-                        Some((row.name.clone(), out_cap, visible_masks))
-                    })
-                    .collect();
-                Ok((
-                    DirReply::Snapshot {
-                        seqno: dir.seqno,
-                        deadline_us: *deadline_us,
-                        renewed: false,
-                        columns: dir.columns.clone(),
-                        rows,
-                    },
-                    Vec::new(),
-                    useq,
-                ))
+                // Every replica registers the lease; only the one that
+                // owes the holder an answer builds the snapshot.
+                let granted = if reply {
+                    lease_snapshot(shared, self.cfg.public_port, &dir, cap, *deadline_us, false)
+                } else {
+                    DirReply::Ok
+                };
+                Ok((granted, Vec::new(), useq))
             }
         }
     }
@@ -815,9 +808,8 @@ impl Applier {
         if object > shared.table.capacity() {
             return Err(DirError::Internal);
         }
-        let mut dir = Directory::new(columns.to_vec());
-        dir.seqno = useq;
-        shared.cache.insert(object, dir.clone());
+        let dir = Arc::new(Directory::new(columns.to_vec()));
+        let stored = publish(shared, object, dir, useq);
         shared.table.set(
             object,
             ObjEntry {
@@ -827,16 +819,14 @@ impl Applier {
             },
         );
         let cap = Capability::owner(self.cfg.public_port, object, check);
-        Ok((
-            DirReply::Cap(cap),
-            vec![Effect::StoreDir { object, dir }],
-            useq,
-        ))
+        Ok((DirReply::Cap(cap), vec![stored], useq))
     }
 
-    /// A directory's contents for planning: the RAM cache is authoritative
-    /// during normal operation (it was populated at recovery/apply time).
-    fn dir_for_plan(&self, shared: &mut Shared, object: u64) -> Result<Directory, DirError> {
+    /// A directory's current version for planning: the RAM cache is
+    /// authoritative during normal operation (it was populated at
+    /// recovery/apply time). Shared, not copied — an arm that edits it
+    /// goes through [`Arc::make_mut`], which makes the update's one copy.
+    fn dir_for_plan(&self, shared: &Shared, object: u64) -> Result<Arc<Directory>, DirError> {
         if shared.table.get(object).is_none() {
             return Err(DirError::BadCapability);
         }
@@ -1030,7 +1020,7 @@ impl Applier {
                     let _ = self.load_dir(ctx, needs);
                 }
                 let mut shared = self.shared.lock();
-                let _ = self.plan(&mut shared, &op, Some(useq));
+                let _ = self.plan(&mut shared, &op, Some(useq), false);
                 max_seq = max_seq.max(useq);
             }
         }
@@ -1249,34 +1239,10 @@ impl Applier {
             (object, deadline_us)
         };
         let dir = self.load_dir(ctx, object).ok()?;
-        // Identical restriction to the `GrantRead` apply path: rows the
-        // holder has no effective rights over are omitted.
-        let rows = dir
-            .rows
-            .iter()
-            .filter_map(|row| {
-                let eff = dir.effective_rights(row, cap.rights);
-                if eff == Rights::NONE {
-                    return None;
-                }
-                let out_cap = self.restrict_for_holder(&row.cap, eff);
-                let visible_masks: Vec<Rights> = row
-                    .col_rights
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| cap.rights.sees_column(*i))
-                    .map(|(_, m)| *m)
-                    .collect();
-                Some((row.name.clone(), out_cap, visible_masks))
-            })
-            .collect();
-        Some(DirReply::Snapshot {
-            seqno: dir.seqno,
-            deadline_us,
-            renewed: true,
-            columns: dir.columns.clone(),
-            rows,
-        })
+        // The same snapshot the `GrantRead` apply path answers with.
+        let shared = self.shared.lock();
+        let port = self.cfg.public_port;
+        Some(lease_snapshot(&shared, port, &dir, cap, deadline_us, true))
     }
 
     /// Initiator-side validation and translation of a client write into

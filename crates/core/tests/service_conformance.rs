@@ -43,7 +43,7 @@ fn conforms<S: Service>(
     let n = ops.len() as u64;
     let a = ServiceMachine::<S>::new(3);
     for (i, op) in ops.iter().enumerate() {
-        a.apply(ctx, 1 + i as u64, &op.encode());
+        a.apply(ctx, 1 + i as u64, &op.encode(), false);
     }
     let (cursor, snap) = a.snapshot(ctx);
     assert_eq!(cursor, n, "{}: snapshot cursor covers every apply", S::NAME);
@@ -79,7 +79,7 @@ fn conforms<S: Service>(
         .enumerate()
     {
         let seq = n + 1 + k as u64;
-        let reply = a.apply(ctx, seq, op);
+        let reply = a.apply(ctx, seq, op, true);
         assert_eq!(reply, S::MALFORMED.encode(), "{}: malformed reply", S::NAME);
         assert_eq!(a.snapshot(ctx).0, seq, "{}: slot consumed", S::NAME);
         assert_eq!(a.recovery_info().update_seq, seq);

@@ -40,7 +40,11 @@
 //! 1. **Total order.** `apply(seq, …)` is called exactly once per
 //!    sequence number, in ascending order, on every replica, with the
 //!    same bytes. `apply` must be deterministic: same state + same op
-//!    ⇒ same new state and same reply on every replica.
+//!    ⇒ same new state and same reply on every replica. Only one
+//!    replica is ever *asked* for the reply — the one whose thread
+//!    called [`Replica::submit`], told so by `apply`'s `reply` flag;
+//!    the others execute the same bytes and return nothing. State,
+//!    cursor and effects must not depend on the flag.
 //! 2. **Group commit.** One or more `apply` calls are followed by one
 //!    durable [`StateMachine::flush`], inline on the event loop — the
 //!    paper's group thread (§3.1, Fig. 5). The driver *publishes* a

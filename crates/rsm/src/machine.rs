@@ -64,9 +64,19 @@ impl std::error::Error for RsmError {}
 /// next `flush` — the driver publishes results only after `flush`.
 pub trait StateMachine: Send + Sync + 'static {
     /// Applies the operation at sequence number `seq` of the total
-    /// order and returns the (encoded) reply for the initiating
-    /// thread. Durable effects may be deferred to [`flush`](Self::flush).
-    fn apply(&self, ctx: &Ctx, seq: SeqNo, op: &Payload) -> Payload;
+    /// order. Durable effects may be deferred to [`flush`](Self::flush).
+    ///
+    /// `reply` says whether anyone will read the return value: the
+    /// driver passes `true` only on the replica whose thread submitted
+    /// the operation (paper Fig. 5: only the initiating server thread
+    /// answers the client). With `true` the machine returns the
+    /// (encoded) reply for that thread; with `false` it returns an
+    /// empty [`Payload`] and should not spend anything on building or
+    /// encoding one — nobody reads the reply of a remote operation.
+    /// **State, cursor, simulated time spent and deferred effects must
+    /// not depend on `reply`**: it selects what is returned, never what
+    /// is done.
+    fn apply(&self, ctx: &Ctx, seq: SeqNo, op: &Payload, reply: bool) -> Payload;
 
     /// Group-commit barrier: make every effect of the `apply` calls
     /// since the previous `flush` durable. Called once per batch,

@@ -72,7 +72,11 @@ pub(crate) struct DriverShared {
     pub stayed_up: bool,
     /// Initiators waiting for `published_seq` to reach a target.
     pub waiters: Vec<(SeqNo, MailboxTx<Wake>)>,
-    /// Apply replies by sequence number, for the initiating thread.
+    /// Apply replies of the operations *this replica* submitted, by
+    /// sequence number, until the submitting thread takes its own
+    /// ([`Replica::submit`] is the only reader). Sequence numbers
+    /// restart with every group instance, so the map is emptied when a
+    /// new instance is installed.
     pub results: HashMap<SeqNo, Payload>,
 }
 
@@ -89,18 +93,32 @@ impl DriverShared {
         }
     }
 
-    /// Wakes every waiter satisfied by the current published seq.
+    /// Recovery is over: serve on `group`. It is a new instance, whose
+    /// sequence numbers restart, so no reply of the previous one may be
+    /// found under them. They are dropped here and not where the
+    /// collapse aborts the waiters: the loop can publish a batch and
+    /// find the group dead in one activation, and a submitter that
+    /// publish woke takes its reply only when it next runs — at the
+    /// same simulated instant, which recovery never ends in.
+    fn enter_instance(&mut self, group: Arc<Group>) {
+        self.group = Some(group);
+        self.mode = Mode::Normal;
+        self.stayed_up = true;
+        self.stats.recoveries += 1;
+        self.results.clear();
+    }
+
+    /// Wakes every waiter satisfied by the current published seq, in
+    /// the order they arrived.
     fn wake_published(&mut self) {
         let published = self.published_seq;
-        let mut kept = Vec::new();
-        for (target, tx) in self.waiters.drain(..) {
-            if target <= published {
+        self.waiters.retain(|(target, tx)| {
+            let satisfied = *target <= published;
+            if satisfied {
                 tx.send(Wake::Applied);
-            } else {
-                kept.push((target, tx));
             }
-        }
-        self.waiters = kept;
+            !satisfied
+        });
     }
 
     /// Aborts every waiter (the group collapsed).
@@ -111,7 +129,12 @@ impl DriverShared {
         }
     }
 
-    /// Drops apply results that can no longer be claimed.
+    /// Backstop against replies nobody comes for. A live submitter
+    /// always takes its own the moment it runs, so the map normally
+    /// holds a handful of entries — but "submitted here" is read off
+    /// the sender's tag, the replica index, which survives a reboot: a
+    /// message the machine's previous incarnation left in the order is
+    /// applied with `reply` set and its entry has no claimant.
     fn prune_results(&mut self) {
         if self.results.len() > 4096 {
             let cutoff = self.published_seq.saturating_sub(2048);
@@ -261,6 +284,13 @@ impl<S: StateMachine> Replica<S> {
         self.shared.lock().published_seq
     }
 
+    /// Replies applied here that their submitting thread has not taken
+    /// yet: 0 whenever no [`submit`](Replica::submit) is in flight.
+    #[doc(hidden)]
+    pub fn unclaimed_results(&self) -> usize {
+        self.shared.lock().results.len()
+    }
+
     /// A snapshot of this replica's work counters. Counters are scoped
     /// to this replica (= this group) alone: services running several
     /// replicas per machine — e.g. one per directory shard — read each
@@ -377,13 +407,7 @@ impl<S: StateMachine> Replica<S> {
         loop {
             let group = run_recovery(ctx, &*self.sm, &self.cfg, &self.shared, peer, rpc);
             let group = Arc::new(group);
-            {
-                let mut shared = self.shared.lock();
-                shared.group = Some(Arc::clone(&group));
-                shared.mode = Mode::Normal;
-                shared.stayed_up = true;
-                shared.stats.recoveries += 1;
-            }
+            self.shared.lock().enter_instance(Arc::clone(&group));
             self.event_loop(ctx, &group);
             // Collapsed: back to recovery.
             {
@@ -416,14 +440,22 @@ impl<S: StateMachine> Replica<S> {
             // Membership events and errors end the batch (processed
             // after the batch commits).
             let cap = self.cfg.apply_batch.max(1);
-            let mut msgs: Vec<(SeqNo, Payload, amoeba_telemetry::TraceCtx)> = Vec::new();
+            let me = self.cfg.me as u64;
+            // (seq, submitted by this replica, op, ordering context)
+            let mut msgs: Vec<(SeqNo, bool, Payload, amoeba_telemetry::TraceCtx)> = Vec::new();
             let mut tail: Option<Result<GroupEvent, GroupError>> = None;
             let mut next = Some(first);
             loop {
                 match next {
+                    // Recovery joins and creates the group with the
+                    // replica index as this member's tag.
                     Some(Ok(GroupEvent::Message {
-                        seq, data, trace, ..
-                    })) => msgs.push((seq, data, trace)),
+                        seq,
+                        from_tag,
+                        data,
+                        trace,
+                        ..
+                    })) => msgs.push((seq, from_tag == me, data, trace)),
                     Some(other) => {
                         tail = Some(other);
                         break;
@@ -438,23 +470,26 @@ impl<S: StateMachine> Replica<S> {
 
             let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
             let covered = { self.shared.lock().published_seq };
-            let mut results: Vec<(SeqNo, Payload)> = Vec::with_capacity(msgs.len());
-            for (seq, data, trace) in &msgs {
-                if *seq <= covered {
-                    continue; // already covered by a fetched state snapshot
-                }
+            // Ops already covered by a fetched state snapshot are skipped.
+            msgs.retain(|(seq, ..)| *seq > covered);
+            // Only the submitting replica's thread reads a reply
+            // ([`Replica::submit`]), so only its replies are built and
+            // kept.
+            let mut results: Vec<(SeqNo, Payload)> = Vec::new();
+            for (seq, local, data, trace) in &msgs {
                 let span = tele.begin_child("rsm.apply", self.machine, *trace);
-                let reply = self.sm.apply(ctx, *seq, data);
+                let reply = self.sm.apply(ctx, *seq, data, *local);
                 tele.end(span);
-                results.push((*seq, reply));
+                if *local {
+                    results.push((*seq, reply));
+                }
             }
-            if let Some(&(last, _)) = results.last() {
+            if let Some(&(last, ..)) = msgs.last() {
                 // One group-commit flush, then publish. Every op of the
                 // batch waits for the same flush, so each gets the span
                 // (under its own ordering context, like its apply span).
                 let spans: Vec<_> = msgs
                     .iter()
-                    .filter(|(seq, ..)| *seq > covered)
                     .map(|(.., trace)| tele.begin_child("rsm.flush", self.machine, *trace))
                     .collect();
                 self.sm.flush(ctx);
@@ -462,7 +497,7 @@ impl<S: StateMachine> Replica<S> {
                     tele.end(span);
                 }
                 let mut shared = self.shared.lock();
-                shared.stats.applied += results.len() as u64;
+                shared.stats.applied += msgs.len() as u64;
                 shared.stats.batches += 1;
                 shared.published_seq = shared.published_seq.max(last);
                 shared.results.extend(results);
@@ -509,5 +544,70 @@ impl<S: StateMachine> Replica<S> {
             }
         }
         config
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amoeba_flip::{NetParams, Network, Port};
+    use amoeba_group::GroupConfig;
+    use amoeba_sim::Simulation;
+
+    #[test]
+    fn publishing_wakes_the_satisfied_waiters_in_arrival_order_and_keeps_the_rest() {
+        let mut sim = Simulation::new(1);
+        let mut shared = DriverShared::new();
+        let (log_tx, log_rx) = sim.channel::<(SeqNo, Wake)>();
+        // Arrival order is not target order.
+        for target in [5, 2, 9, 3, 2] {
+            let (tx, rx) = sim.channel::<Wake>();
+            shared.waiters.push((target, tx));
+            let log = log_tx.clone();
+            sim.spawn(&format!("waiter-{target}"), move |ctx| {
+                log.send((target, rx.recv(ctx)))
+            });
+        }
+        shared.published_seq = 3;
+        shared.wake_published();
+        let left: Vec<SeqNo> = shared.waiters.iter().map(|(t, _)| *t).collect();
+        assert_eq!(left, [5, 9]);
+        sim.run();
+        let woken: Vec<_> = std::iter::from_fn(|| log_rx.try_recv()).collect();
+        assert_eq!(
+            woken,
+            [(2, Wake::Applied), (3, Wake::Applied), (2, Wake::Applied)]
+        );
+
+        shared.abort_waiters();
+        assert!(shared.waiters.is_empty());
+        assert_eq!(shared.stats.aborted, 2);
+        sim.run();
+        let aborted: Vec<_> = std::iter::from_fn(|| log_rx.try_recv()).collect();
+        assert_eq!(aborted, [(5, Wake::Aborted), (9, Wake::Aborted)]);
+    }
+
+    #[test]
+    fn replies_outlive_the_collapse_but_not_the_next_instance() {
+        let sim = Simulation::new(1);
+        let net = Network::new(sim.handle(), NetParams::default(), 1);
+        let peer = GroupPeer::start(&sim, sim.add_node("m"), net.attach(), GroupConfig::lan());
+        let mut shared = DriverShared::new();
+        shared.enter_instance(Arc::new(peer.create(Port::from_name("first"), 0)));
+        shared.published_seq = 7;
+        shared.results.insert(7, Payload::from(vec![1]));
+
+        // The collapse arm of `main_loop`: the submitter of op 7 was
+        // woken by its publish and has yet to run.
+        shared.mode = Mode::Recovering;
+        shared.group = None;
+        shared.abort_waiters();
+        assert_eq!(shared.results.remove(&7), Some(Payload::from(vec![1])));
+
+        // Nobody came for this one; in the next instance 8 is another op.
+        shared.results.insert(8, Payload::from(vec![2]));
+        shared.enter_instance(Arc::new(peer.create(Port::from_name("second"), 0)));
+        assert!(shared.results.is_empty());
+        assert_eq!((shared.mode, shared.stats.recoveries), (Mode::Normal, 2));
     }
 }

@@ -313,16 +313,20 @@ impl<S: Service> ServiceMachine<S> {
 }
 
 impl<S: Service> StateMachine for ServiceMachine<S> {
-    fn apply(&self, _ctx: &Ctx, seq: SeqNo, op: &Payload) -> Payload {
+    fn apply(&self, _ctx: &Ctx, seq: SeqNo, op: &Payload, reply: bool) -> Payload {
         let mut core = self.core.lock();
         // A malformed op still consumes its slot.
         core.applied_seq = core.applied_seq.max(seq);
         core.update_seq += 1;
-        match S::Request::decode(op) {
+        let answer = match S::Request::decode(op) {
             Ok(req) => S::apply(&mut core.state, req),
             Err(_) => S::MALFORMED,
+        };
+        if reply {
+            answer.encode()
+        } else {
+            Payload::empty()
         }
-        .encode()
     }
 
     fn recovery_info(&self) -> RecoveryInfo {

@@ -94,12 +94,14 @@ impl SimHandle {
             node.0 as u64 + 1,
             fnv1a(name.as_bytes()),
         );
+        let calls = Arc::clone(k.handler_calls_by_name.entry(name.to_owned()).or_default());
         k.handlers.insert(
             mailbox,
             Arc::new(Handler {
                 name: name.to_owned(),
                 node,
                 call: Mutex::new(call),
+                calls,
             }),
         );
     }

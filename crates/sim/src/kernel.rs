@@ -37,6 +37,7 @@ use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::panic::{self, catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, Condvar, Once};
 use std::thread::JoinHandle;
 
@@ -159,6 +160,19 @@ pub(crate) enum WakeReason {
     TimedOut,
 }
 
+impl WakeReason {
+    /// The reason's number in a `Resume` trace step, and its column in
+    /// the activation counts.
+    pub fn code(self) -> usize {
+        match self {
+            WakeReason::First => 0,
+            WakeReason::Slept => 1,
+            WakeReason::MailboxReady => 2,
+            WakeReason::TimedOut => 3,
+        }
+    }
+}
+
 /// How a process gives up the baton.
 pub(crate) enum YieldKind {
     /// Block until the given instant.
@@ -205,6 +219,10 @@ pub(crate) struct ProcRec {
     pub wait_box: Option<MailboxId>,
     /// Marked dead by a node crash; reaped lazily by a `Reap` event.
     pub dead: bool,
+    /// Times resumed, by [`WakeReason::code`].
+    pub resumes: [u64; 4],
+    /// Of those, the times the baton came from another thread.
+    pub handoffs_in: [u64; 4],
 }
 
 #[derive(Default)]
@@ -222,6 +240,10 @@ pub(crate) struct Handler {
     pub node: NodeId,
     /// Takes the delivered message off the mailbox and handles it.
     pub call: Mutex<Box<dyn FnMut() + Send>>,
+    /// Times a handler of this name was called: its entry of
+    /// [`Kernel::handler_calls_by_name`] (a statistic; the baton orders
+    /// the increments).
+    pub calls: Arc<AtomicU64>,
 }
 
 pub(crate) struct NodeRec {
@@ -299,6 +321,11 @@ pub(crate) struct Kernel {
     /// releasing the kernel lock (a handler owns its `MailboxRx`, whose
     /// drop locks the kernel).
     pub handlers: HashMap<MailboxId, Arc<Handler>>,
+    /// Calls of kernel handlers by name, for
+    /// [`crate::Simulation::activations`]. The handlers of one name share
+    /// the counter, so it outlives the crash that takes a handler out of
+    /// the table and the handler registered after the reboot counts on.
+    pub handler_calls_by_name: HashMap<String, Arc<AtomicU64>>,
     pub nodes: HashMap<NodeId, NodeRec>,
     next_node: u32,
     pub seed: u64,
@@ -334,6 +361,7 @@ impl Kernel {
             mailboxes: HashMap::new(),
             next_mbox: 0,
             handlers: HashMap::new(),
+            handler_calls_by_name: HashMap::new(),
             nodes: HashMap::new(),
             next_node: 0,
             seed,
@@ -484,13 +512,8 @@ impl Kernel {
         p.state = ProcState::Running;
         p.block = BlockKind::None;
         p.gen += 1;
-        let code = match reason {
-            WakeReason::First => 0,
-            WakeReason::Slept => 1,
-            WakeReason::MailboxReady => 2,
-            WakeReason::TimedOut => 3,
-        };
-        self.checkpoint(StepTag::Resume, pid.0, code, 0);
+        p.resumes[reason.code()] += 1;
+        self.checkpoint(StepTag::Resume, pid.0, reason.code() as u64, 0);
         true
     }
 
@@ -699,6 +722,7 @@ pub(crate) fn dispatch<'a>(
             Step::Call(handler) => handler,
         };
         k.handler_calls += 1;
+        handler.calls.fetch_add(1, atomic::Ordering::Relaxed);
         drop(k);
         let failure = catch_unwind(AssertUnwindSafe(|| (handler.call.lock())()))
             .err()
@@ -718,7 +742,9 @@ pub(crate) fn hand_off(mut k: MutexGuard<'_, Kernel>, next: Next) {
     k.handoffs += 1;
     match next {
         Next::Run(pid, reason) => {
-            let cell = Arc::clone(&k.procs[&pid].cell);
+            let p = k.procs.get_mut(&pid).expect("the baton goes to a process");
+            p.handoffs_in[reason.code()] += 1;
+            let cell = Arc::clone(&p.cell);
             drop(k);
             cell.put(Wakeup::Run(reason));
         }

@@ -77,6 +77,6 @@ pub use process::ProcOutput;
 pub use record::{fault_codes, SimTrace, StepTag, TraceStep};
 pub use resource::Resource;
 pub use rng::SimRng;
-pub use sim::{RunStats, Simulation};
+pub use sim::{Activations, RunStats, Simulation};
 pub use spawn::Spawn;
 pub use time::SimTime;

@@ -130,6 +130,8 @@ where
                 gen: 0,
                 wait_box: None,
                 dead: false,
+                resumes: [0; 4],
+                handoffs_in: [0; 4],
             },
         );
         k.schedule(start_time, EventKind::Start(pid));

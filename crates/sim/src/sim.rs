@@ -3,6 +3,8 @@
 //! among themselves, and takes it back to reap crashed processes, to
 //! re-raise a process panic, and when the run is over.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,6 +35,27 @@ pub struct RunStats {
     /// Total calls of kernel handlers so far (see
     /// [`SimHandle::handler`](crate::SimHandle::handler)): deliveries
     /// that woke no thread. Exact and deterministic.
+    pub handler_calls: u64,
+}
+
+/// One row of [`Simulation::activations`]: how often the processes, or
+/// the kernel handlers, of one name ran.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Activations {
+    /// The full name given at spawn or registration. Processes (or
+    /// handlers) that share a name — a rebooted machine's — share a row.
+    pub name: String,
+    /// Times a process of this name was resumed, by what woke it: its
+    /// first activation, a `sleep` that elapsed, a mailbox that became
+    /// non-empty, a receive that timed out — in that order.
+    pub resumes: [u64; 4],
+    /// Of [`resumes`](Self::resumes), those for which the baton came
+    /// from another OS thread (a [`RunStats::handoffs`] each). The rest
+    /// are self-wakes: the process, blocked, dispatched its own wake-up
+    /// event and simply went on.
+    pub handoffs_in: [u64; 4],
+    /// Times a kernel handler of this name was called
+    /// (a [`RunStats::handler_calls`] each).
     pub handler_calls: u64,
 }
 
@@ -130,6 +153,33 @@ impl Simulation {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.shared.lock().now
+    }
+
+    /// How often every process and kernel handler has run so far, by
+    /// name, in name order. Exact and deterministic like [`RunStats`],
+    /// whose `handoffs` and `handler_calls` these rows break down
+    /// (hand-offs to the driver belong to no process): counted where
+    /// the kernel resumes a process, passes the baton and calls a
+    /// handler, so reading them perturbs nothing.
+    pub fn activations(&self) -> Vec<Activations> {
+        let k = self.shared.lock();
+        let mut rows: BTreeMap<&str, Activations> = BTreeMap::new();
+        for p in k.procs.values() {
+            let row = rows.entry(&p.name).or_default();
+            for reason in 0..4 {
+                row.resumes[reason] += p.resumes[reason];
+                row.handoffs_in[reason] += p.handoffs_in[reason];
+            }
+        }
+        for (name, calls) in &k.handler_calls_by_name {
+            rows.entry(name).or_default().handler_calls = calls.load(Ordering::Relaxed);
+        }
+        rows.into_iter()
+            .map(|(name, row)| Activations {
+                name: name.to_owned(),
+                ..row
+            })
+            .collect()
     }
 
     /// Adds a crashable node (failure domain) to the topology.

@@ -668,3 +668,72 @@ fn many_processes_ping_pong() {
     assert_eq!(finished.len(), 1);
     assert_eq!(finished[0], 11); // 10 laps + the final zero token
 }
+
+/// The shape of a null RPC at the kernel's level — a caller, each
+/// machine's packet dispatch as a handler, one server thread — and a
+/// caller that also sleeps, which nobody else is awake to end.
+#[test]
+fn the_activation_table_says_who_ran_and_what_woke_them() {
+    const CALLS: u64 = 1_000;
+    let mut sim = Simulation::new(1);
+    let nodes = [sim.add_node("client"), sim.add_node("server")];
+    let (to_server_kernel, at_server_kernel) = sim.channel::<u64>();
+    let (to_server, at_server) = sim.channel::<u64>();
+    let (to_client_kernel, at_client_kernel) = sim.channel::<u64>();
+    let (to_caller, at_caller) = sim.channel::<u64>();
+    let handle = sim.handle();
+    handle.handler(nodes[1], "rpc@server", at_server_kernel, move |v| {
+        to_server.send(v)
+    });
+    handle.handler(nodes[0], "rpc@client", at_client_kernel, move |v| {
+        to_caller.send(v)
+    });
+    sim.spawn_on(nodes[1], "server", move |ctx| loop {
+        to_client_kernel.send(at_server.recv(ctx));
+    });
+    sim.spawn_on(nodes[0], "caller", move |ctx| {
+        for i in 0..CALLS {
+            to_server_kernel.send(i);
+            assert_eq!(at_caller.recv(ctx), i);
+            ctx.sleep(MS);
+        }
+    });
+    let stats = sim.run();
+    let row = |name: &str, resumes, handoffs_in, handler_calls| amoeba_sim::Activations {
+        name: name.to_owned(),
+        resumes,
+        handoffs_in,
+        handler_calls,
+    };
+    let table = sim.activations();
+    assert_eq!(
+        table,
+        [
+            // Every sleep ends on the caller's own dispatch; every reply
+            // comes off the server's.
+            row("caller", [1, CALLS, CALLS, 0], [1, 0, CALLS, 0], 0),
+            row("rpc@client", [0; 4], [0; 4], CALLS),
+            row("rpc@server", [0; 4], [0; 4], CALLS),
+            row("server", [1, 0, CALLS, 0], [1, 0, CALLS, 0], 0),
+        ]
+    );
+    // The rows break the run's totals down; the one hand-off that is
+    // nobody's is the baton's return to the driver.
+    let handed_in: u64 = table.iter().flat_map(|r| r.handoffs_in).sum();
+    let handler_calls: u64 = table.iter().map(|r| r.handler_calls).sum();
+    assert_eq!(
+        (handed_in + 1, handler_calls),
+        (stats.handoffs, stats.handler_calls)
+    );
+
+    // A crash takes the handler, not its count; its successor of the
+    // same name adds to the row.
+    sim.crash_node(nodes[1]);
+    sim.revive_node(nodes[1]);
+    let (again, at_again) = sim.channel::<u64>();
+    handle.handler(nodes[1], "rpc@server", at_again, |_| {});
+    again.send(0);
+    sim.run();
+    let table = sim.activations();
+    assert_eq!(table[2], row("rpc@server", [0; 4], [0; 4], CALLS + 1));
+}

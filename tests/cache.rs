@@ -285,3 +285,44 @@ fn cached_reads_are_session_monotonic_under_replica_faults() {
         }
     });
 }
+
+/// A fetch's grant is an ordered op on all three replicas, but only the
+/// one whose thread submitted it owes the client an answer: the other
+/// two build no reply and keep none, and the initiator's is gone the
+/// moment its thread has taken it.
+#[test]
+fn a_grant_leaves_no_reply_behind_on_any_replica() {
+    let mut sim = Simulation::new(504);
+    let mut params = ClusterParams::paper(Variant::Group);
+    params.seed = 504;
+    // Leases short enough that every lookup below finds its own expired.
+    params.dir_cache = Some(CacheParams {
+        ttl: Duration::from_millis(20),
+        renew_guard: Duration::from_millis(5),
+    });
+    let mut cluster = Cluster::start(&sim, params);
+    let (client, _) = cluster.client(&sim);
+    let out = sim.spawn("reader", move |ctx| {
+        let root = ready_root(ctx, &client, &["owner"]);
+        client
+            .append_row(ctx, root, "x", root, vec![Rights::ALL])
+            .unwrap();
+        for _ in 0..200 {
+            assert!(client.lookup(ctx, root, "x").unwrap().is_some());
+            ctx.sleep(Duration::from_millis(25));
+        }
+        client.cache_stats().expect("cache is on")
+    });
+    sim.run_for(Duration::from_secs(60));
+    let stats = out.take().expect("200 lookups returned");
+    assert_eq!(
+        (stats.misses + stats.stale_rejects, stats.renewals_saved),
+        (200, 0),
+        "every lookup fetched, each fetch was a grant: {stats:?}"
+    );
+    for i in 0..3 {
+        let server = cluster.group_server(i);
+        assert!(server.replica_stats().applied >= 200, "replica {i} applied");
+        assert_eq!(server.unclaimed_results(), 0, "replica {i}");
+    }
+}

@@ -9,6 +9,11 @@
 //! goes on to reject: a peer's snapshot that *claims* a million entries
 //! must not make `install` reserve for them.
 //!
+//! And it bounds what serving costs: the RAM cache hands out shared
+//! versions of a directory, so neither a lookup nor a grant applied on a
+//! replica that owes no reply may request heap in proportion to the
+//! directory's size.
+//!
 //! The tests in this file count every byte the process allocates, so
 //! they take turns ([`ALONE`]).
 
@@ -19,13 +24,15 @@ use std::time::Duration;
 
 use amoeba_dirsvc::bullet::BulletClient;
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::{DirParams, DirectoryStateMachine, ServiceConfig};
+use amoeba_dirsvc::dir::{
+    Capability, DirOp, DirParams, DirectoryStateMachine, Rights, ServiceConfig,
+};
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::WireWriter;
 use amoeba_dirsvc::flip::{NetParams, Network};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
-use amoeba_dirsvc::sim::{Resource, Simulation};
+use amoeba_dirsvc::sim::{NodeId, Resource, Simulation};
 
 /// The system allocator, counting live bytes and bytes ever requested.
 struct Counting;
@@ -79,14 +86,13 @@ fn a_dropped_deployment_leaves_no_heap_behind() {
     assert_eq!(LIVE.load(Ordering::Relaxed), before);
 }
 
-#[test]
-fn a_rejected_snapshot_allocates_nothing_for_its_claimed_counts() {
-    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
-    let mut sim = Simulation::new(1);
+/// A directory machine on a node of its own, with no Bullet server
+/// behind its stub: for tests that apply and install but never flush.
+fn machine_that_never_flushes(sim: &Simulation) -> (NodeId, DirectoryStateMachine) {
     let node = sim.add_node("m");
     let net = Network::new(sim.handle(), NetParams::default(), 1);
-    let rpc = RpcNode::start(&sim, node, net.attach());
-    let disk = DiskServer::start(&sim, node, VDisk::new(64, 4096), DiskParams::instant());
+    let rpc = RpcNode::start(sim, node, net.attach());
+    let disk = DiskServer::start(sim, node, VDisk::new(64, 4096), DiskParams::instant());
     let cfg = ServiceConfig::new(3, 0);
     let sm = DirectoryStateMachine::standalone(
         cfg.clone(),
@@ -97,6 +103,14 @@ fn a_rejected_snapshot_allocates_nothing_for_its_claimed_counts() {
         None,
         Resource::new(sim.handle(), "cpu"),
     );
+    (node, sm)
+}
+
+#[test]
+fn a_rejected_snapshot_allocates_nothing_for_its_claimed_counts() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sim = Simulation::new(1);
+    let (node, sm) = machine_that_never_flushes(&sim);
     // One snapshot per count field (entries, completions, stubs, read
     // leases): the counts before it are zero, it claims a million, and
     // the body ends there.
@@ -129,4 +143,103 @@ fn a_rejected_snapshot_allocates_nothing_for_its_claimed_counts() {
             "rejecting it requested {requested} bytes of heap"
         );
     }
+}
+
+/// Bytes of heap the whole process requests while a client makes 1,000
+/// lookups of one name in a directory of `rows` rows, each a `LookupSet`
+/// served off a replica's RAM cache.
+fn requested_by_1000_lookups(rows: usize) -> usize {
+    let mut sim = Simulation::new(7);
+    let mut cluster = Cluster::start(&sim, ClusterParams::paper(Variant::Group));
+    let (client, _) = cluster.client(&sim);
+    let out = sim.spawn("reader", move |ctx| {
+        let dir = loop {
+            match client.create_dir(ctx, &["owner"]) {
+                Ok(cap) => break cap,
+                Err(_) => ctx.sleep(Duration::from_millis(100)),
+            }
+        };
+        for r in 0..rows {
+            client
+                .append_row(ctx, dir, &format!("row-{r}"), dir, vec![Rights::ALL])
+                .expect("append");
+        }
+        let before = REQUESTED.load(Ordering::Relaxed);
+        for _ in 0..1_000 {
+            assert!(client.lookup(ctx, dir, "row-3").expect("lookup").is_some());
+        }
+        REQUESTED.load(Ordering::Relaxed) - before
+    });
+    sim.run_for(Duration::from_secs(60));
+    out.take().expect("the lookups returned")
+}
+
+#[test]
+fn a_lookup_requests_no_more_heap_in_a_bigger_directory() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, big) = (requested_by_1000_lookups(4), requested_by_1000_lookups(64));
+    assert!(
+        big <= small + small / 10,
+        "1,000 lookups requested {small} bytes with 4 rows, {big} with 64"
+    );
+}
+
+/// Bytes of heap requested by 1,000 applies of a read-lease grant on a
+/// directory of `rows` rows, on a replica that did not initiate them.
+fn requested_by_1000_unasked_grants(rows: usize) -> usize {
+    let mut sim = Simulation::new(1);
+    let (node, sm) = machine_that_never_flushes(&sim);
+    let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
+    let out = sim.spawn_on(node, "replica", move |ctx| {
+        let create = DirOp::Create {
+            columns: vec!["owner".into()],
+            check: 0xC1,
+        };
+        let appends = (0..rows).map(|r| DirOp::Append {
+            object: 1,
+            name: format!("row-{r}"),
+            cap: owner,
+            col_rights: vec![Rights::ALL],
+        });
+        let mut seq = 0;
+        for op in std::iter::once(create).chain(appends) {
+            seq += 1;
+            sm.apply(ctx, seq, &op.encode(), false);
+        }
+        let grant = DirOp::GrantRead {
+            cap: owner,
+            owner: 7,
+            cb_port: 7,
+            now_us: 0,
+            deadline_us: 400_000,
+        }
+        .encode();
+        let before = REQUESTED.load(Ordering::Relaxed);
+        for _ in 0..1_000 {
+            seq += 1;
+            assert!(sm.apply(ctx, seq, &grant, false).is_empty());
+        }
+        let requested = REQUESTED.load(Ordering::Relaxed) - before;
+        // The grants did happen: asked, the machine answers with all rows.
+        let snapshot = sm.apply(ctx, seq + 1, &grant, true);
+        assert!(snapshot.len() > rows * "row-0".len());
+        requested
+    });
+    sim.run_for(Duration::from_secs(60));
+    out.take().expect("the grants were applied")
+}
+
+#[test]
+fn a_grant_nobody_asked_about_requests_no_more_heap_in_a_bigger_directory() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, big) = (
+        requested_by_1000_unasked_grants(4),
+        requested_by_1000_unasked_grants(64),
+    );
+    // A few hundred bytes either way, so leave room for the harness,
+    // which starts the next test's thread whenever it likes.
+    assert!(
+        big <= small + small / 10 + 64 * 1024,
+        "1,000 grants requested {small} bytes with 4 rows, {big} with 64"
+    );
 }

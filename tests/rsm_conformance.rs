@@ -11,9 +11,9 @@ use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
     Capability, DirOp, DirParams, DirectoryStateMachine, LockRequest, LockService, Rights,
-    ServiceConfig,
+    ServiceConfig, StorageKind,
 };
-use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, RawPartition, VDisk};
+use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
 use amoeba_dirsvc::flip::{NetParams, Network, Payload};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::service::{ServiceMachine, Wire};
@@ -29,6 +29,13 @@ use std::sync::Mutex;
 /// `flush` each — exactly what the driver does) and checks the trait
 /// contract: deterministic replies, cursor-consistent snapshots, and
 /// snapshot/install equivalence into a fresh machine.
+///
+/// `a` is asked for every reply, as the replica whose thread submitted
+/// the op is; `b` for none, as every other replica. `b` must return
+/// nothing and still be `a`'s equal — snapshot (leases included),
+/// recovery info and cursor — after every single op. `golden` pins
+/// replies of `a` by sequence number, in hex, as the last commit whose
+/// `apply` had no `reply` flag produced them.
 fn check_conformance<S: StateMachine>(
     ctx: &Ctx,
     a: &S,
@@ -36,14 +43,29 @@ fn check_conformance<S: StateMachine>(
     fresh: &S,
     batch1: &[Payload],
     batch2: &[Payload],
+    golden: &[(u64, &str)],
 ) {
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let asked_and_unasked = |seq: u64, op: &Payload| {
+        let ra = a.apply(ctx, seq, op, true);
+        let rb = b.apply(ctx, seq, op, false);
+        assert!(rb.is_empty(), "apply #{seq}: a reply nobody asked for");
+        assert_eq!(
+            a.snapshot(ctx),
+            b.snapshot(ctx),
+            "apply #{seq}: state depends on `reply`"
+        );
+        assert_eq!(a.recovery_info(), b.recovery_info(), "apply #{seq}");
+        if let Some((_, bytes)) = golden.iter().find(|(s, _)| *s == seq) {
+            assert_eq!(hex(&ra), *bytes, "apply #{seq}: reply bytes moved");
+        }
+        ra
+    };
     let mut seq = 0u64;
-    // Batch 1 on a and b: identical replies, then one group commit.
+    // Batch 1 on a and b, then one group commit.
     for op in batch1 {
         seq += 1;
-        let ra = a.apply(ctx, seq, op);
-        let rb = b.apply(ctx, seq, op);
-        assert_eq!(ra, rb, "apply #{seq} diverged between replicas");
+        asked_and_unasked(seq, op);
     }
     a.flush(ctx);
     b.flush(ctx);
@@ -59,13 +81,12 @@ fn check_conformance<S: StateMachine>(
     let (cur_f, snap_f) = fresh.snapshot(ctx);
     assert_eq!((cur_f, &snap_f), (cur_a, &snap_a), "install not faithful");
 
-    // Batch 2 on all three: the installed machine must stay in step.
+    // Batch 2 on all three: the installed machine must stay in step,
+    // and answers what `a` answers when it is the one asked.
     for op in batch2 {
         seq += 1;
-        let ra = a.apply(ctx, seq, op);
-        let rb = b.apply(ctx, seq, op);
-        let rf = fresh.apply(ctx, seq, op);
-        assert_eq!(ra, rb, "apply #{seq} diverged between replicas");
+        let ra = asked_and_unasked(seq, op);
+        let rf = fresh.apply(ctx, seq, op, true);
         assert_eq!(ra, rf, "apply #{seq} diverged after state transfer");
     }
     a.flush(ctx);
@@ -102,6 +123,18 @@ fn dir_column(
     disk_params: DiskParams,
     dir_params: DirParams,
 ) -> DirColumn {
+    dir_column_with(sim, net, idx, disk_params, dir_params, None)
+}
+
+/// [`dir_column`], with the machine's NVRAM for `StorageKind::Nvram`.
+fn dir_column_with(
+    sim: &Simulation,
+    net: &Network,
+    idx: usize,
+    disk_params: DiskParams,
+    dir_params: DirParams,
+    nvram: Option<Nvram>,
+) -> DirColumn {
     let cfg = ServiceConfig::new(3, idx);
     let node = sim.add_node(&format!("col-{idx}"));
     let stack = net.attach();
@@ -124,7 +157,7 @@ fn dir_column(
     let cpu = Resource::new(sim.handle(), &format!("cpu-{idx}"));
     DirColumn {
         sm: Arc::new(DirectoryStateMachine::standalone(
-            cfg, dir_params, bullet, partition, None, None, cpu,
+            cfg, dir_params, bullet, partition, nvram, None, cpu,
         )),
         node,
         vdisk,
@@ -207,20 +240,79 @@ fn dir_ops_batch2() -> Vec<Payload> {
     ]
 }
 
-#[test]
-fn directory_machine_conforms() {
-    let mut sim = Simulation::new(0x5EED);
-    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 0x5EED);
-    let a = dir_column(&sim, &net, 0, DiskParams::instant(), DirParams::default());
-    let b = dir_column(&sim, &net, 1, DiskParams::instant(), DirParams::default());
-    let f = dir_column(&sim, &net, 2, DiskParams::instant(), DirParams::default());
-    let (sa, sb, sf) = (Arc::clone(&a.sm), Arc::clone(&b.sm), Arc::clone(&f.sm));
+/// Replies of [`dir_ops_batch1`] + [`grant_read_op`] + [`dir_ops_batch2`]
+/// by sequence number, captured on the last commit whose `apply` had no
+/// `reply` flag: a create, an append, the refused and the accepted
+/// `DeleteRow`, and the grant's whole snapshot.
+const DIR_GOLDEN: [(u64, &str); 5] = [
+    (1, "0116178d83bd2600000100000000000000ffc100000000000000"),
+    (2, "02"),
+    (7, "0505"),
+    (
+        8,
+        "080600000000000000681e0600000000000001050000006f776e657202000000010000006116178d83bd2600\
+         00010000000000000001d8a35865262bbbf70101010000006216178d83bd2600000100000000000000401\
+         5d0db8b913e40960140",
+    ),
+    (9, "02"),
+];
+
+/// A read lease on directory 1 for its owner: `batch1`'s last op in the
+/// conformance runs, so the snapshot that is installed carries a lease
+/// and `batch2`'s first op (a `DeleteRow` on directory 1) revokes it.
+fn grant_read_op() -> Payload {
+    DirOp::GrantRead {
+        cap: Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1 | 1),
+        owner: 0xCAFE,
+        cb_port: 0xCB01,
+        now_us: 1_000,
+        deadline_us: 401_000,
+    }
+    .encode()
+}
+
+/// The directory machine conforms on each of its commit paths: the
+/// replies do not depend on where the bytes become durable.
+fn directory_conformance(seed: u64, column: impl Fn(&Simulation, &Network, usize) -> DirColumn) {
+    let mut sim = Simulation::new(seed);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), seed);
+    let [sa, sb, sf] = [0, 1, 2].map(|idx| column(&sim, &net, idx).sm);
     let out = sim.spawn("conformance", move |ctx| {
-        check_conformance(ctx, &*sa, &*sb, &*sf, &dir_ops_batch1(), &dir_ops_batch2());
+        let mut batch1 = dir_ops_batch1();
+        batch1.push(grant_read_op());
+        let batch2 = dir_ops_batch2();
+        check_conformance(ctx, &*sa, &*sb, &*sf, &batch1, &batch2, &DIR_GOLDEN);
         true
     });
     sim.run_for(Duration::from_secs(120));
     assert_eq!(out.take(), Some(true), "conformance run did not finish");
+}
+
+#[test]
+fn directory_machine_conforms() {
+    directory_conformance(0x5EED, |sim, net, idx| {
+        dir_column(sim, net, idx, DiskParams::instant(), DirParams::default())
+    });
+}
+
+#[test]
+fn journaled_directory_machine_conforms() {
+    directory_conformance(0x5EEE, |sim, net, idx| {
+        let disk = DiskParams::instant();
+        dir_column_journaled(sim, net, idx, disk, journaled_params(), JOURNAL_BLOCKS)
+    });
+}
+
+#[test]
+fn nvram_directory_machine_conforms() {
+    directory_conformance(0x5EEF, |sim, net, idx| {
+        let params = DirParams {
+            storage: StorageKind::Nvram,
+            ..DirParams::default()
+        };
+        let nvram = Some(Nvram::paper_24k());
+        dir_column_with(sim, net, idx, DiskParams::instant(), params, nvram)
+    });
 }
 
 #[test]
@@ -252,8 +344,11 @@ fn lock_machine_conforms() {
         acq("c", 3),
     ];
     let batch2 = vec![rel("a", 1), acq("a", 9), acq("d", 4)];
+    // Acquire, the refused acquire (busy, held by 1) and the refused
+    // release: bytes of the last commit whose `apply` had no `reply` flag.
+    let golden = [(1, "01"), (3, "040100000000000000"), (5, "05")];
     let out = sim.spawn("conformance", move |ctx| {
-        check_conformance(ctx, &a, &b, &f, &batch1, &batch2);
+        check_conformance(ctx, &a, &b, &f, &batch1, &batch2, &golden);
         true
     });
     sim.run();
@@ -281,7 +376,7 @@ fn group_commit_defers_then_makes_batch_durable_and_coalesces() {
     let out = sim.spawn("batching", move |ctx| {
         // Apply the whole batch without flushing: nothing durable yet.
         for (i, op) in ops.iter().enumerate() {
-            let _ = sm_b.apply(ctx, 1 + i as u64, op);
+            let _ = sm_b.apply(ctx, 1 + i as u64, op, false);
         }
         assert_eq!(
             sm_b.update_seq(),
@@ -306,7 +401,7 @@ fn group_commit_defers_then_makes_batch_durable_and_coalesces() {
         // The same ops flushed one by one cost more disk writes.
         let w0 = vd_p.stats().writes;
         for (i, op) in ops.iter().enumerate() {
-            let _ = sm_p.apply(ctx, 1 + i as u64, op);
+            let _ = sm_p.apply(ctx, 1 + i as u64, op, false);
             sm_p.flush(ctx);
         }
         let per_op_writes = vd_p.stats().writes - w0;
@@ -345,7 +440,7 @@ fn crash_mid_multi_object_flush_voids_local_state() {
     // durable base.
     let seeded = sim.spawn("seed", move |ctx| {
         for (i, op) in dir_ops_batch1().iter().enumerate() {
-            let _ = sm.apply(ctx, 1 + i as u64, op);
+            let _ = sm.apply(ctx, 1 + i as u64, op, false);
         }
         sm.flush(ctx);
         sm.update_seq()
@@ -375,7 +470,7 @@ fn crash_mid_multi_object_flush_voids_local_state() {
             .encode(),
         ];
         for (i, op) in ops.iter().enumerate() {
-            let _ = sm2.apply(ctx, 100 + i as u64, op);
+            let _ = sm2.apply(ctx, 100 + i as u64, op, false);
         }
         sm2.flush(ctx); // dies mid-way when the node crashes
     });
@@ -538,7 +633,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
     // multi-object flush: a consistent durable base.
     let seeded = sim.spawn("seed", move |ctx| {
         for (i, op) in dir_ops_batch1().iter().enumerate() {
-            let _ = sm.apply(ctx, 1 + i as u64, op);
+            let _ = sm.apply(ctx, 1 + i as u64, op, false);
         }
         sm.flush(ctx);
         sm.update_seq()
@@ -569,7 +664,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
             .encode(),
         ];
         for (i, op) in ops.iter().enumerate() {
-            let _ = sm2.apply(ctx, 100 + i as u64, op);
+            let _ = sm2.apply(ctx, 100 + i as u64, op, false);
         }
         sm2.flush(ctx); // dies mid-way when the node crashes
     });
@@ -750,7 +845,7 @@ fn journaled_commit_survives_crash_and_reboot() {
     let sm = Arc::clone(&col.sm);
     let committed = sim.spawn("seed", move |ctx| {
         for (i, op) in dir_ops_batch1().iter().enumerate() {
-            let _ = sm.apply(ctx, 1 + i as u64, op);
+            let _ = sm.apply(ctx, 1 + i as u64, op, false);
         }
         // Journal on: this appends ONE sequential record and returns
         // with the commit durable — no table or Bullet writes.
@@ -815,14 +910,14 @@ fn checkpoint_drains_journal_and_replay_is_idempotent() {
         let mut seq = 0u64;
         for op in dir_ops_batch1() {
             seq += 1;
-            let _ = sm.apply(ctx, seq, &op);
+            let _ = sm.apply(ctx, seq, &op, false);
         }
         sm.flush(ctx); // record 1
                        // Drain it into long-term form; the journal tail advances.
         sm.checkpoint(ctx);
         for op in dir_ops_batch2() {
             seq += 1;
-            let _ = sm.apply(ctx, seq, &op);
+            let _ = sm.apply(ctx, seq, &op, false);
         }
         sm.flush(ctx); // record 2 — journaled, NOT checkpointed
         sm.snapshot(ctx)
@@ -873,13 +968,13 @@ fn torn_journal_tail_truncates_to_acked_prefix() {
         let mut seq = 0u64;
         for op in dir_ops_batch1() {
             seq += 1;
-            let _ = sm.apply(ctx, seq, &op);
+            let _ = sm.apply(ctx, seq, &op, false);
         }
         sm.flush(ctx); // record 1 (acked)
         let mid = sm.snapshot(ctx);
         for op in dir_ops_batch2() {
             seq += 1;
-            let _ = sm.apply(ctx, seq, &op);
+            let _ = sm.apply(ctx, seq, &op, false);
         }
         sm.flush(ctx); // record 2 (the append the crash will tear)
         mid
@@ -945,6 +1040,7 @@ fn full_journal_backpressure_keeps_commits_durable() {
                 check: 0xC1 | 1,
             }
             .encode(),
+            false,
         );
         sm.flush(ctx);
         // Many one-op commits: far more bytes than the journal holds,
@@ -961,6 +1057,7 @@ fn full_journal_backpressure_keeps_commits_durable() {
                     col_rights: vec![Rights::ALL],
                 }
                 .encode(),
+                false,
             );
             sm.flush(ctx);
         }

@@ -161,3 +161,74 @@ fn handlers_die_with_their_node_and_with_the_simulation() {
     drop(sim);
     assert!(new_state.upgrade().is_none(), "freed with the simulation");
 }
+
+/// The activation table of `pipeline -- ci-smoke`'s `micro/rpc_null_call`
+/// (two machines, one server thread, null requests and replies): per
+/// call each thread is woken once, by the other, and each machine's RPC
+/// kernel is called once per packet — no dispatcher process anywhere.
+#[test]
+fn the_activation_table_of_a_null_rpc() {
+    use amoeba_dirsvc::flip::{NetParams, Network, Port};
+    use amoeba_dirsvc::rpc::{RpcClient, RpcNode, RpcServer};
+    use amoeba_dirsvc::sim::Activations;
+    const CALLS: u64 = 1_000;
+    let mut sim = Simulation::new(1);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 1);
+    let service = Port::from_name("null");
+    let nodes = ["server", "client"].map(|name| {
+        let sim_node = sim.add_node(name);
+        (sim_node, RpcNode::start(&sim, sim_node, net.attach()))
+    });
+    let server = RpcServer::new(&nodes[0].1, service);
+    sim.spawn_on(nodes[0].0, "null-server", move |ctx| loop {
+        let req = server.getreq(ctx);
+        server.putrep(&req, Vec::new());
+    });
+    let client = RpcClient::new(&nodes[1].1);
+    let start = SimTime::from_secs(5);
+    let done = sim.spawn_on(nodes[1].0, "caller", move |ctx| {
+        // The locate, and the port cache filled.
+        client
+            .trans(ctx, service, Vec::new())
+            .expect("warm-up call");
+        ctx.sleep_until(start);
+        for _ in 0..CALLS {
+            client.trans(ctx, service, Vec::new()).expect("null call");
+        }
+    });
+    sim.run_until(SimTime::from_secs(4));
+    let before = sim.activations();
+    sim.run();
+    assert!(done.is_ready(), "every call returned");
+    let during: Vec<Activations> = sim
+        .activations()
+        .into_iter()
+        .zip(before)
+        .map(|(after, before)| {
+            assert_eq!(after.name, before.name);
+            let minus = |a: [u64; 4], b: [u64; 4]| [0, 1, 2, 3].map(|i| a[i] - b[i]);
+            Activations {
+                resumes: minus(after.resumes, before.resumes),
+                handoffs_in: minus(after.handoffs_in, before.handoffs_in),
+                handler_calls: after.handler_calls - before.handler_calls,
+                ..after
+            }
+        })
+        .collect();
+    let row = |name: &str, resumes, handoffs_in, handler_calls| Activations {
+        name: name.to_owned(),
+        resumes,
+        handoffs_in,
+        handler_calls,
+    };
+    assert_eq!(
+        during,
+        [
+            // Its sleep until `start` ends on the driver's dispatch.
+            row("caller", [0, 1, CALLS, 0], [0, 1, CALLS, 0], 0),
+            row("null-server", [0, 0, CALLS, 0], [0, 0, CALLS, 0], 0),
+            row("rpc@host:0", [0; 4], [0; 4], CALLS),
+            row("rpc@host:1", [0; 4], [0; 4], CALLS),
+        ]
+    );
+}
