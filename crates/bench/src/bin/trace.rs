@@ -1,0 +1,163 @@
+//! One traced 4-shard cached deployment, exported for Perfetto.
+//!
+//! Drives one cross-shard keyed create (plus a lease-held write so the
+//! revocation fan-out shows up), asserts the client op's span tree is
+//! connected across ≥3 machines, and writes the whole run as
+//! Chrome-trace-event JSON that `chrome://tracing` / Perfetto can open
+//! to the given path (default `BENCH_trace.json`). The export is
+//! re-parsed and validated before writing. Also prints the ten busiest
+//! rows of the simulator's activation table.
+//!
+//! Run with: `cargo run -p amoeba-bench --release --bin trace -- [out.json]`
+
+use std::path::PathBuf;
+use std::time::Duration;
+
+use amoeba_bench::testbed_traced;
+use amoeba_dir_core::cluster::Variant;
+use amoeba_dir_core::{CacheParams, Rights};
+
+fn main() {
+    let out = std::env::args()
+        .nth(1)
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("BENCH_trace.json"));
+    println!("trace export — 4-shard traced deployment");
+    let ttl = Duration::from_secs(3);
+    let (mut tb, tele) = testbed_traced(Variant::Group, 0x7AACE, |p| {
+        p.shards = 4;
+        p.dir.max_lease = ttl;
+        p.dir_cache = Some(CacheParams {
+            ttl,
+            ..CacheParams::default()
+        });
+    });
+    // A fresh post-formation directory, seeded with the row the reader
+    // resolves (a formation-time directory can sit behind a replica that
+    // missed its create and refuses lease grants).
+    let client = tb.client.clone();
+    let made = tb.sim.spawn("trace-setup", move |ctx| {
+        let dir = client.create_dir(ctx, &["owner", "other"]).expect("dir");
+        client
+            .append_row(ctx, dir, "payload", dir, vec![Rights::ALL, Rights::NONE])
+            .expect("seed row");
+        dir
+    });
+    tb.sim.run_for(Duration::from_secs(5));
+    let dir = made.take().expect("trace directory created");
+
+    // A cached reader holds a read lease on the directory, so the
+    // traced write below pays a revocation fan-out the trace can show.
+    let (reader, _) = tb.cluster.client(&tb.sim);
+    let rd = reader.clone();
+    tb.sim.spawn("trace-reader", move |ctx| {
+        for _ in 0..60 {
+            let _ = rd.lookup(ctx, dir, "payload");
+            ctx.sleep(Duration::from_millis(50));
+        }
+    });
+    let client = tb.client.clone();
+    let root = tb.root;
+    let done = tb.sim.spawn("trace-writer", move |ctx| {
+        // Let the reader take its lease first.
+        ctx.sleep(Duration::from_millis(500));
+        client
+            .append_row(ctx, dir, "traced", dir, vec![Rights::ALL, Rights::NONE])
+            .expect("traced append");
+        let sub = client
+            .create_in(
+                ctx,
+                root,
+                "subdir",
+                &["owner", "other"],
+                vec![Rights::ALL, Rights::ALL],
+            )
+            .expect("traced create_in");
+        let _ = client.lookup(ctx, sub, "nothing");
+        true
+    });
+    tb.sim.run_for(Duration::from_secs(10));
+    assert_eq!(done.take(), Some(true), "traced workload completed");
+    let reader_stats = reader.cache_stats().expect("reader has a cache");
+    assert!(reader_stats.hits > 0, "the traced reader must serve hits");
+    assert!(
+        reader_stats.invalidations > 0,
+        "the traced write must revoke the reader's lease"
+    );
+
+    let spans = tele.spans();
+    let create_root = spans
+        .iter()
+        .find(|s| s.name == "cli.create_in" && s.parent == 0)
+        .expect("cli.create_in root span");
+    let (roots, orphans, machines) = amoeba_telemetry::span_tree_stats(&spans, create_root.trace);
+    assert_eq!((roots, orphans), (1, 0), "create_in span tree connected");
+    assert!(machines >= 3, "create_in touched only {machines} machines");
+    assert!(
+        spans.iter().any(|s| s.name == "cache.inval"),
+        "the revocation fan-out must appear as cache.inval spans"
+    );
+
+    let json = tele.export_chrome_json();
+    let summary = amoeba_telemetry::validate_chrome_trace(&json).expect("exported trace validates");
+    std::fs::write(&out, &json).expect("write trace file");
+
+    println!(
+        "  {} events ({} slices, {} flow pairs, {} tracks); create_in tree: \
+         1 root, 0 orphans, {machines} machines",
+        summary.events, summary.slices, summary.flow_pairs, summary.tracks
+    );
+    print_busiest_roles(&tb.sim.activations());
+    println!("wrote {}", out.display());
+}
+
+/// The ten busiest rows of the simulator's activation table, summed by
+/// role (a name with its numbers blanked: `dir#-srv#`, `rpc@host:#`):
+/// where the host's time goes, event by event. Each wake reason is
+/// printed as "handed the baton by another thread + woke itself".
+fn print_busiest_roles(table: &[amoeba_sim::Activations]) {
+    let mut roles: std::collections::BTreeMap<String, amoeba_sim::Activations> = Default::default();
+    for row in table {
+        let mut role = String::new();
+        for c in row.name.chars() {
+            if !c.is_ascii_digit() {
+                role.push(c);
+            } else if !role.ends_with('#') {
+                role.push('#');
+            }
+        }
+        let sum = roles.entry(role).or_default();
+        for reason in 0..4 {
+            sum.resumes[reason] += row.resumes[reason];
+            sum.handoffs_in[reason] += row.handoffs_in[reason];
+        }
+        sum.handler_calls += row.handler_calls;
+    }
+    let total = |r: &amoeba_sim::Activations| r.resumes.iter().sum::<u64>() + r.handler_calls;
+    let mut busiest: Vec<_> = roles.iter().collect();
+    busiest.sort_by_key(|(role, r)| (std::cmp::Reverse(total(r)), role.as_str()));
+    println!(
+        "  activations, 10 busiest of {} roles ({} names):",
+        roles.len(),
+        table.len()
+    );
+    println!(
+        "    {:<24} {:>9} {:>9} {:>6} {:>15} {:>15} {:>15}",
+        "role", "total", "handler", "first", "slept", "mailbox", "timed out"
+    );
+    for (role, r) in busiest.into_iter().take(10) {
+        let by = |reason: usize| {
+            let handed = r.handoffs_in[reason];
+            format!("{handed}+{}", r.resumes[reason] - handed)
+        };
+        println!(
+            "    {role:<24} {:>9} {:>9} {:>6} {:>15} {:>15} {:>15}",
+            total(r),
+            r.handler_calls,
+            r.resumes[0],
+            by(1),
+            by(2),
+            by(3)
+        );
+    }
+}

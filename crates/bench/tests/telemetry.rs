@@ -72,6 +72,9 @@ fn client_write_yields_one_connected_span_tree() {
     let summary =
         amoeba_telemetry::validate_chrome_trace(&tele.export_chrome_json()).expect("valid export");
     assert!(summary.slices > 0 && summary.flow_pairs > 0);
+    // And the op's latency landed in its family's histogram.
+    let in_family = tele.metrics().hists.get("cli.create_in").map(|h| h.count);
+    assert_eq!(in_family, Some(1));
 }
 
 /// The auxiliary-ops scenario, traced or not: one op pair on each of

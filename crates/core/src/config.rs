@@ -93,10 +93,6 @@ pub struct DirParams {
     pub apply_cpu: Duration,
     /// Server threads per machine (multiple threads per server, §3.1).
     pub server_threads: usize,
-    /// Most consecutive replicated ops the replica driver applies as
-    /// one batch before a single durable group-commit flush (`1`
-    /// disables apply batching; see `amoeba_rsm`).
-    pub apply_batch: usize,
     /// The group log: route every group-commit flush through the disk's
     /// reserved journal region as one sequential record append, with a
     /// background checkpointer draining the dirty set into real
@@ -148,7 +144,6 @@ impl Default for DirParams {
             write_cpu: Duration::from_micros(1_000),
             apply_cpu: Duration::from_micros(500),
             server_threads: 2,
-            apply_batch: 32,
             journal: false,
             checkpoint_interval: Duration::from_millis(250),
             improved_recovery: false,

@@ -201,7 +201,7 @@ impl Directory {
         if nrows > 1_000_000 {
             return Err(DecodeError::new("dir nrows"));
         }
-        let mut rows = Vec::with_capacity(nrows);
+        let mut rows = Vec::new();
         for _ in 0..nrows {
             let name = r.string("row name")?;
             let cap = Capability::read(&mut r)?;

@@ -83,9 +83,9 @@
 //! The only deliberate byte copies on a hot path are at the storage
 //! boundary (chunking file contents into simulated disk blocks) — see
 //! `amoeba-bullet`. On top of the zero-copy spine, the group layer
-//! coalesces accepts into `AcceptBatch` multicasts with cumulative acks
-//! (see `amoeba_group::GroupConfig::max_batch`), which is what amortizes
-//! per-packet protocol cost under concurrent update load.
+//! coalesces accepts into `AcceptBatch` multicasts with cumulative acks,
+//! which is what amortizes per-packet protocol cost under concurrent
+//! update load.
 //!
 //! ## Quick start
 //!
@@ -130,7 +130,6 @@ pub mod model;
 mod object_table;
 mod ops;
 pub mod path;
-pub mod report;
 mod rights;
 mod server_group;
 mod server_lease;
@@ -153,7 +152,6 @@ pub use dir_sm::DirectoryStateMachine;
 pub use directory::{DirStructureError, Directory, Row};
 pub use object_table::{ObjEntry, ObjectTable};
 pub use ops::{DirError, DirOp, DirReply, DirRequest};
-pub use report::{ClusterReport, MachineReport};
 pub use rights::Rights;
 pub use server_group::{start_group_server, GroupDirServer, GroupServerDeps};
 pub use server_lease::{

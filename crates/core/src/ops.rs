@@ -459,7 +459,7 @@ fn read_full_rows(
     if n > 1_000_000 {
         return Err(DecodeError::new("rows len"));
     }
-    let mut rows = Vec::with_capacity(n);
+    let mut rows = Vec::new();
     for _ in 0..n {
         let name = r.string("row name")?;
         let cap = Capability::read(r)?;
@@ -626,7 +626,7 @@ impl DirRequest {
                 if n > 10_000 {
                     return Err(DecodeError::new("lookup len"));
                 }
-                let mut items = Vec::with_capacity(n);
+                let mut items = Vec::new();
                 for _ in 0..n {
                     let cap = Capability::read(&mut r)?;
                     let name = r.string("lookup name")?;
@@ -639,7 +639,7 @@ impl DirRequest {
                 if n > 10_000 {
                     return Err(DecodeError::new("replace len"));
                 }
-                let mut items = Vec::with_capacity(n);
+                let mut items = Vec::new();
                 for _ in 0..n {
                     let dir = Capability::read(&mut r)?;
                     let name = r.string("replace name")?;
@@ -828,7 +828,7 @@ impl DirReply {
                 if n > 10_000 {
                     return Err(DecodeError::new("caps len"));
                 }
-                let mut v = Vec::with_capacity(n);
+                let mut v = Vec::new();
                 for _ in 0..n {
                     v.push(match r.u8("caps some")? {
                         1 => Some(Capability::read(&mut r)?),
@@ -1072,7 +1072,7 @@ impl DirOp {
                 if n > 10_000 {
                     return Err(DecodeError::new("op replace len"));
                 }
-                let mut items = Vec::with_capacity(n);
+                let mut items = Vec::new();
                 for _ in 0..n {
                     let object = r.u64("op object")?;
                     let name = r.string("op name")?;

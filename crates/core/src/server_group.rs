@@ -81,7 +81,6 @@ fn rsm_config(cfg: &ServiceConfig, params: &DirParams) -> RsmConfig {
     let mut rsm = RsmConfig::new(&cfg.service, cfg.n, cfg.me);
     debug_assert_eq!(rsm.group_port, cfg.group_port);
     debug_assert_eq!(rsm.internal_ports[cfg.me], cfg.internal_port(cfg.me));
-    rsm.apply_batch = params.apply_batch;
     // The checkpointer exists to drain the journal; without a journal
     // there is nothing to drain.
     rsm.checkpoint_interval = if params.journal && params.storage == StorageKind::Disk {
@@ -373,11 +372,11 @@ fn handle_request(
 /// whose revoked leases this initiator must see through before the
 /// acknowledgement. Keyed creates and migration installs learn their
 /// object from the reply: an `InstallDir` re-running a migration round
-/// upserts a directory clients could already be leasing.
+/// upserts a directory clients could already be leasing. Never called
+/// for a `GrantRead`, which mutates no rows.
 fn fence_objects(op: &DirOp, reply: &DirReply) -> Vec<u64> {
     let mut v = match op {
-        // A grant mutates no rows; fresh creates get unleased objects.
-        DirOp::GrantRead { .. } => return Vec::new(),
+        // Fresh creates get unleased objects.
         DirOp::Create { .. } | DirOp::CreateKeyed { .. } | DirOp::InstallDir { .. } => Vec::new(),
         DirOp::ReplaceSet { items } => items.iter().map(|(o, _, _)| *o).collect(),
         other => vec![op_object(other)],

@@ -43,19 +43,17 @@
 //!   [`NetStats::routes_aged_out`] — and the sender floods instead, so
 //!   staleness after topology churn heals without waiting for a
 //!   send-time failure.
-//! * **Multicast pruning** (on by default; see
-//!   [`set_multicast_pruning`](Network::set_multicast_pruning)): each
-//!   router keeps FLIP-style group routing state — for every multicast
-//!   group, the set of attached segments through which at least one
-//!   member is reachable. Joins install the state (as FLIP's join
-//!   broadcast would); any membership or router-availability change
+//! * **Multicast pruning**: each router keeps FLIP-style group routing
+//!   state — for every multicast group, the set of attached segments
+//!   through which at least one member is reachable. Joins install the
+//!   state (as FLIP's join broadcast would); any membership or
+//!   router-availability change
 //!   flushes it, and the next multicast rebuilds it. A router forwards a
 //!   group packet only onto member-leading segments; skipped directions
 //!   are counted in [`NetStats::mcast_pruned`]. Pruning is conservative:
 //!   a segment is member-leading if any member's segment is reachable
 //!   through it with this router removed, so transit segments stay open
-//!   and no member can be cut off. With pruning off, multicasts flood
-//!   TTL-limited exactly like broadcasts.
+//!   and no member can be cut off.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -194,9 +192,6 @@ struct NetInner {
     group_routes: HashMap<HostAddr, HashMap<GroupAddr, BTreeSet<SegmentId>>>,
     /// Whether `group_routes` must be rebuilt before use.
     group_routes_dirty: bool,
-    /// Whether routers prune multicasts to member-leading segments
-    /// (true) or flood them TTL-limited like broadcasts (false).
-    multicast_pruning: bool,
     /// Per-host receive-side duplicate suppression (multi-segment only).
     seen_rx: HashMap<HostAddr, SeenCache>,
     /// TTL stamped on packets whose sender left it unset.
@@ -318,7 +313,6 @@ impl Network {
             routes: HashMap::new(),
             group_routes: HashMap::new(),
             group_routes_dirty: true,
-            multicast_pruning: true,
             seen_rx: HashMap::new(),
             default_ttl,
             tx_free: HashMap::new(),
@@ -441,16 +435,6 @@ impl Network {
             .handle
             .record_fault(amoeba_sim::fault_codes::NET_UP, host.0 as u64, 0);
         inner.down.remove(&host);
-        inner.group_routes_dirty = true;
-    }
-
-    /// Toggles FLIP-style multicast pruning in routers (on by default).
-    /// Off, routers forward multicasts by TTL-limited flooding with
-    /// duplicate suppression — the pre-pruning behaviour, kept as the
-    /// benchmark baseline.
-    pub fn set_multicast_pruning(&self, on: bool) {
-        let mut inner = self.inner.lock();
-        inner.multicast_pruning = on;
         inner.group_routes_dirty = true;
     }
 
@@ -944,7 +928,7 @@ impl NetInner {
             }
             if !routed {
                 match pkt.dst {
-                    Dest::Multicast(g) if self.multicast_pruning => {
+                    Dest::Multicast(g) => {
                         // FLIP-style multicast pruning: forward only
                         // onto segments that lead toward a member.
                         if self.group_routes_dirty {

@@ -258,43 +258,29 @@ fn y_net(sim: &Simulation) -> (Network, Vec<amoeba_flip::NodeStack>) {
 
 #[test]
 fn multicast_never_enters_a_member_free_segment() {
-    // Members on segments a and b only; segment c must stay silent
-    // under pruning, and the pruned direction must be counted. The
-    // same send with pruning off floods c — the A/B the bench reports.
-    for pruning in [true, false] {
-        let mut sim = Simulation::new(31);
-        let (net, stacks) = y_net(&sim);
-        let g = GroupAddr(5);
-        let port = Port::from_name("mc");
-        stacks[0].join_group(g);
-        stacks[2].join_group(g);
-        let rx_b = stacks[2].bind(port);
-        let rx_c = stacks[4].bind(port); // not a member
-        net.set_multicast_pruning(pruning);
-        let before = net.stats();
-        let src = stacks[0].clone();
-        sim.spawn("send", move |_| src.send(g, port, vec![1]));
-        sim.run_for(Duration::from_millis(50));
-        let d = net.stats().since(&before);
-        assert_eq!(rx_b.len(), 1, "the remote member always receives");
-        assert!(rx_c.is_empty(), "a non-member never receives");
-        let frames_c = d.segments[2].frames;
-        if pruning {
-            assert_eq!(
-                frames_c, 0,
-                "pruning: no frame may enter the member-free segment"
-            );
-            assert!(d.mcast_pruned > 0, "the pruned direction is counted");
-            assert_eq!(d.packets_forwarded, 1, "one forward toward the member");
-        } else {
-            assert!(
-                frames_c > 0,
-                "flooding: the member-free segment carries the flood"
-            );
-            assert_eq!(d.mcast_pruned, 0);
-            assert_eq!(d.packets_forwarded, 2, "flooded onto both far segments");
-        }
-    }
+    // Members on segments a and b only; segment c must stay silent, and
+    // the pruned direction must be counted.
+    let mut sim = Simulation::new(31);
+    let (net, stacks) = y_net(&sim);
+    let g = GroupAddr(5);
+    let port = Port::from_name("mc");
+    stacks[0].join_group(g);
+    stacks[2].join_group(g);
+    let rx_b = stacks[2].bind(port);
+    let rx_c = stacks[4].bind(port); // not a member
+    let before = net.stats();
+    let src = stacks[0].clone();
+    sim.spawn("send", move |_| src.send(g, port, vec![1]));
+    sim.run_for(Duration::from_millis(50));
+    let d = net.stats().since(&before);
+    assert_eq!(rx_b.len(), 1, "the remote member always receives");
+    assert!(rx_c.is_empty(), "a non-member never receives");
+    assert_eq!(
+        d.segments[2].frames, 0,
+        "no frame may enter the member-free segment"
+    );
+    assert!(d.mcast_pruned > 0, "the pruned direction is counted");
+    assert_eq!(d.packets_forwarded, 1, "one forward toward the member");
 }
 
 #[test]

@@ -2,6 +2,23 @@
 
 use std::time::Duration;
 
+use crate::msg::MAX_ACCEPT_BATCH_ITEMS;
+
+/// Most accepts the sequencer coalesces into one multicast. Send
+/// requests arriving within one coalescing window are sequenced into a
+/// single `AcceptBatch` packet, amortizing per-packet protocol cost
+/// across messages (with cumulative acks amortizing the reply
+/// direction).
+pub(crate) const MAX_BATCH: usize = 16;
+// A larger batch would be undecodable and dropped by every member.
+const _: () = assert!(MAX_BATCH <= MAX_ACCEPT_BATCH_ITEMS);
+
+/// How long the sequencer may hold a sequenced accept waiting for more
+/// to coalesce; the flush also happens as soon as [`MAX_BATCH`] accepts
+/// are pending. Well below `gap_timeout`, so held accepts are never
+/// mistaken for loss.
+pub(crate) const BATCH_DELAY: Duration = Duration::from_micros(500);
+
 /// Configuration for a group member's protocol engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupConfig {
@@ -29,17 +46,6 @@ pub struct GroupConfig {
     pub bb_threshold: usize,
     /// Protocol engine tick granularity.
     pub tick_interval: Duration,
-    /// Most accepts the sequencer coalesces into one multicast. Send
-    /// requests arriving within one coalescing window are sequenced into
-    /// a single `AcceptBatch` packet, amortizing per-packet protocol
-    /// cost across messages (with cumulative acks amortizing the reply
-    /// direction). `1` disables batching.
-    pub max_batch: usize,
-    /// How long the sequencer may hold a sequenced accept waiting for
-    /// more to coalesce. Zero flushes after every packet; the flush also
-    /// happens as soon as `max_batch` accepts are pending. Bounded well
-    /// below `gap_timeout` so held accepts are never mistaken for loss.
-    pub batch_delay: Duration,
     /// Fault-injection self-test knob: re-introduces the pre-fix gap-
     /// recovery retransmission bound (derived from the accept buffer's
     /// last key instead of `highest_seen`), under which an end-of-order
@@ -62,8 +68,6 @@ impl GroupConfig {
             history: 65_536,
             bb_threshold: 3_000,
             tick_interval: Duration::from_millis(20),
-            max_batch: 16,
-            batch_delay: Duration::from_micros(500),
             buggy_retrans_bound: false,
         }
     }
@@ -95,10 +99,5 @@ mod tests {
     #[test]
     fn with_resilience_sets_r() {
         assert_eq!(GroupConfig::with_resilience(2).resilience, 2);
-    }
-
-    #[test]
-    fn batching_is_on_by_default() {
-        assert!(GroupConfig::default().max_batch > 1);
     }
 }

@@ -33,7 +33,7 @@ use amoeba_sim::SimTime;
 use amoeba_telemetry::{Telemetry, TraceCtx};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::config::GroupConfig;
+use crate::config::{GroupConfig, MAX_BATCH};
 use crate::error::GroupError;
 use crate::msg::{AcceptBody, AcceptItem, DoneItem, GroupMsg, MAX_ACCEPT_BATCH_ITEMS};
 use crate::types::{GroupEvent, GroupInfo, Incarnation, MemberId, MemberInfo, SeqNo, View};
@@ -163,7 +163,7 @@ pub(crate) struct Instance {
     pending_sends: HashMap<u64, PendingSend>,
     /// Sequencer only: accepts assigned a slot but not yet multicast,
     /// awaiting coalescing into one packet (flushed at the end of every
-    /// entry point, or earlier when `cfg.max_batch` is reached).
+    /// entry point, or earlier when `MAX_BATCH` is reached).
     pending_batch: Vec<(SeqNo, AcceptRec)>,
     /// Sequencer only: resilience notifications not yet sent. They
     /// piggyback on the next accept multicast, or coalesce per sender
@@ -564,7 +564,7 @@ impl Instance {
     /// next multicast flush. Consecutive sequencing calls within one
     /// network round coalesce into a single [`GroupMsg::AcceptBatch`]
     /// packet; the flush happens at the end of every protocol entry
-    /// point, or immediately once `cfg.max_batch` slots are pending.
+    /// point, or immediately once `MAX_BATCH` slots are pending.
     fn sequence_message(
         &mut self,
         now: SimTime,
@@ -596,10 +596,7 @@ impl Instance {
         };
         self.pending_batch.push((seq, rec.clone()));
         let mut actions = Vec::new();
-        // The wire format caps a batch at MAX_ACCEPT_BATCH_ITEMS; clamp
-        // however large the knob is set, or oversized batches would be
-        // undecodable and silently dropped by every member.
-        if self.pending_batch.len() >= self.cfg.max_batch.clamp(1, MAX_ACCEPT_BATCH_ITEMS) {
+        if self.pending_batch.len() >= MAX_BATCH {
             actions.extend(self.flush_pending_batch());
         }
         // Track acks before applying: apply may complete r=0 sends.
@@ -972,19 +969,21 @@ impl Instance {
     // Message handling.
     // ==================================================================
 
-    /// Handles a message from the network, flushing any accepts the
-    /// message caused to be sequenced.
+    /// [`handle_deferred`](Instance::handle_deferred) plus the flush of
+    /// any accepts the message caused to be sequenced.
+    #[cfg(test)]
     pub fn handle(&mut self, now: SimTime, src: HostAddr, msg: GroupMsg) -> Vec<Action> {
         let mut actions = self.handle_deferred(now, src, msg);
         actions.extend(self.flush_pending_batch());
         actions
     }
 
-    /// [`handle`](Instance::handle) without the trailing flush: the peer
-    /// layer uses this while draining a burst of same-instant packets so
-    /// the sequencer coalesces their accepts into one multicast, then
-    /// calls [`flush_pending`](Instance::flush_pending) once at the end
-    /// of the burst.
+    /// Handles a message from the network without flushing the accepts
+    /// it caused to be sequenced: the peer layer drains a burst of
+    /// same-instant packets so the sequencer coalesces their accepts
+    /// into one multicast, then calls
+    /// [`flush_pending`](Instance::flush_pending) once at the end of the
+    /// burst.
     pub(crate) fn handle_deferred(
         &mut self,
         now: SimTime,
@@ -2343,46 +2342,6 @@ mod tests {
             a,
             Action::Deliver(GroupEvent::Message { seq: 2, data, .. }) if data.as_slice() == [7, 7]
         )));
-    }
-
-    #[test]
-    fn oversized_max_batch_is_clamped_to_wire_limit() {
-        let mut cfg = cfg(0);
-        cfg.max_batch = 100_000; // far beyond what the wire format allows
-        let mut inst = Instance::create(1, Port::from_name("g"), cfg, H0, 100, T0);
-        let _ = inst.on_join_request(T0, H1, 101, 1);
-        let mut batches = Vec::new();
-        for k in 0..(MAX_ACCEPT_BATCH_ITEMS as u64 + 10) {
-            let actions = inst.handle_deferred(
-                T0,
-                H1,
-                GroupMsg::SendReq {
-                    instance: 1,
-                    incarnation: 0,
-                    from: MemberId(1),
-                    msgid: 100 + k,
-                    data: vec![1].into(),
-                },
-            );
-            for a in actions {
-                if let Action::Multicast(m @ GroupMsg::AcceptBatch { .. }) = a {
-                    batches.push(m);
-                }
-            }
-        }
-        batches.extend(inst.flush_pending().into_iter().filter_map(|a| match a {
-            Action::Multicast(m @ GroupMsg::AcceptBatch { .. }) => Some(m),
-            _ => None,
-        }));
-        assert!(!batches.is_empty(), "clamp must force an early flush");
-        for b in &batches {
-            let GroupMsg::AcceptBatch { items, .. } = b else {
-                unreachable!()
-            };
-            assert!(items.len() <= MAX_ACCEPT_BATCH_ITEMS);
-            // Every emitted batch must survive the wire round trip.
-            assert_eq!(&GroupMsg::decode(&b.encode()).unwrap(), b);
-        }
     }
 
     #[test]

@@ -267,9 +267,9 @@ const T_ACCEPT_BATCH: u8 = 19;
 const T_DONE_BATCH: u8 = 20;
 
 /// Most items one `AcceptBatch` may carry on the wire; the decoder
-/// rejects anything larger and the sequencer never exceeds it however
-/// large `GroupConfig::max_batch` is set. The same bound applies to
-/// batched done notifications.
+/// rejects anything larger and the sequencer's `MAX_BATCH` is asserted
+/// at compile time to stay within it. The same bound applies to batched
+/// done notifications.
 pub(crate) const MAX_ACCEPT_BATCH_ITEMS: usize = 4096;
 
 const DONE_ITEM_LEN: usize = 4 + 8 + 8;

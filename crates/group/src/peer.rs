@@ -13,7 +13,7 @@ use amoeba_flip::{Dest, GroupAddr, HostAddr, NodeStack, Packet, Port};
 use amoeba_sim::{MailboxTx, NodeId, SimHandle, Spawn};
 use parking_lot::Mutex;
 
-use crate::config::GroupConfig;
+use crate::config::{GroupConfig, BATCH_DELAY};
 use crate::error::GroupError;
 use crate::instance::{Action, GroupStats, Instance};
 use crate::msg::GroupMsg;
@@ -50,7 +50,7 @@ enum Timer {
     Arm,
     /// Every `tick_interval`: drive each instance's protocol timers.
     Tick,
-    /// `batch_delay` after the first deferred accept: send the batch.
+    /// `BATCH_DELAY` after the first deferred accept: send the batch.
     Flush,
 }
 
@@ -144,21 +144,16 @@ impl GroupPeer {
 
     /// Handles one packet from the group port.
     fn handle_packet(&self, mut pkt: Packet, timer_tx: &MailboxTx<Timer>) {
-        // With a coalescing window configured, packet handling defers the
-        // sequencer's accept multicasts; a one-shot timer flushes what
-        // accumulated. (The engine itself still flushes early the moment
-        // `max_batch` accepts are pending, and the 20 ms tick is the
-        // fallback bound.)
-        let batch_delay = self.cfg.batch_delay;
-        let windowed = self.cfg.max_batch > 1 && !batch_delay.is_zero();
+        // Packet handling defers the sequencer's accept multicasts; a
+        // one-shot timer flushes what accumulated. (The engine itself
+        // still flushes early the moment `MAX_BATCH` accepts are pending,
+        // and the 20 ms tick is the fallback bound.)
         if let Ok(msg) = GroupMsg::decode(&pkt.payload) {
             let tags = std::mem::take(&mut pkt.trace);
-            self.handle_msg(pkt.src, msg, windowed, tags);
+            self.handle_msg(pkt.src, msg, tags);
         }
-        if !windowed {
-            self.flush_all();
-        } else if self.flush_now_due() {
-            timer_tx.send_after(batch_delay, Timer::Flush);
+        if self.flush_now_due() {
+            timer_tx.send_after(BATCH_DELAY, Timer::Flush);
         }
     }
 
@@ -192,7 +187,6 @@ impl GroupPeer {
         &self,
         src: HostAddr,
         msg: GroupMsg,
-        defer_flush: bool,
         tags: Vec<(u64, amoeba_telemetry::TraceCtx)>,
     ) {
         match &msg {
@@ -240,13 +234,9 @@ impl GroupPeer {
                 let actions = {
                     let mut inner = self.inner.lock();
                     match inner.instances.get_mut(&instance) {
-                        Some(slot) if defer_flush => {
-                            slot.inst.set_rx_tags(tags);
-                            slot.inst.handle_deferred(now, src, other.clone())
-                        }
                         Some(slot) => {
                             slot.inst.set_rx_tags(tags);
-                            slot.inst.handle(now, src, other.clone())
+                            slot.inst.handle_deferred(now, src, other.clone())
                         }
                         None => Vec::new(),
                     }

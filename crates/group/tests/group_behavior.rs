@@ -454,8 +454,7 @@ fn batched_delivery_preserves_total_order_across_crash_and_rejoin() {
     // order, batched or not.
     let mut sim = Simulation::new(77);
     let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 5);
-    let mut cfg = cfg_r(0);
-    cfg.max_batch = 8; // batching on (also the default)
+    let cfg = cfg_r(0);
     let port = Port::from_name("test-group");
 
     type Log = Vec<(u64, amoeba_flip::Payload)>;

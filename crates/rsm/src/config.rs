@@ -6,7 +6,7 @@ use amoeba_flip::Port;
 
 /// Everything the [`Replica`](crate::Replica) driver needs to know
 /// about the deployment: who the replicas are, which ports they use,
-/// and the recovery/batching tunables.
+/// and the recovery tunables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsmConfig {
     /// Total number of replicas.
@@ -18,10 +18,6 @@ pub struct RsmConfig {
     /// The internal (replica-to-replica) RPC port of each replica,
     /// used by the recovery protocol's exchanges and state transfer.
     pub internal_ports: Vec<Port>,
-    /// Most consecutive delivered operations applied as one batch
-    /// before the single group-commit [`flush`](crate::StateMachine::flush).
-    /// `1` disables apply batching.
-    pub apply_batch: usize,
     /// When set, a background checkpointer process calls
     /// [`StateMachine::checkpoint`](crate::StateMachine::checkpoint)
     /// this often while the replica is in normal operation (the group
@@ -59,7 +55,6 @@ impl RsmConfig {
             internal_ports: (0..n)
                 .map(|i| Port::from_name(&format!("{service}.internal.{i}")))
                 .collect(),
-            apply_batch: 32,
             checkpoint_interval: None,
             idle_timeout: Duration::from_millis(200),
             join_timeout: Duration::from_millis(400),

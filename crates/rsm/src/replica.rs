@@ -16,6 +16,10 @@ use crate::config::RsmConfig;
 use crate::machine::{RsmError, StateMachine};
 use crate::recovery::{run_recovery, serve_internal};
 
+/// Most consecutive delivered operations applied as one batch before
+/// the single group-commit [`flush`](StateMachine::flush).
+const APPLY_BATCH: usize = 32;
+
 /// How a blocked initiator wait ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Wake {
@@ -439,7 +443,6 @@ impl<S: StateMachine> Replica<S> {
             // already-delivered message, up to the apply-batch cap.
             // Membership events and errors end the batch (processed
             // after the batch commits).
-            let cap = self.cfg.apply_batch.max(1);
             let me = self.cfg.me as u64;
             // (seq, submitted by this replica, op, ordering context)
             let mut msgs: Vec<(SeqNo, bool, Payload, amoeba_telemetry::TraceCtx)> = Vec::new();
@@ -462,7 +465,7 @@ impl<S: StateMachine> Replica<S> {
                     }
                     None => break,
                 }
-                if msgs.len() >= cap || group.pending_events() == 0 {
+                if msgs.len() >= APPLY_BATCH || group.pending_events() == 0 {
                     break;
                 }
                 next = group.recv_timeout(ctx, Duration::ZERO);

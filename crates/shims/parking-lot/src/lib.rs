@@ -9,7 +9,7 @@
 
 #![warn(missing_docs)]
 
-use std::sync::{self, TryLockError};
+use std::sync;
 
 /// A mutual-exclusion primitive with parking_lot's non-poisoning API.
 #[derive(Debug, Default)]
@@ -27,13 +27,6 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex and returns the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -41,64 +34,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner
             .lock()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Attempts to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T> From<T> for Mutex<T> {
-    fn from(value: T) -> Self {
-        Mutex::new(value)
-    }
-}
-
-/// A reader-writer lock with parking_lot's non-poisoning API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-/// Shared-read guard returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Exclusive-write guard returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Creates a lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner
-            .read()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner
-            .write()
             .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
@@ -112,23 +47,19 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]
-    fn try_lock_contended_is_none() {
+    fn a_panic_under_the_lock_does_not_poison_it() {
         let m = Mutex::new(0);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(5);
-        assert_eq!(*l.read(), 5);
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = m.lock();
+                panic!("while holding the lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert_eq!(*m.lock(), 0);
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! The same counter bounds what a decoder may allocate for input it
 //! goes on to reject: a peer's snapshot that *claims* a million entries
-//! must not make `install` reserve for them.
+//! must not make `install` reserve for them, nor a request, reply, op or
+//! directory file that claims a million rows its decoder.
 //!
 //! And it bounds what serving costs: the RAM cache hands out shared
 //! versions of a directory, so neither a lookup nor a grant applied on a
@@ -25,7 +26,8 @@ use std::time::Duration;
 use amoeba_dirsvc::bullet::BulletClient;
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirOp, DirParams, DirectoryStateMachine, Rights, ServiceConfig,
+    Capability, DirOp, DirParams, DirReply, DirRequest, Directory, DirectoryStateMachine, Rights,
+    ServiceConfig,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::WireWriter;
@@ -141,6 +143,53 @@ fn a_rejected_snapshot_allocates_nothing_for_its_claimed_counts() {
         assert!(
             requested < 64 * 1024,
             "rejecting it requested {requested} bytes of heap"
+        );
+    }
+}
+
+#[test]
+fn a_rejected_message_allocates_nothing_for_its_claimed_counts() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    // A tag (the directory's seqno, for the file), one column where the
+    // format has columns, then a count as large as the decoder's cap
+    // allows, and the body ends there. The first is what any client can
+    // send a server thread.
+    let claim = |head: &[u8], one_column: bool, count: u32| {
+        let mut w = WireWriter::new();
+        for b in head {
+            w.u8(*b);
+        }
+        if one_column {
+            w.u8(1).string("c");
+        }
+        w.u32(count);
+        w.finish()
+    };
+    type Rejects = fn(&[u8]) -> bool;
+    let request: Rejects = |b| DirRequest::decode(b).is_err();
+    let cases: [(&str, Vec<u8>, Rejects); 6] = [
+        ("InstallDir request", claim(&[13], true, 1_000_000), request),
+        ("LookupSet request", claim(&[7], false, 10_000), request),
+        ("ReplaceSet request", claim(&[8], false, 10_000), request),
+        ("Caps reply", claim(&[4], false, 10_000), |b| {
+            DirReply::decode(b).is_err()
+        }),
+        ("ReplaceSet op", claim(&[6], false, 10_000), |b| {
+            DirOp::decode(b).is_err()
+        }),
+        ("directory file", claim(&[0; 8], true, 1_000_000), |b| {
+            Directory::decode(b).is_err()
+        }),
+    ];
+    for (what, bytes, rejects) in cases {
+        let before = REQUESTED.load(Ordering::Relaxed);
+        let rejected = rejects(&bytes);
+        let requested = REQUESTED.load(Ordering::Relaxed) - before;
+        assert!(rejected, "{what}: nothing behind its count");
+        assert!(
+            requested < 64 * 1024,
+            "{what}: rejecting {} bytes requested {requested} bytes of heap",
+            bytes.len()
         );
     }
 }

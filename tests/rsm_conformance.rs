@@ -827,6 +827,54 @@ fn journaled_probe(
     (probe, jpart)
 }
 
+/// On a disk that knows where its head is, a journaled commit is one
+/// append where the last one ended; the in-place flush hops between the
+/// Bullet file, the table block and the commit block. The same 16
+/// one-op commits: strictly fewer seeks per commit through the journal.
+#[test]
+fn a_journaled_commit_seeks_less_than_an_in_place_one() {
+    let mut sim = Simulation::new(0x5EE4);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 0x5EE4);
+    let disk = DiskParams {
+        head_aware: true,
+        ..DiskParams::instant()
+    };
+    let in_place = dir_column(&sim, &net, 0, disk.clone(), DirParams::default());
+    let journaled = dir_column_journaled(&sim, &net, 1, disk, journaled_params(), JOURNAL_BLOCKS);
+    let port = ServiceConfig::new(3, 0).public_port;
+    let create = DirOp::Create {
+        columns: vec!["owner".into()],
+        check: 0xC1,
+    };
+    let appends = (0..15).map(|r| DirOp::Append {
+        object: 1,
+        name: format!("row-{r}"),
+        cap: Capability::owner(port, 1, 0xC1),
+        col_rights: vec![Rights::ALL],
+    });
+    let ops: Vec<Payload> = std::iter::once(create)
+        .chain(appends)
+        .map(|op| op.encode())
+        .collect();
+    let out = sim.spawn("commits", move |ctx| {
+        [in_place, journaled].map(|col| {
+            let before = col.vdisk.stats().seeks;
+            for (i, op) in ops.iter().enumerate() {
+                let _ = col.sm.apply(ctx, 1 + i as u64, op, false);
+                col.sm.flush(ctx);
+            }
+            assert_eq!(col.sm.update_seq(), ops.len() as u64);
+            col.vdisk.stats().seeks - before
+        })
+    });
+    sim.run_for(Duration::from_secs(120));
+    let [in_place, journaled] = out.take().expect("both columns committed");
+    assert!(
+        0 < journaled && journaled < in_place,
+        "16 commits: {journaled} seeks journaled, {in_place} in place"
+    );
+}
+
 /// Power-cut right after a journaled group commit: the table and Bullet
 /// store were never written (the checkpointer never ran), yet boot must
 /// replay the journal record and reproduce the committed state.

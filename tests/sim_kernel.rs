@@ -162,10 +162,10 @@ fn handlers_die_with_their_node_and_with_the_simulation() {
     assert!(new_state.upgrade().is_none(), "freed with the simulation");
 }
 
-/// The activation table of `pipeline -- ci-smoke`'s `micro/rpc_null_call`
-/// (two machines, one server thread, null requests and replies): per
-/// call each thread is woken once, by the other, and each machine's RPC
-/// kernel is called once per packet — no dispatcher process anywhere.
+/// The activation table of a null RPC (two machines, one server thread,
+/// null requests and replies): per call each thread is woken once, by
+/// the other, and each machine's RPC kernel is called once per packet —
+/// no dispatcher process anywhere.
 #[test]
 fn the_activation_table_of_a_null_rpc() {
     use amoeba_dirsvc::flip::{NetParams, Network, Port};
@@ -231,4 +231,60 @@ fn the_activation_table_of_a_null_rpc() {
             row("rpc@host:1", [0; 4], [0; 4], CALLS),
         ]
     );
+}
+
+/// An ordered group send (three members, the sender not the sequencer,
+/// every member taking each message off) wakes the sender and the three
+/// receivers once each: the three group kernels, their ticks included,
+/// wake no one. A dispatcher process anywhere on the path would raise it.
+#[test]
+fn an_ordered_group_send_makes_four_handoffs() {
+    use amoeba_dirsvc::flip::{NetParams, Network, Port};
+    use amoeba_dirsvc::group::{GroupConfig, GroupEvent, GroupPeer};
+    const SENDS: u64 = 1_000;
+    let mut sim = Simulation::new(1);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 1);
+    let port = Port::from_name("micro-group");
+    // The group is formed, and the sender asleep until `start`, well
+    // before the window opens.
+    let (warm, start) = (SimTime::from_secs(4), SimTime::from_secs(5));
+    let members = [0, 1, 2u64].map(|i| {
+        let sim_node = sim.add_node(&format!("m{i}"));
+        let peer = GroupPeer::start(&sim, sim_node, net.attach(), GroupConfig::lan());
+        sim.spawn_on(sim_node, &format!("member{i}"), move |ctx| {
+            let g = Arc::new(if i == 0 {
+                peer.create(port, i)
+            } else {
+                ctx.sleep(10 * MS * i as u32);
+                peer.join(ctx, port, i, Duration::from_secs(5))
+                    .expect("join")
+            });
+            while g.info().expect("a member").view.len() < 3 {
+                ctx.sleep(5 * MS);
+            }
+            if i == 1 {
+                let g = Arc::clone(&g);
+                ctx.spawn("sender", move |ctx| {
+                    ctx.sleep_until(start);
+                    for _ in 0..SENDS {
+                        g.send(ctx, vec![0xA5u8; 64]).expect("ordered send");
+                    }
+                });
+            }
+            let mut got = 0;
+            while got < SENDS {
+                if let Ok(GroupEvent::Message { .. }) = g.recv(ctx) {
+                    got += 1;
+                }
+            }
+        })
+    });
+    let before = sim.run_until(warm);
+    let after = sim.run_until(SimTime::from_secs(60));
+    assert!(
+        members.iter().all(|m| m.is_ready()),
+        "every member got every message"
+    );
+    // Plus the driver's hand-off to the sender and the one back.
+    assert_eq!(after.handoffs - before.handoffs, 4 * SENDS + 2);
 }
