@@ -114,10 +114,15 @@ impl Capability {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on truncation.
+    /// Returns [`DecodeError`] on truncation, or for a port wider than
+    /// 48 bits (no encoder writes one).
     pub fn read(r: &mut WireReader<'_>) -> Result<Capability, DecodeError> {
+        let raw = r.u64("cap port")?;
+        if Port::from_raw(raw).as_raw() != raw {
+            return Err(DecodeError::new("cap port"));
+        }
         Ok(Capability {
-            port: Port::from_raw(r.u64("cap port")?),
+            port: Port::from_raw(raw),
             object: r.u64("cap object")?,
             rights: Rights(r.u8("cap rights")?),
             check: r.u64("cap check")?,

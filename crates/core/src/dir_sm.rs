@@ -1272,6 +1272,51 @@ mod tests {
     use amoeba_flip::{NetParams, Network};
     use amoeba_rpc::{RpcClient, RpcNode};
     use amoeba_sim::Simulation;
+    use amoeba_testkit::{hex, unhex};
+
+    #[test]
+    fn a_journal_record_keeps_its_bytes() {
+        let mut dir = Directory::new(vec!["o".into()]);
+        dir.seqno = 9;
+        let batch = StagedBatch {
+            acts: vec![
+                (
+                    1,
+                    StagedAct::Store {
+                        dir: Arc::new(dir),
+                        check: 0xC1,
+                    },
+                ),
+                (2, StagedAct::Drop),
+                (
+                    3,
+                    StagedAct::Stub {
+                        seqno: 8,
+                        check: 0xC3,
+                    },
+                ),
+            ],
+            commit_seqno: 7,
+            need_commit: true,
+        };
+        // Commit seqno, need-commit flag, three acts: a store with its
+        // check and framed directory, a drop, a stub.
+        let golden = "07000000000000000100000003000000\
+                      010000000000000000000000c1000000000000001200000009000000\
+                      0000000001010000006f00000000\
+                      020000000000000001000000\
+                      030000000000000002000000\
+                      0800000000000000c300000000000000";
+        assert_eq!(hex(&encode_journal_record(&batch)), golden);
+        let (commit_seqno, need_commit, acts) =
+            decode_journal_record(&unhex(golden)).expect("decodes");
+        let again = StagedBatch {
+            acts,
+            commit_seqno,
+            need_commit,
+        };
+        assert_eq!(hex(&encode_journal_record(&again)), golden);
+    }
 
     #[test]
     fn journal_record_claiming_a_million_acts_over_an_empty_body_is_rejected() {

@@ -425,3 +425,42 @@ fn rpc_write(
     lazy_tx.send((useq, op_bytes));
     reply
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amoeba_testkit::{hex, unhex};
+
+    #[test]
+    fn peer_msgs_keep_their_bytes_and_share_the_op() {
+        let op = DirOp::Delete { object: 4 }.encode();
+        let goldens = [
+            (
+                PeerMsg::Intent {
+                    useq: 5,
+                    op: op.clone(),
+                },
+                "01050000000000000009000000020400000000000000",
+            ),
+            (PeerMsg::IntentOk, "02"),
+            (PeerMsg::IntentBusy, "03"),
+            (
+                PeerMsg::ApplyLazy { useq: 6, op },
+                "04060000000000000009000000020400000000000000",
+            ),
+            (PeerMsg::ApplyOk, "05"),
+        ];
+        for (msg, golden) in goldens {
+            let wire = msg.encode();
+            assert_eq!(hex(&wire), golden, "{msg:?}");
+            let trailing = Payload::from([&unhex(golden)[..], &[0]].concat());
+            assert!(PeerMsg::decode(&trailing).is_err(), "{golden} + a byte");
+            let decoded = PeerMsg::decode(&wire).expect("decodes");
+            if let PeerMsg::Intent { op, .. } | PeerMsg::ApplyLazy { op, .. } = &decoded {
+                // Tag, update seq and length prefix come first.
+                assert_eq!(op.as_ptr(), wire[1 + 8 + 4..].as_ptr(), "zero-copy");
+            }
+            assert_eq!(decoded, msg);
+        }
+    }
+}

@@ -1403,3 +1403,17 @@ impl Applier {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amoeba_testkit::unhex;
+
+    #[test]
+    fn an_nvram_record_keeps_its_bytes() {
+        // The update seq, then the op as a byte string.
+        let golden = unhex("050000000000000009000000020400000000000000");
+        let delete = DirOp::Delete { object: 4 };
+        assert_eq!(decode_nv_record(&golden), Some((5, delete)));
+    }
+}

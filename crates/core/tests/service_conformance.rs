@@ -12,17 +12,7 @@ use amoeba_flip::{Payload, Port};
 use amoeba_rsm::service::{Service, ServiceMachine, Wire};
 use amoeba_rsm::StateMachine;
 use amoeba_sim::{Ctx, Simulation};
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn unhex(s: &str) -> Vec<u8> {
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-        .collect()
-}
+use amoeba_testkit::{hex, unhex};
 
 // ---------------------------------------------------------------------
 // The generic checks.

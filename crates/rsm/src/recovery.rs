@@ -456,6 +456,7 @@ fn fetch_state<S: StateMachine>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amoeba_testkit::{hex, mutants_refused_or_exact, unhex};
 
     #[test]
     fn internal_msgs_round_trip() {
@@ -482,6 +483,76 @@ mod tests {
         for m in msgs {
             assert_eq!(InternalMsg::decode(&m.encode()).unwrap(), m);
         }
+    }
+
+    /// Golden bytes of every variant, captured from the hand-written
+    /// encoder.
+    fn goldens() -> Vec<(InternalMsg, &'static str)> {
+        vec![
+            (
+                InternalMsg::Exchange {
+                    from: 1,
+                    mourned: vec![false, true, false],
+                    update_seq: 9,
+                    stayed_up: true,
+                },
+                "010100000003000100090000000000000001",
+            ),
+            (
+                InternalMsg::ExchangeReply {
+                    mourned: vec![true, false],
+                    update_seq: 3,
+                    stayed_up: false,
+                },
+                "02020100030000000000000000",
+            ),
+            (InternalMsg::Fetch, "03"),
+            (
+                InternalMsg::State {
+                    instance: 7,
+                    applied_seq: 5,
+                    state: vec![1, 2, 3].into(),
+                },
+                "040700000000000000050000000000000003000000010203",
+            ),
+            (InternalMsg::Busy, "05"),
+        ]
+    }
+
+    #[test]
+    fn internal_msgs_keep_their_bytes() {
+        for (msg, golden) in goldens() {
+            assert_eq!(hex(&msg.encode()), golden, "{msg:?}");
+            let bytes = Payload::from(unhex(golden));
+            assert_eq!(InternalMsg::decode(&bytes), Ok(msg));
+            let trailing = Payload::from([&unhex(golden)[..], &[0]].concat());
+            assert!(InternalMsg::decode(&trailing).is_err(), "{golden} + a byte");
+        }
+    }
+
+    #[test]
+    fn mutated_internal_msgs_are_refused_or_decode_exactly() {
+        for (_, golden) in goldens() {
+            mutants_refused_or_exact(&unhex(golden), |b| {
+                let msg = InternalMsg::decode(&Payload::from(b.to_vec())).ok()?;
+                Some(msg.encode().to_vec())
+            });
+        }
+    }
+
+    #[test]
+    fn a_state_transfer_decodes_without_copying_the_state() {
+        let wire = InternalMsg::State {
+            instance: 7,
+            applied_seq: 5,
+            state: vec![1, 2, 3].into(),
+        }
+        .encode();
+        let Ok(InternalMsg::State { state, .. }) = InternalMsg::decode(&wire) else {
+            panic!("a state message");
+        };
+        // Tag, instance, cursor and length prefix come first.
+        assert_eq!(state.as_ptr(), wire[1 + 8 + 8 + 4..].as_ptr());
     }
 
     #[test]

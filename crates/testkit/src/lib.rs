@@ -116,6 +116,52 @@ pub fn check(name: &str, cases: u64, property: impl Fn(&mut Gen)) {
     }
 }
 
+/// Lower-case hex of `bytes`, the form wire goldens are written in.
+pub fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The bytes of a golden written by [`hex`].
+///
+/// # Panics
+///
+/// Panics on a character that is not a hex digit.
+pub fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+/// The mutation fuzz of a decoder, seeded by one valid encoding: every
+/// truncation of `golden`, every single-byte substitution in it and
+/// `golden` with a byte appended must either be refused or decode to a
+/// value that encodes back to exactly that input. `reencode` decodes its
+/// input and returns the value's encoding, `None` when it refuses.
+///
+/// # Panics
+///
+/// On the first input that decodes to a value with other bytes.
+pub fn mutants_refused_or_exact(golden: &[u8], reencode: impl Fn(&[u8]) -> Option<Vec<u8>>) {
+    let check = |input: &[u8]| {
+        if let Some(out) = reencode(input) {
+            assert!(out == input, "{} decodes to {}", hex(input), hex(&out));
+        }
+    };
+    for cut in 0..golden.len() {
+        check(&golden[..cut]);
+    }
+    let mut mutant = golden.to_vec();
+    for i in 0..golden.len() {
+        for b in (0..=u8::MAX).filter(|b| *b != golden[i]) {
+            mutant[i] = b;
+            check(&mutant);
+        }
+        mutant[i] = golden[i];
+    }
+    check(&[golden, &[0xA5]].concat());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

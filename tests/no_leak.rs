@@ -15,10 +15,14 @@
 //! replica that owes no reply may request heap in proportion to the
 //! directory's size.
 //!
+//! And it pins the exact-size encode: an op and a directory file are
+//! each marshalled into one buffer of exactly their length.
+//!
 //! The tests in this file count every byte the process allocates, so
 //! they take turns ([`ALONE`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -45,12 +49,19 @@ static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 /// Held by each test for its whole body: the counters are process-wide.
 static ALONE: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// Bytes ever requested by this thread: exact, where the process-wide
+    /// count also sees the test harness's threads.
+    static MINE: Cell<usize> = const { Cell::new(0) };
+}
+
 // SAFETY: every call is passed to `System` unchanged; the counter is the
 // only addition and does not touch the memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
+        let _ = MINE.try_with(|mine| mine.set(mine.get() + layout.size()));
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -165,18 +176,31 @@ fn a_rejected_message_allocates_nothing_for_its_claimed_counts() {
         w.u32(count);
         w.finish()
     };
+    // Tag, then the fixed fields before the columns: two u64s for an
+    // export, and a renewed flag after them for a snapshot.
+    let tagged = |tag: u8, fixed: usize| [&[tag][..], &vec![0; fixed]].concat();
     type Rejects = fn(&[u8]) -> bool;
     let request: Rejects = |b| DirRequest::decode(b).is_err();
-    let cases: [(&str, Vec<u8>, Rejects); 6] = [
+    let reply: Rejects = |b| DirReply::decode(b).is_err();
+    let op: Rejects = |b| DirOp::decode(b).is_err();
+    let cases: [(&str, Vec<u8>, Rejects); 10] = [
         ("InstallDir request", claim(&[13], true, 1_000_000), request),
         ("LookupSet request", claim(&[7], false, 10_000), request),
         ("ReplaceSet request", claim(&[8], false, 10_000), request),
-        ("Caps reply", claim(&[4], false, 10_000), |b| {
-            DirReply::decode(b).is_err()
-        }),
-        ("ReplaceSet op", claim(&[6], false, 10_000), |b| {
-            DirOp::decode(b).is_err()
-        }),
+        ("Caps reply", claim(&[4], false, 10_000), reply),
+        ("Listing reply", claim(&[3], true, 1_000_000), reply),
+        (
+            "Export reply",
+            claim(&tagged(7, 16), true, 1_000_000),
+            reply,
+        ),
+        (
+            "Snapshot reply",
+            claim(&tagged(8, 17), true, 1_000_000),
+            reply,
+        ),
+        ("ReplaceSet op", claim(&[6], false, 10_000), op),
+        ("InstallDir op", claim(&[10], true, 1_000_000), op),
         ("directory file", claim(&[0; 8], true, 1_000_000), |b| {
             Directory::decode(b).is_err()
         }),
@@ -192,6 +216,38 @@ fn a_rejected_message_allocates_nothing_for_its_claimed_counts() {
             bytes.len()
         );
     }
+}
+
+/// Invariant 1 of `amoeba_dir_core`: an op and a directory file are each
+/// encoded into one buffer of exactly their length — plus the `Arc` that
+/// shares it — and the buffer is never grown.
+#[test]
+fn an_op_and_a_directory_encode_into_one_exact_size_buffer() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
+    let columns = vec!["owner".to_string(), "other".to_string()];
+    let masks = vec![Rights::ALL, Rights::NONE];
+    let mut dir = Directory::new(columns.clone());
+    for r in 0..40 {
+        dir.append_row(format!("row-{r}"), owner, masks.clone())
+            .expect("fresh name");
+    }
+    let op = DirOp::InstallDir {
+        columns,
+        rows: (0..40)
+            .map(|r| (format!("row-{r}"), owner, masks.clone()))
+            .collect(),
+        check: 0xC1,
+        key: 7,
+    };
+    let shared = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u8>>();
+    let mine = || MINE.with(Cell::get);
+    let before = mine();
+    let op_bytes = op.encode();
+    assert_eq!(mine() - before, op_bytes.len() + shared, "the op");
+    let before = mine();
+    let dir_bytes = dir.encode();
+    assert_eq!(mine() - before, dir_bytes.len() + shared, "the directory");
 }
 
 /// Bytes of heap the whole process requests while a client makes 1,000
