@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use amoeba_bench::microbench::{bench, bench_with_setup};
 use amoeba_dir_core::{Capability, DirOp, DirRequest, Rights};
+use amoeba_flip::wire::Wire;
 use amoeba_flip::{NetParams, Network, Port};
 use amoeba_group::GroupMsg;
 use amoeba_sim::{SimRng, Simulation};

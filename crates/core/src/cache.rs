@@ -19,7 +19,7 @@
 //! through the group like writes, so every replica knows every lease,
 //! and any update — initiated at *any* replica — revokes the covering
 //! leases **before the write is acknowledged** (see
-//! [`crate::server_group`]): the initiator sends an invalidation
+//! [`start_group_server`](crate::start_group_server)): the initiator sends an invalidation
 //! callback to every holder and an unreachable holder's lease is waited
 //! out in full. The client maintains the left-hand side: an entry is
 //! only served before its deadline, the invalidation listener drops
@@ -53,8 +53,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use amoeba_flip::wire::{WireReader, WireWriter};
-use amoeba_flip::Port;
+use amoeba_flip::wire::Wire;
+use amoeba_flip::{Payload, Port};
 use amoeba_rpc::{RpcNode, RpcServer};
 use amoeba_sim::{NodeId, Spawn};
 use parking_lot::Mutex;
@@ -357,22 +357,6 @@ impl DirCache {
     }
 }
 
-/// Wire form of one invalidation callback: the directory's home
-/// `(port, object)` as granted.
-pub(crate) fn encode_invalidation(home: Port, object: u64) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(16);
-    w.u64(home.as_raw()).u64(object);
-    w.finish()
-}
-
-pub(crate) fn decode_invalidation(data: &[u8]) -> Option<(u64, u64)> {
-    let mut r = WireReader::new(data);
-    let port = r.u64("inval port").ok()?;
-    let object = r.u64("inval object").ok()?;
-    r.expect_end("inval trailing").ok()?;
-    Some((port, object))
-}
-
 /// Spawns the invalidation listener of one client machine: an RPC
 /// server on the cache's callback port that drops cached entries the
 /// moment a write's initiator revokes their lease. **Required** for any
@@ -397,11 +381,13 @@ pub fn start_invalidation_listener(
             loop {
                 let incoming = srv.getreq(ctx);
                 let span = tele.begin_child("cache.inval", machine, incoming.trace);
-                if let Some((port, object)) = decode_invalidation(&incoming.data) {
-                    cache.invalidate(port, object);
+                // The callback is the directory's home `(port, object)`
+                // as granted.
+                if let Ok((port, object)) = <(Port, u64)>::decode(&incoming.data) {
+                    cache.invalidate(port.as_raw(), object);
                 }
                 tele.end(span);
-                srv.putrep(&incoming, WireWriter::new().finish());
+                srv.putrep(&incoming, Payload::empty());
             }
         }),
     );

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
+use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Port;
 
 use crate::rights::Rights;
@@ -101,30 +101,22 @@ impl Capability {
             check: Self::check_for(c, rights),
         }
     }
+}
 
-    /// Appends to a wire buffer.
-    pub fn write(&self, w: &mut WireWriter) {
-        w.u64(self.port.as_raw())
-            .u64(self.object)
-            .u8(self.rights.0)
-            .u64(self.check);
+/// Port, object, rights, check.
+impl Wire for Capability {
+    fn put(&self, w: &mut WireWriter) {
+        self.port.put(w);
+        w.u64(self.object);
+        self.rights.put(w);
+        w.u64(self.check);
     }
 
-    /// Reads from a wire buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncation, or for a port wider than
-    /// 48 bits (no encoder writes one).
-    pub fn read(r: &mut WireReader<'_>) -> Result<Capability, DecodeError> {
-        let raw = r.u64("cap port")?;
-        if Port::from_raw(raw).as_raw() != raw {
-            return Err(DecodeError::new("cap port"));
-        }
+    fn get(r: &mut WireReader<'_>) -> Result<Capability, DecodeError> {
         Ok(Capability {
-            port: Port::from_raw(raw),
+            port: Port::get(r)?,
             object: r.u64("cap object")?,
-            rights: Rights(r.u8("cap rights")?),
+            rights: Rights::get(r)?,
             check: r.u64("cap check")?,
         })
     }
@@ -195,11 +187,7 @@ mod tests {
     #[test]
     fn wire_round_trip() {
         let cap = Capability::issue(port(), 42, 7, Rights::column(1));
-        let mut w = WireWriter::new();
-        cap.write(&mut w);
-        let buf = w.finish();
-        let mut r = WireReader::new(&buf);
-        assert_eq!(Capability::read(&mut r).unwrap(), cap);
+        assert_eq!(Capability::decode(&cap.encode()).unwrap(), cap);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use amoeba_flip::wire::Wire;
 use amoeba_flip::Port;
 use amoeba_rpc::{RpcClient, RpcError};
 use amoeba_sim::Ctx;
@@ -493,7 +494,13 @@ impl DirClient {
                 .call_chasing(ctx, cap, |c| DirRequest::ListDir { cap: c })?
                 .0
             {
-                DirReply::Listing { columns, rows } => Ok(Listing { columns, rows }),
+                DirReply::Listing { columns, rows } => Ok(Listing {
+                    columns,
+                    rows: rows
+                        .into_iter()
+                        .map(|r| (r.name, r.cap, r.col_rights))
+                        .collect(),
+                }),
                 DirReply::Err(e) => Err(e.into()),
                 _ => Err(DirClientError::Protocol),
             }
@@ -690,7 +697,7 @@ impl DirClient {
                     // Built once: the misses are answered from the map,
                     // then the cache takes it.
                     let map: HashMap<String, Capability> =
-                        rows.into_iter().map(|(n, c, _)| (n, c)).collect();
+                        rows.into_iter().map(|r| (r.name, r.cap)).collect();
                     let answers = names.iter().map(|n| map.get(*n).copied()).collect();
                     let servable = cache.install(epoch, &cur, map, deadline_us, now_us);
                     return Ok(servable.then_some(answers));

@@ -19,7 +19,7 @@
 //! batch — see `DirectoryStateMachine::boot`).
 
 use amoeba_disk::RawPartition;
-use amoeba_flip::wire::{WireReader, WireWriter};
+use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_sim::Ctx;
 
 /// In-memory image of the commit block.
@@ -53,44 +53,13 @@ impl CommitBlock {
         }
     }
 
-    /// Serializes to block bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(MAGIC);
-        w.u8(self.config.len() as u8);
-        for b in &self.config {
-            w.boolean(*b);
-        }
-        w.u64(self.seqno);
-        w.boolean(self.recovering);
-        w.u64(self.epoch);
-        w.finish()
-    }
-
-    /// Parses block bytes; `None` for an uninitialized (all-zero or
-    /// garbage) block — the state of a brand-new server.
-    pub fn decode(buf: &[u8], n: usize) -> Option<CommitBlock> {
-        let mut r = WireReader::new(buf);
-        if r.u32("magic").ok()? != MAGIC {
-            return None;
-        }
-        let len = r.u8("config len").ok()? as usize;
-        if len != n {
-            return None;
-        }
-        let mut config = Vec::with_capacity(len);
-        for _ in 0..len {
-            config.push(r.boolean("config bit").ok()?);
-        }
-        let seqno = r.u64("seqno").ok()?;
-        let recovering = r.boolean("recovering").ok()?;
-        let epoch = r.u64("epoch").ok()?;
-        Some(CommitBlock {
-            config,
-            seqno,
-            recovering,
-            epoch,
-        })
+    /// Parses a block image of an `n`-server service; `None` for an
+    /// uninitialized (all-zero or garbage) block — the state of a
+    /// brand-new server. The block's zero padding after the commit block
+    /// is ignored.
+    pub fn decode(block: &[u8], n: usize) -> Option<CommitBlock> {
+        let cb = CommitBlock::get(&mut WireReader::new(block)).ok()?;
+        (cb.config.len() == n).then_some(cb)
     }
 
     /// Reads the commit block from partition block 0.
@@ -113,6 +82,28 @@ impl CommitBlock {
             .filter(|(_, up)| !**up)
             .map(|(i, _)| i)
             .collect()
+    }
+}
+
+/// The magic, the configuration vector, the seqno, the recovering flag
+/// and the epoch.
+impl Wire for CommitBlock {
+    fn put(&self, w: &mut WireWriter) {
+        w.u32(MAGIC);
+        self.config.put(w);
+        w.u64(self.seqno).boolean(self.recovering).u64(self.epoch);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<CommitBlock, DecodeError> {
+        if r.u32("magic")? != MAGIC {
+            return Err(DecodeError::new("magic"));
+        }
+        Ok(CommitBlock {
+            config: <Vec<bool>>::get(r)?,
+            seqno: r.u64("seqno")?,
+            recovering: r.boolean("recovering")?,
+            epoch: r.u64("epoch")?,
+        })
     }
 }
 

@@ -97,7 +97,7 @@ pub struct DirParams {
     /// reserved journal region as one sequential record append, with a
     /// background checkpointer draining the dirty set into real
     /// Bullet/table blocks (see `amoeba_disk::Journal` and the module
-    /// docs of [`crate::dir_sm`]). `false` (the default) keeps the
+    /// docs of `dir_sm`). `false` (the default) keeps the
     /// paper's in-place flush — each final directory and table block
     /// written where it lives — and the journal region is not even
     /// carved. Only meaningful with [`StorageKind::Disk`] storage.
@@ -129,12 +129,6 @@ pub struct DirParams {
     /// crashed holder can cost writers, and widens the cold-boot write
     /// fence to `(1 + lease_renewals) × max_lease`.
     pub lease_renewals: u32,
-    /// How long a joining server waits for a group to answer.
-    pub recovery_join_timeout: Duration,
-    /// How long to wait for a majority to assemble before retrying.
-    pub recovery_majority_timeout: Duration,
-    /// Upper bound of the random dither between recovery retries.
-    pub recovery_retry_jitter: Duration,
 }
 
 impl Default for DirParams {
@@ -153,9 +147,6 @@ impl Default for DirParams {
             intentions_latency: Duration::from_millis(12),
             max_lease: Duration::from_millis(400),
             lease_renewals: 2,
-            recovery_join_timeout: Duration::from_millis(400),
-            recovery_majority_timeout: Duration::from_millis(1_500),
-            recovery_retry_jitter: Duration::from_millis(300),
         }
     }
 }

@@ -87,7 +87,7 @@
 use std::sync::Arc;
 
 use amoeba_bullet::FileCap;
-use amoeba_flip::wire::{WireReader, WireWriter};
+use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
 use amoeba_rsm::{RecoveryInfo, StateMachine};
 use amoeba_sim::{Ctx, Resource};
@@ -98,7 +98,7 @@ use crate::config::{DirParams, StorageKind};
 use crate::directory::Directory;
 use crate::object_table::{ObjEntry, ObjectTable};
 use crate::ops::{DirError, DirOp, DirReply};
-use crate::state::{Applier, Effect};
+use crate::state::{Applier, Effect, ReadLease, StubEntry};
 
 /// The directory service's state machine. All group-protocol behaviour
 /// (ordering, recovery, batching) comes from the generic
@@ -456,7 +456,7 @@ impl DirectoryStateMachine {
             .journal
             .as_ref()
             .expect("journaled commit without a journal");
-        let record = encode_journal_record(&batch);
+        let record = batch.encode();
         {
             let mut ckpt = self.ckpt.lock();
             ckpt.covered_seqno = ckpt.covered_seqno.max(batch.commit_seqno);
@@ -534,21 +534,37 @@ impl DirectoryStateMachine {
     }
 }
 
-/// Journal record wire format: `u64 commit_seqno, u32 need_commit,
-/// u32 n_acts`, then per act `u64 object, u32 kind` with kind 0 =
-/// Store (`u64 check` + length-prefixed directory encoding), 1 = Drop,
-/// 2 = Stub (`u64 seqno, u64 check`). Acts are absolute final states,
-/// so replaying a record any number of times is idempotent.
-fn encode_journal_record(batch: &StagedBatch) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(16 + batch.acts.len() * 64);
-    w.u64(batch.commit_seqno)
-        .u32(batch.need_commit as u32)
-        .u32(batch.acts.len() as u32);
-    for (object, act) in &batch.acts {
-        w.u64(*object);
-        match act {
+/// The count of a journal record's acts and of each snapshot section:
+/// at most 1,000,000.
+const ENTRIES: Counted = Counted::u32(1_000_000, "entries");
+
+/// The journal record of one batch: `u64 commit_seqno, u32
+/// need_commit`, then the counted acts, each `u64 object` and its act.
+/// Acts are absolute final states, so replaying a record any number of
+/// times is idempotent.
+impl Wire for StagedBatch {
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(self.commit_seqno).u32(u32::from(self.need_commit));
+        ENTRIES.put(w, &self.acts, <(u64, StagedAct)>::put);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<StagedBatch, DecodeError> {
+        Ok(StagedBatch {
+            commit_seqno: r.u64("commit seqno")?,
+            need_commit: r.u32("need commit")? != 0,
+            acts: ENTRIES.get(r, <(u64, StagedAct)>::get)?,
+        })
+    }
+}
+
+/// A `u32` kind, then 0 = Store (`u64 check` + the framed directory),
+/// 1 = Drop, 2 = Stub (`u64 seqno, u64 check`).
+impl Wire for StagedAct {
+    fn put(&self, w: &mut WireWriter) {
+        match self {
             StagedAct::Store { dir, check } => {
-                w.u32(0).u64(*check).bytes(&dir.encode());
+                w.u32(0).u64(*check);
+                dir.put_framed(w);
             }
             StagedAct::Drop => {
                 w.u32(1);
@@ -558,44 +574,106 @@ fn encode_journal_record(batch: &StagedBatch) -> Vec<u8> {
             }
         }
     }
-    w.finish()
-}
 
-/// A decoded journal record: the batch's commit-seqno claim, whether it
-/// needs a commit-block write at checkpoint, and its acts.
-type JournalRecord = (u64, bool, Vec<(u64, StagedAct)>);
-
-/// Decodes one journal record; `None` on any malformation (the journal
-/// already checksums frames, so this only guards against version skew).
-fn decode_journal_record(bytes: &[u8]) -> Option<JournalRecord> {
-    let payload = Payload::new(bytes.to_vec());
-    let mut r = WireReader::of(&payload);
-    let commit_seqno = r.u64("commit seqno").ok()?;
-    let need_commit = r.u32("need commit").ok()? != 0;
-    let n = r.u32("acts").ok()?;
-    if n as usize > 1_000_000 {
-        return None;
-    }
-    // `n` is only a claim: grow as acts actually parse, never reserve by it.
-    let mut acts = Vec::new();
-    for _ in 0..n {
-        let object = r.u64("object").ok()?;
-        let act = match r.u32("kind").ok()? {
-            0 => {
-                let check = r.u64("check").ok()?;
-                let dir = Arc::new(Directory::decode(r.bytes("dir bytes").ok()?).ok()?);
-                StagedAct::Store { dir, check }
-            }
+    fn get(r: &mut WireReader<'_>) -> Result<StagedAct, DecodeError> {
+        Ok(match r.u32("act kind")? {
+            0 => StagedAct::Store {
+                check: r.u64("check")?,
+                dir: Arc::new(Directory::get_framed(r)?),
+            },
             1 => StagedAct::Drop,
             2 => StagedAct::Stub {
-                seqno: r.u64("seqno").ok()?,
-                check: r.u64("check").ok()?,
+                seqno: r.u64("seqno")?,
+                check: r.u64("check")?,
             },
-            _ => return None,
-        };
-        acts.push((object, act));
+            _ => return Err(DecodeError::new("act kind")),
+        })
     }
-    Some((commit_seqno, need_commit, acts))
+}
+
+/// A replica's whole state, as recovery transfers it.
+struct Snapshot {
+    update_seq: u64,
+    commit_seqno: u64,
+    /// `(object, check, contents)` of every directory with contents.
+    dirs: Vec<(u64, u64, Arc<Directory>)>,
+    /// Completion records of keyed creates, `(key, object)`: a
+    /// recovering replica must answer replays of the cross-shard
+    /// protocol's step one.
+    completions: Vec<(u64, u64)>,
+    /// Forwarding stubs with their kept entry's `(object, check, seqno)`,
+    /// so the installer rebuilds both the stub and the table row.
+    stubs: Vec<((u64, u64, u64), StubEntry)>,
+    /// The read-lease table, `(object, lease)`: a joining replica must
+    /// know every outstanding lease, or a write it later initiates could
+    /// be acknowledged without revoking one.
+    leases: Vec<(u64, ReadLease)>,
+}
+
+/// `u64 update_seq, u64 commit_seqno`, then the four sections, each
+/// counted ([`ENTRIES`]) and sorted: a directory is its object, check
+/// and framed contents.
+impl Wire for Snapshot {
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(self.update_seq).u64(self.commit_seqno);
+        ENTRIES.put(w, &self.dirs, |(object, check, dir), w| {
+            w.u64(*object).u64(*check);
+            dir.put_framed(w);
+        });
+        ENTRIES.put(w, &self.completions, <(u64, u64)>::put);
+        ENTRIES.put(w, &self.stubs, <((u64, u64, u64), StubEntry)>::put);
+        ENTRIES.put(w, &self.leases, <(u64, ReadLease)>::put);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Snapshot, DecodeError> {
+        Ok(Snapshot {
+            update_seq: r.u64("update seq")?,
+            commit_seqno: r.u64("commit seq")?,
+            dirs: ENTRIES.get(r, |r| {
+                let (object, check) = (r.u64("object")?, r.u64("check")?);
+                Ok((object, check, Arc::new(Directory::get_framed(r)?)))
+            })?,
+            completions: ENTRIES.get(r, <(u64, u64)>::get)?,
+            stubs: ENTRIES.get(r, <((u64, u64, u64), StubEntry)>::get)?,
+            leases: ENTRIES.get(r, <(u64, ReadLease)>::get)?,
+        })
+    }
+}
+
+impl Wire for StubEntry {
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(self.to_port).u64(self.to_object);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<StubEntry, DecodeError> {
+        Ok(StubEntry {
+            to_port: r.u64("stub to-port")?,
+            to_object: r.u64("stub to-object")?,
+        })
+    }
+}
+
+/// Owner, callback port, deadline, TTL, then the renewals left as a
+/// `u64` that must fit a `u32`.
+impl Wire for ReadLease {
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(self.owner)
+            .u64(self.cb_port)
+            .u64(self.deadline_us)
+            .u64(self.ttl_us)
+            .u64(u64::from(self.renewals_left));
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<ReadLease, DecodeError> {
+        Ok(ReadLease {
+            owner: r.u64("lease owner")?,
+            cb_port: r.u64("lease cb-port")?,
+            deadline_us: r.u64("lease deadline")?,
+            ttl_us: r.u64("lease ttl")?,
+            renewals_left: u32::try_from(r.u64("lease renewals")?)
+                .map_err(|_| DecodeError::new("lease renewals"))?,
+        })
+    }
 }
 
 impl StateMachine for DirectoryStateMachine {
@@ -605,7 +683,7 @@ impl StateMachine for DirectoryStateMachine {
         // so nothing is encoded.
         let answer = |r: DirReply| {
             if reply {
-                r.encode().into()
+                r.encode()
             } else {
                 Payload::empty()
             }
@@ -830,7 +908,12 @@ impl StateMachine for DirectoryStateMachine {
                 let records = journal.recover(ctx);
                 let mut replayed = 0u64;
                 for rec in &records {
-                    let Some((commit_seqno, need_commit, acts)) = decode_journal_record(rec) else {
+                    let Ok(StagedBatch {
+                        acts,
+                        commit_seqno,
+                        need_commit,
+                    }) = StagedBatch::decode(rec)
+                    else {
                         continue; // version skew: skip, never fatal
                     };
                     replayed = replayed.max(commit_seqno);
@@ -970,186 +1053,62 @@ impl StateMachine for DirectoryStateMachine {
         for o in &objects {
             let _ = applier.load_dir(ctx, *o);
         }
-        let shared = applier.shared.lock();
-        let entries: Vec<(u64, u64, Payload)> = shared
-            .table
-            .iter()
-            .filter_map(|(object, entry)| {
-                shared
-                    .cache
-                    .get(&object)
-                    .map(|d| (object, entry.check, d.encode()))
-            })
-            .collect();
-        // Completion records of keyed creates are replicated state: a
-        // recovering replica must be able to answer replays of the
-        // cross-shard protocol's step one.
-        let mut completions: Vec<(u64, u64)> =
-            shared.completions.iter().map(|(k, o)| (*k, *o)).collect();
-        completions.sort_unstable(); // deterministic encoding
-                                     // Forwarding stubs travel with their kept entry's check/seqno so
-                                     // the installee reconstructs both the stub and the table row.
-        let mut stubs: Vec<(u64, u64, u64, u64, u64)> = shared
-            .stubs
-            .iter()
-            .filter_map(|(object, s)| {
-                shared
-                    .table
-                    .get(*object)
-                    .map(|e| (*object, e.check, e.seqno, s.to_port, s.to_object))
-            })
-            .collect();
-        stubs.sort_unstable(); // deterministic encoding
-                               // The read-lease table is replicated state: a joining replica must
-                               // know every outstanding lease or a write it later initiates could
-                               // acknowledge without revoking one.
-        let mut rleases: Vec<(u64, u64, u64, u64, u64, u64)> = shared
-            .rleases
-            .iter()
-            .flat_map(|(object, ls)| {
-                ls.iter().map(|l| {
-                    (
-                        *object,
-                        l.owner,
-                        l.cb_port,
-                        l.deadline_us,
-                        l.ttl_us,
-                        l.renewals_left as u64,
-                    )
+        let (cursor, snap) = {
+            let shared = applier.shared.lock();
+            let dirs = shared
+                .table
+                .iter()
+                .filter_map(|(object, entry)| {
+                    let dir = shared.cache.get(&object)?;
+                    Some((object, entry.check, Arc::clone(dir)))
                 })
-            })
-            .collect();
-        rleases.sort_unstable(); // deterministic encoding
-        let mut w = WireWriter::with_capacity(
-            8 + 8
-                + 4
-                + entries
-                    .iter()
-                    .map(|(_, _, b)| 8 + 8 + 4 + b.len())
-                    .sum::<usize>()
-                + 4
-                + completions.len() * 16
-                + 4
-                + stubs.len() * 40
-                + 4
-                + rleases.len() * 48,
-        );
-        w.u64(shared.update_seq)
-            .u64(shared.commit.seqno)
-            .u32(entries.len() as u32);
-        for (object, check, bytes) in &entries {
-            w.u64(*object).u64(*check).bytes(bytes);
-        }
-        w.u32(completions.len() as u32);
-        for (key, object) in &completions {
-            w.u64(*key).u64(*object);
-        }
-        w.u32(stubs.len() as u32);
-        for (object, check, seqno, to_port, to_object) in &stubs {
-            w.u64(*object)
-                .u64(*check)
-                .u64(*seqno)
-                .u64(*to_port)
-                .u64(*to_object);
-        }
-        w.u32(rleases.len() as u32);
-        for (object, owner, cb_port, deadline_us, ttl_us, renewals_left) in &rleases {
-            w.u64(*object)
-                .u64(*owner)
-                .u64(*cb_port)
-                .u64(*deadline_us)
-                .u64(*ttl_us)
-                .u64(*renewals_left);
-        }
-        (shared.applied_group_seq, w.finish_payload())
+                .collect();
+            let mut completions: Vec<(u64, u64)> =
+                shared.completions.iter().map(|(k, o)| (*k, *o)).collect();
+            let mut stubs: Vec<_> = shared
+                .stubs
+                .iter()
+                .filter_map(|(object, stub)| {
+                    let e = shared.table.get(*object)?;
+                    Some(((*object, e.check, e.seqno), *stub))
+                })
+                .collect();
+            let mut leases: Vec<(u64, ReadLease)> = shared
+                .rleases
+                .iter()
+                .flat_map(|(object, ls)| ls.iter().map(|l| (*object, *l)))
+                .collect();
+            // Deterministic encoding.
+            completions.sort_unstable();
+            stubs.sort_unstable();
+            leases.sort_unstable();
+            let snap = Snapshot {
+                update_seq: shared.update_seq,
+                commit_seqno: shared.commit.seqno,
+                dirs,
+                completions,
+                stubs,
+                leases,
+            };
+            (shared.applied_group_seq, snap)
+        };
+        (cursor, snap.encode())
     }
 
     fn install(&self, ctx: &Ctx, cursor: u64, snap: &Payload) -> bool {
         let applier = &self.applier;
-        let mut r = WireReader::of(snap);
-        let (update_seq, commit_seq, n) =
-            match (r.u64("update seq"), r.u64("commit seq"), r.u32("entries")) {
-                (Ok(u), Ok(c), Ok(n)) if (n as usize) <= 1_000_000 => (u, c, n),
-                _ => return false,
-            };
-        // The counts below are a peer's claims: every collection grows as
-        // its elements actually parse, none is reserved by a count.
-        let mut installed: Vec<(u64, u64, Arc<Directory>)> = Vec::new();
-        for _ in 0..n {
-            let (object, check, bytes) =
-                match (r.u64("object"), r.u64("check"), r.bytes("dir bytes")) {
-                    (Ok(o), Ok(c), Ok(b)) => (o, c, b),
-                    _ => return false,
-                };
-            match Directory::decode(bytes) {
-                Ok(dir) => installed.push((object, check, Arc::new(dir))),
-                Err(_) => return false,
-            }
-        }
-        let n_comp = match r.u32("completions") {
-            Ok(n) if (n as usize) <= 1_000_000 => n,
-            _ => return false,
+        // A peer's bytes: refused whole, before anything is touched.
+        let Ok(Snapshot {
+            update_seq,
+            commit_seqno,
+            dirs: installed,
+            completions,
+            stubs,
+            leases,
+        }) = Snapshot::decode(snap)
+        else {
+            return false;
         };
-        let mut completions = std::collections::HashMap::new();
-        for _ in 0..n_comp {
-            match (r.u64("completion key"), r.u64("completion object")) {
-                (Ok(k), Ok(o)) => {
-                    completions.insert(k, o);
-                }
-                _ => return false,
-            }
-        }
-        let n_stubs = match r.u32("stubs") {
-            Ok(n) if (n as usize) <= 1_000_000 => n,
-            _ => return false,
-        };
-        let mut stubs: Vec<(u64, u64, u64, crate::state::StubEntry)> = Vec::new();
-        for _ in 0..n_stubs {
-            match (
-                r.u64("stub object"),
-                r.u64("stub check"),
-                r.u64("stub seqno"),
-                r.u64("stub to-port"),
-                r.u64("stub to-object"),
-            ) {
-                (Ok(object), Ok(check), Ok(seqno), Ok(to_port), Ok(to_object)) => stubs.push((
-                    object,
-                    check,
-                    seqno,
-                    crate::state::StubEntry { to_port, to_object },
-                )),
-                _ => return false,
-            }
-        }
-        let n_leases = match r.u32("read leases") {
-            Ok(n) if (n as usize) <= 1_000_000 => n,
-            _ => return false,
-        };
-        let mut rleases: Vec<(u64, crate::state::ReadLease)> = Vec::new();
-        for _ in 0..n_leases {
-            match (
-                r.u64("lease object"),
-                r.u64("lease owner"),
-                r.u64("lease cb-port"),
-                r.u64("lease deadline"),
-                r.u64("lease ttl"),
-                r.u64("lease renewals"),
-            ) {
-                (Ok(object), Ok(owner), Ok(cb_port), Ok(deadline_us), Ok(ttl_us), Ok(renew)) => {
-                    rleases.push((
-                        object,
-                        crate::state::ReadLease {
-                            owner,
-                            cb_port,
-                            deadline_us,
-                            ttl_us,
-                            renewals_left: renew.min(u32::MAX as u64) as u32,
-                        },
-                    ))
-                }
-                _ => return false,
-            }
-        }
         {
             let mut shared = applier.shared.lock();
             // Wipe stale state, then install wholesale.
@@ -1170,23 +1129,23 @@ impl StateMachine for DirectoryStateMachine {
                 shared.cache.insert(*object, Arc::clone(dir));
             }
             shared.update_seq = update_seq;
-            shared.commit.seqno = commit_seq;
+            shared.commit.seqno = commit_seqno;
             shared.applied_group_seq = cursor;
-            shared.completions = completions;
+            shared.completions = completions.into_iter().collect();
             shared.stubs.clear();
             shared.heat.clear();
             // Inherit every outstanding read lease: a write this replica
             // later initiates must revoke leases granted before it joined.
             shared.rleases.clear();
-            for (object, lease) in &rleases {
-                shared.rleases.entry(*object).or_default().push(*lease);
+            for (object, lease) in leases {
+                shared.rleases.entry(object).or_default().push(lease);
             }
             // The installed snapshot carries the complete live lease
             // table, so the conservative cold-boot write fence (leases
             // possibly lost with the volatile state) is no longer
             // needed on this replica.
             shared.write_fence_until_us = 0;
-            for (object, check, seqno, stub) in &stubs {
+            for ((object, check, seqno), stub) in &stubs {
                 shared.table.set(
                     *object,
                     ObjEntry {
@@ -1205,7 +1164,7 @@ impl StateMachine for DirectoryStateMachine {
         for (object, _, dir) in installed {
             applier.store_dir_to_disk(ctx, object, &dir);
         }
-        for (object, _, _, _) in &stubs {
+        for ((object, _, _), _) in &stubs {
             let waiter = { applier.shared.lock().table.flush_begin(*object) };
             if let Some(w) = waiter {
                 w.recv(ctx);
@@ -1307,22 +1266,18 @@ mod tests {
                       020000000000000001000000\
                       030000000000000002000000\
                       0800000000000000c300000000000000";
-        assert_eq!(hex(&encode_journal_record(&batch)), golden);
-        let (commit_seqno, need_commit, acts) =
-            decode_journal_record(&unhex(golden)).expect("decodes");
-        let again = StagedBatch {
-            acts,
-            commit_seqno,
-            need_commit,
-        };
-        assert_eq!(hex(&encode_journal_record(&again)), golden);
+        assert_eq!(hex(&batch.encode()), golden);
+        let again = StagedBatch::decode(&unhex(golden)).expect("decodes");
+        assert_eq!(hex(&again.encode()), golden);
+        let trailing = [&unhex(golden)[..], &[0]].concat();
+        assert!(StagedBatch::decode(&trailing).is_err(), "a byte too many");
     }
 
     #[test]
     fn journal_record_claiming_a_million_acts_over_an_empty_body_is_rejected() {
         let mut w = WireWriter::new();
         w.u64(7).u32(0).u32(1_000_000);
-        assert!(decode_journal_record(&w.finish()).is_none());
+        assert!(StagedBatch::decode(&w.finish()).is_err());
     }
 
     /// A machine on one node with nothing behind its Bullet stub: good

@@ -6,11 +6,17 @@
 //! `M` sees, for each row, the capability restricted to the union of the
 //! masks in the visible columns.
 
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
-use amoeba_flip::Payload;
+use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 
 use crate::capability::Capability;
 use crate::rights::Rights;
+
+/// Protection-column names: a `u8` count of 1–4, then each name.
+pub(crate) const COLUMNS: Counted = Counted::u8(1, 4, "columns");
+/// Per-column rights masks: a `u8` count of at most 4, one byte each.
+pub(crate) const MASKS: Counted = Counted::u8(0, 4, "rights masks");
+/// Full rows: a `u32` count of at most 1,000,000, then each row.
+pub(crate) const ROWS: Counted = Counted::u32(1_000_000, "rows");
 
 /// One row of a directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,76 +156,41 @@ impl Directory {
             None => Err(DirStructureError::NoSuchName),
         }
     }
+}
 
-    /// Serializes for storage in a Bullet file, sized up front so even a
-    /// large directory marshals in a single allocation.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::with_capacity(
-            8 + 1
-                + self.columns.iter().map(|c| 4 + c.len()).sum::<usize>()
-                + 4
-                + self
-                    .rows
-                    .iter()
-                    .map(|r| 4 + r.name.len() + (8 + 8 + 1 + 8) + 1 + r.col_rights.len())
-                    .sum::<usize>(),
-        );
-        w.u64(self.seqno);
-        w.u8(self.columns.len() as u8);
-        for c in &self.columns {
-            w.string(c);
-        }
-        w.u32(self.rows.len() as u32);
-        for row in &self.rows {
-            w.string(&row.name);
-            row.cap.write(&mut w);
-            w.u8(row.col_rights.len() as u8);
-            for m in &row.col_rights {
-                w.u8(m.0);
-            }
-        }
-        w.finish_payload()
+/// A row: its name, capability and per-column masks.
+impl Wire for Row {
+    fn put(&self, w: &mut WireWriter) {
+        w.string(&self.name);
+        self.cap.put(w);
+        MASKS.put(w, &self.col_rights, Rights::put);
     }
 
-    /// Deserializes from a Bullet file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed bytes.
-    pub fn decode(buf: &[u8]) -> Result<Directory, DecodeError> {
-        let mut r = WireReader::new(buf);
+    fn get(r: &mut WireReader<'_>) -> Result<Row, DecodeError> {
+        Ok(Row {
+            name: r.string("row name")?,
+            cap: Capability::get(r)?,
+            col_rights: MASKS.get(r, Rights::get)?,
+        })
+    }
+}
+
+/// A directory's Bullet file: its seqno, its columns, then its rows,
+/// each with one mask per column.
+impl Wire for Directory {
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(self.seqno);
+        COLUMNS.put(w, &self.columns, String::put);
+        ROWS.put(w, &self.rows, Row::put);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Directory, DecodeError> {
         let seqno = r.u64("dir seqno")?;
-        let ncols = r.u8("dir ncols")? as usize;
-        if !(1..=4).contains(&ncols) {
-            return Err(DecodeError::new("dir ncols"));
-        }
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            columns.push(r.string("dir column")?);
-        }
-        let nrows = r.u32("dir nrows")? as usize;
-        if nrows > 1_000_000 {
-            return Err(DecodeError::new("dir nrows"));
-        }
-        let mut rows = Vec::new();
-        for _ in 0..nrows {
-            let name = r.string("row name")?;
-            let cap = Capability::read(&mut r)?;
-            let nmask = r.u8("row nmask")? as usize;
-            if nmask != ncols {
-                return Err(DecodeError::new("row nmask"));
-            }
-            let mut col_rights = Vec::with_capacity(nmask);
-            for _ in 0..nmask {
-                col_rights.push(Rights(r.u8("row mask")?));
-            }
-            rows.push(Row {
-                name,
-                cap,
-                col_rights,
-            });
-        }
-        r.expect_end("dir trailing")?;
+        let columns: Vec<String> = COLUMNS.get(r, String::get)?;
+        let rows = ROWS.get(r, |r| match Row::get(r)? {
+            row if row.col_rights.len() == columns.len() => Ok(row),
+            _ => Err(DecodeError::new("row masks")),
+        })?;
         Ok(Directory {
             columns,
             rows,

@@ -62,20 +62,26 @@
 //! [`Payload`](amoeba_flip::Payload) — an `Arc`-backed buffer with
 //! zero-copy slicing — and the pipeline maintains these invariants:
 //!
-//! 1. **Encode once.** [`DirOp::encode`] sizes its `WireWriter` exactly
-//!    and produces the update's bytes in a single allocation; the same
-//!    holds for every payload-bearing wire message (`RpcMsg`,
-//!    `GroupMsg`, `BulletRequest`/`Reply`).
+//! 1. **Encode once.** Every directory-service format is one
+//!    [`Wire`](amoeba_flip::wire::Wire) impl, and [`DirOp::encode`] (like
+//!    every `Wire::encode`) produces the update's bytes in one
+//!    allocation of exactly their size: `put` runs once against a writer
+//!    that only counts and once into the buffer, so the size comes from
+//!    the same field list that writes the bytes. The transport messages
+//!    (`RpcMsg`, `GroupMsg`, `BulletRequest`/`Reply`) are sized up front
+//!    too.
 //! 2. **Never copy on the way down.** `RpcClient::trans`, `Group::send`
 //!    and `BulletClient::create` accept `impl Into<Payload>`; retries,
 //!    the sequencer's history buffer, BB stores and app-delivery queues
 //!    all hold clones of the same buffer (`Payload::clone` is an `Arc`
 //!    bump, never a byte copy).
 //! 3. **Never copy on the way up.** Decoders run over the packet's
-//!    shared buffer (`WireReader::of`) and return embedded byte strings
-//!    as zero-copy sub-payloads (`WireReader::payload`), so the op bytes
-//!    a replica applies alias the wire buffer they arrived in. Multicast
-//!    fan-out clones [`Packet`](amoeba_flip::Packet)s at `Arc` cost.
+//!    shared buffer (`WireReader::of`, `Wire::decode_shared`) and return
+//!    embedded byte strings as zero-copy sub-payloads
+//!    (`WireReader::payload`), so the op bytes a replica applies — and a
+//!    state transfer's snapshot — alias the wire buffer they arrived in.
+//!    Multicast fan-out clones [`Packet`](amoeba_flip::Packet)s at `Arc`
+//!    cost.
 //! 4. **Structured decode may allocate.** Parsing a `DirOp` or
 //!    `Directory` into strings/capabilities allocates for the *parsed
 //!    values* — never for the payload bytes themselves.

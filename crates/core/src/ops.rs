@@ -1,10 +1,11 @@
 //! The directory-service wire protocol: the Fig. 2 operations, their
 //! replies, and the internal replicated-op representation.
 
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
+use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
 
 use crate::capability::Capability;
+use crate::directory::{Row, COLUMNS, MASKS, ROWS};
 use crate::rights::Rights;
 
 /// A client request: exactly the operations of the paper's Fig. 2.
@@ -109,8 +110,8 @@ pub enum DirRequest {
     InstallDir {
         /// Column (protection-domain) names, 1–4.
         columns: Vec<String>,
-        /// Full rows (name, capability, per-column masks).
-        rows: Vec<(String, Capability, Vec<Rights>)>,
+        /// Full rows.
+        rows: Vec<Row>,
         /// The source directory's raw check, preserved so relocated
         /// capabilities validate unchanged at the target.
         check: u64,
@@ -162,9 +163,9 @@ pub enum DirReply {
     Listing {
         /// Column names.
         columns: Vec<String>,
-        /// (name, capability restricted to the holder's effective rights,
-        /// masks of the visible columns).
-        rows: Vec<(String, Capability, Vec<Rights>)>,
+        /// Rows with the capability restricted to the holder's effective
+        /// rights and only the visible columns' masks.
+        rows: Vec<Row>,
     },
     /// LookupSet results, in request order.
     Caps(Vec<Option<Capability>>),
@@ -196,10 +197,10 @@ pub enum DirReply {
         renewed: bool,
         /// Column names.
         columns: Vec<String>,
-        /// Rows (name, capability restricted to the holder's effective
-        /// rights, masks of the visible columns) — the same restriction
-        /// `ListDir` applies.
-        rows: Vec<(String, Capability, Vec<Rights>)>,
+        /// Rows restricted as `ListDir` restricts them: the capability
+        /// to the holder's effective rights, the masks to the visible
+        /// columns.
+        rows: Vec<Row>,
     },
     /// A directory's full contents ([`DirRequest::ExportDir`]).
     Export {
@@ -210,36 +211,53 @@ pub enum DirReply {
         seqno: u64,
         /// Column names.
         columns: Vec<String>,
-        /// Full rows (name, stored capability, per-column masks).
-        rows: Vec<(String, Capability, Vec<Rights>)>,
+        /// Full rows, with the stored capabilities.
+        rows: Vec<Row>,
     },
     /// The operation failed.
     Err(DirError),
 }
 
-/// Failures the service reports to clients.
+/// Failures the service reports to clients. The discriminant is the
+/// error's wire code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum DirError {
     /// Fewer than a majority of servers are up (paper §3.1: even reads
     /// are refused).
-    NoMajority,
+    NoMajority = 1,
     /// Unknown object or forged check field.
-    BadCapability,
+    BadCapability = 2,
     /// The capability lacks the needed right.
-    NoPermission,
+    NoPermission = 3,
     /// AppendRow of an existing name.
-    DuplicateName,
+    DuplicateName = 4,
     /// No row with that name.
-    NoSuchName,
+    NoSuchName = 5,
     /// Rights-mask count does not match the column count.
-    ColumnMismatch,
+    ColumnMismatch = 6,
     /// Malformed request.
-    Malformed,
+    Malformed = 7,
     /// Internal failure (storage layer).
-    Internal,
+    Internal = 8,
     /// A conditional operation's expected sequence number no longer
     /// matches (a concurrent update won the race): re-read and retry.
-    Stale,
+    Stale = 9,
+}
+
+impl DirError {
+    /// Every error, the ones a reply can carry.
+    const ALL: [DirError; 9] = [
+        DirError::NoMajority,
+        DirError::BadCapability,
+        DirError::NoPermission,
+        DirError::DuplicateName,
+        DirError::NoSuchName,
+        DirError::ColumnMismatch,
+        DirError::Malformed,
+        DirError::Internal,
+        DirError::Stale,
+    ];
 }
 
 impl std::fmt::Display for DirError {
@@ -351,8 +369,8 @@ pub enum DirOp {
     InstallDir {
         /// Column names.
         columns: Vec<String>,
-        /// Full rows (name, stored capability, per-column masks).
-        rows: Vec<(String, Capability, Vec<Rights>)>,
+        /// Full rows, with the stored capabilities.
+        rows: Vec<Row>,
         /// The source directory's raw check, carried verbatim.
         check: u64,
         /// Migration key.
@@ -393,40 +411,6 @@ pub enum DirOp {
     },
 }
 
-// ---------------------------------------------------------------------
-// Codec helpers.
-// ---------------------------------------------------------------------
-
-fn write_rights_vec(w: &mut WireWriter, v: &[Rights]) {
-    w.u8(v.len() as u8);
-    for r in v {
-        w.u8(r.0);
-    }
-}
-
-fn read_rights_vec(r: &mut WireReader<'_>) -> Result<Vec<Rights>, DecodeError> {
-    let n = r.u8("rights len")? as usize;
-    if n > 4 {
-        return Err(DecodeError::new("rights len"));
-    }
-    (0..n).map(|_| Ok(Rights(r.u8("rights")?))).collect()
-}
-
-fn write_columns(w: &mut WireWriter, v: &[String]) {
-    w.u8(v.len() as u8);
-    for c in v {
-        w.string(c);
-    }
-}
-
-fn read_columns(r: &mut WireReader<'_>) -> Result<Vec<String>, DecodeError> {
-    let n = r.u8("columns len")? as usize;
-    if !(1..=4).contains(&n) {
-        return Err(DecodeError::new("columns len"));
-    }
-    (0..n).map(|_| r.string("column")).collect()
-}
-
 const RQ_CREATE: u8 = 1;
 const RQ_DELETE: u8 = 2;
 const RQ_LIST: u8 = 3;
@@ -443,48 +427,24 @@ const RQ_INSTALL_DIR: u8 = 13;
 const RQ_INSTALL_STUB: u8 = 14;
 const RQ_FETCH_DIR: u8 = 15;
 
-fn write_full_rows(w: &mut WireWriter, rows: &[(String, Capability, Vec<Rights>)]) {
-    w.u32(rows.len() as u32);
-    for (name, cap, masks) in rows {
-        w.string(name);
-        cap.write(w);
-        write_rights_vec(w, masks);
-    }
-}
+/// The items of a set request, reply or op: a `u32` count of at most
+/// 10,000.
+const SET: Counted = Counted::u32(10_000, "set items");
 
-fn read_full_rows(
-    r: &mut WireReader<'_>,
-) -> Result<Vec<(String, Capability, Vec<Rights>)>, DecodeError> {
-    let n = r.u32("rows len")? as usize;
-    if n > 1_000_000 {
-        return Err(DecodeError::new("rows len"));
-    }
-    let mut rows = Vec::new();
-    for _ in 0..n {
-        let name = r.string("row name")?;
-        let cap = Capability::read(r)?;
-        let masks = read_rights_vec(r)?;
-        rows.push((name, cap, masks));
-    }
-    Ok(rows)
-}
-
-impl DirRequest {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+impl Wire for DirRequest {
+    fn put(&self, w: &mut WireWriter) {
         match self {
             DirRequest::CreateDir { columns } => {
                 w.u8(RQ_CREATE);
-                write_columns(&mut w, columns);
+                COLUMNS.put(w, columns, String::put);
             }
             DirRequest::DeleteDir { cap } => {
                 w.u8(RQ_DELETE);
-                cap.write(&mut w);
+                cap.put(w);
             }
             DirRequest::ListDir { cap } => {
                 w.u8(RQ_LIST);
-                cap.write(&mut w);
+                cap.put(w);
             }
             DirRequest::AppendRow {
                 dir,
@@ -493,10 +453,10 @@ impl DirRequest {
                 col_rights,
             } => {
                 w.u8(RQ_APPEND);
-                dir.write(&mut w);
+                dir.put(w);
                 w.string(name);
-                cap.write(&mut w);
-                write_rights_vec(&mut w, col_rights);
+                cap.put(w);
+                MASKS.put(w, col_rights, Rights::put);
             }
             DirRequest::ChmodRow {
                 dir,
@@ -504,33 +464,26 @@ impl DirRequest {
                 col_rights,
             } => {
                 w.u8(RQ_CHMOD);
-                dir.write(&mut w);
+                dir.put(w);
                 w.string(name);
-                write_rights_vec(&mut w, col_rights);
+                MASKS.put(w, col_rights, Rights::put);
             }
             DirRequest::DeleteRow { dir, name } => {
                 w.u8(RQ_DELROW);
-                dir.write(&mut w);
+                dir.put(w);
                 w.string(name);
             }
             DirRequest::LookupSet { items } => {
-                w.u8(RQ_LOOKUP_SET).u32(items.len() as u32);
-                for (cap, name) in items {
-                    cap.write(&mut w);
-                    w.string(name);
-                }
+                w.u8(RQ_LOOKUP_SET);
+                SET.put(w, items, <(Capability, String)>::put);
             }
             DirRequest::ReplaceSet { items } => {
-                w.u8(RQ_REPLACE_SET).u32(items.len() as u32);
-                for (dir, name, cap) in items {
-                    dir.write(&mut w);
-                    w.string(name);
-                    cap.write(&mut w);
-                }
+                w.u8(RQ_REPLACE_SET);
+                SET.put(w, items, <(Capability, String, Capability)>::put);
             }
             DirRequest::CreateKeyed { columns, key } => {
                 w.u8(RQ_CREATE_KEYED);
-                write_columns(&mut w, columns);
+                COLUMNS.put(w, columns, String::put);
                 w.u64(*key);
             }
             DirRequest::AppendLink {
@@ -540,19 +493,19 @@ impl DirRequest {
                 col_rights,
             } => {
                 w.u8(RQ_APPEND_LINK);
-                dir.write(&mut w);
+                dir.put(w);
                 w.string(name);
-                cap.write(&mut w);
-                write_rights_vec(&mut w, col_rights);
+                cap.put(w);
+                MASKS.put(w, col_rights, Rights::put);
             }
             DirRequest::Unlink { dir, name } => {
                 w.u8(RQ_UNLINK);
-                dir.write(&mut w);
+                dir.put(w);
                 w.string(name);
             }
             DirRequest::ExportDir { cap } => {
                 w.u8(RQ_EXPORT);
-                cap.write(&mut w);
+                cap.put(w);
             }
             DirRequest::InstallDir {
                 columns,
@@ -561,8 +514,8 @@ impl DirRequest {
                 key,
             } => {
                 w.u8(RQ_INSTALL_DIR);
-                write_columns(&mut w, columns);
-                write_full_rows(&mut w, rows);
+                COLUMNS.put(w, columns, String::put);
+                ROWS.put(w, rows, Row::put);
                 w.u64(*check).u64(*key);
             }
             DirRequest::InstallStub {
@@ -572,7 +525,7 @@ impl DirRequest {
                 expected_seqno,
             } => {
                 w.u8(RQ_INSTALL_STUB);
-                dir.write(&mut w);
+                dir.put(w);
                 w.u64(*to_port).u64(*to_object).u64(*expected_seqno);
             }
             DirRequest::FetchDir {
@@ -582,113 +535,85 @@ impl DirRequest {
                 ttl_us,
             } => {
                 w.u8(RQ_FETCH_DIR);
-                cap.write(&mut w);
+                cap.put(w);
                 w.u64(*owner).u64(*cb_port).u64(*ttl_us);
             }
         }
-        w.finish()
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let req = match r.u8("dir req tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<DirRequest, DecodeError> {
+        Ok(match r.u8("dir req tag")? {
             RQ_CREATE => DirRequest::CreateDir {
-                columns: read_columns(&mut r)?,
+                columns: COLUMNS.get(r, String::get)?,
             },
             RQ_DELETE => DirRequest::DeleteDir {
-                cap: Capability::read(&mut r)?,
+                cap: Capability::get(r)?,
             },
             RQ_LIST => DirRequest::ListDir {
-                cap: Capability::read(&mut r)?,
+                cap: Capability::get(r)?,
             },
             RQ_APPEND => DirRequest::AppendRow {
-                dir: Capability::read(&mut r)?,
+                dir: Capability::get(r)?,
                 name: r.string("name")?,
-                cap: Capability::read(&mut r)?,
-                col_rights: read_rights_vec(&mut r)?,
+                cap: Capability::get(r)?,
+                col_rights: MASKS.get(r, Rights::get)?,
             },
             RQ_CHMOD => DirRequest::ChmodRow {
-                dir: Capability::read(&mut r)?,
+                dir: Capability::get(r)?,
                 name: r.string("name")?,
-                col_rights: read_rights_vec(&mut r)?,
+                col_rights: MASKS.get(r, Rights::get)?,
             },
             RQ_DELROW => DirRequest::DeleteRow {
-                dir: Capability::read(&mut r)?,
+                dir: Capability::get(r)?,
                 name: r.string("name")?,
             },
-            RQ_LOOKUP_SET => {
-                let n = r.u32("lookup len")? as usize;
-                if n > 10_000 {
-                    return Err(DecodeError::new("lookup len"));
-                }
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    let cap = Capability::read(&mut r)?;
-                    let name = r.string("lookup name")?;
-                    items.push((cap, name));
-                }
-                DirRequest::LookupSet { items }
-            }
-            RQ_REPLACE_SET => {
-                let n = r.u32("replace len")? as usize;
-                if n > 10_000 {
-                    return Err(DecodeError::new("replace len"));
-                }
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    let dir = Capability::read(&mut r)?;
-                    let name = r.string("replace name")?;
-                    let cap = Capability::read(&mut r)?;
-                    items.push((dir, name, cap));
-                }
-                DirRequest::ReplaceSet { items }
-            }
+            RQ_LOOKUP_SET => DirRequest::LookupSet {
+                items: SET.get(r, <(Capability, String)>::get)?,
+            },
+            RQ_REPLACE_SET => DirRequest::ReplaceSet {
+                items: SET.get(r, <(Capability, String, Capability)>::get)?,
+            },
             RQ_CREATE_KEYED => DirRequest::CreateKeyed {
-                columns: read_columns(&mut r)?,
+                columns: COLUMNS.get(r, String::get)?,
                 key: r.u64("create key")?,
             },
             RQ_APPEND_LINK => DirRequest::AppendLink {
-                dir: Capability::read(&mut r)?,
+                dir: Capability::get(r)?,
                 name: r.string("name")?,
-                cap: Capability::read(&mut r)?,
-                col_rights: read_rights_vec(&mut r)?,
+                cap: Capability::get(r)?,
+                col_rights: MASKS.get(r, Rights::get)?,
             },
             RQ_UNLINK => DirRequest::Unlink {
-                dir: Capability::read(&mut r)?,
+                dir: Capability::get(r)?,
                 name: r.string("name")?,
             },
             RQ_EXPORT => DirRequest::ExportDir {
-                cap: Capability::read(&mut r)?,
+                cap: Capability::get(r)?,
             },
             RQ_INSTALL_DIR => DirRequest::InstallDir {
-                columns: read_columns(&mut r)?,
-                rows: read_full_rows(&mut r)?,
+                columns: COLUMNS.get(r, String::get)?,
+                rows: ROWS.get(r, Row::get)?,
                 check: r.u64("install check")?,
                 key: r.u64("install key")?,
             },
             RQ_INSTALL_STUB => DirRequest::InstallStub {
-                dir: Capability::read(&mut r)?,
+                dir: Capability::get(r)?,
                 to_port: r.u64("stub port")?,
                 to_object: r.u64("stub object")?,
                 expected_seqno: r.u64("stub seqno")?,
             },
             RQ_FETCH_DIR => DirRequest::FetchDir {
-                cap: Capability::read(&mut r)?,
+                cap: Capability::get(r)?,
                 owner: r.u64("fetch owner")?,
                 cb_port: r.u64("fetch cb port")?,
                 ttl_us: r.u64("fetch ttl")?,
             },
             _ => return Err(DecodeError::new("dir req tag")),
-        };
-        r.expect_end("dir req trailing")?;
-        Ok(req)
+        })
     }
+}
 
+impl DirRequest {
     /// Whether this operation only reads (paper: 98% of traffic).
     /// `ExportDir` is a read: the migration CAS (`InstallStub`'s
     /// expected seqno) makes any replica-local staleness safe.
@@ -711,65 +636,39 @@ const RP_MOVED: u8 = 6;
 const RP_EXPORT: u8 = 7;
 const RP_SNAPSHOT: u8 = 8;
 
-fn err_code(e: DirError) -> u8 {
-    match e {
-        DirError::NoMajority => 1,
-        DirError::BadCapability => 2,
-        DirError::NoPermission => 3,
-        DirError::DuplicateName => 4,
-        DirError::NoSuchName => 5,
-        DirError::ColumnMismatch => 6,
-        DirError::Malformed => 7,
-        DirError::Internal => 8,
-        DirError::Stale => 9,
+/// One byte, the error's discriminant.
+impl Wire for DirError {
+    fn put(&self, w: &mut WireWriter) {
+        w.u8(*self as u8);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<DirError, DecodeError> {
+        let code = r.u8("dir err code")?;
+        DirError::ALL
+            .into_iter()
+            .find(|e| *e as u8 == code)
+            .ok_or(DecodeError::new("dir err code"))
     }
 }
 
-fn err_from(code: u8) -> Result<DirError, DecodeError> {
-    Ok(match code {
-        1 => DirError::NoMajority,
-        2 => DirError::BadCapability,
-        3 => DirError::NoPermission,
-        4 => DirError::DuplicateName,
-        5 => DirError::NoSuchName,
-        6 => DirError::ColumnMismatch,
-        7 => DirError::Malformed,
-        8 => DirError::Internal,
-        9 => DirError::Stale,
-        _ => return Err(DecodeError::new("dir err code")),
-    })
-}
-
-impl DirReply {
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+impl Wire for DirReply {
+    fn put(&self, w: &mut WireWriter) {
         match self {
             DirReply::Cap(c) => {
                 w.u8(RP_CAP);
-                c.write(&mut w);
+                c.put(w);
             }
             DirReply::Ok => {
                 w.u8(RP_OK);
             }
             DirReply::Listing { columns, rows } => {
                 w.u8(RP_LISTING);
-                write_columns(&mut w, columns);
-                write_full_rows(&mut w, rows);
+                COLUMNS.put(w, columns, String::put);
+                ROWS.put(w, rows, Row::put);
             }
-            DirReply::Caps(v) => {
-                w.u8(RP_CAPS).u32(v.len() as u32);
-                for c in v {
-                    match c {
-                        Some(c) => {
-                            w.u8(1);
-                            c.write(&mut w);
-                        }
-                        None => {
-                            w.u8(0);
-                        }
-                    }
-                }
+            DirReply::Caps(caps) => {
+                w.u8(RP_CAPS);
+                SET.put(w, caps, Option::put);
             }
             DirReply::Moved {
                 object,
@@ -785,8 +684,8 @@ impl DirReply {
                 rows,
             } => {
                 w.u8(RP_EXPORT).u64(*check).u64(*seqno);
-                write_columns(&mut w, columns);
-                write_full_rows(&mut w, rows);
+                COLUMNS.put(w, columns, String::put);
+                ROWS.put(w, rows, Row::put);
             }
             DirReply::Snapshot {
                 seqno,
@@ -798,46 +697,26 @@ impl DirReply {
                 w.u8(RP_SNAPSHOT)
                     .u64(*seqno)
                     .u64(*deadline_us)
-                    .u8(u8::from(*renewed));
-                write_columns(&mut w, columns);
-                write_full_rows(&mut w, rows);
+                    .boolean(*renewed);
+                COLUMNS.put(w, columns, String::put);
+                ROWS.put(w, rows, Row::put);
             }
             DirReply::Err(e) => {
-                w.u8(RP_ERR).u8(err_code(*e));
+                w.u8(RP_ERR);
+                e.put(w);
             }
         }
-        w.finish()
     }
 
-    /// Decodes from wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let rep = match r.u8("dir rep tag")? {
-            RP_CAP => DirReply::Cap(Capability::read(&mut r)?),
+    fn get(r: &mut WireReader<'_>) -> Result<DirReply, DecodeError> {
+        Ok(match r.u8("dir rep tag")? {
+            RP_CAP => DirReply::Cap(Capability::get(r)?),
             RP_OK => DirReply::Ok,
             RP_LISTING => DirReply::Listing {
-                columns: read_columns(&mut r)?,
-                rows: read_full_rows(&mut r)?,
+                columns: COLUMNS.get(r, String::get)?,
+                rows: ROWS.get(r, Row::get)?,
             },
-            RP_CAPS => {
-                let n = r.u32("caps len")? as usize;
-                if n > 10_000 {
-                    return Err(DecodeError::new("caps len"));
-                }
-                let mut v = Vec::new();
-                for _ in 0..n {
-                    v.push(match r.u8("caps some")? {
-                        1 => Some(Capability::read(&mut r)?),
-                        0 => None,
-                        _ => return Err(DecodeError::new("caps some")),
-                    });
-                }
-                DirReply::Caps(v)
-            }
+            RP_CAPS => DirReply::Caps(SET.get(r, Option::get)?),
             RP_MOVED => DirReply::Moved {
                 object: r.u64("moved object")?,
                 to_port: r.u64("moved port")?,
@@ -846,25 +725,19 @@ impl DirReply {
             RP_EXPORT => DirReply::Export {
                 check: r.u64("export check")?,
                 seqno: r.u64("export seqno")?,
-                columns: read_columns(&mut r)?,
-                rows: read_full_rows(&mut r)?,
+                columns: COLUMNS.get(r, String::get)?,
+                rows: ROWS.get(r, Row::get)?,
             },
             RP_SNAPSHOT => DirReply::Snapshot {
                 seqno: r.u64("snap seqno")?,
                 deadline_us: r.u64("snap deadline")?,
-                renewed: match r.u8("snap renewed")? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(DecodeError::new("snap renewed")),
-                },
-                columns: read_columns(&mut r)?,
-                rows: read_full_rows(&mut r)?,
+                renewed: r.boolean("snap renewed")?,
+                columns: COLUMNS.get(r, String::get)?,
+                rows: ROWS.get(r, Row::get)?,
             },
-            RP_ERR => DirReply::Err(err_from(r.u8("dir err code")?)?),
+            RP_ERR => DirReply::Err(DirError::get(r)?),
             _ => return Err(DecodeError::new("dir rep tag")),
-        };
-        r.expect_end("dir rep trailing")?;
-        Ok(rep)
+        })
     }
 }
 
@@ -881,68 +754,12 @@ const OP_INSTALL_DIR: u8 = 10;
 const OP_INSTALL_STUB: u8 = 11;
 const OP_GRANT_READ: u8 = 12;
 
-/// Wire size of a [`Capability`] (port + object + rights + check).
-const WIRE_CAP_LEN: usize = 8 + 8 + 1 + 8;
-
-fn wire_string_len(s: &str) -> usize {
-    4 + s.len()
-}
-
-impl DirOp {
-    /// Exact encoded size, used as the writer's single-allocation hint:
-    /// a directory update is marshalled once, into one buffer, and never
-    /// copied again on its way through the group pipeline.
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            DirOp::Create { columns, check: _ } => {
-                1 + columns.iter().map(|c| wire_string_len(c)).sum::<usize>() + 8
-            }
-            DirOp::Delete { .. } => 8,
-            DirOp::Append {
-                name, col_rights, ..
-            } => 8 + wire_string_len(name) + WIRE_CAP_LEN + 1 + col_rights.len(),
-            DirOp::Chmod {
-                name, col_rights, ..
-            } => 8 + wire_string_len(name) + 1 + col_rights.len(),
-            DirOp::DeleteRow { name, .. } => 8 + wire_string_len(name),
-            DirOp::ReplaceSet { items } => {
-                4 + items
-                    .iter()
-                    .map(|(_, name, _)| 8 + wire_string_len(name) + WIRE_CAP_LEN)
-                    .sum::<usize>()
-            }
-            DirOp::CreateKeyed { columns, .. } => {
-                1 + columns.iter().map(|c| wire_string_len(c)).sum::<usize>() + 8 + 8
-            }
-            DirOp::AppendLink {
-                name, col_rights, ..
-            } => 8 + wire_string_len(name) + WIRE_CAP_LEN + 1 + col_rights.len(),
-            DirOp::Unlink { name, .. } => 8 + wire_string_len(name),
-            DirOp::InstallDir { columns, rows, .. } => {
-                1 + columns.iter().map(|c| wire_string_len(c)).sum::<usize>()
-                    + 4
-                    + rows
-                        .iter()
-                        .map(|(name, _, masks)| {
-                            wire_string_len(name) + WIRE_CAP_LEN + 1 + masks.len()
-                        })
-                        .sum::<usize>()
-                    + 8
-                    + 8
-            }
-            DirOp::InstallStub { .. } => 8 + 8 + 8 + 8,
-            DirOp::GrantRead { .. } => WIRE_CAP_LEN + 8 + 8 + 8 + 8,
-        }
-    }
-
-    /// Encodes to the bytes carried by `SendToGroup`, in a single
-    /// allocation.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::with_capacity(self.encoded_len());
+impl Wire for DirOp {
+    fn put(&self, w: &mut WireWriter) {
         match self {
             DirOp::Create { columns, check } => {
                 w.u8(OP_CREATE);
-                write_columns(&mut w, columns);
+                COLUMNS.put(w, columns, String::put);
                 w.u64(*check);
             }
             DirOp::Delete { object } => {
@@ -955,8 +772,8 @@ impl DirOp {
                 col_rights,
             } => {
                 w.u8(OP_APPEND).u64(*object).string(name);
-                cap.write(&mut w);
-                write_rights_vec(&mut w, col_rights);
+                cap.put(w);
+                MASKS.put(w, col_rights, Rights::put);
             }
             DirOp::Chmod {
                 object,
@@ -964,17 +781,14 @@ impl DirOp {
                 col_rights,
             } => {
                 w.u8(OP_CHMOD).u64(*object).string(name);
-                write_rights_vec(&mut w, col_rights);
+                MASKS.put(w, col_rights, Rights::put);
             }
             DirOp::DeleteRow { object, name } => {
                 w.u8(OP_DELROW).u64(*object).string(name);
             }
             DirOp::ReplaceSet { items } => {
-                w.u8(OP_REPLACE_SET).u32(items.len() as u32);
-                for (object, name, cap) in items {
-                    w.u64(*object).string(name);
-                    cap.write(&mut w);
-                }
+                w.u8(OP_REPLACE_SET);
+                SET.put(w, items, <(u64, String, Capability)>::put);
             }
             DirOp::CreateKeyed {
                 columns,
@@ -982,7 +796,7 @@ impl DirOp {
                 key,
             } => {
                 w.u8(OP_CREATE_KEYED);
-                write_columns(&mut w, columns);
+                COLUMNS.put(w, columns, String::put);
                 w.u64(*check).u64(*key);
             }
             DirOp::AppendLink {
@@ -992,8 +806,8 @@ impl DirOp {
                 col_rights,
             } => {
                 w.u8(OP_APPEND_LINK).u64(*object).string(name);
-                cap.write(&mut w);
-                write_rights_vec(&mut w, col_rights);
+                cap.put(w);
+                MASKS.put(w, col_rights, Rights::put);
             }
             DirOp::Unlink { object, name } => {
                 w.u8(OP_UNLINK).u64(*object).string(name);
@@ -1005,8 +819,8 @@ impl DirOp {
                 key,
             } => {
                 w.u8(OP_INSTALL_DIR);
-                write_columns(&mut w, columns);
-                write_full_rows(&mut w, rows);
+                COLUMNS.put(w, columns, String::put);
+                ROWS.put(w, rows, Row::put);
                 w.u64(*check).u64(*key);
             }
             DirOp::InstallStub {
@@ -1029,24 +843,16 @@ impl DirOp {
                 deadline_us,
             } => {
                 w.u8(OP_GRANT_READ);
-                cap.write(&mut w);
+                cap.put(w);
                 w.u64(*owner).u64(*cb_port).u64(*now_us).u64(*deadline_us);
             }
         }
-        debug_assert_eq!(w.len(), self.encoded_len());
-        w.finish_payload()
     }
 
-    /// Decodes a replicated op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let op = match r.u8("dir op tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<DirOp, DecodeError> {
+        Ok(match r.u8("dir op tag")? {
             OP_CREATE => DirOp::Create {
-                columns: read_columns(&mut r)?,
+                columns: COLUMNS.get(r, String::get)?,
                 check: r.u64("op check")?,
             },
             OP_DELETE => DirOp::Delete {
@@ -1055,50 +861,39 @@ impl DirOp {
             OP_APPEND => DirOp::Append {
                 object: r.u64("op object")?,
                 name: r.string("op name")?,
-                cap: Capability::read(&mut r)?,
-                col_rights: read_rights_vec(&mut r)?,
+                cap: Capability::get(r)?,
+                col_rights: MASKS.get(r, Rights::get)?,
             },
             OP_CHMOD => DirOp::Chmod {
                 object: r.u64("op object")?,
                 name: r.string("op name")?,
-                col_rights: read_rights_vec(&mut r)?,
+                col_rights: MASKS.get(r, Rights::get)?,
             },
             OP_DELROW => DirOp::DeleteRow {
                 object: r.u64("op object")?,
                 name: r.string("op name")?,
             },
-            OP_REPLACE_SET => {
-                let n = r.u32("op replace len")? as usize;
-                if n > 10_000 {
-                    return Err(DecodeError::new("op replace len"));
-                }
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    let object = r.u64("op object")?;
-                    let name = r.string("op name")?;
-                    let cap = Capability::read(&mut r)?;
-                    items.push((object, name, cap));
-                }
-                DirOp::ReplaceSet { items }
-            }
+            OP_REPLACE_SET => DirOp::ReplaceSet {
+                items: SET.get(r, <(u64, String, Capability)>::get)?,
+            },
             OP_CREATE_KEYED => DirOp::CreateKeyed {
-                columns: read_columns(&mut r)?,
+                columns: COLUMNS.get(r, String::get)?,
                 check: r.u64("op check")?,
                 key: r.u64("op key")?,
             },
             OP_APPEND_LINK => DirOp::AppendLink {
                 object: r.u64("op object")?,
                 name: r.string("op name")?,
-                cap: Capability::read(&mut r)?,
-                col_rights: read_rights_vec(&mut r)?,
+                cap: Capability::get(r)?,
+                col_rights: MASKS.get(r, Rights::get)?,
             },
             OP_UNLINK => DirOp::Unlink {
                 object: r.u64("op object")?,
                 name: r.string("op name")?,
             },
             OP_INSTALL_DIR => DirOp::InstallDir {
-                columns: read_columns(&mut r)?,
-                rows: read_full_rows(&mut r)?,
+                columns: COLUMNS.get(r, String::get)?,
+                rows: ROWS.get(r, Row::get)?,
                 check: r.u64("op check")?,
                 key: r.u64("op key")?,
             },
@@ -1109,16 +904,23 @@ impl DirOp {
                 expected_seqno: r.u64("op stub seqno")?,
             },
             OP_GRANT_READ => DirOp::GrantRead {
-                cap: Capability::read(&mut r)?,
+                cap: Capability::get(r)?,
                 owner: r.u64("op grant owner")?,
                 cb_port: r.u64("op grant cb port")?,
                 now_us: r.u64("op grant now")?,
                 deadline_us: r.u64("op grant deadline")?,
             },
             _ => return Err(DecodeError::new("dir op tag")),
-        };
-        r.expect_end("dir op trailing")?;
-        Ok(op)
+        })
+    }
+}
+
+impl DirOp {
+    /// Encodes to the bytes carried by `SendToGroup`, in one exact-size
+    /// allocation ([`Wire::encode`], callable without importing the
+    /// trait).
+    pub fn encode(&self) -> Payload {
+        Wire::encode(self)
     }
 }
 
@@ -1130,180 +932,6 @@ mod tests {
 
     fn cap(o: u64) -> Capability {
         Capability::owner(Port::from_name("dir"), o, o * 3)
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        let reqs = vec![
-            DirRequest::CreateDir {
-                columns: vec!["owner".into(), "other".into()],
-            },
-            DirRequest::DeleteDir { cap: cap(1) },
-            DirRequest::ListDir { cap: cap(1) },
-            DirRequest::AppendRow {
-                dir: cap(1),
-                name: "x".into(),
-                cap: cap(2),
-                col_rights: vec![Rights::ALL, Rights::NONE],
-            },
-            DirRequest::ChmodRow {
-                dir: cap(1),
-                name: "x".into(),
-                col_rights: vec![Rights::MODIFY, Rights::NONE],
-            },
-            DirRequest::DeleteRow {
-                dir: cap(1),
-                name: "x".into(),
-            },
-            DirRequest::LookupSet {
-                items: vec![(cap(1), "a".into()), (cap(1), "b".into())],
-            },
-            DirRequest::ReplaceSet {
-                items: vec![(cap(1), "a".into(), cap(9))],
-            },
-            DirRequest::CreateKeyed {
-                columns: vec!["owner".into()],
-                key: 0xFEED,
-            },
-            DirRequest::AppendLink {
-                dir: cap(1),
-                name: "x".into(),
-                cap: cap(2),
-                col_rights: vec![Rights::ALL],
-            },
-            DirRequest::Unlink {
-                dir: cap(1),
-                name: "x".into(),
-            },
-            DirRequest::ExportDir { cap: cap(1) },
-            DirRequest::InstallDir {
-                columns: vec!["owner".into()],
-                rows: vec![("r".into(), cap(3), vec![Rights::ALL])],
-                check: 0xC4EC,
-                key: 0x4E1,
-            },
-            DirRequest::InstallStub {
-                dir: cap(1),
-                to_port: 77,
-                to_object: 9,
-                expected_seqno: 12,
-            },
-            DirRequest::FetchDir {
-                cap: cap(1),
-                owner: 0xC11E,
-                cb_port: 0xCB,
-                ttl_us: 250_000,
-            },
-        ];
-        for req in reqs {
-            assert_eq!(DirRequest::decode(&req.encode()).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn replies_round_trip() {
-        let reps = vec![
-            DirReply::Cap(cap(5)),
-            DirReply::Ok,
-            DirReply::Listing {
-                columns: vec!["owner".into()],
-                rows: vec![("a".into(), cap(1), vec![Rights::ALL])],
-            },
-            DirReply::Caps(vec![Some(cap(1)), None]),
-            DirReply::Moved {
-                object: 4,
-                to_port: 99,
-                to_object: 7,
-            },
-            DirReply::Export {
-                check: 31,
-                seqno: 8,
-                columns: vec!["owner".into()],
-                rows: vec![("r".into(), cap(3), vec![Rights::ALL])],
-            },
-            DirReply::Snapshot {
-                seqno: 8,
-                deadline_us: 1_250_000,
-                renewed: true,
-                columns: vec!["owner".into()],
-                rows: vec![("r".into(), cap(3), vec![Rights::ALL])],
-            },
-            DirReply::Err(DirError::NoMajority),
-            DirReply::Err(DirError::BadCapability),
-            DirReply::Err(DirError::Stale),
-        ];
-        for rep in reps {
-            assert_eq!(DirReply::decode(&rep.encode()).unwrap(), rep);
-        }
-    }
-
-    #[test]
-    fn ops_round_trip() {
-        let ops = vec![
-            DirOp::Create {
-                columns: vec!["o".into()],
-                check: 77,
-            },
-            DirOp::Delete { object: 4 },
-            DirOp::Append {
-                object: 4,
-                name: "x".into(),
-                cap: cap(2),
-                col_rights: vec![Rights::ALL],
-            },
-            DirOp::Chmod {
-                object: 4,
-                name: "x".into(),
-                col_rights: vec![Rights::NONE],
-            },
-            DirOp::DeleteRow {
-                object: 4,
-                name: "x".into(),
-            },
-            DirOp::ReplaceSet {
-                items: vec![(4, "x".into(), cap(3))],
-            },
-            DirOp::CreateKeyed {
-                columns: vec!["o".into()],
-                check: 31,
-                key: 0xFEED,
-            },
-            DirOp::AppendLink {
-                object: 4,
-                name: "x".into(),
-                cap: cap(2),
-                col_rights: vec![Rights::ALL],
-            },
-            DirOp::Unlink {
-                object: 4,
-                name: "x".into(),
-            },
-            DirOp::InstallDir {
-                columns: vec!["owner".into(), "other".into()],
-                rows: vec![
-                    ("a".into(), cap(2), vec![Rights::ALL, Rights::NONE]),
-                    ("b".into(), cap(3), vec![Rights::MODIFY, Rights::NONE]),
-                ],
-                check: 0xC4EC,
-                key: 0x4E1,
-            },
-            DirOp::InstallStub {
-                object: 4,
-                to_port: 77,
-                to_object: 9,
-                expected_seqno: 12,
-            },
-            DirOp::GrantRead {
-                cap: cap(1),
-                owner: 0xC11E,
-                cb_port: 0xCB,
-                now_us: 1_000_000,
-                deadline_us: 1_250_000,
-            },
-        ];
-        for op in ops {
-            assert_eq!(DirOp::decode(&op.encode()).unwrap(), op);
-        }
     }
 
     #[test]

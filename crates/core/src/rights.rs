@@ -3,6 +3,8 @@
 use std::fmt;
 use std::ops::{BitAnd, BitOr};
 
+use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
+
 /// The rights field of a capability (8 bits, as in Amoeba).
 ///
 /// For directory capabilities the low bits select which protection-domain
@@ -59,6 +61,17 @@ impl Rights {
     /// The column bits only.
     pub fn column_bits(self) -> Rights {
         Rights(self.0 & 0x0F)
+    }
+}
+
+/// The rights byte.
+impl Wire for Rights {
+    fn put(&self, w: &mut WireWriter) {
+        w.u8(self.0);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Rights, DecodeError> {
+        Ok(Rights(r.u8("rights")?))
     }
 }
 

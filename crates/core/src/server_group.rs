@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use amoeba_bullet::BulletClient;
 use amoeba_disk::{Nvram, RawPartition};
+use amoeba_flip::wire::Wire;
 use amoeba_flip::{Payload, Port};
 use amoeba_group::GroupPeer;
 use amoeba_rpc::{RpcClient, RpcNode, RpcParams, RpcServer};
@@ -22,7 +23,6 @@ use amoeba_rsm::{Replica, ReplicaDeps, RsmConfig, RsmError};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
 use parking_lot::Mutex;
 
-use crate::cache::encode_invalidation;
 use crate::config::{DirParams, ServiceConfig, StorageKind};
 use crate::dir_sm::DirectoryStateMachine;
 use crate::object_table::ObjectTable;
@@ -89,9 +89,6 @@ fn rsm_config(cfg: &ServiceConfig, params: &DirParams) -> RsmConfig {
         None
     };
     rsm.idle_timeout = params.nvram_idle_flush;
-    rsm.join_timeout = params.recovery_join_timeout;
-    rsm.majority_timeout = params.recovery_majority_timeout;
-    rsm.retry_jitter = params.recovery_retry_jitter;
     rsm.improved_recovery = params.improved_recovery;
     rsm
 }
@@ -296,7 +293,7 @@ fn initiator_loop(
         tele.end(span);
         srv.putrep(
             &incoming,
-            reply.unwrap_or_else(|e| DirReply::Err(e).encode().into()),
+            reply.unwrap_or_else(|e| DirReply::Err(e).encode()),
         );
     }
 }
@@ -327,7 +324,7 @@ fn handle_request(
             replica.read_barrier(ctx).map_err(rsm_err)?;
             cpu.use_for(ctx, params.read_cpu);
             if let Some(rep) = applier.serve_renewed_fetch(ctx, cap, *owner, *ttl_us) {
-                return Ok(rep.encode().into());
+                return Ok(rep.encode());
             }
             // The lease vanished between the pre-check and the barrier —
             // fall through to the normal grant round.
@@ -340,7 +337,7 @@ fn handle_request(
         // return failure").
         replica.read_barrier(ctx).map_err(rsm_err)?;
         cpu.use_for(ctx, params.read_cpu);
-        Ok(applier.serve_read(ctx, req).encode().into())
+        Ok(applier.serve_read(ctx, req).encode())
     } else {
         cpu.use_for(ctx, params.write_cpu);
         // "generate check-field; SendToGroup(request…)".
@@ -449,7 +446,7 @@ fn fence_cached_readers(ctx: &Ctx, applier: &Applier, inval: &RpcClient, objects
             if l.deadline_us <= ctx.now().as_nanos() / 1_000 {
                 continue; // expired while parked: already fenced
             }
-            let msg = encode_invalidation(home, *o);
+            let msg = (home, *o).encode();
             if inval.trans(ctx, Port::from_raw(l.cb_port), msg).is_err() {
                 outwait_us = outwait_us.max(l.deadline_us);
             }

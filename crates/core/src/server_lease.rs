@@ -58,10 +58,10 @@
 
 use std::collections::HashMap;
 
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
+use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Port;
 use amoeba_rpc::{RpcClient, RpcError};
-use amoeba_rsm::service::{Service, ServiceClient, Wire};
+use amoeba_rsm::service::{Service, ServiceClient};
 use amoeba_sim::Ctx;
 
 /// The public FLIP port of the lease service.

@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use amoeba_bullet::BulletClient;
 use amoeba_disk::RawPartition;
+use amoeba_flip::wire::Wire;
 use amoeba_rpc::{RpcNode, RpcServer};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
 use parking_lot::Mutex;

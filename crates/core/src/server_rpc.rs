@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use amoeba_bullet::BulletClient;
 use amoeba_disk::RawPartition;
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
+use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
 use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
 use amoeba_sim::{Ctx, MailboxTx, NodeId, Resource, Spawn};
@@ -52,12 +52,8 @@ const P_INTENT_BUSY: u8 = 3;
 const P_APPLY: u8 = 4;
 const P_APPLY_OK: u8 = 5;
 
-impl PeerMsg {
-    fn encode(&self) -> Payload {
-        let mut w = WireWriter::with_capacity(match self {
-            PeerMsg::Intent { op, .. } | PeerMsg::ApplyLazy { op, .. } => 1 + 8 + 4 + op.len(),
-            _ => 1,
-        });
+impl Wire for PeerMsg {
+    fn put(&self, w: &mut WireWriter) {
         match self {
             PeerMsg::Intent { useq, op } => {
                 w.u8(P_INTENT).u64(*useq).bytes(op);
@@ -75,12 +71,10 @@ impl PeerMsg {
                 w.u8(P_APPLY_OK);
             }
         }
-        w.finish_payload()
     }
 
-    fn decode(buf: &Payload) -> Result<PeerMsg, DecodeError> {
-        let mut r = WireReader::of(buf);
-        let m = match r.u8("peer tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<PeerMsg, DecodeError> {
+        Ok(match r.u8("peer tag")? {
             P_INTENT => PeerMsg::Intent {
                 useq: r.u64("useq")?,
                 op: r.payload("op")?,
@@ -93,9 +87,7 @@ impl PeerMsg {
             },
             P_APPLY_OK => PeerMsg::ApplyOk,
             _ => return Err(DecodeError::new("peer tag")),
-        };
-        r.expect_end("peer trailing")?;
-        Ok(m)
+        })
     }
 }
 
@@ -229,7 +221,7 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
             &format!("rpcdir{}-peer{pt}", cfg.me),
             Box::new(move |ctx| loop {
                 let incoming = srv.getreq(ctx);
-                let reply = match PeerMsg::decode(&incoming.data) {
+                let reply = match PeerMsg::decode_shared(&incoming.data) {
                     Ok(PeerMsg::Intent { useq, op }) => {
                         let object = DirOp::decode(&op)
                             .map(|o| crate::server_rpc::op_lock_object(&o))
@@ -407,7 +399,7 @@ fn rpc_write(
         op: op_bytes.clone(),
     };
     let peer_ok = match rpc_client.trans(ctx, peer_port, intent.encode()) {
-        Ok(bytes) => matches!(PeerMsg::decode(&bytes), Ok(PeerMsg::IntentOk)),
+        Ok(bytes) => matches!(PeerMsg::decode_shared(&bytes), Ok(PeerMsg::IntentOk)),
         Err(_) => {
             // Peer down: the duplicated service carries on alone
             // (no partition tolerance — exactly the paper's caveat).
@@ -454,8 +446,11 @@ mod tests {
             let wire = msg.encode();
             assert_eq!(hex(&wire), golden, "{msg:?}");
             let trailing = Payload::from([&unhex(golden)[..], &[0]].concat());
-            assert!(PeerMsg::decode(&trailing).is_err(), "{golden} + a byte");
-            let decoded = PeerMsg::decode(&wire).expect("decodes");
+            assert!(
+                PeerMsg::decode_shared(&trailing).is_err(),
+                "{golden} + a byte"
+            );
+            let decoded = PeerMsg::decode_shared(&wire).expect("decodes");
             if let PeerMsg::Intent { op, .. } | PeerMsg::ApplyLazy { op, .. } = &decoded {
                 // Tag, update seq and length prefix come first.
                 assert_eq!(op.as_ptr(), wire[1 + 8 + 4..].as_ptr(), "zero-copy");

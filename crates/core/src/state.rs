@@ -6,15 +6,15 @@ use std::sync::Arc;
 
 use amoeba_bullet::{BulletClient, FileCap};
 use amoeba_disk::{Journal, NvRecord, Nvram, RawPartition};
-use amoeba_flip::wire::{WireReader, WireWriter};
-use amoeba_flip::Port;
+use amoeba_flip::wire::Wire;
+use amoeba_flip::{Payload, Port};
 use amoeba_sim::Ctx;
 use parking_lot::Mutex;
 
 use crate::capability::Capability;
 use crate::commit_block::CommitBlock;
 use crate::config::{ServiceConfig, StorageKind};
-use crate::directory::{DirStructureError, Directory};
+use crate::directory::{DirStructureError, Directory, Row};
 use crate::object_table::{ObjEntry, ObjectTable};
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
 use crate::rights::Rights;
@@ -96,7 +96,7 @@ pub(crate) struct Shared {
 }
 
 /// One outstanding client read lease over a directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ReadLease {
     /// The holding client's unique cache identity.
     pub owner: u64,
@@ -117,7 +117,7 @@ pub struct ReadLease {
 }
 
 /// Where a migrated directory went (see [`Shared::stubs`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StubEntry {
     /// Raw port of the shard the directory now lives on.
     pub to_port: u64,
@@ -271,15 +271,15 @@ fn structure_err(e: DirStructureError) -> DirError {
 /// must not plant an undecodable directory).
 fn build_directory(
     columns: &[String],
-    rows: &[(String, Capability, Vec<Rights>)],
+    rows: &[Row],
     useq: u64,
 ) -> Result<Arc<Directory>, DirError> {
     if !(1..=4).contains(&columns.len()) {
         return Err(DirError::Malformed);
     }
     let mut dir = Directory::new(columns.to_vec());
-    for (name, cap, masks) in rows {
-        dir.append_row(name.clone(), *cap, masks.clone())
+    for row in rows {
+        dir.append_row(row.name.clone(), row.cap, row.col_rights.clone())
             .map_err(structure_err)?;
     }
     dir.seqno = useq;
@@ -316,15 +316,11 @@ fn lease_snapshot(
             if eff == Rights::NONE {
                 return None;
             }
-            let out_cap = restrict_with(shared, public_port, &row.cap, eff);
-            let visible_masks: Vec<Rights> = row
-                .col_rights
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| cap.rights.sees_column(*i))
-                .map(|(_, m)| *m)
-                .collect();
-            Some((row.name.clone(), out_cap, visible_masks))
+            Some(Row {
+                name: row.name.clone(),
+                cap: restrict_with(shared, public_port, &row.cap, eff),
+                col_rights: visible_masks(&row.col_rights, cap.rights),
+            })
         })
         .collect();
     DirReply::Snapshot {
@@ -383,12 +379,20 @@ pub(crate) fn op_object(op: &DirOp) -> u64 {
     }
 }
 
+/// The masks of the columns a holder with `rights` sees.
+fn visible_masks(masks: &[Rights], rights: Rights) -> Vec<Rights> {
+    masks
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| rights.sees_column(*i))
+        .map(|(_, m)| *m)
+        .collect()
+}
+
+/// An NVRAM record is the update seq, then the op as a byte string.
 fn decode_nv_record(data: &[u8]) -> Option<(u64, DirOp)> {
-    let mut r = WireReader::new(data);
-    let useq = r.u64("nv seq").ok()?;
-    let bytes = r.bytes("nv op").ok()?;
-    let op = DirOp::decode(bytes).ok()?;
-    Some((useq, op))
+    let (useq, op) = <(u64, Payload)>::decode(data).ok()?;
+    Some((useq, DirOp::decode(&op).ok()?))
 }
 
 impl Applier {
@@ -931,8 +935,6 @@ impl Applier {
     }
 
     fn log_op(&self, ctx: &Ctx, useq: u64, tag: u64, op: &DirOp) {
-        let mut w = WireWriter::new();
-        w.u64(useq).bytes(&op.encode());
         let uid = {
             let mut shared = self.shared.lock();
             let uid = shared.next_nv_uid;
@@ -944,7 +946,7 @@ impl Applier {
             NvRecord {
                 uid,
                 tag,
-                data: w.finish(),
+                data: (useq, op.encode()).encode().to_vec(),
             },
         );
     }
@@ -1066,15 +1068,11 @@ impl Applier {
                     .iter()
                     .map(|row| {
                         let eff = dir.effective_rights(row, cap.rights);
-                        let out_cap = self.restrict_for_holder(&row.cap, eff);
-                        let visible_masks: Vec<Rights> = row
-                            .col_rights
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| cap.rights.sees_column(*i))
-                            .map(|(_, m)| *m)
-                            .collect();
-                        (row.name.clone(), out_cap, visible_masks)
+                        Row {
+                            name: row.name.clone(),
+                            cap: self.restrict_for_holder(&row.cap, eff),
+                            col_rights: visible_masks(&row.col_rights, cap.rights),
+                        }
                     })
                     .collect();
                 DirReply::Listing {
@@ -1153,11 +1151,7 @@ impl Applier {
                     check,
                     seqno: dir.seqno,
                     columns: dir.columns.clone(),
-                    rows: dir
-                        .rows
-                        .iter()
-                        .map(|r| (r.name.clone(), r.cap, r.col_rights.clone()))
-                        .collect(),
+                    rows: dir.rows.clone(),
                 }
             }
             _ => DirReply::Err(DirError::Malformed),
@@ -1348,7 +1342,7 @@ impl Applier {
                 key,
             } => {
                 if !(1..=4).contains(&columns.len())
-                    || rows.iter().any(|(_, _, m)| m.len() != columns.len())
+                    || rows.iter().any(|r| r.col_rights.len() != columns.len())
                 {
                     return Err(DirError::Malformed);
                 }
@@ -1407,13 +1401,16 @@ impl Applier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoeba_testkit::unhex;
+    use amoeba_testkit::{hex, unhex};
 
     #[test]
     fn an_nvram_record_keeps_its_bytes() {
         // The update seq, then the op as a byte string.
-        let golden = unhex("050000000000000009000000020400000000000000");
+        let golden = "050000000000000009000000020400000000000000";
         let delete = DirOp::Delete { object: 4 };
-        assert_eq!(decode_nv_record(&golden), Some((5, delete)));
+        assert_eq!(hex(&(5, delete.encode()).encode()), golden);
+        assert_eq!(decode_nv_record(&unhex(golden)), Some((5, delete)));
+        let trailing = [&unhex(golden)[..], &[0]].concat();
+        assert_eq!(decode_nv_record(&trailing), None, "a byte too many");
     }
 }

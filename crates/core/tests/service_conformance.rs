@@ -8,8 +8,9 @@ use amoeba_dir_core::{
     LeaseReply, LeaseRequest, LeaseService, LockReply, LockRequest, LockService, QueueReply,
     QueueRequest, QueueService, RegistryReply, RegistryRequest, RegistryService,
 };
+use amoeba_flip::wire::Wire;
 use amoeba_flip::{Payload, Port};
-use amoeba_rsm::service::{Service, ServiceMachine, Wire};
+use amoeba_rsm::service::{Service, ServiceMachine};
 use amoeba_rsm::StateMachine;
 use amoeba_sim::{Ctx, Simulation};
 use amoeba_testkit::{hex, unhex};

@@ -39,8 +39,9 @@
 //!
 //! See [`Network`] for the medium, [`NodeStack`] for a host's view of it,
 //! [`Topology`] for internetwork wiring, [`wire`] for the explicit byte
-//! codec used by the protocol layers, and [`bytes`] for the zero-copy
-//! [`Payload`] buffers every layer exchanges.
+//! codec used by the protocol layers (and [`Wire`](wire::Wire), the one
+//! codec idiom above them), and [`bytes`] for the zero-copy [`Payload`]
+//! buffers every layer exchanges.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -55,7 +55,8 @@ pub struct RouterSpec {
     pub attached: Vec<SegmentId>,
 }
 
-/// A static internetwork wiring plan. See the [module docs](self).
+/// A static internetwork wiring plan. See the [crate docs](crate) for
+/// the routing it describes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     segments: Vec<SegmentSpec>,

@@ -4,16 +4,34 @@
 //! in the code (and so payload *sizes* — which drive the network timing
 //! model — are honest).
 //!
-//! Encoders that know their size use [`WireWriter::with_capacity`] and
-//! finish with [`WireWriter::finish_payload`], producing the whole message
-//! in a single allocation. Decoders over a [`Payload`] are built with
-//! [`WireReader::of`] so embedded byte strings come back as zero-copy
-//! sub-payloads ([`WireReader::payload`]); [`WireReader::bytes`] likewise
-//! borrows from the buffer rather than copying.
+//! [`WireWriter`] and [`WireReader`] are the primitives. Above the
+//! transport, a value with a wire form implements [`Wire`] — `put` and
+//! `get`, each field once — and gets the rest from the trait:
+//!
+//! * [`Wire::encode`] runs `put` twice, once against a writer that only
+//!   counts, so the message is built in one allocation of exactly its
+//!   size, which is derived from the same field list `put` writes;
+//! * [`Wire::decode`] reads exactly one value and refuses trailing
+//!   bytes; [`Wire::decode_shared`] does the same over a shared
+//!   [`Payload`] ([`WireReader::of`]), so embedded byte strings come
+//!   back as zero-copy sub-payloads ([`WireReader::payload`]);
+//! * [`Wire::put_framed`] nests a value behind its byte length.
+//!
+//! ## Counted sequences
+//!
+//! A collection is its element count, then its elements. Each counted
+//! field names the width of its count and the counts it accepts in a
+//! [`Counted`], and [`Counted::get`] is the one decoder of them all: a
+//! count outside the field's range is refused before any element is
+//! read, and the collection grows only as elements actually parse. A
+//! count is a claim, never a reservation — a ten-byte message that
+//! claims a million rows is refused without allocating for them.
 
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use crate::bytes::Payload;
+use crate::port::Port;
 
 /// Error returned when decoding runs off the end of a buffer or finds an
 /// invalid value.
@@ -42,6 +60,9 @@ impl std::error::Error for DecodeError {}
 #[derive(Debug, Default, Clone)]
 pub struct WireWriter {
     buf: Vec<u8>,
+    /// Set on a writer that only measures ([`Wire::wire_len`]): it
+    /// counts the bytes it is handed and stores none.
+    measured: Option<usize>,
 }
 
 impl WireWriter {
@@ -56,31 +77,44 @@ impl WireWriter {
     pub fn with_capacity(capacity: usize) -> Self {
         WireWriter {
             buf: Vec::with_capacity(capacity),
+            measured: None,
         }
+    }
+
+    /// A writer that only counts what it is handed.
+    fn measuring() -> Self {
+        WireWriter {
+            buf: Vec::new(),
+            measured: Some(0),
+        }
+    }
+
+    fn raw(&mut self, bytes: &[u8]) -> &mut Self {
+        match &mut self.measured {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
+        self
     }
 
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
-        self
+        self.raw(&[v])
     }
 
     /// Appends a `u16`.
     pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
+        self.raw(&v.to_le_bytes())
     }
 
     /// Appends a `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
+        self.raw(&v.to_le_bytes())
     }
 
     /// Appends a `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
+        self.raw(&v.to_le_bytes())
     }
 
     /// Appends a `bool` as one byte.
@@ -91,8 +125,7 @@ impl WireWriter {
     /// Appends a length-prefixed byte string (u32 length).
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u32(u32::try_from(v.len()).expect("wire bytes too long"));
-        self.buf.extend_from_slice(v);
-        self
+        self.raw(v)
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -107,12 +140,12 @@ impl WireWriter {
 
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.measured.unwrap_or(self.buf.len())
     }
 
     /// Whether nothing has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Finishes and returns the buffer.
@@ -247,6 +280,294 @@ impl<'a> WireReader<'a> {
         }
     }
 }
+
+/// A value with a wire form: the one codec idiom above the transport,
+/// used for requests, replies, replicated ops, records and snapshots
+/// alike. See the [module docs](self).
+pub trait Wire: Sized {
+    /// Appends the value's wire form to `w`.
+    fn put(&self, w: &mut WireWriter);
+
+    /// Reads one value off `r`.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] for malformed input. A counted collection is read
+    /// with [`Counted::get`], never reserved by its claimed count.
+    fn get(r: &mut WireReader<'_>) -> Result<Self, DecodeError>;
+
+    /// The length of the value's wire form: `put`, run against a writer
+    /// that only counts.
+    fn wire_len(&self) -> usize {
+        let mut w = WireWriter::measuring();
+        self.put(&mut w);
+        w.len()
+    }
+
+    /// The value alone, as message bytes, in one allocation of exactly
+    /// [`wire_len`](Wire::wire_len) bytes.
+    fn encode(&self) -> Payload {
+        let mut w = WireWriter::with_capacity(self.wire_len());
+        self.put(&mut w);
+        w.finish_payload()
+    }
+
+    /// Decodes message bytes holding exactly one value.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] for malformed input or trailing bytes.
+    fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        whole(WireReader::new(buf))
+    }
+
+    /// [`decode`](Wire::decode) over a shared buffer: embedded byte
+    /// strings read as [`Payload`]s share it instead of being copied.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] for malformed input or trailing bytes.
+    fn decode_shared(buf: &Payload) -> Result<Self, DecodeError> {
+        whole(WireReader::of(buf))
+    }
+
+    /// Appends the value behind its `u32` byte length, so a reader can
+    /// bound it (or skip it) before parsing.
+    fn put_framed(&self, w: &mut WireWriter) {
+        w.u32(u32::try_from(self.wire_len()).expect("framed value too long"));
+        self.put(w);
+    }
+
+    /// Reads a value written by [`put_framed`](Wire::put_framed); the
+    /// frame must hold exactly one value.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] for malformed input or a frame with bytes left.
+    fn get_framed(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
+        Self::decode(r.bytes("framed value")?)
+    }
+}
+
+fn whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, DecodeError> {
+    let value = T::get(&mut r)?;
+    r.expect_end("trailing bytes")?;
+    Ok(value)
+}
+
+/// How one counted field is framed: the width of its element count and
+/// the counts a decoder accepts (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counted {
+    wide: bool,
+    min: u32,
+    max: u32,
+    what: &'static str,
+}
+
+impl Counted {
+    /// A `u8` count in `min..=max`; `what` names the field in errors.
+    pub const fn u8(min: u8, max: u8, what: &'static str) -> Counted {
+        Counted {
+            wide: false,
+            min: min as u32,
+            max: max as u32,
+            what,
+        }
+    }
+
+    /// A `u32` count of at most `max`; `what` names the field in errors.
+    pub const fn u32(max: u32, what: &'static str) -> Counted {
+        Counted {
+            wide: true,
+            min: 0,
+            max,
+            what,
+        }
+    }
+
+    /// Appends the number of `items`, then each item with `put`.
+    pub fn put<I>(self, w: &mut WireWriter, items: I, mut put: impl FnMut(I::Item, &mut WireWriter))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        if self.wide {
+            w.u32(items.len() as u32);
+        } else {
+            w.u8(items.len() as u8);
+        }
+        for item in items {
+            put(item, w);
+        }
+    }
+
+    /// Reads a count, then that many elements with `get`.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] for a count outside the field's range — before
+    /// any element is read — or for an element that does not parse. The
+    /// collection grows only as elements parse, never by the count.
+    pub fn get<T, C: FromIterator<T>>(
+        self,
+        r: &mut WireReader<'_>,
+        mut get: impl FnMut(&mut WireReader<'_>) -> Result<T, DecodeError>,
+    ) -> Result<C, DecodeError> {
+        let n = if self.wide {
+            r.u32(self.what)?
+        } else {
+            u32::from(r.u8(self.what)?)
+        };
+        if !(self.min..=self.max).contains(&n) {
+            return Err(DecodeError::new(self.what));
+        }
+        (0..n).map(|_| get(r)).collect()
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(*self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<u64, DecodeError> {
+        r.u64("u64")
+    }
+}
+
+/// A length-prefixed UTF-8 string.
+impl Wire for String {
+    fn put(&self, w: &mut WireWriter) {
+        w.string(self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<String, DecodeError> {
+        r.string("string")
+    }
+}
+
+/// The port's 48 bits in a `u64`; a value with higher bits set is
+/// refused rather than masked into another port.
+impl Wire for Port {
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(self.as_raw());
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Port, DecodeError> {
+        let raw = r.u64("port")?;
+        match Port::from_raw(raw) {
+            port if port.as_raw() == raw => Ok(port),
+            _ => Err(DecodeError::new("port")),
+        }
+    }
+}
+
+/// A length-prefixed byte string.
+impl Wire for Vec<u8> {
+    fn put(&self, w: &mut WireWriter) {
+        w.bytes(self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Vec<u8>, DecodeError> {
+        Ok(r.bytes("bytes")?.to_vec())
+    }
+}
+
+/// A length-prefixed byte string, read zero-copy from a shared buffer
+/// ([`WireReader::payload`]).
+impl Wire for Payload {
+    fn put(&self, w: &mut WireWriter) {
+        w.bytes(self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Payload, DecodeError> {
+        r.payload("payload")
+    }
+}
+
+/// A membership vector: a `u8` count of at most 64, then one byte per
+/// flag.
+impl Wire for Vec<bool> {
+    fn put(&self, w: &mut WireWriter) {
+        FLAGS.put(w, self, |flag, w| {
+            w.boolean(*flag);
+        });
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Vec<bool>, DecodeError> {
+        FLAGS.get(r, |r| r.boolean("flag"))
+    }
+}
+
+const FLAGS: Counted = Counted::u8(0, 64, "flags");
+
+/// A `u8` tag (0 absent, 1 present), then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut WireWriter) {
+        match self {
+            Some(v) => {
+                w.u8(1);
+                v.put(w);
+            }
+            None => {
+                w.u8(0);
+            }
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Option<T>, DecodeError> {
+        match r.u8("option tag")? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            _ => Err(DecodeError::new("option tag")),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut WireWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<(A, B), DecodeError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, w: &mut WireWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<(A, B, C), DecodeError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// A `u32` count, then the elements in order.
+impl<T: Wire> Wire for VecDeque<T> {
+    fn put(&self, w: &mut WireWriter) {
+        ANY.put(w, self, T::put);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<VecDeque<T>, DecodeError> {
+        ANY.get(r, T::get)
+    }
+}
+
+/// A `u32` count, then the entries in key order — the deterministic
+/// encoding of an unordered map that snapshots need.
+impl<V: Wire> Wire for HashMap<String, V> {
+    fn put(&self, w: &mut WireWriter) {
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_unstable_by_key(|(key, _)| *key);
+        ANY.put(w, entries, |(key, value), w| {
+            key.put(w);
+            value.put(w);
+        });
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<HashMap<String, V>, DecodeError> {
+        ANY.get(r, <(String, V)>::get)
+    }
+}
+
+/// The count of a collection whose only bound is what its bytes back.
+const ANY: Counted = Counted::u32(u32::MAX, "count");
 
 #[cfg(test)]
 mod tests {

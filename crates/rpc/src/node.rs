@@ -32,7 +32,8 @@ pub struct IncomingRequest {
     pub tid: u64,
     /// Marshalled request bytes (shared, zero-copy).
     pub data: Payload,
-    /// Causal-trace context from the request packet ([`TraceCtx::NONE`]
+    /// Causal-trace context from the request packet
+    /// ([`TraceCtx::NONE`](amoeba_telemetry::TraceCtx::NONE)
     /// when the client is untraced); `putrep` echoes it onto the reply.
     pub trace: amoeba_telemetry::TraceCtx,
 }

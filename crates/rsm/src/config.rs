@@ -6,7 +6,7 @@ use amoeba_flip::Port;
 
 /// Everything the [`Replica`](crate::Replica) driver needs to know
 /// about the deployment: who the replicas are, which ports they use,
-/// and the recovery tunables.
+/// and the recovery rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsmConfig {
     /// Total number of replicas.
@@ -25,13 +25,6 @@ pub struct RsmConfig {
     pub checkpoint_interval: Option<Duration>,
     /// Idle time after which [`idle`](crate::StateMachine::idle) runs.
     pub idle_timeout: Duration,
-    /// How long a recovering replica waits for an existing group to
-    /// answer its join before founding one.
-    pub join_timeout: Duration,
-    /// How long to wait for a majority to assemble before retrying.
-    pub majority_timeout: Duration,
-    /// Upper bound of the random dither between recovery retries.
-    pub retry_jitter: Duration,
     /// Enable the §3.2 improved rule: a replica that stayed up and
     /// holds the highest sequence number may recover even when the
     /// strict last-set check fails.
@@ -57,9 +50,6 @@ impl RsmConfig {
                 .collect(),
             checkpoint_interval: None,
             idle_timeout: Duration::from_millis(200),
-            join_timeout: Duration::from_millis(400),
-            majority_timeout: Duration::from_millis(1_500),
-            retry_jitter: Duration::from_millis(300),
             improved_recovery: false,
         }
     }

@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
+use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
 use amoeba_group::{Group, GroupPeer, SeqNo};
 use amoeba_rpc::{RpcClient, RpcServer};
@@ -29,6 +29,15 @@ use parking_lot::Mutex;
 use crate::config::RsmConfig;
 use crate::machine::StateMachine;
 use crate::replica::DriverShared;
+
+/// How long a recovering replica waits for an existing group to answer
+/// its join before founding one; replica `i` waits `1 + i/2` times this,
+/// so concurrent cold boots converge on replica 0's instance.
+const JOIN_TIMEOUT: Duration = Duration::from_millis(400);
+/// How long to wait for a majority to assemble before retrying.
+const MAJORITY_TIMEOUT: Duration = Duration::from_millis(1_500);
+/// Upper bound of the random dither between recovery retries.
+const RETRY_JITTER: Duration = Duration::from_millis(300);
 
 // ---------------------------------------------------------------------
 // Internal replica-to-replica protocol.
@@ -70,31 +79,8 @@ const I_FETCH: u8 = 3;
 const I_STATE: u8 = 4;
 const I_BUSY: u8 = 5;
 
-fn write_bools(w: &mut WireWriter, v: &[bool]) {
-    w.u8(v.len() as u8);
-    for b in v {
-        w.boolean(*b);
-    }
-}
-
-fn read_bools(r: &mut WireReader<'_>) -> Result<Vec<bool>, DecodeError> {
-    let n = r.u8("bools len")? as usize;
-    if n > 64 {
-        return Err(DecodeError::new("bools len"));
-    }
-    (0..n).map(|_| r.boolean("bool")).collect()
-}
-
-impl InternalMsg {
-    pub fn encode(&self) -> Payload {
-        let mut w = match self {
-            // State transfer can be large: size the buffer up front so
-            // the whole snapshot is marshalled in one allocation.
-            InternalMsg::State { state, .. } => {
-                WireWriter::with_capacity(1 + 8 + 8 + 4 + state.len())
-            }
-            _ => WireWriter::new(),
-        };
+impl Wire for InternalMsg {
+    fn put(&self, w: &mut WireWriter) {
         match self {
             InternalMsg::Exchange {
                 from,
@@ -103,7 +89,7 @@ impl InternalMsg {
                 stayed_up,
             } => {
                 w.u8(I_EXCHANGE).u32(*from);
-                write_bools(&mut w, mourned);
+                mourned.put(w);
                 w.u64(*update_seq).boolean(*stayed_up);
             }
             InternalMsg::ExchangeReply {
@@ -112,7 +98,7 @@ impl InternalMsg {
                 stayed_up,
             } => {
                 w.u8(I_EXCHANGE_REPLY);
-                write_bools(&mut w, mourned);
+                mourned.put(w);
                 w.u64(*update_seq).boolean(*stayed_up);
             }
             InternalMsg::Fetch => {
@@ -129,20 +115,18 @@ impl InternalMsg {
                 w.u8(I_BUSY);
             }
         }
-        w.finish_payload()
     }
 
-    pub fn decode(buf: &Payload) -> Result<InternalMsg, DecodeError> {
-        let mut r = WireReader::of(buf);
-        let m = match r.u8("internal tag")? {
+    fn get(r: &mut WireReader<'_>) -> Result<InternalMsg, DecodeError> {
+        Ok(match r.u8("internal tag")? {
             I_EXCHANGE => InternalMsg::Exchange {
                 from: r.u32("from")?,
-                mourned: read_bools(&mut r)?,
+                mourned: <Vec<bool>>::get(r)?,
                 update_seq: r.u64("update seq")?,
                 stayed_up: r.boolean("stayed up")?,
             },
             I_EXCHANGE_REPLY => InternalMsg::ExchangeReply {
-                mourned: read_bools(&mut r)?,
+                mourned: <Vec<bool>>::get(r)?,
                 update_seq: r.u64("update seq")?,
                 stayed_up: r.boolean("stayed up")?,
             },
@@ -154,9 +138,7 @@ impl InternalMsg {
             },
             I_BUSY => InternalMsg::Busy,
             _ => return Err(DecodeError::new("internal tag")),
-        };
-        r.expect_end("internal trailing")?;
-        Ok(m)
+        })
     }
 }
 
@@ -169,7 +151,7 @@ pub(crate) fn serve_internal<S: StateMachine>(
 ) {
     loop {
         let incoming = srv.getreq(ctx);
-        let reply = match InternalMsg::decode(&incoming.data) {
+        let reply = match InternalMsg::decode_shared(&incoming.data) {
             Ok(InternalMsg::Exchange { .. }) => {
                 let info = sm.recovery_info();
                 InternalMsg::ExchangeReply {
@@ -217,7 +199,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
         // "re-join server group or create it". Join patience grows with
         // the replica index so concurrent cold boots converge on
         // replica 0's instance instead of racing singleton groups.
-        let patience = cfg.join_timeout + cfg.join_timeout / 2 * (cfg.me as u32);
+        let patience = JOIN_TIMEOUT + JOIN_TIMEOUT / 2 * (cfg.me as u32);
         let group = match peer.join(ctx, cfg.group_port, cfg.me as u64, patience) {
             Ok(g) => {
                 ctx.trace(format!(
@@ -239,7 +221,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
         };
 
         // "while (minority && !timeout) GetInfoGroup(&group_state)".
-        let deadline = ctx.now() + cfg.majority_timeout;
+        let deadline = ctx.now() + MAJORITY_TIMEOUT;
         let majority = loop {
             match group.info() {
                 Ok(info) if info.view.len() >= cfg.majority() && !info.failed => break true,
@@ -255,7 +237,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
             // "if (minority) try again; leave group and retry".
             ctx.trace(format!("rsm-recovery[{}]: no majority, retrying", cfg.me));
             group.leave(ctx);
-            retry_sleep(ctx, cfg);
+            retry_sleep(ctx);
             continue;
         }
         ctx.trace(format!("rsm-recovery[{}]: majority reached", cfg.me));
@@ -270,7 +252,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
         // servers from the last set to join the group" — so retry the
         // exchange within the same group for a while before giving up
         // and rebuilding from scratch.
-        let skeen_deadline = ctx.now() + cfg.majority_timeout * 2;
+        let skeen_deadline = ctx.now() + MAJORITY_TIMEOUT * 2;
         let outcome = loop {
             let (my_mourned, my_seq, my_stayed) = {
                 let info = sm.recovery_info();
@@ -307,7 +289,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
                             mourned: theirs,
                             update_seq,
                             stayed_up,
-                        }) = InternalMsg::decode(&bytes)
+                        }) = InternalMsg::decode_shared(&bytes)
                         {
                             // "newgroup[s] = 1; SequenceNo[s] = SeqNr;
                             //  mourned set += received mourned set".
@@ -370,7 +352,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
             Some(v) => v,
             None => {
                 group.leave(ctx);
-                retry_sleep(ctx, cfg);
+                retry_sleep(ctx);
                 continue;
             }
         };
@@ -388,7 +370,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
             sm.begin_copy(ctx);
             if !fetch_state(ctx, sm, cfg, shared, rpc, best, group.instance_id()) {
                 group.leave(ctx);
-                retry_sleep(ctx, cfg);
+                retry_sleep(ctx);
                 continue;
             }
         } else {
@@ -415,8 +397,8 @@ pub(crate) fn run_recovery<S: StateMachine>(
     }
 }
 
-fn retry_sleep(ctx: &Ctx, cfg: &RsmConfig) {
-    let jitter = cfg.retry_jitter.as_nanos() as u64;
+fn retry_sleep(ctx: &Ctx) {
+    let jitter = RETRY_JITTER.as_nanos() as u64;
     let d = ctx.with_rng(|r| r.next_below(jitter.max(1)));
     ctx.sleep(Duration::from_millis(50) + Duration::from_nanos(d));
 }
@@ -435,7 +417,7 @@ fn fetch_state<S: StateMachine>(
         Ok(b) => b,
         Err(_) => return false,
     };
-    let (instance, applied, state) = match InternalMsg::decode(&bytes) {
+    let (instance, applied, state) = match InternalMsg::decode_shared(&bytes) {
         Ok(InternalMsg::State {
             instance,
             applied_seq,
@@ -524,7 +506,7 @@ mod tests {
         for (msg, golden) in goldens() {
             assert_eq!(hex(&msg.encode()), golden, "{msg:?}");
             let bytes = Payload::from(unhex(golden));
-            assert_eq!(InternalMsg::decode(&bytes), Ok(msg));
+            assert_eq!(InternalMsg::decode_shared(&bytes), Ok(msg));
             let trailing = Payload::from([&unhex(golden)[..], &[0]].concat());
             assert!(InternalMsg::decode(&trailing).is_err(), "{golden} + a byte");
         }
@@ -534,7 +516,7 @@ mod tests {
     fn mutated_internal_msgs_are_refused_or_decode_exactly() {
         for (_, golden) in goldens() {
             mutants_refused_or_exact(&unhex(golden), |b| {
-                let msg = InternalMsg::decode(&Payload::from(b.to_vec())).ok()?;
+                let msg = InternalMsg::decode(b).ok()?;
                 Some(msg.encode().to_vec())
             });
         }
@@ -548,7 +530,7 @@ mod tests {
             state: vec![1, 2, 3].into(),
         }
         .encode();
-        let Ok(InternalMsg::State { state, .. }) = InternalMsg::decode(&wire) else {
+        let Ok(InternalMsg::State { state, .. }) = InternalMsg::decode_shared(&wire) else {
             panic!("a state message");
         };
         // Tag, instance, cursor and length prefix come first.

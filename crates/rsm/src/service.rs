@@ -30,11 +30,11 @@
 //! no codec of its own.)
 //!
 //! ```
-//! use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
+//! use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 //! use amoeba_flip::{NetParams, Network, Port};
 //! use amoeba_group::{GroupConfig, GroupPeer};
 //! use amoeba_rpc::{RpcClient, RpcNode};
-//! use amoeba_rsm::service::{start_service, Service, ServiceClient, ServiceDeps, Wire};
+//! use amoeba_rsm::service::{start_service, Service, ServiceClient, ServiceDeps};
 //! use amoeba_sim::Simulation;
 //! use std::time::Duration;
 //!
@@ -75,7 +75,7 @@
 //!     const PORT: Port = Port::from_raw(0x0043_5452);
 //!     const NO_MAJORITY: Rep = Rep::NoMajority;
 //!     const MALFORMED: Rep = Rep::Malformed;
-//!     type State = u64; // `Wire` comes with the harness for plain counters and maps
+//!     type State = u64; // `u64`, like maps and queues of wire types, has its `Wire` form
 //!     type Request = Req;
 //!     type Reply = Rep;
 //!     type Client = ServiceClient<Counter>;
@@ -112,11 +112,10 @@
 //! assert!(replicas.iter().all(|r| r.machine().read(|count| *count) == 5));
 //! ```
 
-use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
+use amoeba_flip::wire::{Wire, WireWriter};
 use amoeba_flip::{Payload, Port};
 use amoeba_group::{GroupPeer, SeqNo};
 use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
@@ -127,110 +126,6 @@ use parking_lot::Mutex;
 use crate::config::RsmConfig;
 use crate::machine::{RecoveryInfo, RsmError, StateMachine};
 use crate::replica::{Replica, ReplicaDeps};
-
-/// A value with a wire form — the one codec idiom of the harness, used
-/// for requests, replies and snapshot state alike.
-pub trait Wire: Sized {
-    /// Appends the value's wire form to `w`.
-    fn put(&self, w: &mut WireWriter);
-
-    /// Reads one value off `r`.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] for malformed input. Decoders of counted
-    /// collections must not reserve for a count the remaining bytes
-    /// cannot back: collect entry by entry, as the impls for
-    /// [`VecDeque`] and [`HashMap`] here do.
-    fn get(r: &mut WireReader<'_>) -> Result<Self, DecodeError>;
-
-    /// The value alone, as message bytes.
-    fn encode(&self) -> Payload {
-        let mut w = WireWriter::new();
-        self.put(&mut w);
-        w.finish_payload()
-    }
-
-    /// Decodes message bytes holding exactly one value.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] for malformed input or trailing bytes.
-    fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = WireReader::new(buf);
-        let v = Self::get(&mut r)?;
-        r.expect_end("trailing bytes")?;
-        Ok(v)
-    }
-}
-
-impl Wire for u64 {
-    fn put(&self, w: &mut WireWriter) {
-        w.u64(*self);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<u64, DecodeError> {
-        r.u64("u64")
-    }
-}
-
-impl Wire for Port {
-    fn put(&self, w: &mut WireWriter) {
-        w.u64(self.as_raw());
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Port, DecodeError> {
-        Ok(Port::from_raw(r.u64("port")?))
-    }
-}
-
-/// A length-prefixed byte string.
-impl Wire for Vec<u8> {
-    fn put(&self, w: &mut WireWriter) {
-        w.bytes(self);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Vec<u8>, DecodeError> {
-        Ok(r.bytes("bytes")?.to_vec())
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn put(&self, w: &mut WireWriter) {
-        self.0.put(w);
-        self.1.put(w);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<(A, B), DecodeError> {
-        Ok((A::get(r)?, B::get(r)?))
-    }
-}
-
-/// A `u32` count, then the elements in order.
-impl<T: Wire> Wire for VecDeque<T> {
-    fn put(&self, w: &mut WireWriter) {
-        w.u32(self.len() as u32);
-        self.iter().for_each(|item| item.put(w));
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<VecDeque<T>, DecodeError> {
-        (0..r.u32("count")?).map(|_| T::get(r)).collect()
-    }
-}
-
-/// A `u32` count, then the entries in key order — the deterministic
-/// encoding of an unordered map that snapshots need.
-impl<V: Wire> Wire for HashMap<String, V> {
-    fn put(&self, w: &mut WireWriter) {
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort_unstable();
-        w.u32(keys.len() as u32);
-        for key in keys {
-            w.string(key);
-            self[key].put(w);
-        }
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<HashMap<String, V>, DecodeError> {
-        (0..r.u32("count")?)
-            .map(|_| Ok((r.string("key")?, V::get(r)?)))
-            .collect()
-    }
-}
 
 /// A volatile replicated service: what is its own. The harness turns it
 /// into a state machine ([`ServiceMachine`]), a server
@@ -346,9 +241,8 @@ impl<S: Service> StateMachine for ServiceMachine<S> {
     }
 
     fn install(&self, _ctx: &Ctx, cursor: SeqNo, snap: &Payload) -> bool {
-        let mut r = WireReader::of(snap);
-        match <(u64, S::State)>::get(&mut r) {
-            Ok((update_seq, state)) if r.is_at_end() => {
+        match <(u64, S::State)>::decode(snap) {
+            Ok((update_seq, state)) => {
                 *self.core.lock() = Core {
                     state,
                     update_seq,
@@ -356,7 +250,7 @@ impl<S: Service> StateMachine for ServiceMachine<S> {
                 };
                 true
             }
-            _ => false,
+            Err(_) => false,
         }
     }
 

@@ -107,8 +107,8 @@ impl Simulation {
         }
     }
 
-    /// Creates a simulation that records its decision trace (see
-    /// [`crate::record`]). Must be used instead of [`Simulation::new`]
+    /// Creates a simulation that records its decision trace (a
+    /// [`SimTrace`](crate::SimTrace)). Must be used instead of [`Simulation::new`]
     /// *before* any process is spawned, so the trace covers the whole run.
     pub fn recording(seed: u64) -> Self {
         let sim = Simulation::new(seed);

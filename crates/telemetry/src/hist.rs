@@ -128,7 +128,8 @@ impl Hist {
     }
 }
 
-/// Point-in-time copy of a [`Registry`].
+/// Point-in-time copy of the metrics registry
+/// ([`Telemetry::metrics`](crate::Telemetry::metrics)).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     pub hists: BTreeMap<String, Hist>,

@@ -145,15 +145,10 @@ pub struct FlowRec {
 
 struct Inner {
     rng: u64,
-    /// When off, span/flow records are dropped (contexts still
-    /// propagate, histograms still fill) — the metrics-only mode long
-    /// bench windows use to keep memory bounded.
-    record_spans: bool,
     /// Trace sampling: record spans/flows for every Nth root operation
     /// only (`0` = record all). Contexts still propagate for every
     /// trace, so sampling never perturbs what the traced system does —
-    /// it only bounds collector memory on multi-minute runs, without
-    /// giving up span trees entirely the way metrics-only mode does.
+    /// it only bounds collector memory on multi-minute runs.
     sample_every: u64,
     /// Roots opened so far (the sampling counter).
     root_count: u64,
@@ -169,7 +164,7 @@ struct Inner {
 
 impl Inner {
     fn keeps(&self, trace: u64) -> bool {
-        self.record_spans && (self.sample_every == 0 || self.sampled.contains(&trace))
+        self.sample_every == 0 || self.sampled.contains(&trace)
     }
 }
 
@@ -210,36 +205,25 @@ impl Telemetry {
     /// Creates a collector for this simulation and installs it in the
     /// kernel's user-data slot, where [`Telemetry::from_handle`] finds it.
     pub fn install(sim: &SimHandle) -> Telemetry {
-        Self::install_with(sim, true, 0)
-    }
-
-    /// [`Telemetry::install`] without span/flow storage: trace contexts
-    /// still propagate and the latency histograms still fill, but no
-    /// per-span records accumulate. The right mode for multi-second
-    /// bench windows that only want percentiles.
-    pub fn install_metrics_only(sim: &SimHandle) -> Telemetry {
-        Self::install_with(sim, false, 0)
+        Self::install_with(sim, 0)
     }
 
     /// [`Telemetry::install`] with **trace sampling**: spans and flows
     /// are recorded for one in `every` root operations (the first, the
     /// `every+1`-th, …) and dropped for the rest, while histograms
-    /// still fill for *all* operations. The middle ground between full
-    /// tracing (span memory grows with run length) and
-    /// [`install_metrics_only`](Telemetry::install_metrics_only) (no
-    /// span trees at all): a multi-minute run keeps bounded span
-    /// memory yet still yields complete, connected trees for the
-    /// sampled operations. `every` of 0 or 1 records everything.
+    /// still fill for *all* operations: a multi-minute run keeps
+    /// bounded span memory (full tracing grows with run length) yet
+    /// still yields complete, connected trees for the sampled
+    /// operations. `every` of 0 or 1 records everything.
     pub fn install_sampled(sim: &SimHandle, every: u64) -> Telemetry {
-        Self::install_with(sim, true, if every <= 1 { 0 } else { every })
+        Self::install_with(sim, if every <= 1 { 0 } else { every })
     }
 
-    fn install_with(sim: &SimHandle, record_spans: bool, sample_every: u64) -> Telemetry {
+    fn install_with(sim: &SimHandle, sample_every: u64) -> Telemetry {
         let collector = Arc::new(Collector {
             sim: sim.clone(),
             inner: Mutex::new(Inner {
                 rng: sim.seed() ^ 0xA0EB_A7E1_EC7A_CE00,
-                record_spans,
                 sample_every,
                 root_count: 0,
                 sampled: std::collections::HashSet::new(),

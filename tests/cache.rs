@@ -11,6 +11,7 @@ use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
     CacheParams, Capability, DirClient, DirClientError, DirReply, DirRequest, Rights,
 };
+use amoeba_dirsvc::flip::wire::Wire;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
 use amoeba_testkit::Gen;
 

@@ -10,6 +10,7 @@ use amoeba_dirsvc::dir::{
     Capability, DirClient, DirClientError, DirError, DirReply, DirRequest, LeaseService, Rights,
     ShardMap,
 };
+use amoeba_dirsvc::flip::wire::Wire;
 use amoeba_dirsvc::rpc::RpcClient;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
 

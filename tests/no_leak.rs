@@ -34,7 +34,7 @@ use amoeba_dirsvc::dir::{
     ServiceConfig,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
-use amoeba_dirsvc::flip::wire::WireWriter;
+use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
 use amoeba_dirsvc::flip::{NetParams, Network};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
@@ -234,9 +234,7 @@ fn an_op_and_a_directory_encode_into_one_exact_size_buffer() {
     }
     let op = DirOp::InstallDir {
         columns,
-        rows: (0..40)
-            .map(|r| (format!("row-{r}"), owner, masks.clone()))
-            .collect(),
+        rows: dir.rows.clone(),
         check: 0xC1,
         key: 7,
     };

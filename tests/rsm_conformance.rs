@@ -14,9 +14,10 @@ use amoeba_dirsvc::dir::{
     ServiceConfig, StorageKind,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
+use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
 use amoeba_dirsvc::flip::{NetParams, Network, Payload};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
-use amoeba_dirsvc::rsm::service::{ServiceMachine, Wire};
+use amoeba_dirsvc::rsm::service::ServiceMachine;
 use amoeba_dirsvc::rsm::StateMachine;
 use amoeba_dirsvc::sim::{Ctx, NodeId, Resource, Simulation};
 use std::sync::Mutex;
@@ -313,6 +314,50 @@ fn nvram_directory_machine_conforms() {
         let nvram = Some(Nvram::paper_24k());
         dir_column_with(sim, net, idx, DiskParams::instant(), params, nvram)
     });
+}
+
+/// A peer's snapshot is refused whole — trailing bytes, or a lease whose
+/// renewal budget does not fit its `u32` — and a refused install leaves
+/// the machine as it was.
+#[test]
+fn install_refuses_a_malformed_snapshot_and_leaves_the_machine_untouched() {
+    let mut sim = Simulation::new(0x5EF0);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 0x5EF0);
+    let sm = dir_column(&sim, &net, 0, DiskParams::instant(), DirParams::default()).sm;
+    // Update seq 5, commit seq 0, then the four section counts.
+    let snapshot = |leases: u32| {
+        let mut w = WireWriter::new();
+        w.u64(5).u64(0).u32(0).u32(0).u32(0).u32(leases);
+        w
+    };
+    let trailing = {
+        let mut w = snapshot(0);
+        w.u8(0xAB).u8(0xCD);
+        w.finish_payload()
+    };
+    let renewals_past_u32 = {
+        let mut w = snapshot(1);
+        // Object, owner, callback port, deadline, TTL, renewals.
+        w.u64(1).u64(7).u64(8).u64(400_000).u64(400_000);
+        w.u64(u64::from(u32::MAX) + 1);
+        w.finish_payload()
+    };
+    let out = sim.spawn("install", move |ctx| {
+        let before = sm.snapshot(ctx);
+        let refused = [trailing, renewals_past_u32].map(|snap| !sm.install(ctx, 9, &snap));
+        assert_eq!(
+            sm.snapshot(ctx),
+            before,
+            "a refused install changed the state"
+        );
+        assert_eq!(sm.recovery_info().update_seq, 0);
+        // Without the stray bytes the same snapshot installs.
+        assert!(sm.install(ctx, 9, &snapshot(0).finish_payload()));
+        assert_eq!(sm.recovery_info().update_seq, 5);
+        refused
+    });
+    sim.run_for(Duration::from_secs(10));
+    assert_eq!(out.take(), Some([true, true]), "both snapshots refused");
 }
 
 #[test]

@@ -14,9 +14,10 @@ use std::time::Duration;
 use amoeba_dirsvc::bullet::BulletClient;
 use amoeba_dirsvc::dir::{
     Capability, CommitBlock, DirError, DirOp, DirParams, DirReply, DirRequest, Directory,
-    DirectoryStateMachine, Rights, ServiceConfig,
+    DirectoryStateMachine, Rights, Row, ServiceConfig,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
+use amoeba_dirsvc::flip::wire::Wire;
 use amoeba_dirsvc::flip::{NetParams, Network, Port};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
@@ -53,6 +54,14 @@ const PORT: Port = Port::from_raw(0xD1);
 /// An owner capability: port 0xD1, the object, check 0xC0 + object.
 fn cap(object: u64) -> Capability {
     Capability::owner(PORT, object, 0xC0 + object)
+}
+
+fn row(name: &str, cap: Capability, col_rights: Vec<Rights>) -> Row {
+    Row {
+        name: name.into(),
+        cap,
+        col_rights,
+    }
 }
 
 fn names(v: &[&str]) -> Vec<String> {
@@ -147,8 +156,8 @@ fn requests() -> Vec<(DirRequest, &'static str)> {
             DirRequest::InstallDir {
                 columns: names(&["owner", "other"]),
                 rows: vec![
-                    ("a".into(), cap(2), masks.clone()),
-                    ("b".into(), cap(3), vec![Rights::MODIFY, Rights::NONE]),
+                    row("a", cap(2), masks.clone()),
+                    row("b", cap(3), vec![Rights::MODIFY, Rights::NONE]),
                 ],
                 check: 0xC4EC,
                 key: 0x4E1,
@@ -182,7 +191,7 @@ fn requests() -> Vec<(DirRequest, &'static str)> {
 
 fn replies() -> Vec<(DirReply, &'static str)> {
     let restricted = Capability::issue(PORT, 4, 0xC4, Rights::column(0));
-    let row = ("r".to_string(), restricted, vec![Rights::column(0)]);
+    let visible = row("r", restricted, vec![Rights::column(0)]);
     let mut table = vec![
         (
             DirReply::Cap(cap(5)),
@@ -192,7 +201,7 @@ fn replies() -> Vec<(DirReply, &'static str)> {
         (
             DirReply::Listing {
                 columns: names(&["owner"]),
-                rows: vec![row.clone()],
+                rows: vec![visible.clone()],
             },
             "0301050000006f776e6572010000000100000072d1000000000000000400000000000000\
              01f9a99105df9e07c40101",
@@ -214,7 +223,7 @@ fn replies() -> Vec<(DirReply, &'static str)> {
                 check: 31,
                 seqno: 8,
                 columns: names(&["owner"]),
-                rows: vec![("r".into(), cap(3), vec![Rights::ALL])],
+                rows: vec![row("r", cap(3), vec![Rights::ALL])],
             },
             "071f00000000000000080000000000000001050000006f776e6572010000000100000072\
              d1000000000000000300000000000000ffc30000000000000001ff",
@@ -225,7 +234,7 @@ fn replies() -> Vec<(DirReply, &'static str)> {
                 deadline_us: 1_250_000,
                 renewed: true,
                 columns: names(&["owner"]),
-                rows: vec![row],
+                rows: vec![visible],
             },
             "080800000000000000d0121300000000000101050000006f776e65720100000001000000\
              72d100000000000000040000000000000001f9a99105df9e07c40101",
@@ -318,8 +327,8 @@ fn ops() -> Vec<(DirOp, &'static str)> {
             DirOp::InstallDir {
                 columns: names(&["owner", "other"]),
                 rows: vec![
-                    ("a".into(), cap(2), vec![Rights::ALL, Rights::NONE]),
-                    ("b".into(), cap(3), vec![Rights::MODIFY, Rights::NONE]),
+                    row("a", cap(2), vec![Rights::ALL, Rights::NONE]),
+                    row("b", cap(3), vec![Rights::MODIFY, Rights::NONE]),
                 ],
                 check: 0xC4EC,
                 key: 0x4E1,
