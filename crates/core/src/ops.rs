@@ -246,7 +246,7 @@ pub enum DirError {
 }
 
 impl DirError {
-    /// Every error, the ones a reply can carry.
+    /// Every error: the codes a reply decodes.
     const ALL: [DirError; 9] = [
         DirError::NoMajority,
         DirError::BadCapability,

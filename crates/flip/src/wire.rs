@@ -266,14 +266,9 @@ impl<'a> WireReader<'a> {
         String::from_utf8(b.to_owned()).map_err(|_| DecodeError { what })
     }
 
-    /// Whether the whole buffer has been consumed.
-    pub fn is_at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     /// Fails unless the whole buffer was consumed (trailing-garbage check).
     pub fn expect_end(&self, what: &'static str) -> Result<(), DecodeError> {
-        if self.is_at_end() {
+        if self.pos == self.buf.len() {
             Ok(())
         } else {
             Err(DecodeError { what })
@@ -585,7 +580,7 @@ mod tests {
         assert_eq!(r.u32("c").unwrap(), 70_000);
         assert_eq!(r.u64("d").unwrap(), 1 << 40);
         assert!(r.boolean("e").unwrap());
-        assert!(r.is_at_end());
+        r.expect_end("end").unwrap();
     }
 
     #[test]
@@ -656,7 +651,7 @@ mod tests {
             assert_eq!(r.boolean("f").unwrap(), flag);
             assert_eq!(r.string("s").unwrap(), s);
             assert_eq!(r.bytes("v").unwrap(), v);
-            assert!(r.is_at_end());
+            r.expect_end("end").unwrap();
         });
     }
 
@@ -674,7 +669,7 @@ mod tests {
             src.as_slice().as_ptr().add(4)
         });
         assert_eq!(r.u32("tail").unwrap(), 5);
-        assert!(r.is_at_end());
+        r.expect_end("end").unwrap();
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl Simulation {
     }
 
     /// Creates a simulation that records its decision trace (a
-    /// [`SimTrace`](crate::SimTrace)). Must be used instead of [`Simulation::new`]
+    /// [`SimTrace`]). Must be used instead of [`Simulation::new`]
     /// *before* any process is spawned, so the trace covers the whole run.
     pub fn recording(seed: u64) -> Self {
         let sim = Simulation::new(seed);
