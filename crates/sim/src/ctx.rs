@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::coro::Target;
 use crate::ids::{MailboxId, NodeId, ProcId};
 use crate::kernel::{
     dispatch, hand_off, panic_message, HandOff, Kernel, KillToken, Next, WakeReason, Wakeup,
@@ -34,7 +35,7 @@ pub struct Ctx {
     node: Option<NodeId>,
     name: String,
     shared: Arc<Mutex<Kernel>>,
-    /// Where this thread parks while another holds the baton.
+    /// This process's context, and what it finds when switched to.
     cell: Arc<HandOff<Wakeup>>,
     rng: RefCell<SimRng>,
 }
@@ -190,9 +191,15 @@ impl Ctx {
         &self.shared
     }
 
-    /// Parks until the first activation; false means killed before it.
+    /// What the first switch here brought: false means killed before the
+    /// first activation.
     pub(crate) fn wait_first(&self) -> bool {
         matches!(self.cell.take(), Wakeup::Run(_))
+    }
+
+    /// The driver's context: where a killed process goes when it is done.
+    pub(crate) fn driver(&self) -> Target {
+        self.shared.lock().driver.context().target()
     }
 
     /// Panics with [`KillToken`] if this process has been marked dead.
@@ -210,47 +217,46 @@ impl Ctx {
     }
 
     /// Records this process's yield, then runs the event loop on this
-    /// thread until some process must run. Returns the wake reason if
-    /// that is this process; otherwise the baton has been handed on.
-    fn yield_baton(&self, kind: YieldKind) -> Option<WakeReason> {
+    /// stack until some process must run. `Ok` with the wake reason if
+    /// that is this process; otherwise the baton has been handed on, and
+    /// `Err` names the context to switch to.
+    fn yield_baton(&self, kind: YieldKind) -> Result<WakeReason, Target> {
         let mut k = self.shared.lock();
         k.record_yield(self.pid, kind, self.rng.borrow().digest());
         match dispatch(&self.shared, k) {
-            (_, Next::Run(pid, reason)) if pid == self.pid => Some(reason),
-            (k, next) => {
-                hand_off(k, next);
-                None
-            }
+            (_, Next::Run(pid, reason)) if pid == self.pid => Ok(reason),
+            (k, next) => Err(hand_off(k, next)),
         }
     }
 
     /// Yields and blocks until this process is due again.
     pub(crate) fn block(&self, kind: YieldKind) -> WakeReason {
         self.yield_baton(kind)
-            .unwrap_or_else(|| match self.cell.take() {
+            .unwrap_or_else(|to| match self.cell.park(to) {
                 Wakeup::Run(reason) => reason,
                 Wakeup::Kill => panic_any(KillToken::Reaped),
             })
     }
 
     /// The body returned (`panic: None`) or panicked: the final yield.
+    /// Returns the context to switch to for good.
     ///
     /// Nothing catches a panic above this call, and the event loop it
     /// runs can panic (a replay divergence, a kernel `expect`). That
-    /// would end this thread with the baton in hand and leave the driver
-    /// parked for ever, so the baton goes to the driver with the text.
-    pub(crate) fn exit(&self, panic: Option<String>) {
+    /// would unwind out of the coroutine with the baton in hand, so the
+    /// baton goes to the driver with the text.
+    pub(crate) fn exit(&self, panic: Option<String>) -> Target {
         let last_yield = AssertUnwindSafe(|| {
-            let woken = self.yield_baton(YieldKind::Exited { panic });
-            debug_assert!(woken.is_none(), "an exited process was resumed");
+            self.yield_baton(YieldKind::Exited { panic })
+                .expect_err("an exited process was resumed")
         });
-        if let Err(payload) = catch_unwind(last_yield) {
+        catch_unwind(last_yield).unwrap_or_else(|payload| {
             let mut k = self.shared.lock();
             let msg = panic_message(payload);
             k.poisoned
                 .get_or_insert(format!("'{}' ({}): {msg}", self.name, self.pid));
-            hand_off(k, Next::Stop);
-        }
+            hand_off(k, Next::Stop)
+        })
     }
 
     /// Blocks until `mailbox` is non-empty or `deadline` passes.

@@ -45,15 +45,16 @@ impl SimHandle {
 
     /// Makes `f` the reader of `rx`'s mailbox: a *kernel handler* on
     /// `node`, called with each message at the instant it is delivered,
-    /// by whichever thread is running the event loop — no process is
-    /// woken, so a delivery costs no thread switch. This is for code that
+    /// by whichever context is running the event loop — no process is
+    /// woken, so a delivery costs no switch of stacks. This is for code that
     /// takes no simulated time and only passes messages on (a machine's
     /// packet demultiplexers and protocol timers).
     ///
     /// `f` runs with the kernel unlocked: it may send, read the clock and
     /// touch its own state. It must not block (it has no
-    /// [`Ctx`](crate::Ctx)) and must not read thread-locals (the calling
-    /// thread is an arbitrary process's, or the driver's). It is not a
+    /// [`Ctx`](crate::Ctx)) and must not read per-process state such as
+    /// [`ambient`](crate::ambient) (it runs inside an arbitrary process,
+    /// or the driver). It is not a
     /// process — no RNG stream, no [`ProcOutput`](crate::ProcOutput) —
     /// but is numbered like one: it takes the next [`ProcId`](crate::ProcId),
     /// so turning a process into a handler leaves the ids, and the RNG

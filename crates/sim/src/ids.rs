@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Identifies a simulated process (a thread driven by the kernel). Kernel
+/// Identifies a simulated process (a coroutine driven by the kernel). Kernel
 /// handlers are numbered from the same counter.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub(crate) u64);

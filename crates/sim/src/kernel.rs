@@ -2,32 +2,31 @@
 //! the event loop ([`Kernel::dispatch`]).
 //!
 //! The kernel enforces the central invariant of the simulator: **exactly
-//! one thread holds the baton** — the driver (the thread inside
-//! [`crate::Simulation::run`]) or one process thread. Only the holder
-//! runs simulated code or touches the kernel. There is no scheduler
-//! thread: a process that blocks records its own yield and runs the event
-//! loop itself until some process must run. If that process is itself it
-//! just returns; otherwise it passes the baton through that process's
-//! one-value [`HandOff`] cell and parks on its own. A thread that has
-//! handed off may still be running for a moment, but touches nothing
-//! except its own cell. The driver gets the baton back only for what
-//! needs it ([`Next::Reap`], [`Next::Stop`]). Which OS thread dispatches
-//! an event never influences what the event does, so execution is
-//! deterministic regardless of OS scheduling.
+//! one context holds the baton** — the driver (the code inside
+//! [`crate::Simulation::run`]) or one process, each a coroutine on its
+//! own stack ([`crate::coro`]), all on the driver's OS thread. Only the
+//! holder runs simulated code or touches the kernel. There is no
+//! scheduler: a process that blocks records its own yield and runs the
+//! event loop itself until some process must run. If that process is
+//! itself it just returns; otherwise it leaves the baton in that
+//! process's one-value [`HandOff`] cell and switches to its stack. The
+//! driver gets the baton back only for what needs it ([`Next::Reap`],
+//! [`Next::Stop`]). Which stack dispatches an event never influences
+//! what the event does, so execution is deterministic.
 //!
-//! An [`ActionFn`] therefore runs on whichever thread dispatches it and
-//! must not read thread-locals (`amoeba_telemetry`'s current-span slot is
-//! per simulated process). The only action is mailbox delivery.
+//! An [`ActionFn`] therefore runs on whichever stack dispatches it and
+//! must not read per-process state (`amoeba_telemetry`'s current-span
+//! slot is [`crate::ambient`]). The only action is mailbox delivery.
 //!
 //! # Kernel handlers
 //!
 //! A mailbox may be read by a [`Handler`] instead of a process: a closure
 //! the kernel owns, registered for a node, that is called with each
-//! message *at delivery time* by whichever thread is dispatching — the
-//! baton stays where it is and no thread is woken. [`dispatch`] calls it
+//! message *at delivery time* by whichever context is dispatching — the
+//! baton stays where it is and no process is resumed. [`dispatch`] calls it
 //! with the kernel unlocked, so it may send, read the clock and touch its
 //! own state. It must not block (it has no [`crate::Ctx`]) and must not
-//! read thread-locals, and it is not a process: no RNG stream, no
+//! read per-process state, and it is not a process: no RNG stream, no
 //! [`crate::ProcOutput`], no `Resume`/`Yield` steps — its call is the
 //! `EventAction` step of the delivery. It dies with its node:
 //! [`Kernel::crash_node`] takes it out of the table, and a message still
@@ -38,24 +37,25 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::panic::{self, catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{self, AtomicU64};
-use std::sync::{Arc, Condvar, Once};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Once};
 
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::coro::{self, Context, Target};
 use crate::ids::{MailboxId, NodeId, ProcId};
 use crate::record::{fault_codes, RecMode, SimTrace, StepTag, TraceStep};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
-/// Panic payload used to unwind a killed process thread. Never observed by
-/// user code: the thread wrapper catches it and reports a clean exit.
+/// Panic payload used to unwind a killed process. Never observed by user
+/// code: the coroutine's body catches it and reports a clean exit.
 pub(crate) enum KillToken {
     /// The process found itself dead while running (it crashed its own
     /// node): it still holds the baton and exits like any other process.
     Crashed,
     /// `Kill` arrived through the hand-off cell: the driver holds the
-    /// baton and is joining this thread, which must touch nothing.
+    /// baton and waits for this coroutine to finish, which must touch
+    /// nothing but switch back.
     Reaped,
 }
 
@@ -85,46 +85,56 @@ pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// A one-value cell a thread parks on until another thread fills it: the
-/// only cross-thread signalling in the simulator.
+/// A context and the one value it finds when it is switched to: how the
+/// baton is passed. The passer [`put`](HandOff::put)s the value and
+/// switches to the context it gets back; the owner, resumed, takes it.
 pub(crate) struct HandOff<T> {
-    slot: std::sync::Mutex<Option<T>>,
-    filled: Condvar,
+    slot: Mutex<Option<T>>,
+    context: Context,
 }
-
-/// Why locking a [`HandOff`] cannot fail.
-const NEVER_POISONED: &str = "no thread panics while it holds a hand-off cell's lock";
 
 impl<T> HandOff<T> {
     pub fn new() -> Self {
         HandOff {
-            slot: std::sync::Mutex::new(None),
-            filled: Condvar::new(),
+            slot: Mutex::new(None),
+            context: Context::default(),
         }
     }
 
-    pub fn put(&self, value: T) {
-        *self.slot.lock().expect(NEVER_POISONED) = Some(value);
-        self.filled.notify_one();
+    /// The owner's context: the stack it runs on.
+    pub fn context(&self) -> &Context {
+        &self.context
     }
 
-    /// Parks the calling thread until the cell is filled; empties it.
+    /// Leaves `value` for the suspended owner; returns its context, the
+    /// one to switch to.
+    pub fn put(&self, value: T) -> Target {
+        *self.slot.lock() = Some(value);
+        self.context.target()
+    }
+
+    /// Called by the owner, running: switches to `to` and returns the
+    /// value left here by whoever switches back.
+    pub fn park(&self, to: Target) -> T {
+        coro::switch(&self.context, to);
+        self.take()
+    }
+
+    /// Empties the cell; the owner's first act when resumed.
     pub fn take(&self) -> T {
-        let mut slot = self.slot.lock().expect(NEVER_POISONED);
-        loop {
-            match slot.take() {
-                Some(value) => return value,
-                None => slot = self.filled.wait(slot).expect(NEVER_POISONED),
-            }
-        }
+        self.slot
+            .lock()
+            .take()
+            .expect("a context is switched to with its cell filled")
     }
 }
 
-/// What a parked process thread finds in its hand-off cell.
+/// What a suspended process finds in its hand-off cell.
 pub(crate) enum Wakeup {
     /// The baton: run, for this reason.
     Run(WakeReason),
-    /// Unwind and finish; the driver keeps the baton and joins the thread.
+    /// Unwind and finish; the driver keeps the baton and waits for this
+    /// coroutine to switch back to it.
     Kill,
 }
 
@@ -132,7 +142,7 @@ pub(crate) enum Wakeup {
 pub(crate) enum Next {
     /// To this process (already marked running).
     Run(ProcId, WakeReason),
-    /// To the driver, to kill-handshake and join these dead processes.
+    /// To the driver, to kill-handshake these dead processes.
     Reap(Vec<ProcId>),
     /// To the driver, for good: quiescence, the deadline, the event
     /// budget, or a process panic.
@@ -200,9 +210,9 @@ pub(crate) enum ProcState {
     Ready,
     /// Holds the baton, or is about to be handed it.
     Running,
-    /// Parked on its hand-off cell.
+    /// Suspended until its hand-off cell is filled.
     Blocked,
-    /// The thread body has finished (normally, by panic, or by kill).
+    /// The coroutine's body has finished (normally, by panic, or by kill).
     Exited,
 }
 
@@ -210,7 +220,6 @@ pub(crate) struct ProcRec {
     pub name: String,
     pub node: Option<NodeId>,
     pub cell: Arc<HandOff<Wakeup>>,
-    pub join: Option<JoinHandle<()>>,
     pub state: ProcState,
     pub block: BlockKind,
     /// Wake generation; bumped on every resume so stale timers are ignored.
@@ -221,7 +230,7 @@ pub(crate) struct ProcRec {
     pub dead: bool,
     /// Times resumed, by [`WakeReason::code`].
     pub resumes: [u64; 4],
-    /// Of those, the times the baton came from another thread.
+    /// Of those, the times the baton came from another stack.
     pub handoffs_in: [u64; 4],
 }
 
@@ -336,7 +345,7 @@ pub(crate) struct Kernel {
     pub deadline: Option<SimTime>,
     pub budget: u64,
     pub events_processed: u64,
-    /// Times the baton moved to another OS thread.
+    /// Times the baton moved from one stack to another.
     pub handoffs: u64,
     /// Times a kernel handler was called.
     pub handler_calls: u64,
@@ -707,8 +716,8 @@ impl Kernel {
     }
 }
 
-/// The event loop. Runs on whichever thread holds the baton — a process
-/// that just yielded, or the driver — until the baton has to go somewhere,
+/// The event loop. Runs on whichever stack holds the baton — a process
+/// that just yielded, or the driver's — until the baton has to go somewhere,
 /// and says where. Kernel handlers are called from here, with the kernel
 /// unlocked; a panic in one goes to the driver under the handler's name
 /// instead of unwinding into whatever process happens to be dispatching.
@@ -736,23 +745,18 @@ pub(crate) fn dispatch<'a>(
     }
 }
 
-/// Passes the baton to whoever `next` names. Takes the kernel guard so the
-/// lock is released before the receiver wakes (it would only block on it).
-pub(crate) fn hand_off(mut k: MutexGuard<'_, Kernel>, next: Next) {
+/// Passes the baton to whoever `next` names: leaves it in their cell and
+/// returns their context, for the caller to switch to. Takes the kernel
+/// guard so the lock is released before the receiver runs.
+pub(crate) fn hand_off(mut k: MutexGuard<'_, Kernel>, next: Next) -> Target {
     k.handoffs += 1;
     match next {
         Next::Run(pid, reason) => {
             let p = k.procs.get_mut(&pid).expect("the baton goes to a process");
             p.handoffs_in[reason.code()] += 1;
-            let cell = Arc::clone(&p.cell);
-            drop(k);
-            cell.put(Wakeup::Run(reason));
+            p.cell.put(Wakeup::Run(reason))
         }
-        to_driver => {
-            let cell = Arc::clone(&k.driver);
-            drop(k);
-            cell.put(to_driver);
-        }
+        to_driver => k.driver.put(to_driver),
     }
 }
 

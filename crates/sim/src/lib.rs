@@ -1,22 +1,31 @@
 //! # amoeba-sim — deterministic discrete-event simulation kernel
 //!
 //! The substrate for the Amoeba directory-service reproduction: a
-//! discrete-event simulator whose "processes" are OS threads that pass a
-//! baton: **exactly one thread holds it at any instant**, only the holder
-//! runs simulated code, and a process that blocks runs the event loop
-//! itself until it knows who is next — itself (it just carries on) or
-//! another thread (it wakes that one and parks). Which thread dispatches
-//! an event never changes what the event does, so execution is bit-exactly
-//! deterministic for a given seed.
+//! discrete-event simulator whose "processes" are coroutines, each on a
+//! stack of its own, that pass a baton: **exactly one holds it at any
+//! instant**, only the holder runs simulated code, and a process that
+//! blocks runs the event loop itself until it knows who is next — itself
+//! (it just carries on) or another process (it switches to that one's
+//! stack). Which stack dispatches an event never changes what the event
+//! does, so execution is bit-exactly deterministic for a given seed.
+//!
+//! All processes of a [`Simulation`] run on the OS thread that calls
+//! [`Simulation::run`]; passing the baton is a switch of registers, not
+//! of threads. So a `Simulation` is not `Send`: code may keep a
+//! thread-local's address across a call, and a process resumed on
+//! another thread would use the old thread's. Per-process state that a
+//! layer cannot pass through its calls lives in [`ambient`], which the
+//! simulator saves and restores at every switch. The switch is written
+//! for x86_64 Linux; other targets do not build.
 //!
 //! Code that takes no simulated time and only passes messages on — a
 //! machine's packet demultiplexers, its protocol timers — is not a process
 //! but a *kernel handler* ([`SimHandle::handler`]): a closure the
 //! simulator owns, called with each message of its mailbox at delivery
-//! time by whichever thread holds the baton, with the kernel unlocked. A
+//! time by whichever context holds the baton, with the kernel unlocked. A
 //! handler may send, read the clock and touch its own state; it must not
-//! block (it has no [`Ctx`]) and must not read thread-locals (the thread
-//! is an arbitrary process's); it has no RNG stream and no
+//! block (it has no [`Ctx`]) and must not read per-process state (it runs
+//! inside an arbitrary process); it has no RNG stream and no
 //! [`ProcOutput`]; and it dies with its node.
 //!
 //! Protocol code written against this crate reads like ordinary blocking
@@ -56,6 +65,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod coro;
 mod ctx;
 mod handle;
 mod ids;
@@ -69,6 +79,9 @@ mod sim;
 mod spawn;
 mod time;
 
+#[doc(hidden)]
+pub use coro::mapped_stacks;
+pub use coro::{ambient, set_ambient};
 pub use ctx::Ctx;
 pub use handle::SimHandle;
 pub use ids::{NodeId, ProcId};

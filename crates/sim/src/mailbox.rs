@@ -54,7 +54,8 @@ impl<T: Send + 'static> MailboxTx<T> {
         let id = self.id;
         let mut k = self.shared.lock();
         let t = k.now + delay;
-        // Runs on whichever thread dispatches it: no thread-locals here.
+        // Runs inside whichever process dispatches it: no per-process
+        // state here.
         k.schedule_action(t, move |k| {
             let reader = k.reader_of(id);
             if !matches!(reader, Reader::Gone) {
@@ -71,7 +72,7 @@ impl<T: Send + 'static> MailboxTx<T> {
 pub struct MailboxRx<T> {
     id: MailboxId,
     queue: Arc<Mutex<VecDeque<T>>>,
-    /// Weak: receivers held by test code or leaked threads may outlive
+    /// Weak: receivers held by test code or leaked processes may outlive
     /// the kernel, and must not lock it while it is being torn down.
     shared: Weak<Mutex<Kernel>>,
 }

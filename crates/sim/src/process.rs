@@ -1,5 +1,12 @@
-//! Process spawning: each simulated process is an OS thread that only runs
-//! while it holds the baton (see [`crate::kernel`]).
+//! Process spawning: each simulated process is a coroutine on a stack of
+//! its own ([`crate::coro`]) that only runs while it holds the baton (see
+//! [`crate::kernel`]).
+//!
+//! Every coroutine is entered: at its first activation, or with
+//! [`Wakeup::Kill`](crate::kernel::Wakeup) if it is killed before it, so
+//! that its body is dropped on its own stack. Its body catches its own
+//! panics and ends by naming the context to switch to: whoever holds the
+//! baton next, or the driver that killed it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -93,28 +100,24 @@ where
     );
 
     let cell_in = Arc::clone(&cell);
-    let thread_name = format!("sim-{}-{}", name, pid);
-    let join = std::thread::Builder::new()
-        .name(thread_name)
-        .spawn(move || {
-            if !ctx.wait_first() {
-                return; // killed before the first activation
+    hand_off_cell.context().start(move || {
+        if !ctx.wait_first() {
+            return ctx.driver(); // killed before the first activation
+        }
+        let panic = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+            Ok(val) => {
+                *cell_in.lock() = Some(val);
+                None
             }
-            let panic = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                Ok(val) => {
-                    *cell_in.lock() = Some(val);
-                    None
-                }
-                Err(payload) => match payload.downcast_ref::<KillToken>() {
-                    // The driver holds the baton and is joining this thread.
-                    Some(KillToken::Reaped) => return,
-                    Some(KillToken::Crashed) => None,
-                    None => Some(panic_message(payload)),
-                },
-            };
-            ctx.exit(panic);
-        })
-        .expect("failed to spawn simulator thread");
+            Err(payload) => match payload.downcast_ref::<KillToken>() {
+                // The driver holds the baton and waits for this coroutine.
+                Some(KillToken::Reaped) => return ctx.driver(),
+                Some(KillToken::Crashed) => None,
+                None => Some(panic_message(payload)),
+            },
+        };
+        ctx.exit(panic)
+    });
 
     {
         let mut k = shared.lock();
@@ -124,7 +127,6 @@ where
                 name: name.to_owned(),
                 node,
                 cell: hand_off_cell,
-                join: Some(join),
                 state: ProcState::Ready,
                 block: BlockKind::None,
                 gen: 0,

@@ -3,18 +3,17 @@
 //! # Determinism contract
 //!
 //! A simulation run is a pure function of `(program, seed)`: the kernel
-//! processes events in strict `(time, seq)` order, exactly one thread
-//! *holds the baton* at any instant — only it runs simulated code or
-//! touches the kernel; a thread that has handed the baton on may still be
-//! running, but touches nothing except its own hand-off cell — and every
+//! processes events in strict `(time, seq)` order, exactly one context
+//! (the driver or a process) *holds the baton* at any instant — only it
+//! runs simulated code or touches the kernel — and every
 //! random draw comes from [`crate::SimRng`] streams forked
 //! deterministically from the seed. The kernel may consult **nothing
 //! else** — no wall clock, no OS entropy, no address-dependent hashing, no
-//! iteration over randomized containers, and no thread-local (the event
-//! loop runs on whichever thread holds the baton, so *which* thread
+//! iteration over randomized containers, and no per-process state (the
+//! event loop runs on whichever stack holds the baton, so *which* process
 //! dispatches an event is not part of the run) — when making a scheduling
 //! decision. Kernel handlers ([`crate::SimHandle::handler`]) are held to
-//! the same: they run on the dispatching thread, between two events, and
+//! the same: they run on the dispatching stack, between two events, and
 //! may consult only their messages, their own state and the clock. Under
 //! that contract, re-running the same program with the same seed
 //! reproduces the run bit-exactly.
@@ -35,7 +34,7 @@
 //! **cross-checks** every decision against the recorded step at the same
 //! position. The first departure panics with a `replay divergence` message
 //! naming the step index, what the trace expected and what the live run
-//! did, and checking stops there: whichever thread found it, the panic
+//! did, and checking stops there: whichever process found it, the panic
 //! reaches the caller of `run`, and the teardown is not compared. A
 //! passing replay is therefore a proof that the run was reproduced
 //! decision-for-decision — and a failing one points at the exact first

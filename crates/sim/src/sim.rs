@@ -1,15 +1,18 @@
-//! The [`Simulation`]: owner of the kernel and the *driver* — the thread
-//! that starts the event loop, parks while process threads pass the baton
-//! among themselves, and takes it back to reap crashed processes, to
-//! re-raise a process panic, and when the run is over.
+//! The [`Simulation`]: owner of the kernel and the *driver* — the code
+//! on the calling thread's own stack that starts the event loop, stays
+//! suspended while processes pass the baton among their stacks, and
+//! takes it back to reap crashed processes, to re-raise a process panic,
+//! and when the run is over.
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::coro;
 use crate::ctx::Ctx;
 use crate::ids::{NodeId, ProcId};
 use crate::kernel::{
@@ -27,14 +30,14 @@ pub struct RunStats {
     pub events: u64,
     /// Virtual time when the run stopped.
     pub end_time: SimTime,
-    /// Total moves of the baton from one OS thread to another so far: a
-    /// process waking another, the driver starting one, the driver
-    /// getting it back. A process that wakes itself makes none. Exact
-    /// and deterministic, like `events`.
+    /// Total moves of the baton from one process's stack to another's so
+    /// far: a process waking another, the driver starting one, the
+    /// driver getting it back. A process that wakes itself makes none.
+    /// Exact and deterministic, like `events`.
     pub handoffs: u64,
     /// Total calls of kernel handlers so far (see
     /// [`SimHandle::handler`](crate::SimHandle::handler)): deliveries
-    /// that woke no thread. Exact and deterministic.
+    /// that resumed no process. Exact and deterministic.
     pub handler_calls: u64,
 }
 
@@ -50,9 +53,9 @@ pub struct Activations {
     /// non-empty, a receive that timed out — in that order.
     pub resumes: [u64; 4],
     /// Of [`resumes`](Self::resumes), those for which the baton came
-    /// from another OS thread (a [`RunStats::handoffs`] each). The rest
-    /// are self-wakes: the process, blocked, dispatched its own wake-up
-    /// event and simply went on.
+    /// from one process's stack to another's (a [`RunStats::handoffs`]
+    /// each). The rest are self-wakes: the process, blocked, dispatched
+    /// its own wake-up event and simply went on.
     pub handoffs_in: [u64; 4],
     /// Times a kernel handler of this name was called
     /// (a [`RunStats::handler_calls`] each).
@@ -79,10 +82,22 @@ pub struct Activations {
 /// sim.run();
 /// assert_eq!(out.take(), Some(5.0));
 /// ```
+///
+/// Every process runs as a coroutine on the thread that calls `run`, so
+/// a `Simulation` stays on the thread that made it: it is not `Send`.
+/// Code may keep a thread-local's address across a call, and a process
+/// resumed on another thread would use the old thread's.
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(amoeba_sim::Simulation::new(1));
+/// ```
 pub struct Simulation {
     shared: Arc<Mutex<Kernel>>,
-    /// Where this thread parks while process threads hold the baton.
+    /// The driver's context, and the baton's way back to it.
     driver: Arc<HandOff<Next>>,
+    /// Not `Send`: see above.
+    one_thread: PhantomData<*const ()>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -104,6 +119,7 @@ impl Simulation {
         Simulation {
             driver: Arc::clone(&kernel.driver),
             shared: Arc::new(Mutex::new(kernel)),
+            one_thread: PhantomData,
         }
     }
 
@@ -281,10 +297,7 @@ impl Simulation {
                     }
                     dispatch(&self.shared, self.shared.lock()).1
                 }
-                run => {
-                    hand_off(self.shared.lock(), run);
-                    self.driver.take()
-                }
+                run => self.driver.park(hand_off(self.shared.lock(), run)),
             };
         }
         let mut k = self.shared.lock();
@@ -301,13 +314,14 @@ impl Simulation {
         }
     }
 
-    /// Tells a parked process to unwind (it is marked dead, or this is
-    /// teardown) and joins its thread. Only the driver does this, holding
-    /// the baton, so no simulated code runs meanwhile.
+    /// Tells a suspended process to unwind (it is marked dead, or this is
+    /// teardown) and switches to it; it switches back once it is done,
+    /// and its stack is freed. Only the driver does this, holding the
+    /// baton, so no simulated code runs meanwhile.
     fn kill_handshake(&mut self, pid: ProcId) {
-        // Joined only after the lock is released: a thread's last drops
-        // may need the kernel lock.
-        let (cell, join) = {
+        // Switched to only after the lock is released: a process's last
+        // drops may need the kernel lock.
+        let cell = {
             let mut k = self.shared.lock();
             let p = match k.procs.get_mut(&pid) {
                 Some(p) => p,
@@ -315,20 +329,16 @@ impl Simulation {
             };
             let cell = (p.state != ProcState::Exited).then(|| Arc::clone(&p.cell));
             p.state = ProcState::Exited;
-            let join = p.join.take();
             k.clear_wait(pid);
-            (cell, join)
+            cell
         };
         if let Some(cell) = cell {
             // Killed processes never propagate panics.
-            cell.put(Wakeup::Kill);
-        }
-        if let Some(j) = join {
-            let _ = j.join();
+            coro::switch(self.driver.context(), cell.put(Wakeup::Kill));
         }
     }
 
-    /// Kills every non-exited process and joins all threads.
+    /// Kills every non-exited process, freeing every stack.
     fn teardown(&mut self) {
         let pids: Vec<ProcId> = {
             let k = self.shared.lock();

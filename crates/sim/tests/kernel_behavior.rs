@@ -239,7 +239,7 @@ fn run_until_stops_at_deadline() {
         ctx.sleep(Duration::from_millis(96));
         ctx.now()
     });
-    // The deadline is met on the process's thread (it dispatches its own
+    // The deadline is met on the process's stack (it dispatches its own
     // timers); the later timer stays queued and `now` is the deadline.
     let stats = sim.run_until(SimTime::from_millis(10));
     assert_eq!(stats.end_time, SimTime::from_millis(10));
@@ -272,7 +272,7 @@ fn ping_pong(sim: &Simulation, rounds: u64) {
 fn run_with_limit_counts_events_across_process_boundaries() {
     let mut sim = Simulation::new(1);
     ping_pong(&sim, 1_000);
-    // The budget runs out on whichever thread is dispatching; every call
+    // The budget runs out on whichever stack is dispatching; every call
     // processes exactly what it was given and the game goes on.
     assert_eq!(sim.run_with_limit(50).events, 50);
     assert_eq!(sim.run_with_limit(7).events, 57);
@@ -292,7 +292,7 @@ fn a_process_that_wakes_itself_makes_no_handoff() {
     let stats = sim.run();
     assert_eq!(stats.events, 1 + 1_000);
     // Driver → sleeper at its start, sleeper → driver at quiescence;
-    // the thousand timers in between fire on the sleeper's own thread.
+    // the thousand timers in between fire on the sleeper's own stack.
     assert_eq!(stats.handoffs, 2);
 }
 
@@ -386,7 +386,7 @@ fn a_panic_on_a_thread_the_driver_did_not_wake_is_reraised_by_run() {
             ctx.sleep(Duration::from_secs(1));
             unreachable!("torn down while parked");
         });
-        // Woken by `waker`'s thread, not the driver's, and panics there.
+        // Woken by `waker`, not by the driver, and panics there.
         sim.spawn("bomb", move |ctx| {
             let v = rx.recv(ctx);
             panic!("boom {v}");
@@ -479,7 +479,7 @@ fn a_handler_panic_reaches_the_caller_of_run_under_its_own_name() {
     let msg = run_panic_text(|sim| bomb(sim).send(7));
     assert_eq!(msg, TEXT);
 
-    // Found by a process thread, inside that process's `sleep`: it is
+    // Found by a process, inside that process's `sleep`: it is
     // torn down like any parked process, not blamed.
     let (guard, unwound) = Unwound::flag();
     let msg = run_panic_text(|sim| {

@@ -128,7 +128,7 @@ fn replay_of_divergent_program_panics() {
 #[test]
 fn divergence_found_on_a_process_thread_reaches_the_caller_of_run() {
     // Two processes wake each other, so the event loop runs on their
-    // threads; the replayed program sleeps longer in round 5, and the
+    // stacks; the replayed program sleeps longer in round 5, and the
     // timer that pops at the wrong time is found by whichever of them is
     // dispatching — not by the driver, which must still re-raise it.
     fn program(sim: &Simulation, slow_round: u64) {
@@ -198,7 +198,7 @@ fn divergence_found_by_an_exiting_process_reaches_the_caller_of_run() {
 #[test]
 fn divergence_found_inside_a_handler_reaches_the_caller_of_run_under_its_name() {
     // The handler's own step (a fault record) departs from the trace: the
-    // checkpoint panics inside the handler, on the thread of 'sleeper',
+    // checkpoint panics inside the handler, on the stack of 'sleeper',
     // which happens to be dispatching and is not to blame.
     fn program(sim: &Simulation, operand: u64) {
         let node = sim.add_node("n");

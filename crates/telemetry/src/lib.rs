@@ -94,27 +94,24 @@ impl TraceCtx {
     }
 }
 
-thread_local! {
-    /// The ambient trace context of the current simulated process.
-    ///
-    /// Every simulated process is one OS thread, so a thread-local is
-    /// exactly "the context of the operation this process is inside".
-    /// Layers that cannot practically thread a `TraceCtx` argument
-    /// (the RPC client under a deep client API) read it here.
-    static CURRENT: std::cell::Cell<TraceCtx> = const { std::cell::Cell::new(TraceCtx::NONE) };
-}
-
 /// The ambient trace context of the calling simulated process
-/// (`TraceCtx::NONE` when none is set).
+/// (`TraceCtx::NONE` when none is set): "the context of the operation
+/// this process is inside". Layers that cannot practically thread a
+/// `TraceCtx` argument (the RPC client under a deep client API) read it
+/// here. It lives in the process's [`amoeba_sim::ambient`] words, which
+/// the simulator saves and restores at every switch, so each process
+/// reads back its own, and a new process starts with none.
 pub fn current_ctx() -> TraceCtx {
-    CURRENT.with(|c| c.get())
+    let [trace, span] = amoeba_sim::ambient();
+    TraceCtx { trace, span }
 }
 
 /// Sets the ambient trace context; returns the previous one so callers
 /// can restore it when their scope ends (do so — server loops are
-/// long-lived threads and a leaked context mis-parents later requests).
+/// long-lived processes and a leaked context mis-parents later requests).
 pub fn set_current_ctx(ctx: TraceCtx) -> TraceCtx {
-    CURRENT.with(|c| c.replace(ctx))
+    let [trace, span] = amoeba_sim::set_ambient([ctx.trace, ctx.span]);
+    TraceCtx { trace, span }
 }
 
 /// One recorded span. `end == None` while the span is open (an export

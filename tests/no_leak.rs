@@ -38,7 +38,7 @@ use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
 use amoeba_dirsvc::flip::{NetParams, Network};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
-use amoeba_dirsvc::sim::{NodeId, Resource, Simulation};
+use amoeba_dirsvc::sim::{mapped_stacks, NodeId, Resource, Simulation};
 
 /// The system allocator, counting live bytes and bytes ever requested.
 struct Counting;
@@ -86,9 +86,12 @@ fn deployment_with_a_crash_and_a_reboot() {
     sim.run_for(Duration::from_secs(2));
 }
 
+/// Process stacks are mapped, not allocated, so the counter above never
+/// sees them; the simulator counts them itself.
 #[test]
 fn a_dropped_deployment_leaves_no_heap_behind() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let stacks = mapped_stacks();
     // Once for whatever is allocated once per process (thread-locals,
     // the panic hook, the test harness's own buffers).
     deployment_with_a_crash_and_a_reboot();
@@ -97,6 +100,7 @@ fn a_dropped_deployment_leaves_no_heap_behind() {
         deployment_with_a_crash_and_a_reboot();
     }
     assert_eq!(LIVE.load(Ordering::Relaxed), before);
+    assert_eq!(mapped_stacks(), stacks, "process stacks still mapped");
 }
 
 /// A directory machine on a node of its own, with no Bullet server

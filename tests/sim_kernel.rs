@@ -1,7 +1,14 @@
 //! The simulator kernel's hand-off accounting, its crash edges and its
 //! kernel handlers, as seen through the umbrella crate (tier-1 runs only
 //! this package; the full set lives in
-//! `crates/sim/tests/kernel_behavior.rs`).
+//! `crates/sim/tests/kernel_behavior.rs`). The coroutine tests and the
+//! per-process trace context are compiled in whole from their crates.
+
+#[path = "../crates/sim/tests/coroutines.rs"]
+mod coroutines;
+
+#[path = "../crates/telemetry/tests/ambient_context.rs"]
+mod ambient_context;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,7 +55,7 @@ fn ping_pong_makes_one_handoff_per_message() {
 }
 
 /// Set when dropped: the process's stack was unwound, or its closure
-/// dropped unrun, and its thread joined by the time `run` returns.
+/// dropped unrun, by the time `run` returns.
 struct Unwound(Arc<AtomicBool>);
 
 impl Drop for Unwound {
