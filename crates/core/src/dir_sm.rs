@@ -13,8 +13,13 @@
 //!   the dirty set) holds that same version. A reply is built and
 //!   encoded only where the driver says the op was submitted
 //!   (`reply`); everything else happens on every replica alike.
+//! * The same critical section records each object the op changed in
+//!   `Shared::unflushed`, and `flush` empties the map just before it
+//!   returns (`install` too), so an object is listed exactly while its
+//!   RAM version may not be durable. The driver wakes readers before
+//!   the flush; the read rule ([`Applier::settle`]) keeps them off it.
 //! * `flush` — called once per batch by the driver, before any
-//!   initiator is woken — coalesces the deferred effects: only each
+//!   submitter is woken — coalesces the deferred effects: only each
 //!   object's **final** state is written (k updates to one directory
 //!   cost one Bullet file + one object-table write instead of k each),
 //!   and ordering follows the batch's op order so a crash leaves a
@@ -480,6 +485,90 @@ impl DirectoryStateMachine {
         }
     }
 
+    /// Makes the batch just applied durable: the group commit behind
+    /// [`StateMachine::flush`].
+    fn commit_batch(&self, ctx: &Ctx) {
+        let applier = &self.applier;
+        if applier.storage == StorageKind::Nvram {
+            // The log appends in `apply` were the durable commit; only
+            // police the fill threshold here.
+            let full = applier
+                .nvram
+                .as_ref()
+                .map(|n| n.fill_fraction() >= self.params.nvram_flush_threshold)
+                .unwrap_or(false);
+            if full {
+                applier.flush_nvram(ctx);
+            }
+            return;
+        }
+        let effects = std::mem::take(&mut *self.pending.lock());
+        if effects.is_empty() {
+            return;
+        }
+        let (acts, frees, need_commit) = Self::coalesce(effects);
+        if applier.journal.is_some() {
+            // The group log: one sequential record append is the
+            // commit. `frees` (pre-batch file of a deleted-then-recreated
+            // object) is deliberately dropped: the checkpoint frees the
+            // durable mirror's file when it stores the recreation, which
+            // *is* that pre-batch file — carrying the list too would
+            // free it twice.
+            let batch = self.seal_acts(acts, need_commit);
+            self.journal_commit(ctx, batch);
+            return;
+        }
+        // A multi-object batch cannot be flushed atomically: guard it
+        // with the commit block's `recovering` flag so a crash mid-way
+        // voids this replica's state instead of exposing a hole.
+        let guard = acts.len() > 1;
+        if guard {
+            let cb = {
+                let mut shared = applier.shared.lock();
+                shared.commit.recovering = true;
+                shared.commit.clone()
+            };
+            cb.write(&applier.partition, ctx);
+        }
+        for (object, act) in acts {
+            match act {
+                FinalAct::Store(dir) => applier.store_dir_to_disk(ctx, object, &dir),
+                FinalAct::Drop { old_file } | FinalAct::Stub { old_file } => {
+                    // Persist the table entry — cleared for a delete,
+                    // kept-but-contentless for a migration stub; the
+                    // commit-block write (the op loses its file, §3)
+                    // happens once below for the whole batch.
+                    let waiter = { applier.shared.lock().table.flush_begin(object) };
+                    if let Some(w) = waiter {
+                        w.recv(ctx);
+                    }
+                    if !old_file.is_null() {
+                        let _ = applier.bullet.delete(ctx, old_file);
+                    }
+                }
+            }
+        }
+        for f in frees {
+            let _ = applier.bullet.delete(ctx, f);
+        }
+        if guard || need_commit {
+            let cb = {
+                let mut shared = applier.shared.lock();
+                shared.commit.recovering = false;
+                if guard {
+                    // Completing a guarded flush closes one generation:
+                    // the epoch stamp is what lets a future boot tell
+                    // "crashed inside a flush of committed ops"
+                    // (salvageable prefix) from "crashed copying a
+                    // peer's state" (worthless mixture).
+                    shared.commit.epoch += 1;
+                }
+                shared.commit.clone()
+            };
+            cb.write(&applier.partition, ctx);
+        }
+    }
+
     /// Acquires the checkpoint drain's sleep-polled exclusion flag.
     fn ckpt_acquire(&self, ctx: &Ctx) {
         loop {
@@ -701,6 +790,20 @@ impl StateMachine for DirectoryStateMachine {
         applier.preload_for(ctx, &op);
         let planned = {
             let mut shared = applier.shared.lock();
+            // The versions a row edit replaces: durable until this batch
+            // is flushed, so reads placed before the edit are served them.
+            let before: Vec<(u64, Arc<Directory>)> = match &op {
+                DirOp::Append { object, .. }
+                | DirOp::Chmod { object, .. }
+                | DirOp::DeleteRow { object, .. }
+                | DirOp::AppendLink { object, .. }
+                | DirOp::Unlink { object, .. } => vec![*object],
+                DirOp::ReplaceSet { items } => items.iter().map(|(o, _, _)| *o).collect(),
+                _ => Vec::new(),
+            }
+            .into_iter()
+            .filter_map(|o| Some((o, Arc::clone(shared.cache.get(&o)?))))
+            .collect();
             let r = applier.plan(&mut shared, &op, None, reply);
             // Revoke-on-apply: every object this op mutates loses its
             // outstanding read leases *in the same critical section as
@@ -708,10 +811,23 @@ impl StateMachine for DirectoryStateMachine {
             // and a write racing through different initiators land
             // deterministically on one side of each other on every
             // replica. The initiator that submitted the write fans the
-            // parked revocations out before acknowledging.
+            // parked revocations out before acknowledging. The same
+            // section records the object as unflushed (module docs).
             if let Ok((_, effects, _)) = &r {
                 for e in effects {
-                    shared.revoke_leases(e.object());
+                    let object = e.object();
+                    shared.revoke_leases(object);
+                    let prior = before
+                        .iter()
+                        .find(|(o, _)| *o == object)
+                        .map(|(_, d)| Arc::clone(d));
+                    let entry = shared
+                        .unflushed
+                        .entry(object)
+                        .or_insert_with(|| (seq, prior.clone()));
+                    if prior.is_none() {
+                        entry.1 = None;
+                    }
                 }
             }
             // Expired parked revocations need no callback — the holder
@@ -749,85 +865,9 @@ impl StateMachine for DirectoryStateMachine {
     }
 
     fn flush(&self, ctx: &Ctx) {
-        let applier = &self.applier;
-        if applier.storage == StorageKind::Nvram {
-            // The log appends in `apply` were the durable commit; only
-            // police the fill threshold here.
-            let full = applier
-                .nvram
-                .as_ref()
-                .map(|n| n.fill_fraction() >= self.params.nvram_flush_threshold)
-                .unwrap_or(false);
-            if full {
-                applier.flush_nvram(ctx);
-            }
-            return;
-        }
-        let effects = std::mem::take(&mut *self.pending.lock());
-        if effects.is_empty() {
-            return;
-        }
-        let (acts, frees, need_commit) = Self::coalesce(effects);
-        if applier.journal.is_some() {
-            // The group log: one sequential record append is the
-            // commit. `frees` (pre-batch file of a deleted-then-recreated
-            // object) is deliberately dropped: the checkpoint frees the
-            // durable mirror's file when it stores the recreation, which
-            // *is* that pre-batch file — carrying the list too would
-            // free it twice.
-            let batch = self.seal_acts(acts, need_commit);
-            self.journal_commit(ctx, batch);
-            return;
-        }
-        // A multi-object batch cannot be flushed atomically: guard it
-        // with the commit block's `recovering` flag so a crash mid-way
-        // voids this replica's state instead of exposing a hole.
-        let guard = acts.len() > 1;
-        if guard {
-            let cb = {
-                let mut shared = applier.shared.lock();
-                shared.commit.recovering = true;
-                shared.commit.clone()
-            };
-            cb.write(&applier.partition, ctx);
-        }
-        for (object, act) in acts {
-            match act {
-                FinalAct::Store(dir) => applier.store_dir_to_disk(ctx, object, &dir),
-                FinalAct::Drop { old_file } | FinalAct::Stub { old_file } => {
-                    // Persist the table entry — cleared for a delete,
-                    // kept-but-contentless for a migration stub; the
-                    // commit-block write (the op loses its file, §3)
-                    // happens once below for the whole batch.
-                    let waiter = { applier.shared.lock().table.flush_begin(object) };
-                    if let Some(w) = waiter {
-                        w.recv(ctx);
-                    }
-                    if !old_file.is_null() {
-                        let _ = applier.bullet.delete(ctx, old_file);
-                    }
-                }
-            }
-        }
-        for f in frees {
-            let _ = applier.bullet.delete(ctx, f);
-        }
-        if guard || need_commit {
-            let cb = {
-                let mut shared = applier.shared.lock();
-                shared.commit.recovering = false;
-                if guard {
-                    // Completing a guarded flush closes one generation:
-                    // the epoch stamp is what lets a future boot tell
-                    // "crashed inside a flush of committed ops"
-                    // (salvageable prefix) from "crashed copying a
-                    // peer's state" (worthless mixture).
-                    shared.commit.epoch += 1;
-                }
-                shared.commit.clone()
-            };
-            cb.write(&applier.partition, ctx);
-        }
+        self.commit_batch(ctx);
+        // The batch is durable: nothing it changed needs hiding any more.
+        self.applier.shared.lock().unflushed.clear();
     }
 
     fn checkpoint(&self, ctx: &Ctx) {
@@ -1117,6 +1157,7 @@ impl StateMachine for DirectoryStateMachine {
                 shared.table.clear(o);
             }
             shared.cache.clear();
+            shared.unflushed.clear();
             for (object, check, dir) in &installed {
                 shared.table.set(
                     *object,
@@ -1233,6 +1274,9 @@ mod tests {
     use amoeba_sim::Simulation;
     use amoeba_testkit::{hex, unhex};
 
+    use crate::ops::DirRequest;
+    use crate::state::ReadAt;
+
     #[test]
     fn a_journal_record_keeps_its_bytes() {
         let mut dir = Directory::new(vec!["o".into()]);
@@ -1280,14 +1324,25 @@ mod tests {
         assert!(StagedBatch::decode(&w.finish()).is_err());
     }
 
-    /// A machine on one node with nothing behind its Bullet stub: good
-    /// for whatever never flushes.
+    /// A machine on one node, its table and a Bullet server on one
+    /// instant disk.
     fn machine(sim: &Simulation) -> (amoeba_sim::NodeId, DirectoryStateMachine) {
         let node = sim.add_node("m");
         let net = Network::new(sim.handle(), NetParams::default(), 1);
         let rpc = RpcNode::start(sim, node, net.attach());
         let disk = DiskServer::start(sim, node, VDisk::new(64, 4096), DiskParams::instant());
         let cfg = crate::ServiceConfig::new(3, 0);
+        let store = amoeba_bullet::BulletStore::new(48, 4096, 0xB0);
+        amoeba_bullet::start_bullet_server(
+            sim,
+            node,
+            &rpc,
+            cfg.bullet_port(0),
+            disk.clone(),
+            store,
+            16,
+            1,
+        );
         let sm = DirectoryStateMachine::standalone(
             cfg.clone(),
             DirParams::default(),
@@ -1324,6 +1379,8 @@ mod tests {
             // A refused update publishes nothing.
             sm.apply(ctx, 3, &append("a").encode(), false);
             assert!(Arc::ptr_eq(&v1, &load()));
+            sm.flush(ctx);
+            assert!(sm.applier.shared.lock().unflushed.is_empty());
 
             sm.apply(ctx, 4, &append("b").encode(), false);
             let v2 = load();
@@ -1331,14 +1388,55 @@ mod tests {
             assert_eq!((v1.rows.len(), v1.seqno), (1, 2), "and no one else's");
             assert_eq!((v2.rows.len(), v2.seqno), (2, 4));
             // The deferred disk effect is that version, not a copy of it.
-            let pending = sm.pending.lock();
-            let stored = pending.iter().rev().find_map(|e| match e {
-                Effect::StoreDir { dir, .. } => Some(dir),
-                _ => None,
-            });
-            assert!(Arc::ptr_eq(stored.expect("the append's effect"), &v2));
+            {
+                let pending = sm.pending.lock();
+                let stored = pending.iter().rev().find_map(|e| match e {
+                    Effect::StoreDir { dir, .. } => Some(dir),
+                    _ => None,
+                });
+                assert!(Arc::ptr_eq(stored.expect("the append's effect"), &v2));
+            }
+
+            // The read rule, with the publish the driver would signal
+            // standing in as the flush itself.
+            let waits = std::cell::RefCell::new(Vec::new());
+            let publish = |seq| {
+                waits.borrow_mut().push(seq);
+                sm.flush(ctx);
+                Ok(())
+            };
+            let at = |target| ReadAt {
+                target,
+                publish: &publish,
+            };
+            let read = |target| {
+                sm.applier.settle(1, &at(target)).expect("settled");
+                sm.applier.version_at(ctx, 1)
+            };
+            // Placed before the append, a read is served the version
+            // the batch replaced: durable, and holding every op up to
+            // its target. It does not wait.
+            assert!(Arc::ptr_eq(&read(3).unwrap(), &v1));
+            let lookup = DirRequest::LookupSet {
+                items: vec![(crate::Capability::owner(port, 1, 0xC1), "b".into())],
+            };
+            let reply = sm.applier.serve_read(ctx, &lookup, &at(3));
+            assert_eq!(reply, DirReply::Caps(vec![None]), "b is not durable yet");
+            assert!(waits.borrow().is_empty());
+            // At the append, it waits for the publish; the flush empties
+            // the map, and the new version is the one served.
+            assert!(Arc::ptr_eq(&read(4).unwrap(), &v2));
+            assert_eq!(*waits.borrow(), [4]);
+            assert!(sm.applier.shared.lock().unflushed.is_empty());
+
+            // A batch that deletes the directory keeps no predecessor:
+            // even a read placed before the delete waits for its publish,
+            // and then finds the directory gone.
+            sm.apply(ctx, 5, &DirOp::Delete { object: 1 }.encode(), false);
+            assert_eq!(read(4).unwrap_err(), DirError::BadCapability);
+            assert_eq!(*waits.borrow(), [4, 5]);
         });
-        sim.run_for(std::time::Duration::from_secs(1));
+        sim.run_for(std::time::Duration::from_secs(5));
         assert!(out.is_ready(), "the checks ran");
     }
 

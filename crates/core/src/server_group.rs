@@ -3,7 +3,9 @@
 //!
 //! Each server machine runs several **server threads** (initiators) and
 //! one replica driver. Reads are served locally after the driver's read
-//! barrier (drain buffered group messages); writes are validated here,
+//! barrier (drain buffered group messages), and wait for the flush of
+//! the batch in flight only if it changed a directory they read (see
+//! `read_point`). Writes are validated here,
 //! then replicated through [`Replica::submit`] with resilience r = 2 —
 //! the initiator blocks until its own replica has applied *and
 //! group-committed* the operation. View changes, reset, recovery and
@@ -27,7 +29,7 @@ use crate::config::{DirParams, ServiceConfig, StorageKind};
 use crate::dir_sm::DirectoryStateMachine;
 use crate::object_table::ObjectTable;
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
-use crate::state::{op_object, Applier, ReadLease, Shared};
+use crate::state::{op_object, Applier, ReadAt, ReadLease, Shared};
 
 /// Handle to one running group directory server (one replica column).
 #[derive(Clone)]
@@ -311,6 +313,7 @@ fn handle_request(
     inval: &RpcClient,
     req: &DirRequest,
 ) -> Result<Payload, DirError> {
+    let publish = |seq| replica.wait_published(ctx, seq).map_err(rsm_err);
     // Piggybacked lease renewal: a `FetchDir` from a holder whose lease
     // is still registered (the write that revoked its previous lease
     // reinstated a successor under the grant's renewal budget) is served
@@ -321,9 +324,9 @@ fn handle_request(
     } = req
     {
         if applier.has_renewable_lease(ctx, cap, *owner, *ttl_us) {
-            replica.read_barrier(ctx).map_err(rsm_err)?;
+            let at = read_point(ctx, applier, replica, &publish, req)?;
             cpu.use_for(ctx, params.read_cpu);
-            if let Some(rep) = applier.serve_renewed_fetch(ctx, cap, *owner, *ttl_us) {
+            if let Some(rep) = applier.serve_renewed_fetch(ctx, cap, *owner, *ttl_us, &at) {
                 return Ok(rep.encode());
             }
             // The lease vanished between the pre-check and the barrier —
@@ -331,13 +334,9 @@ fn handle_request(
         }
     }
     if req.is_read() {
-        // "any buffered messages? … wait until seqno == buffered_seqno":
-        // drain everything the kernel has ordered before us. The
-        // barrier also performs the majority check ("if (!majority())
-        // return failure").
-        replica.read_barrier(ctx).map_err(rsm_err)?;
+        let at = read_point(ctx, applier, replica, &publish, req)?;
         cpu.use_for(ctx, params.read_cpu);
-        Ok(applier.serve_read(ctx, req).encode())
+        Ok(applier.serve_read(ctx, req, &at).encode())
     } else {
         cpu.use_for(ctx, params.write_cpu);
         // "generate check-field; SendToGroup(request…)".
@@ -363,6 +362,25 @@ fn handle_request(
         }
         Ok(bytes)
     }
+}
+
+/// The Fig. 5 read path up to the read's CPU. "Any buffered messages? …
+/// wait until seqno == buffered_seqno": the barrier (which also does
+/// "if (!majority()) return failure") places the read after everything
+/// the kernel ordered before it. It returns once that is applied; the
+/// read then waits out the flush in flight only if that batch changed
+/// a directory it reads ([`Applier::settle`]).
+fn read_point<'a>(
+    ctx: &Ctx,
+    applier: &Applier,
+    replica: &Replica<DirectoryStateMachine>,
+    publish: &'a dyn Fn(u64) -> Result<(), DirError>,
+    req: &DirRequest,
+) -> Result<ReadAt<'a>, DirError> {
+    let target = replica.read_barrier(ctx).map_err(rsm_err)?;
+    let at = ReadAt { target, publish };
+    applier.settle_request(req, &at)?;
+    Ok(at)
 }
 
 /// The directories a just-applied update may have changed — the ones

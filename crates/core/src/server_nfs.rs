@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use crate::config::{DirParams, ServiceConfig, StorageKind};
 use crate::object_table::ObjectTable;
 use crate::ops::{DirError, DirReply, DirRequest};
-use crate::state::{Applier, Mode, Shared};
+use crate::state::{Applier, Mode, ReadAt, Shared};
 
 /// Handle to the running NFS-like server.
 #[derive(Clone)]
@@ -115,7 +115,7 @@ pub fn start_nfs_server(spawner: &impl Spawn, deps: NfsServerDeps) -> NfsDirServ
                 };
                 let reply = if req.is_read() {
                     cpu.use_for(ctx, params.read_cpu);
-                    applier.serve_read(ctx, &req)
+                    applier.serve_read(ctx, &req, &ReadAt::LOCAL)
                 } else {
                     cpu.use_for(ctx, params.write_cpu);
                     update_lock.acquire(ctx);

@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 use crate::config::{DirParams, ServiceConfig, StorageKind};
 use crate::object_table::ObjectTable;
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
-use crate::state::{Applier, Mode, Shared};
+use crate::state::{Applier, Mode, ReadAt, Shared};
 
 /// Peer-coordination messages of the RPC service.
 #[derive(Debug, Clone, PartialEq)]
@@ -359,7 +359,7 @@ fn rpc_initiator_loop(
         let reply = if req.is_read() {
             // Reads: local, no coordination (the RPC service's semantics).
             cpu.use_for(ctx, params.read_cpu);
-            applier.serve_read(ctx, &req)
+            applier.serve_read(ctx, &req, &ReadAt::LOCAL)
         } else {
             cpu.use_for(ctx, params.write_cpu);
             rpc_write(ctx, applier, coord, rpc_client, peer_port, lazy_tx, &req)

@@ -38,6 +38,12 @@ pub(crate) struct Shared {
     /// and the deferred disk effects share it, and an update publishes
     /// the next version — the one copy it edited — in its place.
     pub cache: HashMap<u64, Arc<Directory>>,
+    /// The objects the batch being applied or flushed has changed: the
+    /// first group seq that changed each and, while every change only
+    /// edited rows, its durable version from before the batch. Filled
+    /// and emptied by the replicated machine (see `dir_sm`); the read
+    /// rule ([`Applier::settle`]) keeps reads off what it lists.
+    pub unflushed: HashMap<u64, (u64, Option<Arc<Directory>>)>,
     /// Logical version counter, monotone across group incarnations;
     /// stored with every directory ("sequence number", Fig. 4/§3).
     pub update_seq: u64,
@@ -141,6 +147,7 @@ impl Shared {
             mode: Mode::Recovering,
             table,
             cache: HashMap::new(),
+            unflushed: HashMap::new(),
             update_seq: 0,
             applied_group_seq: 0,
             commit: CommitBlock::initial(n),
@@ -387,6 +394,34 @@ fn visible_masks(masks: &[Rights], rights: Rights) -> Vec<Rights> {
         .filter(|(i, _)| rights.sees_column(*i))
         .map(|(_, m)| *m)
         .collect()
+}
+
+/// Where in the total order a read is served: it must see every op up
+/// to `target` (the read barrier's) and nothing a crash could still lose.
+pub(crate) struct ReadAt<'a> {
+    pub target: u64,
+    /// Blocks until the batch holding the given group seq is published.
+    pub publish: &'a dyn Fn(u64) -> Result<(), DirError>,
+}
+
+impl ReadAt<'static> {
+    /// A read on a server without a replica driver, whose `unflushed`
+    /// map stays empty: it never waits.
+    pub(crate) const LOCAL: ReadAt<'static> = ReadAt {
+        target: u64::MAX,
+        publish: &|_| Ok(()),
+    };
+}
+
+impl<'a> ReadAt<'a> {
+    /// The same read placed after every op: it waits until no batch in
+    /// flight has changed its directory.
+    fn latest(&self) -> ReadAt<'a> {
+        ReadAt {
+            target: u64::MAX,
+            publish: self.publish,
+        }
+    }
 }
 
 /// An NVRAM record is the update seq, then the op as a byte string.
@@ -1033,12 +1068,57 @@ impl Applier {
     // Read path.
     // ------------------------------------------------------------------
 
+    /// The read rule: blocks until `object` can be served at `at` —
+    /// unchanged by the batch in flight, or changed only in its rows and
+    /// only past the target, so its pre-batch version holds every op up
+    /// to the target and nothing unflushed. Otherwise it waits for that
+    /// batch's publish and looks again. The caller then validates and
+    /// takes the [`version_at`](Self::version_at) without yielding.
+    pub(crate) fn settle(&self, object: u64, at: &ReadAt) -> Result<(), DirError> {
+        loop {
+            let first = match self.shared.lock().unflushed.get(&object) {
+                Some((first, before)) if *first <= at.target || before.is_none() => *first,
+                _ => return Ok(()),
+            };
+            (at.publish)(first)?;
+        }
+    }
+
+    /// [`settle`](Self::settle) over every directory `req` reads. A
+    /// renewal also reads the lease table, which keeps no versions, so it
+    /// waits until no batch in flight has changed its directory at all.
+    pub(crate) fn settle_request(&self, req: &DirRequest, at: &ReadAt) -> Result<(), DirError> {
+        match req {
+            DirRequest::ListDir { cap } | DirRequest::ExportDir { cap } => {
+                self.settle(cap.object, at)
+            }
+            DirRequest::LookupSet { items } => items
+                .iter()
+                .try_for_each(|(cap, _)| self.settle(cap.object, at)),
+            DirRequest::FetchDir { cap, .. } => self.settle(cap.object, &at.latest()),
+            _ => Ok(()),
+        }
+    }
+
+    /// The version of a settled `object` a read serves: the one before
+    /// the batch in flight edited its rows, else the current one.
+    pub(crate) fn version_at(&self, ctx: &Ctx, object: u64) -> Result<Arc<Directory>, DirError> {
+        let before = self.shared.lock().unflushed.get(&object).cloned();
+        match before {
+            Some((_, Some(dir))) => Ok(dir),
+            _ => self.load_dir(ctx, object),
+        }
+    }
+
     /// Serves a read against local state (initiator thread, paper Fig. 5
-    /// read path). Assumes the caller has already drained buffered
-    /// updates.
-    pub fn serve_read(&self, ctx: &Ctx, req: &DirRequest) -> DirReply {
+    /// read path) at `at`: each directory is settled, then validated and
+    /// read with no yield in between.
+    pub(crate) fn serve_read(&self, ctx: &Ctx, req: &DirRequest, at: &ReadAt) -> DirReply {
         match req {
             DirRequest::ListDir { cap } => {
+                if let Err(e) = self.settle(cap.object, at) {
+                    return DirReply::Err(e);
+                }
                 let object = {
                     let mut shared = self.shared.lock();
                     let object =
@@ -1059,7 +1139,7 @@ impl Applier {
                 if !cap.rights.sees_any_column() {
                     return DirReply::Err(DirError::NoPermission);
                 }
-                let dir = match self.load_dir(ctx, object) {
+                let dir = match self.version_at(ctx, object) {
                     Ok(d) => d,
                     Err(e) => return DirReply::Err(e),
                 };
@@ -1083,6 +1163,9 @@ impl Applier {
             DirRequest::LookupSet { items } => {
                 let mut out = Vec::with_capacity(items.len());
                 for (cap, name) in items {
+                    if let Err(e) = self.settle(cap.object, at) {
+                        return DirReply::Err(e);
+                    }
                     let object = {
                         let mut shared = self.shared.lock();
                         let object =
@@ -1104,7 +1187,7 @@ impl Applier {
                     };
                     let resolved = match object {
                         Ok(object) if cap.rights.sees_any_column() => {
-                            match self.load_dir(ctx, object) {
+                            match self.version_at(ctx, object) {
                                 Ok(dir) => dir.find(name).and_then(|row| {
                                     let eff = dir.effective_rights(row, cap.rights);
                                     if eff == Rights::NONE {
@@ -1126,6 +1209,9 @@ impl Applier {
                 // Migration's copy source: full contents plus the raw
                 // check. Owner-only — the owner capability's check field
                 // already *is* the raw check, so nothing new is leaked.
+                if let Err(e) = self.settle(cap.object, at) {
+                    return DirReply::Err(e);
+                }
                 let (object, check) = {
                     let shared = self.shared.lock();
                     let object =
@@ -1143,7 +1229,7 @@ impl Applier {
                     let entry = shared.table.get(object).expect("validated above");
                     (object, entry.check)
                 };
-                let dir = match self.load_dir(ctx, object) {
+                let dir = match self.version_at(ctx, object) {
                     Ok(d) => d,
                     Err(e) => return DirReply::Err(e),
                 };
@@ -1203,17 +1289,21 @@ impl Applier {
     /// grant's renewal budget), so the snapshot is served off the read
     /// path under that lease's deadline — no group round, no new grant.
     /// The caller has already drained the read barrier, so the local
-    /// state is at least as new as any acknowledged write. Returns `None`
-    /// when the lease vanished since the pre-check (expired, relocated,
-    /// revoked without budget); the caller falls back to the full
+    /// state is at least as new as any acknowledged write; the lease and
+    /// the rows are read once no batch in flight has changed the
+    /// directory, so they agree. Returns `None` when the lease vanished
+    /// since the pre-check (expired, relocated, revoked without budget)
+    /// or the wait was aborted; the caller falls back to the full
     /// `GrantRead` round.
-    pub fn serve_renewed_fetch(
+    pub(crate) fn serve_renewed_fetch(
         &self,
         ctx: &Ctx,
         cap: &Capability,
         owner: u64,
         ttl_us: u64,
+        at: &ReadAt,
     ) -> Option<DirReply> {
+        self.settle(cap.object, &at.latest()).ok()?;
         let (object, deadline_us) = {
             let mut shared = self.shared.lock();
             let object = validate_dir_cap(&shared, self.cfg.public_port, cap, Rights::NONE).ok()?;

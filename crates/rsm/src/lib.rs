@@ -48,12 +48,15 @@
 //! 2. **Group commit.** One or more `apply` calls are followed by one
 //!    durable [`StateMachine::flush`], inline on the event loop — the
 //!    paper's group thread (§3.1, Fig. 5). The driver *publishes* a
-//!    batch — wakes submitters, unblocks readers — only after its flush
-//!    returns, so a caller of [`Replica::submit`] never observes a
-//!    state that is not locally durable, and a crash between `apply`
-//!    and flush only ever loses *unacknowledged* operations.
-//!    `published_seq` advances strictly in seqno order, one batch at a
-//!    time; nothing is applied while a flush is in progress.
+//!    batch — wakes submitters — only after its flush returns, so a
+//!    caller of [`Replica::submit`] never observes a state that is not
+//!    locally durable, and a crash between `apply` and flush only ever
+//!    loses *unacknowledged* operations. Readers unblock earlier, once
+//!    the batch is applied: a machine whose flush yields keeps its reads
+//!    off unflushed state itself, calling [`Replica::wait_published`]
+//!    where it must (the directory service's `unflushed` map is the
+//!    example). Both cursors advance strictly in seqno order, one batch
+//!    at a time; nothing is applied while a flush is in progress.
 //! 3. **Batch atomicity.** A state machine whose flush cannot make a
 //!    multi-operation batch durable atomically must guard it — the
 //!    directory service marks its commit block so a crash mid-flush is

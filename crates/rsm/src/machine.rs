@@ -19,8 +19,9 @@ pub struct RecoveryInfo {
     pub mourned: Vec<bool>,
 }
 
-/// Errors surfaced by [`Replica::submit`](crate::Replica::submit) and
-/// [`Replica::read_barrier`](crate::Replica::read_barrier).
+/// Errors surfaced by [`Replica::submit`](crate::Replica::submit),
+/// [`Replica::read_barrier`](crate::Replica::read_barrier) and
+/// [`Replica::wait_published`](crate::Replica::wait_published).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RsmError {
     /// The replica is recovering, expelled, or its view lacks a
@@ -80,8 +81,9 @@ pub trait StateMachine: Send + Sync + 'static {
 
     /// Group-commit barrier: make every effect of the `apply` calls
     /// since the previous `flush` durable. Called once per batch,
-    /// before the driver publishes the batch. Default: no-op (fully
-    /// volatile machines rely on their peers for durability).
+    /// before the driver publishes the batch (but after it woke the
+    /// batch's readers). Default: no-op (fully volatile machines rely on
+    /// their peers for durability).
     fn flush(&self, ctx: &Ctx) {
         let _ = ctx;
     }

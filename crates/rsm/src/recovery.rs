@@ -383,7 +383,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
             // skip real operations.
             if let Ok(hc) = group.info().map(|i| i.highest_contiguous) {
                 sm.align_cursor(ctx, hc);
-                shared.lock().published_seq = hc;
+                shared.lock().set_cursors(hc);
             }
         }
 
@@ -431,7 +431,7 @@ fn fetch_state<S: StateMachine>(
     if !sm.install(ctx, cursor, &state) {
         return false;
     }
-    shared.lock().published_seq = cursor;
+    shared.lock().set_cursors(cursor);
     true
 }
 

@@ -27,6 +27,13 @@ pub(crate) enum Wake {
     Aborted,
 }
 
+/// Which of [`DriverShared`]'s cursors a wait is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cursor {
+    Applied,
+    Published,
+}
+
 /// Replica operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
@@ -62,18 +69,25 @@ pub struct ReplicaStats {
 }
 
 /// Driver-owned mutable state. Lock discipline: never hold across a
-/// blocking simulator call.
+/// blocking simulator call. Its two cursors are vsr-rs's `op_number` /
+/// `commit_number`: a batch moves the applied one after its applies
+/// and the published one after its flush.
 pub(crate) struct DriverShared {
     pub mode: Mode,
     pub group: Option<Arc<Group>>,
     /// Work counters for [`Replica::stats`].
     pub stats: ReplicaStats,
+    /// Highest sequence number *applied*, flushed or not. Readers wait
+    /// on this.
+    pub applied_seq: SeqNo,
     /// Highest sequence number *published*: applied AND covered by a
-    /// group-commit flush. Initiators wait on this, never on the raw
+    /// group-commit flush. Submitters wait on this, never on the raw
     /// apply cursor, so they cannot observe un-flushed state.
     pub published_seq: SeqNo,
     /// Continuously up since last being in a majority configuration.
     pub stayed_up: bool,
+    /// Readers waiting for `applied_seq` to reach a target.
+    pub readers: Vec<(SeqNo, MailboxTx<Wake>)>,
     /// Initiators waiting for `published_seq` to reach a target.
     pub waiters: Vec<(SeqNo, MailboxTx<Wake>)>,
     /// Apply replies of the operations *this replica* submitted, by
@@ -90,8 +104,10 @@ impl DriverShared {
             mode: Mode::Recovering,
             group: None,
             stats: ReplicaStats::default(),
+            applied_seq: 0,
             published_seq: 0,
             stayed_up: false,
+            readers: Vec::new(),
             waiters: Vec::new(),
             results: HashMap::new(),
         }
@@ -112,23 +128,34 @@ impl DriverShared {
         self.results.clear();
     }
 
-    /// Wakes every waiter satisfied by the current published seq, in
-    /// the order they arrived.
-    fn wake_published(&mut self) {
-        let published = self.published_seq;
-        self.waiters.retain(|(target, tx)| {
-            let satisfied = *target <= published;
-            if satisfied {
-                tx.send(Wake::Applied);
-            }
-            !satisfied
-        });
+    /// Wakes every reader and waiter satisfied by its cursor, in the
+    /// order they arrived.
+    fn wake(&mut self) {
+        for (list, cursor) in [
+            (&mut self.readers, self.applied_seq),
+            (&mut self.waiters, self.published_seq),
+        ] {
+            list.retain(|(target, tx)| {
+                let satisfied = *target <= cursor;
+                if satisfied {
+                    tx.send(Wake::Applied);
+                }
+                !satisfied
+            });
+        }
     }
 
-    /// Aborts every waiter (the group collapsed).
+    /// Sets both cursors to `seq`: recovery aligned the machine with a
+    /// new instance's order, or installed a snapshot covering up to it.
+    pub(crate) fn set_cursors(&mut self, seq: SeqNo) {
+        self.applied_seq = seq;
+        self.published_seq = seq;
+    }
+
+    /// Aborts every reader and waiter (the group collapsed).
     fn abort_waiters(&mut self) {
-        self.stats.aborted += self.waiters.len() as u64;
-        for (_, tx) in self.waiters.drain(..) {
+        self.stats.aborted += (self.readers.len() + self.waiters.len()) as u64;
+        for (_, tx) in self.readers.drain(..).chain(self.waiters.drain(..)) {
             tx.send(Wake::Aborted);
         }
     }
@@ -341,25 +368,39 @@ impl<S: StateMachine> Replica<S> {
         let seq = group
             .send_traced(ctx, op.into(), trace)
             .map_err(|_| RsmError::NotInService)?;
-        self.wait_published(ctx, seq)?;
+        self.wait(ctx, seq, Cursor::Published, false)?;
         let result = { self.shared.lock().results.remove(&seq) };
         result.ok_or(RsmError::ResultLost)
     }
 
     /// The Fig. 5 read path: drains everything the kernel has ordered
-    /// before us, so a subsequent local read observes every update
-    /// this replica could know about (one-copy serializability).
+    /// before us ("wait until seqno == buffered_seqno") and returns that
+    /// target, once every operation up to it is *applied* here. The last
+    /// batch may still be flushing: a durable machine keeps its reads off
+    /// that batch's state, calling [`wait_published`](Replica::wait_published)
+    /// where it must.
     ///
     /// # Errors
     ///
     /// Same as [`submit`](Replica::submit).
-    pub fn read_barrier(&self, ctx: &Ctx) -> Result<(), RsmError> {
+    pub fn read_barrier(&self, ctx: &Ctx) -> Result<SeqNo, RsmError> {
         let group = self.serving_group()?;
         let target = group
             .info()
             .map_err(|_| RsmError::NotInService)?
             .highest_contiguous;
-        self.wait_published(ctx, target)
+        self.wait(ctx, target, Cursor::Applied, true)?;
+        Ok(target)
+    }
+
+    /// Blocks a reader until every operation up to `target` is applied
+    /// *and flushed* here.
+    ///
+    /// # Errors
+    ///
+    /// [`RsmError::Aborted`] if the group collapsed meanwhile.
+    pub fn wait_published(&self, ctx: &Ctx, target: SeqNo) -> Result<(), RsmError> {
+        self.wait(ctx, target, Cursor::Published, true)
     }
 
     /// The serving group handle, after the majority check.
@@ -380,21 +421,34 @@ impl<S: StateMachine> Replica<S> {
         }
     }
 
-    fn wait_published(&self, ctx: &Ctx, target: SeqNo) -> Result<(), RsmError> {
-        let behind = { self.shared.lock().published_seq < target };
-        if !behind {
-            return Ok(());
-        }
-        let (tx, rx) = ctx.handle().channel();
-        {
+    /// Blocks until `cursor` reaches `target`. A read's wait that blocks
+    /// is an `rsm.read_wait` span under the caller's ambient context; a
+    /// submitter's is covered by its op's apply and flush spans.
+    fn wait(&self, ctx: &Ctx, target: SeqNo, cursor: Cursor, read: bool) -> Result<(), RsmError> {
+        let rx = {
             let mut shared = self.shared.lock();
-            if shared.published_seq < target {
-                shared.waiters.push((target, tx));
-            } else {
-                tx.send(Wake::Applied);
+            let shared = &mut *shared;
+            let (at, list) = match cursor {
+                Cursor::Applied => (shared.applied_seq, &mut shared.readers),
+                Cursor::Published => (shared.published_seq, &mut shared.waiters),
+            };
+            if at >= target {
+                return Ok(());
             }
-        }
-        match rx.recv(ctx) {
+            let (tx, rx) = ctx.handle().channel();
+            list.push((target, tx));
+            rx
+        };
+        let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
+        let parent = if read {
+            amoeba_telemetry::current_ctx()
+        } else {
+            amoeba_telemetry::TraceCtx::NONE
+        };
+        let span = tele.begin_child("rsm.read_wait", self.machine, parent);
+        let wake = rx.recv(ctx);
+        tele.end(span);
+        match wake {
             Wake::Applied => Ok(()),
             Wake::Aborted => Err(RsmError::Aborted),
         }
@@ -427,9 +481,9 @@ impl<S: StateMachine> Replica<S> {
     /// Returns when the group is beyond repair (full recovery required).
     ///
     /// Each iteration collects a batch of delivered operations, applies
-    /// it, makes it durable with one inline
+    /// it, wakes its readers, makes it durable with one inline
     /// [`flush`](StateMachine::flush) and only then publishes it, so
-    /// waiters never observe un-flushed state.
+    /// submitters never observe un-flushed state.
     fn event_loop(&self, ctx: &Ctx, group: &Arc<Group>) {
         loop {
             let first = match group.recv_timeout(ctx, self.cfg.idle_timeout) {
@@ -488,6 +542,11 @@ impl<S: StateMachine> Replica<S> {
                 }
             }
             if let Some(&(last, ..)) = msgs.last() {
+                {
+                    let mut shared = self.shared.lock();
+                    shared.applied_seq = shared.applied_seq.max(last);
+                    shared.wake();
+                }
                 // One group-commit flush, then publish. Every op of the
                 // batch waits for the same flush, so each gets the span
                 // (under its own ordering context, like its apply span).
@@ -505,7 +564,7 @@ impl<S: StateMachine> Replica<S> {
                 shared.published_seq = shared.published_seq.max(last);
                 shared.results.extend(results);
                 shared.prune_results();
-                shared.wake_published();
+                shared.wake();
             }
 
             match tail {
@@ -516,8 +575,9 @@ impl<S: StateMachine> Replica<S> {
                     let view = group.info().map(|i| i.view).unwrap_or_default();
                     self.sm.on_membership(ctx, seq, &self.config_of(&view));
                     let mut shared = self.shared.lock();
+                    shared.applied_seq = shared.applied_seq.max(seq);
                     shared.published_seq = shared.published_seq.max(seq);
-                    shared.wake_published();
+                    shared.wake();
                 }
                 Some(Ok(GroupEvent::ResetDone { view, .. })) => {
                     // A reset consumes no slot: record the new
@@ -572,7 +632,7 @@ mod tests {
             });
         }
         shared.published_seq = 3;
-        shared.wake_published();
+        shared.wake();
         let left: Vec<SeqNo> = shared.waiters.iter().map(|(t, _)| *t).collect();
         assert_eq!(left, [5, 9]);
         sim.run();
@@ -588,6 +648,45 @@ mod tests {
         sim.run();
         let aborted: Vec<_> = std::iter::from_fn(|| log_rx.try_recv()).collect();
         assert_eq!(aborted, [(5, Wake::Aborted), (9, Wake::Aborted)]);
+    }
+
+    #[test]
+    fn a_batch_wakes_its_readers_at_apply_and_its_submitters_at_publish() {
+        let mut sim = Simulation::new(1);
+        let mut shared = DriverShared::new();
+        let (log_tx, log_rx) = sim.channel::<(&str, Wake)>();
+        let park = |who: &'static str, list: &mut Vec<(SeqNo, MailboxTx<Wake>)>| {
+            let (tx, rx) = sim.channel::<Wake>();
+            list.push((4, tx));
+            let log = log_tx.clone();
+            sim.spawn(who, move |ctx| log.send((who, rx.recv(ctx))));
+        };
+        park("reader", &mut shared.readers);
+        park("submitter", &mut shared.waiters);
+        park("late reader", &mut shared.readers);
+        let mut woken = || {
+            sim.run();
+            std::iter::from_fn(|| log_rx.try_recv()).collect::<Vec<_>>()
+        };
+
+        // The event loop's order: the batch's applies, then its flush.
+        shared.applied_seq = 4;
+        shared.wake();
+        assert_eq!(
+            woken(),
+            [("reader", Wake::Applied), ("late reader", Wake::Applied)]
+        );
+        shared.published_seq = 4;
+        shared.wake();
+        assert_eq!(woken(), [("submitter", Wake::Applied)]);
+
+        // A collapse aborts both lists.
+        let (tx, _rx) = sim.channel::<Wake>();
+        shared.readers.push((9, tx.clone()));
+        shared.waiters.push((9, tx));
+        shared.abort_waiters();
+        assert!(shared.readers.is_empty() && shared.waiters.is_empty());
+        assert_eq!(shared.stats.aborted, 2);
     }
 
     #[test]
