@@ -1,11 +1,9 @@
 //! The Bullet server process and its client stub.
 
-use std::collections::HashMap;
-
 use amoeba_disk::DiskServer;
 use amoeba_flip::{Payload, Port};
 use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
-use amoeba_sim::{Ctx, NodeId, Spawn};
+use amoeba_sim::{Ctx, IdMap, NodeId, Spawn};
 
 use crate::cap::FileCap;
 use crate::msg::{BulletErrorKind, BulletReply, BulletRequest};
@@ -59,8 +57,8 @@ pub fn start_bullet_server(
     base_block: u64,
     threads: usize,
 ) {
-    let cache: std::sync::Arc<parking_lot::Mutex<HashMap<u64, Payload>>> =
-        std::sync::Arc::new(parking_lot::Mutex::new(HashMap::new()));
+    let cache: std::sync::Arc<parking_lot::Mutex<IdMap<u64, Payload>>> =
+        std::sync::Arc::new(parking_lot::Mutex::new(IdMap::default()));
     for t in 0..threads.max(1) {
         let srv = RpcServer::new(rpc, service);
         let disk = disk.clone();
@@ -87,7 +85,7 @@ fn handle(
     ctx: &Ctx,
     disk: &DiskServer,
     store: &BulletStore,
-    cache: &parking_lot::Mutex<HashMap<u64, Payload>>,
+    cache: &parking_lot::Mutex<IdMap<u64, Payload>>,
     base_block: u64,
     req: BulletRequest,
 ) -> BulletReply {

@@ -5,9 +5,9 @@
 //! scanning the disk at boot; we persist the table alongside the blocks
 //! and charge the same disk traffic at the server layer.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use amoeba_sim::IdMap;
 use parking_lot::Mutex;
 
 use crate::cap::FileCap;
@@ -20,7 +20,7 @@ pub(crate) struct Inode {
 }
 
 struct StoreInner {
-    inodes: HashMap<u64, Inode>,
+    inodes: IdMap<u64, Inode>,
     next_object: u64,
     next_block: u64,
     /// The allocator has wrapped: a live file may lie over an older one.
@@ -56,7 +56,7 @@ impl BulletStore {
     pub fn new(nblocks: u64, block_size: usize, check_seed: u64) -> Self {
         BulletStore {
             inner: Arc::new(Mutex::new(StoreInner {
-                inodes: HashMap::new(),
+                inodes: IdMap::default(),
                 next_object: 1,
                 next_block: 0,
                 wrapped: false,

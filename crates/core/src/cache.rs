@@ -48,7 +48,6 @@
 //! traffic instead of by a timer, and co-started clients don't renew in
 //! lockstep.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +55,7 @@ use std::time::Duration;
 use amoeba_flip::wire::Wire;
 use amoeba_flip::{Payload, Port};
 use amoeba_rpc::{RpcNode, RpcServer};
-use amoeba_sim::{NodeId, Spawn};
+use amoeba_sim::{IdMap, NodeId, Spawn};
 use parking_lot::Mutex;
 
 use crate::capability::Capability;
@@ -140,12 +139,38 @@ impl Key {
     }
 }
 
+/// A snapshot's rows by name, sorted, each name once: a lookup is a
+/// binary search.
+#[derive(Debug)]
+pub(crate) struct NameIndex(Vec<(String, Capability)>);
+
+impl NameIndex {
+    /// Sorts `rows` by name; `None` if a name repeats. No server sends
+    /// one, and a binary search would answer either of the two.
+    pub(crate) fn new(mut rows: Vec<(String, Capability)>) -> Option<NameIndex> {
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if rows.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return None;
+        }
+        Some(NameIndex(rows))
+    }
+
+    /// The capability stored under `name`.
+    pub(crate) fn get(&self, name: &str) -> Option<Capability> {
+        let i = self
+            .0
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .ok()?;
+        Some(self.0[i].1)
+    }
+}
+
 /// One leased directory snapshot. `rows` holds only the rows visible to
 /// the holder (invisible rows are omitted by the service), restricted
 /// exactly as `LookupSet` would restrict them — so a local lookup is
 /// answer-identical to the server's.
 struct Entry {
-    rows: HashMap<String, Capability>,
+    rows: NameIndex,
     deadline_us: u64,
     renew_at_us: u64,
 }
@@ -156,8 +181,8 @@ struct Inner {
     /// Per-client renewal jitter (µs), derived from the machine index.
     jitter_us: AtomicU64,
     /// Lock order: `epochs` before `entries`, always.
-    epochs: Mutex<HashMap<(u64, u64), u64>>,
-    entries: Mutex<HashMap<Key, Entry>>,
+    epochs: Mutex<IdMap<(u64, u64), u64>>,
+    entries: Mutex<IdMap<Key, Entry>>,
     counters: Counters,
 }
 
@@ -185,8 +210,8 @@ impl DirCache {
                 params,
                 cb_port,
                 jitter_us: AtomicU64::new(0),
-                epochs: Mutex::new(HashMap::new()),
-                entries: Mutex::new(HashMap::new()),
+                epochs: Mutex::new(IdMap::default()),
+                entries: Mutex::new(IdMap::default()),
                 counters: Counters::default(),
             }),
         }
@@ -286,7 +311,7 @@ impl DirCache {
             }
             Some(e) => {
                 self.inner.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.rows.get(name).copied())
+                Some(e.rows.get(name))
             }
         }
     }
@@ -300,7 +325,7 @@ impl DirCache {
         &self,
         epoch0: u64,
         cap: &Capability,
-        rows: HashMap<String, Capability>,
+        rows: NameIndex,
         deadline_us: u64,
         now_us: u64,
     ) -> bool {

@@ -21,7 +21,6 @@
 //! mid-request (a migration racing the call) is chased, not surfaced
 //! as a hard failure, and old capabilities keep working forever.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -33,7 +32,7 @@ use amoeba_telemetry::Telemetry;
 
 use crate::cache::{CacheStats, DirCache};
 use crate::capability::Capability;
-use crate::ops::{DirError, DirReply, DirRequest};
+use crate::ops::{DirError, DirReply, DirRequest, Fetched};
 use crate::rights::Rights;
 use crate::shard::ShardMap;
 
@@ -674,36 +673,33 @@ impl DirClient {
                 cb_port: cache.cb_port().as_raw(),
                 ttl_us: cache.ttl_us(),
             };
-            match self.call(ctx, port, &req)? {
-                DirReply::Moved {
+            let bytes = self.rpc.trans(ctx, port, req.encode())?;
+            match Fetched::decode(&bytes).map_err(|_| DirClientError::Protocol)? {
+                Fetched::Reply(DirReply::Moved {
                     object,
                     to_port,
                     to_object,
-                } => {
+                }) => {
                     self.learn((port, object), (Port::from_raw(to_port), to_object));
                     cur = self.resolve_cap(cap);
                 }
-                DirReply::Snapshot {
-                    seqno: _,
+                Fetched::Snapshot {
                     deadline_us,
                     renewed,
-                    columns: _,
                     rows,
                 } => {
                     if renewed {
                         cache.note_renewal_saved();
                     }
                     let now_us = ctx.now().as_nanos() / 1_000;
-                    // Built once: the misses are answered from the map,
-                    // then the cache takes it.
-                    let map: HashMap<String, Capability> =
-                        rows.into_iter().map(|r| (r.name, r.cap)).collect();
-                    let answers = names.iter().map(|n| map.get(*n).copied()).collect();
-                    let servable = cache.install(epoch, &cur, map, deadline_us, now_us);
+                    // The misses are answered from the index, then the
+                    // cache takes it.
+                    let answers = names.iter().map(|n| rows.get(n)).collect();
+                    let servable = cache.install(epoch, &cur, rows, deadline_us, now_us);
                     return Ok(servable.then_some(answers));
                 }
-                DirReply::Err(_) => return Ok(None),
-                _ => return Err(DirClientError::Protocol),
+                Fetched::Reply(DirReply::Err(_)) => return Ok(None),
+                Fetched::Reply(_) => return Err(DirClientError::Protocol),
             }
         }
         Err(DirClientError::Protocol)

@@ -95,7 +95,7 @@ use amoeba_bullet::FileCap;
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
 use amoeba_rsm::{RecoveryInfo, StateMachine};
-use amoeba_sim::{Ctx, Resource};
+use amoeba_sim::{Ctx, IdMap, Resource};
 use parking_lot::Mutex;
 
 use crate::commit_block::CommitBlock;
@@ -130,7 +130,7 @@ pub struct DirectoryStateMachine {
 struct CkptState {
     /// Per-object final act of every journaled-but-not-yet-checkpointed
     /// batch (last-wins: interim versions are never written back).
-    dirty: std::collections::HashMap<u64, StagedAct>,
+    dirty: IdMap<u64, StagedAct>,
     /// Highest sealed commit seqno the dirty set covers; the
     /// checkpoint's commit-block write carries it.
     covered_seqno: u64,
@@ -210,8 +210,7 @@ impl DirectoryStateMachine {
 
     /// The final per-object disk work of one batch, coalesced.
     fn coalesce(effects: Vec<Effect>) -> (Vec<(u64, FinalAct)>, Vec<FileCap>, bool) {
-        use std::collections::HashMap;
-        let mut last: HashMap<u64, usize> = HashMap::new();
+        let mut last: IdMap<u64, usize> = IdMap::default();
         for (i, e) in effects.iter().enumerate() {
             last.insert(e.object(), i);
         }
@@ -770,9 +769,9 @@ impl StateMachine for DirectoryStateMachine {
         let applier = &self.applier;
         // What the initiating thread is owed; elsewhere nobody reads it,
         // so nothing is encoded.
-        let answer = |r: DirReply| {
+        let refuse = |e: DirError| {
             if reply {
-                r.encode()
+                DirReply::Err(e).encode()
             } else {
                 Payload::empty()
             }
@@ -783,7 +782,7 @@ impl StateMachine for DirectoryStateMachine {
                 // Malformed ops still consume their slot.
                 let mut shared = applier.shared.lock();
                 shared.applied_group_seq = shared.applied_group_seq.max(seq);
-                return answer(DirReply::Err(DirError::Malformed));
+                return refuse(DirError::Malformed);
             }
         };
         self.cpu.use_for(ctx, self.params.apply_cpu);
@@ -845,9 +844,9 @@ impl StateMachine for DirectoryStateMachine {
             shared.last_update_at = ctx.now();
             r
         };
-        let (granted, effects, useq) = match planned {
+        let (answer, effects, useq) = match planned {
             Ok(v) => v,
-            Err(e) => return answer(DirReply::Err(e)),
+            Err(e) => return refuse(e),
         };
         match applier.storage {
             StorageKind::Disk => self.pending.lock().extend(effects),
@@ -861,7 +860,7 @@ impl StateMachine for DirectoryStateMachine {
                 }
             }
         }
-        answer(granted)
+        answer
     }
 
     fn flush(&self, ctx: &Ctx) {

@@ -161,9 +161,7 @@ impl Directory {
 /// A row: its name, capability and per-column masks.
 impl Wire for Row {
     fn put(&self, w: &mut WireWriter) {
-        w.string(&self.name);
-        self.cap.put(w);
-        MASKS.put(w, &self.col_rights, Rights::put);
+        put_row(w, &self.name, &self.cap, self.col_rights.iter().copied());
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<Row, DecodeError> {
@@ -173,6 +171,32 @@ impl Wire for Row {
             col_rights: MASKS.get(r, Rights::get)?,
         })
     }
+}
+
+impl Row {
+    /// Reads a row as [`Row::get`] does, checking its masks without
+    /// keeping them: the client cache answers lookups from the name and
+    /// capability alone.
+    pub(crate) fn get_name_cap(
+        r: &mut WireReader<'_>,
+    ) -> Result<(String, Capability), DecodeError> {
+        let (name, cap) = (r.string("row name")?, Capability::get(r)?);
+        MASKS.get::<(), ()>(r, |r| Rights::get(r).map(drop))?;
+        Ok((name, cap))
+    }
+}
+
+/// The one writer of a row's wire form, for a [`Row`] and for a row a
+/// lease grant restricts as it writes it (no restricted copy is built).
+pub(crate) fn put_row(
+    w: &mut WireWriter,
+    name: &str,
+    cap: &Capability,
+    masks: impl Iterator<Item = Rights> + Clone,
+) {
+    w.string(name);
+    cap.put(w);
+    MASKS.put_n(w, masks.clone().count(), masks, |m, w| m.put(w));
 }
 
 /// A directory's Bullet file: its seqno, its columns, then its rows,

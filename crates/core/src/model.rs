@@ -2,7 +2,7 @@
 //! property tests to check one-copy serializability: a history accepted by
 //! the replicated service must match this model executed sequentially.
 
-use std::collections::HashMap;
+use amoeba_sim::IdMap;
 
 use crate::directory::Directory;
 use crate::ops::{DirError, DirOp, DirReply};
@@ -13,7 +13,7 @@ use crate::ops::{DirError, DirOp, DirReply};
 /// allocation) without any I/O, capabilities reduced to object numbers.
 #[derive(Debug, Default, Clone)]
 pub struct DirModel {
-    dirs: HashMap<u64, Directory>,
+    dirs: IdMap<u64, Directory>,
     highest_ever: u64,
 }
 

@@ -258,16 +258,15 @@ impl ObjectTable {
 
     fn decode_block(&mut self, block: u64, bytes: &[u8]) {
         let base = (block as usize - 1) * self.entries_per_block;
-        let mut r = WireReader::new(bytes);
-        for i in 0..self.entries_per_block {
-            let slot = base + i;
-            if slot >= self.entries.len() {
-                break;
-            }
-            self.entries[slot] = decode_entry(&mut r);
+        let slots = self.entries[base..].iter_mut().take(self.entries_per_block);
+        for (slot, entry) in slots.zip(bytes.chunks(ENTRY_BYTES)) {
+            *slot = decode_entry(entry);
         }
     }
 }
+
+/// A present entry: a 1, then 32 bytes of fields.
+const PRESENT_BYTES: usize = 33;
 
 fn encode_entry(w: &mut WireWriter, e: &Option<ObjEntry>) {
     match e {
@@ -276,36 +275,25 @@ fn encode_entry(w: &mut WireWriter, e: &Option<ObjEntry>) {
                 .u64(e.file_cap.object)
                 .u64(e.file_cap.check)
                 .u64(e.seqno)
-                .u64(e.check);
-            // Pad to the fixed entry size.
-            for _ in 0..(ENTRY_BYTES - 33) {
-                w.u8(0);
-            }
+                .u64(e.check)
+                .raw(&[0; ENTRY_BYTES - PRESENT_BYTES]);
         }
         None => {
-            for _ in 0..ENTRY_BYTES {
-                w.u8(0);
-            }
+            w.raw(&[0; ENTRY_BYTES]);
         }
     }
 }
 
-fn decode_entry(r: &mut WireReader<'_>) -> Option<ObjEntry> {
-    let present = r.u8("entry present").ok()?;
-    if present != 1 {
-        // Skip the rest of the slot.
-        for _ in 0..(ENTRY_BYTES - 1) {
-            let _ = r.u8("pad");
-        }
+/// Decodes one entry's slot; its padding is never read.
+fn decode_entry(slot: &[u8]) -> Option<ObjEntry> {
+    let mut r = WireReader::new(slot);
+    if r.u8("entry present").ok()? != 1 {
         return None;
     }
     let file_object = r.u64("entry file object").ok()?;
     let file_check = r.u64("entry file check").ok()?;
     let seqno = r.u64("entry seqno").ok()?;
     let check = r.u64("entry check").ok()?;
-    for _ in 0..(ENTRY_BYTES - 33) {
-        let _ = r.u8("pad");
-    }
     Some(ObjEntry {
         file_cap: FileCap {
             object: file_object,
@@ -461,6 +449,23 @@ mod tests {
             t.durable_clear(3); // no-op without a mirror
             assert_eq!(t.get(3), Some(entry(3)));
         });
+    }
+
+    /// An entry is a 1 and its four fields, zero-padded to 40 bytes; an
+    /// empty slot is 40 zeroes.
+    #[test]
+    fn a_block_keeps_its_entry_layout() {
+        let mut w = WireWriter::new();
+        encode_entry(&mut w, &Some(entry(1)));
+        encode_entry(&mut w, &None);
+        let mut want = vec![1];
+        for field in [1u64, 7, 100, 13] {
+            want.extend(field.to_le_bytes());
+        }
+        want.resize(2 * ENTRY_BYTES, 0);
+        assert_eq!(w.finish(), want);
+        assert_eq!(decode_entry(&want[..ENTRY_BYTES]), Some(entry(1)));
+        assert_eq!(decode_entry(&want[ENTRY_BYTES..]), None);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
 
+use crate::cache::NameIndex;
 use crate::capability::Capability;
 use crate::directory::{Row, COLUMNS, MASKS, ROWS};
 use crate::rights::Rights;
@@ -694,11 +695,7 @@ impl Wire for DirReply {
                 columns,
                 rows,
             } => {
-                w.u8(RP_SNAPSHOT)
-                    .u64(*seqno)
-                    .u64(*deadline_us)
-                    .boolean(*renewed);
-                COLUMNS.put(w, columns, String::put);
+                put_snapshot_head(w, *seqno, *deadline_us, *renewed, columns);
                 ROWS.put(w, rows, Row::put);
             }
             DirReply::Err(e) => {
@@ -728,15 +725,84 @@ impl Wire for DirReply {
                 columns: COLUMNS.get(r, String::get)?,
                 rows: ROWS.get(r, Row::get)?,
             },
-            RP_SNAPSHOT => DirReply::Snapshot {
-                seqno: r.u64("snap seqno")?,
-                deadline_us: r.u64("snap deadline")?,
-                renewed: r.boolean("snap renewed")?,
-                columns: COLUMNS.get(r, String::get)?,
-                rows: ROWS.get(r, Row::get)?,
-            },
+            RP_SNAPSHOT => {
+                let (seqno, deadline_us, renewed, columns) = get_snapshot_head(r)?;
+                DirReply::Snapshot {
+                    seqno,
+                    deadline_us,
+                    renewed,
+                    columns,
+                    rows: ROWS.get(r, Row::get)?,
+                }
+            }
             RP_ERR => DirReply::Err(DirError::get(r)?),
             _ => return Err(DecodeError::new("dir rep tag")),
+        })
+    }
+}
+
+/// A snapshot reply up to its rows: the tag, seqno, deadline, renewed
+/// flag and columns. [`DirReply::Snapshot`]'s `put` and a lease grant's
+/// encoder both write it, then the rows, each with
+/// [`put_row`](crate::directory::put_row).
+pub(crate) fn put_snapshot_head(
+    w: &mut WireWriter,
+    seqno: u64,
+    deadline_us: u64,
+    renewed: bool,
+    columns: &[String],
+) {
+    w.u8(RP_SNAPSHOT)
+        .u64(seqno)
+        .u64(deadline_us)
+        .boolean(renewed);
+    COLUMNS.put(w, columns, String::put);
+}
+
+/// Reads what [`put_snapshot_head`] wrote after the tag.
+fn get_snapshot_head(r: &mut WireReader<'_>) -> Result<(u64, u64, bool, Vec<String>), DecodeError> {
+    Ok((
+        r.u64("snap seqno")?,
+        r.u64("snap deadline")?,
+        r.boolean("snap renewed")?,
+        COLUMNS.get(r, String::get)?,
+    ))
+}
+
+/// A [`DirRequest::FetchDir`] answer as the client cache reads it: a
+/// snapshot's rows go straight into the cache entry's [`NameIndex`],
+/// with no [`Row`] built on the way.
+#[derive(Debug)]
+pub(crate) enum Fetched {
+    /// A leased snapshot.
+    Snapshot {
+        deadline_us: u64,
+        renewed: bool,
+        rows: NameIndex,
+    },
+    /// Any other reply.
+    Reply(DirReply),
+}
+
+impl Fetched {
+    /// Decodes a reply with [`DirReply`]'s readers and bounds.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] wherever [`DirReply::decode`] refuses the bytes,
+    /// and for a snapshot that repeats a name.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Fetched, DecodeError> {
+        let mut r = WireReader::new(bytes);
+        if r.u8("dir rep tag")? != RP_SNAPSHOT {
+            return DirReply::decode(bytes).map(Fetched::Reply);
+        }
+        let (_, deadline_us, renewed, _) = get_snapshot_head(&mut r)?;
+        let rows = ROWS.get(&mut r, Row::get_name_cap)?;
+        r.expect_end("trailing bytes")?;
+        Ok(Fetched::Snapshot {
+            deadline_us,
+            renewed,
+            rows: NameIndex::new(rows).ok_or(DecodeError::new("snapshot names"))?,
         })
     }
 }
@@ -969,6 +1035,50 @@ mod tests {
             let _ = DirRequest::decode(&data);
             let _ = DirReply::decode(&data);
             let _ = DirOp::decode(&data);
+            let _ = Fetched::decode(&data);
         });
+    }
+
+    /// A hand-built snapshot reply granting the owner column of each name.
+    fn snapshot(names: &[&str]) -> Payload {
+        let row = |name: &&str| Row {
+            name: name.to_string(),
+            cap: cap(1),
+            col_rights: vec![Rights::ALL],
+        };
+        let reply = DirReply::Snapshot {
+            seqno: 3,
+            deadline_us: 9,
+            renewed: true,
+            columns: vec!["owner".into()],
+            rows: names.iter().map(row).collect(),
+        };
+        reply.encode()
+    }
+
+    /// The client cache reads a snapshot straight into its name index,
+    /// and refuses one that repeats a name (which the client reports as
+    /// [`crate::DirClientError::Protocol`]): the index could answer
+    /// either row.
+    #[test]
+    fn a_fetched_snapshot_is_a_name_index_and_a_repeated_name_is_refused() {
+        match Fetched::decode(&snapshot(&["b", "a", "c"])) {
+            Ok(Fetched::Snapshot {
+                deadline_us: 9,
+                renewed: true,
+                rows,
+            }) => {
+                for name in ["a", "b", "c"] {
+                    assert_eq!(rows.get(name), Some(cap(1)), "{name}");
+                }
+                assert_eq!(rows.get("d"), None);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(Fetched::decode(&snapshot(&["b", "a", "b"])).is_err());
+        assert!(matches!(
+            Fetched::decode(&DirReply::Ok.encode()),
+            Ok(Fetched::Reply(DirReply::Ok))
+        ));
     }
 }

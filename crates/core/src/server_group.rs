@@ -327,7 +327,7 @@ fn handle_request(
             let at = read_point(ctx, applier, replica, &publish, req)?;
             cpu.use_for(ctx, params.read_cpu);
             if let Some(rep) = applier.serve_renewed_fetch(ctx, cap, *owner, *ttl_us, &at) {
-                return Ok(rep.encode());
+                return Ok(rep);
             }
             // The lease vanished between the pre-check and the barrier —
             // fall through to the normal grant round.

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use amoeba_bullet::BulletClient;
 use amoeba_disk::RawPartition;
 use amoeba_flip::wire::Wire;
+use amoeba_flip::Payload;
 use amoeba_rpc::{RpcNode, RpcServer};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
 use parking_lot::Mutex;
@@ -115,7 +116,7 @@ pub fn start_nfs_server(spawner: &impl Spawn, deps: NfsServerDeps) -> NfsDirServ
                 };
                 let reply = if req.is_read() {
                     cpu.use_for(ctx, params.read_cpu);
-                    applier.serve_read(ctx, &req, &ReadAt::LOCAL)
+                    applier.serve_read(ctx, &req, &ReadAt::LOCAL).encode()
                 } else {
                     cpu.use_for(ctx, params.write_cpu);
                     update_lock.acquire(ctx);
@@ -125,12 +126,12 @@ pub fn start_nfs_server(spawner: &impl Spawn, deps: NfsServerDeps) -> NfsDirServ
                         // single in-place write (no copy-on-write Bullet
                         // file), so one disk operation per update.
                         Ok(op) => applier.apply_nfs(ctx, &op),
-                        Err(e) => DirReply::Err(e),
+                        Err(e) => DirReply::Err(e).encode(),
                     };
                     update_lock.release();
                     reply
                 };
-                srv.putrep(&incoming, reply.encode());
+                srv.putrep(&incoming, reply);
             }),
         );
     }
@@ -142,7 +143,7 @@ impl Applier {
     /// (the object-table block). Directory contents live in RAM and reach
     /// the disk asynchronously (UNIX buffer cache behaviour); this is the
     /// "no fault tolerance" column of Fig. 7.
-    pub(crate) fn apply_nfs(&self, ctx: &Ctx, op: &crate::ops::DirOp) -> DirReply {
+    pub(crate) fn apply_nfs(&self, ctx: &Ctx, op: &crate::ops::DirOp) -> Payload {
         let planned = {
             let mut shared = self.shared.lock();
             self.plan(&mut shared, op, None, true)
@@ -157,7 +158,7 @@ impl Applier {
                 }
                 reply
             }
-            Err(e) => DirReply::Err(e),
+            Err(e) => DirReply::Err(e).encode(),
         }
     }
 }

@@ -11,7 +11,6 @@
 //! background. No partition tolerance: the paper's RPC service assumes
 //! partitions do not happen.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use amoeba_bullet::BulletClient;
@@ -19,7 +18,7 @@ use amoeba_disk::RawPartition;
 use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
 use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
-use amoeba_sim::{Ctx, MailboxTx, NodeId, Resource, Spawn};
+use amoeba_sim::{Ctx, IdSet, MailboxTx, NodeId, Resource, Spawn};
 use parking_lot::Mutex;
 
 use crate::config::{DirParams, ServiceConfig, StorageKind};
@@ -95,7 +94,7 @@ impl Wire for PeerMsg {
 struct RpcCoord {
     /// Directories currently locked by an in-flight update (object 0 is
     /// the allocation lock taken by creates).
-    locked: HashSet<u64>,
+    locked: IdSet<u64>,
     /// Intentions accepted from the peer and not yet applied lazily.
     pending_intents: Vec<(u64, Payload)>,
 }
@@ -178,7 +177,7 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
         lease_renewals: params.lease_renewals,
     });
     let coord = Arc::new(Mutex::new(RpcCoord {
-        locked: HashSet::new(),
+        locked: IdSet::default(),
         pending_intents: Vec::new(),
     }));
     let server = RpcDirServer {
@@ -297,7 +296,7 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
 impl Applier {
     /// Applies an op under an externally supplied sequence number (used by
     /// the RPC service, whose two replicas exchange originator seqnos).
-    pub(crate) fn apply_with_seq(&self, ctx: &Ctx, useq: u64, op: &DirOp) -> DirReply {
+    pub(crate) fn apply_with_seq(&self, ctx: &Ctx, useq: u64, op: &DirOp) -> Payload {
         // Pre-load the affected directory, mirroring `apply`.
         let object = op_lock_object(op);
         if object != 0 {
@@ -314,7 +313,7 @@ impl Applier {
                 }
                 reply
             }
-            Err(e) => DirReply::Err(e),
+            Err(e) => DirReply::Err(e).encode(),
         }
     }
 }
@@ -359,12 +358,13 @@ fn rpc_initiator_loop(
         let reply = if req.is_read() {
             // Reads: local, no coordination (the RPC service's semantics).
             cpu.use_for(ctx, params.read_cpu);
-            applier.serve_read(ctx, &req, &ReadAt::LOCAL)
+            applier.serve_read(ctx, &req, &ReadAt::LOCAL).encode()
         } else {
             cpu.use_for(ctx, params.write_cpu);
             rpc_write(ctx, applier, coord, rpc_client, peer_port, lazy_tx, &req)
+                .unwrap_or_else(|e| DirReply::Err(e).encode())
         };
-        srv.putrep(&incoming, reply.encode());
+        srv.putrep(&incoming, reply);
     }
 }
 
@@ -376,17 +376,14 @@ fn rpc_write(
     peer_port: amoeba_flip::Port,
     lazy_tx: &MailboxTx<(u64, Payload)>,
     req: &DirRequest,
-) -> DirReply {
-    let op = match applier.prepare_write(ctx, req) {
-        Ok(op) => op,
-        Err(e) => return DirReply::Err(e),
-    };
+) -> Result<Payload, DirError> {
+    let op = applier.prepare_write(ctx, req)?;
     let lock_object = op_lock_object(&op);
     // Local conflict lock.
     {
         let mut c = coord.lock();
         if c.locked.contains(&lock_object) {
-            return DirReply::Err(DirError::Internal); // busy; client retries
+            return Err(DirError::Internal); // busy; client retries
         }
         c.locked.insert(lock_object);
     }
@@ -408,14 +405,14 @@ fn rpc_write(
     };
     if !peer_ok {
         coord.lock().locked.remove(&lock_object);
-        return DirReply::Err(DirError::Internal);
+        return Err(DirError::Internal);
     }
     // Phase 2: perform the update locally (Bullet file + table write).
     let reply = applier.apply_with_seq(ctx, useq, &op);
     coord.lock().locked.remove(&lock_object);
     // Phase 3: lazy replication in the background.
     lazy_tx.send((useq, op_bytes));
-    reply
+    Ok(reply)
 }
 
 #[cfg(test)]

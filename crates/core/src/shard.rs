@@ -126,11 +126,11 @@
 //!   advisory client-side state on top — never required for
 //!   correctness, only for skipping already-learned hops.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use amoeba_flip::Port;
+use amoeba_sim::IdMap;
 use parking_lot::Mutex;
 
 use crate::capability::Capability;
@@ -159,7 +159,7 @@ pub struct ShardMap {
     shards: usize,
     ports: Vec<Port>,
     /// Learned forwarding hints: old `(port, object)` → new location.
-    reloc: Arc<Mutex<HashMap<Location, Location>>>,
+    reloc: Arc<Mutex<IdMap<Location, Location>>>,
     /// Bumped once per newly learned hint.
     epoch: Arc<AtomicU64>,
 }
@@ -190,7 +190,7 @@ impl ShardMap {
         ShardMap {
             shards,
             ports,
-            reloc: Arc::new(Mutex::new(HashMap::new())),
+            reloc: Arc::new(Mutex::new(IdMap::default())),
             epoch: Arc::new(AtomicU64::new(0)),
         }
     }

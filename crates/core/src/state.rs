@@ -6,17 +6,17 @@ use std::sync::Arc;
 
 use amoeba_bullet::{BulletClient, FileCap};
 use amoeba_disk::{Journal, NvRecord, Nvram, RawPartition};
-use amoeba_flip::wire::Wire;
+use amoeba_flip::wire::{encode_with, Wire};
 use amoeba_flip::{Payload, Port};
-use amoeba_sim::Ctx;
+use amoeba_sim::{Ctx, IdMap, IdSet};
 use parking_lot::Mutex;
 
 use crate::capability::Capability;
 use crate::commit_block::CommitBlock;
 use crate::config::{ServiceConfig, StorageKind};
-use crate::directory::{DirStructureError, Directory, Row};
+use crate::directory::{put_row, DirStructureError, Directory, Row, ROWS};
 use crate::object_table::{ObjEntry, ObjectTable};
-use crate::ops::{DirError, DirOp, DirReply, DirRequest};
+use crate::ops::{put_snapshot_head, DirError, DirOp, DirReply, DirRequest};
 use crate::rights::Rights;
 
 /// Server operating mode (the group variant's mode lives in the RSM
@@ -37,13 +37,13 @@ pub(crate) struct Shared {
     /// one immutable *version* of its directory: readers, the planner
     /// and the deferred disk effects share it, and an update publishes
     /// the next version — the one copy it edited — in its place.
-    pub cache: HashMap<u64, Arc<Directory>>,
+    pub cache: IdMap<u64, Arc<Directory>>,
     /// The objects the batch being applied or flushed has changed: the
     /// first group seq that changed each and, while every change only
     /// edited rows, its durable version from before the batch. Filled
     /// and emptied by the replicated machine (see `dir_sm`); the read
     /// rule ([`Applier::settle`]) keeps reads off what it lists.
-    pub unflushed: HashMap<u64, (u64, Option<Arc<Directory>>)>,
+    pub unflushed: IdMap<u64, (u64, Option<Arc<Directory>>)>,
     /// Logical version counter, monotone across group incarnations;
     /// stored with every directory ("sequence number", Fig. 4/§3).
     pub update_seq: u64,
@@ -60,6 +60,7 @@ pub(crate) struct Shared {
     /// (`key → object`): the idempotency memory of the cross-shard
     /// two-step protocols (see [`crate::ShardMap`]). Replicated state —
     /// travels in snapshots; deleting a directory deletes its records.
+    /// Keyed by a key the request carries, so hashed with `RandomState`.
     pub completions: HashMap<u64, u64>,
     /// Forwarding stubs of migrated-away directories
     /// (`object → new location`). The object's table entry is *kept*
@@ -68,31 +69,31 @@ pub(crate) struct Shared {
     /// state — travels in snapshots with the entry's check/seqno; like
     /// completions, lost only if every replica boots from a salvaged
     /// disk in the same window.
-    pub stubs: HashMap<u64, StubEntry>,
+    pub stubs: IdMap<u64, StubEntry>,
     /// Per-directory operation counts since the last drain — advisory,
     /// replica-local load signal for the rebalancer (never replicated,
     /// never deterministic across replicas: reads count only where they
     /// are served).
-    pub heat: HashMap<u64, u64>,
+    pub heat: IdMap<u64, u64>,
     /// Outstanding client read leases (`object → holders`). Replicated
     /// state — grants travel through the total order (a replica-local
     /// grant would be invisible to a write initiated at another
     /// replica, breaking the cache fence) and in snapshots, with
     /// deadlines chosen by the granting initiator in global simulated
     /// time so apply stays deterministic.
-    pub rleases: HashMap<u64, Vec<ReadLease>>,
+    pub rleases: IdMap<u64, Vec<ReadLease>>,
     /// Leases revoked by applied mutations, parked here until an
     /// initiator thread on *this* machine fans out the invalidation
     /// callbacks before acknowledging its write. Advisory and
     /// replica-local (every replica applies the same revocation; only
     /// the writer's machine must act on it), never snapshotted; entries
     /// whose deadline passed are pruned on apply.
-    pub revoked: HashMap<u64, Vec<ReadLease>>,
+    pub revoked: IdMap<u64, Vec<ReadLease>>,
     /// Invalidation fan-outs in flight per object on this machine: a
     /// second writer to the same object must not acknowledge before a
     /// racing writer's fan-out (which may cover leases the second
     /// writer's apply no longer sees) completes.
-    pub inflight_inval: HashMap<u64, u32>,
+    pub inflight_inval: IdMap<u64, u32>,
     /// Simulated-time µs before which no write may be acknowledged:
     /// set after booting from salvaged non-empty local state, when the
     /// replicated lease table (volatile, never on disk) may have been
@@ -146,19 +147,19 @@ impl Shared {
         Shared {
             mode: Mode::Recovering,
             table,
-            cache: HashMap::new(),
-            unflushed: HashMap::new(),
+            cache: IdMap::default(),
+            unflushed: IdMap::default(),
             update_seq: 0,
             applied_group_seq: 0,
             commit: CommitBlock::initial(n),
             next_nv_uid: 1,
             last_update_at: amoeba_sim::SimTime::ZERO,
             completions: HashMap::new(),
-            stubs: HashMap::new(),
-            heat: HashMap::new(),
-            rleases: HashMap::new(),
-            revoked: HashMap::new(),
-            inflight_inval: HashMap::new(),
+            stubs: IdMap::default(),
+            heat: IdMap::default(),
+            rleases: IdMap::default(),
+            revoked: IdMap::default(),
+            inflight_inval: IdMap::default(),
             write_fence_until_us: 0,
         }
     }
@@ -303,10 +304,12 @@ fn publish(shared: &mut Shared, object: u64, mut dir: Arc<Directory>, useq: u64)
     Effect::StoreDir { object, dir }
 }
 
-/// The snapshot a read lease covers: the rows the holder of `cap` can
-/// see, restricted exactly as `LookupSet` would restrict them. Rows the
-/// holder has no effective rights over are omitted — a cached lookup of
-/// their name answers `None`, just like the server would.
+/// The snapshot a read lease covers, as the [`DirReply::Snapshot`] bytes
+/// the holder is sent: the rows the holder of `cap` can see, restricted
+/// exactly as `LookupSet` would restrict them. Rows the holder has no
+/// effective rights over are omitted — a cached lookup of their name
+/// answers `None`, just like the server would. Written straight from the
+/// shared version, so no restricted copy of a row is ever built.
 fn lease_snapshot(
     shared: &Shared,
     public_port: Port,
@@ -314,29 +317,26 @@ fn lease_snapshot(
     cap: &Capability,
     deadline_us: u64,
     renewed: bool,
-) -> DirReply {
-    let rows = dir
-        .rows
-        .iter()
-        .filter_map(|row| {
+) -> Payload {
+    let visible = || {
+        dir.rows.iter().filter_map(|row| {
             let eff = dir.effective_rights(row, cap.rights);
-            if eff == Rights::NONE {
-                return None;
-            }
-            Some(Row {
-                name: row.name.clone(),
-                cap: restrict_with(shared, public_port, &row.cap, eff),
-                col_rights: visible_masks(&row.col_rights, cap.rights),
-            })
+            (eff != Rights::NONE).then_some((row, eff))
         })
-        .collect();
-    DirReply::Snapshot {
-        seqno: dir.seqno,
-        deadline_us,
-        renewed,
-        columns: dir.columns.clone(),
-        rows,
-    }
+    };
+    let n = visible().count();
+    encode_with(|w| {
+        put_snapshot_head(w, dir.seqno, deadline_us, renewed, &dir.columns);
+        ROWS.put_n(w, n, visible(), |(row, eff), w| {
+            let restricted = restrict_with(shared, public_port, &row.cap, eff);
+            put_row(
+                w,
+                &row.name,
+                &restricted,
+                visible_masks(&row.col_rights, cap.rights),
+            );
+        });
+    })
 }
 
 /// Storage effects produced by the deterministic plan phase.
@@ -387,13 +387,12 @@ pub(crate) fn op_object(op: &DirOp) -> u64 {
 }
 
 /// The masks of the columns a holder with `rights` sees.
-fn visible_masks(masks: &[Rights], rights: Rights) -> Vec<Rights> {
+fn visible_masks(masks: &[Rights], rights: Rights) -> impl Iterator<Item = Rights> + Clone + '_ {
     masks
         .iter()
         .enumerate()
-        .filter(|(i, _)| rights.sees_column(*i))
+        .filter(move |(i, _)| rights.sees_column(*i))
         .map(|(_, m)| *m)
-        .collect()
 }
 
 /// Where in the total order a read is served: it must see every op up
@@ -494,22 +493,22 @@ impl Applier {
         }
     }
 
-    /// Computes the new state and storage effects for `op`. Must be
-    /// deterministic: every replica runs this on the same state in the
-    /// same order. `forced_seq` pins the update seq during NVRAM replay.
+    /// Computes the new state and storage effects for `op`, and the
+    /// encoded answer its initiator is owed. Must be deterministic: every
+    /// replica runs this on the same state in the same order.
+    /// `forced_seq` pins the update seq during NVRAM replay.
     ///
-    /// `reply == false` is the caller's promise to drop the returned
-    /// [`DirReply`] unread (a replica that did not initiate the op, a
-    /// replay): the one arm whose answer costs something to build — the
-    /// grant's snapshot — then returns a bare [`DirReply::Ok`] in its
-    /// place. Nothing else may depend on the flag.
+    /// `reply == false` is the caller's promise that nobody reads the
+    /// answer (a replica that did not initiate the op, a replay): it is
+    /// then empty, and nothing is encoded — in particular no grant's
+    /// snapshot. Nothing else may depend on the flag.
     pub(crate) fn plan(
         &self,
         shared: &mut Shared,
         op: &DirOp,
         forced_seq: Option<u64>,
         reply: bool,
-    ) -> Result<(DirReply, Vec<Effect>, u64), DirError> {
+    ) -> Result<(Payload, Vec<Effect>, u64), DirError> {
         let useq = match forced_seq {
             Some(s) => {
                 shared.update_seq = shared.update_seq.max(s);
@@ -518,6 +517,13 @@ impl Applier {
             None => {
                 shared.update_seq += 1;
                 shared.update_seq
+            }
+        };
+        let answer = |reply_to: DirReply| {
+            if reply {
+                reply_to.encode()
+            } else {
+                Payload::empty()
             }
         };
         // A relocated directory answers every op with its new location
@@ -535,15 +541,12 @@ impl Applier {
                 }
             };
             if let Some((object, stub)) = hit {
-                return Ok((
-                    DirReply::Moved {
-                        object,
-                        to_port: stub.to_port,
-                        to_object: stub.to_object,
-                    },
-                    Vec::new(),
-                    useq,
-                ));
+                let moved = DirReply::Moved {
+                    object,
+                    to_port: stub.to_port,
+                    to_object: stub.to_object,
+                };
+                return Ok((answer(moved), Vec::new(), useq));
             }
         }
         // Advisory write-load signal for the rebalancer.
@@ -551,6 +554,51 @@ impl Applier {
         if hot != 0 {
             *shared.heat.entry(hot).or_insert(0) += 1;
         }
+        if let DirOp::GrantRead {
+            cap,
+            owner,
+            cb_port,
+            now_us,
+            deadline_us,
+        } = op
+        {
+            let object = validate_dir_cap(shared, self.cfg.public_port, cap, Rights::NONE)?;
+            if !cap.rights.sees_any_column() {
+                return Err(DirError::NoPermission);
+            }
+            let dir = self.dir_for_plan(shared, object)?;
+            // Prune expired holders deterministically (the op carries
+            // the initiator's clock), then upsert this holder's lease.
+            let leases = shared.rleases.entry(object).or_default();
+            leases.retain(|l| l.deadline_us > *now_us && l.owner != *owner);
+            leases.push(ReadLease {
+                owner: *owner,
+                cb_port: *cb_port,
+                deadline_us: *deadline_us,
+                ttl_us: deadline_us.saturating_sub(*now_us),
+                renewals_left: self.lease_renewals,
+            });
+            // Every replica registers the lease; only the one that owes
+            // the holder an answer writes the snapshot.
+            let granted = if reply {
+                lease_snapshot(shared, self.cfg.public_port, &dir, cap, *deadline_us, false)
+            } else {
+                Payload::empty()
+            };
+            return Ok((granted, Vec::new(), useq));
+        }
+        let (reply_to, effects) = self.plan_update(shared, op, useq)?;
+        Ok((answer(reply_to), effects, useq))
+    }
+
+    /// [`plan`](Applier::plan) for every op but a grant: the state change,
+    /// its storage effects and the reply.
+    fn plan_update(
+        &self,
+        shared: &mut Shared,
+        op: &DirOp,
+        useq: u64,
+    ) -> Result<(DirReply, Vec<Effect>), DirError> {
         match op {
             DirOp::Create { columns, check } => self.plan_create(shared, columns, *check, useq),
             DirOp::CreateKeyed {
@@ -563,7 +611,7 @@ impl Applier {
                         // Replay of a completed create: hand back the
                         // original capability, change nothing.
                         let cap = Capability::owner(self.cfg.public_port, object, entry.check);
-                        return Ok((DirReply::Cap(cap), Vec::new(), useq));
+                        return Ok((DirReply::Cap(cap), Vec::new()));
                     }
                 }
                 let planned = self.plan_create(shared, columns, *check, useq)?;
@@ -584,7 +632,6 @@ impl Applier {
                         object: *object,
                         old_file: entry.file_cap,
                     }],
-                    useq,
                 ))
             }
             DirOp::Append {
@@ -598,7 +645,7 @@ impl Applier {
                     .append_row(name.clone(), *cap, col_rights.clone())
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
-                Ok((DirReply::Ok, vec![stored], useq))
+                Ok((DirReply::Ok, vec![stored]))
             }
             DirOp::Chmod {
                 object,
@@ -610,7 +657,7 @@ impl Applier {
                     .chmod_row(name, col_rights.clone())
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
-                Ok((DirReply::Ok, vec![stored], useq))
+                Ok((DirReply::Ok, vec![stored]))
             }
             DirOp::DeleteRow { object, name } => {
                 let mut dir = self.dir_for_plan(shared, *object)?;
@@ -618,7 +665,7 @@ impl Applier {
                     .delete_row(name)
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
-                Ok((DirReply::Ok, vec![stored], useq))
+                Ok((DirReply::Ok, vec![stored]))
             }
             DirOp::AppendLink {
                 object,
@@ -630,7 +677,7 @@ impl Applier {
                 if let Some(row) = dir.find(name) {
                     // Idempotent replay of a completed link.
                     return if row.cap == *cap {
-                        Ok((DirReply::Ok, Vec::new(), useq))
+                        Ok((DirReply::Ok, Vec::new()))
                     } else {
                         Err(DirError::DuplicateName)
                     };
@@ -639,26 +686,26 @@ impl Applier {
                     .append_row(name.clone(), *cap, col_rights.clone())
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
-                Ok((DirReply::Ok, vec![stored], useq))
+                Ok((DirReply::Ok, vec![stored]))
             }
             DirOp::Unlink { object, name } => {
                 if shared.table.get(*object).is_none() {
                     // Directory already gone: nothing left to unlink.
-                    return Ok((DirReply::Ok, Vec::new(), useq));
+                    return Ok((DirReply::Ok, Vec::new()));
                 }
                 let mut dir = self.dir_for_plan(shared, *object)?;
                 if dir.find(name).is_none() {
-                    return Ok((DirReply::Ok, Vec::new(), useq));
+                    return Ok((DirReply::Ok, Vec::new()));
                 }
                 Arc::make_mut(&mut dir)
                     .delete_row(name)
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
-                Ok((DirReply::Ok, vec![stored], useq))
+                Ok((DirReply::Ok, vec![stored]))
             }
             DirOp::ReplaceSet { items } => {
                 // Indivisible: validate everything, then mutate.
-                let mut dirs: HashMap<u64, Arc<Directory>> = HashMap::new();
+                let mut dirs: IdMap<u64, Arc<Directory>> = IdMap::default();
                 for (object, name, _) in items {
                     if !dirs.contains_key(object) {
                         dirs.insert(*object, self.dir_for_plan(shared, *object)?);
@@ -679,7 +726,7 @@ impl Applier {
                     let dir = dirs.remove(&object).expect("present");
                     effects.push(publish(shared, object, dir, useq));
                 }
-                Ok((DirReply::Ok, effects, useq))
+                Ok((DirReply::Ok, effects))
             }
             DirOp::InstallDir {
                 columns,
@@ -694,7 +741,7 @@ impl Applier {
                         if shared.stubs.contains_key(&object) {
                             // The copy itself migrated on; hand back its
                             // (stubbed) capability — the holder chases.
-                            return Ok((DirReply::Cap(cap), Vec::new(), useq));
+                            return Ok((DirReply::Cap(cap), Vec::new()));
                         }
                         // Upsert: a retry after a Stale CAS carries newer
                         // contents — replace the dark copy wholesale.
@@ -707,7 +754,7 @@ impl Applier {
                                 check: entry.check,
                             },
                         );
-                        return Ok((DirReply::Cap(cap), vec![stored], useq));
+                        return Ok((DirReply::Cap(cap), vec![stored]));
                     }
                 }
                 // Fresh install: allocate like a create, with the carried
@@ -728,7 +775,7 @@ impl Applier {
                 );
                 shared.completions.insert(*key, object);
                 let cap = Capability::owner(self.cfg.public_port, object, *check);
-                Ok((DirReply::Cap(cap), vec![stored], useq))
+                Ok((DirReply::Cap(cap), vec![stored]))
             }
             DirOp::InstallStub {
                 object,
@@ -740,7 +787,7 @@ impl Applier {
                     // Replay of a completed migration — or a different
                     // one won: both are answered without touching state.
                     return if stub.to_port == *to_port && stub.to_object == *to_object {
-                        Ok((DirReply::Ok, Vec::new(), useq))
+                        Ok((DirReply::Ok, Vec::new()))
                     } else {
                         Ok((
                             DirReply::Moved {
@@ -749,7 +796,6 @@ impl Applier {
                                 to_object: stub.to_object,
                             },
                             Vec::new(),
-                            useq,
                         ))
                     };
                 }
@@ -794,41 +840,9 @@ impl Applier {
                         object: *object,
                         old_file: entry.file_cap,
                     }],
-                    useq,
                 ))
             }
-            DirOp::GrantRead {
-                cap,
-                owner,
-                cb_port,
-                now_us,
-                deadline_us,
-            } => {
-                let object = validate_dir_cap(shared, self.cfg.public_port, cap, Rights::NONE)?;
-                if !cap.rights.sees_any_column() {
-                    return Err(DirError::NoPermission);
-                }
-                let dir = self.dir_for_plan(shared, object)?;
-                // Prune expired holders deterministically (the op carries
-                // the initiator's clock), then upsert this holder's lease.
-                let leases = shared.rleases.entry(object).or_default();
-                leases.retain(|l| l.deadline_us > *now_us && l.owner != *owner);
-                leases.push(ReadLease {
-                    owner: *owner,
-                    cb_port: *cb_port,
-                    deadline_us: *deadline_us,
-                    ttl_us: deadline_us.saturating_sub(*now_us),
-                    renewals_left: self.lease_renewals,
-                });
-                // Every replica registers the lease; only the one that
-                // owes the holder an answer builds the snapshot.
-                let granted = if reply {
-                    lease_snapshot(shared, self.cfg.public_port, &dir, cap, *deadline_us, false)
-                } else {
-                    DirReply::Ok
-                };
-                Ok((granted, Vec::new(), useq))
-            }
+            DirOp::GrantRead { .. } => unreachable!("`plan` plans a grant itself"),
         }
     }
 
@@ -839,7 +853,7 @@ impl Applier {
         columns: &[String],
         check: u64,
         useq: u64,
-    ) -> Result<(DirReply, Vec<Effect>, u64), DirError> {
+    ) -> Result<(DirReply, Vec<Effect>), DirError> {
         if !(1..=4).contains(&columns.len()) {
             return Err(DirError::Malformed);
         }
@@ -858,7 +872,7 @@ impl Applier {
             },
         );
         let cap = Capability::owner(self.cfg.public_port, object, check);
-        Ok((DirReply::Cap(cap), vec![stored], useq))
+        Ok((DirReply::Cap(cap), vec![stored]))
     }
 
     /// A directory's current version for planning: the RAM cache is
@@ -1033,7 +1047,7 @@ impl Applier {
         // Creates (tag 0) are covered by the object they created: replaying
         // them against the flushed table is a no-op because the object is
         // present; remove all processed records.
-        let ids: std::collections::HashSet<u64> = records.iter().map(|r| r.uid).collect();
+        let ids: IdSet<u64> = records.iter().map(|r| r.uid).collect();
         let _ = nvram.annihilate(|r| ids.contains(&r.uid));
     }
 
@@ -1151,7 +1165,7 @@ impl Applier {
                         Row {
                             name: row.name.clone(),
                             cap: self.restrict_for_holder(&row.cap, eff),
-                            col_rights: visible_masks(&row.col_rights, cap.rights),
+                            col_rights: visible_masks(&row.col_rights, cap.rights).collect(),
                         }
                     })
                     .collect();
@@ -1302,7 +1316,7 @@ impl Applier {
         owner: u64,
         ttl_us: u64,
         at: &ReadAt,
-    ) -> Option<DirReply> {
+    ) -> Option<Payload> {
         self.settle(cap.object, &at.latest()).ok()?;
         let (object, deadline_us) = {
             let mut shared = self.shared.lock();

@@ -1,9 +1,9 @@
 //! The persistent virtual disk: raw block storage that survives machine
 //! crashes (only processes die; the platters keep their bits).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use amoeba_sim::IdMap;
 use parking_lot::Mutex;
 
 /// Counters of physical operations performed on a disk — the §3.1
@@ -37,7 +37,7 @@ impl DiskStats {
 }
 
 struct VDiskInner {
-    blocks: HashMap<u64, Vec<u8>>,
+    blocks: IdMap<u64, Vec<u8>>,
     nblocks: u64,
     block_size: usize,
     stats: DiskStats,
@@ -64,7 +64,7 @@ impl VDisk {
     pub fn new(nblocks: u64, block_size: usize) -> Self {
         VDisk {
             inner: Arc::new(Mutex::new(VDiskInner {
-                blocks: HashMap::new(),
+                blocks: IdMap::default(),
                 nblocks,
                 block_size,
                 stats: DiskStats::default(),

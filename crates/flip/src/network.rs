@@ -55,10 +55,10 @@
 //!   through it with this router removed, so transit segments stay open
 //!   and no member can be cut off.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use amoeba_sim::{MailboxTx, SimHandle, SimRng, SimTime};
+use amoeba_sim::{IdMap, MailboxTx, SimHandle, SimRng, SimTime};
 use parking_lot::Mutex;
 
 use crate::addr::{Dest, GroupAddr, HostAddr};
@@ -69,7 +69,7 @@ use crate::stack::NodeStack;
 use crate::stats::{NetStats, SegmentStats};
 use crate::topology::{SegmentId, Topology};
 
-pub(crate) type EndpointTable = Arc<Mutex<HashMap<Port, MailboxTx<Packet>>>>;
+pub(crate) type EndpointTable = Arc<Mutex<IdMap<Port, MailboxTx<Packet>>>>;
 
 /// Bound on remembered packet ids per node (FIFO eviction).
 const SEEN_CAP: usize = 8192;
@@ -106,7 +106,7 @@ fn hash_hosts(pairs: impl Iterator<Item = (u32, u32)>) -> u64 {
 
 #[derive(Default)]
 struct SeenCache {
-    best: HashMap<(HostAddr, u64), u8>,
+    best: IdMap<(HostAddr, u64), u8>,
     fifo: VecDeque<(HostAddr, u64)>,
 }
 
@@ -166,41 +166,50 @@ struct RouterState {
     seen: SeenCache,
 }
 
+/// What the medium keeps per node, host or router: one slot of
+/// [`NetInner::nodes`].
+#[derive(Default)]
+struct NodeSlot {
+    /// A host's bound ports; `None` for a router.
+    stack: Option<EndpointTable>,
+    /// The segment a host (not a router) lives on.
+    segment: Option<SegmentId>,
+    /// Partition id; nodes can only talk within the same id.
+    partition: u32,
+    /// Occupancy model: when the node's sending side is free again
+    /// (protocol-processing CPU serializes per node, paper §4.2).
+    tx_free: SimTime,
+    /// When its receiving side is free again.
+    rx_free: SimTime,
+    /// Receive-side duplicate suppression (multi-segment only).
+    seen_rx: SeenCache,
+    /// Its routing table: destination → route.
+    routes: IdMap<HostAddr, RouteEntry>,
+}
+
 struct NetInner {
     params: NetParams,
     handle: SimHandle,
-    stacks: BTreeMap<HostAddr, EndpointTable>,
+    /// Every node, indexed by its [`HostAddr`]: addresses are handed out
+    /// in order (routers first) and never reused.
+    nodes: Vec<NodeSlot>,
     groups: BTreeMap<GroupAddr, BTreeSet<HostAddr>>,
-    /// Partition id per host; hosts can only talk within the same id.
-    partition: HashMap<HostAddr, u32>,
     down: BTreeSet<HostAddr>,
     rng: SimRng,
     stats: NetStats,
-    next_host: u32,
     next_packet_id: u64,
     topology: Topology,
     segments: Vec<SegmentState>,
-    /// Which segment each attached host (not router) lives on.
-    host_segment: HashMap<HostAddr, SegmentId>,
     routers: BTreeMap<HostAddr, RouterState>,
-    /// Per-stack routing tables: node → (destination → route).
-    routes: HashMap<HostAddr, HashMap<HostAddr, RouteEntry>>,
     /// Per-router group routing state: router → (group → attached
     /// segments through which at least one member is reachable).
     /// Flushed (marked dirty) on every membership or router-availability
     /// change and rebuilt lazily before the next multicast forward.
-    group_routes: HashMap<HostAddr, HashMap<GroupAddr, BTreeSet<SegmentId>>>,
+    group_routes: IdMap<HostAddr, IdMap<GroupAddr, BTreeSet<SegmentId>>>,
     /// Whether `group_routes` must be rebuilt before use.
     group_routes_dirty: bool,
-    /// Per-host receive-side duplicate suppression (multi-segment only).
-    seen_rx: HashMap<HostAddr, SeenCache>,
     /// TTL stamped on packets whose sender left it unset.
     default_ttl: u8,
-    /// Occupancy model: when each node's sending side is free again
-    /// (protocol-processing CPU serializes per node, paper §4.2).
-    tx_free: HashMap<HostAddr, SimTime>,
-    /// When each node's receiving side is free again.
-    rx_free: HashMap<HostAddr, SimTime>,
     /// Flow-edge recorder for traced packets; disabled unless the
     /// simulation installed a telemetry collector before the network was
     /// created. Recording never touches the timing model or `rng`.
@@ -243,7 +252,10 @@ impl std::fmt::Debug for Network {
         f.debug_struct("Network")
             .field("segments", &inner.segments.len())
             .field("routers", &inner.routers.len())
-            .field("hosts", &inner.stacks.len())
+            .field(
+                "hosts",
+                &inner.nodes.iter().filter(|n| n.stack.is_some()).count(),
+            )
             .field("down", &inner.down)
             .finish()
     }
@@ -295,33 +307,25 @@ impl Network {
         let mut inner = NetInner {
             params,
             handle,
-            stacks: BTreeMap::new(),
+            nodes: Vec::new(),
             groups: BTreeMap::new(),
-            partition: HashMap::new(),
             down: BTreeSet::new(),
             rng: SimRng::new(seed).fork(0xF11F),
             stats: NetStats {
                 segments: seg_stats,
                 ..Default::default()
             },
-            next_host: 0,
             next_packet_id: 0,
             topology: topology.clone(),
             segments,
-            host_segment: HashMap::new(),
             routers: BTreeMap::new(),
-            routes: HashMap::new(),
-            group_routes: HashMap::new(),
+            group_routes: IdMap::default(),
             group_routes_dirty: true,
-            seen_rx: HashMap::new(),
             default_ttl,
-            tx_free: HashMap::new(),
-            rx_free: HashMap::new(),
             tele,
         };
         for r in topology.routers() {
-            let addr = HostAddr(inner.next_host);
-            inner.next_host += 1;
+            let addr = inner.add_node(NodeSlot::default());
             inner.routers.insert(
                 addr,
                 RouterState {
@@ -353,13 +357,11 @@ impl Network {
                 (segment.0 as usize) < inner.segments.len(),
                 "attach_to unknown {segment}"
             );
-            let addr = HostAddr(inner.next_host);
-            inner.next_host += 1;
-            inner
-                .stacks
-                .insert(addr, Arc::new(Mutex::new(HashMap::new())));
-            inner.host_segment.insert(addr, segment);
-            addr
+            inner.add_node(NodeSlot {
+                stack: Some(Arc::default()),
+                segment: Some(segment),
+                ..NodeSlot::default()
+            })
         };
         NodeStack::new(addr, self.clone())
     }
@@ -378,7 +380,7 @@ impl Network {
     /// "home" is its first attached segment.
     pub fn segment_of(&self, host: HostAddr) -> Option<SegmentId> {
         let inner = self.inner.lock();
-        inner.host_segment.get(&host).copied().or_else(|| {
+        inner.host_segment(host).or_else(|| {
             inner
                 .routers
                 .get(&host)
@@ -408,17 +410,21 @@ impl Network {
             .handle
             .record_fault(amoeba_sim::fault_codes::NET_DOWN, host.0 as u64, 0);
         inner.down.insert(host);
-        if let Some(t) = inner.stacks.get(&host) {
-            t.lock().clear();
-        }
         for members in inner.groups.values_mut() {
             members.remove(&host);
         }
-        // The NIC forgets its queue along with everything else.
-        inner.tx_free.remove(&host);
-        inner.rx_free.remove(&host);
-        inner.routes.remove(&host);
-        inner.seen_rx.remove(&host);
+        if let Some(n) = inner.nodes.get_mut(host.0 as usize) {
+            if let Some(t) = &n.stack {
+                t.lock().clear();
+            }
+            // The NIC forgets its queue along with everything else.
+            *n = NodeSlot {
+                stack: n.stack.take(),
+                segment: n.segment,
+                partition: n.partition,
+                ..NodeSlot::default()
+            };
+        }
         if let Some(r) = inner.routers.get_mut(&host) {
             r.seen = SeenCache::default();
         }
@@ -452,10 +458,7 @@ impl Network {
             isolated.len() as u64,
             hash_hosts(isolated.iter().map(|h| (h.0, 1))),
         );
-        inner.partition.clear();
-        for h in isolated {
-            inner.partition.insert(*h, 1);
-        }
+        inner.set_sides(isolated.iter().map(|h| (*h, 1)));
     }
 
     /// Installs an arbitrary partition: `sides[i]` lists the hosts in
@@ -472,12 +475,12 @@ impl Network {
                     .flat_map(|(i, side)| side.iter().map(move |h| (h.0, i as u32 + 1))),
             ),
         );
-        inner.partition.clear();
-        for (i, side) in sides.iter().enumerate() {
-            for h in *side {
-                inner.partition.insert(*h, i as u32 + 1);
-            }
-        }
+        inner.set_sides(
+            sides
+                .iter()
+                .enumerate()
+                .flat_map(|(i, side)| side.iter().map(move |h| (*h, i as u32 + 1))),
+        );
     }
 
     /// Removes any partition; all hosts can talk again.
@@ -486,7 +489,7 @@ impl Network {
         inner
             .handle
             .record_fault(amoeba_sim::fault_codes::NET_HEAL, 0, 0);
-        inner.partition.clear();
+        inner.set_sides(std::iter::empty());
     }
 
     /// Updates the base fault model on the fly (loss, duplication,
@@ -517,7 +520,7 @@ impl Network {
     }
 
     pub(crate) fn endpoints_of(&self, host: HostAddr) -> Option<EndpointTable> {
-        self.inner.lock().stacks.get(&host).cloned()
+        self.inner.lock().nodes.get(host.0 as usize)?.stack.clone()
     }
 
     /// Origin transmission path: stamps the routing header (packet id,
@@ -531,9 +534,8 @@ impl Network {
             return;
         }
         let now = inner.handle.now();
-        let seg = match inner.host_segment.get(&src) {
-            Some(s) => *s,
-            None => return, // never attached
+        let Some(seg) = inner.host_segment(src) else {
+            return; // never attached
         };
         let mut pkt = pkt;
         inner.next_packet_id += 1;
@@ -553,7 +555,7 @@ impl Network {
                 inner.stats.unicast_sent += 1;
                 // Off-segment destination: hand the frame to the learned
                 // next-hop router; with no route yet it floods below.
-                if inner.host_segment.get(&d) != Some(&seg) {
+                if inner.host_segment(d) != Some(seg) {
                     if let Some(e) = inner.route_lookup(src, d) {
                         if e.segment == seg {
                             pkt.link_dst = Some(e.next_hop);
@@ -573,6 +575,34 @@ impl Network {
 }
 
 impl NetInner {
+    /// Gives `slot` the next address.
+    fn add_node(&mut self, slot: NodeSlot) -> HostAddr {
+        self.nodes.push(slot);
+        HostAddr(self.nodes.len() as u32 - 1)
+    }
+
+    /// The segment a host (not a router) lives on.
+    fn host_segment(&self, host: HostAddr) -> Option<SegmentId> {
+        self.nodes.get(host.0 as usize)?.segment
+    }
+
+    fn partition_of(&self, host: HostAddr) -> u32 {
+        self.nodes.get(host.0 as usize).map_or(0, |n| n.partition)
+    }
+
+    /// Replaces the partition: the listed nodes go to their sides,
+    /// everyone else to side 0.
+    fn set_sides(&mut self, sides: impl Iterator<Item = (HostAddr, u32)>) {
+        for n in &mut self.nodes {
+            n.partition = 0;
+        }
+        for (h, side) in sides {
+            if let Some(n) = self.nodes.get_mut(h.0 as usize) {
+                n.partition = side;
+            }
+        }
+    }
+
     /// Segments reachable from `start` (inclusive) through routers that
     /// are up, with router `excluding` removed from the graph.
     fn segs_reachable_excluding(&self, start: SegmentId, excluding: HostAddr) -> Vec<bool> {
@@ -607,12 +637,12 @@ impl NetInner {
         self.group_routes_dirty = false;
         self.group_routes.clear();
         // Which segments carry at least one member, per group.
-        let mut member_segs: HashMap<GroupAddr, BTreeSet<SegmentId>> = HashMap::new();
+        let mut member_segs: IdMap<GroupAddr, BTreeSet<SegmentId>> = IdMap::default();
         for (g, members) in &self.groups {
             let segs: BTreeSet<SegmentId> = members
                 .iter()
                 .filter(|m| !self.down.contains(m))
-                .filter_map(|m| self.host_segment.get(m).copied())
+                .filter_map(|m| self.host_segment(*m))
                 .collect();
             if !segs.is_empty() {
                 member_segs.insert(*g, segs);
@@ -625,7 +655,7 @@ impl NetInner {
             .map(|(a, r)| (*a, r.attached.clone()))
             .collect();
         for (addr, attached) in routers {
-            let mut table: HashMap<GroupAddr, BTreeSet<SegmentId>> = HashMap::new();
+            let mut table: IdMap<GroupAddr, BTreeSet<SegmentId>> = IdMap::default();
             for o in &attached {
                 let reach = self.segs_reachable_excluding(*o, addr);
                 for (g, segs) in &member_segs {
@@ -649,18 +679,15 @@ impl NetInner {
     /// is down (the reply-path will re-teach a live one) and entries
     /// that exceeded the route-age horizon without reconfirmation.
     fn route_lookup(&mut self, from: HostAddr, dst: HostAddr) -> Option<RouteEntry> {
-        let e = *self.routes.get(&from)?.get(&dst)?;
+        let routes = &mut self.nodes.get_mut(from.0 as usize)?.routes;
+        let e = *routes.get(&dst)?;
         if self.down.contains(&e.next_hop) {
-            if let Some(t) = self.routes.get_mut(&from) {
-                t.remove(&dst);
-            }
+            routes.remove(&dst);
             return None;
         }
         let now = self.handle.now();
         if now.saturating_since(e.confirmed_at) > self.params.route_max_age {
-            if let Some(t) = self.routes.get_mut(&from) {
-                t.remove(&dst);
-            }
+            routes.remove(&dst);
             self.stats.routes_aged_out += 1;
             return None;
         }
@@ -684,7 +711,7 @@ impl NetInner {
             weight: pkt.path_weight,
             confirmed_at: self.handle.now(),
         };
-        let table = self.routes.entry(who).or_default();
+        let table = &mut self.nodes[who.0 as usize].routes;
         match table.get(&origin) {
             Some(old)
                 if (old.weight, old.hops) <= (entry.weight, entry.hops)
@@ -729,14 +756,10 @@ impl NetInner {
         // Transmitter-side protocol processing: one frame at a time per
         // node (origin host or forwarding router).
         let relay = pkt.relay;
-        let tx_start = self
-            .tx_free
-            .get(&relay)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-            .max(ready);
+        let tx_free = &mut self.nodes[relay.0 as usize].tx_free;
+        let tx_start = (*tx_free).max(ready);
         let tx_done = tx_start + send_cpu;
-        self.tx_free.insert(relay, tx_done);
+        *tx_free = tx_done;
         // The segment's ether: one frame on the wire at a time; a
         // multicast occupies it exactly once regardless of the receiver
         // count.
@@ -751,14 +774,14 @@ impl NetInner {
         seg_stats.frames += 1;
         let arrival = wire_done + propagation;
         let now = self.handle.now();
-        let src_part = self.partition.get(&pkt.src).copied().unwrap_or(0);
+        let src_part = self.partition_of(pkt.src);
 
         // ------------------------------------------------------------
         // Local deliveries on this segment.
         // ------------------------------------------------------------
         let targets: Vec<HostAddr> = match pkt.dst {
             Dest::Unicast(h) => {
-                if pkt.link_dst.is_none() && self.host_segment.get(&h) == Some(&seg) {
+                if pkt.link_dst.is_none() && self.host_segment(h) == Some(seg) {
                     vec![h]
                 } else {
                     Vec::new() // in transit to (or through) a router
@@ -770,15 +793,14 @@ impl NetInner {
                 .map(|m| {
                     m.iter()
                         .copied()
-                        .filter(|h| self.host_segment.get(h) == Some(&seg))
+                        .filter(|h| self.host_segment(*h) == Some(seg))
                         .collect()
                 })
                 .unwrap_or_default(),
-            Dest::Broadcast => self
-                .stacks
-                .keys()
-                .copied()
-                .filter(|h| self.host_segment.get(h) == Some(&seg))
+            // In ascending address order: the fault model draws per target.
+            Dest::Broadcast => (0..self.nodes.len() as u32)
+                .map(HostAddr)
+                .filter(|h| self.host_segment(*h) == Some(seg))
                 .collect(),
         };
         for t in targets {
@@ -786,7 +808,7 @@ impl NetInner {
                 self.stats.dropped_down += 1;
                 continue;
             }
-            let t_part = self.partition.get(&t).copied().unwrap_or(0);
+            let t_part = self.partition_of(t);
             if t_part != src_part {
                 self.stats.dropped_partition += 1;
                 continue;
@@ -795,13 +817,9 @@ impl NetInner {
                 self.stats.dropped_loss += 1;
                 continue;
             }
-            let tx = {
-                let table = match self.stacks.get(&t) {
-                    Some(t) => Arc::clone(t),
-                    None => continue,
-                };
-                let guard = table.lock();
-                guard.get(&pkt.port).cloned()
+            let tx = match &self.nodes[t.0 as usize].stack {
+                Some(table) => table.lock().get(&pkt.port).cloned(),
+                None => continue,
             };
             let tx = match tx {
                 Some(tx) => tx,
@@ -817,10 +835,8 @@ impl NetInner {
                 // accept each packet id once. (The fault model's
                 // injected duplicates below are extra deliveries of an
                 // accepted copy and pass through untouched.)
-                if !self
+                if !self.nodes[t.0 as usize]
                     .seen_rx
-                    .entry(t)
-                    .or_default()
                     .observe((pkt.src, pkt.packet_id), u8::MAX)
                 {
                     self.stats.dup_suppressed += 1;
@@ -828,14 +844,9 @@ impl NetInner {
                 }
             }
             // Receiver-side protocol processing, serialized per host.
-            let rx_start = self
-                .rx_free
-                .get(&t)
-                .copied()
-                .unwrap_or(SimTime::ZERO)
-                .max(arrival);
-            let rx_done = rx_start + recv_cpu;
-            self.rx_free.insert(t, rx_done);
+            let rx_free = &mut self.nodes[t.0 as usize].rx_free;
+            let rx_done = (*rx_free).max(arrival) + recv_cpu;
+            *rx_free = rx_done;
             // OS-scheduling jitter on top of the physical model.
             let extra = base_latency.mul_f64(self.rng.next_f64() * jitter.max(0.0));
             let deliver_at = rx_done + extra;
@@ -895,7 +906,7 @@ impl NetInner {
                 _ => None,
             };
             if let Some(d) = unicast_dst {
-                if self.host_segment.get(&d) == Some(&seg) {
+                if self.host_segment(d) == Some(seg) {
                     continue; // destination is local; nothing to forward
                 }
             }
@@ -959,14 +970,9 @@ impl NetInner {
             // and send sides are serialized like any host's — shared
             // across all attached segments, which is exactly where
             // router contention comes from.
-            let rx_start = self
-                .rx_free
-                .get(&r_addr)
-                .copied()
-                .unwrap_or(SimTime::ZERO)
-                .max(arrival);
-            let rx_done = rx_start + recv_cpu;
-            self.rx_free.insert(r_addr, rx_done);
+            let rx_free = &mut self.nodes[r_addr.0 as usize].rx_free;
+            let rx_done = (*rx_free).max(arrival) + recv_cpu;
+            *rx_free = rx_done;
             let fwd_ready = rx_done + forward_cpu;
             for (oseg, next_hop) in outs {
                 let mut fwd = pkt.clone();

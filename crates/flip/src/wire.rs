@@ -27,7 +27,9 @@
 //! count is a claim, never a reservation — a ten-byte message that
 //! claims a million rows is refused without allocating for them.
 
-use std::collections::{HashMap, VecDeque};
+#[allow(clippy::disallowed_types)] // keyed by names, which requests supply
+use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::bytes::Payload;
@@ -89,7 +91,9 @@ impl WireWriter {
         }
     }
 
-    fn raw(&mut self, bytes: &[u8]) -> &mut Self {
+    /// Appends `bytes` as they are, with no length prefix: fixed-size
+    /// fields and padding.
+    pub fn raw(&mut self, bytes: &[u8]) -> &mut Self {
         match &mut self.measured {
             Some(n) => *n += bytes.len(),
             None => self.buf.extend_from_slice(bytes),
@@ -302,9 +306,7 @@ pub trait Wire: Sized {
     /// The value alone, as message bytes, in one allocation of exactly
     /// [`wire_len`](Wire::wire_len) bytes.
     fn encode(&self) -> Payload {
-        let mut w = WireWriter::with_capacity(self.wire_len());
-        self.put(&mut w);
-        w.finish_payload()
+        encode_with(|w| self.put(w))
     }
 
     /// Decodes message bytes holding exactly one value.
@@ -342,6 +344,17 @@ pub trait Wire: Sized {
     fn get_framed(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
         Self::decode(r.bytes("framed value")?)
     }
+}
+
+/// What [`Wire::encode`] does, for a message written by `put` rather
+/// than by a [`Wire`] value: `put` runs once against a writer that only
+/// counts, then again into one allocation of exactly that many bytes.
+pub fn encode_with(put: impl Fn(&mut WireWriter)) -> Payload {
+    let mut measure = WireWriter::measuring();
+    put(&mut measure);
+    let mut w = WireWriter::with_capacity(measure.len());
+    put(&mut w);
+    w.finish_payload()
 }
 
 fn whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, DecodeError> {
@@ -382,20 +395,39 @@ impl Counted {
     }
 
     /// Appends the number of `items`, then each item with `put`.
-    pub fn put<I>(self, w: &mut WireWriter, items: I, mut put: impl FnMut(I::Item, &mut WireWriter))
+    pub fn put<I>(self, w: &mut WireWriter, items: I, put: impl FnMut(I::Item, &mut WireWriter))
     where
         I: IntoIterator,
         I::IntoIter: ExactSizeIterator,
     {
         let items = items.into_iter();
+        self.put_n(w, items.len(), items, put);
+    }
+
+    /// [`put`](Counted::put) for items an iterator cannot count without
+    /// walking them, such as a filtered one: the caller counts `n`.
+    ///
+    /// # Panics
+    ///
+    /// If `items` does not yield exactly `n` items.
+    pub fn put_n<I: IntoIterator>(
+        self,
+        w: &mut WireWriter,
+        n: usize,
+        items: I,
+        mut put: impl FnMut(I::Item, &mut WireWriter),
+    ) {
         if self.wide {
-            w.u32(items.len() as u32);
+            w.u32(n as u32);
         } else {
-            w.u8(items.len() as u8);
+            w.u8(n as u8);
         }
+        let mut written = 0;
         for item in items {
             put(item, w);
+            written += 1;
         }
+        assert_eq!(written, n, "{}: count and items differ", self.what);
     }
 
     /// Reads a count, then that many elements with `get`.
@@ -547,6 +579,7 @@ impl<T: Wire> Wire for VecDeque<T> {
 
 /// A `u32` count, then the entries in key order — the deterministic
 /// encoding of an unordered map that snapshots need.
+#[allow(clippy::disallowed_types)] // keyed by names, which requests supply
 impl<V: Wire> Wire for HashMap<String, V> {
     fn put(&self, w: &mut WireWriter) {
         let mut entries: Vec<(&String, &V)> = self.iter().collect();

@@ -29,9 +29,9 @@
 //! choosing as state source a member holding the highest contiguous prefix.
 
 use amoeba_flip::{HostAddr, Payload, Port};
-use amoeba_sim::SimTime;
+use amoeba_sim::{IdMap, SimTime};
 use amoeba_telemetry::{Telemetry, TraceCtx};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::{GroupConfig, MAX_BATCH};
 use crate::error::GroupError;
@@ -120,7 +120,7 @@ struct AckState {
 struct ResetCoord {
     round: u64,
     min_size: usize,
-    votes: HashMap<MemberId, (MemberInfo, SeqNo)>,
+    votes: IdMap<MemberId, (MemberInfo, SeqNo)>,
     deadline: SimTime,
     announced: bool,
 }
@@ -156,11 +156,11 @@ pub(crate) struct Instance {
     /// Last seqno handed to the application.
     pub delivered: SeqNo,
     /// BB payloads waiting for (or paired with) their accept.
-    bb_store: HashMap<(MemberId, u64), Payload>,
+    bb_store: IdMap<(MemberId, u64), Payload>,
     /// (sender, msgid) → seq, for duplicate suppression.
-    seen_msgids: HashMap<(MemberId, u64), SeqNo>,
+    seen_msgids: IdMap<(MemberId, u64), SeqNo>,
     next_msgid: u64,
-    pending_sends: HashMap<u64, PendingSend>,
+    pending_sends: IdMap<u64, PendingSend>,
     /// Sequencer only: accepts assigned a slot but not yet multicast,
     /// awaiting coalescing into one packet (flushed at the end of every
     /// entry point, or earlier when `MAX_BATCH` is reached).
@@ -172,7 +172,7 @@ pub(crate) struct Instance {
     /// Sequencer only: ack bookkeeping per outstanding seqno.
     pending_acks: BTreeMap<SeqNo, AckState>,
     /// Liveness: member → last time we heard from it.
-    last_heard: HashMap<MemberId, SimTime>,
+    last_heard: IdMap<MemberId, SimTime>,
     last_heartbeat_sent: SimTime,
     pub failed: bool,
     pub dissolved: bool,
@@ -244,14 +244,14 @@ impl Instance {
             highest_contiguous: 0,
             highest_seen: 0,
             delivered: 0,
-            bb_store: HashMap::new(),
-            seen_msgids: HashMap::new(),
+            bb_store: IdMap::default(),
+            seen_msgids: IdMap::default(),
             next_msgid: 1,
-            pending_sends: HashMap::new(),
+            pending_sends: IdMap::default(),
             pending_batch: Vec::new(),
             pending_dones: Vec::new(),
             pending_acks: BTreeMap::new(),
-            last_heard: HashMap::new(),
+            last_heard: IdMap::default(),
             last_heartbeat_sent: now,
             failed: false,
             dissolved: false,
@@ -283,7 +283,7 @@ impl Instance {
         now: SimTime,
     ) -> Instance {
         let next_member_id = view.members.iter().map(|m| m.id.0 + 1).max().unwrap_or(1);
-        let mut last_heard = HashMap::new();
+        let mut last_heard = IdMap::default();
         for m in &view.members {
             last_heard.insert(m.id, now);
         }
@@ -302,10 +302,10 @@ impl Instance {
             highest_contiguous: start_seq,
             highest_seen: start_seq,
             delivered: start_seq,
-            bb_store: HashMap::new(),
-            seen_msgids: HashMap::new(),
+            bb_store: IdMap::default(),
+            seen_msgids: IdMap::default(),
             next_msgid: 1,
-            pending_sends: HashMap::new(),
+            pending_sends: IdMap::default(),
             pending_batch: Vec::new(),
             pending_dones: Vec::new(),
             pending_acks: BTreeMap::new(),
@@ -526,7 +526,7 @@ impl Instance {
         }
         let round = self.next_reset_round;
         self.next_reset_round += 1;
-        let mut votes = HashMap::new();
+        let mut votes = IdMap::default();
         votes.insert(
             self.me,
             (
@@ -1727,7 +1727,7 @@ impl Instance {
         ];
         // Re-drive unfinished sends through the new sequencer (duplicate
         // suppression via seen_msgids keeps this exactly-once). Sorted by
-        // msgid: HashMap iteration order varies between runs and the
+        // msgid: hash-map iteration order is no contract, and the
         // re-drive order decides seqno assignment.
         let mut pending: Vec<(u64, Payload, bool)> = self
             .pending_sends
@@ -1905,7 +1905,7 @@ impl Instance {
             }
         }
         // Sender retransmission. Sorted by msgid so the resend (and thus
-        // message) order does not depend on HashMap iteration order.
+        // message) order does not depend on hash-map iteration order.
         let mut stale: Vec<(u64, Payload, bool)> = self
             .pending_sends
             .iter()

@@ -6,11 +6,11 @@
 //! simulator kernel handlers, run at delivery by whichever thread is
 //! dispatching. They never block, and take trace context from the packet.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use amoeba_flip::{Dest, GroupAddr, HostAddr, NodeStack, Packet, Port};
-use amoeba_sim::{MailboxTx, NodeId, SimHandle, Spawn};
+use amoeba_sim::{IdMap, MailboxTx, NodeId, SimHandle, Spawn};
 use parking_lot::Mutex;
 
 use crate::config::{GroupConfig, BATCH_DELAY};
@@ -27,7 +27,7 @@ type AppItem = Result<GroupEvent, GroupError>;
 pub(crate) struct InstanceSlot {
     pub inst: Instance,
     pub app_tx: MailboxTx<AppItem>,
-    pub send_waiters: HashMap<u64, MailboxTx<Result<SeqNo, GroupError>>>,
+    pub send_waiters: IdMap<u64, MailboxTx<Result<SeqNo, GroupError>>>,
     pub reset_waiter: Option<MailboxTx<Result<(), GroupError>>>,
     pub leave_waiter: Option<MailboxTx<()>>,
 }
@@ -37,8 +37,8 @@ pub(crate) struct PeerInner {
     /// instance and emit messages as they go, so the walk order must
     /// repeat from run to run.
     pub instances: BTreeMap<u64, InstanceSlot>,
-    pub join_reply_waiters: HashMap<u64, MailboxTx<GroupMsg>>,
-    pub join_ack_waiters: HashMap<u64, MailboxTx<GroupMsg>>,
+    pub join_reply_waiters: IdMap<u64, MailboxTx<GroupMsg>>,
+    pub join_ack_waiters: IdMap<u64, MailboxTx<GroupMsg>>,
     pub next_local_id: u64,
     /// A [`Timer::Flush`] is on its way.
     flush_scheduled: bool,
@@ -90,8 +90,8 @@ impl GroupPeer {
             cfg,
             inner: Arc::new(Mutex::new(PeerInner {
                 instances: BTreeMap::new(),
-                join_reply_waiters: HashMap::new(),
-                join_ack_waiters: HashMap::new(),
+                join_reply_waiters: IdMap::default(),
+                join_ack_waiters: IdMap::default(),
                 next_local_id: 1,
                 flush_scheduled: false,
             })),

@@ -11,12 +11,12 @@
 //! simulator kernel handler, run at packet delivery by whichever thread is
 //! dispatching, so demultiplexing a packet wakes only the thread it is for.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use amoeba_flip::wire::Wire;
 use amoeba_flip::{Dest, HostAddr, NodeStack, Packet, Payload, Port};
-use amoeba_sim::{MailboxRx, MailboxTx, NodeId, SimHandle, Spawn};
+use amoeba_sim::{IdMap, IdSet, MailboxRx, MailboxTx, NodeId, SimHandle, Spawn};
 use parking_lot::Mutex;
 
 use crate::msg::RpcMsg;
@@ -60,7 +60,7 @@ struct ServiceState {
 /// their HEREIS replies arrived (the paper's "first server that replied").
 #[derive(Default)]
 struct PortCache {
-    map: HashMap<Port, Vec<HostAddr>>,
+    map: IdMap<Port, Vec<HostAddr>>,
 }
 
 impl PortCache {
@@ -96,12 +96,12 @@ impl PortCache {
 }
 
 struct NodeInner {
-    services: HashMap<Port, ServiceState>,
-    calls: HashMap<u64, MailboxTx<CallEvent>>,
-    locates: HashMap<u64, MailboxTx<HostAddr>>,
+    services: IdMap<Port, ServiceState>,
+    calls: IdMap<u64, MailboxTx<CallEvent>>,
+    locates: IdMap<u64, MailboxTx<HostAddr>>,
     /// `(client, tid)` of every request handed to a server thread here
     /// and not yet answered by `putrep`.
-    serving: HashSet<(HostAddr, u64)>,
+    serving: IdSet<(HostAddr, u64)>,
     cache: PortCache,
     next_id: u64,
 }
@@ -132,10 +132,10 @@ impl RpcNode {
             stack,
             handle,
             inner: Arc::new(Mutex::new(NodeInner {
-                services: HashMap::new(),
-                calls: HashMap::new(),
-                locates: HashMap::new(),
-                serving: HashSet::new(),
+                services: IdMap::default(),
+                calls: IdMap::default(),
+                locates: IdMap::default(),
+                serving: IdSet::default(),
                 cache: PortCache::default(),
                 next_id: 1,
             })),

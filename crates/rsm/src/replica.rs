@@ -2,14 +2,13 @@
 //! recovery, the group event loop with apply batching, and the
 //! initiator-side blocking primitives.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use amoeba_flip::Payload;
 use amoeba_group::{Group, GroupError, GroupEvent, GroupPeer, SeqNo, View};
 use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
-use amoeba_sim::{Ctx, MailboxTx, NodeId, Spawn};
+use amoeba_sim::{Ctx, IdMap, MailboxTx, NodeId, Spawn};
 use parking_lot::Mutex;
 
 use crate::config::RsmConfig;
@@ -95,7 +94,7 @@ pub(crate) struct DriverShared {
     /// ([`Replica::submit`] is the only reader). Sequence numbers
     /// restart with every group instance, so the map is emptied when a
     /// new instance is installed.
-    pub results: HashMap<SeqNo, Payload>,
+    pub results: IdMap<SeqNo, Payload>,
 }
 
 impl DriverShared {
@@ -109,7 +108,7 @@ impl DriverShared {
             stayed_up: false,
             readers: Vec::new(),
             waiters: Vec::new(),
-            results: HashMap::new(),
+            results: IdMap::default(),
         }
     }
 

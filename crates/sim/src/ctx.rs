@@ -204,13 +204,7 @@ impl Ctx {
 
     /// Panics with [`KillToken`] if this process has been marked dead.
     pub(crate) fn check_alive(&self) {
-        let dead = self
-            .shared
-            .lock()
-            .procs
-            .get(&self.pid)
-            .map(|p| p.dead)
-            .unwrap_or(true);
+        let dead = self.shared.lock().proc(self.pid).is_none_or(|p| p.dead);
         if dead {
             panic_any(KillToken::Crashed);
         }

@@ -34,7 +34,7 @@
 
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{self, catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, Once};
@@ -42,6 +42,7 @@ use std::sync::{Arc, Once};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::coro::{self, Context, Target};
+use crate::idhash::{IdMap, IdSet};
 use crate::ids::{MailboxId, NodeId, ProcId};
 use crate::record::{fault_codes, RecMode, SimTrace, StepTag, TraceStep};
 use crate::rng::SimRng;
@@ -257,7 +258,7 @@ pub(crate) struct Handler {
 
 pub(crate) struct NodeRec {
     pub name: String,
-    pub procs: HashSet<ProcId>,
+    pub procs: IdSet<ProcId>,
     pub alive: bool,
 }
 
@@ -321,22 +322,29 @@ pub(crate) struct Kernel {
     pub now: SimTime,
     queue: BinaryHeap<EventEntry>,
     next_seq: u64,
-    pub procs: HashMap<ProcId, ProcRec>,
-    next_pid: u64,
-    pub mailboxes: HashMap<MailboxId, MailboxRec>,
+    /// Every process ever spawned, indexed by its [`ProcId`]: ids are
+    /// handed out in order and never reused, and records are kept for
+    /// [`crate::Simulation::activations`]. A kernel handler's id (it is
+    /// numbered like a process) leaves its slot empty.
+    procs: Vec<Option<ProcRec>>,
+    /// Live mailboxes. Hashed, not indexed: a dropped receiver retires
+    /// its record, and a table indexed by id would keep a slot for every
+    /// channel ever made.
+    pub mailboxes: IdMap<MailboxId, MailboxRec>,
     next_mbox: u64,
     /// Kernel handlers, by the mailbox each reads. An entry goes when
     /// its node crashes; whoever removes entries drops them only after
     /// releasing the kernel lock (a handler owns its `MailboxRx`, whose
     /// drop locks the kernel).
-    pub handlers: HashMap<MailboxId, Arc<Handler>>,
+    pub handlers: IdMap<MailboxId, Arc<Handler>>,
     /// Calls of kernel handlers by name, for
     /// [`crate::Simulation::activations`]. The handlers of one name share
     /// the counter, so it outlives the crash that takes a handler out of
     /// the table and the handler registered after the reboot counts on.
-    pub handler_calls_by_name: HashMap<String, Arc<AtomicU64>>,
-    pub nodes: HashMap<NodeId, NodeRec>,
-    next_node: u32,
+    pub handler_calls_by_name: BTreeMap<String, Arc<AtomicU64>>,
+    /// Every node, indexed by its [`NodeId`] (handed out in order, never
+    /// removed).
+    nodes: Vec<NodeRec>,
     pub seed: u64,
     /// The driver's hand-off cell.
     pub driver: Arc<HandOff<Next>>,
@@ -365,14 +373,12 @@ impl Kernel {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
             next_seq: 0,
-            procs: HashMap::new(),
-            next_pid: 0,
-            mailboxes: HashMap::new(),
+            procs: Vec::new(),
+            mailboxes: IdMap::default(),
             next_mbox: 0,
-            handlers: HashMap::new(),
-            handler_calls_by_name: HashMap::new(),
-            nodes: HashMap::new(),
-            next_node: 0,
+            handlers: IdMap::default(),
+            handler_calls_by_name: BTreeMap::new(),
+            nodes: Vec::new(),
             seed,
             driver: Arc::new(HandOff::new()),
             deadline: None,
@@ -385,6 +391,32 @@ impl Kernel {
             rec: RecMode::Off,
             user_data: None,
         }
+    }
+
+    /// The record of process `pid`; `None` for a kernel handler's id.
+    pub fn proc(&self, pid: ProcId) -> Option<&ProcRec> {
+        self.procs.get(pid.0 as usize)?.as_ref()
+    }
+
+    pub fn proc_mut(&mut self, pid: ProcId) -> Option<&mut ProcRec> {
+        self.procs.get_mut(pid.0 as usize)?.as_mut()
+    }
+
+    /// Every process record, in id order.
+    pub fn procs(&self) -> impl Iterator<Item = (ProcId, &ProcRec)> {
+        self.procs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| Some((ProcId(i as u64), p.as_ref()?)))
+    }
+
+    /// Fills the slot [`alloc_pid`](Kernel::alloc_pid) reserved.
+    pub fn insert_proc(&mut self, pid: ProcId, rec: ProcRec) {
+        self.procs[pid.0 as usize] = Some(rec);
+    }
+
+    pub fn node_mut(&mut self, node: NodeId) -> Option<&mut NodeRec> {
+        self.nodes.get_mut(node.0 as usize)
     }
 
     /// Records (or, under replay, verifies) one kernel decision.
@@ -479,14 +511,13 @@ impl Kernel {
             self.checkpoint_event(&ev);
             let wake = match ev.kind {
                 EventKind::Start(pid) => {
-                    let ready =
-                        matches!(self.procs.get(&pid), Some(p) if p.state == ProcState::Ready);
+                    let ready = matches!(self.proc(pid), Some(p) if p.state == ProcState::Ready);
                     ready.then_some(Wake {
                         pid,
                         reason: WakeReason::First,
                     })
                 }
-                EventKind::Timer { pid, gen } => match self.procs.get(&pid) {
+                EventKind::Timer { pid, gen } => match self.proc(pid) {
                     Some(p) if p.state == ProcState::Blocked && p.gen == gen => match p.block {
                         BlockKind::Sleep => Some(WakeReason::Slept),
                         BlockKind::Wait => Some(WakeReason::TimedOut),
@@ -514,7 +545,7 @@ impl Kernel {
     /// Marks `pid` running for `reason`; false if it is dead or gone.
     fn resume(&mut self, pid: ProcId, reason: WakeReason) -> bool {
         self.clear_wait(pid);
-        let p = match self.procs.get_mut(&pid) {
+        let p = match self.proc_mut(pid) {
             Some(p) if !p.dead && p.state != ProcState::Exited => p,
             _ => return false,
         };
@@ -537,7 +568,9 @@ impl Kernel {
         };
         self.checkpoint(StepTag::Yield, pid.0, kind_code, rng_digest);
         let now = self.now;
-        let p = self.procs.get_mut(&pid).expect("yield from unknown proc");
+        let p = self.procs[pid.0 as usize]
+            .as_mut()
+            .expect("yield from unknown proc");
         let gen = p.gen;
         match kind {
             YieldKind::Sleep { until } => {
@@ -562,7 +595,7 @@ impl Kernel {
                 if let Some(msg) = panic {
                     self.poisoned = Some(format!("'{}' ({pid}): {msg}", p.name));
                 }
-                if let Some(n) = p.node.and_then(|n| self.nodes.get_mut(&n)) {
+                if let Some(n) = p.node.and_then(|n| self.nodes.get_mut(n.0 as usize)) {
                     n.procs.remove(&pid);
                 }
                 self.clear_wait(pid);
@@ -570,10 +603,11 @@ impl Kernel {
         }
     }
 
+    /// The next process id, its slot reserved (and left empty if a
+    /// kernel handler takes the id).
     pub fn alloc_pid(&mut self) -> ProcId {
-        let id = ProcId(self.next_pid);
-        self.next_pid += 1;
-        id
+        self.procs.push(None);
+        ProcId(self.procs.len() as u64 - 1)
     }
 
     pub fn alloc_mailbox(&mut self) -> MailboxId {
@@ -584,17 +618,12 @@ impl Kernel {
     }
 
     pub fn add_node(&mut self, name: &str) -> NodeId {
-        let id = NodeId(self.next_node);
-        self.next_node += 1;
-        self.nodes.insert(
-            id,
-            NodeRec {
-                name: name.to_owned(),
-                procs: HashSet::new(),
-                alive: true,
-            },
-        );
-        id
+        self.nodes.push(NodeRec {
+            name: name.to_owned(),
+            procs: IdSet::default(),
+            alive: true,
+        });
+        NodeId(self.nodes.len() as u32 - 1)
     }
 
     /// Derives the deterministic per-process RNG stream.
@@ -608,7 +637,7 @@ impl Kernel {
             return Reader::Gone;
         };
         match rec.waiter.take() {
-            Some((pid, gen)) => match self.procs.get(&pid) {
+            Some((pid, gen)) => match self.proc(pid) {
                 Some(p) if p.state == ProcState::Blocked && p.gen == gen => Reader::Waiting(Wake {
                     pid,
                     reason: WakeReason::MailboxReady,
@@ -624,7 +653,7 @@ impl Kernel {
 
     /// Clears this process's wait registration (it is about to run).
     pub fn clear_wait(&mut self, pid: ProcId) {
-        let Some(mailbox) = self.procs.get_mut(&pid).and_then(|p| p.wait_box.take()) else {
+        let Some(mailbox) = self.proc_mut(pid).and_then(|p| p.wait_box.take()) else {
             return;
         };
         if let Some(rec) = self.mailboxes.get_mut(&mailbox) {
@@ -644,7 +673,7 @@ impl Kernel {
     /// released the kernel lock.
     #[must_use = "drop the handlers after releasing the kernel lock"]
     pub fn crash_node(&mut self, node: NodeId) -> Vec<(MailboxId, Arc<Handler>)> {
-        let pids: Vec<ProcId> = match self.nodes.get_mut(&node) {
+        let pids: Vec<ProcId> = match self.node_mut(node) {
             Some(n) => {
                 n.alive = false;
                 n.procs.iter().copied().collect()
@@ -656,22 +685,17 @@ impl Kernel {
         orphaned.sort_unstable_by_key(|(id, _)| *id);
         let mut doomed = Vec::new();
         for pid in pids {
-            if let Some(p) = self.procs.get_mut(&pid) {
+            if let Some(p) = self.proc_mut(pid) {
                 if p.state != ProcState::Exited && !p.dead {
                     p.dead = true;
                     doomed.push(pid);
                 }
             }
         }
-        // `NodeRec::procs` is a HashSet whose iteration order varies between
-        // process invocations; sort so the reap order (and thus the decision
-        // trace) is identical across runs.
+        // `NodeRec::procs` is a hash set: sort so the reap order (and thus
+        // the decision trace) does not depend on how it hashes.
         doomed.sort_unstable();
-        let name = self
-            .nodes
-            .get(&node)
-            .map(|n| n.name.clone())
-            .unwrap_or_default();
+        let name = self.nodes[node.0 as usize].name.clone();
         self.trace_log(format!("crash {node} ({name})"));
         self.record_fault(fault_codes::CRASH_NODE, node.0 as u64, 0);
         if !doomed.is_empty() {
@@ -696,7 +720,7 @@ impl Kernel {
 
     /// Makes a crashed node able to host processes again (a "reboot").
     pub fn revive_node(&mut self, node: NodeId) {
-        if let Some(n) = self.nodes.get_mut(&node) {
+        if let Some(n) = self.node_mut(node) {
             n.alive = true;
             n.procs.clear();
         }
@@ -705,7 +729,7 @@ impl Kernel {
     }
 
     pub fn node_alive(&self, node: NodeId) -> bool {
-        self.nodes.get(&node).map(|n| n.alive).unwrap_or(false)
+        self.nodes.get(node.0 as usize).is_some_and(|n| n.alive)
     }
 
     pub fn trace_log(&mut self, msg: String) {
@@ -752,7 +776,7 @@ pub(crate) fn hand_off(mut k: MutexGuard<'_, Kernel>, next: Next) -> Target {
     k.handoffs += 1;
     match next {
         Next::Run(pid, reason) => {
-            let p = k.procs.get_mut(&pid).expect("the baton goes to a process");
+            let p = k.proc_mut(pid).expect("the baton goes to a process");
             p.handoffs_in[reason.code()] += 1;
             p.cell.put(Wakeup::Run(reason))
         }

@@ -68,6 +68,7 @@
 mod coro;
 mod ctx;
 mod handle;
+mod idhash;
 mod ids;
 mod kernel;
 mod mailbox;
@@ -84,6 +85,7 @@ pub use coro::mapped_stacks;
 pub use coro::{ambient, set_ambient};
 pub use ctx::Ctx;
 pub use handle::SimHandle;
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use ids::{NodeId, ProcId};
 pub use mailbox::{MailboxRx, MailboxTx};
 pub use process::ProcOutput;

@@ -76,7 +76,7 @@ where
         let mut k = shared.lock();
         let pid = k.alloc_pid();
         if let Some(n) = node {
-            let nrec = k.nodes.get_mut(&n).expect("spawn_on unknown node");
+            let nrec = k.node_mut(n).expect("spawn_on unknown node");
             assert!(nrec.alive, "cannot spawn on crashed node {n}");
             nrec.procs.insert(pid);
         }
@@ -121,7 +121,7 @@ where
 
     {
         let mut k = shared.lock();
-        k.procs.insert(
+        k.insert_proc(
             pid,
             ProcRec {
                 name: name.to_owned(),

@@ -106,7 +106,7 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &k.now)
             .field("events", &k.events_processed)
-            .field("procs", &k.procs.len())
+            .field("procs", &k.procs().count())
             .finish()
     }
 }
@@ -180,7 +180,7 @@ impl Simulation {
     pub fn activations(&self) -> Vec<Activations> {
         let k = self.shared.lock();
         let mut rows: BTreeMap<&str, Activations> = BTreeMap::new();
-        for p in k.procs.values() {
+        for (_, p) in k.procs() {
             let row = rows.entry(&p.name).or_default();
             for reason in 0..4 {
                 row.resumes[reason] += p.resumes[reason];
@@ -323,7 +323,7 @@ impl Simulation {
         // drops may need the kernel lock.
         let cell = {
             let mut k = self.shared.lock();
-            let p = match k.procs.get_mut(&pid) {
+            let p = match k.proc_mut(pid) {
                 Some(p) => p,
                 None => return,
             };
@@ -340,13 +340,8 @@ impl Simulation {
 
     /// Kills every non-exited process, freeing every stack.
     fn teardown(&mut self) {
-        let pids: Vec<ProcId> = {
-            let k = self.shared.lock();
-            k.procs.keys().copied().collect()
-        };
-        let mut sorted = pids;
-        sorted.sort_unstable();
-        for pid in sorted {
+        let pids: Vec<ProcId> = self.shared.lock().procs().map(|(pid, _)| pid).collect();
+        for pid in pids {
             self.kill_handshake(pid);
         }
     }

@@ -71,8 +71,8 @@ fn same_seed_double_run_traces_are_identical() {
 
 #[test]
 fn traces_are_identical_across_node_crashes() {
-    // Pins the sorted-reap fix: the crashed node hosts several processes
-    // whose HashSet iteration order varies between runs.
+    // Pins the sorted-reap fix: the crashed node hosts several processes,
+    // kept in a hash set whose iteration order is no contract.
     let a = record_once(7, true);
     let b = record_once(7, true);
     assert_eq!(a, b);

@@ -61,10 +61,9 @@
 //! checks the required fields, so CI can prove the exporter never bit-rots.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use amoeba_sim::{SimHandle, SimTime};
+use amoeba_sim::{IdMap, IdSet, SimHandle, SimTime};
 use parking_lot::Mutex;
 
 pub mod export;
@@ -151,9 +150,9 @@ struct Inner {
     root_count: u64,
     /// Trace ids selected by the sampler; spans/flows of other traces
     /// are dropped at record time.
-    sampled: std::collections::HashSet<u64>,
+    sampled: IdSet<u64>,
     spans: Vec<SpanRec>,
-    open: HashMap<u64, usize>,
+    open: IdMap<u64, usize>,
     flows: Vec<FlowRec>,
     tracks: Vec<(u64, String)>,
     metrics: hist::Registry,
@@ -223,9 +222,9 @@ impl Telemetry {
                 rng: sim.seed() ^ 0xA0EB_A7E1_EC7A_CE00,
                 sample_every,
                 root_count: 0,
-                sampled: std::collections::HashSet::new(),
+                sampled: IdSet::default(),
                 spans: Vec::new(),
-                open: HashMap::new(),
+                open: IdMap::default(),
                 flows: Vec::new(),
                 tracks: Vec::new(),
                 metrics: hist::Registry::default(),
@@ -472,10 +471,10 @@ impl Telemetry {
 /// appear in the trace.
 pub fn span_tree_stats(spans: &[SpanRec], trace: u64) -> (usize, usize, usize) {
     let in_trace: Vec<&SpanRec> = spans.iter().filter(|s| s.trace == trace).collect();
-    let ids: std::collections::HashSet<u64> = in_trace.iter().map(|s| s.span).collect();
+    let ids: IdSet<u64> = in_trace.iter().map(|s| s.span).collect();
     let mut roots = 0;
     let mut orphans = 0;
-    let mut machines = std::collections::HashSet::new();
+    let mut machines = IdSet::default();
     for s in &in_trace {
         machines.insert(s.machine);
         if s.parent == 0 {

@@ -350,3 +350,64 @@ fn a_grant_nobody_asked_about_requests_no_more_heap_in_a_bigger_directory() {
         "1,000 grants requested {small} bytes with 4 rows, {big} with 64"
     );
 }
+
+/// The heap one read-lease grant requests on a directory of `rows` rows,
+/// applied on the replica that owes the holder its answer, and the
+/// answer's length.
+fn requested_by_an_answered_grant(rows: usize) -> (usize, usize) {
+    let mut sim = Simulation::new(1);
+    let (node, sm) = machine_that_never_flushes(&sim);
+    let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
+    let out = sim.spawn_on(node, "replica", move |ctx| {
+        let create = DirOp::Create {
+            columns: vec!["owner".into(), "other".into()],
+            check: 0xC1,
+        };
+        let appends = (0..rows).map(|r| DirOp::Append {
+            object: 1,
+            name: format!("row-{r}"),
+            cap: owner,
+            col_rights: vec![Rights::ALL, Rights::NONE],
+        });
+        let grant = DirOp::GrantRead {
+            cap: owner,
+            owner: 7,
+            cb_port: 7,
+            now_us: 0,
+            deadline_us: 400_000,
+        };
+        // The second grant finds the holder's lease already in the table.
+        let ops: Vec<_> = std::iter::once(create)
+            .chain(appends)
+            .chain([grant.clone(), grant])
+            .map(|op| op.encode())
+            .collect();
+        let (last, setup) = ops.split_last().expect("ops");
+        for (seq, op) in setup.iter().enumerate() {
+            sm.apply(ctx, seq as u64 + 1, op, true);
+        }
+        let mine = || MINE.with(Cell::get);
+        let before = mine();
+        let answer = sm.apply(ctx, ops.len() as u64, last, true);
+        (mine() - before, answer.len())
+    });
+    sim.run_for(Duration::from_secs(60));
+    out.take().expect("the grant was applied")
+}
+
+/// A grant this replica answers is written straight from the shared
+/// version of the directory into one buffer of exactly its length, plus
+/// the `Arc` that shares it: no row is copied on the way.
+#[test]
+fn an_answered_grant_is_one_exact_size_buffer() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let shared = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u8>>();
+    for rows in [4, 64] {
+        let (requested, len) = requested_by_an_answered_grant(rows);
+        assert!(
+            len > rows * "row-0".len(),
+            "{rows} rows: the answer holds them"
+        );
+        assert_eq!(requested, len + shared, "{rows} rows");
+    }
+}

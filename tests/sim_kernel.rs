@@ -1,11 +1,15 @@
 //! The simulator kernel's hand-off accounting, its crash edges and its
 //! kernel handlers, as seen through the umbrella crate (tier-1 runs only
 //! this package; the full set lives in
-//! `crates/sim/tests/kernel_behavior.rs`). The coroutine tests and the
-//! per-process trace context are compiled in whole from their crates.
+//! `crates/sim/tests/kernel_behavior.rs`). The coroutine tests, the id
+//! hasher's and the per-process trace context are compiled in whole from
+//! their crates.
 
 #[path = "../crates/sim/tests/coroutines.rs"]
 mod coroutines;
+
+#[path = "../crates/sim/tests/id_hasher.rs"]
+mod id_hasher;
 
 #[path = "../crates/telemetry/tests/ambient_context.rs"]
 mod ambient_context;
