@@ -7,8 +7,8 @@
 
 pub mod microbench;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_dir_core::cluster::{Cluster, ClusterParams, Variant};
@@ -106,7 +106,7 @@ fn testbed_inner(
 /// Measures mean latency (ms) of `op` over `iters` runs from one client.
 pub fn mean_latency_ms<F>(tb: &mut Testbed, iters: usize, op: F) -> f64
 where
-    F: Fn(&Ctx, &DirClient, Capability, usize) + Send + Sync + 'static,
+    F: Fn(&Ctx, &DirClient, Capability, usize) + 'static,
 {
     let client = tb.client.clone();
     let root = tb.root;
@@ -147,15 +147,15 @@ pub fn throughput<F>(
     op: F,
 ) -> f64
 where
-    F: Fn(&Ctx, &DirClient, Capability, usize, usize) -> bool + Send + Sync + Clone + 'static,
+    F: Fn(&Ctx, &DirClient, Capability, usize, usize) -> bool + Clone + 'static,
 {
-    let counter = Arc::new(AtomicU64::new(0));
+    let counter = Rc::new(Cell::new(0));
     let t_start = tb.sim.now() + warmup;
     let t_end = t_start + window;
     for c in 0..n_clients {
         let (client, _) = tb.cluster.client(&tb.sim);
         let root = tb.root;
-        let counter = Arc::clone(&counter);
+        let counter = Rc::clone(&counter);
         let op = op.clone();
         tb.sim.spawn(&format!("load-client-{c}"), move |ctx| {
             let mut k = 0usize;
@@ -168,13 +168,13 @@ where
                 k += 1;
                 let t = ctx.now();
                 if ok && t >= t_start && t < t_end {
-                    counter.fetch_add(1, Ordering::Relaxed);
+                    counter.set(counter.get() + 1);
                 }
             }
         });
     }
     tb.sim.run_until(t_end + Duration::from_secs(2));
-    counter.load(Ordering::Relaxed) as f64 / window.as_secs_f64()
+    counter.get() as f64 / window.as_secs_f64()
 }
 
 /// One arm of the traced-vs-untraced comparison.

@@ -1,5 +1,8 @@
 //! The Bullet server process and its client stub.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use amoeba_disk::DiskServer;
 use amoeba_flip::{Payload, Port};
 use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
@@ -57,13 +60,12 @@ pub fn start_bullet_server(
     base_block: u64,
     threads: usize,
 ) {
-    let cache: std::sync::Arc<parking_lot::Mutex<IdMap<u64, Payload>>> =
-        std::sync::Arc::new(parking_lot::Mutex::new(IdMap::default()));
+    let cache: Rc<RefCell<IdMap<u64, Payload>>> = Rc::new(RefCell::new(IdMap::default()));
     for t in 0..threads.max(1) {
         let srv = RpcServer::new(rpc, service);
         let disk = disk.clone();
         let store = store.clone();
-        let cache = std::sync::Arc::clone(&cache);
+        let cache = Rc::clone(&cache);
         spawner.spawn_boxed(
             Some(sim_node),
             &format!("bullet{t}@{}", rpc.addr()),
@@ -85,7 +87,7 @@ fn handle(
     ctx: &Ctx,
     disk: &DiskServer,
     store: &BulletStore,
-    cache: &parking_lot::Mutex<IdMap<u64, Payload>>,
+    cache: &RefCell<IdMap<u64, Payload>>,
     base_block: u64,
     req: BulletRequest,
 ) -> BulletReply {
@@ -109,7 +111,7 @@ fn handle(
                     })
                     .collect();
                 disk.write_run(ctx, base_block + start, blocks);
-                cache.lock().insert(cap.object, data);
+                cache.borrow_mut().insert(cap.object, data);
                 BulletReply::Created { cap }
             }
             None => BulletReply::Error {
@@ -118,7 +120,7 @@ fn handle(
         },
         BulletRequest::Read { cap } => match store.lookup(cap) {
             Some(inode) => {
-                if let Some(data) = cache.lock().get(&cap.object).cloned() {
+                if let Some(data) = cache.borrow_mut().get(&cap.object).cloned() {
                     return BulletReply::Data { data };
                 }
                 let bs = store.block_size();
@@ -127,7 +129,7 @@ fn handle(
                 let mut data: Vec<u8> = blocks.into_iter().flatten().collect();
                 data.truncate(inode.len_bytes);
                 let data = Payload::from(data);
-                cache.lock().insert(cap.object, data.clone());
+                cache.borrow_mut().insert(cap.object, data.clone());
                 BulletReply::Data { data }
             }
             None => BulletReply::Error {
@@ -144,7 +146,7 @@ fn handle(
         },
         BulletRequest::Delete { cap } => match store.remove(cap) {
             Some((start, nblocks)) => {
-                cache.lock().remove(&cap.object);
+                cache.borrow_mut().remove(&cap.object);
                 // Not a disk operation: the blocks just stop holding the
                 // dead file's bytes in host memory.
                 disk.vdisk().discard(base_block + start, nblocks);

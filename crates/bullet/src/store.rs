@@ -5,10 +5,10 @@
 //! scanning the disk at boot; we persist the table alongside the blocks
 //! and charge the same disk traffic at the server layer.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use amoeba_sim::IdMap;
-use parking_lot::Mutex;
 
 use crate::cap::FileCap;
 
@@ -34,12 +34,12 @@ struct StoreInner {
 /// The persistent metadata + allocation state of one Bullet server.
 #[derive(Clone)]
 pub struct BulletStore {
-    inner: Arc<Mutex<StoreInner>>,
+    inner: Rc<RefCell<StoreInner>>,
 }
 
 impl std::fmt::Debug for BulletStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         write!(f, "BulletStore({} files)", i.inodes.len())
     }
 }
@@ -55,7 +55,7 @@ impl BulletStore {
     /// Creates an empty store managing `nblocks` blocks of file area.
     pub fn new(nblocks: u64, block_size: usize, check_seed: u64) -> Self {
         BulletStore {
-            inner: Arc::new(Mutex::new(StoreInner {
+            inner: Rc::new(RefCell::new(StoreInner {
                 inodes: IdMap::default(),
                 next_object: 1,
                 next_block: 0,
@@ -77,7 +77,7 @@ impl BulletStore {
     /// but never move the pointer, as in log-structured allocation before
     /// cleaning).
     pub(crate) fn allocate(&self, len_bytes: usize) -> Option<(FileCap, u64, u64)> {
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         let nblocks = (len_bytes.max(1)).div_ceil(i.block_size) as u64;
         if i.next_block + nblocks > i.nblocks {
             // Wrap around: a trivial cleaner that reuses the start of the
@@ -108,7 +108,7 @@ impl BulletStore {
 
     /// Looks up and validates a capability.
     pub(crate) fn lookup(&self, cap: FileCap) -> Option<Inode> {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         let inode = i.inodes.get(&cap.object)?;
         if inode.check == cap.check {
             Some(inode.clone())
@@ -123,7 +123,7 @@ impl BulletStore {
     /// younger live file lies over part of it. Only a wrapped store pays
     /// for that check (a scan of the live inodes).
     pub(crate) fn remove(&self, cap: FileCap) -> Option<(u64, u64)> {
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         if i.inodes.get(&cap.object)?.check != cap.check {
             return None;
         }
@@ -144,12 +144,12 @@ impl BulletStore {
 
     /// Number of live files.
     pub fn file_count(&self) -> usize {
-        self.inner.lock().inodes.len()
+        self.inner.borrow().inodes.len()
     }
 
     /// Block size used for layout.
     pub fn block_size(&self) -> usize {
-        self.inner.lock().block_size
+        self.inner.borrow().block_size
     }
 }
 

@@ -48,15 +48,14 @@
 //! traffic instead of by a timer, and co-started clients don't renew in
 //! lockstep.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_flip::wire::Wire;
 use amoeba_flip::{Payload, Port};
 use amoeba_rpc::{RpcNode, RpcServer};
 use amoeba_sim::{IdMap, NodeId, Spawn};
-use parking_lot::Mutex;
 
 use crate::capability::Capability;
 
@@ -106,14 +105,18 @@ pub struct CacheStats {
     pub renewals_saved: u64,
 }
 
+fn bump(counter: &Cell<u64>, by: u64) {
+    counter.set(counter.get() + by);
+}
+
 #[derive(Default)]
 struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-    renewals: AtomicU64,
-    stale_rejects: AtomicU64,
-    renewals_saved: AtomicU64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    invalidations: Cell<u64>,
+    renewals: Cell<u64>,
+    stale_rejects: Cell<u64>,
+    renewals_saved: Cell<u64>,
 }
 
 /// Cache key: the full capability identity. Rights are part of the key
@@ -179,10 +182,10 @@ struct Inner {
     params: CacheParams,
     cb_port: Port,
     /// Per-client renewal jitter (µs), derived from the machine index.
-    jitter_us: AtomicU64,
+    jitter_us: Cell<u64>,
     /// Lock order: `epochs` before `entries`, always.
-    epochs: Mutex<IdMap<(u64, u64), u64>>,
-    entries: Mutex<IdMap<Key, Entry>>,
+    epochs: RefCell<IdMap<(u64, u64), u64>>,
+    entries: RefCell<IdMap<Key, Entry>>,
     counters: Counters,
 }
 
@@ -191,7 +194,7 @@ struct Inner {
 /// hold clones of one cache).
 #[derive(Clone)]
 pub struct DirCache {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl std::fmt::Debug for DirCache {
@@ -206,12 +209,12 @@ impl DirCache {
     /// [`start_invalidation_listener`]).
     pub fn new(params: CacheParams, cb_port: Port) -> DirCache {
         DirCache {
-            inner: Arc::new(Inner {
+            inner: Rc::new(Inner {
                 params,
                 cb_port,
-                jitter_us: AtomicU64::new(0),
-                epochs: Mutex::new(IdMap::default()),
-                entries: Mutex::new(IdMap::default()),
+                jitter_us: Cell::new(0),
+                epochs: RefCell::new(IdMap::default()),
+                entries: RefCell::new(IdMap::default()),
                 counters: Counters::default(),
             }),
         }
@@ -226,7 +229,7 @@ impl DirCache {
     pub fn with_renew_jitter(self, index: usize) -> DirCache {
         let guard_us = self.inner.params.renew_guard.as_micros() as u64;
         let jitter = (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % guard_us.max(1);
-        self.inner.jitter_us.store(jitter, Ordering::Relaxed);
+        self.inner.jitter_us.set(jitter);
         self
     }
 
@@ -249,22 +252,19 @@ impl DirCache {
     pub fn stats(&self) -> CacheStats {
         let c = &self.inner.counters;
         CacheStats {
-            hits: c.hits.load(Ordering::Relaxed),
-            misses: c.misses.load(Ordering::Relaxed),
-            invalidations: c.invalidations.load(Ordering::Relaxed),
-            renewals: c.renewals.load(Ordering::Relaxed),
-            stale_rejects: c.stale_rejects.load(Ordering::Relaxed),
-            renewals_saved: c.renewals_saved.load(Ordering::Relaxed),
+            hits: c.hits.get(),
+            misses: c.misses.get(),
+            invalidations: c.invalidations.get(),
+            renewals: c.renewals.get(),
+            stale_rejects: c.stale_rejects.get(),
+            renewals_saved: c.renewals_saved.get(),
         }
     }
 
     /// Counts a fetch the service answered under a piggybacked renewal
     /// (`Snapshot { renewed: true, .. }`).
     pub(crate) fn note_renewal_saved(&self) {
-        self.inner
-            .counters
-            .renewals_saved
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.inner.counters.renewals_saved, 1);
     }
 
     /// The current revocation epoch of a directory. Read **before**
@@ -273,7 +273,7 @@ impl DirCache {
     pub(crate) fn epoch(&self, port: u64, object: u64) -> u64 {
         self.inner
             .epochs
-            .lock()
+            .borrow_mut()
             .get(&(port, object))
             .copied()
             .unwrap_or(0)
@@ -289,28 +289,25 @@ impl DirCache {
         name: &str,
     ) -> Option<Option<Capability>> {
         let key = Key::of(cap);
-        let mut entries = self.inner.entries.lock();
+        let mut entries = self.inner.entries.borrow_mut();
         match entries.get(&key) {
             None => {
-                self.inner.counters.misses.fetch_add(1, Ordering::Relaxed);
+                bump(&self.inner.counters.misses, 1);
                 None
             }
             Some(e) if now_us >= e.deadline_us => {
                 entries.remove(&key);
-                self.inner
-                    .counters
-                    .stale_rejects
-                    .fetch_add(1, Ordering::Relaxed);
+                bump(&self.inner.counters.stale_rejects, 1);
                 None
             }
             Some(e) if now_us >= e.renew_at_us => {
                 // Still live (and kept — a failed refetch loses nothing),
                 // but refresh proactively before the deadline hits.
-                self.inner.counters.renewals.fetch_add(1, Ordering::Relaxed);
+                bump(&self.inner.counters.renewals, 1);
                 None
             }
             Some(e) => {
-                self.inner.counters.hits.fetch_add(1, Ordering::Relaxed);
+                bump(&self.inner.counters.hits, 1);
                 Some(e.rows.get(name))
             }
         }
@@ -332,7 +329,7 @@ impl DirCache {
         if deadline_us <= now_us {
             return false;
         }
-        let epochs = self.inner.epochs.lock();
+        let epochs = self.inner.epochs.borrow();
         if epochs
             .get(&(cap.port.as_raw(), cap.object))
             .copied()
@@ -341,9 +338,8 @@ impl DirCache {
         {
             return false;
         }
-        let guard = self.inner.params.renew_guard.as_micros() as u64
-            + self.inner.jitter_us.load(Ordering::Relaxed);
-        self.inner.entries.lock().insert(
+        let guard = self.inner.params.renew_guard.as_micros() as u64 + self.inner.jitter_us.get();
+        self.inner.entries.borrow_mut().insert(
             Key::of(cap),
             Entry {
                 rows,
@@ -359,10 +355,7 @@ impl DirCache {
     /// directory (all rights variants).
     pub(crate) fn invalidate(&self, port: u64, object: u64) {
         let dropped = self.drop_dir(port, object);
-        self.inner
-            .counters
-            .invalidations
-            .fetch_add(dropped.max(1), Ordering::Relaxed);
+        bump(&self.inner.counters.invalidations, dropped.max(1));
     }
 
     /// Client-driven drop (own writes, `Moved` hints): the same epoch
@@ -373,9 +366,9 @@ impl DirCache {
     }
 
     fn drop_dir(&self, port: u64, object: u64) -> u64 {
-        let mut epochs = self.inner.epochs.lock();
+        let mut epochs = self.inner.epochs.borrow_mut();
         *epochs.entry((port, object)).or_insert(0) += 1;
-        let mut entries = self.inner.entries.lock();
+        let mut entries = self.inner.entries.borrow_mut();
         let before = entries.len();
         entries.retain(|k, _| !(k.port == port && k.object == object));
         (before - entries.len()) as u64

@@ -21,8 +21,8 @@
 //! mid-request (a migration racing the call) is chased, not surfaced
 //! as a hard failure, and old capabilities keep working forever.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use amoeba_flip::wire::Wire;
 use amoeba_flip::Port;
@@ -106,9 +106,9 @@ enum Route {
 #[derive(Debug, Clone)]
 pub struct DirClient {
     rpc: RpcClient,
-    route: Arc<Route>,
+    route: Rc<Route>,
     /// Round-robin cursor for placing fresh root directories.
-    next_create: Arc<AtomicUsize>,
+    next_create: Rc<Cell<usize>>,
     /// Lease-fenced local read cache (see [`crate::cache`]); `None`
     /// is the classic, behaviour-identical uncached client.
     cache: Option<DirCache>,
@@ -120,8 +120,8 @@ impl DirClient {
     pub fn new(rpc: RpcClient, service: Port) -> DirClient {
         DirClient {
             rpc,
-            route: Arc::new(Route::Single(service)),
-            next_create: Arc::new(AtomicUsize::new(0)),
+            route: Rc::new(Route::Single(service)),
+            next_create: Rc::new(Cell::new(0)),
             cache: None,
         }
     }
@@ -131,8 +131,8 @@ impl DirClient {
     pub fn sharded(rpc: RpcClient, shards: usize) -> DirClient {
         DirClient {
             rpc,
-            route: Arc::new(Route::Sharded(ShardMap::new(shards))),
-            next_create: Arc::new(AtomicUsize::new(0)),
+            route: Rc::new(Route::Sharded(ShardMap::new(shards))),
+            next_create: Rc::new(Cell::new(0)),
             cache: None,
         }
     }
@@ -162,7 +162,7 @@ impl DirClient {
     /// single-sequencer hotspot sharding removes.
     #[must_use]
     pub fn with_create_offset(self, offset: usize) -> DirClient {
-        self.next_create.store(offset, Ordering::Relaxed);
+        self.next_create.set(offset);
         self
     }
 
@@ -185,7 +185,7 @@ impl DirClient {
         match &*self.route {
             Route::Single(p) => *p,
             Route::Sharded(m) => {
-                let k = self.next_create.fetch_add(1, Ordering::Relaxed);
+                let k = self.next_create.replace(self.next_create.get() + 1);
                 m.public_port(k % m.shards())
             }
         }

@@ -162,7 +162,7 @@ impl ClusterTopology {
 
 /// A running auxiliary-service replica, type-erased: a boxed
 /// [`ServiceHandle`] of whichever [`Service`] the spec named.
-type AnyHandle = Box<dyn std::any::Any + Send + Sync>;
+type AnyHandle = Box<dyn std::any::Any>;
 
 /// One entry of [`ClusterParams::services`]: an auxiliary replicated
 /// service (any [`Service`] of the `amoeba-rsm` harness) to run on the

@@ -89,14 +89,14 @@
 //! journal replay reconstructs any batch a crash interrupted, which is
 //! exactly the hole the guard existed to void.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use amoeba_bullet::FileCap;
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
 use amoeba_rsm::{RecoveryInfo, StateMachine};
 use amoeba_sim::{Ctx, IdMap, Resource};
-use parking_lot::Mutex;
 
 use crate::commit_block::CommitBlock;
 use crate::config::{DirParams, StorageKind};
@@ -109,16 +109,16 @@ use crate::state::{Applier, Effect, ReadLease, StubEntry};
 /// (ordering, recovery, batching) comes from the generic
 /// [`amoeba_rsm::Replica`] driving it.
 pub struct DirectoryStateMachine {
-    pub(crate) applier: Arc<Applier>,
+    pub(crate) applier: Rc<Applier>,
     params: DirParams,
     cpu: Resource,
     /// Disk effects of the batch being applied, deferred until the
     /// driver's group-commit `flush`.
-    pending: Mutex<Vec<Effect>>,
+    pending: RefCell<Vec<Effect>>,
     /// The group log's writeback bookkeeping (see the module docs):
     /// the dirty set between journal appends and the checkpointer's
     /// table writeback. Unused with the journal off.
-    ckpt: Mutex<CkptState>,
+    ckpt: RefCell<CkptState>,
 }
 
 /// Journal-path state. The `busy` flag is the checkpoint's sim-safe
@@ -149,13 +149,13 @@ impl std::fmt::Debug for DirectoryStateMachine {
 impl DirectoryStateMachine {
     /// Wraps an applier (shared with the initiator threads) into the
     /// state machine the replica driver runs.
-    pub(crate) fn new(applier: Arc<Applier>, params: DirParams, cpu: Resource) -> Self {
+    pub(crate) fn new(applier: Rc<Applier>, params: DirParams, cpu: Resource) -> Self {
         DirectoryStateMachine {
             applier,
             params,
             cpu,
-            pending: Mutex::new(Vec::new()),
-            ckpt: Mutex::new(CkptState::default()),
+            pending: RefCell::new(Vec::new()),
+            ckpt: RefCell::new(CkptState::default()),
         }
     }
 
@@ -173,8 +173,8 @@ impl DirectoryStateMachine {
         cpu: Resource,
     ) -> Self {
         let table = ObjectTable::new(partition.clone());
-        let shared = Arc::new(Mutex::new(crate::state::Shared::new(table, cfg.n)));
-        let applier = Arc::new(Applier {
+        let shared = Rc::new(RefCell::new(crate::state::Shared::new(table, cfg.n)));
+        let applier = Rc::new(Applier {
             cfg,
             storage: params.storage,
             shared,
@@ -190,7 +190,7 @@ impl DirectoryStateMachine {
 
     /// The logical version of the machine's state (diagnostics/tests).
     pub fn update_seq(&self) -> u64 {
-        self.applier.shared.lock().update_seq
+        self.applier.shared.borrow().update_seq
     }
 
     /// A fresh machine over the same storage with cold RAM state —
@@ -257,7 +257,7 @@ impl DirectoryStateMachine {
 }
 
 enum FinalAct {
-    Store(Arc<Directory>),
+    Store(Rc<Directory>),
     Drop { old_file: FileCap },
     Stub { old_file: FileCap },
 }
@@ -283,7 +283,7 @@ struct StagedBatch {
 /// carried — the checkpoint frees whatever the durable mirror says is
 /// the object's current on-disk file.
 enum StagedAct {
-    Store { dir: Arc<Directory>, check: u64 },
+    Store { dir: Rc<Directory>, check: u64 },
     Drop,
     Stub { seqno: u64, check: u64 },
 }
@@ -344,7 +344,7 @@ impl DirectoryStateMachine {
         // costs one block write instead of one per directory, and the
         // writes land on adjacent blocks.
         let (olds, waiters) = {
-            let mut shared = applier.shared.lock();
+            let mut shared = applier.shared.borrow_mut();
             let mut olds: Vec<FileCap> = Vec::new();
             let mut blocks: Vec<u64> = Vec::new();
             for (object, act) in &resolved {
@@ -399,7 +399,7 @@ impl DirectoryStateMachine {
         }
         if batch.need_commit {
             let cb = {
-                let shared = applier.shared.lock();
+                let shared = applier.shared.borrow();
                 let mut cb = shared.commit.clone();
                 cb.recovering = false;
                 cb.seqno = batch.commit_seqno;
@@ -420,7 +420,7 @@ impl DirectoryStateMachine {
     /// contents, table checks, and the commit seqno as of now (exact —
     /// callers run synchronously after the batch's applies).
     fn seal_acts(&self, acts: Vec<(u64, FinalAct)>, need_commit: bool) -> StagedBatch {
-        let shared = self.applier.shared.lock();
+        let shared = self.applier.shared.borrow();
         let acts = acts
             .into_iter()
             .map(|(object, act)| {
@@ -462,7 +462,7 @@ impl DirectoryStateMachine {
             .expect("journaled commit without a journal");
         let record = batch.encode();
         {
-            let mut ckpt = self.ckpt.lock();
+            let mut ckpt = self.ckpt.borrow_mut();
             ckpt.covered_seqno = ckpt.covered_seqno.max(batch.commit_seqno);
             ckpt.need_commit |= batch.need_commit;
             for (object, act) in batch.acts {
@@ -501,7 +501,7 @@ impl DirectoryStateMachine {
             }
             return;
         }
-        let effects = std::mem::take(&mut *self.pending.lock());
+        let effects = std::mem::take(&mut *self.pending.borrow_mut());
         if effects.is_empty() {
             return;
         }
@@ -523,7 +523,7 @@ impl DirectoryStateMachine {
         let guard = acts.len() > 1;
         if guard {
             let cb = {
-                let mut shared = applier.shared.lock();
+                let mut shared = applier.shared.borrow_mut();
                 shared.commit.recovering = true;
                 shared.commit.clone()
             };
@@ -537,7 +537,7 @@ impl DirectoryStateMachine {
                     // kept-but-contentless for a migration stub; the
                     // commit-block write (the op loses its file, §3)
                     // happens once below for the whole batch.
-                    let waiter = { applier.shared.lock().table.flush_begin(object) };
+                    let waiter = { applier.shared.borrow_mut().table.flush_begin(object) };
                     if let Some(w) = waiter {
                         w.recv(ctx);
                     }
@@ -552,7 +552,7 @@ impl DirectoryStateMachine {
         }
         if guard || need_commit {
             let cb = {
-                let mut shared = applier.shared.lock();
+                let mut shared = applier.shared.borrow_mut();
                 shared.commit.recovering = false;
                 if guard {
                     // Completing a guarded flush closes one generation:
@@ -572,7 +572,7 @@ impl DirectoryStateMachine {
     fn ckpt_acquire(&self, ctx: &Ctx) {
         loop {
             {
-                let mut ckpt = self.ckpt.lock();
+                let mut ckpt = self.ckpt.borrow_mut();
                 if !ckpt.busy {
                     ckpt.busy = true;
                     return;
@@ -583,7 +583,7 @@ impl DirectoryStateMachine {
     }
 
     fn ckpt_release(&self) {
-        self.ckpt.lock().busy = false;
+        self.ckpt.borrow_mut().busy = false;
     }
 
     /// One checkpoint pass: snapshot the dirty set, write it back into
@@ -600,7 +600,7 @@ impl DirectoryStateMachine {
         // Mark before dirty snapshot (module-docs invariant 1).
         let mark = journal.next_seq();
         let batch = {
-            let mut ckpt = self.ckpt.lock();
+            let mut ckpt = self.ckpt.borrow_mut();
             let mut acts: Vec<(u64, StagedAct)> =
                 std::mem::take(&mut ckpt.dirty).into_iter().collect();
             acts.sort_unstable_by_key(|&(o, _)| o);
@@ -667,7 +667,7 @@ impl Wire for StagedAct {
         Ok(match r.u32("act kind")? {
             0 => StagedAct::Store {
                 check: r.u64("check")?,
-                dir: Arc::new(Directory::get_framed(r)?),
+                dir: Rc::new(Directory::get_framed(r)?),
             },
             1 => StagedAct::Drop,
             2 => StagedAct::Stub {
@@ -684,7 +684,7 @@ struct Snapshot {
     update_seq: u64,
     commit_seqno: u64,
     /// `(object, check, contents)` of every directory with contents.
-    dirs: Vec<(u64, u64, Arc<Directory>)>,
+    dirs: Vec<(u64, u64, Rc<Directory>)>,
     /// Completion records of keyed creates, `(key, object)`: a
     /// recovering replica must answer replays of the cross-shard
     /// protocol's step one.
@@ -719,7 +719,7 @@ impl Wire for Snapshot {
             commit_seqno: r.u64("commit seq")?,
             dirs: ENTRIES.get(r, |r| {
                 let (object, check) = (r.u64("object")?, r.u64("check")?);
-                Ok((object, check, Arc::new(Directory::get_framed(r)?)))
+                Ok((object, check, Rc::new(Directory::get_framed(r)?)))
             })?,
             completions: ENTRIES.get(r, <(u64, u64)>::get)?,
             stubs: ENTRIES.get(r, <((u64, u64, u64), StubEntry)>::get)?,
@@ -780,7 +780,7 @@ impl StateMachine for DirectoryStateMachine {
             Ok(op) => op,
             Err(_) => {
                 // Malformed ops still consume their slot.
-                let mut shared = applier.shared.lock();
+                let mut shared = applier.shared.borrow_mut();
                 shared.applied_group_seq = shared.applied_group_seq.max(seq);
                 return refuse(DirError::Malformed);
             }
@@ -788,10 +788,10 @@ impl StateMachine for DirectoryStateMachine {
         self.cpu.use_for(ctx, self.params.apply_cpu);
         applier.preload_for(ctx, &op);
         let planned = {
-            let mut shared = applier.shared.lock();
+            let mut shared = applier.shared.borrow_mut();
             // The versions a row edit replaces: durable until this batch
             // is flushed, so reads placed before the edit are served them.
-            let before: Vec<(u64, Arc<Directory>)> = match &op {
+            let before: Vec<(u64, Rc<Directory>)> = match &op {
                 DirOp::Append { object, .. }
                 | DirOp::Chmod { object, .. }
                 | DirOp::DeleteRow { object, .. }
@@ -801,7 +801,7 @@ impl StateMachine for DirectoryStateMachine {
                 _ => Vec::new(),
             }
             .into_iter()
-            .filter_map(|o| Some((o, Arc::clone(shared.cache.get(&o)?))))
+            .filter_map(|o| Some((o, Rc::clone(shared.cache.get(&o)?))))
             .collect();
             let r = applier.plan(&mut shared, &op, None, reply);
             // Revoke-on-apply: every object this op mutates loses its
@@ -819,7 +819,7 @@ impl StateMachine for DirectoryStateMachine {
                     let prior = before
                         .iter()
                         .find(|(o, _)| *o == object)
-                        .map(|(_, d)| Arc::clone(d));
+                        .map(|(_, d)| Rc::clone(d));
                     let entry = shared
                         .unflushed
                         .entry(object)
@@ -849,7 +849,7 @@ impl StateMachine for DirectoryStateMachine {
             Err(e) => return refuse(e),
         };
         match applier.storage {
-            StorageKind::Disk => self.pending.lock().extend(effects),
+            StorageKind::Disk => self.pending.borrow_mut().extend(effects),
             StorageKind::Nvram => {
                 // Lease grants are volatile replicated state: nothing
                 // to make durable, so they skip the log (replaying one
@@ -866,7 +866,7 @@ impl StateMachine for DirectoryStateMachine {
     fn flush(&self, ctx: &Ctx) {
         self.commit_batch(ctx);
         // The batch is durable: nothing it changed needs hiding any more.
-        self.applier.shared.lock().unflushed.clear();
+        self.applier.shared.borrow_mut().unflushed.clear();
     }
 
     fn checkpoint(&self, ctx: &Ctx) {
@@ -891,7 +891,7 @@ impl StateMachine for DirectoryStateMachine {
         let table_seq = table.max_seqno();
         let worthless = commit.recovering && commit.epoch == 0;
         {
-            let mut shared = applier.shared.lock();
+            let mut shared = applier.shared.borrow_mut();
             shared.table = table;
             if commit.recovering && commit.epoch == 0 {
                 // Crashed during a previous recovery's copy phase: the
@@ -956,8 +956,8 @@ impl StateMachine for DirectoryStateMachine {
                         continue; // version skew: skip, never fatal
                     };
                     replayed = replayed.max(commit_seqno);
-                    let mut shared = applier.shared.lock();
-                    let mut ckpt = self.ckpt.lock();
+                    let mut shared = applier.shared.borrow_mut();
+                    let mut ckpt = self.ckpt.borrow_mut();
                     // The record's commit claim is replicated state
                     // (drops claim their seqs through it): restore it
                     // so later commit-block writes stay monotone.
@@ -985,7 +985,7 @@ impl StateMachine for DirectoryStateMachine {
                                         check: *check,
                                     },
                                 );
-                                shared.cache.insert(object, Arc::clone(dir));
+                                shared.cache.insert(object, Rc::clone(dir));
                             }
                             StagedAct::Drop => {
                                 shared.table.clear(object);
@@ -1007,7 +1007,7 @@ impl StateMachine for DirectoryStateMachine {
                     }
                 }
                 if replayed > 0 {
-                    let mut shared = applier.shared.lock();
+                    let mut shared = applier.shared.borrow_mut();
                     shared.update_seq = shared.update_seq.max(replayed);
                 }
             }
@@ -1015,7 +1015,7 @@ impl StateMachine for DirectoryStateMachine {
         // NVRAM survives the crash; replay pending records into RAM.
         if applier.storage == StorageKind::Nvram {
             let replayed = applier.replay_nvram(ctx);
-            let mut shared = applier.shared.lock();
+            let mut shared = applier.shared.borrow_mut();
             shared.update_seq = shared.update_seq.max(replayed);
         }
         {
@@ -1028,7 +1028,7 @@ impl StateMachine for DirectoryStateMachine {
             // snapshot carries the lease table and the installing
             // replica's fence is harmless extra caution; a genuinely
             // fresh deployment boots with update_seq 0 and no fence.)
-            let mut shared = applier.shared.lock();
+            let mut shared = applier.shared.borrow_mut();
             if shared.update_seq > 0 {
                 // Piggybacked renewals can extend a lease by up to
                 // `lease_renewals × ttl` beyond its original deadline, so
@@ -1041,7 +1041,7 @@ impl StateMachine for DirectoryStateMachine {
     }
 
     fn recovery_info(&self) -> RecoveryInfo {
-        let shared = self.applier.shared.lock();
+        let shared = self.applier.shared.borrow();
         let mut mourned = vec![false; self.applier.cfg.n];
         for i in shared.commit.mourned() {
             if i < mourned.len() {
@@ -1064,7 +1064,7 @@ impl StateMachine for DirectoryStateMachine {
             self.ckpt_release();
         }
         let cb = {
-            let mut shared = self.applier.shared.lock();
+            let mut shared = self.applier.shared.borrow_mut();
             shared.commit.recovering = true;
             // Epoch 0 marks "state is being replaced by a peer's": a
             // crash from here until enter_service leaves a mixture of
@@ -1078,10 +1078,10 @@ impl StateMachine for DirectoryStateMachine {
     fn snapshot(&self, ctx: &Ctx) -> (u64, Payload) {
         let applier = &self.applier;
         // Cold cache entries are pulled from Bullet first (outside the
-        // lock), so the locked marshalling below sees every directory.
+        // borrow), so the marshalling under it below sees every directory.
         // Stubbed objects have no contents (their file is gone) — skip.
         let objects: Vec<u64> = {
-            let shared = applier.shared.lock();
+            let shared = applier.shared.borrow();
             shared
                 .table
                 .iter()
@@ -1093,13 +1093,13 @@ impl StateMachine for DirectoryStateMachine {
             let _ = applier.load_dir(ctx, *o);
         }
         let (cursor, snap) = {
-            let shared = applier.shared.lock();
+            let shared = applier.shared.borrow();
             let dirs = shared
                 .table
                 .iter()
                 .filter_map(|(object, entry)| {
                     let dir = shared.cache.get(&object)?;
-                    Some((object, entry.check, Arc::clone(dir)))
+                    Some((object, entry.check, Rc::clone(dir)))
                 })
                 .collect();
             let mut completions: Vec<(u64, u64)> =
@@ -1149,7 +1149,7 @@ impl StateMachine for DirectoryStateMachine {
             return false;
         };
         {
-            let mut shared = applier.shared.lock();
+            let mut shared = applier.shared.borrow_mut();
             // Wipe stale state, then install wholesale.
             let stale: Vec<u64> = shared.table.iter().map(|(o, _)| o).collect();
             for o in stale {
@@ -1166,7 +1166,7 @@ impl StateMachine for DirectoryStateMachine {
                         check: *check,
                     },
                 );
-                shared.cache.insert(*object, Arc::clone(dir));
+                shared.cache.insert(*object, Rc::clone(dir));
             }
             shared.update_seq = update_seq;
             shared.commit.seqno = commit_seqno;
@@ -1205,7 +1205,7 @@ impl StateMachine for DirectoryStateMachine {
             applier.store_dir_to_disk(ctx, object, &dir);
         }
         for ((object, _, _), _) in &stubs {
-            let waiter = { applier.shared.lock().table.flush_begin(*object) };
+            let waiter = { applier.shared.borrow_mut().table.flush_begin(*object) };
             if let Some(w) = waiter {
                 w.recv(ctx);
             }
@@ -1214,7 +1214,7 @@ impl StateMachine for DirectoryStateMachine {
         // again: re-baseline the durable mirror (recovery runs on the
         // driver's main process, so no flush can be in flight here).
         {
-            let mut shared = applier.shared.lock();
+            let mut shared = applier.shared.borrow_mut();
             if shared.table.mirror_enabled() {
                 shared.table.enable_durable_mirror();
             }
@@ -1225,7 +1225,7 @@ impl StateMachine for DirectoryStateMachine {
         // quiesced the checkpointer for this recovery pass.
         if let Some(journal) = &applier.journal {
             journal.reset(ctx);
-            let mut ckpt = self.ckpt.lock();
+            let mut ckpt = self.ckpt.borrow_mut();
             ckpt.dirty.clear();
             ckpt.need_commit = false;
         }
@@ -1235,12 +1235,12 @@ impl StateMachine for DirectoryStateMachine {
     fn align_cursor(&self, _ctx: &Ctx, cursor: u64) {
         // A new instance's order restarts: the cursor is set
         // absolutely, not monotonically.
-        self.applier.shared.lock().applied_group_seq = cursor;
+        self.applier.shared.borrow_mut().applied_group_seq = cursor;
     }
 
     fn enter_service(&self, ctx: &Ctx, config: &[bool]) {
         let cb = {
-            let mut shared = self.applier.shared.lock();
+            let mut shared = self.applier.shared.borrow_mut();
             shared.commit.config = config.to_vec();
             shared.commit.recovering = false;
             // The state is whole again (own history or a completed
@@ -1253,7 +1253,7 @@ impl StateMachine for DirectoryStateMachine {
 
     fn on_membership(&self, ctx: &Ctx, seq: u64, config: &[bool]) {
         let cb = {
-            let mut shared = self.applier.shared.lock();
+            let mut shared = self.applier.shared.borrow_mut();
             if seq > 0 {
                 shared.applied_group_seq = shared.applied_group_seq.max(seq);
             }
@@ -1285,7 +1285,7 @@ mod tests {
                 (
                     1,
                     StagedAct::Store {
-                        dir: Arc::new(dir),
+                        dir: Rc::new(dir),
                         check: 0xC1,
                     },
                 ),
@@ -1374,26 +1374,26 @@ mod tests {
             sm.apply(ctx, 2, &append("a").encode(), false);
             let load = || sm.applier.load_dir(ctx, 1).expect("cached");
             let (v1, again) = (load(), load());
-            assert!(Arc::ptr_eq(&v1, &again), "a read copies nothing");
+            assert!(Rc::ptr_eq(&v1, &again), "a read copies nothing");
             // A refused update publishes nothing.
             sm.apply(ctx, 3, &append("a").encode(), false);
-            assert!(Arc::ptr_eq(&v1, &load()));
+            assert!(Rc::ptr_eq(&v1, &load()));
             sm.flush(ctx);
-            assert!(sm.applier.shared.lock().unflushed.is_empty());
+            assert!(sm.applier.shared.borrow_mut().unflushed.is_empty());
 
             sm.apply(ctx, 4, &append("b").encode(), false);
             let v2 = load();
-            assert!(!Arc::ptr_eq(&v1, &v2), "an update edits its own copy");
+            assert!(!Rc::ptr_eq(&v1, &v2), "an update edits its own copy");
             assert_eq!((v1.rows.len(), v1.seqno), (1, 2), "and no one else's");
             assert_eq!((v2.rows.len(), v2.seqno), (2, 4));
             // The deferred disk effect is that version, not a copy of it.
             {
-                let pending = sm.pending.lock();
+                let pending = sm.pending.borrow();
                 let stored = pending.iter().rev().find_map(|e| match e {
                     Effect::StoreDir { dir, .. } => Some(dir),
                     _ => None,
                 });
-                assert!(Arc::ptr_eq(stored.expect("the append's effect"), &v2));
+                assert!(Rc::ptr_eq(stored.expect("the append's effect"), &v2));
             }
 
             // The read rule, with the publish the driver would signal
@@ -1415,7 +1415,7 @@ mod tests {
             // Placed before the append, a read is served the version
             // the batch replaced: durable, and holding every op up to
             // its target. It does not wait.
-            assert!(Arc::ptr_eq(&read(3).unwrap(), &v1));
+            assert!(Rc::ptr_eq(&read(3).unwrap(), &v1));
             let lookup = DirRequest::LookupSet {
                 items: vec![(crate::Capability::owner(port, 1, 0xC1), "b".into())],
             };
@@ -1424,9 +1424,9 @@ mod tests {
             assert!(waits.borrow().is_empty());
             // At the append, it waits for the publish; the flush empties
             // the map, and the new version is the one served.
-            assert!(Arc::ptr_eq(&read(4).unwrap(), &v2));
+            assert!(Rc::ptr_eq(&read(4).unwrap(), &v2));
             assert_eq!(*waits.borrow(), [4]);
-            assert!(sm.applier.shared.lock().unflushed.is_empty());
+            assert!(sm.applier.shared.borrow_mut().unflushed.is_empty());
 
             // A batch that deletes the directory keeps no predecessor:
             // even a read placed before the delete waits for its publish,

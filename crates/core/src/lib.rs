@@ -59,7 +59,7 @@
 //! ## The message pipeline (zero-copy invariants)
 //!
 //! A directory update travels flip → rpc → group → core as a shared
-//! [`Payload`](amoeba_flip::Payload) — an `Arc`-backed buffer with
+//! [`Payload`](amoeba_flip::Payload) — an `Rc`-backed buffer with
 //! zero-copy slicing — and the pipeline maintains these invariants:
 //!
 //! 1. **Encode once.** Every directory-service format is one
@@ -73,14 +73,14 @@
 //! 2. **Never copy on the way down.** `RpcClient::trans`, `Group::send`
 //!    and `BulletClient::create` accept `impl Into<Payload>`; retries,
 //!    the sequencer's history buffer, BB stores and app-delivery queues
-//!    all hold clones of the same buffer (`Payload::clone` is an `Arc`
+//!    all hold clones of the same buffer (`Payload::clone` is an `Rc`
 //!    bump, never a byte copy).
 //! 3. **Never copy on the way up.** Decoders run over the packet's
 //!    shared buffer (`WireReader::of`, `Wire::decode_shared`) and return
 //!    embedded byte strings as zero-copy sub-payloads
 //!    (`WireReader::payload`), so the op bytes a replica applies — and a
 //!    state transfer's snapshot — alias the wire buffer they arrived in.
-//!    Multicast fan-out clones [`Packet`](amoeba_flip::Packet)s at `Arc`
+//!    Multicast fan-out clones [`Packet`](amoeba_flip::Packet)s at `Rc`
 //!    cost.
 //! 4. **Structured decode may allocate.** Parsing a `DirOp` or
 //!    `Directory` into strings/capabilities allocates for the *parsed

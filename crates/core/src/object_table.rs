@@ -140,7 +140,7 @@ impl ObjectTable {
 
     /// Snapshots and enqueues the write of the block containing `object`
     /// without blocking; the caller waits on the returned mailbox after
-    /// releasing any locks.
+    /// releasing any borrows.
     pub fn flush_begin(&self, object: u64) -> Option<amoeba_sim::MailboxRx<()>> {
         let slot = self.slot(object)?;
         let block_index = slot / self.entries_per_block;
@@ -321,9 +321,7 @@ mod tests {
         }
     }
 
-    fn with_table<R: Send + 'static>(
-        f: impl FnOnce(&Ctx, RawPartition) -> R + Send + 'static,
-    ) -> R {
+    fn with_table<R: 'static>(f: impl FnOnce(&Ctx, RawPartition) -> R + 'static) -> R {
         let mut sim = Simulation::new(1);
         let node = sim.add_node("m");
         let disk = VDisk::new(64, 4096);

@@ -12,7 +12,8 @@
 //! apply batching all live in the driver; this file contains **zero
 //! group-protocol code**.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_bullet::BulletClient;
@@ -23,7 +24,6 @@ use amoeba_group::GroupPeer;
 use amoeba_rpc::{RpcClient, RpcNode, RpcParams, RpcServer};
 use amoeba_rsm::{Replica, ReplicaDeps, RsmConfig, RsmError};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
-use parking_lot::Mutex;
 
 use crate::config::{DirParams, ServiceConfig, StorageKind};
 use crate::dir_sm::DirectoryStateMachine;
@@ -34,7 +34,7 @@ use crate::state::{op_object, Applier, ReadAt, ReadLease, Shared};
 /// Handle to one running group directory server (one replica column).
 #[derive(Clone)]
 pub struct GroupDirServer {
-    pub(crate) applier: Arc<Applier>,
+    pub(crate) applier: Rc<Applier>,
     replica: Replica<DirectoryStateMachine>,
     cfg: ServiceConfig,
 }
@@ -116,11 +116,11 @@ pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupD
         assert!(journal.is_some(), "journaled commit path without a journal");
     }
     let table = ObjectTable::new(partition.clone());
-    let shared = Arc::new(Mutex::new(Shared::new(table, cfg.n)));
-    let applier = Arc::new(Applier {
+    let shared = Rc::new(RefCell::new(Shared::new(table, cfg.n)));
+    let applier = Rc::new(Applier {
         cfg: cfg.clone(),
         storage: params.storage,
-        shared: Arc::clone(&shared),
+        shared: Rc::clone(&shared),
         bullet,
         partition,
         nvram,
@@ -132,8 +132,8 @@ pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupD
         max_lease_us: params.max_lease.as_micros() as u64,
         lease_renewals: params.lease_renewals,
     });
-    let sm = Arc::new(DirectoryStateMachine::new(
-        Arc::clone(&applier),
+    let sm = Rc::new(DirectoryStateMachine::new(
+        Rc::clone(&applier),
         params.clone(),
         cpu.clone(),
     ));
@@ -148,7 +148,7 @@ pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupD
         },
     );
     let server = GroupDirServer {
-        applier: Arc::clone(&applier),
+        applier: Rc::clone(&applier),
         replica: replica.clone(),
         cfg: cfg.clone(),
     };
@@ -156,7 +156,7 @@ pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupD
     // Initiator (server) threads.
     for t in 0..params.server_threads.max(1) {
         let srv = RpcServer::new(&rpc, cfg.public_port);
-        let applier = Arc::clone(&applier);
+        let applier = Rc::clone(&applier);
         let replica = replica.clone();
         // Invalidation callbacks use tightly bounded transports: a
         // crashed lease holder must cost the write a couple of short
@@ -188,7 +188,7 @@ pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupD
 impl GroupDirServer {
     /// The current logical version (diagnostics/tests).
     pub fn update_seq(&self) -> u64 {
-        self.applier.shared.lock().update_seq
+        self.applier.shared.borrow().update_seq
     }
 
     /// Forces any pending NVRAM records to disk (diagnostics/tests).
@@ -229,7 +229,7 @@ impl GroupDirServer {
     /// directories it never held a capability for. `None` for unknown
     /// or already-relocated objects.
     pub fn owner_cap(&self, object: u64) -> Option<crate::Capability> {
-        let shared = self.applier.shared.lock();
+        let shared = self.applier.shared.borrow();
         if shared.stubs.contains_key(&object) {
             return None;
         }
@@ -245,7 +245,7 @@ impl GroupDirServer {
     /// replica-local (reads count where they are served) and reset by
     /// the drain, so successive calls report per-interval deltas.
     pub fn hot_dirs(&self, k: usize) -> Vec<(u64, u64)> {
-        let mut shared = self.applier.shared.lock();
+        let mut shared = self.applier.shared.borrow_mut();
         let heat = std::mem::take(&mut shared.heat);
         let mut v: Vec<(u64, u64)> = heat
             .into_iter()
@@ -259,7 +259,7 @@ impl GroupDirServer {
     /// Number of forwarding stubs (migrated-away directories) this
     /// shard currently holds (diagnostics/tests).
     pub fn stub_count(&self) -> usize {
-        self.applier.shared.lock().stubs.len()
+        self.applier.shared.borrow().stubs.len()
     }
 }
 
@@ -424,7 +424,7 @@ fn fence_cached_readers(ctx: &Ctx, applier: &Applier, inval: &RpcClient, objects
     if objects.is_empty() {
         return;
     }
-    let fence_until = applier.shared.lock().write_fence_until_us;
+    let fence_until = applier.shared.borrow_mut().write_fence_until_us;
     let now_us = ctx.now().as_nanos() / 1_000;
     if fence_until > now_us {
         ctx.sleep(Duration::from_micros(fence_until - now_us));
@@ -432,7 +432,7 @@ fn fence_cached_readers(ctx: &Ctx, applier: &Applier, inval: &RpcClient, objects
     let home = applier.cfg.public_port;
     loop {
         let claimed: Vec<(u64, ReadLease)> = {
-            let mut shared = applier.shared.lock();
+            let mut shared = applier.shared.borrow_mut();
             let mut v = Vec::new();
             for &o in objects {
                 if let Some(ls) = shared.revoked.remove(&o) {
@@ -474,7 +474,7 @@ fn fence_cached_readers(ctx: &Ctx, applier: &Applier, inval: &RpcClient, objects
             ctx.sleep(Duration::from_micros(outwait_us - now_us));
         }
         {
-            let mut shared = applier.shared.lock();
+            let mut shared = applier.shared.borrow_mut();
             for (o, _) in &claimed {
                 if let Some(n) = shared.inflight_inval.get_mut(o) {
                     *n = n.saturating_sub(1);

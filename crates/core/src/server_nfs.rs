@@ -7,7 +7,8 @@
 //! disk write — the same cost structure as NFS metadata operations on
 //! `/usr/tmp` in the paper's measurement.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use amoeba_bullet::BulletClient;
 use amoeba_disk::RawPartition;
@@ -15,7 +16,6 @@ use amoeba_flip::wire::Wire;
 use amoeba_flip::Payload;
 use amoeba_rpc::{RpcNode, RpcServer};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
-use parking_lot::Mutex;
 
 use crate::config::{DirParams, ServiceConfig, StorageKind};
 use crate::object_table::ObjectTable;
@@ -25,7 +25,7 @@ use crate::state::{Applier, Mode, ReadAt, Shared};
 /// Handle to the running NFS-like server.
 #[derive(Clone)]
 pub struct NfsDirServer {
-    pub(crate) shared: Arc<Mutex<Shared>>,
+    pub(crate) shared: Rc<RefCell<Shared>>,
 }
 
 impl std::fmt::Debug for NfsDirServer {
@@ -37,7 +37,7 @@ impl std::fmt::Debug for NfsDirServer {
 impl NfsDirServer {
     /// The current logical version (diagnostics/tests).
     pub fn update_seq(&self) -> u64 {
-        self.shared.lock().update_seq
+        self.shared.borrow().update_seq
     }
 }
 
@@ -81,11 +81,11 @@ pub fn start_nfs_server(spawner: &impl Spawn, deps: NfsServerDeps) -> NfsDirServ
     let table = ObjectTable::new(partition.clone());
     let mut shared0 = Shared::new(table, 1);
     shared0.mode = Mode::Normal;
-    let shared = Arc::new(Mutex::new(shared0));
-    let applier = Arc::new(Applier {
+    let shared = Rc::new(RefCell::new(shared0));
+    let applier = Rc::new(Applier {
         cfg: cfg.clone(),
         storage: StorageKind::Disk,
-        shared: Arc::clone(&shared),
+        shared: Rc::clone(&shared),
         bullet,
         partition,
         nvram: None,
@@ -98,7 +98,7 @@ pub fn start_nfs_server(spawner: &impl Spawn, deps: NfsServerDeps) -> NfsDirServ
     let update_lock = Resource::new(spawner.sim_handle(), "nfs-update");
     for t in 0..params.server_threads.max(1) {
         let srv = RpcServer::new(&rpc, cfg.public_port);
-        let applier = Arc::clone(&applier);
+        let applier = Rc::clone(&applier);
         let params = params.clone();
         let cpu = cpu.clone();
         let update_lock = update_lock.clone();
@@ -145,14 +145,14 @@ impl Applier {
     /// "no fault tolerance" column of Fig. 7.
     pub(crate) fn apply_nfs(&self, ctx: &Ctx, op: &crate::ops::DirOp) -> Payload {
         let planned = {
-            let mut shared = self.shared.lock();
+            let mut shared = self.shared.borrow_mut();
             self.plan(&mut shared, op, None, true)
         };
         match planned {
             Ok((reply, _effects, _)) => {
                 // One synchronous disk write, whatever the op.
                 let object = crate::server_rpc::op_lock_object(op).max(1);
-                let waiter = { self.shared.lock().table.flush_begin(object) };
+                let waiter = { self.shared.borrow_mut().table.flush_begin(object) };
                 if let Some(w) = waiter {
                     w.recv(ctx);
                 }

@@ -11,7 +11,8 @@
 //! background. No partition tolerance: the paper's RPC service assumes
 //! partitions do not happen.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use amoeba_bullet::BulletClient;
 use amoeba_disk::RawPartition;
@@ -19,7 +20,6 @@ use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
 use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
 use amoeba_sim::{Ctx, IdSet, MailboxTx, NodeId, Resource, Spawn};
-use parking_lot::Mutex;
 
 use crate::config::{DirParams, ServiceConfig, StorageKind};
 use crate::object_table::ObjectTable;
@@ -102,8 +102,8 @@ struct RpcCoord {
 /// Handle to one running RPC directory server.
 #[derive(Clone)]
 pub struct RpcDirServer {
-    pub(crate) shared: Arc<Mutex<Shared>>,
-    coord: Arc<Mutex<RpcCoord>>,
+    pub(crate) shared: Rc<RefCell<Shared>>,
+    coord: Rc<RefCell<RpcCoord>>,
     cfg: ServiceConfig,
 }
 
@@ -116,12 +116,12 @@ impl std::fmt::Debug for RpcDirServer {
 impl RpcDirServer {
     /// The current logical version (diagnostics/tests).
     pub fn update_seq(&self) -> u64 {
-        self.shared.lock().update_seq
+        self.shared.borrow().update_seq
     }
 
     /// How many peer intentions are logged but not yet applied lazily.
     pub fn pending_intents(&self) -> usize {
-        self.coord.lock().pending_intents.len()
+        self.coord.borrow().pending_intents.len()
     }
 }
 
@@ -164,11 +164,11 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
     let table = ObjectTable::new(partition.clone());
     let mut shared0 = Shared::new(table, cfg.n);
     shared0.mode = Mode::Normal; // no group machinery
-    let shared = Arc::new(Mutex::new(shared0));
-    let applier = Arc::new(Applier {
+    let shared = Rc::new(RefCell::new(shared0));
+    let applier = Rc::new(Applier {
         cfg: cfg.clone(),
         storage: StorageKind::Disk,
-        shared: Arc::clone(&shared),
+        shared: Rc::clone(&shared),
         bullet,
         partition,
         nvram: None,
@@ -176,13 +176,13 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
         max_lease_us: params.max_lease.as_micros() as u64,
         lease_renewals: params.lease_renewals,
     });
-    let coord = Arc::new(Mutex::new(RpcCoord {
+    let coord = Rc::new(RefCell::new(RpcCoord {
         locked: IdSet::default(),
         pending_intents: Vec::new(),
     }));
     let server = RpcDirServer {
-        shared: Arc::clone(&shared),
-        coord: Arc::clone(&coord),
+        shared: Rc::clone(&shared),
+        coord: Rc::clone(&coord),
         cfg: cfg.clone(),
     };
     // Lazy-apply queue: the background thread that creates the second
@@ -196,8 +196,8 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
     // intention's log write is in progress.
     let (apply_tx, apply_rx) = spawner.sim_handle().channel::<(u64, Payload)>();
     {
-        let applier = Arc::clone(&applier);
-        let coord = Arc::clone(&coord);
+        let applier = Rc::clone(&applier);
+        let coord = Rc::clone(&coord);
         spawner.spawn_boxed(
             Some(sim_node),
             &format!("rpcdir{}-applyworker", cfg.me),
@@ -206,13 +206,16 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
                 if let Ok(op) = DirOp::decode(&op) {
                     let _ = applier.apply_with_seq(ctx, useq, &op);
                 }
-                coord.lock().pending_intents.retain(|(s, _)| *s != useq);
+                coord
+                    .borrow_mut()
+                    .pending_intents
+                    .retain(|(s, _)| *s != useq);
             }),
         );
     }
     for pt in 0..2 {
         let srv = RpcServer::new(&rpc, cfg.internal_port(cfg.me));
-        let coord = Arc::clone(&coord);
+        let coord = Rc::clone(&coord);
         let params2 = params.clone();
         let apply_tx = apply_tx.clone();
         spawner.spawn_boxed(
@@ -225,14 +228,14 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
                         let object = DirOp::decode(&op)
                             .map(|o| crate::server_rpc::op_lock_object(&o))
                             .unwrap_or(0);
-                        let busy = { coord.lock().locked.contains(&object) };
+                        let busy = { coord.borrow_mut().locked.contains(&object) };
                         if busy {
                             PeerMsg::IntentBusy
                         } else {
                             // Sequential log append: rotation + transfer,
                             // no full seek (see DirParams).
                             ctx.sleep(params2.intentions_latency);
-                            coord.lock().pending_intents.push((useq, op));
+                            coord.borrow_mut().pending_intents.push((useq, op));
                             PeerMsg::IntentOk
                         }
                     }
@@ -265,8 +268,8 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
     // Server (initiator) threads.
     for t in 0..params.server_threads.max(1) {
         let srv = RpcServer::new(&rpc, cfg.public_port);
-        let applier = Arc::clone(&applier);
-        let coord = Arc::clone(&coord);
+        let applier = Rc::clone(&applier);
+        let coord = Rc::clone(&coord);
         let params = params.clone();
         let cpu = cpu.clone();
         let rpc_client = RpcClient::new(&rpc);
@@ -303,7 +306,7 @@ impl Applier {
             let _ = self.load_dir(ctx, object);
         }
         let planned = {
-            let mut shared = self.shared.lock();
+            let mut shared = self.shared.borrow_mut();
             self.plan(&mut shared, op, Some(useq), true)
         };
         match planned {
@@ -339,7 +342,7 @@ fn rpc_initiator_loop(
     ctx: &Ctx,
     srv: &RpcServer,
     applier: &Applier,
-    coord: &Mutex<RpcCoord>,
+    coord: &RefCell<RpcCoord>,
     params: &DirParams,
     cpu: &Resource,
     rpc_client: &RpcClient,
@@ -371,7 +374,7 @@ fn rpc_initiator_loop(
 fn rpc_write(
     ctx: &Ctx,
     applier: &Applier,
-    coord: &Mutex<RpcCoord>,
+    coord: &RefCell<RpcCoord>,
     rpc_client: &RpcClient,
     peer_port: amoeba_flip::Port,
     lazy_tx: &MailboxTx<(u64, Payload)>,
@@ -381,13 +384,13 @@ fn rpc_write(
     let lock_object = op_lock_object(&op);
     // Local conflict lock.
     {
-        let mut c = coord.lock();
+        let mut c = coord.borrow_mut();
         if c.locked.contains(&lock_object) {
             return Err(DirError::Internal); // busy; client retries
         }
         c.locked.insert(lock_object);
     }
-    let useq = { applier.shared.lock().update_seq + 1 };
+    let useq = { applier.shared.borrow_mut().update_seq + 1 };
     let op_bytes = op.encode();
     // Phase 1: intentions at the peer (synchronous, the extra disk
     // operation the paper charges the RPC service for).
@@ -404,12 +407,12 @@ fn rpc_write(
         }
     };
     if !peer_ok {
-        coord.lock().locked.remove(&lock_object);
+        coord.borrow_mut().locked.remove(&lock_object);
         return Err(DirError::Internal);
     }
     // Phase 2: perform the update locally (Bullet file + table write).
     let reply = applier.apply_with_seq(ctx, useq, &op);
-    coord.lock().locked.remove(&lock_object);
+    coord.borrow_mut().locked.remove(&lock_object);
     // Phase 3: lazy replication in the background.
     lazy_tx.send((useq, op_bytes));
     Ok(reply)

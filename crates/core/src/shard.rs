@@ -126,12 +126,11 @@
 //!   advisory client-side state on top — never required for
 //!   correctness, only for skipping already-learned hops.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use amoeba_flip::Port;
 use amoeba_sim::IdMap;
-use parking_lot::Mutex;
 
 use crate::capability::Capability;
 
@@ -159,9 +158,9 @@ pub struct ShardMap {
     shards: usize,
     ports: Vec<Port>,
     /// Learned forwarding hints: old `(port, object)` → new location.
-    reloc: Arc<Mutex<IdMap<Location, Location>>>,
+    reloc: Rc<RefCell<IdMap<Location, Location>>>,
     /// Bumped once per newly learned hint.
-    epoch: Arc<AtomicU64>,
+    epoch: Rc<Cell<u64>>,
 }
 
 impl PartialEq for ShardMap {
@@ -190,8 +189,8 @@ impl ShardMap {
         ShardMap {
             shards,
             ports,
-            reloc: Arc::new(Mutex::new(IdMap::default())),
-            epoch: Arc::new(AtomicU64::new(0)),
+            reloc: Rc::new(RefCell::new(IdMap::default())),
+            epoch: Rc::new(Cell::new(0)),
         }
     }
 
@@ -299,11 +298,11 @@ impl ShardMap {
             return false;
         }
         let changed = {
-            let mut reloc = self.reloc.lock();
+            let mut reloc = self.reloc.borrow_mut();
             reloc.insert(from, to) != Some(to)
         };
         if changed {
-            self.epoch.fetch_add(1, Ordering::Relaxed);
+            self.epoch.set(self.epoch.get() + 1);
         }
         changed
     }
@@ -311,7 +310,7 @@ impl ShardMap {
     /// How many hints have been learned (monotone): callers caching
     /// derived routing state re-derive when this moves.
     pub fn relocation_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.epoch.get()
     }
 
     /// Translates a capability through the relocation cache: follows
@@ -321,7 +320,7 @@ impl ShardMap {
     /// validates unchanged. A cap with no hints (or a foreign cap)
     /// comes back untouched.
     pub fn resolve(&self, cap: &Capability) -> Capability {
-        let reloc = self.reloc.lock();
+        let reloc = self.reloc.borrow();
         let mut at = (cap.port, cap.object);
         for _ in 0..MAX_RELOC_HOPS {
             match reloc.get(&at) {

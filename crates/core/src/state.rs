@@ -1,15 +1,15 @@
 //! The replica state machine shared by every server implementation:
 //! validation, deterministic apply, and storage effects.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use amoeba_bullet::{BulletClient, FileCap};
 use amoeba_disk::{Journal, NvRecord, Nvram, RawPartition};
 use amoeba_flip::wire::{encode_with, Wire};
 use amoeba_flip::{Payload, Port};
 use amoeba_sim::{Ctx, IdMap, IdSet};
-use parking_lot::Mutex;
 
 use crate::capability::Capability;
 use crate::commit_block::CommitBlock;
@@ -27,8 +27,8 @@ pub(crate) enum Mode {
     Normal,
 }
 
-/// Mutable replica state. Lock discipline: never hold the lock across a
-/// blocking simulator call.
+/// Mutable replica state. Borrow discipline: never hold the borrow across
+/// a blocking simulator call.
 pub(crate) struct Shared {
     pub mode: Mode,
     pub table: ObjectTable,
@@ -37,13 +37,13 @@ pub(crate) struct Shared {
     /// one immutable *version* of its directory: readers, the planner
     /// and the deferred disk effects share it, and an update publishes
     /// the next version — the one copy it edited — in its place.
-    pub cache: IdMap<u64, Arc<Directory>>,
+    pub cache: IdMap<u64, Rc<Directory>>,
     /// The objects the batch being applied or flushed has changed: the
     /// first group seq that changed each and, while every change only
     /// edited rows, its durable version from before the batch. Filled
     /// and emptied by the replicated machine (see `dir_sm`); the read
     /// rule ([`Applier::settle`]) keeps reads off what it lists.
-    pub unflushed: IdMap<u64, (u64, Option<Arc<Directory>>)>,
+    pub unflushed: IdMap<u64, (u64, Option<Rc<Directory>>)>,
     /// Logical version counter, monotone across group incarnations;
     /// stored with every directory ("sequence number", Fig. 4/§3).
     pub update_seq: u64,
@@ -202,7 +202,7 @@ impl Shared {
 pub(crate) struct Applier {
     pub cfg: ServiceConfig,
     pub storage: StorageKind,
-    pub shared: Arc<Mutex<Shared>>,
+    pub shared: Rc<RefCell<Shared>>,
     pub bullet: BulletClient,
     pub partition: RawPartition,
     pub nvram: Option<Nvram>,
@@ -250,7 +250,7 @@ pub(crate) fn validate_dir_cap(
     Ok(cap.object)
 }
 
-/// [`Applier::restrict_for_holder`] with the lock already held (the
+/// [`Applier::restrict_for_holder`] with the state already borrowed (the
 /// plan phase runs inside the shared-state critical section).
 fn restrict_with(
     shared: &Shared,
@@ -277,11 +277,7 @@ fn structure_err(e: DirStructureError) -> DirError {
 /// Rebuilds a full directory from an [`DirOp::InstallDir`]'s carried
 /// contents, re-validating the structural invariants (a forged install
 /// must not plant an undecodable directory).
-fn build_directory(
-    columns: &[String],
-    rows: &[Row],
-    useq: u64,
-) -> Result<Arc<Directory>, DirError> {
+fn build_directory(columns: &[String], rows: &[Row], useq: u64) -> Result<Rc<Directory>, DirError> {
     if !(1..=4).contains(&columns.len()) {
         return Err(DirError::Malformed);
     }
@@ -291,16 +287,16 @@ fn build_directory(
             .map_err(structure_err)?;
     }
     dir.seqno = useq;
-    Ok(Arc::new(dir))
+    Ok(Rc::new(dir))
 }
 
 /// Publishes `dir` — the copy an update just edited, or a freshly built
 /// directory — as `object`'s next version: stamped with the update's
 /// seq, installed in the RAM cache, and handed to the disk path by the
 /// returned effect. All three hold the same allocation.
-fn publish(shared: &mut Shared, object: u64, mut dir: Arc<Directory>, useq: u64) -> Effect {
-    Arc::make_mut(&mut dir).seqno = useq;
-    shared.cache.insert(object, Arc::clone(&dir));
+fn publish(shared: &mut Shared, object: u64, mut dir: Rc<Directory>, useq: u64) -> Effect {
+    Rc::make_mut(&mut dir).seqno = useq;
+    shared.cache.insert(object, Rc::clone(&dir));
     Effect::StoreDir { object, dir }
 }
 
@@ -345,7 +341,7 @@ pub(crate) enum Effect {
     /// Persist this version (the one the RAM cache holds).
     StoreDir {
         object: u64,
-        dir: Arc<Directory>,
+        dir: Rc<Directory>,
     },
     DropDir {
         object: u64,
@@ -432,29 +428,29 @@ fn decode_nv_record(data: &[u8]) -> Option<(u64, DirOp)> {
 impl Applier {
     /// Fetches a directory's current version: RAM cache, else its
     /// Bullet file.
-    pub fn load_dir(&self, ctx: &Ctx, object: u64) -> Result<Arc<Directory>, DirError> {
+    pub fn load_dir(&self, ctx: &Ctx, object: u64) -> Result<Rc<Directory>, DirError> {
         {
-            let shared = self.shared.lock();
+            let shared = self.shared.borrow();
             if let Some(d) = shared.cache.get(&object) {
-                return Ok(Arc::clone(d));
+                return Ok(Rc::clone(d));
             }
         }
         let entry = {
-            let shared = self.shared.lock();
+            let shared = self.shared.borrow();
             shared.table.get(object).ok_or(DirError::BadCapability)?
         };
         let bytes = self
             .bullet
             .read(ctx, entry.file_cap)
             .map_err(|_| DirError::Internal)?;
-        let dir = Arc::new(Directory::decode(&bytes).map_err(|_| DirError::Internal)?);
-        let mut shared = self.shared.lock();
-        shared.cache.insert(object, Arc::clone(&dir));
+        let dir = Rc::new(Directory::decode(&bytes).map_err(|_| DirError::Internal)?);
+        let mut shared = self.shared.borrow_mut();
+        shared.cache.insert(object, Rc::clone(&dir));
         Ok(dir)
     }
 
     /// Pre-loads the directories `op` touches into the RAM cache
-    /// (Bullet reads must happen outside the lock; after a reboot the
+    /// (Bullet reads must happen outside the borrow; after a reboot the
     /// cache starts cold).
     pub(crate) fn preload_for(&self, ctx: &Ctx, op: &DirOp) {
         match op {
@@ -641,7 +637,7 @@ impl Applier {
                 col_rights,
             } => {
                 let mut dir = self.dir_for_plan(shared, *object)?;
-                Arc::make_mut(&mut dir)
+                Rc::make_mut(&mut dir)
                     .append_row(name.clone(), *cap, col_rights.clone())
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
@@ -653,7 +649,7 @@ impl Applier {
                 col_rights,
             } => {
                 let mut dir = self.dir_for_plan(shared, *object)?;
-                Arc::make_mut(&mut dir)
+                Rc::make_mut(&mut dir)
                     .chmod_row(name, col_rights.clone())
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
@@ -661,7 +657,7 @@ impl Applier {
             }
             DirOp::DeleteRow { object, name } => {
                 let mut dir = self.dir_for_plan(shared, *object)?;
-                Arc::make_mut(&mut dir)
+                Rc::make_mut(&mut dir)
                     .delete_row(name)
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
@@ -682,7 +678,7 @@ impl Applier {
                         Err(DirError::DuplicateName)
                     };
                 }
-                Arc::make_mut(&mut dir)
+                Rc::make_mut(&mut dir)
                     .append_row(name.clone(), *cap, col_rights.clone())
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
@@ -697,7 +693,7 @@ impl Applier {
                 if dir.find(name).is_none() {
                     return Ok((DirReply::Ok, Vec::new()));
                 }
-                Arc::make_mut(&mut dir)
+                Rc::make_mut(&mut dir)
                     .delete_row(name)
                     .map_err(structure_err)?;
                 let stored = publish(shared, *object, dir, useq);
@@ -705,7 +701,7 @@ impl Applier {
             }
             DirOp::ReplaceSet { items } => {
                 // Indivisible: validate everything, then mutate.
-                let mut dirs: IdMap<u64, Arc<Directory>> = IdMap::default();
+                let mut dirs: IdMap<u64, Rc<Directory>> = IdMap::default();
                 for (object, name, _) in items {
                     if !dirs.contains_key(object) {
                         dirs.insert(*object, self.dir_for_plan(shared, *object)?);
@@ -716,7 +712,7 @@ impl Applier {
                 }
                 for (object, name, cap) in items {
                     // Copies each directory at its first replacement only.
-                    let dir = Arc::make_mut(dirs.get_mut(object).expect("validated above"));
+                    let dir = Rc::make_mut(dirs.get_mut(object).expect("validated above"));
                     dir.replace_cap(name, *cap).expect("validated above");
                 }
                 let mut effects = Vec::new();
@@ -861,7 +857,7 @@ impl Applier {
         if object > shared.table.capacity() {
             return Err(DirError::Internal);
         }
-        let dir = Arc::new(Directory::new(columns.to_vec()));
+        let dir = Rc::new(Directory::new(columns.to_vec()));
         let stored = publish(shared, object, dir, useq);
         shared.table.set(
             object,
@@ -878,8 +874,8 @@ impl Applier {
     /// A directory's current version for planning: the RAM cache is
     /// authoritative during normal operation (it was populated at
     /// recovery/apply time). Shared, not copied — an arm that edits it
-    /// goes through [`Arc::make_mut`], which makes the update's one copy.
-    fn dir_for_plan(&self, shared: &Shared, object: u64) -> Result<Arc<Directory>, DirError> {
+    /// goes through [`Rc::make_mut`], which makes the update's one copy.
+    fn dir_for_plan(&self, shared: &Shared, object: u64) -> Result<Rc<Directory>, DirError> {
         if shared.table.get(object).is_none() {
             return Err(DirError::BadCapability);
         }
@@ -897,12 +893,12 @@ impl Applier {
                 // entry — cleared for a delete, kept-but-contentless for a
                 // stub — and record the update in the commit block (the
                 // op loses its file, §3), then free the Bullet file.
-                // Enqueue under the lock, wait outside it.
-                let waiter = { self.shared.lock().table.flush_begin(object) };
+                // Enqueue under the borrow, wait outside it.
+                let waiter = { self.shared.borrow_mut().table.flush_begin(object) };
                 if let Some(w) = waiter {
                     w.recv(ctx);
                 }
-                let cb = { self.shared.lock().commit.clone() };
+                let cb = { self.shared.borrow_mut().commit.clone() };
                 cb.write(&self.partition, ctx);
                 if !old_file.is_null() {
                     let _ = self.bullet.delete(ctx, old_file);
@@ -914,13 +910,13 @@ impl Applier {
     /// Disk path: new Bullet file + one object-table write (the paper's
     /// two disk operations per update).
     pub(crate) fn store_dir_to_disk(&self, ctx: &Ctx, object: u64, dir: &Directory) {
-        let old = { self.shared.lock().table.get(object) };
+        let old = { self.shared.borrow_mut().table.get(object) };
         let new_file = match self.bullet.create(ctx, dir.encode()) {
             Ok(cap) => cap,
             Err(_) => return, // storage column down; recovery will resync
         };
         let waiter = {
-            let mut shared = self.shared.lock();
+            let mut shared = self.shared.borrow_mut();
             match shared.table.get(object) {
                 Some(mut entry) => {
                     entry.file_cap = new_file;
@@ -985,7 +981,7 @@ impl Applier {
 
     fn log_op(&self, ctx: &Ctx, useq: u64, tag: u64, op: &DirOp) {
         let uid = {
-            let mut shared = self.shared.lock();
+            let mut shared = self.shared.borrow_mut();
             let uid = shared.next_nv_uid;
             shared.next_nv_uid += 1;
             uid
@@ -1029,17 +1025,17 @@ impl Applier {
             if object == 0 {
                 continue; // creates are flushed via their directory object
             }
-            let dir = { self.shared.lock().cache.get(&object).cloned() };
-            let live = { self.shared.lock().table.get(object).is_some() };
+            let dir = { self.shared.borrow_mut().cache.get(&object).cloned() };
+            let live = { self.shared.borrow_mut().table.get(object).is_some() };
             match (dir, live) {
                 (Some(dir), true) => self.store_dir_to_disk(ctx, object, &dir),
                 _ => {
                     // Deleted since: persist the cleared entry + commit.
-                    let waiter = { self.shared.lock().table.flush_begin(object) };
+                    let waiter = { self.shared.borrow_mut().table.flush_begin(object) };
                     if let Some(w) = waiter {
                         w.recv(ctx);
                     }
-                    let cb = { self.shared.lock().commit.clone() };
+                    let cb = { self.shared.borrow_mut().commit.clone() };
                     cb.write(&self.partition, ctx);
                 }
             }
@@ -1070,7 +1066,7 @@ impl Applier {
                 if needs != 0 {
                     let _ = self.load_dir(ctx, needs);
                 }
-                let mut shared = self.shared.lock();
+                let mut shared = self.shared.borrow_mut();
                 let _ = self.plan(&mut shared, &op, Some(useq), false);
                 max_seq = max_seq.max(useq);
             }
@@ -1090,7 +1086,7 @@ impl Applier {
     /// takes the [`version_at`](Self::version_at) without yielding.
     pub(crate) fn settle(&self, object: u64, at: &ReadAt) -> Result<(), DirError> {
         loop {
-            let first = match self.shared.lock().unflushed.get(&object) {
+            let first = match self.shared.borrow_mut().unflushed.get(&object) {
                 Some((first, before)) if *first <= at.target || before.is_none() => *first,
                 _ => return Ok(()),
             };
@@ -1116,8 +1112,8 @@ impl Applier {
 
     /// The version of a settled `object` a read serves: the one before
     /// the batch in flight edited its rows, else the current one.
-    pub(crate) fn version_at(&self, ctx: &Ctx, object: u64) -> Result<Arc<Directory>, DirError> {
-        let before = self.shared.lock().unflushed.get(&object).cloned();
+    pub(crate) fn version_at(&self, ctx: &Ctx, object: u64) -> Result<Rc<Directory>, DirError> {
+        let before = self.shared.borrow_mut().unflushed.get(&object).cloned();
         match before {
             Some((_, Some(dir))) => Ok(dir),
             _ => self.load_dir(ctx, object),
@@ -1134,7 +1130,7 @@ impl Applier {
                     return DirReply::Err(e);
                 }
                 let object = {
-                    let mut shared = self.shared.lock();
+                    let mut shared = self.shared.borrow_mut();
                     let object =
                         match validate_dir_cap(&shared, self.cfg.public_port, cap, Rights::NONE) {
                             Ok(o) => o,
@@ -1181,7 +1177,7 @@ impl Applier {
                         return DirReply::Err(e);
                     }
                     let object = {
-                        let mut shared = self.shared.lock();
+                        let mut shared = self.shared.borrow_mut();
                         let object =
                             validate_dir_cap(&shared, self.cfg.public_port, cap, Rights::NONE);
                         if let Ok(o) = object {
@@ -1227,7 +1223,7 @@ impl Applier {
                     return DirReply::Err(e);
                 }
                 let (object, check) = {
-                    let shared = self.shared.lock();
+                    let shared = self.shared.borrow();
                     let object =
                         match validate_dir_cap(&shared, self.cfg.public_port, cap, Rights::ALL) {
                             Ok(o) => o,
@@ -1263,7 +1259,7 @@ impl Applier {
     /// foreign capabilities are returned as stored (only their service
     /// could recompute the check).
     fn restrict_for_holder(&self, stored: &Capability, eff: Rights) -> Capability {
-        let shared = self.shared.lock();
+        let shared = self.shared.borrow();
         restrict_with(&shared, self.cfg.public_port, stored, eff)
     }
 
@@ -1281,7 +1277,7 @@ impl Applier {
         owner: u64,
         ttl_us: u64,
     ) -> bool {
-        let shared = self.shared.lock();
+        let shared = self.shared.borrow();
         let object = match validate_dir_cap(&shared, self.cfg.public_port, cap, Rights::NONE) {
             Ok(o) => o,
             Err(_) => return false,
@@ -1319,7 +1315,7 @@ impl Applier {
     ) -> Option<Payload> {
         self.settle(cap.object, &at.latest()).ok()?;
         let (object, deadline_us) = {
-            let mut shared = self.shared.lock();
+            let mut shared = self.shared.borrow_mut();
             let object = validate_dir_cap(&shared, self.cfg.public_port, cap, Rights::NONE).ok()?;
             if !cap.rights.sees_any_column() || shared.stubs.contains_key(&object) {
                 return None;
@@ -1338,7 +1334,7 @@ impl Applier {
         };
         let dir = self.load_dir(ctx, object).ok()?;
         // The same snapshot the `GrantRead` apply path answers with.
-        let shared = self.shared.lock();
+        let shared = self.shared.borrow();
         let port = self.cfg.public_port;
         Some(lease_snapshot(&shared, port, &dir, cap, deadline_us, true))
     }
@@ -1347,7 +1343,7 @@ impl Applier {
     /// the replicated op (paper: the check field for a create is chosen
     /// here).
     pub fn prepare_write(&self, ctx: &Ctx, req: &DirRequest) -> Result<DirOp, DirError> {
-        let shared = self.shared.lock();
+        let shared = self.shared.borrow();
         let port = self.cfg.public_port;
         match req {
             DirRequest::CreateDir { columns } => {

@@ -44,11 +44,11 @@
 //! idempotent. A failed reset is not an error; the next checkpoint
 //! retries.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_sim::Ctx;
-use parking_lot::Mutex;
 
 use crate::server::RawPartition;
 
@@ -88,8 +88,8 @@ struct JState {
     /// First free block of the log area (>= 1).
     next_block: u64,
     /// Sim-safe exclusion for append vs reset I/O: the owner holds this
-    /// flag across its (blocking) disk conversation instead of an OS
-    /// lock, which would freeze the simulator.
+    /// flag across its (blocking) disk conversation instead of a borrow,
+    /// which another process would find taken and panic on.
     busy: bool,
 }
 
@@ -101,12 +101,12 @@ struct JState {
 pub struct Journal {
     partition: RawPartition,
     block_size: usize,
-    state: Arc<Mutex<JState>>,
+    state: Rc<RefCell<JState>>,
 }
 
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         write!(
             f,
             "Journal(seqs {}..{}, {} blocks used)",
@@ -127,7 +127,7 @@ impl Journal {
         Journal {
             block_size,
             partition,
-            state: Arc::new(Mutex::new(JState {
+            state: Rc::new(RefCell::new(JState {
                 start_seq: 1,
                 next_seq: 1,
                 next_block: 1,
@@ -143,7 +143,7 @@ impl Journal {
         Journal {
             partition: self.partition.clone(),
             block_size: self.block_size,
-            state: Arc::new(Mutex::new(JState {
+            state: Rc::new(RefCell::new(JState {
                 start_seq: 1,
                 next_seq: 1,
                 next_block: 1,
@@ -155,7 +155,7 @@ impl Journal {
     fn acquire(&self, ctx: &Ctx) {
         loop {
             {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 if !st.busy {
                     st.busy = true;
                     return;
@@ -166,7 +166,7 @@ impl Journal {
     }
 
     fn release(&self) {
-        self.state.lock().busy = false;
+        self.state.borrow_mut().busy = false;
     }
 
     /// Scans the log and rebuilds the cursor, returning every live
@@ -214,7 +214,7 @@ impl Journal {
             expected += 1;
             block += total;
         }
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.start_seq = start_seq;
         st.next_seq = expected;
         st.next_block = block;
@@ -241,7 +241,7 @@ impl Journal {
         let per_frame = self.block_size - FRAME_HEADER;
         let total = payload.len().div_ceil(per_frame).max(1);
         let (seq, start) = {
-            let st = self.state.lock();
+            let st = self.state.borrow();
             if st.next_block + total as u64 > p.len() {
                 return Err(JournalFull);
             }
@@ -254,7 +254,7 @@ impl Journal {
             })
             .collect();
         p.write_run(ctx, start, frames);
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.next_seq = seq + 1;
         st.next_block = start + total as u64;
         Ok(seq)
@@ -265,7 +265,7 @@ impl Journal {
     /// [`try_reset`](Self::try_reset): records appended in between are
     /// then provably not covered and survive the reset.
     pub fn next_seq(&self) -> u64 {
-        self.state.lock().next_seq
+        self.state.borrow().next_seq
     }
 
     /// Empties the log iff no record was appended since `mark` was read
@@ -274,7 +274,7 @@ impl Journal {
     pub fn try_reset(&self, ctx: &Ctx, mark: u64) -> bool {
         self.acquire(ctx);
         let ok = {
-            let st = self.state.lock();
+            let st = self.state.borrow();
             st.next_seq == mark
         };
         if ok {
@@ -289,28 +289,28 @@ impl Journal {
     /// caller must have quiesced appenders.
     pub fn reset(&self, ctx: &Ctx) {
         self.acquire(ctx);
-        let mark = self.state.lock().next_seq;
+        let mark = self.state.borrow_mut().next_seq;
         self.reset_locked(ctx, mark);
         self.release();
     }
 
     fn reset_locked(&self, ctx: &Ctx, mark: u64) {
         self.partition.write(ctx, 0, encode_superblock(mark));
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.start_seq = mark;
         st.next_block = 1;
     }
 
     /// Live records in the log.
     pub fn depth(&self) -> u64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.next_seq - st.start_seq
     }
 
     /// Fill fraction of the region in `[0, 1]` (the checkpoint
     /// high-water signal).
     pub fn fill_fraction(&self) -> f64 {
-        let used = self.state.lock().next_block.saturating_sub(1);
+        let used = self.state.borrow_mut().next_block.saturating_sub(1);
         used as f64 / (self.partition.len() - 1).max(1) as f64
     }
 }

@@ -12,11 +12,11 @@
 //! * **Background flush**: when the device fills up (or the server idles),
 //!   records are applied to disk and removed.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_sim::Ctx;
-use parking_lot::Mutex;
 
 /// One record in the NVRAM log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,13 +59,13 @@ struct NvramInner {
 /// A crash-persistent NVRAM log. Clones share the device.
 #[derive(Clone)]
 pub struct Nvram {
-    inner: Arc<Mutex<NvramInner>>,
+    inner: Rc<RefCell<NvramInner>>,
     write_latency: Duration,
 }
 
 impl std::fmt::Debug for Nvram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         write!(f, "Nvram({}/{} bytes)", i.used, i.capacity)
     }
 }
@@ -96,7 +96,7 @@ impl Nvram {
     /// Creates a device with explicit capacity and per-append latency.
     pub fn new(capacity: usize, write_latency: Duration) -> Self {
         Nvram {
-            inner: Arc::new(Mutex::new(NvramInner {
+            inner: Rc::new(RefCell::new(NvramInner {
                 records: Vec::new(),
                 used: 0,
                 capacity,
@@ -114,13 +114,13 @@ impl Nvram {
     /// to disk and retry.
     pub fn append(&self, ctx: &Ctx, record: NvRecord) -> Result<(), NvramFull> {
         {
-            let i = self.inner.lock();
+            let i = self.inner.borrow();
             if i.used + record.cost() > i.capacity {
                 return Err(NvramFull);
             }
         }
         ctx.sleep(self.write_latency);
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         // Re-check after the sleep (another thread may have appended).
         if i.used + record.cost() > i.capacity {
             return Err(NvramFull);
@@ -133,7 +133,7 @@ impl Nvram {
 
     /// Whether a record would fit right now.
     pub fn would_fit(&self, record: &NvRecord) -> bool {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         i.used + record.cost() <= i.capacity
     }
 
@@ -141,7 +141,7 @@ impl Nvram {
     /// annihilated. Free: no device time is charged (the controller just
     /// invalidates entries).
     pub fn annihilate(&self, pred: impl Fn(&NvRecord) -> bool) -> usize {
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         let before = i.records.len();
         let mut freed = 0;
         i.records.retain(|r| {
@@ -160,7 +160,7 @@ impl Nvram {
 
     /// Drains every record (oldest first) for flushing to disk.
     pub fn drain_all(&self) -> Vec<NvRecord> {
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         i.used = 0;
         let drained = std::mem::take(&mut i.records);
         i.stats.flushed += drained.len() as u64;
@@ -170,22 +170,22 @@ impl Nvram {
     /// A snapshot of the records currently logged (crash recovery replays
     /// these).
     pub fn snapshot(&self) -> Vec<NvRecord> {
-        self.inner.lock().records.clone()
+        self.inner.borrow().records.clone()
     }
 
     /// Bytes in use.
     pub fn used(&self) -> usize {
-        self.inner.lock().used
+        self.inner.borrow().used
     }
 
     /// Device capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
+        self.inner.borrow().capacity
     }
 
     /// Fill fraction in `[0, 1]`.
     pub fn fill_fraction(&self) -> f64 {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         if i.capacity == 0 {
             1.0
         } else {
@@ -195,7 +195,7 @@ impl Nvram {
 
     /// Behaviour counters.
     pub fn stats(&self) -> NvramStats {
-        self.inner.lock().stats
+        self.inner.borrow().stats
     }
 }
 

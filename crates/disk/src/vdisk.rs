@@ -1,10 +1,10 @@
 //! The persistent virtual disk: raw block storage that survives machine
 //! crashes (only processes die; the platters keep their bits).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use amoeba_sim::IdMap;
-use parking_lot::Mutex;
 
 /// Counters of physical operations performed on a disk — the §3.1
 /// cost-analysis currency ("disk operations per directory update").
@@ -49,12 +49,12 @@ struct VDiskInner {
 /// imposed by the [`DiskServer`](crate::DiskServer) process in front of it.
 #[derive(Clone)]
 pub struct VDisk {
-    inner: Arc<Mutex<VDiskInner>>,
+    inner: Rc<RefCell<VDiskInner>>,
 }
 
 impl std::fmt::Debug for VDisk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         write!(f, "VDisk({} blocks of {}B)", i.nblocks, i.block_size)
     }
 }
@@ -63,7 +63,7 @@ impl VDisk {
     /// Creates an empty disk of `nblocks` blocks of `block_size` bytes.
     pub fn new(nblocks: u64, block_size: usize) -> Self {
         VDisk {
-            inner: Arc::new(Mutex::new(VDiskInner {
+            inner: Rc::new(RefCell::new(VDiskInner {
                 blocks: IdMap::default(),
                 nblocks,
                 block_size,
@@ -74,12 +74,12 @@ impl VDisk {
 
     /// Number of blocks.
     pub fn nblocks(&self) -> u64 {
-        self.inner.lock().nblocks
+        self.inner.borrow().nblocks
     }
 
     /// Block size in bytes.
     pub fn block_size(&self) -> usize {
-        self.inner.lock().block_size
+        self.inner.borrow().block_size
     }
 
     /// Reads a block (unwritten blocks read as zeroes).
@@ -88,7 +88,7 @@ impl VDisk {
     ///
     /// Panics if `block` is out of range.
     pub fn read_block(&self, block: u64) -> Vec<u8> {
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         assert!(block < i.nblocks, "read past end of disk");
         i.stats.reads += 1;
         i.stats.blocks += 1;
@@ -105,7 +105,7 @@ impl VDisk {
     ///
     /// Panics if `block` is out of range or `data` exceeds the block size.
     pub fn write_block(&self, block: u64, data: &[u8]) {
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         assert!(block < i.nblocks, "write past end of disk");
         assert!(data.len() <= i.block_size, "data larger than block");
         i.stats.writes += 1;
@@ -120,7 +120,7 @@ impl VDisk {
     /// owns the blocks (a deleted file's extent), not a disk operation:
     /// it takes no simulated time and is not counted in the stats.
     pub fn discard(&self, start: u64, count: u64) {
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         for block in start..start + count {
             i.blocks.remove(&block);
         }
@@ -129,23 +129,23 @@ impl VDisk {
     /// Blocks currently holding host memory; a probe for tests.
     #[doc(hidden)]
     pub fn resident_blocks(&self) -> usize {
-        self.inner.lock().blocks.len()
+        self.inner.borrow().blocks.len()
     }
 
     /// Physical-operation counters.
     pub fn stats(&self) -> DiskStats {
-        self.inner.lock().stats
+        self.inner.borrow().stats
     }
 
     /// Records one head repositioning (called by the serving process
     /// when it charges a non-settled access).
     pub fn note_seek(&self) {
-        self.inner.lock().stats.seeks += 1;
+        self.inner.borrow_mut().stats.seeks += 1;
     }
 
     /// Wipes the disk (a "head crash" for recovery experiments).
     pub fn destroy_contents(&self) {
-        self.inner.lock().blocks.clear();
+        self.inner.borrow_mut().blocks.clear();
     }
 }
 

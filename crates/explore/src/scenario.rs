@@ -32,15 +32,15 @@
 //! acknowledged write is never missing from its subsequent (cached or
 //! uncached) lookups. Any process panic also fails the scenario.
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_dir_core::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dir_core::{CacheParams, Capability, DirClient, Rights};
 use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
 use amoeba_sim::{Ctx, SimHandle, SimTime, SimTrace, Simulation};
-use parking_lot::Mutex;
 
 use crate::schedule::{FaultKind, FaultSchedule};
 
@@ -257,7 +257,7 @@ pub fn run_scenario(
     // The handle is parked outside the unwind boundary so a panicking
     // run (including a replay divergence) still yields its partial
     // trace for diagnosis.
-    let handle_slot: Arc<Mutex<Option<SimHandle>>> = Arc::new(Mutex::new(None));
+    let handle_slot: Rc<RefCell<Option<SimHandle>>> = Rc::new(RefCell::new(None));
     let slot = handle_slot.clone();
     let p = params.clone();
     let s = schedule.clone();
@@ -273,7 +273,7 @@ pub fn run_scenario(
                 "non-string panic payload".to_owned()
             };
             let trace = handle_slot
-                .lock()
+                .borrow_mut()
                 .as_ref()
                 .and_then(|h| h.snapshot_recording());
             ScenarioReport {
@@ -301,14 +301,14 @@ fn run_inner(
     params: &ScenarioParams,
     schedule: &FaultSchedule,
     mode: RunMode,
-    handle_slot: &Mutex<Option<SimHandle>>,
+    handle_slot: &RefCell<Option<SimHandle>>,
 ) -> ScenarioReport {
     let mut sim = match &mode {
         RunMode::Fast => Simulation::new(params.seed),
         RunMode::Record => Simulation::recording(params.seed),
         RunMode::Replay(trace) => Simulation::replaying(trace),
     };
-    *handle_slot.lock() = Some(sim.handle());
+    *handle_slot.borrow_mut() = Some(sim.handle());
     let tele = params
         .telemetry
         .then(|| amoeba_telemetry::Telemetry::install(&sim.handle()));

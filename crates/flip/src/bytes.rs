@@ -3,7 +3,7 @@
 //!
 //! A [`Payload`] is an immutable byte string backed by a reference-counted
 //! buffer plus an offset/length window. Cloning one, or taking a
-//! [`slice`](Payload::slice) of one, copies **no bytes** — only the `Arc`
+//! [`slice`](Payload::slice) of one, copies **no bytes** — only the `Rc`
 //! is touched. This is what lets a directory update be encoded once and
 //! travel flip → rpc → group → core (through the sequencer's history
 //! buffer and every member's delivery queue) without another copy:
@@ -12,7 +12,7 @@
 //!   sized up front, then [`finish_payload`](crate::wire::WireWriter::finish_payload)
 //!   wraps the buffer — one allocation, zero copies;
 //! * [`Packet`](crate::Packet) carries the `Payload`; fan-out to N
-//!   multicast receivers clones the packet N times at Arc cost;
+//!   multicast receivers clones the packet N times at `Rc` cost;
 //! * decoders built with [`WireReader::of`](crate::wire::WireReader::of)
 //!   return embedded byte strings as sub-`Payload`s sharing the packet's
 //!   buffer ([`WireReader::payload`](crate::wire::WireReader::payload));
@@ -32,15 +32,15 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// An immutable, cheaply-cloneable byte string (an `Arc`-backed buffer
+/// An immutable, cheaply-cloneable byte string (an `Rc`-backed buffer
 /// with a zero-copy slicing window). See the [module docs](self).
 #[derive(Clone, Default)]
 pub struct Payload {
     /// Backing buffer; `None` encodes the empty payload without an
     /// allocation.
-    buf: Option<Arc<Vec<u8>>>,
+    buf: Option<Rc<Vec<u8>>>,
     off: usize,
     len: usize,
 }
@@ -62,7 +62,7 @@ impl Payload {
             return Payload::empty();
         }
         Payload {
-            buf: Some(Arc::new(bytes)),
+            buf: Some(Rc::new(bytes)),
             off: 0,
             len,
         }

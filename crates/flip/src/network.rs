@@ -55,11 +55,11 @@
 //!   through it with this router removed, so transit segments stay open
 //!   and no member can be cut off.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use amoeba_sim::{IdMap, MailboxTx, SimHandle, SimRng, SimTime};
-use parking_lot::Mutex;
 
 use crate::addr::{Dest, GroupAddr, HostAddr};
 use crate::packet::Packet;
@@ -69,7 +69,7 @@ use crate::stack::NodeStack;
 use crate::stats::{NetStats, SegmentStats};
 use crate::topology::{SegmentId, Topology};
 
-pub(crate) type EndpointTable = Arc<Mutex<IdMap<Port, MailboxTx<Packet>>>>;
+pub(crate) type EndpointTable = Rc<RefCell<IdMap<Port, MailboxTx<Packet>>>>;
 
 /// Bound on remembered packet ids per node (FIFO eviction).
 const SEEN_CAP: usize = 8192;
@@ -243,12 +243,12 @@ struct NetInner {
 /// ```
 #[derive(Clone)]
 pub struct Network {
-    inner: Arc<Mutex<NetInner>>,
+    inner: Rc<RefCell<NetInner>>,
 }
 
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         f.debug_struct("Network")
             .field("segments", &inner.segments.len())
             .field("routers", &inner.routers.len())
@@ -335,7 +335,7 @@ impl Network {
             );
         }
         Network {
-            inner: Arc::new(Mutex::new(inner)),
+            inner: Rc::new(RefCell::new(inner)),
         }
     }
 
@@ -352,13 +352,13 @@ impl Network {
     /// Panics if the segment does not exist.
     pub fn attach_to(&self, segment: SegmentId) -> NodeStack {
         let addr = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             assert!(
                 (segment.0 as usize) < inner.segments.len(),
                 "attach_to unknown {segment}"
             );
             inner.add_node(NodeSlot {
-                stack: Some(Arc::default()),
+                stack: Some(Rc::default()),
                 segment: Some(segment),
                 ..NodeSlot::default()
             })
@@ -368,18 +368,18 @@ impl Network {
 
     /// A snapshot of the traffic counters.
     pub fn stats(&self) -> NetStats {
-        self.inner.lock().stats.clone()
+        self.inner.borrow().stats.clone()
     }
 
     /// The topology this network was built from.
     pub fn topology(&self) -> Topology {
-        self.inner.lock().topology.clone()
+        self.inner.borrow().topology.clone()
     }
 
     /// The segment a host (or router) is attached to; a router's
     /// "home" is its first attached segment.
     pub fn segment_of(&self, host: HostAddr) -> Option<SegmentId> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         inner.host_segment(host).or_else(|| {
             inner
                 .routers
@@ -391,13 +391,13 @@ impl Network {
     /// The TTL stamped on packets whose sender did not choose one:
     /// topology diameter + 1, i.e. enough to reach every host.
     pub fn max_hops(&self) -> u8 {
-        self.inner.lock().default_ttl
+        self.inner.borrow().default_ttl
     }
 
     /// The router nodes' addresses, in creation order (use with
     /// [`set_down`](Network::set_down) to fail a router).
     pub fn router_addrs(&self) -> Vec<HostAddr> {
-        self.inner.lock().routers.keys().copied().collect()
+        self.inner.borrow_mut().routers.keys().copied().collect()
     }
 
     /// Marks a host or router down. A host's endpoints and group
@@ -405,7 +405,7 @@ impl Network {
     /// deliveries to it are dropped; a router stops forwarding and
     /// forgets its routing table and duplicate-suppression memory.
     pub fn set_down(&self, host: HostAddr) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner
             .handle
             .record_fault(amoeba_sim::fault_codes::NET_DOWN, host.0 as u64, 0);
@@ -415,7 +415,7 @@ impl Network {
         }
         if let Some(n) = inner.nodes.get_mut(host.0 as usize) {
             if let Some(t) = &n.stack {
-                t.lock().clear();
+                t.borrow_mut().clear();
             }
             // The NIC forgets its queue along with everything else.
             *n = NodeSlot {
@@ -436,7 +436,7 @@ impl Network {
     /// Marks a host up again (it must re-bind its ports and re-join its
     /// multicast groups; a router resumes forwarding with cold tables).
     pub fn set_up(&self, host: HostAddr) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner
             .handle
             .record_fault(amoeba_sim::fault_codes::NET_UP, host.0 as u64, 0);
@@ -446,13 +446,13 @@ impl Network {
 
     /// Whether a host is currently up.
     pub fn is_up(&self, host: HostAddr) -> bool {
-        !self.inner.lock().down.contains(&host)
+        !self.inner.borrow_mut().down.contains(&host)
     }
 
     /// Splits the network: hosts in `isolated` form one side, everyone else
     /// the other. Replaces any previous partition.
     pub fn isolate(&self, isolated: &[HostAddr]) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.handle.record_fault(
             amoeba_sim::fault_codes::NET_ISOLATE,
             isolated.len() as u64,
@@ -464,7 +464,7 @@ impl Network {
     /// Installs an arbitrary partition: `sides[i]` lists the hosts in
     /// partition `i + 1`; unlisted hosts are all in partition 0.
     pub fn set_partition(&self, sides: &[&[HostAddr]]) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.handle.record_fault(
             amoeba_sim::fault_codes::NET_PARTITION,
             sides.iter().map(|s| s.len() as u64).sum(),
@@ -485,7 +485,7 @@ impl Network {
 
     /// Removes any partition; all hosts can talk again.
     pub fn heal(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner
             .handle
             .record_fault(amoeba_sim::fault_codes::NET_HEAL, 0, 0);
@@ -496,7 +496,7 @@ impl Network {
     /// jitter...). Per-segment overrides from the topology keep
     /// precedence.
     pub fn set_params(&self, params: NetParams) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.handle.record_fault(
             amoeba_sim::fault_codes::NET_PARAMS,
             (params.loss_probability * 1e9) as u64,
@@ -506,13 +506,13 @@ impl Network {
     }
 
     pub(crate) fn join_group(&self, host: HostAddr, group: GroupAddr) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.groups.entry(group).or_default().insert(host);
         inner.group_routes_dirty = true;
     }
 
     pub(crate) fn leave_group(&self, host: HostAddr, group: GroupAddr) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if let Some(members) = inner.groups.get_mut(&group) {
             members.remove(&host);
         }
@@ -520,14 +520,19 @@ impl Network {
     }
 
     pub(crate) fn endpoints_of(&self, host: HostAddr) -> Option<EndpointTable> {
-        self.inner.lock().nodes.get(host.0 as usize)?.stack.clone()
+        self.inner
+            .borrow_mut()
+            .nodes
+            .get(host.0 as usize)?
+            .stack
+            .clone()
     }
 
     /// Origin transmission path: stamps the routing header (packet id,
     /// default TTL, link-level next hop from the sender's routing table)
     /// and injects the frame on the sender's segment.
     pub(crate) fn transmit(&self, pkt: Packet) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let src = pkt.src;
         // A down host cannot transmit (its processes are dead anyway).
         if inner.down.contains(&src) {
@@ -570,7 +575,7 @@ impl Network {
     }
 
     pub(crate) fn handle(&self) -> SimHandle {
-        self.inner.lock().handle.clone()
+        self.inner.borrow().handle.clone()
     }
 }
 
@@ -818,7 +823,7 @@ impl NetInner {
                 continue;
             }
             let tx = match &self.nodes[t.0 as usize].stack {
-                Some(table) => table.lock().get(&pkt.port).cloned(),
+                Some(table) => table.borrow_mut().get(&pkt.port).cloned(),
                 None => continue,
             };
             let tx = match tx {

@@ -59,7 +59,7 @@ impl NodeStack {
     pub fn bind(&self, port: Port) -> MailboxRx<Packet> {
         let (tx, rx) = self.net.handle().channel::<Packet>();
         if let Some(table) = self.net.endpoints_of(self.addr) {
-            table.lock().insert(port, tx);
+            table.borrow_mut().insert(port, tx);
         }
         rx
     }
@@ -73,7 +73,7 @@ impl NodeStack {
         port: Port,
         sim_node: NodeId,
         name: &str,
-        f: impl FnMut(Packet) + Send + 'static,
+        f: impl FnMut(Packet) + 'static,
     ) {
         let rx = self.bind(port);
         self.net.handle().handler(sim_node, name, rx, f);
@@ -82,7 +82,7 @@ impl NodeStack {
     /// Removes the binding for `port`; subsequent packets are dropped.
     pub fn unbind(&self, port: Port) {
         if let Some(table) = self.net.endpoints_of(self.addr) {
-            table.lock().remove(&port);
+            table.borrow_mut().remove(&port);
         }
     }
 
@@ -90,7 +90,7 @@ impl NodeStack {
     pub fn is_bound(&self, port: Port) -> bool {
         self.net
             .endpoints_of(self.addr)
-            .map(|t| t.lock().contains_key(&port))
+            .map(|t| t.borrow_mut().contains_key(&port))
             .unwrap_or(false)
     }
 

@@ -229,8 +229,8 @@ fn rebinding_a_port_replaces_the_old_mailbox() {
 
 #[test]
 fn a_packet_in_flight_across_a_reboot_reaches_neither_handler() {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
     let mut sim = Simulation::new(1);
     let n = net(&sim, NetParams::lan_10mbps());
     let a = n.attach();
@@ -238,15 +238,15 @@ fn a_packet_in_flight_across_a_reboot_reaches_neither_handler() {
     let machine = sim.add_node("b");
     let port = Port::from_name("t");
     let bind = move |stack: &amoeba_flip::NodeStack| {
-        let seen = Arc::new(AtomicU32::new(0));
-        let count = Arc::clone(&seen);
+        let seen = Rc::new(Cell::new(0u32));
+        let count = Rc::clone(&seen);
         stack.bind_handler(port, machine, "count", move |_pkt| {
-            count.fetch_add(1, Ordering::SeqCst);
+            count.set(count.get() + 1);
         });
         seen
     };
     let old_seen = bind(&b);
-    let old_state = Arc::downgrade(&old_seen);
+    let old_state = Rc::downgrade(&old_seen);
     let b_addr = b.addr();
     let new_seen = sim.spawn("chaos", move |ctx| {
         a.send(b_addr, port, vec![1]);
@@ -258,11 +258,11 @@ fn a_packet_in_flight_across_a_reboot_reaches_neither_handler() {
         ctx.sleep(Duration::from_millis(10));
         a.send(b_addr, port, vec![2]);
         ctx.sleep(Duration::from_millis(10));
-        new_seen.load(Ordering::SeqCst)
+        new_seen.get()
     });
     sim.run();
     assert_eq!(new_seen.take(), Some(1), "only the packet sent after it");
-    assert_eq!(old_seen.load(Ordering::SeqCst), 0);
+    assert_eq!(old_seen.get(), 0);
     drop(old_seen);
     assert!(old_state.upgrade().is_none(), "the network kept no handler");
 }

@@ -36,7 +36,7 @@ impl GroupPeer {
     pub fn create(&self, port: Port, tag: u64) -> Group {
         let now = self.handle.now();
         let instance_id = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let local = inner.next_local_id;
             inner.next_local_id += 1;
             (u64::from(self.stack.addr().0) << 32) | local
@@ -52,7 +52,7 @@ impl GroupPeer {
         inst.set_telemetry(amoeba_telemetry::Telemetry::from_handle(&self.handle));
         self.stack.join_group(GroupAddr(instance_id));
         let (app_tx, app_rx) = self.handle.channel::<AppItem>();
-        self.inner.lock().instances.insert(
+        self.inner.borrow_mut().instances.insert(
             instance_id,
             InstanceSlot {
                 inst,
@@ -86,7 +86,7 @@ impl GroupPeer {
         // Phase 1: locate an instance, rebroadcasting periodically (an
         // instance may be created after our first locate).
         let (join_id, reply_rx) = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let id = inner.next_local_id;
             inner.next_local_id += 1;
             let (tx, rx) = self.handle.channel::<GroupMsg>();
@@ -111,7 +111,7 @@ impl GroupPeer {
                 None => continue,
             }
         };
-        self.inner.lock().join_reply_waiters.remove(&join_id);
+        self.inner.borrow_mut().join_reply_waiters.remove(&join_id);
         let (instance, sequencer) = match reply {
             Some(GroupMsg::JoinReply {
                 instance,
@@ -124,7 +124,7 @@ impl GroupPeer {
         // accepts racing the ack are not lost.
         self.stack.join_group(GroupAddr(instance));
         let (ack_id, ack_rx) = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let id = inner.next_local_id;
             inner.next_local_id += 1;
             let (tx, rx) = self.handle.channel::<GroupMsg>();
@@ -143,7 +143,7 @@ impl GroupPeer {
             .encode(),
         );
         let ack = ack_rx.recv_deadline(ctx, deadline);
-        self.inner.lock().join_ack_waiters.remove(&ack_id);
+        self.inner.borrow_mut().join_ack_waiters.remove(&ack_id);
         let (member_id, incarnation, view, start_seq) = match ack {
             Some(GroupMsg::JoinAck {
                 member_id,
@@ -172,7 +172,7 @@ impl GroupPeer {
         );
         inst.set_telemetry(amoeba_telemetry::Telemetry::from_handle(&self.handle));
         let (app_tx, app_rx) = self.handle.channel::<AppItem>();
-        self.inner.lock().instances.insert(
+        self.inner.borrow_mut().instances.insert(
             instance,
             InstanceSlot {
                 inst,

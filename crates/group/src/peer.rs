@@ -6,12 +6,12 @@
 //! simulator kernel handlers, run at delivery by whichever thread is
 //! dispatching. They never block, and take trace context from the packet.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use amoeba_flip::{Dest, GroupAddr, HostAddr, NodeStack, Packet, Port};
 use amoeba_sim::{IdMap, MailboxTx, NodeId, SimHandle, Spawn};
-use parking_lot::Mutex;
 
 use crate::config::{GroupConfig, BATCH_DELAY};
 use crate::error::GroupError;
@@ -65,7 +65,7 @@ pub struct GroupPeer {
     pub(crate) stack: NodeStack,
     pub(crate) handle: SimHandle,
     pub(crate) cfg: GroupConfig,
-    pub(crate) inner: Arc<Mutex<PeerInner>>,
+    pub(crate) inner: Rc<RefCell<PeerInner>>,
 }
 
 impl std::fmt::Debug for GroupPeer {
@@ -88,7 +88,7 @@ impl GroupPeer {
             stack,
             handle,
             cfg,
-            inner: Arc::new(Mutex::new(PeerInner {
+            inner: Rc::new(RefCell::new(PeerInner {
                 instances: BTreeMap::new(),
                 join_reply_waiters: IdMap::default(),
                 join_ack_waiters: IdMap::default(),
@@ -116,7 +116,7 @@ impl GroupPeer {
                     tick_tx.send_after(kernel.cfg.tick_interval, Timer::Tick);
                 }
                 Timer::Flush => {
-                    kernel.inner.lock().flush_scheduled = false;
+                    kernel.inner.borrow_mut().flush_scheduled = false;
                     kernel.flush_all();
                 }
             },
@@ -136,7 +136,7 @@ impl GroupPeer {
     /// Protocol statistics for the instance backing `group`.
     pub fn stats_of(&self, instance: u64) -> Option<GroupStats> {
         self.inner
-            .lock()
+            .borrow_mut()
             .instances
             .get(&instance)
             .map(|s| s.inst.stats)
@@ -160,7 +160,7 @@ impl GroupPeer {
     /// Whether some instance holds accepts awaiting a batch flush and no
     /// [`Timer::Flush`] is on its way; marks one as being so.
     fn flush_now_due(&self) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let due =
             !inner.flush_scheduled && inner.instances.values().any(|s| s.inst.has_pending_batch());
         inner.flush_scheduled |= due;
@@ -170,7 +170,7 @@ impl GroupPeer {
     /// Flushes every instance's pending accept batch (end of a burst).
     fn flush_all(&self) {
         let work: Vec<(u64, Vec<Action>)> = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner
                 .instances
                 .iter_mut()
@@ -199,7 +199,7 @@ impl GroupPeer {
                     return; // our own broadcast
                 }
                 let replies: Vec<(u64, Action)> = {
-                    let inner = self.inner.lock();
+                    let inner = self.inner.borrow();
                     inner
                         .instances
                         .values()
@@ -214,13 +214,13 @@ impl GroupPeer {
                 }
             }
             GroupMsg::JoinReply { join_id, .. } => {
-                let waiter = self.inner.lock().join_reply_waiters.remove(join_id);
+                let waiter = self.inner.borrow_mut().join_reply_waiters.remove(join_id);
                 if let Some(w) = waiter {
                     w.send(msg);
                 }
             }
             GroupMsg::JoinAck { join_id, .. } => {
-                let waiter = self.inner.lock().join_ack_waiters.remove(join_id);
+                let waiter = self.inner.borrow_mut().join_ack_waiters.remove(join_id);
                 if let Some(w) = waiter {
                     w.send(msg);
                 }
@@ -232,7 +232,7 @@ impl GroupPeer {
                 };
                 let now = self.handle.now();
                 let actions = {
-                    let mut inner = self.inner.lock();
+                    let mut inner = self.inner.borrow_mut();
                     match inner.instances.get_mut(&instance) {
                         Some(slot) => {
                             slot.inst.set_rx_tags(tags);
@@ -250,7 +250,7 @@ impl GroupPeer {
     fn tick(&self) {
         let now = self.handle.now();
         let work: Vec<(u64, Vec<Action>)> = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner
                 .instances
                 .iter_mut()
@@ -262,7 +262,7 @@ impl GroupPeer {
         }
     }
 
-    /// Executes one engine action. Must NOT be called with `inner` locked.
+    /// Executes one engine action. Must NOT be called with `inner` borrowed.
     pub(crate) fn execute(&self, instance: u64, action: Action) {
         match action {
             Action::Traced(tags, inner) => match *inner {
@@ -294,7 +294,7 @@ impl GroupPeer {
             Action::Deliver(event) => {
                 let tx = self
                     .inner
-                    .lock()
+                    .borrow_mut()
                     .instances
                     .get(&instance)
                     .map(|s| s.app_tx.clone());
@@ -305,7 +305,7 @@ impl GroupPeer {
             Action::NotifyFailure => {
                 let tx = self
                     .inner
-                    .lock()
+                    .borrow_mut()
                     .instances
                     .get(&instance)
                     .map(|s| s.app_tx.clone());
@@ -316,7 +316,7 @@ impl GroupPeer {
             Action::CompleteSend(msgid, result) => {
                 let w = self
                     .inner
-                    .lock()
+                    .borrow_mut()
                     .instances
                     .get_mut(&instance)
                     .and_then(|s| s.send_waiters.remove(&msgid));
@@ -327,7 +327,7 @@ impl GroupPeer {
             Action::CompleteReset(result) => {
                 let w = self
                     .inner
-                    .lock()
+                    .borrow_mut()
                     .instances
                     .get_mut(&instance)
                     .and_then(|s| s.reset_waiter.take());
@@ -338,7 +338,7 @@ impl GroupPeer {
             Action::CompleteLeave => {
                 let w = self
                     .inner
-                    .lock()
+                    .borrow_mut()
                     .instances
                     .get_mut(&instance)
                     .and_then(|s| s.leave_waiter.take());
@@ -347,7 +347,7 @@ impl GroupPeer {
                 }
             }
             Action::Dissolve => {
-                let slot = self.inner.lock().instances.remove(&instance);
+                let slot = self.inner.borrow_mut().instances.remove(&instance);
                 if let Some(mut slot) = slot {
                     self.stack.leave_group(GroupAddr(instance));
                     // Fail anything still blocked on this instance.
@@ -375,18 +375,18 @@ impl GroupPeer {
         instance: u64,
         f: impl FnOnce(&mut InstanceSlot) -> T,
     ) -> Option<T> {
-        self.inner.lock().instances.get_mut(&instance).map(f)
+        self.inner.borrow_mut().instances.get_mut(&instance).map(f)
     }
 
     pub(crate) fn info_of(&self, instance: u64) -> Option<GroupInfo> {
         self.inner
-            .lock()
+            .borrow_mut()
             .instances
             .get(&instance)
             .map(|s| s.inst.info())
     }
 
-    /// Runs engine actions produced while holding the lock, after release.
+    /// Runs engine actions produced while `inner` was borrowed, after release.
     pub(crate) fn run_actions(&self, instance: u64, actions: Vec<Action>) {
         for a in actions {
             self.execute(instance, a);

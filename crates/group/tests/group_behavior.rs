@@ -1,13 +1,13 @@
 //! End-to-end group communication over the simulated network: total order,
 //! resilience, membership, crash recovery, partitions.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_flip::{NetParams, Network, Port};
 use amoeba_group::{Group, GroupConfig, GroupError, GroupEvent, GroupPeer};
 use amoeba_sim::{NodeId, Simulation};
-use parking_lot::Mutex;
 
 struct Machine {
     peer: GroupPeer,
@@ -37,8 +37,8 @@ fn run_members<F, R>(
     body: F,
 ) -> Vec<amoeba_sim::ProcOutput<R>>
 where
-    F: Fn(usize, Group, &amoeba_sim::Ctx) -> R + Send + Sync + Clone + 'static,
-    R: Send + 'static,
+    F: Fn(usize, Group, &amoeba_sim::Ctx) -> R + Clone + 'static,
+    R: 'static,
 {
     let port = Port::from_name("test-group");
     let mut outs = Vec::new();
@@ -80,7 +80,7 @@ fn all_members_see_same_total_order() {
             ctx.sleep(Duration::from_millis(5));
         }
         // Everyone sends concurrently and collects what it receives.
-        let sender_g = Arc::new(g);
+        let sender_g = Rc::new(g);
         let mut log: Vec<(u64, amoeba_flip::Payload)> = Vec::new();
         // Interleave sends and receives in one process: send all, then
         // drain until we have n * sends_per_member messages.
@@ -125,8 +125,8 @@ fn send_with_r2_takes_five_packets() {
     let mut cfg = cfg_r(2);
     cfg.heartbeat_interval = Duration::from_secs(60);
     cfg.failure_timeout = Duration::from_secs(300);
-    let counted = Arc::new(Mutex::new(None::<u64>));
-    let counted2 = Arc::clone(&counted);
+    let counted = Rc::new(RefCell::new(None::<u64>));
+    let counted2 = Rc::clone(&counted);
     let net2 = net.clone();
     let outs = run_members(&sim, &net, &cfg, 3, move |i, g, ctx| {
         if i == 1 {
@@ -135,7 +135,7 @@ fn send_with_r2_takes_five_packets() {
             let before = net2.stats().packets_sent;
             g.send(ctx, vec![9, 9, 9]).unwrap();
             let after = net2.stats().packets_sent;
-            *counted2.lock() = Some(after - before);
+            *counted2.borrow_mut() = Some(after - before);
         } else {
             // Others must drain their queues so acks flow.
             loop {
@@ -148,7 +148,7 @@ fn send_with_r2_takes_five_packets() {
     sim.run_for(Duration::from_secs(5));
     let _ = outs;
     assert_eq!(
-        counted.lock().unwrap_or(0),
+        counted.borrow_mut().unwrap_or(0),
         5,
         "PB send with r=2 costs 5 packets"
     );
@@ -488,12 +488,12 @@ fn batched_delivery_preserves_total_order_across_crash_and_rejoin() {
             while g.info().unwrap().view.len() < 4 {
                 ctx.sleep(Duration::from_millis(5));
             }
-            let g = std::sync::Arc::new(g);
+            let g = Rc::new(g);
             // Two pipelined senders per member: bursts that the
             // sequencer coalesces. Phase 2 runs after the rejoin so the
             // rebooted member sees fresh traffic.
             for s in 0..2u8 {
-                let g = std::sync::Arc::clone(&g);
+                let g = Rc::clone(&g);
                 ctx.spawn(&format!("send{i}-{s}"), move |ctx| {
                     for phase in 0..2u8 {
                         if phase == 1 {

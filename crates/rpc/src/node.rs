@@ -11,13 +11,13 @@
 //! simulator kernel handler, run at packet delivery by whichever thread is
 //! dispatching, so demultiplexing a packet wakes only the thread it is for.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use amoeba_flip::wire::Wire;
 use amoeba_flip::{Dest, HostAddr, NodeStack, Packet, Payload, Port};
 use amoeba_sim::{IdMap, IdSet, MailboxRx, MailboxTx, NodeId, SimHandle, Spawn};
-use parking_lot::Mutex;
 
 use crate::msg::RpcMsg;
 
@@ -115,7 +115,7 @@ struct NodeInner {
 pub struct RpcNode {
     stack: NodeStack,
     handle: SimHandle,
-    inner: Arc<Mutex<NodeInner>>,
+    inner: Rc<RefCell<NodeInner>>,
 }
 
 impl std::fmt::Debug for RpcNode {
@@ -131,7 +131,7 @@ impl RpcNode {
         let node = RpcNode {
             stack,
             handle,
-            inner: Arc::new(Mutex::new(NodeInner {
+            inner: Rc::new(RefCell::new(NodeInner {
                 services: IdMap::default(),
                 calls: IdMap::default(),
                 locates: IdMap::default(),
@@ -179,7 +179,7 @@ impl RpcNode {
                 locate_id,
             } => {
                 let listening = {
-                    let inner = self.inner.lock();
+                    let inner = self.inner.borrow();
                     inner
                         .services
                         .get(&service)
@@ -205,7 +205,7 @@ impl RpcNode {
                 locate_id,
             } => {
                 let waiter = {
-                    let mut inner = self.inner.lock();
+                    let mut inner = self.inner.borrow_mut();
                     inner.cache.add(service, server);
                     inner.locates.remove(&locate_id)
                 };
@@ -220,7 +220,7 @@ impl RpcNode {
                 data,
             } => {
                 let listener = {
-                    let mut inner = self.inner.lock();
+                    let mut inner = self.inner.borrow_mut();
                     let listener = inner
                         .services
                         .get_mut(&service)
@@ -246,19 +246,19 @@ impl RpcNode {
                 }
             }
             RpcMsg::Reply { tid, data } => {
-                let waiter = self.inner.lock().calls.remove(&tid);
+                let waiter = self.inner.borrow_mut().calls.remove(&tid);
                 if let Some(w) = waiter {
                     w.send(CallEvent::Reply(data));
                 }
             }
             RpcMsg::NotHere { tid, .. } => {
-                let waiter = self.inner.lock().calls.remove(&tid);
+                let waiter = self.inner.borrow_mut().calls.remove(&tid);
                 if let Some(w) = waiter {
                     w.send(CallEvent::NotHere);
                 }
             }
             RpcMsg::Enquire { client, tid } => {
-                if self.inner.lock().serving.contains(&(client, tid)) {
+                if self.inner.borrow_mut().serving.contains(&(client, tid)) {
                     self.stack.send(
                         Dest::Unicast(client),
                         RPC_PORT,
@@ -268,7 +268,7 @@ impl RpcNode {
             }
             RpcMsg::Working { tid } => {
                 // The call stays registered: its reply is still to come.
-                let waiter = self.inner.lock().calls.get(&tid).cloned();
+                let waiter = self.inner.borrow_mut().calls.get(&tid).cloned();
                 if let Some(w) = waiter {
                     w.send(CallEvent::Working);
                 }
@@ -281,12 +281,12 @@ impl RpcNode {
     // ------------------------------------------------------------------
 
     pub(crate) fn register_service(&self, service: Port) {
-        self.inner.lock().services.entry(service).or_default();
+        self.inner.borrow_mut().services.entry(service).or_default();
     }
 
     pub(crate) fn push_listener(&self, service: Port, tx: MailboxTx<IncomingRequest>) {
         self.inner
-            .lock()
+            .borrow_mut()
             .services
             .entry(service)
             .or_default()
@@ -297,12 +297,12 @@ impl RpcNode {
     /// A server thread answered `(client, tid)`: enquiries about it go
     /// unanswered from now on.
     pub(crate) fn finish_request(&self, client: HostAddr, tid: u64) {
-        self.inner.lock().serving.remove(&(client, tid));
+        self.inner.borrow_mut().serving.remove(&(client, tid));
     }
 
     pub(crate) fn register_call(&self) -> (u64, MailboxRx<CallEvent>) {
         let (tx, rx) = self.handle.channel();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let tid = inner.next_id;
         inner.next_id += 1;
         inner.calls.insert(tid, tx);
@@ -310,12 +310,12 @@ impl RpcNode {
     }
 
     pub(crate) fn unregister_call(&self, tid: u64) {
-        self.inner.lock().calls.remove(&tid);
+        self.inner.borrow_mut().calls.remove(&tid);
     }
 
     pub(crate) fn register_locate(&self) -> (u64, MailboxRx<HostAddr>) {
         let (tx, rx) = self.handle.channel();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let lid = inner.next_id;
         inner.next_id += 1;
         inner.locates.insert(lid, tx);
@@ -323,25 +323,25 @@ impl RpcNode {
     }
 
     pub(crate) fn unregister_locate(&self, lid: u64) {
-        self.inner.lock().locates.remove(&lid);
+        self.inner.borrow_mut().locates.remove(&lid);
     }
 
     pub(crate) fn cache_first_except(&self, service: Port, skip: &[HostAddr]) -> Option<HostAddr> {
-        self.inner.lock().cache.first_except(service, skip)
+        self.inner.borrow_mut().cache.first_except(service, skip)
     }
 
     pub(crate) fn cache_demote(&self, service: Port, server: HostAddr) {
-        self.inner.lock().cache.demote(service, server);
+        self.inner.borrow_mut().cache.demote(service, server);
     }
 
     pub(crate) fn cache_remove(&self, service: Port, server: HostAddr) {
-        self.inner.lock().cache.remove(service, server);
+        self.inner.borrow_mut().cache.remove(service, server);
     }
 
     /// Test/diagnostic view of the cached servers for a service.
     pub fn cached_servers(&self, service: Port) -> Vec<HostAddr> {
         self.inner
-            .lock()
+            .borrow_mut()
             .cache
             .map
             .get(&service)

@@ -1,7 +1,8 @@
 //! End-to-end RPC behaviour: locate, transactions, NOTHERE spreading,
 //! crash handling, and telling a slow server from a dead one.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_flip::{HostAddr, NetParams, Network, NodeStack, Payload, Port};
@@ -85,21 +86,21 @@ fn nothere_moves_client_to_free_server() {
     let s2 = host(&sim, &net, "s2");
     // s1: single thread, very slow (holds the only listener for 300 ms).
     let srv1 = RpcServer::new(&s1.node, service);
-    let served_by = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-    let log1 = Arc::clone(&served_by);
+    let served_by = Rc::new(RefCell::new(Vec::<&'static str>::new()));
+    let log1 = Rc::clone(&served_by);
     sim.spawn_on(s1.sim_node, "slow-server", move |ctx| loop {
         let req = srv1.getreq(ctx);
         ctx.sleep(Duration::from_millis(300));
-        log1.lock().unwrap().push("s1");
+        log1.borrow_mut().push("s1");
         srv1.putrep(&req, vec![1]);
     });
     // s2: fast server.
     let srv2 = RpcServer::new(&s2.node, service);
-    let log2 = Arc::clone(&served_by);
+    let log2 = Rc::clone(&served_by);
     sim.spawn_on(s2.sim_node, "fast-server", move |ctx| loop {
         let req = srv2.getreq(ctx);
         ctx.sleep(Duration::from_millis(1));
-        log2.lock().unwrap().push("s2");
+        log2.borrow_mut().push("s2");
         srv2.putrep(&req, vec![2]);
     });
     // Two clients: the first occupies s1 (or s2); the second must end up on
@@ -123,13 +124,13 @@ fn nothere_moves_client_to_free_server() {
 /// A server with one thread that takes `delay` over every request and
 /// answers with its own host address; `handled` counts the requests it
 /// took.
-fn slow_server(sim: &Simulation, h: &Host, service: Port, delay: Duration) -> Arc<Mutex<u32>> {
+fn slow_server(sim: &Simulation, h: &Host, service: Port, delay: Duration) -> Rc<RefCell<u32>> {
     let srv = RpcServer::new(&h.node, service);
-    let handled = Arc::new(Mutex::new(0));
-    let count = Arc::clone(&handled);
+    let handled = Rc::new(RefCell::new(0));
+    let count = Rc::clone(&handled);
     sim.spawn_on(h.sim_node, "slow-server", move |ctx| loop {
         let req = srv.getreq(ctx);
-        *count.lock().unwrap() += 1;
+        *count.borrow_mut() += 1;
         ctx.sleep(delay);
         srv.putrep(&req, srv.addr().0.to_le_bytes().to_vec());
     });
@@ -176,7 +177,7 @@ fn a_server_that_takes_800_ms_is_handled_once_and_stays_cached() {
     let (ok, took, cached) = out.take().unwrap();
     assert!(ok);
     assert!(took < Duration::from_millis(850), "{took:?}");
-    assert_eq!(*handled.lock().unwrap(), 1, "handled exactly once");
+    assert_eq!(*handled.borrow_mut(), 1, "handled exactly once");
     assert_eq!(cached, [s.node.addr()], "a slow server stays cached");
     assert_eq!(counter(&tele, "rpc.enquiries"), 1);
     assert_eq!(counter(&tele, "rpc.working"), 1);

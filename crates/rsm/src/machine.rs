@@ -53,17 +53,17 @@ impl std::error::Error for RsmError {}
 ///
 /// Methods take `&self`: the machine is shared between the driver's
 /// event loop, its internal recovery RPC server, and any service
-/// request threads, so implementations do their own (fine-grained)
-/// locking. The lock discipline every implementation must keep:
-/// **never block on simulator I/O while holding a lock** the driver's
-/// other processes take.
+/// request threads, so implementations keep their own state in
+/// (fine-grained) cells. The borrow discipline every implementation must
+/// keep: **never block on simulator I/O while holding a borrow** the
+/// driver's other processes take (another process's borrow would panic).
 ///
 /// See the [crate docs](crate) for the full contract; in brief:
 /// `apply` must be deterministic and record `seq` as its applied
 /// cursor in the same critical section that mutates state (so
 /// `snapshot` is consistent), and effects may be buffered until the
 /// next `flush` — the driver publishes results only after `flush`.
-pub trait StateMachine: Send + Sync + 'static {
+pub trait StateMachine: 'static {
     /// Applies the operation at sequence number `seq` of the total
     /// order. Durable effects may be deferred to [`flush`](Self::flush).
     ///

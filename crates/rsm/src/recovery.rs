@@ -17,6 +17,7 @@
 //! (§3.2 end) lets a replica that stayed up pair with a rebooted one
 //! even when the strict last-set check fails.
 
+use std::cell::RefCell;
 use std::time::Duration;
 
 use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
@@ -24,7 +25,6 @@ use amoeba_flip::Payload;
 use amoeba_group::{Group, GroupPeer, SeqNo};
 use amoeba_rpc::{RpcClient, RpcServer};
 use amoeba_sim::Ctx;
-use parking_lot::Mutex;
 
 use crate::config::RsmConfig;
 use crate::machine::StateMachine;
@@ -147,7 +147,7 @@ pub(crate) fn serve_internal<S: StateMachine>(
     ctx: &Ctx,
     srv: &RpcServer,
     sm: &S,
-    shared: &Mutex<DriverShared>,
+    shared: &RefCell<DriverShared>,
 ) {
     loop {
         let incoming = srv.getreq(ctx);
@@ -157,7 +157,7 @@ pub(crate) fn serve_internal<S: StateMachine>(
                 InternalMsg::ExchangeReply {
                     mourned: info.mourned,
                     update_seq: info.update_seq,
-                    stayed_up: shared.lock().stayed_up,
+                    stayed_up: shared.borrow_mut().stayed_up,
                 }
             }
             Ok(InternalMsg::Fetch) => {
@@ -166,7 +166,7 @@ pub(crate) fn serve_internal<S: StateMachine>(
                 // operations the snapshot covers.
                 let (applied_seq, state) = sm.snapshot(ctx);
                 let instance = {
-                    let shared = shared.lock();
+                    let shared = shared.borrow();
                     shared.group.as_ref().map(|g| g.instance_id()).unwrap_or(0)
                 };
                 InternalMsg::State {
@@ -191,7 +191,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
     ctx: &Ctx,
     sm: &S,
     cfg: &RsmConfig,
-    shared: &Mutex<DriverShared>,
+    shared: &RefCell<DriverShared>,
     peer: &GroupPeer,
     rpc: &RpcClient,
 ) -> Group {
@@ -258,7 +258,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
                 let info = sm.recovery_info();
                 let mut mourned = info.mourned;
                 mourned.resize(cfg.n, false);
-                (mourned, info.update_seq, shared.lock().stayed_up)
+                (mourned, info.update_seq, shared.borrow_mut().stayed_up)
             };
             let mut mourned = my_mourned;
             let mut newgroup = vec![false; cfg.n];
@@ -383,7 +383,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
             // skip real operations.
             if let Ok(hc) = group.info().map(|i| i.highest_contiguous) {
                 sm.align_cursor(ctx, hc);
-                shared.lock().set_cursors(hc);
+                shared.borrow_mut().set_cursors(hc);
             }
         }
 
@@ -408,7 +408,7 @@ fn fetch_state<S: StateMachine>(
     ctx: &Ctx,
     sm: &S,
     cfg: &RsmConfig,
-    shared: &Mutex<DriverShared>,
+    shared: &RefCell<DriverShared>,
     rpc: &RpcClient,
     best: usize,
     my_instance: u64,
@@ -431,7 +431,7 @@ fn fetch_state<S: StateMachine>(
     if !sm.install(ctx, cursor, &state) {
         return false;
     }
-    shared.lock().set_cursors(cursor);
+    shared.borrow_mut().set_cursors(cursor);
     true
 }
 

@@ -2,14 +2,14 @@
 //! recovery, the group event loop with apply batching, and the
 //! initiator-side blocking primitives.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_flip::Payload;
 use amoeba_group::{Group, GroupError, GroupEvent, GroupPeer, SeqNo, View};
 use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
 use amoeba_sim::{Ctx, IdMap, MailboxTx, NodeId, Spawn};
-use parking_lot::Mutex;
 
 use crate::config::RsmConfig;
 use crate::machine::{RsmError, StateMachine};
@@ -73,7 +73,7 @@ pub struct ReplicaStats {
 /// and the published one after its flush.
 pub(crate) struct DriverShared {
     pub mode: Mode,
-    pub group: Option<Arc<Group>>,
+    pub group: Option<Rc<Group>>,
     /// Work counters for [`Replica::stats`].
     pub stats: ReplicaStats,
     /// Highest sequence number *applied*, flushed or not. Readers wait
@@ -119,7 +119,7 @@ impl DriverShared {
     /// find the group dead in one activation, and a submitter that
     /// publish woke takes its reply only when it next runs — at the
     /// same simulated instant, which recovery never ends in.
-    fn enter_instance(&mut self, group: Arc<Group>) {
+    fn enter_instance(&mut self, group: Rc<Group>) {
         self.group = Some(group);
         self.mode = Mode::Normal;
         self.stayed_up = true;
@@ -184,7 +184,7 @@ pub struct ReplicaDeps<S> {
     /// Group-communication kernel of the machine.
     pub peer: GroupPeer,
     /// The service's state machine.
-    pub sm: Arc<S>,
+    pub sm: Rc<S>,
 }
 
 impl<S> std::fmt::Debug for ReplicaDeps<S> {
@@ -198,8 +198,8 @@ impl<S> std::fmt::Debug for ReplicaDeps<S> {
 /// [`read_barrier`](Replica::read_barrier).
 pub struct Replica<S> {
     cfg: RsmConfig,
-    sm: Arc<S>,
-    shared: Arc<Mutex<DriverShared>>,
+    sm: Rc<S>,
+    shared: Rc<RefCell<DriverShared>>,
     /// Host address of the machine, as the telemetry track id.
     machine: u64,
 }
@@ -208,8 +208,8 @@ impl<S> Clone for Replica<S> {
     fn clone(&self) -> Self {
         Replica {
             cfg: self.cfg.clone(),
-            sm: Arc::clone(&self.sm),
-            shared: Arc::clone(&self.shared),
+            sm: Rc::clone(&self.sm),
+            shared: Rc::clone(&self.shared),
             machine: self.machine,
         }
     }
@@ -233,11 +233,11 @@ impl<S: StateMachine> Replica<S> {
             peer,
             sm,
         } = deps;
-        let shared = Arc::new(Mutex::new(DriverShared::new()));
+        let shared = Rc::new(RefCell::new(DriverShared::new()));
         let replica = Replica {
             cfg: cfg.clone(),
-            sm: Arc::clone(&sm),
-            shared: Arc::clone(&shared),
+            sm: Rc::clone(&sm),
+            shared: Rc::clone(&shared),
             machine: u64::from(rpc.addr().0),
         };
 
@@ -246,8 +246,8 @@ impl<S: StateMachine> Replica<S> {
         // recovering.
         {
             let srv = RpcServer::new(&rpc, cfg.internal_ports[cfg.me]);
-            let sm = Arc::clone(&sm);
-            let shared = Arc::clone(&shared);
+            let sm = Rc::clone(&sm);
+            let shared = Rc::clone(&shared);
             spawner.spawn_boxed(
                 Some(sim_node),
                 &format!("rsm{}-internal", cfg.me),
@@ -261,8 +261,8 @@ impl<S: StateMachine> Replica<S> {
         // machine journals; runs concurrently with the event loop (the
         // machine does its own sim-safe exclusion).
         if let Some(interval) = cfg.checkpoint_interval {
-            let sm = Arc::clone(&sm);
-            let shared = Arc::clone(&shared);
+            let sm = Rc::clone(&sm);
+            let shared = Rc::clone(&shared);
             let machine = replica.machine;
             spawner.spawn_boxed(
                 Some(sim_node),
@@ -271,7 +271,7 @@ impl<S: StateMachine> Replica<S> {
                     let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
                     loop {
                         ctx.sleep(interval);
-                        if shared.lock().mode != Mode::Normal {
+                        if shared.borrow_mut().mode != Mode::Normal {
                             continue; // recovery owns the disk right now
                         }
                         let span = tele.begin_child(
@@ -300,25 +300,25 @@ impl<S: StateMachine> Replica<S> {
     }
 
     /// The state machine this replica drives.
-    pub fn machine(&self) -> &Arc<S> {
+    pub fn machine(&self) -> &Rc<S> {
         &self.sm
     }
 
     /// Whether the replica is in normal operation.
     pub fn is_normal(&self) -> bool {
-        self.shared.lock().mode == Mode::Normal
+        self.shared.borrow_mut().mode == Mode::Normal
     }
 
     /// Highest published (applied + flushed) sequence number.
     pub fn published_seq(&self) -> SeqNo {
-        self.shared.lock().published_seq
+        self.shared.borrow().published_seq
     }
 
     /// Replies applied here that their submitting thread has not taken
     /// yet: 0 whenever no [`submit`](Replica::submit) is in flight.
     #[doc(hidden)]
     pub fn unclaimed_results(&self) -> usize {
-        self.shared.lock().results.len()
+        self.shared.borrow().results.len()
     }
 
     /// A snapshot of this replica's work counters. Counters are scoped
@@ -326,13 +326,13 @@ impl<S: StateMachine> Replica<S> {
     /// replicas per machine — e.g. one per directory shard — read each
     /// shard's numbers independently.
     pub fn stats(&self) -> ReplicaStats {
-        self.shared.lock().stats
+        self.shared.borrow().stats
     }
 
     /// The underlying group's engine counters (`None` while recovering
     /// or after the group dissolved).
     pub fn group_stats(&self) -> Option<amoeba_group::GroupStats> {
-        let group = self.shared.lock().group.clone();
+        let group = self.shared.borrow_mut().group.clone();
         group.and_then(|g| g.stats())
     }
 
@@ -363,12 +363,12 @@ impl<S: StateMachine> Replica<S> {
         trace: amoeba_telemetry::TraceCtx,
     ) -> Result<Payload, RsmError> {
         let group = self.serving_group()?;
-        self.shared.lock().stats.submitted += 1;
+        self.shared.borrow_mut().stats.submitted += 1;
         let seq = group
             .send_traced(ctx, op.into(), trace)
             .map_err(|_| RsmError::NotInService)?;
         self.wait(ctx, seq, Cursor::Published, false)?;
-        let result = { self.shared.lock().results.remove(&seq) };
+        let result = { self.shared.borrow_mut().results.remove(&seq) };
         result.ok_or(RsmError::ResultLost)
     }
 
@@ -403,14 +403,14 @@ impl<S: StateMachine> Replica<S> {
     }
 
     /// The serving group handle, after the majority check.
-    fn serving_group(&self) -> Result<Arc<Group>, RsmError> {
+    fn serving_group(&self) -> Result<Rc<Group>, RsmError> {
         let group = {
-            let shared = self.shared.lock();
+            let shared = self.shared.borrow();
             if shared.mode != Mode::Normal {
                 return Err(RsmError::NotInService);
             }
             match &shared.group {
-                Some(g) => Arc::clone(g),
+                Some(g) => Rc::clone(g),
                 None => return Err(RsmError::NotInService),
             }
         };
@@ -425,7 +425,7 @@ impl<S: StateMachine> Replica<S> {
     /// submitter's is covered by its op's apply and flush spans.
     fn wait(&self, ctx: &Ctx, target: SeqNo, cursor: Cursor, read: bool) -> Result<(), RsmError> {
         let rx = {
-            let mut shared = self.shared.lock();
+            let mut shared = self.shared.borrow_mut();
             let shared = &mut *shared;
             let (at, list) = match cursor {
                 Cursor::Applied => (shared.applied_seq, &mut shared.readers),
@@ -463,12 +463,12 @@ impl<S: StateMachine> Replica<S> {
         self.sm.boot(ctx);
         loop {
             let group = run_recovery(ctx, &*self.sm, &self.cfg, &self.shared, peer, rpc);
-            let group = Arc::new(group);
-            self.shared.lock().enter_instance(Arc::clone(&group));
+            let group = Rc::new(group);
+            self.shared.borrow_mut().enter_instance(Rc::clone(&group));
             self.event_loop(ctx, &group);
             // Collapsed: back to recovery.
             {
-                let mut shared = self.shared.lock();
+                let mut shared = self.shared.borrow_mut();
                 shared.mode = Mode::Recovering;
                 shared.group = None;
                 shared.abort_waiters();
@@ -483,7 +483,7 @@ impl<S: StateMachine> Replica<S> {
     /// it, wakes its readers, makes it durable with one inline
     /// [`flush`](StateMachine::flush) and only then publishes it, so
     /// submitters never observe un-flushed state.
-    fn event_loop(&self, ctx: &Ctx, group: &Arc<Group>) {
+    fn event_loop(&self, ctx: &Ctx, group: &Rc<Group>) {
         loop {
             let first = match group.recv_timeout(ctx, self.cfg.idle_timeout) {
                 Some(e) => e,
@@ -525,7 +525,7 @@ impl<S: StateMachine> Replica<S> {
             }
 
             let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
-            let covered = { self.shared.lock().published_seq };
+            let covered = { self.shared.borrow_mut().published_seq };
             // Ops already covered by a fetched state snapshot are skipped.
             msgs.retain(|(seq, ..)| *seq > covered);
             // Only the submitting replica's thread reads a reply
@@ -542,7 +542,7 @@ impl<S: StateMachine> Replica<S> {
             }
             if let Some(&(last, ..)) = msgs.last() {
                 {
-                    let mut shared = self.shared.lock();
+                    let mut shared = self.shared.borrow_mut();
                     shared.applied_seq = shared.applied_seq.max(last);
                     shared.wake();
                 }
@@ -557,7 +557,7 @@ impl<S: StateMachine> Replica<S> {
                 for span in spans {
                     tele.end(span);
                 }
-                let mut shared = self.shared.lock();
+                let mut shared = self.shared.borrow_mut();
                 shared.stats.applied += msgs.len() as u64;
                 shared.stats.batches += 1;
                 shared.published_seq = shared.published_seq.max(last);
@@ -573,7 +573,7 @@ impl<S: StateMachine> Replica<S> {
                 | Some(Ok(GroupEvent::Left { seq, .. })) => {
                     let view = group.info().map(|i| i.view).unwrap_or_default();
                     self.sm.on_membership(ctx, seq, &self.config_of(&view));
-                    let mut shared = self.shared.lock();
+                    let mut shared = self.shared.borrow_mut();
                     shared.applied_seq = shared.applied_seq.max(seq);
                     shared.published_seq = shared.published_seq.max(seq);
                     shared.wake();
@@ -694,7 +694,7 @@ mod tests {
         let net = Network::new(sim.handle(), NetParams::default(), 1);
         let peer = GroupPeer::start(&sim, sim.add_node("m"), net.attach(), GroupConfig::lan());
         let mut shared = DriverShared::new();
-        shared.enter_instance(Arc::new(peer.create(Port::from_name("first"), 0)));
+        shared.enter_instance(Rc::new(peer.create(Port::from_name("first"), 0)));
         shared.published_seq = 7;
         shared.results.insert(7, Payload::from(vec![1]));
 
@@ -707,7 +707,7 @@ mod tests {
 
         // Nobody came for this one; in the next instance 8 is another op.
         shared.results.insert(8, Payload::from(vec![2]));
-        shared.enter_instance(Arc::new(peer.create(Port::from_name("second"), 0)));
+        shared.enter_instance(Rc::new(peer.create(Port::from_name("second"), 0)));
         assert!(shared.results.is_empty());
         assert_eq!((shared.mode, shared.stats.recoveries), (Mode::Normal, 2));
     }

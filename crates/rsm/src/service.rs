@@ -8,7 +8,7 @@
 //! barrier. The harness owns what is identical for every such service:
 //!
 //! * [`ServiceMachine`] — the one [`StateMachine`] impl: state, applied
-//!   cursor and `update_seq` move together under one lock; snapshots
+//!   cursor and `update_seq` move together under one borrow; snapshots
 //!   are framed `update_seq` + the state's wire form; a volatile machine
 //!   mourns no one, so [`start_service`] runs the driver with the §3.2
 //!   improved recovery rule, and a rebooted replica recovers purely
@@ -112,8 +112,9 @@
 //! assert!(replicas.iter().all(|r| r.machine().read(|count| *count) == 5));
 //! ```
 
+use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use amoeba_flip::wire::{Wire, WireWriter};
 use amoeba_flip::{Payload, Port};
@@ -121,7 +122,6 @@ use amoeba_group::{GroupPeer, SeqNo};
 use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
 use amoeba_sim::{Ctx, NodeId, Spawn};
 use amoeba_telemetry::{current_ctx, set_current_ctx, Telemetry};
-use parking_lot::Mutex;
 
 use crate::config::RsmConfig;
 use crate::machine::{RecoveryInfo, RsmError, StateMachine};
@@ -144,7 +144,7 @@ pub trait Service: Sized + 'static {
     const MALFORMED: Self::Reply;
 
     /// The replicated state; its wire form is the snapshot body.
-    type State: Wire + Default + Send + 'static;
+    type State: Wire + Default + 'static;
     /// Client-visible operations.
     type Request: Wire;
     /// Replies.
@@ -178,7 +178,7 @@ struct Core<T> {
 /// rebooted replica recovers the state from a peer's snapshot.
 pub struct ServiceMachine<S: Service> {
     n: usize,
-    core: Mutex<Core<S::State>>,
+    core: RefCell<Core<S::State>>,
 }
 
 impl<S: Service> std::fmt::Debug for ServiceMachine<S> {
@@ -192,7 +192,7 @@ impl<S: Service> ServiceMachine<S> {
     pub fn new(n: usize) -> ServiceMachine<S> {
         ServiceMachine {
             n,
-            core: Mutex::new(Core {
+            core: RefCell::new(Core {
                 state: S::State::default(),
                 update_seq: 0,
                 applied_seq: 0,
@@ -203,13 +203,13 @@ impl<S: Service> ServiceMachine<S> {
     /// Reads the local state (serve only behind a read barrier;
     /// otherwise diagnostics/tests).
     pub fn read<R>(&self, f: impl FnOnce(&S::State) -> R) -> R {
-        f(&self.core.lock().state)
+        f(&self.core.borrow_mut().state)
     }
 }
 
 impl<S: Service> StateMachine for ServiceMachine<S> {
     fn apply(&self, _ctx: &Ctx, seq: SeqNo, op: &Payload, reply: bool) -> Payload {
-        let mut core = self.core.lock();
+        let mut core = self.core.borrow_mut();
         // A malformed op still consumes its slot.
         core.applied_seq = core.applied_seq.max(seq);
         core.update_seq += 1;
@@ -226,14 +226,14 @@ impl<S: Service> StateMachine for ServiceMachine<S> {
 
     fn recovery_info(&self) -> RecoveryInfo {
         RecoveryInfo {
-            update_seq: self.core.lock().update_seq,
+            update_seq: self.core.borrow_mut().update_seq,
             // Volatile state: we cannot know who crashed before us.
             mourned: vec![false; self.n],
         }
     }
 
     fn snapshot(&self, _ctx: &Ctx) -> (SeqNo, Payload) {
-        let core = self.core.lock();
+        let core = self.core.borrow();
         let mut w = WireWriter::new();
         w.u64(core.update_seq);
         core.state.put(&mut w);
@@ -243,7 +243,7 @@ impl<S: Service> StateMachine for ServiceMachine<S> {
     fn install(&self, _ctx: &Ctx, cursor: SeqNo, snap: &Payload) -> bool {
         match <(u64, S::State)>::decode(snap) {
             Ok((update_seq, state)) => {
-                *self.core.lock() = Core {
+                *self.core.borrow_mut() = Core {
                     state,
                     update_seq,
                     applied_seq: cursor,
@@ -256,12 +256,12 @@ impl<S: Service> StateMachine for ServiceMachine<S> {
 
     fn align_cursor(&self, _ctx: &Ctx, cursor: SeqNo) {
         // A new instance's order restarts: set absolutely.
-        self.core.lock().applied_seq = cursor;
+        self.core.borrow_mut().applied_seq = cursor;
     }
 
     fn on_membership(&self, _ctx: &Ctx, seq: SeqNo, _config: &[bool]) {
         if seq > 0 {
-            let mut core = self.core.lock();
+            let mut core = self.core.borrow_mut();
             core.applied_seq = core.applied_seq.max(seq);
         }
     }
@@ -322,7 +322,7 @@ pub fn start_service<S: Service>(
             sim_node,
             rpc: rpc.clone(),
             peer,
-            sm: Arc::new(ServiceMachine::new(n)),
+            sm: Rc::new(ServiceMachine::new(n)),
         },
     );
     for t in 0..threads.max(1) {

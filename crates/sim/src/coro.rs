@@ -37,7 +37,6 @@ compile_error!(
 );
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Usable bytes of a process stack.
 const STACK_BYTES: usize = 2 << 20;
@@ -160,7 +159,7 @@ pub fn mapped_stacks() -> usize {
 /// context of code already running on a stack of its own (the driver's).
 #[derive(Debug, Default)]
 pub(crate) struct Context {
-    sp: AtomicUsize,
+    sp: Cell<usize>,
 }
 
 /// A suspended context, taken to be switched to: its saved stack
@@ -214,7 +213,7 @@ impl Context {
         // mapped, above its guard page; `sp` is page-aligned minus 80, so
         // 16-byte aligned as the switch expects.
         unsafe { (sp as *mut [usize; 10]).write(frame) };
-        let old = self.sp.swap(sp, Ordering::Relaxed);
+        let old = self.sp.replace(sp);
         assert_eq!(old, 0, "a context is started once");
     }
 
@@ -225,7 +224,7 @@ impl Context {
     /// If it is not suspended: it runs, has finished, or was taken
     /// already.
     pub fn target(&self) -> Target {
-        let sp = self.sp.swap(0, Ordering::Relaxed);
+        let sp = self.sp.replace(0);
         assert_ne!(sp, 0, "only a suspended context can be switched to");
         Target(sp)
     }
@@ -234,11 +233,7 @@ impl Context {
 /// Suspends the running context `from` and resumes `to`; returns once
 /// something switches back to `from`.
 pub(crate) fn switch(from: &Context, to: Target) {
-    assert_eq!(
-        from.sp.load(Ordering::Relaxed),
-        0,
-        "only the running context switches away"
-    );
+    assert_eq!(from.sp.get(), 0, "only the running context switches away");
     let ambient = AMBIENT.get();
     // SAFETY: `from` is running (its slot is empty), so its slot may take
     // the saved stack pointer; `to` holds the stack pointer of a

@@ -2,10 +2,8 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::coro::Target;
 use crate::ids::{MailboxId, NodeId, ProcId};
@@ -14,7 +12,7 @@ use crate::kernel::{
     YieldKind,
 };
 use crate::mailbox::{channel_impl, MailboxRx, MailboxTx};
-use crate::process::ProcOutput;
+use crate::process::{spawn_impl, ProcOutput};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -23,20 +21,25 @@ use crate::time::SimTime;
 /// All blocking calls (`sleep`, `recv`, …) yield the baton and run the
 /// simulator's event loop until this process is due again; no real time
 /// passes. A `Ctx` is only usable from the process it was created
-/// for and must never be sent elsewhere.
+/// for, and cannot leave the simulation's thread:
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: &T) {}
+/// amoeba_sim::Simulation::new(1).spawn("p", |ctx| send(ctx));
+/// ```
 ///
 /// # Crash semantics
 ///
 /// If this process's node is crashed, the next blocking or kernel-touching
 /// call never returns: the process unwinds and is reaped by the kernel. Code
-/// must therefore not hold locks across blocking calls.
+/// must therefore not hold a borrow across blocking calls.
 pub struct Ctx {
     pid: ProcId,
     node: Option<NodeId>,
     name: String,
-    shared: Arc<Mutex<Kernel>>,
+    shared: Rc<RefCell<Kernel>>,
     /// This process's context, and what it finds when switched to.
-    cell: Arc<HandOff<Wakeup>>,
+    cell: Rc<HandOff<Wakeup>>,
     rng: RefCell<SimRng>,
 }
 
@@ -55,8 +58,8 @@ impl Ctx {
         pid: ProcId,
         node: Option<NodeId>,
         name: String,
-        shared: Arc<Mutex<Kernel>>,
-        cell: Arc<HandOff<Wakeup>>,
+        shared: Rc<RefCell<Kernel>>,
+        cell: Rc<HandOff<Wakeup>>,
         rng: SimRng,
     ) -> Self {
         Ctx {
@@ -87,7 +90,7 @@ impl Ctx {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.check_alive();
-        self.shared.lock().now
+        self.shared.borrow().now
     }
 
     /// Runs `f` with this process's deterministic RNG.
@@ -118,11 +121,11 @@ impl Ctx {
     /// Spawns a sibling process on the same node.
     pub fn spawn<F, R>(&self, name: &str, f: F) -> ProcOutput<R>
     where
-        F: FnOnce(&Ctx) -> R + Send + 'static,
-        R: Send + 'static,
+        F: FnOnce(&Ctx) -> R + 'static,
+        R: 'static,
     {
         self.check_alive();
-        crate::kernel::spawn_proc(&self.shared, name, self.node, f)
+        spawn_impl(&self.shared, name, self.node, f)
     }
 
     /// Spawns a process on an explicit node.
@@ -132,16 +135,16 @@ impl Ctx {
     /// Panics if the node is crashed.
     pub fn spawn_on<F, R>(&self, node: NodeId, name: &str, f: F) -> ProcOutput<R>
     where
-        F: FnOnce(&Ctx) -> R + Send + 'static,
-        R: Send + 'static,
+        F: FnOnce(&Ctx) -> R + 'static,
+        R: 'static,
     {
         self.check_alive();
-        crate::kernel::spawn_proc(&self.shared, name, Some(node), f)
+        spawn_impl(&self.shared, name, Some(node), f)
     }
 
     /// Creates a new typed mailbox; the receiver should be owned by exactly
     /// one process at a time.
-    pub fn channel<T: Send + 'static>(&self) -> (MailboxTx<T>, MailboxRx<T>) {
+    pub fn channel<T: 'static>(&self) -> (MailboxTx<T>, MailboxRx<T>) {
         self.check_alive();
         channel_impl(&self.shared)
     }
@@ -149,7 +152,7 @@ impl Ctx {
     /// A cloneable handle for creating mailboxes and reading the clock.
     pub fn handle(&self) -> crate::handle::SimHandle {
         crate::handle::SimHandle {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 
@@ -157,8 +160,8 @@ impl Ctx {
     /// Persistent objects (simulated disks, NVRAM) survive.
     pub fn crash_node(&self, node: NodeId) {
         self.check_alive();
-        let handlers = self.shared.lock().crash_node(node);
-        // Their state may own things whose drop locks the kernel.
+        let handlers = self.shared.borrow_mut().crash_node(node);
+        // Their state may own things whose drop borrows the kernel.
         drop(handlers);
         // If we crashed our own node, die right here.
         self.check_alive();
@@ -167,18 +170,18 @@ impl Ctx {
     /// Reboots a crashed node so processes can be spawned on it again.
     pub fn revive_node(&self, node: NodeId) {
         self.check_alive();
-        self.shared.lock().revive_node(node);
+        self.shared.borrow_mut().revive_node(node);
     }
 
     /// Whether a node is currently alive.
     pub fn node_alive(&self, node: NodeId) -> bool {
         self.check_alive();
-        self.shared.lock().node_alive(node)
+        self.shared.borrow().node_alive(node)
     }
 
     /// Appends a message to the simulation trace (if tracing is enabled).
     pub fn trace(&self, msg: impl Into<String>) {
-        let mut k = self.shared.lock();
+        let mut k = self.shared.borrow_mut();
         let line = format!("[{}] {}", self.name, msg.into());
         k.trace_log(line);
     }
@@ -187,7 +190,7 @@ impl Ctx {
     // Internal plumbing.
     // ------------------------------------------------------------------
 
-    pub(crate) fn shared(&self) -> &Arc<Mutex<Kernel>> {
+    pub(crate) fn shared(&self) -> &Rc<RefCell<Kernel>> {
         &self.shared
     }
 
@@ -199,12 +202,12 @@ impl Ctx {
 
     /// The driver's context: where a killed process goes when it is done.
     pub(crate) fn driver(&self) -> Target {
-        self.shared.lock().driver.context().target()
+        self.shared.borrow().driver.context().target()
     }
 
     /// Panics with [`KillToken`] if this process has been marked dead.
     pub(crate) fn check_alive(&self) {
-        let dead = self.shared.lock().proc(self.pid).is_none_or(|p| p.dead);
+        let dead = self.shared.borrow().proc(self.pid).is_none_or(|p| p.dead);
         if dead {
             panic_any(KillToken::Crashed);
         }
@@ -215,11 +218,13 @@ impl Ctx {
     /// that is this process; otherwise the baton has been handed on, and
     /// `Err` names the context to switch to.
     fn yield_baton(&self, kind: YieldKind) -> Result<WakeReason, Target> {
-        let mut k = self.shared.lock();
-        k.record_yield(self.pid, kind, self.rng.borrow().digest());
-        match dispatch(&self.shared, k) {
-            (_, Next::Run(pid, reason)) if pid == self.pid => Ok(reason),
-            (k, next) => Err(hand_off(k, next)),
+        let digest = self.rng.borrow().digest();
+        self.shared
+            .borrow_mut()
+            .record_yield(self.pid, kind, digest);
+        match dispatch(&self.shared) {
+            Next::Run(pid, reason) if pid == self.pid => Ok(reason),
+            next => Err(hand_off(&mut self.shared.borrow_mut(), next)),
         }
     }
 
@@ -245,11 +250,11 @@ impl Ctx {
                 .expect_err("an exited process was resumed")
         });
         catch_unwind(last_yield).unwrap_or_else(|payload| {
-            let mut k = self.shared.lock();
+            let mut k = self.shared.borrow_mut();
             let msg = panic_message(payload);
             k.poisoned
                 .get_or_insert(format!("'{}' ({}): {msg}", self.name, self.pid));
-            hand_off(k, Next::Stop)
+            hand_off(&mut k, Next::Stop)
         })
     }
 

@@ -1,13 +1,13 @@
-//! A cloneable, thread-safe handle to a running simulation.
+//! A cloneable handle to a running simulation.
 //!
 //! Library layers (network stacks, servers) need to create mailboxes and
 //! read the clock from constructors that may be called either from setup
 //! code (with a [`crate::Simulation`]) or from inside a process (with a
 //! [`crate::Ctx`]). `SimHandle` is the common denominator both can produce.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::ids::NodeId;
 use crate::kernel::{Handler, Kernel};
@@ -18,17 +18,16 @@ use crate::time::SimTime;
 /// A capability to create mailboxes and read the virtual clock.
 ///
 /// Obtained from [`Simulation::handle`](crate::Simulation::handle) or
-/// [`Ctx::handle`](crate::Ctx::handle); freely cloneable and sendable.
+/// [`Ctx::handle`](crate::Ctx::handle); freely cloneable, and like the
+/// simulation it belongs to, bound to the thread that made it.
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(amoeba_sim::Simulation::new(1).handle());
+/// ```
+#[derive(Clone)]
 pub struct SimHandle {
-    pub(crate) shared: Arc<Mutex<Kernel>>,
-}
-
-impl Clone for SimHandle {
-    fn clone(&self) -> Self {
-        SimHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
+    pub(crate) shared: Rc<RefCell<Kernel>>,
 }
 
 impl std::fmt::Debug for SimHandle {
@@ -39,7 +38,7 @@ impl std::fmt::Debug for SimHandle {
 
 impl SimHandle {
     /// Creates a new typed mailbox.
-    pub fn channel<T: Send + 'static>(&self) -> (MailboxTx<T>, MailboxRx<T>) {
+    pub fn channel<T: 'static>(&self) -> (MailboxTx<T>, MailboxRx<T>) {
         channel_impl(&self.shared)
     }
 
@@ -50,8 +49,8 @@ impl SimHandle {
     /// takes no simulated time and only passes messages on (a machine's
     /// packet demultiplexers and protocol timers).
     ///
-    /// `f` runs with the kernel unlocked: it may send, read the clock and
-    /// touch its own state. It must not block (it has no
+    /// `f` runs with the kernel not borrowed: it may send, read the clock
+    /// and touch its own state. It must not block (it has no
     /// [`Ctx`](crate::Ctx)) and must not read per-process state such as
     /// [`ambient`](crate::ambient) (it runs inside an arbitrary process,
     /// or the driver). It is not a
@@ -70,12 +69,12 @@ impl SimHandle {
     /// # Panics
     ///
     /// Panics if `node` is crashed.
-    pub fn handler<T: Send + 'static>(
+    pub fn handler<T: 'static>(
         &self,
         node: NodeId,
         name: &str,
         rx: MailboxRx<T>,
-        mut f: impl FnMut(T) + Send + 'static,
+        mut f: impl FnMut(T) + 'static,
     ) {
         let mailbox = rx.id();
         let call = Box::new(move || {
@@ -83,7 +82,7 @@ impl SimHandle {
                 f(msg);
             }
         });
-        let mut k = self.shared.lock();
+        let mut k = self.shared.borrow_mut();
         assert!(
             k.node_alive(node),
             "cannot register a handler on crashed node {node}"
@@ -95,26 +94,27 @@ impl SimHandle {
             node.0 as u64 + 1,
             fnv1a(name.as_bytes()),
         );
-        let calls = Arc::clone(k.handler_calls_by_name.entry(name.to_owned()).or_default());
-        k.handlers.insert(
-            mailbox,
-            Arc::new(Handler {
-                name: name.to_owned(),
-                node,
-                call: Mutex::new(call),
-                calls,
-            }),
-        );
+        let calls = Rc::clone(k.handler_calls_by_name.entry(name.to_owned()).or_default());
+        let handler = Handler {
+            name: name.to_owned(),
+            node,
+            call: RefCell::new(call),
+            calls,
+        };
+        k.mailboxes
+            .get_mut(&mailbox)
+            .expect("a live receiver's mailbox has a record")
+            .handler = Some(Rc::new(handler));
     }
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.shared.lock().now
+        self.shared.borrow().now
     }
 
     /// The seed the simulation was created with.
     pub fn seed(&self) -> u64 {
-        self.shared.lock().seed
+        self.shared.borrow().seed
     }
 
     /// Records a fault-model action into the decision trace (no-op unless
@@ -122,7 +122,7 @@ impl SimHandle {
     /// to pin link/partition/parameter changes; `code` should come from
     /// [`crate::fault_codes`].
     pub fn record_fault(&self, code: u64, a: u64, b: u64) {
-        self.shared.lock().record_fault(code, a, b);
+        self.shared.borrow_mut().record_fault(code, a, b);
     }
 
     /// A snapshot of the decision trace recorded so far; `None` unless the
@@ -132,7 +132,7 @@ impl SimHandle {
     /// handle, so a runner that wrapped the simulation in `catch_unwind`
     /// can still retrieve the trace after a panic tore the simulation down.
     pub fn snapshot_recording(&self) -> Option<crate::record::SimTrace> {
-        self.shared.lock().snapshot_recording()
+        self.shared.borrow().snapshot_recording()
     }
 
     /// Attaches an arbitrary per-simulation payload to the kernel.
@@ -143,12 +143,12 @@ impl SimHandle {
     /// slot is per-`Simulation`, so parallel tests never share state. The
     /// kernel itself never reads the payload — storing one cannot perturb
     /// scheduling.
-    pub fn set_user_data(&self, data: Arc<dyn std::any::Any + Send + Sync>) {
-        self.shared.lock().user_data = Some(data);
+    pub fn set_user_data(&self, data: Rc<dyn Any>) {
+        self.shared.borrow_mut().user_data = Some(data);
     }
 
     /// The payload installed by [`SimHandle::set_user_data`], if any.
-    pub fn user_data(&self) -> Option<Arc<dyn std::any::Any + Send + Sync>> {
-        self.shared.lock().user_data.clone()
+    pub fn user_data(&self) -> Option<Rc<dyn Any>> {
+        self.shared.borrow().user_data.clone()
     }
 }

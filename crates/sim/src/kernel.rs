@@ -14,9 +14,23 @@
 //! [`Next::Stop`]). Which stack dispatches an event never influences
 //! what the event does, so execution is deterministic.
 //!
-//! An [`ActionFn`] therefore runs on whichever stack dispatches it and
-//! must not read per-process state (`amoeba_telemetry`'s current-span
-//! slot is [`crate::ambient`]). The only action is mailbox delivery.
+//! # The event queue
+//!
+//! An event is a plain value of at most 40 bytes ([`EventEntry`]); a
+//! delivery names only its mailbox, whose slot holds the message (see
+//! [`crate::mailbox`]). Events pop in `(time, seq)` order. Those due at
+//! the instant they are scheduled at go to a FIFO beside the heap, and a
+//! pop takes the smaller of the two fronts. That is exact: the FIFO holds
+//! one instant's events in `seq` order, and `now` cannot pass that
+//! instant while the FIFO holds one.
+//!
+//! # Borrows, not locks
+//!
+//! Every context borrows the kernel's `RefCell` briefly, never across a
+//! switch of stacks or a call of user code. So drop a handler (or
+//! anything owning a `MailboxRx`) only after the kernel borrow is
+//! released, and never drop a `MailboxRx` under it: breaking either is a
+//! borrow panic at the line that broke it.
 //!
 //! # Kernel handlers
 //!
@@ -24,22 +38,21 @@
 //! the kernel owns, registered for a node, that is called with each
 //! message *at delivery time* by whichever context is dispatching — the
 //! baton stays where it is and no process is resumed. [`dispatch`] calls it
-//! with the kernel unlocked, so it may send, read the clock and touch its
-//! own state. It must not block (it has no [`crate::Ctx`]) and must not
+//! with the kernel not borrowed, so it may send, read the clock and touch
+//! its own state. It must not block (it has no [`crate::Ctx`]) and must not
 //! read per-process state, and it is not a process: no RNG stream, no
 //! [`crate::ProcOutput`], no `Resume`/`Yield` steps — its call is the
 //! `EventAction` step of the delivery. It dies with its node:
-//! [`Kernel::crash_node`] takes it out of the table, and a message still
-//! in flight to it is dropped.
+//! [`Kernel::crash_node`] takes it out of its mailbox's record, and
+//! dropping it drops its receiver, with the messages still in flight.
 
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic::{self, catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{self, AtomicU64};
-use std::sync::{Arc, Once};
-
-use parking_lot::{Mutex, MutexGuard};
+use std::rc::Rc;
+use std::sync::Once;
 
 use crate::coro::{self, Context, Target};
 use crate::idhash::{IdMap, IdSet};
@@ -90,14 +103,14 @@ pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// baton is passed. The passer [`put`](HandOff::put)s the value and
 /// switches to the context it gets back; the owner, resumed, takes it.
 pub(crate) struct HandOff<T> {
-    slot: Mutex<Option<T>>,
+    slot: Cell<Option<T>>,
     context: Context,
 }
 
 impl<T> HandOff<T> {
     pub fn new() -> Self {
         HandOff {
-            slot: Mutex::new(None),
+            slot: Cell::new(None),
             context: Context::default(),
         }
     }
@@ -110,7 +123,7 @@ impl<T> HandOff<T> {
     /// Leaves `value` for the suspended owner; returns its context, the
     /// one to switch to.
     pub fn put(&self, value: T) -> Target {
-        *self.slot.lock() = Some(value);
+        self.slot.set(Some(value));
         self.context.target()
     }
 
@@ -124,7 +137,6 @@ impl<T> HandOff<T> {
     /// Empties the cell; the owner's first act when resumed.
     pub fn take(&self) -> T {
         self.slot
-            .lock()
             .take()
             .expect("a context is switched to with its cell filled")
     }
@@ -144,7 +156,7 @@ pub(crate) enum Next {
     /// To this process (already marked running).
     Run(ProcId, WakeReason),
     /// To the driver, to kill-handshake these dead processes.
-    Reap(Vec<ProcId>),
+    Reap(Box<[ProcId]>),
     /// To the driver, for good: quiescence, the deadline, the event
     /// budget, or a process panic.
     Stop,
@@ -154,8 +166,8 @@ pub(crate) enum Next {
 enum Step {
     /// The baton must go somewhere.
     Pass(Next),
-    /// The holder calls this handler, kernel unlocked, and dispatches on.
-    Call(Arc<Handler>),
+    /// The holder calls this handler, kernel not borrowed, and dispatches on.
+    Call(Rc<Handler>),
 }
 
 /// Why a blocked process was resumed.
@@ -220,7 +232,7 @@ pub(crate) enum ProcState {
 pub(crate) struct ProcRec {
     pub name: String,
     pub node: Option<NodeId>,
-    pub cell: Arc<HandOff<Wakeup>>,
+    pub cell: Rc<HandOff<Wakeup>>,
     pub state: ProcState,
     pub block: BlockKind,
     /// Wake generation; bumped on every resume so stale timers are ignored.
@@ -235,25 +247,38 @@ pub(crate) struct ProcRec {
     pub handoffs_in: [u64; 4],
 }
 
-#[derive(Default)]
+/// The kernel's untyped view of a mailbox's typed slot (see
+/// [`crate::mailbox`]).
+pub(crate) trait Slot {
+    /// Moves the message sent as event `seq` from in flight onto the
+    /// queue.
+    fn deliver(&self, seq: u64);
+}
+
 pub(crate) struct MailboxRec {
     /// At most one process may wait on a mailbox at a time: its id and
     /// the wake generation it blocked in.
     pub waiter: Option<(ProcId, u64)>,
+    /// Where the mailbox's messages wait, in flight and delivered.
+    pub slot: Rc<dyn Slot>,
+    /// The kernel handler that reads the mailbox, if one does. It goes
+    /// when its node crashes; whoever takes it out drops it only after
+    /// releasing the kernel borrow (a handler owns its `MailboxRx`, whose
+    /// drop borrows the kernel).
+    pub handler: Option<Rc<Handler>>,
 }
 
 /// A mailbox's reader that is kernel code, not a process (see the module
-/// documentation). Owned by the kernel's handler table alone; whoever
-/// dispatches a delivery borrows it for the length of the call.
+/// documentation). Owned by its mailbox's record alone; whoever
+/// dispatches a delivery holds it for the length of the call.
 pub(crate) struct Handler {
     pub name: String,
     pub node: NodeId,
     /// Takes the delivered message off the mailbox and handles it.
-    pub call: Mutex<Box<dyn FnMut() + Send>>,
+    pub call: RefCell<Box<dyn FnMut()>>,
     /// Times a handler of this name was called: its entry of
-    /// [`Kernel::handler_calls_by_name`] (a statistic; the baton orders
-    /// the increments).
-    pub calls: Arc<AtomicU64>,
+    /// [`Kernel::handler_calls_by_name`].
+    pub calls: Rc<Cell<u64>>,
 }
 
 pub(crate) struct NodeRec {
@@ -268,36 +293,29 @@ pub(crate) struct Wake {
     pub reason: WakeReason,
 }
 
-/// Who reads the mailbox a message has just arrived at.
-pub(crate) enum Reader {
-    /// No one any more: the receiver was dropped, or the handler's node
-    /// crashed. The message is dropped.
-    Gone,
-    /// A process that is not waiting on it now; the message queues.
-    Busy,
-    /// A process blocked on it.
-    Waiting(Wake),
-    /// A kernel handler.
-    Handler(Arc<Handler>),
-}
-
-pub(crate) type ActionFn = Box<dyn FnOnce(&mut Kernel) -> Reader + Send>;
-
 pub(crate) enum EventKind {
     /// First activation of a spawned process.
     Start(ProcId),
     /// Sleep or wait-deadline expiry for a specific wake generation.
     Timer { pid: ProcId, gen: u64 },
-    /// Arbitrary kernel mutation (message delivery etc.).
-    Action(ActionFn),
+    /// The message sent to this mailbox as this event's `seq` arrives.
+    Deliver(MailboxId),
     /// Kill-handshake the listed (already marked dead) processes.
-    Reap(Vec<ProcId>),
+    Reap(Box<[ProcId]>),
 }
 
 pub(crate) struct EventEntry {
     pub time: SimTime,
     pub seq: u64,
     pub kind: EventKind,
+}
+
+const _: () = assert!(std::mem::size_of::<EventEntry>() <= 40);
+
+impl EventEntry {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
 impl PartialEq for EventEntry {
@@ -314,13 +332,16 @@ impl PartialOrd for EventEntry {
 impl Ord for EventEntry {
     // Reversed so that BinaryHeap pops the earliest (time, seq) first.
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
 pub(crate) struct Kernel {
     pub now: SimTime,
     queue: BinaryHeap<EventEntry>,
+    /// Events scheduled for the instant they were scheduled at, in `seq`
+    /// order; all of one instant (see the module documentation).
+    at_now: VecDeque<EventEntry>,
     next_seq: u64,
     /// Every process ever spawned, indexed by its [`ProcId`]: ids are
     /// handed out in order and never reused, and records are kept for
@@ -332,22 +353,17 @@ pub(crate) struct Kernel {
     /// channel ever made.
     pub mailboxes: IdMap<MailboxId, MailboxRec>,
     next_mbox: u64,
-    /// Kernel handlers, by the mailbox each reads. An entry goes when
-    /// its node crashes; whoever removes entries drops them only after
-    /// releasing the kernel lock (a handler owns its `MailboxRx`, whose
-    /// drop locks the kernel).
-    pub handlers: IdMap<MailboxId, Arc<Handler>>,
     /// Calls of kernel handlers by name, for
     /// [`crate::Simulation::activations`]. The handlers of one name share
     /// the counter, so it outlives the crash that takes a handler out of
-    /// the table and the handler registered after the reboot counts on.
-    pub handler_calls_by_name: BTreeMap<String, Arc<AtomicU64>>,
+    /// its record and the handler registered after the reboot counts on.
+    pub handler_calls_by_name: BTreeMap<String, Rc<Cell<u64>>>,
     /// Every node, indexed by its [`NodeId`] (handed out in order, never
     /// removed).
     nodes: Vec<NodeRec>,
     pub seed: u64,
     /// The driver's hand-off cell.
-    pub driver: Arc<HandOff<Next>>,
+    pub driver: Rc<HandOff<Next>>,
     /// Limits of the current `run*` call: events after `deadline` stay
     /// queued, and at most `budget` more events are processed.
     pub deadline: Option<SimTime>,
@@ -364,7 +380,7 @@ pub(crate) struct Kernel {
     pub(crate) rec: RecMode,
     /// Opaque per-simulation payload (see [`crate::SimHandle::set_user_data`]).
     /// Never read by the kernel itself.
-    pub user_data: Option<std::sync::Arc<dyn std::any::Any + Send + Sync>>,
+    pub user_data: Option<Rc<dyn Any>>,
 }
 
 impl Kernel {
@@ -372,15 +388,15 @@ impl Kernel {
         Kernel {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
+            at_now: VecDeque::new(),
             next_seq: 0,
             procs: Vec::new(),
             mailboxes: IdMap::default(),
             next_mbox: 0,
-            handlers: IdMap::default(),
             handler_calls_by_name: BTreeMap::new(),
             nodes: Vec::new(),
             seed,
-            driver: Arc::new(HandOff::new()),
+            driver: Rc::new(HandOff::new()),
             deadline: None,
             budget: 0,
             events_processed: 0,
@@ -443,7 +459,7 @@ impl Kernel {
         let (tag, a, b, c) = match &ev.kind {
             EventKind::Start(pid) => (StepTag::EventStart, pid.0, 0, 0),
             EventKind::Timer { pid, gen } => (StepTag::EventTimer, pid.0, *gen, 0),
-            EventKind::Action(_) => (StepTag::EventAction, ev.seq, 0, 0),
+            EventKind::Deliver(_) => (StepTag::EventAction, ev.seq, 0, 0),
             EventKind::Reap(pids) => (
                 StepTag::EventReap,
                 pids.len() as u64,
@@ -470,26 +486,47 @@ impl Kernel {
         }
     }
 
-    pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
+    /// Queues an event; returns the `seq` it was given. An event due now
+    /// goes to the FIFO, unless the FIFO holds another instant's (`now`
+    /// went back to a `run_until` deadline before it).
+    pub fn schedule(&mut self, time: SimTime, kind: EventKind) -> u64 {
         debug_assert!(time >= self.now, "scheduling into the past");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(EventEntry { time, seq, kind });
+        let ev = EventEntry { time, seq, kind };
+        if time == self.now && self.at_now.back().is_none_or(|b| b.time == time) {
+            self.at_now.push_back(ev);
+        } else {
+            self.queue.push(ev);
+        }
+        seq
     }
 
-    pub fn schedule_action<F>(&mut self, time: SimTime, f: F)
-    where
-        F: FnOnce(&mut Kernel) -> Reader + Send + 'static,
-    {
-        self.schedule(time, EventKind::Action(Box::new(f)));
+    /// Whether the earliest event is the FIFO's front, not the heap's
+    /// top; `None` if both are empty.
+    fn fifo_first(&self) -> Option<bool> {
+        match (self.at_now.front(), self.queue.peek()) {
+            (None, None) => None,
+            (Some(f), Some(h)) => Some(f.key() < h.key()),
+            (f, _) => Some(f.is_some()),
+        }
     }
 
     pub fn pop_event(&mut self) -> Option<EventEntry> {
-        self.queue.pop()
+        if self.fifo_first()? {
+            self.at_now.pop_front()
+        } else {
+            self.queue.pop()
+        }
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|e| e.time)
+        let ev = if self.fifo_first()? {
+            self.at_now.front()
+        } else {
+            self.queue.peek()
+        };
+        ev.map(|e| e.time)
     }
 
     /// The event loop proper: processes events until the baton has to go
@@ -526,10 +563,9 @@ impl Kernel {
                     .map(|reason| Wake { pid, reason }),
                     _ => None,
                 },
-                EventKind::Action(f) => match f(self) {
-                    Reader::Gone | Reader::Busy => None,
-                    Reader::Waiting(wake) => Some(wake),
-                    Reader::Handler(h) => return Step::Call(h),
+                EventKind::Deliver(id) => match self.deliver(id, ev.seq) {
+                    Some(step) => return step,
+                    None => None,
                 },
                 EventKind::Reap(pids) => return Step::Pass(Next::Reap(pids)),
             };
@@ -610,10 +646,15 @@ impl Kernel {
         ProcId(self.procs.len() as u64 - 1)
     }
 
-    pub fn alloc_mailbox(&mut self) -> MailboxId {
+    pub fn alloc_mailbox(&mut self, slot: Rc<dyn Slot>) -> MailboxId {
         let id = MailboxId(self.next_mbox);
         self.next_mbox += 1;
-        self.mailboxes.insert(id, MailboxRec::default());
+        let rec = MailboxRec {
+            waiter: None,
+            slot,
+            handler: None,
+        };
+        self.mailboxes.insert(id, rec);
         id
     }
 
@@ -631,24 +672,23 @@ impl Kernel {
         SimRng::new(self.seed).fork(pid.0.wrapping_add(1))
     }
 
-    /// A message is arriving at `id`: who reads it.
-    pub fn reader_of(&mut self, id: MailboxId) -> Reader {
-        let Some(rec) = self.mailboxes.get_mut(&id) else {
-            return Reader::Gone;
+    /// The message sent to `id` as event `seq` arrives: moves it onto
+    /// the mailbox's queue, and resumes the process blocked on it or
+    /// names the handler that reads it. `None`: the message queues, or
+    /// its receiver was dropped (and the message with it).
+    fn deliver(&mut self, id: MailboxId, seq: u64) -> Option<Step> {
+        let rec = self.mailboxes.get_mut(&id)?;
+        rec.slot.deliver(seq);
+        let Some((pid, gen)) = rec.waiter.take() else {
+            let handler = Rc::clone(rec.handler.as_ref()?);
+            self.handler_calls += 1;
+            handler.calls.set(handler.calls.get() + 1);
+            return Some(Step::Call(handler));
         };
-        match rec.waiter.take() {
-            Some((pid, gen)) => match self.proc(pid) {
-                Some(p) if p.state == ProcState::Blocked && p.gen == gen => Reader::Waiting(Wake {
-                    pid,
-                    reason: WakeReason::MailboxReady,
-                }),
-                _ => Reader::Busy,
-            },
-            None => match self.handlers.get(&id) {
-                Some(h) => Reader::Handler(Arc::clone(h)),
-                None => Reader::Busy,
-            },
-        }
+        let reason = WakeReason::MailboxReady;
+        let blocked =
+            matches!(self.proc(pid), Some(p) if p.state == ProcState::Blocked && p.gen == gen);
+        (blocked && self.resume(pid, reason)).then_some(Step::Pass(Next::Run(pid, reason)))
     }
 
     /// Clears this process's wait registration (it is about to run).
@@ -664,15 +704,15 @@ impl Kernel {
     }
 
     /// Marks every process on `node` dead and schedules their reaping,
-    /// and takes the node's handlers out of the table. RAM state is lost;
-    /// anything reachable only through those processes and handlers is
-    /// gone. Persistent stores (simulated disks, NVRAM) are plain shared
-    /// objects and survive.
+    /// and takes the node's handlers out of their mailboxes. RAM state is
+    /// lost; anything reachable only through those processes and
+    /// handlers is gone. Persistent stores (simulated disks, NVRAM) are
+    /// plain shared objects and survive.
     ///
     /// Returns the removed handlers: the caller drops them once it has
-    /// released the kernel lock.
-    #[must_use = "drop the handlers after releasing the kernel lock"]
-    pub fn crash_node(&mut self, node: NodeId) -> Vec<(MailboxId, Arc<Handler>)> {
+    /// released the kernel borrow.
+    #[must_use = "drop the handlers after releasing the kernel borrow"]
+    pub fn crash_node(&mut self, node: NodeId) -> Vec<(MailboxId, Rc<Handler>)> {
         let pids: Vec<ProcId> = match self.node_mut(node) {
             Some(n) => {
                 n.alive = false;
@@ -680,7 +720,9 @@ impl Kernel {
             }
             None => return Vec::new(),
         };
-        let mut orphaned: Vec<_> = self.handlers.extract_if(|_, h| h.node == node).collect();
+        let mut orphaned: Vec<_> = (self.mailboxes.iter_mut())
+            .filter_map(|(id, rec)| Some((*id, rec.handler.take_if(|h| h.node == node)?)))
+            .collect();
         // In id order, so that what their drops do repeats run to run.
         orphaned.sort_unstable_by_key(|(id, _)| *id);
         let mut doomed = Vec::new();
@@ -700,22 +742,19 @@ impl Kernel {
         self.record_fault(fault_codes::CRASH_NODE, node.0 as u64, 0);
         if !doomed.is_empty() {
             let t = self.now;
-            self.schedule(t, EventKind::Reap(doomed));
+            self.schedule(t, EventKind::Reap(doomed.into()));
         }
         orphaned
     }
 
-    /// Empties the handler table and the event queue for the caller to
-    /// drop once it has released the kernel lock. Both reach back to the
-    /// kernel (a handler's state holds a [`crate::SimHandle`], a queued
-    /// message may hold a `MailboxTx`), so a kernel left holding them
-    /// would never be freed.
-    #[must_use = "drop the contents after releasing the kernel lock"]
+    /// Empties the mailbox table for the caller to drop once it has
+    /// released the kernel borrow. Its records reach back to the kernel
+    /// (a handler's state holds a [`crate::SimHandle`], a message in a
+    /// slot may hold a `MailboxTx`), so a kernel left holding them would
+    /// never be freed.
+    #[must_use = "drop the contents after releasing the kernel borrow"]
     pub fn clear(&mut self) -> impl Sized {
-        (
-            std::mem::take(&mut self.handlers),
-            std::mem::take(&mut self.queue),
-        )
+        std::mem::take(&mut self.mailboxes)
     }
 
     /// Makes a crashed node able to host processes again (a "reboot").
@@ -743,36 +782,32 @@ impl Kernel {
 /// The event loop. Runs on whichever stack holds the baton — a process
 /// that just yielded, or the driver's — until the baton has to go somewhere,
 /// and says where. Kernel handlers are called from here, with the kernel
-/// unlocked; a panic in one goes to the driver under the handler's name
-/// instead of unwinding into whatever process happens to be dispatching.
-pub(crate) fn dispatch<'a>(
-    shared: &'a Mutex<Kernel>,
-    mut k: MutexGuard<'a, Kernel>,
-) -> (MutexGuard<'a, Kernel>, Next) {
+/// not borrowed; a panic in one goes to the driver under the handler's
+/// name instead of unwinding into whatever process happens to be
+/// dispatching.
+pub(crate) fn dispatch(shared: &RefCell<Kernel>) -> Next {
     loop {
-        let handler = match k.next() {
-            Step::Pass(next) => return (k, next),
+        let handler = match shared.borrow_mut().next() {
+            Step::Pass(next) => return next,
             Step::Call(handler) => handler,
         };
-        k.handler_calls += 1;
-        handler.calls.fetch_add(1, atomic::Ordering::Relaxed);
-        drop(k);
-        let failure = catch_unwind(AssertUnwindSafe(|| (handler.call.lock())()))
+        let failure = catch_unwind(AssertUnwindSafe(|| (handler.call.borrow_mut())()))
             .err()
             .map(|payload| format!("handler '{}': {}", handler.name, panic_message(payload)));
+        // Dropped unborrowed: it may be the last owner of a crashed
+        // node's handler.
         drop(handler);
-        k = shared.lock();
         if let Some(failure) = failure {
-            k.poisoned.get_or_insert(failure);
-            return (k, Next::Stop);
+            shared.borrow_mut().poisoned.get_or_insert(failure);
+            return Next::Stop;
         }
     }
 }
 
 /// Passes the baton to whoever `next` names: leaves it in their cell and
-/// returns their context, for the caller to switch to. Takes the kernel
-/// guard so the lock is released before the receiver runs.
-pub(crate) fn hand_off(mut k: MutexGuard<'_, Kernel>, next: Next) -> Target {
+/// returns their context, for the caller to switch to once it has
+/// released the kernel borrow.
+pub(crate) fn hand_off(k: &mut Kernel, next: Next) -> Target {
     k.handoffs += 1;
     match next {
         Next::Run(pid, reason) => {
@@ -784,26 +819,10 @@ pub(crate) fn hand_off(mut k: MutexGuard<'_, Kernel>, next: Next) -> Target {
     }
 }
 
-/// Registers a new process and schedules its first activation.
-///
-/// This is a free function (not a method) because constructing the process's
-/// [`crate::Ctx`] requires the `Arc` around the kernel, which a `&mut Kernel`
-/// cannot produce.
-pub(crate) fn spawn_proc<F, R>(
-    shared: &Arc<Mutex<Kernel>>,
-    name: &str,
-    node: Option<NodeId>,
-    f: F,
-) -> crate::process::ProcOutput<R>
-where
-    F: FnOnce(&crate::ctx::Ctx) -> R + Send + 'static,
-    R: Send + 'static,
-{
-    crate::process::spawn_impl(shared, name, node, f)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     fn kernel() -> Kernel {
@@ -813,8 +832,8 @@ mod tests {
     #[test]
     fn event_ordering_by_time_then_seq() {
         let mut k = kernel();
-        k.schedule(SimTime::from_millis(5), EventKind::Reap(vec![]));
-        k.schedule(SimTime::from_millis(1), EventKind::Reap(vec![]));
+        k.schedule(SimTime::from_millis(5), EventKind::Reap([].into()));
+        k.schedule(SimTime::from_millis(1), EventKind::Reap([].into()));
         k.schedule(SimTime::from_millis(5), EventKind::Start(ProcId(9)));
         let e1 = k.pop_event().unwrap();
         assert_eq!(e1.time, SimTime::from_millis(1));
@@ -829,45 +848,74 @@ mod tests {
 
     #[test]
     fn delivery_without_waiter_queues() {
-        let mut k = kernel();
-        let m = k.alloc_mailbox();
-        assert!(matches!(k.reader_of(m), Reader::Busy));
+        let shared = Rc::new(RefCell::new(kernel()));
+        let (tx, rx) = crate::mailbox::channel_impl::<u8>(&shared);
+        tx.send(7);
+        let mut k = shared.borrow_mut();
+        let ev = k.pop_event().expect("the delivery");
+        assert!(k.deliver(rx.id(), ev.seq).is_none());
+        drop(k);
+        assert_eq!(rx.try_recv(), Some(7));
+    }
+
+    /// A message that counts its drops.
+    struct Counted(Rc<Cell<u32>>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
     }
 
     /// A dropped receiver retires its record, so channels made per
-    /// RPC / per wait do not accumulate for the life of the run; a late
-    /// send to the retired mailbox is dropped.
+    /// RPC / per wait do not accumulate for the life of the run; it frees
+    /// the messages still in flight to it, and a late send is dropped at
+    /// once. Each delivery still pops as an event and finds no one.
     #[test]
     fn dropped_receivers_leave_no_mailbox_record() {
-        let shared = Arc::new(Mutex::new(kernel()));
+        let shared = Rc::new(RefCell::new(kernel()));
         let (_tx, _rx) = crate::mailbox::channel_impl::<u8>(&shared);
-        let before = shared.lock().mailboxes.len();
+        let before = shared.borrow().mailboxes.len();
         for i in 0..10_000u32 {
             let (tx, rx) = crate::mailbox::channel_impl::<u32>(&shared);
             tx.send(i);
             drop(rx);
         }
-        assert_eq!(shared.lock().mailboxes.len(), before);
-        let mut k = shared.lock();
-        while let Some(ev) = k.pop_event() {
-            if let EventKind::Action(f) = ev.kind {
-                assert!(matches!(f(&mut k), Reader::Gone));
-            }
+        assert_eq!(shared.borrow().mailboxes.len(), before);
+
+        let drops = Rc::new(Cell::new(0));
+        let (tx, rx) = crate::mailbox::channel_impl::<Counted>(&shared);
+        for delay in [0, 5, 1] {
+            tx.send_after(Duration::from_millis(delay), Counted(Rc::clone(&drops)));
         }
+        drop(rx);
+        assert_eq!(drops.get(), 3, "in flight to a dropped receiver");
+        tx.send(Counted(Rc::clone(&drops)));
+        tx.send_after(Duration::from_millis(2), Counted(Rc::clone(&drops)));
+        assert_eq!(drops.get(), 5, "sent to a dropped receiver");
+        assert!(tx.slot_is_empty());
+
+        let mut k = shared.borrow_mut();
+        k.budget = u64::MAX;
+        assert!(matches!(k.next(), Step::Pass(Next::Stop)));
+        assert_eq!(k.events_processed, 10_000 + 5);
+        drop(k);
+        assert!(tx.slot_is_empty());
     }
 
     /// A machine that crashes and reboots for ever registers its
     /// handlers anew each time; the old ones, and their mailboxes, go.
     #[test]
     fn crashed_handlers_leave_no_record() {
-        let shared = Arc::new(Mutex::new(kernel()));
+        let shared = Rc::new(RefCell::new(kernel()));
         let handle = crate::SimHandle {
-            shared: Arc::clone(&shared),
+            shared: Rc::clone(&shared),
         };
-        let node = shared.lock().add_node("n");
+        let node = shared.borrow_mut().add_node("n");
         let sizes = || {
-            let k = shared.lock();
-            (k.mailboxes.len(), k.handlers.len())
+            let k = shared.borrow();
+            let handlers = k.mailboxes.values().filter(|m| m.handler.is_some());
+            (k.mailboxes.len(), handlers.count())
         };
         let before = sizes();
         for _ in 0..1_000 {
@@ -876,10 +924,10 @@ mod tests {
                 handle.handler(node, name, rx, |_| {});
             }
             assert_eq!(sizes(), (before.0 + 3, before.1 + 3));
-            let orphaned = shared.lock().crash_node(node);
+            let orphaned = shared.borrow_mut().crash_node(node);
             assert_eq!(orphaned.len(), 3);
             drop(orphaned);
-            shared.lock().revive_node(node);
+            shared.borrow_mut().revive_node(node);
         }
         assert_eq!(sizes(), before);
     }
@@ -907,8 +955,8 @@ mod tests {
     fn peek_time_sees_earliest() {
         let mut k = kernel();
         assert!(k.peek_time().is_none());
-        k.schedule(SimTime::from_millis(7), EventKind::Reap(vec![]));
-        k.schedule(SimTime::from_millis(3), EventKind::Reap(vec![]));
+        k.schedule(SimTime::from_millis(7), EventKind::Reap([].into()));
+        k.schedule(SimTime::from_millis(3), EventKind::Reap([].into()));
         assert_eq!(k.peek_time(), Some(SimTime::from_millis(3)));
     }
 }

@@ -11,22 +11,26 @@
 //!
 //! All processes of a [`Simulation`] run on the OS thread that calls
 //! [`Simulation::run`]; passing the baton is a switch of registers, not
-//! of threads. So a `Simulation` is not `Send`: code may keep a
-//! thread-local's address across a call, and a process resumed on
-//! another thread would use the old thread's. Per-process state that a
-//! layer cannot pass through its calls lives in [`ambient`], which the
-//! simulator saves and restores at every switch. The switch is written
-//! for x86_64 Linux; other targets do not build.
+//! of threads. So the simulator is single-threaded by construction: its
+//! kernel is an `Rc<RefCell<_>>` that every context borrows briefly, no
+//! bound in this API asks for `Send`, and a `Simulation`, a
+//! [`SimHandle`], a [`Ctx`] and a [`MailboxTx`] are all bound to the
+//! thread that made them (code may keep a thread-local's address across
+//! a call, and a process resumed on another thread would use the old
+//! thread's). Two simulations on two threads share nothing. Per-process
+//! state that a layer cannot pass through its calls lives in
+//! [`ambient`], which the simulator saves and restores at every switch.
+//! The switch is written for x86_64 Linux; other targets do not build.
 //!
 //! Code that takes no simulated time and only passes messages on — a
 //! machine's packet demultiplexers, its protocol timers — is not a process
 //! but a *kernel handler* ([`SimHandle::handler`]): a closure the
 //! simulator owns, called with each message of its mailbox at delivery
-//! time by whichever context holds the baton, with the kernel unlocked. A
-//! handler may send, read the clock and touch its own state; it must not
-//! block (it has no [`Ctx`]) and must not read per-process state (it runs
-//! inside an arbitrary process); it has no RNG stream and no
-//! [`ProcOutput`]; and it dies with its node.
+//! time by whichever context holds the baton, with the kernel not
+//! borrowed. A handler may send, read the clock and touch its own state;
+//! it must not block (it has no [`Ctx`]) and must not read per-process
+//! state (it runs inside an arbitrary process); it has no RNG stream and
+//! no [`ProcOutput`]; and it dies with its node.
 //!
 //! Protocol code written against this crate reads like ordinary blocking
 //! code — `ctx.sleep(..)`, `rx.recv(ctx)`, `tx.send(msg)` — exactly the
@@ -38,7 +42,8 @@
 //! * Virtual time ([`SimTime`]) with nanosecond resolution.
 //! * Typed, deterministic [`mailboxes`](MailboxTx) with optional delivery
 //!   delays — the basis for the simulated network and disks — read by a
-//!   process or by a kernel handler.
+//!   process or by a kernel handler. A delivery is a plain event; the
+//!   message waits in its mailbox, so it costs no allocation of its own.
 //! * Crashable [`nodes`](NodeId): failure domains whose processes are killed
 //!   together, losing all RAM state, while shared persistent objects
 //!   survive — the paper's fail-stop model.

@@ -7,31 +7,64 @@
 //! handler, *or* from outside the simulation (e.g. test setup code); a
 //! send schedules delivery through the kernel event queue, optionally
 //! after a delay, so message arrival order is always deterministic.
+//!
+//! Both halves share the mailbox's *slot*: its queue, and the messages in
+//! flight under the `seq` of the event that delivers each. A send parks
+//! its message there and schedules a plain `Deliver` event, which moves
+//! it onto the queue: a message costs no allocation of its own.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 use crate::ids::MailboxId;
-use crate::kernel::{Kernel, Reader, WakeReason};
+use crate::kernel::{EventKind, Kernel, Slot, WakeReason};
 use crate::time::SimTime;
 
-/// The sending half of a mailbox. Clonable and usable from anywhere.
+/// A mailbox's messages: its slot, shared by its halves and its kernel
+/// record.
+struct Messages<T> {
+    /// Delivered, not yet received.
+    queue: VecDeque<T>,
+    /// Sent, not yet delivered, in send order: by the `seq` of each one's
+    /// delivery event.
+    in_flight: VecDeque<(u64, T)>,
+    /// The receiver was dropped: nothing more is kept.
+    closed: bool,
+}
+
+impl<T> Slot for RefCell<Messages<T>> {
+    fn deliver(&self, seq: u64) {
+        let mut m = self.borrow_mut();
+        // Deliveries of one mailbox pop mostly in send order: the front.
+        let at = m.in_flight.iter().position(|(s, _)| *s == seq);
+        let msg = at.and_then(|at| m.in_flight.remove(at));
+        m.queue
+            .push_back(msg.expect("a live mailbox's message is in flight").1);
+    }
+}
+
+/// The sending half of a mailbox. Clonable and usable from anywhere on
+/// the simulation's thread, which it cannot leave:
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(amoeba_sim::Simulation::new(1).channel::<u8>().0);
+/// ```
 pub struct MailboxTx<T> {
     id: MailboxId,
-    queue: Arc<Mutex<VecDeque<T>>>,
-    shared: Arc<Mutex<Kernel>>,
+    slot: Rc<RefCell<Messages<T>>>,
+    shared: Rc<RefCell<Kernel>>,
 }
 
 impl<T> Clone for MailboxTx<T> {
     fn clone(&self) -> Self {
         MailboxTx {
             id: self.id,
-            queue: Arc::clone(&self.queue),
-            shared: Arc::clone(&self.shared),
+            slot: Rc::clone(&self.slot),
+            shared: Rc::clone(&self.shared),
         }
     }
 }
@@ -42,50 +75,61 @@ impl<T> std::fmt::Debug for MailboxTx<T> {
     }
 }
 
-impl<T: Send + 'static> MailboxTx<T> {
+impl<T: 'static> MailboxTx<T> {
     /// Delivers `msg` at the current instant (after already-queued events).
     pub fn send(&self, msg: T) {
         self.send_after(Duration::ZERO, msg);
     }
 
     /// Delivers `msg` after `delay` of virtual time.
+    ///
+    /// A message to a dropped receiver is dropped at once; its delivery
+    /// is still an event, which finds no one.
     pub fn send_after(&self, delay: Duration, msg: T) {
-        let queue = Arc::clone(&self.queue);
-        let id = self.id;
-        let mut k = self.shared.lock();
-        let t = k.now + delay;
-        // Runs inside whichever process dispatches it: no per-process
-        // state here.
-        k.schedule_action(t, move |k| {
-            let reader = k.reader_of(id);
-            if !matches!(reader, Reader::Gone) {
-                queue.lock().push_back(msg);
-            }
-            reader
-        });
+        let seq = {
+            let mut k = self.shared.borrow_mut();
+            let t = k.now + delay;
+            k.schedule(t, EventKind::Deliver(self.id))
+        };
+        let mut m = self.slot.borrow_mut();
+        if !m.closed {
+            m.in_flight.push_back((seq, msg));
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn slot_is_empty(&self) -> bool {
+        let m = self.slot.borrow();
+        m.queue.is_empty() && m.in_flight.is_empty()
     }
 }
 
 /// The receiving half of a mailbox; owned by one process at a time, or
 /// by the kernel handler it was given to. Dropping it retires the
-/// kernel's record of the mailbox (later sends are dropped on delivery).
+/// kernel's record of the mailbox and drops every message it holds or is
+/// yet to be delivered.
 pub struct MailboxRx<T> {
     id: MailboxId,
-    queue: Arc<Mutex<VecDeque<T>>>,
+    slot: Rc<RefCell<Messages<T>>>,
     /// Weak: receivers held by test code or leaked processes may outlive
-    /// the kernel, and must not lock it while it is being torn down.
-    shared: Weak<Mutex<Kernel>>,
+    /// the kernel, and must not borrow it while it is being torn down.
+    shared: Weak<RefCell<Kernel>>,
 }
 
 impl<T> Drop for MailboxRx<T> {
     fn drop(&mut self) {
-        // Never runs under the kernel lock: receivers live in process
-        // stacks, handles and kernel handlers (which the kernel drops
-        // unlocked), and no message type carries one, so the kernel's own
-        // event closures never drop a `MailboxRx`.
+        // Never runs under the kernel borrow: receivers live in process
+        // stacks, handles and kernel handlers (which are dropped with the
+        // kernel released), and no message type carries one, so a slot
+        // never drops a `MailboxRx`.
         if let Some(shared) = self.shared.upgrade() {
-            shared.lock().mailboxes.remove(&self.id);
+            let record = shared.borrow_mut().mailboxes.remove(&self.id);
+            drop(record);
         }
+        let mut m = self.slot.borrow_mut();
+        m.closed = true;
+        m.queue.clear();
+        m.in_flight.clear();
     }
 }
 
@@ -95,20 +139,20 @@ impl<T> std::fmt::Debug for MailboxRx<T> {
     }
 }
 
-impl<T: Send + 'static> MailboxRx<T> {
+impl<T: 'static> MailboxRx<T> {
     /// Removes the next message without blocking.
     pub fn try_recv(&self) -> Option<T> {
-        self.queue.lock().pop_front()
+        self.slot.borrow_mut().queue.pop_front()
     }
 
     /// The number of queued messages.
     pub fn len(&self) -> usize {
-        self.queue.lock().len()
+        self.slot.borrow().queue.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.queue.lock().is_empty()
+        self.slot.borrow().queue.is_empty()
     }
 
     /// Blocks until a message is available and returns it.
@@ -148,21 +192,25 @@ impl<T: Send + 'static> MailboxRx<T> {
     }
 }
 
-pub(crate) fn channel_impl<T: Send + 'static>(
-    shared: &Arc<Mutex<Kernel>>,
+pub(crate) fn channel_impl<T: 'static>(
+    shared: &Rc<RefCell<Kernel>>,
 ) -> (MailboxTx<T>, MailboxRx<T>) {
-    let id = shared.lock().alloc_mailbox();
-    let queue = Arc::new(Mutex::new(VecDeque::new()));
+    let slot = Rc::new(RefCell::new(Messages {
+        queue: VecDeque::new(),
+        in_flight: VecDeque::new(),
+        closed: false,
+    }));
+    let id = shared.borrow_mut().alloc_mailbox(slot.clone());
     (
         MailboxTx {
             id,
-            queue: Arc::clone(&queue),
-            shared: Arc::clone(shared),
+            slot: Rc::clone(&slot),
+            shared: Rc::clone(shared),
         },
         MailboxRx {
             id,
-            queue,
-            shared: Arc::downgrade(shared),
+            slot,
+            shared: Rc::downgrade(shared),
         },
     )
 }

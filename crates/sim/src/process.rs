@@ -8,10 +8,9 @@
 //! panics and ends by naming the context to switch to: whoever holds the
 //! baton next, or the driver that killed it.
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::ctx::Ctx;
 use crate::ids::{NodeId, ProcId};
@@ -26,7 +25,7 @@ use crate::kernel::{
 #[derive(Debug)]
 pub struct ProcOutput<R> {
     pid: ProcId,
-    cell: Arc<Mutex<Option<R>>>,
+    cell: Rc<RefCell<Option<R>>>,
 }
 
 impl<R> ProcOutput<R> {
@@ -40,13 +39,13 @@ impl<R> ProcOutput<R> {
     /// Returns `None` while the process is still running, or if it was
     /// killed by a node crash, or if the value was already taken.
     pub fn take(&self) -> Option<R> {
-        self.cell.lock().take()
+        self.cell.borrow_mut().take()
     }
 
     /// Whether the return value is available (process finished normally and
     /// the value has not been taken yet).
     pub fn is_ready(&self) -> bool {
-        self.cell.lock().is_some()
+        self.cell.borrow().is_some()
     }
 }
 
@@ -54,26 +53,26 @@ impl<R> Clone for ProcOutput<R> {
     fn clone(&self) -> Self {
         ProcOutput {
             pid: self.pid,
-            cell: Arc::clone(&self.cell),
+            cell: Rc::clone(&self.cell),
         }
     }
 }
 
 pub(crate) fn spawn_impl<F, R>(
-    shared: &Arc<Mutex<Kernel>>,
+    shared: &Rc<RefCell<Kernel>>,
     name: &str,
     node: Option<NodeId>,
     f: F,
 ) -> ProcOutput<R>
 where
-    F: FnOnce(&Ctx) -> R + Send + 'static,
-    R: Send + 'static,
+    F: FnOnce(&Ctx) -> R + 'static,
+    R: 'static,
 {
-    let hand_off_cell = Arc::new(HandOff::new());
-    let cell: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
+    let hand_off_cell = Rc::new(HandOff::new());
+    let cell: Rc<RefCell<Option<R>>> = Rc::default();
 
     let (pid, rng, start_time) = {
-        let mut k = shared.lock();
+        let mut k = shared.borrow_mut();
         let pid = k.alloc_pid();
         if let Some(n) = node {
             let nrec = k.node_mut(n).expect("spawn_on unknown node");
@@ -94,19 +93,19 @@ where
         pid,
         node,
         name.to_owned(),
-        Arc::clone(shared),
-        Arc::clone(&hand_off_cell),
+        Rc::clone(shared),
+        Rc::clone(&hand_off_cell),
         rng,
     );
 
-    let cell_in = Arc::clone(&cell);
+    let cell_in = Rc::clone(&cell);
     hand_off_cell.context().start(move || {
         if !ctx.wait_first() {
             return ctx.driver(); // killed before the first activation
         }
         let panic = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
             Ok(val) => {
-                *cell_in.lock() = Some(val);
+                *cell_in.borrow_mut() = Some(val);
                 None
             }
             Err(payload) => match payload.downcast_ref::<KillToken>() {
@@ -120,7 +119,7 @@ where
     });
 
     {
-        let mut k = shared.lock();
+        let mut k = shared.borrow_mut();
         k.insert_proc(
             pid,
             ProcRec {

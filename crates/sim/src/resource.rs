@@ -5,11 +5,10 @@
 //! servers *saturate* in the throughput experiments instead of overlapping
 //! an unbounded number of "processing" sleeps.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 use crate::handle::SimHandle;
@@ -46,12 +45,12 @@ struct ResourceState {
 pub struct Resource {
     name: String,
     handle: SimHandle,
-    state: Arc<Mutex<ResourceState>>,
+    state: Rc<RefCell<ResourceState>>,
 }
 
 impl std::fmt::Debug for Resource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.state.lock();
+        let s = self.state.borrow();
         f.debug_struct("Resource")
             .field("name", &self.name)
             .field("busy", &s.busy)
@@ -66,7 +65,7 @@ impl Resource {
         Resource {
             name: name.to_owned(),
             handle,
-            state: Arc::new(Mutex::new(ResourceState {
+            state: Rc::new(RefCell::new(ResourceState {
                 busy: false,
                 waiters: VecDeque::new(),
                 busy_nanos: 0,
@@ -82,7 +81,7 @@ impl Resource {
     /// is recreated on restart, which is how machine reboots are modelled).
     pub fn acquire(&self, ctx: &Ctx) {
         let rx = {
-            let mut s = self.state.lock();
+            let mut s = self.state.borrow_mut();
             if !s.busy {
                 s.busy = true;
                 return;
@@ -96,7 +95,7 @@ impl Resource {
 
     /// Releases the resource, waking the next waiter if any.
     pub fn release(&self) {
-        let mut s = self.state.lock();
+        let mut s = self.state.borrow_mut();
         debug_assert!(s.busy, "release of idle resource {}", self.name);
         if let Some(w) = s.waiters.pop_front() {
             w.send(()); // stays busy; ownership transfers
@@ -110,23 +109,23 @@ impl Resource {
     pub fn use_for(&self, ctx: &Ctx, d: Duration) {
         self.acquire(ctx);
         ctx.sleep(d);
-        self.state.lock().busy_nanos += d.as_nanos() as u64;
+        self.state.borrow_mut().busy_nanos += d.as_nanos() as u64;
         self.release();
     }
 
     /// Whether the resource is currently held.
     pub fn is_busy(&self) -> bool {
-        self.state.lock().busy
+        self.state.borrow().busy
     }
 
     /// The number of processes queued behind the current holder.
     pub fn queue_len(&self) -> usize {
-        self.state.lock().waiters.len()
+        self.state.borrow().waiters.len()
     }
 
     /// Cumulative held time recorded by [`use_for`](Resource::use_for).
     pub fn busy_time(&self) -> Duration {
-        Duration::from_nanos(self.state.lock().busy_nanos)
+        Duration::from_nanos(self.state.borrow().busy_nanos)
     }
 }
 
@@ -135,25 +134,24 @@ mod tests {
     use super::*;
     use crate::sim::Simulation;
     use crate::time::SimTime;
-    use std::sync::Arc as StdArc;
 
     #[test]
     fn serializes_users_fifo() {
         let mut sim = Simulation::new(1);
         let r = Resource::new(sim.handle(), "cpu");
-        let order = StdArc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4 {
             let r = r.clone();
-            let order = StdArc::clone(&order);
+            let order = Rc::clone(&order);
             sim.spawn(&format!("u{i}"), move |ctx| {
                 // Stagger arrival so the queue order is well defined.
                 ctx.sleep(Duration::from_micros(i));
                 r.use_for(ctx, Duration::from_millis(5));
-                order.lock().push((i, ctx.now()));
+                order.borrow_mut().push((i, ctx.now()));
             });
         }
         sim.run();
-        let order = order.lock();
+        let order = order.borrow();
         assert_eq!(
             order.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]

@@ -4,13 +4,10 @@
 //! takes it back to reap crashed processes, to re-raise a process panic,
 //! and when the run is over.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::coro;
 use crate::ctx::Ctx;
@@ -19,7 +16,7 @@ use crate::kernel::{
     dispatch, hand_off, install_quiet_panic_hook, HandOff, Kernel, Next, ProcState, Wakeup,
 };
 use crate::mailbox::{channel_impl, MailboxRx, MailboxTx};
-use crate::process::ProcOutput;
+use crate::process::{spawn_impl, ProcOutput};
 use crate::record::{RecMode, SimTrace};
 use crate::time::SimTime;
 
@@ -84,25 +81,24 @@ pub struct Activations {
 /// ```
 ///
 /// Every process runs as a coroutine on the thread that calls `run`, so
-/// a `Simulation` stays on the thread that made it: it is not `Send`.
-/// Code may keep a thread-local's address across a call, and a process
-/// resumed on another thread would use the old thread's.
+/// a `Simulation` stays on the thread that made it: it is not `Send`
+/// (its kernel is an `Rc<RefCell<_>>`). Code may keep a thread-local's
+/// address across a call, and a process resumed on another thread would
+/// use the old thread's.
 ///
 /// ```compile_fail
 /// fn send<T: Send>(_: T) {}
 /// send(amoeba_sim::Simulation::new(1));
 /// ```
 pub struct Simulation {
-    shared: Arc<Mutex<Kernel>>,
+    shared: Rc<RefCell<Kernel>>,
     /// The driver's context, and the baton's way back to it.
-    driver: Arc<HandOff<Next>>,
-    /// Not `Send`: see above.
-    one_thread: PhantomData<*const ()>,
+    driver: Rc<HandOff<Next>>,
 }
 
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let k = self.shared.lock();
+        let k = self.shared.borrow();
         f.debug_struct("Simulation")
             .field("now", &k.now)
             .field("events", &k.events_processed)
@@ -117,9 +113,8 @@ impl Simulation {
         install_quiet_panic_hook();
         let kernel = Kernel::new(seed);
         Simulation {
-            driver: Arc::clone(&kernel.driver),
-            shared: Arc::new(Mutex::new(kernel)),
-            one_thread: PhantomData,
+            driver: Rc::clone(&kernel.driver),
+            shared: Rc::new(RefCell::new(kernel)),
         }
     }
 
@@ -128,7 +123,7 @@ impl Simulation {
     /// *before* any process is spawned, so the trace covers the whole run.
     pub fn recording(seed: u64) -> Self {
         let sim = Simulation::new(seed);
-        sim.shared.lock().rec = RecMode::Record(Vec::new());
+        sim.shared.borrow_mut().rec = RecMode::Record(Vec::new());
         sim
     }
 
@@ -138,7 +133,7 @@ impl Simulation {
     /// message. The seed is taken from the trace.
     pub fn replaying(trace: &SimTrace) -> Self {
         let sim = Simulation::new(trace.seed);
-        sim.shared.lock().rec = RecMode::Replay {
+        sim.shared.borrow_mut().rec = RecMode::Replay {
             steps: trace.steps.clone(),
             cursor: 0,
         };
@@ -148,18 +143,18 @@ impl Simulation {
     /// A snapshot of the decision trace recorded so far; `None` unless the
     /// simulation was created with [`Simulation::recording`].
     pub fn take_recording(&self) -> Option<SimTrace> {
-        self.shared.lock().snapshot_recording()
+        self.shared.borrow().snapshot_recording()
     }
 
     /// Enables trace collection (see [`take_trace`](Simulation::take_trace)).
     pub fn enable_trace(&self) {
-        self.shared.lock().trace = Some(Vec::new());
+        self.shared.borrow_mut().trace = Some(Vec::new());
     }
 
     /// Drains and returns collected trace lines.
     pub fn take_trace(&self) -> Vec<(SimTime, String)> {
         self.shared
-            .lock()
+            .borrow_mut()
             .trace
             .as_mut()
             .map(std::mem::take)
@@ -168,7 +163,7 @@ impl Simulation {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.shared.lock().now
+        self.shared.borrow().now
     }
 
     /// How often every process and kernel handler has run so far, by
@@ -178,7 +173,7 @@ impl Simulation {
     /// the kernel resumes a process, passes the baton and calls a
     /// handler, so reading them perturbs nothing.
     pub fn activations(&self) -> Vec<Activations> {
-        let k = self.shared.lock();
+        let k = self.shared.borrow();
         let mut rows: BTreeMap<&str, Activations> = BTreeMap::new();
         for (_, p) in k.procs() {
             let row = rows.entry(&p.name).or_default();
@@ -188,7 +183,7 @@ impl Simulation {
             }
         }
         for (name, calls) in &k.handler_calls_by_name {
-            rows.entry(name).or_default().handler_calls = calls.load(Ordering::Relaxed);
+            rows.entry(name).or_default().handler_calls = calls.get();
         }
         rows.into_iter()
             .map(|(name, row)| Activations {
@@ -200,33 +195,33 @@ impl Simulation {
 
     /// Adds a crashable node (failure domain) to the topology.
     pub fn add_node(&self, name: &str) -> NodeId {
-        self.shared.lock().add_node(name)
+        self.shared.borrow_mut().add_node(name)
     }
 
     /// Crashes a node at the current instant.
     pub fn crash_node(&self, node: NodeId) {
-        let handlers = self.shared.lock().crash_node(node);
-        // Their state may own things whose drop locks the kernel.
+        let handlers = self.shared.borrow_mut().crash_node(node);
+        // Their state may own things whose drop borrows the kernel.
         drop(handlers);
     }
 
     /// Reboots a crashed node.
     pub fn revive_node(&self, node: NodeId) {
-        self.shared.lock().revive_node(node);
+        self.shared.borrow_mut().revive_node(node);
     }
 
     /// Whether a node is alive.
     pub fn node_alive(&self, node: NodeId) -> bool {
-        self.shared.lock().node_alive(node)
+        self.shared.borrow().node_alive(node)
     }
 
     /// Spawns a free-standing process (not tied to any node).
     pub fn spawn<F, R>(&self, name: &str, f: F) -> ProcOutput<R>
     where
-        F: FnOnce(&Ctx) -> R + Send + 'static,
-        R: Send + 'static,
+        F: FnOnce(&Ctx) -> R + 'static,
+        R: 'static,
     {
-        crate::kernel::spawn_proc(&self.shared, name, None, f)
+        spawn_impl(&self.shared, name, None, f)
     }
 
     /// Spawns a process on a node; it dies if the node crashes.
@@ -236,21 +231,21 @@ impl Simulation {
     /// Panics if the node is crashed.
     pub fn spawn_on<F, R>(&self, node: NodeId, name: &str, f: F) -> ProcOutput<R>
     where
-        F: FnOnce(&Ctx) -> R + Send + 'static,
-        R: Send + 'static,
+        F: FnOnce(&Ctx) -> R + 'static,
+        R: 'static,
     {
-        crate::kernel::spawn_proc(&self.shared, name, Some(node), f)
+        spawn_impl(&self.shared, name, Some(node), f)
     }
 
     /// Creates a mailbox from outside any process (for setup code).
-    pub fn channel<T: Send + 'static>(&self) -> (MailboxTx<T>, MailboxRx<T>) {
+    pub fn channel<T: 'static>(&self) -> (MailboxTx<T>, MailboxRx<T>) {
         channel_impl(&self.shared)
     }
 
     /// A cloneable handle for creating mailboxes and reading the clock.
     pub fn handle(&self) -> crate::handle::SimHandle {
         crate::handle::SimHandle {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 
@@ -282,25 +277,28 @@ impl Simulation {
     }
 
     fn run_inner(&mut self, deadline: Option<SimTime>, max_events: u64) -> RunStats {
-        let mut next = {
-            let mut k = self.shared.lock();
+        {
+            let mut k = self.shared.borrow_mut();
             k.deadline = deadline;
             k.budget = max_events;
-            dispatch(&self.shared, k).1
-        };
+        }
+        let mut next = dispatch(&self.shared);
         loop {
             next = match next {
                 Next::Stop => break,
                 Next::Reap(pids) => {
-                    for pid in pids {
+                    for &pid in &pids {
                         self.kill_handshake(pid);
                     }
-                    dispatch(&self.shared, self.shared.lock()).1
+                    dispatch(&self.shared)
                 }
-                run => self.driver.park(hand_off(self.shared.lock(), run)),
+                run => {
+                    let to = hand_off(&mut self.shared.borrow_mut(), run);
+                    self.driver.park(to)
+                }
             };
         }
-        let mut k = self.shared.lock();
+        let mut k = self.shared.borrow_mut();
         if let Some(msg) = k.poisoned.take() {
             drop(k);
             self.teardown();
@@ -319,15 +317,15 @@ impl Simulation {
     /// and its stack is freed. Only the driver does this, holding the
     /// baton, so no simulated code runs meanwhile.
     fn kill_handshake(&mut self, pid: ProcId) {
-        // Switched to only after the lock is released: a process's last
-        // drops may need the kernel lock.
+        // Switched to only after the borrow is released: a process's last
+        // drops may borrow the kernel.
         let cell = {
-            let mut k = self.shared.lock();
+            let mut k = self.shared.borrow_mut();
             let p = match k.proc_mut(pid) {
                 Some(p) => p,
                 None => return,
             };
-            let cell = (p.state != ProcState::Exited).then(|| Arc::clone(&p.cell));
+            let cell = (p.state != ProcState::Exited).then(|| Rc::clone(&p.cell));
             p.state = ProcState::Exited;
             k.clear_wait(pid);
             cell
@@ -340,7 +338,7 @@ impl Simulation {
 
     /// Kills every non-exited process, freeing every stack.
     fn teardown(&mut self) {
-        let pids: Vec<ProcId> = self.shared.lock().procs().map(|(pid, _)| pid).collect();
+        let pids: Vec<ProcId> = self.shared.borrow().procs().map(|(pid, _)| pid).collect();
         for pid in pids {
             self.kill_handshake(pid);
         }
@@ -350,7 +348,7 @@ impl Simulation {
 impl Drop for Simulation {
     fn drop(&mut self) {
         self.teardown();
-        let contents = self.shared.lock().clear();
+        let contents = self.shared.borrow_mut().clear();
         drop(contents);
     }
 }

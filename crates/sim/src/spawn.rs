@@ -17,24 +17,14 @@ pub trait Spawn {
     /// # Panics
     ///
     /// Panics if `node` refers to a crashed node.
-    fn spawn_boxed(
-        &self,
-        node: Option<NodeId>,
-        name: &str,
-        f: Box<dyn FnOnce(&Ctx) + Send + 'static>,
-    );
+    fn spawn_boxed(&self, node: Option<NodeId>, name: &str, f: Box<dyn FnOnce(&Ctx) + 'static>);
 
     /// A handle for creating mailboxes and reading the clock.
     fn sim_handle(&self) -> SimHandle;
 }
 
 impl Spawn for crate::Simulation {
-    fn spawn_boxed(
-        &self,
-        node: Option<NodeId>,
-        name: &str,
-        f: Box<dyn FnOnce(&Ctx) + Send + 'static>,
-    ) {
+    fn spawn_boxed(&self, node: Option<NodeId>, name: &str, f: Box<dyn FnOnce(&Ctx) + 'static>) {
         let _: ProcOutput<()> = match node {
             Some(n) => self.spawn_on(n, name, f),
             None => self.spawn(name, f),
@@ -47,19 +37,14 @@ impl Spawn for crate::Simulation {
 }
 
 impl Spawn for Ctx {
-    fn spawn_boxed(
-        &self,
-        node: Option<NodeId>,
-        name: &str,
-        f: Box<dyn FnOnce(&Ctx) + Send + 'static>,
-    ) {
+    fn spawn_boxed(&self, node: Option<NodeId>, name: &str, f: Box<dyn FnOnce(&Ctx) + 'static>) {
         let _: ProcOutput<()> = match node {
             Some(n) => self.spawn_on(n, name, f),
             None => {
                 // Deliberately detach from the caller's node: infrastructure
                 // spawned without an explicit node placement should not
                 // silently inherit the spawner's failure domain.
-                crate::kernel::spawn_proc(self.shared(), name, None, f)
+                crate::process::spawn_impl(self.shared(), name, None, f)
             }
         };
     }

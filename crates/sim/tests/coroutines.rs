@@ -4,8 +4,9 @@
 //!
 //! The umbrella crate's `tests/sim_kernel.rs` compiles this file too.
 
+use std::cell::RefCell;
 use std::hint::black_box;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::thread::{self, ThreadId};
 use std::time::Duration;
 
@@ -17,12 +18,12 @@ const MS: Duration = Duration::from_millis(1);
 fn every_process_body_runs_on_the_thread_that_calls_run() {
     let mut sim = Simulation::new(1);
     let node = sim.add_node("n");
-    let ran: Arc<Mutex<Vec<(&str, ThreadId)>>> = Arc::default();
+    let ran: Rc<RefCell<Vec<(&str, ThreadId)>>> = Rc::default();
     let boot = |sim: &Simulation, boot: &'static str| {
         for _ in 0..3 {
-            let ran = Arc::clone(&ran);
+            let ran = Rc::clone(&ran);
             sim.spawn_on(node, boot, move |ctx| loop {
-                ran.lock().unwrap().push((boot, thread::current().id()));
+                ran.borrow_mut().push((boot, thread::current().id()));
                 ctx.sleep(MS);
             });
         }
@@ -35,7 +36,7 @@ fn every_process_body_runs_on_the_thread_that_calls_run() {
     boot(&sim, "second boot");
     sim.run_for(5 * MS);
 
-    let ran = ran.lock().unwrap();
+    let ran = ran.borrow();
     for boot in ["first boot", "second boot"] {
         let steps = ran.iter().filter(|(b, _)| *b == boot).count();
         assert!(steps >= 15, "{boot}: {steps} steps");

@@ -1,13 +1,12 @@
 //! Behavioural tests for the simulation kernel: scheduling order, blocking
 //! primitives, timeouts, node crashes, and determinism.
 
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_sim::{SimTime, Simulation};
-use parking_lot::Mutex;
 
 const MS: Duration = Duration::from_millis(1);
 
@@ -27,16 +26,16 @@ fn virtual_time_advances_without_real_time() {
 #[test]
 fn same_time_events_run_in_schedule_order() {
     let mut sim = Simulation::new(1);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     for i in 0..5 {
-        let log = Arc::clone(&log);
+        let log = Rc::clone(&log);
         sim.spawn(&format!("p{i}"), move |ctx| {
             ctx.sleep(Duration::from_millis(10));
-            log.lock().push(i);
+            log.borrow_mut().push(i);
         });
     }
     sim.run();
-    assert_eq!(*log.lock(), vec![0, 1, 2, 3, 4]);
+    assert_eq!(*log.borrow_mut(), vec![0, 1, 2, 3, 4]);
 }
 
 #[test]
@@ -122,30 +121,30 @@ fn try_recv_and_len() {
 #[test]
 fn spawned_children_run() {
     let mut sim = Simulation::new(1);
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let log2 = Arc::clone(&log);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let log2 = Rc::clone(&log);
     sim.spawn("parent", move |ctx| {
         for i in 0..3 {
-            let log = Arc::clone(&log2);
+            let log = Rc::clone(&log2);
             ctx.spawn(&format!("child{i}"), move |ctx| {
                 ctx.sleep(Duration::from_millis(i as u64));
-                log.lock().push(i);
+                log.borrow_mut().push(i);
             });
         }
     });
     sim.run();
-    assert_eq!(*log.lock(), vec![0, 1, 2]);
+    assert_eq!(*log.borrow_mut(), vec![0, 1, 2]);
 }
 
 #[test]
 fn crash_kills_node_processes_and_preserves_shared_state() {
     let mut sim = Simulation::new(1);
     let node = sim.add_node("server");
-    let persistent = Arc::new(Mutex::new(Vec::new()));
+    let persistent = Rc::new(RefCell::new(Vec::new()));
 
-    let p = Arc::clone(&persistent);
+    let p = Rc::clone(&persistent);
     sim.spawn_on(node, "writer", move |ctx| loop {
-        p.lock().push(ctx.now());
+        p.borrow_mut().push(ctx.now());
         ctx.sleep(MS);
     });
     sim.spawn("chaos", move |ctx| {
@@ -154,7 +153,7 @@ fn crash_kills_node_processes_and_preserves_shared_state() {
     });
     sim.run_until(SimTime::from_millis(20));
     // Writer ticked at t=0..4ms then died; the "disk" (shared vec) survives.
-    let n = persistent.lock().len();
+    let n = persistent.borrow_mut().len();
     assert_eq!(n, 5, "writer should have ticked exactly 5 times, got {n}");
     assert!(!sim.node_alive(node));
 }
@@ -187,14 +186,14 @@ fn crashed_node_can_be_revived_and_reused() {
 fn self_crash_stops_process_immediately() {
     let mut sim = Simulation::new(1);
     let node = sim.add_node("n");
-    let flag = Arc::new(Mutex::new(false));
-    let f = Arc::clone(&flag);
+    let flag = Rc::new(RefCell::new(false));
+    let f = Rc::clone(&flag);
     sim.spawn_on(node, "suicidal", move |ctx| {
         ctx.crash_node(node);
-        *f.lock() = true; // must never run
+        *f.borrow_mut() = true; // must never run
     });
     sim.run();
-    assert!(!*flag.lock());
+    assert!(!*flag.borrow_mut());
 }
 
 #[test]
@@ -311,18 +310,18 @@ fn ping_pong_makes_one_handoff_per_message() {
 
 /// Set when dropped: a process's stack is unwound — and, the kernel
 /// joining what it kills, seen to be — by the time `run` returns.
-struct Unwound(Arc<AtomicBool>);
+struct Unwound(Rc<Cell<bool>>);
 
 impl Unwound {
-    fn flag() -> (Unwound, Arc<AtomicBool>) {
-        let flag = Arc::new(AtomicBool::new(false));
-        (Unwound(Arc::clone(&flag)), flag)
+    fn flag() -> (Unwound, Rc<Cell<bool>>) {
+        let flag = Rc::new(Cell::new(false));
+        (Unwound(Rc::clone(&flag)), flag)
     }
 }
 
 impl Drop for Unwound {
     fn drop(&mut self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.0.set(true);
     }
 }
 
@@ -348,7 +347,7 @@ fn crashing_its_own_node_ends_a_running_process_and_its_parked_neighbours() {
         ctx.now()
     });
     let stats = sim.run();
-    assert!(unwound_a.load(Ordering::SeqCst) && unwound_b.load(Ordering::SeqCst));
+    assert!(unwound_a.get() && unwound_b.get());
     assert_eq!((parked.take(), suicidal.take()), (None, None));
     assert_eq!(bystander.take(), Some(SimTime::from_millis(5)));
     assert_eq!(stats.end_time, SimTime::from_millis(5));
@@ -359,17 +358,17 @@ fn a_process_killed_before_its_first_activation_never_runs() {
     let mut sim = Simulation::new(1);
     let node = sim.add_node("n");
     let (guard, unwound) = Unwound::flag();
-    let ran = Arc::new(AtomicBool::new(false));
-    let r = Arc::clone(&ran);
+    let ran = Rc::new(Cell::new(false));
+    let r = Rc::clone(&ran);
     let out = sim.spawn_on(node, "stillborn", move |_ctx| {
         let _guard = guard;
-        r.store(true, Ordering::SeqCst);
+        r.set(true);
     });
     sim.crash_node(node);
     let stats = sim.run();
     assert_eq!(stats.events, 2, "its start (ignored) and the reap");
-    assert!(!ran.load(Ordering::SeqCst));
-    assert!(unwound.load(Ordering::SeqCst), "its closure was dropped");
+    assert!(!ran.get());
+    assert!(unwound.get(), "its closure was dropped");
     assert_eq!(out.take(), None);
 }
 
@@ -396,10 +395,7 @@ fn a_panic_on_a_thread_the_driver_did_not_wake_is_reraised_by_run() {
     .expect_err("the panic must reach the caller of run");
     let msg = err.downcast_ref::<String>().expect("a formatted message");
     assert_eq!(msg, "simulated process panicked: 'bomb' (proc#1): boom 1");
-    assert!(
-        unwound.load(Ordering::SeqCst),
-        "the other process was reaped"
-    );
+    assert!(unwound.get(), "the other process was reaped");
 }
 
 /// Runs `program` and returns the text `run` panicked with.
@@ -492,7 +488,7 @@ fn a_handler_panic_reaches_the_caller_of_run_under_its_own_name() {
         });
     });
     assert_eq!(msg, TEXT);
-    assert!(unwound.load(Ordering::SeqCst), "the bystander was reaped");
+    assert!(unwound.get(), "the bystander was reaped");
 
     // Found by a process that has returned, in its final yield.
     let msg = run_panic_text(|sim| {
@@ -507,20 +503,24 @@ fn a_crash_drops_the_handler_and_what_was_in_flight_to_it() {
     let mut sim = Simulation::new(1);
     let node = sim.add_node("n");
     let register = move |handle: &amoeba_sim::SimHandle, name: &str| {
-        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen = Rc::new(RefCell::new(Vec::new()));
         let (tx, rx) = handle.channel::<u32>();
-        let log = Arc::clone(&seen);
-        handle.handler(node, name, rx, move |v| log.lock().push(v));
+        let log = Rc::clone(&seen);
+        handle.handler(node, name, rx, move |v| log.borrow_mut().push(v));
         (tx, seen)
     };
     let (old_tx, old_seen) = register(&sim.handle(), "old");
-    let state = Arc::downgrade(&old_seen);
+    let state = Rc::downgrade(&old_seen);
     drop(old_seen);
     old_tx.send_after(MS, 1);
     old_tx.send_after(3 * MS, 2); // in flight across the crash and reboot
     let new_seen = sim.spawn("chaos", move |ctx| {
         ctx.sleep(2 * MS);
-        let seen = state.upgrade().expect("alive with its node").lock().clone();
+        let seen = state
+            .upgrade()
+            .expect("alive with its node")
+            .borrow_mut()
+            .clone();
         ctx.crash_node(node);
         assert!(state.upgrade().is_none(), "the handler died with its node");
         ctx.revive_node(node);
@@ -529,7 +529,7 @@ fn a_crash_drops_the_handler_and_what_was_in_flight_to_it() {
         ctx.sleep(5 * MS);
         old_tx.send(4); // a sender that outlived the crash
         ctx.sleep(MS);
-        let new_seen = new_seen.lock().clone();
+        let new_seen = new_seen.borrow_mut().clone();
         (seen, new_seen)
     });
     let stats = sim.run();
@@ -541,10 +541,10 @@ fn a_crash_drops_the_handler_and_what_was_in_flight_to_it() {
 fn dropping_the_simulation_frees_handlers_and_queued_messages() {
     let sim = Simulation::new(1);
     let node = sim.add_node("n");
-    let (tx, rx) = sim.channel::<Arc<()>>();
-    let state = Arc::new(());
-    let (handler_state, queued) = (Arc::downgrade(&state), Arc::new(()));
-    let message = Arc::downgrade(&queued);
+    let (tx, rx) = sim.channel::<Rc<()>>();
+    let state = Rc::new(());
+    let (handler_state, queued) = (Rc::downgrade(&state), Rc::new(()));
+    let message = Rc::downgrade(&queued);
     // The handler's state reaches back to the kernel that owns it, as a
     // protocol stack's does; so does a sender that outlives the run.
     let handle = sim.handle();
@@ -579,29 +579,29 @@ fn process_panic_propagates() {
 fn deterministic_across_runs() {
     fn run_once(seed: u64) -> Vec<(u64, u32)> {
         let mut sim = Simulation::new(seed);
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let (tx, rx) = sim.channel::<u32>();
         for i in 0..4u32 {
             let tx = tx.clone();
-            let log = Arc::clone(&log);
+            let log = Rc::clone(&log);
             sim.spawn(&format!("w{i}"), move |ctx| {
                 for _ in 0..20 {
                     let jitter = ctx.with_rng(|r| r.range(100, 5_000));
                     ctx.sleep(Duration::from_micros(jitter));
                     tx.send(i);
-                    log.lock().push((ctx.now().as_nanos(), i));
+                    log.borrow_mut().push((ctx.now().as_nanos(), i));
                 }
             });
         }
-        let sink = Arc::clone(&log);
+        let sink = Rc::clone(&log);
         sim.spawn("sink", move |ctx| {
             for _ in 0..80 {
                 let v = rx.recv(ctx);
-                sink.lock().push((ctx.now().as_nanos(), 1000 + v));
+                sink.borrow_mut().push((ctx.now().as_nanos(), 1000 + v));
             }
         });
         sim.run();
-        let v = log.lock().clone();
+        let v = log.borrow_mut().clone();
         v
     }
     let a = run_once(1234);

@@ -17,7 +17,7 @@
 //!      (seeded from the simulation seed), never from the sim RNG, so the
 //!      kernel's random sequence is untouched;
 //!   3. recording never sleeps, schedules, or draws simulated randomness —
-//!      it only appends to buffers under a host-side mutex.
+//!      it only appends to buffers in a `RefCell`.
 //!
 //!   With the collector disabled every record call is a no-op on a `None`
 //!   handle, and a test asserts the simulated clock is bit-identical
@@ -61,10 +61,10 @@
 //! checks the required fields, so CI can prove the exporter never bit-rots.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use amoeba_sim::{IdMap, IdSet, SimHandle, SimTime};
-use parking_lot::Mutex;
 
 pub mod export;
 pub mod hist;
@@ -166,7 +166,7 @@ impl Inner {
 
 struct Collector {
     sim: SimHandle,
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -180,7 +180,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Cheap-clone handle to the per-simulation collector. A disabled handle
 /// ([`Telemetry::disabled`]) makes every record call a near-free no-op.
 #[derive(Clone)]
-pub struct Telemetry(Option<Arc<Collector>>);
+pub struct Telemetry(Option<Rc<Collector>>);
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -216,9 +216,9 @@ impl Telemetry {
     }
 
     fn install_with(sim: &SimHandle, sample_every: u64) -> Telemetry {
-        let collector = Arc::new(Collector {
+        let collector = Rc::new(Collector {
             sim: sim.clone(),
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 rng: sim.seed() ^ 0xA0EB_A7E1_EC7A_CE00,
                 sample_every,
                 root_count: 0,
@@ -230,7 +230,7 @@ impl Telemetry {
                 metrics: hist::Registry::default(),
             }),
         });
-        sim.set_user_data(collector.clone() as Arc<dyn Any + Send + Sync>);
+        sim.set_user_data(collector.clone() as Rc<dyn Any>);
         Telemetry(Some(collector))
     }
 
@@ -254,7 +254,7 @@ impl Telemetry {
     /// Names the exporter track for a machine (`process_name` metadata).
     pub fn name_machine(&self, machine: u64, name: &str) {
         if let Some(c) = &self.0 {
-            let mut inner = c.inner.lock();
+            let mut inner = c.inner.borrow_mut();
             if !inner.tracks.iter().any(|(m, _)| *m == machine) {
                 inner.tracks.push((machine, name.to_string()));
             }
@@ -303,7 +303,7 @@ impl Telemetry {
             return TraceCtx::NONE;
         };
         let now = start.unwrap_or_else(|| c.sim.now());
-        let mut inner = c.inner.lock();
+        let mut inner = c.inner.borrow_mut();
         let span = Self::next_id(&mut inner.rng);
         let (trace, parent_span) = match parent {
             Some(p) => (p.trace, p.span),
@@ -362,7 +362,7 @@ impl Telemetry {
         if ctx.is_none() {
             return;
         }
-        let mut inner = c.inner.lock();
+        let mut inner = c.inner.borrow_mut();
         if let Some(idx) = inner.open.remove(&ctx.span) {
             inner.spans[idx].end = Some(at);
         }
@@ -382,7 +382,7 @@ impl Telemetry {
         if ctx.is_none() {
             return;
         }
-        let mut inner = c.inner.lock();
+        let mut inner = c.inner.borrow_mut();
         if !inner.keeps(ctx.trace) {
             return;
         }
@@ -400,7 +400,7 @@ impl Telemetry {
     /// `family` (e.g. `"op.create"`).
     pub fn observe_us(&self, family: &str, us: u64) {
         if let Some(c) = &self.0 {
-            c.inner.lock().metrics.observe(family, us);
+            c.inner.borrow_mut().metrics.observe(family, us);
         }
     }
 
@@ -409,7 +409,7 @@ impl Telemetry {
         if let Some(c) = &self.0 {
             let dur = c.sim.now().saturating_since(start);
             c.inner
-                .lock()
+                .borrow_mut()
                 .metrics
                 .observe(family, dur.as_micros() as u64);
         }
@@ -418,21 +418,21 @@ impl Telemetry {
     /// Bumps a named counter.
     pub fn count(&self, name: &str, n: u64) {
         if let Some(c) = &self.0 {
-            c.inner.lock().metrics.count(name, n);
+            c.inner.borrow_mut().metrics.count(name, n);
         }
     }
 
     /// Sets a named gauge to its latest value.
     pub fn gauge(&self, name: &str, v: i64) {
         if let Some(c) = &self.0 {
-            c.inner.lock().metrics.gauge(name, v);
+            c.inner.borrow_mut().metrics.gauge(name, v);
         }
     }
 
     /// A snapshot of all recorded spans (tests and report plumbing).
     pub fn spans(&self) -> Vec<SpanRec> {
         match &self.0 {
-            Some(c) => c.inner.lock().spans.clone(),
+            Some(c) => c.inner.borrow_mut().spans.clone(),
             None => Vec::new(),
         }
     }
@@ -440,7 +440,7 @@ impl Telemetry {
     /// A snapshot of all recorded flow edges.
     pub fn flows(&self) -> Vec<FlowRec> {
         match &self.0 {
-            Some(c) => c.inner.lock().flows.clone(),
+            Some(c) => c.inner.borrow_mut().flows.clone(),
             None => Vec::new(),
         }
     }
@@ -448,7 +448,7 @@ impl Telemetry {
     /// A snapshot of the metrics registry (histograms + counters + gauges).
     pub fn metrics(&self) -> MetricsSnapshot {
         match &self.0 {
-            Some(c) => c.inner.lock().metrics.snapshot(),
+            Some(c) => c.inner.borrow_mut().metrics.snapshot(),
             None => MetricsSnapshot::default(),
         }
     }
@@ -457,7 +457,7 @@ impl Telemetry {
     pub fn export_chrome_json(&self) -> String {
         match &self.0 {
             Some(c) => {
-                let inner = c.inner.lock();
+                let inner = c.inner.borrow();
                 export::chrome_json(&inner.spans, &inner.flows, &inner.tracks)
             }
             None => String::from("{\"traceEvents\":[]}\n"),

@@ -18,6 +18,8 @@
 //! And it pins the exact-size encode: an op and a directory file are
 //! each marshalled into one buffer of exactly their length.
 //!
+//! And a message between two processes costs no heap of its own.
+//!
 //! The tests in this file count every byte the process allocates, so
 //! they take turns ([`ALONE`]).
 
@@ -101,6 +103,37 @@ fn a_dropped_deployment_leaves_no_heap_behind() {
     }
     assert_eq!(LIVE.load(Ordering::Relaxed), before);
     assert_eq!(mapped_stacks(), stacks, "process stacks still mapped");
+}
+
+/// A message is a plain event: once the queues have grown to their
+/// working size, a round trip between two processes requests no heap.
+#[test]
+fn a_message_costs_no_heap_of_its_own() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sim = Simulation::new(1);
+    let (to_b, b_rx) = sim.channel::<u64>();
+    let (to_a, a_rx) = sim.channel::<u64>();
+    let requested = sim.spawn("a", move |ctx| {
+        let round_trips = |n: u64| {
+            for i in 0..n {
+                to_b.send(i);
+                assert_eq!(a_rx.recv(ctx), i);
+            }
+        };
+        round_trips(100);
+        let before = MINE.with(Cell::get);
+        round_trips(1_000);
+        MINE.with(Cell::get) - before
+    });
+    sim.spawn("b", move |ctx| loop {
+        to_a.send(b_rx.recv(ctx));
+    });
+    sim.run();
+    assert_eq!(
+        requested.take(),
+        Some(0),
+        "bytes requested by 1,000 round trips"
+    );
 }
 
 /// A directory machine on a node of its own, with no Bullet server

@@ -4,7 +4,8 @@
 //! group-commit batching invariants: a batch becomes durable through
 //! one flush, and recovery never observes a partially applied batch.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
@@ -20,7 +21,6 @@ use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::service::ServiceMachine;
 use amoeba_dirsvc::rsm::StateMachine;
 use amoeba_dirsvc::sim::{Ctx, NodeId, Resource, Simulation};
-use std::sync::Mutex;
 
 // ---------------------------------------------------------------------
 // The generic conformance checks.
@@ -110,7 +110,7 @@ fn check_conformance<S: StateMachine>(
 // ---------------------------------------------------------------------
 
 struct DirColumn {
-    sm: Arc<DirectoryStateMachine>,
+    sm: Rc<DirectoryStateMachine>,
     node: NodeId,
     vdisk: VDisk,
 }
@@ -157,7 +157,7 @@ fn dir_column_with(
     let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(idx));
     let cpu = Resource::new(sim.handle(), &format!("cpu-{idx}"));
     DirColumn {
-        sm: Arc::new(DirectoryStateMachine::standalone(
+        sm: Rc::new(DirectoryStateMachine::standalone(
             cfg, dir_params, bullet, partition, nvram, None, cpu,
         )),
         node,
@@ -415,7 +415,7 @@ fn group_commit_defers_then_makes_batch_durable_and_coalesces() {
     // Batched column vs a flush-per-op column.
     let batched = dir_column(&sim, &net, 0, DiskParams::instant(), DirParams::default());
     let per_op = dir_column(&sim, &net, 1, DiskParams::instant(), DirParams::default());
-    let (sm_b, sm_p) = (Arc::clone(&batched.sm), Arc::clone(&per_op.sm));
+    let (sm_b, sm_p) = (Rc::clone(&batched.sm), Rc::clone(&per_op.sm));
     let (vd_b, vd_p) = (batched.vdisk.clone(), per_op.vdisk.clone());
     let ops = dir_ops_batch1();
     let out = sim.spawn("batching", move |ctx| {
@@ -479,8 +479,8 @@ fn crash_mid_multi_object_flush_voids_local_state() {
     // Real Wren IV timing so the flush spans simulated time we can
     // crash inside of.
     let col = dir_column(&sim, &net, 0, DiskParams::wren_iv(), DirParams::default());
-    let sm = Arc::clone(&col.sm);
-    let sm2 = Arc::clone(&col.sm);
+    let sm = Rc::clone(&col.sm);
+    let sm2 = Rc::clone(&col.sm);
     // Seed two directories, each with a row, and flush: a consistent
     // durable base.
     let seeded = sim.spawn("seed", move |ctx| {
@@ -591,11 +591,11 @@ fn crash_during_apply_scenario(seed: u64, journal: bool) {
 
     // Concurrent writers against two directories → multi-object apply
     // batches on every replica.
-    let acked: Arc<Mutex<Vec<(Capability, String)>>> = Arc::new(Mutex::new(Vec::new()));
+    let acked: Rc<RefCell<Vec<(Capability, String)>>> = Rc::new(RefCell::new(Vec::new()));
     let mut writers = Vec::new();
     for w in 0..4u64 {
         let (wc, _) = cluster.client(&sim);
-        let acked = Arc::clone(&acked);
+        let acked = Rc::clone(&acked);
         let root = if w % 2 == 0 { root1 } else { root2 };
         writers.push(sim.spawn(&format!("writer-{w}"), move |ctx| {
             let mut ok = 0u32;
@@ -612,7 +612,7 @@ fn crash_during_apply_scenario(seed: u64, journal: bool) {
                     }
                 }
                 if appended {
-                    acked.lock().unwrap().push((root, name));
+                    acked.borrow_mut().push((root, name));
                     ok += 1;
                 }
             }
@@ -634,7 +634,7 @@ fn crash_during_apply_scenario(seed: u64, journal: bool) {
 
     // Every acknowledged append is visible, and all replicas agree on
     // the logical version — no holes, no partial batches.
-    let acked_list = acked.lock().unwrap().clone();
+    let acked_list = acked.borrow_mut().clone();
     assert!(!acked_list.is_empty());
     let (rc, _) = cluster.client(&sim);
     let check = sim.spawn("check", move |ctx| {
@@ -672,8 +672,8 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
     let mut sim = Simulation::new(0xE70C);
     let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 0xE70C);
     let col = dir_column(&sim, &net, 0, DiskParams::wren_iv(), DirParams::default());
-    let sm = Arc::clone(&col.sm);
-    let sm2 = Arc::clone(&col.sm);
+    let sm = Rc::clone(&col.sm);
+    let sm2 = Rc::clone(&col.sm);
     // Seed two directories, each with rows, through a guarded
     // multi-object flush: a consistent durable base.
     let seeded = sim.spawn("seed", move |ctx| {
@@ -725,7 +725,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
     let cpu = Resource::new(sim.handle(), "probe-cpu");
     let rpc = RpcNode::start(&sim, col.node, net.attach());
     let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0));
-    let probe = Arc::new(DirectoryStateMachine::standalone(
+    let probe = Rc::new(DirectoryStateMachine::standalone(
         cfg.clone(),
         DirParams::default(),
         bullet.clone(),
@@ -734,7 +734,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
         None,
         cpu.clone(),
     ));
-    let p1 = Arc::clone(&probe);
+    let p1 = Rc::clone(&probe);
     let part2 = partition.clone();
     let salvaged = sim.spawn("probe-flush-crash", move |ctx| {
         use amoeba_dirsvc::dir::CommitBlock;
@@ -759,7 +759,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
     // Now simulate a crash mid recovery copy over the same storage:
     // begin_copy zeroes the epoch; a machine booting from that state
     // must claim nothing.
-    let p2 = Arc::new(DirectoryStateMachine::standalone(
+    let p2 = Rc::new(DirectoryStateMachine::standalone(
         cfg,
         DirParams::default(),
         bullet,
@@ -825,7 +825,7 @@ fn dir_column_journaled(
     let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(idx));
     let cpu = Resource::new(sim.handle(), &format!("jcpu-{idx}"));
     DirColumn {
-        sm: Arc::new(DirectoryStateMachine::standalone(
+        sm: Rc::new(DirectoryStateMachine::standalone(
             cfg,
             dir_params,
             bullet,
@@ -847,7 +847,7 @@ fn journaled_probe(
     net: &Network,
     col: &DirColumn,
     journal_blocks: u64,
-) -> (Arc<DirectoryStateMachine>, RawPartition) {
+) -> (Rc<DirectoryStateMachine>, RawPartition) {
     let disk = DiskServer::start(sim, col.node, col.vdisk.clone(), DiskParams::instant());
     let partition = RawPartition::new(disk.clone(), 0, TABLE_BLOCKS);
     let journal = Journal::disk(RawPartition::new(
@@ -860,7 +860,7 @@ fn journaled_probe(
     let rpc = RpcNode::start(sim, col.node, net.attach());
     let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0));
     let cpu = Resource::new(sim.handle(), "jprobe-cpu");
-    let probe = Arc::new(DirectoryStateMachine::standalone(
+    let probe = Rc::new(DirectoryStateMachine::standalone(
         cfg,
         journaled_params(),
         bullet,
@@ -935,7 +935,7 @@ fn journaled_commit_survives_crash_and_reboot() {
         journaled_params(),
         JOURNAL_BLOCKS,
     );
-    let sm = Arc::clone(&col.sm);
+    let sm = Rc::clone(&col.sm);
     let committed = sim.spawn("seed", move |ctx| {
         for (i, op) in dir_ops_batch1().iter().enumerate() {
             let _ = sm.apply(ctx, 1 + i as u64, op, false);
@@ -956,7 +956,7 @@ fn journaled_commit_survives_crash_and_reboot() {
     sim.revive_node(col.node);
 
     let (probe, _) = journaled_probe(&sim, &net, &col, JOURNAL_BLOCKS);
-    let p = Arc::clone(&probe);
+    let p = Rc::clone(&probe);
     let rebooted = sim.spawn("reboot", move |ctx| {
         p.boot(ctx);
         let (rcur, rsnap) = p.snapshot(ctx);
@@ -998,7 +998,7 @@ fn checkpoint_drains_journal_and_replay_is_idempotent() {
         journaled_params(),
         JOURNAL_BLOCKS,
     );
-    let sm = Arc::clone(&col.sm);
+    let sm = Rc::clone(&col.sm);
     let live = sim.spawn("seed", move |ctx| {
         let mut seq = 0u64;
         for op in dir_ops_batch1() {
@@ -1020,8 +1020,8 @@ fn checkpoint_drains_journal_and_replay_is_idempotent() {
 
     // Boot twice over the same platter (boot does not consume the
     // journal): salvage the checkpointed table, replay record 2.
-    let p1 = Arc::new(col.sm.reopen_for_test());
-    let p2 = Arc::new(col.sm.reopen_for_test());
+    let p1 = Rc::new(col.sm.reopen_for_test());
+    let p2 = Rc::new(col.sm.reopen_for_test());
     let booted = sim.spawn("reboots", move |ctx| {
         p1.boot(ctx);
         let (_, s1) = p1.snapshot(ctx);
@@ -1056,7 +1056,7 @@ fn torn_journal_tail_truncates_to_acked_prefix() {
         journaled_params(),
         JOURNAL_BLOCKS,
     );
-    let sm = Arc::clone(&col.sm);
+    let sm = Rc::clone(&col.sm);
     let live = sim.spawn("seed", move |ctx| {
         let mut seq = 0u64;
         for op in dir_ops_batch1() {
@@ -1082,7 +1082,7 @@ fn torn_journal_tail_truncates_to_acked_prefix() {
     // Emulate the tear: smash record 2's first frame (the frame header
     // carries its seq at [4..12)), as if the head crashed mid-write.
     let (probe, jpart) = journaled_probe(&sim, &net, &col, JOURNAL_BLOCKS);
-    let p = Arc::clone(&probe);
+    let p = Rc::clone(&probe);
     let rebooted = sim.spawn("tear-and-reboot", move |ctx| {
         let mut torn = false;
         for b in 1..jpart.len() {
@@ -1122,7 +1122,7 @@ fn full_journal_backpressure_keeps_commits_durable() {
     // Superblock + 2 data blocks: a couple of records fill it.
     let col = dir_column_journaled(&sim, &net, 0, DiskParams::instant(), journaled_params(), 3);
     let port = ServiceConfig::new(3, 0).public_port;
-    let sm = Arc::clone(&col.sm);
+    let sm = Rc::clone(&col.sm);
     let live = sim.spawn("seed", move |ctx| {
         let mut seq = 1u64;
         let _ = sm.apply(
@@ -1160,8 +1160,8 @@ fn full_journal_backpressure_keeps_commits_durable() {
     let (cur, snap) = live.take().expect("seed finished");
     assert_eq!(cur, 25, "every commit must have been acked");
 
-    let p = Arc::new(col.sm.reopen_for_test());
-    let pp = Arc::clone(&p);
+    let p = Rc::new(col.sm.reopen_for_test());
+    let pp = Rc::clone(&p);
     let rebooted = sim.spawn("reboot", move |ctx| {
         pp.boot(ctx);
         (pp.update_seq(), pp.snapshot(ctx))

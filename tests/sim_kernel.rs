@@ -2,8 +2,8 @@
 //! kernel handlers, as seen through the umbrella crate (tier-1 runs only
 //! this package; the full set lives in
 //! `crates/sim/tests/kernel_behavior.rs`). The coroutine tests, the id
-//! hasher's and the per-process trace context are compiled in whole from
-//! their crates.
+//! hasher's, the delivery-order property and the per-process trace
+//! context are compiled in whole from their crates.
 
 #[path = "../crates/sim/tests/coroutines.rs"]
 mod coroutines;
@@ -11,12 +11,15 @@ mod coroutines;
 #[path = "../crates/sim/tests/id_hasher.rs"]
 mod id_hasher;
 
+#[path = "../crates/sim/tests/delivery_order.rs"]
+mod delivery_order;
+
 #[path = "../crates/telemetry/tests/ambient_context.rs"]
 mod ambient_context;
 
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_dirsvc::sim::{SimTime, Simulation};
@@ -60,11 +63,11 @@ fn ping_pong_makes_one_handoff_per_message() {
 
 /// Set when dropped: the process's stack was unwound, or its closure
 /// dropped unrun, by the time `run` returns.
-struct Unwound(Arc<AtomicBool>);
+struct Unwound(Rc<Cell<bool>>);
 
 impl Drop for Unwound {
     fn drop(&mut self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.0.set(true);
     }
 }
 
@@ -72,8 +75,8 @@ impl Drop for Unwound {
 fn crashed_processes_end_running_parked_or_unstarted() {
     let mut sim = Simulation::new(1);
     let node = sim.add_node("n");
-    let flags: Vec<_> = (0..3).map(|_| Arc::new(AtomicBool::new(false))).collect();
-    let mut guards = flags.iter().map(|f| Unwound(Arc::clone(f)));
+    let flags: Vec<_> = (0..3).map(|_| Rc::new(Cell::new(false))).collect();
+    let mut guards = flags.iter().map(|f| Unwound(Rc::clone(f)));
     let (running, parked, unstarted) = (
         guards.next().unwrap(),
         guards.next().unwrap(),
@@ -101,7 +104,7 @@ fn crashed_processes_end_running_parked_or_unstarted() {
         ctx.now()
     });
     sim.run();
-    assert!(flags.iter().all(|f| f.load(Ordering::SeqCst)));
+    assert!(flags.iter().all(|f| f.get()));
     assert_eq!((parked.take(), running.take()), (None, None));
     assert_eq!(bystander.take(), Some(SimTime::from_millis(5)));
 }
@@ -139,12 +142,12 @@ fn handlers_die_with_their_node_and_with_the_simulation() {
     let node = sim.add_node("n");
     let handle = sim.handle();
     let register = move |name: &str| {
-        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen = Rc::new(RefCell::new(Vec::new()));
         let (tx, rx) = handle.channel::<u32>();
         // Reaches back to the kernel, as a protocol stack's state does.
-        let (log, kernel) = (Arc::clone(&seen), handle.clone());
+        let (log, kernel) = (Rc::clone(&seen), handle.clone());
         handle.handler(node, name, rx, move |v| {
-            log.lock().unwrap().push((v, kernel.now()));
+            log.borrow_mut().push((v, kernel.now()));
         });
         (tx, seen)
     };
@@ -153,9 +156,9 @@ fn handlers_die_with_their_node_and_with_the_simulation() {
     old_tx.send_after(3 * MS, 2); // in flight across the crash and reboot
     let stats = sim.run_until(SimTime::from_millis(2));
     assert_eq!((stats.handler_calls, stats.handoffs), (1, 0));
-    assert_eq!(*old_seen.lock().unwrap(), [(1, SimTime::from_millis(1))]);
+    assert_eq!(*old_seen.borrow_mut(), [(1, SimTime::from_millis(1))]);
 
-    let old_state = Arc::downgrade(&old_seen);
+    let old_state = Rc::downgrade(&old_seen);
     drop(old_seen);
     sim.crash_node(node);
     assert!(old_state.upgrade().is_none(), "freed with its node");
@@ -164,9 +167,9 @@ fn handlers_die_with_their_node_and_with_the_simulation() {
     new_tx.send_after(2 * MS, 3);
     old_tx.send(4); // a sender that outlived the crash
     assert_eq!(sim.run().handler_calls, 2);
-    assert_eq!(*new_seen.lock().unwrap(), [(3, SimTime::from_millis(4))]);
+    assert_eq!(*new_seen.borrow_mut(), [(3, SimTime::from_millis(4))]);
 
-    let new_state = Arc::downgrade(&new_seen);
+    let new_state = Rc::downgrade(&new_seen);
     drop(new_seen);
     new_tx.send_after(Duration::from_secs(3600), 5); // still queued
     drop(sim);
@@ -263,7 +266,7 @@ fn an_ordered_group_send_makes_four_handoffs() {
         let sim_node = sim.add_node(&format!("m{i}"));
         let peer = GroupPeer::start(&sim, sim_node, net.attach(), GroupConfig::lan());
         sim.spawn_on(sim_node, &format!("member{i}"), move |ctx| {
-            let g = Arc::new(if i == 0 {
+            let g = Rc::new(if i == 0 {
                 peer.create(port, i)
             } else {
                 ctx.sleep(10 * MS * i as u32);
@@ -274,7 +277,7 @@ fn an_ordered_group_send_makes_four_handoffs() {
                 ctx.sleep(5 * MS);
             }
             if i == 1 {
-                let g = Arc::clone(&g);
+                let g = Rc::clone(&g);
                 ctx.spawn("sender", move |ctx| {
                     ctx.sleep_until(start);
                     for _ in 0..SENDS {

@@ -111,6 +111,26 @@ fn directory_crash_reboot_trace_matches_the_golden_digest() {
     );
 }
 
+/// Simulations share nothing across threads: recorded on two OS threads
+/// at once, each run still yields the golden trace.
+#[test]
+fn two_threads_record_the_golden_trace_at_once() {
+    let start = std::sync::Barrier::new(2);
+    let digests = std::thread::scope(|s| {
+        let runs = [(); 2].map(|()| {
+            s.spawn(|| {
+                start.wait();
+                record_directory_crash_reboot()
+            })
+        });
+        runs.map(|run| {
+            let trace = run.join().expect("a recording thread panicked");
+            (trace.steps.len(), fnv1a(&trace.to_bytes()))
+        })
+    });
+    assert_eq!(digests, [(GOLDEN_STEPS, GOLDEN_DIGEST); 2]);
+}
+
 /// Captured on the commit before the handlers (PR 13), where the full
 /// trace had 26,449 steps and digest 10379442515077094120.
 const PROJECTED_STEPS: usize = 4_168;
