@@ -370,6 +370,21 @@ impl Instance {
         (self.cfg.resilience).min(self.view.len().saturating_sub(1) as u32)
     }
 
+    /// Sequencer: whether slot `seq` has reached the resilience degree
+    /// (or is no longer tracked: a reset, or another sequencer).
+    fn resilient(&self, seq: SeqNo) -> bool {
+        self.pending_acks.get(&seq).is_none_or(|st| st.done_sent)
+    }
+
+    /// Sequencer: the members of the view that have not acked slot `seq`.
+    fn lacking(&self, seq: SeqNo) -> impl Iterator<Item = &MemberInfo> {
+        let st = self.pending_acks.get(&seq);
+        self.view
+            .members
+            .iter()
+            .filter(move |m| st.is_some_and(|st| !st.acked.contains(&m.id)))
+    }
+
     /// Snapshot for `GetInfoGroup`.
     pub fn info(&self) -> GroupInfo {
         GroupInfo {
@@ -914,17 +929,7 @@ impl Instance {
             && self.effective_r() > 0
             && !self.is_sequencer()
         {
-            if let Some(h) = self.sequencer_host() {
-                actions.push(Action::Unicast(
-                    h,
-                    GroupMsg::Ack {
-                        instance: self.id,
-                        incarnation: self.incarnation,
-                        seq: self.highest_contiguous,
-                        member: self.me,
-                    },
-                ));
-            }
+            actions.extend(self.ack());
         }
         // Check whether a pending reset can now be installed.
         if let Some(p) = &self.pending_install {
@@ -1225,17 +1230,7 @@ impl Instance {
         }
         // Duplicate suppression for sender retries.
         if let Some(&seq) = self.seen_msgids.get(&(from, msgid)) {
-            if let Some(m) = self.view.member(from) {
-                return vec![Action::Unicast(
-                    m.host,
-                    GroupMsg::Done {
-                        instance: self.id,
-                        msgid,
-                        seq,
-                    },
-                )];
-            }
-            return Vec::new();
+            return self.answer_retry(from, msgid, seq);
         }
         let tag = self.view.member(from).map(|m| m.tag).unwrap_or(0);
         if !self.view.contains(from) {
@@ -1256,6 +1251,13 @@ impl Instance {
         if incarnation != self.incarnation {
             return Vec::new();
         }
+        if let Some(&seq) = self.seen_msgids.get(&(from, msgid)) {
+            // A retry of a message already applied.
+            if self.is_sequencer() && !self.failed {
+                return self.answer_retry(from, msgid, seq);
+            }
+            return Vec::new();
+        }
         self.bb_store.insert((from, msgid), data);
         let mut actions = self.advance(now); // a stalled BbRef may now apply
         if self.is_sequencer() && !self.failed && !self.seen_msgids.contains_key(&(from, msgid)) {
@@ -1268,6 +1270,34 @@ impl Instance {
             }
         }
         actions
+    }
+
+    /// Sequencer: the answer to a retry of a message that `from` sent and
+    /// that holds slot `seq`. It completes the send only once the slot has
+    /// reached the resilience degree; until then `check_resilience` owes
+    /// the answer, and the members that lack the slot are asked for the
+    /// ack that may have been lost.
+    fn answer_retry(&mut self, from: MemberId, msgid: u64, seq: SeqNo) -> Vec<Action> {
+        if !self.resilient(seq) {
+            return self.ask_for_acks(seq);
+        }
+        if from == self.me {
+            return match self.pending_sends.remove(&msgid) {
+                Some(_) => vec![Action::CompleteSend(msgid, Ok(seq))],
+                None => Vec::new(),
+            };
+        }
+        match self.view.member(from) {
+            Some(m) => vec![Action::Unicast(
+                m.host,
+                GroupMsg::Done {
+                    instance: self.id,
+                    msgid,
+                    seq,
+                },
+            )],
+            None => Vec::new(),
+        }
     }
 
     /// Whether an incoming accept for `seq` may enter the buffer.
@@ -1334,6 +1364,16 @@ impl Instance {
         items: Vec<AcceptItem>,
         dones: Vec<DoneItem>,
     ) -> Vec<Action> {
+        if items.is_empty() && dones.is_empty() {
+            // The sequencer asks for our ack (`ask_for_acks`).
+            if incarnation == self.incarnation
+                && !self.is_sequencer()
+                && Some(src) == self.sequencer_host()
+            {
+                return self.ack().into_iter().collect();
+            }
+            return Vec::new();
+        }
         let mut done_actions = self.on_done_batch(dones);
         let mut any = false;
         for (i, item) in items.into_iter().enumerate() {
@@ -1463,6 +1503,44 @@ impl Instance {
             }
         }
         actions
+    }
+
+    /// Sequencer: asks each member that lacks slot `seq` for its
+    /// cumulative ack, with an `AcceptBatch` that holds no slot and no
+    /// done (a flush never sends one). The answer replaces an ack that was
+    /// lost. A member that lacks slots recovers them as usual, by gap
+    /// recovery.
+    fn ask_for_acks(&self, seq: SeqNo) -> Vec<Action> {
+        self.lacking(seq)
+            .filter(|m| m.id != self.me)
+            .map(|m| {
+                Action::Unicast(
+                    m.host,
+                    GroupMsg::AcceptBatch {
+                        instance: self.id,
+                        incarnation: self.incarnation,
+                        first_seq: self.highest_contiguous,
+                        items: Vec::new(),
+                        dones: Vec::new(),
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// This member's cumulative ack of everything it has applied, to the
+    /// sequencer.
+    fn ack(&self) -> Option<Action> {
+        let to = self.sequencer_host()?;
+        Some(Action::Unicast(
+            to,
+            GroupMsg::Ack {
+                instance: self.id,
+                incarnation: self.incarnation,
+                seq: self.highest_contiguous,
+                member: self.me,
+            },
+        ))
     }
 
     fn on_heartbeat(
@@ -1771,8 +1849,8 @@ impl Instance {
                 }),
             )]
         } else if self.is_sequencer() {
-            if self.seen_msgids.contains_key(&(self.me, msgid)) {
-                return Vec::new();
+            if let Some(&seq) = self.seen_msgids.get(&(self.me, msgid)) {
+                return self.answer_retry(self.me, msgid, seq);
             }
             self.sequence_message(
                 now,
@@ -2445,6 +2523,72 @@ mod tests {
             })
             .collect();
         assert_eq!(completed, vec![m1, m2]);
+    }
+
+    /// The sender's retry of a sequenced message must not complete it
+    /// before `r + 1` members hold it: here one member never acks.
+    #[test]
+    fn a_retry_gets_no_done_before_r_plus_one_members_hold_the_message() {
+        let mut inst = seq_with_three(2);
+        let send_req = || GroupMsg::SendReq {
+            instance: 1,
+            incarnation: 0,
+            from: MemberId(1),
+            msgid: 50,
+            data: vec![5].into(),
+        };
+        let _ = inst.handle(T0, H1, send_req());
+        let _ = inst.on_ack(T0, 0, 3, MemberId(1)); // member 2 stays silent
+        let is_done = |a: &Action| {
+            matches!(
+                a,
+                Action::Unicast(_, GroupMsg::Done { .. } | GroupMsg::DoneBatch { .. })
+                    | Action::Multicast(GroupMsg::DoneBatch { .. })
+            )
+        };
+        // The retry gets no answer; member 2 is asked for its ack.
+        let retry = inst.handle(T0, H1, send_req());
+        assert!(
+            matches!(
+                retry.as_slice(),
+                [Action::Unicast(h, GroupMsg::AcceptBatch { items, dones, .. })]
+                    if *h == H2 && items.is_empty() && dones.is_empty()
+            ),
+            "{retry:?}"
+        );
+        // The last ack makes the message resilient, and the done goes out.
+        let _ = inst.on_ack(T0, 0, 3, MemberId(2));
+        assert!(inst.flush_pending().iter().any(is_done));
+        // From then on a retry is answered at once.
+        assert!(inst.handle(T0, H1, send_req()).iter().any(is_done));
+    }
+
+    /// An empty `AcceptBatch` from the sequencer is its request for our
+    /// cumulative ack, whatever the resilience degree.
+    #[test]
+    fn an_empty_accept_batch_from_the_sequencer_asks_for_an_ack() {
+        for r in [0, 2] {
+            let mut inst = member_one(r);
+            let _ = feed(&mut inst, accept(1, 0, 10, vec![1]));
+            let ask = GroupMsg::AcceptBatch {
+                instance: 1,
+                incarnation: 0,
+                first_seq: 1,
+                items: Vec::new(),
+                dones: Vec::new(),
+            };
+            let answer = feed(&mut inst, ask.clone());
+            assert!(
+                matches!(
+                    answer.as_slice(),
+                    [Action::Unicast(h, GroupMsg::Ack { seq: 1, member: MemberId(1), .. })]
+                        if *h == H0
+                ),
+                "r = {r}: {answer:?}"
+            );
+            // Only the sequencer asks.
+            assert!(inst.handle(T0, H2, ask).is_empty(), "r = {r}");
+        }
     }
 
     #[test]

@@ -118,7 +118,9 @@ pub enum GroupMsg {
     /// Slot `i` of `items` has sequence number `first_seq + i`.
     /// Pending resilience notifications ride along in `dones` instead
     /// of costing one unicast each; only the member a `DoneItem` names
-    /// acts on it.
+    /// acts on it. With neither items nor dones (a flush never sends
+    /// one), it is the sequencer's unicast request for the receiver's
+    /// cumulative `Ack`.
     AcceptBatch {
         instance: u64,
         incarnation: Incarnation,

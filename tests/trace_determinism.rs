@@ -133,16 +133,28 @@ fn two_threads_record_the_golden_trace_at_once() {
 
 /// Captured on the commit before the handlers (PR 13), where the full
 /// trace had 26,449 steps and digest 10379442515077094120.
-const PROJECTED_STEPS: usize = 4_168;
-const PROJECTED_DIGEST: u64 = 7_959_870_571_809_880_628;
-const GOLDEN_STEPS: usize = 13_286;
+///
+/// Re-pinned, with the full trace's pair below, when the group sequencer
+/// stopped answering a retried send request with `Done` before `r + 1`
+/// members held the message (was 4,168 steps, digest
+/// 7,959,870,571,809,880,628). In this run a send that the crashed server
+/// never acked used to complete on its retry; it now completes when the
+/// reset that expels that server re-drives it, so the writer that made
+/// it resumes later.
+const PROJECTED_STEPS: usize = 4_150;
+const PROJECTED_DIGEST: u64 = 8_743_334_673_892_708_681;
+/// Was 13,286 steps; see [`PROJECTED_STEPS`].
+const GOLDEN_STEPS: usize = 13_255;
 /// Re-pinned when the RPC client began enquiring before it resends (was
 /// 4,760,539,658,903,339,064). Each call now arms its first reply timer
 /// at `reply_timeout` minus the enquiry window rather than at
 /// `reply_timeout`, so the timer events of calls that were answered in
 /// time pop earlier. This run sends no enquiry; the step count and the
 /// projected process digest are unchanged.
-const GOLDEN_DIGEST: u64 = 14_594_688_794_652_905_712;
+///
+/// Re-pinned again with [`PROJECTED_STEPS`] (was
+/// 14,594,688,794,652,905,712).
+const GOLDEN_DIGEST: u64 = 10_762_298_347_057_130_184;
 
 /// `paper()` + lock + registry under load: three lock clients contending
 /// for one name, a registry client and a directory writer, across a
