@@ -38,7 +38,13 @@ pub struct GroupConfig {
     pub gap_timeout: Duration,
     /// How long a `ResetGroup` coordinator collects votes.
     pub reset_vote_window: Duration,
-    /// How many accepted messages each member keeps for retransmission.
+    /// The sequencer's window, in slots: it admits a new message only
+    /// while no member of the view is more than `history` slots behind
+    /// the next one, as far as that member's acks tell. Each member keeps
+    /// the last `history` accepts (and their BB data) for retransmission,
+    /// which by the window are all that a lagging member or a reset's
+    /// catch-up can ask for; a retransmission request may span no more.
+    /// Joins and leaves bypass the window.
     pub history: u64,
     /// Payloads at least this large use the BB method (sender multicasts
     /// the data; the sequencer multicasts a short accept) instead of the
@@ -65,7 +71,7 @@ impl GroupConfig {
             ack_timeout: Duration::from_millis(50),
             gap_timeout: Duration::from_millis(25),
             reset_vote_window: Duration::from_millis(150),
-            history: 65_536,
+            history: 1_024,
             bb_threshold: 3_000,
             tick_interval: Duration::from_millis(20),
             buggy_retrans_bound: false,

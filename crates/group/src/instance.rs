@@ -31,17 +31,12 @@
 use amoeba_flip::{HostAddr, Payload, Port};
 use amoeba_sim::{IdMap, SimTime};
 use amoeba_telemetry::{Telemetry, TraceCtx};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::config::{GroupConfig, MAX_BATCH};
 use crate::error::GroupError;
 use crate::msg::{AcceptBody, AcceptItem, DoneItem, GroupMsg, MAX_ACCEPT_BATCH_ITEMS};
 use crate::types::{GroupEvent, GroupInfo, Incarnation, MemberId, MemberInfo, SeqNo, View};
-
-/// Most slots one retransmission request may cover: servers refuse wider
-/// requests, and requesters clamp to it so a deep laggard recovers in
-/// chunks rather than stalling on an over-wide ask.
-const MAX_RETRANS_SPAN: u64 = 10_000;
 
 /// Effects requested by the engine, executed by the peer layer.
 #[derive(Debug)]
@@ -109,14 +104,6 @@ struct PendingSend {
 }
 
 #[derive(Debug)]
-struct AckState {
-    acked: BTreeSet<MemberId>,
-    from: MemberId,
-    msgid: u64,
-    done_sent: bool,
-}
-
-#[derive(Debug)]
 struct ResetCoord {
     round: u64,
     min_size: usize,
@@ -155,7 +142,8 @@ pub(crate) struct Instance {
     highest_seen: SeqNo,
     /// Last seqno handed to the application.
     pub delivered: SeqNo,
-    /// BB payloads waiting for (or paired with) their accept.
+    /// BB payloads waiting for (or paired with) their accept; dropped
+    /// when the slot leaves the history.
     bb_store: IdMap<(MemberId, u64), Payload>,
     /// (sender, msgid) → seq, for duplicate suppression.
     seen_msgids: IdMap<(MemberId, u64), SeqNo>,
@@ -169,8 +157,18 @@ pub(crate) struct Instance {
     /// piggyback on the next accept multicast, or coalesce per sender
     /// into a `DoneBatch`, instead of one `Done` unicast each.
     pending_dones: Vec<DoneItem>,
-    /// Sequencer only: ack bookkeeping per outstanding seqno.
-    pending_acks: BTreeMap<SeqNo, AckState>,
+    /// Sequencer only: the sender and msgid (0 for a view change) of each
+    /// slot assigned here that has not yet reached the resilience degree.
+    pending_acks: BTreeMap<SeqNo, (MemberId, u64)>,
+    /// The highest slot each other member is known to hold: the last
+    /// cumulative ack it sent here, its join slot, or the cutoff of the
+    /// last reset. A lower bound on its progress, and the only record of
+    /// it: the sequencer's window ([`window_open`](Instance::window_open))
+    /// and resilience ([`resilient_to`](Instance::resilient_to)) are both
+    /// read from it.
+    holds: IdMap<MemberId, SeqNo>,
+    /// The slot this member last acked to its sequencer.
+    acked_to: SeqNo,
     /// Liveness: member → last time we heard from it.
     last_heard: IdMap<MemberId, SimTime>,
     last_heartbeat_sent: SimTime,
@@ -251,6 +249,8 @@ impl Instance {
             pending_batch: Vec::new(),
             pending_dones: Vec::new(),
             pending_acks: BTreeMap::new(),
+            holds: IdMap::default(),
+            acked_to: 0,
             last_heard: IdMap::default(),
             last_heartbeat_sent: now,
             failed: false,
@@ -309,6 +309,8 @@ impl Instance {
             pending_batch: Vec::new(),
             pending_dones: Vec::new(),
             pending_acks: BTreeMap::new(),
+            holds: IdMap::default(),
+            acked_to: start_seq,
             last_heard,
             last_heartbeat_sent: now,
             failed: false,
@@ -370,19 +372,52 @@ impl Instance {
         (self.cfg.resilience).min(self.view.len().saturating_sub(1) as u32)
     }
 
-    /// Sequencer: whether slot `seq` has reached the resilience degree
-    /// (or is no longer tracked: a reset, or another sequencer).
-    fn resilient(&self, seq: SeqNo) -> bool {
-        self.pending_acks.get(&seq).is_none_or(|st| st.done_sent)
+    /// The highest slot member `id` is known to hold; `None` when nothing
+    /// is known of its progress.
+    fn held_by(&self, id: MemberId) -> Option<SeqNo> {
+        if id == self.me {
+            Some(self.highest_contiguous)
+        } else {
+            self.holds.get(&id).copied()
+        }
     }
 
-    /// Sequencer: the members of the view that have not acked slot `seq`.
+    /// The members of the view not known to hold slot `seq`.
     fn lacking(&self, seq: SeqNo) -> impl Iterator<Item = &MemberInfo> {
-        let st = self.pending_acks.get(&seq);
         self.view
             .members
             .iter()
-            .filter(move |m| st.is_some_and(|st| !st.acked.contains(&m.id)))
+            .filter(move |m| self.held_by(m.id).is_none_or(|h| h < seq))
+    }
+
+    /// The oldest slot every member must still hold for the sequencer to
+    /// assign `next_seq`.
+    fn window_floor(&self) -> SeqNo {
+        self.next_seq.saturating_sub(self.cfg.history)
+    }
+
+    /// Sequencer: whether the window admits one more message. The
+    /// sequencer never runs more than `history` slots ahead of the
+    /// slowest member's acknowledged prefix, so every member still holds
+    /// each slot that a retransmission or a reset catch-up can ask it for
+    /// (each keeps the last `history`). Join and Leave accepts bypass the
+    /// window, so a view change can always make progress.
+    fn window_open(&self) -> bool {
+        self.lacking(self.window_floor()).next().is_none()
+    }
+
+    /// Sequencer: the highest slot that more than `r` members of the view
+    /// (itself included) are known to hold. Acks are cumulative, so every
+    /// slot up to it has reached the resilience degree.
+    fn resilient_to(&self) -> SeqNo {
+        let mut held: Vec<SeqNo> = self
+            .view
+            .members
+            .iter()
+            .filter_map(|m| self.held_by(m.id))
+            .collect();
+        held.sort_unstable_by(|a, b| b.cmp(a));
+        held.get(self.effective_r() as usize).copied().unwrap_or(0)
     }
 
     /// Snapshot for `GetInfoGroup`.
@@ -458,15 +493,20 @@ impl Instance {
             ));
             // The sequencer learns of the message from the BbData itself.
         } else if self.is_sequencer() {
-            let mut acts = self.sequence_message(
-                now,
-                self.me,
-                self.my_tag,
-                msgid,
-                AcceptBody::Data(data),
-                trace,
-            );
-            actions.append(&mut acts);
+            if self.window_open() {
+                let mut acts = self.sequence_message(
+                    now,
+                    self.me,
+                    self.my_tag,
+                    msgid,
+                    AcceptBody::Data(data),
+                    trace,
+                );
+                actions.append(&mut acts);
+            } else {
+                // Retried on the tick, like a remote sender's request.
+                actions.extend(self.ask_for_acks(self.window_floor()));
+            }
         } else {
             match self.sequencer_host() {
                 Some(h) => actions.push(Self::traced(
@@ -594,7 +634,7 @@ impl Instance {
         if trace.is_some() {
             // The ordering span: opened when the slot is assigned, closed
             // when the message reaches its resilience degree (see
-            // `check_resilience`). Every member's delivery parents to it.
+            // `settle`). Every member's delivery parents to it.
             let order = self
                 .tele
                 .begin_child("grp.order", u64::from(self.my_host.0), trace);
@@ -614,22 +654,12 @@ impl Instance {
         if self.pending_batch.len() >= MAX_BATCH {
             actions.extend(self.flush_pending_batch());
         }
-        // Track acks before applying: apply may complete r=0 sends.
-        let mut acked = BTreeSet::new();
-        acked.insert(self.me);
-        self.pending_acks.insert(
-            seq,
-            AckState {
-                acked,
-                from,
-                msgid,
-                done_sent: false,
-            },
-        );
+        // Track the slot before applying: apply may complete r=0 sends.
+        self.pending_acks.insert(seq, (from, msgid));
         self.insert_accept(seq, rec);
         let mut more = self.advance(now);
         actions.append(&mut more);
-        let mut done = self.check_resilience(seq);
+        let mut done = self.settle();
         actions.append(&mut done);
         actions
     }
@@ -739,41 +769,35 @@ impl Instance {
             .collect()
     }
 
-    /// If `seq` has reached r+1 holders, notify the sender.
-    fn check_resilience(&mut self, seq: SeqNo) -> Vec<Action> {
-        let r = self.effective_r();
-        let st = match self.pending_acks.get_mut(&seq) {
-            Some(s) => s,
-            None => return Vec::new(),
-        };
-        if st.done_sent || (st.acked.len() as u32) < r + 1 {
-            return Vec::new();
-        }
-        st.done_sent = true;
-        let (from, msgid) = (st.from, st.msgid);
-        // The ordering span ends here: the message has reached its
-        // resilience degree and the protocol's obligation is met.
-        if let Some(&ctx) = self.trace_by_seq.get(&seq) {
-            self.tele.end(ctx);
-        }
-        if st.acked.len() >= self.view.len() {
-            self.pending_acks.remove(&seq);
-        }
-        if msgid == 0 {
-            return Vec::new(); // view changes have no sender to notify
-        }
-        if from == self.me {
-            if self.pending_sends.remove(&msgid).is_some() {
-                return vec![Action::CompleteSend(msgid, Ok(seq))];
+    /// Sequencer: notifies the sender of every slot that has now reached
+    /// r+1 holders, and forgets the slot.
+    fn settle(&mut self) -> Vec<Action> {
+        let to = self.resilient_to();
+        let mut actions = Vec::new();
+        while let Some(entry) = self.pending_acks.first_entry() {
+            if *entry.key() > to {
+                break;
             }
-            return Vec::new();
+            let (seq, (from, msgid)) = entry.remove_entry();
+            // The ordering span ends here: the message has reached its
+            // resilience degree and the protocol's obligation is met.
+            if let Some(&ctx) = self.trace_by_seq.get(&seq) {
+                self.tele.end(ctx);
+            }
+            if msgid == 0 {
+                continue; // view changes have no sender to notify
+            }
+            if from == self.me {
+                if self.pending_sends.remove(&msgid).is_some() {
+                    actions.push(Action::CompleteSend(msgid, Ok(seq)));
+                }
+            } else if self.view.contains(from) {
+                // Batch the reply direction: queue the notification for
+                // the next flush instead of one unicast per message.
+                self.pending_dones.push(DoneItem { from, msgid, seq });
+            }
         }
-        if self.view.contains(from) {
-            // Batch the reply direction: queue the notification for
-            // the next flush instead of one unicast per message.
-            self.pending_dones.push(DoneItem { from, msgid, seq });
-        }
-        Vec::new()
+        actions
     }
 
     // ==================================================================
@@ -813,6 +837,7 @@ impl Instance {
     fn advance(&mut self, now: SimTime) -> Vec<Action> {
         let mut actions = Vec::new();
         let start_contiguous = self.highest_contiguous;
+        let mut handover = false;
         loop {
             let next = self.highest_contiguous + 1;
             let rec = match self.buffer.get(&next) {
@@ -867,6 +892,7 @@ impl Instance {
                 }
                 AcceptBody::Join(m) => {
                     self.view.insert(m);
+                    self.holds.insert(m.id, next);
                     self.next_member_id = self.next_member_id.max(m.id.0 + 1);
                     self.last_heard.insert(m.id, now);
                     if m.id != self.me {
@@ -881,8 +907,10 @@ impl Instance {
                 }
                 AcceptBody::Leave(id) => {
                     let info = self.view.member(id);
+                    handover |= self.view.sequencer().map(|m| m.id) == Some(id);
                     self.view.remove(id);
                     self.last_heard.remove(&id);
+                    self.holds.remove(&id);
                     if id == self.me {
                         self.dissolved = true;
                         actions.push(Action::CompleteLeave);
@@ -900,6 +928,13 @@ impl Instance {
                     if self.is_sequencer() {
                         self.next_seq = self.highest_contiguous + 1;
                     }
+                    // Liveness under a new sequencer starts now: nobody
+                    // has had a heartbeat from it, nor it an answer.
+                    if handover {
+                        for m in &self.view.members {
+                            self.last_heard.insert(m.id, now);
+                        }
+                    }
                 }
             }
             // r == 0 senders complete on observing their own accept.
@@ -910,13 +945,15 @@ impl Instance {
             {
                 actions.push(Action::CompleteSend(rec.msgid, Ok(next)));
             }
-            // Prune old history.
+            // Prune old history, and the BB data of what leaves it.
             let keep_from = self.highest_contiguous.saturating_sub(self.cfg.history);
-            while let Some((&first, _)) = self.buffer.iter().next() {
-                if first < keep_from {
-                    self.buffer.remove(&first);
-                } else {
+            while let Some(first) = self.buffer.first_entry() {
+                if *first.key() >= keep_from {
                     break;
+                }
+                let rec = first.remove();
+                if rec.msgid != 0 {
+                    self.bb_store.remove(&(rec.from, rec.msgid));
                 }
             }
             if !self.trace_by_seq.is_empty() {
@@ -925,11 +962,19 @@ impl Instance {
         }
         // r > 0: acknowledge all progress to the sequencer with a single
         // cumulative ack (it counts holders per slot up to this seqno).
-        if self.highest_contiguous > start_contiguous
-            && self.effective_r() > 0
-            && !self.is_sequencer()
-        {
-            actions.extend(self.ack());
+        // r = 0 needs no ack for completion, but the window does: ack at
+        // least every quarter window, and at once to a new sequencer.
+        if !self.is_sequencer() {
+            let due = if self.effective_r() > 0 {
+                self.highest_contiguous > start_contiguous
+            } else {
+                handover
+                    || self.highest_contiguous.saturating_sub(self.acked_to)
+                        >= (self.cfg.history / 4).max(1)
+            };
+            if due {
+                actions.extend(self.ack());
+            }
         }
         // Check whether a pending reset can now be installed.
         if let Some(p) = &self.pending_install {
@@ -1236,6 +1281,9 @@ impl Instance {
         if !self.view.contains(from) {
             return Vec::new();
         }
+        if !self.window_open() {
+            return self.ask_for_acks(self.window_floor());
+        }
         let trace = self.rx_tag(msgid);
         self.sequence_message(now, from, tag, msgid, AcceptBody::Data(data), trace)
     }
@@ -1252,7 +1300,8 @@ impl Instance {
             return Vec::new();
         }
         if let Some(&seq) = self.seen_msgids.get(&(from, msgid)) {
-            // A retry of a message already applied.
+            // A retry of a message already applied: its data is stored
+            // while its slot is in the history, and needed no more after.
             if self.is_sequencer() && !self.failed {
                 return self.answer_retry(from, msgid, seq);
             }
@@ -1260,13 +1309,17 @@ impl Instance {
         }
         self.bb_store.insert((from, msgid), data);
         let mut actions = self.advance(now); // a stalled BbRef may now apply
-        if self.is_sequencer() && !self.failed && !self.seen_msgids.contains_key(&(from, msgid)) {
-            let tag = self.view.member(from).map(|m| m.tag).unwrap_or(0);
-            if self.view.contains(from) {
+        if !self.is_sequencer() || self.failed || self.seen_msgids.contains_key(&(from, msgid)) {
+            return actions;
+        }
+        if let Some(m) = self.view.member(from) {
+            if self.window_open() {
                 let trace = self.rx_tag(msgid);
                 let mut more =
-                    self.sequence_message(now, from, tag, msgid, AcceptBody::BbRef, trace);
+                    self.sequence_message(now, from, m.tag, msgid, AcceptBody::BbRef, trace);
                 actions.append(&mut more);
+            } else {
+                actions.extend(self.ask_for_acks(self.window_floor()));
             }
         }
         actions
@@ -1274,11 +1327,11 @@ impl Instance {
 
     /// Sequencer: the answer to a retry of a message that `from` sent and
     /// that holds slot `seq`. It completes the send only once the slot has
-    /// reached the resilience degree; until then `check_resilience` owes
-    /// the answer, and the members that lack the slot are asked for the
-    /// ack that may have been lost.
+    /// reached the resilience degree; until then `settle` owes the answer,
+    /// and the members that lack the slot are asked for the ack that may
+    /// have been lost.
     fn answer_retry(&mut self, from: MemberId, msgid: u64, seq: SeqNo) -> Vec<Action> {
-        if !self.resilient(seq) {
+        if seq > self.resilient_to() {
             return self.ask_for_acks(seq);
         }
         if from == self.me {
@@ -1430,20 +1483,19 @@ impl Instance {
         seq: SeqNo,
         member: MemberId,
     ) -> Vec<Action> {
-        if incarnation != self.incarnation || !self.is_sequencer() {
+        if incarnation != self.incarnation {
             return Vec::new();
         }
-        // Acks are cumulative: `seq` covers every outstanding slot up to
-        // and including it.
-        let covered: Vec<SeqNo> = self.pending_acks.range(..=seq).map(|(s, _)| *s).collect();
-        let mut actions = Vec::new();
-        for s in covered {
-            if let Some(st) = self.pending_acks.get_mut(&s) {
-                st.acked.insert(member);
-            }
-            actions.extend(self.check_resilience(s));
+        // Kept by every member: one that becomes sequencer through a Leave
+        // may hear a member's ack just before it applies the Leave.
+        if self.view.contains(member) {
+            let held = self.holds.entry(member).or_insert(seq);
+            *held = (*held).max(seq);
         }
-        actions
+        if !self.is_sequencer() {
+            return Vec::new();
+        }
+        self.settle()
     }
 
     fn on_done(&mut self, msgid: u64, seq: SeqNo) -> Vec<Action> {
@@ -1465,8 +1517,9 @@ impl Instance {
             return Vec::new();
         }
         let mut actions = Vec::new();
-        let span = to_seq.saturating_sub(from_seq);
-        if span > MAX_RETRANS_SPAN {
+        // No live member lags more than the window, so a wider request is
+        // not one a member of this group sends.
+        if to_seq.saturating_sub(from_seq) > self.cfg.history {
             return Vec::new();
         }
         for seq in from_seq..=to_seq {
@@ -1505,11 +1558,13 @@ impl Instance {
         actions
     }
 
-    /// Sequencer: asks each member that lacks slot `seq` for its
+    /// Sequencer: asks each member not known to hold slot `seq` for its
     /// cumulative ack, with an `AcceptBatch` that holds no slot and no
     /// done (a flush never sends one). The answer replaces an ack that was
     /// lost. A member that lacks slots recovers them as usual, by gap
-    /// recovery.
+    /// recovery. Sent whenever the sequencer leaves a message or a retry
+    /// unanswered (the window is shut, or the slot is not resilient yet),
+    /// so that the sender's next retry finds the group moved on.
     fn ask_for_acks(&self, seq: SeqNo) -> Vec<Action> {
         self.lacking(seq)
             .filter(|m| m.id != self.me)
@@ -1530,8 +1585,9 @@ impl Instance {
 
     /// This member's cumulative ack of everything it has applied, to the
     /// sequencer.
-    fn ack(&self) -> Option<Action> {
+    fn ack(&mut self) -> Option<Action> {
         let to = self.sequencer_host()?;
+        self.acked_to = self.highest_contiguous;
         Some(Action::Unicast(
             to,
             GroupMsg::Ack {
@@ -1787,6 +1843,14 @@ impl Instance {
             .unwrap_or(self.next_member_id);
         self.next_seq = self.highest_contiguous + 1;
         self.pending_acks.clear();
+        // Every member of the new view holds the cutoff.
+        self.holds.clear();
+        for m in &self.view.members {
+            if m.id != self.me {
+                self.holds.insert(m.id, p.cutoff);
+            }
+        }
+        self.acked_to = self.highest_contiguous;
         self.failed = false;
         self.failure_notified = false;
         self.reset_coord = None;
@@ -1850,7 +1914,11 @@ impl Instance {
             )]
         } else if self.is_sequencer() {
             if let Some(&seq) = self.seen_msgids.get(&(self.me, msgid)) {
+                // Sequenced, here or by a sequencer that has since left.
                 return self.answer_retry(self.me, msgid, seq);
+            }
+            if !self.window_open() {
+                return self.ask_for_acks(self.window_floor());
             }
             self.sequence_message(
                 now,
@@ -1956,8 +2024,8 @@ impl Instance {
                 // Ask for everything up to the highest slot we know was
                 // assigned — the buffer alone understates an
                 // end-of-order gap (its last key may already be applied
-                // history below the gap) — clamped to what a server is
-                // willing to serve in one request.
+                // history below the gap) — clamped to the window, which is
+                // what a server is willing to serve in one request.
                 let to = if self.cfg.buggy_retrans_bound {
                     // Historical (pre-fix) bound, kept reachable for the
                     // explore harness's seeded-bug self-test: when the
@@ -1971,7 +2039,7 @@ impl Instance {
                         .unwrap_or(self.highest_contiguous)
                 } else {
                     self.highest_seen
-                        .min(self.highest_contiguous + MAX_RETRANS_SPAN)
+                        .min(self.highest_contiguous + self.cfg.history)
                         .max(self.highest_contiguous + 1)
                 };
                 actions.push(Action::Multicast(GroupMsg::Retrans {
@@ -2500,7 +2568,7 @@ mod tests {
             .expect("gap must trigger a retrans request");
         assert_eq!(req.0, 1);
         assert!(
-            req.1 - req.0 <= MAX_RETRANS_SPAN,
+            req.1 - req.0 <= inst.cfg.history,
             "request {req:?} wider than servers will serve"
         );
     }
@@ -2997,8 +3065,16 @@ mod tests {
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Deliver(GroupEvent::Left { .. }))));
-        // It can now sequence sends itself.
-        let (_, send_actions) = m1.app_send(T0, vec![7].into());
+        // It sequences once the other member acks to it (every member
+        // does on applying the Leave); until then it asks for that ack.
+        let (_, refused) = m1.app_send(T0, vec![7].into());
+        assert!(matches!(
+            refused.as_slice(),
+            [Action::Unicast(h, GroupMsg::AcceptBatch { items, dones, .. })]
+                if *h == H2 && items.is_empty() && dones.is_empty()
+        ));
+        let _ = m1.on_ack(T0, 0, 1, MemberId(2));
+        let (_, send_actions) = m1.app_send(T0, vec![8].into());
         assert!(send_actions
             .iter()
             .any(|a| matches!(a, Action::Multicast(GroupMsg::Accept { seq: 2, .. }))));
@@ -3051,6 +3127,208 @@ mod tests {
             Action::Unicast(h, GroupMsg::SendReq { .. }) if *h == H0
         )));
         assert_eq!(inst.stats.send_retries, 1);
+    }
+
+    /// Three members on an instant, lossless network. Member `i` lives
+    /// on host `i`; member 0 founds the group and sequences.
+    struct Trio {
+        members: Vec<Instance>,
+        /// Acks from these hosts are lost.
+        mute: Vec<HostAddr>,
+    }
+
+    impl Trio {
+        fn new(r: u32, history: u64) -> Trio {
+            let cfg = GroupConfig { history, ..cfg(r) };
+            let mut trio = Trio {
+                members: vec![Instance::create(
+                    1,
+                    Port::from_name("g"),
+                    cfg.clone(),
+                    H0,
+                    100,
+                    T0,
+                )],
+                mute: Vec::new(),
+            };
+            for host in [H1, H2] {
+                let tag = 100 + u64::from(host.0);
+                let actions = trio.members[0].on_join_request(T0, host, tag, tag);
+                let Some(GroupMsg::JoinAck {
+                    member_id,
+                    view,
+                    start_seq,
+                    ..
+                }) = actions.iter().find_map(|a| match a {
+                    Action::Unicast(_, m @ GroupMsg::JoinAck { .. }) => Some(m.clone()),
+                    _ => None,
+                })
+                else {
+                    panic!("no JoinAck in {actions:?}");
+                };
+                trio.members.push(Instance::from_join(
+                    1,
+                    Port::from_name("g"),
+                    cfg.clone(),
+                    host,
+                    tag,
+                    member_id,
+                    0,
+                    view,
+                    start_seq,
+                    T0,
+                ));
+                trio.route(H0, actions);
+            }
+            trio
+        }
+
+        /// Delivers `actions` taken at `src`, and everything they cause,
+        /// at `now`. A multicast reaches every member, its sender too.
+        fn route_at(&mut self, now: SimTime, src: HostAddr, actions: Vec<Action>) {
+            let mut queue: std::collections::VecDeque<_> =
+                actions.into_iter().map(|a| (src, a)).collect();
+            while let Some((from, action)) = queue.pop_front() {
+                let (to, msg) = match action {
+                    Action::Traced(_, a) => {
+                        queue.push_front((from, *a));
+                        continue;
+                    }
+                    Action::Unicast(h, msg) => (vec![h], msg),
+                    Action::Multicast(msg) => (vec![H0, H1, H2], msg),
+                    _ => continue,
+                };
+                if matches!(msg, GroupMsg::Ack { .. }) && self.mute.contains(&from) {
+                    continue;
+                }
+                for h in to {
+                    if let Some(m) = self.members.get_mut(h.0 as usize) {
+                        let out = m.handle(now, from, msg.clone());
+                        queue.extend(out.into_iter().map(|a| (h, a)));
+                    }
+                }
+            }
+        }
+
+        fn route(&mut self, src: HostAddr, actions: Vec<Action>) {
+            self.route_at(T0, src, actions);
+        }
+
+        /// Member `i` sends `data`; returns whether the send completed.
+        fn send(&mut self, i: usize, data: Vec<u8>) -> bool {
+            let (msgid, actions) = self.members[i].app_send(T0, data.into());
+            let completed = actions
+                .iter()
+                .any(|a| matches!(a, Action::CompleteSend(m, Ok(_)) if *m == msgid));
+            self.route(HostAddr(i as u32), actions);
+            completed || !self.members[i].pending_sends.contains_key(&msgid)
+        }
+    }
+
+    #[test]
+    fn ack_entries_go_once_every_member_has_acked() {
+        for r in 0..=2 {
+            let mut trio = Trio::new(r, 64);
+            for k in 0..5u8 {
+                assert!(trio.send(1 + usize::from(k % 2), vec![k]), "r = {r}");
+            }
+            // Every member acks what it holds (r > 0 members have already).
+            for i in [1, 2] {
+                let ack = trio.members[i].ack().into_iter().collect();
+                trio.route(HostAddr(i as u32), ack);
+            }
+            let left = &trio.members[0].pending_acks;
+            assert!(left.is_empty(), "r = {r}: {:?}", left.keys());
+        }
+    }
+
+    #[test]
+    fn bb_data_leaves_with_its_slot() {
+        for r in [0, 2] {
+            let mut trio = Trio::new(r, 16);
+            let big = vec![7u8; trio.members[0].cfg.bb_threshold];
+            for k in 0..160 {
+                assert!(trio.send(1 + k % 2, big.clone()), "r = {r}, send {k}");
+                for m in &trio.members {
+                    // The newest slot and the `history` before it.
+                    assert!(m.bb_store.len() <= 17, "r = {r}: {}", m.bb_store.len());
+                }
+            }
+            assert!(trio.members.iter().all(|m| m.highest_contiguous == 162));
+        }
+    }
+
+    #[test]
+    fn the_sequencer_stays_within_history_slots_of_every_member() {
+        let mut trio = Trio::new(2, 16);
+        // Member 2 applies everything, but its acks are lost. It holds its
+        // join slot, 2: slots up to 18 fit.
+        trio.mute.push(H2);
+        for k in 0..16u8 {
+            let _ = trio.send(1, vec![k]);
+        }
+        assert_eq!(trio.members[0].next_seq, 19);
+        let _ = trio.send(1, vec![16]);
+        assert_eq!(trio.members[0].next_seq, 19, "no room: nothing sequenced");
+        assert_eq!(trio.members[2].highest_contiguous, 18);
+        // The sender's retry brings the message back, and the member that
+        // shuts the window is asked for its ack: lost again, then heard.
+        let timeout = trio.members[1].cfg.ack_timeout;
+        let retry = |trio: &mut Trio, k: u32| {
+            let now = T0 + timeout * k;
+            let actions = trio.members[1].tick(now);
+            trio.route_at(now, H1, actions);
+        };
+        retry(&mut trio, 1);
+        assert_eq!(trio.members[0].next_seq, 19);
+        trio.mute.clear();
+        retry(&mut trio, 2);
+        assert_eq!(trio.members[0].holds.get(&MemberId(2)), Some(&18));
+        retry(&mut trio, 3);
+        assert_eq!(trio.members[0].next_seq, 20, "the retry is sequenced");
+        assert!(trio.members.iter().all(|m| m.highest_contiguous == 19));
+    }
+
+    /// One lost ack must not hold a send back for good in an idle group:
+    /// the retry finds the slot short of r + 1 holders, and the sequencer
+    /// asks the member that lacks it for its ack. Whoever sends, and
+    /// whether the message goes through the sequencer or as BB data.
+    #[test]
+    fn a_retry_completes_after_a_lost_ack_in_an_idle_group() {
+        let bb = cfg(2).bb_threshold;
+        for (sender, size) in [(1, 1), (1, bb), (0, 1), (0, bb)] {
+            let mut trio = Trio::new(2, 16);
+            let lost = if sender == 1 { H2 } else { H1 };
+            trio.mute.push(lost);
+            let case = format!("member {sender}, {size} bytes");
+            assert!(!trio.send(sender, vec![1; size]), "{case}: an ack was lost");
+            trio.mute.clear();
+            let now = T0 + trio.members[sender].cfg.ack_timeout;
+            let actions = trio.members[sender].tick(now);
+            trio.route_at(now, HostAddr(sender as u32), actions);
+            assert!(trio.members[sender].pending_sends.is_empty(), "{case}");
+            assert!(trio.members[0].pending_acks.is_empty(), "{case}");
+        }
+    }
+
+    #[test]
+    fn a_new_sequencer_hears_from_every_member_at_once() {
+        let mut trio = Trio::new(0, 16);
+        for k in 0..40u8 {
+            assert!(trio.send(1 + usize::from(k % 2), vec![k]));
+        }
+        let t = T0 + Duration::from_secs(1);
+        let leave = trio.members[0].app_leave(t);
+        trio.route_at(t, H0, leave);
+        let hc = trio.members[1].highest_contiguous;
+        assert!(trio.members[1].is_sequencer());
+        assert_eq!(trio.members[1].holds.get(&MemberId(2)), Some(&hc));
+        // It sequences at once, and neither member suspects the other.
+        assert!(trio.send(2, vec![99]));
+        for m in &mut trio.members[1..] {
+            let _ = m.tick(t + Duration::from_millis(100));
+            assert!(!m.failed, "{m:?}");
+        }
     }
 
     #[test]

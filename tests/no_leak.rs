@@ -20,6 +20,9 @@
 //!
 //! And a message between two processes costs no heap of its own.
 //!
+//! And a group's history is bounded: past its window, a message sent
+//! through a group leaves behind only its duplicate-suppression entry.
+//!
 //! The tests in this file count every byte the process allocates, so
 //! they take turns ([`ALONE`]).
 
@@ -37,7 +40,8 @@ use amoeba_dirsvc::dir::{
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
-use amoeba_dirsvc::flip::{NetParams, Network};
+use amoeba_dirsvc::flip::{NetParams, Network, Port};
+use amoeba_dirsvc::group::{GroupConfig, GroupPeer};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
 use amoeba_dirsvc::sim::{mapped_stacks, NodeId, Resource, Simulation};
@@ -443,4 +447,63 @@ fn an_answered_grant_is_one_exact_size_buffer() {
         );
         assert_eq!(requested, len + shared, "{rows} rows");
     }
+}
+
+/// Live heap, per message, that a 3-member r = 2 group keeps while member
+/// 1 sends `10 × warm_up` messages, counted from the moment it has sent
+/// `warm_up`: every member delivers every message, and each keeps the
+/// last `history` of them.
+fn live_bytes_per_group_message(warm_up: u64) -> f64 {
+    let mut sim = Simulation::new(3);
+    let net = Network::new(sim.handle(), NetParams::default(), 1);
+    let port = Port::from_name("no-leak");
+    let mut outs = Vec::new();
+    for i in 0..3u64 {
+        let node = sim.add_node(&format!("m{i}"));
+        let peer = GroupPeer::start(&sim, node, net.attach(), GroupConfig::with_resilience(2));
+        outs.push(sim.spawn_on(node, "member", move |ctx| {
+            let g = if i == 0 {
+                peer.create(port, 0)
+            } else {
+                ctx.sleep(Duration::from_millis(10 * i));
+                peer.join(ctx, port, i, Duration::from_secs(2))
+                    .expect("join")
+            };
+            let g = std::rc::Rc::new(g);
+            let rx = g.clone();
+            ctx.spawn("rx", move |ctx| while rx.recv(ctx).is_ok() {});
+            if i != 1 {
+                return None;
+            }
+            while g.info().expect("info").view.len() < 3 {
+                ctx.sleep(Duration::from_millis(5));
+            }
+            let mut live = Vec::new();
+            for n in [warm_up, 10 * warm_up] {
+                for k in 0..n {
+                    g.send(ctx, k.to_le_bytes().to_vec()).expect("send");
+                }
+                // Let the last acks and deliveries land.
+                ctx.sleep(Duration::from_millis(100));
+                live.push(LIVE.load(Ordering::Relaxed));
+            }
+            Some((live[1] - live[0]) as f64 / (10 * warm_up) as f64)
+        }));
+    }
+    sim.run_for(Duration::from_secs(3_600));
+    outs[1].take().flatten().expect("the sends completed")
+}
+
+#[test]
+fn a_group_message_leaves_only_its_duplicate_entry_behind() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    // Twice the default history of 1,024 slots.
+    let per_message = live_bytes_per_group_message(2_048);
+    // Each member keeps one `seen_msgids` entry per message: with the
+    // table's slack, about 105 B over the three. A history that kept every
+    // message (65,536 slots, more than this test sends) read 695 B.
+    assert!(
+        per_message < 150.0,
+        "{per_message:.0} bytes of live heap per message, over 3 members"
+    );
 }
