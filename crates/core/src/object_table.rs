@@ -6,6 +6,12 @@
 //! field so client capabilities stay valid across reboots. Updating one
 //! entry costs exactly one disk write — the group service's only raw-
 //! partition write in the update path.
+//!
+//! RAM holds only the live entries, keyed by object number; the
+//! partition's size bounds the object numbers. A block on disk still
+//! encodes every one of its slots, an absent entry as zeroes.
+
+use std::collections::BTreeMap;
 
 use amoeba_bullet::FileCap;
 use amoeba_disk::RawPartition;
@@ -29,7 +35,8 @@ pub struct ObjEntry {
 /// The in-memory object table plus its on-disk representation.
 #[derive(Debug)]
 pub struct ObjectTable {
-    entries: Vec<Option<ObjEntry>>,
+    /// The live entries by object number, each in `1..=capacity`.
+    entries: BTreeMap<u64, ObjEntry>,
     /// The **durable mirror** (group log): exactly what is on disk
     /// right now. With the journal on, a commit is a journal record and
     /// the table blocks are written back later by the checkpointer, so
@@ -39,22 +46,25 @@ pub struct ObjectTable {
     /// `entries`, so a block write can't leak a later batch's state.
     /// `None` with the journal off, where `entries` and the disk never
     /// diverge outside a single flush.
-    durable: Option<Vec<Option<ObjEntry>>>,
+    durable: Option<BTreeMap<u64, ObjEntry>>,
     partition: RawPartition,
-    entries_per_block: usize,
+    entries_per_block: u64,
+    /// Highest usable object number: every slot of blocks 1..n−1.
+    capacity: u64,
 }
 
 impl ObjectTable {
     /// Creates an empty table over a partition (block 0 is the commit
     /// block; entries start at block 1).
     pub fn new(partition: RawPartition) -> ObjectTable {
-        let entries_per_block = 4096 / ENTRY_BYTES; // assumes 4 KiB blocks
-        let capacity = (partition.len().saturating_sub(1) as usize) * entries_per_block;
+        let entries_per_block = (4096 / ENTRY_BYTES) as u64; // assumes 4 KiB blocks
+        let capacity = partition.len().saturating_sub(1) * entries_per_block;
         ObjectTable {
-            entries: vec![None; capacity],
+            entries: BTreeMap::new(),
             durable: None,
             partition,
             entries_per_block,
+            capacity,
         }
     }
 
@@ -70,12 +80,12 @@ impl ObjectTable {
 
     /// Highest usable object number.
     pub fn capacity(&self) -> u64 {
-        self.entries.len() as u64
+        self.capacity
     }
 
     /// The entry for `object`, if present.
     pub fn get(&self, object: u64) -> Option<ObjEntry> {
-        self.entries.get(self.slot(object)?).copied().flatten()
+        self.entries.get(&object).copied()
     }
 
     /// Sets the in-memory entry (call [`flush_entry`](Self::flush_entry)
@@ -85,45 +95,33 @@ impl ObjectTable {
     ///
     /// Panics if `object` is out of capacity.
     pub fn set(&mut self, object: u64, entry: ObjEntry) {
-        let slot = self.slot(object).expect("object out of table capacity");
-        self.entries[slot] = Some(entry);
+        assert!(self.in_range(object), "object out of table capacity");
+        self.entries.insert(object, entry);
     }
 
     /// Clears the in-memory entry.
     pub fn clear(&mut self, object: u64) {
-        if let Some(slot) = self.slot(object) {
-            self.entries[slot] = None;
-        }
+        self.entries.remove(&object);
     }
 
     /// The next object number a deterministic apply should assign:
     /// one past the highest in use (so replicas agree).
     pub fn next_object(&self) -> u64 {
         self.entries
-            .iter()
-            .rposition(|e| e.is_some())
-            .map(|i| i as u64 + 2)
-            .unwrap_or(1)
+            .last_key_value()
+            .map_or(1, |(&object, _)| object + 1)
     }
 
     /// Largest sequence number stored with any directory (recovery's
     /// "maximum of all the sequence numbers stored with the directory
     /// files").
     pub fn max_seqno(&self) -> u64 {
-        self.entries
-            .iter()
-            .flatten()
-            .map(|e| e.seqno)
-            .max()
-            .unwrap_or(0)
+        self.entries.values().map(|e| e.seqno).max().unwrap_or(0)
     }
 
-    /// Iterates over (object, entry) pairs.
+    /// Iterates over (object, entry) pairs in object order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, ObjEntry)> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.map(|e| (i as u64 + 1, e)))
+        self.entries.iter().map(|(&object, &e)| (object, e))
     }
 
     /// Persists the block containing `object` — the paper's single
@@ -142,16 +140,8 @@ impl ObjectTable {
     /// without blocking; the caller waits on the returned mailbox after
     /// releasing any borrows.
     pub fn flush_begin(&self, object: u64) -> Option<amoeba_sim::MailboxRx<()>> {
-        let slot = self.slot(object)?;
-        let block_index = slot / self.entries_per_block;
-        let block = block_index as u64 + 1;
-        let lo = block_index * self.entries_per_block;
-        let hi = (lo + self.entries_per_block).min(self.entries.len());
-        let mut w = WireWriter::new();
-        for e in &self.entries[lo..hi] {
-            encode_entry(&mut w, e);
-        }
-        Some(self.partition.write_begin(block, w.finish()))
+        let block = self.block_of(object)?;
+        Some(self.write_block_begin(&self.entries, block))
     }
 
     /// Starts (or re-baselines) the durable mirror at the current
@@ -172,31 +162,24 @@ impl ObjectTable {
     /// batch since the last checkpoint. Falls back to the RAM entry when the mirror
     /// is off (the two are then never observed apart).
     pub fn durable_get(&self, object: u64) -> Option<ObjEntry> {
-        let slot = self.slot(object)?;
-        match &self.durable {
-            Some(d) => d.get(slot).copied().flatten(),
-            None => self.entries.get(slot).copied().flatten(),
-        }
+        self.durable_or_ram().get(&object).copied()
     }
 
     /// Sets the mirror's entry (the checkpointer, applying a drained act).
     /// No-op when the mirror is off.
     pub fn durable_set(&mut self, object: u64, entry: ObjEntry) {
-        let Some(slot) = self.slot(object) else {
+        if !self.in_range(object) {
             return;
-        };
+        }
         if let Some(d) = &mut self.durable {
-            d[slot] = Some(entry);
+            d.insert(object, entry);
         }
     }
 
     /// Clears the mirror's entry. No-op when the mirror is off.
     pub fn durable_clear(&mut self, object: u64) {
-        let Some(slot) = self.slot(object) else {
-            return;
-        };
         if let Some(d) = &mut self.durable {
-            d[slot] = None;
+            d.remove(&object);
         }
     }
 
@@ -205,25 +188,16 @@ impl ObjectTable {
     /// is off) — the checkpointer's block write, which must not leak
     /// the state of batches it has not drained onto disk.
     pub fn durable_flush_begin(&self, object: u64) -> Option<amoeba_sim::MailboxRx<()>> {
-        let slot = self.slot(object)?;
-        let src = self.durable.as_ref().unwrap_or(&self.entries);
-        let block_index = slot / self.entries_per_block;
-        let block = block_index as u64 + 1;
-        let lo = block_index * self.entries_per_block;
-        let hi = (lo + self.entries_per_block).min(src.len());
-        let mut w = WireWriter::new();
-        for e in &src[lo..hi] {
-            encode_entry(&mut w, e);
-        }
-        Some(self.partition.write_begin(block, w.finish()))
+        let block = self.block_of(object)?;
+        Some(self.write_block_begin(self.durable_or_ram(), block))
     }
 
     /// The partition block holding `object`'s entry — lets the
     /// checkpointer dedupe block writes when one drain touches several
     /// objects that share a block.
     pub fn block_of(&self, object: u64) -> Option<u64> {
-        let slot = self.slot(object)?;
-        Some((slot / self.entries_per_block) as u64 + 1)
+        self.in_range(object)
+            .then(|| (object - 1) / self.entries_per_block + 1)
     }
 
     /// [`durable_flush_begin`](Self::durable_flush_begin) addressed by
@@ -234,33 +208,54 @@ impl ObjectTable {
     /// sharing a block costs one disk access instead of one per
     /// directory.
     pub fn durable_flush_block_begin(&self, block: u64) -> Option<amoeba_sim::MailboxRx<()>> {
-        let src = self.durable.as_ref().unwrap_or(&self.entries);
-        let block_index = usize::try_from(block.checked_sub(1)?).ok()?;
-        let lo = block_index * self.entries_per_block;
-        if lo >= src.len() {
-            return None;
-        }
-        let hi = (lo + self.entries_per_block).min(src.len());
-        let mut w = WireWriter::new();
-        for e in &src[lo..hi] {
-            encode_entry(&mut w, e);
-        }
-        Some(self.partition.write_begin(block, w.finish()))
+        let first = block.checked_sub(1)? * self.entries_per_block + 1;
+        self.in_range(first)
+            .then(|| self.write_block_begin(self.durable_or_ram(), block))
     }
 
-    fn slot(&self, object: u64) -> Option<usize> {
-        if object == 0 || object > self.entries.len() as u64 {
-            None
-        } else {
-            Some(object as usize - 1)
+    /// The mirror, or the RAM entries when the mirror is off.
+    fn durable_or_ram(&self) -> &BTreeMap<u64, ObjEntry> {
+        self.durable.as_ref().unwrap_or(&self.entries)
+    }
+
+    fn in_range(&self, object: u64) -> bool {
+        (1..=self.capacity).contains(&object)
+    }
+
+    /// The objects whose entries `block` holds (blocks count from 1).
+    fn objects_of(&self, block: u64) -> std::ops::Range<u64> {
+        let first = (block - 1) * self.entries_per_block + 1;
+        first..(first + self.entries_per_block).min(self.capacity + 1)
+    }
+
+    /// Encodes every slot of `block` from `src`, absent entries as
+    /// zeroes, and enqueues its write.
+    fn write_block_begin(
+        &self,
+        src: &BTreeMap<u64, ObjEntry>,
+        block: u64,
+    ) -> amoeba_sim::MailboxRx<()> {
+        let objects = self.objects_of(block);
+        let mut w = WireWriter::new();
+        let mut next = objects.start;
+        for (&object, &e) in src.range(objects.clone()) {
+            for _ in next..object {
+                encode_entry(&mut w, &None);
+            }
+            encode_entry(&mut w, &Some(e));
+            next = object + 1;
         }
+        for _ in next..objects.end {
+            encode_entry(&mut w, &None);
+        }
+        self.partition.write_begin(block, w.finish())
     }
 
     fn decode_block(&mut self, block: u64, bytes: &[u8]) {
-        let base = (block as usize - 1) * self.entries_per_block;
-        let slots = self.entries[base..].iter_mut().take(self.entries_per_block);
-        for (slot, entry) in slots.zip(bytes.chunks(ENTRY_BYTES)) {
-            *slot = decode_entry(entry);
+        for (object, entry) in self.objects_of(block).zip(bytes.chunks(ENTRY_BYTES)) {
+            if let Some(e) = decode_entry(entry) {
+                self.entries.insert(object, e);
+            }
         }
     }
 }
@@ -464,6 +459,26 @@ mod tests {
         assert_eq!(w.finish(), want);
         assert_eq!(decode_entry(&want[..ENTRY_BYTES]), Some(entry(1)));
         assert_eq!(decode_entry(&want[ENTRY_BYTES..]), None);
+    }
+
+    /// RAM keeps only live entries, but a block on disk holds all of its
+    /// slots: each absent one is 40 zeroes, as when the table was dense.
+    #[test]
+    fn a_block_holds_every_slot() {
+        with_table(|ctx, part| {
+            let mut t = ObjectTable::new(part.clone());
+            t.set(2, entry(2));
+            t.set(5, entry(5));
+            t.set(103, entry(103)); // the next block's first slot
+            t.flush_entry(ctx, 5);
+            let mut want = WireWriter::new();
+            for object in 1..=t.entries_per_block {
+                encode_entry(&mut want, &t.get(object));
+            }
+            let want = want.finish();
+            assert_eq!(want.len(), 102 * ENTRY_BYTES);
+            assert_eq!(part.read(ctx, 1)[..want.len()], want[..]);
+        });
     }
 
     #[test]

@@ -101,6 +101,49 @@ struct PendingSend {
     /// Submitter's causal-trace context (NONE when untraced); retries
     /// re-attach it so the span tree stays connected across loss.
     trace: TraceCtx,
+    /// The slot this member applied the message at, once it has: how a
+    /// retry completes after its slot has left the sequencer's history.
+    applied_at: Option<SeqNo>,
+}
+
+/// The msgids of one sender that a member has applied, as disjoint
+/// inclusive runs `(lo, hi)` in ascending order. A sender numbers its
+/// messages densely, so its set is one run; a send that failed before it
+/// was sequenced leaves a hole, and each hole adds at most one run. Only
+/// live state: the record of a message is its run, not an entry of its
+/// own, and the slot a duplicate was applied at is read from the history.
+#[derive(Debug, Default)]
+struct MsgidRuns(Vec<(u64, u64)>);
+
+impl MsgidRuns {
+    /// The number of runs that start at or below `msgid`.
+    fn starting_by(&self, msgid: u64) -> usize {
+        self.0.partition_point(|&(lo, _)| lo <= msgid)
+    }
+
+    fn contains(&self, msgid: u64) -> bool {
+        let i = self.starting_by(msgid);
+        i > 0 && self.0[i - 1].1 >= msgid
+    }
+
+    /// Adds `msgid`, merging it with the runs it touches.
+    fn insert(&mut self, msgid: u64) {
+        let i = self.starting_by(msgid);
+        let extends_prev = i > 0 && self.0[i - 1].1 + 1 >= msgid;
+        if extends_prev && self.0[i - 1].1 >= msgid {
+            return;
+        }
+        let extends_next = i < self.0.len() && self.0[i].0 == msgid + 1;
+        match (extends_prev, extends_next) {
+            (true, true) => {
+                self.0[i - 1].1 = self.0[i].1;
+                self.0.remove(i);
+            }
+            (true, false) => self.0[i - 1].1 = msgid,
+            (false, true) => self.0[i].0 = msgid,
+            (false, false) => self.0.insert(i, (msgid, msgid)),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -145,8 +188,10 @@ pub(crate) struct Instance {
     /// BB payloads waiting for (or paired with) their accept; dropped
     /// when the slot leaves the history.
     bb_store: IdMap<(MemberId, u64), Payload>,
-    /// (sender, msgid) → seq, for duplicate suppression.
-    seen_msgids: IdMap<(MemberId, u64), SeqNo>,
+    /// Duplicate suppression: per member of the view, the msgids of its
+    /// messages applied here. Filled at apply, dropped when the member
+    /// leaves the view (whose check refuses its sends from then on).
+    seen_msgids: IdMap<MemberId, MsgidRuns>,
     next_msgid: u64,
     pending_sends: IdMap<u64, PendingSend>,
     /// Sequencer only: accepts assigned a slot but not yet multicast,
@@ -182,6 +227,10 @@ pub(crate) struct Instance {
     reset_coord: Option<ResetCoord>,
     pending_install: Option<PendingInstall>,
     next_reset_round: u64,
+    /// Sequencer: a `LeaveGroup` waiting for every member to hold every
+    /// slot assigned here, since none can fetch one from this member once
+    /// it is gone. Meanwhile the window admits nothing.
+    leaving: bool,
     pub stats: GroupStats,
     /// Telemetry handle; disabled by default, installed by the peer
     /// layer right after construction ([`Instance::set_telemetry`]).
@@ -261,6 +310,7 @@ impl Instance {
             reset_coord: None,
             pending_install: None,
             next_reset_round: 1,
+            leaving: false,
             stats: GroupStats::default(),
             tele: Telemetry::disabled(),
             trace_by_seq: BTreeMap::new(),
@@ -321,6 +371,7 @@ impl Instance {
             reset_coord: None,
             pending_install: None,
             next_reset_round: 1,
+            leaving: false,
             stats: GroupStats::default(),
             tele: Telemetry::disabled(),
             trace_by_seq: BTreeMap::new(),
@@ -403,7 +454,7 @@ impl Instance {
     /// (each keeps the last `history`). Join and Leave accepts bypass the
     /// window, so a view change can always make progress.
     fn window_open(&self) -> bool {
-        self.lacking(self.window_floor()).next().is_none()
+        !self.leaving && self.lacking(self.window_floor()).next().is_none()
     }
 
     /// Sequencer: the highest slot that more than `r` members of the view
@@ -472,6 +523,7 @@ impl Instance {
                 sent_at: now,
                 bb,
                 trace,
+                applied_at: None,
             },
         );
         let tags = if trace.is_some() {
@@ -546,16 +598,8 @@ impl Instance {
             return vec![Action::CompleteLeave, Action::Dissolve];
         }
         if self.is_sequencer() {
-            let mut actions = self.sequence_message(
-                now,
-                self.me,
-                self.my_tag,
-                0,
-                AcceptBody::Leave(self.me),
-                TraceCtx::NONE,
-            );
-            actions.extend(self.flush_pending_batch());
-            actions
+            self.leaving = true;
+            self.leave_once_held(now)
         } else {
             match self.sequencer_host() {
                 Some(h) => vec![Action::Unicast(
@@ -614,6 +658,27 @@ impl Instance {
     // ==================================================================
     // Sequencer-side helpers.
     // ==================================================================
+
+    /// Sequencer, leaving: sequences its own Leave once every member
+    /// holds every slot assigned here, and until then asks those that
+    /// lack one for their ack.
+    fn leave_once_held(&mut self, now: SimTime) -> Vec<Action> {
+        let hc = self.highest_contiguous;
+        if self.lacking(hc).next().is_some() {
+            return self.ask_for_acks(hc);
+        }
+        self.leaving = false;
+        let mut actions = self.sequence_message(
+            now,
+            self.me,
+            self.my_tag,
+            0,
+            AcceptBody::Leave(self.me),
+            TraceCtx::NONE,
+        );
+        actions.extend(self.flush_pending_batch());
+        actions
+    }
 
     /// Assigns the next slot to a message and queues its accept for the
     /// next multicast flush. Consecutive sequencing calls within one
@@ -857,7 +922,10 @@ impl Instance {
             self.gap_since = None;
             self.stats.applied += 1;
             if rec.msgid != 0 {
-                self.seen_msgids.insert((rec.from, rec.msgid), next);
+                self.seen_msgids
+                    .entry(rec.from)
+                    .or_default()
+                    .insert(rec.msgid);
             }
             let trace = self
                 .trace_by_seq
@@ -911,6 +979,7 @@ impl Instance {
                     self.view.remove(id);
                     self.last_heard.remove(&id);
                     self.holds.remove(&id);
+                    self.seen_msgids.remove(&id);
                     if id == self.me {
                         self.dissolved = true;
                         actions.push(Action::CompleteLeave);
@@ -937,13 +1006,16 @@ impl Instance {
                     }
                 }
             }
-            // r == 0 senders complete on observing their own accept.
-            if rec.from == self.me
-                && rec.msgid != 0
-                && self.effective_r() == 0
-                && self.pending_sends.remove(&rec.msgid).is_some()
-            {
-                actions.push(Action::CompleteSend(rec.msgid, Ok(next)));
+            // r == 0 senders complete on observing their own accept;
+            // others record its slot.
+            if rec.from == self.me && rec.msgid != 0 {
+                if self.effective_r() == 0 {
+                    if self.pending_sends.remove(&rec.msgid).is_some() {
+                        actions.push(Action::CompleteSend(rec.msgid, Ok(next)));
+                    }
+                } else if let Some(p) = self.pending_sends.get_mut(&rec.msgid) {
+                    p.applied_at = Some(next);
+                }
             }
             // Prune old history, and the BB data of what leaves it.
             let keep_from = self.highest_contiguous.saturating_sub(self.cfg.history);
@@ -1274,8 +1346,8 @@ impl Instance {
             return Vec::new();
         }
         // Duplicate suppression for sender retries.
-        if let Some(&seq) = self.seen_msgids.get(&(from, msgid)) {
-            return self.answer_retry(from, msgid, seq);
+        if self.seen(from, msgid) {
+            return self.answer_retry(from, msgid);
         }
         let tag = self.view.member(from).map(|m| m.tag).unwrap_or(0);
         if !self.view.contains(from) {
@@ -1299,17 +1371,17 @@ impl Instance {
         if incarnation != self.incarnation {
             return Vec::new();
         }
-        if let Some(&seq) = self.seen_msgids.get(&(from, msgid)) {
+        if self.seen(from, msgid) {
             // A retry of a message already applied: its data is stored
             // while its slot is in the history, and needed no more after.
             if self.is_sequencer() && !self.failed {
-                return self.answer_retry(from, msgid, seq);
+                return self.answer_retry(from, msgid);
             }
             return Vec::new();
         }
         self.bb_store.insert((from, msgid), data);
         let mut actions = self.advance(now); // a stalled BbRef may now apply
-        if !self.is_sequencer() || self.failed || self.seen_msgids.contains_key(&(from, msgid)) {
+        if !self.is_sequencer() || self.failed || self.seen(from, msgid) {
             return actions;
         }
         if let Some(m) = self.view.member(from) {
@@ -1325,20 +1397,53 @@ impl Instance {
         actions
     }
 
+    /// Whether this member has applied `from`'s message `msgid`.
+    fn seen(&self, from: MemberId, msgid: u64) -> bool {
+        self.seen_msgids
+            .get(&from)
+            .is_some_and(|runs| runs.contains(msgid))
+    }
+
     /// Sequencer: the answer to a retry of a message that `from` sent and
-    /// that holds slot `seq`. It completes the send only once the slot has
-    /// reached the resilience degree; until then `settle` owes the answer,
-    /// and the members that lack the slot are asked for the ack that may
-    /// have been lost.
-    fn answer_retry(&mut self, from: MemberId, msgid: u64, seq: SeqNo) -> Vec<Action> {
-        if seq > self.resilient_to() {
-            return self.ask_for_acks(seq);
+    /// that is applied here. It completes the send only once the message's
+    /// slot has reached the resilience degree; until then `settle` owes the
+    /// answer, and the members that lack the slot are asked for the ack
+    /// that may have been lost.
+    ///
+    /// The slot is the sender's own record for the sequencer's own
+    /// message, and is read from the history for another's. A slot that
+    /// has left the history lies below the window floor of every later
+    /// assignment, so every member, the sender included, holds it: the
+    /// `Done` then carries slot 0 and the sender completes from its own
+    /// record. The check against the history's first slot keeps even that
+    /// answer from running ahead of resilience.
+    fn answer_retry(&mut self, from: MemberId, msgid: u64) -> Vec<Action> {
+        let seq = if from == self.me {
+            match self.pending_sends.get(&msgid).and_then(|p| p.applied_at) {
+                Some(seq) => Some(seq),
+                None => return Vec::new(),
+            }
+        } else {
+            self.buffer
+                .range(..=self.highest_contiguous)
+                .rev()
+                .find(|(_, rec)| rec.from == from && rec.msgid == msgid)
+                .map(|(&seq, _)| seq)
+        };
+        let at_most = seq.unwrap_or_else(|| {
+            let hc = self.highest_contiguous;
+            self.buffer
+                .keys()
+                .next()
+                .map_or(hc, |&first| first - 1)
+                .min(hc)
+        });
+        if at_most > self.resilient_to() {
+            return self.ask_for_acks(at_most);
         }
         if from == self.me {
-            return match self.pending_sends.remove(&msgid) {
-                Some(_) => vec![Action::CompleteSend(msgid, Ok(seq))],
-                None => Vec::new(),
-            };
+            self.pending_sends.remove(&msgid);
+            return vec![Action::CompleteSend(msgid, Ok(at_most))];
         }
         match self.view.member(from) {
             Some(m) => vec![Action::Unicast(
@@ -1346,7 +1451,7 @@ impl Instance {
                 GroupMsg::Done {
                     instance: self.id,
                     msgid,
-                    seq,
+                    seq: seq.unwrap_or(0),
                 },
             )],
             None => Vec::new(),
@@ -1478,7 +1583,7 @@ impl Instance {
 
     fn on_ack(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         incarnation: Incarnation,
         seq: SeqNo,
         member: MemberId,
@@ -1495,15 +1600,30 @@ impl Instance {
         if !self.is_sequencer() {
             return Vec::new();
         }
-        self.settle()
+        let mut actions = self.settle();
+        if self.leaving {
+            actions.extend(self.leave_once_held(now));
+        }
+        actions
     }
 
+    /// A `Done` with slot 0 names a slot that has left the sequencer's
+    /// history: the send completes at the slot recorded when this member
+    /// applied it, and waits for the next answer if it has not yet.
     fn on_done(&mut self, msgid: u64, seq: SeqNo) -> Vec<Action> {
-        if self.pending_sends.remove(&msgid).is_some() {
-            vec![Action::CompleteSend(msgid, Ok(seq))]
+        let Some(p) = self.pending_sends.get(&msgid) else {
+            return Vec::new();
+        };
+        let seq = if seq == 0 {
+            match p.applied_at {
+                Some(seq) => seq,
+                None => return Vec::new(),
+            }
         } else {
-            Vec::new()
-        }
+            seq
+        };
+        self.pending_sends.remove(&msgid);
+        vec![Action::CompleteSend(msgid, Ok(seq))]
     }
 
     fn on_retrans(&mut self, from_seq: SeqNo, to_seq: SeqNo, requester: HostAddr) -> Vec<Action> {
@@ -1834,6 +1954,8 @@ impl Instance {
         self.highest_seen = hc;
         self.incarnation = p.new_incarnation;
         self.view = p.view;
+        let view = &self.view;
+        self.seen_msgids.retain(|id, _| view.contains(*id));
         self.next_member_id = self
             .view
             .members
@@ -1868,17 +1990,18 @@ impl Instance {
             Action::CompleteReset(Ok(())),
         ];
         // Re-drive unfinished sends through the new sequencer (duplicate
-        // suppression via seen_msgids keeps this exactly-once). Sorted by
-        // msgid: hash-map iteration order is no contract, and the
+        // suppression via seen_msgids keeps this exactly-once); one this
+        // member has applied is in the agreed prefix and completes. Sorted
+        // by msgid: hash-map iteration order is no contract, and the
         // re-drive order decides seqno assignment.
-        let mut pending: Vec<(u64, Payload, bool)> = self
+        let mut pending: Vec<(u64, Payload, bool, Option<SeqNo>)> = self
             .pending_sends
             .iter()
-            .map(|(id, p)| (*id, p.data.clone(), p.bb))
+            .map(|(id, p)| (*id, p.data.clone(), p.bb, p.applied_at))
             .collect();
-        pending.sort_unstable_by_key(|(id, _, _)| *id);
-        for (msgid, data, bb) in pending {
-            if let Some(&seq) = self.seen_msgids.get(&(self.me, msgid)) {
+        pending.sort_unstable_by_key(|(id, ..)| *id);
+        for (msgid, data, bb, applied_at) in pending {
+            if let Some(seq) = applied_at {
                 self.pending_sends.remove(&msgid);
                 actions.push(Action::CompleteSend(msgid, Ok(seq)));
                 continue;
@@ -1892,9 +2015,11 @@ impl Instance {
     fn resend_pending(&mut self, now: SimTime, msgid: u64, data: Payload, bb: bool) -> Vec<Action> {
         self.stats.send_retries += 1;
         let mut trace = TraceCtx::NONE;
+        let mut applied = false;
         if let Some(p) = self.pending_sends.get_mut(&msgid) {
             p.sent_at = now;
             trace = p.trace;
+            applied = p.applied_at.is_some();
         }
         let tags = if trace.is_some() {
             vec![(msgid, trace)]
@@ -1913,9 +2038,9 @@ impl Instance {
                 }),
             )]
         } else if self.is_sequencer() {
-            if let Some(&seq) = self.seen_msgids.get(&(self.me, msgid)) {
+            if applied {
                 // Sequenced, here or by a sequencer that has since left.
-                return self.answer_retry(self.me, msgid, seq);
+                return self.answer_retry(self.me, msgid);
             }
             if !self.window_open() {
                 return self.ask_for_acks(self.window_floor());
@@ -1986,6 +2111,9 @@ impl Instance {
                     next_seq: self.next_seq,
                     sequencer: self.me,
                 }));
+                if self.leaving {
+                    actions.extend(self.leave_once_held(now));
+                }
             }
             // Member liveness.
             let dead: Vec<MemberId> = self
@@ -2869,8 +2997,10 @@ mod tests {
             0,
             T0,
         );
-        // Both see the failure.
+        // Both apply a message of member 0's, then see the failure.
         for m in [&mut m1, &mut m2] {
+            let _ = feed(m, accept(1, 0, 10, vec![1]));
+            assert!(m.seen(MemberId(0), 10));
             let _ = m.handle(
                 T0,
                 H1,
@@ -2930,6 +3060,10 @@ mod tests {
         assert_eq!(m2.incarnation, 1);
         assert_eq!(m2.view.len(), 2);
         assert!(!m2.is_sequencer());
+        // The expelled member's runs went with it.
+        for m in [&m1, &m2] {
+            assert!(!m.seen_msgids.contains_key(&MemberId(0)));
+        }
     }
 
     #[test]
@@ -3036,7 +3170,22 @@ mod tests {
     #[test]
     fn leave_of_sequencer_hands_over_and_dissolves() {
         let mut inst = seq_with_three(0);
-        let actions = inst.app_leave(T0);
+        // Member 1 is not known to hold member 2's join, slot 2, and none
+        // could serve it that slot once the sequencer is gone: it is asked
+        // for its ack first, and the window admits nothing meanwhile.
+        let ask = inst.app_leave(T0);
+        assert!(!inst.dissolved);
+        assert!(
+            matches!(
+                ask.as_slice(),
+                [Action::Unicast(h, GroupMsg::AcceptBatch { items, .. })]
+                    if *h == H1 && items.is_empty()
+            ),
+            "{ask:?}"
+        );
+        let _ = inst.on_send_req(T0, 0, MemberId(2), 7, vec![7].into());
+        assert_eq!(inst.next_seq, 3, "nothing sequenced while leaving");
+        let actions = inst.on_ack(T0, 0, 2, MemberId(1));
         assert!(inst.dissolved);
         assert!(actions.iter().any(|a| matches!(
             a,
@@ -3135,6 +3284,10 @@ mod tests {
         members: Vec<Instance>,
         /// Acks from these hosts are lost.
         mute: Vec<HostAddr>,
+        /// Done notifications unicast to these hosts are lost.
+        deaf: Vec<HostAddr>,
+        /// Every action that is not a packet, with the host it arose at.
+        local: Vec<(HostAddr, Action)>,
     }
 
     impl Trio {
@@ -3150,6 +3303,8 @@ mod tests {
                     T0,
                 )],
                 mute: Vec::new(),
+                deaf: Vec::new(),
+                local: Vec::new(),
             };
             for host in [H1, H2] {
                 let tag = 100 + u64::from(host.0);
@@ -3196,9 +3351,18 @@ mod tests {
                     }
                     Action::Unicast(h, msg) => (vec![h], msg),
                     Action::Multicast(msg) => (vec![H0, H1, H2], msg),
-                    _ => continue,
+                    local => {
+                        self.local.push((from, local));
+                        continue;
+                    }
                 };
                 if matches!(msg, GroupMsg::Ack { .. }) && self.mute.contains(&from) {
+                    continue;
+                }
+                if matches!(msg, GroupMsg::Done { .. } | GroupMsg::DoneBatch { .. })
+                    && to.len() == 1
+                    && self.deaf.contains(&to[0])
+                {
                     continue;
                 }
                 for h in to {
@@ -3328,6 +3492,156 @@ mod tests {
         for m in &mut trio.members[1..] {
             let _ = m.tick(t + Duration::from_millis(100));
             assert!(!m.failed, "{m:?}");
+        }
+    }
+
+    /// The completions of member `i`'s send `msgid` that `trio` saw.
+    fn completions(trio: &Trio, i: u32, msgid: u64) -> Vec<SeqNo> {
+        trio.local
+            .iter()
+            .filter_map(|(h, a)| match a {
+                Action::CompleteSend(m, Ok(seq)) if *h == HostAddr(i) && *m == msgid => Some(*seq),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The slots of the messages member `i` delivered.
+    fn delivered(trio: &Trio, i: u32) -> Vec<SeqNo> {
+        trio.local
+            .iter()
+            .filter_map(|(h, a)| match a {
+                Action::Deliver(GroupEvent::Message { seq, .. }) if *h == HostAddr(i) => Some(*seq),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A sender whose `Done` was lost learns the outcome from its retry
+    /// even after the slot has left every history: the sequencer no
+    /// longer knows the slot, and the sender completes at the one it
+    /// recorded when it applied its own message.
+    #[test]
+    fn a_lost_done_below_the_history_completes_once_at_the_senders_slot() {
+        let mut trio = Trio::new(2, 8);
+        trio.deaf.push(H1);
+        let (msgid, actions) = trio.members[1].app_send(T0, vec![1].into());
+        trio.route(H1, actions);
+        trio.deaf.clear();
+        let slot = 3; // after the two joins
+        assert_eq!(trio.members[1].pending_sends[&msgid].applied_at, Some(slot));
+        assert!(completions(&trio, 1, msgid).is_empty(), "the Done was lost");
+        for k in 0..12u8 {
+            assert!(trio.send(2, vec![k]));
+        }
+        for m in &trio.members {
+            assert!(!m.buffer.contains_key(&slot), "slot {slot} left {m:?}");
+        }
+        let next_seq = trio.members[0].next_seq;
+        let now = T0 + trio.members[1].cfg.ack_timeout;
+        let retry = trio.members[1].tick(now);
+        assert!(
+            retry
+                .iter()
+                .any(|a| matches!(a, Action::Unicast(_, GroupMsg::SendReq { .. }))),
+            "{retry:?}"
+        );
+        trio.route_at(now, H1, retry);
+        assert_eq!(completions(&trio, 1, msgid), vec![slot]);
+        assert!(trio.members[1].pending_sends.is_empty());
+        assert_eq!(trio.members[0].next_seq, next_seq, "not re-sequenced");
+        for i in 0..3 {
+            assert_eq!(
+                delivered(&trio, i).iter().filter(|&&s| s == slot).count(),
+                1,
+                "member {i}"
+            );
+        }
+    }
+
+    /// A duplicate of a send request whose slot has left the history is
+    /// still a duplicate: the runs know the message without its slot.
+    #[test]
+    fn a_duplicate_send_req_below_the_history_is_suppressed() {
+        let mut trio = Trio::new(0, 8);
+        let (msgid, actions) = trio.members[1].app_send(T0, vec![1].into());
+        let Some(req) = actions.iter().find_map(|a| match a {
+            Action::Unicast(_, m @ GroupMsg::SendReq { .. }) => Some(m.clone()),
+            _ => None,
+        }) else {
+            panic!("no SendReq in {actions:?}");
+        };
+        trio.route(H1, actions);
+        assert_eq!(completions(&trio, 1, msgid), vec![3]);
+        for k in 0..12u8 {
+            assert!(trio.send(2, vec![k]));
+        }
+        assert!(!trio.members[0].buffer.contains_key(&3));
+        let next_seq = trio.members[0].next_seq;
+        let answer = trio.members[0].handle(T0, H1, req);
+        assert!(
+            matches!(
+                answer.as_slice(),
+                [Action::Unicast(h, GroupMsg::Done { seq: 0, .. })] if *h == H1
+            ),
+            "{answer:?}"
+        );
+        trio.route(H0, answer);
+        assert_eq!(trio.members[0].next_seq, next_seq, "not re-sequenced");
+        assert_eq!(completions(&trio, 1, msgid), vec![3], "completed once");
+        assert_eq!(delivered(&trio, 2).len(), 13);
+    }
+
+    /// msgids sequenced out of their sender's order are each sequenced
+    /// once, and the sender's runs close up into one.
+    #[test]
+    fn out_of_order_msgids_are_sequenced_once_and_their_runs_collapse() {
+        let mut inst = seq_with_three(0);
+        let req = |inst: &mut Instance, msgid: u64| {
+            inst.on_send_req(T0, 0, MemberId(1), msgid, vec![msgid as u8].into())
+        };
+        let _ = req(&mut inst, 2);
+        assert_eq!(inst.seen_msgids[&MemberId(1)].0, vec![(2, 2)]);
+        assert!(!inst.seen(MemberId(1), 1));
+        let _ = req(&mut inst, 1);
+        assert_eq!(inst.highest_contiguous, 4);
+        for msgid in [1, 2] {
+            let _ = req(&mut inst, msgid);
+        }
+        assert_eq!(inst.highest_contiguous, 4, "duplicates not re-sequenced");
+        assert_eq!(inst.seen_msgids[&MemberId(1)].0, vec![(1, 2)]);
+    }
+
+    #[test]
+    fn msgid_runs_merge_and_keep_holes() {
+        let mut runs = MsgidRuns::default();
+        for msgid in [5, 1, 2, 7, 4, 2] {
+            runs.insert(msgid);
+        }
+        assert_eq!(runs.0, vec![(1, 2), (4, 5), (7, 7)]);
+        assert!(runs.contains(4) && !runs.contains(3) && !runs.contains(8));
+        runs.insert(6);
+        runs.insert(3);
+        assert_eq!(runs.0, vec![(1, 7)]);
+    }
+
+    /// A member that leaves takes its runs with it: the view check
+    /// refuses its sends from then on.
+    #[test]
+    fn a_senders_runs_go_when_it_leaves_the_view() {
+        let mut trio = Trio::new(0, 8);
+        for k in 0..3u8 {
+            assert!(trio.send(2, vec![k]));
+        }
+        for m in &trio.members {
+            assert_eq!(m.seen_msgids[&MemberId(2)].0, vec![(1, 3)], "{m:?}");
+        }
+        let leave = trio.members[2].app_leave(T0);
+        trio.route(H2, leave);
+        assert!(trio.members[2].dissolved);
+        for m in &trio.members[..2] {
+            assert!(!m.view.contains(MemberId(2)));
+            assert!(!m.seen_msgids.contains_key(&MemberId(2)), "{m:?}");
         }
     }
 

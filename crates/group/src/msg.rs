@@ -141,7 +141,9 @@ pub enum GroupMsg {
         seq: SeqNo,
         member: MemberId,
     },
-    /// Unicast to the original sender: the message is r-resilient.
+    /// Unicast to the original sender: the message is r-resilient. `seq`
+    /// is 0 when the slot has left the sequencer's history; the sender
+    /// then completes at the slot it recorded when it applied the message.
     Done {
         instance: u64,
         msgid: u64,

@@ -20,23 +20,24 @@
 //!
 //! And a message between two processes costs no heap of its own.
 //!
-//! And a group's history is bounded: past its window, a message sent
-//! through a group leaves behind only its duplicate-suppression entry.
+//! And a group keeps only what is live: past its window, a message sent
+//! through a group leaves nothing behind, and a directory server's object
+//! table holds its live entries, not every slot its partition could hold.
 //!
 //! The tests in this file count every byte the process allocates, so
 //! they take turns ([`ALONE`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use amoeba_dirsvc::bullet::BulletClient;
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirOp, DirParams, DirReply, DirRequest, Directory, DirectoryStateMachine, Rights,
-    ServiceConfig,
+    Capability, DirOp, DirParams, DirReply, DirRequest, Directory, DirectoryStateMachine,
+    ObjectTable, Rights, ServiceConfig,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
@@ -49,31 +50,40 @@ use amoeba_dirsvc::sim::{mapped_stacks, NodeId, Resource, Simulation};
 /// The system allocator, counting live bytes and bytes ever requested.
 struct Counting;
 
-static LIVE: AtomicIsize = AtomicIsize::new(0);
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 
-/// Held by each test for its whole body: the counters are process-wide.
+/// Held by each test for its whole body: the requested count is
+/// process-wide.
 static ALONE: Mutex<()> = Mutex::new(());
 
 thread_local! {
     /// Bytes ever requested by this thread: exact, where the process-wide
     /// count also sees the test harness's threads.
     static MINE: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated by this thread less those it freed. A simulation
+    /// runs on the thread that calls it, and frees there what it
+    /// allocated, so this is its live heap, whatever other threads do.
+    static MINE_LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
-// SAFETY: every call is passed to `System` unchanged; the counter is the
-// only addition and does not touch the memory.
+/// This thread's live heap ([`MINE_LIVE`]).
+fn live() -> isize {
+    MINE_LIVE.with(Cell::get)
+}
+
+// SAFETY: every call is passed to `System` unchanged; the counters are the
+// only addition and do not touch the memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
         let _ = MINE.try_with(|mine| mine.set(mine.get() + layout.size()));
+        let _ = MINE_LIVE.try_with(|live| live.set(live.get() + layout.size() as isize));
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        let _ = MINE_LIVE.try_with(|live| live.set(live.get() - layout.size() as isize));
         // SAFETY: the caller's obligations are `System.dealloc`'s.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -101,11 +111,11 @@ fn a_dropped_deployment_leaves_no_heap_behind() {
     // Once for whatever is allocated once per process (thread-locals,
     // the panic hook, the test harness's own buffers).
     deployment_with_a_crash_and_a_reboot();
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live();
     for _ in 0..5 {
         deployment_with_a_crash_and_a_reboot();
     }
-    assert_eq!(LIVE.load(Ordering::Relaxed), before);
+    assert_eq!(live(), before);
     assert_eq!(mapped_stacks(), stacks, "process stacks still mapped");
 }
 
@@ -485,7 +495,7 @@ fn live_bytes_per_group_message(warm_up: u64) -> f64 {
                 }
                 // Let the last acks and deliveries land.
                 ctx.sleep(Duration::from_millis(100));
-                live.push(LIVE.load(Ordering::Relaxed));
+                live.push(self::live());
             }
             Some((live[1] - live[0]) as f64 / (10 * warm_up) as f64)
         }));
@@ -495,15 +505,49 @@ fn live_bytes_per_group_message(warm_up: u64) -> f64 {
 }
 
 #[test]
-fn a_group_message_leaves_only_its_duplicate_entry_behind() {
+fn nothing_per_group_message_outlives_the_window() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     // Twice the default history of 1,024 slots.
     let per_message = live_bytes_per_group_message(2_048);
-    // Each member keeps one `seen_msgids` entry per message: with the
-    // table's slack, about 105 B over the three. A history that kept every
-    // message (65,536 slots, more than this test sends) read 695 B.
+    // Duplicate suppression keeps one run of msgids per sender, so about
+    // 0 B. One entry per message per member read about 105 B over the
+    // three; a history that kept every message (65,536 slots, more than
+    // this test sends) read 695 B.
     assert!(
-        per_message < 150.0,
-        "{per_message:.0} bytes of live heap per message, over 3 members"
+        per_message < 8.0,
+        "{per_message:.1} bytes of live heap per message, over 3 members"
+    );
+}
+
+/// The live heap of an empty object table over a partition of `blocks`
+/// blocks.
+fn live_bytes_of_an_object_table(blocks: u64) -> isize {
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("m");
+    let disk = DiskServer::start(&sim, node, VDisk::new(blocks, 4096), DiskParams::instant());
+    let out = sim.spawn_on(node, "table", move |_ctx| {
+        let part = RawPartition::new(disk, 0, blocks);
+        let before = live();
+        let table = ObjectTable::new(part);
+        let bytes = live() - before;
+        assert_eq!(table.capacity(), (blocks - 1) * (4096 / 40));
+        bytes
+    });
+    sim.run();
+    out.take().expect("the table was made")
+}
+
+/// RAM holds the live entries only: how many slots the partition has
+/// room for costs no heap.
+#[test]
+fn an_object_table_costs_the_same_heap_over_any_partition() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, big) = (
+        live_bytes_of_an_object_table(16),
+        live_bytes_of_an_object_table(1_024),
+    );
+    assert_eq!(
+        small, big,
+        "{small} bytes live over 16 blocks, {big} over 1,024"
     );
 }
