@@ -17,17 +17,17 @@
 //!   wire like any other transmission. Idle per-hop cost is therefore
 //!   [`NetParams::latency`] + [`NetParams::hop_overhead`]; under load
 //!   each traversed resource adds real queueing ("router contention").
-//! * **Loop suppression**: a frame carries `(src, packet_id)` and a TTL.
-//!   A router never forwards a packet id again unless the new copy has
-//!   strictly more remaining TTL than any copy it already processed
-//!   (a shorter path's copy must not be shadowed by a longer path's —
-//!   see [`SeenCache`]), never forwards a frame back to the node it
-//!   came from, and decrements the TTL per traversal, refusing to
-//!   forward at TTL ≤ 1 (counted in [`NetStats::dropped_ttl`]).
+//! * **Loop suppression**: a frame carries a network-wide packet id and
+//!   a TTL. A router never forwards a packet id again unless the new
+//!   copy has strictly more remaining TTL than any copy it already
+//!   processed (a shorter path's copy must not be shadowed by a longer
+//!   path's — see [`SeenCache`]), never forwards a frame back to the
+//!   node it came from, and decrements the TTL per traversal, refusing
+//!   to forward at TTL ≤ 1 (counted in [`NetStats::dropped_ttl`]).
 //!   Receivers additionally accept each packet id once, so redundant
 //!   paths (topology cycles) cannot cause duplicate delivery — only
 //!   the fault model's explicit `duplicate_probability` can, exactly
-//!   as on a flat network.
+//!   as on a flat network, within a window of [`SEEN_WINDOW`] ids.
 //! * **Routing tables** are learned backward from traffic: every node
 //!   (host or router) that sees a frame which crossed at least one
 //!   router learns "its origin is reachable via the relay that put it on
@@ -71,21 +71,6 @@ use crate::topology::{SegmentId, Topology};
 
 pub(crate) type EndpointTable = Rc<RefCell<IdMap<Port, MailboxTx<Packet>>>>;
 
-/// Bound on remembered packet ids per node (FIFO eviction).
-const SEEN_CAP: usize = 8192;
-
-/// A bounded memory of packet ids already processed by one node, with
-/// the best (highest) remaining TTL seen for each.
-///
-/// Duplicate suppression must not be path-order-dependent: copies of
-/// one flooded packet reach a router over different paths with
-/// different remaining TTLs, and whichever copy happens to be
-/// processed first must not shadow a later copy that still has budget
-/// to reach segments the first could not. So a copy only counts as a
-/// duplicate if a copy with at least as much remaining TTL was already
-/// processed; re-floods this causes are bounded (the recorded TTL is
-/// strictly increasing, capped by the origin's TTL) and receivers
-/// still deliver exactly once.
 /// FNV-1a over `(host, side)` pairs: pins a variable-length partition
 /// description into one fault-trace operand.
 fn hash_hosts(pairs: impl Iterator<Item = (u32, u32)>) -> u64 {
@@ -104,34 +89,50 @@ fn hash_hosts(pairs: impl Iterator<Item = (u32, u32)>) -> u64 {
     h
 }
 
+/// Packet ids one node remembers: the slots of its [`SeenCache`].
+const SEEN_WINDOW: usize = 4096;
+
+/// The packet ids one node has processed, with the best (highest)
+/// remaining TTL seen for each: slot `id % SEEN_WINDOW` of a ring holds
+/// `id << 8 | best_ttl` for the newest id seen there (0: empty). Ids
+/// are network-wide and a forwarded copy keeps its id. The medium works
+/// out a whole flood inside the call that sends it, so every copy of a
+/// packet is observed before the next id exists: the window is margin.
+/// A copy older than its slot's holder is processed as new; the layers
+/// above tolerate the redundant delivery or TTL-bounded re-flood (the
+/// fault model injects duplicates). The ring is allocated at the first
+/// `observe`, which a single-segment network never calls.
+///
+/// Duplicate suppression must not be path-order-dependent: copies of
+/// one flooded packet reach a router over different paths with
+/// different remaining TTLs, and whichever copy happens to be
+/// processed first must not shadow a later copy that still has budget
+/// to reach segments the first could not. So a copy only counts as a
+/// duplicate if a copy with at least as much remaining TTL was already
+/// processed; re-floods this causes are bounded (the recorded TTL is
+/// strictly increasing, capped by the origin's TTL) and receivers
+/// still deliver exactly once.
 #[derive(Default)]
 struct SeenCache {
-    best: IdMap<(HostAddr, u64), u8>,
-    fifo: VecDeque<(HostAddr, u64)>,
+    ring: Vec<u64>,
 }
 
 impl SeenCache {
-    /// Records the id at `ttl`; returns true iff this copy should be
-    /// processed (first sighting, or more remaining TTL than any
-    /// before).
-    fn observe(&mut self, key: (HostAddr, u64), ttl: u8) -> bool {
-        match self.best.get_mut(&key) {
-            Some(best) if *best >= ttl => false,
-            Some(best) => {
-                *best = ttl;
-                true
-            }
-            None => {
-                if self.fifo.len() >= SEEN_CAP {
-                    if let Some(old) = self.fifo.pop_front() {
-                        self.best.remove(&old);
-                    }
-                }
-                self.best.insert(key, ttl);
-                self.fifo.push_back(key);
-                true
-            }
+    /// Records packet `id` at `ttl`; true iff this copy is to be processed
+    /// (first sighting, more TTL than any copy before, or past the window).
+    fn observe(&mut self, id: u64, ttl: u8) -> bool {
+        if self.ring.is_empty() {
+            self.ring = vec![0; SEEN_WINDOW];
         }
+        let slot = &mut self.ring[(id % SEEN_WINDOW as u64) as usize];
+        let held = *slot >> 8;
+        if held == id && *slot as u8 >= ttl {
+            return false;
+        }
+        if held <= id {
+            *slot = id << 8 | u64::from(ttl);
+        }
+        true
     }
 }
 
@@ -161,11 +162,6 @@ struct SegmentState {
     wire_free: SimTime,
 }
 
-struct RouterState {
-    attached: Vec<SegmentId>,
-    seen: SeenCache,
-}
-
 /// What the medium keeps per node, host or router: one slot of
 /// [`NetInner::nodes`].
 #[derive(Default)]
@@ -181,8 +177,9 @@ struct NodeSlot {
     tx_free: SimTime,
     /// When its receiving side is free again.
     rx_free: SimTime,
-    /// Receive-side duplicate suppression (multi-segment only).
-    seen_rx: SeenCache,
+    /// Duplicate suppression (multi-segment only): a host's receive
+    /// side, a router's forwarding.
+    seen: SeenCache,
     /// Its routing table: destination → route.
     routes: IdMap<HostAddr, RouteEntry>,
 }
@@ -200,7 +197,8 @@ struct NetInner {
     next_packet_id: u64,
     topology: Topology,
     segments: Vec<SegmentState>,
-    routers: BTreeMap<HostAddr, RouterState>,
+    /// Every router's attached segments.
+    routers: BTreeMap<HostAddr, Vec<SegmentId>>,
     /// Per-router group routing state: router → (group → attached
     /// segments through which at least one member is reachable).
     /// Flushed (marked dirty) on every membership or router-availability
@@ -326,13 +324,7 @@ impl Network {
         };
         for r in topology.routers() {
             let addr = inner.add_node(NodeSlot::default());
-            inner.routers.insert(
-                addr,
-                RouterState {
-                    attached: r.attached.clone(),
-                    seen: SeenCache::default(),
-                },
-            );
+            inner.routers.insert(addr, r.attached.clone());
         }
         Network {
             inner: Rc::new(RefCell::new(inner)),
@@ -384,7 +376,7 @@ impl Network {
             inner
                 .routers
                 .get(&host)
-                .and_then(|r| r.attached.first().copied())
+                .and_then(|attached| attached.first().copied())
         })
     }
 
@@ -397,7 +389,7 @@ impl Network {
     /// The router nodes' addresses, in creation order (use with
     /// [`set_down`](Network::set_down) to fail a router).
     pub fn router_addrs(&self) -> Vec<HostAddr> {
-        self.inner.borrow_mut().routers.keys().copied().collect()
+        self.inner.borrow().routers.keys().copied().collect()
     }
 
     /// Marks a host or router down. A host's endpoints and group
@@ -425,9 +417,6 @@ impl Network {
                 ..NodeSlot::default()
             };
         }
-        if let Some(r) = inner.routers.get_mut(&host) {
-            r.seen = SeenCache::default();
-        }
         // Memberships changed (and a down router changes reachability):
         // flush the group routing state.
         inner.group_routes_dirty = true;
@@ -446,7 +435,7 @@ impl Network {
 
     /// Whether a host is currently up.
     pub fn is_up(&self, host: HostAddr) -> bool {
-        !self.inner.borrow_mut().down.contains(&host)
+        !self.inner.borrow().down.contains(&host)
     }
 
     /// Splits the network: hosts in `isolated` form one side, everyone else
@@ -521,7 +510,7 @@ impl Network {
 
     pub(crate) fn endpoints_of(&self, host: HostAddr) -> Option<EndpointTable> {
         self.inner
-            .borrow_mut()
+            .borrow()
             .nodes
             .get(host.0 as usize)?
             .stack
@@ -616,11 +605,11 @@ impl NetInner {
         reach[start.0 as usize] = true;
         let mut queue = VecDeque::from([start]);
         while let Some(s) = queue.pop_front() {
-            for (addr, r) in &self.routers {
-                if *addr == excluding || self.down.contains(addr) || !r.attached.contains(&s) {
+            for (addr, attached) in &self.routers {
+                if *addr == excluding || self.down.contains(addr) || !attached.contains(&s) {
                     continue;
                 }
-                for t in &r.attached {
+                for t in attached {
                     if !reach[t.0 as usize] {
                         reach[t.0 as usize] = true;
                         queue.push_back(*t);
@@ -657,7 +646,7 @@ impl NetInner {
             .routers
             .iter()
             .filter(|(a, _)| !self.down.contains(a))
-            .map(|(a, r)| (*a, r.attached.clone()))
+            .map(|(a, attached)| (*a, attached.clone()))
             .collect();
         for (addr, attached) in routers {
             let mut table: IdMap<GroupAddr, BTreeSet<SegmentId>> = IdMap::default();
@@ -823,7 +812,7 @@ impl NetInner {
                 continue;
             }
             let tx = match &self.nodes[t.0 as usize].stack {
-                Some(table) => table.borrow_mut().get(&pkt.port).cloned(),
+                Some(table) => table.borrow().get(&pkt.port).cloned(),
                 None => continue,
             };
             let tx = match tx {
@@ -841,8 +830,8 @@ impl NetInner {
                 // injected duplicates below are extra deliveries of an
                 // accepted copy and pass through untouched.)
                 if !self.nodes[t.0 as usize]
-                    .seen_rx
-                    .observe((pkt.src, pkt.packet_id), u8::MAX)
+                    .seen
+                    .observe(pkt.packet_id, u8::MAX)
                 {
                     self.stats.dup_suppressed += 1;
                     continue;
@@ -882,7 +871,7 @@ impl NetInner {
         let routers_here: Vec<HostAddr> = self
             .routers
             .iter()
-            .filter(|(_, r)| r.attached.contains(&seg))
+            .filter(|(_, attached)| attached.contains(&seg))
             .map(|(a, _)| *a)
             .collect();
         for r_addr in routers_here {
@@ -919,19 +908,16 @@ impl NetInner {
                 self.stats.dropped_ttl += 1;
                 continue;
             }
-            let already = !self
-                .routers
-                .get_mut(&r_addr)
-                .expect("router exists")
+            let already = !self.nodes[r_addr.0 as usize]
                 .seen
-                .observe((pkt.src, pkt.packet_id), pkt.ttl);
+                .observe(pkt.packet_id, pkt.ttl);
             if already {
                 self.stats.dup_suppressed += 1;
                 continue;
             }
             // Pick the out segments: routed unicasts follow the table;
             // everything else (and unknown unicasts) floods.
-            let attached = self.routers[&r_addr].attached.clone();
+            let attached = self.routers[&r_addr].clone();
             let mut outs: Vec<(SegmentId, Option<HostAddr>)> = Vec::new();
             let mut routed = false;
             if let Some(d) = unicast_dst {
@@ -989,5 +975,65 @@ impl NetInner {
                 self.transmit_frame(oseg, fwd, fwd_ready);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{SeenCache, SEEN_WINDOW};
+
+    const WINDOW: u64 = SEEN_WINDOW as u64;
+
+    #[test]
+    fn a_first_sighting_is_processed_and_a_repeat_is_not() {
+        let mut seen = SeenCache::default();
+        assert!(seen.observe(1, u8::MAX));
+        assert!(!seen.observe(1, u8::MAX));
+        assert!(seen.observe(2, u8::MAX), "another id is new");
+    }
+
+    #[test]
+    fn a_copy_with_more_ttl_is_processed_once() {
+        let mut seen = SeenCache::default();
+        assert!(seen.observe(7, 2));
+        assert!(!seen.observe(7, 2), "equal TTL");
+        assert!(!seen.observe(7, 1), "less TTL");
+        assert!(seen.observe(7, 3), "more TTL");
+        assert!(!seen.observe(7, 3), "the raised TTL is the new best");
+        assert!(!seen.observe(7, 2));
+    }
+
+    #[test]
+    fn an_id_a_window_later_takes_the_slot() {
+        let mut seen = SeenCache::default();
+        assert!(seen.observe(5, 3));
+        assert!(seen.observe(5 + WINDOW, 3), "same slot, newer id");
+        assert!(!seen.observe(5 + WINDOW, 3));
+        // The evicted id reads as new, and cannot take its slot back.
+        assert!(seen.observe(5, 3));
+        assert!(seen.observe(5, 3));
+        assert!(!seen.observe(5 + WINDOW, 3), "the holder stays");
+    }
+
+    #[test]
+    fn an_older_id_never_overwrites_its_slots_holder() {
+        let mut seen = SeenCache::default();
+        assert!(seen.observe(3 + 2 * WINDOW, 2));
+        for old in [3 + WINDOW, 3] {
+            assert!(seen.observe(old, u8::MAX), "processed as new");
+        }
+        assert!(!seen.observe(3 + 2 * WINDOW, 2), "the holder stays");
+        assert!(seen.observe(3 + 2 * WINDOW, 3), "with its own best TTL");
+    }
+
+    #[test]
+    fn the_ring_does_not_grow() {
+        let mut seen = SeenCache::default();
+        assert!(seen.ring.is_empty(), "nothing until the first observe");
+        for id in 1..=100_000 {
+            assert!(seen.observe(id, 2));
+        }
+        assert_eq!(seen.ring.len(), SEEN_WINDOW);
+        assert_eq!(seen.ring.capacity(), SEEN_WINDOW);
     }
 }

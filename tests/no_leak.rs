@@ -24,6 +24,9 @@
 //! through a group leaves nothing behind, and a directory server's object
 //! table holds its live entries, not every slot its partition could hold.
 //!
+//! And a routed network's duplicate suppression is a fixed window: once
+//! it is full, more packets across a router cost no heap.
+//!
 //! The tests in this file count every byte the process allocates, so
 //! they take turns ([`ALONE`]).
 
@@ -41,7 +44,7 @@ use amoeba_dirsvc::dir::{
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
-use amoeba_dirsvc::flip::{NetParams, Network, Port};
+use amoeba_dirsvc::flip::{NetParams, Network, Port, Topology};
 use amoeba_dirsvc::group::{GroupConfig, GroupPeer};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
@@ -549,5 +552,55 @@ fn an_object_table_costs_the_same_heap_over_any_partition() {
     assert_eq!(
         small, big,
         "{small} bytes live over 16 blocks, {big} over 1,024"
+    );
+}
+
+/// Live heap that a 4-segment star (one hub router, the `shard_star`
+/// shape) with two hosts per segment gains between its 2,000th and its
+/// 20,000th packet, each from a host to one on the next segment.
+fn live_growth_of_a_routed_network() -> isize {
+    let mut sim = Simulation::new(9);
+    let mut t = Topology::new();
+    let segs: Vec<_> = (0..4)
+        .map(|s| t.add_segment(&format!("net-s{s}")))
+        .collect();
+    t.add_router("hub", &segs);
+    let net = Network::with_topology(sim.handle(), NetParams::default(), t, 9);
+    let port = Port::from_name("no-leak");
+    let stacks: Vec<_> = (0..8).map(|h| net.attach_to(segs[h / 2])).collect();
+    for (h, stack) in stacks.iter().enumerate() {
+        let rx = stack.bind(port);
+        sim.spawn(&format!("rx{h}"), move |ctx| loop {
+            rx.recv(ctx);
+        });
+    }
+    let out = sim.spawn("send", move |ctx| {
+        let mut sent = 0;
+        let mut live = Vec::new();
+        for until in [2_000, 20_000] {
+            while sent < until {
+                let (from, to) = (&stacks[sent % 8], &stacks[(sent + 2) % 8]);
+                from.send(to.addr(), port, vec![0; 16]);
+                sent += 1;
+                // The hub forwards one packet per ≈ 1.1 ms: keep below it.
+                ctx.sleep(Duration::from_millis(2));
+            }
+            // Let the last deliveries land.
+            ctx.sleep(Duration::from_millis(100));
+            live.push(self::live());
+        }
+        live[1] - live[0]
+    });
+    sim.run_for(Duration::from_secs(3_600));
+    out.take().expect("the packets were sent")
+}
+
+#[test]
+fn routed_duplicate_suppression_is_a_fixed_window() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let growth = live_growth_of_a_routed_network();
+    assert!(
+        growth < 4 * 1024,
+        "18,000 more packets across the hub left {growth} bytes more live heap"
     );
 }
