@@ -12,7 +12,6 @@ use std::time::Duration;
 use amoeba_bench::{testbed_traced, testbed_with, traced_update_burst};
 use amoeba_dir_core::cluster::Variant;
 use amoeba_dir_core::Rights;
-use amoeba_flip::Port;
 use amoeba_sim::SimTime;
 
 #[test]
@@ -77,21 +76,15 @@ fn client_write_yields_one_connected_span_tree() {
     assert_eq!(in_family, Some(1));
 }
 
-/// The auxiliary-ops scenario, traced or not: one op pair on each of
-/// the four harness services plus a directory migration. Returns the
-/// simulated instant the last op completed, and the spans recorded.
+/// The auxiliary-ops scenario, traced or not: a lease grant plus a
+/// directory migration. Returns the simulated instant the last op
+/// completed, and the spans recorded.
 fn aux_ops(traced: bool) -> (SimTime, Vec<amoeba_telemetry::SpanRec>) {
-    use amoeba_dir_core::cluster::ServiceSpec;
-    use amoeba_dir_core::{LeaseService, LockService, QueueService, RegistryService, ShardMap};
+    use amoeba_dir_core::ShardMap;
 
     let tweak = |p: &mut amoeba_dir_core::cluster::ClusterParams| {
         p.shards = 2;
-        p.services = vec![
-            ServiceSpec::of::<LockService>(),
-            ServiceSpec::of::<RegistryService>(),
-            ServiceSpec::of::<QueueService>(),
-            ServiceSpec::of::<LeaseService>(),
-        ];
+        p.lease_service = true;
     };
     let (mut tb, tele) = if traced {
         let (tb, tele) = testbed_traced(Variant::Group, 0x10CC, tweak);
@@ -99,17 +92,10 @@ fn aux_ops(traced: bool) -> (SimTime, Vec<amoeba_telemetry::SpanRec>) {
     } else {
         (testbed_with(Variant::Group, 0x10CC, tweak), None)
     };
-    let (qc, _) = tb.cluster.service_client::<QueueService>(&tb.sim);
-    let (lk, _) = tb.cluster.service_client::<LockService>(&tb.sim);
-    let (ls, _) = tb.cluster.service_client::<LeaseService>(&tb.sim);
-    let (reg, _) = tb.cluster.service_client::<RegistryService>(&tb.sim);
+    let (ls, _) = tb.cluster.lease_client(&tb.sim);
     let client = tb.client.clone();
     let done = tb.sim.spawn("aux-ops", move |ctx| {
-        let q = qc.enqueue(ctx, "jobs", b"payload".to_vec()).is_ok()
-            && matches!(qc.dequeue(ctx, "jobs"), Ok(Some(_)));
-        let l = lk.acquire(ctx, "leader", 7).is_ok() && lk.release(ctx, "leader", 7).is_ok();
         let g = matches!(ls.grant(ctx, "fence", 7, 8), Ok(Some(_)));
-        let r = reg.register(ctx, "svc/q", Port::from_name("svc-q")).is_ok();
         let map = ShardMap::new(2);
         let m = client
             .create_dir(ctx, &["owner", "other"])
@@ -119,20 +105,16 @@ fn aux_ops(traced: bool) -> (SimTime, Vec<amoeba_telemetry::SpanRec>) {
                 client.migrate(ctx, cap, 1 - here).ok()
             })
             .is_some();
-        ((q, l, g, r, m), ctx.now())
+        ((g, m), ctx.now())
     });
     tb.sim.run_for(Duration::from_secs(30));
     let (ok, finished) = done.take().expect("aux ops ran to completion");
-    assert_eq!(
-        ok,
-        (true, true, true, true, true),
-        "queue, lock, lease, registry and migration ops must all succeed"
-    );
+    assert_eq!(ok, (true, true), "lease and migration ops must succeed");
     (finished, tele.map(|t| t.spans()).unwrap_or_default())
 }
 
-/// Every auxiliary subsystem — the four harness services (queue, lock,
-/// lease, registry) and directory migration — must parent its
+/// Every auxiliary subsystem — the lease service and directory
+/// migration — must parent its
 /// server-side work into the client op's trace: one root, no orphans,
 /// spans on more than one machine, and the subsystem's own server span
 /// present in the tree. And tracing them must leave the simulated clock
@@ -146,15 +128,7 @@ fn aux_service_and_migration_ops_yield_connected_span_trees() {
         untraced_end, traced_end,
         "tracing the auxiliary services must not move the simulated clock"
     );
-    for (root_name, srv_name) in [
-        ("cli.q.enqueue", Some("queue.srv")),
-        ("cli.q.dequeue", Some("queue.srv")),
-        ("cli.lk.acquire", Some("lock.srv")),
-        ("cli.lk.release", Some("lock.srv")),
-        ("cli.ls.grant", Some("lease.srv")),
-        ("cli.reg.register", Some("registry.srv")),
-        ("cli.migrate", None),
-    ] {
+    for (root_name, srv_name) in [("cli.ls.grant", Some("lease.srv")), ("cli.migrate", None)] {
         let root_span = spans
             .iter()
             .find(|s| s.name == root_name && s.parent == 0)

@@ -9,7 +9,7 @@ use amoeba_disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
 use amoeba_flip::{HostAddr, NetParams, Network, NodeStack, SegmentId, Topology};
 use amoeba_group::{GroupConfig, GroupPeer};
 use amoeba_rpc::{RpcClient, RpcNode};
-use amoeba_rsm::service::{start_service, Service, ServiceClient, ServiceDeps, ServiceHandle};
+use amoeba_rsm::service::{start_service, ServiceDeps, ServiceHandle};
 use amoeba_sim::{Ctx, NodeId, Resource, Simulation, Spawn};
 
 use amoeba_flip::Port;
@@ -160,30 +160,6 @@ impl ClusterTopology {
     }
 }
 
-/// A running auxiliary-service replica, type-erased: a boxed
-/// [`ServiceHandle`] of whichever [`Service`] the spec named.
-type AnyHandle = Box<dyn std::any::Any>;
-
-/// One entry of [`ClusterParams::services`]: an auxiliary replicated
-/// service (any [`Service`] of the `amoeba-rsm` harness) to run on the
-/// group variants' shard-0 columns. Each forms its own group over the
-/// machines' shared kernels, next to the directory shard's own.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceSpec {
-    name: &'static str,
-    start: fn(&dyn Spawn, ServiceDeps) -> AnyHandle,
-}
-
-impl ServiceSpec {
-    /// The spec that runs service `S`.
-    pub fn of<S: Service>() -> ServiceSpec {
-        ServiceSpec {
-            name: S::NAME,
-            start: |spawner, deps| Box::new(start_service::<S>(spawner, deps)),
-        }
-    }
-}
-
 /// Tunables of the load-driven shard rebalancer (see
 /// [`ClusterParams::rebalancer`]): a background process that samples
 /// every shard's [`amoeba_rsm::ReplicaStats`] once per `interval` and,
@@ -237,15 +213,13 @@ pub struct ClusterParams {
     pub dir: DirParams,
     /// Group communication parameters (resilience defaults to n−1).
     pub group: GroupConfig,
-    /// Auxiliary replicated services to also run on the group
-    /// variants' shard-0 columns, started in list order — e.g. the
-    /// lock, registry, queue and lease services (further consumers of
-    /// the same `amoeba-rsm` driver, each forming its own group over
-    /// the shared kernels).
-    pub services: Vec<ServiceSpec>,
+    /// Also run the replicated [`LeaseService`] on the group variants'
+    /// shard-0 columns, as its own group over the machines' shared
+    /// kernels. A [`rebalancer`](Self::rebalancer) starts it either way.
+    pub lease_service: bool,
     /// Run a load-driven shard rebalancer (group variants with more
-    /// than one shard; requires the [`LeaseService`] among
-    /// [`services`](Self::services): its migration-coordinator fence).
+    /// than one shard). It starts the [`LeaseService`] too: its
+    /// migration-coordinator fence.
     pub rebalancer: Option<RebalancerParams>,
     /// How many replica groups the directory service is sharded into
     /// (group variants only; each shard gets its own column set,
@@ -281,7 +255,7 @@ impl ClusterParams {
             disk: DiskParams::wren_iv(),
             dir,
             group: GroupConfig::with_resilience(variant.servers().saturating_sub(1) as u32),
-            services: Vec::new(),
+            lease_service: false,
             rebalancer: None,
             shards: 1,
             dir_cache: None,
@@ -367,10 +341,10 @@ pub struct Column {
     /// The directory server handle of the current incarnation (group
     /// variants only).
     pub server: Option<GroupDirServer>,
-    /// The auxiliary-service replicas of the current incarnation, one
-    /// per [`ClusterParams::services`] entry (group variants, shard-0
-    /// columns only); see [`Cluster::service`].
-    services: Vec<AnyHandle>,
+    /// The lease-service replica of the current incarnation (group
+    /// variants, shard-0 columns, when the deployment runs the lease
+    /// service); see [`Cluster::lease`].
+    lease: Option<ServiceHandle<LeaseService>>,
 }
 
 impl std::fmt::Debug for Column {
@@ -467,7 +441,7 @@ impl Cluster {
                     bullet_store,
                     nvram,
                     server: None,
-                    services: Vec::new(),
+                    lease: None,
                 };
                 start_column(sim, &params, &mut column);
                 columns.push(column);
@@ -582,27 +556,23 @@ impl Cluster {
         self.group_server(self.column_index(shard, i))
     }
 
-    /// The replica of auxiliary service `S` in column `i`'s current
-    /// incarnation.
+    /// The lease-service replica in column `i`'s current incarnation.
     ///
     /// # Panics
     ///
-    /// Panics unless the cluster was started with `S` among
-    /// [`ClusterParams::services`] on a group variant.
-    pub fn service<S: Service>(&self, i: usize) -> &ServiceHandle<S> {
+    /// Panics unless the cluster runs the lease service (see
+    /// [`ClusterParams::lease_service`]) and `i` is a shard-0 column.
+    pub fn lease(&self, i: usize) -> &ServiceHandle<LeaseService> {
         self.columns[i]
-            .services
-            .iter()
-            .find_map(|h| h.downcast_ref())
-            .unwrap_or_else(|| panic!("column has no running {} server", S::NAME))
+            .lease
+            .as_ref()
+            .expect("column has no running lease server")
     }
 
-    /// Creates a fresh client machine with a client of auxiliary
-    /// service `S`.
-    pub fn service_client<S: Service>(&mut self, sim: &Simulation) -> (S::Client, NodeId) {
-        let (_, sim_node, rpc) = self.client_node(sim, &format!("{}-client", S::NAME));
-        let client = ServiceClient::<S>::new(RpcClient::new(&rpc));
-        (client.into(), sim_node)
+    /// Creates a fresh client machine with a lease-service client.
+    pub fn lease_client(&mut self, sim: &Simulation) -> (LeaseClient, NodeId) {
+        let (_, sim_node, rpc) = self.client_node(sim, "lease-client");
+        (LeaseClient::new(RpcClient::new(&rpc)), sim_node)
     }
 
     /// Adds the next client machine, `<kind>-<id>`, on the client
@@ -685,26 +655,21 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
                 cpu,
             };
             column.server = Some(start_group_server(spawner, deps));
-            // The auxiliary replicated services form their own groups
-            // over shard 0's machines (more groups per GroupPeer; with
-            // several shards they coexist with the shard's own group).
-            let specs: &[ServiceSpec] = if column.shard == 0 {
-                &params.services
-            } else {
-                &[]
-            };
-            let start_one = |spec: &ServiceSpec| {
+            // The lease service forms its own group over shard 0's
+            // machines (a second group per GroupPeer; with several
+            // shards it coexists with the shard's own group).
+            let lease = params.lease_service || params.rebalancer.is_some();
+            column.lease = (lease && column.shard == 0).then(|| {
                 let deps = ServiceDeps {
                     n,
                     me: column.index,
                     sim_node: column.sim_node,
                     rpc: rpc.clone(),
-                    peer: peer.clone(),
+                    peer,
                     threads: 2,
                 };
-                (spec.start)(spawner, deps)
-            };
-            column.services = specs.iter().map(start_one).collect();
+                start_service::<LeaseService>(spawner, deps)
+            });
         }
         Variant::Rpc => {
             let deps = RpcServerDeps {
@@ -750,10 +715,6 @@ fn start_rebalancer(sim: &Simulation, params: &ClusterParams, net: &Network, col
     assert!(
         matches!(params.variant, Variant::Group | Variant::GroupNvram) && shards > 1,
         "the rebalancer needs a sharded group deployment"
-    );
-    assert!(
-        params.services.iter().any(|s| s.name == LeaseService::NAME),
-        "the rebalancer needs the lease service (its migration-coordinator fence)"
     );
     let n = params.variant.servers();
     let servers: Vec<GroupDirServer> = (0..shards)

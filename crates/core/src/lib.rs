@@ -40,8 +40,8 @@
 //! copy + tombstone two-step, the old shard keeps a **forwarding stub**
 //! so old capabilities stay valid forever, and a load-driven
 //! [`Rebalancer`](cluster::RebalancerParams) — fenced by the replicated
-//! lease service ([`LeaseService`], the fifth `amoeba-rsm` consumer) —
-//! drains hot shards without a redeploy.
+//! lease service ([`LeaseService`], built on the `amoeba-rsm` service
+//! harness) — drains hot shards without a redeploy.
 //!
 //! ## The cached read path
 //!
@@ -139,10 +139,7 @@ pub mod path;
 mod rights;
 mod server_group;
 mod server_lease;
-mod server_lock;
 mod server_nfs;
-mod server_queue;
-mod server_registry;
 mod server_rpc;
 pub mod shard;
 mod state;
@@ -163,14 +160,6 @@ pub use server_group::{start_group_server, GroupDirServer, GroupServerDeps};
 pub use server_lease::{
     LeaseClient, LeaseError, LeaseReply, LeaseRequest, LeaseService, LeaseTable, LEASE_PORT,
 };
-pub use server_lock::{LockClient, LockError, LockReply, LockRequest, LockService, LockTable};
 pub use server_nfs::{start_nfs_server, NfsDirServer, NfsServerDeps};
-pub use server_queue::{
-    QueueClient, QueueError, QueueReply, QueueRequest, QueueService, QueueTable, QUEUE_PORT,
-};
-pub use server_registry::{
-    RegistryClient, RegistryError, RegistryReply, RegistryRequest, RegistryService, RegistryTable,
-    REGISTRY_PORT,
-};
 pub use server_rpc::{start_rpc_server, RpcDirServer, RpcServerDeps};
 pub use shard::ShardMap;

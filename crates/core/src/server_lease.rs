@@ -1,12 +1,12 @@
-//! A replicated lease service — the fifth consumer of the
-//! [`amoeba_rsm`] API: TTL-bounded exclusive grants over **logical
-//! time**, used by the cluster's rebalancer to ensure at most one
-//! migration coordinator per directory.
+//! A replicated lease service on the [`amoeba_rsm`] API: TTL-bounded
+//! exclusive grants over **logical time**, used by the cluster's
+//! rebalancer to ensure at most one migration coordinator per
+//! directory.
 //!
-//! Like the lock and queue services, the whole service is this file: a
-//! wire format, a deterministic [`Service::apply`] over a `HashMap`,
-//! and a typed client; the state machine, server loop and client
-//! plumbing are the [`amoeba_rsm::service`] harness. There is **zero
+//! The whole service is this file: a wire format, a deterministic
+//! [`Service::apply`] over a `HashMap`, and a typed client; the state
+//! machine, server loop and client plumbing are the
+//! [`amoeba_rsm::service`] harness. There is **zero
 //! group-protocol code** here. The state is fully volatile — a rebooted
 //! replica recovers purely from a peer's snapshot.
 //!
@@ -262,7 +262,6 @@ impl Service for LeaseService {
     type State = LeaseTable;
     type Request = LeaseRequest;
     type Reply = LeaseReply;
-    type Client = LeaseClient;
 
     fn apply(table: &mut LeaseTable, req: LeaseRequest) -> LeaseReply {
         // Every ordered operation ticks logical time — this is what
@@ -340,12 +339,6 @@ impl std::error::Error for LeaseError {}
 /// Client stub for the lease service.
 #[derive(Clone, Debug)]
 pub struct LeaseClient(ServiceClient<LeaseService>);
-
-impl From<ServiceClient<LeaseService>> for LeaseClient {
-    fn from(client: ServiceClient<LeaseService>) -> LeaseClient {
-        LeaseClient(client)
-    }
-}
 
 impl LeaseClient {
     /// Creates a stub talking to the service through `rpc`.

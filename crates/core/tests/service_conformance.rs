@@ -1,15 +1,12 @@
-//! One conformance suite for the `amoeba_rsm::service` harness, run
-//! over all four services built on it (lock, registry, queue, lease),
-//! plus golden wire bytes — captured from the last commit that still
-//! had the four hand-written servers — for every `Request`/`Reply`
-//! variant and for each service's snapshot, so the formats cannot drift.
+//! The conformance suite of the `amoeba_rsm::service` harness, run over
+//! the lease service built on it, plus golden wire bytes — captured
+//! from the last commit that still had the hand-written server — for
+//! every `Request`/`Reply` variant and for the snapshot, so the formats
+//! cannot drift.
 
-use amoeba_dir_core::{
-    LeaseReply, LeaseRequest, LeaseService, LockReply, LockRequest, LockService, QueueReply,
-    QueueRequest, QueueService, RegistryReply, RegistryRequest, RegistryService,
-};
+use amoeba_dir_core::{LeaseReply, LeaseRequest, LeaseService};
 use amoeba_flip::wire::Wire;
-use amoeba_flip::{Payload, Port};
+use amoeba_flip::Payload;
 use amoeba_rsm::service::{Service, ServiceMachine};
 use amoeba_rsm::StateMachine;
 use amoeba_sim::{Ctx, Simulation};
@@ -107,75 +104,14 @@ fn golden<T: Wire + PartialEq + std::fmt::Debug>(table: &[(T, &str)]) {
 }
 
 // ---------------------------------------------------------------------
-// The four services.
+// The lease service.
 // ---------------------------------------------------------------------
 
 #[test]
-fn all_four_services_conform() {
+fn the_lease_service_conforms() {
     let mut sim = Simulation::new(7);
     let out = sim.spawn("conformance", |ctx| {
         let name = |s: &str| s.to_owned();
-        conforms::<LockService>(
-            ctx,
-            vec![
-                LockRequest::Acquire {
-                    name: name("b"),
-                    owner: 2,
-                },
-                LockRequest::Acquire {
-                    name: name("a"),
-                    owner: 1,
-                },
-                LockRequest::Release {
-                    name: name("zz"),
-                    owner: 1,
-                },
-            ],
-            LockRequest::Query { name: name("a") },
-            "030000000000000002000000\
-             0100000061010000000000000001000000620200000000000000",
-            8,
-        );
-        conforms::<RegistryService>(
-            ctx,
-            vec![
-                RegistryRequest::Register {
-                    name: name("b"),
-                    port: Port::from_raw(2),
-                },
-                RegistryRequest::Register {
-                    name: name("a"),
-                    port: Port::from_raw(1),
-                },
-                RegistryRequest::Unregister { name: name("zz") },
-            ],
-            RegistryRequest::Lookup { name: name("a") },
-            "030000000000000002000000\
-             0100000061010000000000000001000000620200000000000000",
-            8,
-        );
-        conforms::<QueueService>(
-            ctx,
-            vec![
-                QueueRequest::Enqueue {
-                    queue: name("b"),
-                    item: vec![2],
-                },
-                QueueRequest::Enqueue {
-                    queue: name("a"),
-                    item: vec![1],
-                },
-                QueueRequest::Enqueue {
-                    queue: name("a"),
-                    item: vec![3, 4],
-                },
-            ],
-            QueueRequest::Peek { queue: name("a") },
-            "030000000000000002000000\
-             0100000061020000000100000001020000000304\
-             0100000062010000000100000002",
-            8,
-        );
         conforms::<LeaseService>(
             ctx,
             vec![
@@ -208,83 +144,6 @@ fn all_four_services_conform() {
 #[test]
 fn wire_bytes_match_the_hand_written_servers() {
     let name = |s: &str| s.to_owned();
-    golden(&[
-        (
-            LockRequest::Acquire {
-                name: name("a/b"),
-                owner: 9,
-            },
-            "0103000000612f620900000000000000",
-        ),
-        (
-            LockRequest::Release {
-                name: name("x"),
-                owner: 1,
-            },
-            "0201000000780100000000000000",
-        ),
-        (LockRequest::Query { name: name("q") }, "030100000071"),
-    ]);
-    golden(&[
-        (LockReply::Ok, "01"),
-        (LockReply::Held(5), "020500000000000000"),
-        (LockReply::Free, "03"),
-        (LockReply::Busy(7), "040700000000000000"),
-        (LockReply::NotHeld, "05"),
-        (LockReply::Malformed, "06"),
-        (LockReply::NoMajority, "07"),
-    ]);
-    golden(&[
-        (
-            RegistryRequest::Register {
-                name: name("svc/dir"),
-                port: Port::from_raw(0x1122_3344_5566),
-            },
-            "01070000007376632f6469726655443322110000",
-        ),
-        (
-            RegistryRequest::Unregister { name: name("x") },
-            "020100000078",
-        ),
-        (RegistryRequest::Lookup { name: name("q") }, "030100000071"),
-    ]);
-    golden(&[
-        (RegistryReply::Ok, "01"),
-        (
-            RegistryReply::Bound(Port::from_raw(55)),
-            "023700000000000000",
-        ),
-        (RegistryReply::Unbound, "03"),
-        (
-            RegistryReply::Conflict(Port::from_raw(9)),
-            "040900000000000000",
-        ),
-        (RegistryReply::Malformed, "05"),
-        (RegistryReply::NoMajority, "06"),
-    ]);
-    golden(&[
-        (
-            QueueRequest::Enqueue {
-                queue: name("jobs"),
-                item: vec![1, 2, 3],
-            },
-            "01040000006a6f627303000000010203",
-        ),
-        (
-            QueueRequest::Dequeue {
-                queue: name("jobs"),
-            },
-            "02040000006a6f6273",
-        ),
-        (QueueRequest::Peek { queue: name("q") }, "030100000071"),
-    ]);
-    golden(&[
-        (QueueReply::Ok, "01"),
-        (QueueReply::Item(vec![9]), "020100000009"),
-        (QueueReply::Empty, "03"),
-        (QueueReply::Malformed, "04"),
-        (QueueReply::NoMajority, "05"),
-    ]);
     golden(&[
         (
             LeaseRequest::Grant {

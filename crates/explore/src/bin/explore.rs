@@ -21,8 +21,7 @@
 //!   (the gap-recovery retransmission bound) must be found, shrunk,
 //!   and deterministically replayed.
 //! - `replay` re-executes a repro bundle under verify-mode replay. A
-//!   bundle recorded with the removed two-stage commit pipeline engaged
-//!   is refused with that reason: its schedule no longer exists.
+//!   bundle of another layout version is refused, naming its version.
 
 use std::process::ExitCode;
 

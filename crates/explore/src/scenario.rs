@@ -80,8 +80,7 @@ pub struct ScenarioParams {
     /// Run the replicas' group log (`DirParams::journal`): commits are
     /// sequential journal appends and the background checkpointer does
     /// the table writeback — so fault windows can land *inside* a
-    /// checkpoint drain. Part of the repro-bundle encoding (appended
-    /// last, so pre-journal params decode with it off).
+    /// checkpoint drain. Part of the repro-bundle encoding.
     pub journal: bool,
     /// Install the causal-tracing telemetry layer on the run and return
     /// its Chrome-trace export in [`ScenarioReport::chrome_trace`].
@@ -90,11 +89,6 @@ pub struct ScenarioParams {
     /// bundle encoding: a bundle replays the same with or without it.
     pub telemetry: bool,
 }
-
-/// What the repro-bundle slot that used to carry the replicas'
-/// commit-pipeline flush window must hold: window 1 was the serial
-/// loop, the only driver there is now.
-const SERIAL_COMMIT: u64 = 1;
 
 impl ScenarioParams {
     /// A small scenario: one 3-replica shard on a flat LAN, a couple of
@@ -144,7 +138,6 @@ impl ScenarioParams {
             .u64(self.writes_per_client as u64)
             .u8(u8::from(self.dir_cache))
             .u8(u8::from(self.buggy_retrans_bound))
-            .u64(SERIAL_COMMIT) // the removed flush-window slot
             .u8(u8::from(self.journal));
     }
 
@@ -152,12 +145,10 @@ impl ScenarioParams {
     ///
     /// # Errors
     ///
-    /// Malformed input, or params recorded with the removed two-stage
-    /// commit pipeline engaged: the window changed the simulated
-    /// schedule, so such a recording has nothing left to replay on.
+    /// Malformed input, naming the field where it went wrong.
     pub fn decode(r: &mut WireReader) -> Result<ScenarioParams, String> {
         let malformed = |e: DecodeError| format!("scenario params: {e}");
-        let mut params = ScenarioParams {
+        Ok(ScenarioParams {
             seed: r.u64("sc seed").map_err(malformed)?,
             shards: (r.u64("sc shards").map_err(malformed)?.clamp(1, 64)) as usize,
             chain_segments: (r.u64("sc chain").map_err(malformed)?.clamp(1, 64)) as usize,
@@ -165,21 +156,9 @@ impl ScenarioParams {
             writes_per_client: (r.u64("sc writes").map_err(malformed)?.min(10_000)) as usize,
             dir_cache: r.u8("sc cache").map_err(malformed)? != 0,
             buggy_retrans_bound: r.u8("sc buggy").map_err(malformed)? != 0,
-            journal: false,
+            journal: r.u8("sc journal").map_err(malformed)? != 0,
             telemetry: false,
-        };
-        let window = r.u64("sc fwin").map_err(malformed)?;
-        if window != SERIAL_COMMIT {
-            return Err(format!(
-                "recorded with the two-stage commit pipeline engaged (flush window {window}); \
-                 the pipeline has been removed and the replicas now run one serial commit \
-                 loop, so the schedule this recording captured cannot be replayed"
-            ));
-        }
-        // Appended after the flush-window slot: params recorded before
-        // the group log existed simply end here.
-        params.journal = r.u8("sc journal").map(|v| v != 0).unwrap_or(false);
-        Ok(params)
+        })
     }
 }
 

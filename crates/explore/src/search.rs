@@ -233,24 +233,35 @@ pub struct ReproBundle {
 }
 
 const REPRO_MAGIC: &[u8; 4] = b"AMRX";
+/// The bundle layout: magic, this version, params, schedule, trace.
+/// Any other version is refused: version 1 (unnumbered) recorded
+/// params for a commit pipeline the replicas no longer run.
+const REPRO_VERSION: u16 = 2;
 
 impl ReproBundle {
     /// Serializes the bundle.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.bytes(REPRO_MAGIC);
+        w.bytes(REPRO_MAGIC).u16(REPRO_VERSION);
         self.params.encode(&mut w);
         self.schedule.encode(&mut w);
         w.bytes(&self.trace.to_bytes());
         w.finish()
     }
 
-    /// Deserializes a bundle. `Err` explains what was malformed.
+    /// Deserializes a bundle. `Err` explains what was malformed, or
+    /// names the version of a bundle this build does not read.
     pub fn from_bytes(buf: &[u8]) -> Result<ReproBundle, String> {
         let mut r = WireReader::new(buf);
         let magic = r.bytes("repro magic").map_err(|e| e.to_string())?;
         if magic != REPRO_MAGIC {
             return Err("not a repro bundle (bad magic)".to_owned());
+        }
+        let version = r.u16("repro version").map_err(|e| e.to_string())?;
+        if version != REPRO_VERSION {
+            return Err(format!(
+                "unsupported repro bundle version {version} (this build reads version {REPRO_VERSION})"
+            ));
         }
         let params = ScenarioParams::decode(&mut r)?;
         let schedule = FaultSchedule::decode(&mut r).ok_or("malformed fault schedule")?;
@@ -309,14 +320,12 @@ mod tests {
         assert!(ReproBundle::from_bytes(b"garbage").is_err());
     }
 
-    /// A bundle whose params carry `window` in the slot that used to
-    /// hold the commit pipeline's flush window, written field by field
-    /// as `ScenarioParams::encode` lays them out.
-    fn bundle_bytes_with_window(window: u64) -> Vec<u8> {
+    /// A bundle written field by field, as `to_bytes` lays it out,
+    /// under `version`.
+    fn bundle_bytes(version: u16) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.bytes(REPRO_MAGIC);
-        w.u64(11).u64(1).u64(1).u64(2).u64(6).u8(1).u8(0);
-        w.u64(window).u8(1); // the slot, then the journal flag
+        w.bytes(REPRO_MAGIC).u16(version);
+        w.u64(11).u64(1).u64(1).u64(2).u64(6).u8(1).u8(0).u8(1);
         FaultSchedule::none().encode(&mut w);
         let trace = SimTrace {
             seed: 11,
@@ -327,35 +336,34 @@ mod tests {
     }
 
     #[test]
-    fn a_serial_loop_bundle_decodes_with_its_journal_flag() {
-        let back = ReproBundle::from_bytes(&bundle_bytes_with_window(1)).expect("window 1");
+    fn a_bundle_round_trips_its_journal_flag_byte_for_byte() {
+        let back = ReproBundle::from_bytes(&bundle_bytes(REPRO_VERSION)).expect("current");
         let mut expect = ScenarioParams::small(11);
         expect.journal = true;
         assert_eq!(back.params, expect);
-        // What we write today is exactly that layout.
-        let again = ReproBundle::from_bytes(&back.to_bytes()).expect("round trip");
-        assert_eq!(again.params, expect);
-        assert_eq!(back.to_bytes(), bundle_bytes_with_window(1));
+        assert_eq!(back.schedule, FaultSchedule::none());
+        assert_eq!(back.to_bytes(), bundle_bytes(REPRO_VERSION));
     }
 
     #[test]
-    fn a_pipelined_bundle_is_refused_with_the_reason() {
-        let err = ReproBundle::from_bytes(&bundle_bytes_with_window(4)).unwrap_err();
+    fn an_older_bundle_is_refused_by_its_version() {
+        let err = ReproBundle::from_bytes(&bundle_bytes(1)).unwrap_err();
         assert!(
-            err.contains("commit pipeline") && err.contains("flush window 4"),
-            "error must name the removed pipeline: {err}"
+            err.contains("version 1") && err.contains(&format!("version {REPRO_VERSION}")),
+            "error must name both versions: {err}"
         );
     }
 
     #[test]
-    fn params_that_end_before_the_journal_byte_decode_with_it_off() {
+    fn truncated_params_name_the_field_they_end_in() {
         let mut w = WireWriter::new();
-        w.u64(11).u64(1).u64(1).u64(2).u64(6).u8(1).u8(0).u64(1);
+        w.u64(11).u64(1).u64(1).u64(2).u64(6).u8(1).u8(0).u8(1);
         let bytes = w.finish();
-        let params = ScenarioParams::decode(&mut WireReader::new(&bytes)).expect("pre-journal");
-        assert_eq!(params, ScenarioParams::small(11));
-        // A truncated encoding is still malformed, and says where.
+        let params = ScenarioParams::decode(&mut WireReader::new(&bytes)).expect("whole");
+        assert!(params.journal);
         let cut = ScenarioParams::decode(&mut WireReader::new(&bytes[..20])).unwrap_err();
         assert!(cut.contains("sc chain"), "{cut}");
+        let cut = ScenarioParams::decode(&mut WireReader::new(&bytes[..bytes.len() - 1]));
+        assert!(cut.unwrap_err().contains("sc journal"));
     }
 }

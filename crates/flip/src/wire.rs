@@ -29,7 +29,6 @@
 
 #[allow(clippy::disallowed_types)] // keyed by names, which requests supply
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::bytes::Payload;
@@ -488,16 +487,6 @@ impl Wire for Port {
     }
 }
 
-/// A length-prefixed byte string.
-impl Wire for Vec<u8> {
-    fn put(&self, w: &mut WireWriter) {
-        w.bytes(self);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Vec<u8>, DecodeError> {
-        Ok(r.bytes("bytes")?.to_vec())
-    }
-}
-
 /// A length-prefixed byte string, read zero-copy from a shared buffer
 /// ([`WireReader::payload`]).
 impl Wire for Payload {
@@ -564,16 +553,6 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
     fn get(r: &mut WireReader<'_>) -> Result<(A, B, C), DecodeError> {
         Ok((A::get(r)?, B::get(r)?, C::get(r)?))
-    }
-}
-
-/// A `u32` count, then the elements in order.
-impl<T: Wire> Wire for VecDeque<T> {
-    fn put(&self, w: &mut WireWriter) {
-        ANY.put(w, self, T::put);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<VecDeque<T>, DecodeError> {
-        ANY.get(r, T::get)
     }
 }
 

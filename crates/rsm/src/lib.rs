@@ -8,8 +8,8 @@
 //! bookkeeping, Skeen-style recovery with state transfer, and **apply
 //! batching** (group commit) — with zero group-protocol code of your
 //! own. The directory service in `amoeba-dir-core` implements the trait
-//! directly; its volatile auxiliary services (lock, registry, queue,
-//! lease) are each just a state and its ops on the [`service`] harness.
+//! directly; its volatile lease service is just a state and its ops on
+//! the [`service`] harness.
 //!
 //! ## Division of labour
 //!
@@ -33,7 +33,7 @@
 //! (commit blocks, NVRAM logs) its recovery story needs. The trait's
 //! recovery hooks are exactly the points where the paper's directory
 //! service touches its commit block, so a service with no durable state
-//! (like the lock service) simply leaves the defaults.
+//! (like the lease service) simply leaves the defaults.
 //!
 //! ## Contract (what `Replica` guarantees, what `apply` must uphold)
 //!

@@ -25,9 +25,9 @@
 //! ## A complete service
 //!
 //! A replicated counter: state, two ops, codec, deployment, client call.
-//! (`u64`, [`Port`], byte strings, pairs, `VecDeque` and string-keyed
-//! `HashMap` come with a [`Wire`] form, so a state built of them needs
-//! no codec of its own.)
+//! (`u64`, [`Port`], byte strings, pairs and string-keyed `HashMap`
+//! come with a [`Wire`] form, so a state built of them needs no codec
+//! of its own.)
 //!
 //! ```
 //! use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
@@ -75,10 +75,9 @@
 //!     const PORT: Port = Port::from_raw(0x0043_5452);
 //!     const NO_MAJORITY: Rep = Rep::NoMajority;
 //!     const MALFORMED: Rep = Rep::Malformed;
-//!     type State = u64; // `u64`, like maps and queues of wire types, has its `Wire` form
+//!     type State = u64; // `u64`, like maps of wire types, has its `Wire` form
 //!     type Request = Req;
 //!     type Reply = Rep;
-//!     type Client = ServiceClient<Counter>;
 //!     fn apply(count: &mut u64, req: Req) -> Rep {
 //!         match req {
 //!             Req::Add(n) => { *count += n; Rep::Value(*count) }
@@ -132,7 +131,7 @@ use crate::replica::{Replica, ReplicaDeps};
 /// ([`start_service`]) and a client ([`ServiceClient`]).
 pub trait Service: Sized + 'static {
     /// Service name: the group forms on `amoeba.<NAME>`, the server
-    /// span is `<NAME>.srv`, client machines are `<NAME>-client-<id>`.
+    /// span is `<NAME>.srv`.
     const NAME: &'static str;
     /// Process-name prefix of the request threads (`<PROC><me>-srv<t>`).
     const PROC: &'static str;
@@ -149,9 +148,6 @@ pub trait Service: Sized + 'static {
     type Request: Wire;
     /// Replies.
     type Reply: Wire;
-    /// The service's typed client (plain `ServiceClient<Self>` if it
-    /// has none).
-    type Client: From<ServiceClient<Self>>;
 
     /// Applies one replicated op. Must be deterministic; a read-only op
     /// found in the replicated stream answers [`MALFORMED`](Self::MALFORMED).

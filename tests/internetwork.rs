@@ -1,16 +1,15 @@
 //! The group directory service over a routed two-segment internetwork:
-//! the sequencer (column 0) on `net-a`, the other replicas on `net-b`,
-//! every packet between them store-and-forwarded by a router. The
+//! the sequencer (column 0), column 2 and the clients on `net-a`,
+//! column 1 on `net-b`, every packet between the segments
+//! store-and-forwarded by a router. The
 //! group conformance and crash/rejoin suites must hold unchanged, the
-//! replicated services must stay reachable across segments, and the
+//! lease service must order grants across the router, and the
 //! per-segment occupancy accounting must add up.
 
 use std::time::Duration;
 
-use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, ServiceSpec, Variant};
-use amoeba_dirsvc::dir::{
-    Capability, DirClient, DirClientError, DirError, LockService, RegistryService, Rights,
-};
+use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
+use amoeba_dirsvc::dir::{Capability, DirClient, DirClientError, DirError, Rights};
 use amoeba_dirsvc::flip::SegmentId;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
 
@@ -215,79 +214,47 @@ fn offline_updates_reach_the_crashed_sequencer_after_recovery() {
 }
 
 #[test]
-fn registry_resolves_service_names_across_segments() {
-    // The replicated port-name registry (third amoeba-rsm consumer)
-    // spread over both segments: a client on net-a registers the
-    // directory service's public port under a name, a second client
-    // resolves it and uses the resolved port for a real lookup — the
-    // locate for which crosses the router via the expanding ring.
+fn lease_grants_cross_the_router_and_every_replica_holds_them() {
+    // The lease service spread over both segments like the directory
+    // service: replica 1 on net-b, the others on net-a, so every grant
+    // reaches a replica across the router. A second owner is fenced
+    // out, and all three replicas converge on the grant.
     let mut sim = Simulation::new(83);
     let mut params = ClusterParams::routed(Variant::Group);
-    params.services = vec![
-        ServiceSpec::of::<LockService>(),
-        ServiceSpec::of::<RegistryService>(),
-    ];
+    params.lease_service = true;
     let mut cluster = Cluster::start(&sim, params);
-    let (client, _) = cluster.client(&sim);
-    let c2 = client.clone();
-    let setup = sim.spawn("form", move |ctx| ready_root(ctx, &c2, &["owner"]));
-    sim.run_for(Duration::from_secs(30));
-    let root = setup.take().expect("routed service formed");
-
-    let (reg, _) = cluster.service_client::<RegistryService>(&sim);
-    let dir_port = amoeba_dirsvc::dir::ServiceConfig::new(3, 0).public_port;
-    let out = sim.spawn("registrar", move |ctx| {
-        let mut ok = false;
-        for _ in 0..50 {
-            match reg.register(ctx, "svc/dir", dir_port) {
-                Ok(()) => {
-                    ok = true;
-                    break;
-                }
-                Err(_) => ctx.sleep(Duration::from_millis(200)),
+    let (lease, _) = cluster.lease_client(&sim);
+    let out = sim.spawn("grant", move |ctx| {
+        let granted = (0..50).any(|_| match lease.grant(ctx, "inter/fence", 9, 1_000) {
+            Ok(Some(_)) => true,
+            _ => {
+                ctx.sleep(Duration::from_millis(200));
+                false
             }
-        }
-        assert!(ok, "registry registration must succeed");
-        // Duplicate binding to the same port is idempotent; a different
-        // port conflicts.
-        assert!(reg.register(ctx, "svc/dir", dir_port).is_ok());
-        assert!(matches!(
-            reg.register(ctx, "svc/dir", amoeba_dirsvc::flip::Port::from_raw(0xBAD)),
-            Err(amoeba_dirsvc::dir::RegistryError::Conflict(_))
-        ));
-        reg.lookup(ctx, "svc/dir").unwrap()
+        });
+        assert!(granted, "the routed lease service must grant");
+        assert_eq!(lease.grant(ctx, "inter/fence", 10, 1_000), Ok(None));
+        lease
+            .query(ctx, "inter/fence")
+            .unwrap()
+            .map(|(owner, _)| owner)
     });
-    sim.run_for(Duration::from_secs(30));
-    let resolved = out.take().expect("lookup returned");
-    assert_eq!(resolved, Some(dir_port), "name must resolve to the port");
-
-    // Use the resolved port from a fresh machine: end-to-end
-    // name → port → locate → routed RPC.
-    let (c3, _) = cluster.client(&sim);
-    let check = sim.spawn("resolved-lookup", move |ctx| {
-        c3.append_row(ctx, root, "via-registry", root, vec![Rights::ALL])
-            .is_ok()
-            && c3.lookup(ctx, root, "via-registry").unwrap().is_some()
-    });
-    sim.run_for(Duration::from_secs(20));
-    assert_eq!(check.take(), Some(true));
-    // All three registry replicas converged on the binding.
+    sim.run_for(Duration::from_secs(60));
+    assert_eq!(out.take(), Some(Some(9)), "the holder reads back");
     for i in 0..3 {
-        let registry = cluster.service::<RegistryService>(i).machine();
+        let table = cluster.lease(i).machine();
         assert_eq!(
-            registry.read(|bound| bound.get("svc/dir").copied()),
-            Some(dir_port),
-            "replica {i} must hold the binding"
+            table
+                .read(|t| t.holder("inter/fence"))
+                .map(|(owner, _)| owner),
+            Some(9),
+            "replica {i} must hold the grant"
         );
     }
-    // And the lock service co-exists on the same kernels, across the
-    // same router.
-    let (lock, _) = cluster.service_client::<LockService>(&sim);
-    let locked = sim.spawn("lock", move |ctx| {
-        lock.acquire(ctx, "inter/lock", 9).is_ok() && lock.query(ctx, "inter/lock") == Ok(Some(9))
-    });
-    sim.run_for(Duration::from_secs(20));
-    assert_eq!(locked.take(), Some(true));
+    assert!(
+        cluster.net.stats().packets_forwarded > 0,
+        "the router carried the lease group's traffic"
+    );
 }
 
 #[test]

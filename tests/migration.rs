@@ -5,10 +5,9 @@
 
 use std::time::Duration;
 
-use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, RebalancerParams, ServiceSpec, Variant};
+use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, RebalancerParams, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirClient, DirClientError, DirError, DirReply, DirRequest, LeaseService, Rights,
-    ShardMap,
+    Capability, DirClient, DirClientError, DirError, DirReply, DirRequest, Rights, ShardMap,
 };
 use amoeba_dirsvc::flip::wire::Wire;
 use amoeba_dirsvc::rpc::RpcClient;
@@ -490,7 +489,6 @@ fn rebalancer_moves_hot_directories_off_a_skewed_shard() {
     let mut sim = Simulation::new(433);
     let mut params = ClusterParams::sharded(Variant::Group, 2);
     params.seed = 433;
-    params.services.push(ServiceSpec::of::<LeaseService>());
     params.rebalancer = Some(RebalancerParams {
         interval: Duration::from_secs(1),
         skew_ratio: 2.0,

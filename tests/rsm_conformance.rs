@@ -1,6 +1,6 @@
 //! Conformance suite for the `amoeba-rsm` [`StateMachine`] contract,
 //! run against *both* production machines (the directory service and
-//! the lock/registry service), plus crash tests proving the
+//! the lease service), plus crash tests proving the
 //! group-commit batching invariants: a batch becomes durable through
 //! one flush, and recovery never observes a partially applied batch.
 
@@ -11,7 +11,7 @@ use std::time::Duration;
 use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirOp, DirParams, DirectoryStateMachine, LockRequest, LockService, Rights,
+    Capability, DirOp, DirParams, DirectoryStateMachine, LeaseRequest, LeaseService, Rights,
     ServiceConfig, StorageKind,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
@@ -361,37 +361,44 @@ fn install_refuses_a_malformed_snapshot_and_leaves_the_machine_untouched() {
 }
 
 #[test]
-fn lock_machine_conforms() {
+fn lease_machine_conforms() {
     let mut sim = Simulation::new(7);
-    let a = ServiceMachine::<LockService>::new(3);
-    let b = ServiceMachine::<LockService>::new(3);
-    let f = ServiceMachine::<LockService>::new(3);
-    let acq = |name: &str, owner: u64| {
-        LockRequest::Acquire {
+    let a = ServiceMachine::<LeaseService>::new(3);
+    let b = ServiceMachine::<LeaseService>::new(3);
+    let f = ServiceMachine::<LeaseService>::new(3);
+    let grant = |name: &str, owner: u64| {
+        LeaseRequest::Grant {
             name: name.into(),
             owner,
+            ttl: 10,
         }
         .encode()
     };
     let rel = |name: &str, owner: u64| {
-        LockRequest::Release {
+        LeaseRequest::Release {
             name: name.into(),
             owner,
         }
         .encode()
     };
     let batch1 = vec![
-        acq("a", 1),
-        acq("b", 2),
-        acq("a", 9), // refused: busy
+        grant("a", 1),
+        grant("b", 2),
+        grant("a", 9), // refused: busy
         rel("b", 2),
         rel("b", 2), // refused: not held
-        acq("c", 3),
+        grant("c", 3),
     ];
-    let batch2 = vec![rel("a", 1), acq("a", 9), acq("d", 4)];
-    // Acquire, the refused acquire (busy, held by 1) and the refused
-    // release: bytes of the last commit whose `apply` had no `reply` flag.
-    let golden = [(1, "01"), (3, "040100000000000000"), (5, "05")];
+    let batch2 = vec![rel("a", 1), grant("a", 9), grant("d", 4)];
+    // The grant (expires at logical time 11), the refused grant (busy,
+    // held by 1 until 11), the release and the refused release, in
+    // `LeaseReply`'s wire form.
+    let golden = [
+        (1, "010b00000000000000"),
+        (3, "0201000000000000000b00000000000000"),
+        (4, "03"),
+        (5, "04"),
+    ];
     let out = sim.spawn("conformance", move |ctx| {
         check_conformance(ctx, &a, &b, &f, &batch1, &batch2, &golden);
         true

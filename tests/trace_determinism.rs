@@ -1,14 +1,13 @@
 //! Decision traces of whole deployments: a golden digest captured on the
 //! commit before the simulator kernel changed hands (so "checkpoint order
 //! unchanged" is checked, not assumed), and same-seed trace equality for
-//! a deployment with auxiliary services (≥ 2 group instances per peer).
+//! a deployment with the lease service (2 group instances per peer).
 
 use std::collections::HashSet;
 use std::time::Duration;
 
-use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, ServiceSpec, Variant};
-use amoeba_dirsvc::dir::{Capability, DirClient, LockService, RegistryService, Rights};
-use amoeba_dirsvc::flip::Port;
+use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
+use amoeba_dirsvc::dir::{Capability, DirClient, Rights};
 use amoeba_dirsvc::sim::{Ctx, SimTrace, Simulation, StepTag};
 
 fn fnv1a(data: &[u8]) -> u64 {
@@ -156,35 +155,34 @@ const GOLDEN_STEPS: usize = 13_255;
 /// 14,594,688,794,652,905,712).
 const GOLDEN_DIGEST: u64 = 10_762_298_347_057_130_184;
 
-/// `paper()` + lock + registry under load: three lock clients contending
-/// for one name, a registry client and a directory writer, across a
-/// crash and reboot of one machine.
+/// `paper()` + the lease service under load: three lease clients
+/// contending for one name (grant, renew, release), a fourth renewing
+/// and querying five leases of its own, and a directory writer, across
+/// a crash and reboot of one machine.
 fn record_with_auxiliary_services() -> SimTrace {
     let mut sim = Simulation::recording(0x5E4C);
     let mut params = ClusterParams::paper(Variant::Group);
-    params.services = vec![
-        ServiceSpec::of::<LockService>(),
-        ServiceSpec::of::<RegistryService>(),
-    ];
+    params.lease_service = true;
     let mut cluster = Cluster::start(&sim, params);
     for owner in 1..=3u64 {
-        let (lock, _) = cluster.service_client::<LockService>(&sim);
-        sim.spawn(&format!("locker-{owner}"), move |ctx| {
+        let (lease, _) = cluster.lease_client(&sim);
+        sim.spawn(&format!("leaser-{owner}"), move |ctx| {
             for _ in 0..30 {
-                if lock.acquire(ctx, "leader", owner).is_ok() {
+                if matches!(lease.grant(ctx, "leader", owner, 8), Ok(Some(_))) {
                     ctx.sleep(Duration::from_millis(30));
-                    let _ = lock.release(ctx, "leader", owner);
+                    let _ = lease.grant(ctx, "leader", owner, 8);
+                    let _ = lease.release(ctx, "leader", owner);
                 }
                 ctx.sleep(Duration::from_millis(70));
             }
         });
     }
-    let (registry, _) = cluster.service_client::<RegistryService>(&sim);
-    sim.spawn("registrar", move |ctx| {
+    let (lease, _) = cluster.lease_client(&sim);
+    sim.spawn("renewer", move |ctx| {
         for i in 0..40u32 {
             let name = format!("svc/{}", i % 5);
-            let _ = registry.register(ctx, &name, Port::from_name(&name));
-            let _ = registry.lookup(ctx, &name);
+            let _ = lease.grant(ctx, &name, 9, 50);
+            let _ = lease.query(ctx, &name);
             ctx.sleep(Duration::from_millis(90));
         }
     });
