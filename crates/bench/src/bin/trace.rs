@@ -2,7 +2,10 @@
 //!
 //! Drives one cross-shard keyed create (plus a lease-held write so the
 //! revocation fan-out shows up), asserts the client op's span tree is
-//! connected across ≥3 machines, and writes the whole run as
+//! connected across ≥3 machines, has the cached reader pause past its
+//! lease and asserts its next lookup was revalidated (the lease renewed
+//! without re-sending the rows) with a connected span tree, and writes
+//! the whole run as
 //! Chrome-trace-event JSON that `chrome://tracing` / Perfetto can open
 //! to the given path (default `BENCH_trace.json`). The export is
 //! re-parsed and validated before writing. Also prints the ten busiest
@@ -48,13 +51,22 @@ fn main() {
 
     // A cached reader holds a read lease on the directory, so the
     // traced write below pays a revocation fan-out the trace can show.
+    // Its lookups run past its lease's renewal, which is fetched after
+    // every write; then it pauses past the renewed lease, and its next
+    // lookup revalidates the snapshot it kept.
     let (reader, _) = tb.cluster.client(&tb.sim);
     let rd = reader.clone();
-    tb.sim.spawn("trace-reader", move |ctx| {
-        for _ in 0..60 {
+    let revalidated = tb.sim.spawn("trace-reader", move |ctx| {
+        for _ in 0..80 {
             let _ = rd.lookup(ctx, dir, "payload");
             ctx.sleep(Duration::from_millis(50));
         }
+        ctx.sleep(ttl + Duration::from_millis(500));
+        let before = rd.cache_stats().expect("reader has a cache").revalidated;
+        let at = ctx.now();
+        assert!(rd.lookup(ctx, dir, "payload").expect("lookup").is_some());
+        let after = rd.cache_stats().expect("reader has a cache").revalidated;
+        (after - before, at)
     });
     let client = tb.client.clone();
     let root = tb.root;
@@ -78,6 +90,11 @@ fn main() {
     });
     tb.sim.run_for(Duration::from_secs(10));
     assert_eq!(done.take(), Some(true), "traced workload completed");
+    let (revalidations, paused_lookup_at) = revalidated.take().expect("reader finished");
+    assert_eq!(
+        revalidations, 1,
+        "the lookup past the lease must revalidate the kept snapshot, not re-fetch it"
+    );
     let reader_stats = reader.cache_stats().expect("reader has a cache");
     assert!(reader_stats.hits > 0, "the traced reader must serve hits");
     assert!(
@@ -97,6 +114,21 @@ fn main() {
         spans.iter().any(|s| s.name == "cache.inval"),
         "the revocation fan-out must appear as cache.inval spans"
     );
+    let lookup_root = spans
+        .iter()
+        .find(|s| s.name == "cli.lookup" && s.parent == 0 && s.start == paused_lookup_at)
+        .expect("the revalidated cli.lookup root span");
+    let (roots, orphans, lookup_machines) =
+        amoeba_telemetry::span_tree_stats(&spans, lookup_root.trace);
+    assert_eq!(
+        (roots, orphans),
+        (1, 0),
+        "revalidated lookup tree connected"
+    );
+    assert!(
+        lookup_machines >= 2,
+        "the revalidated lookup reached no server ({lookup_machines} machine)"
+    );
 
     let json = tele.export_chrome_json();
     let summary = amoeba_telemetry::validate_chrome_trace(&json).expect("exported trace validates");
@@ -104,7 +136,8 @@ fn main() {
 
     println!(
         "  {} events ({} slices, {} flow pairs, {} tracks); create_in tree: \
-         1 root, 0 orphans, {machines} machines",
+         1 root, 0 orphans, {machines} machines; revalidated lookup tree: \
+         1 root, 0 orphans, {lookup_machines} machines",
         summary.events, summary.slices, summary.flow_pairs, summary.tracks
     );
     print_busiest_roles(&tb.sim.activations());

@@ -26,7 +26,8 @@
 //! entries (and bumps a per-directory revocation epoch) the moment a
 //! callback arrives, and a snapshot whose fetch raced a revocation —
 //! the epoch moved while the `FetchDir` was in flight — is discarded
-//! unserved.
+//! unserved. The same holds for a revalidation (below): it re-leases a
+//! kept snapshot only if no callback arrived while it was in flight.
 //!
 //! **Cold-start gap and its fence.** The lease table is replicated but
 //! deliberately *not* durable (grants are never logged to disk or
@@ -38,7 +39,7 @@
 //! instead catches up by snapshot installation inherits the live lease
 //! table and lifts the fence.
 //!
-//! ## Renewal
+//! ## Renewal and revalidation
 //!
 //! Renewal is lazy: a lookup that finds its entry inside the renewal
 //! window (the last [`renew_guard`](CacheParams::renew_guard) of the
@@ -47,6 +48,16 @@
 //! refetches, so a working set's leases are refreshed by its own
 //! traffic instead of by a timer, and co-started clients don't renew in
 //! lockstep.
+//!
+//! An entry past its deadline is never served, but it is kept: only an
+//! invalidation callback (or the client's own write) drops one. Every
+//! refetch names the [`version`](crate::DirReply::Snapshot::version) of
+//! the snapshot it still keeps, and while that version is current the
+//! service renews the lease with [`Unchanged`](crate::DirReply::Unchanged)
+//! instead of re-sending the rows (Gray & Cheriton's revalidation,
+//! *Leases*, SOSP 1989): the cache re-leases its kept index, with no
+//! decode and no sort. Since nothing but a callback drops an entry, the
+//! cache holds one snapshot per directory the client has read.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -95,14 +106,18 @@ pub struct CacheStats {
     /// Lookups that found their entry inside the renewal window and
     /// refetched early.
     pub renewals: u64,
-    /// Lookups that found their entry past its lease deadline — the
-    /// entry is rejected as stale and dropped, never served.
+    /// Lookups that found their entry past its lease deadline — never
+    /// served. The entry is kept, so the refetch can revalidate it.
     pub stale_rejects: u64,
     /// Fetches answered off the service's read path under a piggybacked
     /// lease renewal — group rounds the renewal budget saved. Counted
     /// per fetch, not per lookup, so it sits outside the lookup
     /// identity above.
     pub renewals_saved: u64,
+    /// Fetches answered [`Unchanged`](crate::DirReply::Unchanged): the
+    /// lease was renewed over the rows this cache kept, and none were
+    /// sent. Counted per fetch, like `renewals_saved`.
+    pub revalidated: u64,
 }
 
 fn bump(counter: &Cell<u64>, by: u64) {
@@ -117,6 +132,7 @@ struct Counters {
     renewals: Cell<u64>,
     stale_rejects: Cell<u64>,
     renewals_saved: Cell<u64>,
+    revalidated: Cell<u64>,
 }
 
 /// Cache key: the full capability identity. Rights are part of the key
@@ -171,9 +187,11 @@ impl NameIndex {
 /// One leased directory snapshot. `rows` holds only the rows visible to
 /// the holder (invisible rows are omitted by the service), restricted
 /// exactly as `LookupSet` would restrict them — so a local lookup is
-/// answer-identical to the server's.
+/// answer-identical to the server's. `version` is what the service
+/// revalidates it by.
 struct Entry {
     rows: NameIndex,
+    version: u64,
     deadline_us: u64,
     renew_at_us: u64,
 }
@@ -258,6 +276,7 @@ impl DirCache {
             renewals: c.renewals.get(),
             stale_rejects: c.stale_rejects.get(),
             renewals_saved: c.renewals_saved.get(),
+            revalidated: c.revalidated.get(),
         }
     }
 
@@ -273,10 +292,18 @@ impl DirCache {
     pub(crate) fn epoch(&self, port: u64, object: u64) -> u64 {
         self.inner
             .epochs
-            .borrow_mut()
+            .borrow()
             .get(&(port, object))
             .copied()
             .unwrap_or(0)
+    }
+
+    /// The version of the snapshot kept for `cap`, live or not; 0 for
+    /// none. Read with the [`epoch`](DirCache::epoch), before sending a
+    /// `FetchDir`.
+    pub(crate) fn held_version(&self, cap: &Capability) -> u64 {
+        let entries = self.inner.entries.borrow();
+        entries.get(&Key::of(cap)).map_or(0, |e| e.version)
     }
 
     /// Local lookup. Outer `None` means "not servable locally" (absent,
@@ -288,15 +315,14 @@ impl DirCache {
         cap: &Capability,
         name: &str,
     ) -> Option<Option<Capability>> {
-        let key = Key::of(cap);
-        let mut entries = self.inner.entries.borrow_mut();
-        match entries.get(&key) {
+        let entries = self.inner.entries.borrow();
+        match entries.get(&Key::of(cap)) {
             None => {
                 bump(&self.inner.counters.misses, 1);
                 None
             }
             Some(e) if now_us >= e.deadline_us => {
-                entries.remove(&key);
+                // Kept for the refetch to revalidate.
                 bump(&self.inner.counters.stale_rejects, 1);
                 None
             }
@@ -313,41 +339,72 @@ impl DirCache {
         }
     }
 
-    /// Installs a fetched snapshot, unless the directory's revocation
-    /// epoch moved since `epoch0` was read (a write was acknowledged
-    /// while the fetch was in flight — the snapshot may predate it and
-    /// must not be served) or the lease is already past its deadline.
-    /// Returns whether the snapshot may be served.
+    /// Installs a fetched snapshot of `version`, unless the directory's
+    /// revocation epoch moved since `epoch0` was read (a write was
+    /// acknowledged while the fetch was in flight — the snapshot may
+    /// predate it and must not be served) or the lease is already past
+    /// its deadline. Returns whether the snapshot may be served.
     pub(crate) fn install(
         &self,
         epoch0: u64,
         cap: &Capability,
         rows: NameIndex,
+        version: u64,
         deadline_us: u64,
         now_us: u64,
     ) -> bool {
-        if deadline_us <= now_us {
+        if !self.servable(epoch0, cap, deadline_us, now_us) {
             return false;
         }
-        let epochs = self.inner.epochs.borrow();
-        if epochs
-            .get(&(cap.port.as_raw(), cap.object))
-            .copied()
-            .unwrap_or(0)
-            != epoch0
-        {
-            return false;
-        }
-        let guard = self.inner.params.renew_guard.as_micros() as u64 + self.inner.jitter_us.get();
         self.inner.entries.borrow_mut().insert(
             Key::of(cap),
             Entry {
                 rows,
+                version,
                 deadline_us,
-                renew_at_us: deadline_us.saturating_sub(guard),
+                renew_at_us: self.renew_at(deadline_us),
             },
         );
         true
+    }
+
+    /// Re-leases the snapshot kept for `cap` until `deadline_us` (the
+    /// service answered [`Unchanged`](crate::DirReply::Unchanged) to a
+    /// fetch naming version `have`) and answers `names` from it. `None`
+    /// if [`install`](DirCache::install) would refuse a snapshot fetched
+    /// alongside, or the kept entry is no longer the one of `have`.
+    pub(crate) fn revalidate(
+        &self,
+        epoch0: u64,
+        cap: &Capability,
+        have: u64,
+        deadline_us: u64,
+        now_us: u64,
+        names: &[&str],
+    ) -> Option<Vec<Option<Capability>>> {
+        if !self.servable(epoch0, cap, deadline_us, now_us) {
+            return None;
+        }
+        let mut entries = self.inner.entries.borrow_mut();
+        let e = entries
+            .get_mut(&Key::of(cap))
+            .filter(|e| e.version == have)?;
+        e.deadline_us = deadline_us;
+        e.renew_at_us = self.renew_at(deadline_us);
+        bump(&self.inner.counters.revalidated, 1);
+        Some(names.iter().map(|n| e.rows.get(n)).collect())
+    }
+
+    /// Whether a lease fetched with `epoch0` read beforehand may be
+    /// served: still live, and no callback for its directory since.
+    fn servable(&self, epoch0: u64, cap: &Capability, deadline_us: u64, now_us: u64) -> bool {
+        deadline_us > now_us && self.epoch(cap.port.as_raw(), cap.object) == epoch0
+    }
+
+    /// When a lease ending at `deadline_us` enters its renewal window.
+    fn renew_at(&self, deadline_us: u64) -> u64 {
+        let guard = self.inner.params.renew_guard.as_micros() as u64 + self.inner.jitter_us.get();
+        deadline_us.saturating_sub(guard)
     }
 
     /// Server-driven invalidation: a write touched `(port, object)`.

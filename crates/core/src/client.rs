@@ -667,13 +667,16 @@ impl DirClient {
             // makes the snapshot unservable (it may predate the
             // acknowledged write that revoked it).
             let epoch = cache.epoch(port.as_raw(), cur.object);
+            let have = cache.held_version(&cur);
             let req = DirRequest::FetchDir {
                 cap: cur,
                 owner: cache.owner(),
                 cb_port: cache.cb_port().as_raw(),
                 ttl_us: cache.ttl_us(),
+                have,
             };
             let bytes = self.rpc.trans(ctx, port, req.encode())?;
+            let now_us = ctx.now().as_nanos() / 1_000;
             match Fetched::decode(&bytes).map_err(|_| DirClientError::Protocol)? {
                 Fetched::Reply(DirReply::Moved {
                     object,
@@ -684,6 +687,7 @@ impl DirClient {
                     cur = self.resolve_cap(cap);
                 }
                 Fetched::Snapshot {
+                    version,
                     deadline_us,
                     renewed,
                     rows,
@@ -691,12 +695,20 @@ impl DirClient {
                     if renewed {
                         cache.note_renewal_saved();
                     }
-                    let now_us = ctx.now().as_nanos() / 1_000;
                     // The misses are answered from the index, then the
                     // cache takes it.
                     let answers = names.iter().map(|n| rows.get(n)).collect();
-                    let servable = cache.install(epoch, &cur, rows, deadline_us, now_us);
+                    let servable = cache.install(epoch, &cur, rows, version, deadline_us, now_us);
                     return Ok(servable.then_some(answers));
+                }
+                Fetched::Reply(DirReply::Unchanged {
+                    deadline_us,
+                    renewed,
+                }) => {
+                    if renewed {
+                        cache.note_renewal_saved();
+                    }
+                    return Ok(cache.revalidate(epoch, &cur, have, deadline_us, now_us, names));
                 }
                 Fetched::Reply(DirReply::Err(_)) => return Ok(None),
                 Fetched::Reply(_) => return Err(DirClientError::Protocol),

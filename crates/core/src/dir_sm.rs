@@ -193,6 +193,24 @@ impl DirectoryStateMachine {
         self.applier.shared.borrow().update_seq
     }
 
+    /// What the initiator of an applied `GrantRead` sends the holder of
+    /// `cap`, whose fetch named version `have`, under a lease ending at
+    /// `deadline_us`: the leased snapshot, or `Unchanged`. For driving
+    /// the answer without a server in tests; the server settles the
+    /// directory first.
+    #[doc(hidden)]
+    pub fn lease_answer(
+        &self,
+        ctx: &Ctx,
+        cap: &crate::Capability,
+        have: u64,
+        deadline_us: u64,
+    ) -> Payload {
+        self.applier
+            .lease_answer(ctx, cap, have, deadline_us, false)
+            .unwrap_or_else(|e| DirReply::Err(e).encode())
+    }
+
     /// A fresh machine over the same storage with cold RAM state —
     /// what a reboot of this column would produce. For durability
     /// probes in tests.
@@ -1029,6 +1047,10 @@ impl StateMachine for DirectoryStateMachine {
             // replica's fence is harmless extra caution; a genuinely
             // fresh deployment boots with update_seq 0 and no fence.)
             let mut shared = applier.shared.borrow_mut();
+            // A boot does not know which ops changed checks: counting
+            // them all as changed at `update_seq` puts every version at
+            // or past it, so an older one is answered in full.
+            shared.checks_at = shared.update_seq;
             if shared.update_seq > 0 {
                 // Piggybacked renewals can extend a lease by up to
                 // `lease_renewals × ttl` beyond its original deadline, so
@@ -1169,6 +1191,7 @@ impl StateMachine for DirectoryStateMachine {
                 shared.cache.insert(*object, Rc::clone(dir));
             }
             shared.update_seq = update_seq;
+            shared.checks_at = update_seq;
             shared.commit.seqno = commit_seqno;
             shared.applied_group_seq = cursor;
             shared.completions = completions.into_iter().collect();

@@ -150,6 +150,11 @@ pub enum DirRequest {
         /// Requested lease duration in simulated microseconds; the
         /// service clamps it to its configured maximum.
         ttl_us: u64,
+        /// The [`version`](DirReply::Snapshot::version) of the snapshot
+        /// the holder still keeps, 0 for none. While it is current the
+        /// service renews the lease with [`DirReply::Unchanged`] instead
+        /// of re-sending the rows.
+        have: u64,
     },
 }
 
@@ -187,8 +192,11 @@ pub enum DirReply {
     /// visible to the holder, good for local serving until
     /// `deadline_us` or an invalidation callback, whichever is first.
     Snapshot {
-        /// Sequence number of the directory's last change.
-        seqno: u64,
+        /// What the rows depend on, as an update seq: the later of the
+        /// directory's last change and the shard's last change to any
+        /// object's check (a row's capability is re-issued with the
+        /// check its object has now). Equal versions mean equal rows.
+        version: u64,
         /// Absolute simulated-time deadline (µs since simulation
         /// start) after which the lease — and the snapshot — is dead.
         deadline_us: u64,
@@ -202,6 +210,17 @@ pub enum DirReply {
         /// to the holder's effective rights, the masks to the visible
         /// columns.
         rows: Vec<Row>,
+    },
+    /// A renewed lease over the snapshot the holder already keeps: the
+    /// [`DirRequest::FetchDir`] named a version that is still current,
+    /// so the rows are not sent again (Gray & Cheriton's revalidation).
+    Unchanged {
+        /// The renewed lease's absolute deadline, as in
+        /// [`Snapshot`](Self::Snapshot).
+        deadline_us: u64,
+        /// Served under a piggybacked renewal, as in
+        /// [`Snapshot`](Self::Snapshot).
+        renewed: bool,
     },
     /// A directory's full contents ([`DirRequest::ExportDir`]).
     Export {
@@ -534,10 +553,11 @@ impl Wire for DirRequest {
                 owner,
                 cb_port,
                 ttl_us,
+                have,
             } => {
                 w.u8(RQ_FETCH_DIR);
                 cap.put(w);
-                w.u64(*owner).u64(*cb_port).u64(*ttl_us);
+                w.u64(*owner).u64(*cb_port).u64(*ttl_us).u64(*have);
             }
         }
     }
@@ -608,6 +628,7 @@ impl Wire for DirRequest {
                 owner: r.u64("fetch owner")?,
                 cb_port: r.u64("fetch cb port")?,
                 ttl_us: r.u64("fetch ttl")?,
+                have: r.u64("fetch have")?,
             },
             _ => return Err(DecodeError::new("dir req tag")),
         })
@@ -636,6 +657,7 @@ const RP_ERR: u8 = 5;
 const RP_MOVED: u8 = 6;
 const RP_EXPORT: u8 = 7;
 const RP_SNAPSHOT: u8 = 8;
+const RP_UNCHANGED: u8 = 9;
 
 /// One byte, the error's discriminant.
 impl Wire for DirError {
@@ -689,14 +711,20 @@ impl Wire for DirReply {
                 ROWS.put(w, rows, Row::put);
             }
             DirReply::Snapshot {
-                seqno,
+                version,
                 deadline_us,
                 renewed,
                 columns,
                 rows,
             } => {
-                put_snapshot_head(w, *seqno, *deadline_us, *renewed, columns);
+                put_snapshot_head(w, *version, *deadline_us, *renewed, columns);
                 ROWS.put(w, rows, Row::put);
+            }
+            DirReply::Unchanged {
+                deadline_us,
+                renewed,
+            } => {
+                w.u8(RP_UNCHANGED).u64(*deadline_us).boolean(*renewed);
             }
             DirReply::Err(e) => {
                 w.u8(RP_ERR);
@@ -726,34 +754,38 @@ impl Wire for DirReply {
                 rows: ROWS.get(r, Row::get)?,
             },
             RP_SNAPSHOT => {
-                let (seqno, deadline_us, renewed, columns) = get_snapshot_head(r)?;
+                let (version, deadline_us, renewed, columns) = get_snapshot_head(r)?;
                 DirReply::Snapshot {
-                    seqno,
+                    version,
                     deadline_us,
                     renewed,
                     columns,
                     rows: ROWS.get(r, Row::get)?,
                 }
             }
+            RP_UNCHANGED => DirReply::Unchanged {
+                deadline_us: r.u64("unchanged deadline")?,
+                renewed: r.boolean("unchanged renewed")?,
+            },
             RP_ERR => DirReply::Err(DirError::get(r)?),
             _ => return Err(DecodeError::new("dir rep tag")),
         })
     }
 }
 
-/// A snapshot reply up to its rows: the tag, seqno, deadline, renewed
+/// A snapshot reply up to its rows: the tag, version, deadline, renewed
 /// flag and columns. [`DirReply::Snapshot`]'s `put` and a lease grant's
 /// encoder both write it, then the rows, each with
 /// [`put_row`](crate::directory::put_row).
 pub(crate) fn put_snapshot_head(
     w: &mut WireWriter,
-    seqno: u64,
+    version: u64,
     deadline_us: u64,
     renewed: bool,
     columns: &[String],
 ) {
     w.u8(RP_SNAPSHOT)
-        .u64(seqno)
+        .u64(version)
         .u64(deadline_us)
         .boolean(renewed);
     COLUMNS.put(w, columns, String::put);
@@ -762,7 +794,7 @@ pub(crate) fn put_snapshot_head(
 /// Reads what [`put_snapshot_head`] wrote after the tag.
 fn get_snapshot_head(r: &mut WireReader<'_>) -> Result<(u64, u64, bool, Vec<String>), DecodeError> {
     Ok((
-        r.u64("snap seqno")?,
+        r.u64("snap version")?,
         r.u64("snap deadline")?,
         r.boolean("snap renewed")?,
         COLUMNS.get(r, String::get)?,
@@ -776,11 +808,12 @@ fn get_snapshot_head(r: &mut WireReader<'_>) -> Result<(u64, u64, bool, Vec<Stri
 pub(crate) enum Fetched {
     /// A leased snapshot.
     Snapshot {
+        version: u64,
         deadline_us: u64,
         renewed: bool,
         rows: NameIndex,
     },
-    /// Any other reply.
+    /// Any other reply, [`DirReply::Unchanged`] included.
     Reply(DirReply),
 }
 
@@ -796,10 +829,11 @@ impl Fetched {
         if r.u8("dir rep tag")? != RP_SNAPSHOT {
             return DirReply::decode(bytes).map(Fetched::Reply);
         }
-        let (_, deadline_us, renewed, _) = get_snapshot_head(&mut r)?;
+        let (version, deadline_us, renewed, _) = get_snapshot_head(&mut r)?;
         let rows = ROWS.get(&mut r, Row::get_name_cap)?;
         r.expect_end("trailing bytes")?;
         Ok(Fetched::Snapshot {
+            version,
             deadline_us,
             renewed,
             rows: NameIndex::new(rows).ok_or(DecodeError::new("snapshot names"))?,
@@ -1023,7 +1057,8 @@ mod tests {
             cap: cap(1),
             owner: 1,
             cb_port: 2,
-            ttl_us: 3
+            ttl_us: 3,
+            have: 4
         }
         .is_read());
     }
@@ -1047,7 +1082,7 @@ mod tests {
             col_rights: vec![Rights::ALL],
         };
         let reply = DirReply::Snapshot {
-            seqno: 3,
+            version: 3,
             deadline_us: 9,
             renewed: true,
             columns: vec!["owner".into()],
@@ -1064,6 +1099,7 @@ mod tests {
     fn a_fetched_snapshot_is_a_name_index_and_a_repeated_name_is_refused() {
         match Fetched::decode(&snapshot(&["b", "a", "c"])) {
             Ok(Fetched::Snapshot {
+                version: 3,
                 deadline_us: 9,
                 renewed: true,
                 rows,
@@ -1080,5 +1116,25 @@ mod tests {
             Fetched::decode(&DirReply::Ok.encode()),
             Ok(Fetched::Reply(DirReply::Ok))
         ));
+    }
+
+    /// A revalidation is the renewed lease alone: the cache keeps its
+    /// rows, so a byte after it is refused like after any other reply.
+    #[test]
+    fn a_fetched_unchanged_is_its_lease_alone() {
+        let unchanged = DirReply::Unchanged {
+            deadline_us: 9,
+            renewed: false,
+        }
+        .encode();
+        assert!(matches!(
+            Fetched::decode(&unchanged),
+            Ok(Fetched::Reply(DirReply::Unchanged {
+                deadline_us: 9,
+                renewed: false
+            }))
+        ));
+        let trailing = [&unchanged[..], &[0]].concat();
+        assert!(Fetched::decode(&trailing).is_err());
     }
 }

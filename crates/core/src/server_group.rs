@@ -8,7 +8,10 @@
 //! `read_point`). Writes are validated here,
 //! then replicated through [`Replica::submit`] with resilience r = 2 —
 //! the initiator blocks until its own replica has applied *and
-//! group-committed* the operation. View changes, reset, recovery and
+//! group-committed* the operation. A cache's lease grant is ordered
+//! like a write but needs no durability, so its initiator waits through
+//! [`Replica::submit_ordered`] only until it is applied, and answers it
+//! like a read (see `fetch_dir`). View changes, reset, recovery and
 //! apply batching all live in the driver; this file contains **zero
 //! group-protocol code**.
 
@@ -313,26 +316,10 @@ fn handle_request(
     inval: &RpcClient,
     req: &DirRequest,
 ) -> Result<Payload, DirError> {
-    let publish = |seq| replica.wait_published(ctx, seq).map_err(rsm_err);
-    // Piggybacked lease renewal: a `FetchDir` from a holder whose lease
-    // is still registered (the write that revoked its previous lease
-    // reinstated a successor under the grant's renewal budget) is served
-    // off the read path — the same barrier any read takes — instead of a
-    // full `GrantRead` group round.
-    if let DirRequest::FetchDir {
-        cap, owner, ttl_us, ..
-    } = req
-    {
-        if applier.has_renewable_lease(ctx, cap, *owner, *ttl_us) {
-            let at = read_point(ctx, applier, replica, &publish, req)?;
-            cpu.use_for(ctx, params.read_cpu);
-            if let Some(rep) = applier.serve_renewed_fetch(ctx, cap, *owner, *ttl_us, &at) {
-                return Ok(rep);
-            }
-            // The lease vanished between the pre-check and the barrier —
-            // fall through to the normal grant round.
-        }
+    if let DirRequest::FetchDir { .. } = req {
+        return fetch_dir(ctx, applier, replica, params, cpu, req);
     }
+    let publish = |seq| replica.wait_published(ctx, seq).map_err(rsm_err);
     if req.is_read() {
         let at = read_point(ctx, applier, replica, &publish, req)?;
         cpu.use_for(ctx, params.read_cpu);
@@ -347,21 +334,74 @@ fn handle_request(
         let bytes = replica
             .submit_traced(ctx, op.encode(), amoeba_telemetry::current_ctx())
             .map_err(rsm_err)?;
-        // A grant mutates no rows, so it has nothing to fence: its
-        // snapshot is not even decoded on the way out.
-        if !matches!(op, DirOp::GrantRead { .. }) {
-            let reply = DirReply::decode(&bytes).map_err(|_| DirError::Internal)?;
-            // The cache fence: a successful update must not be
-            // acknowledged while any read lease granted before it
-            // could still serve the old contents (see
-            // [`crate::cache`]).
-            if !matches!(reply, DirReply::Err(_)) {
-                let objects = fence_objects(&op, &reply);
-                fence_cached_readers(ctx, applier, inval, &objects);
-            }
+        let reply = DirReply::decode(&bytes).map_err(|_| DirError::Internal)?;
+        // The cache fence: a successful update must not be acknowledged
+        // while any read lease granted before it could still serve the
+        // old contents (see [`crate::cache`]).
+        if !matches!(reply, DirReply::Err(_)) {
+            let objects = fence_objects(&op, &reply);
+            fence_cached_readers(ctx, applier, inval, &objects);
         }
         Ok(bytes)
     }
+}
+
+/// A `FetchDir`: a lease over the directory's rows, answered with them
+/// or, when the holder names the current version, with `Unchanged`.
+fn fetch_dir(
+    ctx: &Ctx,
+    applier: &Applier,
+    replica: &Replica<DirectoryStateMachine>,
+    params: &DirParams,
+    cpu: &Resource,
+    req: &DirRequest,
+) -> Result<Payload, DirError> {
+    let DirRequest::FetchDir {
+        cap,
+        owner,
+        ttl_us,
+        have,
+        ..
+    } = req
+    else {
+        unreachable!("called for a fetch")
+    };
+    let publish = |seq| replica.wait_published(ctx, seq).map_err(rsm_err);
+    // Piggybacked lease renewal: a holder whose lease is still registered
+    // (the write that revoked its previous lease reinstated a successor
+    // under the grant's renewal budget) is answered off the read path —
+    // the same barrier any read takes — instead of a `GrantRead` group
+    // round.
+    if applier.has_renewable_lease(ctx, cap, *owner, *ttl_us) {
+        let at = read_point(ctx, applier, replica, &publish, req)?;
+        cpu.use_for(ctx, params.read_cpu);
+        if let Some(rep) = applier.serve_renewed_fetch(ctx, cap, *owner, *ttl_us, *have, &at) {
+            return Ok(rep);
+        }
+        // The lease vanished between the pre-check and the barrier —
+        // fall through to the grant round.
+    }
+    cpu.use_for(ctx, params.write_cpu);
+    let op = applier.prepare_write(ctx, req)?;
+    let DirOp::GrantRead { deadline_us, .. } = op else {
+        unreachable!("a fetch prepares a grant")
+    };
+    // The grant needs its place in the order, not durability: leases are
+    // volatile behind the cold-boot fence. So it returns once applied
+    // here, and the answer is read like a read, once no batch in flight
+    // has changed the directory.
+    let bytes = replica
+        .submit_ordered(ctx, op.encode(), amoeba_telemetry::current_ctx())
+        .map_err(rsm_err)?;
+    if !matches!(DirReply::decode(&bytes), Ok(DirReply::Ok)) {
+        return Ok(bytes); // refused or moved, in the order
+    }
+    let latest = ReadAt {
+        target: u64::MAX,
+        publish: &publish,
+    };
+    applier.settle(cap.object, &latest)?;
+    applier.lease_answer(ctx, cap, *have, deadline_us, false)
 }
 
 /// The Fig. 5 read path up to the read's CPU. "Any buffered messages? …
@@ -424,7 +464,7 @@ fn fence_cached_readers(ctx: &Ctx, applier: &Applier, inval: &RpcClient, objects
     if objects.is_empty() {
         return;
     }
-    let fence_until = applier.shared.borrow_mut().write_fence_until_us;
+    let fence_until = applier.shared.borrow().write_fence_until_us;
     let now_us = ctx.now().as_nanos() / 1_000;
     if fence_until > now_us {
         ctx.sleep(Duration::from_micros(fence_until - now_us));

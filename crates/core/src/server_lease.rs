@@ -41,7 +41,13 @@
 //! local, deterministic step of `apply`:
 //!
 //! 1. `GrantRead` is ordered through the shard's group like any write;
-//!    every replica records `(owner, callback port, deadline)`.
+//!    every replica records `(owner, callback port, deadline)`. The
+//!    grant needs its place in the order, not durability (the table is
+//!    volatile behind the cold-boot fence), so its initiator answers
+//!    once it is applied there (`Replica::submit_ordered`): from the
+//!    directory's current version, read once no batch in flight has
+//!    changed it, or with `Unchanged` when the holder's fetch named
+//!    that version (see [`crate::cache`]).
 //! 2. A later write's `apply` moves the directory's live leases to a
 //!    volatile revocation queue — on every replica, at the same point
 //!    in the op stream.

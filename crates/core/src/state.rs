@@ -47,6 +47,14 @@ pub(crate) struct Shared {
     /// Logical version counter, monotone across group incarnations;
     /// stored with every directory ("sequence number", Fig. 4/§3).
     pub update_seq: u64,
+    /// The update seq of this shard's last op that may have changed an
+    /// object's check: a `Create`, `CreateKeyed`, `Delete`, `InstallDir`
+    /// or `InstallStub`. A leased snapshot re-issues each row's
+    /// capability with its object's check ([`restrict_with`]), so its
+    /// version covers this as well as the directory's own seqno. Boot
+    /// and a snapshot install set it to `update_seq`: a mismatch only
+    /// costs the holder a full snapshot.
+    pub checks_at: u64,
     /// Applied cursor of the replicated state machine: the last group
     /// sequence number whose effect is reflected in `table`/`cache`.
     /// Updated in the same critical section as the state mutation, so
@@ -150,6 +158,7 @@ impl Shared {
             cache: IdMap::default(),
             unflushed: IdMap::default(),
             update_seq: 0,
+            checks_at: 0,
             applied_group_seq: 0,
             commit: CommitBlock::initial(n),
             next_nv_uid: 1,
@@ -311,6 +320,7 @@ fn lease_snapshot(
     public_port: Port,
     dir: &Directory,
     cap: &Capability,
+    version: u64,
     deadline_us: u64,
     renewed: bool,
 ) -> Payload {
@@ -322,7 +332,7 @@ fn lease_snapshot(
     };
     let n = visible().count();
     encode_with(|w| {
-        put_snapshot_head(w, dir.seqno, deadline_us, renewed, &dir.columns);
+        put_snapshot_head(w, version, deadline_us, renewed, &dir.columns);
         ROWS.put_n(w, n, visible(), |(row, eff), w| {
             let restricted = restrict_with(shared, public_port, &row.cap, eff);
             put_row(
@@ -496,8 +506,9 @@ impl Applier {
     ///
     /// `reply == false` is the caller's promise that nobody reads the
     /// answer (a replica that did not initiate the op, a replay): it is
-    /// then empty, and nothing is encoded — in particular no grant's
-    /// snapshot. Nothing else may depend on the flag.
+    /// then empty, and nothing is encoded. Nothing else may depend on
+    /// the flag. A grant answers `Ok`: its initiator builds the holder's
+    /// answer itself ([`lease_answer`](Applier::lease_answer)).
     pub(crate) fn plan(
         &self,
         shared: &mut Shared,
@@ -562,7 +573,7 @@ impl Applier {
             if !cap.rights.sees_any_column() {
                 return Err(DirError::NoPermission);
             }
-            let dir = self.dir_for_plan(shared, object)?;
+            self.dir_for_plan(shared, object)?;
             // Prune expired holders deterministically (the op carries
             // the initiator's clock), then upsert this holder's lease.
             let leases = shared.rleases.entry(object).or_default();
@@ -574,16 +585,19 @@ impl Applier {
                 ttl_us: deadline_us.saturating_sub(*now_us),
                 renewals_left: self.lease_renewals,
             });
-            // Every replica registers the lease; only the one that owes
-            // the holder an answer writes the snapshot.
-            let granted = if reply {
-                lease_snapshot(shared, self.cfg.public_port, &dir, cap, *deadline_us, false)
-            } else {
-                Payload::empty()
-            };
-            return Ok((granted, Vec::new(), useq));
+            return Ok((answer(DirReply::Ok), Vec::new(), useq));
         }
         let (reply_to, effects) = self.plan_update(shared, op, useq)?;
+        if matches!(
+            op,
+            DirOp::Create { .. }
+                | DirOp::CreateKeyed { .. }
+                | DirOp::Delete { .. }
+                | DirOp::InstallDir { .. }
+                | DirOp::InstallStub { .. }
+        ) {
+            shared.checks_at = useq;
+        }
         Ok((answer(reply_to), effects, useq))
     }
 
@@ -1296,25 +1310,26 @@ impl Applier {
     /// The piggybacked-renewal fast path of `FetchDir`: the holder still
     /// has a live registered lease on the directory (the write that
     /// revoked its previous lease reinstated a successor under the
-    /// grant's renewal budget), so the snapshot is served off the read
-    /// path under that lease's deadline — no group round, no new grant.
-    /// The caller has already drained the read barrier, so the local
-    /// state is at least as new as any acknowledged write; the lease and
-    /// the rows are read once no batch in flight has changed the
-    /// directory, so they agree. Returns `None` when the lease vanished
-    /// since the pre-check (expired, relocated, revoked without budget)
-    /// or the wait was aborted; the caller falls back to the full
-    /// `GrantRead` round.
+    /// grant's renewal budget), so it is answered off the read path
+    /// under that lease's deadline — no group round, no new grant. The
+    /// caller has already drained the read barrier, so the local state
+    /// is at least as new as any acknowledged write; the lease and the
+    /// rows are read once no batch in flight has changed the directory,
+    /// so they agree. Returns `None` when the lease vanished since the
+    /// pre-check (expired, relocated, revoked without budget) or the
+    /// wait was aborted; the caller falls back to the full `GrantRead`
+    /// round.
     pub(crate) fn serve_renewed_fetch(
         &self,
         ctx: &Ctx,
         cap: &Capability,
         owner: u64,
         ttl_us: u64,
+        have: u64,
         at: &ReadAt,
     ) -> Option<Payload> {
         self.settle(cap.object, &at.latest()).ok()?;
-        let (object, deadline_us) = {
+        let deadline_us = {
             let mut shared = self.shared.borrow_mut();
             let object = validate_dir_cap(&shared, self.cfg.public_port, cap, Rights::NONE).ok()?;
             if !cap.rights.sees_any_column() || shared.stubs.contains_key(&object) {
@@ -1330,13 +1345,50 @@ impl Applier {
                 .map(|l| l.deadline_us)
                 .max()?;
             *shared.heat.entry(object).or_insert(0) += 1;
-            (object, deadline_us)
+            deadline_us
         };
-        let dir = self.load_dir(ctx, object).ok()?;
-        // The same snapshot the `GrantRead` apply path answers with.
-        let shared = self.shared.borrow();
+        self.lease_answer(ctx, cap, have, deadline_us, true).ok()
+    }
+
+    /// What the holder of `cap` is sent under a lease that runs until
+    /// `deadline_us`, renewed or granted: [`DirReply::Unchanged`] when
+    /// `have` names the directory's current version, else its
+    /// [`lease_snapshot`]. The caller has settled the directory, so the
+    /// current version holds nothing the batch in flight could still
+    /// lose; nothing here yields but the load of a cold directory.
+    pub(crate) fn lease_answer(
+        &self,
+        ctx: &Ctx,
+        cap: &Capability,
+        have: u64,
+        deadline_us: u64,
+        renewed: bool,
+    ) -> Result<Payload, DirError> {
         let port = self.cfg.public_port;
-        Some(lease_snapshot(&shared, port, &dir, cap, deadline_us, true))
+        {
+            let shared = self.shared.borrow();
+            let object = validate_dir_cap(&shared, port, cap, Rights::NONE)?;
+            if let Some(stub) = shared.stubs.get(&object) {
+                let moved = DirReply::Moved {
+                    object,
+                    to_port: stub.to_port,
+                    to_object: stub.to_object,
+                };
+                return Ok(moved.encode());
+            }
+        }
+        let dir = self.load_dir(ctx, cap.object)?;
+        let shared = self.shared.borrow();
+        let version = dir.seqno.max(shared.checks_at);
+        Ok(if have == version {
+            let unchanged = DirReply::Unchanged {
+                deadline_us,
+                renewed,
+            };
+            unchanged.encode()
+        } else {
+            lease_snapshot(&shared, port, &dir, cap, version, deadline_us, renewed)
+        })
     }
 
     /// Initiator-side validation and translation of a client write into
@@ -1472,6 +1524,7 @@ impl Applier {
                 owner,
                 cb_port,
                 ttl_us,
+                ..
             } => {
                 let _ = validate_dir_cap(&shared, port, cap, Rights::NONE)?;
                 if !cap.rights.sees_any_column() {

@@ -21,7 +21,8 @@
 //!   RPC, last-set check (with the §3.2 improved two-server rule),
 //!   choice of the most up-to-date member, state fetch/install;
 //! * initiator bookkeeping: [`Replica::submit`] blocks a caller until
-//!   its operation has been applied *and made durable* locally, and
+//!   its operation has been applied *and made durable* locally,
+//!   [`Replica::submit_ordered`] only until it has been applied, and
 //!   [`Replica::read_barrier`] implements the Fig. 5 read path (drain
 //!   everything the kernel has ordered before us);
 //! * **apply batching**: consecutive delivered operations are applied
@@ -55,8 +56,13 @@
 //!    the batch is applied: a machine whose flush yields keeps its reads
 //!    off unflushed state itself, calling [`Replica::wait_published`]
 //!    where it must (the directory service's `unflushed` map is the
-//!    example). Both cursors advance strictly in seqno order, one batch
-//!    at a time; nothing is applied while a flush is in progress.
+//!    example). The one exception among submitters is
+//!    [`Replica::submit_ordered`], for an operation that needs its place
+//!    in the order but nothing durable (the directory service's lease
+//!    grant): it wakes with the readers, its reply stored at apply, and
+//!    its caller keeps what it serves off unflushed state as a reader
+//!    does. Both cursors advance strictly in seqno order, one batch at a
+//!    time; nothing is applied while a flush is in progress.
 //! 3. **Batch atomicity.** A state machine whose flush cannot make a
 //!    multi-operation batch durable atomically must guard it — the
 //!    directory service marks its commit block so a crash mid-flush is

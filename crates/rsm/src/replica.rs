@@ -76,24 +76,26 @@ pub(crate) struct DriverShared {
     pub group: Option<Rc<Group>>,
     /// Work counters for [`Replica::stats`].
     pub stats: ReplicaStats,
-    /// Highest sequence number *applied*, flushed or not. Readers wait
-    /// on this.
+    /// Highest sequence number *applied*, flushed or not. Readers and
+    /// ordered-only submitters wait on this.
     pub applied_seq: SeqNo,
     /// Highest sequence number *published*: applied AND covered by a
-    /// group-commit flush. Submitters wait on this, never on the raw
-    /// apply cursor, so they cannot observe un-flushed state.
+    /// group-commit flush. Durable submitters wait on this, never on the
+    /// raw apply cursor, so they cannot observe un-flushed state.
     pub published_seq: SeqNo,
     /// Continuously up since last being in a majority configuration.
     pub stayed_up: bool,
-    /// Readers waiting for `applied_seq` to reach a target.
+    /// Readers and ordered-only submitters waiting for `applied_seq` to
+    /// reach a target.
     pub readers: Vec<(SeqNo, MailboxTx<Wake>)>,
     /// Initiators waiting for `published_seq` to reach a target.
     pub waiters: Vec<(SeqNo, MailboxTx<Wake>)>,
     /// Apply replies of the operations *this replica* submitted, by
-    /// sequence number, until the submitting thread takes its own
-    /// ([`Replica::submit`] is the only reader). Sequence numbers
-    /// restart with every group instance, so the map is emptied when a
-    /// new instance is installed.
+    /// sequence number, stored as the batch is applied, until the
+    /// submitting thread takes its own ([`Replica::submit`] and
+    /// [`Replica::submit_ordered`] are the only readers). Sequence
+    /// numbers restart with every group instance, so the map is emptied
+    /// when a new instance is installed.
     pub results: IdMap<SeqNo, Payload>,
 }
 
@@ -194,7 +196,9 @@ impl<S> std::fmt::Debug for ReplicaDeps<S> {
 }
 
 /// Handle to one running replica. Cloning is cheap; any thread on the
-/// machine may call [`submit`](Replica::submit) /
+/// machine may call [`submit`](Replica::submit) (returns once its
+/// operation is applied and flushed here),
+/// [`submit_ordered`](Replica::submit_ordered) (once it is applied) and
 /// [`read_barrier`](Replica::read_barrier).
 pub struct Replica<S> {
     cfg: RsmConfig,
@@ -306,7 +310,7 @@ impl<S: StateMachine> Replica<S> {
 
     /// Whether the replica is in normal operation.
     pub fn is_normal(&self) -> bool {
-        self.shared.borrow_mut().mode == Mode::Normal
+        self.shared.borrow().mode == Mode::Normal
     }
 
     /// Highest published (applied + flushed) sequence number.
@@ -332,7 +336,7 @@ impl<S: StateMachine> Replica<S> {
     /// The underlying group's engine counters (`None` while recovering
     /// or after the group dissolved).
     pub fn group_stats(&self) -> Option<amoeba_group::GroupStats> {
-        let group = self.shared.borrow_mut().group.clone();
+        let group = self.shared.borrow().group.clone();
         group.and_then(|g| g.stats())
     }
 
@@ -362,13 +366,42 @@ impl<S: StateMachine> Replica<S> {
         op: impl Into<Payload>,
         trace: amoeba_telemetry::TraceCtx,
     ) -> Result<Payload, RsmError> {
+        self.submit_until(ctx, op.into(), trace, Cursor::Published)
+    }
+
+    /// [`submit_traced`](Replica::submit_traced) for an operation that
+    /// needs ordering but not durability: it returns once this replica
+    /// has *applied* it, while its batch may still be flushing. The
+    /// caller must keep whatever it serves off that batch's unflushed
+    /// state itself, as a reader does.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`submit`](Replica::submit).
+    pub fn submit_ordered(
+        &self,
+        ctx: &Ctx,
+        op: impl Into<Payload>,
+        trace: amoeba_telemetry::TraceCtx,
+    ) -> Result<Payload, RsmError> {
+        self.submit_until(ctx, op.into(), trace, Cursor::Applied)
+    }
+
+    /// Sends `op` and takes its reply once `cursor` covers it.
+    fn submit_until(
+        &self,
+        ctx: &Ctx,
+        op: Payload,
+        trace: amoeba_telemetry::TraceCtx,
+        cursor: Cursor,
+    ) -> Result<Payload, RsmError> {
         let group = self.serving_group()?;
         self.shared.borrow_mut().stats.submitted += 1;
         let seq = group
-            .send_traced(ctx, op.into(), trace)
+            .send_traced(ctx, op, trace)
             .map_err(|_| RsmError::NotInService)?;
-        self.wait(ctx, seq, Cursor::Published, false)?;
-        let result = { self.shared.borrow_mut().results.remove(&seq) };
+        self.wait(ctx, seq, cursor, false)?;
+        let result = self.shared.borrow_mut().results.remove(&seq);
         result.ok_or(RsmError::ResultLost)
     }
 
@@ -422,7 +455,7 @@ impl<S: StateMachine> Replica<S> {
 
     /// Blocks until `cursor` reaches `target`. A read's wait that blocks
     /// is an `rsm.read_wait` span under the caller's ambient context; a
-    /// submitter's is covered by its op's apply and flush spans.
+    /// submitter's is covered by its op's apply (and flush) spans.
     fn wait(&self, ctx: &Ctx, target: SeqNo, cursor: Cursor, read: bool) -> Result<(), RsmError> {
         let rx = {
             let mut shared = self.shared.borrow_mut();
@@ -480,9 +513,11 @@ impl<S: StateMachine> Replica<S> {
     /// Returns when the group is beyond repair (full recovery required).
     ///
     /// Each iteration collects a batch of delivered operations, applies
-    /// it, wakes its readers, makes it durable with one inline
+    /// it, stores its local replies, wakes its readers and ordered-only
+    /// submitters, makes it durable with one inline
     /// [`flush`](StateMachine::flush) and only then publishes it, so
-    /// submitters never observe un-flushed state.
+    /// [`submit`](Replica::submit) callers never observe un-flushed
+    /// state.
     fn event_loop(&self, ctx: &Ctx, group: &Rc<Group>) {
         loop {
             let first = match group.recv_timeout(ctx, self.cfg.idle_timeout) {
@@ -525,7 +560,7 @@ impl<S: StateMachine> Replica<S> {
             }
 
             let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
-            let covered = { self.shared.borrow_mut().published_seq };
+            let covered = self.shared.borrow().published_seq;
             // Ops already covered by a fetched state snapshot are skipped.
             msgs.retain(|(seq, ..)| *seq > covered);
             // Only the submitting replica's thread reads a reply
@@ -544,6 +579,8 @@ impl<S: StateMachine> Replica<S> {
                 {
                     let mut shared = self.shared.borrow_mut();
                     shared.applied_seq = shared.applied_seq.max(last);
+                    shared.results.extend(results);
+                    shared.prune_results();
                     shared.wake();
                 }
                 // One group-commit flush, then publish. Every op of the
@@ -561,8 +598,6 @@ impl<S: StateMachine> Replica<S> {
                 shared.stats.applied += msgs.len() as u64;
                 shared.stats.batches += 1;
                 shared.published_seq = shared.published_seq.max(last);
-                shared.results.extend(results);
-                shared.prune_results();
                 shared.wake();
             }
 

@@ -1,7 +1,9 @@
 //! The lease-fenced client-side directory cache: local hits and their
 //! counters, the revoke-before-ack write fence under an invalidation
 //! storm, cache-off behavioral equivalence, writes surviving a crashed
-//! lease holder, and session monotonicity under replica faults.
+//! lease holder, session monotonicity under replica faults, and
+//! revalidation: an expired snapshot is renewed without its rows only
+//! while every byte of it is current.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,6 +14,7 @@ use amoeba_dirsvc::dir::{
     CacheParams, Capability, DirClient, DirClientError, DirReply, DirRequest, Rights,
 };
 use amoeba_dirsvc::flip::wire::Wire;
+use amoeba_dirsvc::rpc::RpcClient;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
 use amoeba_testkit::Gen;
 
@@ -205,6 +208,7 @@ fn a_crashed_lease_holder_cannot_block_writes_past_its_ttl() {
             owner: 0xDEAD,
             cb_port: amoeba_dirsvc::flip::Port::from_name("crashed-holder").as_raw(),
             ttl_us: 400_000,
+            have: 0,
         };
         let bytes = rpc.trans(ctx, root.port, req.encode()).expect("transport");
         let reply = DirReply::decode(&bytes).expect("well-formed reply");
@@ -326,4 +330,145 @@ fn a_grant_leaves_no_reply_behind_on_any_replica() {
         assert!(server.replica_stats().applied >= 200, "replica {i} applied");
         assert_eq!(server.unclaimed_results(), 0, "replica {i}");
     }
+}
+
+/// `hits + misses + renewals + stale_rejects` counts every lookup once.
+fn lookups_counted(reader: &DirClient) -> u64 {
+    let s = reader.cache_stats().expect("cache is on");
+    s.hits + s.misses + s.renewals + s.stale_rejects
+}
+
+/// A raw `FetchDir` for a holder nobody calls back, naming version `have`.
+fn fetch_raw(ctx: &Ctx, rpc: &RpcClient, dir: Capability, have: u64) -> Vec<u8> {
+    let req = DirRequest::FetchDir {
+        cap: dir,
+        owner: 0xB0B,
+        cb_port: amoeba_dirsvc::flip::Port::from_name("idle-holder").as_raw(),
+        ttl_us: 400_000,
+        have,
+    };
+    rpc.trans(ctx, dir.port, req.encode())
+        .expect("transport")
+        .to_vec()
+}
+
+/// A lookup past its lease finds the entry kept; its refetch names the
+/// snapshot's version, and the unchanged directory's lease is renewed
+/// without the rows, which answer the lookups that follow.
+#[test]
+fn an_expired_entry_of_an_unchanged_directory_is_revalidated() {
+    let (mut sim, mut cluster, writer, root) = cached_cluster(1, 511);
+    let (reader, _) = cluster.client(&sim);
+    let (_, rpc, _) = cluster.client_machine(&sim);
+    let out = sim.spawn("app", move |ctx| {
+        writer
+            .append_row(ctx, root, "x", root, vec![Rights::ALL])
+            .unwrap();
+        assert!(reader.lookup(ctx, root, "x").unwrap().is_some());
+        ctx.sleep(Duration::from_millis(500)); // past the 400 ms lease
+        assert!(reader.lookup(ctx, root, "x").unwrap().is_some());
+        assert!(reader.lookup(ctx, root, "absent").unwrap().is_none());
+        let stats = reader.cache_stats().expect("cache is on");
+        assert_eq!(lookups_counted(&reader), 3, "{stats:?}");
+
+        // The same two fetches over the raw transport: the rows, then
+        // the renewed lease alone.
+        let version = match DirReply::decode(&fetch_raw(ctx, &rpc, root, 0)) {
+            Ok(DirReply::Snapshot { version, rows, .. }) => {
+                assert_eq!(rows.len(), 1);
+                version
+            }
+            other => panic!("a fetch naming no version gets the rows: {other:?}"),
+        };
+        let again = fetch_raw(ctx, &rpc, root, version);
+        (stats, again)
+    });
+    sim.run_for(Duration::from_secs(30));
+    let (stats, again) = out.take().expect("lookups returned");
+    assert_eq!(
+        (
+            stats.misses,
+            stats.stale_rejects,
+            stats.hits,
+            stats.revalidated
+        ),
+        (1, 1, 1, 1),
+        "{stats:?}"
+    );
+    assert!(
+        matches!(DirReply::decode(&again), Ok(DirReply::Unchanged { .. })),
+        "{again:?}"
+    );
+    assert!(again.len() < 32, "a revalidation is {} bytes", again.len());
+}
+
+/// A snapshot's rows carry capabilities re-issued with their objects'
+/// checks. Deleting the directory a row points at and creating another
+/// at the same object number changes that row's answer while the
+/// leased directory itself is untouched, so the refetch must be sent in
+/// full, and the cached lookup must equal `LookupSet`'s.
+#[test]
+fn a_recreated_directory_a_row_points_at_is_refetched_in_full() {
+    let (mut sim, mut cluster, writer, root) = cached_cluster(1, 513);
+    let (reader, _) = cluster.client(&sim);
+    let (_, rpc, _) = cluster.client_machine(&sim);
+    let out = sim.spawn("app", move |ctx| {
+        let target = writer.create_dir(ctx, &["owner"]).unwrap();
+        writer
+            .append_row(ctx, root, "x", target, vec![Rights::ALL])
+            .unwrap();
+        let before = reader.lookup(ctx, root, "x").unwrap();
+        ctx.sleep(Duration::from_millis(500)); // past the 400 ms lease
+        writer.delete_dir(ctx, target).unwrap();
+        let again = writer.create_dir(ctx, &["owner"]).unwrap();
+        assert_eq!(again.object, target.object, "the object number is reused");
+        let cached = reader.lookup(ctx, root, "x").unwrap();
+        let items = vec![(root, "x".to_owned())];
+        let req = DirRequest::LookupSet { items };
+        let bytes = rpc.trans(ctx, root.port, req.encode()).expect("transport");
+        let served = match DirReply::decode(&bytes) {
+            Ok(DirReply::Caps(caps)) => caps[0],
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(lookups_counted(&reader), 2);
+        (
+            before,
+            cached,
+            served,
+            reader.cache_stats().expect("cache is on"),
+        )
+    });
+    sim.run_for(Duration::from_secs(30));
+    let (before, cached, served, stats) = out.take().expect("lookups returned");
+    assert_ne!(before, served, "the row's answer changed");
+    assert_eq!(cached, served, "the cache answers as LookupSet does");
+    assert_eq!(
+        (stats.stale_rejects, stats.revalidated),
+        (1, 0),
+        "{stats:?}"
+    );
+}
+
+/// An invalidation callback drops the entry, so the next lookup has no
+/// version to name and gets the rows.
+#[test]
+fn an_invalidated_entry_is_refetched_in_full() {
+    let (mut sim, mut cluster, writer, root) = cached_cluster(1, 515);
+    let (reader, _) = cluster.client(&sim);
+    let out = sim.spawn("app", move |ctx| {
+        writer
+            .append_row(ctx, root, "x", root, vec![Rights::ALL])
+            .unwrap();
+        assert!(reader.lookup(ctx, root, "x").unwrap().is_some());
+        writer
+            .append_row(ctx, root, "y", root, vec![Rights::ALL])
+            .unwrap();
+        assert!(reader.lookup(ctx, root, "y").unwrap().is_some());
+        assert_eq!(lookups_counted(&reader), 2);
+        reader.cache_stats().expect("cache is on")
+    });
+    sim.run_for(Duration::from_secs(30));
+    let stats = out.take().expect("lookups returned");
+    assert_eq!((stats.misses, stats.revalidated), (2, 0), "{stats:?}");
+    assert!(stats.invalidations >= 1, "{stats:?}");
 }

@@ -377,8 +377,11 @@ fn requested_by_1000_unasked_grants(rows: usize) -> usize {
             assert!(sm.apply(ctx, seq, &grant, false).is_empty());
         }
         let requested = REQUESTED.load(Ordering::Relaxed) - before;
-        // The grants did happen: asked, the machine answers with all rows.
-        let snapshot = sm.apply(ctx, seq + 1, &grant, true);
+        // The grants did happen: asked, the machine grants, and the
+        // holder's answer holds all rows.
+        let granted = sm.apply(ctx, seq + 1, &grant, true);
+        assert!(matches!(DirReply::decode(&granted), Ok(DirReply::Ok)));
+        let snapshot = sm.lease_answer(ctx, &owner, 0, 400_000);
         assert!(snapshot.len() > rows * "row-0".len());
         requested
     });
@@ -402,9 +405,9 @@ fn a_grant_nobody_asked_about_requests_no_more_heap_in_a_bigger_directory() {
 }
 
 /// The heap one read-lease grant requests on a directory of `rows` rows,
-/// applied on the replica that owes the holder its answer, and the
-/// answer's length.
-fn requested_by_an_answered_grant(rows: usize) -> (usize, usize) {
+/// applied on the replica that owes the holder its answer, and its
+/// reply's length; then the same two for the answer its initiator sends.
+fn requested_by_an_answered_grant(rows: usize) -> [(usize, usize); 2] {
     let mut sim = Simulation::new(1);
     let (node, sm) = machine_that_never_flushes(&sim);
     let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
@@ -438,22 +441,27 @@ fn requested_by_an_answered_grant(rows: usize) -> (usize, usize) {
         }
         let mine = || MINE.with(Cell::get);
         let before = mine();
-        let answer = sm.apply(ctx, ops.len() as u64, last, true);
-        (mine() - before, answer.len())
+        let granted = sm.apply(ctx, ops.len() as u64, last, true);
+        let applied = (mine() - before, granted.len());
+        let before = mine();
+        let answer = sm.lease_answer(ctx, &owner, 0, 400_000);
+        [applied, (mine() - before, answer.len())]
     });
     sim.run_for(Duration::from_secs(60));
     out.take().expect("the grant was applied")
 }
 
-/// A grant this replica answers is written straight from the shared
-/// version of the directory into one buffer of exactly its length, plus
-/// the `Arc` that shares it: no row is copied on the way.
+/// A grant this replica answers costs its apply the one-byte `Ok` alone,
+/// and the answer its initiator then sends is written straight from the
+/// shared version of the directory into one buffer of exactly its
+/// length, plus the `Arc` that shares it: no row is copied on the way.
 #[test]
 fn an_answered_grant_is_one_exact_size_buffer() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     let shared = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u8>>();
     for rows in [4, 64] {
-        let (requested, len) = requested_by_an_answered_grant(rows);
+        let [(applied, granted), (requested, len)] = requested_by_an_answered_grant(rows);
+        assert_eq!((applied, granted), (1 + shared, 1), "{rows} rows");
         assert!(
             len > rows * "row-0".len(),
             "{rows} rows: the answer holds them"

@@ -2,7 +2,8 @@
 //! every op ordered before it is applied, while the last batch may still
 //! be flushing. A read then waits for that flush only if the batch
 //! changed a directory it reads, and it is never served state the batch
-//! has not yet made durable.
+//! has not yet made durable. A lease grant is ordered like a write but
+//! answered like a read: once applied, under the same rule.
 
 use std::time::Duration;
 
@@ -59,6 +60,7 @@ fn fetch(ctx: &Ctx, rpc: &RpcClient, dir: Capability) -> DirReply {
         owner: 0xB0B,
         cb_port: Port::from_name("idle-holder").as_raw(),
         ttl_us: 400_000,
+        have: 0,
     };
     let bytes = rpc.trans(ctx, dir.port, req.encode()).expect("transport");
     DirReply::decode(&bytes).expect("well-formed reply")
@@ -180,5 +182,93 @@ fn reads_wait_only_for_the_flush_of_their_own_directory() {
     assert!(
         took < INSIDE_A_FLUSH,
         "B's renewal waited for A's flush: {took:?}"
+    );
+}
+
+/// Grants of directories A and B ordered, with a second append to A,
+/// during the flush of a first append to A, so the loop applies the
+/// three as one batch: each grant's reply and when it came, and when
+/// the second append was acknowledged.
+struct GrantsBehindAWrite {
+    second_acked: SimTime,
+    grant_a: (DirReply, SimTime),
+    grant_b: (DirReply, SimTime),
+}
+
+fn grants_behind_a_write() -> GrantsBehindAWrite {
+    let (mut sim, mut cluster, roots) = formed(803, 2);
+    let (dir_a, dir_b) = (roots[0], roots[1]);
+    let (setup, _) = cluster.client(&sim);
+    let done = sim.spawn("setup", move |ctx| append(ctx, &setup, dir_b, "x"));
+    sim.run_for(Duration::from_secs(1));
+    assert_eq!(done.take(), Some(()));
+
+    let (w1, _) = cluster.client(&sim);
+    let (w2, _) = cluster.client(&sim);
+    let (_, rpc_a, _) = cluster.client_machine(&sim);
+    let (_, rpc_b, _) = cluster.client_machine(&sim);
+    // `first` is ordered at once and flushes for ≈ 80 ms; `second` and
+    // both grants are ordered during that flush, so the loop applies
+    // them as the next batch once it is published.
+    let first = sim.spawn("first", move |ctx| append(ctx, &w1, dir_a, "first"));
+    let second = sim.spawn("second", move |ctx| {
+        ctx.sleep(Duration::from_millis(30));
+        append(ctx, &w2, dir_a, "second");
+        ctx.now()
+    });
+    let grant = |rpc: RpcClient, dir| {
+        move |ctx: &Ctx| {
+            ctx.sleep(Duration::from_millis(35));
+            let reply = fetch(ctx, &rpc, dir);
+            (reply, ctx.now())
+        }
+    };
+    let grant_a = sim.spawn("grant-a", grant(rpc_a, dir_a));
+    let grant_b = sim.spawn("grant-b", grant(rpc_b, dir_b));
+    sim.run_for(Duration::from_secs(3));
+    assert_eq!(first.take(), Some(()));
+    GrantsBehindAWrite {
+        second_acked: second.take().expect("second acknowledged"),
+        grant_a: grant_a.take().expect("A's grant answered"),
+        grant_b: grant_b.take().expect("B's grant answered"),
+    }
+}
+
+/// Most of one flush on `paper()` disks (two accesses of ≈ 40 ms each).
+const MOST_OF_A_FLUSH: Duration = Duration::from_millis(40);
+
+fn has_row(reply: &DirReply, name: &str) -> bool {
+    match reply {
+        DirReply::Snapshot { rows, .. } => rows.iter().any(|r| r.name == name),
+        other => panic!("a grant answers with the rows: {other:?}"),
+    }
+}
+
+/// A grant needs its place in the order, not durability: B's grant,
+/// applied in the batch of an append to A, answers while that append
+/// is still flushing.
+#[test]
+fn a_grant_queued_behind_another_directorys_write_answers_before_its_flush() {
+    let run = grants_behind_a_write();
+    let (reply, answered) = run.grant_b;
+    assert!(has_row(&reply, "x"));
+    assert!(
+        answered + MOST_OF_A_FLUSH < run.second_acked,
+        "B's grant waited for A's flush: answered {answered:?}, A's append acked {:?}",
+        run.second_acked
+    );
+}
+
+/// A's grant is applied in the batch that changed A: it waits for that
+/// batch's flush, and its snapshot holds the row the batch wrote.
+#[test]
+fn a_grant_of_a_directory_the_batch_changed_waits_for_its_flush() {
+    let run = grants_behind_a_write();
+    let (reply, answered) = run.grant_a;
+    assert!(has_row(&reply, "first") && has_row(&reply, "second"));
+    let (_, b_answered) = run.grant_b;
+    assert!(
+        answered > b_answered + MOST_OF_A_FLUSH,
+        "A's grant was answered before A's flush: {answered:?}, B's grant at {b_answered:?}"
     );
 }

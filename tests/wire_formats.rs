@@ -21,7 +21,7 @@ use amoeba_dirsvc::flip::wire::Wire;
 use amoeba_dirsvc::flip::{NetParams, Network, Port};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
-use amoeba_dirsvc::sim::{Resource, Simulation};
+use amoeba_dirsvc::sim::{NodeId, Resource, Simulation};
 use amoeba_testkit::{hex, mutants_refused_or_exact, unhex};
 
 /// Checks a table of `(value, golden hex)` for type `$t`: each value
@@ -182,9 +182,10 @@ fn requests() -> Vec<(DirRequest, &'static str)> {
                 owner: 0xC11E,
                 cb_port: 0xCB,
                 ttl_us: 250_000,
+                have: 8,
             },
             "0fd1000000000000000100000000000000ffc1000000000000001ec1000000000000cb0000\
-             000000000090d0030000000000",
+             000000000090d00300000000000800000000000000",
         ),
     ]
 }
@@ -230,7 +231,7 @@ fn replies() -> Vec<(DirReply, &'static str)> {
         ),
         (
             DirReply::Snapshot {
-                seqno: 8,
+                version: 8,
                 deadline_us: 1_250_000,
                 renewed: true,
                 columns: names(&["owner"]),
@@ -238,6 +239,13 @@ fn replies() -> Vec<(DirReply, &'static str)> {
             },
             "080800000000000000d0121300000000000101050000006f776e65720100000001000000\
              72d100000000000000040000000000000001f9a99105df9e07c40101",
+        ),
+        (
+            DirReply::Unchanged {
+                deadline_us: 1_250_000,
+                renewed: true,
+            },
+            "09d01213000000000001",
         ),
     ];
     let errors = [
@@ -404,15 +412,13 @@ fn the_commit_block_keeps_its_bytes_and_ignores_its_padding() {
     assert_eq!(CommitBlock::decode(&padded, 2), None, "another group size");
 }
 
-/// A replica snapshot holding a directory, a completion record, a
-/// forwarding stub and a read lease, and its install on a fresh machine.
-#[test]
-fn a_replica_snapshot_keeps_its_bytes() {
-    let mut sim = Simulation::new(1);
+/// Two directory machines on one node over an instant disk, each with
+/// its own object table, and the node.
+fn two_machines(sim: &mut Simulation) -> (NodeId, [DirectoryStateMachine; 2]) {
     let node = sim.add_node("m");
     let net = Network::new(sim.handle(), NetParams::default(), 1);
-    let rpc = RpcNode::start(&sim, node, net.attach());
-    let disk = DiskServer::start(&sim, node, VDisk::new(64, 4096), DiskParams::instant());
+    let rpc = RpcNode::start(sim, node, net.attach());
+    let disk = DiskServer::start(sim, node, VDisk::new(64, 4096), DiskParams::instant());
     let cfg = ServiceConfig::new(3, 0);
     let machine = |first_block| {
         DirectoryStateMachine::standalone(
@@ -425,8 +431,16 @@ fn a_replica_snapshot_keeps_its_bytes() {
             Resource::new(sim.handle(), "cpu"),
         )
     };
-    let (sm, fresh) = (machine(0), machine(16));
-    let owner = Capability::owner(cfg.public_port, 1, 0xC1);
+    (node, [machine(0), machine(16)])
+}
+
+/// A replica snapshot holding a directory, a completion record, a
+/// forwarding stub and a read lease, and its install on a fresh machine.
+#[test]
+fn a_replica_snapshot_keeps_its_bytes() {
+    let mut sim = Simulation::new(1);
+    let (node, [sm, fresh]) = two_machines(&mut sim);
+    let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
     let out = sim.spawn_on(node, "replica", move |ctx| {
         let ops = [
             DirOp::Create {
@@ -476,6 +490,92 @@ fn a_replica_snapshot_keeps_its_bytes() {
          00000800000000000000801a060000000000801a060000000000020000000000\
          0000";
     assert_eq!(out.take(), Some((5, golden.to_string())));
+}
+
+/// What a grant's initiator sends the holder, from the machine's state:
+/// the rows a holder of column 0 sees — row `b` grants that column
+/// nothing, so it is left out — under the version the rows depend on;
+/// asked again with that version, the renewed lease alone; and the rows
+/// again once a create (which may change any row's re-issued check) or
+/// an append has moved the version on.
+#[test]
+fn a_grants_answer_keeps_its_bytes_and_is_unchanged_while_current() {
+    let mut sim = Simulation::new(1);
+    let (node, [sm, _]) = two_machines(&mut sim);
+    let port = ServiceConfig::new(3, 0).public_port;
+    let owner = Capability::owner(port, 1, 0xC1);
+    let holder = owner
+        .restrict(Rights::column(0))
+        .expect("a weaker capability");
+    let out = sim.spawn_on(node, "replica", move |ctx| {
+        let row = |name: &str, col_rights| DirOp::Append {
+            object: 1,
+            name: name.into(),
+            cap: owner,
+            col_rights,
+        };
+        let grant = DirOp::GrantRead {
+            cap: holder,
+            owner: 7,
+            cb_port: 8,
+            now_us: 0,
+            deadline_us: 400_000,
+        };
+        let create = |check| DirOp::Create {
+            columns: names(&["owner", "other"]),
+            check,
+        };
+        let mut seq = 0;
+        let mut apply = |op: DirOp| {
+            seq += 1;
+            hex(&sm.apply(ctx, seq, &op.encode(), true))
+        };
+        apply(create(0xC1));
+        apply(row("a", vec![Rights::ALL, Rights::column(0)]));
+        apply(row("b", vec![Rights::NONE, Rights::ALL]));
+        assert_eq!(apply(grant), "02", "the grant's apply answers Ok");
+        let answer = |have| hex(&sm.lease_answer(ctx, &holder, have, 400_000));
+        let mut answers = vec![answer(0), answer(3)];
+        apply(create(0xC2));
+        answers.push(answer(3));
+        apply(row("c", vec![Rights::ALL, Rights::NONE]));
+        answers.push(answer(5));
+        answers
+    });
+    sim.run_for(Duration::from_secs(60));
+    let answers = out.take().expect("the machine answered");
+    let visible = |rows: &[&str]| {
+        rows.iter()
+            .map(|name| row(name, owner, vec![Rights::ALL]))
+            .collect()
+    };
+    let snapshot = |version, rows| DirReply::Snapshot {
+        version,
+        deadline_us: 400_000,
+        renewed: false,
+        columns: names(&["owner", "other"]),
+        rows,
+    };
+    let unchanged = DirReply::Unchanged {
+        deadline_us: 400_000,
+        renewed: false,
+    };
+    let expected = [
+        snapshot(3, visible(&["a"])),
+        unchanged,
+        snapshot(5, visible(&["a"])),
+        snapshot(6, visible(&["a", "c"])),
+    ];
+    let expected: Vec<String> = expected.iter().map(|r| hex(&r.encode())).collect();
+    assert_eq!(answers, expected);
+    assert_eq!(
+        answers[..2],
+        [
+            "080300000000000000801a0600000000000002050000006f776e6572050000006f74686572\
+             01000000010000006116178d83bd2600000100000000000000ffc10000000000000001ff",
+            "09801a06000000000000",
+        ]
+    );
 }
 
 #[test]
