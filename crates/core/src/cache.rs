@@ -52,12 +52,15 @@
 //! An entry past its deadline is never served, but it is kept: only an
 //! invalidation callback (or the client's own write) drops one. Every
 //! refetch names the [`version`](crate::DirReply::Snapshot::version) of
-//! the snapshot it still keeps, and while that version is current the
-//! service renews the lease with [`Unchanged`](crate::DirReply::Unchanged)
-//! instead of re-sending the rows (Gray & Cheriton's revalidation,
-//! *Leases*, SOSP 1989): the cache re-leases its kept index, with no
-//! decode and no sort. Since nothing but a callback drops an entry, the
-//! cache holds one snapshot per directory the client has read.
+//! the snapshot it still keeps — the digest of its columns and rows as
+//! sent, not any replica's update counter, so it means the same at every
+//! replica and across crashes. While the rows the holder would be sent
+//! now digest to it, the service renews the lease with
+//! [`Unchanged`](crate::DirReply::Unchanged) instead of re-sending them
+//! (Gray & Cheriton's revalidation, *Leases*, SOSP 1989): the cache
+//! re-leases its kept index, with no decode and no sort. Since nothing
+//! but a callback drops an entry, the cache holds one snapshot per
+//! directory the client has read.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;

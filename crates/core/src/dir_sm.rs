@@ -1047,10 +1047,6 @@ impl StateMachine for DirectoryStateMachine {
             // replica's fence is harmless extra caution; a genuinely
             // fresh deployment boots with update_seq 0 and no fence.)
             let mut shared = applier.shared.borrow_mut();
-            // A boot does not know which ops changed checks: counting
-            // them all as changed at `update_seq` puts every version at
-            // or past it, so an older one is answered in full.
-            shared.checks_at = shared.update_seq;
             if shared.update_seq > 0 {
                 // Piggybacked renewals can extend a lease by up to
                 // `lease_renewals × ttl` beyond its original deadline, so
@@ -1191,7 +1187,6 @@ impl StateMachine for DirectoryStateMachine {
                 shared.cache.insert(*object, Rc::clone(dir));
             }
             shared.update_seq = update_seq;
-            shared.checks_at = update_seq;
             shared.commit.seqno = commit_seqno;
             shared.applied_group_seq = cursor;
             shared.completions = completions.into_iter().collect();

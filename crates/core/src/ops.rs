@@ -151,9 +151,9 @@ pub enum DirRequest {
         /// service clamps it to its configured maximum.
         ttl_us: u64,
         /// The [`version`](DirReply::Snapshot::version) of the snapshot
-        /// the holder still keeps, 0 for none. While it is current the
-        /// service renews the lease with [`DirReply::Unchanged`] instead
-        /// of re-sending the rows.
+        /// the holder still keeps, 0 for none. While the holder would
+        /// be sent the same contents again, the service renews the lease
+        /// with [`DirReply::Unchanged`] instead of re-sending them.
         have: u64,
     },
 }
@@ -192,10 +192,9 @@ pub enum DirReply {
     /// visible to the holder, good for local serving until
     /// `deadline_us` or an invalidation callback, whichever is first.
     Snapshot {
-        /// What the rows depend on, as an update seq: the later of the
-        /// directory's last change and the shard's last change to any
-        /// object's check (a row's capability is re-issued with the
-        /// check its object has now). Equal versions mean equal rows.
+        /// The digest of the columns and rows as encoded here (never 0):
+        /// it names what the holder keeps, whichever replica sent it,
+        /// so equal versions mean equal contents.
         version: u64,
         /// Absolute simulated-time deadline (µs since simulation
         /// start) after which the lease — and the snapshot — is dead.
@@ -212,8 +211,9 @@ pub enum DirReply {
         rows: Vec<Row>,
     },
     /// A renewed lease over the snapshot the holder already keeps: the
-    /// [`DirRequest::FetchDir`] named a version that is still current,
-    /// so the rows are not sent again (Gray & Cheriton's revalidation).
+    /// [`DirRequest::FetchDir`] named the version of exactly the contents
+    /// it would be sent now, so they are not sent again (Gray &
+    /// Cheriton's revalidation).
     Unchanged {
         /// The renewed lease's absolute deadline, as in
         /// [`Snapshot`](Self::Snapshot).
@@ -717,7 +717,8 @@ impl Wire for DirReply {
                 columns,
                 rows,
             } => {
-                put_snapshot_head(w, *version, *deadline_us, *renewed, columns);
+                put_snapshot_head(w, *version, *deadline_us, *renewed);
+                COLUMNS.put(w, columns, String::put);
                 ROWS.put(w, rows, Row::put);
             }
             DirReply::Unchanged {
@@ -754,12 +755,12 @@ impl Wire for DirReply {
                 rows: ROWS.get(r, Row::get)?,
             },
             RP_SNAPSHOT => {
-                let (version, deadline_us, renewed, columns) = get_snapshot_head(r)?;
+                let (version, deadline_us, renewed) = get_snapshot_head(r)?;
                 DirReply::Snapshot {
                     version,
                     deadline_us,
                     renewed,
-                    columns,
+                    columns: COLUMNS.get(r, String::get)?,
                     rows: ROWS.get(r, Row::get)?,
                 }
             }
@@ -773,31 +774,23 @@ impl Wire for DirReply {
     }
 }
 
-/// A snapshot reply up to its rows: the tag, version, deadline, renewed
-/// flag and columns. [`DirReply::Snapshot`]'s `put` and a lease grant's
-/// encoder both write it, then the rows, each with
-/// [`put_row`](crate::directory::put_row).
-pub(crate) fn put_snapshot_head(
-    w: &mut WireWriter,
-    version: u64,
-    deadline_us: u64,
-    renewed: bool,
-    columns: &[String],
-) {
+/// A snapshot reply up to what its lease covers: the tag, version,
+/// deadline and renewed flag. [`DirReply::Snapshot`]'s `put` and a lease
+/// grant's encoder both write it, then the columns and the rows, each
+/// with [`put_row`](crate::directory::put_row).
+pub(crate) fn put_snapshot_head(w: &mut WireWriter, version: u64, deadline_us: u64, renewed: bool) {
     w.u8(RP_SNAPSHOT)
         .u64(version)
         .u64(deadline_us)
         .boolean(renewed);
-    COLUMNS.put(w, columns, String::put);
 }
 
 /// Reads what [`put_snapshot_head`] wrote after the tag.
-fn get_snapshot_head(r: &mut WireReader<'_>) -> Result<(u64, u64, bool, Vec<String>), DecodeError> {
+fn get_snapshot_head(r: &mut WireReader<'_>) -> Result<(u64, u64, bool), DecodeError> {
     Ok((
         r.u64("snap version")?,
         r.u64("snap deadline")?,
         r.boolean("snap renewed")?,
-        COLUMNS.get(r, String::get)?,
     ))
 }
 
@@ -829,7 +822,8 @@ impl Fetched {
         if r.u8("dir rep tag")? != RP_SNAPSHOT {
             return DirReply::decode(bytes).map(Fetched::Reply);
         }
-        let (version, deadline_us, renewed, _) = get_snapshot_head(&mut r)?;
+        let (version, deadline_us, renewed) = get_snapshot_head(&mut r)?;
+        COLUMNS.get::<String, Vec<_>>(&mut r, String::get)?;
         let rows = ROWS.get(&mut r, Row::get_name_cap)?;
         r.expect_end("trailing bytes")?;
         Ok(Fetched::Snapshot {

@@ -33,6 +33,7 @@ use crate::dir_sm::DirectoryStateMachine;
 use crate::object_table::ObjectTable;
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
 use crate::state::{op_object, Applier, ReadAt, ReadLease, Shared};
+use crate::Capability;
 
 /// Handle to one running group directory server (one replica column).
 #[derive(Clone)]
@@ -316,8 +317,16 @@ fn handle_request(
     inval: &RpcClient,
     req: &DirRequest,
 ) -> Result<Payload, DirError> {
-    if let DirRequest::FetchDir { .. } = req {
-        return fetch_dir(ctx, applier, replica, params, cpu, req);
+    if let DirRequest::FetchDir {
+        cap,
+        owner,
+        cb_port,
+        ttl_us,
+        have,
+    } = *req
+    {
+        let lease = (owner, cb_port, ttl_us);
+        return fetch_dir(ctx, applier, replica, params, cpu, &cap, lease, have);
     }
     let publish = |seq| replica.wait_published(ctx, seq).map_err(rsm_err);
     if req.is_read() {
@@ -346,62 +355,55 @@ fn handle_request(
     }
 }
 
-/// A `FetchDir`: a lease over the directory's rows, answered with them
-/// or, when the holder names the current version, with `Unchanged`.
+/// A [`DirRequest::FetchDir`], its fields as they came: the lease the
+/// holder of `cap` asks for, answered with the rows it covers or, when
+/// the holder's snapshot (`have`) still holds exactly those, with
+/// `Unchanged`. Either way the rows are read once no batch in flight
+/// has changed the directory.
+#[allow(clippy::too_many_arguments)]
 fn fetch_dir(
     ctx: &Ctx,
     applier: &Applier,
     replica: &Replica<DirectoryStateMachine>,
     params: &DirParams,
     cpu: &Resource,
-    req: &DirRequest,
+    cap: &Capability,
+    (owner, cb_port, ttl_us): (u64, u64, u64),
+    have: u64,
 ) -> Result<Payload, DirError> {
-    let DirRequest::FetchDir {
-        cap,
-        owner,
-        ttl_us,
-        have,
-        ..
-    } = req
-    else {
-        unreachable!("called for a fetch")
-    };
     let publish = |seq| replica.wait_published(ctx, seq).map_err(rsm_err);
+    let latest = ReadAt {
+        target: u64::MAX,
+        publish: &publish,
+    };
     // Piggybacked lease renewal: a holder whose lease is still registered
     // (the write that revoked its previous lease reinstated a successor
     // under the grant's renewal budget) is answered off the read path —
     // the same barrier any read takes — instead of a `GrantRead` group
     // round.
-    if applier.has_renewable_lease(ctx, cap, *owner, *ttl_us) {
-        let at = read_point(ctx, applier, replica, &publish, req)?;
+    if applier.has_renewable_lease(ctx, cap, owner, ttl_us) {
+        replica.read_barrier(ctx).map_err(rsm_err)?;
+        applier.settle(cap.object, &latest)?;
         cpu.use_for(ctx, params.read_cpu);
-        if let Some(rep) = applier.serve_renewed_fetch(ctx, cap, *owner, *ttl_us, *have, &at) {
+        if let Some(rep) = applier.serve_renewed_fetch(ctx, cap, owner, ttl_us, have, &latest) {
             return Ok(rep);
         }
         // The lease vanished between the pre-check and the barrier —
         // fall through to the grant round.
     }
     cpu.use_for(ctx, params.write_cpu);
-    let op = applier.prepare_write(ctx, req)?;
-    let DirOp::GrantRead { deadline_us, .. } = op else {
-        unreachable!("a fetch prepares a grant")
-    };
+    let (grant, deadline_us) = applier.prepare_grant(ctx, cap, owner, cb_port, ttl_us)?;
     // The grant needs its place in the order, not durability: leases are
     // volatile behind the cold-boot fence. So it returns once applied
-    // here, and the answer is read like a read, once no batch in flight
-    // has changed the directory.
+    // here, and the answer is read like a read.
     let bytes = replica
-        .submit_ordered(ctx, op.encode(), amoeba_telemetry::current_ctx())
+        .submit_ordered(ctx, grant.encode(), amoeba_telemetry::current_ctx())
         .map_err(rsm_err)?;
     if !matches!(DirReply::decode(&bytes), Ok(DirReply::Ok)) {
         return Ok(bytes); // refused or moved, in the order
     }
-    let latest = ReadAt {
-        target: u64::MAX,
-        publish: &publish,
-    };
     applier.settle(cap.object, &latest)?;
-    applier.lease_answer(ctx, cap, *have, deadline_us, false)
+    applier.lease_answer(ctx, cap, have, deadline_us, false)
 }
 
 /// The Fig. 5 read path up to the read's CPU. "Any buffered messages? …

@@ -44,10 +44,10 @@
 //!    every replica records `(owner, callback port, deadline)`. The
 //!    grant needs its place in the order, not durability (the table is
 //!    volatile behind the cold-boot fence), so its initiator answers
-//!    once it is applied there (`Replica::submit_ordered`): from the
-//!    directory's current version, read once no batch in flight has
-//!    changed it, or with `Unchanged` when the holder's fetch named
-//!    that version (see [`crate::cache`]).
+//!    once it is applied there (`Replica::submit_ordered`): with the
+//!    rows the lease covers, read once no batch in flight has changed
+//!    the directory, or with `Unchanged` when the holder's fetch named
+//!    their digest (see [`crate::cache`]).
 //! 2. A later write's `apply` moves the directory's live leases to a
 //!    volatile revocation queue — on every replica, at the same point
 //!    in the op stream.

@@ -7,14 +7,14 @@ use std::rc::Rc;
 
 use amoeba_bullet::{BulletClient, FileCap};
 use amoeba_disk::{Journal, NvRecord, Nvram, RawPartition};
-use amoeba_flip::wire::{encode_with, Wire};
+use amoeba_flip::wire::{encode_with, Wire, WireWriter};
 use amoeba_flip::{Payload, Port};
 use amoeba_sim::{Ctx, IdMap, IdSet};
 
 use crate::capability::Capability;
 use crate::commit_block::CommitBlock;
 use crate::config::{ServiceConfig, StorageKind};
-use crate::directory::{put_row, DirStructureError, Directory, Row, ROWS};
+use crate::directory::{put_row, DirStructureError, Directory, Row, COLUMNS, ROWS};
 use crate::object_table::{ObjEntry, ObjectTable};
 use crate::ops::{put_snapshot_head, DirError, DirOp, DirReply, DirRequest};
 use crate::rights::Rights;
@@ -47,14 +47,6 @@ pub(crate) struct Shared {
     /// Logical version counter, monotone across group incarnations;
     /// stored with every directory ("sequence number", Fig. 4/§3).
     pub update_seq: u64,
-    /// The update seq of this shard's last op that may have changed an
-    /// object's check: a `Create`, `CreateKeyed`, `Delete`, `InstallDir`
-    /// or `InstallStub`. A leased snapshot re-issues each row's
-    /// capability with its object's check ([`restrict_with`]), so its
-    /// version covers this as well as the directory's own seqno. Boot
-    /// and a snapshot install set it to `update_seq`: a mismatch only
-    /// costs the holder a full snapshot.
-    pub checks_at: u64,
     /// Applied cursor of the replicated state machine: the last group
     /// sequence number whose effect is reflected in `table`/`cache`.
     /// Updated in the same critical section as the state mutation, so
@@ -158,7 +150,6 @@ impl Shared {
             cache: IdMap::default(),
             unflushed: IdMap::default(),
             update_seq: 0,
-            checks_at: 0,
             applied_group_seq: 0,
             commit: CommitBlock::initial(n),
             next_nv_uid: 1,
@@ -309,18 +300,26 @@ fn publish(shared: &mut Shared, object: u64, mut dir: Rc<Directory>, useq: u64) 
     Effect::StoreDir { object, dir }
 }
 
-/// The snapshot a read lease covers, as the [`DirReply::Snapshot`] bytes
-/// the holder is sent: the rows the holder of `cap` can see, restricted
-/// exactly as `LookupSet` would restrict them. Rows the holder has no
-/// effective rights over are omitted — a cached lookup of their name
-/// answers `None`, just like the server would. Written straight from the
-/// shared version, so no restricted copy of a row is ever built.
-fn lease_snapshot(
+/// What the holder of `cap` is sent under a read lease ending at
+/// `deadline_us`, as reply bytes. The lease covers the directory's
+/// columns and the rows the holder can see, restricted exactly as
+/// `LookupSet` would restrict them; rows the holder has no effective
+/// rights over are omitted — a cached lookup of their name answers
+/// `None`, just like the server would.
+///
+/// Their version is the FNV-1a digest of those bytes, so it names what
+/// the holder keeps and nothing else: no counter of this replica's,
+/// which a peer, or this replica after a crash, may have issued for
+/// other contents. When it equals `have` (the holder's), the answer is
+/// [`DirReply::Unchanged`]; else the [`DirReply::Snapshot`]. Written
+/// straight from the shared version, so no restricted copy of a row is
+/// ever built.
+fn lease_reply(
     shared: &Shared,
     public_port: Port,
     dir: &Directory,
     cap: &Capability,
-    version: u64,
+    have: u64,
     deadline_us: u64,
     renewed: bool,
 ) -> Payload {
@@ -331,8 +330,8 @@ fn lease_snapshot(
         })
     };
     let n = visible().count();
-    encode_with(|w| {
-        put_snapshot_head(w, version, deadline_us, renewed, &dir.columns);
+    let put_leased = |w: &mut WireWriter| {
+        COLUMNS.put(w, &dir.columns, String::put);
         ROWS.put_n(w, n, visible(), |(row, eff), w| {
             let restricted = restrict_with(shared, public_port, &row.cap, eff);
             put_row(
@@ -342,6 +341,21 @@ fn lease_snapshot(
                 visible_masks(&row.col_rights, cap.rights),
             );
         });
+    };
+    let mut digest = WireWriter::digesting();
+    put_leased(&mut digest);
+    // 0 is the "none" a fetch names when it keeps nothing.
+    let version = digest.digest().expect("a digesting writer").max(1);
+    if version == have {
+        let unchanged = DirReply::Unchanged {
+            deadline_us,
+            renewed,
+        };
+        return unchanged.encode();
+    }
+    encode_with(|w| {
+        put_snapshot_head(w, version, deadline_us, renewed);
+        put_leased(w);
     })
 }
 
@@ -588,16 +602,6 @@ impl Applier {
             return Ok((answer(DirReply::Ok), Vec::new(), useq));
         }
         let (reply_to, effects) = self.plan_update(shared, op, useq)?;
-        if matches!(
-            op,
-            DirOp::Create { .. }
-                | DirOp::CreateKeyed { .. }
-                | DirOp::Delete { .. }
-                | DirOp::InstallDir { .. }
-                | DirOp::InstallStub { .. }
-        ) {
-            shared.checks_at = useq;
-        }
         Ok((answer(reply_to), effects, useq))
     }
 
@@ -1108,9 +1112,7 @@ impl Applier {
         }
     }
 
-    /// [`settle`](Self::settle) over every directory `req` reads. A
-    /// renewal also reads the lease table, which keeps no versions, so it
-    /// waits until no batch in flight has changed its directory at all.
+    /// [`settle`](Self::settle) over every directory `req` reads.
     pub(crate) fn settle_request(&self, req: &DirRequest, at: &ReadAt) -> Result<(), DirError> {
         match req {
             DirRequest::ListDir { cap } | DirRequest::ExportDir { cap } => {
@@ -1119,7 +1121,6 @@ impl Applier {
             DirRequest::LookupSet { items } => items
                 .iter()
                 .try_for_each(|(cap, _)| self.settle(cap.object, at)),
-            DirRequest::FetchDir { cap, .. } => self.settle(cap.object, &at.latest()),
             _ => Ok(()),
         }
     }
@@ -1351,11 +1352,10 @@ impl Applier {
     }
 
     /// What the holder of `cap` is sent under a lease that runs until
-    /// `deadline_us`, renewed or granted: [`DirReply::Unchanged`] when
-    /// `have` names the directory's current version, else its
-    /// [`lease_snapshot`]. The caller has settled the directory, so the
-    /// current version holds nothing the batch in flight could still
-    /// lose; nothing here yields but the load of a cold directory.
+    /// `deadline_us`, renewed or granted: its [`lease_reply`], or
+    /// `Moved`. The caller has settled the directory, so the current
+    /// version holds nothing the batch in flight could still lose;
+    /// nothing here yields but the load of a cold directory.
     pub(crate) fn lease_answer(
         &self,
         ctx: &Ctx,
@@ -1379,16 +1379,15 @@ impl Applier {
         }
         let dir = self.load_dir(ctx, cap.object)?;
         let shared = self.shared.borrow();
-        let version = dir.seqno.max(shared.checks_at);
-        Ok(if have == version {
-            let unchanged = DirReply::Unchanged {
-                deadline_us,
-                renewed,
-            };
-            unchanged.encode()
-        } else {
-            lease_snapshot(&shared, port, &dir, cap, version, deadline_us, renewed)
-        })
+        Ok(lease_reply(
+            &shared,
+            port,
+            &dir,
+            cap,
+            have,
+            deadline_us,
+            renewed,
+        ))
     }
 
     /// Initiator-side validation and translation of a client write into
@@ -1519,35 +1518,43 @@ impl Applier {
                     expected_seqno: *expected_seqno,
                 })
             }
-            DirRequest::FetchDir {
-                cap,
-                owner,
-                cb_port,
-                ttl_us,
-                ..
-            } => {
-                let _ = validate_dir_cap(&shared, port, cap, Rights::NONE)?;
-                if !cap.rights.sees_any_column() {
-                    return Err(DirError::NoPermission);
-                }
-                // The grant's clock is fixed here, by the initiator, and
-                // carried in the op: simulated time is global, so every
-                // replica applies the same deadline — apply itself never
-                // reads a clock.
-                let now_us = ctx.now().as_nanos() / 1_000;
-                let ttl = (*ttl_us).max(1).min(self.max_lease_us);
-                Ok(DirOp::GrantRead {
-                    cap: *cap,
-                    owner: *owner,
-                    cb_port: *cb_port,
-                    now_us,
-                    deadline_us: now_us + ttl,
-                })
-            }
-            DirRequest::ListDir { .. }
+            // A lease is the group service's alone (only its initiators
+            // fence revocation): see [`prepare_grant`](Self::prepare_grant).
+            DirRequest::FetchDir { .. }
+            | DirRequest::ListDir { .. }
             | DirRequest::LookupSet { .. }
             | DirRequest::ExportDir { .. } => Err(DirError::Malformed),
         }
+    }
+
+    /// Initiator-side translation of a `FetchDir` into the `GrantRead`
+    /// op that registers the holder's lease, and the deadline it grants.
+    pub(crate) fn prepare_grant(
+        &self,
+        ctx: &Ctx,
+        cap: &Capability,
+        owner: u64,
+        cb_port: u64,
+        ttl_us: u64,
+    ) -> Result<(DirOp, u64), DirError> {
+        let port = self.cfg.public_port;
+        validate_dir_cap(&self.shared.borrow(), port, cap, Rights::NONE)?;
+        if !cap.rights.sees_any_column() {
+            return Err(DirError::NoPermission);
+        }
+        // The grant's clock is fixed here, by the initiator, and carried
+        // in the op: simulated time is global, so every replica applies
+        // the same deadline — apply itself never reads a clock.
+        let now_us = ctx.now().as_nanos() / 1_000;
+        let deadline_us = now_us + ttl_us.max(1).min(self.max_lease_us);
+        let grant = DirOp::GrantRead {
+            cap: *cap,
+            owner,
+            cb_port,
+            now_us,
+            deadline_us,
+        };
+        Ok((grant, deadline_us))
     }
 }
 

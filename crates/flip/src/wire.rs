@@ -17,6 +17,10 @@
 //!   back as zero-copy sub-payloads ([`WireReader::payload`]);
 //! * [`Wire::put_framed`] nests a value behind its byte length.
 //!
+//! A [`WireWriter::digesting`] writer stores nothing: it folds what it
+//! is handed into an FNV-1a digest, so a wire form can be named by its
+//! digest without being built.
+//!
 //! ## Counted sequences
 //!
 //! A collection is its element count, then its elements. Each counted
@@ -61,10 +65,25 @@ impl std::error::Error for DecodeError {}
 #[derive(Debug, Default, Clone)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Set on a writer that only measures ([`Wire::wire_len`]): it
-    /// counts the bytes it is handed and stores none.
-    measured: Option<usize>,
+    /// Where the bytes a writer is handed go.
+    sink: Sink,
 }
+
+/// A [`WireWriter`]'s destination.
+#[derive(Debug, Default, Clone, Copy)]
+enum Sink {
+    /// Appended to the buffer.
+    #[default]
+    Store,
+    /// Only counted ([`Wire::wire_len`]).
+    Count(usize),
+    /// Only folded into an FNV-1a digest
+    /// ([`digesting`](WireWriter::digesting)).
+    Digest(u64),
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl WireWriter {
     /// Creates an empty writer.
@@ -78,7 +97,7 @@ impl WireWriter {
     pub fn with_capacity(capacity: usize) -> Self {
         WireWriter {
             buf: Vec::with_capacity(capacity),
-            measured: None,
+            sink: Sink::Store,
         }
     }
 
@@ -86,16 +105,40 @@ impl WireWriter {
     fn measuring() -> Self {
         WireWriter {
             buf: Vec::new(),
-            measured: Some(0),
+            sink: Sink::Count(0),
+        }
+    }
+
+    /// A writer that stores nothing and folds what it is handed into a
+    /// 64-bit FNV-1a [`digest`](WireWriter::digest): equal byte streams
+    /// give equal digests, however they were split into fields.
+    pub fn digesting() -> Self {
+        WireWriter {
+            buf: Vec::new(),
+            sink: Sink::Digest(FNV_OFFSET),
+        }
+    }
+
+    /// The digest of everything a [`digesting`](WireWriter::digesting)
+    /// writer was handed; `None` for any other writer.
+    pub fn digest(&self) -> Option<u64> {
+        match self.sink {
+            Sink::Digest(h) => Some(h),
+            _ => None,
         }
     }
 
     /// Appends `bytes` as they are, with no length prefix: fixed-size
     /// fields and padding.
     pub fn raw(&mut self, bytes: &[u8]) -> &mut Self {
-        match &mut self.measured {
-            Some(n) => *n += bytes.len(),
-            None => self.buf.extend_from_slice(bytes),
+        match &mut self.sink {
+            Sink::Store => self.buf.extend_from_slice(bytes),
+            Sink::Count(n) => *n += bytes.len(),
+            Sink::Digest(h) => {
+                for b in bytes {
+                    *h = (*h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
+                }
+            }
         }
         self
     }
@@ -141,9 +184,12 @@ impl WireWriter {
         &self.buf
     }
 
-    /// Number of bytes written so far.
+    /// Number of bytes written so far (0 for a digesting writer).
     pub fn len(&self) -> usize {
-        self.measured.unwrap_or(self.buf.len())
+        match self.sink {
+            Sink::Count(n) => n,
+            _ => self.buf.len(),
+        }
     }
 
     /// Whether nothing has been written yet.
@@ -605,6 +651,35 @@ mod tests {
         assert_eq!(r.bytes("b").unwrap(), vec![1, 2, 3]);
         assert_eq!(r.string("e").unwrap(), "");
         r.expect_end("tail").unwrap();
+    }
+
+    /// A digest is FNV-1a over the byte stream a buffer would hold:
+    /// the field split does not matter, one changed byte does.
+    #[test]
+    fn a_digest_is_fnv1a_of_the_bytes_a_buffer_would_hold() {
+        let put = |w: &mut WireWriter, name: &str| {
+            w.u8(7).u64(1 << 40).string(name);
+        };
+        let mut stored = WireWriter::new();
+        put(&mut stored, "hello");
+        let mut fnv = FNV_OFFSET;
+        for b in stored.as_slice() {
+            fnv = (fnv ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
+        }
+        let digest = |name| {
+            let mut w = WireWriter::digesting();
+            put(&mut w, name);
+            assert!(w.as_slice().is_empty(), "a digesting writer stores nothing");
+            w.digest().expect("a digesting writer")
+        };
+        assert_eq!(digest("hello"), fnv);
+        let mut split = WireWriter::digesting();
+        split
+            .raw(&stored.as_slice()[..3])
+            .raw(&stored.as_slice()[3..]);
+        assert_eq!(split.digest(), Some(fnv));
+        assert_ne!(digest("hellp"), fnv);
+        assert_eq!(stored.digest(), None);
     }
 
     #[test]

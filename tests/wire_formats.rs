@@ -17,7 +17,7 @@ use amoeba_dirsvc::dir::{
     DirectoryStateMachine, Rights, Row, ServiceConfig,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
-use amoeba_dirsvc::flip::wire::Wire;
+use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
 use amoeba_dirsvc::flip::{NetParams, Network, Port};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
@@ -492,28 +492,81 @@ fn a_replica_snapshot_keeps_its_bytes() {
     assert_eq!(out.take(), Some((5, golden.to_string())));
 }
 
+/// The version a snapshot's bytes carry: the FNV-1a digest of what
+/// follows its head (tag, version, deadline, renewed flag) — the
+/// columns and the rows.
+fn digest_after_head(snapshot: &[u8]) -> u64 {
+    let mut w = WireWriter::digesting();
+    w.raw(&snapshot[18..]);
+    w.digest().expect("a digesting writer")
+}
+
+/// The version of a `Snapshot` answer's bytes, as the holder keeps it.
+fn version_in(answer: &[u8]) -> u64 {
+    match DirReply::decode(answer) {
+        Ok(DirReply::Snapshot { version, .. }) => version,
+        other => panic!("not a snapshot: {other:?}"),
+    }
+}
+
+/// The `Snapshot` a holder of column 0 of a directory with columns
+/// `owner` and `other` is sent, its rows the owner's `names`, under the
+/// version its contents digest to; and the `Unchanged` that renews it.
+fn leased(names_seen: &[&str]) -> (DirReply, DirReply) {
+    let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
+    let snapshot = |version| DirReply::Snapshot {
+        version,
+        deadline_us: 400_000,
+        renewed: false,
+        columns: names(&["owner", "other"]),
+        rows: names_seen
+            .iter()
+            .map(|name| row(name, owner, vec![Rights::ALL]))
+            .collect(),
+    };
+    let version = digest_after_head(&snapshot(0).encode());
+    let unchanged = DirReply::Unchanged {
+        deadline_us: 400_000,
+        renewed: false,
+    };
+    (snapshot(version), unchanged)
+}
+
+/// A holder of column 0 of directory 1 (columns `owner`, `other`), and
+/// the append of a row pointing at the directory itself.
+fn holder_and_append() -> (Capability, impl Fn(&str, Vec<Rights>) -> DirOp) {
+    let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
+    let holder = owner
+        .restrict(Rights::column(0))
+        .expect("a weaker capability");
+    let append = move |name: &str, col_rights| DirOp::Append {
+        object: 1,
+        name: name.into(),
+        cap: owner,
+        col_rights,
+    };
+    (holder, append)
+}
+
+fn create(check: u64) -> DirOp {
+    DirOp::Create {
+        columns: names(&["owner", "other"]),
+        check,
+    }
+}
+
 /// What a grant's initiator sends the holder, from the machine's state:
 /// the rows a holder of column 0 sees — row `b` grants that column
-/// nothing, so it is left out — under the version the rows depend on;
-/// asked again with that version, the renewed lease alone; and the rows
-/// again once a create (which may change any row's re-issued check) or
-/// an append has moved the version on.
+/// nothing, so it is left out — under the digest of what it is sent;
+/// asked again with that version, the renewed lease alone, also after
+/// a create of another directory (no row the holder sees changed); and
+/// the rows again once an append has changed them.
 #[test]
 fn a_grants_answer_keeps_its_bytes_and_is_unchanged_while_current() {
     let mut sim = Simulation::new(1);
     let (node, [sm, _]) = two_machines(&mut sim);
-    let port = ServiceConfig::new(3, 0).public_port;
-    let owner = Capability::owner(port, 1, 0xC1);
-    let holder = owner
-        .restrict(Rights::column(0))
-        .expect("a weaker capability");
+    let (holder, append) = holder_and_append();
     let out = sim.spawn_on(node, "replica", move |ctx| {
-        let row = |name: &str, col_rights| DirOp::Append {
-            object: 1,
-            name: name.into(),
-            cap: owner,
-            col_rights,
-        };
         let grant = DirOp::GrantRead {
             cap: holder,
             owner: 7,
@@ -521,61 +574,92 @@ fn a_grants_answer_keeps_its_bytes_and_is_unchanged_while_current() {
             now_us: 0,
             deadline_us: 400_000,
         };
-        let create = |check| DirOp::Create {
-            columns: names(&["owner", "other"]),
-            check,
-        };
         let mut seq = 0;
         let mut apply = |op: DirOp| {
             seq += 1;
             hex(&sm.apply(ctx, seq, &op.encode(), true))
         };
         apply(create(0xC1));
-        apply(row("a", vec![Rights::ALL, Rights::column(0)]));
-        apply(row("b", vec![Rights::NONE, Rights::ALL]));
+        apply(append("a", vec![Rights::ALL, Rights::column(0)]));
+        apply(append("b", vec![Rights::NONE, Rights::ALL]));
         assert_eq!(apply(grant), "02", "the grant's apply answers Ok");
-        let answer = |have| hex(&sm.lease_answer(ctx, &holder, have, 400_000));
-        let mut answers = vec![answer(0), answer(3)];
+        let answer = |have| sm.lease_answer(ctx, &holder, have, 400_000);
+        let first = answer(0);
+        let have = version_in(&first);
+        let mut answers = vec![hex(&first), hex(&answer(have))];
         apply(create(0xC2));
-        answers.push(answer(3));
-        apply(row("c", vec![Rights::ALL, Rights::NONE]));
-        answers.push(answer(5));
+        answers.push(hex(&answer(have)));
+        apply(append("c", vec![Rights::ALL, Rights::NONE]));
+        answers.push(hex(&answer(have)));
         answers
     });
     sim.run_for(Duration::from_secs(60));
     let answers = out.take().expect("the machine answered");
-    let visible = |rows: &[&str]| {
-        rows.iter()
-            .map(|name| row(name, owner, vec![Rights::ALL]))
-            .collect()
-    };
-    let snapshot = |version, rows| DirReply::Snapshot {
-        version,
-        deadline_us: 400_000,
-        renewed: false,
-        columns: names(&["owner", "other"]),
-        rows,
-    };
-    let unchanged = DirReply::Unchanged {
-        deadline_us: 400_000,
-        renewed: false,
-    };
-    let expected = [
-        snapshot(3, visible(&["a"])),
-        unchanged,
-        snapshot(5, visible(&["a"])),
-        snapshot(6, visible(&["a", "c"])),
-    ];
-    let expected: Vec<String> = expected.iter().map(|r| hex(&r.encode())).collect();
+    let (a, unchanged) = leased(&["a"]);
+    let (a_c, _) = leased(&["a", "c"]);
+    let expected: Vec<String> = [a, unchanged.clone(), unchanged, a_c]
+        .iter()
+        .map(|r| hex(&r.encode()))
+        .collect();
     assert_eq!(answers, expected);
     assert_eq!(
         answers[..2],
         [
-            "080300000000000000801a0600000000000002050000006f776e6572050000006f74686572\
+            "08d28905b975d6a633801a0600000000000002050000006f776e6572050000006f74686572\
              01000000010000006116178d83bd2600000100000000000000ffc10000000000000001ff",
             "09801a06000000000000",
         ]
     );
+}
+
+/// A version names contents, not a replica's update counter, so it
+/// means the same at every replica of the shard. Replica B applied one
+/// op fewer than A (A's extra op failed, so their contents agree), so
+/// B's counter is one behind: A's version of the rows is current at B,
+/// and once an append makes B's counter reach the seq A's version was
+/// issued at, B still answers with the new rows, under the version A
+/// gives them too.
+#[test]
+fn a_replica_a_counter_behind_never_takes_a_peers_version_for_its_own() {
+    let mut sim = Simulation::new(1);
+    let (node, [a, b]) = two_machines(&mut sim);
+    let (holder, append) = holder_and_append();
+    let out = sim.spawn_on(node, "replica", move |ctx| {
+        let apply = |sm: &DirectoryStateMachine, seq, op: DirOp| {
+            let _ = sm.apply(ctx, seq, &op.encode(), false);
+        };
+        for sm in [&a, &b] {
+            apply(sm, 1, create(0xC1));
+        }
+        apply(&a, 2, DirOp::Delete { object: 9 });
+        for (sm, seq) in [(&a, 3), (&b, 2)] {
+            apply(sm, seq, append("a", vec![Rights::ALL, Rights::NONE]));
+        }
+        assert_eq!((a.update_seq(), b.update_seq()), (3, 2));
+        let from_a = a.lease_answer(ctx, &holder, 0, 400_000);
+        let have = version_in(&from_a);
+        let mut answers = vec![
+            hex(&from_a),
+            hex(&b.lease_answer(ctx, &holder, have, 400_000)),
+        ];
+        for (sm, seq) in [(&a, 4), (&b, 3)] {
+            apply(sm, seq, append("b", vec![Rights::ALL, Rights::NONE]));
+        }
+        assert_eq!((a.update_seq(), b.update_seq()), (4, 3));
+        for sm in [&b, &a] {
+            answers.push(hex(&sm.lease_answer(ctx, &holder, have, 400_000)));
+        }
+        answers
+    });
+    sim.run_for(Duration::from_secs(60));
+    let answers = out.take().expect("both machines answered");
+    let (row_a, unchanged) = leased(&["a"]);
+    let (rows_ab, _) = leased(&["a", "b"]);
+    let expected: Vec<String> = [row_a, unchanged, rows_ab.clone(), rows_ab]
+        .iter()
+        .map(|r| hex(&r.encode()))
+        .collect();
+    assert_eq!(answers, expected);
 }
 
 #[test]
