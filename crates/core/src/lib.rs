@@ -161,5 +161,5 @@ pub use server_lease::{
     LeaseClient, LeaseError, LeaseReply, LeaseRequest, LeaseService, LeaseTable, LEASE_PORT,
 };
 pub use server_nfs::{start_nfs_server, NfsDirServer, NfsServerDeps};
-pub use server_rpc::{start_rpc_server, RpcDirServer, RpcServerDeps};
+pub use server_rpc::{start_rpc_server, PeerMsg, RpcDirServer, RpcServerDeps};
 pub use shard::ShardMap;

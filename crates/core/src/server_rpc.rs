@@ -26,22 +26,29 @@ use crate::object_table::ObjectTable;
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
 use crate::state::{Applier, Mode, ReadAt, Shared};
 
-/// Peer-coordination messages of the RPC service.
+/// Peer-coordination messages of the RPC service (the paper's
+/// intentions protocol between its two servers).
 #[derive(Debug, Clone, PartialEq)]
-enum PeerMsg {
+pub enum PeerMsg {
     /// "I intend to perform this update" (locks the directory remotely).
     Intent {
+        /// The update's logical version.
         useq: u64,
+        /// The encoded [`DirOp`].
         op: Payload,
     },
+    /// The intention is logged.
     IntentOk,
     /// A conflicting operation is in progress; retry.
     IntentBusy,
     /// Lazy replication: apply this update for real.
     ApplyLazy {
+        /// The update's logical version.
         useq: u64,
+        /// The encoded [`DirOp`].
         op: Payload,
     },
+    /// The lazy update is applied.
     ApplyOk,
 }
 

@@ -385,6 +385,25 @@ mod tests {
     use super::*;
     use crate::{DiskParams, DiskServer, VDisk};
     use amoeba_sim::Simulation;
+    use amoeba_testkit::{hex, unhex};
+
+    /// The on-disk bytes of a superblock and of one frame of a
+    /// two-frame record: a layout change would strand every journal
+    /// already written.
+    #[test]
+    fn a_superblock_and_a_frame_keep_their_bytes() {
+        let superblock = "424a53410700000000000000568d52e3bc24bcb0";
+        assert_eq!(hex(&encode_superblock(7)), superblock);
+        assert_eq!(parse_superblock(&unhex(superblock)), Some(7));
+        let frame = "4e524a4105000000000000000100020003000000b32dace5bef6b747616263";
+        assert_eq!(hex(&encode_frame(5, 1, 2, b"abc")), frame);
+        let mut block = unhex(frame);
+        let head = parse_frame(&block, 5, 1).expect("a valid frame");
+        assert_eq!((head.total, head.len), (2, 3));
+        assert!(parse_frame(&block, 6, 1).is_none(), "another record's seq");
+        block[29] ^= 1;
+        assert!(parse_frame(&block, 5, 1).is_none(), "a payload bit flipped");
+    }
 
     fn setup(sim: &mut Simulation) -> (Journal, VDisk) {
         let node = sim.add_node("m");

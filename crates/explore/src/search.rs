@@ -345,6 +345,51 @@ mod tests {
         assert_eq!(back.to_bytes(), bundle_bytes(REPRO_VERSION));
     }
 
+    /// A bundle of the big deployment with one injection of each kind,
+    /// pinned byte for byte.
+    #[test]
+    fn a_bundle_with_every_fault_kind_keeps_its_bytes() {
+        let bundle = ReproBundle {
+            params: ScenarioParams::big(5),
+            schedule: FaultSchedule::new(vec![
+                Injection {
+                    at_ms: 4_500,
+                    dur_ms: 700,
+                    kind: FaultKind::Crash { column: 3 },
+                },
+                Injection {
+                    at_ms: 6_000,
+                    dur_ms: 800,
+                    kind: FaultKind::Isolate { column: 1 },
+                },
+                Injection {
+                    at_ms: 7_000,
+                    dur_ms: 900,
+                    kind: FaultKind::Degrade {
+                        loss_pm: 250,
+                        dup_pm: 40,
+                        jitter_pm: 1_500,
+                    },
+                },
+            ]),
+            trace: SimTrace {
+                seed: 5,
+                steps: Vec::new(),
+            },
+        };
+        let golden = "04000000414d525802000500000000000000080000000000000005000000000000001a00\
+                      0000000000000400000000000000010000030000009411000000000000bc020000000000\
+                      000103000000000000007017000000000000200300000000000002010000000000000058\
+                      1b000000000000840300000000000003fa000000000000002800000000000000dc050000\
+                      0000000016000000414d5452010005000000000000000000000000000000";
+        assert_eq!(amoeba_testkit::hex(&bundle.to_bytes()), golden);
+        let back = ReproBundle::from_bytes(&amoeba_testkit::unhex(golden)).expect("decodes");
+        assert_eq!(
+            (back.params, back.schedule),
+            (bundle.params, bundle.schedule)
+        );
+    }
+
     #[test]
     fn an_older_bundle_is_refused_by_its_version() {
         let err = ReproBundle::from_bytes(&bundle_bytes(1)).unwrap_err();

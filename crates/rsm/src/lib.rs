@@ -98,4 +98,5 @@ pub mod service;
 
 pub use config::RsmConfig;
 pub use machine::{RecoveryInfo, RsmError, StateMachine};
+pub use recovery::InternalMsg;
 pub use replica::{Replica, ReplicaDeps, ReplicaStats};

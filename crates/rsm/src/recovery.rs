@@ -44,26 +44,37 @@ const RETRY_JITTER: Duration = Duration::from_millis(300);
 // ---------------------------------------------------------------------
 
 /// Replica-to-replica messages (recovery info exchange, state
-/// transfer). Service-agnostic: the state itself is an opaque
-/// [`StateMachine`]-encoded payload.
+/// transfer) on a replica's internal RPC port. Service-agnostic: the
+/// state itself is an opaque [`StateMachine`]-encoded payload.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum InternalMsg {
+pub enum InternalMsg {
     /// "exchange info with server s": my mourned set and version.
     Exchange {
+        /// The asking replica's index.
         from: u32,
+        /// Its mourned set, one flag per replica.
         mourned: Vec<bool>,
+        /// Its logical version.
         update_seq: u64,
+        /// Whether it stayed up through the failure (§3.2 improved rule).
         stayed_up: bool,
     },
+    /// The answer to an [`Exchange`](InternalMsg::Exchange).
     ExchangeReply {
+        /// The answering replica's mourned set.
         mourned: Vec<bool>,
+        /// Its logical version.
         update_seq: u64,
+        /// Whether it stayed up through the failure.
         stayed_up: bool,
     },
     /// "get copies of latest version of the state from s".
     Fetch,
+    /// The answer to a [`Fetch`](InternalMsg::Fetch).
     State {
+        /// The group instance the state was read in.
         instance: u64,
+        /// The last group slot the state covers.
         applied_seq: SeqNo,
         /// The machine's snapshot bytes, shared zero-copy with the
         /// state-transfer wire buffer.

@@ -1,9 +1,13 @@
 //! Golden bytes of everything the directory service sends or stores —
 //! every `DirRequest`, `DirReply` and `DirOp` variant (all nine error
 //! codes included), a directory file, a replica snapshot and the commit
-//! block — captured from the hand-written encoders, so no refactor of
-//! the codec can move a byte: simulated time charges every payload by
-//! its length.
+//! block — and of every message below it: each `GroupMsg` variant
+//! (each `AcceptBody` too), each Bullet request and reply, the
+//! replicas' recovery messages (`InternalMsg`), the RPC service's peer
+//! messages (`PeerMsg`) and the lease service's requests and replies.
+//! All were captured from the hand-written encoders, so no refactor of
+//! a codec can move a byte: simulated time charges every payload by its
+//! length.
 //!
 //! And a mutation fuzz over the message goldens: every truncation,
 //! every single-byte substitution and one trailing byte must either be
@@ -11,16 +15,19 @@
 
 use std::time::Duration;
 
-use amoeba_dirsvc::bullet::BulletClient;
+use amoeba_dirsvc::bullet::{BulletClient, BulletErrorKind, BulletReply, BulletRequest, FileCap};
 use amoeba_dirsvc::dir::{
     Capability, CommitBlock, DirError, DirOp, DirParams, DirReply, DirRequest, Directory,
-    DirectoryStateMachine, Rights, Row, ServiceConfig,
+    DirectoryStateMachine, LeaseReply, LeaseRequest, PeerMsg, Rights, Row, ServiceConfig,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
-use amoeba_dirsvc::flip::{NetParams, Network, Port};
+use amoeba_dirsvc::flip::{HostAddr, NetParams, Network, Payload, Port};
+use amoeba_dirsvc::group::{
+    AcceptBody, AcceptItem, DoneItem, GroupMsg, MemberId, MemberInfo, View,
+};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
-use amoeba_dirsvc::rsm::StateMachine;
+use amoeba_dirsvc::rsm::{InternalMsg, StateMachine};
 use amoeba_dirsvc::sim::{NodeId, Resource, Simulation};
 use amoeba_testkit::{hex, mutants_refused_or_exact, unhex};
 
@@ -37,8 +44,9 @@ macro_rules! golden {
                 drift.push(format!("{value:?}\n  encodes {}", hex(&bytes)));
                 continue;
             }
-            assert_eq!(<$t>::decode(&unhex(golden)).ok(), Some(value), "{golden}");
-            let trailing = [&unhex(golden)[..], &[0]].concat();
+            let bytes = Payload::from(unhex(golden));
+            assert_eq!(<$t>::decode(&bytes).ok(), Some(value), "{golden}");
+            let trailing = Payload::from([&unhex(golden)[..], &[0]].concat());
             assert!(<$t>::decode(&trailing).is_err(), "{golden} + a byte");
         }
         assert!(
@@ -695,4 +703,448 @@ fn a_capability_port_wider_than_48_bits_is_refused() {
         DirRequest::decode(&delete).ok(),
         Some(DirRequest::DeleteDir { cap: cap(1) })
     );
+}
+
+/// Member `id` of the group samples: host `10 * id`, tag `100 + id`.
+fn member(id: u32) -> MemberInfo {
+    MemberInfo {
+        id: MemberId(id),
+        host: HostAddr(id * 10),
+        tag: u64::from(id) + 100,
+    }
+}
+
+/// Members 0, 1 and 2.
+fn three_members() -> View {
+    let mut view = View::default();
+    for id in 0..3 {
+        view.insert(member(id));
+    }
+    view
+}
+
+fn accept_bodies() -> [AcceptBody; 4] {
+    [
+        AcceptBody::Data(vec![9, 9].into()),
+        AcceptBody::BbRef,
+        AcceptBody::Join(member(4)),
+        AcceptBody::Leave(MemberId(2)),
+    ]
+}
+
+fn done(from: u32, msgid: u64, seq: u64) -> DoneItem {
+    DoneItem {
+        from: MemberId(from),
+        msgid,
+        seq,
+    }
+}
+
+fn group_msgs() -> Vec<(GroupMsg, &'static str)> {
+    let port = Port::from_raw(0x0102_0304_0506);
+    let mut msgs = vec![
+        (
+            GroupMsg::JoinLocate {
+                port,
+                joiner: HostAddr(1),
+                join_id: 7,
+            },
+            "010605040302010000010000000700000000000000",
+        ),
+        (
+            GroupMsg::JoinReply {
+                port,
+                instance: 9,
+                members: 3,
+                sequencer: HostAddr(0),
+                incarnation: 2,
+                join_id: 7,
+            },
+            "020605040302010000090000000000000003000000000000000200000000000000070000\
+             0000000000",
+        ),
+        (
+            GroupMsg::JoinRequest {
+                instance: 9,
+                joiner: HostAddr(1),
+                tag: 5,
+                join_id: 7,
+            },
+            "0309000000000000000100000005000000000000000700000000000000",
+        ),
+        (
+            GroupMsg::JoinAck {
+                instance: 9,
+                join_id: 7,
+                member_id: MemberId(3),
+                incarnation: 2,
+                view: three_members(),
+                start_seq: 42,
+            },
+            "040900000000000000070000000000000003000000020000000000000003000000000000\
+             00000000006400000000000000010000000a000000650000000000000002000000140000\
+             0066000000000000002a00000000000000",
+        ),
+        (
+            GroupMsg::SendReq {
+                instance: 9,
+                incarnation: 2,
+                from: MemberId(1),
+                msgid: 88,
+                data: vec![1, 2, 3].into(),
+            },
+            "050900000000000000020000000000000001000000580000000000000003000000010203",
+        ),
+        (
+            GroupMsg::BbData {
+                instance: 9,
+                incarnation: 2,
+                from: MemberId(1),
+                msgid: 88,
+                data: vec![4, 5].into(),
+            },
+            "0609000000000000000200000000000000010000005800000000000000020000000405",
+        ),
+    ];
+    let accepts = [
+        "07090000000000000002000000000000000a000000000000000100000065000000000000\
+         00580000000000000000020000000909",
+        "07090000000000000002000000000000000a000000000000000100000065000000000000\
+         00580000000000000001",
+        "07090000000000000002000000000000000a000000000000000100000065000000000000\
+         0058000000000000000204000000280000006800000000000000",
+        "07090000000000000002000000000000000a000000000000000100000065000000000000\
+         0058000000000000000302000000",
+    ];
+    for (body, golden) in accept_bodies().into_iter().zip(accepts) {
+        msgs.push((
+            GroupMsg::Accept {
+                instance: 9,
+                incarnation: 2,
+                seq: 10,
+                from: MemberId(1),
+                from_tag: 101,
+                msgid: 88,
+                body,
+            },
+            golden,
+        ));
+    }
+    msgs.extend([
+        (
+            GroupMsg::AcceptBatch {
+                instance: 9,
+                incarnation: 2,
+                first_seq: 10,
+                items: accept_bodies()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, body)| AcceptItem {
+                        from: MemberId(1),
+                        from_tag: 101,
+                        msgid: 88 + i as u64,
+                        body,
+                    })
+                    .collect(),
+                dones: vec![done(2, 44, 8), done(1, 87, 9)],
+            },
+            "13090000000000000002000000000000000a000000000000000400000001000000650000\
+             000000000058000000000000000002000000090901000000650000000000000059000000\
+             00000000010100000065000000000000005a000000000000000204000000280000006800\
+             0000000000000100000065000000000000005b0000000000000003020000000200000002\
+             0000002c0000000000000008000000000000000100000057000000000000000900000000\
+             000000",
+        ),
+        (
+            GroupMsg::AcceptBatch {
+                instance: 9,
+                incarnation: 2,
+                first_seq: 14,
+                items: vec![],
+                dones: vec![],
+            },
+            "13090000000000000002000000000000000e000000000000000000000000000000",
+        ),
+        (
+            GroupMsg::DoneBatch {
+                instance: 9,
+                items: vec![done(1, 88, 10), done(2, 91, 11)],
+            },
+            "140900000000000000020000000100000058000000000000000a00000000000000020000\
+             005b000000000000000b00000000000000",
+        ),
+        (
+            GroupMsg::Ack {
+                instance: 9,
+                incarnation: 2,
+                seq: 10,
+                member: MemberId(2),
+            },
+            "08090000000000000002000000000000000a0000000000000002000000",
+        ),
+        (
+            GroupMsg::Done {
+                instance: 9,
+                msgid: 88,
+                seq: 10,
+            },
+            "09090000000000000058000000000000000a00000000000000",
+        ),
+        (
+            GroupMsg::Retrans {
+                instance: 9,
+                from_seq: 5,
+                to_seq: 9,
+                requester: HostAddr(1),
+            },
+            "0a09000000000000000500000000000000090000000000000001000000",
+        ),
+        (
+            GroupMsg::Heartbeat {
+                instance: 9,
+                incarnation: 2,
+                next_seq: 11,
+                sequencer: MemberId(0),
+            },
+            "0b090000000000000002000000000000000b0000000000000000000000",
+        ),
+        (
+            GroupMsg::HeartbeatAck {
+                instance: 9,
+                incarnation: 2,
+                member: MemberId(1),
+            },
+            "0c0900000000000000020000000000000001000000",
+        ),
+        (
+            GroupMsg::LeaveRequest {
+                instance: 9,
+                incarnation: 2,
+                member: MemberId(1),
+            },
+            "0d0900000000000000020000000000000001000000",
+        ),
+        (
+            GroupMsg::FailNotice {
+                instance: 9,
+                incarnation: 2,
+                suspect: MemberId(0),
+            },
+            "0e0900000000000000020000000000000000000000",
+        ),
+        (
+            GroupMsg::ResetInvite {
+                instance: 9,
+                old_incarnation: 2,
+                coord: MemberId(1),
+                coord_host: HostAddr(10),
+                round: 3,
+            },
+            "0f09000000000000000200000000000000010000000a0000000300000000000000",
+        ),
+        (
+            GroupMsg::ResetVote {
+                instance: 9,
+                old_incarnation: 2,
+                round: 3,
+                coord: MemberId(1),
+                voter: member(2),
+                highest: 40,
+            },
+            "100900000000000000020000000000000003000000000000000100000002000000140000\
+             0066000000000000002800000000000000",
+        ),
+        (
+            GroupMsg::ResetResult {
+                instance: 9,
+                old_incarnation: 2,
+                round: 3,
+                coord: MemberId(1),
+                new_incarnation: 3,
+                view: three_members(),
+                cutoff: 41,
+                source: HostAddr(20),
+            },
+            "110900000000000000020000000000000003000000000000000100000003000000000000\
+             000300000000000000000000006400000000000000010000000a00000065000000000000\
+             0002000000140000006600000000000000290000000000000014000000",
+        ),
+        (
+            GroupMsg::ExpelNotice {
+                instance: 9,
+                current_incarnation: 4,
+            },
+            "1209000000000000000400000000000000",
+        ),
+    ]);
+    msgs
+}
+
+const FILE: FileCap = FileCap {
+    object: 9,
+    check: 0xAB,
+};
+
+fn bullet_requests() -> Vec<(BulletRequest, &'static str)> {
+    vec![
+        (
+            BulletRequest::Create {
+                data: vec![1, 2].into(),
+            },
+            "01020000000102",
+        ),
+        (
+            BulletRequest::Read { cap: FILE },
+            "020900000000000000ab00000000000000",
+        ),
+        (
+            BulletRequest::Size { cap: FILE },
+            "030900000000000000ab00000000000000",
+        ),
+        (
+            BulletRequest::Delete { cap: FILE },
+            "040900000000000000ab00000000000000",
+        ),
+    ]
+}
+
+fn bullet_replies() -> Vec<(BulletReply, &'static str)> {
+    vec![
+        (
+            BulletReply::Created { cap: FILE },
+            "010900000000000000ab00000000000000",
+        ),
+        (
+            BulletReply::Data {
+                data: vec![3].into(),
+            },
+            "020100000003",
+        ),
+        (BulletReply::Size { len: 77 }, "034d00000000000000"),
+        (BulletReply::Done, "04"),
+        (
+            BulletReply::Error {
+                kind: BulletErrorKind::BadCapability,
+            },
+            "0501",
+        ),
+        (
+            BulletReply::Error {
+                kind: BulletErrorKind::NoSpace,
+            },
+            "0502",
+        ),
+    ]
+}
+
+fn internal_msgs() -> Vec<(InternalMsg, &'static str)> {
+    vec![
+        (
+            InternalMsg::Exchange {
+                from: 1,
+                mourned: vec![false, true, false],
+                update_seq: 9,
+                stayed_up: true,
+            },
+            "010100000003000100090000000000000001",
+        ),
+        (
+            InternalMsg::ExchangeReply {
+                mourned: vec![true, false],
+                update_seq: 3,
+                stayed_up: false,
+            },
+            "02020100030000000000000000",
+        ),
+        (InternalMsg::Fetch, "03"),
+        (
+            InternalMsg::State {
+                instance: 7,
+                applied_seq: 5,
+                state: vec![1, 2, 3].into(),
+            },
+            "040700000000000000050000000000000003000000010203",
+        ),
+        (InternalMsg::Busy, "05"),
+    ]
+}
+
+fn peer_msgs() -> Vec<(PeerMsg, &'static str)> {
+    let op = DirOp::Delete { object: 4 }.encode();
+    vec![
+        (
+            PeerMsg::Intent {
+                useq: 5,
+                op: op.clone(),
+            },
+            "01050000000000000009000000020400000000000000",
+        ),
+        (PeerMsg::IntentOk, "02"),
+        (PeerMsg::IntentBusy, "03"),
+        (
+            PeerMsg::ApplyLazy { useq: 6, op },
+            "04060000000000000009000000020400000000000000",
+        ),
+        (PeerMsg::ApplyOk, "05"),
+    ]
+}
+
+fn lease_requests() -> Vec<(LeaseRequest, &'static str)> {
+    vec![
+        (
+            LeaseRequest::Grant {
+                name: "dir".into(),
+                owner: 7,
+                ttl: 30,
+            },
+            "010300000064697207000000000000001e00000000000000",
+        ),
+        (
+            LeaseRequest::Release {
+                name: "dir".into(),
+                owner: 7,
+            },
+            "02030000006469720700000000000000",
+        ),
+        (
+            LeaseRequest::Query { name: "dir".into() },
+            "0303000000646972",
+        ),
+    ]
+}
+
+fn lease_replies() -> Vec<(LeaseReply, &'static str)> {
+    vec![
+        (LeaseReply::Granted { expires: 40 }, "012800000000000000"),
+        (
+            LeaseReply::Busy {
+                holder: 8,
+                expires: 40,
+            },
+            "0208000000000000002800000000000000",
+        ),
+        (LeaseReply::Ok, "03"),
+        (LeaseReply::NotHeld, "04"),
+        (
+            LeaseReply::Held {
+                holder: 8,
+                expires: 40,
+            },
+            "0508000000000000002800000000000000",
+        ),
+        (LeaseReply::Free, "06"),
+        (LeaseReply::Malformed, "07"),
+        (LeaseReply::NoMajority, "08"),
+    ]
+}
+
+#[test]
+fn every_group_bullet_replica_and_lease_message_keeps_its_bytes() {
+    golden!(GroupMsg, group_msgs());
+    golden!(BulletRequest, bullet_requests());
+    golden!(BulletReply, bullet_replies());
+    golden!(InternalMsg, internal_msgs());
+    golden!(PeerMsg, peer_msgs());
+    golden!(LeaseRequest, lease_requests());
+    golden!(LeaseReply, lease_replies());
 }
