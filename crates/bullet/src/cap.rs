@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
+use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 
 /// A capability naming one immutable Bullet file.
 ///
@@ -27,18 +27,14 @@ impl FileCap {
     pub fn is_null(&self) -> bool {
         *self == FileCap::NULL
     }
+}
 
-    /// Appends this capability to a wire buffer.
-    pub fn write(&self, w: &mut WireWriter) {
+/// The object number, then the check field.
+impl Wire for FileCap {
+    fn put(&self, w: &mut WireWriter) {
         w.u64(self.object).u64(self.check);
     }
-
-    /// Reads a capability from a wire buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncation.
-    pub fn read(r: &mut WireReader<'_>) -> Result<FileCap, DecodeError> {
+    fn get(r: &mut WireReader<'_>) -> Result<FileCap, DecodeError> {
         Ok(FileCap {
             object: r.u64("filecap object")?,
             check: r.u64("filecap check")?,
@@ -72,10 +68,6 @@ mod tests {
             object: 42,
             check: 0xDEAD_BEEF,
         };
-        let mut w = WireWriter::new();
-        c.write(&mut w);
-        let buf = w.finish();
-        let mut r = WireReader::new(&buf);
-        assert_eq!(FileCap::read(&mut r).unwrap(), c);
+        assert_eq!(FileCap::decode(&c.encode()), Ok(c));
     }
 }

@@ -1,273 +1,107 @@
-//! Wire messages of the Bullet protocol.
+//! Wire messages of the Bullet protocol, each enum declared once in
+//! [`wire_enum!`], which derives its codec. Decoded with
+//! [`Wire::decode_shared`](amoeba_flip::wire::Wire::decode_shared), file
+//! contents are zero-copy slices of the packet.
 
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
-use amoeba_flip::Payload;
+use amoeba_flip::{wire_enum, Payload};
 
 use crate::cap::FileCap;
 
-/// A request to a Bullet server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BulletRequest {
-    /// Create an immutable file holding `data`; returns its capability.
-    Create {
-        /// File contents (shared, zero-copy).
-        data: Payload,
-    },
-    /// Read the whole file.
-    Read {
-        /// Which file.
-        cap: FileCap,
-    },
-    /// Size of the file in bytes.
-    Size {
-        /// Which file.
-        cap: FileCap,
-    },
-    /// Delete the file.
-    Delete {
-        /// Which file.
-        cap: FileCap,
-    },
-}
-
-/// A Bullet server's reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BulletReply {
-    /// File created.
-    Created {
-        /// Capability of the new file.
-        cap: FileCap,
-    },
-    /// File contents.
-    Data {
-        /// The bytes (shared with the wire buffer they arrived in).
-        data: Payload,
-    },
-    /// File size.
-    Size {
-        /// Bytes.
-        len: u64,
-    },
-    /// Operation done (delete).
-    Done,
-    /// Bad capability or out of space.
-    Error {
-        /// What went wrong.
-        kind: BulletErrorKind,
-    },
-}
-
-/// Failure classes a Bullet server reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BulletErrorKind {
-    /// Unknown object or wrong check field.
-    BadCapability,
-    /// No room for the file.
-    NoSpace,
-}
-
-const RQ_CREATE: u8 = 1;
-const RQ_READ: u8 = 2;
-const RQ_SIZE: u8 = 3;
-const RQ_DELETE: u8 = 4;
-
-const RP_CREATED: u8 = 1;
-const RP_DATA: u8 = 2;
-const RP_SIZE: u8 = 3;
-const RP_DONE: u8 = 4;
-const RP_ERROR: u8 = 5;
-
-const CAP_LEN: usize = 8 + 8;
-
-impl BulletRequest {
-    /// Exact encoded size, used as the writer's single-allocation hint.
-    fn encoded_len(&self) -> usize {
-        match self {
-            BulletRequest::Create { data } => 1 + 4 + data.len(),
-            BulletRequest::Read { .. }
-            | BulletRequest::Size { .. }
-            | BulletRequest::Delete { .. } => 1 + CAP_LEN,
-        }
-    }
-
-    /// Encodes into a shared buffer in a single allocation.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::with_capacity(self.encoded_len());
-        match self {
-            BulletRequest::Create { data } => {
-                w.u8(RQ_CREATE).bytes(data);
-            }
-            BulletRequest::Read { cap } => {
-                w.u8(RQ_READ);
-                cap.write(&mut w);
-            }
-            BulletRequest::Size { cap } => {
-                w.u8(RQ_SIZE);
-                cap.write(&mut w);
-            }
-            BulletRequest::Delete { cap } => {
-                w.u8(RQ_DELETE);
-                cap.write(&mut w);
-            }
-        }
-        debug_assert_eq!(w.len(), self.encoded_len());
-        w.finish_payload()
-    }
-
-    /// Decodes from a shared wire buffer; file contents come back as a
-    /// zero-copy slice of `buf`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &Payload) -> Result<Self, DecodeError> {
-        let mut r = WireReader::of(buf);
-        let req = match r.u8("bullet req tag")? {
-            RQ_CREATE => BulletRequest::Create {
-                data: r.payload("create data")?,
-            },
-            RQ_READ => BulletRequest::Read {
-                cap: FileCap::read(&mut r)?,
-            },
-            RQ_SIZE => BulletRequest::Size {
-                cap: FileCap::read(&mut r)?,
-            },
-            RQ_DELETE => BulletRequest::Delete {
-                cap: FileCap::read(&mut r)?,
-            },
-            _ => return Err(DecodeError::new("bullet req tag")),
-        };
-        r.expect_end("bullet req trailing")?;
-        Ok(req)
+wire_enum! {
+    /// A request to a Bullet server.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum BulletRequest {
+        /// Create an immutable file holding `data`; returns its capability.
+        1 => Create {
+            /// File contents (shared, zero-copy).
+            data: Payload,
+        },
+        /// Read the whole file.
+        2 => Read {
+            /// Which file.
+            cap: FileCap,
+        },
+        /// Size of the file in bytes.
+        3 => Size {
+            /// Which file.
+            cap: FileCap,
+        },
+        /// Delete the file.
+        4 => Delete {
+            /// Which file.
+            cap: FileCap,
+        },
     }
 }
 
-impl BulletReply {
-    /// Exact encoded size, used as the writer's single-allocation hint.
-    fn encoded_len(&self) -> usize {
-        match self {
-            BulletReply::Created { .. } => 1 + CAP_LEN,
-            BulletReply::Data { data } => 1 + 4 + data.len(),
-            BulletReply::Size { .. } => 1 + 8,
-            BulletReply::Done => 1,
-            BulletReply::Error { .. } => 1 + 1,
-        }
+wire_enum! {
+    /// A Bullet server's reply.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum BulletReply {
+        /// File created.
+        1 => Created {
+            /// Capability of the new file.
+            cap: FileCap,
+        },
+        /// File contents.
+        2 => Data {
+            /// The bytes (shared with the wire buffer they arrived in).
+            data: Payload,
+        },
+        /// File size.
+        3 => Size {
+            /// Bytes.
+            len: u64,
+        },
+        /// Operation done (delete).
+        4 => Done,
+        /// Bad capability or out of space.
+        5 => Error {
+            /// What went wrong.
+            kind: BulletErrorKind,
+        },
     }
+}
 
-    /// Encodes into a shared buffer in a single allocation.
-    pub fn encode(&self) -> Payload {
-        let mut w = WireWriter::with_capacity(self.encoded_len());
-        match self {
-            BulletReply::Created { cap } => {
-                w.u8(RP_CREATED);
-                cap.write(&mut w);
-            }
-            BulletReply::Data { data } => {
-                w.u8(RP_DATA).bytes(data);
-            }
-            BulletReply::Size { len } => {
-                w.u8(RP_SIZE).u64(*len);
-            }
-            BulletReply::Done => {
-                w.u8(RP_DONE);
-            }
-            BulletReply::Error { kind } => {
-                w.u8(RP_ERROR).u8(match kind {
-                    BulletErrorKind::BadCapability => 1,
-                    BulletErrorKind::NoSpace => 2,
-                });
-            }
-        }
-        debug_assert_eq!(w.len(), self.encoded_len());
-        w.finish_payload()
-    }
-
-    /// Decodes from a shared wire buffer; file contents come back as a
-    /// zero-copy slice of `buf`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for malformed input.
-    pub fn decode(buf: &Payload) -> Result<Self, DecodeError> {
-        let mut r = WireReader::of(buf);
-        let rep = match r.u8("bullet rep tag")? {
-            RP_CREATED => BulletReply::Created {
-                cap: FileCap::read(&mut r)?,
-            },
-            RP_DATA => BulletReply::Data {
-                data: r.payload("rep data")?,
-            },
-            RP_SIZE => BulletReply::Size {
-                len: r.u64("rep size")?,
-            },
-            RP_DONE => BulletReply::Done,
-            RP_ERROR => BulletReply::Error {
-                kind: match r.u8("error kind")? {
-                    1 => BulletErrorKind::BadCapability,
-                    2 => BulletErrorKind::NoSpace,
-                    _ => return Err(DecodeError::new("error kind")),
-                },
-            },
-            _ => return Err(DecodeError::new("bullet rep tag")),
-        };
-        r.expect_end("bullet rep trailing")?;
-        Ok(rep)
+wire_enum! {
+    /// Failure classes a Bullet server reports.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BulletErrorKind {
+        /// Unknown object or wrong check field.
+        1 => BadCapability,
+        /// No room for the file.
+        2 => NoSpace,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amoeba_flip::wire::Wire;
     use amoeba_testkit::{check, Gen};
 
-    #[test]
-    fn requests_round_trip() {
-        let cap = FileCap {
-            object: 9,
-            check: 0xAB,
-        };
-        for req in [
-            BulletRequest::Create {
-                data: vec![1, 2].into(),
-            },
-            BulletRequest::Read { cap },
-            BulletRequest::Size { cap },
-            BulletRequest::Delete { cap },
-        ] {
-            assert_eq!(BulletRequest::decode(&req.encode()).unwrap(), req);
-        }
-    }
+    // Golden bytes of every variant live in the root suite's
+    // `tests/wire_formats.rs`.
 
     #[test]
-    fn replies_round_trip() {
-        let cap = FileCap {
-            object: 9,
-            check: 0xAB,
-        };
-        for rep in [
-            BulletReply::Created { cap },
-            BulletReply::Data {
-                data: vec![3].into(),
-            },
-            BulletReply::Size { len: 77 },
-            BulletReply::Done,
-            BulletReply::Error {
-                kind: BulletErrorKind::BadCapability,
-            },
-            BulletReply::Error {
-                kind: BulletErrorKind::NoSpace,
-            },
-        ] {
-            assert_eq!(BulletReply::decode(&rep.encode()).unwrap(), rep);
+    fn file_contents_decode_without_a_copy() {
+        let wire = BulletRequest::Create {
+            data: vec![5; 64].into(),
         }
+        .encode();
+        let Ok(BulletRequest::Create { data }) = BulletRequest::decode_shared(&wire) else {
+            panic!("a create");
+        };
+        // The tag and the length prefix come first.
+        assert_eq!(data.as_ptr(), wire[1 + 4..].as_ptr());
     }
 
     #[test]
     fn prop_decode_never_panics() {
         check("bullet decode never panics", 256, |g: &mut Gen| {
             let data: Payload = g.bytes(64).into();
-            let _ = BulletRequest::decode(&data);
-            let _ = BulletReply::decode(&data);
+            let _ = BulletRequest::decode_shared(&data);
+            let _ = BulletReply::decode_shared(&data);
         });
     }
 }

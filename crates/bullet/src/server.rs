@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use amoeba_disk::DiskServer;
+use amoeba_flip::wire::Wire;
 use amoeba_flip::{Payload, Port};
 use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
 use amoeba_sim::{Ctx, IdMap, NodeId, Spawn};
@@ -71,7 +72,7 @@ pub fn start_bullet_server(
             &format!("bullet{t}@{}", rpc.addr()),
             Box::new(move |ctx| loop {
                 let req = srv.getreq(ctx);
-                let reply = match BulletRequest::decode(&req.data) {
+                let reply = match BulletRequest::decode_shared(&req.data) {
                     Ok(r) => handle(ctx, &disk, &store, &cache, base_block, r),
                     Err(_) => BulletReply::Error {
                         kind: BulletErrorKind::BadCapability,
@@ -174,7 +175,7 @@ impl BulletClient {
 
     fn call(&self, ctx: &Ctx, req: BulletRequest) -> Result<BulletReply, BulletError> {
         let bytes = self.rpc.trans(ctx, self.service, req.encode())?;
-        BulletReply::decode(&bytes).map_err(|_| BulletError::Protocol)
+        BulletReply::decode_shared(&bytes).map_err(|_| BulletError::Protocol)
     }
 
     /// Creates an immutable file. The contents are shared, not copied,

@@ -65,7 +65,7 @@
 use std::collections::HashMap;
 
 use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
-use amoeba_flip::Port;
+use amoeba_flip::{wire_enum, Port};
 use amoeba_rpc::{RpcClient, RpcError};
 use amoeba_rsm::service::{Service, ServiceClient};
 use amoeba_sim::Ctx;
@@ -73,144 +73,68 @@ use amoeba_sim::Ctx;
 /// The public FLIP port of the lease service.
 pub const LEASE_PORT: Port = Port::from_raw(0x004C_5345); // "LSE"
 
-/// Client-visible operations of the lease service.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseRequest {
-    /// Acquire (or renew) `name` for `owner`, expiring after `ttl`
-    /// further applied operations.
-    Grant {
-        /// Lease name.
-        name: String,
-        /// Owner token (client-chosen).
-        owner: u64,
-        /// Lifetime in logical ticks (applied ops).
-        ttl: u64,
-    },
-    /// Release `name` held by `owner`.
-    Release {
-        /// Lease name.
-        name: String,
-        /// Owner token.
-        owner: u64,
-    },
-    /// Read who holds `name` (a local read behind the read barrier).
-    Query {
-        /// Lease name.
-        name: String,
-    },
-}
-
-/// Replies of the lease service.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseReply {
-    /// Granted (or renewed); expires at this logical time.
-    Granted {
-        /// Logical expiry (applied-op count).
-        expires: u64,
-    },
-    /// Grant refused: held by this other owner until `expires`.
-    Busy {
-        /// Current holder's token.
-        holder: u64,
-        /// Logical expiry.
-        expires: u64,
-    },
-    /// Release done.
-    Ok,
-    /// Release refused: not held by the caller (or already expired).
-    NotHeld,
-    /// Query: held by this owner until `expires`.
-    Held {
-        /// Holder's token.
-        holder: u64,
-        /// Logical expiry.
-        expires: u64,
-    },
-    /// Query: free (never granted, released, or expired).
-    Free,
-    /// Malformed request.
-    Malformed,
-    /// The replica is recovering or without a majority.
-    NoMajority,
-}
-
-const LS_GRANT: u8 = 1;
-const LS_RELEASE: u8 = 2;
-const LS_QUERY: u8 = 3;
-
-const LR_GRANTED: u8 = 1;
-const LR_BUSY: u8 = 2;
-const LR_OK: u8 = 3;
-const LR_NOT_HELD: u8 = 4;
-const LR_HELD: u8 = 5;
-const LR_FREE: u8 = 6;
-const LR_MALFORMED: u8 = 7;
-const LR_NO_MAJORITY: u8 = 8;
-
-impl Wire for LeaseRequest {
-    fn put(&self, w: &mut WireWriter) {
-        match self {
-            LeaseRequest::Grant { name, owner, ttl } => {
-                w.u8(LS_GRANT).string(name).u64(*owner).u64(*ttl)
-            }
-            LeaseRequest::Release { name, owner } => w.u8(LS_RELEASE).string(name).u64(*owner),
-            LeaseRequest::Query { name } => w.u8(LS_QUERY).string(name),
-        };
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<LeaseRequest, DecodeError> {
-        Ok(match r.u8("lease req tag")? {
-            LS_GRANT => LeaseRequest::Grant {
-                name: r.string("lease name")?,
-                owner: r.u64("lease owner")?,
-                ttl: r.u64("lease ttl")?,
-            },
-            LS_RELEASE => LeaseRequest::Release {
-                name: r.string("lease name")?,
-                owner: r.u64("lease owner")?,
-            },
-            LS_QUERY => LeaseRequest::Query {
-                name: r.string("lease name")?,
-            },
-            _ => return Err(DecodeError::new("lease req tag")),
-        })
+wire_enum! {
+    /// Client-visible operations of the lease service.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum LeaseRequest {
+        /// Acquire (or renew) `name` for `owner`, expiring after `ttl`
+        /// further applied operations.
+        1 => Grant {
+            /// Lease name.
+            name: String,
+            /// Owner token (client-chosen).
+            owner: u64,
+            /// Lifetime in logical ticks (applied ops).
+            ttl: u64,
+        },
+        /// Release `name` held by `owner`.
+        2 => Release {
+            /// Lease name.
+            name: String,
+            /// Owner token.
+            owner: u64,
+        },
+        /// Read who holds `name` (a local read behind the read barrier).
+        3 => Query {
+            /// Lease name.
+            name: String,
+        },
     }
 }
 
-impl Wire for LeaseReply {
-    fn put(&self, w: &mut WireWriter) {
-        match self {
-            LeaseReply::Granted { expires } => w.u8(LR_GRANTED).u64(*expires),
-            LeaseReply::Busy { holder, expires } => w.u8(LR_BUSY).u64(*holder).u64(*expires),
-            LeaseReply::Ok => w.u8(LR_OK),
-            LeaseReply::NotHeld => w.u8(LR_NOT_HELD),
-            LeaseReply::Held { holder, expires } => w.u8(LR_HELD).u64(*holder).u64(*expires),
-            LeaseReply::Free => w.u8(LR_FREE),
-            LeaseReply::Malformed => w.u8(LR_MALFORMED),
-            LeaseReply::NoMajority => w.u8(LR_NO_MAJORITY),
-        };
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<LeaseReply, DecodeError> {
-        Ok(match r.u8("lease rep tag")? {
-            LR_GRANTED => LeaseReply::Granted {
-                expires: r.u64("lease expires")?,
-            },
-            LR_BUSY => LeaseReply::Busy {
-                holder: r.u64("lease holder")?,
-                expires: r.u64("lease expires")?,
-            },
-            LR_OK => LeaseReply::Ok,
-            LR_NOT_HELD => LeaseReply::NotHeld,
-            LR_HELD => LeaseReply::Held {
-                holder: r.u64("lease holder")?,
-                expires: r.u64("lease expires")?,
-            },
-            LR_FREE => LeaseReply::Free,
-            LR_MALFORMED => LeaseReply::Malformed,
-            LR_NO_MAJORITY => LeaseReply::NoMajority,
-            _ => return Err(DecodeError::new("lease rep tag")),
-        })
+wire_enum! {
+    /// Replies of the lease service.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum LeaseReply {
+        /// Granted (or renewed); expires at this logical time.
+        1 => Granted {
+            /// Logical expiry (applied-op count).
+            expires: u64,
+        },
+        /// Grant refused: held by this other owner until `expires`.
+        2 => Busy {
+            /// Current holder's token.
+            holder: u64,
+            /// Logical expiry.
+            expires: u64,
+        },
+        /// Release done.
+        3 => Ok,
+        /// Release refused: not held by the caller (or already expired).
+        4 => NotHeld,
+        /// Query: held by this owner until `expires`.
+        5 => Held {
+            /// Holder's token.
+            holder: u64,
+            /// Logical expiry.
+            expires: u64,
+        },
+        /// Query: free (never granted, released, or expired).
+        6 => Free,
+        /// Malformed request.
+        7 => Malformed,
+        /// The replica is recovering or without a majority.
+        8 => NoMajority,
     }
 }
 

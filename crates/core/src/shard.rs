@@ -137,7 +137,11 @@ use crate::capability::Capability;
 /// The service-name prefix all shard ports derive from.
 const SERVICE_BASE: &str = "amoeba.dir";
 
-fn fnv1a(seed: u64, parts: &[&[u8]]) -> u64 {
+/// A seeded byte hash in FNV-1a's shape, but not FNV-1a: its multiplier
+/// is 2^48 + 0x1b3 where FNV's prime is 2^40 + 0x1b3. Kept as it is
+/// because it places every directory: another hash would move them all
+/// to other shards.
+fn placement_hash(seed: u64, parts: &[&[u8]]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
     for part in parts {
         for b in *part {
@@ -235,7 +239,7 @@ impl ShardMap {
     /// stable hash, so every retry of the same logical create targets
     /// the same shard.
     pub fn child_shard(&self, parent: &Capability, name: &str) -> usize {
-        (fnv1a(
+        (placement_hash(
             0x5AAD,
             &[
                 &parent.port.as_raw().to_le_bytes(),
@@ -254,7 +258,7 @@ impl ShardMap {
     /// actually holding a valid parent capability — the child's shard
     /// cannot validate the (foreign-shard) parent itself.
     pub fn completion_key(parent: &Capability, name: &str) -> u64 {
-        fnv1a(
+        placement_hash(
             0xC0_4471,
             &[
                 &parent.port.as_raw().to_le_bytes(),
@@ -273,7 +277,7 @@ impl ShardMap {
     /// folded in: the key is computable only by a holder of the owner
     /// capability (a replay answers with the copy's owner capability).
     pub fn migration_key(home: &Capability, target: Port) -> u64 {
-        fnv1a(
+        placement_hash(
             0x319_4A7E,
             &[
                 &home.port.as_raw().to_le_bytes(),

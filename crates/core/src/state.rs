@@ -1568,7 +1568,7 @@ mod tests {
         // The update seq, then the op as a byte string.
         let golden = "050000000000000009000000020400000000000000";
         let delete = DirOp::Delete { object: 4 };
-        assert_eq!(hex(&(5, delete.encode()).encode()), golden);
+        assert_eq!(hex(&(5u64, delete.encode()).encode()), golden);
         assert_eq!(decode_nv_record(&unhex(golden)), Some((5, delete)));
         let trailing = [&unhex(golden)[..], &[0]].concat();
         assert_eq!(decode_nv_record(&trailing), None, "a byte too many");

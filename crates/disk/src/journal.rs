@@ -48,13 +48,17 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use amoeba_sim::Ctx;
+use amoeba_flip::wire::{WireReader, WireWriter};
+use amoeba_sim::{fnv1a, Ctx, Fnv1a};
 
 use crate::server::RawPartition;
 
 const SUPER_MAGIC: u32 = 0x4153_4A42; // "AJSB"
 const FRAME_MAGIC: u32 = 0x414A_524E; // "AJRN"
-const FRAME_HEADER: usize = 28;
+/// A frame's header: its fields, then their checksum.
+const FRAME_HEADER: usize = FRAME_FIELDS + 8;
+/// The header fields a frame's checksum covers.
+const FRAME_FIELDS: usize = 20;
 
 /// Error returned by [`Journal::append`] when the record does not fit:
 /// the caller must checkpoint (drain + reset) and retry.
@@ -68,17 +72,6 @@ impl std::fmt::Display for JournalFull {
 }
 
 impl std::error::Error for JournalFull {}
-
-fn fnv64(chunks: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 struct JState {
     /// Seq of the first live record (everything older was checkpointed).
@@ -321,63 +314,53 @@ struct FrameHead {
 }
 
 fn encode_superblock(start_seq: u64) -> Vec<u8> {
-    let mut b = vec![0u8; 20];
-    b[0..4].copy_from_slice(&SUPER_MAGIC.to_le_bytes());
-    b[4..12].copy_from_slice(&start_seq.to_le_bytes());
-    let crc = fnv64(&[&b[0..12]]);
-    b[12..20].copy_from_slice(&crc.to_le_bytes());
-    b
+    let mut w = WireWriter::with_capacity(20);
+    w.u32(SUPER_MAGIC).u64(start_seq);
+    let crc = fnv1a(w.as_slice());
+    w.u64(crc);
+    w.finish()
 }
 
+/// A superblock is valid when it is exactly what
+/// [`encode_superblock`] writes for the seq it claims.
 fn parse_superblock(b: &[u8]) -> Option<u64> {
-    if b.len() < 20 {
-        return None;
-    }
-    if u32::from_le_bytes(b[0..4].try_into().ok()?) != SUPER_MAGIC {
-        return None;
-    }
-    if fnv64(&[&b[0..12]]) != u64::from_le_bytes(b[12..20].try_into().ok()?) {
-        return None;
-    }
-    Some(u64::from_le_bytes(b[4..12].try_into().ok()?))
+    let mut r = WireReader::new(b);
+    r.u32("superblock magic").ok()?;
+    let start_seq = r.u64("start seq").ok()?;
+    b.starts_with(&encode_superblock(start_seq))
+        .then_some(start_seq)
+}
+
+fn frame_crc(fields: &[u8], payload: &[u8]) -> u64 {
+    Fnv1a::new().write(fields).write(payload).finish()
 }
 
 fn encode_frame(seq: u64, idx: u16, total: u16, payload: &[u8]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(FRAME_HEADER + payload.len());
-    b.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    b.extend_from_slice(&seq.to_le_bytes());
-    b.extend_from_slice(&idx.to_le_bytes());
-    b.extend_from_slice(&total.to_le_bytes());
-    b.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = fnv64(&[&b[0..20], payload]);
-    b.extend_from_slice(&crc.to_le_bytes());
-    b.extend_from_slice(payload);
-    b
+    let mut w = WireWriter::with_capacity(FRAME_HEADER + payload.len());
+    w.u32(FRAME_MAGIC)
+        .u64(seq)
+        .u16(idx)
+        .u16(total)
+        .u32(payload.len() as u32);
+    let crc = frame_crc(w.as_slice(), payload);
+    w.u64(crc).raw(payload);
+    w.finish()
 }
 
 fn parse_frame(b: &[u8], expect_seq: u64, expect_idx: u16) -> Option<FrameHead> {
-    if b.len() < FRAME_HEADER {
-        return None;
-    }
-    if u32::from_le_bytes(b[0..4].try_into().ok()?) != FRAME_MAGIC {
-        return None;
-    }
-    if u64::from_le_bytes(b[4..12].try_into().ok()?) != expect_seq {
-        return None;
-    }
-    if u16::from_le_bytes(b[12..14].try_into().ok()?) != expect_idx {
-        return None;
-    }
-    let total = u16::from_le_bytes(b[14..16].try_into().ok()?);
-    let len = u32::from_le_bytes(b[16..20].try_into().ok()?) as usize;
-    if len > b.len() - FRAME_HEADER {
-        return None;
-    }
-    let crc = u64::from_le_bytes(b[20..28].try_into().ok()?);
-    if fnv64(&[&b[0..20], &b[FRAME_HEADER..FRAME_HEADER + len]]) != crc {
-        return None;
-    }
-    Some(FrameHead { total, len })
+    let mut r = WireReader::new(b);
+    let magic = r.u32("frame magic").ok()?;
+    let seq = r.u64("frame seq").ok()?;
+    let idx = r.u16("frame index").ok()?;
+    let total = r.u16("frames").ok()?;
+    let len = r.u32("frame len").ok()? as usize;
+    let crc = r.u64("frame checksum").ok()?;
+    let payload = b.get(FRAME_HEADER..FRAME_HEADER.checked_add(len)?)?;
+    let valid = magic == FRAME_MAGIC
+        && seq == expect_seq
+        && idx == expect_idx
+        && crc == frame_crc(&b[..FRAME_FIELDS], payload);
+    valid.then_some(FrameHead { total, len })
 }
 
 #[cfg(test)]

@@ -39,10 +39,10 @@ use std::time::Duration;
 
 use amoeba_dir_core::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dir_core::{CacheParams, Capability, DirClient, Rights};
-use amoeba_flip::wire::{DecodeError, WireReader, WireWriter};
+use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_sim::{Ctx, SimHandle, SimTime, SimTrace, Simulation};
 
-use crate::schedule::{FaultKind, FaultSchedule};
+use crate::schedule::{ranged, FaultKind, FaultSchedule};
 
 /// End of the formation window / start of the write phase (ms).
 pub const WRITE_START_MS: u64 = 5_000;
@@ -128,35 +128,33 @@ impl ScenarioParams {
     pub fn machines(&self) -> usize {
         self.shards * 3 + self.clients
     }
+}
 
-    /// Serializes the params (for repro bundles).
-    pub fn encode(&self, w: &mut WireWriter) {
+/// The repro-bundle form: every field but `telemetry`, which does not
+/// change the run. A count outside what a deployment can hold, or a
+/// flag byte other than 0 or 1, is refused.
+impl Wire for ScenarioParams {
+    fn put(&self, w: &mut WireWriter) {
         w.u64(self.seed)
             .u64(self.shards as u64)
             .u64(self.chain_segments as u64)
             .u64(self.clients as u64)
             .u64(self.writes_per_client as u64)
-            .u8(u8::from(self.dir_cache))
-            .u8(u8::from(self.buggy_retrans_bound))
-            .u8(u8::from(self.journal));
+            .boolean(self.dir_cache)
+            .boolean(self.buggy_retrans_bound)
+            .boolean(self.journal);
     }
 
-    /// Deserializes params.
-    ///
-    /// # Errors
-    ///
-    /// Malformed input, naming the field where it went wrong.
-    pub fn decode(r: &mut WireReader) -> Result<ScenarioParams, String> {
-        let malformed = |e: DecodeError| format!("scenario params: {e}");
+    fn get(r: &mut WireReader<'_>) -> Result<ScenarioParams, DecodeError> {
         Ok(ScenarioParams {
-            seed: r.u64("sc seed").map_err(malformed)?,
-            shards: (r.u64("sc shards").map_err(malformed)?.clamp(1, 64)) as usize,
-            chain_segments: (r.u64("sc chain").map_err(malformed)?.clamp(1, 64)) as usize,
-            clients: (r.u64("sc clients").map_err(malformed)?.min(1_000)) as usize,
-            writes_per_client: (r.u64("sc writes").map_err(malformed)?.min(10_000)) as usize,
-            dir_cache: r.u8("sc cache").map_err(malformed)? != 0,
-            buggy_retrans_bound: r.u8("sc buggy").map_err(malformed)? != 0,
-            journal: r.u8("sc journal").map_err(malformed)? != 0,
+            seed: r.u64("sc seed")?,
+            shards: ranged(r, 1..=64, "sc shards")?,
+            chain_segments: ranged(r, 1..=64, "sc chain")?,
+            clients: ranged(r, 0..=1_000, "sc clients")?,
+            writes_per_client: ranged(r, 0..=10_000, "sc writes")?,
+            dir_cache: r.boolean("sc cache")?,
+            buggy_retrans_bound: r.boolean("sc buggy")?,
+            journal: r.boolean("sc journal")?,
             telemetry: false,
         })
     }

@@ -8,7 +8,9 @@
 //! of the deterministic program: the same schedule over the same
 //! [`crate::scenario::ScenarioParams`] is the same run, bit for bit.
 
-use amoeba_flip::wire::{WireReader, WireWriter};
+use std::ops::RangeInclusive;
+
+use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,13 +42,56 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    fn code(&self) -> u8 {
-        match self {
-            FaultKind::Crash { .. } => 1,
-            FaultKind::Isolate { .. } => 2,
-            FaultKind::Degrade { .. } => 3,
-        }
+/// A `u8` code, then the kind's operands, each a `u64`.
+impl Wire for FaultKind {
+    fn put(&self, w: &mut WireWriter) {
+        match *self {
+            FaultKind::Crash { column } => w.u8(1).u64(column as u64),
+            FaultKind::Isolate { column } => w.u8(2).u64(column as u64),
+            FaultKind::Degrade {
+                loss_pm,
+                dup_pm,
+                jitter_pm,
+            } => w
+                .u8(3)
+                .u64(loss_pm.into())
+                .u64(dup_pm.into())
+                .u64(jitter_pm.into()),
+        };
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<FaultKind, DecodeError> {
+        let per_mille = |r: &mut WireReader<'_>, max: u16, what| {
+            Ok::<_, DecodeError>(ranged(r, 0..=u64::from(max), what)? as u16)
+        };
+        Ok(match r.u8("inj kind")? {
+            1 => FaultKind::Crash {
+                column: r.u64("inj col")? as usize,
+            },
+            2 => FaultKind::Isolate {
+                column: r.u64("inj col")? as usize,
+            },
+            3 => FaultKind::Degrade {
+                loss_pm: per_mille(r, 1000, "inj loss")?,
+                dup_pm: per_mille(r, 1000, "inj dup")?,
+                jitter_pm: per_mille(r, u16::MAX, "inj jitter")?,
+            },
+            _ => return Err(DecodeError::new("inj kind")),
+        })
+    }
+}
+
+/// Reads a `u64` that must lie in `range`, as a `usize`.
+pub(crate) fn ranged(
+    r: &mut WireReader<'_>,
+    range: RangeInclusive<u64>,
+    what: &'static str,
+) -> Result<usize, DecodeError> {
+    let v = r.u64(what)?;
+    if range.contains(&v) {
+        Ok(v as usize)
+    } else {
+        Err(DecodeError::new(what))
     }
 }
 
@@ -79,6 +124,21 @@ pub struct Injection {
     pub dur_ms: u64,
     /// What to inject.
     pub kind: FaultKind,
+}
+
+impl Wire for Injection {
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(self.at_ms).u64(self.dur_ms);
+        self.kind.put(w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Injection, DecodeError> {
+        Ok(Injection {
+            at_ms: r.u64("inj at")?,
+            dur_ms: r.u64("inj dur")?,
+            kind: FaultKind::get(r)?,
+        })
+    }
 }
 
 impl std::fmt::Display for Injection {
@@ -167,62 +227,29 @@ impl FaultSchedule {
     pub fn is_empty(&self) -> bool {
         self.injections.is_empty()
     }
+}
 
-    /// Serializes the schedule (for repro bundles).
-    pub fn encode(&self, w: &mut WireWriter) {
-        w.u32(self.injections.len() as u32);
-        for i in &self.injections {
-            w.u64(i.at_ms).u64(i.dur_ms).u8(i.kind.code());
-            match i.kind {
-                FaultKind::Crash { column } | FaultKind::Isolate { column } => {
-                    w.u64(column as u64);
-                }
-                FaultKind::Degrade {
-                    loss_pm,
-                    dup_pm,
-                    jitter_pm,
-                } => {
-                    w.u64(loss_pm as u64)
-                        .u64(dup_pm as u64)
-                        .u64(jitter_pm as u64);
-                }
-            }
-        }
+/// A `u32` count of at most 10,000, then the injections in start order:
+/// the order [`FaultSchedule::new`] sorts them into, so a schedule
+/// whose bytes go back in time is refused rather than re-sorted.
+impl Wire for FaultSchedule {
+    fn put(&self, w: &mut WireWriter) {
+        INJECTIONS.put(w, &self.injections, Injection::put);
     }
 
-    /// Deserializes a schedule. `None` on malformed input.
-    pub fn decode(r: &mut WireReader) -> Option<FaultSchedule> {
-        let n = r.u32("schedule len").ok()? as usize;
-        if n > 10_000 {
-            return None;
+    fn get(r: &mut WireReader<'_>) -> Result<FaultSchedule, DecodeError> {
+        let injections: Vec<Injection> = INJECTIONS.get(r, Injection::get)?;
+        if injections
+            .windows(2)
+            .any(|pair| pair[0].at_ms > pair[1].at_ms)
+        {
+            return Err(DecodeError::new("schedule order"));
         }
-        let mut injections = Vec::with_capacity(n);
-        for _ in 0..n {
-            let at_ms = r.u64("inj at").ok()?;
-            let dur_ms = r.u64("inj dur").ok()?;
-            let kind = match r.u8("inj kind").ok()? {
-                1 => FaultKind::Crash {
-                    column: r.u64("inj col").ok()? as usize,
-                },
-                2 => FaultKind::Isolate {
-                    column: r.u64("inj col").ok()? as usize,
-                },
-                3 => FaultKind::Degrade {
-                    loss_pm: r.u64("inj loss").ok()?.min(1000) as u16,
-                    dup_pm: r.u64("inj dup").ok()?.min(1000) as u16,
-                    jitter_pm: r.u64("inj jitter").ok()?.min(u16::MAX as u64) as u16,
-                },
-                _ => return None,
-            };
-            injections.push(Injection {
-                at_ms,
-                dur_ms,
-                kind,
-            });
-        }
-        Some(FaultSchedule::new(injections))
+        Ok(FaultSchedule { injections })
     }
 }
+
+const INJECTIONS: Counted = Counted::u32(10_000, "schedule len");
 
 impl std::fmt::Display for FaultSchedule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -268,11 +295,7 @@ mod tests {
         ]);
         // Sorted by start time.
         assert_eq!(s.injections[0].at_ms, 6_000);
-        let mut w = WireWriter::new();
-        s.encode(&mut w);
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(FaultSchedule::decode(&mut r), Some(s));
+        assert_eq!(FaultSchedule::decode(&s.encode()), Ok(s));
     }
 
     #[test]
@@ -280,8 +303,23 @@ mod tests {
         let mut w = WireWriter::new();
         w.u32(1);
         w.u64(0).u64(0).u8(9);
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(FaultSchedule::decode(&mut r), None);
+        assert!(FaultSchedule::decode(w.as_slice()).is_err());
+    }
+
+    #[test]
+    fn out_of_range_or_out_of_order_injections_are_refused() {
+        let degrade = |loss_pm: u64| {
+            let mut w = WireWriter::new();
+            w.u32(1).u64(0).u64(0).u8(3).u64(loss_pm).u64(0).u64(0);
+            FaultSchedule::decode(w.as_slice())
+        };
+        assert!(degrade(1000).is_ok());
+        assert!(degrade(1001).is_err(), "more than every packet lost");
+        let mut w = WireWriter::new();
+        w.u32(2);
+        for at_ms in [5, 4] {
+            w.u64(at_ms).u64(1).u8(1).u64(0);
+        }
+        assert!(FaultSchedule::decode(w.as_slice()).is_err());
     }
 }

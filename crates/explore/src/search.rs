@@ -7,7 +7,7 @@
 //! and never from the host — so a sweep is as reproducible as the runs
 //! it drives.
 
-use amoeba_flip::wire::{WireReader, WireWriter};
+use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_sim::SimTrace;
 use amoeba_testkit::Gen;
 
@@ -238,40 +238,48 @@ const REPRO_MAGIC: &[u8; 4] = b"AMRX";
 /// params for a commit pipeline the replicas no longer run.
 const REPRO_VERSION: u16 = 2;
 
-impl ReproBundle {
-    /// Serializes the bundle.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+impl Wire for ReproBundle {
+    fn put(&self, w: &mut WireWriter) {
         w.bytes(REPRO_MAGIC).u16(REPRO_VERSION);
-        self.params.encode(&mut w);
-        self.schedule.encode(&mut w);
+        self.params.put(w);
+        self.schedule.put(w);
         w.bytes(&self.trace.to_bytes());
-        w.finish()
     }
 
-    /// Deserializes a bundle. `Err` explains what was malformed, or
-    /// names the version of a bundle this build does not read.
+    fn get(r: &mut WireReader<'_>) -> Result<ReproBundle, DecodeError> {
+        if r.bytes("repro magic")? != REPRO_MAGIC {
+            return Err(DecodeError::new("repro magic"));
+        }
+        if r.u16("repro version")? != REPRO_VERSION {
+            return Err(DecodeError::new("repro version"));
+        }
+        Ok(ReproBundle {
+            params: ScenarioParams::get(r)?,
+            schedule: FaultSchedule::get(r)?,
+            trace: SimTrace::from_bytes(r.bytes("repro trace")?)
+                .map_err(|_| DecodeError::new("repro trace"))?,
+        })
+    }
+}
+
+impl ReproBundle {
+    /// The bundle as file bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.encode().to_vec()
+    }
+
+    /// Reads a bundle file: exactly one bundle, nothing after its
+    /// trace. `Err` explains what was malformed, or names the version
+    /// of a bundle this build does not read.
     pub fn from_bytes(buf: &[u8]) -> Result<ReproBundle, String> {
         let mut r = WireReader::new(buf);
-        let magic = r.bytes("repro magic").map_err(|e| e.to_string())?;
-        if magic != REPRO_MAGIC {
-            return Err("not a repro bundle (bad magic)".to_owned());
-        }
-        let version = r.u16("repro version").map_err(|e| e.to_string())?;
-        if version != REPRO_VERSION {
-            return Err(format!(
+        let ours = r.bytes("repro magic").is_ok_and(|m| m == REPRO_MAGIC);
+        match r.u16("repro version") {
+            Ok(version) if ours && version != REPRO_VERSION => Err(format!(
                 "unsupported repro bundle version {version} (this build reads version {REPRO_VERSION})"
-            ));
+            )),
+            _ => ReproBundle::decode(buf).map_err(|e| e.to_string()),
         }
-        let params = ScenarioParams::decode(&mut r)?;
-        let schedule = FaultSchedule::decode(&mut r).ok_or("malformed fault schedule")?;
-        let trace_bytes = r.bytes("repro trace").map_err(|e| e.to_string())?;
-        let trace = SimTrace::from_bytes(trace_bytes)?;
-        Ok(ReproBundle {
-            params,
-            schedule,
-            trace,
-        })
     }
 }
 
@@ -326,7 +334,7 @@ mod tests {
         let mut w = WireWriter::new();
         w.bytes(REPRO_MAGIC).u16(version);
         w.u64(11).u64(1).u64(1).u64(2).u64(6).u8(1).u8(0).u8(1);
-        FaultSchedule::none().encode(&mut w);
+        FaultSchedule::none().put(&mut w);
         let trace = SimTrace {
             seed: 11,
             steps: Vec::new(),
@@ -400,15 +408,24 @@ mod tests {
     }
 
     #[test]
+    fn a_bundle_with_bytes_after_its_trace_is_refused() {
+        let mut bytes = bundle_bytes(REPRO_VERSION);
+        assert!(ReproBundle::from_bytes(&bytes).is_ok());
+        bytes.push(0);
+        let err = ReproBundle::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("trailing bytes"), "{err}");
+    }
+
+    #[test]
     fn truncated_params_name_the_field_they_end_in() {
         let mut w = WireWriter::new();
         w.u64(11).u64(1).u64(1).u64(2).u64(6).u8(1).u8(0).u8(1);
         let bytes = w.finish();
-        let params = ScenarioParams::decode(&mut WireReader::new(&bytes)).expect("whole");
+        let params = ScenarioParams::decode(&bytes).expect("whole");
         assert!(params.journal);
-        let cut = ScenarioParams::decode(&mut WireReader::new(&bytes[..20])).unwrap_err();
-        assert!(cut.contains("sc chain"), "{cut}");
-        let cut = ScenarioParams::decode(&mut WireReader::new(&bytes[..bytes.len() - 1]));
-        assert!(cut.unwrap_err().contains("sc journal"));
+        let cut = ScenarioParams::decode(&bytes[..20]).unwrap_err();
+        assert_eq!(cut.what, "sc chain");
+        let cut = ScenarioParams::decode(&bytes[..bytes.len() - 1]).unwrap_err();
+        assert_eq!(cut.what, "sc journal");
     }
 }

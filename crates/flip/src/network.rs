@@ -59,7 +59,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
-use amoeba_sim::{IdMap, MailboxTx, SimHandle, SimRng, SimTime};
+use amoeba_sim::{Fnv1a, IdMap, MailboxTx, SimHandle, SimRng, SimTime};
 
 use crate::addr::{Dest, GroupAddr, HostAddr};
 use crate::packet::Packet;
@@ -74,19 +74,11 @@ pub(crate) type EndpointTable = Rc<RefCell<IdMap<Port, MailboxTx<Packet>>>>;
 /// FNV-1a over `(host, side)` pairs: pins a variable-length partition
 /// description into one fault-trace operand.
 fn hash_hosts(pairs: impl Iterator<Item = (u32, u32)>) -> u64 {
-    fn mix(mut h: u64, v: u32) -> u64 {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for (host, side) in pairs {
-        h = mix(h, host);
-        h = mix(h, side);
+        h.write(&host.to_le_bytes()).write(&side.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Packet ids one node remembers: the slots of its [`SeenCache`].

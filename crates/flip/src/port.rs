@@ -38,11 +38,7 @@ impl Port {
     /// Deterministically derives a port from a service name (FNV-1a,
     /// folded to 48 bits).
     pub fn from_name(name: &str) -> Port {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let h = amoeba_sim::fnv1a(name.as_bytes());
         // Fold the high bits in so the 48-bit truncation keeps entropy,
         // and avoid colliding with NULL.
         let folded = (h ^ (h >> 48)) & 0xFFFF_FFFF_FFFF;

@@ -21,6 +21,17 @@
 //! is handed into an FNV-1a digest, so a wire form can be named by its
 //! digest without being built.
 //!
+//! ## Tagged enums
+//!
+//! A message family is an enum whose wire form is a `u8` tag, then the
+//! variant's fields in order. [`wire_enum!`](crate::wire_enum) takes
+//! the enum's declaration with each variant written `tag => Variant {
+//! fields in wire order }`, and emits both the enum and its [`Wire`]
+//! impl, so each field is listed once: in the declaration. Every field
+//! type has a [`Wire`] form of its own; a counted field adds `as` and
+//! its [`Counted`] (`items: Vec<Item> as BATCH`). The encoded length is
+//! never written down: [`Wire::encode`] measures it by running `put`.
+//!
 //! ## Counted sequences
 //!
 //! A collection is its element count, then its elements. Each counted
@@ -35,6 +46,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use amoeba_sim::Fnv1a;
+
+use crate::addr::HostAddr;
 use crate::bytes::Payload;
 use crate::port::Port;
 
@@ -79,11 +93,8 @@ enum Sink {
     Count(usize),
     /// Only folded into an FNV-1a digest
     /// ([`digesting`](WireWriter::digesting)).
-    Digest(u64),
+    Digest(Fnv1a),
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl WireWriter {
     /// Creates an empty writer.
@@ -115,7 +126,7 @@ impl WireWriter {
     pub fn digesting() -> Self {
         WireWriter {
             buf: Vec::new(),
-            sink: Sink::Digest(FNV_OFFSET),
+            sink: Sink::Digest(Fnv1a::new()),
         }
     }
 
@@ -123,7 +134,7 @@ impl WireWriter {
     /// writer was handed; `None` for any other writer.
     pub fn digest(&self) -> Option<u64> {
         match self.sink {
-            Sink::Digest(h) => Some(h),
+            Sink::Digest(h) => Some(h.finish()),
             _ => None,
         }
     }
@@ -135,9 +146,7 @@ impl WireWriter {
             Sink::Store => self.buf.extend_from_slice(bytes),
             Sink::Count(n) => *n += bytes.len(),
             Sink::Digest(h) => {
-                for b in bytes {
-                    *h = (*h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
-                }
+                h.write(bytes);
             }
         }
         self
@@ -408,6 +417,104 @@ fn whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, DecodeError> {
     Ok(value)
 }
 
+/// Declares a tagged enum and derives its [`Wire`](crate::wire::Wire) codec
+/// from the same list: each variant is `tag => Variant`, with its
+/// fields (`{ name: Type, .. }`, or `(name: Type)` for a tuple
+/// variant, whose fields are named for the codec only) in wire order.
+/// A counted field names its [`Counted`](crate::wire::Counted) after `as`. An
+/// unknown tag is refused as `"<Enum> tag"`. See the
+/// [module docs](crate::wire).
+///
+/// ```
+/// use amoeba_flip::wire::{Counted, Wire};
+/// use amoeba_flip::Payload;
+///
+/// const NAMES: Counted = Counted::u8(0, 8, "names");
+///
+/// amoeba_flip::wire_enum! {
+///     /// A toy protocol.
+///     #[derive(Debug, PartialEq)]
+///     pub enum Toy {
+///         /// The tag alone.
+///         1 => Ping,
+///         /// The tag, then `key`, then `value`.
+///         2 => Put { key: u64, value: Payload },
+///         /// A `u8` count of at most 8, then the names.
+///         3 => Names { names: Vec<String> as NAMES },
+///         /// A tuple variant.
+///         4 => Echo(data: Payload),
+///     }
+/// }
+///
+/// let put = Toy::Put { key: 7, value: vec![1, 2].into() };
+/// assert_eq!(put.encode(), [2, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2]);
+/// assert_eq!(Toy::decode(&put.encode()), Ok(put));
+/// assert_eq!(Toy::decode(&[3, 9]).unwrap_err().what, "names");
+/// assert_eq!(Toy::decode(&[5]).unwrap_err().what, "Toy tag");
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (@put $w:ident, $field:ident) => {
+        $crate::wire::Wire::put($field, $w)
+    };
+    (@put $w:ident, $field:ident, $counted:expr) => {
+        $counted.put($w, $field, |item, w| $crate::wire::Wire::put(item, w))
+    };
+    (@get $r:ident, $field:ident) => {
+        $crate::wire::Wire::get($r)?
+    };
+    (@get $r:ident, $field:ident, $counted:expr) => {
+        $counted.get($r, $crate::wire::Wire::get)?
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident
+                $(( $($tfield:ident : $tty:ty),+ $(,)? ))?
+                $({ $( $(#[$fmeta:meta])* $field:ident : $fty:ty $(as $counted:expr)? ),* $(,)? })?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $(( $($tty),+ ))? $({ $( $(#[$fmeta])* $field: $fty ),* })?,
+            )+
+        }
+
+        impl $crate::wire::Wire for $name {
+            fn put(&self, w: &mut $crate::wire::WireWriter) {
+                match self {
+                    $(
+                        $name::$variant $(( $($tfield),+ ))? $({ $($field),* })? => {
+                            w.u8($tag);
+                            $($( $crate::wire_enum!(@put w, $tfield); )+)?
+                            $($( $crate::wire_enum!(@put w, $field $(, $counted)?); )*)?
+                        }
+                    )+
+                }
+            }
+
+            fn get(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::DecodeError> {
+                const WHAT: &str = concat!(stringify!($name), " tag");
+                ::core::result::Result::Ok(match r.u8(WHAT)? {
+                    $(
+                        $tag => $name::$variant
+                            $(( $( $crate::wire_enum!(@get r, $tfield) ),+ ))?
+                            $({ $( $field: $crate::wire_enum!(@get r, $field $(, $counted)?) ),* })?,
+                    )+
+                    _ => return ::core::result::Result::Err($crate::wire::DecodeError::new(WHAT)),
+                })
+            }
+        }
+    };
+}
+
 /// How one counted field is framed: the width of its element count and
 /// the counts a decoder accepts (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -505,6 +612,34 @@ impl Wire for u64 {
     }
     fn get(r: &mut WireReader<'_>) -> Result<u64, DecodeError> {
         r.u64("u64")
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, w: &mut WireWriter) {
+        w.u32(*self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<u32, DecodeError> {
+        r.u32("u32")
+    }
+}
+
+/// One byte, 0 or 1; any other value is refused.
+impl Wire for bool {
+    fn put(&self, w: &mut WireWriter) {
+        w.boolean(*self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<bool, DecodeError> {
+        r.boolean("bool")
+    }
+}
+
+impl Wire for HostAddr {
+    fn put(&self, w: &mut WireWriter) {
+        w.u32(self.0);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<HostAddr, DecodeError> {
+        Ok(HostAddr(r.u32("host")?))
     }
 }
 
@@ -662,10 +797,7 @@ mod tests {
         };
         let mut stored = WireWriter::new();
         put(&mut stored, "hello");
-        let mut fnv = FNV_OFFSET;
-        for b in stored.as_slice() {
-            fnv = (fnv ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
-        }
+        let fnv = amoeba_sim::fnv1a(stored.as_slice());
         let digest = |name| {
             let mut w = WireWriter::digesting();
             put(&mut w, name);

@@ -1,170 +1,80 @@
-//! RPC wire messages and their codec.
+//! RPC wire messages, declared once in [`wire_enum!`], which derives
+//! their codec.
 
-use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
-use amoeba_flip::{HostAddr, Payload, Port};
+use amoeba_flip::{wire_enum, HostAddr, Payload, Port};
 
-/// Everything that travels on the per-host RPC port.
-///
-/// Its codec is the [`Wire`] impl. Decoded with [`Wire::decode_shared`],
-/// request and reply bytes are zero-copy slices of the packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RpcMsg {
-    /// Broadcast by a client kernel: "who serves `service`?"
-    Locate {
-        /// The service port being located.
-        service: Port,
-        /// Who is asking (replies go here).
-        client: HostAddr,
-        /// Correlates HEREIS replies with the locate.
-        locate_id: u64,
-    },
-    /// Unicast answer to a locate: "I am listening on `service`".
-    HereIs {
-        /// The located service port.
-        service: Port,
-        /// The answering server host.
-        server: HostAddr,
-        /// Echoed locate id.
-        locate_id: u64,
-    },
-    /// A client request for one transaction.
-    Request {
-        /// Target service port.
-        service: Port,
-        /// Requesting host (the reply destination).
-        client: HostAddr,
-        /// Transaction id, unique per client host.
-        tid: u64,
-        /// Marshalled request bytes (shared, zero-copy).
-        data: Payload,
-    },
-    /// The server's answer to a request.
-    Reply {
-        /// Echoed transaction id.
-        tid: u64,
-        /// Marshalled reply bytes (shared, zero-copy).
-        data: Payload,
-    },
-    /// Kernel-level refusal: no thread is listening on the port right now.
-    NotHere {
-        /// Echoed transaction id.
-        tid: u64,
-        /// The service that was not listening.
-        service: Port,
-    },
-    /// Unicast by a client kernel whose reply is late: "is a thread of
-    /// yours still working on my transaction `tid`?"
-    Enquire {
-        /// The enquiring host (answers go here).
-        client: HostAddr,
-        /// The transaction asked about.
-        tid: u64,
-    },
-    /// The answer to an enquiry when a server thread holds the
-    /// transaction and has not replied yet. A kernel that does not
-    /// hold it stays silent.
-    Working {
-        /// Echoed transaction id.
-        tid: u64,
-    },
-}
-
-const TAG_LOCATE: u8 = 1;
-const TAG_HEREIS: u8 = 2;
-const TAG_REQUEST: u8 = 3;
-const TAG_REPLY: u8 = 4;
-const TAG_NOTHERE: u8 = 5;
-const TAG_ENQUIRE: u8 = 6;
-const TAG_WORKING: u8 = 7;
-
-impl Wire for RpcMsg {
-    fn put(&self, w: &mut WireWriter) {
-        match self {
-            RpcMsg::Locate {
-                service,
-                client,
-                locate_id,
-            } => {
-                w.u8(TAG_LOCATE);
-                service.put(w);
-                w.u32(client.0).u64(*locate_id);
-            }
-            RpcMsg::HereIs {
-                service,
-                server,
-                locate_id,
-            } => {
-                w.u8(TAG_HEREIS);
-                service.put(w);
-                w.u32(server.0).u64(*locate_id);
-            }
-            RpcMsg::Request {
-                service,
-                client,
-                tid,
-                data,
-            } => {
-                w.u8(TAG_REQUEST);
-                service.put(w);
-                w.u32(client.0).u64(*tid).bytes(data);
-            }
-            RpcMsg::Reply { tid, data } => {
-                w.u8(TAG_REPLY).u64(*tid).bytes(data);
-            }
-            RpcMsg::NotHere { tid, service } => {
-                w.u8(TAG_NOTHERE).u64(*tid);
-                service.put(w);
-            }
-            RpcMsg::Enquire { client, tid } => {
-                w.u8(TAG_ENQUIRE).u32(client.0).u64(*tid);
-            }
-            RpcMsg::Working { tid } => {
-                w.u8(TAG_WORKING).u64(*tid);
-            }
-        }
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<RpcMsg, DecodeError> {
-        Ok(match r.u8("rpc tag")? {
-            TAG_LOCATE => RpcMsg::Locate {
-                service: Port::get(r)?,
-                client: HostAddr(r.u32("locate client")?),
-                locate_id: r.u64("locate id")?,
-            },
-            TAG_HEREIS => RpcMsg::HereIs {
-                service: Port::get(r)?,
-                server: HostAddr(r.u32("hereis server")?),
-                locate_id: r.u64("hereis id")?,
-            },
-            TAG_REQUEST => RpcMsg::Request {
-                service: Port::get(r)?,
-                client: HostAddr(r.u32("req client")?),
-                tid: r.u64("req tid")?,
-                data: r.payload("req data")?,
-            },
-            TAG_REPLY => RpcMsg::Reply {
-                tid: r.u64("rep tid")?,
-                data: r.payload("rep data")?,
-            },
-            TAG_NOTHERE => RpcMsg::NotHere {
-                tid: r.u64("nothere tid")?,
-                service: Port::get(r)?,
-            },
-            TAG_ENQUIRE => RpcMsg::Enquire {
-                client: HostAddr(r.u32("enquire client")?),
-                tid: r.u64("enquire tid")?,
-            },
-            TAG_WORKING => RpcMsg::Working {
-                tid: r.u64("working tid")?,
-            },
-            _ => return Err(DecodeError::new("rpc tag")),
-        })
+wire_enum! {
+    /// Everything that travels on the per-host RPC port.
+    ///
+    /// Decoded with [`Wire::decode_shared`](amoeba_flip::wire::Wire::decode_shared),
+    /// request and reply bytes are zero-copy slices of the packet.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum RpcMsg {
+        /// Broadcast by a client kernel: "who serves `service`?"
+        1 => Locate {
+            /// The service port being located.
+            service: Port,
+            /// Who is asking (replies go here).
+            client: HostAddr,
+            /// Correlates HEREIS replies with the locate.
+            locate_id: u64,
+        },
+        /// Unicast answer to a locate: "I am listening on `service`".
+        2 => HereIs {
+            /// The located service port.
+            service: Port,
+            /// The answering server host.
+            server: HostAddr,
+            /// Echoed locate id.
+            locate_id: u64,
+        },
+        /// A client request for one transaction.
+        3 => Request {
+            /// Target service port.
+            service: Port,
+            /// Requesting host (the reply destination).
+            client: HostAddr,
+            /// Transaction id, unique per client host.
+            tid: u64,
+            /// Marshalled request bytes (shared, zero-copy).
+            data: Payload,
+        },
+        /// The server's answer to a request.
+        4 => Reply {
+            /// Echoed transaction id.
+            tid: u64,
+            /// Marshalled reply bytes (shared, zero-copy).
+            data: Payload,
+        },
+        /// Kernel-level refusal: no thread is listening on the port right now.
+        5 => NotHere {
+            /// Echoed transaction id.
+            tid: u64,
+            /// The service that was not listening.
+            service: Port,
+        },
+        /// Unicast by a client kernel whose reply is late: "is a thread of
+        /// yours still working on my transaction `tid`?"
+        6 => Enquire {
+            /// The enquiring host (answers go here).
+            client: HostAddr,
+            /// The transaction asked about.
+            tid: u64,
+        },
+        /// The answer to an enquiry when a server thread holds the
+        /// transaction and has not replied yet. A kernel that does not
+        /// hold it stays silent.
+        7 => Working {
+            /// Echoed transaction id.
+            tid: u64,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amoeba_flip::wire::Wire;
     use amoeba_testkit::{check, hex, mutants_refused_or_exact, unhex, Gen};
 
     /// Golden bytes of every variant: the first five captured from the

@@ -20,8 +20,8 @@
 use std::cell::RefCell;
 use std::time::Duration;
 
-use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
-use amoeba_flip::Payload;
+use amoeba_flip::wire::Wire;
+use amoeba_flip::{wire_enum, Payload};
 use amoeba_group::{Group, GroupPeer, SeqNo};
 use amoeba_rpc::{RpcClient, RpcServer};
 use amoeba_sim::Ctx;
@@ -43,113 +43,46 @@ const RETRY_JITTER: Duration = Duration::from_millis(300);
 // Internal replica-to-replica protocol.
 // ---------------------------------------------------------------------
 
-/// Replica-to-replica messages (recovery info exchange, state
-/// transfer) on a replica's internal RPC port. Service-agnostic: the
-/// state itself is an opaque [`StateMachine`]-encoded payload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum InternalMsg {
-    /// "exchange info with server s": my mourned set and version.
-    Exchange {
-        /// The asking replica's index.
-        from: u32,
-        /// Its mourned set, one flag per replica.
-        mourned: Vec<bool>,
-        /// Its logical version.
-        update_seq: u64,
-        /// Whether it stayed up through the failure (§3.2 improved rule).
-        stayed_up: bool,
-    },
-    /// The answer to an [`Exchange`](InternalMsg::Exchange).
-    ExchangeReply {
-        /// The answering replica's mourned set.
-        mourned: Vec<bool>,
-        /// Its logical version.
-        update_seq: u64,
-        /// Whether it stayed up through the failure.
-        stayed_up: bool,
-    },
-    /// "get copies of latest version of the state from s".
-    Fetch,
-    /// The answer to a [`Fetch`](InternalMsg::Fetch).
-    State {
-        /// The group instance the state was read in.
-        instance: u64,
-        /// The last group slot the state covers.
-        applied_seq: SeqNo,
-        /// The machine's snapshot bytes, shared zero-copy with the
-        /// state-transfer wire buffer.
-        state: Payload,
-    },
-    /// The replica cannot answer right now.
-    Busy,
-}
-
-const I_EXCHANGE: u8 = 1;
-const I_EXCHANGE_REPLY: u8 = 2;
-const I_FETCH: u8 = 3;
-const I_STATE: u8 = 4;
-const I_BUSY: u8 = 5;
-
-impl Wire for InternalMsg {
-    fn put(&self, w: &mut WireWriter) {
-        match self {
-            InternalMsg::Exchange {
-                from,
-                mourned,
-                update_seq,
-                stayed_up,
-            } => {
-                w.u8(I_EXCHANGE).u32(*from);
-                mourned.put(w);
-                w.u64(*update_seq).boolean(*stayed_up);
-            }
-            InternalMsg::ExchangeReply {
-                mourned,
-                update_seq,
-                stayed_up,
-            } => {
-                w.u8(I_EXCHANGE_REPLY);
-                mourned.put(w);
-                w.u64(*update_seq).boolean(*stayed_up);
-            }
-            InternalMsg::Fetch => {
-                w.u8(I_FETCH);
-            }
-            InternalMsg::State {
-                instance,
-                applied_seq,
-                state,
-            } => {
-                w.u8(I_STATE).u64(*instance).u64(*applied_seq).bytes(state);
-            }
-            InternalMsg::Busy => {
-                w.u8(I_BUSY);
-            }
-        }
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<InternalMsg, DecodeError> {
-        Ok(match r.u8("internal tag")? {
-            I_EXCHANGE => InternalMsg::Exchange {
-                from: r.u32("from")?,
-                mourned: <Vec<bool>>::get(r)?,
-                update_seq: r.u64("update seq")?,
-                stayed_up: r.boolean("stayed up")?,
-            },
-            I_EXCHANGE_REPLY => InternalMsg::ExchangeReply {
-                mourned: <Vec<bool>>::get(r)?,
-                update_seq: r.u64("update seq")?,
-                stayed_up: r.boolean("stayed up")?,
-            },
-            I_FETCH => InternalMsg::Fetch,
-            I_STATE => InternalMsg::State {
-                instance: r.u64("instance")?,
-                applied_seq: r.u64("applied")?,
-                state: r.payload("state")?,
-            },
-            I_BUSY => InternalMsg::Busy,
-            _ => return Err(DecodeError::new("internal tag")),
-        })
+wire_enum! {
+    /// Replica-to-replica messages (recovery info exchange, state
+    /// transfer) on a replica's internal RPC port. Service-agnostic: the
+    /// state itself is an opaque [`StateMachine`]-encoded payload.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum InternalMsg {
+        /// "exchange info with server s": my mourned set and version.
+        1 => Exchange {
+            /// The asking replica's index.
+            from: u32,
+            /// Its mourned set, one flag per replica.
+            mourned: Vec<bool>,
+            /// Its logical version.
+            update_seq: u64,
+            /// Whether it stayed up through the failure (§3.2 improved rule).
+            stayed_up: bool,
+        },
+        /// The answer to an [`Exchange`](InternalMsg::Exchange).
+        2 => ExchangeReply {
+            /// The answering replica's mourned set.
+            mourned: Vec<bool>,
+            /// Its logical version.
+            update_seq: u64,
+            /// Whether it stayed up through the failure.
+            stayed_up: bool,
+        },
+        /// "get copies of latest version of the state from s".
+        3 => Fetch,
+        /// The answer to a [`Fetch`](InternalMsg::Fetch).
+        4 => State {
+            /// The group instance the state was read in.
+            instance: u64,
+            /// The last group slot the state covers.
+            applied_seq: SeqNo,
+            /// The machine's snapshot bytes, shared zero-copy with the
+            /// state-transfer wire buffer.
+            state: Payload,
+        },
+        /// The replica cannot answer right now.
+        5 => Busy,
     }
 }
 
@@ -449,89 +382,9 @@ fn fetch_state<S: StateMachine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoeba_testkit::{hex, mutants_refused_or_exact, unhex};
 
-    #[test]
-    fn internal_msgs_round_trip() {
-        let msgs = vec![
-            InternalMsg::Exchange {
-                from: 1,
-                mourned: vec![false, true, false],
-                update_seq: 9,
-                stayed_up: true,
-            },
-            InternalMsg::ExchangeReply {
-                mourned: vec![true, false],
-                update_seq: 3,
-                stayed_up: false,
-            },
-            InternalMsg::Fetch,
-            InternalMsg::State {
-                instance: 7,
-                applied_seq: 5,
-                state: vec![1, 2, 3].into(),
-            },
-            InternalMsg::Busy,
-        ];
-        for m in msgs {
-            assert_eq!(InternalMsg::decode(&m.encode()).unwrap(), m);
-        }
-    }
-
-    /// Golden bytes of every variant, captured from the hand-written
-    /// encoder.
-    fn goldens() -> Vec<(InternalMsg, &'static str)> {
-        vec![
-            (
-                InternalMsg::Exchange {
-                    from: 1,
-                    mourned: vec![false, true, false],
-                    update_seq: 9,
-                    stayed_up: true,
-                },
-                "010100000003000100090000000000000001",
-            ),
-            (
-                InternalMsg::ExchangeReply {
-                    mourned: vec![true, false],
-                    update_seq: 3,
-                    stayed_up: false,
-                },
-                "02020100030000000000000000",
-            ),
-            (InternalMsg::Fetch, "03"),
-            (
-                InternalMsg::State {
-                    instance: 7,
-                    applied_seq: 5,
-                    state: vec![1, 2, 3].into(),
-                },
-                "040700000000000000050000000000000003000000010203",
-            ),
-            (InternalMsg::Busy, "05"),
-        ]
-    }
-
-    #[test]
-    fn internal_msgs_keep_their_bytes() {
-        for (msg, golden) in goldens() {
-            assert_eq!(hex(&msg.encode()), golden, "{msg:?}");
-            let bytes = Payload::from(unhex(golden));
-            assert_eq!(InternalMsg::decode_shared(&bytes), Ok(msg));
-            let trailing = Payload::from([&unhex(golden)[..], &[0]].concat());
-            assert!(InternalMsg::decode(&trailing).is_err(), "{golden} + a byte");
-        }
-    }
-
-    #[test]
-    fn mutated_internal_msgs_are_refused_or_decode_exactly() {
-        for (_, golden) in goldens() {
-            mutants_refused_or_exact(&unhex(golden), |b| {
-                let msg = InternalMsg::decode(b).ok()?;
-                Some(msg.encode().to_vec())
-            });
-        }
-    }
+    // Golden bytes of every variant live in the root suite's
+    // `tests/wire_formats.rs`.
 
     #[test]
     fn a_state_transfer_decodes_without_copying_the_state() {

@@ -25,47 +25,26 @@
 //! ## A complete service
 //!
 //! A replicated counter: state, two ops, codec, deployment, client call.
+//! Each message enum is declared inside [`wire_enum!`](amoeba_flip::wire_enum),
+//! which derives its [`Wire`] codec from the tags and fields it lists.
 //! (`u64`, [`Port`], byte strings, pairs and string-keyed `HashMap`
 //! come with a [`Wire`] form, so a state built of them needs no codec
 //! of its own.)
 //!
 //! ```
-//! use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
-//! use amoeba_flip::{NetParams, Network, Port};
+//! use amoeba_flip::{wire_enum, NetParams, Network, Port};
 //! use amoeba_group::{GroupConfig, GroupPeer};
 //! use amoeba_rpc::{RpcClient, RpcNode};
 //! use amoeba_rsm::service::{start_service, Service, ServiceClient, ServiceDeps};
 //! use amoeba_sim::Simulation;
 //! use std::time::Duration;
 //!
-//! enum Req { Add(u64), Get }
-//! #[derive(Debug, PartialEq)]
-//! enum Rep { Value(u64), Malformed, NoMajority }
-//!
-//! impl Wire for Req {
-//!     fn put(&self, w: &mut WireWriter) {
-//!         match self { Req::Add(n) => w.u8(1).u64(*n), Req::Get => w.u8(2) };
-//!     }
-//!     fn get(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-//!         match r.u8("tag")? {
-//!             1 => Ok(Req::Add(r.u64("n")?)),
-//!             2 => Ok(Req::Get),
-//!             _ => Err(DecodeError::new("tag")),
-//!         }
-//!     }
+//! wire_enum! {
+//!     enum Req { 1 => Add(n: u64), 2 => Get }
 //! }
-//! impl Wire for Rep {
-//!     fn put(&self, w: &mut WireWriter) {
-//!         match self { Rep::Value(v) => w.u8(1).u64(*v), Rep::Malformed => w.u8(2), Rep::NoMajority => w.u8(3) };
-//!     }
-//!     fn get(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-//!         match r.u8("tag")? {
-//!             1 => Ok(Rep::Value(r.u64("value")?)),
-//!             2 => Ok(Rep::Malformed),
-//!             3 => Ok(Rep::NoMajority),
-//!             _ => Err(DecodeError::new("tag")),
-//!         }
-//!     }
+//! wire_enum! {
+//!     #[derive(Debug, PartialEq)]
+//!     enum Rep { 1 => Value(v: u64), 2 => Malformed, 3 => NoMajority }
 //! }
 //!
 //! struct Counter;

@@ -9,10 +9,11 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::fnv::fnv1a;
 use crate::ids::NodeId;
 use crate::kernel::{Handler, Kernel};
 use crate::mailbox::{channel_impl, MailboxRx, MailboxTx};
-use crate::record::{fnv1a, StepTag};
+use crate::record::StepTag;
 use crate::time::SimTime;
 
 /// A capability to create mailboxes and read the virtual clock.

@@ -72,6 +72,7 @@
 
 mod coro;
 mod ctx;
+mod fnv;
 mod handle;
 mod idhash;
 mod ids;
@@ -89,6 +90,7 @@ mod time;
 pub use coro::mapped_stacks;
 pub use coro::{ambient, set_ambient};
 pub use ctx::Ctx;
+pub use fnv::{fnv1a, Fnv1a};
 pub use handle::SimHandle;
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use ids::{NodeId, ProcId};

@@ -84,7 +84,7 @@ where
             crate::record::StepTag::Spawn,
             pid.0,
             node.map(|n| n.0 as u64 + 1).unwrap_or(0),
-            crate::record::fnv1a(name.as_bytes()),
+            crate::fnv::fnv1a(name.as_bytes()),
         );
         (pid, rng, k.now)
     };

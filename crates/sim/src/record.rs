@@ -214,17 +214,6 @@ impl SimTrace {
     }
 }
 
-/// FNV-1a hash, used to pin variable-length operands (process names, host
-/// lists) into a fixed-size step.
-pub(crate) fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Kernel-side recording/replay state.
 pub(crate) enum RecMode {
     /// No recording; zero overhead beyond a discriminant check.
@@ -281,6 +270,7 @@ impl RecMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv::fnv1a;
 
     #[test]
     fn roundtrip_bytes() {

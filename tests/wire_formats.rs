@@ -1148,3 +1148,28 @@ fn every_group_bullet_replica_and_lease_message_keeps_its_bytes() {
     golden!(LeaseRequest, lease_requests());
     golden!(LeaseReply, lease_replies());
 }
+
+/// Every truncation, single-byte substitution and appended byte of each
+/// golden is refused or decodes exactly. What it found first: a
+/// `JoinAck` or `ResetResult` whose view repeated an id decoded to a
+/// smaller view, and a port with bits above 48 to another port.
+#[test]
+fn mutated_group_bullet_replica_and_lease_messages_are_refused_or_decode_exactly() {
+    macro_rules! fuzz {
+        ($t:ty, $table:expr) => {
+            for (_, golden) in $table {
+                mutants_refused_or_exact(&unhex(golden), |b| {
+                    let msg = <$t>::decode(&Payload::from(b)).ok()?;
+                    Some(msg.encode().to_vec())
+                });
+            }
+        };
+    }
+    fuzz!(GroupMsg, group_msgs());
+    fuzz!(BulletRequest, bullet_requests());
+    fuzz!(BulletReply, bullet_replies());
+    fuzz!(InternalMsg, internal_msgs());
+    fuzz!(PeerMsg, peer_msgs());
+    fuzz!(LeaseRequest, lease_requests());
+    fuzz!(LeaseReply, lease_replies());
+}
