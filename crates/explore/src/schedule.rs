@@ -61,9 +61,6 @@ impl Wire for FaultKind {
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<FaultKind, DecodeError> {
-        let per_mille = |r: &mut WireReader<'_>, max: u16, what| {
-            Ok::<_, DecodeError>(ranged(r, 0..=u64::from(max), what)? as u16)
-        };
         Ok(match r.u8("inj kind")? {
             1 => FaultKind::Crash {
                 column: r.u64("inj col")? as usize,
@@ -72,9 +69,9 @@ impl Wire for FaultKind {
                 column: r.u64("inj col")? as usize,
             },
             3 => FaultKind::Degrade {
-                loss_pm: per_mille(r, 1000, "inj loss")?,
-                dup_pm: per_mille(r, 1000, "inj dup")?,
-                jitter_pm: per_mille(r, u16::MAX, "inj jitter")?,
+                loss_pm: ranged(r, 0..=1000, "inj loss")? as u16,
+                dup_pm: ranged(r, 0..=1000, "inj dup")? as u16,
+                jitter_pm: ranged(r, 0..=u16::MAX.into(), "inj jitter")? as u16,
             },
             _ => return Err(DecodeError::new("inj kind")),
         })

@@ -81,6 +81,15 @@ mod tests {
         }
     }
 
+    /// Ports name services across machines and runs: the derivation may
+    /// never change.
+    #[test]
+    fn from_name_keeps_its_values() {
+        assert_eq!(Port::from_name("dir").as_raw(), 0x3e18_f46e_95fc);
+        assert_eq!(Port::from_name("bullet").as_raw(), 0x1726_7008_27c4);
+        assert_eq!(Port::from_name("").as_raw(), 0x9ce4_8422_e8d7);
+    }
+
     #[test]
     fn never_null() {
         assert_ne!(Port::from_name(""), Port::NULL);

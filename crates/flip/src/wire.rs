@@ -454,6 +454,8 @@ fn whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, DecodeError> {
 /// ```
 #[macro_export]
 macro_rules! wire_enum {
+    // One field's codec. `@get` takes the field only to repeat once per
+    // field.
     (@put $w:ident, $field:ident) => {
         $crate::wire::Wire::put($field, $w)
     };
