@@ -28,6 +28,7 @@ use std::process::ExitCode;
 use amoeba_explore::scenario::{run_scenario, RunMode, ScenarioParams, WRITE_START_MS};
 use amoeba_explore::schedule::{FaultKind, FaultSchedule, Injection};
 use amoeba_explore::search::{find_seeded_bug, record_and_verify, shrink, sweep, ReproBundle};
+use amoeba_flip::wire::Wire;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -106,7 +107,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
                 trace: trace.clone(),
             };
             let path = format!("explore-failure-{i}.amrx");
-            match std::fs::write(&path, bundle.to_bytes()) {
+            match std::fs::write(&path, bundle.encode()) {
                 Ok(()) => println!("  repro bundle: {path}"),
                 Err(e) => println!("  (could not write repro bundle: {e})"),
             }
@@ -210,7 +211,7 @@ fn cmd_ci_smoke() -> ExitCode {
         schedule: ckpt_schedule.clone(),
         trace: ckpt.trace.clone().expect("recorded run must yield a trace"),
     };
-    match ReproBundle::from_bytes(&bundle.to_bytes()) {
+    match ReproBundle::from_bytes(&bundle.encode()) {
         Ok(rt) if rt.params == journaled && rt.schedule == ckpt_schedule => {}
         Ok(_) => {
             eprintln!("ci-smoke: journaled .amrx bundle round-trip changed params/schedule");

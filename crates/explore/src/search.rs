@@ -129,8 +129,13 @@ pub fn sweep(params: &ScenarioParams, n: usize, gen_seed: u64) -> SweepReport {
 /// advance start times. The result still fails and is never longer than
 /// the input.
 pub fn shrink(params: &ScenarioParams, schedule: &FaultSchedule) -> FaultSchedule {
+    shrink_while(schedule, |candidate| fails(params, candidate))
+}
+
+/// [`shrink`] against any failure predicate.
+fn shrink_while(schedule: &FaultSchedule, fails: impl Fn(&FaultSchedule) -> bool) -> FaultSchedule {
     let mut cur = schedule.clone();
-    debug_assert!(fails(params, &cur), "shrink needs a failing schedule");
+    debug_assert!(fails(&cur), "shrink needs a failing schedule");
 
     // Drop pass, to fixed point: remove any injection whose absence
     // still fails.
@@ -143,7 +148,7 @@ pub fn shrink(params: &ScenarioParams, schedule: &FaultSchedule) -> FaultSchedul
             }
             let mut candidate = cur.clone();
             candidate.injections.remove(i);
-            if fails(params, &candidate) {
+            if fails(&candidate) {
                 cur = candidate;
                 dropped = true;
             } else {
@@ -166,7 +171,7 @@ pub fn shrink(params: &ScenarioParams, schedule: &FaultSchedule) -> FaultSchedul
             }
             let mut candidate = cur.clone();
             candidate.injections[i].dur_ms = dur / 2;
-            if fails(params, &candidate) {
+            if fails(&candidate) {
                 cur = candidate;
                 any = true;
             }
@@ -187,7 +192,7 @@ pub fn shrink(params: &ScenarioParams, schedule: &FaultSchedule) -> FaultSchedul
             }
             let mut candidate = cur.clone();
             candidate.injections[i].at_ms = (at - 4_000) / 2 + 4_000;
-            if fails(params, &candidate) {
+            if fails(&candidate) {
                 cur = candidate;
                 any = true;
             }
@@ -263,23 +268,18 @@ impl Wire for ReproBundle {
 }
 
 impl ReproBundle {
-    /// The bundle as file bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode().to_vec()
-    }
-
     /// Reads a bundle file: exactly one bundle, nothing after its
     /// trace. `Err` explains what was malformed, or names the version
     /// of a bundle this build does not read.
     pub fn from_bytes(buf: &[u8]) -> Result<ReproBundle, String> {
-        let mut r = WireReader::new(buf);
-        let ours = r.bytes("repro magic").is_ok_and(|m| m == REPRO_MAGIC);
-        match r.u16("repro version") {
-            Ok(version) if ours && version != REPRO_VERSION => Err(format!(
-                "unsupported repro bundle version {version} (this build reads version {REPRO_VERSION})"
-            )),
-            _ => ReproBundle::decode(buf).map_err(|e| e.to_string()),
-        }
+        ReproBundle::decode(buf).map_err(|e| match buf.get(8..10) {
+            // The version follows the 8-byte framed magic.
+            Some(&[lo, hi]) if e.what == "repro version" => format!(
+                "unsupported repro bundle version {} (this build reads version {REPRO_VERSION})",
+                u16::from_le_bytes([lo, hi])
+            ),
+            _ => e.to_string(),
+        })
     }
 }
 
@@ -320,7 +320,7 @@ mod tests {
                 steps: Vec::new(),
             },
         };
-        let bytes = bundle.to_bytes();
+        let bytes = bundle.encode();
         let back = ReproBundle::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.params, bundle.params);
         assert_eq!(back.schedule, bundle.schedule);
@@ -328,7 +328,35 @@ mod tests {
         assert!(ReproBundle::from_bytes(b"garbage").is_err());
     }
 
-    /// A bundle written field by field, as `to_bytes` lays it out,
+    /// The advance pass can pull a later window ahead of an earlier one;
+    /// the bundle of that minimal schedule must read back as written.
+    #[test]
+    fn a_schedule_shrink_reorders_survives_its_bundle() {
+        let window = |at_ms, column| Injection {
+            at_ms,
+            dur_ms: 150,
+            kind: FaultKind::Crash { column },
+        };
+        let schedule = FaultSchedule::new(vec![window(8_000, 0), window(9_000, 1)]);
+        // Fails while both windows are in and the first has not moved.
+        let minimal = shrink_while(&schedule, |s| {
+            s.len() == 2 && s.injections[0] == window(8_000, 0)
+        });
+        assert_eq!(minimal.injections[0].at_ms, 8_000);
+        assert!(minimal.injections[1].at_ms < 8_000, "{minimal}");
+        let bundle = ReproBundle {
+            params: ScenarioParams::small(3),
+            schedule: minimal,
+            trace: SimTrace {
+                seed: 3,
+                steps: Vec::new(),
+            },
+        };
+        let back = ReproBundle::from_bytes(&bundle.encode()).expect("replayable");
+        assert_eq!(back.schedule, bundle.schedule);
+    }
+
+    /// A bundle written field by field, as `encode` lays it out,
     /// under `version`.
     fn bundle_bytes(version: u16) -> Vec<u8> {
         let mut w = WireWriter::new();
@@ -350,7 +378,7 @@ mod tests {
         expect.journal = true;
         assert_eq!(back.params, expect);
         assert_eq!(back.schedule, FaultSchedule::none());
-        assert_eq!(back.to_bytes(), bundle_bytes(REPRO_VERSION));
+        assert_eq!(back.encode(), bundle_bytes(REPRO_VERSION));
     }
 
     /// A bundle of the big deployment with one injection of each kind,
@@ -390,7 +418,7 @@ mod tests {
                       000103000000000000007017000000000000200300000000000002010000000000000058\
                       1b000000000000840300000000000003fa000000000000002800000000000000dc050000\
                       0000000016000000414d5452010005000000000000000000000000000000";
-        assert_eq!(amoeba_testkit::hex(&bundle.to_bytes()), golden);
+        assert_eq!(amoeba_testkit::hex(&bundle.encode()), golden);
         let back = ReproBundle::from_bytes(&amoeba_testkit::unhex(golden)).expect("decodes");
         assert_eq!(
             (back.params, back.schedule),

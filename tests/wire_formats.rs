@@ -805,6 +805,25 @@ fn group_msgs() -> Vec<(GroupMsg, &'static str)> {
             },
             "0609000000000000000200000000000000010000005800000000000000020000000405",
         ),
+        (
+            // A payload longer than 255 bytes: its length needs two bytes.
+            GroupMsg::BbData {
+                instance: 9,
+                incarnation: 2,
+                from: MemberId(1),
+                msgid: 88,
+                data: (0..=255).collect::<Vec<u8>>().into(),
+            },
+            "060900000000000000020000000000000001000000580000000000000000010000000102\
+             030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526\
+             2728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445464748494a\
+             4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e\
+             6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192\
+             939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6\
+             b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9da\
+             dbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfe\
+             ff",
+        ),
     ];
     let accepts = [
         "07090000000000000002000000000000000a000000000000000100000065000000000000\
@@ -872,6 +891,13 @@ fn group_msgs() -> Vec<(GroupMsg, &'static str)> {
             },
             "140900000000000000020000000100000058000000000000000a00000000000000020000\
              005b000000000000000b00000000000000",
+        ),
+        (
+            GroupMsg::DoneBatch {
+                instance: 9,
+                items: vec![],
+            },
+            "14090000000000000000000000",
         ),
         (
             GroupMsg::Ack {
