@@ -18,7 +18,8 @@ use std::time::Duration;
 use amoeba_dirsvc::bullet::{BulletClient, BulletErrorKind, BulletReply, BulletRequest, FileCap};
 use amoeba_dirsvc::dir::{
     Capability, CommitBlock, DirError, DirOp, DirParams, DirReply, DirRequest, Directory,
-    DirectoryStateMachine, LeaseReply, LeaseRequest, PeerMsg, Rights, Row, ServiceConfig,
+    DirectoryStateMachine, LeaseReply, LeaseRequest, LeaseService, LeaseTable, PeerMsg, Rights,
+    Row, ServiceConfig,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
@@ -27,8 +28,10 @@ use amoeba_dirsvc::group::{
     AcceptBody, AcceptItem, DoneItem, GroupMsg, MemberId, MemberInfo, View,
 };
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
+use amoeba_dirsvc::rsm::service::Service;
 use amoeba_dirsvc::rsm::{InternalMsg, StateMachine};
 use amoeba_dirsvc::sim::{NodeId, Resource, Simulation};
+use amoeba_explore::schedule::{FaultKind, Injection};
 use amoeba_testkit::{hex, mutants_refused_or_exact, unhex};
 
 /// Checks a table of `(value, golden hex)` for type `$t`: each value
@@ -195,6 +198,33 @@ fn requests() -> Vec<(DirRequest, &'static str)> {
             "0fd1000000000000000100000000000000ffc1000000000000001ec1000000000000cb0000\
              000000000090d00300000000000800000000000000",
         ),
+        (
+            // The most columns a directory has.
+            DirRequest::CreateDir {
+                columns: names(&["a", "b", "c", "d"]),
+            },
+            "01040100000061010000006201000000630100000064",
+        ),
+        (DirRequest::LookupSet { items: vec![] }, "0700000000"),
+        (DirRequest::ReplaceSet { items: vec![] }, "0800000000"),
+        (
+            // A name longer than 255 bytes: its length needs two bytes.
+            DirRequest::AppendRow {
+                dir: cap(1),
+                name: "x".repeat(256),
+                cap: cap(2),
+                col_rights: vec![Rights::ALL],
+            },
+            "04d1000000000000000100000000000000ffc1000000000000000001000078787878787878\
+             78787878787878787878787878787878787878787878787878787878787878787878787878\
+             78787878787878787878787878787878787878787878787878787878787878787878787878\
+             78787878787878787878787878787878787878787878787878787878787878787878787878\
+             78787878787878787878787878787878787878787878787878787878787878787878787878\
+             78787878787878787878787878787878787878787878787878787878787878787878787878\
+             78787878787878787878787878787878787878787878787878787878787878787878787878\
+             787878787878787878787878787878787878787878787878787878d1000000000000000200\
+             000000000000ffc20000000000000001ff",
+        ),
     ]
 }
 
@@ -254,6 +284,14 @@ fn replies() -> Vec<(DirReply, &'static str)> {
                 renewed: true,
             },
             "09d01213000000000001",
+        ),
+        (DirReply::Caps(vec![]), "0400000000"),
+        (
+            DirReply::Listing {
+                columns: names(&["owner"]),
+                rows: vec![],
+            },
+            "0301050000006f776e657200000000",
         ),
     ];
     let errors = [
@@ -703,6 +741,122 @@ fn a_capability_port_wider_than_48_bits_is_refused() {
         DirRequest::decode(&delete).ok(),
         Some(DirRequest::DeleteDir { cap: cap(1) })
     );
+}
+
+/// What decoding `value`'s bytes refuses it as.
+fn refused_as<T: Wire + std::fmt::Debug>(value: T, what: &str) {
+    let refused = T::decode(&value.encode()).err().map(|e| e.what);
+    assert_eq!(refused, Some(what), "{value:?}");
+}
+
+/// A count one past its field's range is refused by the field's name,
+/// and the largest count inside it decodes: a directory has 1–4
+/// columns and at most 4 masks per row, a set at most 10,000 items.
+#[test]
+fn a_count_past_its_bound_is_refused() {
+    refused_as(DirRequest::CreateDir { columns: vec![] }, "columns");
+    let five = names(&["a", "b", "c", "d", "e"]);
+    refused_as(DirRequest::CreateDir { columns: five }, "columns");
+    let chmod = |masks| DirRequest::ChmodRow {
+        dir: cap(1),
+        name: "x".into(),
+        col_rights: vec![Rights::ALL; masks],
+    };
+    refused_as(chmod(5), "rights masks");
+    let lookup = |n| DirRequest::LookupSet {
+        items: vec![(cap(1), "a".into()); n],
+    };
+    refused_as(lookup(10_001), "set items");
+    assert_eq!(
+        DirRequest::decode(&lookup(10_000).encode()),
+        Ok(lookup(10_000))
+    );
+    refused_as(DirReply::Caps(vec![None; 10_001]), "set items");
+    let replace = DirOp::ReplaceSet {
+        items: vec![(4, "x".into(), cap(3)); 10_001],
+    };
+    refused_as(replace, "set items");
+}
+
+/// A lease-service table after grants of `b` and `a` and a grant and
+/// release of `c`: its logical clock, then its leases in name order.
+fn lease_table() -> (LeaseTable, &'static str) {
+    let mut table = LeaseTable::default();
+    let grant = |name: &str, owner, ttl| LeaseRequest::Grant {
+        name: name.into(),
+        owner,
+        ttl,
+    };
+    let release = LeaseRequest::Release {
+        name: "c".into(),
+        owner: 9,
+    };
+    for req in [
+        grant("b", 7, 5),
+        grant("a", 8, 3),
+        grant("c", 9, 9),
+        release,
+    ] {
+        LeaseService::apply(&mut table, req);
+    }
+    (
+        table,
+        "0400000000000000020000000100000061080000000000000005000000000000000100\
+         00006207000000000000000600000000000000",
+    )
+}
+
+#[test]
+fn a_lease_table_keeps_its_bytes() {
+    let (table, golden) = lease_table();
+    assert_eq!(hex(&table.encode()), golden);
+    let back = LeaseTable::decode(&unhex(golden)).expect("decodes");
+    let held = |name| back.holder(name);
+    assert_eq!(
+        (back.clock(), held("a"), held("b"), held("c")),
+        (4, Some((8, 5)), Some((7, 6)), None)
+    );
+    assert_eq!(hex(&back.encode()), golden);
+}
+
+/// One injection of each kind, as a repro bundle's schedule holds them.
+fn injections() -> Vec<(Injection, &'static str)> {
+    vec![
+        (
+            Injection {
+                at_ms: 4_500,
+                dur_ms: 700,
+                kind: FaultKind::Crash { column: 3 },
+            },
+            "9411000000000000bc02000000000000010300000000000000",
+        ),
+        (
+            Injection {
+                at_ms: 6_000,
+                dur_ms: 800,
+                kind: FaultKind::Isolate { column: 1 },
+            },
+            "70170000000000002003000000000000020100000000000000",
+        ),
+        (
+            Injection {
+                at_ms: 7_000,
+                dur_ms: 900,
+                kind: FaultKind::Degrade {
+                    loss_pm: 250,
+                    dup_pm: 40,
+                    jitter_pm: 1_500,
+                },
+            },
+            "581b000000000000840300000000000003fa000000000000002800000000000000dc0500\
+             0000000000",
+        ),
+    ]
+}
+
+#[test]
+fn a_fault_injection_keeps_its_bytes() {
+    golden!(Injection, injections());
 }
 
 /// Member `id` of the group samples: host `10 * id`, tag `100 + id`.
