@@ -297,7 +297,7 @@ impl DirClient {
                     // Only single-directory requests flow through here,
                     // so the moved object is `cur`'s; re-resolving from
                     // the original follows the now-extended chain.
-                    self.learn((port, object), (Port::from_raw(to_port), to_object));
+                    self.learn((port, object), (to_port, to_object));
                     cur = self.resolve_cap(cap);
                 }
                 reply => return Ok((reply, cur)),
@@ -671,7 +671,7 @@ impl DirClient {
             let req = DirRequest::FetchDir {
                 cap: cur,
                 owner: cache.owner(),
-                cb_port: cache.cb_port().as_raw(),
+                cb_port: cache.cb_port(),
                 ttl_us: cache.ttl_us(),
                 have,
             };
@@ -683,7 +683,7 @@ impl DirClient {
                     to_port,
                     to_object,
                 }) => {
-                    self.learn((port, object), (Port::from_raw(to_port), to_object));
+                    self.learn((port, object), (to_port, to_object));
                     cur = self.resolve_cap(cap);
                 }
                 Fetched::Snapshot {
@@ -754,7 +754,7 @@ impl DirClient {
                         to_port,
                         to_object,
                     } => {
-                        self.learn((port, object), (Port::from_raw(to_port), to_object));
+                        self.learn((port, object), (to_port, to_object));
                         continue 'chase;
                     }
                     DirReply::Err(e) => return Err(e.into()),
@@ -835,7 +835,7 @@ impl DirClient {
                         to_port,
                         to_object,
                     } => {
-                        self.learn((port, object), (Port::from_raw(to_port), to_object));
+                        self.learn((port, object), (to_port, to_object));
                         continue 'chase;
                     }
                     DirReply::Err(e) => return Err(e.into()),
@@ -924,7 +924,7 @@ impl DirClient {
                 home.port,
                 &DirRequest::InstallStub {
                     dir: home,
-                    to_port: installed.port.as_raw(),
+                    to_port: installed.port,
                     to_object: installed.object,
                     expected_seqno: seqno,
                 },
@@ -946,7 +946,7 @@ impl DirClient {
                     // now-unreferenced dark copy if it went elsewhere
                     // (same-shard races share one keyed copy and answer
                     // Ok above, so this is a genuinely foreign copy).
-                    let to = (Port::from_raw(to_port), to_object);
+                    let to = (to_port, to_object);
                     map.learn((home.port, object), to);
                     if to != (installed.port, installed.object) {
                         let _ = self.call(

@@ -94,7 +94,7 @@ use std::rc::Rc;
 
 use amoeba_bullet::FileCap;
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
-use amoeba_flip::Payload;
+use amoeba_flip::{Payload, Port};
 use amoeba_rsm::{RecoveryInfo, StateMachine};
 use amoeba_sim::{Ctx, IdMap, Resource};
 
@@ -748,12 +748,13 @@ impl Wire for Snapshot {
 
 impl Wire for StubEntry {
     fn put(&self, w: &mut WireWriter) {
-        w.u64(self.to_port).u64(self.to_object);
+        self.to_port.put(w);
+        w.u64(self.to_object);
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<StubEntry, DecodeError> {
         Ok(StubEntry {
-            to_port: r.u64("stub to-port")?,
+            to_port: Port::get(r)?,
             to_object: r.u64("stub to-object")?,
         })
     }
@@ -763,9 +764,9 @@ impl Wire for StubEntry {
 /// `u64` that must fit a `u32`.
 impl Wire for ReadLease {
     fn put(&self, w: &mut WireWriter) {
-        w.u64(self.owner)
-            .u64(self.cb_port)
-            .u64(self.deadline_us)
+        w.u64(self.owner);
+        self.cb_port.put(w);
+        w.u64(self.deadline_us)
             .u64(self.ttl_us)
             .u64(u64::from(self.renewals_left));
     }
@@ -773,7 +774,7 @@ impl Wire for ReadLease {
     fn get(r: &mut WireReader<'_>) -> Result<ReadLease, DecodeError> {
         Ok(ReadLease {
             owner: r.u64("lease owner")?,
-            cb_port: r.u64("lease cb-port")?,
+            cb_port: Port::get(r)?,
             deadline_us: r.u64("lease deadline")?,
             ttl_us: r.u64("lease ttl")?,
             renewals_left: u32::try_from(r.u64("lease renewals")?)

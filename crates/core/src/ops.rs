@@ -2,7 +2,7 @@
 //! replies, and the internal replicated-op representation.
 
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
-use amoeba_flip::Payload;
+use amoeba_flip::{Payload, Port};
 
 use crate::cache::NameIndex;
 use crate::capability::Capability;
@@ -127,8 +127,8 @@ pub enum DirRequest {
     InstallStub {
         /// The directory (needs [`Rights::ALL`]).
         dir: Capability,
-        /// Raw port of the shard the directory moved to.
-        to_port: u64,
+        /// Port of the shard the directory moved to.
+        to_port: Port,
         /// Object number at the target shard.
         to_object: u64,
         /// The directory seqno the exported copy reflects.
@@ -145,8 +145,8 @@ pub enum DirRequest {
         cap: Capability,
         /// The requesting client's unique cache identity.
         owner: u64,
-        /// Raw port the client's invalidation listener answers on.
-        cb_port: u64,
+        /// Port the client's invalidation listener answers on.
+        cb_port: Port,
         /// Requested lease duration in simulated microseconds; the
         /// service clamps it to its configured maximum.
         ttl_us: u64,
@@ -183,8 +183,8 @@ pub enum DirReply {
     Moved {
         /// The object number the request addressed (at this shard).
         object: u64,
-        /// Raw port of the shard the directory now lives on.
-        to_port: u64,
+        /// Port of the shard the directory now lives on.
+        to_port: Port,
         /// Object number at that shard.
         to_object: u64,
     },
@@ -401,8 +401,8 @@ pub enum DirOp {
     InstallStub {
         /// Directory object number.
         object: u64,
-        /// Raw port of the target shard.
-        to_port: u64,
+        /// Port of the target shard.
+        to_port: Port,
         /// Object number at the target shard.
         to_object: u64,
         /// The seqno the exported copy reflects (CAS token).
@@ -420,8 +420,8 @@ pub enum DirOp {
         cap: Capability,
         /// The requesting client's unique cache identity.
         owner: u64,
-        /// Raw port of the client's invalidation listener.
-        cb_port: u64,
+        /// Port of the client's invalidation listener.
+        cb_port: Port,
         /// Simulated time (µs) at the initiator, used to prune expired
         /// leases deterministically.
         now_us: u64,
@@ -546,7 +546,8 @@ impl Wire for DirRequest {
             } => {
                 w.u8(RQ_INSTALL_STUB);
                 dir.put(w);
-                w.u64(*to_port).u64(*to_object).u64(*expected_seqno);
+                to_port.put(w);
+                w.u64(*to_object).u64(*expected_seqno);
             }
             DirRequest::FetchDir {
                 cap,
@@ -557,7 +558,9 @@ impl Wire for DirRequest {
             } => {
                 w.u8(RQ_FETCH_DIR);
                 cap.put(w);
-                w.u64(*owner).u64(*cb_port).u64(*ttl_us).u64(*have);
+                w.u64(*owner);
+                cb_port.put(w);
+                w.u64(*ttl_us).u64(*have);
             }
         }
     }
@@ -619,14 +622,14 @@ impl Wire for DirRequest {
             },
             RQ_INSTALL_STUB => DirRequest::InstallStub {
                 dir: Capability::get(r)?,
-                to_port: r.u64("stub port")?,
+                to_port: Port::get(r)?,
                 to_object: r.u64("stub object")?,
                 expected_seqno: r.u64("stub seqno")?,
             },
             RQ_FETCH_DIR => DirRequest::FetchDir {
                 cap: Capability::get(r)?,
                 owner: r.u64("fetch owner")?,
-                cb_port: r.u64("fetch cb port")?,
+                cb_port: Port::get(r)?,
                 ttl_us: r.u64("fetch ttl")?,
                 have: r.u64("fetch have")?,
             },
@@ -698,7 +701,9 @@ impl Wire for DirReply {
                 to_port,
                 to_object,
             } => {
-                w.u8(RP_MOVED).u64(*object).u64(*to_port).u64(*to_object);
+                w.u8(RP_MOVED).u64(*object);
+                to_port.put(w);
+                w.u64(*to_object);
             }
             DirReply::Export {
                 check,
@@ -745,7 +750,7 @@ impl Wire for DirReply {
             RP_CAPS => DirReply::Caps(SET.get(r, Option::get)?),
             RP_MOVED => DirReply::Moved {
                 object: r.u64("moved object")?,
-                to_port: r.u64("moved port")?,
+                to_port: Port::get(r)?,
                 to_object: r.u64("moved to-object")?,
             },
             RP_EXPORT => DirReply::Export {
@@ -923,11 +928,9 @@ impl Wire for DirOp {
                 to_object,
                 expected_seqno,
             } => {
-                w.u8(OP_INSTALL_STUB)
-                    .u64(*object)
-                    .u64(*to_port)
-                    .u64(*to_object)
-                    .u64(*expected_seqno);
+                w.u8(OP_INSTALL_STUB).u64(*object);
+                to_port.put(w);
+                w.u64(*to_object).u64(*expected_seqno);
             }
             DirOp::GrantRead {
                 cap,
@@ -938,7 +941,9 @@ impl Wire for DirOp {
             } => {
                 w.u8(OP_GRANT_READ);
                 cap.put(w);
-                w.u64(*owner).u64(*cb_port).u64(*now_us).u64(*deadline_us);
+                w.u64(*owner);
+                cb_port.put(w);
+                w.u64(*now_us).u64(*deadline_us);
             }
         }
     }
@@ -993,14 +998,14 @@ impl Wire for DirOp {
             },
             OP_INSTALL_STUB => DirOp::InstallStub {
                 object: r.u64("op object")?,
-                to_port: r.u64("op stub port")?,
+                to_port: Port::get(r)?,
                 to_object: r.u64("op stub object")?,
                 expected_seqno: r.u64("op stub seqno")?,
             },
             OP_GRANT_READ => DirOp::GrantRead {
                 cap: Capability::get(r)?,
                 owner: r.u64("op grant owner")?,
-                cb_port: r.u64("op grant cb port")?,
+                cb_port: Port::get(r)?,
                 now_us: r.u64("op grant now")?,
                 deadline_us: r.u64("op grant deadline")?,
             },
@@ -1035,7 +1040,7 @@ mod tests {
         assert!(DirRequest::ExportDir { cap: cap(1) }.is_read());
         assert!(!DirRequest::InstallStub {
             dir: cap(1),
-            to_port: 0,
+            to_port: Port::from_raw(0),
             to_object: 0,
             expected_seqno: 0
         }
@@ -1050,7 +1055,7 @@ mod tests {
         assert!(!DirRequest::FetchDir {
             cap: cap(1),
             owner: 1,
-            cb_port: 2,
+            cb_port: Port::from_raw(2),
             ttl_us: 3,
             have: 4
         }

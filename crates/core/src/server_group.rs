@@ -368,7 +368,7 @@ fn fetch_dir(
     params: &DirParams,
     cpu: &Resource,
     cap: &Capability,
-    (owner, cb_port, ttl_us): (u64, u64, u64),
+    (owner, cb_port, ttl_us): (u64, Port, u64),
     have: u64,
 ) -> Result<Payload, DirError> {
     let publish = |seq| replica.wait_published(ctx, seq).map_err(rsm_err);
@@ -507,7 +507,7 @@ fn fence_cached_readers(ctx: &Ctx, applier: &Applier, inval: &RpcClient, objects
                 continue; // expired while parked: already fenced
             }
             let msg = (home, *o).encode();
-            if inval.trans(ctx, Port::from_raw(l.cb_port), msg).is_err() {
+            if inval.trans(ctx, l.cb_port, msg).is_err() {
                 outwait_us = outwait_us.max(l.deadline_us);
             }
         }

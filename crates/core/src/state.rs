@@ -107,8 +107,8 @@ pub(crate) struct Shared {
 pub struct ReadLease {
     /// The holding client's unique cache identity.
     pub owner: u64,
-    /// Raw port of the holder's invalidation listener.
-    pub cb_port: u64,
+    /// Port of the holder's invalidation listener.
+    pub cb_port: Port,
     /// Absolute expiry in simulated microseconds.
     pub deadline_us: u64,
     /// The lease's granted duration in microseconds; a piggybacked
@@ -126,8 +126,8 @@ pub struct ReadLease {
 /// Where a migrated directory went (see [`Shared::stubs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StubEntry {
-    /// Raw port of the shard the directory now lives on.
-    pub to_port: u64,
+    /// Port of the shard the directory now lives on.
+    pub to_port: Port,
     /// Object number at that shard.
     pub to_object: u64,
 }
@@ -1534,7 +1534,7 @@ impl Applier {
         ctx: &Ctx,
         cap: &Capability,
         owner: u64,
-        cb_port: u64,
+        cb_port: Port,
         ttl_us: u64,
     ) -> Result<(DirOp, u64), DirError> {
         let port = self.cfg.public_port;

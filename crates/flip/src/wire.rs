@@ -739,8 +739,10 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
 }
 
-/// A `u32` count, then the entries in key order — the deterministic
-/// encoding of an unordered map that snapshots need.
+/// A `u32` count, then the entries in strictly increasing key order —
+/// the deterministic encoding of an unordered map that snapshots need.
+/// Entries whose keys repeat or go down are refused, not merged into a
+/// map other than the one the bytes claim.
 #[allow(clippy::disallowed_types)] // keyed by names, which requests supply
 impl<V: Wire> Wire for HashMap<String, V> {
     fn put(&self, w: &mut WireWriter) {
@@ -752,7 +754,11 @@ impl<V: Wire> Wire for HashMap<String, V> {
         });
     }
     fn get(r: &mut WireReader<'_>) -> Result<HashMap<String, V>, DecodeError> {
-        ANY.get(r, <(String, V)>::get)
+        let entries: Vec<(String, V)> = ANY.get(r, <(String, V)>::get)?;
+        if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(DecodeError::new("map order"));
+        }
+        Ok(entries.into_iter().collect())
     }
 }
 

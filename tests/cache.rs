@@ -206,7 +206,7 @@ fn a_crashed_lease_holder_cannot_block_writes_past_its_ttl() {
         let req = DirRequest::FetchDir {
             cap: root,
             owner: 0xDEAD,
-            cb_port: amoeba_dirsvc::flip::Port::from_name("crashed-holder").as_raw(),
+            cb_port: amoeba_dirsvc::flip::Port::from_name("crashed-holder"),
             ttl_us: 400_000,
             have: 0,
         };
@@ -343,7 +343,7 @@ fn fetch_raw(ctx: &Ctx, rpc: &RpcClient, dir: Capability, have: u64) -> Vec<u8> 
     let req = DirRequest::FetchDir {
         cap: dir,
         owner: 0xB0B,
-        cb_port: amoeba_dirsvc::flip::Port::from_name("idle-holder").as_raw(),
+        cb_port: amoeba_dirsvc::flip::Port::from_name("idle-holder"),
         ttl_us: 400_000,
         have,
     };

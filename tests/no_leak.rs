@@ -366,7 +366,7 @@ fn requested_by_1000_unasked_grants(rows: usize) -> usize {
         let grant = DirOp::GrantRead {
             cap: owner,
             owner: 7,
-            cb_port: 7,
+            cb_port: Port::from_raw(7),
             now_us: 0,
             deadline_us: 400_000,
         }
@@ -425,7 +425,7 @@ fn requested_by_an_answered_grant(rows: usize) -> [(usize, usize); 2] {
         let grant = DirOp::GrantRead {
             cap: owner,
             owner: 7,
-            cb_port: 7,
+            cb_port: Port::from_raw(7),
             now_us: 0,
             deadline_us: 400_000,
         };

@@ -58,7 +58,7 @@ fn fetch(ctx: &Ctx, rpc: &RpcClient, dir: Capability) -> DirReply {
     let req = DirRequest::FetchDir {
         cap: dir,
         owner: 0xB0B,
-        cb_port: Port::from_name("idle-holder").as_raw(),
+        cb_port: Port::from_name("idle-holder"),
         ttl_us: 400_000,
         have: 0,
     };

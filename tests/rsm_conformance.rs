@@ -16,7 +16,7 @@ use amoeba_dirsvc::dir::{
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
-use amoeba_dirsvc::flip::{NetParams, Network, Payload};
+use amoeba_dirsvc::flip::{NetParams, Network, Payload, Port};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::service::ServiceMachine;
 use amoeba_dirsvc::rsm::StateMachine;
@@ -262,7 +262,7 @@ fn grant_read_op() -> Payload {
     DirOp::GrantRead {
         cap: Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1 | 1),
         owner: 0xCAFE,
-        cb_port: 0xCB01,
+        cb_port: Port::from_raw(0xCB01),
         now_us: 1_000,
         deadline_us: 401_000,
     }

@@ -180,7 +180,7 @@ fn requests() -> Vec<(DirRequest, &'static str)> {
         (
             DirRequest::InstallStub {
                 dir: cap(1),
-                to_port: 77,
+                to_port: Port::from_raw(77),
                 to_object: 9,
                 expected_seqno: 12,
             },
@@ -191,7 +191,7 @@ fn requests() -> Vec<(DirRequest, &'static str)> {
             DirRequest::FetchDir {
                 cap: cap(1),
                 owner: 0xC11E,
-                cb_port: 0xCB,
+                cb_port: Port::from_raw(0xCB),
                 ttl_us: 250_000,
                 have: 8,
             },
@@ -252,7 +252,7 @@ fn replies() -> Vec<(DirReply, &'static str)> {
         (
             DirReply::Moved {
                 object: 4,
-                to_port: 99,
+                to_port: Port::from_raw(99),
                 to_object: 7,
             },
             "06040000000000000063000000000000000700000000000000",
@@ -394,7 +394,7 @@ fn ops() -> Vec<(DirOp, &'static str)> {
         (
             DirOp::InstallStub {
                 object: 4,
-                to_port: 77,
+                to_port: Port::from_raw(77),
                 to_object: 9,
                 expected_seqno: 12,
             },
@@ -404,7 +404,7 @@ fn ops() -> Vec<(DirOp, &'static str)> {
             DirOp::GrantRead {
                 cap: cap(1),
                 owner: 0xC11E,
-                cb_port: 0xCB,
+                cb_port: Port::from_raw(0xCB),
                 now_us: 1_000_000,
                 deadline_us: 1_250_000,
             },
@@ -506,14 +506,14 @@ fn a_replica_snapshot_keeps_its_bytes() {
             },
             DirOp::InstallStub {
                 object: 2,
-                to_port: 77,
+                to_port: Port::from_raw(77),
                 to_object: 9,
                 expected_seqno: 3,
             },
             DirOp::GrantRead {
                 cap: owner,
                 owner: 7,
-                cb_port: 8,
+                cb_port: Port::from_raw(8),
                 now_us: 0,
                 deadline_us: 400_000,
             },
@@ -616,7 +616,7 @@ fn a_grants_answer_keeps_its_bytes_and_is_unchanged_while_current() {
         let grant = DirOp::GrantRead {
             cap: holder,
             owner: 7,
-            cb_port: 8,
+            cb_port: Port::from_raw(8),
             now_us: 0,
             deadline_us: 400_000,
         };
@@ -732,6 +732,9 @@ fn mutated_messages_are_refused_or_decode_exactly() {
 
 /// What the fuzz found first: a capability's port is 48 bits wide, and a
 /// port field with higher bits set decoded — to a different capability.
+/// So did a `Moved` reply's port, which sent the client chasing another
+/// shard, and a `FetchDir`'s callback port, which sent the lease's
+/// invalidation elsewhere.
 #[test]
 fn a_capability_port_wider_than_48_bits_is_refused() {
     let mut delete = unhex("02d1000000000001000100000000000000ffc100000000000000");
@@ -740,6 +743,35 @@ fn a_capability_port_wider_than_48_bits_is_refused() {
     assert_eq!(
         DirRequest::decode(&delete).ok(),
         Some(DirRequest::DeleteDir { cap: cap(1) })
+    );
+    let mut moved = unhex("06040000000000000063000000000001000700000000000000");
+    assert!(DirReply::decode(&moved).is_err());
+    moved[15] = 0;
+    let to_port = Port::from_raw(99);
+    assert_eq!(
+        DirReply::decode(&moved).ok(),
+        Some(DirReply::Moved {
+            object: 4,
+            to_port,
+            to_object: 7,
+        })
+    );
+    let mut fetch = unhex(
+        "0fd1000000000000000100000000000000ffc1000000000000001ec1000000000000cb0000\
+         000000010090d00300000000000800000000000000",
+    );
+    assert!(DirRequest::decode(&fetch).is_err());
+    fetch[40] = 0;
+    let cb_port = Port::from_raw(0xCB);
+    assert_eq!(
+        DirRequest::decode(&fetch).ok(),
+        Some(DirRequest::FetchDir {
+            cap: cap(1),
+            owner: 0xC11E,
+            cb_port,
+            ttl_us: 250_000,
+            have: 8,
+        })
     );
 }
 
@@ -857,6 +889,21 @@ fn injections() -> Vec<(Injection, &'static str)> {
 #[test]
 fn a_fault_injection_keeps_its_bytes() {
     golden!(Injection, injections());
+}
+
+/// The records under the messages get the messages' fuzz. What it
+/// found: a lease table whose names repeated or went down decoded to
+/// another table.
+#[test]
+fn mutated_lease_tables_and_injections_are_refused_or_decode_exactly() {
+    mutants_refused_or_exact(&unhex(lease_table().1), |b| {
+        LeaseTable::decode(b).ok().map(|v| v.encode().to_vec())
+    });
+    for (_, golden) in injections() {
+        mutants_refused_or_exact(&unhex(golden), |b| {
+            Injection::decode(b).ok().map(|v| v.encode().to_vec())
+        });
+    }
 }
 
 /// Member `id` of the group samples: host `10 * id`, tag `100 + id`.
