@@ -2,18 +2,21 @@
 
 use std::fmt;
 
-use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
+use amoeba_flip::wire_struct;
 
-/// A capability naming one immutable Bullet file.
-///
-/// Possession of a valid capability (object number plus unguessable check
-/// field) is the only way to read or delete the file.
-#[derive(Copy, Clone, PartialEq, Eq, Hash)]
-pub struct FileCap {
-    /// Object number at the issuing server.
-    pub object: u64,
-    /// Unguessable check field proving authority.
-    pub check: u64,
+wire_struct! {
+    /// A capability naming one immutable Bullet file: on the wire, the
+    /// object number, then the check field.
+    ///
+    /// Possession of a valid capability (object number plus unguessable check
+    /// field) is the only way to read or delete the file.
+    #[derive(Copy, Clone, PartialEq, Eq, Hash)]
+    pub struct FileCap {
+        /// Object number at the issuing server.
+        pub object: u64,
+        /// Unguessable check field proving authority.
+        pub check: u64,
+    }
 }
 
 impl FileCap {
@@ -29,19 +32,6 @@ impl FileCap {
     }
 }
 
-/// The object number, then the check field.
-impl Wire for FileCap {
-    fn put(&self, w: &mut WireWriter) {
-        w.u64(self.object).u64(self.check);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<FileCap, DecodeError> {
-        Ok(FileCap {
-            object: r.u64("filecap object")?,
-            check: r.u64("filecap check")?,
-        })
-    }
-}
-
 impl fmt::Debug for FileCap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "file<{}:{:08x}>", self.object, self.check as u32)
@@ -51,6 +41,7 @@ impl fmt::Debug for FileCap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amoeba_flip::wire::Wire;
 
     #[test]
     fn null_is_null() {

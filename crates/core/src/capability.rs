@@ -9,22 +9,24 @@
 
 use std::fmt;
 
-use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
-use amoeba_flip::Port;
+use amoeba_flip::{wire_struct, Port};
 
 use crate::rights::Rights;
 
-/// A 128-bit Amoeba capability: (port, object, rights, check).
-#[derive(Copy, Clone, PartialEq, Eq, Hash)]
-pub struct Capability {
-    /// Identifies the service.
-    pub port: Port,
-    /// Identifies the object at the service.
-    pub object: u64,
-    /// What the holder may do.
-    pub rights: Rights,
-    /// Proof of authority.
-    pub check: u64,
+wire_struct! {
+    /// A 128-bit Amoeba capability: (port, object, rights, check), in
+    /// that order on the wire too.
+    #[derive(Copy, Clone, PartialEq, Eq, Hash)]
+    pub struct Capability {
+        /// Identifies the service.
+        pub port: Port,
+        /// Identifies the object at the service.
+        pub object: u64,
+        /// What the holder may do.
+        pub rights: Rights,
+        /// Proof of authority.
+        pub check: u64,
+    }
 }
 
 /// The one-way function protecting check fields (a 64-bit finalizer; not
@@ -103,25 +105,6 @@ impl Capability {
     }
 }
 
-/// Port, object, rights, check.
-impl Wire for Capability {
-    fn put(&self, w: &mut WireWriter) {
-        self.port.put(w);
-        w.u64(self.object);
-        self.rights.put(w);
-        w.u64(self.check);
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<Capability, DecodeError> {
-        Ok(Capability {
-            port: Port::get(r)?,
-            object: r.u64("cap object")?,
-            rights: Rights::get(r)?,
-            check: r.u64("cap check")?,
-        })
-    }
-}
-
 impl fmt::Debug for Capability {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -135,6 +118,7 @@ impl fmt::Debug for Capability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amoeba_flip::wire::Wire;
     use amoeba_testkit::{check, Gen};
 
     fn port() -> Port {

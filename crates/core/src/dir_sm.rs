@@ -746,20 +746,6 @@ impl Wire for Snapshot {
     }
 }
 
-impl Wire for StubEntry {
-    fn put(&self, w: &mut WireWriter) {
-        self.to_port.put(w);
-        w.u64(self.to_object);
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<StubEntry, DecodeError> {
-        Ok(StubEntry {
-            to_port: Port::get(r)?,
-            to_object: r.u64("stub to-object")?,
-        })
-    }
-}
-
 /// Owner, callback port, deadline, TTL, then the renewals left as a
 /// `u64` that must fit a `u32`.
 impl Wire for ReadLease {

@@ -64,8 +64,7 @@
 
 use std::collections::HashMap;
 
-use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
-use amoeba_flip::{wire_enum, Port};
+use amoeba_flip::{wire_enum, wire_struct, Port};
 use amoeba_rpc::{RpcClient, RpcError};
 use amoeba_rsm::service::{Service, ServiceClient};
 use amoeba_sim::Ctx;
@@ -142,13 +141,15 @@ wire_enum! {
 // The state and its ops.
 // ---------------------------------------------------------------------
 
-/// The replicated lease table over its logical clock.
-#[derive(Debug, Default)]
-pub struct LeaseTable {
-    /// Logical clock: one tick per applied (replicated) operation.
-    clock: u64,
-    /// name → (owner token, logical expiry).
-    leases: HashMap<String, (u64, u64)>,
+wire_struct! {
+    /// The replicated lease table over its logical clock.
+    #[derive(Debug, Default)]
+    pub struct LeaseTable {
+        /// Logical clock: one tick per applied (replicated) operation.
+        clock: u64,
+        /// name → (owner token, logical expiry).
+        leases: HashMap<String, (u64, u64)>,
+    }
 }
 
 impl LeaseTable {
@@ -162,20 +163,6 @@ impl LeaseTable {
     /// The current logical clock (diagnostics/tests).
     pub fn clock(&self) -> u64 {
         self.clock
-    }
-}
-
-impl Wire for LeaseTable {
-    fn put(&self, w: &mut WireWriter) {
-        w.u64(self.clock);
-        self.leases.put(w);
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<LeaseTable, DecodeError> {
-        Ok(LeaseTable {
-            clock: r.u64("clock")?,
-            leases: Wire::get(r)?,
-        })
     }
 }
 

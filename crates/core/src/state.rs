@@ -8,7 +8,7 @@ use std::rc::Rc;
 use amoeba_bullet::{BulletClient, FileCap};
 use amoeba_disk::{Journal, NvRecord, Nvram, RawPartition};
 use amoeba_flip::wire::{encode_with, Wire, WireWriter};
-use amoeba_flip::{Payload, Port};
+use amoeba_flip::{wire_struct, Payload, Port};
 use amoeba_sim::{Ctx, IdMap, IdSet};
 
 use crate::capability::Capability;
@@ -123,13 +123,15 @@ pub struct ReadLease {
     pub renewals_left: u32,
 }
 
-/// Where a migrated directory went (see [`Shared::stubs`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct StubEntry {
-    /// Port of the shard the directory now lives on.
-    pub to_port: Port,
-    /// Object number at that shard.
-    pub to_object: u64,
+wire_struct! {
+    /// Where a migrated directory went (see [`Shared::stubs`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub struct StubEntry {
+        /// Port of the shard the directory now lives on.
+        pub to_port: Port,
+        /// Object number at that shard.
+        pub to_object: u64,
+    }
 }
 
 impl std::fmt::Debug for Shared {

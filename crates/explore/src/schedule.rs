@@ -11,6 +11,7 @@
 use std::ops::RangeInclusive;
 
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
+use amoeba_flip::wire_struct;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,29 +113,16 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// One fault injection: a kind, a start time, and a duration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Injection {
-    /// Start, in milliseconds of simulated time.
-    pub at_ms: u64,
-    /// Duration of the fault window, in milliseconds.
-    pub dur_ms: u64,
-    /// What to inject.
-    pub kind: FaultKind,
-}
-
-impl Wire for Injection {
-    fn put(&self, w: &mut WireWriter) {
-        w.u64(self.at_ms).u64(self.dur_ms);
-        self.kind.put(w);
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<Injection, DecodeError> {
-        Ok(Injection {
-            at_ms: r.u64("inj at")?,
-            dur_ms: r.u64("inj dur")?,
-            kind: FaultKind::get(r)?,
-        })
+wire_struct! {
+    /// One fault injection: a start time, a duration, and a kind.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Injection {
+        /// Start, in milliseconds of simulated time.
+        pub at_ms: u64,
+        /// Duration of the fault window, in milliseconds.
+        pub dur_ms: u64,
+        /// What to inject.
+        pub kind: FaultKind,
     }
 }
 

@@ -21,7 +21,7 @@
 //! is handed into an FNV-1a digest, so a wire form can be named by its
 //! digest without being built.
 //!
-//! ## Tagged enums
+//! ## Declared types
 //!
 //! A message family is an enum whose wire form is a `u8` tag, then the
 //! variant's fields in order. [`wire_enum!`](crate::wire_enum) takes
@@ -31,6 +31,33 @@
 //! type has a [`Wire`] form of its own; a counted field adds `as` and
 //! its [`Counted`] (`items: Vec<Item> as BATCH`). The encoded length is
 //! never written down: [`Wire::encode`] measures it by running `put`.
+//!
+//! A record — a struct whose fields go on the wire in declaration
+//! order, with no tag and no check across fields — is declared the same
+//! way inside [`wire_struct!`](crate::wire_struct), from the same
+//! per-field codec:
+//!
+//! ```
+//! use amoeba_flip::wire::Wire;
+//!
+//! amoeba_flip::wire_struct! {
+//!     /// Two fields, written in the order declared.
+//!     #[derive(Debug, PartialEq)]
+//!     pub struct Pair {
+//!         /// First.
+//!         pub a: u64,
+//!         /// Then one byte, 0 or 1.
+//!         pub b: bool,
+//!     }
+//! }
+//!
+//! let pair = Pair { a: 1, b: true };
+//! assert_eq!(pair.encode(), [1, 0, 0, 0, 0, 0, 0, 0, 1]);
+//! assert!(Pair::decode(&[1, 0, 0, 0, 0, 0, 0, 0, 2]).is_err());
+//! ```
+//!
+//! A type whose fields must agree with each other (a view's member
+//! order, a directory's masks per column) keeps a hand-written impl.
 //!
 //! ## Counted sequences
 //!
@@ -421,9 +448,9 @@ fn whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, DecodeError> {
 /// from the same list: each variant is `tag => Variant`, with its
 /// fields (`{ name: Type, .. }`, or `(name: Type)` for a tuple
 /// variant, whose fields are named for the codec only) in wire order.
-/// A counted field names its [`Counted`](crate::wire::Counted) after `as`. An
-/// unknown tag is refused as `"<Enum> tag"`. See the
-/// [module docs](crate::wire).
+/// A counted field, in either form, names its
+/// [`Counted`](crate::wire::Counted) after `as`. An unknown tag is
+/// refused as `"<Enum> tag"`. See the [module docs](crate::wire).
 ///
 /// ```
 /// use amoeba_flip::wire::{Counted, Wire};
@@ -443,6 +470,8 @@ fn whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, DecodeError> {
 ///         3 => Names { names: Vec<String> as NAMES },
 ///         /// A tuple variant.
 ///         4 => Echo(data: Payload),
+///         /// A counted tuple field.
+///         5 => Tags(tags: Vec<u64> as NAMES),
 ///     }
 /// }
 ///
@@ -450,7 +479,8 @@ fn whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, DecodeError> {
 /// assert_eq!(put.encode(), [2, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2]);
 /// assert_eq!(Toy::decode(&put.encode()), Ok(put));
 /// assert_eq!(Toy::decode(&[3, 9]).unwrap_err().what, "names");
-/// assert_eq!(Toy::decode(&[5]).unwrap_err().what, "Toy tag");
+/// assert_eq!(Toy::decode(&[5, 9]).unwrap_err().what, "names");
+/// assert_eq!(Toy::decode(&[6]).unwrap_err().what, "Toy tag");
 /// ```
 #[macro_export]
 macro_rules! wire_enum {
@@ -474,7 +504,7 @@ macro_rules! wire_enum {
             $(
                 $(#[$vmeta:meta])*
                 $tag:literal => $variant:ident
-                $(( $($tfield:ident : $tty:ty),+ $(,)? ))?
+                $(( $($tfield:ident : $tty:ty $(as $tcounted:expr)?),+ $(,)? ))?
                 $({ $( $(#[$fmeta:meta])* $field:ident : $fty:ty $(as $counted:expr)? ),* $(,)? })?
             ),+ $(,)?
         }
@@ -493,7 +523,7 @@ macro_rules! wire_enum {
                     $(
                         $name::$variant $(( $($tfield),+ ))? $({ $($field),* })? => {
                             w.u8($tag);
-                            $($( $crate::wire_enum!(@put w, $tfield); )+)?
+                            $($( $crate::wire_enum!(@put w, $tfield $(, $tcounted)?); )+)?
                             $($( $crate::wire_enum!(@put w, $field $(, $counted)?); )*)?
                         }
                     )+
@@ -507,10 +537,72 @@ macro_rules! wire_enum {
                 ::core::result::Result::Ok(match r.u8(WHAT)? {
                     $(
                         $tag => $name::$variant
-                            $(( $( $crate::wire_enum!(@get r, $tfield) ),+ ))?
+                            $(( $( $crate::wire_enum!(@get r, $tfield $(, $tcounted)?) ),+ ))?
                             $({ $( $field: $crate::wire_enum!(@get r, $field $(, $counted)?) ),* })?,
                     )+
                     _ => return ::core::result::Result::Err($crate::wire::DecodeError::new(WHAT)),
+                })
+            }
+        }
+    };
+}
+
+/// Declares a struct and derives its [`Wire`](crate::wire::Wire) codec
+/// from the same list: its fields in wire order, each in its own
+/// [`Wire`](crate::wire::Wire) form, a counted one naming its
+/// [`Counted`](crate::wire::Counted) after `as`, as in
+/// [`wire_enum!`](crate::wire_enum) but with no tag. For a record whose
+/// fields need no check beyond their own: a value another field must
+/// agree with keeps a hand-written impl. See the
+/// [module docs](crate::wire).
+///
+/// ```
+/// use amoeba_flip::wire::{Counted, Wire};
+///
+/// const KEYS: Counted = Counted::u8(1, 4, "keys");
+///
+/// amoeba_flip::wire_struct! {
+///     /// A toy record.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Entry {
+///         /// Written first.
+///         pub id: u64,
+///         /// A `u8` count of 1–4, then the keys.
+///         pub keys: Vec<String> as KEYS,
+///         /// Private fields work too.
+///         live: bool,
+///     }
+/// }
+///
+/// let entry = Entry { id: 7, keys: vec!["k".into()], live: true };
+/// assert_eq!(entry.encode(), [7, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, b'k', 1]);
+/// assert_eq!(Entry::decode(&entry.encode()), Ok(entry));
+/// assert_eq!(Entry::decode(&[7, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap_err().what, "keys");
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty $(as $counted:expr)? ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $fty ),+
+        }
+
+        impl $crate::wire::Wire for $name {
+            fn put(&self, w: &mut $crate::wire::WireWriter) {
+                let $name { $($field),+ } = self;
+                $( $crate::wire_enum!(@put w, $field $(, $counted)?); )+
+            }
+
+            fn get(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::DecodeError> {
+                ::core::result::Result::Ok($name {
+                    $( $field: $crate::wire_enum!(@get r, $field $(, $counted)?) ),+
                 })
             }
         }

@@ -2,7 +2,7 @@
 //! [`wire_enum!`], which derives its codec from the declaration.
 
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
-use amoeba_flip::{wire_enum, HostAddr, Payload, Port};
+use amoeba_flip::{wire_enum, wire_struct, HostAddr, Payload, Port};
 
 use crate::types::{Incarnation, MemberId, MemberInfo, SeqNo, View};
 
@@ -24,63 +24,37 @@ wire_enum! {
     }
 }
 
-/// One slot of a [`GroupMsg::AcceptBatch`]: everything an `Accept`
-/// carries except the instance/incarnation/seq shared by the batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AcceptItem {
-    /// The original sender.
-    pub from: MemberId,
-    /// The sender's application tag.
-    pub from_tag: u64,
-    /// The sender's message id (0 for view changes).
-    pub msgid: u64,
-    /// The sequenced body.
-    pub body: AcceptBody,
-}
-
-impl Wire for AcceptItem {
-    fn put(&self, w: &mut WireWriter) {
-        self.from.put(w);
-        w.u64(self.from_tag).u64(self.msgid);
-        self.body.put(w);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<AcceptItem, DecodeError> {
-        Ok(AcceptItem {
-            from: MemberId::get(r)?,
-            from_tag: r.u64("item from tag")?,
-            msgid: r.u64("item msgid")?,
-            body: AcceptBody::get(r)?,
-        })
+wire_struct! {
+    /// One slot of a [`GroupMsg::AcceptBatch`]: everything an `Accept`
+    /// carries except the instance/incarnation/seq shared by the batch.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AcceptItem {
+        /// The original sender.
+        pub from: MemberId,
+        /// The sender's application tag.
+        pub from_tag: u64,
+        /// The sender's message id (0 for view changes).
+        pub msgid: u64,
+        /// The sequenced body.
+        pub body: AcceptBody,
     }
 }
 
-/// One resilience notification: message `msgid` from member `from` is
-/// now held by r+1 members at slot `seq`. Instead of one `Done`
-/// unicast per message, the sequencer piggybacks these on the next
-/// [`GroupMsg::AcceptBatch`] (or coalesces them per sender into a
-/// [`GroupMsg::DoneBatch`]) — batching the reply direction the same
-/// way accepts batch the forward direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DoneItem {
-    /// The member whose send completed (only it acts on the item).
-    pub from: MemberId,
-    /// Its message id.
-    pub msgid: u64,
-    /// The slot the message was sequenced at.
-    pub seq: SeqNo,
-}
-
-impl Wire for DoneItem {
-    fn put(&self, w: &mut WireWriter) {
-        self.from.put(w);
-        w.u64(self.msgid).u64(self.seq);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<DoneItem, DecodeError> {
-        Ok(DoneItem {
-            from: MemberId::get(r)?,
-            msgid: r.u64("done msgid")?,
-            seq: r.u64("done seq")?,
-        })
+wire_struct! {
+    /// One resilience notification: message `msgid` from member `from` is
+    /// now held by r+1 members at slot `seq`. Instead of one `Done`
+    /// unicast per message, the sequencer piggybacks these on the next
+    /// [`GroupMsg::AcceptBatch`] (or coalesces them per sender into a
+    /// [`GroupMsg::DoneBatch`]) — batching the reply direction the same
+    /// way accepts batch the forward direction.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DoneItem {
+        /// The member whose send completed (only it acts on the item).
+        pub from: MemberId,
+        /// Its message id.
+        pub msgid: u64,
+        /// The slot the message was sequenced at.
+        pub seq: SeqNo,
     }
 }
 
@@ -90,21 +64,6 @@ impl Wire for MemberId {
     }
     fn get(r: &mut WireReader<'_>) -> Result<MemberId, DecodeError> {
         Ok(MemberId(r.u32("member id")?))
-    }
-}
-
-impl Wire for MemberInfo {
-    fn put(&self, w: &mut WireWriter) {
-        self.id.put(w);
-        self.host.put(w);
-        w.u64(self.tag);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<MemberInfo, DecodeError> {
-        Ok(MemberInfo {
-            id: MemberId::get(r)?,
-            host: HostAddr::get(r)?,
-            tag: r.u64("member tag")?,
-        })
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use amoeba_flip::{HostAddr, Payload};
+use amoeba_flip::{wire_struct, HostAddr, Payload};
 
 /// Sequence number in the group's total order. Every event — application
 /// message or membership change — consumes exactly one.
@@ -27,16 +27,18 @@ impl fmt::Display for MemberId {
     }
 }
 
-/// Everything the group layer knows about one member.
-#[derive(Debug, Copy, Clone, PartialEq, Eq)]
-pub struct MemberInfo {
-    /// Stable id within the instance.
-    pub id: MemberId,
-    /// The member's host address.
-    pub host: HostAddr,
-    /// Application-supplied tag (the directory service stores its server
-    /// number here so recovery can map members to replicas).
-    pub tag: u64,
+wire_struct! {
+    /// Everything the group layer knows about one member.
+    #[derive(Debug, Copy, Clone, PartialEq, Eq)]
+    pub struct MemberInfo {
+        /// Stable id within the instance.
+        pub id: MemberId,
+        /// The member's host address.
+        pub host: HostAddr,
+        /// Application-supplied tag (the directory service stores its server
+        /// number here so recovery can map members to replicas).
+        pub tag: u64,
+    }
 }
 
 /// The current membership view.
