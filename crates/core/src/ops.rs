@@ -518,7 +518,6 @@ impl DirOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoeba_flip::Port;
     use amoeba_testkit::{check, Gen};
 
     fn cap(o: u64) -> Capability {

@@ -132,13 +132,17 @@ impl std::fmt::Display for Injection {
     }
 }
 
-/// A list of injections. [`FaultSchedule::new`] sorts them by start
-/// time; shrinking may then move one ahead of an earlier-listed one.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultSchedule {
-    /// The injections, in list order: the scenario sorts their edges by
-    /// time with a stable sort, so this order breaks ties.
-    pub injections: Vec<Injection>,
+wire_struct! {
+    /// A list of injections. [`FaultSchedule::new`] sorts them by start
+    /// time; shrinking may then move one ahead of an earlier-listed one.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct FaultSchedule {
+        /// The injections, in list order: the scenario sorts their edges by
+        /// time with a stable sort, so this order breaks ties. They decode
+        /// in the order written, not re-sorted: a shrunk schedule can list
+        /// a later start first, and its recorded run used that order.
+        pub injections: Vec<Injection> as INJECTIONS,
+    }
 }
 
 impl FaultSchedule {
@@ -216,21 +220,7 @@ impl FaultSchedule {
     }
 }
 
-/// A `u32` count of at most 10,000, then the injections in list order.
-/// They decode in the order written, not re-sorted: a shrunk schedule
-/// can list a later start first, and its recorded run used that order.
-impl Wire for FaultSchedule {
-    fn put(&self, w: &mut WireWriter) {
-        INJECTIONS.put(w, &self.injections, Injection::put);
-    }
-
-    fn get(r: &mut WireReader<'_>) -> Result<FaultSchedule, DecodeError> {
-        Ok(FaultSchedule {
-            injections: INJECTIONS.get(r, Injection::get)?,
-        })
-    }
-}
-
+/// A schedule's injections: a `u32` count of at most 10,000.
 const INJECTIONS: Counted = Counted::u32(10_000, "schedule len");
 
 impl std::fmt::Display for FaultSchedule {
