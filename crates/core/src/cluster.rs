@@ -16,7 +16,7 @@ use amoeba_flip::Port;
 
 use crate::cache::{start_invalidation_listener, CacheParams, DirCache};
 use crate::client::DirClient;
-use crate::config::{DirParams, ServiceConfig, StorageKind};
+use crate::config::{DirParams, ServiceConfig, Storage, StorageKind};
 use crate::server_group::{start_group_server, GroupDirServer, GroupServerDeps};
 use crate::server_lease::{LeaseClient, LeaseService};
 use crate::server_nfs::{start_nfs_server, NfsServerDeps};
@@ -237,11 +237,15 @@ pub struct ClusterParams {
 }
 
 impl ClusterParams {
-    /// The paper's configuration for a variant.
+    /// The paper's configuration for a variant, storage included: in
+    /// place (§3.1), or the NVRAM log for [`Variant::GroupNvram`] (§4.1).
     pub fn paper(variant: Variant) -> ClusterParams {
-        let mut dir = DirParams::default();
+        let mut dir = DirParams {
+            storage: StorageKind::InPlace,
+            ..DirParams::default()
+        };
         match variant {
-            Variant::GroupNvram => dir.storage = StorageKind::Nvram,
+            Variant::GroupNvram => dir.storage = StorageKind::nvram(),
             Variant::Nfs => {
                 // NFS lookup measured slightly slower (6 ms vs 5 ms).
                 dir.read_cpu = Duration::from_micros(4_000);
@@ -384,13 +388,11 @@ const BLOCK_SIZE: usize = 4096;
 const TABLE_BLOCKS: u64 = 64;
 
 /// Blocks reserved for the group log's journal region, carved between
-/// the table partition and the Bullet store: only when the journaled
-/// commit path is on (journal-off leaves the disk layout untouched).
+/// the table partition and the Bullet store (none for other kinds).
 fn journal_carve(params: &ClusterParams) -> u64 {
-    if params.dir.journal && params.dir.storage == StorageKind::Disk {
-        params.disk.journal_blocks
-    } else {
-        0
+    match params.dir.storage {
+        StorageKind::Journal { blocks, .. } => blocks,
+        _ => 0,
     }
 }
 
@@ -598,16 +600,23 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
         params.disk.clone(),
     );
     let partition = RawPartition::new(disk_srv.clone(), 0, TABLE_BLOCKS);
-    // The group log's journal: carved from the disk right after the
-    // table partition. Reconstructed cold on every (re)start — `boot`
-    // recovers its cursor and surviving records.
-    let journal = (params.dir.journal && params.dir.storage == StorageKind::Disk).then(|| {
-        Journal::disk(RawPartition::new(
-            disk_srv.clone(),
-            TABLE_BLOCKS,
-            params.disk.journal_blocks,
-        ))
-    });
+    // The commit path's device. A journal is carved right after the
+    // table partition, cold on every (re)start (`boot` recovers its
+    // cursor and records); the NVRAM survives the crash.
+    let storage = match params.dir.storage {
+        StorageKind::InPlace => Storage::InPlace,
+        StorageKind::Journal {
+            blocks,
+            checkpoint_interval,
+        } => Storage::Journal {
+            journal: Journal::disk(RawPartition::new(disk_srv.clone(), TABLE_BLOCKS, blocks)),
+            checkpoint_interval,
+        },
+        StorageKind::Nvram { flush_threshold } => Storage::Nvram {
+            nvram: column.nvram.clone(),
+            flush_threshold,
+        },
+    };
     // The Bullet server of this column.
     let bullet_disk = DiskServer::start(
         spawner,
@@ -646,12 +655,7 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
                 peer: peer.clone(),
                 bullet,
                 partition,
-                nvram: if params.dir.storage == StorageKind::Nvram {
-                    Some(column.nvram.clone())
-                } else {
-                    None
-                },
-                journal,
+                storage,
                 cpu,
             };
             column.server = Some(start_group_server(spawner, deps));

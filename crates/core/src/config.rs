@@ -2,15 +2,89 @@
 
 use std::time::Duration;
 
+use amoeba_disk::{Journal, Nvram};
 use amoeba_flip::Port;
 
-/// How updates reach stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How updates reach stable storage, with the parameters only it reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StorageKind {
-    /// Synchronous disk writes in the update critical path (paper §3.1).
-    Disk,
-    /// Log updates to NVRAM; apply to disk in the background (paper §4.1).
-    Nvram,
+    /// Synchronous disk writes in place, in the update critical path
+    /// (paper §3.1).
+    InPlace,
+    /// The group log: each flush is one sequential journal append, and
+    /// a background checkpointer drains it into place (see `dir_sm`).
+    Journal {
+        /// Disk blocks carved for the journal, after the table partition.
+        blocks: u64,
+        /// How often the background checkpointer drains the journal.
+        checkpoint_interval: Duration,
+    },
+    /// Log updates to NVRAM, apply them to disk lazily (paper §4.1).
+    Nvram {
+        /// NVRAM fill fraction that triggers a flush after a batch.
+        flush_threshold: f64,
+    },
+}
+
+impl StorageKind {
+    /// The group log with its default region and checkpoint interval.
+    pub fn journal() -> StorageKind {
+        StorageKind::Journal {
+            blocks: 2048,
+            checkpoint_interval: Duration::from_millis(250),
+        }
+    }
+
+    /// The NVRAM log with its default flush threshold.
+    pub fn nvram() -> StorageKind {
+        StorageKind::Nvram {
+            flush_threshold: 0.75,
+        }
+    }
+}
+
+/// One replica's commit path with its device, built per column from a
+/// [`StorageKind`]: the one value every storage hook matches.
+#[derive(Debug, Clone)]
+pub enum Storage {
+    /// [`StorageKind::InPlace`]: the table partition and Bullet only.
+    InPlace,
+    /// [`StorageKind::Journal`], over its carved journal region.
+    Journal {
+        /// The journal region.
+        journal: Journal,
+        /// How often the background checkpointer drains it.
+        checkpoint_interval: Duration,
+    },
+    /// [`StorageKind::Nvram`], over the machine's NVRAM.
+    Nvram {
+        /// The machine's NVRAM.
+        nvram: Nvram,
+        /// Fill fraction that triggers a flush after a batch.
+        flush_threshold: f64,
+    },
+}
+
+impl Storage {
+    /// The devices as a reboot finds them (a journal's cursor cold).
+    pub(crate) fn reopen(&self) -> Storage {
+        let mut storage = self.clone();
+        if let Storage::Journal { journal, .. } = &mut storage {
+            *journal = journal.reopen();
+        }
+        storage
+    }
+
+    /// The replica driver's checkpoint period: only a journal drains.
+    pub(crate) fn checkpoint_interval(&self) -> Option<Duration> {
+        match *self {
+            Storage::Journal {
+                checkpoint_interval,
+                ..
+            } => Some(checkpoint_interval),
+            _ => None,
+        }
+    }
 }
 
 /// Static configuration of one directory service *shard* (the whole
@@ -93,25 +167,12 @@ pub struct DirParams {
     pub apply_cpu: Duration,
     /// Server threads per machine (multiple threads per server, §3.1).
     pub server_threads: usize,
-    /// The group log: route every group-commit flush through the disk's
-    /// reserved journal region as one sequential record append, with a
-    /// background checkpointer draining the dirty set into real
-    /// Bullet/table blocks (see `amoeba_disk::Journal` and the module
-    /// docs of `dir_sm`). `false` (the default) keeps the
-    /// paper's in-place flush — each final directory and table block
-    /// written where it lives — and the journal region is not even
-    /// carved. Only meaningful with [`StorageKind::Disk`] storage.
-    pub journal: bool,
-    /// How often the background checkpointer drains the journal when
-    /// the journaled commit path is on.
-    pub checkpoint_interval: Duration,
     /// Enable the §3.2 improved two-server recovery rule.
     pub improved_recovery: bool,
-    /// Disk or NVRAM commit path.
+    /// The commit path and its device's parameters.
     pub storage: StorageKind,
-    /// NVRAM fill fraction that triggers a background flush.
-    pub nvram_flush_threshold: f64,
-    /// Idle time after which the NVRAM flusher runs anyway.
+    /// Idle time after which the replica driver calls the machine's
+    /// idle hook: the NVRAM log applies its records to disk then.
     pub nvram_idle_flush: Duration,
     /// Latency of an intentions-log append in the RPC baseline
     /// (sequential log write: rotation + transfer, no full seek).
@@ -138,11 +199,8 @@ impl Default for DirParams {
             write_cpu: Duration::from_micros(1_000),
             apply_cpu: Duration::from_micros(500),
             server_threads: 2,
-            journal: false,
-            checkpoint_interval: Duration::from_millis(250),
             improved_recovery: false,
-            storage: StorageKind::Disk,
-            nvram_flush_threshold: 0.75,
+            storage: StorageKind::InPlace,
             nvram_idle_flush: Duration::from_millis(200),
             intentions_latency: Duration::from_millis(12),
             max_lease: Duration::from_millis(400),
@@ -155,7 +213,7 @@ impl DirParams {
     /// Default parameters with the NVRAM commit path.
     pub fn nvram() -> Self {
         DirParams {
-            storage: StorageKind::Nvram,
+            storage: StorageKind::nvram(),
             ..Self::default()
         }
     }
@@ -204,7 +262,7 @@ mod tests {
 
     #[test]
     fn nvram_params() {
-        assert_eq!(DirParams::nvram().storage, StorageKind::Nvram);
-        assert_eq!(DirParams::default().storage, StorageKind::Disk);
+        assert_eq!(DirParams::nvram().storage, StorageKind::nvram());
+        assert_eq!(DirParams::default().storage, StorageKind::InPlace);
     }
 }

@@ -32,11 +32,15 @@
 //!   recovery never observes a partially applied batch.
 //! * On the NVRAM path the log append inside `apply` *is* the group
 //!   commit (already amortized, §4.1); `flush` only polices the
-//!   fill-threshold background flush.
+//!   fill-threshold background flush. A record too large for the
+//!   drained device is committed in place inside `apply` instead.
+//! * Every storage hook below matches the one [`Storage`] value the
+//!   column was built with.
 //!
-//! ## The group log (journal on)
+//! ## The group log
 //!
-//! With [`DirParams::journal`] the durable half of every commit changes
+//! With [`StorageKind::Journal`](crate::StorageKind::Journal) the
+//! durable half of every commit changes
 //! shape: instead of writing a batch's Bullet files and table blocks in
 //! place (at least a seek per object), `flush` seals the batch's final
 //! acts — directory contents, table checks, the commit seqno as of this
@@ -51,8 +55,8 @@
 //! The table writeback moves off the commit path entirely. Each
 //! journaled act also lands in a RAM **dirty set** (per object,
 //! last-wins — interim versions are never written back), which the
-//! driver's background checkpointer drains every
-//! [`DirParams::checkpoint_interval`] into real Bullet/table blocks and
+//! driver's background checkpointer drains every `checkpoint_interval`
+//! (the variant's) into real Bullet/table blocks and
 //! then advances the journal's tail. The drain replays the acts against
 //! the object table's **durable mirror** (exactly what is on disk), so
 //! its table-block writes never leak the RAM state running ahead of
@@ -93,13 +97,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use amoeba_bullet::FileCap;
+use amoeba_disk::Journal;
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::{Payload, Port};
 use amoeba_rsm::{RecoveryInfo, StateMachine};
 use amoeba_sim::{Ctx, IdMap, Resource};
 
 use crate::commit_block::CommitBlock;
-use crate::config::{DirParams, StorageKind};
+use crate::config::{DirParams, Storage};
 use crate::directory::Directory;
 use crate::object_table::{ObjEntry, ObjectTable};
 use crate::ops::{DirError, DirOp, DirReply};
@@ -160,7 +165,8 @@ impl DirectoryStateMachine {
     }
 
     /// Builds a machine with its own private state over the given
-    /// storage, without any server processes — for driving the trait
+    /// storage (which alone decides the commit path: `params.storage` is
+    /// what a cluster builds it from), without any server processes — for driving the trait
     /// directly (conformance tests, tooling). Production servers are
     /// wired through [`crate::start_group_server`] instead.
     pub fn standalone(
@@ -168,24 +174,11 @@ impl DirectoryStateMachine {
         params: DirParams,
         bullet: amoeba_bullet::BulletClient,
         partition: amoeba_disk::RawPartition,
-        nvram: Option<amoeba_disk::Nvram>,
-        journal: Option<amoeba_disk::Journal>,
+        storage: Storage,
         cpu: Resource,
     ) -> Self {
-        let table = ObjectTable::new(partition.clone());
-        let shared = Rc::new(RefCell::new(crate::state::Shared::new(table, cfg.n)));
-        let applier = Rc::new(Applier {
-            cfg,
-            storage: params.storage,
-            shared,
-            bullet,
-            partition,
-            nvram,
-            journal,
-            max_lease_us: params.max_lease.as_micros() as u64,
-            lease_renewals: params.lease_renewals,
-        });
-        Self::new(applier, params, cpu)
+        let applier = Applier::new(cfg, &params, bullet, partition, storage);
+        Self::new(Rc::new(applier), params, cpu)
     }
 
     /// The logical version of the machine's state (diagnostics/tests).
@@ -220,8 +213,7 @@ impl DirectoryStateMachine {
             self.params.clone(),
             self.applier.bullet.clone(),
             self.applier.partition.clone(),
-            self.applier.nvram.clone(),
-            self.applier.journal.as_ref().map(|j| j.reopen()),
+            self.applier.storage.reopen(),
             self.cpu.clone(),
         )
     }
@@ -469,15 +461,10 @@ impl DirectoryStateMachine {
     /// dirty set strictly before the append, so a concurrent
     /// checkpoint's tail advance can never outrun them (module-docs
     /// invariant 1).
-    fn journal_commit(&self, ctx: &Ctx, batch: StagedBatch) {
+    fn journal_commit(&self, ctx: &Ctx, journal: &Journal, batch: StagedBatch) {
         if batch.acts.is_empty() {
             return;
         }
-        let journal = self
-            .applier
-            .journal
-            .as_ref()
-            .expect("journaled commit without a journal");
         let record = batch.encode();
         {
             let mut ckpt = self.ckpt.borrow_mut();
@@ -505,36 +492,40 @@ impl DirectoryStateMachine {
     /// Makes the batch just applied durable: the group commit behind
     /// [`StateMachine::flush`].
     fn commit_batch(&self, ctx: &Ctx) {
-        let applier = &self.applier;
-        if applier.storage == StorageKind::Nvram {
-            // The log appends in `apply` were the durable commit; only
-            // police the fill threshold here.
-            let full = applier
-                .nvram
-                .as_ref()
-                .map(|n| n.fill_fraction() >= self.params.nvram_flush_threshold)
-                .unwrap_or(false);
-            if full {
-                applier.flush_nvram(ctx);
-            }
-            return;
-        }
         let effects = std::mem::take(&mut *self.pending.borrow_mut());
+        match &self.applier.storage {
+            Storage::InPlace => self.write_in_place(ctx, effects),
+            Storage::Journal { journal, .. } => {
+                // The group log: one sequential record append is the
+                // commit. `frees` (pre-batch file of a deleted-then-
+                // recreated object) is deliberately dropped: the
+                // checkpoint frees the durable mirror's file when it
+                // stores the recreation, which *is* that pre-batch file
+                // — carrying the list too would free it twice.
+                let (acts, _frees, need_commit) = Self::coalesce(effects);
+                self.journal_commit(ctx, journal, self.seal_acts(acts, need_commit));
+            }
+            Storage::Nvram {
+                nvram,
+                flush_threshold,
+            } => {
+                // The log appends in `apply` were the durable commit;
+                // only police the fill threshold here.
+                if nvram.fill_fraction() >= *flush_threshold {
+                    self.applier.flush_nvram(ctx, nvram);
+                }
+            }
+        }
+    }
+
+    /// The paper's in-place commit of `effects`: each object's final
+    /// directory and table block written where it lives.
+    fn write_in_place(&self, ctx: &Ctx, effects: Vec<Effect>) {
         if effects.is_empty() {
             return;
         }
+        let applier = &self.applier;
         let (acts, frees, need_commit) = Self::coalesce(effects);
-        if applier.journal.is_some() {
-            // The group log: one sequential record append is the
-            // commit. `frees` (pre-batch file of a deleted-then-recreated
-            // object) is deliberately dropped: the checkpoint frees the
-            // durable mirror's file when it stores the recreation, which
-            // *is* that pre-batch file — carrying the list too would
-            // free it twice.
-            let batch = self.seal_acts(acts, need_commit);
-            self.journal_commit(ctx, batch);
-            return;
-        }
         // A multi-object batch cannot be flushed atomically: guard it
         // with the commit block's `recovering` flag so a crash mid-way
         // voids this replica's state instead of exposing a hole.
@@ -611,7 +602,7 @@ impl DirectoryStateMachine {
     /// drained records' replay is idempotent, and the next pass covers
     /// the newcomers.
     pub(crate) fn run_checkpoint(&self, ctx: &Ctx) {
-        let Some(journal) = self.applier.journal.as_ref() else {
+        let Storage::Journal { journal, .. } = &self.applier.storage else {
             return;
         };
         self.ckpt_acquire(ctx);
@@ -637,6 +628,93 @@ impl DirectoryStateMachine {
         let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
         tele.gauge("dir.journal.depth", journal.depth() as i64);
         self.ckpt_release();
+    }
+
+    /// Boot's half of the group log: replays the records the last
+    /// checkpoint had not yet covered and returns the highest seqno they
+    /// claim.
+    fn replay_journal(&self, ctx: &Ctx, journal: &Journal, worthless: bool) -> u64 {
+        let applier = &self.applier;
+        // Baseline the durable mirror at the just-loaded table — RAM and
+        // disk agree at boot, and from here on the checkpointer keeps the
+        // mirror equal to the disk while journaled applies run ahead in
+        // RAM. Enabled *before* the replay, it still equals the disk
+        // truth: replay mutates only RAM state, and re-enters each act
+        // into the dirty set for the next checkpoint to persist
+        // (module-docs invariant 3).
+        applier.shared.borrow_mut().table.enable_durable_mirror();
+        if worthless {
+            // Mid-copy crash: the table may mix two histories, so
+            // pre-copy records must not replay onto it. Recover the
+            // journal's cursor first so the reset keeps sequence
+            // numbers globally monotone.
+            let _ = journal.recover(ctx);
+            journal.reset(ctx);
+            return 0;
+        }
+        let records = journal.recover(ctx);
+        let mut replayed = 0u64;
+        for rec in &records {
+            let Ok(StagedBatch {
+                acts,
+                commit_seqno,
+                need_commit,
+            }) = StagedBatch::decode(rec)
+            else {
+                continue; // version skew: skip, never fatal
+            };
+            replayed = replayed.max(commit_seqno);
+            let mut shared = applier.shared.borrow_mut();
+            let mut ckpt = self.ckpt.borrow_mut();
+            // The record's commit claim is replicated state (drops claim
+            // their seqs through it): restore it so later commit-block
+            // writes stay monotone.
+            shared.commit.seqno = shared.commit.seqno.max(commit_seqno);
+            ckpt.covered_seqno = ckpt.covered_seqno.max(commit_seqno);
+            ckpt.need_commit |= need_commit;
+            for (object, act) in acts {
+                match &act {
+                    StagedAct::Store { dir, check } => {
+                        replayed = replayed.max(dir.seqno);
+                        // Keep the durable file cap: reads are served
+                        // from the cache entry below, and the checkpoint
+                        // frees the old file when it stores the replayed
+                        // contents.
+                        let file_cap = shared
+                            .table
+                            .get(object)
+                            .map(|e| e.file_cap)
+                            .unwrap_or(FileCap::NULL);
+                        shared.table.set(
+                            object,
+                            ObjEntry {
+                                file_cap,
+                                seqno: dir.seqno,
+                                check: *check,
+                            },
+                        );
+                        shared.cache.insert(object, Rc::clone(dir));
+                    }
+                    StagedAct::Drop => {
+                        shared.table.clear(object);
+                        shared.cache.remove(&object);
+                    }
+                    StagedAct::Stub { seqno, check } => {
+                        shared.table.set(
+                            object,
+                            ObjEntry {
+                                file_cap: FileCap::NULL,
+                                seqno: *seqno,
+                                check: *check,
+                            },
+                        );
+                        shared.cache.remove(&object);
+                    }
+                }
+                ckpt.dirty.insert(object, act);
+            }
+        }
+        replayed
     }
 }
 
@@ -853,15 +931,17 @@ impl StateMachine for DirectoryStateMachine {
             Ok(v) => v,
             Err(e) => return refuse(e),
         };
-        match applier.storage {
-            StorageKind::Disk => self.pending.borrow_mut().extend(effects),
-            StorageKind::Nvram => {
-                // Lease grants are volatile replicated state: nothing
-                // to make durable, so they skip the log (replaying one
-                // after a reboot would only plant an already-expired
-                // lease).
-                if !matches!(op, DirOp::GrantRead { .. }) {
-                    applier.commit_nvram(ctx, useq, &op);
+        match &applier.storage {
+            Storage::InPlace | Storage::Journal { .. } => self.pending.borrow_mut().extend(effects),
+            // Lease grants are volatile replicated state: nothing to
+            // make durable, so they skip the log (replaying one after a
+            // reboot would only plant an already-expired lease).
+            Storage::Nvram { .. } if matches!(op, DirOp::GrantRead { .. }) => {}
+            Storage::Nvram { nvram, .. } => {
+                if !applier.commit_nvram(ctx, nvram, useq, &op) {
+                    // Too large for the device even drained: the op
+                    // commits in place before it is acknowledged.
+                    self.write_in_place(ctx, effects);
                 }
             }
         }
@@ -881,8 +961,8 @@ impl StateMachine for DirectoryStateMachine {
     fn idle(&self, ctx: &Ctx) {
         // §4.1: apply NVRAM modifications to disk "when the server is
         // idle or the NVRAM is full".
-        if self.applier.storage == StorageKind::Nvram {
-            self.applier.flush_nvram(ctx);
+        if let Storage::Nvram { nvram, .. } = &self.applier.storage {
+            self.applier.flush_nvram(ctx, nvram);
         }
     }
 
@@ -927,102 +1007,13 @@ impl StateMachine for DirectoryStateMachine {
             }
             shared.commit = commit;
             shared.commit.recovering = false;
-            // Group log: baseline the durable mirror at the just-loaded
-            // table — RAM and disk agree at boot, and from here on the
-            // checkpointer keeps the mirror equal to the disk while
-            // journaled applies run ahead in RAM.
-            if applier.journal.is_some() && applier.storage == StorageKind::Disk {
-                shared.table.enable_durable_mirror();
-            }
         }
-        // The group log: replay journal records the last checkpoint had
-        // not yet covered. The mirror was enabled *before* this, so it
-        // still equals the disk truth — replay mutates only RAM state,
-        // and re-enters each act into the dirty set for the next
-        // checkpoint to persist (module-docs invariant 3).
-        if let Some(journal) = &applier.journal {
-            if worthless {
-                // Mid-copy crash: the table may mix two histories, so
-                // pre-copy records must not replay onto it. Recover the
-                // journal's cursor first so the reset keeps sequence
-                // numbers globally monotone.
-                let _ = journal.recover(ctx);
-                journal.reset(ctx);
-            } else {
-                let records = journal.recover(ctx);
-                let mut replayed = 0u64;
-                for rec in &records {
-                    let Ok(StagedBatch {
-                        acts,
-                        commit_seqno,
-                        need_commit,
-                    }) = StagedBatch::decode(rec)
-                    else {
-                        continue; // version skew: skip, never fatal
-                    };
-                    replayed = replayed.max(commit_seqno);
-                    let mut shared = applier.shared.borrow_mut();
-                    let mut ckpt = self.ckpt.borrow_mut();
-                    // The record's commit claim is replicated state
-                    // (drops claim their seqs through it): restore it
-                    // so later commit-block writes stay monotone.
-                    shared.commit.seqno = shared.commit.seqno.max(commit_seqno);
-                    ckpt.covered_seqno = ckpt.covered_seqno.max(commit_seqno);
-                    ckpt.need_commit |= need_commit;
-                    for (object, act) in acts {
-                        match &act {
-                            StagedAct::Store { dir, check } => {
-                                replayed = replayed.max(dir.seqno);
-                                // Keep the durable file cap: reads are
-                                // served from the cache entry below,
-                                // and the checkpoint frees the old file
-                                // when it stores the replayed contents.
-                                let file_cap = shared
-                                    .table
-                                    .get(object)
-                                    .map(|e| e.file_cap)
-                                    .unwrap_or(amoeba_bullet::FileCap::NULL);
-                                shared.table.set(
-                                    object,
-                                    ObjEntry {
-                                        file_cap,
-                                        seqno: dir.seqno,
-                                        check: *check,
-                                    },
-                                );
-                                shared.cache.insert(object, Rc::clone(dir));
-                            }
-                            StagedAct::Drop => {
-                                shared.table.clear(object);
-                                shared.cache.remove(&object);
-                            }
-                            StagedAct::Stub { seqno, check } => {
-                                shared.table.set(
-                                    object,
-                                    ObjEntry {
-                                        file_cap: amoeba_bullet::FileCap::NULL,
-                                        seqno: *seqno,
-                                        check: *check,
-                                    },
-                                );
-                                shared.cache.remove(&object);
-                            }
-                        }
-                        ckpt.dirty.insert(object, act);
-                    }
-                }
-                if replayed > 0 {
-                    let mut shared = applier.shared.borrow_mut();
-                    shared.update_seq = shared.update_seq.max(replayed);
-                }
-            }
-        }
-        // NVRAM survives the crash; replay pending records into RAM.
-        if applier.storage == StorageKind::Nvram {
-            let replayed = applier.replay_nvram(ctx);
-            let mut shared = applier.shared.borrow_mut();
-            shared.update_seq = shared.update_seq.max(replayed);
-        }
+        let replayed = match &applier.storage {
+            Storage::InPlace => 0,
+            Storage::Journal { journal, .. } => self.replay_journal(ctx, journal, worthless),
+            // NVRAM survives the crash; replay pending records into RAM.
+            Storage::Nvram { nvram, .. } => applier.replay_nvram(ctx, nvram),
+        };
         {
             // The lease table is replicated but never durable. A boot
             // from salvaged *non-empty* state may therefore have lost
@@ -1034,6 +1025,7 @@ impl StateMachine for DirectoryStateMachine {
             // replica's fence is harmless extra caution; a genuinely
             // fresh deployment boots with update_seq 0 and no fence.)
             let mut shared = applier.shared.borrow_mut();
+            shared.update_seq = shared.update_seq.max(replayed);
             if shared.update_seq > 0 {
                 // Piggybacked renewals can extend a lease by up to
                 // `lease_renewals × ttl` beyond its original deadline, so
@@ -1064,7 +1056,7 @@ impl StateMachine for DirectoryStateMachine {
         // write must not land after (and clobber) the worthless mark.
         // No new drain can start until the replica is back in normal
         // operation, so releasing right away is safe.
-        if self.applier.journal.is_some() {
+        if let Storage::Journal { .. } = self.applier.storage {
             self.ckpt_acquire(ctx);
             self.ckpt_release();
         }
@@ -1228,7 +1220,7 @@ impl StateMachine for DirectoryStateMachine {
         // records described: drop them (keeping sequence numbers
         // monotone) and the dirty set with them. `begin_copy` already
         // quiesced the checkpointer for this recovery pass.
-        if let Some(journal) = &applier.journal {
+        if let Storage::Journal { journal, .. } = &applier.storage {
             journal.reset(ctx);
             let mut ckpt = self.ckpt.borrow_mut();
             ckpt.dirty.clear();
@@ -1352,8 +1344,7 @@ mod tests {
             DirParams::default(),
             amoeba_bullet::BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0)),
             RawPartition::new(disk, 0, 16),
-            None,
-            None,
+            Storage::InPlace,
             Resource::new(sim.handle(), "cpu"),
         );
         (node, sm)

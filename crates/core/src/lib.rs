@@ -150,7 +150,7 @@ pub use cache::{start_invalidation_listener, CacheParams, CacheStats, DirCache};
 pub use capability::{one_way, Capability};
 pub use client::{DirClient, DirClientError, Listing};
 pub use commit_block::CommitBlock;
-pub use config::{DirParams, ServiceConfig, StorageKind};
+pub use config::{DirParams, ServiceConfig, Storage, StorageKind};
 pub use dir_sm::DirectoryStateMachine;
 pub use directory::{DirStructureError, Directory, Row};
 pub use object_table::{ObjEntry, ObjectTable};

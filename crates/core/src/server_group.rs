@@ -15,12 +15,11 @@
 //! apply batching all live in the driver; this file contains **zero
 //! group-protocol code**.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_bullet::BulletClient;
-use amoeba_disk::{Nvram, RawPartition};
+use amoeba_disk::RawPartition;
 use amoeba_flip::wire::Wire;
 use amoeba_flip::{Payload, Port};
 use amoeba_group::GroupPeer;
@@ -28,11 +27,10 @@ use amoeba_rpc::{RpcClient, RpcNode, RpcParams, RpcServer};
 use amoeba_rsm::{Replica, ReplicaDeps, RsmConfig, RsmError};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
 
-use crate::config::{DirParams, ServiceConfig, StorageKind};
+use crate::config::{DirParams, ServiceConfig, Storage};
 use crate::dir_sm::DirectoryStateMachine;
-use crate::object_table::ObjectTable;
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
-use crate::state::{op_object, Applier, ReadAt, ReadLease, Shared};
+use crate::state::{op_objects, Applier, ReadAt, ReadLease};
 use crate::Capability;
 
 /// Handle to one running group directory server (one replica column).
@@ -65,11 +63,8 @@ pub struct GroupServerDeps {
     pub bullet: BulletClient,
     /// The raw partition holding commit block + object table.
     pub partition: RawPartition,
-    /// The machine's NVRAM, if the NVRAM commit path is configured.
-    pub nvram: Option<Nvram>,
-    /// The group log's journal over the disk's reserved journal region,
-    /// when `params.journal` is on.
-    pub journal: Option<amoeba_disk::Journal>,
+    /// The commit path with its device, built from `params.storage`.
+    pub storage: Storage,
     /// The machine's CPU.
     pub cpu: Resource,
 }
@@ -83,17 +78,11 @@ impl std::fmt::Debug for GroupServerDeps {
 /// Maps the directory service's parameters onto the generic driver's.
 /// Each shard derives its ports from its own service name, so every
 /// shard forms its own group with its own sequencer.
-fn rsm_config(cfg: &ServiceConfig, params: &DirParams) -> RsmConfig {
+fn rsm_config(cfg: &ServiceConfig, params: &DirParams, storage: &Storage) -> RsmConfig {
     let mut rsm = RsmConfig::new(&cfg.service, cfg.n, cfg.me);
     debug_assert_eq!(rsm.group_port, cfg.group_port);
     debug_assert_eq!(rsm.internal_ports[cfg.me], cfg.internal_port(cfg.me));
-    // The checkpointer exists to drain the journal; without a journal
-    // there is nothing to drain.
-    rsm.checkpoint_interval = if params.journal && params.storage == StorageKind::Disk {
-        Some(params.checkpoint_interval)
-    } else {
-        None
-    };
+    rsm.checkpoint_interval = storage.checkpoint_interval();
     rsm.idle_timeout = params.nvram_idle_flush;
     rsm.improved_recovery = params.improved_recovery;
     rsm
@@ -109,33 +98,16 @@ pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupD
         peer,
         bullet,
         partition,
-        nvram,
-        journal,
+        storage,
         cpu,
     } = deps;
-    if params.storage == StorageKind::Nvram {
-        assert!(nvram.is_some(), "NVRAM storage configured without a device");
-    }
-    if params.journal && params.storage == StorageKind::Disk {
-        assert!(journal.is_some(), "journaled commit path without a journal");
-    }
-    let table = ObjectTable::new(partition.clone());
-    let shared = Rc::new(RefCell::new(Shared::new(table, cfg.n)));
-    let applier = Rc::new(Applier {
-        cfg: cfg.clone(),
-        storage: params.storage,
-        shared: Rc::clone(&shared),
+    let applier = Rc::new(Applier::new(
+        cfg.clone(),
+        &params,
         bullet,
         partition,
-        nvram,
-        journal: if params.storage == StorageKind::Disk {
-            journal
-        } else {
-            None
-        },
-        max_lease_us: params.max_lease.as_micros() as u64,
-        lease_renewals: params.lease_renewals,
-    });
+        storage,
+    ));
     let sm = Rc::new(DirectoryStateMachine::new(
         Rc::clone(&applier),
         params.clone(),
@@ -144,7 +116,7 @@ pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupD
     let replica = Replica::start(
         spawner,
         ReplicaDeps {
-            cfg: rsm_config(&cfg, &params),
+            cfg: rsm_config(&cfg, &params, &applier.storage),
             sim_node,
             rpc: rpc.clone(),
             peer,
@@ -193,11 +165,6 @@ impl GroupDirServer {
     /// The current logical version (diagnostics/tests).
     pub fn update_seq(&self) -> u64 {
         self.applier.shared.borrow().update_seq
-    }
-
-    /// Forces any pending NVRAM records to disk (diagnostics/tests).
-    pub fn flush_storage(&self, ctx: &amoeba_sim::Ctx) {
-        self.applier.flush_nvram(ctx);
     }
 
     /// Whether the server is in normal operation.
@@ -432,12 +399,8 @@ fn read_point<'a>(
 /// upserts a directory clients could already be leasing. Never called
 /// for a `GrantRead`, which mutates no rows.
 fn fence_objects(op: &DirOp, reply: &DirReply) -> Vec<u64> {
-    let mut v = match op {
-        // Fresh creates get unleased objects.
-        DirOp::Create { .. } | DirOp::CreateKeyed { .. } | DirOp::InstallDir { .. } => Vec::new(),
-        DirOp::ReplaceSet { items } => items.iter().map(|(o, _, _)| *o).collect(),
-        other => vec![op_object(other)],
-    };
+    // Fresh creates name no object: theirs are unleased.
+    let mut v: Vec<u64> = op_objects(op).collect();
     if let DirReply::Cap(c) = reply {
         v.push(c.object);
     }

@@ -17,10 +17,9 @@ use amoeba_flip::Payload;
 use amoeba_rpc::{RpcNode, RpcServer};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
 
-use crate::config::{DirParams, ServiceConfig, StorageKind};
-use crate::object_table::ObjectTable;
+use crate::config::{DirParams, ServiceConfig, Storage};
 use crate::ops::{DirError, DirReply, DirRequest};
-use crate::state::{Applier, Mode, ReadAt, Shared};
+use crate::state::{Applier, ReadAt, Shared};
 
 /// Handle to the running NFS-like server.
 #[derive(Clone)]
@@ -78,21 +77,14 @@ pub fn start_nfs_server(spawner: &impl Spawn, deps: NfsServerDeps) -> NfsDirServ
         cpu,
     } = deps;
     assert_eq!(cfg.n, 1, "the NFS-like baseline is a single server");
-    let table = ObjectTable::new(partition.clone());
-    let mut shared0 = Shared::new(table, 1);
-    shared0.mode = Mode::Normal;
-    let shared = Rc::new(RefCell::new(shared0));
-    let applier = Rc::new(Applier {
-        cfg: cfg.clone(),
-        storage: StorageKind::Disk,
-        shared: Rc::clone(&shared),
+    let applier = Rc::new(Applier::new(
+        cfg.clone(),
+        &params,
         bullet,
         partition,
-        nvram: None,
-        journal: None,
-        max_lease_us: params.max_lease.as_micros() as u64,
-        lease_renewals: params.lease_renewals,
-    });
+        Storage::InPlace,
+    ));
+    let shared = Rc::clone(&applier.shared);
     // Updates serialize through a single mutation lock (one metadata
     // update in flight, like a kernel inode lock).
     let update_lock = Resource::new(spawner.sim_handle(), "nfs-update");

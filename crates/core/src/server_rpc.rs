@@ -21,10 +21,9 @@ use amoeba_flip::{wire_enum, Payload};
 use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
 use amoeba_sim::{Ctx, IdSet, MailboxTx, NodeId, Resource, Spawn};
 
-use crate::config::{DirParams, ServiceConfig, StorageKind};
-use crate::object_table::ObjectTable;
+use crate::config::{DirParams, ServiceConfig, Storage};
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
-use crate::state::{Applier, Mode, ReadAt, Shared};
+use crate::state::{Applier, ReadAt, Shared};
 
 wire_enum! {
     /// Peer-coordination messages of the RPC service (the paper's
@@ -125,21 +124,14 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
         cpu,
     } = deps;
     assert_eq!(cfg.n, 2, "the RPC directory service is duplicated");
-    let table = ObjectTable::new(partition.clone());
-    let mut shared0 = Shared::new(table, cfg.n);
-    shared0.mode = Mode::Normal; // no group machinery
-    let shared = Rc::new(RefCell::new(shared0));
-    let applier = Rc::new(Applier {
-        cfg: cfg.clone(),
-        storage: StorageKind::Disk,
-        shared: Rc::clone(&shared),
+    let applier = Rc::new(Applier::new(
+        cfg.clone(),
+        &params,
         bullet,
         partition,
-        nvram: None,
-        journal: None,
-        max_lease_us: params.max_lease.as_micros() as u64,
-        lease_renewals: params.lease_renewals,
-    });
+        Storage::InPlace,
+    ));
+    let shared = Rc::clone(&applier.shared);
     let coord = Rc::new(RefCell::new(RpcCoord {
         locked: IdSet::default(),
         pending_intents: Vec::new(),

@@ -6,31 +6,22 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use amoeba_bullet::{BulletClient, FileCap};
-use amoeba_disk::{Journal, NvRecord, Nvram, RawPartition};
+use amoeba_disk::{NvRecord, Nvram, RawPartition};
 use amoeba_flip::wire::{encode_with, Wire, WireWriter};
 use amoeba_flip::{wire_struct, Payload, Port};
 use amoeba_sim::{Ctx, IdMap, IdSet};
 
 use crate::capability::Capability;
 use crate::commit_block::CommitBlock;
-use crate::config::{ServiceConfig, StorageKind};
+use crate::config::{DirParams, ServiceConfig, Storage};
 use crate::directory::{put_row, DirStructureError, Directory, Row, COLUMNS, ROWS};
 use crate::object_table::{ObjEntry, ObjectTable};
 use crate::ops::{put_snapshot_head, DirError, DirOp, DirReply, DirRequest};
 use crate::rights::Rights;
 
-/// Server operating mode (the group variant's mode lives in the RSM
-/// driver; this one is read by the RPC baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
-    Recovering,
-    Normal,
-}
-
 /// Mutable replica state. Borrow discipline: never hold the borrow across
 /// a blocking simulator call.
 pub(crate) struct Shared {
-    pub mode: Mode,
     pub table: ObjectTable,
     /// Authoritative in-RAM directory contents (the paper's RAM cache;
     /// lazily refilled from Bullet files after a reboot). Each entry is
@@ -137,7 +128,6 @@ wire_struct! {
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
-            .field("mode", &self.mode)
             .field("update_seq", &self.update_seq)
             .field("applied_group_seq", &self.applied_group_seq)
             .finish()
@@ -147,7 +137,6 @@ impl std::fmt::Debug for Shared {
 impl Shared {
     pub fn new(table: ObjectTable, n: usize) -> Shared {
         Shared {
-            mode: Mode::Recovering,
             table,
             cache: IdMap::default(),
             unflushed: IdMap::default(),
@@ -203,16 +192,12 @@ impl Shared {
 /// Everything a server needs to validate and apply operations.
 pub(crate) struct Applier {
     pub cfg: ServiceConfig,
-    pub storage: StorageKind,
     pub shared: Rc<RefCell<Shared>>,
     pub bullet: BulletClient,
     pub partition: RawPartition,
-    pub nvram: Option<Nvram>,
-    /// The group log's journal, when the journaled commit path is on
-    /// (`DirParams::journal`): flushes append one sequential record
-    /// here and a background checkpointer drains the dirty set into the
-    /// table. `None` keeps the in-place flush.
-    pub journal: Option<Journal>,
+    /// The commit path with its device, the one value every storage
+    /// hook matches.
+    pub storage: Storage,
     /// Upper bound on granted read-lease durations, in simulated
     /// microseconds ([`crate::config::DirParams::max_lease`]): bounds
     /// how long a write can stall on an unreachable lease holder.
@@ -226,6 +211,29 @@ pub(crate) struct Applier {
 impl std::fmt::Debug for Applier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Applier(server {})", self.cfg.me)
+    }
+}
+
+impl Applier {
+    /// An applier over cold RAM state: an empty object table on `partition`.
+    pub fn new(
+        cfg: ServiceConfig,
+        params: &DirParams,
+        bullet: BulletClient,
+        partition: RawPartition,
+        storage: Storage,
+    ) -> Applier {
+        let table = ObjectTable::new(partition.clone());
+        let shared = Rc::new(RefCell::new(Shared::new(table, cfg.n)));
+        Applier {
+            cfg,
+            shared,
+            bullet,
+            partition,
+            storage,
+            max_lease_us: params.max_lease.as_micros() as u64,
+            lease_renewals: params.lease_renewals,
+        }
     }
 }
 
@@ -408,6 +416,16 @@ pub(crate) fn op_object(op: &DirOp) -> u64 {
     }
 }
 
+/// Every directory an op concerns: each item's of a `ReplaceSet`, else
+/// the one [`op_object`] names (none for a create).
+pub(crate) fn op_objects(op: &DirOp) -> impl Iterator<Item = u64> + '_ {
+    let (items, one) = match op {
+        DirOp::ReplaceSet { items } => (&items[..], None),
+        other => (&[][..], Some(op_object(other)).filter(|&o| o != 0)),
+    };
+    items.iter().map(|(o, _, _)| *o).chain(one)
+}
+
 /// The masks of the columns a holder with `rights` sees.
 fn visible_masks(masks: &[Rights], rights: Rights) -> impl Iterator<Item = Rights> + Clone + '_ {
     masks
@@ -479,40 +497,39 @@ impl Applier {
     /// (Bullet reads must happen outside the borrow; after a reboot the
     /// cache starts cold).
     pub(crate) fn preload_for(&self, ctx: &Ctx, op: &DirOp) {
-        match op {
-            DirOp::ReplaceSet { items } => {
-                for (object, _, _) in items {
-                    let _ = self.load_dir(ctx, *object);
-                }
-            }
-            _ => {
-                let object = op_object(op);
-                if object != 0 {
-                    let _ = self.load_dir(ctx, object);
-                }
-            }
+        for object in op_objects(op) {
+            let _ = self.load_dir(ctx, object);
         }
     }
 
     /// NVRAM commit path for one applied op: log it (and annihilate what
     /// the log no longer needs, §4.1). The group-commit flush is the
     /// log append itself — durable immediately, applied to disk lazily.
-    pub(crate) fn commit_nvram(&self, ctx: &Ctx, useq: u64, op: &DirOp) {
+    /// `false` when the record does not fit even an empty device: the
+    /// caller must then commit the op's effects in place.
+    pub(crate) fn commit_nvram(&self, ctx: &Ctx, nvram: &Nvram, useq: u64, op: &DirOp) -> bool {
         if let DirOp::Delete { object } = op {
-            // Pending records of a deleted directory are moot,
-            // but the delete itself must be logged.
-            let nvram = self.nvram.as_ref().expect("nvram storage");
-            let _ = nvram.annihilate(|r| r.tag == *object);
+            // Pending records of a deleted directory are moot, but the
+            // delete itself must be logged. A record that also edits
+            // another directory is not moot: it stays.
+            let _ = nvram.annihilate(|r| {
+                r.tag == *object
+                    && decode_nv_record(&r.data)
+                        .is_some_and(|(_, op)| op_objects(&op).all(|o| o == *object))
+            });
         }
         // Every modification is logged (and charged) — then a
         // delete whose append is still in the log annihilates
         // *both* records, so neither ever costs a disk operation
         // (§4.1). The NVRAM write itself is still paid, which is
         // what bounds the paper's Fig. 9 at ~45 pairs/s.
-        self.log_op(ctx, useq, op_object(op), op);
-        if let DirOp::DeleteRow { object, name } = op {
-            self.try_annihilate_pair(*object, name);
+        if !self.log_op(ctx, nvram, useq, op_object(op), op) {
+            return false;
         }
+        if let DirOp::DeleteRow { object, name } = op {
+            self.try_annihilate_pair(nvram, *object, name);
+        }
+        true
     }
 
     /// Computes the new state and storage effects for `op`, and the
@@ -966,8 +983,7 @@ impl Applier {
     /// append is still in the log with no intervening record for the same
     /// row, remove both the append and the delete — neither will ever
     /// reach the disk (§4.1's `/tmp` effect).
-    fn try_annihilate_pair(&self, object: u64, name: &str) -> bool {
-        let nvram = self.nvram.as_ref().expect("nvram storage");
+    fn try_annihilate_pair(&self, nvram: &Nvram, object: u64, name: &str) {
         let records = nvram.snapshot();
         let mut append_uid: Option<u64> = None;
         let mut delete_uid: Option<u64> = None;
@@ -993,72 +1009,60 @@ impl Applier {
                 }
             }
         }
-        match (append_uid, delete_uid) {
-            (Some(a), Some(d)) => nvram.annihilate(|r| r.uid == a || r.uid == d) >= 2,
-            _ => false,
+        if let (Some(a), Some(d)) = (append_uid, delete_uid) {
+            nvram.annihilate(|r| r.uid == a || r.uid == d);
         }
     }
 
-    fn log_op(&self, ctx: &Ctx, useq: u64, tag: u64, op: &DirOp) {
+    /// Logs one record; `false` if it does not fit even after a flush.
+    fn log_op(&self, ctx: &Ctx, nvram: &Nvram, useq: u64, tag: u64, op: &DirOp) -> bool {
         let uid = {
             let mut shared = self.shared.borrow_mut();
             let uid = shared.next_nv_uid;
             shared.next_nv_uid += 1;
             uid
         };
-        self.append_with_flush(
-            ctx,
-            NvRecord {
-                uid,
-                tag,
-                data: (useq, op.encode()).encode().to_vec(),
-            },
-        );
-    }
-
-    fn append_with_flush(&self, ctx: &Ctx, rec: NvRecord) {
-        let nvram = self.nvram.as_ref().expect("nvram storage");
-        if nvram.append(ctx, rec.clone()).is_err() {
-            // Full: flush synchronously, then retry once.
-            self.flush_nvram(ctx);
-            let _ = nvram.append(ctx, rec);
+        let rec = NvRecord {
+            uid,
+            tag,
+            data: (useq, op.encode()).encode().to_vec(),
+        };
+        if nvram.append(ctx, rec.clone()).is_ok() {
+            return true;
         }
+        // Full: flush synchronously, then retry once.
+        self.flush_nvram(ctx, nvram);
+        nvram.append(ctx, rec).is_ok()
     }
 
     /// Applies logged records to disk and removes exactly those records.
     /// Runs in the background flusher and on demand when the device fills.
-    pub fn flush_nvram(&self, ctx: &Ctx) {
-        let nvram = match &self.nvram {
-            Some(n) => n,
-            None => return,
-        };
+    pub(crate) fn flush_nvram(&self, ctx: &Ctx, nvram: &Nvram) {
         let records = nvram.snapshot();
         if records.is_empty() {
             return;
         }
-        // The newest state per object is already in RAM; write each dirty
-        // object's current version once.
-        let mut dirty: Vec<u64> = records.iter().map(|r| r.tag).collect();
+        // The newest state per object is already in RAM; write each
+        // directory a record edits once, at its current version. Creates
+        // name none: they are flushed via their directory object.
+        let mut dirty: Vec<u64> = Vec::new();
+        for (_, op) in records.iter().filter_map(|r| decode_nv_record(&r.data)) {
+            dirty.extend(op_objects(&op));
+        }
         dirty.sort_unstable();
         dirty.dedup();
         for object in dirty {
-            if object == 0 {
-                continue; // creates are flushed via their directory object
-            }
             let dir = { self.shared.borrow_mut().cache.get(&object).cloned() };
             let live = { self.shared.borrow_mut().table.get(object).is_some() };
-            match (dir, live) {
-                (Some(dir), true) => self.store_dir_to_disk(ctx, object, &dir),
-                _ => {
-                    // Deleted since: persist the cleared entry + commit.
-                    let waiter = { self.shared.borrow_mut().table.flush_begin(object) };
-                    if let Some(w) = waiter {
-                        w.recv(ctx);
-                    }
-                    let cb = { self.shared.borrow_mut().commit.clone() };
-                    cb.write(&self.partition, ctx);
-                }
-            }
+            let effect = match (dir, live) {
+                (Some(dir), true) => Effect::StoreDir { object, dir },
+                // Deleted since: persist the cleared entry + commit.
+                _ => Effect::DropDir {
+                    object,
+                    old_file: FileCap::NULL,
+                },
+            };
+            self.perform_disk(ctx, effect);
         }
         // Creates (tag 0) are covered by the object they created: replaying
         // them against the flushed table is a no-op because the object is
@@ -1072,20 +1076,13 @@ impl Applier {
     ///
     /// Creates logged with tag 0 re-run the deterministic allocator, so a
     /// replayed create lands on the same object number it had originally.
-    pub fn replay_nvram(&self, ctx: &Ctx) -> u64 {
-        let nvram = match &self.nvram {
-            Some(n) => n,
-            None => return 0,
-        };
+    pub(crate) fn replay_nvram(&self, ctx: &Ctx, nvram: &Nvram) -> u64 {
         let mut max_seq = 0;
         for rec in nvram.snapshot() {
             if let Some((useq, op)) = decode_nv_record(&rec.data) {
                 // For ops against directories not yet cached, pull the
-                // on-disk version first so the mutation applies cleanly.
-                let needs = op_object(&op);
-                if needs != 0 {
-                    let _ = self.load_dir(ctx, needs);
-                }
+                // on-disk versions first so the mutation applies cleanly.
+                self.preload_for(ctx, &op);
                 let mut shared = self.shared.borrow_mut();
                 let _ = self.plan(&mut shared, &op, Some(useq), false);
                 max_seq = max_seq.max(useq);

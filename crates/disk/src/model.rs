@@ -31,11 +31,6 @@ pub struct DiskParams {
     /// `false` (the default) charges every request a full average
     /// access, the original model.
     pub head_aware: bool,
-    /// Blocks reserved for the group log's journal region when the
-    /// directory service's journaled commit path is enabled (see
-    /// [`crate::Journal`]). Ignored — and the region not carved — when
-    /// the journal is off, so the default layout is unchanged.
-    pub journal_blocks: u64,
 }
 
 impl DiskParams {
@@ -47,7 +42,6 @@ impl DiskParams {
             transfer_bps: 1_200_000,
             block_size: 4096,
             head_aware: false,
-            journal_blocks: 2048,
         }
     }
 
@@ -60,7 +54,6 @@ impl DiskParams {
             transfer_bps: u64::MAX,
             block_size: 4096,
             head_aware: false,
-            journal_blocks: 2048,
         }
     }
 

@@ -131,12 +131,6 @@ impl Nvram {
         Ok(())
     }
 
-    /// Whether a record would fit right now.
-    pub fn would_fit(&self, record: &NvRecord) -> bool {
-        let i = self.inner.borrow();
-        i.used + record.cost() <= i.capacity
-    }
-
     /// Removes all records matching `pred`, returning how many were
     /// annihilated. Free: no device time is charged (the controller just
     /// invalidates entries).

@@ -191,7 +191,7 @@ fn cmd_ci_smoke() -> ExitCode {
         }
         return ExitCode::FAILURE;
     }
-    // 250 ms is `DirParams::checkpoint_interval`'s default — the tick
+    // 250 ms is `StorageKind::journal()`'s checkpoint interval — the tick
     // the schedule's windows are keyed to.
     let ckpt_schedule = FaultSchedule::checkpoint_phase(3, 250, WRITE_START_MS);
     let ckpt = run_scenario(&journaled, &ckpt_schedule, RunMode::Record);

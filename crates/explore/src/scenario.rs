@@ -38,7 +38,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_dir_core::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dir_core::{CacheParams, Capability, DirClient, Rights};
+use amoeba_dir_core::{CacheParams, Capability, DirClient, Rights, StorageKind};
 use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_sim::{Ctx, SimHandle, SimTime, SimTrace, Simulation};
 
@@ -77,9 +77,9 @@ pub struct ScenarioParams {
     /// bug ([`amoeba_group` `GroupConfig::buggy_retrans_bound`]) so the
     /// search can demonstrate finding it.
     pub buggy_retrans_bound: bool,
-    /// Run the replicas' group log (`DirParams::journal`): commits are
-    /// sequential journal appends and the background checkpointer does
-    /// the table writeback — so fault windows can land *inside* a
+    /// Run the replicas' group log ([`StorageKind::journal`]): commits
+    /// are sequential journal appends and the background checkpointer
+    /// does the table writeback — so fault windows can land *inside* a
     /// checkpoint drain. Part of the repro-bundle encoding.
     pub journal: bool,
     /// Install the causal-tracing telemetry layer on the run and return
@@ -297,7 +297,9 @@ fn run_inner(
     };
     cp.seed = params.seed;
     cp.group.buggy_retrans_bound = params.buggy_retrans_bound;
-    cp.dir.journal = params.journal;
+    if params.journal {
+        cp.dir.storage = StorageKind::journal();
+    }
     if params.dir_cache {
         cp.dir_cache = Some(CacheParams::default());
     }

@@ -160,7 +160,7 @@ impl FaultSchedule {
 
     /// A schedule that hunts the group log's checkpointer. The
     /// journaled commit path drains its dirty set on a fixed tick
-    /// (`DirParams::checkpoint_interval`, `interval_ms` here), so the
+    /// (the journal's `checkpoint_interval`, `interval_ms` here), so the
     /// journal sits at its high-water mark in the moments *before* a
     /// tick and the table writeback runs in the moments *after* it.
     /// This places short crash windows on both edges of successive

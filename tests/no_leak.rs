@@ -40,7 +40,7 @@ use amoeba_dirsvc::bullet::BulletClient;
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
     Capability, DirOp, DirParams, DirReply, DirRequest, Directory, DirectoryStateMachine,
-    ObjectTable, Rights, ServiceConfig,
+    ObjectTable, Rights, ServiceConfig, Storage,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
@@ -166,8 +166,7 @@ fn machine_that_never_flushes(sim: &Simulation) -> (NodeId, DirectoryStateMachin
         DirParams::default(),
         BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0)),
         RawPartition::new(disk, 0, 16),
-        None,
-        None,
+        Storage::InPlace,
         Resource::new(sim.handle(), "cpu"),
     );
     (node, sm)

@@ -1,11 +1,20 @@
 //! NVRAM-variant behaviour: crash persistence, annihilation, background
-//! flushing (paper §4.1).
+//! flushing (paper §4.1), and which storage each `paper()` preset
+//! selects.
 
 use std::time::Duration;
 
+use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::{Capability, DirClient, Rights};
-use amoeba_dirsvc::sim::{Ctx, Simulation};
+use amoeba_dirsvc::dir::{
+    Capability, DirClient, DirOp, DirParams, DirectoryStateMachine, Rights, ServiceConfig, Storage,
+    StorageKind,
+};
+use amoeba_dirsvc::disk::{DiskParams, DiskServer, Nvram, RawPartition, VDisk};
+use amoeba_dirsvc::flip::{NetParams, Network, Payload, Port};
+use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
+use amoeba_dirsvc::rsm::StateMachine;
+use amoeba_dirsvc::sim::{Ctx, NodeId, Resource, Simulation};
 
 fn ready_root(ctx: &Ctx, client: &DirClient) -> Capability {
     loop {
@@ -137,4 +146,212 @@ fn updates_eventually_reach_the_disk() {
     });
     sim.run_for(Duration::from_secs(30));
     assert_eq!(out.take(), Some(true), "idle flusher must write to disk");
+}
+
+// ---------------------------------------------------------------------
+// The NVRAM log on one machine: what a reboot finds of an acknowledged
+// update.
+// ---------------------------------------------------------------------
+
+/// A directory machine with the paper's 24 KB NVRAM on a node of its
+/// own, over an instant disk with a Bullet server, and the node.
+fn nvram_machine(sim: &Simulation) -> (NodeId, DirectoryStateMachine) {
+    let node = sim.add_node("m");
+    let net = Network::new(sim.handle(), NetParams::default(), 1);
+    let rpc = RpcNode::start(sim, node, net.attach());
+    let disk = DiskServer::start(sim, node, VDisk::new(256, 4096), DiskParams::instant());
+    let cfg = ServiceConfig::new(3, 0);
+    let store = BulletStore::new(240, 4096, 0xB0);
+    start_bullet_server(
+        sim,
+        node,
+        &rpc,
+        cfg.bullet_port(0),
+        disk.clone(),
+        store,
+        16,
+        1,
+    );
+    let sm = DirectoryStateMachine::standalone(
+        cfg.clone(),
+        DirParams::nvram(),
+        BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0)),
+        RawPartition::new(disk, 0, 16),
+        Storage::Nvram {
+            nvram: Nvram::paper_24k(),
+            flush_threshold: 0.75,
+        },
+        Resource::new(sim.handle(), "cpu"),
+    );
+    (node, sm)
+}
+
+/// The owner capability of directory `object` (created with check
+/// `0xC0 | object`).
+fn dir_cap(object: u64) -> Capability {
+    Capability::owner(ServiceConfig::new(3, 0).public_port, object, 0xC0 | object)
+}
+
+/// Row `r`'s name, long enough that 150 rows of two directories make a
+/// record larger than the 24 KB device.
+fn row_name(r: usize) -> String {
+    format!("{r:03}-a-name-long-enough-to-fill-the-log-in-a-few-hundred-rows")
+}
+
+/// Creates directories 1 and 2, appends `rows` rows to each, and drains
+/// the log to disk: the state every scenario starts from. Returns the
+/// next group seq.
+fn two_dirs_on_disk(ctx: &Ctx, sm: &DirectoryStateMachine, rows: usize) -> u64 {
+    let mut seq = 0;
+    let mut apply = |op: DirOp| {
+        seq += 1;
+        sm.apply(ctx, seq, &op.encode(), false);
+        sm.flush(ctx);
+    };
+    for object in [1, 2] {
+        apply(DirOp::Create {
+            columns: vec!["owner".into()],
+            check: 0xC0 | object,
+        });
+    }
+    for object in [1, 2] {
+        for r in 0..rows {
+            apply(DirOp::Append {
+                object,
+                name: row_name(r),
+                cap: dir_cap(object),
+                col_rights: vec![Rights::ALL],
+            });
+        }
+    }
+    sm.idle(ctx);
+    seq + 1
+}
+
+/// A `ReplaceSet` pointing every named row of both directories at
+/// another service's object: one op that edits both.
+fn replace_in_both(rows: usize) -> DirOp {
+    let cap = Capability::owner(Port::from_name("elsewhere"), 9, 0x9);
+    DirOp::ReplaceSet {
+        items: [2, 1]
+            .into_iter()
+            .flat_map(|object| (0..rows).map(move |r| (object, row_name(r), cap)))
+            .collect(),
+    }
+}
+
+/// What a holder of each directory's owner capability is sent, and the
+/// update seq.
+fn answers(ctx: &Ctx, sm: &DirectoryStateMachine, objects: &[u64]) -> (Vec<Payload>, u64) {
+    let answers = objects
+        .iter()
+        .map(|&o| sm.lease_answer(ctx, &dir_cap(o), 0, 1))
+        .collect();
+    (answers, sm.update_seq())
+}
+
+/// Runs `scenario` on a fresh NVRAM machine, then boots a cold machine
+/// over the same disk and NVRAM, and returns what each saw of the
+/// directories `objects`.
+fn before_and_after_reboot(
+    objects: &'static [u64],
+    scenario: impl FnOnce(&Ctx, &DirectoryStateMachine) + 'static,
+) -> [(Vec<Payload>, u64); 2] {
+    let mut sim = Simulation::new(7);
+    let (node, sm) = nvram_machine(&sim);
+    let out = sim.spawn_on(node, "replica", move |ctx| {
+        scenario(ctx, &sm);
+        let before = answers(ctx, &sm, objects);
+        let rebooted = sm.reopen_for_test();
+        rebooted.boot(ctx);
+        [before, answers(ctx, &rebooted, objects)]
+    });
+    sim.run_for(Duration::from_secs(600));
+    out.take().expect("the scenario ran")
+}
+
+/// A `ReplaceSet` that edits two directories is logged once, tagged with
+/// its first; a reboot must replay it into both.
+#[test]
+fn nvram_replay_keeps_a_replace_set_across_directories() {
+    let [before, after] = before_and_after_reboot(&[1, 2], |ctx, sm| {
+        let seq = two_dirs_on_disk(ctx, sm, 2);
+        sm.apply(ctx, seq, &replace_in_both(2).encode(), false);
+        sm.flush(ctx);
+    });
+    assert_eq!(after, before, "the reboot lost part of the ReplaceSet");
+}
+
+/// A flush of the log writes every directory its records edit before it
+/// drops them.
+#[test]
+fn nvram_flush_writes_every_directory_a_replace_set_edits() {
+    let [before, after] = before_and_after_reboot(&[1, 2], |ctx, sm| {
+        let seq = two_dirs_on_disk(ctx, sm, 2);
+        sm.apply(ctx, seq, &replace_in_both(2).encode(), false);
+        sm.flush(ctx);
+        sm.idle(ctx);
+    });
+    assert_eq!(after, before, "the flush dropped part of the ReplaceSet");
+}
+
+/// Deleting the first directory a logged `ReplaceSet` edits leaves its
+/// record: the other directory's replacement is still owed.
+#[test]
+fn nvram_delete_keeps_a_record_that_edits_another_directory() {
+    let [before, after] = before_and_after_reboot(&[2], |ctx, sm| {
+        let seq = two_dirs_on_disk(ctx, sm, 2);
+        sm.apply(ctx, seq, &replace_in_both(2).encode(), false);
+        sm.apply(ctx, seq + 1, &DirOp::Delete { object: 1 }.encode(), false);
+        sm.flush(ctx);
+    });
+    assert_eq!(
+        after, before,
+        "the delete took directory 2's update with it"
+    );
+}
+
+/// An op whose record is larger than the whole device is committed in
+/// place before it is acknowledged.
+#[test]
+fn an_nvram_record_larger_than_the_device_is_committed_in_place() {
+    let [before, after] = before_and_after_reboot(&[1, 2], |ctx, sm| {
+        let seq = two_dirs_on_disk(ctx, sm, 150);
+        let op = replace_in_both(150).encode();
+        assert!(
+            op.len() > Nvram::paper_24k().capacity(),
+            "{} bytes",
+            op.len()
+        );
+        sm.apply(ctx, seq, &op, false);
+        sm.flush(ctx);
+    });
+    assert_eq!(after, before, "an acknowledged op was not durable");
+}
+
+/// `paper()` is the paper's storage whatever the default: the in-place
+/// commit (§3.1) for every variant and constructor, the NVRAM log
+/// (§4.1) for `GroupNvram`.
+#[test]
+fn every_paper_preset_selects_the_papers_storage() {
+    for variant in [
+        Variant::Group,
+        Variant::GroupNvram,
+        Variant::Rpc,
+        Variant::Nfs,
+    ] {
+        let expected = match variant {
+            Variant::GroupNvram => StorageKind::nvram(),
+            _ => StorageKind::InPlace,
+        };
+        for params in [
+            ClusterParams::paper(variant),
+            ClusterParams::routed(variant),
+            ClusterParams::sharded(variant, 4),
+            ClusterParams::sharded_routed(variant, 4),
+            ClusterParams::sharded_chain(variant, 4, 2),
+        ] {
+            assert_eq!(params.dir.storage, expected, "{}", variant.label());
+        }
+    }
 }

@@ -12,7 +12,7 @@ use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
     Capability, DirOp, DirParams, DirectoryStateMachine, LeaseRequest, LeaseService, Rights,
-    ServiceConfig, StorageKind,
+    ServiceConfig, Storage, StorageKind,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
@@ -124,17 +124,17 @@ fn dir_column(
     disk_params: DiskParams,
     dir_params: DirParams,
 ) -> DirColumn {
-    dir_column_with(sim, net, idx, disk_params, dir_params, None)
+    dir_column_with(sim, net, idx, disk_params, dir_params, Storage::InPlace)
 }
 
-/// [`dir_column`], with the machine's NVRAM for `StorageKind::Nvram`.
+/// [`dir_column`] over the given commit path, e.g. the machine's NVRAM.
 fn dir_column_with(
     sim: &Simulation,
     net: &Network,
     idx: usize,
     disk_params: DiskParams,
     dir_params: DirParams,
-    nvram: Option<Nvram>,
+    storage: Storage,
 ) -> DirColumn {
     let cfg = ServiceConfig::new(3, idx);
     let node = sim.add_node(&format!("col-{idx}"));
@@ -158,7 +158,7 @@ fn dir_column_with(
     let cpu = Resource::new(sim.handle(), &format!("cpu-{idx}"));
     DirColumn {
         sm: Rc::new(DirectoryStateMachine::standalone(
-            cfg, dir_params, bullet, partition, nvram, None, cpu,
+            cfg, dir_params, bullet, partition, storage, cpu,
         )),
         node,
         vdisk,
@@ -305,10 +305,13 @@ fn journaled_directory_machine_conforms() {
 fn nvram_directory_machine_conforms() {
     directory_conformance(0x5EEF, |sim, net, idx| {
         let params = DirParams {
-            storage: StorageKind::Nvram,
+            storage: StorageKind::nvram(),
             ..DirParams::default()
         };
-        let nvram = Some(Nvram::paper_24k());
+        let nvram = Storage::Nvram {
+            nvram: Nvram::paper_24k(),
+            flush_threshold: 0.75,
+        };
         dir_column_with(sim, net, idx, DiskParams::instant(), params, nvram)
     });
 }
@@ -575,7 +578,9 @@ fn crash_during_journaled_apply_loses_no_acknowledged_update() {
 fn crash_during_apply_scenario(seed: u64, journal: bool) {
     let mut sim = Simulation::new(seed);
     let mut params = ClusterParams::paper(Variant::Group);
-    params.dir.journal = journal;
+    if journal {
+        params.dir.storage = StorageKind::journal();
+    }
     let mut cluster = Cluster::start(&sim, params);
     let (client, _) = cluster.client(&sim);
     let c = client.clone();
@@ -734,8 +739,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
         DirParams::default(),
         bullet.clone(),
         partition.clone(),
-        None,
-        None,
+        Storage::InPlace,
         cpu.clone(),
     ));
     let p1 = Rc::clone(&probe);
@@ -768,8 +772,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
         DirParams::default(),
         bullet,
         partition,
-        None,
-        None,
+        Storage::InPlace,
         cpu,
     ));
     let worthless = sim.spawn("probe-copy-crash", move |ctx| {
@@ -796,7 +799,7 @@ const JOURNAL_BLOCKS: u64 = 64;
 
 fn journaled_params() -> DirParams {
     DirParams {
-        journal: true,
+        storage: StorageKind::journal(),
         ..DirParams::default()
     }
 }
@@ -834,8 +837,10 @@ fn dir_column_journaled(
             dir_params,
             bullet,
             partition,
-            None,
-            Some(journal),
+            Storage::Journal {
+                journal,
+                checkpoint_interval: Duration::from_millis(250),
+            },
             cpu,
         )),
         node,
@@ -869,8 +874,10 @@ fn journaled_probe(
         journaled_params(),
         bullet,
         partition,
-        None,
-        Some(journal),
+        Storage::Journal {
+            journal,
+            checkpoint_interval: Duration::from_millis(250),
+        },
         cpu,
     ));
     (probe, jpart)

@@ -19,7 +19,7 @@ use amoeba_dirsvc::bullet::{BulletClient, BulletErrorKind, BulletReply, BulletRe
 use amoeba_dirsvc::dir::{
     Capability, CommitBlock, DirError, DirOp, DirParams, DirReply, DirRequest, Directory,
     DirectoryStateMachine, LeaseReply, LeaseRequest, LeaseService, LeaseTable, PeerMsg, Rights,
-    Row, ServiceConfig,
+    Row, ServiceConfig, Storage,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
@@ -472,8 +472,7 @@ fn two_machines(sim: &mut Simulation) -> (NodeId, [DirectoryStateMachine; 2]) {
             DirParams::default(),
             BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0)),
             RawPartition::new(disk.clone(), first_block, 16),
-            None,
-            None,
+            Storage::InPlace,
             Resource::new(sim.handle(), "cpu"),
         )
     };
