@@ -9,7 +9,7 @@ use amoeba_disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
 use amoeba_flip::{HostAddr, NetParams, Network, NodeStack, SegmentId, Topology};
 use amoeba_group::{GroupConfig, GroupPeer};
 use amoeba_rpc::{RpcClient, RpcNode};
-use amoeba_rsm::service::{start_service, ServiceDeps, ServiceHandle};
+use amoeba_rsm::Replica;
 use amoeba_sim::{Ctx, NodeId, Resource, Simulation, Spawn};
 
 use amoeba_flip::Port;
@@ -18,7 +18,7 @@ use crate::cache::{start_invalidation_listener, CacheParams, DirCache};
 use crate::client::DirClient;
 use crate::config::{DirParams, ServiceConfig, Storage, StorageKind};
 use crate::server_group::{start_group_server, GroupDirServer, GroupServerDeps};
-use crate::server_lease::{LeaseClient, LeaseService};
+use crate::server_lease::{start_lease_service, LeaseClient, LeaseMachine};
 use crate::server_nfs::{start_nfs_server, NfsServerDeps};
 use crate::server_rpc::{start_rpc_server, RpcServerDeps};
 
@@ -213,12 +213,12 @@ pub struct ClusterParams {
     pub dir: DirParams,
     /// Group communication parameters (resilience defaults to n−1).
     pub group: GroupConfig,
-    /// Also run the replicated [`LeaseService`] on the group variants'
+    /// Also run the replicated lease service ([`LeaseMachine`]) on the group variants'
     /// shard-0 columns, as its own group over the machines' shared
     /// kernels. A [`rebalancer`](Self::rebalancer) starts it either way.
     pub lease_service: bool,
     /// Run a load-driven shard rebalancer (group variants with more
-    /// than one shard). It starts the [`LeaseService`] too: its
+    /// than one shard). It starts the lease service too: its
     /// migration-coordinator fence.
     pub rebalancer: Option<RebalancerParams>,
     /// How many replica groups the directory service is sharded into
@@ -348,7 +348,7 @@ pub struct Column {
     /// The lease-service replica of the current incarnation (group
     /// variants, shard-0 columns, when the deployment runs the lease
     /// service); see [`Cluster::lease`].
-    lease: Option<ServiceHandle<LeaseService>>,
+    lease: Option<Replica<LeaseMachine>>,
 }
 
 impl std::fmt::Debug for Column {
@@ -564,7 +564,7 @@ impl Cluster {
     ///
     /// Panics unless the cluster runs the lease service (see
     /// [`ClusterParams::lease_service`]) and `i` is a shard-0 column.
-    pub fn lease(&self, i: usize) -> &ServiceHandle<LeaseService> {
+    pub fn lease(&self, i: usize) -> &Replica<LeaseMachine> {
         self.columns[i]
             .lease
             .as_ref()
@@ -664,15 +664,7 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
             // shards it coexists with the shard's own group).
             let lease = params.lease_service || params.rebalancer.is_some();
             column.lease = (lease && column.shard == 0).then(|| {
-                let deps = ServiceDeps {
-                    n,
-                    me: column.index,
-                    sim_node: column.sim_node,
-                    rpc: rpc.clone(),
-                    peer,
-                    threads: 2,
-                };
-                start_service::<LeaseService>(spawner, deps)
+                start_lease_service(spawner, n, column.index, column.sim_node, &rpc, peer)
             });
         }
         Variant::Rpc => {

@@ -72,17 +72,6 @@ impl CommitBlock {
     pub fn write(&self, partition: &RawPartition, ctx: &Ctx) {
         partition.write(ctx, 0, self.encode());
     }
-
-    /// Servers this vector says crashed before us (the initial *mourned
-    /// set* of Skeen's algorithm, Fig. 6).
-    pub fn mourned(&self) -> Vec<usize> {
-        self.config
-            .iter()
-            .enumerate()
-            .filter(|(_, up)| !**up)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// The magic, the configuration vector, the seqno, the recovering flag
@@ -140,17 +129,5 @@ mod tests {
     fn wrong_server_count_rejected() {
         let cb = CommitBlock::initial(3);
         assert_eq!(CommitBlock::decode(&cb.encode(), 2), None);
-    }
-
-    #[test]
-    fn mourned_lists_down_servers() {
-        let cb = CommitBlock {
-            config: vec![true, false, false],
-            seqno: 0,
-            recovering: false,
-            epoch: 1,
-        };
-        assert_eq!(cb.mourned(), vec![1, 2]);
-        assert!(CommitBlock::initial(3).mourned().is_empty());
     }
 }

@@ -100,7 +100,7 @@ use amoeba_bullet::FileCap;
 use amoeba_disk::Journal;
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::{Payload, Port};
-use amoeba_rsm::{RecoveryInfo, StateMachine};
+use amoeba_rsm::StateMachine;
 use amoeba_sim::{Ctx, IdMap, Resource};
 
 use crate::commit_block::CommitBlock;
@@ -924,7 +924,6 @@ impl StateMachine for DirectoryStateMachine {
             // The cursor moves with the mutation, in the same critical
             // section, so snapshots are always cursor-consistent.
             shared.applied_group_seq = shared.applied_group_seq.max(seq);
-            shared.last_update_at = ctx.now();
             r
         };
         let (answer, effects, useq) = match planned {
@@ -966,8 +965,9 @@ impl StateMachine for DirectoryStateMachine {
         }
     }
 
-    /// Loads commit block, object table and NVRAM after a reboot.
-    fn boot(&self, ctx: &Ctx) {
+    /// Loads commit block, object table and NVRAM after a reboot, and
+    /// returns the commit block's configuration vector.
+    fn boot(&self, ctx: &Ctx) -> Option<Vec<bool>> {
         let applier = &self.applier;
         let cfg = &applier.cfg;
         let commit = CommitBlock::read(&applier.partition, ctx, cfg.n)
@@ -1034,42 +1034,12 @@ impl StateMachine for DirectoryStateMachine {
                 let worst_us = applier.max_lease_us * (1 + applier.lease_renewals as u64);
                 shared.write_fence_until_us = ctx.now().as_nanos() / 1_000 + worst_us;
             }
+            Some(shared.commit.config.clone())
         }
     }
 
-    fn recovery_info(&self) -> RecoveryInfo {
-        let shared = self.applier.shared.borrow();
-        let mut mourned = vec![false; self.applier.cfg.n];
-        for i in shared.commit.mourned() {
-            if i < mourned.len() {
-                mourned[i] = true;
-            }
-        }
-        RecoveryInfo {
-            update_seq: shared.update_seq,
-            mourned,
-        }
-    }
-
-    fn begin_copy(&self, ctx: &Ctx) {
-        // Quiesce any in-flight checkpoint drain first: its commit-block
-        // write must not land after (and clobber) the worthless mark.
-        // No new drain can start until the replica is back in normal
-        // operation, so releasing right away is safe.
-        if let Storage::Journal { .. } = self.applier.storage {
-            self.ckpt_acquire(ctx);
-            self.ckpt_release();
-        }
-        let cb = {
-            let mut shared = self.applier.shared.borrow_mut();
-            shared.commit.recovering = true;
-            // Epoch 0 marks "state is being replaced by a peer's": a
-            // crash from here until enter_service leaves a mixture of
-            // two histories, which boot must treat as worthless.
-            shared.commit.epoch = 0;
-            shared.commit.clone()
-        };
-        cb.write(&self.applier.partition, ctx);
+    fn version(&self) -> u64 {
+        self.applier.shared.borrow().update_seq
     }
 
     fn snapshot(&self, ctx: &Ctx) -> (u64, Payload) {
@@ -1218,8 +1188,9 @@ impl StateMachine for DirectoryStateMachine {
         }
         // The installed state supersedes everything the journal's
         // records described: drop them (keeping sequence numbers
-        // monotone) and the dirty set with them. `begin_copy` already
-        // quiesced the checkpointer for this recovery pass.
+        // monotone) and the dirty set with them. The copy mark's
+        // `persist` already quiesced the checkpointer for this recovery
+        // pass.
         if let Storage::Journal { journal, .. } = &applier.storage {
             journal.reset(ctx);
             let mut ckpt = self.ckpt.borrow_mut();
@@ -1229,32 +1200,36 @@ impl StateMachine for DirectoryStateMachine {
         true
     }
 
-    fn align_cursor(&self, _ctx: &Ctx, cursor: u64) {
-        // A new instance's order restarts: the cursor is set
-        // absolutely, not monotonically.
-        self.applier.shared.borrow_mut().applied_group_seq = cursor;
-    }
-
-    fn enter_service(&self, ctx: &Ctx, config: &[bool]) {
-        let cb = {
-            let mut shared = self.applier.shared.borrow_mut();
-            shared.commit.config = config.to_vec();
-            shared.commit.recovering = false;
-            // The state is whole again (own history or a completed
-            // copy): leave the copy-in-progress epoch.
-            shared.commit.epoch = shared.commit.epoch.max(1);
-            shared.commit.clone()
-        };
-        cb.write(&self.applier.partition, ctx);
-    }
-
-    fn on_membership(&self, ctx: &Ctx, seq: u64, config: &[bool]) {
-        let cb = {
-            let mut shared = self.applier.shared.borrow_mut();
-            if seq > 0 {
-                shared.applied_group_seq = shared.applied_group_seq.max(seq);
+    /// The driver's bookkeeping, written to the commit block.
+    fn persist(&self, ctx: &Ctx, cursor: u64, config: &[bool], copying: bool) {
+        if copying {
+            // Quiesce any in-flight checkpoint drain first: its
+            // commit-block write must not land after (and clobber) the
+            // worthless mark. No new drain can start until the replica
+            // is back in normal operation, so releasing right away is
+            // safe.
+            if let Storage::Journal { .. } = self.applier.storage {
+                self.ckpt_acquire(ctx);
+                self.ckpt_release();
             }
+        }
+        let cb = {
+            let mut shared = self.applier.shared.borrow_mut();
+            // A new instance's order restarts: the cursor is set
+            // absolutely, not monotonically.
+            shared.applied_group_seq = cursor;
             shared.commit.config = config.to_vec();
+            shared.commit.recovering = copying;
+            // Epoch 0 marks "state is being replaced by a peer's": a
+            // crash from the copy's start until the replica enters
+            // service leaves a mixture of two histories, which boot
+            // must treat as worthless. Otherwise the state is whole
+            // (own history or a completed copy): leave that epoch.
+            shared.commit.epoch = if copying {
+                0
+            } else {
+                shared.commit.epoch.max(1)
+            };
             shared.commit.clone()
         };
         cb.write(&self.applier.partition, ctx);

@@ -40,8 +40,8 @@
 //! copy + tombstone two-step, the old shard keeps a **forwarding stub**
 //! so old capabilities stay valid forever, and a load-driven
 //! [`Rebalancer`](cluster::RebalancerParams) — fenced by the replicated
-//! lease service ([`LeaseService`], built on the `amoeba-rsm` service
-//! harness) — drains hot shards without a redeploy.
+//! lease service ([`LeaseMachine`], a second `amoeba-rsm` state
+//! machine) — drains hot shards without a redeploy.
 //!
 //! ## The cached read path
 //!
@@ -158,7 +158,7 @@ pub use ops::{DirError, DirOp, DirReply, DirRequest};
 pub use rights::Rights;
 pub use server_group::{start_group_server, GroupDirServer, GroupServerDeps};
 pub use server_lease::{
-    LeaseClient, LeaseError, LeaseReply, LeaseRequest, LeaseService, LeaseTable, LEASE_PORT,
+    LeaseClient, LeaseError, LeaseMachine, LeaseReply, LeaseRequest, LeaseTable, LEASE_PORT,
 };
 pub use server_nfs::{start_nfs_server, NfsDirServer, NfsServerDeps};
 pub use server_rpc::{start_rpc_server, PeerMsg, RpcDirServer, RpcServerDeps};

@@ -4,11 +4,12 @@
 //! directory.
 //!
 //! The whole service is this file: a wire format, a deterministic
-//! [`Service::apply`] over a `HashMap`, and a typed client; the state
-//! machine, server loop and client plumbing are the
-//! [`amoeba_rsm::service`] harness. There is **zero
-//! group-protocol code** here. The state is fully volatile — a rebooted
-//! replica recovers purely from a peer's snapshot.
+//! [`LeaseTable::apply`] over a `HashMap`, the [`LeaseMachine`] that
+//! implements [`StateMachine`] over it, the request threads and a typed
+//! client. There is **zero group-protocol code** here: ordering,
+//! recovery and state transfer are the [`Replica`] driver's. The state
+//! is fully volatile — a rebooted replica recovers purely from a
+//! peer's snapshot.
 //!
 //! ## Logical time
 //!
@@ -62,12 +63,17 @@
 //! coexist deliberately: logical time for mutual-exclusion fencing
 //! (this file), wall-clock deadlines for read caching ([`crate::cache`]).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use amoeba_flip::{wire_enum, wire_struct, Port};
-use amoeba_rpc::{RpcClient, RpcError};
-use amoeba_rsm::service::{Service, ServiceClient};
-use amoeba_sim::Ctx;
+use amoeba_flip::wire::{Wire, WireWriter};
+use amoeba_flip::{wire_enum, wire_struct, Payload, Port};
+use amoeba_group::{GroupPeer, SeqNo};
+use amoeba_rpc::{RpcClient, RpcError, RpcNode, RpcServer};
+use amoeba_rsm::{Replica, ReplicaDeps, RsmConfig, RsmError, StateMachine};
+use amoeba_sim::{Ctx, NodeId, Spawn};
+use amoeba_telemetry::{current_ctx, set_current_ctx, Telemetry};
 
 /// The public FLIP port of the lease service.
 pub const LEASE_PORT: Port = Port::from_raw(0x004C_5345); // "LSE"
@@ -166,21 +172,11 @@ impl LeaseTable {
     }
 }
 
-/// The lease service, as the harness sees it.
-#[derive(Debug)]
-pub struct LeaseService;
-
-impl Service for LeaseService {
-    const NAME: &'static str = "lease";
-    const PROC: &'static str = "lease";
-    const PORT: Port = LEASE_PORT;
-    const NO_MAJORITY: LeaseReply = LeaseReply::NoMajority;
-    const MALFORMED: LeaseReply = LeaseReply::Malformed;
-    type State = LeaseTable;
-    type Request = LeaseRequest;
-    type Reply = LeaseReply;
-
-    fn apply(table: &mut LeaseTable, req: LeaseRequest) -> LeaseReply {
+impl LeaseTable {
+    /// Applies one replicated op. Deterministic; a read-only op found
+    /// in the replicated stream answers `Malformed`.
+    pub fn apply(&mut self, req: LeaseRequest) -> LeaseReply {
+        let table = self;
         // Every ordered operation ticks logical time — this is what
         // lets a contender's own retries age a dead holder's grant out.
         table.clock += 1;
@@ -215,15 +211,198 @@ impl Service for LeaseService {
         reply
     }
 
-    fn read(table: &LeaseTable, req: &LeaseRequest) -> Option<LeaseReply> {
+    /// Answers a read-only op from the table, `None` for an op that
+    /// must be replicated. Which of the two depends on `req` alone: the
+    /// server asks once to route the op and, for a read, again behind
+    /// the read barrier.
+    pub fn read(&self, req: &LeaseRequest) -> Option<LeaseReply> {
         match req {
-            LeaseRequest::Query { name } => Some(match table.holder(name) {
+            LeaseRequest::Query { name } => Some(match self.holder(name) {
                 Some((holder, expires)) => LeaseReply::Held { holder, expires },
                 None => LeaseReply::Free,
             }),
             _ => None,
         }
     }
+}
+
+struct Core {
+    table: LeaseTable,
+    /// Logical version (one per applied op), for recovery's source
+    /// election.
+    update_seq: u64,
+    /// Applied cursor, kept in the same critical section as the table.
+    applied_seq: SeqNo,
+}
+
+/// The lease service's replicated state machine: the table, its
+/// version and the applied cursor, moved together under one borrow.
+/// Volatile: durability comes entirely from replication, so it keeps no
+/// configuration and its replica mourns no one.
+pub struct LeaseMachine {
+    core: RefCell<Core>,
+}
+
+impl Default for LeaseMachine {
+    fn default() -> LeaseMachine {
+        LeaseMachine {
+            core: RefCell::new(Core {
+                table: LeaseTable::default(),
+                update_seq: 0,
+                applied_seq: 0,
+            }),
+        }
+    }
+}
+
+impl std::fmt::Debug for LeaseMachine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("LeaseMachine")
+    }
+}
+
+impl LeaseMachine {
+    /// Reads the local table (serve only behind a read barrier;
+    /// otherwise diagnostics/tests).
+    pub fn read<R>(&self, f: impl FnOnce(&LeaseTable) -> R) -> R {
+        f(&self.core.borrow().table)
+    }
+}
+
+impl StateMachine for LeaseMachine {
+    fn apply(&self, _ctx: &Ctx, seq: SeqNo, op: &Payload, reply: bool) -> Payload {
+        let mut core = self.core.borrow_mut();
+        // A malformed op still consumes its slot.
+        core.applied_seq = core.applied_seq.max(seq);
+        core.update_seq += 1;
+        let answer = match LeaseRequest::decode(op) {
+            Ok(req) => core.table.apply(req),
+            Err(_) => LeaseReply::Malformed,
+        };
+        if reply {
+            answer.encode()
+        } else {
+            Payload::empty()
+        }
+    }
+
+    fn version(&self) -> u64 {
+        self.core.borrow().update_seq
+    }
+
+    /// `update_seq`, then the table.
+    fn snapshot(&self, _ctx: &Ctx) -> (SeqNo, Payload) {
+        let core = self.core.borrow();
+        let mut w = WireWriter::new();
+        w.u64(core.update_seq);
+        core.table.put(&mut w);
+        (core.applied_seq, w.finish_payload())
+    }
+
+    fn install(&self, _ctx: &Ctx, cursor: SeqNo, snap: &Payload) -> bool {
+        match <(u64, LeaseTable)>::decode(snap) {
+            Ok((update_seq, table)) => {
+                *self.core.borrow_mut() = Core {
+                    table,
+                    update_seq,
+                    applied_seq: cursor,
+                };
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Nothing is durable: only the cursor moves.
+    fn persist(&self, _ctx: &Ctx, cursor: SeqNo, _config: &[bool], _copying: bool) {
+        self.core.borrow_mut().applied_seq = cursor;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The server.
+// ---------------------------------------------------------------------
+
+/// Request threads per replica.
+const THREADS: usize = 2;
+
+/// Starts replica `me` of an `n`-replica lease service: the [`Replica`]
+/// driver over a fresh [`LeaseMachine`], and the request threads on
+/// [`LEASE_PORT`].
+pub(crate) fn start_lease_service(
+    spawner: &(impl Spawn + ?Sized),
+    n: usize,
+    me: usize,
+    sim_node: NodeId,
+    rpc: &RpcNode,
+    peer: GroupPeer,
+) -> Replica<LeaseMachine> {
+    let mut cfg = RsmConfig::new("amoeba.lease", n, me);
+    // A volatile machine mourns no one, so the strict last-set rule
+    // would demand *every* replica be present after a majority loss.
+    // The §3.2 improved rule — a stayed-up replica holding the highest
+    // version vouches for the missing ones — is the only recovery
+    // evidence a diskless service has, and it is sufficient: state
+    // lives wherever the group last had a majority.
+    cfg.improved_recovery = true;
+    let replica = Replica::start(
+        spawner,
+        ReplicaDeps {
+            cfg,
+            sim_node,
+            rpc: rpc.clone(),
+            peer,
+            sm: Rc::new(LeaseMachine::default()),
+        },
+    );
+    for t in 0..THREADS {
+        let srv = RpcServer::new(rpc, LEASE_PORT);
+        let replica = replica.clone();
+        spawner.spawn_boxed(
+            Some(sim_node),
+            &format!("lease{me}-srv{t}"),
+            Box::new(move |ctx| serve(ctx, &srv, &replica)),
+        );
+    }
+    replica
+}
+
+/// One request thread: serves requests on the service port forever.
+fn serve(ctx: &Ctx, srv: &RpcServer, replica: &Replica<LeaseMachine>) -> ! {
+    let machine = u64::from(srv.addr().0);
+    loop {
+        let incoming = srv.getreq(ctx);
+        // The server-side span, parented to the client's request
+        // context; the submit inherits it, so a traced op yields one
+        // connected tree across client, server, sequencer and replicas.
+        let tele = Telemetry::from_handle(&ctx.handle());
+        let span = tele.begin_child("lease.srv", machine, incoming.trace);
+        let prev = set_current_ctx(span);
+        let request = LeaseRequest::decode(&incoming.data);
+        let reply = match request.map(|req| answer(ctx, replica, &req)) {
+            Ok(Ok(bytes)) => bytes,
+            Ok(Err(RsmError::NotInService | RsmError::Aborted)) => LeaseReply::NoMajority.encode(),
+            Ok(Err(RsmError::ResultLost)) | Err(_) => LeaseReply::Malformed.encode(),
+        };
+        set_current_ctx(prev);
+        tele.end(span);
+        srv.putrep(&incoming, reply);
+    }
+}
+
+/// Routes one decoded request: a read-only op is answered from local
+/// state behind the read barrier, anything else is replicated.
+fn answer(
+    ctx: &Ctx,
+    replica: &Replica<LeaseMachine>,
+    req: &LeaseRequest,
+) -> Result<Payload, RsmError> {
+    let read = || replica.machine().read(|table| table.read(req));
+    if read().is_none() {
+        return replica.submit_traced(ctx, req.encode(), current_ctx());
+    }
+    replica.read_barrier(ctx)?;
+    Ok(read().unwrap_or(LeaseReply::Malformed).encode())
 }
 
 // ---------------------------------------------------------------------
@@ -255,12 +434,44 @@ impl std::error::Error for LeaseError {}
 
 /// Client stub for the lease service.
 #[derive(Clone, Debug)]
-pub struct LeaseClient(ServiceClient<LeaseService>);
+pub struct LeaseClient {
+    rpc: RpcClient,
+}
 
 impl LeaseClient {
-    /// Creates a stub talking to the service through `rpc`.
+    /// Creates a stub talking to the service through `rpc` (the service
+    /// is found by the locate broadcast on [`LEASE_PORT`]).
     pub fn new(rpc: RpcClient) -> LeaseClient {
-        LeaseClient(ServiceClient::new(rpc))
+        LeaseClient { rpc }
+    }
+
+    /// One operation: a round trip to the service, inside a client span
+    /// `name` (root when the process has no ambient context) and a
+    /// latency histogram of the same name. A reply that does not decode
+    /// reads as `Malformed`.
+    fn op(&self, ctx: &Ctx, name: &str, req: &LeaseRequest) -> Result<LeaseReply, RpcError> {
+        let call = || {
+            let bytes = self.rpc.trans(ctx, LEASE_PORT, req.encode())?;
+            Ok(LeaseReply::decode(&bytes).unwrap_or(LeaseReply::Malformed))
+        };
+        let tele = Telemetry::from_handle(&ctx.handle());
+        if !tele.is_enabled() {
+            return call();
+        }
+        let machine = u64::from(self.rpc.addr().0);
+        let outer = current_ctx();
+        let span = if outer.is_some() {
+            tele.begin_child(name, machine, outer)
+        } else {
+            tele.begin_root(name, machine)
+        };
+        let prev = set_current_ctx(span);
+        let start = ctx.now();
+        let r = call();
+        set_current_ctx(prev);
+        tele.end(span);
+        tele.observe_since(name, start);
+        r
     }
 
     /// Acquires (or renews) `name` for `owner`. Returns the logical
@@ -278,7 +489,7 @@ impl LeaseClient {
     ) -> Result<Option<u64>, LeaseError> {
         let name = name.to_owned();
         let req = LeaseRequest::Grant { name, owner, ttl };
-        let reply = self.0.op(ctx, "cli.ls.grant", &req);
+        let reply = self.op(ctx, "cli.ls.grant", &req);
         match reply.map_err(LeaseError::Rpc)? {
             LeaseReply::Granted { expires } => Ok(Some(expires)),
             LeaseReply::Busy { .. } => Ok(None),
@@ -296,7 +507,7 @@ impl LeaseClient {
     pub fn release(&self, ctx: &Ctx, name: &str, owner: u64) -> Result<bool, LeaseError> {
         let name = name.to_owned();
         let req = LeaseRequest::Release { name, owner };
-        let reply = self.0.op(ctx, "cli.ls.release", &req);
+        let reply = self.op(ctx, "cli.ls.release", &req);
         match reply.map_err(LeaseError::Rpc)? {
             LeaseReply::Ok => Ok(true),
             LeaseReply::NotHeld => Ok(false),
@@ -313,7 +524,7 @@ impl LeaseClient {
     pub fn query(&self, ctx: &Ctx, name: &str) -> Result<Option<(u64, u64)>, LeaseError> {
         let name = name.to_owned();
         let req = LeaseRequest::Query { name };
-        let reply = self.0.op(ctx, "cli.ls.query", &req);
+        let reply = self.op(ctx, "cli.ls.query", &req);
         match reply.map_err(LeaseError::Rpc)? {
             LeaseReply::Held { holder, expires } => Ok(Some((holder, expires))),
             LeaseReply::Free => Ok(None),

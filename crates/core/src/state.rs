@@ -45,8 +45,6 @@ pub(crate) struct Shared {
     pub applied_group_seq: u64,
     pub commit: CommitBlock,
     pub next_nv_uid: u64,
-    /// Virtual time of the last applied update (drives idle flushing).
-    pub last_update_at: amoeba_sim::SimTime,
     /// Completion records of keyed creates and installs
     /// (`key → object`): the idempotency memory of the cross-shard
     /// two-step protocols (see [`crate::ShardMap`]). Replicated state —
@@ -144,7 +142,6 @@ impl Shared {
             applied_group_seq: 0,
             commit: CommitBlock::initial(n),
             next_nv_uid: 1,
-            last_update_at: amoeba_sim::SimTime::ZERO,
             completions: HashMap::new(),
             stubs: IdMap::default(),
             heat: IdMap::default(),

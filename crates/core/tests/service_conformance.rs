@@ -1,13 +1,12 @@
-//! The conformance suite of the `amoeba_rsm::service` harness, run over
-//! the lease service built on it, plus golden wire bytes — captured
+//! The conformance suite of the lease service's state machine, plus
+//! golden wire bytes — captured
 //! from the last commit that still had the hand-written server — for
 //! every `Request`/`Reply` variant and for the snapshot, so the formats
 //! cannot drift.
 
-use amoeba_dir_core::{LeaseReply, LeaseRequest, LeaseService};
+use amoeba_dir_core::{LeaseMachine, LeaseReply, LeaseRequest};
 use amoeba_flip::wire::Wire;
 use amoeba_flip::Payload;
-use amoeba_rsm::service::{Service, ServiceMachine};
 use amoeba_rsm::StateMachine;
 use amoeba_sim::{Ctx, Simulation};
 use amoeba_testkit::{hex, unhex};
@@ -16,34 +15,35 @@ use amoeba_testkit::{hex, unhex};
 // The generic checks.
 // ---------------------------------------------------------------------
 
-/// What the harness promises of any [`Service`], checked on `S`:
+/// What the lease machine promises:
 /// `ops` are replicated ops that leave a non-empty state, `read_only`
 /// is an op served behind the read barrier, `golden_snapshot` the
 /// expected snapshot bytes after `ops`, and `count_at` the offset of
 /// the state's entry count in them.
-fn conforms<S: Service>(
+fn conforms(
     ctx: &Ctx,
-    ops: Vec<S::Request>,
-    read_only: S::Request,
+    ops: Vec<LeaseRequest>,
+    read_only: LeaseRequest,
     golden_snapshot: &str,
     count_at: usize,
 ) {
     let n = ops.len() as u64;
-    let a = ServiceMachine::<S>::new(3);
+    let a = LeaseMachine::default();
     for (i, op) in ops.iter().enumerate() {
         a.apply(ctx, 1 + i as u64, &op.encode(), false);
     }
     let (cursor, snap) = a.snapshot(ctx);
-    assert_eq!(cursor, n, "{}: snapshot cursor covers every apply", S::NAME);
-    assert_eq!(hex(&snap), golden_snapshot, "{}: snapshot bytes", S::NAME);
+    assert_eq!(cursor, n, "{}: snapshot cursor covers every apply", "lease");
+    assert_eq!(hex(&snap), golden_snapshot, "{}: snapshot bytes", "lease");
 
     // Snapshot → install on a fresh machine reproduces state,
     // `update_seq` and the *given* cursor.
-    let fresh = ServiceMachine::<S>::new(3);
-    assert!(fresh.install(ctx, 77, &snap), "{}: install", S::NAME);
+    let fresh = LeaseMachine::default();
+    assert!(fresh.install(ctx, 77, &snap), "{}: install", "lease");
     assert_eq!(fresh.snapshot(ctx), (77, snap.clone()));
-    assert_eq!(fresh.recovery_info().update_seq, n);
-    assert_eq!(fresh.recovery_info().mourned, vec![false; 3]);
+    assert_eq!(fresh.version(), n);
+    // A volatile machine keeps no configuration: its replica mourns no one.
+    assert_eq!(fresh.boot(ctx), None);
 
     // Truncated snapshots, trailing bytes and a count with nothing
     // behind it are refused — the last without reserving for the claim
@@ -56,7 +56,7 @@ fn conforms<S: Service>(
     bad.push(overclaim);
     for bytes in bad {
         let refused = !fresh.install(ctx, 5, &Payload::from(bytes.clone()));
-        assert!(refused, "{}: installed {}", S::NAME, hex(&bytes));
+        assert!(refused, "{}: installed {}", "lease", hex(&bytes));
     }
     assert_eq!(fresh.snapshot(ctx), (77, snap.clone()));
 
@@ -68,26 +68,32 @@ fn conforms<S: Service>(
     {
         let seq = n + 1 + k as u64;
         let reply = a.apply(ctx, seq, op, true);
-        assert_eq!(reply, S::MALFORMED.encode(), "{}: malformed reply", S::NAME);
-        assert_eq!(a.snapshot(ctx).0, seq, "{}: slot consumed", S::NAME);
-        assert_eq!(a.recovery_info().update_seq, seq);
+        assert_eq!(
+            reply,
+            LeaseReply::Malformed.encode(),
+            "{}: malformed reply",
+            "lease"
+        );
+        assert_eq!(a.snapshot(ctx).0, seq, "{}: slot consumed", "lease");
+        assert_eq!(a.version(), seq);
     }
 
     // The read-only op is answered from local state; replicated ops
     // are not.
-    assert!(a.read(|state| S::read(state, &read_only)).is_some());
-    assert!(a.read(|state| S::read(state, &ops[0])).is_none());
+    assert!(a.read(|state| state.read(&read_only)).is_some());
+    assert!(a.read(|state| state.read(&ops[0])).is_none());
 
-    // `align_cursor` sets absolutely (a new instance's order restarts),
-    // a reset's `on_membership(0, ..)` leaves the cursor alone, and a
-    // membership event at `seq` advances it to cover `seq`.
-    a.align_cursor(ctx, 2);
+    // `persist` sets the cursor absolutely (a new instance's order
+    // restarts), a reset's `persist` passes the cursor unchanged and
+    // leaves it alone, and a membership event at `seq` advances it to
+    // cover `seq`.
+    a.persist(ctx, 2, &[true; 3], false);
     assert_eq!(a.snapshot(ctx).0, 2);
-    a.on_membership(ctx, 0, &[true; 3]);
+    a.persist(ctx, 2, &[true; 3], false);
     assert_eq!(a.snapshot(ctx).0, 2);
-    a.on_membership(ctx, 9, &[true; 3]);
+    a.persist(ctx, 9, &[true; 3], false);
     assert_eq!(a.snapshot(ctx).0, 9);
-    assert_eq!(a.recovery_info().update_seq, n + 2, "cursor moves only");
+    assert_eq!(a.version(), n + 2, "cursor moves only");
 }
 
 /// Golden bytes: `value` encodes to exactly `golden`, and `golden`
@@ -112,7 +118,7 @@ fn the_lease_service_conforms() {
     let mut sim = Simulation::new(7);
     let out = sim.spawn("conformance", |ctx| {
         let name = |s: &str| s.to_owned();
-        conforms::<LeaseService>(
+        conforms(
             ctx,
             vec![
                 LeaseRequest::Grant {

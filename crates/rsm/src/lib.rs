@@ -7,9 +7,8 @@
 //! replicated service — join/create, majority rule, view-change
 //! bookkeeping, Skeen-style recovery with state transfer, and **apply
 //! batching** (group commit) — with zero group-protocol code of your
-//! own. The directory service in `amoeba-dir-core` implements the trait
-//! directly; its volatile lease service is just a state and its ops on
-//! the [`service`] harness.
+//! own. The directory service in `amoeba-dir-core` implements the trait,
+//! and so does its volatile lease service.
 //!
 //! ## Division of labour
 //!
@@ -20,6 +19,11 @@
 //! * the Fig. 6 recovery protocol: mourned-set exchange over internal
 //!   RPC, last-set check (with the §3.2 improved two-server rule),
 //!   choice of the most up-to-date member, state fetch/install;
+//! * recovery's bookkeeping: the replica's **configuration vector**
+//!   (loaded once from [`StateMachine::boot`], replaced at every
+//!   membership change and every entry into service), the **mourned
+//!   set** Skeen's algorithm computes from it, both cursors, and the
+//!   moments the copy-in-progress mark is set and cleared;
 //! * initiator bookkeeping: [`Replica::submit`] blocks a caller until
 //!   its operation has been applied *and made durable* locally,
 //!   [`Replica::submit_ordered`] only until it has been applied, and
@@ -30,11 +34,15 @@
 //!   group commit that amortizes per-update storage cost.
 //!
 //! The **state machine** owns everything service-shaped: deterministic
-//! apply, storage, snapshot encoding, and whatever durable bookkeeping
-//! (commit blocks, NVRAM logs) its recovery story needs. The trait's
-//! recovery hooks are exactly the points where the paper's directory
-//! service touches its commit block, so a service with no durable state
-//! (like the lease service) simply leaves the defaults.
+//! apply, storage, snapshot encoding, its logical
+//! [`version`](StateMachine::version), and the durable form of what
+//! the driver decides. The one bookkeeping hook,
+//! [`persist`](StateMachine::persist), is exactly the point where the
+//! paper's directory service writes its commit block: it sets the
+//! applied cursor and makes the configuration and the copy mark
+//! durable. A service with no durable state (like the lease service)
+//! only moves its cursor there and returns no configuration from
+//! `boot`, so its replica mourns no one.
 //!
 //! ## Contract (what `Replica` guarantees, what `apply` must uphold)
 //!
@@ -79,13 +87,13 @@
 //!
 //! ## Using it
 //!
-//! A machine with durable state implements [`StateMachine`] and hands
-//! it to [`Replica::start`]; any request thread then calls
+//! A service implements [`StateMachine`] and hands it to
+//! [`Replica::start`]; any request thread then calls
 //! [`Replica::submit`] for a replicated write and
-//! [`Replica::read_barrier`] before a local read. A *volatile* service
-//! needs none of that: the [`service`] module turns a state and its ops
-//! into machine, server and client — its docs define a complete
-//! replicated counter as a running example.
+//! [`Replica::read_barrier`] before a local read. A volatile service
+//! does the same with the durable half left out; there is no separate
+//! harness for one (the lease service in `amoeba-dir-core` is the
+//! example).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -94,9 +102,8 @@ mod config;
 mod machine;
 mod recovery;
 mod replica;
-pub mod service;
 
 pub use config::RsmConfig;
-pub use machine::{RecoveryInfo, RsmError, StateMachine};
+pub use machine::{RsmError, StateMachine};
 pub use recovery::InternalMsg;
 pub use replica::{Replica, ReplicaDeps, ReplicaStats};

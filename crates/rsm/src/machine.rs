@@ -5,20 +5,6 @@ use amoeba_flip::Payload;
 use amoeba_group::SeqNo;
 use amoeba_sim::Ctx;
 
-/// What a replica reports during the recovery protocol's info exchange.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryInfo {
-    /// Logical version of this replica's state: monotone across group
-    /// incarnations, used to elect the state-transfer source (the
-    /// paper's per-directory "sequence number" generalized).
-    pub update_seq: u64,
-    /// `mourned[i]` is true iff server *i* crashed before this one,
-    /// according to this replica's durable configuration record. A
-    /// machine with no durable configuration returns all-false (it
-    /// mourns no one — it cannot know).
-    pub mourned: Vec<bool>,
-}
-
 /// Errors surfaced by [`Replica::submit`](crate::Replica::submit),
 /// [`Replica::read_barrier`](crate::Replica::read_barrier) and
 /// [`Replica::wait_published`](crate::Replica::wait_published).
@@ -109,21 +95,24 @@ pub trait StateMachine: 'static {
     }
 
     /// Called once, at process start, before the first recovery: load
-    /// whatever survived the reboot (commit block, tables, NVRAM log).
-    fn boot(&self, ctx: &Ctx) {
+    /// whatever survived the reboot (commit block, tables, NVRAM log)
+    /// and return the durable configuration vector it holds
+    /// (`config[i]` = server *i* was in the last configuration this
+    /// replica served in). The driver keeps that vector, computes the
+    /// recovery protocol's mourned set from it and hands every change
+    /// back through [`persist`](Self::persist). A machine that keeps no
+    /// configuration returns `None` (the default), and its replica
+    /// mourns no one: it cannot know who crashed before it.
+    fn boot(&self, ctx: &Ctx) -> Option<Vec<bool>> {
         let _ = ctx;
+        None
     }
 
-    /// State for the recovery info exchange (Skeen's algorithm).
-    fn recovery_info(&self) -> RecoveryInfo;
-
-    /// The copy phase of recovery is about to overwrite local state
-    /// with a peer's: durably mark the state as in-flux, so a crash
-    /// mid-copy is detected at next boot (the paper's `recovering`
-    /// commit-block flag, §3.2). Default: no-op.
-    fn begin_copy(&self, ctx: &Ctx) {
-        let _ = ctx;
-    }
+    /// Logical version of the state (the paper's per-directory
+    /// "sequence number" generalized): monotone across group
+    /// incarnations, used by recovery to elect the state-transfer
+    /// source.
+    fn version(&self) -> u64;
 
     /// Encodes the full current state for transfer to a recovering
     /// peer, together with the applied cursor it corresponds to. The
@@ -138,29 +127,23 @@ pub trait StateMachine: 'static {
     /// applied cursor. Returns false if the snapshot is malformed.
     fn install(&self, ctx: &Ctx, cursor: SeqNo, snap: &Payload) -> bool;
 
-    /// Recovery determined this replica is (among) the most current
-    /// and it is entering a **new group instance**, whose sequence
-    /// numbers restart: set the applied cursor to exactly `cursor`
-    /// (the new instance's order so far). Without this, a cursor
-    /// carried over from a previous instance would make `snapshot`
-    /// over-claim coverage and a fetching peer would skip real
-    /// operations of the new instance.
-    fn align_cursor(&self, ctx: &Ctx, cursor: SeqNo);
-
-    /// Recovery succeeded: durably record the configuration this
-    /// replica is now serving in (`config[i]` = server *i* is in the
-    /// new group) and clear any copy-in-progress mark. Default: no-op.
-    fn enter_service(&self, ctx: &Ctx, config: &[bool]) {
-        let _ = (ctx, config);
-    }
-
-    /// A membership event was applied at `seq` (0 for a reset, which
-    /// consumes no slot): update the durable configuration record and
-    /// advance the applied cursor to cover `seq`. Default: no-op — a
-    /// volatile machine must still advance its cursor if it implements
-    /// snapshots (see `snapshot`); machines that track the cursor
-    /// inside `apply` only should override this.
-    fn on_membership(&self, ctx: &Ctx, seq: SeqNo, config: &[bool]) {
-        let _ = (ctx, seq, config);
-    }
+    /// The driver's one bookkeeping hook: set the applied cursor to
+    /// exactly `cursor` and make `config` and the copy mark durable
+    /// (a machine without durable state only moves its cursor).
+    ///
+    /// The driver calls it at three points, always between batches:
+    /// * `copying` true — the copy phase of recovery is about to
+    ///   overwrite local state with a peer's: mark the state as
+    ///   in-flux, so a crash mid-copy is detected at next boot (the
+    ///   paper's `recovering` commit-block flag, §3.2). `config` and
+    ///   `cursor` are unchanged.
+    /// * `copying` false, at the end of recovery — the replica enters
+    ///   service in the configuration `config` and clears any copy
+    ///   mark. It is a **new group instance**, whose sequence numbers
+    ///   restart, so `cursor` may be lower than before; a cursor
+    ///   carried over would make `snapshot` over-claim coverage.
+    /// * `copying` false, after a membership event — `config` is the
+    ///   new view; `cursor` covers the event's slot (a reset consumes
+    ///   none and passes the cursor unchanged).
+    fn persist(&self, ctx: &Ctx, cursor: SeqNo, config: &[bool], copying: bool);
 }

@@ -10,12 +10,16 @@
 //! 2. the new group contains the set of replicas that **possibly
 //!    performed the last update** (`last = all − mourned ⊆ newgroup`).
 //!
-//! The replica with the highest logical version then supplies the
-//! current state ([`StateMachine::snapshot`] →
-//! [`StateMachine::install`]); [`StateMachine::begin_copy`] guards the
-//! copy phase against a crash mid-copy. The optional improved rule
-//! (§3.2 end) lets a replica that stayed up pair with a rebooted one
-//! even when the strict last-set check fails.
+//! Each replica's mourned set is computed here, from the durable
+//! configuration vector the driver keeps ([`DriverShared::config`]).
+//! The replica with the highest logical version
+//! ([`StateMachine::version`]) then supplies the current state
+//! ([`StateMachine::snapshot`] → [`StateMachine::install`]); a
+//! [`persist`](StateMachine::persist) with the copy mark set guards the
+//! copy phase against a crash mid-copy, and one with it clear records
+//! the configuration the replica enters service in. The optional
+//! improved rule (§3.2 end) lets a replica that stayed up pair with a
+//! rebooted one even when the strict last-set check fails.
 
 use std::cell::RefCell;
 use std::time::Duration;
@@ -86,22 +90,23 @@ wire_enum! {
     }
 }
 
-/// The always-on internal RPC service of one replica.
+/// The always-on internal RPC service of one of `n` replicas.
 pub(crate) fn serve_internal<S: StateMachine>(
     ctx: &Ctx,
     srv: &RpcServer,
     sm: &S,
     shared: &RefCell<DriverShared>,
+    n: usize,
 ) {
     loop {
         let incoming = srv.getreq(ctx);
         let reply = match InternalMsg::decode_shared(&incoming.data) {
             Ok(InternalMsg::Exchange { .. }) => {
-                let info = sm.recovery_info();
+                let shared = shared.borrow();
                 InternalMsg::ExchangeReply {
-                    mourned: info.mourned,
-                    update_seq: info.update_seq,
-                    stayed_up: shared.borrow_mut().stayed_up,
+                    mourned: mourned_set(&shared, n),
+                    update_seq: sm.version(),
+                    stayed_up: shared.stayed_up,
                 }
             }
             Ok(InternalMsg::Fetch) => {
@@ -198,13 +203,10 @@ pub(crate) fn run_recovery<S: StateMachine>(
         // and rebuilding from scratch.
         let skeen_deadline = ctx.now() + MAJORITY_TIMEOUT * 2;
         let outcome = loop {
-            let (my_mourned, my_seq, my_stayed) = {
-                let info = sm.recovery_info();
-                let mut mourned = info.mourned;
-                mourned.resize(cfg.n, false);
-                (mourned, info.update_seq, shared.borrow_mut().stayed_up)
+            let (mut mourned, my_seq, my_stayed) = {
+                let shared = shared.borrow();
+                (mourned_set(&shared, cfg.n), sm.version(), shared.stayed_up)
             };
-            let mut mourned = my_mourned;
             let mut newgroup = vec![false; cfg.n];
             newgroup[cfg.me] = true;
             let mut seqs: Vec<Option<(u64, bool)>> = vec![None; cfg.n];
@@ -310,25 +312,29 @@ pub(crate) fn run_recovery<S: StateMachine>(
             .max_by_key(|(i, seq)| (*seq, usize::MAX - *i))
             .expect("at least ourselves");
         if best != cfg.me && best_seq > my_seq {
-            // Durably mark the copy phase first (crash-mid-copy guard).
-            sm.begin_copy(ctx);
+            // Durably mark the copy phase first (crash-mid-copy guard);
+            // cursor and configuration stay as they are.
+            let (cursor, config) = {
+                let shared = shared.borrow();
+                (
+                    shared.applied_seq,
+                    shared.config.clone().unwrap_or_default(),
+                )
+            };
+            persist(ctx, sm, shared, cursor, &config, true);
             if !fetch_state(ctx, sm, cfg, shared, rpc, best, group.instance_id()) {
                 group.leave(ctx);
                 retry_sleep(ctx);
                 continue;
             }
-        } else {
-            // We are (among) the most current: align both cursors —
-            // the driver's published cursor *and* the machine's
-            // applied cursor — with the new instance's order so far.
-            // The instance's sequence numbers restart, so a cursor
-            // carried over from the previous instance would make our
-            // snapshots over-claim coverage and fetching peers would
-            // skip real operations.
-            if let Ok(hc) = group.info().map(|i| i.highest_contiguous) {
-                sm.align_cursor(ctx, hc);
-                shared.borrow_mut().set_cursors(hc);
-            }
+        } else if let Ok(hc) = group.info().map(|i| i.highest_contiguous) {
+            // We are (among) the most current: align the cursors with
+            // the new instance's order so far (the machine's with the
+            // persist below). The instance's sequence numbers restart,
+            // so a cursor carried over from the previous instance
+            // would make our snapshots over-claim coverage and
+            // fetching peers would skip real operations.
+            shared.borrow_mut().set_cursors(hc);
         }
 
         ctx.trace(format!(
@@ -336,9 +342,36 @@ pub(crate) fn run_recovery<S: StateMachine>(
             cfg.me
         ));
         // "write commit block; enter normal operation".
-        sm.enter_service(ctx, &newgroup);
+        let cursor = shared.borrow().applied_seq;
+        persist(ctx, sm, shared, cursor, &newgroup, false);
         return group;
     }
+}
+
+/// The replica's mourned set over `n` replicas: `mourned[i]` iff its
+/// configuration says server *i* crashed before it (Skeen's initial
+/// set, Fig. 6). A replica without a configuration mourns no one.
+fn mourned_set(shared: &DriverShared, n: usize) -> Vec<bool> {
+    let config = shared.config.as_deref().unwrap_or_default();
+    (0..n).map(|i| config.get(i) == Some(&false)).collect()
+}
+
+/// Records `config` as the replica's configuration (when its machine
+/// keeps one), then has the machine set its cursor to `cursor` and make
+/// the configuration and the copy mark durable. The vector changes
+/// before the write, so an exchange answered meanwhile mourns by it.
+pub(crate) fn persist<S: StateMachine>(
+    ctx: &Ctx,
+    sm: &S,
+    shared: &RefCell<DriverShared>,
+    cursor: SeqNo,
+    config: &[bool],
+    copying: bool,
+) {
+    if let Some(kept) = shared.borrow_mut().config.as_mut() {
+        *kept = config.to_vec();
+    }
+    sm.persist(ctx, cursor, config, copying);
 }
 
 fn retry_sleep(ctx: &Ctx) {

@@ -13,7 +13,7 @@ use amoeba_sim::{Ctx, IdMap, MailboxTx, NodeId, Spawn};
 
 use crate::config::RsmConfig;
 use crate::machine::{RsmError, StateMachine};
-use crate::recovery::{run_recovery, serve_internal};
+use crate::recovery::{persist, run_recovery, serve_internal};
 
 /// Most consecutive delivered operations applied as one batch before
 /// the single group-commit [`flush`](StateMachine::flush).
@@ -74,6 +74,13 @@ pub struct ReplicaStats {
 pub(crate) struct DriverShared {
     pub mode: Mode,
     pub group: Option<Rc<Group>>,
+    /// The replica's durable configuration vector (`config[i]` = server
+    /// *i* was in the last configuration this replica served in), the
+    /// source of its mourned set: loaded once from
+    /// [`StateMachine::boot`], replaced at every
+    /// [`persist`](StateMachine::persist). `None` for a machine that
+    /// keeps no configuration.
+    pub config: Option<Vec<bool>>,
     /// Work counters for [`Replica::stats`].
     pub stats: ReplicaStats,
     /// Highest sequence number *applied*, flushed or not. Readers and
@@ -104,6 +111,7 @@ impl DriverShared {
         DriverShared {
             mode: Mode::Recovering,
             group: None,
+            config: None,
             stats: ReplicaStats::default(),
             applied_seq: 0,
             published_seq: 0,
@@ -252,10 +260,11 @@ impl<S: StateMachine> Replica<S> {
             let srv = RpcServer::new(&rpc, cfg.internal_ports[cfg.me]);
             let sm = Rc::clone(&sm);
             let shared = Rc::clone(&shared);
+            let n = cfg.n;
             spawner.spawn_boxed(
                 Some(sim_node),
                 &format!("rsm{}-internal", cfg.me),
-                Box::new(move |ctx| serve_internal(ctx, &srv, &*sm, &shared)),
+                Box::new(move |ctx| serve_internal(ctx, &srv, &*sm, &shared, n)),
             );
         }
 
@@ -493,7 +502,8 @@ impl<S: StateMachine> Replica<S> {
     /// Recovery → normal operation → (on collapse) recovery, forever.
     fn main_loop(&self, ctx: &Ctx, peer: &GroupPeer, rpc: &RpcClient) {
         // Load whatever survived the reboot, once.
-        self.sm.boot(ctx);
+        let config = self.sm.boot(ctx);
+        self.shared.borrow_mut().config = config;
         loop {
             let group = run_recovery(ctx, &*self.sm, &self.cfg, &self.shared, peer, rpc);
             let group = Rc::new(group);
@@ -607,16 +617,32 @@ impl<S: StateMachine> Replica<S> {
                 Some(Ok(GroupEvent::Joined { seq, .. }))
                 | Some(Ok(GroupEvent::Left { seq, .. })) => {
                     let view = group.info().map(|i| i.view).unwrap_or_default();
-                    self.sm.on_membership(ctx, seq, &self.config_of(&view));
+                    let cursor = self.shared.borrow().applied_seq.max(seq);
+                    persist(
+                        ctx,
+                        &*self.sm,
+                        &self.shared,
+                        cursor,
+                        &self.config_of(&view),
+                        false,
+                    );
                     let mut shared = self.shared.borrow_mut();
-                    shared.applied_seq = shared.applied_seq.max(seq);
+                    shared.applied_seq = cursor;
                     shared.published_seq = shared.published_seq.max(seq);
                     shared.wake();
                 }
                 Some(Ok(GroupEvent::ResetDone { view, .. })) => {
                     // A reset consumes no slot: record the new
                     // configuration only.
-                    self.sm.on_membership(ctx, 0, &self.config_of(&view));
+                    let cursor = self.shared.borrow().applied_seq;
+                    persist(
+                        ctx,
+                        &*self.sm,
+                        &self.shared,
+                        cursor,
+                        &self.config_of(&view),
+                        false,
+                    );
                 }
                 Some(Err(GroupError::Failed)) => {
                     // Rebuild a majority of the group; if that fails,

@@ -11,14 +11,13 @@ use std::time::Duration;
 use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirOp, DirParams, DirectoryStateMachine, LeaseRequest, LeaseService, Rights,
+    Capability, DirOp, DirParams, DirectoryStateMachine, LeaseMachine, LeaseRequest, Rights,
     ServiceConfig, Storage, StorageKind,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
 use amoeba_dirsvc::flip::{NetParams, Network, Payload, Port};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
-use amoeba_dirsvc::rsm::service::ServiceMachine;
 use amoeba_dirsvc::rsm::StateMachine;
 use amoeba_dirsvc::sim::{Ctx, NodeId, Resource, Simulation};
 
@@ -34,7 +33,7 @@ use amoeba_dirsvc::sim::{Ctx, NodeId, Resource, Simulation};
 /// `a` is asked for every reply, as the replica whose thread submitted
 /// the op is; `b` for none, as every other replica. `b` must return
 /// nothing and still be `a`'s equal — snapshot (leases included),
-/// recovery info and cursor — after every single op. `golden` pins
+/// version and cursor — after every single op. `golden` pins
 /// replies of `a` by sequence number, in hex, as the last commit whose
 /// `apply` had no `reply` flag produced them.
 fn check_conformance<S: StateMachine>(
@@ -56,7 +55,7 @@ fn check_conformance<S: StateMachine>(
             b.snapshot(ctx),
             "apply #{seq}: state depends on `reply`"
         );
-        assert_eq!(a.recovery_info(), b.recovery_info(), "apply #{seq}");
+        assert_eq!(a.version(), b.version(), "apply #{seq}");
         if let Some((_, bytes)) = golden.iter().find(|(s, _)| *s == seq) {
             assert_eq!(hex(&ra), *bytes, "apply #{seq}: reply bytes moved");
         }
@@ -350,10 +349,10 @@ fn install_refuses_a_malformed_snapshot_and_leaves_the_machine_untouched() {
             before,
             "a refused install changed the state"
         );
-        assert_eq!(sm.recovery_info().update_seq, 0);
+        assert_eq!(sm.version(), 0);
         // Without the stray bytes the same snapshot installs.
         assert!(sm.install(ctx, 9, &snapshot(0).finish_payload()));
-        assert_eq!(sm.recovery_info().update_seq, 5);
+        assert_eq!(sm.version(), 5);
         refused
     });
     sim.run_for(Duration::from_secs(10));
@@ -363,9 +362,9 @@ fn install_refuses_a_malformed_snapshot_and_leaves_the_machine_untouched() {
 #[test]
 fn lease_machine_conforms() {
     let mut sim = Simulation::new(7);
-    let a = ServiceMachine::<LeaseService>::new(3);
-    let b = ServiceMachine::<LeaseService>::new(3);
-    let f = ServiceMachine::<LeaseService>::new(3);
+    let a = LeaseMachine::default();
+    let b = LeaseMachine::default();
+    let f = LeaseMachine::default();
     let grant = |name: &str, owner: u64| {
         LeaseRequest::Grant {
             name: name.into(),
@@ -674,7 +673,7 @@ fn crash_during_apply_scenario(seed: u64, journal: bool) {
 /// the highest stored seqno instead of zero, and if every replica died
 /// in the same flush window the service resumes from the best prefix
 /// rather than losing everything. Crash inside a recovery *copy*
-/// (epoch forced to 0 by `begin_copy`): the state may mix two
+/// (epoch forced to 0 by the copy mark's `persist`): the state may mix two
 /// replicas' histories and stays worthless, exactly as before.
 #[test]
 fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
@@ -765,7 +764,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
     );
 
     // Now simulate a crash mid recovery copy over the same storage:
-    // begin_copy zeroes the epoch; a machine booting from that state
+    // the copy mark zeroes the epoch; a machine booting from that state
     // must claim nothing.
     let p2 = Rc::new(DirectoryStateMachine::standalone(
         cfg,
@@ -776,7 +775,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
         cpu,
     ));
     let worthless = sim.spawn("probe-copy-crash", move |ctx| {
-        probe.begin_copy(ctx); // writes recovering=true, epoch=0
+        probe.persist(ctx, 0, &[true; 3], true); // writes recovering=true, epoch=0
         p2.boot(ctx);
         p2.update_seq()
     });

@@ -18,8 +18,8 @@ use std::time::Duration;
 use amoeba_dirsvc::bullet::{BulletClient, BulletErrorKind, BulletReply, BulletRequest, FileCap};
 use amoeba_dirsvc::dir::{
     Capability, CommitBlock, DirError, DirOp, DirParams, DirReply, DirRequest, Directory,
-    DirectoryStateMachine, LeaseReply, LeaseRequest, LeaseService, LeaseTable, PeerMsg, Rights,
-    Row, ServiceConfig, Storage,
+    DirectoryStateMachine, LeaseReply, LeaseRequest, LeaseTable, PeerMsg, Rights, Row,
+    ServiceConfig, Storage,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
@@ -28,7 +28,6 @@ use amoeba_dirsvc::group::{
     AcceptBody, AcceptItem, DoneItem, GroupMsg, MemberId, MemberInfo, View,
 };
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
-use amoeba_dirsvc::rsm::service::Service;
 use amoeba_dirsvc::rsm::{InternalMsg, StateMachine};
 use amoeba_dirsvc::sim::{NodeId, Resource, Simulation};
 use amoeba_explore::schedule::{FaultKind, Injection};
@@ -839,7 +838,7 @@ fn lease_table() -> (LeaseTable, &'static str) {
         grant("c", 9, 9),
         release,
     ] {
-        LeaseService::apply(&mut table, req);
+        table.apply(req);
     }
     (
         table,
