@@ -937,7 +937,7 @@ impl StateMachine for DirectoryStateMachine {
             // reboot would only plant an already-expired lease).
             Storage::Nvram { .. } if matches!(op, DirOp::GrantRead { .. }) => {}
             Storage::Nvram { nvram, .. } => {
-                if !applier.commit_nvram(ctx, nvram, useq, &op) {
+                if !applier.commit_nvram(ctx, nvram, useq, &op, &effects) {
                     // Too large for the device even drained: the op
                     // commits in place before it is acknowledged.
                     self.write_in_place(ctx, effects);

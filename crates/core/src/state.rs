@@ -503,24 +503,42 @@ impl Applier {
     /// the log no longer needs, §4.1). The group-commit flush is the
     /// log append itself — durable immediately, applied to disk lazily.
     /// `false` when the record does not fit even an empty device: the
-    /// caller must then commit the op's effects in place.
-    pub(crate) fn commit_nvram(&self, ctx: &Ctx, nvram: &Nvram, useq: u64, op: &DirOp) -> bool {
+    /// caller must then commit the op's `effects` in place.
+    pub(crate) fn commit_nvram(
+        &self,
+        ctx: &Ctx,
+        nvram: &Nvram,
+        useq: u64,
+        op: &DirOp,
+        effects: &[Effect],
+    ) -> bool {
         if let DirOp::Delete { object } = op {
             // Pending records of a deleted directory are moot, but the
             // delete itself must be logged. A record that also edits
-            // another directory is not moot: it stays.
+            // another directory is not moot: it stays. Nor is the
+            // create that made it: replay re-runs the allocator, so
+            // every create must stay in the log to keep later objects
+            // at their numbers.
             let _ = nvram.annihilate(|r| {
                 r.tag == *object
-                    && decode_nv_record(&r.data)
-                        .is_some_and(|(_, op)| op_objects(&op).all(|o| o == *object))
+                    && decode_nv_record(&r.data).is_some_and(|(_, op)| {
+                        op_objects(&op).next().is_some() && op_objects(&op).all(|o| o == *object)
+                    })
             });
         }
+        // A create names no object before it is applied: its record is
+        // tagged with the one it made (its effect's), so the flush
+        // writes that directory.
+        let tag = match (op_object(op), effects) {
+            (0, [made, ..]) => made.object(),
+            (tag, _) => tag,
+        };
         // Every modification is logged (and charged) — then a
         // delete whose append is still in the log annihilates
         // *both* records, so neither ever costs a disk operation
         // (§4.1). The NVRAM write itself is still paid, which is
         // what bounds the paper's Fig. 9 at ~45 pairs/s.
-        if !self.log_op(ctx, nvram, useq, op_object(op), op) {
+        if !self.log_op(ctx, nvram, useq, tag, op) {
             return false;
         }
         if let DirOp::DeleteRow { object, name } = op {
@@ -1040,11 +1058,13 @@ impl Applier {
             return;
         }
         // The newest state per object is already in RAM; write each
-        // directory a record edits once, at its current version. Creates
-        // name none: they are flushed via their directory object.
+        // directory a record edits or made once, at its current version
+        // (a create names none: its tag is the directory it made).
         let mut dirty: Vec<u64> = Vec::new();
-        for (_, op) in records.iter().filter_map(|r| decode_nv_record(&r.data)) {
-            dirty.extend(op_objects(&op));
+        for r in &records {
+            if let Some((_, op)) = decode_nv_record(&r.data) {
+                dirty.extend(op_objects(&op).chain(Some(r.tag).filter(|&t| t != 0)));
+            }
         }
         dirty.sort_unstable();
         dirty.dedup();
@@ -1061,9 +1081,8 @@ impl Applier {
             };
             self.perform_disk(ctx, effect);
         }
-        // Creates (tag 0) are covered by the object they created: replaying
-        // them against the flushed table is a no-op because the object is
-        // present; remove all processed records.
+        // Every directory the records touched is on disk: remove exactly
+        // the processed records.
         let ids: IdSet<u64> = records.iter().map(|r| r.uid).collect();
         let _ = nvram.annihilate(|r| ids.contains(&r.uid));
     }
@@ -1071,8 +1090,9 @@ impl Applier {
     /// Replays NVRAM records into RAM state after a reboot (records stay
     /// in the device for the flusher). Returns the highest update seq.
     ///
-    /// Creates logged with tag 0 re-run the deterministic allocator, so a
-    /// replayed create lands on the same object number it had originally.
+    /// Creates re-run the deterministic allocator (their tag serves only
+    /// the flush), so a replayed create lands on the same object number
+    /// it had originally.
     pub(crate) fn replay_nvram(&self, ctx: &Ctx, nvram: &Nvram) -> u64 {
         let mut max_seq = 0;
         for rec in nvram.snapshot() {

@@ -311,6 +311,41 @@ fn nvram_delete_keeps_a_record_that_edits_another_directory() {
     );
 }
 
+/// A create that no later record edits reaches the disk with the idle
+/// flush, which drops its record.
+#[test]
+fn nvram_flush_writes_the_directory_a_create_made() {
+    let [before, after] = before_and_after_reboot(&[1], |ctx, sm| {
+        let create = DirOp::Create {
+            columns: vec!["owner".into()],
+            check: 0xC0 | 1,
+        };
+        sm.apply(ctx, 1, &create.encode(), false);
+        sm.flush(ctx);
+        sm.idle(ctx);
+    });
+    assert_eq!(after, before, "the idle flush lost the create");
+}
+
+/// A delete leaves the record of the create that made its directory:
+/// replay re-runs the allocator, and without that create the next one
+/// would take the deleted directory's number.
+#[test]
+fn nvram_delete_keeps_the_create_record_replay_allocates_by() {
+    let [before, after] = before_and_after_reboot(&[2], |ctx, sm| {
+        for (seq, object) in [(1, 1), (2, 2)] {
+            let create = DirOp::Create {
+                columns: vec!["owner".into()],
+                check: 0xC0 | object,
+            };
+            sm.apply(ctx, seq, &create.encode(), false);
+        }
+        sm.apply(ctx, 3, &DirOp::Delete { object: 1 }.encode(), false);
+        sm.flush(ctx);
+    });
+    assert_eq!(after, before, "replay put directory 2 elsewhere");
+}
+
 /// An op whose record is larger than the whole device is committed in
 /// place before it is acknowledged.
 #[test]
