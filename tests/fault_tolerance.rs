@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::{Capability, DirClient, Rights};
+use amoeba_dirsvc::dir::{Capability, CommitBlock, DirClient, Rights};
 use amoeba_dirsvc::sim::{Ctx, Simulation};
 
 fn ready_root(ctx: &Ctx, client: &DirClient) -> Capability {
@@ -278,4 +278,99 @@ fn updates_written_while_one_server_down_reach_it_after_recovery() {
         cluster.group_server(1).update_seq(),
         "recovered replica must hold the offline-period updates"
     );
+}
+
+/// Appends `names` to `root`, retrying each until it is acknowledged.
+fn append_all(sim: &Simulation, client: &DirClient, root: Capability, names: Vec<String>) {
+    let client = client.clone();
+    sim.spawn("writer", move |ctx| {
+        for name in &names {
+            while client
+                .append_row(ctx, root, name, root, vec![Rights::ALL])
+                .is_err()
+            {
+                ctx.sleep(Duration::from_millis(100));
+            }
+        }
+    });
+}
+
+/// Column `i`'s commit block as its platters hold it.
+fn commit_block_on_disk(cluster: &Cluster, i: usize) -> CommitBlock {
+    let block = cluster.columns[i].vdisk.read_block(0);
+    CommitBlock::decode(&block, 3).expect("a commit block")
+}
+
+/// A head crash: a replica whose disk is destroyed recovers by copying
+/// the whole state from a peer. Crashed again, it must boot that copy
+/// from its own disk: with both peers cut off, its disk alone holds
+/// every acknowledged write, and once the peers come back with wiped
+/// disks, the service serves them all from it.
+#[test]
+fn a_head_crashed_replica_keeps_the_state_it_copied_on_its_own_disk() {
+    let (mut sim, mut cluster, client, root) = form_cluster(67);
+    let names = |tag: &str| (0..5).map(|i| format!("{tag}{i}")).collect::<Vec<_>>();
+    append_all(&sim, &client, root, names("pre"));
+    sim.run_for(Duration::from_secs(10));
+
+    cluster.destroy_server_disk(&sim, 2);
+    sim.run_for(Duration::from_secs(2));
+    cluster.restart_server(&sim, 2);
+    sim.run_for(Duration::from_secs(20));
+    assert!(cluster.group_server(2).is_normal(), "server 2 recovered");
+    // Its platters were blank: the state it holds is a copy.
+    assert_eq!(
+        cluster.group_server(2).update_seq(),
+        cluster.group_server(0).update_seq(),
+        "server 2 copied the whole state"
+    );
+    let cb = commit_block_on_disk(&cluster, 2);
+    assert!(!cb.recovering && cb.epoch > 0, "copy mark cleared: {cb:?}");
+
+    append_all(&sim, &client, root, names("post"));
+    sim.run_for(Duration::from_secs(10));
+    let acked = cluster.group_server(0).update_seq();
+    assert_eq!(cluster.group_server(2).update_seq(), acked);
+
+    // Crash it again, this time keeping its disk, and cut its peers off:
+    // it boots from its own platters and cannot copy from anyone.
+    cluster.crash_server(&sim, 2);
+    sim.run_for(Duration::from_secs(2));
+    let peers = [cluster.columns[0].host, cluster.columns[1].host];
+    cluster.net.set_partition(&[&peers]);
+    cluster.restart_server(&sim, 2);
+    sim.run_for(Duration::from_secs(10));
+    assert!(!cluster.group_server(2).is_normal(), "alone, no majority");
+    assert_eq!(
+        cluster.group_server(2).update_seq(),
+        acked,
+        "its own disk holds every acknowledged write"
+    );
+    let cb = commit_block_on_disk(&cluster, 2);
+    assert!(
+        !cb.recovering && cb.epoch > 0,
+        "no copy in progress: {cb:?}"
+    );
+
+    // The peers come back with wiped disks: server 2's disk is the only
+    // copy left, and every acknowledged row is served from it.
+    for i in [0, 1] {
+        cluster.destroy_server_disk(&sim, i);
+    }
+    sim.run_for(Duration::from_secs(2));
+    cluster.heal();
+    for i in [0, 1] {
+        cluster.restart_server(&sim, i);
+    }
+    sim.run_for(Duration::from_secs(30));
+    assert!((0..3).all(|i| cluster.group_server(i).is_normal()));
+    let c2 = client.clone();
+    let all = [names("pre"), names("post")].concat();
+    let found = sim.spawn("check", move |ctx| {
+        all.iter()
+            .filter(|name| matches!(c2.lookup(ctx, root, name), Ok(Some(_))))
+            .count()
+    });
+    sim.run_for(Duration::from_secs(10));
+    assert_eq!(found.take(), Some(10), "an acknowledged row was lost");
 }
