@@ -5,7 +5,7 @@
 use amoeba_sim::IdMap;
 
 use crate::directory::Directory;
-use crate::ops::{DirError, DirOp, DirReply};
+use crate::ops::{DirError, DirOp};
 
 /// A sequential, non-replicated directory service model.
 ///
@@ -165,17 +165,6 @@ impl DirModel {
                 self.dirs.get(&cap.object).ok_or(DirError::BadCapability)?;
                 Ok(None)
             }
-        }
-    }
-
-    /// Whether a service reply is consistent with the model's outcome for
-    /// the same op.
-    pub fn reply_matches(expected: &Result<Option<u64>, DirError>, reply: &DirReply) -> bool {
-        match (expected, reply) {
-            (Ok(Some(object)), DirReply::Cap(c)) => c.object == *object,
-            (Ok(None), DirReply::Ok) => true,
-            (Err(e), DirReply::Err(got)) => e == got,
-            _ => false,
         }
     }
 

@@ -57,11 +57,6 @@ impl Rights {
     pub fn sees_column(self, i: usize) -> bool {
         i < 4 && self.0 & (1 << i) != 0
     }
-
-    /// The column bits only.
-    pub fn column_bits(self) -> Rights {
-        Rights(self.0 & 0x0F)
-    }
 }
 
 /// The rights byte.

@@ -79,13 +79,6 @@ impl NodeStack {
         self.net.handle().handler(sim_node, name, rx, f);
     }
 
-    /// Removes the binding for `port`; subsequent packets are dropped.
-    pub fn unbind(&self, port: Port) {
-        if let Some(table) = self.net.endpoints_of(self.addr) {
-            table.borrow_mut().remove(&port);
-        }
-    }
-
     /// Whether anything is bound to `port` on this host.
     pub fn is_bound(&self, port: Port) -> bool {
         self.net

@@ -111,13 +111,6 @@ impl Ctx {
         debug_assert_eq!(reason, WakeReason::Slept);
     }
 
-    /// Yields the CPU, letting all other work scheduled for the current
-    /// instant run before this process continues.
-    pub fn yield_now(&self) {
-        let now = self.now();
-        self.sleep_until(now);
-    }
-
     /// Spawns a sibling process on the same node.
     pub fn spawn<F, R>(&self, name: &str, f: F) -> ProcOutput<R>
     where

@@ -113,16 +113,6 @@ impl Resource {
         self.release();
     }
 
-    /// Whether the resource is currently held.
-    pub fn is_busy(&self) -> bool {
-        self.state.borrow().busy
-    }
-
-    /// The number of processes queued behind the current holder.
-    pub fn queue_len(&self) -> usize {
-        self.state.borrow().waiters.len()
-    }
-
     /// Cumulative held time recorded by [`use_for`](Resource::use_for).
     pub fn busy_time(&self) -> Duration {
         Duration::from_nanos(self.state.borrow().busy_nanos)

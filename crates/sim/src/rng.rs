@@ -88,11 +88,6 @@ impl SimRng {
         h
     }
 
-    /// The next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniformly distributed value in `[0, bound)`.
     ///
     /// # Panics

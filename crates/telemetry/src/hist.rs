@@ -137,23 +137,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, i64>,
 }
 
-impl MetricsSnapshot {
-    /// `(p50, p95, p99, max)` in milliseconds for a µs-valued family;
-    /// `None` if the family was never observed.
-    pub fn latency_ms(&self, family: &str) -> Option<(f64, f64, f64, f64)> {
-        let h = self.hists.get(family)?;
-        if h.count == 0 {
-            return None;
-        }
-        Some((
-            h.percentile(50.0) as f64 / 1e3,
-            h.percentile(95.0) as f64 / 1e3,
-            h.percentile(99.0) as f64 / 1e3,
-            h.max as f64 / 1e3,
-        ))
-    }
-}
-
 /// Named histograms, counters, and gauges. `BTreeMap`-keyed so snapshot
 /// iteration order is deterministic.
 #[derive(Default)]

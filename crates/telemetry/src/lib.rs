@@ -264,7 +264,7 @@ impl Telemetry {
     /// Opens a root span (a new trace) on `machine` at the current
     /// simulated time. Returns [`TraceCtx::NONE`] when disabled.
     pub fn begin_root(&self, name: &str, machine: u64) -> TraceCtx {
-        self.begin_at(name, machine, None, None)
+        self.begin(name, machine, None)
     }
 
     /// Opens a child span of `parent` on `machine`. Silence propagates:
@@ -273,36 +273,14 @@ impl Telemetry {
         if parent.is_none() {
             return TraceCtx::NONE;
         }
-        self.begin_at(name, machine, Some(parent), None)
+        self.begin(name, machine, Some(parent))
     }
 
-    /// [`Telemetry::begin_child`] with an explicit start time, for call
-    /// sites that know the span began earlier than "now" (e.g. a handler
-    /// attributing queueing delay).
-    pub fn begin_child_at(
-        &self,
-        name: &str,
-        machine: u64,
-        parent: TraceCtx,
-        start: SimTime,
-    ) -> TraceCtx {
-        if parent.is_none() {
-            return TraceCtx::NONE;
-        }
-        self.begin_at(name, machine, Some(parent), Some(start))
-    }
-
-    fn begin_at(
-        &self,
-        name: &str,
-        machine: u64,
-        parent: Option<TraceCtx>,
-        start: Option<SimTime>,
-    ) -> TraceCtx {
+    fn begin(&self, name: &str, machine: u64, parent: Option<TraceCtx>) -> TraceCtx {
         let Some(c) = &self.0 else {
             return TraceCtx::NONE;
         };
-        let now = start.unwrap_or_else(|| c.sim.now());
+        let now = c.sim.now();
         let mut inner = c.inner.borrow_mut();
         let span = Self::next_id(&mut inner.rng);
         let (trace, parent_span) = match parent {
