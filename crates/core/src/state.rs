@@ -397,7 +397,8 @@ impl Effect {
     }
 }
 
-/// The object an op concerns (NVRAM record tag).
+/// The object an op concerns, 0 for a create (which names none before
+/// it is applied).
 pub(crate) fn op_object(op: &DirOp) -> u64 {
     match op {
         DirOp::Create { .. } | DirOp::CreateKeyed { .. } | DirOp::InstallDir { .. } => 0,

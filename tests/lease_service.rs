@@ -1,8 +1,8 @@
 //! The replicated lease service, the rebalancer's migration fence and
-//! the one service on the `amoeba-rsm` service harness: exclusive TTL
-//! grants over logical time, ordered by the group; renewal,
+//! the volatile one of the two `amoeba-rsm` state machines: exclusive
+//! TTL grants over logical time, ordered by the group; renewal,
 //! expiry-by-contention, crash/rejoin via peer snapshots, and the
-//! harness's cursor alignment after a majority loss.
+//! driver's cursor alignment after a majority loss.
 
 use std::time::Duration;
 
