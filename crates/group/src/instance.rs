@@ -2055,15 +2055,18 @@ impl Instance {
             )
         } else {
             match self.sequencer_host() {
-                Some(h) => vec![Action::Unicast(
-                    h,
-                    GroupMsg::SendReq {
-                        instance: self.id,
-                        incarnation: self.incarnation,
-                        from: self.me,
-                        msgid,
-                        data,
-                    },
+                Some(h) => vec![Self::traced(
+                    tags,
+                    Action::Unicast(
+                        h,
+                        GroupMsg::SendReq {
+                            instance: self.id,
+                            incarnation: self.incarnation,
+                            from: self.me,
+                            msgid,
+                            data,
+                        },
+                    ),
                 )],
                 None => Vec::new(),
             }
@@ -3276,6 +3279,26 @@ mod tests {
             Action::Unicast(h, GroupMsg::SendReq { .. }) if *h == H0
         )));
         assert_eq!(inst.stats.send_retries, 1);
+    }
+
+    /// A retried `SendReq` carries the submitter's trace context like the
+    /// first one, so the sequencer parents its ordering span to it.
+    #[test]
+    fn a_retried_send_req_keeps_its_trace_tag() {
+        let mut inst = member_one(0);
+        let trace = TraceCtx { trace: 7, span: 9 };
+        let (msgid, _) = inst.app_send_traced(T0, vec![1].into(), trace);
+        let later = T0 + inst.cfg.ack_timeout + Duration::from_millis(1);
+        let actions = inst.tick(later);
+        assert!(
+            actions.iter().any(|a| matches!(
+                a,
+                Action::Traced(tags, inner)
+                    if tags.as_slice() == [(msgid, trace)]
+                        && matches!(**inner, Action::Unicast(h, GroupMsg::SendReq { .. }) if h == H0)
+            )),
+            "{actions:?}"
+        );
     }
 
     /// Three members on an instant, lossless network. Member `i` lives
