@@ -1,0 +1,348 @@
+//! Failure and `ResetGroup`: a member that suspects another fails the
+//! group; a coordinator invites votes, announces the new view with the
+//! highest prefix any voter holds as its cutoff, and every member installs
+//! it once it has caught up to that cutoff.
+
+use amoeba_flip::HostAddr;
+use amoeba_sim::{IdMap, SimTime};
+
+use super::{Action, Instance};
+use crate::error::GroupError;
+use crate::msg::GroupMsg;
+use crate::types::{GroupEvent, Incarnation, MemberId, MemberInfo, SeqNo, View};
+
+#[derive(Debug)]
+pub(super) struct ResetCoord {
+    round: u64,
+    min_size: usize,
+    votes: IdMap<MemberId, (MemberInfo, SeqNo)>,
+    deadline: SimTime,
+    announced: bool,
+}
+
+#[derive(Debug)]
+pub(super) struct PendingInstall {
+    pub(super) new_incarnation: Incarnation,
+    view: View,
+    pub(super) cutoff: SeqNo,
+    pub(super) source: HostAddr,
+}
+
+impl Instance {
+    /// Marks the group failed and tells everyone.
+    pub(super) fn fail_group(&mut self, suspect: MemberId) -> Vec<Action> {
+        if self.failed {
+            return Vec::new();
+        }
+        self.failed = true;
+        self.stats.failures += 1;
+        // Push out any accepts still waiting on a batch flush first, so
+        // members hold as much of the order as possible going into reset.
+        let mut actions = self.flush_pending();
+        actions.push(Action::Multicast(GroupMsg::FailNotice {
+            instance: self.id,
+            incarnation: self.incarnation,
+            suspect,
+        }));
+        actions.append(&mut self.on_failed());
+        actions
+    }
+
+    /// Local bookkeeping when the group enters the failed state.
+    fn on_failed(&mut self) -> Vec<Action> {
+        let mut actions = Vec::new();
+        if !self.failure_notified {
+            self.failure_notified = true;
+            actions.push(Action::NotifyFailure);
+        }
+        actions
+    }
+
+    pub(super) fn on_fail_notice(&mut self, incarnation: Incarnation) -> Vec<Action> {
+        if incarnation == self.incarnation && !self.failed {
+            self.failed = true;
+            self.stats.failures += 1;
+            return self.on_failed();
+        }
+        Vec::new()
+    }
+
+    /// A reset this member missed has expelled it: it dissolves.
+    pub(super) fn on_expel_notice(&mut self, current_incarnation: Incarnation) -> Vec<Action> {
+        if current_incarnation > self.incarnation {
+            self.dissolved = true;
+            let mut actions = self.on_failed();
+            actions.push(Action::Dissolve);
+            return actions;
+        }
+        Vec::new()
+    }
+
+    /// `ResetGroup`: become a reset coordinator.
+    pub fn app_reset(&mut self, now: SimTime, min_size: usize) -> Vec<Action> {
+        if self.dissolved {
+            return vec![Action::CompleteReset(Err(GroupError::Dead))];
+        }
+        let round = self.next_reset_round;
+        self.next_reset_round += 1;
+        let mut votes = IdMap::default();
+        votes.insert(
+            self.me,
+            (
+                MemberInfo {
+                    id: self.me,
+                    host: self.my_host,
+                    tag: self.my_tag,
+                },
+                self.highest_contiguous,
+            ),
+        );
+        self.reset_coord = Some(ResetCoord {
+            round,
+            min_size,
+            votes,
+            deadline: now + self.cfg.reset_vote_window,
+            announced: false,
+        });
+        // Latch our own vote so lower-priority coordinators are ignored.
+        self.voted = Some((self.me, round, now));
+        vec![Action::Multicast(GroupMsg::ResetInvite {
+            instance: self.id,
+            old_incarnation: self.incarnation,
+            coord: self.me,
+            coord_host: self.my_host,
+            round,
+        })]
+    }
+
+    /// Coordinator, on the tick: at the vote deadline the reset is
+    /// announced with the votes it has, or fails if they are too few.
+    pub(super) fn reset_deadline(&mut self, now: SimTime) -> Vec<Action> {
+        match &self.reset_coord {
+            Some(rc) if rc.announced || now < rc.deadline => Vec::new(),
+            Some(rc) if rc.votes.len() >= rc.min_size => self.announce_reset(now),
+            Some(_) => {
+                self.reset_coord = None;
+                vec![Action::CompleteReset(Err(GroupError::ResetFailed))]
+            }
+            None => Vec::new(),
+        }
+    }
+
+    pub(super) fn on_reset_invite(
+        &mut self,
+        now: SimTime,
+        old_incarnation: Incarnation,
+        coord: MemberId,
+        coord_host: HostAddr,
+        round: u64,
+    ) -> Vec<Action> {
+        if old_incarnation != self.incarnation {
+            return Vec::new();
+        }
+        // Vote latching: prefer the lowest member id as coordinator; a
+        // latched vote expires after two vote windows.
+        let latch_expired = match self.voted {
+            Some((_, _, at)) => now.saturating_since(at) > self.cfg.reset_vote_window * 2,
+            None => true,
+        };
+        let better = match self.voted {
+            Some((c, r, _)) => coord < c || (coord == c && round >= r),
+            None => true,
+        };
+        if !(latch_expired || better) {
+            return Vec::new();
+        }
+        self.voted = Some((coord, round, now));
+        vec![Action::Unicast(
+            coord_host,
+            GroupMsg::ResetVote {
+                instance: self.id,
+                old_incarnation,
+                round,
+                coord,
+                voter: MemberInfo {
+                    id: self.me,
+                    host: self.my_host,
+                    tag: self.my_tag,
+                },
+                highest: self.highest_contiguous,
+            },
+        )]
+    }
+
+    pub(super) fn on_reset_vote(
+        &mut self,
+        now: SimTime,
+        old_incarnation: Incarnation,
+        round: u64,
+        coord: MemberId,
+        voter: MemberInfo,
+        highest: SeqNo,
+    ) -> Vec<Action> {
+        if old_incarnation != self.incarnation || coord != self.me {
+            return Vec::new();
+        }
+        let rc = match &mut self.reset_coord {
+            Some(rc) if rc.round == round && !rc.announced => rc,
+            _ => return Vec::new(),
+        };
+        rc.votes.insert(voter.id, (voter, highest));
+        // Announce as soon as every current-view member voted; otherwise
+        // the tick announces at the deadline if min_size is met.
+        if rc.votes.len() >= self.view.len() {
+            self.announce_reset(now)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Coordinator: finalize the reset with the votes collected so far.
+    fn announce_reset(&mut self, now: SimTime) -> Vec<Action> {
+        let rc = match &mut self.reset_coord {
+            Some(rc) if !rc.announced => rc,
+            _ => return Vec::new(),
+        };
+        if rc.votes.len() < rc.min_size {
+            return Vec::new();
+        }
+        rc.announced = true;
+        let round = rc.round;
+        let mut view = View::default();
+        let mut cutoff = 0;
+        let mut source = self.my_host;
+        let mut best = (0u64, u32::MAX); // (highest, member id) — prefer highest, tie lowest id
+        for (info, highest) in rc.votes.values() {
+            view.insert(*info);
+            if *highest > cutoff {
+                cutoff = *highest;
+            }
+            if *highest > best.0 || (*highest == best.0 && info.id.0 < best.1) {
+                best = (*highest, info.id.0);
+                source = info.host;
+            }
+        }
+        let new_incarnation = self.incarnation + 1;
+        let result = GroupMsg::ResetResult {
+            instance: self.id,
+            old_incarnation: self.incarnation,
+            round,
+            coord: self.me,
+            new_incarnation,
+            view: view.clone(),
+            cutoff,
+            source,
+        };
+        let mut actions = vec![Action::Multicast(result)];
+        // Apply locally as well (multicast loopback also arrives, but be
+        // robust to its loss).
+        let mut more =
+            self.on_reset_result(now, self.incarnation, new_incarnation, view, cutoff, source);
+        actions.append(&mut more);
+        actions
+    }
+
+    pub(super) fn on_reset_result(
+        &mut self,
+        now: SimTime,
+        old_incarnation: Incarnation,
+        new_incarnation: Incarnation,
+        view: View,
+        cutoff: SeqNo,
+        source: HostAddr,
+    ) -> Vec<Action> {
+        if old_incarnation != self.incarnation || new_incarnation <= self.incarnation {
+            return Vec::new();
+        }
+        if !view.contains(self.me) {
+            // Expelled: dissolve.
+            self.dissolved = true;
+            let mut actions = self.on_failed();
+            actions.push(Action::CompleteReset(Err(GroupError::Dead)));
+            actions.push(Action::Dissolve);
+            return actions;
+        }
+        self.pending_install = Some(PendingInstall {
+            new_incarnation,
+            view,
+            cutoff,
+            source,
+        });
+        if self.highest_contiguous >= cutoff {
+            self.install_reset(now)
+        } else {
+            // Catch up from the source first.
+            self.stats.retrans_requests += 1;
+            vec![Action::Unicast(
+                source,
+                GroupMsg::Retrans {
+                    instance: self.id,
+                    from_seq: self.highest_contiguous + 1,
+                    to_seq: cutoff,
+                    requester: self.my_host,
+                },
+            )]
+        }
+    }
+
+    /// Installs a pending reset once caught up to the cutoff.
+    pub(super) fn install_reset(&mut self, now: SimTime) -> Vec<Action> {
+        let p = match self.pending_install.take() {
+            Some(p) => p,
+            None => return Vec::new(),
+        };
+        debug_assert!(self.highest_contiguous >= p.cutoff);
+        // Any accepts still queued under the old incarnation are covered
+        // by our own history buffer (we applied them locally); drop the
+        // stale multicast rather than leak the old incarnation.
+        self.pending_batch.clear();
+        // Out-of-order buffer entries beyond what the reset agreed on are
+        // abandoned old-incarnation slots. They must not survive: the new
+        // sequencer will reassign those sequence numbers, and a stale
+        // record would shadow the new accept via `insert_accept`'s
+        // or_insert and break total order. `highest_seen` likewise resets
+        // to the agreed prefix.
+        let hc = self.highest_contiguous;
+        self.buffer.retain(|seq, _| *seq <= hc);
+        self.highest_seen = hc;
+        self.incarnation = p.new_incarnation;
+        self.view = p.view;
+        let view = &self.view;
+        self.seen_msgids.retain(|id, _| view.contains(*id));
+        self.next_member_id = self
+            .view
+            .members
+            .iter()
+            .map(|m| m.id.0 + 1)
+            .max()
+            .unwrap_or(self.next_member_id);
+        self.next_seq = self.highest_contiguous + 1;
+        self.pending_acks.clear();
+        // Every member of the new view holds the cutoff.
+        self.holds.clear();
+        for m in &self.view.members {
+            if m.id != self.me {
+                self.holds.insert(m.id, p.cutoff);
+            }
+        }
+        self.acked_to = self.highest_contiguous;
+        self.failed = false;
+        self.failure_notified = false;
+        self.reset_coord = None;
+        self.voted = None;
+        self.stats.resets += 1;
+        self.last_heard.clear();
+        for m in &self.view.members {
+            self.last_heard.insert(m.id, now);
+        }
+        let mut actions = vec![
+            Action::Deliver(GroupEvent::ResetDone {
+                view: self.view.clone(),
+                incarnation: self.incarnation,
+            }),
+            Action::CompleteReset(Ok(())),
+        ];
+        actions.append(&mut self.redrive_pending(now));
+        actions
+    }
+}
