@@ -1,17 +1,14 @@
 //! The client library: typed wrappers over the Fig. 2 operations, plus
 //! the shard-routing layer.
 //!
-//! A [`DirClient`] talks either to a single service port (the classic
-//! unsharded deployment, [`DirClient::new`]) or to a sharded deployment
-//! ([`DirClient::sharded`]), in which case every operation is routed by
-//! the [`ShardMap`]: ops on an existing directory go to the shard burned
-//! into its capability's port, fresh root creates are placed
+//! A [`DirClient`] ([`DirClient::sharded`]) routes every operation
+//! through the [`ShardMap`]: ops on an existing directory go to the shard
+//! burned into its capability's port, fresh root creates are placed
 //! round-robin, and the cross-shard operations
 //! ([`create_in`](DirClient::create_in) /
 //! [`delete_from`](DirClient::delete_from)) run the deterministic
 //! two-step protocol described in the [`crate::shard`] module docs.
-//! With one shard the routed client is indistinguishable from the
-//! classic one.
+//! With one shard every port is the classic unsharded service's.
 //!
 //! Every capability-addressed call runs a **bounded re-resolve loop**:
 //! the capability is first translated through the map's learned
@@ -93,20 +90,12 @@ pub struct Listing {
     pub rows: Vec<(String, Capability, Vec<Rights>)>,
 }
 
-/// How requests map onto service ports.
-#[derive(Debug)]
-enum Route {
-    /// Everything to one fixed port (unsharded, or a custom service).
-    Single(Port),
-    /// Per-shard ports through the shard map.
-    Sharded(ShardMap),
-}
-
 /// A typed client for the directory service (any implementation).
 #[derive(Debug, Clone)]
 pub struct DirClient {
     rpc: RpcClient,
-    route: Rc<Route>,
+    /// How requests map onto the shards' ports.
+    map: Rc<ShardMap>,
     /// Round-robin cursor for placing fresh root directories.
     next_create: Rc<Cell<usize>>,
     /// Lease-fenced local read cache (see [`crate::cache`]); `None`
@@ -115,23 +104,12 @@ pub struct DirClient {
 }
 
 impl DirClient {
-    /// Creates a client that locates servers of `service` through `rpc`
-    /// (a single-group deployment).
-    pub fn new(rpc: RpcClient, service: Port) -> DirClient {
-        DirClient {
-            rpc,
-            route: Rc::new(Route::Single(service)),
-            next_create: Rc::new(Cell::new(0)),
-            cache: None,
-        }
-    }
-
     /// Creates a client for a directory service sharded `shards` ways
     /// (`1` is exactly the classic unsharded service).
     pub fn sharded(rpc: RpcClient, shards: usize) -> DirClient {
         DirClient {
             rpc,
-            route: Rc::new(Route::Sharded(ShardMap::new(shards))),
+            map: Rc::new(ShardMap::new(shards)),
             next_create: Rc::new(Cell::new(0)),
             cache: None,
         }
@@ -170,25 +148,15 @@ impl DirClient {
     /// falls back to shard 0, whose servers will answer
     /// `BadCapability` — the same answer a forged capability gets.
     fn port_of_cap(&self, cap: &Capability) -> Port {
-        match &*self.route {
-            Route::Single(p) => *p,
-            Route::Sharded(m) => match m.shard_of_cap(cap) {
-                Some(shard) => m.public_port(shard),
-                None => m.public_port(0),
-            },
-        }
+        self.map
+            .public_port(self.map.shard_of_cap(cap).unwrap_or(0))
     }
 
     /// Where the next fresh root directory is placed (round-robin over
     /// the shards).
     fn create_port(&self) -> Port {
-        match &*self.route {
-            Route::Single(p) => *p,
-            Route::Sharded(m) => {
-                let k = self.next_create.replace(self.next_create.get() + 1);
-                m.public_port(k % m.shards())
-            }
-        }
+        let k = self.next_create.replace(self.next_create.get() + 1);
+        self.map.public_port(k % self.map.shards())
     }
 
     /// Wraps one public operation in a client span and a latency
@@ -243,12 +211,9 @@ impl DirClient {
     }
 
     /// Translates a capability through the learned relocation hints
-    /// (identity on unsharded routes and unknown capabilities).
+    /// (identity on unknown capabilities).
     fn resolve_cap(&self, cap: Capability) -> Capability {
-        match &*self.route {
-            Route::Single(_) => cap,
-            Route::Sharded(m) => m.resolve(&cap),
-        }
+        self.map.resolve(&cap)
     }
 
     /// Records a forwarding hint learned from a [`DirReply::Moved`].
@@ -259,9 +224,7 @@ impl DirClient {
         if let Some(cache) = &self.cache {
             cache.forget(from.0.as_raw(), from.1);
         }
-        if let Route::Sharded(m) = &*self.route {
-            m.learn(from, to);
-        }
+        self.map.learn(from, to);
     }
 
     /// Belt-and-braces drop after this client's own writes (the
@@ -371,10 +334,7 @@ impl DirClient {
         columns: &[&str],
         col_rights: Vec<Rights>,
     ) -> Result<Capability, DirClientError> {
-        let child_port = match &*self.route {
-            Route::Single(p) => *p,
-            Route::Sharded(m) => m.public_port(m.child_shard(&parent, name)),
-        };
+        let child_port = self.map.public_port(self.map.child_shard(&parent, name));
         // Step 1: keyed create on the child's home shard (idempotent).
         let child = self.expect_cap(
             ctx,
@@ -402,14 +362,7 @@ impl DirClient {
             // failing DuplicateName forever.
             Err(DirClientError::Service(DirError::DuplicateName)) => {
                 match self.lookup(ctx, parent, name)? {
-                    Some(existing)
-                        if match &*self.route {
-                            Route::Single(p) => existing.port == *p,
-                            Route::Sharded(m) => m.shard_of_cap(&existing).is_some(),
-                        } =>
-                    {
-                        Ok(existing)
-                    }
+                    Some(existing) if self.map.shard_of_cap(&existing).is_some() => Ok(existing),
                     // A foreign (non-directory) capability under that
                     // name is a genuine conflict.
                     _ => Err(DirError::DuplicateName.into()),
@@ -451,11 +404,7 @@ impl DirClient {
         name: &str,
     ) -> Result<(), DirClientError> {
         if let Some(child) = self.lookup(ctx, parent, name)? {
-            let ours = match &*self.route {
-                Route::Single(p) => child.port == *p,
-                Route::Sharded(m) => m.shard_of_cap(&child).is_some(),
-            };
-            if ours {
+            if self.map.shard_of_cap(&child).is_some() {
                 match self.delete_dir(ctx, child) {
                     Ok(()) => {}
                     // Already deleted by an earlier, partially failed
@@ -877,11 +826,8 @@ impl DirClient {
         dir: Capability,
         target_shard: usize,
     ) -> Result<Capability, DirClientError> {
-        let map = match &*self.route {
-            Route::Sharded(m) if m.shards() > 1 => m.clone(),
-            _ => return Err(DirClientError::Service(DirError::Malformed)),
-        };
-        if target_shard >= map.shards() {
+        let map = &self.map;
+        if map.shards() < 2 || target_shard >= map.shards() {
             return Err(DirClientError::Service(DirError::Malformed));
         }
         let target_port = map.public_port(target_shard);
