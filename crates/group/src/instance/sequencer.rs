@@ -399,33 +399,26 @@ impl Instance {
 
     /// `LeaveGroup`.
     pub fn app_leave(&mut self, now: SimTime) -> Vec<Action> {
-        if self.dissolved {
-            return vec![Action::CompleteLeave, Action::Dissolve];
-        }
-        if self.failed || self.view.len() == 1 {
-            // Alone or broken: dissolve unilaterally.
-            self.dissolved = true;
-            return vec![Action::CompleteLeave, Action::Dissolve];
-        }
-        if self.is_sequencer() {
-            self.leaving = true;
-            self.leave_once_held(now)
-        } else {
-            match self.sequencer_host() {
-                Some(h) => vec![Action::Unicast(
+        if !self.dissolved && !self.failed && self.view.len() > 1 {
+            if self.is_sequencer() {
+                self.leaving = true;
+                return self.leave_once_held(now);
+            }
+            if let Some(h) = self.sequencer_host() {
+                return vec![Action::Unicast(
                     h,
                     GroupMsg::LeaveRequest {
                         instance: self.id,
                         incarnation: self.incarnation,
                         member: self.me,
                     },
-                )],
-                None => {
-                    self.dissolved = true;
-                    vec![Action::CompleteLeave, Action::Dissolve]
-                }
+                )];
             }
         }
+        // Gone already, alone, broken or without a sequencer: dissolve
+        // unilaterally.
+        self.dissolved = true;
+        vec![Action::CompleteLeave, Action::Dissolve]
     }
 
     /// Sequencer: sequences the Leave of a member that asked for it.
