@@ -162,8 +162,9 @@ pub(crate) struct Instance {
     /// The highest slot each other member is known to hold: the last
     /// cumulative ack it sent here, its join slot, or the cutoff of the
     /// last reset. A lower bound on its progress, and the only record of
-    /// it: the sequencer's window (`window_open`) and resilience
-    /// ([`resilient_to`](Instance::resilient_to)) are both read from it.
+    /// it: the sequencer's window ([`window_open`](Instance::window_open))
+    /// and resilience ([`resilient_to`](Instance::resilient_to)) are both
+    /// read from it.
     holds: IdMap<MemberId, SeqNo>,
     /// The slot this member last acked to its sequencer.
     acked_to: SeqNo,

@@ -27,6 +27,16 @@
 //! the '93 paper); large messages take the BB path (sender multicasts data,
 //! sequencer multicasts a short accept). Gaps are repaired by
 //! retransmission; liveness comes from heartbeats.
+//!
+//! **Layout.** The protocol is a pure state machine, one per group
+//! instance per member, in the private `instance` module: messages and
+//! clock ticks in, actions (packets, deliveries, completions) out. Its
+//! roles each have a file: `sequencer` (ordering, batching, the window,
+//! joins), `member` (receiving, acking, gap recovery), `send` (the
+//! application's sends and their retries) and `reset` (failure and
+//! `ResetGroup`). [`GroupPeer`] runs the instances of one machine as
+//! kernel handlers and executes their actions; [`Group`] is the blocking
+//! application interface over it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
