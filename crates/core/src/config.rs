@@ -12,7 +12,8 @@ pub enum StorageKind {
     /// (paper §3.1).
     InPlace,
     /// The group log: each flush is one sequential journal append, and
-    /// a background checkpointer drains it into place (see `dir_sm`).
+    /// a background checkpointer drains it into place (see
+    /// `dir/storage/journal.rs`).
     Journal {
         /// Disk blocks carved for the journal, after the table partition.
         blocks: u64,
@@ -63,28 +64,6 @@ pub enum Storage {
         /// Fill fraction that triggers a flush after a batch.
         flush_threshold: f64,
     },
-}
-
-impl Storage {
-    /// The devices as a reboot finds them (a journal's cursor cold).
-    pub(crate) fn reopen(&self) -> Storage {
-        let mut storage = self.clone();
-        if let Storage::Journal { journal, .. } = &mut storage {
-            *journal = journal.reopen();
-        }
-        storage
-    }
-
-    /// The replica driver's checkpoint period: only a journal drains.
-    pub(crate) fn checkpoint_interval(&self) -> Option<Duration> {
-        match *self {
-            Storage::Journal {
-                checkpoint_interval,
-                ..
-            } => Some(checkpoint_interval),
-            _ => None,
-        }
-    }
 }
 
 /// Static configuration of one directory service *shard* (the whole

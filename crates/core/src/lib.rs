@@ -56,6 +56,25 @@
 //! [`cache`] module docs for the exact invariant and its cold-start
 //! fence.
 //!
+//! ## The directory machine
+//!
+//! Each group replica is a [`DirectoryStateMachine`] driven by the
+//! generic `amoeba-rsm` replica driver. As in the paper, it has two
+//! halves, kept in separate files of the private `dir` module:
+//!
+//! * a **pure planner** (`dir/plan.rs`): an op and the replicated state
+//!   in, the new state, the reply and the storage effects out. It reads
+//!   no clock and touches no device, so every replica that applies the
+//!   group's total order reaches the same state; the RPC and NFS-like
+//!   baselines run the same planner;
+//! * a **storage path** per [`StorageKind`] (`dir/storage/`): the
+//!   paper's in-place writes (§3.1), the group log, or the NVRAM log
+//!   (§4.1), each owning its commit, flush, replay and boot.
+//!
+//! Reads, the read rule and leases (`dir/read.rs`) sit beside them;
+//! the state machine (`dir/machine.rs`) picks the storage path once per
+//! hook. [`model::DirModel`] is the planner's sequential reference.
+//!
 //! ## The message pipeline (zero-copy invariants)
 //!
 //! A directory update travels flip → rpc → group → core as a shared
@@ -130,7 +149,7 @@ mod capability;
 pub mod cluster;
 mod commit_block;
 mod config;
-mod dir_sm;
+mod dir;
 mod directory;
 pub mod model;
 mod object_table;
@@ -142,7 +161,6 @@ mod server_lease;
 mod server_nfs;
 mod server_rpc;
 pub mod shard;
-mod state;
 
 mod client;
 
@@ -151,7 +169,7 @@ pub use capability::{one_way, Capability};
 pub use client::{DirClient, DirClientError, Listing};
 pub use commit_block::CommitBlock;
 pub use config::{DirParams, ServiceConfig, Storage, StorageKind};
-pub use dir_sm::DirectoryStateMachine;
+pub use dir::DirectoryStateMachine;
 pub use directory::{DirStructureError, Directory, Row};
 pub use object_table::{ObjEntry, ObjectTable};
 pub use ops::{DirError, DirOp, DirReply, DirRequest};

@@ -67,16 +67,7 @@ impl DirModel {
                 col_rights,
             } => {
                 let dir = self.dirs.get_mut(object).ok_or(DirError::BadCapability)?;
-                dir.append_row(name.clone(), *cap, col_rights.clone())
-                    .map_err(|e| match e {
-                        crate::directory::DirStructureError::DuplicateName => {
-                            DirError::DuplicateName
-                        }
-                        crate::directory::DirStructureError::NoSuchName => DirError::NoSuchName,
-                        crate::directory::DirStructureError::ColumnMismatch => {
-                            DirError::ColumnMismatch
-                        }
-                    })?;
+                dir.append_row(name.clone(), *cap, col_rights.clone())?;
                 Ok(None)
             }
             DirOp::Chmod {
@@ -85,13 +76,12 @@ impl DirModel {
                 col_rights,
             } => {
                 let dir = self.dirs.get_mut(object).ok_or(DirError::BadCapability)?;
-                dir.chmod_row(name, col_rights.clone())
-                    .map_err(|_| DirError::NoSuchName)?;
+                dir.chmod_row(name, col_rights.clone())?;
                 Ok(None)
             }
             DirOp::DeleteRow { object, name } => {
                 let dir = self.dirs.get_mut(object).ok_or(DirError::BadCapability)?;
-                dir.delete_row(name).map_err(|_| DirError::NoSuchName)?;
+                dir.delete_row(name)?;
                 Ok(None)
             }
             DirOp::ReplaceSet { items } => {
@@ -130,8 +120,7 @@ impl DirModel {
                         Err(DirError::DuplicateName)
                     };
                 }
-                dir.append_row(name.clone(), *cap, col_rights.clone())
-                    .map_err(|_| DirError::ColumnMismatch)?;
+                dir.append_row(name.clone(), *cap, col_rights.clone())?;
                 Ok(None)
             }
             DirOp::Unlink { object, name } => {

@@ -14,7 +14,7 @@ use amoeba_flip::{wire_enum, Payload, Port};
 
 use crate::cache::NameIndex;
 use crate::capability::Capability;
-use crate::directory::{Row, COLUMNS, MASKS, ROWS};
+use crate::directory::{DirStructureError, Row, COLUMNS, MASKS, ROWS};
 use crate::rights::Rights;
 
 /// The items of a set request, reply or op: a `u32` count of at most
@@ -314,6 +314,17 @@ impl std::fmt::Display for DirError {
 }
 
 impl std::error::Error for DirError {}
+
+/// A refused row edit answers with the error of the same name.
+impl From<DirStructureError> for DirError {
+    fn from(e: DirStructureError) -> DirError {
+        match e {
+            DirStructureError::DuplicateName => DirError::DuplicateName,
+            DirStructureError::NoSuchName => DirError::NoSuchName,
+            DirStructureError::ColumnMismatch => DirError::ColumnMismatch,
+        }
+    }
+}
 
 /// [`DirReply::Snapshot`]'s tag, for the two readers and writers of a
 /// snapshot that do not build a [`DirReply`].

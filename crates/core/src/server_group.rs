@@ -28,9 +28,8 @@ use amoeba_rsm::{Replica, ReplicaDeps, RsmConfig, RsmError};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
 
 use crate::config::{DirParams, ServiceConfig, Storage};
-use crate::dir_sm::DirectoryStateMachine;
+use crate::dir::{op_objects, Applier, DirectoryStateMachine, ReadAt, ReadLease};
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
-use crate::state::{op_objects, Applier, ReadAt, ReadLease};
 use crate::Capability;
 
 /// Handle to one running group directory server (one replica column).

@@ -18,8 +18,8 @@ use amoeba_rpc::{RpcNode, RpcServer};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
 
 use crate::config::{DirParams, ServiceConfig, Storage};
+use crate::dir::{op_object, Applier, ReadAt, Shared};
 use crate::ops::{DirError, DirReply, DirRequest};
-use crate::state::{Applier, ReadAt, Shared};
 
 /// Handle to the running NFS-like server.
 #[derive(Clone)]
@@ -143,7 +143,7 @@ impl Applier {
         match planned {
             Ok((reply, _effects, _)) => {
                 // One synchronous disk write, whatever the op.
-                let object = crate::server_rpc::op_lock_object(op).max(1);
+                let object = op_object(op).max(1);
                 let waiter = { self.shared.borrow_mut().table.flush_begin(object) };
                 if let Some(w) = waiter {
                     w.recv(ctx);

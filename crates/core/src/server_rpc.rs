@@ -22,8 +22,8 @@ use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
 use amoeba_sim::{Ctx, IdSet, MailboxTx, NodeId, Resource, Spawn};
 
 use crate::config::{DirParams, ServiceConfig, Storage};
+use crate::dir::{op_object, Applier, ReadAt, Shared};
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
-use crate::state::{Applier, ReadAt, Shared};
 
 wire_enum! {
     /// Peer-coordination messages of the RPC service (the paper's
@@ -181,9 +181,7 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
                 let incoming = srv.getreq(ctx);
                 let reply = match PeerMsg::decode_shared(&incoming.data) {
                     Ok(PeerMsg::Intent { useq, op }) => {
-                        let object = DirOp::decode(&op)
-                            .map(|o| crate::server_rpc::op_lock_object(&o))
-                            .unwrap_or(0);
+                        let object = DirOp::decode(&op).map(|o| op_object(&o)).unwrap_or(0);
                         let busy = { coord.borrow_mut().locked.contains(&object) };
                         if busy {
                             PeerMsg::IntentBusy
@@ -256,11 +254,8 @@ impl Applier {
     /// Applies an op under an externally supplied sequence number (used by
     /// the RPC service, whose two replicas exchange originator seqnos).
     pub(crate) fn apply_with_seq(&self, ctx: &Ctx, useq: u64, op: &DirOp) -> Payload {
-        // Pre-load the affected directory, mirroring `apply`.
-        let object = op_lock_object(op);
-        if object != 0 {
-            let _ = self.load_dir(ctx, object);
-        }
+        // Pre-load the affected directories, mirroring `apply`.
+        self.preload_for(ctx, op);
         let planned = {
             let mut shared = self.shared.borrow_mut();
             self.plan(&mut shared, op, Some(useq), true)
@@ -274,22 +269,6 @@ impl Applier {
             }
             Err(e) => DirReply::Err(e).encode(),
         }
-    }
-}
-
-/// The object an op locks (creates lock the allocator, object 0).
-pub(crate) fn op_lock_object(op: &DirOp) -> u64 {
-    match op {
-        DirOp::Create { .. } | DirOp::CreateKeyed { .. } | DirOp::InstallDir { .. } => 0,
-        DirOp::Delete { object }
-        | DirOp::Append { object, .. }
-        | DirOp::Chmod { object, .. }
-        | DirOp::DeleteRow { object, .. }
-        | DirOp::AppendLink { object, .. }
-        | DirOp::Unlink { object, .. }
-        | DirOp::InstallStub { object, .. } => *object,
-        DirOp::GrantRead { cap, .. } => cap.object,
-        DirOp::ReplaceSet { items } => items.first().map(|(o, _, _)| *o).unwrap_or(0),
     }
 }
 
@@ -337,7 +316,8 @@ fn rpc_write(
     req: &DirRequest,
 ) -> Result<Payload, DirError> {
     let op = applier.prepare_write(ctx, req)?;
-    let lock_object = op_lock_object(&op);
+    // A create locks the allocator, object 0.
+    let lock_object = op_object(&op);
     // Local conflict lock.
     {
         let mut c = coord.borrow_mut();

@@ -1,12 +1,22 @@
 //! One-copy serializability: random operation sequences executed against
-//! the replicated service must match the sequential in-memory model.
+//! the replicated service — and against one replica's planner alone —
+//! must match the sequential in-memory model.
 
 use std::time::Duration;
 
+use amoeba_dirsvc::bullet::BulletClient;
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::model::DirModel;
-use amoeba_dirsvc::dir::{Capability, DirClientError, DirError, DirOp, Rights};
-use amoeba_dirsvc::sim::Simulation;
+use amoeba_dirsvc::dir::{
+    Capability, DirClientError, DirError, DirOp, DirParams, DirReply, DirectoryStateMachine,
+    Rights, Row, ServiceConfig, Storage,
+};
+use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
+use amoeba_dirsvc::flip::wire::Wire;
+use amoeba_dirsvc::flip::{NetParams, Network, Port};
+use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
+use amoeba_dirsvc::rsm::StateMachine;
+use amoeba_dirsvc::sim::{Resource, Simulation};
 use amoeba_testkit::Gen;
 
 /// A client-visible operation in the generated workload.
@@ -195,4 +205,162 @@ fn check(
             "op {i} {what}: model {expected:?} vs service {got:?}"
         ));
     }
+}
+
+/// The planner against the model, op by op and without a cluster: one
+/// in-place [`DirectoryStateMachine`] (`standalone`, its table on an
+/// instant disk) is driven through `apply(.., reply: true)` inside one
+/// simulated process and never flushed, so every op is planned from the
+/// RAM cache alone — a few hundred microseconds of host time per case.
+/// After each op its reply must equal the model's outcome, and every
+/// object number in play must read the same through the public
+/// `lease_answer` under an owner capability: the columns and the rows
+/// the owner sees for a live directory, `BadCapability` for any other.
+///
+/// Generated: creates (malformed column counts included), deletes,
+/// appends and chmods (wrong mask counts included), delete-rows,
+/// append-links, unlinks and replace-sets, on live, deleted and
+/// never-allocated objects. Left out: stubs, installs, keyed creates
+/// and grants, because the model has no forwarding layer, completion
+/// table or lease table; `tests/migration.rs` and `tests/sharding.rs`
+/// cover those ops end to end.
+#[test]
+fn the_planner_matches_the_model_op_by_op() {
+    amoeba_testkit::check("planner matches model", 20, |g: &mut Gen| {
+        let ops: Vec<DirOp> = (0..500).map(|_| gen_planned_op(g)).collect();
+        let failures = plan_case(ops);
+        assert!(failures.is_empty(), "divergences: {failures:?}");
+    });
+}
+
+/// Every create carries this check, so an object's owner capability
+/// is known whether or not the model thinks it is live.
+const CHECK: u64 = 0xC1;
+
+/// Object numbers in play: a few past what the creates reach.
+const OBJECTS: u64 = 6;
+
+/// A capability of another service, stored as rows' contents: a lease
+/// reply hands it back as stored.
+fn foreign(k: u64) -> Capability {
+    Capability::owner(Port::from_name("elsewhere"), k, k)
+}
+
+fn gen_planned_op(g: &mut Gen) -> DirOp {
+    const NAMES: [&str; 3] = ["a", "b", "c"];
+    const MASKS: [Rights; 4] = [Rights::ALL, Rights::NONE, Rights::MODIFY, Rights(0x02)];
+    let object = 1 + g.below(OBJECTS as usize) as u64;
+    let name = NAMES[g.below(NAMES.len())].to_owned();
+    let cap = foreign(g.below(3) as u64);
+    // One or two masks mostly (the columns' count), now and then none
+    // or three.
+    let masks = |g: &mut Gen| -> Vec<Rights> {
+        let n = [1, 1, 2, 2, 0, 3][g.below(6)];
+        (0..n).map(|_| MASKS[g.below(MASKS.len())]).collect()
+    };
+    match g.below(20) {
+        0..=2 => DirOp::Create {
+            columns: (0..[1, 1, 2, 0, 5][g.below(5)])
+                .map(|c| format!("col{c}"))
+                .collect(),
+            check: CHECK,
+        },
+        3 => DirOp::Delete { object },
+        4..=7 => DirOp::Append {
+            object,
+            name,
+            cap,
+            col_rights: masks(g),
+        },
+        8..=9 => DirOp::Chmod {
+            object,
+            name,
+            col_rights: masks(g),
+        },
+        10..=11 => DirOp::DeleteRow { object, name },
+        12..=13 => DirOp::AppendLink {
+            object,
+            name,
+            cap,
+            col_rights: masks(g),
+        },
+        14..=15 => DirOp::Unlink { object, name },
+        _ => DirOp::ReplaceSet {
+            items: (0..1 + g.below(3))
+                .map(|_| {
+                    let object = 1 + g.below(OBJECTS as usize) as u64;
+                    (object, NAMES[g.below(NAMES.len())].to_owned(), foreign(7))
+                })
+                .collect(),
+        },
+    }
+}
+
+/// Runs `ops` through a fresh machine and the model side by side and
+/// returns every divergence.
+fn plan_case(ops: Vec<DirOp>) -> Vec<String> {
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("m");
+    let net = Network::new(sim.handle(), NetParams::default(), 1);
+    let rpc = RpcNode::start(&sim, node, net.attach());
+    let disk = DiskServer::start(&sim, node, VDisk::new(64, 4096), DiskParams::instant());
+    let cfg = ServiceConfig::new(3, 0);
+    let port = cfg.public_port;
+    let sm = DirectoryStateMachine::standalone(
+        cfg.clone(),
+        DirParams::default(),
+        BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0)),
+        RawPartition::new(disk, 0, 16),
+        Storage::InPlace,
+        Resource::new(sim.handle(), "cpu"),
+    );
+    let owner = move |object| Capability::owner(port, object, CHECK);
+    let out = sim.spawn_on(node, "planner", move |ctx| {
+        let mut model = DirModel::new();
+        let mut failures = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            let got = DirReply::decode(&sm.apply(ctx, i as u64 + 1, &op.encode(), true));
+            let expected = match model.apply(op) {
+                Ok(None) => DirReply::Ok,
+                Ok(Some(object)) => DirReply::Cap(owner(object)),
+                Err(e) => DirReply::Err(e),
+            };
+            if got.as_ref() != Ok(&expected) {
+                failures.push(format!(
+                    "op {i} {op:?}: model {expected:?}, service {got:?}"
+                ));
+            }
+            for object in 1..=OBJECTS {
+                let leased = DirReply::decode(&sm.lease_answer(ctx, &owner(object), 0, 1));
+                let seen = match leased {
+                    Ok(DirReply::Snapshot { columns, rows, .. }) => Some((columns, rows)),
+                    Ok(DirReply::Err(DirError::BadCapability)) => None,
+                    other => {
+                        failures.push(format!("op {i}: object {object} leased as {other:?}"));
+                        continue;
+                    }
+                };
+                // The owner sees every column and each row it holds a
+                // right over.
+                let kept = model.dir(object).map(|d| {
+                    let rows = d
+                        .rows
+                        .iter()
+                        .filter(|r| r.col_rights.iter().any(|m| *m != Rights::NONE));
+                    (d.columns.clone(), rows.cloned().collect::<Vec<Row>>())
+                });
+                if seen != kept {
+                    failures.push(format!(
+                        "op {i} {op:?}: object {object} model {kept:?}, service {seen:?}"
+                    ));
+                }
+            }
+            if failures.len() > 3 {
+                break;
+            }
+        }
+        failures
+    });
+    sim.run();
+    out.take().expect("the case ran")
 }

@@ -359,6 +359,40 @@ fn install_refuses_a_malformed_snapshot_and_leaves_the_machine_untouched() {
     assert_eq!(out.take(), Some([true, true]), "both snapshots refused");
 }
 
+/// A peer's snapshot that places a directory past the object table's
+/// capacity is refused whole, like a malformed one, before anything is
+/// wiped — not installed until the table panics on the entry.
+#[test]
+fn install_refuses_a_snapshot_naming_an_object_past_the_table() {
+    let mut sim = Simulation::new(0x5EF1);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 0x5EF1);
+    let sm = dir_column(&sim, &net, 0, DiskParams::instant(), DirParams::default()).sm;
+    let out = sim.spawn("install", move |ctx| {
+        let create = DirOp::Create {
+            columns: vec!["owner".into()],
+            check: 0xC1,
+        };
+        sm.apply(ctx, 1, &create.encode(), false);
+        sm.flush(ctx);
+        let (cursor, snap) = sm.snapshot(ctx);
+        // Update seq, commit seq and the directory count come first,
+        // then the one directory's object number.
+        let mut far = snap.to_vec();
+        far[20..28].copy_from_slice(&1_000_000u64.to_le_bytes());
+        let refused = !sm.install(ctx, cursor, &Payload::from(far));
+        assert_eq!(
+            sm.snapshot(ctx),
+            (cursor, snap.clone()),
+            "a refused install changed the state"
+        );
+        // The snapshot as taken installs.
+        assert!(sm.install(ctx, cursor, &snap));
+        refused
+    });
+    sim.run_for(Duration::from_secs(10));
+    assert_eq!(out.take(), Some(true), "the snapshot was refused");
+}
+
 #[test]
 fn lease_machine_conforms() {
     let mut sim = Simulation::new(7);
