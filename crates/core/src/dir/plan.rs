@@ -215,10 +215,9 @@ impl Applier {
                 shared.cache.remove(object);
                 shared.completions.retain(|_, o| *o != *object);
                 shared.commit.seqno = useq;
-                let old_file = entry.file_cap;
                 let dropped = Effect::DropDir {
                     object: *object,
-                    old_file,
+                    old_file: entry.file_cap,
                 };
                 Ok((DirReply::Ok, vec![dropped]))
             }
