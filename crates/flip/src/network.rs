@@ -57,6 +57,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::rc::Rc;
 
 use amoeba_sim::{Fnv1a, IdMap, MailboxTx, SimHandle, SimRng, SimTime};
@@ -708,6 +709,48 @@ impl NetInner {
         }
     }
 
+    /// The first host after `after` (from the lowest, for `None`) that
+    /// `pkt` is delivered to on `seg` itself. Targets come in ascending
+    /// address order, because the fault model draws once per target; a
+    /// unicast has at most one, and none while it is in transit to (or
+    /// through) a router. Walked one at a time, so a frame allocates no
+    /// target list (nothing a delivery does changes the membership).
+    fn next_local_target(
+        &self,
+        seg: SegmentId,
+        pkt: &Packet,
+        after: Option<HostAddr>,
+    ) -> Option<HostAddr> {
+        let here = |h: &HostAddr| self.host_segment(*h) == Some(seg);
+        match pkt.dst {
+            Dest::Unicast(h) => {
+                (after.is_none() && pkt.link_dst.is_none() && here(&h)).then_some(h)
+            }
+            Dest::Multicast(g) => {
+                let from = after.map_or(Unbounded, Excluded);
+                self.groups
+                    .get(&g)?
+                    .range((from, Unbounded))
+                    .copied()
+                    .find(here)
+            }
+            Dest::Broadcast => {
+                let from = after.map_or(0, |h| h.0 + 1);
+                (from..self.nodes.len() as u32).map(HostAddr).find(here)
+            }
+        }
+    }
+
+    /// The first router after `after` (in address order) attached to
+    /// `seg`.
+    fn next_router_on(&self, seg: SegmentId, after: Option<HostAddr>) -> Option<HostAddr> {
+        let from = after.map_or(Unbounded, Excluded);
+        self.routers
+            .range((from, Unbounded))
+            .find(|(_, attached)| attached.contains(&seg))
+            .map(|(a, _)| *a)
+    }
+
     /// Places one frame on `seg` no earlier than `ready`, applying the
     /// occupancy model (transmitter CPU → segment wire → receiver CPU,
     /// each a serialized resource) and the fault model per target, then
@@ -765,31 +808,9 @@ impl NetInner {
         // ------------------------------------------------------------
         // Local deliveries on this segment.
         // ------------------------------------------------------------
-        let targets: Vec<HostAddr> = match pkt.dst {
-            Dest::Unicast(h) => {
-                if pkt.link_dst.is_none() && self.host_segment(h) == Some(seg) {
-                    vec![h]
-                } else {
-                    Vec::new() // in transit to (or through) a router
-                }
-            }
-            Dest::Multicast(g) => self
-                .groups
-                .get(&g)
-                .map(|m| {
-                    m.iter()
-                        .copied()
-                        .filter(|h| self.host_segment(*h) == Some(seg))
-                        .collect()
-                })
-                .unwrap_or_default(),
-            // In ascending address order: the fault model draws per target.
-            Dest::Broadcast => (0..self.nodes.len() as u32)
-                .map(HostAddr)
-                .filter(|h| self.host_segment(*h) == Some(seg))
-                .collect(),
-        };
-        for t in targets {
+        let mut target = None;
+        while let Some(t) = self.next_local_target(seg, &pkt, target) {
+            target = Some(t);
             if self.down.contains(&t) {
                 self.stats.dropped_down += 1;
                 continue;
@@ -860,13 +881,9 @@ impl NetInner {
         if !multi {
             return;
         }
-        let routers_here: Vec<HostAddr> = self
-            .routers
-            .iter()
-            .filter(|(_, attached)| attached.contains(&seg))
-            .map(|(a, _)| *a)
-            .collect();
-        for r_addr in routers_here {
+        let mut router = None;
+        while let Some(r_addr) = self.next_router_on(seg, router) {
+            router = Some(r_addr);
             if r_addr == pkt.relay || r_addr == pkt.src {
                 continue; // never bounce a frame back to its transmitter
             }
