@@ -446,7 +446,7 @@ impl DirClient {
                     columns,
                     rows: rows
                         .into_iter()
-                        .map(|r| (r.name, r.cap, r.col_rights))
+                        .map(|r| (r.name.to_string(), r.cap, r.col_rights.to_vec()))
                         .collect(),
                 }),
                 DirReply::Err(e) => Err(e.into()),

@@ -155,6 +155,14 @@ impl DirectoryStateMachine {
             .unwrap_or_else(|e| DirReply::Err(e).encode())
     }
 
+    /// A directory's current version as this machine holds it: the RAM
+    /// cache's, else its Bullet file's. Shared, not copied; for
+    /// observing in tests what versions share.
+    #[doc(hidden)]
+    pub fn load_dir(&self, ctx: &Ctx, object: u64) -> Result<Rc<Directory>, DirError> {
+        self.applier.load_dir(ctx, object)
+    }
+
     /// A fresh machine over the same storage with cold RAM state —
     /// what a reboot of this column would produce. For durability
     /// probes in tests.

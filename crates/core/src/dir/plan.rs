@@ -77,7 +77,7 @@ fn build_directory(columns: &[String], rows: &[Row]) -> Result<Rc<Directory>, Di
     }
     let mut dir = Directory::new(columns.to_vec());
     for row in rows {
-        dir.append_row(row.name.clone(), row.cap, row.col_rights.clone())?;
+        dir.append_row(row.name.clone(), row.cap, &*row.col_rights)?;
     }
     Ok(Rc::new(dir))
 }
@@ -409,8 +409,8 @@ fn plan_row_edit(
         }
         | DirOp::AppendLink {
             cap, col_rights, ..
-        } => edit.append_row(name.to_owned(), *cap, col_rights.clone()),
-        DirOp::Chmod { col_rights, .. } => edit.chmod_row(name, col_rights.clone()),
+        } => edit.append_row(name, *cap, col_rights),
+        DirOp::Chmod { col_rights, .. } => edit.chmod_row(name, col_rights),
         _ => edit.delete_row(name),
     }?;
     Ok((DirReply::Ok, vec![publish(shared, object, dir, useq)]))

@@ -108,7 +108,7 @@ fn lease_reply(
     };
     let n = visible().count();
     let put_leased = |w: &mut WireWriter| {
-        COLUMNS.put(w, &dir.columns, String::put);
+        COLUMNS.put(w, dir.columns.iter(), String::put);
         ROWS.put_n(w, n, visible(), |(row, eff), w| {
             let restricted = restrict_with(shared, public_port, &row.cap, eff);
             put_row(
@@ -218,7 +218,7 @@ impl Applier {
                     })
                     .collect();
                 Ok(DirReply::Listing {
-                    columns: dir.columns.clone(),
+                    columns: dir.columns.to_vec(),
                     rows,
                 })
             }
@@ -269,7 +269,7 @@ impl Applier {
                 Ok(DirReply::Export {
                     check,
                     seqno: dir.seqno,
-                    columns: dir.columns.clone(),
+                    columns: dir.columns.to_vec(),
                     rows: dir.rows.clone(),
                 })
             }

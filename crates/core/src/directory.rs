@@ -5,6 +5,16 @@
 //! rights mask per column; a holder of a directory capability for columns
 //! `M` sees, for each row, the capability restricted to the union of the
 //! masks in the visible columns.
+//!
+//! A directory version is immutable once published (paper §3.1: each
+//! version is a new Bullet file), so an update copies what it changes and
+//! shares the rest: a row's name and the column names are shared, a
+//! row's masks are inline, and copying a version copies one `Vec` of rows
+//! and allocates nothing per row.
+
+use std::fmt;
+use std::ops::Deref;
+use std::rc::Rc;
 
 use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
 
@@ -18,15 +28,108 @@ pub(crate) const MASKS: Counted = Counted::u8(0, 4, "rights masks");
 /// Full rows: a `u32` count of at most 1,000,000, then each row.
 pub(crate) const ROWS: Counted = Counted::u32(1_000_000, "rows");
 
+/// A row's name, shared by every version of the directory that holds
+/// the row: cloning it copies a pointer. Derefs to `str`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Name(Rc<str>);
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Name {
+        Name(s.into())
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name(s.into())
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// A row's rights masks, one per column: at most four, held inline.
+/// Derefs to `[Rights]`. The slots past `len` stay `NONE`, so equal
+/// masks are equal structs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Masks {
+    len: u8,
+    masks: [Rights; 4],
+}
+
+impl Deref for Masks {
+    type Target = [Rights];
+
+    fn deref(&self) -> &[Rights] {
+        &self.masks[..usize::from(self.len)]
+    }
+}
+
+/// # Panics
+///
+/// Panics past four masks (a directory has at most four columns).
+impl FromIterator<Rights> for Masks {
+    fn from_iter<I: IntoIterator<Item = Rights>>(iter: I) -> Masks {
+        let mut out = Masks {
+            len: 0,
+            masks: [Rights::NONE; 4],
+        };
+        for m in iter {
+            assert!(out.len < 4, "at most 4 rights masks");
+            out.masks[usize::from(out.len)] = m;
+            out.len += 1;
+        }
+        out
+    }
+}
+
+/// # Panics
+///
+/// Panics past four masks.
+impl From<&[Rights]> for Masks {
+    fn from(masks: &[Rights]) -> Masks {
+        masks.iter().copied().collect()
+    }
+}
+
+impl fmt::Debug for Masks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One row of a directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     /// The name (ASCII in the paper; any UTF-8 here).
-    pub name: String,
+    pub name: Name,
     /// The stored capability (as registered, usually owner rights).
     pub cap: Capability,
     /// Rights mask per column (same length as the directory's columns).
-    pub col_rights: Vec<Rights>,
+    pub col_rights: Masks,
 }
 
 /// A directory: protection columns plus rows, with the per-directory
@@ -34,8 +137,9 @@ pub struct Row {
 /// number of the last change").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directory {
-    /// Protection-domain column names (1–4 of them).
-    pub columns: Vec<String>,
+    /// Protection-domain column names (1–4 of them), shared by every
+    /// version of the directory.
+    pub columns: Rc<[String]>,
     /// The rows.
     pub rows: Vec<Row>,
     /// Sequence number of the last update that produced this version.
@@ -54,7 +158,7 @@ impl Directory {
             "1..=4 protection columns"
         );
         Directory {
-            columns,
+            columns: columns.into(),
             rows: Vec::new(),
             seqno: 0,
         }
@@ -62,7 +166,7 @@ impl Directory {
 
     /// Looks up a row by name.
     pub fn find(&self, name: &str) -> Option<&Row> {
-        self.rows.iter().find(|r| r.name == name)
+        self.rows.iter().find(|r| *r.name == *name)
     }
 
     /// The union of the rights masks of `row` over the columns visible to
@@ -86,20 +190,22 @@ impl Directory {
     /// from the column count.
     pub fn append_row(
         &mut self,
-        name: String,
+        name: impl Into<Name>,
         cap: Capability,
-        col_rights: Vec<Rights>,
+        col_rights: impl AsRef<[Rights]>,
     ) -> Result<(), DirStructureError> {
+        let name = name.into();
         if self.find(&name).is_some() {
             return Err(DirStructureError::DuplicateName);
         }
+        let col_rights = col_rights.as_ref();
         if col_rights.len() != self.columns.len() {
             return Err(DirStructureError::ColumnMismatch);
         }
         self.rows.push(Row {
             name,
             cap,
-            col_rights,
+            col_rights: col_rights.into(),
         });
         Ok(())
     }
@@ -111,7 +217,7 @@ impl Directory {
     /// [`DirStructureError::NoSuchName`] if absent.
     pub fn delete_row(&mut self, name: &str) -> Result<(), DirStructureError> {
         let before = self.rows.len();
-        self.rows.retain(|r| r.name != name);
+        self.rows.retain(|r| *r.name != *name);
         if self.rows.len() == before {
             Err(DirStructureError::NoSuchName)
         } else {
@@ -128,14 +234,15 @@ impl Directory {
     pub fn chmod_row(
         &mut self,
         name: &str,
-        col_rights: Vec<Rights>,
+        col_rights: impl AsRef<[Rights]>,
     ) -> Result<(), DirStructureError> {
+        let col_rights = col_rights.as_ref();
         if col_rights.len() != self.columns.len() {
             return Err(DirStructureError::ColumnMismatch);
         }
-        match self.rows.iter_mut().find(|r| r.name == name) {
+        match self.rows.iter_mut().find(|r| *r.name == *name) {
             Some(r) => {
-                r.col_rights = col_rights;
+                r.col_rights = col_rights.into();
                 Ok(())
             }
             None => Err(DirStructureError::NoSuchName),
@@ -148,7 +255,7 @@ impl Directory {
     ///
     /// [`DirStructureError::NoSuchName`] if absent.
     pub fn replace_cap(&mut self, name: &str, cap: Capability) -> Result<(), DirStructureError> {
-        match self.rows.iter_mut().find(|r| r.name == name) {
+        match self.rows.iter_mut().find(|r| *r.name == *name) {
             Some(r) => {
                 r.cap = cap;
                 Ok(())
@@ -166,7 +273,7 @@ impl Wire for Row {
 
     fn get(r: &mut WireReader<'_>) -> Result<Row, DecodeError> {
         Ok(Row {
-            name: r.string("row name")?,
+            name: r.str("row name")?.into(),
             cap: Capability::get(r)?,
             col_rights: MASKS.get(r, Rights::get)?,
         })
@@ -204,13 +311,13 @@ pub(crate) fn put_row(
 impl Wire for Directory {
     fn put(&self, w: &mut WireWriter) {
         w.u64(self.seqno);
-        COLUMNS.put(w, &self.columns, String::put);
+        COLUMNS.put(w, self.columns.iter(), String::put);
         ROWS.put(w, &self.rows, Row::put);
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<Directory, DecodeError> {
         let seqno = r.u64("dir seqno")?;
-        let columns: Vec<String> = COLUMNS.get(r, String::get)?;
+        let columns: Rc<[String]> = COLUMNS.get(r, String::get)?;
         let rows = ROWS.get(r, |r| match Row::get(r)? {
             row if row.col_rights.len() == columns.len() => Ok(row),
             _ => Err(DecodeError::new("row masks")),
@@ -264,11 +371,11 @@ mod tests {
     #[test]
     fn append_find_delete() {
         let mut d = two_col();
-        d.append_row("a".into(), cap(1), vec![Rights::ALL, Rights::column(0)])
+        d.append_row("a", cap(1), vec![Rights::ALL, Rights::column(0)])
             .unwrap();
         assert!(d.find("a").is_some());
         assert_eq!(
-            d.append_row("a".into(), cap(2), vec![Rights::ALL, Rights::NONE]),
+            d.append_row("a", cap(2), vec![Rights::ALL, Rights::NONE]),
             Err(DirStructureError::DuplicateName)
         );
         d.delete_row("a").unwrap();
@@ -279,10 +386,10 @@ mod tests {
     fn column_mismatch_rejected() {
         let mut d = two_col();
         assert_eq!(
-            d.append_row("a".into(), cap(1), vec![Rights::ALL]),
+            d.append_row("a", cap(1), vec![Rights::ALL]),
             Err(DirStructureError::ColumnMismatch)
         );
-        d.append_row("a".into(), cap(1), vec![Rights::ALL, Rights::NONE])
+        d.append_row("a", cap(1), vec![Rights::ALL, Rights::NONE])
             .unwrap();
         assert_eq!(
             d.chmod_row("a", vec![Rights::NONE]),
@@ -293,7 +400,7 @@ mod tests {
     #[test]
     fn effective_rights_unions_visible_columns() {
         let mut d = two_col();
-        d.append_row("a".into(), cap(1), vec![Rights::ALL, Rights::column(0)])
+        d.append_row("a", cap(1), vec![Rights::ALL, Rights::column(0)])
             .unwrap();
         let row = d.find("a").unwrap();
         // Holder sees only column 1 ("other"): gets that mask.
@@ -310,7 +417,7 @@ mod tests {
     #[test]
     fn chmod_and_replace() {
         let mut d = two_col();
-        d.append_row("a".into(), cap(1), vec![Rights::ALL, Rights::NONE])
+        d.append_row("a", cap(1), vec![Rights::ALL, Rights::NONE])
             .unwrap();
         d.chmod_row("a", vec![Rights::NONE, Rights::ALL]).unwrap();
         assert_eq!(d.find("a").unwrap().col_rights[1], Rights::ALL);
@@ -322,9 +429,9 @@ mod tests {
     fn encode_decode_round_trip() {
         let mut d = two_col();
         d.seqno = 42;
-        d.append_row("hello".into(), cap(1), vec![Rights::ALL, Rights::column(0)])
+        d.append_row("hello", cap(1), vec![Rights::ALL, Rights::column(0)])
             .unwrap();
-        d.append_row("world".into(), cap(2), vec![Rights::MODIFY, Rights::NONE])
+        d.append_row("world", cap(2), vec![Rights::MODIFY, Rights::NONE])
             .unwrap();
         let bytes = d.encode();
         assert_eq!(Directory::decode(&bytes).unwrap(), d);

@@ -170,7 +170,7 @@ pub use client::{DirClient, DirClientError, Listing};
 pub use commit_block::CommitBlock;
 pub use config::{DirParams, ServiceConfig, Storage, StorageKind};
 pub use dir::DirectoryStateMachine;
-pub use directory::{DirStructureError, Directory, Row};
+pub use directory::{DirStructureError, Directory, Masks, Name, Row};
 pub use object_table::{ObjEntry, ObjectTable};
 pub use ops::{DirError, DirOp, DirReply, DirRequest};
 pub use rights::Rights;

@@ -67,7 +67,7 @@ impl DirModel {
                 col_rights,
             } => {
                 let dir = self.dirs.get_mut(object).ok_or(DirError::BadCapability)?;
-                dir.append_row(name.clone(), *cap, col_rights.clone())?;
+                dir.append_row(name.as_str(), *cap, col_rights)?;
                 Ok(None)
             }
             DirOp::Chmod {
@@ -76,7 +76,7 @@ impl DirModel {
                 col_rights,
             } => {
                 let dir = self.dirs.get_mut(object).ok_or(DirError::BadCapability)?;
-                dir.chmod_row(name, col_rights.clone())?;
+                dir.chmod_row(name, col_rights)?;
                 Ok(None)
             }
             DirOp::DeleteRow { object, name } => {
@@ -120,7 +120,7 @@ impl DirModel {
                         Err(DirError::DuplicateName)
                     };
                 }
-                dir.append_row(name.clone(), *cap, col_rights.clone())?;
+                dir.append_row(name.as_str(), *cap, col_rights)?;
                 Ok(None)
             }
             DirOp::Unlink { object, name } => {
@@ -162,7 +162,7 @@ impl DirModel {
         let mut v: Vec<String> = self
             .dirs
             .get(&object)
-            .map(|d| d.rows.iter().map(|r| r.name.clone()).collect())
+            .map(|d| d.rows.iter().map(|r| r.name.to_string()).collect())
             .unwrap_or_default();
         v.sort();
         v

@@ -229,14 +229,15 @@ impl ObjectTable {
     }
 
     /// Encodes every slot of `block` from `src`, absent entries as
-    /// zeroes, and enqueues its write.
+    /// zeroes, into one buffer of exactly its length (the platters keep
+    /// it), and enqueues its write.
     fn write_block_begin(
         &self,
         src: &BTreeMap<u64, ObjEntry>,
         block: u64,
     ) -> amoeba_sim::MailboxRx<()> {
         let objects = self.objects_of(block);
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity((objects.end - objects.start) as usize * ENTRY_BYTES);
         let mut next = objects.start;
         for (&object, &e) in src.range(objects.clone()) {
             for _ in next..object {

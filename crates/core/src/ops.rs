@@ -578,9 +578,9 @@ mod tests {
     /// A hand-built snapshot reply granting the owner column of each name.
     fn snapshot(names: &[&str]) -> Payload {
         let row = |name: &&str| Row {
-            name: name.to_string(),
+            name: (*name).into(),
             cap: cap(1),
-            col_rights: vec![Rights::ALL],
+            col_rights: [Rights::ALL][..].into(),
         };
         let reply = DirReply::Snapshot {
             version: 3,

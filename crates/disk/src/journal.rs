@@ -437,7 +437,7 @@ mod tests {
         // by hand on the platters).
         let mut torn = disk.read_block(3);
         torn[40] ^= 0xFF;
-        disk.write_block(3, &torn);
+        disk.write_block(3, torn);
         let r = j.reopen();
         let r2 = r.clone();
         let out = sim.spawn("boot", move |ctx| {

@@ -18,8 +18,8 @@ enum DiskReq {
         reply: MailboxTx<()>,
     },
     /// Consecutive blocks, one seek (used by Bullet for whole files).
-    /// The block contents are shared `Payload` slices: a Bullet create
-    /// reaches the platters without a byte copy.
+    /// The block contents are shared `Payload` slices, and the platters
+    /// keep them: a Bullet create reaches the disk without a byte copy.
     WriteRun {
         start: u64,
         data: Vec<Payload>,
@@ -89,8 +89,9 @@ impl DiskServer {
         rx.recv(ctx)
     }
 
-    /// Writes one block synchronously. The contents are shared, not
-    /// copied, on their way to the platters.
+    /// Writes one block synchronously. The platters keep `data` itself:
+    /// a `Payload` is shared, not copied, and a `Vec` is moved (only a
+    /// borrowed slice is copied, by its conversion).
     pub fn write(&self, ctx: &Ctx, block: u64, data: impl Into<Payload>) {
         let rx = self.write_begin(block, data);
         rx.recv(ctx)
@@ -99,7 +100,8 @@ impl DiskServer {
     /// Enqueues a block write *without blocking* and returns the waiter.
     /// The request takes its place in the FIFO immediately, so callers may
     /// enqueue under a lock and wait after releasing it (waiting while
-    /// holding a lock would freeze other simulated threads).
+    /// holding a lock would freeze other simulated threads). The
+    /// contents reach the platters as [`write`](Self::write)'s do.
     pub fn write_begin(&self, block: u64, data: impl Into<Payload>) -> amoeba_sim::MailboxRx<()> {
         let (reply, rx) = self.handle.channel();
         self.tx.send(DiskReq::Write {
@@ -110,8 +112,10 @@ impl DiskServer {
         rx
     }
 
-    /// Writes consecutive blocks with a single seek. Blocks are shared
-    /// `Payload` slices — no byte is copied on the way down.
+    /// Writes consecutive blocks with a single seek. Each block reaches
+    /// the platters as [`write`](Self::write)'s does: slices of one
+    /// `Payload` (a Bullet file's) stay slices of it, with no byte copied
+    /// and no block padded.
     pub fn write_run(&self, ctx: &Ctx, start: u64, data: Vec<impl Into<Payload>>) {
         let (reply, rx) = self.handle.channel();
         self.tx.send(DiskReq::WriteRun {
@@ -159,12 +163,12 @@ fn serve(ctx: &Ctx, rx: MailboxRx<DiskReq>, disk: VDisk, params: DiskParams) {
             }
             DiskReq::Write { block, data, reply } => {
                 charge(ctx, &mut head, block, 1);
-                disk.write_block(block, &data);
+                disk.write_block(block, data);
                 reply.send(());
             }
             DiskReq::WriteRun { start, data, reply } => {
                 charge(ctx, &mut head, start, data.len());
-                for (i, d) in data.iter().enumerate() {
+                for (i, d) in data.into_iter().enumerate() {
                     disk.write_block(start + i as u64, d);
                 }
                 reply.send(());

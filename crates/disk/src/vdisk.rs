@@ -4,6 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use amoeba_flip::Payload;
 use amoeba_sim::IdMap;
 
 /// Counters of physical operations performed on a disk — the §3.1
@@ -37,7 +38,9 @@ impl DiskStats {
 }
 
 struct VDiskInner {
-    blocks: IdMap<u64, Vec<u8>>,
+    /// Each written block as its writer handed it: unpadded, and
+    /// sharing the writer's buffer.
+    blocks: IdMap<u64, Payload>,
     nblocks: u64,
     block_size: usize,
     stats: DiskStats,
@@ -47,6 +50,10 @@ struct VDiskInner {
 ///
 /// `VDisk` itself is *timeless* raw storage; timing and serialization are
 /// imposed by the [`DiskServer`](crate::DiskServer) process in front of it.
+///
+/// A block keeps the [`Payload`] its write handed over — no byte is
+/// copied on the way in, and a block shorter than the block size costs
+/// only its own length. Reads pad it with zeroes to the block size.
 #[derive(Clone)]
 pub struct VDisk {
     inner: Rc<RefCell<VDiskInner>>,
@@ -82,7 +89,8 @@ impl VDisk {
         self.inner.borrow().block_size
     }
 
-    /// Reads a block (unwritten blocks read as zeroes).
+    /// Reads a block, zero-padded to the block size (unwritten blocks
+    /// read as zeroes).
     ///
     /// # Panics
     ///
@@ -92,27 +100,27 @@ impl VDisk {
         assert!(block < i.nblocks, "read past end of disk");
         i.stats.reads += 1;
         i.stats.blocks += 1;
-        let size = i.block_size;
-        i.blocks
-            .get(&block)
-            .cloned()
-            .unwrap_or_else(|| vec![0; size])
+        let mut buf = vec![0; i.block_size];
+        if let Some(data) = i.blocks.get(&block) {
+            buf[..data.len()].copy_from_slice(data);
+        }
+        buf
     }
 
-    /// Writes a block (shorter data is zero-padded).
+    /// Writes a block: the platters keep `data` itself (a `Payload` is
+    /// shared, not copied); a shorter block reads back zero-padded.
     ///
     /// # Panics
     ///
     /// Panics if `block` is out of range or `data` exceeds the block size.
-    pub fn write_block(&self, block: u64, data: &[u8]) {
+    pub fn write_block(&self, block: u64, data: impl Into<Payload>) {
+        let data = data.into();
         let mut i = self.inner.borrow_mut();
         assert!(block < i.nblocks, "write past end of disk");
         assert!(data.len() <= i.block_size, "data larger than block");
         i.stats.writes += 1;
         i.stats.blocks += 1;
-        let mut buf = data.to_vec();
-        buf.resize(i.block_size, 0);
-        i.blocks.insert(block, buf);
+        i.blocks.insert(block, data);
     }
 
     /// Forgets the contents of `count` blocks from `start`: they read as

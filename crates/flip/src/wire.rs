@@ -347,8 +347,14 @@ impl<'a> WireReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self, what: &'static str) -> Result<String, DecodeError> {
+        self.str(what).map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowing from the buffer
+    /// (no copy).
+    pub fn str(&mut self, what: &'static str) -> Result<&'a str, DecodeError> {
         let b = self.bytes(what)?;
-        String::from_utf8(b.to_owned()).map_err(|_| DecodeError { what })
+        std::str::from_utf8(b).map_err(|_| DecodeError { what })
     }
 
     /// Fails unless the whole buffer was consumed (trailing-garbage check).

@@ -347,7 +347,7 @@ fn plan_case(ops: Vec<DirOp>) -> Vec<String> {
                         .rows
                         .iter()
                         .filter(|r| r.col_rights.iter().any(|m| *m != Rights::NONE));
-                    (d.columns.clone(), rows.cloned().collect::<Vec<Row>>())
+                    (d.columns.to_vec(), rows.cloned().collect::<Vec<Row>>())
                 });
                 if seen != kept {
                     failures.push(format!(

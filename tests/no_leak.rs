@@ -27,6 +27,12 @@
 //! And a routed network's duplicate suppression is a fixed window: once
 //! it is full, more packets across a router cost no heap.
 //!
+//! And an update copies pointers, not rows: a directory's next version
+//! shares every row the update did not change, so an append allocates
+//! as often in a big directory as in a small one; and a disk keeps the
+//! bytes its writer hands it, so a Bullet file reaches the platters
+//! without a copy of its blocks.
+//!
 //! The tests in this file count every byte the process allocates, so
 //! they take turns ([`ALONE`]).
 
@@ -36,15 +42,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use amoeba_dirsvc::bullet::BulletClient;
+use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirOp, DirParams, DirReply, DirRequest, Directory, DirectoryStateMachine,
+    Capability, DirError, DirOp, DirParams, DirReply, DirRequest, Directory, DirectoryStateMachine,
     ObjectTable, Rights, ServiceConfig, Storage,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
-use amoeba_dirsvc::flip::{NetParams, Network, Port, Topology};
+use amoeba_dirsvc::flip::{NetParams, Network, Payload, Port, Topology};
 use amoeba_dirsvc::group::{GroupConfig, GroupPeer};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
@@ -67,6 +73,9 @@ thread_local! {
     /// runs on the thread that calls it, and frees there what it
     /// allocated, so this is its live heap, whatever other threads do.
     static MINE_LIVE: Cell<isize> = const { Cell::new(0) };
+    /// Allocations this thread ever made (a `realloc` is one: the
+    /// default `GlobalAlloc::realloc` allocates anew).
+    static MINE_ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// This thread's live heap ([`MINE_LIVE`]).
@@ -81,6 +90,7 @@ unsafe impl GlobalAlloc for Counting {
         REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
         let _ = MINE.try_with(|mine| mine.set(mine.get() + layout.size()));
         let _ = MINE_LIVE.try_with(|live| live.set(live.get() + layout.size() as isize));
+        let _ = MINE_ALLOCS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -609,5 +619,140 @@ fn routed_duplicate_suppression_is_a_fixed_window() {
     assert!(
         growth < 4 * 1024,
         "18,000 more packets across the hub left {growth} bytes more live heap"
+    );
+}
+
+/// A directory machine on a node of its own, with a Bullet server behind
+/// its stub on one instant disk: for tests that flush.
+fn machine_that_flushes(sim: &Simulation) -> (NodeId, DirectoryStateMachine) {
+    let node = sim.add_node("m");
+    let net = Network::new(sim.handle(), NetParams::default(), 1);
+    let rpc = RpcNode::start(sim, node, net.attach());
+    let disk = DiskServer::start(sim, node, VDisk::new(256, 4096), DiskParams::instant());
+    let cfg = ServiceConfig::new(3, 0);
+    let store = BulletStore::new(240, 4096, 0xB0);
+    start_bullet_server(
+        sim,
+        node,
+        &rpc,
+        cfg.bullet_port(0),
+        disk.clone(),
+        store,
+        16,
+        1,
+    );
+    let sm = DirectoryStateMachine::standalone(
+        cfg.clone(),
+        DirParams::default(),
+        BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0)),
+        RawPartition::new(disk, 0, 16),
+        Storage::InPlace,
+        Resource::new(sim.handle(), "cpu"),
+    );
+    (node, sm)
+}
+
+/// Allocations one `Append` makes, applied on a replica that owes no
+/// reply, to a directory of `rows` rows whose every earlier update was
+/// flushed.
+fn allocations_of_one_append(rows: usize) -> usize {
+    let mut sim = Simulation::new(1);
+    let (node, sm) = machine_that_flushes(&sim);
+    let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
+    let out = sim.spawn_on(node, "replica", move |ctx| {
+        let append = |name: String| {
+            DirOp::Append {
+                object: 1,
+                name,
+                cap: owner,
+                col_rights: vec![Rights::ALL, Rights::NONE],
+            }
+            .encode()
+        };
+        let create = DirOp::Create {
+            columns: vec!["owner".into(), "other".into()],
+            check: 0xC1,
+        }
+        .encode();
+        let setup = std::iter::once(create).chain((0..rows).map(|r| append(format!("row-{r}"))));
+        let mut seq = 0;
+        for op in setup {
+            seq += 1;
+            sm.apply(ctx, seq, &op, false);
+        }
+        sm.flush(ctx);
+        let last = append("last".into());
+        let before = MINE_ALLOCS.with(Cell::get);
+        sm.apply(ctx, seq + 1, &last, false);
+        let allocations = MINE_ALLOCS.with(Cell::get) - before;
+        let again = DirReply::decode(&sm.apply(ctx, seq + 2, &last, true));
+        assert_eq!(
+            again,
+            Ok(DirReply::Err(DirError::DuplicateName)),
+            "it was applied"
+        );
+        allocations
+    });
+    sim.run_for(Duration::from_secs(60));
+    out.take().expect("the append was applied")
+}
+
+/// An update copies the row handles of its directory, not the rows: one
+/// `Vec` whatever the directory's size. Copying each row's name and
+/// masks read about 2 more allocations per row.
+#[test]
+fn an_update_allocates_the_same_in_a_big_directory() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, big) = (
+        allocations_of_one_append(16),
+        allocations_of_one_append(256),
+    );
+    assert_eq!(
+        small, big,
+        "one append allocated {small} times over 16 rows, {big} times over 256"
+    );
+}
+
+/// A Bullet file reaches the platters as its writer's buffer: a
+/// `write_run` of its block slices adds no copy of a block to the live
+/// heap. A disk that copied and padded each block read 8 × 4 KB more.
+#[test]
+fn a_disk_write_keeps_the_writers_bytes() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    const BLOCK: usize = 4096;
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("m");
+    let disk = DiskServer::start(&sim, node, VDisk::new(64, BLOCK), DiskParams::instant());
+    let out = sim.spawn_on(node, "bullet", move |ctx| {
+        // A Bullet create's shape: the file's one buffer, cut into one
+        // slice per block, the last block short.
+        let file = Payload::new((0..8 * BLOCK - 100).map(|i| i as u8).collect());
+        let blocks = || -> Vec<Payload> {
+            (0..8)
+                .map(|b| file.slice(b * BLOCK..((b + 1) * BLOCK).min(file.len())))
+                .collect()
+        };
+        // Once first, so that nothing the disk holds per block grows
+        // only the first time.
+        disk.write_run(ctx, 0, blocks());
+        let before = live();
+        disk.write_run(ctx, 8, blocks());
+        let growth = live() - before;
+        for b in 0..8 {
+            let read = disk.vdisk().read_block(8 + b as u64);
+            let written = &file[b * BLOCK..((b + 1) * BLOCK).min(file.len())];
+            assert_eq!(&read[..written.len()], written, "block {b}");
+            assert!(
+                read[written.len()..].iter().all(|x| *x == 0),
+                "block {b} pads"
+            );
+        }
+        growth
+    });
+    sim.run();
+    let growth = out.take().expect("the file was written");
+    assert!(
+        growth < BLOCK as isize,
+        "8 blocks of {BLOCK} B left {growth} bytes more live heap"
     );
 }

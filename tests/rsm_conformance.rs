@@ -500,6 +500,92 @@ fn group_commit_defers_then_makes_batch_durable_and_coalesces() {
     assert_eq!(out.take(), Some(true));
 }
 
+// ---------------------------------------------------------------------
+// Directory versions: published whole, shared row by row.
+// ---------------------------------------------------------------------
+
+/// The RAM cache hands out one version of a directory until an update
+/// publishes the next, and the next is the update's own copy: a read
+/// copies nothing, and an edit leaves the version it copied untouched.
+/// The copy shares the columns and every row's name with the version
+/// before it: an update copies pointers, not rows.
+#[test]
+fn an_update_publishes_its_own_copy_sharing_every_row_it_did_not_change() {
+    let mut sim = Simulation::new(1);
+    let net = Network::new(sim.handle(), NetParams::default(), 1);
+    let col = dir_column(&sim, &net, 0, DiskParams::instant(), DirParams::default());
+    let sm = Rc::clone(&col.sm);
+    let out = sim.spawn_on(col.node, "replica", move |ctx| {
+        let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
+        let append = |name: &str| DirOp::Append {
+            object: 1,
+            name: name.into(),
+            cap: owner,
+            col_rights: vec![Rights::ALL, Rights::NONE],
+        };
+        let create = DirOp::Create {
+            columns: vec!["owner".into(), "other".into()],
+            check: 0xC1,
+        };
+        let ops = [create, append("a"), append("b"), append("c")];
+        for (seq, op) in (1..).zip(&ops) {
+            sm.apply(ctx, seq, &op.encode(), false);
+        }
+        let load = || sm.load_dir(ctx, 1).expect("cached");
+        let (v1, again) = (load(), load());
+        assert!(Rc::ptr_eq(&v1, &again), "a read copies nothing");
+        // A refused update publishes nothing.
+        sm.apply(ctx, 5, &append("a").encode(), false);
+        assert!(Rc::ptr_eq(&v1, &load()));
+        sm.flush(ctx);
+
+        // Each row edit in turn: its version against the one before.
+        let chmod = DirOp::Chmod {
+            object: 1,
+            name: "b".into(),
+            col_rights: vec![Rights::NONE, Rights::ALL],
+        };
+        let delete = DirOp::DeleteRow {
+            object: 1,
+            name: "a".into(),
+        };
+        let mut before = v1;
+        for (seq, op, rows) in [(6, chmod, 3), (7, append("d"), 4), (8, delete, 3)] {
+            sm.apply(ctx, seq, &op.encode(), false);
+            let after = load();
+            assert!(!Rc::ptr_eq(&before, &after), "op {seq} edits its own copy");
+            assert_eq!((after.rows.len(), after.seqno), (rows, seq));
+            assert_eq!(before.columns.as_ptr(), after.columns.as_ptr(), "op {seq}");
+            for row in &after.rows {
+                if let Some(old) = before.find(&row.name) {
+                    assert_eq!(
+                        old.name.as_ptr(),
+                        row.name.as_ptr(),
+                        "op {seq}: row {} shares its name",
+                        row.name
+                    );
+                }
+            }
+            before = after;
+        }
+        // And no one else's: the version before the chmod still holds
+        // the old masks, and every version its own rows.
+        let v1 = &again;
+        assert_eq!((v1.rows.len(), v1.seqno), (3, 4));
+        let b = v1.find("b").expect("b");
+        assert_eq!(*b.col_rights, [Rights::ALL, Rights::NONE]);
+        assert_eq!(
+            *before.find("b").expect("b").col_rights,
+            [Rights::NONE, Rights::ALL]
+        );
+        let names: Vec<&str> = before.rows.iter().map(|r| &*r.name).collect();
+        assert_eq!(names, ["b", "c", "d"]);
+        true
+    });
+    sim.run_for(Duration::from_secs(60));
+    assert_eq!(out.take(), Some(true));
+}
+
 /// Boots a throwaway machine over the same storage and returns its
 /// recovered `update_seq` (what a post-crash recovery would claim).
 fn probe_machine(ctx: &Ctx, original: &DirectoryStateMachine) -> u64 {

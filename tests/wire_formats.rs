@@ -70,7 +70,7 @@ fn row(name: &str, cap: Capability, col_rights: Vec<Rights>) -> Row {
     Row {
         name: name.into(),
         cap,
-        col_rights,
+        col_rights: col_rights[..].into(),
     }
 }
 
@@ -416,9 +416,9 @@ fn ops() -> Vec<(DirOp, &'static str)> {
 fn two_row_directory() -> (Directory, &'static str) {
     let mut dir = Directory::new(names(&["owner", "other"]));
     dir.seqno = 42;
-    dir.append_row("hello".into(), cap(1), vec![Rights::ALL, Rights::column(0)])
+    dir.append_row("hello", cap(1), vec![Rights::ALL, Rights::column(0)])
         .expect("fresh name");
-    dir.append_row("world".into(), cap(2), vec![Rights::MODIFY, Rights::NONE])
+    dir.append_row("world", cap(2), vec![Rights::MODIFY, Rights::NONE])
         .expect("fresh name");
     (
         dir,
