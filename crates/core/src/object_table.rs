@@ -15,7 +15,8 @@ use std::collections::BTreeMap;
 
 use amoeba_bullet::FileCap;
 use amoeba_disk::RawPartition;
-use amoeba_flip::wire::{WireReader, WireWriter};
+use amoeba_flip::wire::WireReader;
+use amoeba_flip::Payload;
 use amoeba_sim::Ctx;
 
 /// Bytes reserved per entry on disk.
@@ -228,28 +229,24 @@ impl ObjectTable {
         first..(first + self.entries_per_block).min(self.capacity + 1)
     }
 
-    /// Encodes every slot of `block` from `src`, absent entries as
-    /// zeroes, into one buffer of exactly its length (the platters keep
-    /// it), and enqueues its write.
+    /// Encodes every slot of `block` from `src` into one zeroed buffer
+    /// of exactly its length (the platters keep it), writing only the
+    /// present entries, so an absent one stays zeroes; then enqueues its
+    /// write.
     fn write_block_begin(
         &self,
         src: &BTreeMap<u64, ObjEntry>,
         block: u64,
     ) -> amoeba_sim::MailboxRx<()> {
         let objects = self.objects_of(block);
-        let mut w = WireWriter::with_capacity((objects.end - objects.start) as usize * ENTRY_BYTES);
-        let mut next = objects.start;
-        for (&object, &e) in src.range(objects.clone()) {
-            for _ in next..object {
-                encode_entry(&mut w, &None);
+        let len = (objects.end - objects.start) as usize * ENTRY_BYTES;
+        let bytes = Payload::zeroed(len, |buf| {
+            for (&object, e) in src.range(objects.clone()) {
+                let at = (object - objects.start) as usize * ENTRY_BYTES;
+                encode_entry(&mut buf[at..at + ENTRY_BYTES], e);
             }
-            encode_entry(&mut w, &Some(e));
-            next = object + 1;
-        }
-        for _ in next..objects.end {
-            encode_entry(&mut w, &None);
-        }
-        self.partition.write_begin(block, w.finish())
+        });
+        self.partition.write_begin(block, bytes)
     }
 
     fn decode_block(&mut self, block: u64, bytes: &[u8]) {
@@ -264,19 +261,13 @@ impl ObjectTable {
 /// A present entry: a 1, then 32 bytes of fields.
 const PRESENT_BYTES: usize = 33;
 
-fn encode_entry(w: &mut WireWriter, e: &Option<ObjEntry>) {
-    match e {
-        Some(e) => {
-            w.u8(1)
-                .u64(e.file_cap.object)
-                .u64(e.file_cap.check)
-                .u64(e.seqno)
-                .u64(e.check)
-                .raw(&[0; ENTRY_BYTES - PRESENT_BYTES]);
-        }
-        None => {
-            w.raw(&[0; ENTRY_BYTES]);
-        }
+/// Writes a present entry into its zeroed slot: a 1, then its four
+/// fields, little-endian; the padding stays zero.
+fn encode_entry(slot: &mut [u8], e: &ObjEntry) {
+    slot[0] = 1;
+    let fields = [e.file_cap.object, e.file_cap.check, e.seqno, e.check];
+    for (at, field) in slot[1..PRESENT_BYTES].chunks_exact_mut(8).zip(fields) {
+        at.copy_from_slice(&field.to_le_bytes());
     }
 }
 
@@ -445,21 +436,28 @@ mod tests {
         });
     }
 
-    /// An entry is a 1 and its four fields, zero-padded to 40 bytes; an
-    /// empty slot is 40 zeroes.
+    /// A slot as the layout spells it: a present entry is a 1 and its
+    /// four fields, zero-padded to 40 bytes; an absent one is 40 zeroes.
+    fn slot(e: Option<ObjEntry>) -> Vec<u8> {
+        let mut want = Vec::new();
+        if let Some(e) = e {
+            want.push(1);
+            for field in [e.file_cap.object, e.file_cap.check, e.seqno, e.check] {
+                want.extend(field.to_le_bytes());
+            }
+        }
+        want.resize(ENTRY_BYTES, 0);
+        want
+    }
+
     #[test]
     fn a_block_keeps_its_entry_layout() {
-        let mut w = WireWriter::new();
-        encode_entry(&mut w, &Some(entry(1)));
-        encode_entry(&mut w, &None);
-        let mut want = vec![1];
-        for field in [1u64, 7, 100, 13] {
-            want.extend(field.to_le_bytes());
-        }
-        want.resize(2 * ENTRY_BYTES, 0);
-        assert_eq!(w.finish(), want);
-        assert_eq!(decode_entry(&want[..ENTRY_BYTES]), Some(entry(1)));
-        assert_eq!(decode_entry(&want[ENTRY_BYTES..]), None);
+        let mut buf = vec![0; 2 * ENTRY_BYTES];
+        encode_entry(&mut buf[..ENTRY_BYTES], &entry(1));
+        assert_eq!(buf, [slot(Some(entry(1))), slot(None)].concat());
+        assert_eq!(&buf[..9], &[1, 1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(decode_entry(&buf[..ENTRY_BYTES]), Some(entry(1)));
+        assert_eq!(decode_entry(&buf[ENTRY_BYTES..]), None);
     }
 
     /// RAM keeps only live entries, but a block on disk holds all of its
@@ -472,11 +470,9 @@ mod tests {
             t.set(5, entry(5));
             t.set(103, entry(103)); // the next block's first slot
             t.flush_entry(ctx, 5);
-            let mut want = WireWriter::new();
-            for object in 1..=t.entries_per_block {
-                encode_entry(&mut want, &t.get(object));
-            }
-            let want = want.finish();
+            let want: Vec<u8> = (1..=t.entries_per_block)
+                .flat_map(|object| slot(t.get(object)))
+                .collect();
             assert_eq!(want.len(), 102 * ENTRY_BYTES);
             assert_eq!(part.read(ctx, 1)[..want.len()], want[..]);
         });

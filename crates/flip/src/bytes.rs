@@ -8,9 +8,10 @@
 //! travel flip → rpc → group → core (through the sequencer's history
 //! buffer and every member's delivery queue) without another copy:
 //!
-//! * the sender encodes into a [`WireWriter`](crate::wire::WireWriter)
-//!   sized up front, then [`finish_payload`](crate::wire::WireWriter::finish_payload)
-//!   wraps the buffer — one allocation, zero copies;
+//! * the sender's [`Wire::encode`](crate::wire::Wire::encode) writes the
+//!   message once, into a scratch buffer the thread reuses, and copies it
+//!   into one shared buffer of exactly its length: one allocation per
+//!   message, the `Rc`'s counts and the bytes together;
 //! * [`Packet`](crate::Packet) carries the `Payload`; fan-out to N
 //!   multicast receivers clones the packet N times at `Rc` cost;
 //! * decoders built with [`WireReader::of`](crate::wire::WireReader::of)
@@ -18,6 +19,10 @@
 //!   buffer ([`WireReader::payload`](crate::wire::WireReader::payload));
 //! * upper layers store and re-deliver those sub-payloads (history
 //!   buffers, BB stores, app queues) by cheap clone.
+//!
+//! Every constructor that is handed bytes copies them once into a buffer
+//! of their exact length (an owned `Vec` too: it is freed, not kept);
+//! [`zeroed`](Payload::zeroed) fills a zeroed buffer in place.
 //!
 //! ## Invariants
 //!
@@ -27,6 +32,7 @@
 //!   like slice indexing).
 //! * Equality/ordering/hashing are by byte content, not by buffer
 //!   identity, so `Payload` is a drop-in for `Vec<u8>` in message enums.
+//! * A payload is shorter than 4 GiB, as every length on the wire is.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -38,11 +44,19 @@ use std::rc::Rc;
 /// with a zero-copy slicing window). See the [module docs](self).
 #[derive(Clone, Default)]
 pub struct Payload {
-    /// Backing buffer; `None` encodes the empty payload without an
-    /// allocation.
-    buf: Option<Rc<Vec<u8>>>,
-    off: usize,
-    len: usize,
+    /// Backing buffer, the `Rc`'s counts and the bytes in one
+    /// allocation; `None` encodes the empty payload without one.
+    buf: Option<Rc<[u8]>>,
+    off: u32,
+    len: u32,
+}
+
+// Messages embed payloads by value: the window costs no more than a `Vec`.
+const _: () = assert!(std::mem::size_of::<Payload>() == 24);
+
+/// `n` as a window bound.
+fn bound(n: usize) -> u32 {
+    u32::try_from(n).expect("a payload is shorter than 4 GiB")
 }
 
 impl Payload {
@@ -55,28 +69,44 @@ impl Payload {
         }
     }
 
-    /// Wraps an owned buffer without copying it.
+    /// A payload of `bytes` (one allocation of exactly their length,
+    /// one copy; `bytes` is freed).
     pub fn new(bytes: Vec<u8>) -> Payload {
-        let len = bytes.len();
-        if len == 0 {
+        Payload::copy_from_slice(&bytes)
+    }
+
+    /// Copies a borrowed slice into a fresh payload: one allocation of
+    /// exactly its length.
+    pub fn copy_from_slice(bytes: &[u8]) -> Payload {
+        if bytes.is_empty() {
             return Payload::empty();
         }
         Payload {
-            buf: Some(Rc::new(bytes)),
+            len: bound(bytes.len()),
+            buf: Some(Rc::from(bytes)),
             off: 0,
-            len,
         }
     }
 
-    /// Copies a borrowed slice into a fresh payload (the one deliberate
-    /// copy constructor; everything else shares).
-    pub fn copy_from_slice(bytes: &[u8]) -> Payload {
-        Payload::new(Vec::from(bytes))
+    /// A payload of `len` bytes, zeroed, then written by `fill`: one
+    /// allocation and no copy, for a buffer written at known offsets.
+    pub fn zeroed(len: usize, fill: impl FnOnce(&mut [u8])) -> Payload {
+        if len == 0 {
+            return Payload::empty();
+        }
+        // An iterator of known length is collected into one allocation.
+        let mut buf: Rc<[u8]> = std::iter::repeat_n(0, len).collect();
+        fill(Rc::get_mut(&mut buf).expect("a buffer nothing else holds yet"));
+        Payload {
+            len: bound(len),
+            buf: Some(buf),
+            off: 0,
+        }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// Whether the payload is empty.
@@ -87,7 +117,7 @@ impl Payload {
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
         match &self.buf {
-            Some(b) => &b[self.off..self.off + self.len],
+            Some(b) => &b[self.off as usize..(self.off + self.len) as usize],
             None => &[],
         }
     }
@@ -106,10 +136,10 @@ impl Payload {
         let end = match range.end_bound() {
             Bound::Included(&n) => n + 1,
             Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len,
+            Bound::Unbounded => self.len(),
         };
         assert!(
-            start <= end && end <= self.len,
+            start <= end && end <= self.len(),
             "payload slice {start}..{end} out of bounds (len {})",
             self.len
         );
@@ -118,8 +148,8 @@ impl Payload {
         }
         Payload {
             buf: self.buf.clone(),
-            off: self.off + start,
-            len: end - start,
+            off: self.off + bound(start),
+            len: bound(end - start),
         }
     }
 }
@@ -249,11 +279,10 @@ mod tests {
     }
 
     #[test]
-    fn new_wraps_without_copy() {
-        let v = vec![1u8, 2, 3];
-        let ptr = v.as_ptr();
-        let p = Payload::new(v);
-        assert_eq!(p.as_slice().as_ptr(), ptr, "buffer must not be copied");
+    fn zeroed_fills_in_place() {
+        let p = Payload::zeroed(6, |b| b[1..3].copy_from_slice(&[7, 8]));
+        assert_eq!(p.as_slice(), &[0, 7, 8, 0, 0, 0]);
+        assert!(Payload::zeroed(0, |_| unreachable!()).is_empty());
     }
 
     #[test]

@@ -199,6 +199,10 @@ struct NetInner {
     group_routes: IdMap<HostAddr, IdMap<GroupAddr, BTreeSet<SegmentId>>>,
     /// Whether `group_routes` must be rebuilt before use.
     group_routes_dirty: bool,
+    /// The out segments (and next hops) a router forwards its current
+    /// frame onto, kept between frames so that forwarding stops
+    /// allocating once it has grown.
+    fwd_outs: Vec<(SegmentId, Option<HostAddr>)>,
     /// TTL stamped on packets whose sender left it unset.
     default_ttl: u8,
     /// Flow-edge recorder for traced packets; disabled unless the
@@ -312,6 +316,7 @@ impl Network {
             routers: BTreeMap::new(),
             group_routes: IdMap::default(),
             group_routes_dirty: true,
+            fwd_outs: Vec::new(),
             default_ttl,
             tele,
         };
@@ -925,44 +930,38 @@ impl NetInner {
                 continue;
             }
             // Pick the out segments: routed unicasts follow the table;
-            // everything else (and unknown unicasts) floods.
-            let attached = self.routers[&r_addr].clone();
-            let mut outs: Vec<(SegmentId, Option<HostAddr>)> = Vec::new();
-            let mut routed = false;
-            if let Some(d) = unicast_dst {
-                if let Some(e) = self.route_lookup(r_addr, d) {
-                    if e.segment != seg && attached.contains(&e.segment) {
-                        outs.push((e.segment, Some(e.next_hop)));
-                        routed = true;
-                    }
-                }
+            // everything else (and unknown unicasts) floods. A multicast
+            // is never routed, so its group routes are rebuilt first.
+            let route = unicast_dst.and_then(|d| self.route_lookup(r_addr, d));
+            if matches!(pkt.dst, Dest::Multicast(_)) && self.group_routes_dirty {
+                self.rebuild_group_routes();
             }
-            if !routed {
-                match pkt.dst {
-                    Dest::Multicast(g) => {
-                        // FLIP-style multicast pruning: forward only
-                        // onto segments that lead toward a member.
-                        if self.group_routes_dirty {
-                            self.rebuild_group_routes();
-                        }
-                        let allowed = self
-                            .group_routes
-                            .get(&r_addr)
-                            .and_then(|t| t.get(&g))
-                            .cloned()
-                            .unwrap_or_default();
-                        for s in attached.iter().filter(|s| **s != seg) {
-                            if allowed.contains(s) {
-                                outs.push((*s, None));
-                            } else {
-                                self.stats.mcast_pruned += 1;
+            let mut outs = std::mem::take(&mut self.fwd_outs);
+            outs.clear();
+            let attached = &self.routers[&r_addr];
+            match route.filter(|e| e.segment != seg && attached.contains(&e.segment)) {
+                Some(e) => outs.push((e.segment, Some(e.next_hop))),
+                None => {
+                    let flood = attached.iter().filter(|s| **s != seg);
+                    match pkt.dst {
+                        Dest::Multicast(g) => {
+                            // FLIP-style multicast pruning: forward only
+                            // onto segments that lead toward a member.
+                            let allowed = self.group_routes.get(&r_addr).and_then(|t| t.get(&g));
+                            for s in flood {
+                                if allowed.is_some_and(|a| a.contains(s)) {
+                                    outs.push((*s, None));
+                                } else {
+                                    self.stats.mcast_pruned += 1;
+                                }
                             }
                         }
+                        _ => outs.extend(flood.map(|s| (*s, None))),
                     }
-                    _ => outs.extend(attached.iter().filter(|s| **s != seg).map(|s| (*s, None))),
                 }
             }
             if outs.is_empty() {
+                self.fwd_outs = outs;
                 continue;
             }
             // Store-and-forward: the router fully receives the frame,
@@ -974,7 +973,7 @@ impl NetInner {
             let rx_done = (*rx_free).max(arrival) + recv_cpu;
             *rx_free = rx_done;
             let fwd_ready = rx_done + forward_cpu;
-            for (oseg, next_hop) in outs {
+            for &(oseg, next_hop) in &outs {
                 let mut fwd = pkt.clone();
                 fwd.ttl -= 1;
                 fwd.hops += 1;
@@ -983,6 +982,9 @@ impl NetInner {
                 self.stats.packets_forwarded += 1;
                 self.transmit_frame(oseg, fwd, fwd_ready);
             }
+            // A frame forwarded on from those segments took a buffer of
+            // its own; this one is kept for the next frame.
+            self.fwd_outs = outs;
         }
     }
 }

@@ -8,9 +8,9 @@
 //! transport, a value with a wire form implements [`Wire`] — `put` and
 //! `get`, each field once — and gets the rest from the trait:
 //!
-//! * [`Wire::encode`] runs `put` twice, once against a writer that only
-//!   counts, so the message is built in one allocation of exactly its
-//!   size, which is derived from the same field list `put` writes;
+//! * [`Wire::encode`] runs `put` once, into a scratch buffer the thread
+//!   reuses, and copies the bytes into one shared buffer of exactly
+//!   their length: one allocation per message;
 //! * [`Wire::decode`] reads exactly one value and refuses trailing
 //!   bytes; [`Wire::decode_shared`] does the same over a shared
 //!   [`Payload`] ([`WireReader::of`]), so embedded byte strings come
@@ -30,7 +30,7 @@
 //! impl, so each field is listed once: in the declaration. Every field
 //! type has a [`Wire`] form of its own; a counted field adds `as` and
 //! its [`Counted`] (`items: Vec<Item> as BATCH`). The encoded length is
-//! never written down: [`Wire::encode`] measures it by running `put`.
+//! never written down: it is what `put` writes.
 //!
 //! A record — a struct whose fields go on the wire in declaration
 //! order, with no tag and no check across fields — is declared the same
@@ -69,6 +69,7 @@
 //! count is a claim, never a reservation — a ten-byte message that
 //! claims a million rows is refused without allocating for them.
 
+use std::cell::Cell;
 #[allow(clippy::disallowed_types)] // keyed by names, which requests supply
 use std::collections::HashMap;
 use std::fmt;
@@ -130,8 +131,8 @@ impl WireWriter {
     }
 
     /// Creates a writer whose buffer holds `capacity` bytes up front, so
-    /// an encoder with an exact (or conservative) size hint performs a
-    /// single allocation for the whole message.
+    /// an encoder with an exact (or conservative) size hint never grows
+    /// it.
     pub fn with_capacity(capacity: usize) -> Self {
         WireWriter {
             buf: Vec::with_capacity(capacity),
@@ -238,7 +239,8 @@ impl WireWriter {
         self.buf
     }
 
-    /// Finishes into a shared [`Payload`] without copying the buffer.
+    /// Finishes into a shared [`Payload`]: the bytes written, copied
+    /// into one allocation of exactly their length.
     pub fn finish_payload(self) -> Payload {
         Payload::new(self.buf)
     }
@@ -390,8 +392,8 @@ pub trait Wire: Sized {
         w.len()
     }
 
-    /// The value alone, as message bytes, in one allocation of exactly
-    /// [`wire_len`](Wire::wire_len) bytes.
+    /// The value alone, as message bytes: `put` runs once, and the bytes
+    /// land in one allocation of exactly their length ([`encode_with`]).
     fn encode(&self) -> Payload {
         encode_with(|w| self.put(w))
     }
@@ -433,15 +435,30 @@ pub trait Wire: Sized {
     }
 }
 
+thread_local! {
+    /// The buffer [`encode_with`] writes a message into before copying
+    /// it out. It keeps the capacity of the largest message its thread
+    /// has written, so past the first few messages it never grows.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
 /// What [`Wire::encode`] does, for a message written by `put` rather
-/// than by a [`Wire`] value: `put` runs once against a writer that only
-/// counts, then again into one allocation of exactly that many bytes.
-pub fn encode_with(put: impl Fn(&mut WireWriter)) -> Payload {
-    let mut measure = WireWriter::measuring();
-    put(&mut measure);
-    let mut w = WireWriter::with_capacity(measure.len());
+/// than by a [`Wire`] value: `put` runs once, into the thread's scratch
+/// buffer, and the bytes are copied into one shared allocation of
+/// exactly their length, the only one the message makes once the
+/// scratch buffer has grown to the thread's largest message.
+pub fn encode_with(put: impl FnOnce(&mut WireWriter)) -> Payload {
+    // Taken, not borrowed: a `put` that encodes a message of its own
+    // finds the cell empty and writes into a buffer of its own.
+    let mut w = WireWriter {
+        buf: SCRATCH.take(),
+        sink: Sink::Store,
+    };
+    w.buf.clear();
     put(&mut w);
-    w.finish_payload()
+    let bytes = Payload::copy_from_slice(&w.buf);
+    SCRATCH.set(w.buf);
+    bytes
 }
 
 fn whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, DecodeError> {
@@ -1013,21 +1030,6 @@ mod tests {
         let src = w.finish_payload();
         let mut r = WireReader::of(&src);
         assert!(r.payload("p").is_err());
-    }
-
-    #[test]
-    fn with_capacity_hint_is_single_allocation() {
-        let data = vec![0u8; 100];
-        let mut w = WireWriter::with_capacity(1 + 8 + 4 + data.len());
-        w.u8(3).u64(42).bytes(&data);
-        assert_eq!(w.len(), 1 + 8 + 4 + 100);
-        let cap = {
-            let before = w.as_slice().as_ptr();
-            let p = w.finish_payload();
-            assert_eq!(p.as_slice().as_ptr(), before, "finish must not reallocate");
-            p
-        };
-        assert_eq!(cap.len(), 113);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::error::GroupError;
 use crate::instance::Instance;
 use crate::msg::GroupMsg;
 use crate::peer::{GroupPeer, InstanceSlot, GROUP_PORT};
-use crate::types::{GroupEvent, GroupInfo, SeqNo};
+use crate::types::{GroupEvent, GroupInfo, GroupStatus, SeqNo};
 
 type AppItem = Result<GroupEvent, GroupError>;
 
@@ -284,6 +284,16 @@ impl Group {
     /// [`GroupError::Dead`] if the instance has dissolved.
     pub fn info(&self) -> Result<GroupInfo, GroupError> {
         self.peer.info_of(self.instance).ok_or(GroupError::Dead)
+    }
+
+    /// [`info`](Group::info) without the view, which it does not copy:
+    /// what a replica checks on every request.
+    ///
+    /// # Errors
+    ///
+    /// [`GroupError::Dead`] if the instance has dissolved.
+    pub fn status(&self) -> Result<GroupStatus, GroupError> {
+        self.peer.status_of(self.instance).ok_or(GroupError::Dead)
     }
 
     /// Number of events buffered by the kernel that this handle has not

@@ -52,7 +52,9 @@ use std::collections::BTreeMap;
 use crate::config::GroupConfig;
 use crate::error::GroupError;
 use crate::msg::{AcceptBody, DoneItem, GroupMsg};
-use crate::types::{GroupEvent, GroupInfo, Incarnation, MemberId, MemberInfo, SeqNo, View};
+use crate::types::{
+    GroupEvent, GroupInfo, GroupStatus, Incarnation, MemberId, MemberInfo, SeqNo, View,
+};
 
 mod member;
 mod reset;
@@ -385,6 +387,15 @@ impl Instance {
             highest_contiguous: self.highest_contiguous,
             delivered: self.delivered,
             failed: self.failed,
+        }
+    }
+
+    /// [`info`](Self::info) without the view.
+    pub fn status(&self) -> GroupStatus {
+        GroupStatus {
+            failed: self.failed,
+            members: self.view.len(),
+            highest_contiguous: self.highest_contiguous,
         }
     }
 

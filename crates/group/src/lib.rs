@@ -55,4 +55,6 @@ pub use error::GroupError;
 pub use instance::GroupStats;
 pub use msg::{AcceptBody, AcceptItem, DoneItem, GroupMsg};
 pub use peer::{GroupPeer, GROUP_PORT};
-pub use types::{GroupEvent, GroupInfo, Incarnation, MemberId, MemberInfo, SeqNo, View};
+pub use types::{
+    GroupEvent, GroupInfo, GroupStatus, Incarnation, MemberId, MemberInfo, SeqNo, View,
+};

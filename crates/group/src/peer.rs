@@ -17,7 +17,7 @@ use crate::config::{GroupConfig, BATCH_DELAY};
 use crate::error::GroupError;
 use crate::instance::{Action, GroupStats, Instance};
 use crate::msg::GroupMsg;
-use crate::types::{GroupEvent, GroupInfo, SeqNo};
+use crate::types::{GroupEvent, GroupInfo, GroupStatus, SeqNo};
 
 /// The well-known FLIP port for all group-communication traffic.
 pub const GROUP_PORT: Port = Port::from_raw(0x0047_5250); // "GRP"
@@ -246,7 +246,9 @@ impl GroupPeer {
         }
     }
 
-    /// Drives every instance's protocol timers.
+    /// Drives every instance's protocol timers: each ticks before any
+    /// action runs, and only the instances that have actions are kept,
+    /// so an idle tick allocates nothing.
     fn tick(&self) {
         let now = self.handle.now();
         let work: Vec<(u64, Vec<Action>)> = {
@@ -255,6 +257,7 @@ impl GroupPeer {
                 .instances
                 .iter_mut()
                 .map(|(id, slot)| (*id, slot.inst.tick(now)))
+                .filter(|(_, actions)| !actions.is_empty())
                 .collect()
         };
         for (id, actions) in work {
@@ -384,6 +387,14 @@ impl GroupPeer {
             .instances
             .get(&instance)
             .map(|s| s.inst.info())
+    }
+
+    pub(crate) fn status_of(&self, instance: u64) -> Option<GroupStatus> {
+        self.inner
+            .borrow()
+            .instances
+            .get(&instance)
+            .map(|s| s.inst.status())
     }
 
     /// Runs engine actions produced while `inner` was borrowed, after release.

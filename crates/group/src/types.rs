@@ -109,6 +109,18 @@ pub struct GroupInfo {
     pub failed: bool,
 }
 
+/// What a replica checks of its group on every request: the part of
+/// [`GroupInfo`] that is copied without the view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupStatus {
+    /// Whether the group has failed and needs `ResetGroup`.
+    pub failed: bool,
+    /// Members in the current view.
+    pub members: usize,
+    /// Highest sequence number buffered *contiguously* by the kernel.
+    pub highest_contiguous: SeqNo,
+}
+
 impl GroupInfo {
     /// Events buffered by the kernel but not yet received by the app —
     /// the quantity the directory service's read path drains first

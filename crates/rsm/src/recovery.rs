@@ -172,8 +172,8 @@ pub(crate) fn run_recovery<S: StateMachine>(
         // "while (minority && !timeout) GetInfoGroup(&group_state)".
         let deadline = ctx.now() + MAJORITY_TIMEOUT;
         let majority = loop {
-            match group.info() {
-                Ok(info) if info.view.len() >= cfg.majority() && !info.failed => break true,
+            match group.status() {
+                Ok(s) if s.members >= cfg.majority() && !s.failed => break true,
                 Ok(_) => {}
                 Err(_) => break false,
             }
@@ -327,7 +327,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
                 retry_sleep(ctx);
                 continue;
             }
-        } else if let Ok(hc) = group.info().map(|i| i.highest_contiguous) {
+        } else if let Ok(hc) = group.status().map(|s| s.highest_contiguous) {
             // We are (among) the most current: align the cursors with
             // the new instance's order so far (the machine's with the
             // persist below). The instance's sequence numbers restart,

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use amoeba_flip::Payload;
-use amoeba_group::{Group, GroupError, GroupEvent, GroupPeer, SeqNo, View};
+use amoeba_group::{Group, GroupError, GroupEvent, GroupPeer, GroupStatus, SeqNo, View};
 use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
 use amoeba_sim::{Ctx, IdMap, MailboxTx, NodeId, Spawn};
 
@@ -404,7 +404,7 @@ impl<S: StateMachine> Replica<S> {
         trace: amoeba_telemetry::TraceCtx,
         cursor: Cursor,
     ) -> Result<Payload, RsmError> {
-        let group = self.serving_group()?;
+        let (group, _) = self.serving_group()?;
         self.shared.borrow_mut().stats.submitted += 1;
         let seq = group
             .send_traced(ctx, op, trace)
@@ -425,11 +425,8 @@ impl<S: StateMachine> Replica<S> {
     ///
     /// Same as [`submit`](Replica::submit).
     pub fn read_barrier(&self, ctx: &Ctx) -> Result<SeqNo, RsmError> {
-        let group = self.serving_group()?;
-        let target = group
-            .info()
-            .map_err(|_| RsmError::NotInService)?
-            .highest_contiguous;
+        let (_, status) = self.serving_group()?;
+        let target = status.highest_contiguous;
         self.wait(ctx, target, Cursor::Applied, true)?;
         Ok(target)
     }
@@ -444,8 +441,9 @@ impl<S: StateMachine> Replica<S> {
         self.wait(ctx, target, Cursor::Published, true)
     }
 
-    /// The serving group handle, after the majority check.
-    fn serving_group(&self) -> Result<Rc<Group>, RsmError> {
+    /// The serving group handle and the status it passed the majority
+    /// check with.
+    fn serving_group(&self) -> Result<(Rc<Group>, GroupStatus), RsmError> {
         let group = {
             let shared = self.shared.borrow();
             if shared.mode != Mode::Normal {
@@ -456,8 +454,8 @@ impl<S: StateMachine> Replica<S> {
                 None => return Err(RsmError::NotInService),
             }
         };
-        match group.info() {
-            Ok(i) if !i.failed && i.view.len() >= self.cfg.majority() => Ok(group),
+        match group.status() {
+            Ok(s) if !s.failed && s.members >= self.cfg.majority() => Ok((group, s)),
             _ => Err(RsmError::NotInService),
         }
     }

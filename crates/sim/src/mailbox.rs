@@ -11,7 +11,11 @@
 //! Both halves share the mailbox's *slot*: its queue, and the messages in
 //! flight under the `seq` of the event that delivers each. A send parks
 //! its message there and schedules a plain `Deliver` event, which moves
-//! it onto the queue: a message costs no allocation of its own.
+//! it onto the queue. The slot is the mailbox's one allocation: each
+//! list holds its oldest message inline and only the ones behind it in
+//! a `VecDeque`, whose buffer, once grown, is kept. So a message costs
+//! no allocation of its own, and a one-shot reply channel (one message
+//! in flight, then queued) never allocates past its slot.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -23,14 +27,68 @@ use crate::ids::MailboxId;
 use crate::kernel::{EventKind, Kernel, Slot, WakeReason};
 use crate::time::SimTime;
 
+/// A FIFO that keeps its oldest item inline: one that never holds more
+/// than one item at a time never allocates.
+struct Fifo<T> {
+    /// The oldest item; `None` only while `rest` is empty too.
+    head: Option<T>,
+    /// The items behind it, oldest first.
+    rest: VecDeque<T>,
+}
+
+impl<T> Fifo<T> {
+    const fn new() -> Self {
+        Fifo {
+            head: None,
+            rest: VecDeque::new(),
+        }
+    }
+
+    fn push_back(&mut self, item: T) {
+        if self.head.is_none() {
+            self.head = Some(item);
+        } else {
+            self.rest.push_back(item);
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let item = self.head.take();
+        self.head = self.rest.pop_front();
+        item
+    }
+
+    /// Removes the oldest item `pred` holds for.
+    fn remove_first(&mut self, pred: impl Fn(&T) -> bool) -> Option<T> {
+        if self.head.as_ref().is_some_and(&pred) {
+            return self.pop_front();
+        }
+        let at = self.rest.iter().position(pred)?;
+        self.rest.remove(at)
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.head.is_some()) + self.rest.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head.is_none()
+    }
+
+    fn clear(&mut self) {
+        self.head = None;
+        self.rest.clear();
+    }
+}
+
 /// A mailbox's messages: its slot, shared by its halves and its kernel
 /// record.
 struct Messages<T> {
     /// Delivered, not yet received.
-    queue: VecDeque<T>,
+    queue: Fifo<T>,
     /// Sent, not yet delivered, in send order: by the `seq` of each one's
     /// delivery event.
-    in_flight: VecDeque<(u64, T)>,
+    in_flight: Fifo<(u64, T)>,
     /// The receiver was dropped: nothing more is kept.
     closed: bool,
 }
@@ -39,8 +97,7 @@ impl<T> Slot for RefCell<Messages<T>> {
     fn deliver(&self, seq: u64) {
         let mut m = self.borrow_mut();
         // Deliveries of one mailbox pop mostly in send order: the front.
-        let at = m.in_flight.iter().position(|(s, _)| *s == seq);
-        let msg = at.and_then(|at| m.in_flight.remove(at));
+        let msg = m.in_flight.remove_first(|(s, _)| *s == seq);
         m.queue
             .push_back(msg.expect("a live mailbox's message is in flight").1);
     }
@@ -196,8 +253,8 @@ pub(crate) fn channel_impl<T: 'static>(
     shared: &Rc<RefCell<Kernel>>,
 ) -> (MailboxTx<T>, MailboxRx<T>) {
     let slot = Rc::new(RefCell::new(Messages {
-        queue: VecDeque::new(),
-        in_flight: VecDeque::new(),
+        queue: Fifo::new(),
+        in_flight: Fifo::new(),
         closed: false,
     }));
     let id = shared.borrow_mut().alloc_mailbox(slot.clone());
@@ -213,4 +270,28 @@ pub(crate) fn channel_impl<T: 'static>(
             shared: Rc::downgrade(shared),
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Fifo;
+
+    #[test]
+    fn a_fifo_keeps_order_across_its_inline_head() {
+        let mut f = Fifo::new();
+        for i in 0..4 {
+            f.push_back(i);
+        }
+        assert_eq!(f.len(), 4);
+        assert_eq!(f.remove_first(|x| *x == 2), Some(2));
+        assert_eq!(f.remove_first(|x| *x == 0), Some(0), "the inline head");
+        assert_eq!(f.remove_first(|x| *x == 9), None);
+        f.push_back(4);
+        let drained: Vec<_> = std::iter::from_fn(|| f.pop_front()).collect();
+        assert_eq!(drained, [1, 3, 4]);
+        assert!(f.is_empty());
+        f.push_back(5);
+        f.clear();
+        assert_eq!((f.len(), f.pop_front()), (0, None));
+    }
 }

@@ -16,9 +16,12 @@
 //! directory's size.
 //!
 //! And it pins the exact-size encode: an op and a directory file are
-//! each marshalled into one buffer of exactly their length.
+//! each marshalled into one buffer of exactly their length, the one
+//! allocation each makes.
 //!
-//! And a message between two processes costs no heap of its own.
+//! And a message between two processes costs no heap of its own, and a
+//! one-shot reply channel none past its creation; a group whose timers
+//! find nothing to do allocates nothing when they fire.
 //!
 //! And a group keeps only what is live: past its window, a message sent
 //! through a group leaves nothing behind, and a directory server's object
@@ -81,6 +84,17 @@ thread_local! {
 /// This thread's live heap ([`MINE_LIVE`]).
 fn live() -> isize {
     MINE_LIVE.with(Cell::get)
+}
+
+/// This thread's allocations so far ([`MINE_ALLOCS`]).
+fn allocs() -> usize {
+    MINE_ALLOCS.with(Cell::get)
+}
+
+/// The bytes a shared buffer of `len` bytes requests: the `Rc`'s two
+/// counts, then the bytes, padded to the counts' alignment.
+fn shared_buffer(len: usize) -> usize {
+    (2 * std::mem::size_of::<usize>() + len).next_multiple_of(std::mem::align_of::<usize>())
 }
 
 // SAFETY: every call is passed to `System` unchanged; the counters are the
@@ -161,6 +175,59 @@ fn a_message_costs_no_heap_of_its_own() {
         Some(0),
         "bytes requested by 1,000 round trips"
     );
+}
+
+/// A one-shot reply channel (an RPC call's, a disk request's) costs the
+/// allocation of its slot and nothing more: its message waits inline,
+/// in flight and then queued. Two `VecDeque` buffers per channel read 2
+/// more.
+#[test]
+fn a_reply_channel_allocates_only_its_slot() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sim = Simulation::new(1);
+    let out = sim.spawn("caller", move |ctx| {
+        let round = || {
+            let before = allocs();
+            let (tx, rx) = ctx.channel::<u64>();
+            let created = allocs() - before;
+            tx.send(7);
+            assert_eq!(rx.recv(ctx), 7);
+            (created, allocs() - before - created)
+        };
+        // Once first, so that the kernel's queues and its mailbox table
+        // are at their working size.
+        round();
+        round()
+    });
+    sim.run();
+    assert_eq!(
+        out.take(),
+        Some((1, 0)),
+        "allocations: (creating the channel, one send and recv)"
+    );
+}
+
+/// A group whose protocol timers find nothing to do: one member, the
+/// sequencer, with no heartbeat due. Its peer's tick ran every 20 ms
+/// and collected a list of every instance's (empty) actions each time:
+/// 50 allocations a simulated second.
+#[test]
+fn an_idle_group_tick_allocates_nothing() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sim = Simulation::new(1);
+    let net = Network::new(sim.handle(), NetParams::default(), 1);
+    let node = sim.add_node("m");
+    let cfg = GroupConfig {
+        heartbeat_interval: Duration::from_secs(3_600),
+        ..GroupConfig::default()
+    };
+    let peer = GroupPeer::start(&sim, node, net.attach(), cfg);
+    let group = peer.create(Port::from_name("no-leak"), 0);
+    sim.run_for(Duration::from_secs(1));
+    let before = allocs();
+    sim.run_for(Duration::from_secs(1));
+    assert_eq!(allocs() - before, 0, "allocations of 50 idle ticks");
+    drop(group);
 }
 
 /// A directory machine on a node of its own, with no Bullet server
@@ -282,8 +349,9 @@ fn a_rejected_message_allocates_nothing_for_its_claimed_counts() {
 }
 
 /// Invariant 1 of `amoeba_dir_core`: an op and a directory file are each
-/// encoded into one buffer of exactly their length — plus the `Arc` that
-/// shares it — and the buffer is never grown.
+/// encoded into one buffer of exactly their length — with the `Rc`'s
+/// counts in front — in one allocation. Encoding measured first, then
+/// wrote into a `Vec` the `Rc` wrapped: 2 allocations each.
 #[test]
 fn an_op_and_a_directory_encode_into_one_exact_size_buffer() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
@@ -301,14 +369,21 @@ fn an_op_and_a_directory_encode_into_one_exact_size_buffer() {
         check: 0xC1,
         key: 7,
     };
-    let shared = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u8>>();
+    // Once first, so that the thread's scratch buffer has grown to both.
+    let _ = (op.encode(), dir.encode());
     let mine = || MINE.with(Cell::get);
-    let before = mine();
+    let (before, calls) = (mine(), allocs());
     let op_bytes = op.encode();
-    assert_eq!(mine() - before, op_bytes.len() + shared, "the op");
-    let before = mine();
+    assert_eq!(allocs() - calls, 1, "allocations of the op");
+    assert_eq!(mine() - before, shared_buffer(op_bytes.len()), "the op");
+    let (before, calls) = (mine(), allocs());
     let dir_bytes = dir.encode();
-    assert_eq!(mine() - before, dir_bytes.len() + shared, "the directory");
+    assert_eq!(allocs() - calls, 1, "allocations of the directory");
+    assert_eq!(
+        mine() - before,
+        shared_buffer(dir_bytes.len()),
+        "the directory"
+    );
 }
 
 /// Bytes of heap the whole process requests while a client makes 1,000
@@ -452,6 +527,9 @@ fn requested_by_an_answered_grant(rows: usize) -> [(usize, usize); 2] {
         let before = mine();
         let granted = sm.apply(ctx, ops.len() as u64, last, true);
         let applied = (mine() - before, granted.len());
+        // Once first, so that the thread's scratch buffer has grown to
+        // the answer.
+        let _ = sm.lease_answer(ctx, &owner, 0, 400_000);
         let before = mine();
         let answer = sm.lease_answer(ctx, &owner, 0, 400_000);
         [applied, (mine() - before, answer.len())]
@@ -463,19 +541,18 @@ fn requested_by_an_answered_grant(rows: usize) -> [(usize, usize); 2] {
 /// A grant this replica answers costs its apply the one-byte `Ok` alone,
 /// and the answer its initiator then sends is written straight from the
 /// shared version of the directory into one buffer of exactly its
-/// length, plus the `Arc` that shares it: no row is copied on the way.
+/// length, with the `Rc`'s counts in front: no row is copied on the way.
 #[test]
 fn an_answered_grant_is_one_exact_size_buffer() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
-    let shared = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u8>>();
     for rows in [4, 64] {
         let [(applied, granted), (requested, len)] = requested_by_an_answered_grant(rows);
-        assert_eq!((applied, granted), (1 + shared, 1), "{rows} rows");
+        assert_eq!((applied, granted), (shared_buffer(1), 1), "{rows} rows");
         assert!(
             len > rows * "row-0".len(),
             "{rows} rows: the answer holds them"
         );
-        assert_eq!(requested, len + shared, "{rows} rows");
+        assert_eq!(requested, shared_buffer(len), "{rows} rows");
     }
 }
 
