@@ -9,10 +9,9 @@
 
 use std::time::Duration;
 
-use amoeba_bench::{testbed_traced, testbed_with, traced_update_burst};
+use amoeba_bench::{testbed_traced, traced_update_burst};
 use amoeba_dir_core::cluster::Variant;
 use amoeba_dir_core::Rights;
-use amoeba_sim::SimTime;
 
 #[test]
 fn client_write_yields_one_connected_span_tree() {
@@ -74,81 +73,6 @@ fn client_write_yields_one_connected_span_tree() {
     // And the op's latency landed in its family's histogram.
     let in_family = tele.metrics().hists.get("cli.create_in").map(|h| h.count);
     assert_eq!(in_family, Some(1));
-}
-
-/// The auxiliary-ops scenario, traced or not: a lease grant plus a
-/// directory migration. Returns the simulated instant the last op
-/// completed, and the spans recorded.
-fn aux_ops(traced: bool) -> (SimTime, Vec<amoeba_telemetry::SpanRec>) {
-    use amoeba_dir_core::ShardMap;
-
-    let tweak = |p: &mut amoeba_dir_core::cluster::ClusterParams| {
-        p.shards = 2;
-        p.lease_service = true;
-    };
-    let (mut tb, tele) = if traced {
-        let (tb, tele) = testbed_traced(Variant::Group, 0x10CC, tweak);
-        (tb, Some(tele))
-    } else {
-        (testbed_with(Variant::Group, 0x10CC, tweak), None)
-    };
-    let (ls, _) = tb.cluster.lease_client(&tb.sim);
-    let client = tb.client.clone();
-    let done = tb.sim.spawn("aux-ops", move |ctx| {
-        let g = matches!(ls.grant(ctx, "fence", 7, 8), Ok(Some(_)));
-        let map = ShardMap::new(2);
-        let m = client
-            .create_dir(ctx, &["owner", "other"])
-            .ok()
-            .and_then(|cap| {
-                let here = map.shard_of_cap(&cap)?;
-                client.migrate(ctx, cap, 1 - here).ok()
-            })
-            .is_some();
-        ((g, m), ctx.now())
-    });
-    tb.sim.run_for(Duration::from_secs(30));
-    let (ok, finished) = done.take().expect("aux ops ran to completion");
-    assert_eq!(ok, (true, true), "lease and migration ops must succeed");
-    (finished, tele.map(|t| t.spans()).unwrap_or_default())
-}
-
-/// Every auxiliary subsystem — the lease service and directory
-/// migration — must parent its
-/// server-side work into the client op's trace: one root, no orphans,
-/// spans on more than one machine, and the subsystem's own server span
-/// present in the tree. And tracing them must leave the simulated clock
-/// untouched: the last op completes at the same instant traced or not.
-#[test]
-fn aux_service_and_migration_ops_yield_connected_span_trees() {
-    let (untraced_end, none) = aux_ops(false);
-    let (traced_end, spans) = aux_ops(true);
-    assert!(none.is_empty(), "untraced arm records nothing");
-    assert_eq!(
-        untraced_end, traced_end,
-        "tracing the auxiliary services must not move the simulated clock"
-    );
-    for (root_name, srv_name) in [("cli.ls.grant", Some("lease.srv")), ("cli.migrate", None)] {
-        let root_span = spans
-            .iter()
-            .find(|s| s.name == root_name && s.parent == 0)
-            .unwrap_or_else(|| panic!("{root_name} root span recorded"));
-        let (roots, orphans, machines) = amoeba_telemetry::span_tree_stats(&spans, root_span.trace);
-        assert_eq!(roots, 1, "{root_name}: exactly one root in the trace");
-        assert_eq!(orphans, 0, "{root_name}: every span parents into the tree");
-        assert!(
-            machines >= 2,
-            "{root_name}: op must cross client and server; saw {machines}"
-        );
-        if let Some(srv) = srv_name {
-            assert!(
-                spans
-                    .iter()
-                    .any(|s| s.trace == root_span.trace && s.name == srv),
-                "{root_name}: trace must contain a {srv} server span"
-            );
-        }
-    }
 }
 
 #[test]

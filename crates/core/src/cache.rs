@@ -418,7 +418,7 @@ impl DirCache {
         bump(&self.inner.counters.invalidations, dropped.max(1));
     }
 
-    /// Client-driven drop (own writes, `Moved` hints): the same epoch
+    /// Client-driven drop (the client's own writes): the same epoch
     /// bump and entry drop as [`invalidate`](DirCache::invalidate),
     /// but not counted as a server-driven invalidation.
     pub(crate) fn forget(&self, port: u64, object: u64) {

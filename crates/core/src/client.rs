@@ -9,14 +9,6 @@
 //! [`delete_from`](DirClient::delete_from)) run the deterministic
 //! two-step protocol described in the [`crate::shard`] module docs.
 //! With one shard every port is the classic unsharded service's.
-//!
-//! Every capability-addressed call runs a **bounded re-resolve loop**:
-//! the capability is first translated through the map's learned
-//! relocation cache, and a [`DirReply::Moved`] answer (the directory
-//! migrated, see the [`crate::shard`] docs) teaches the cache a new
-//! hint and retries at the new location — so a shard hint going stale
-//! mid-request (a migration racing the call) is chased, not surfaced
-//! as a hard failure, and old capabilities keep working forever.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -32,18 +24,6 @@ use crate::capability::Capability;
 use crate::ops::{DirError, DirReply, DirRequest, Fetched};
 use crate::rights::Rights;
 use crate::shard::ShardMap;
-
-/// Most `Moved` hops a single call chases before reporting
-/// [`DirClientError::Protocol`]. Real chains are as long as the number
-/// of migrations a directory underwent since this client last saw it;
-/// each hop is also cached, so a second call needs none.
-const MAX_CHASE: usize = 8;
-
-/// Most export → install → CAS rounds a [`DirClient::migrate`] runs
-/// before giving up with [`DirError::Stale`] (each round lost means a
-/// concurrent update landed — the directory is hot; back off and let
-/// the caller retry).
-const MAX_MIGRATE_ROUNDS: usize = 16;
 
 /// Client-side errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,23 +190,6 @@ impl DirClient {
         }
     }
 
-    /// Translates a capability through the learned relocation hints
-    /// (identity on unknown capabilities).
-    fn resolve_cap(&self, cap: Capability) -> Capability {
-        self.map.resolve(&cap)
-    }
-
-    /// Records a forwarding hint learned from a [`DirReply::Moved`].
-    /// Cached entries of the moved directory are dropped: its new home
-    /// grants its own leases, and the old home's lease must not keep
-    /// serving rows across the migration.
-    fn learn(&self, from: (Port, u64), to: (Port, u64)) {
-        if let Some(cache) = &self.cache {
-            cache.forget(from.0.as_raw(), from.1);
-        }
-        self.map.learn(from, to);
-    }
-
     /// Belt-and-braces drop after this client's own writes (the
     /// server's invalidation callback also covers them).
     fn forget_cached(&self, port: Port, object: u64) {
@@ -235,48 +198,16 @@ impl DirClient {
         }
     }
 
-    /// The bounded re-resolve loop every capability-addressed call runs:
-    /// translate the capability through the relocation cache, rebuild
-    /// the request with the translated capability (same rights and
-    /// check — migration preserves the raw check), send, and on a
-    /// `Moved` answer learn the hint and retry at the new location.
-    /// Returns the final reply together with the capability it was
-    /// produced for (the directory's current home).
-    fn call_chasing(
+    /// Sends `req`, a write to the directory `dir`, to `dir`'s shard,
+    /// and drops `dir` from the cache.
+    fn expect_ok(
         &self,
         ctx: &Ctx,
-        cap: Capability,
-        build: impl Fn(Capability) -> DirRequest,
-    ) -> Result<(DirReply, Capability), DirClientError> {
-        let mut cur = self.resolve_cap(cap);
-        for _ in 0..MAX_CHASE {
-            let port = self.port_of_cap(&cur);
-            match self.call(ctx, port, &build(cur))? {
-                DirReply::Moved {
-                    object,
-                    to_port,
-                    to_object,
-                } => {
-                    // Only single-directory requests flow through here,
-                    // so the moved object is `cur`'s; re-resolving from
-                    // the original follows the now-extended chain.
-                    self.learn((port, object), (to_port, to_object));
-                    cur = self.resolve_cap(cap);
-                }
-                reply => return Ok((reply, cur)),
-            }
-        }
-        Err(DirClientError::Protocol)
-    }
-
-    fn expect_ok_chasing(
-        &self,
-        ctx: &Ctx,
-        cap: Capability,
-        build: impl Fn(Capability) -> DirRequest,
+        dir: Capability,
+        req: &DirRequest,
     ) -> Result<(), DirClientError> {
-        let (reply, cur) = self.call_chasing(ctx, cap, build)?;
-        self.forget_cached(cur.port, cur.object);
+        let reply = self.call(ctx, self.port_of_cap(&dir), req)?;
+        self.forget_cached(dir.port, dir.object);
         match reply {
             DirReply::Ok => Ok(()),
             DirReply::Err(e) => Err(e.into()),
@@ -344,14 +275,14 @@ impl DirClient {
                 key: ShardMap::completion_key(&parent, name),
             },
         )?;
-        // Step 2: link it into the parent (idempotent; chases the
-        // parent's forwarding stubs if it migrated).
-        match self.expect_ok_chasing(ctx, parent, |p| DirRequest::AppendLink {
-            dir: p,
+        // Step 2: link it into the parent (idempotent).
+        let link = DirRequest::AppendLink {
+            dir: parent,
             name: name.to_owned(),
             cap: child,
-            col_rights: col_rights.clone(),
-        }) {
+            col_rights,
+        };
+        match self.expect_ok(ctx, parent, &link) {
             Ok(()) => Ok(child),
             // The row already holds a *different* directory: converge
             // on it ("ensure a child directory linked at name"). This
@@ -414,10 +345,11 @@ impl DirClient {
                 }
             }
         }
-        self.expect_ok_chasing(ctx, parent, |p| DirRequest::Unlink {
-            dir: p,
+        let unlink = DirRequest::Unlink {
+            dir: parent,
             name: name.to_owned(),
-        })
+        };
+        self.expect_ok(ctx, parent, &unlink)
     }
 
     /// Deletes a directory (needs [`Rights::ADMIN`]).
@@ -427,7 +359,7 @@ impl DirClient {
     /// Service errors or transport failures.
     pub fn delete_dir(&self, ctx: &Ctx, cap: Capability) -> Result<(), DirClientError> {
         self.op(ctx, "cli.delete_dir", || {
-            self.expect_ok_chasing(ctx, cap, |c| DirRequest::DeleteDir { cap: c })
+            self.expect_ok(ctx, cap, &DirRequest::DeleteDir { cap })
         })
     }
 
@@ -438,10 +370,7 @@ impl DirClient {
     /// Service errors or transport failures.
     pub fn list(&self, ctx: &Ctx, cap: Capability) -> Result<Listing, DirClientError> {
         self.op(ctx, "cli.list", || {
-            match self
-                .call_chasing(ctx, cap, |c| DirRequest::ListDir { cap: c })?
-                .0
-            {
+            match self.call(ctx, self.port_of_cap(&cap), &DirRequest::ListDir { cap })? {
                 DirReply::Listing { columns, rows } => Ok(Listing {
                     columns,
                     rows: rows
@@ -469,12 +398,13 @@ impl DirClient {
         col_rights: Vec<Rights>,
     ) -> Result<(), DirClientError> {
         self.op(ctx, "cli.append_row", || {
-            self.expect_ok_chasing(ctx, dir, |d| DirRequest::AppendRow {
-                dir: d,
+            let append = DirRequest::AppendRow {
+                dir,
                 name: name.to_owned(),
                 cap,
-                col_rights: col_rights.clone(),
-            })
+                col_rights,
+            };
+            self.expect_ok(ctx, dir, &append)
         })
     }
 
@@ -491,11 +421,12 @@ impl DirClient {
         col_rights: Vec<Rights>,
     ) -> Result<(), DirClientError> {
         self.op(ctx, "cli.chmod_row", || {
-            self.expect_ok_chasing(ctx, dir, |d| DirRequest::ChmodRow {
-                dir: d,
+            let chmod = DirRequest::ChmodRow {
+                dir,
                 name: name.to_owned(),
-                col_rights: col_rights.clone(),
-            })
+                col_rights,
+            };
+            self.expect_ok(ctx, dir, &chmod)
         })
     }
 
@@ -506,10 +437,11 @@ impl DirClient {
     /// Service errors or transport failures.
     pub fn delete_row(&self, ctx: &Ctx, dir: Capability, name: &str) -> Result<(), DirClientError> {
         self.op(ctx, "cli.delete_row", || {
-            self.expect_ok_chasing(ctx, dir, |d| DirRequest::DeleteRow {
-                dir: d,
+            let delete = DirRequest::DeleteRow {
+                dir,
                 name: name.to_owned(),
-            })
+            };
+            self.expect_ok(ctx, dir, &delete)
         })
     }
 
@@ -547,8 +479,7 @@ impl DirClient {
         let mut out = vec![None; items.len()];
         let mut missed: Vec<usize> = Vec::new();
         for (i, (cap, name)) in items.iter().enumerate() {
-            let cur = self.resolve_cap(*cap);
-            match cache.lookup(now_us, &cur, name) {
+            match cache.lookup(now_us, cap, name) {
                 Some(answer) => out[i] = answer,
                 None => missed.push(i),
             }
@@ -596,11 +527,10 @@ impl DirClient {
     }
 
     /// The cache-miss path: fetch a directory's visible rows plus a
-    /// read lease (chasing `Moved` forwarding like every other call),
-    /// look `names` up in them and install them. `Ok(None)` means the
-    /// snapshot may not be served — the service refused the fetch (e.g.
-    /// a bad capability, which the plain lookup path answers per-item)
-    /// or its lease was revoked while in flight.
+    /// read lease, look `names` up in them and install them. `Ok(None)`
+    /// means the snapshot may not be served — the service refused the
+    /// fetch (e.g. a bad capability, which the plain lookup path answers
+    /// per-item) or its lease was revoked while in flight.
     fn fetch_into_cache(
         &self,
         ctx: &Ctx,
@@ -608,111 +538,81 @@ impl DirClient {
         cap: Capability,
         names: &[&str],
     ) -> Result<Option<Vec<Option<Capability>>>, DirClientError> {
-        let mut cur = self.resolve_cap(cap);
-        for _ in 0..MAX_CHASE {
-            let port = self.port_of_cap(&cur);
-            // The revocation epoch is read before the request leaves:
-            // an invalidation arriving while the fetch is in flight
-            // makes the snapshot unservable (it may predate the
-            // acknowledged write that revoked it).
-            let epoch = cache.epoch(port.as_raw(), cur.object);
-            let have = cache.held_version(&cur);
-            let req = DirRequest::FetchDir {
-                cap: cur,
-                owner: cache.owner(),
-                cb_port: cache.cb_port(),
-                ttl_us: cache.ttl_us(),
-                have,
-            };
-            let bytes = self.rpc.trans(ctx, port, req.encode())?;
-            let now_us = ctx.now().as_nanos() / 1_000;
-            match Fetched::decode(&bytes).map_err(|_| DirClientError::Protocol)? {
-                Fetched::Reply(DirReply::Moved {
-                    object,
-                    to_port,
-                    to_object,
-                }) => {
-                    self.learn((port, object), (to_port, to_object));
-                    cur = self.resolve_cap(cap);
+        let port = self.port_of_cap(&cap);
+        // The revocation epoch is read before the request leaves: an
+        // invalidation arriving while the fetch is in flight makes the
+        // snapshot unservable (it may predate the acknowledged write
+        // that revoked it).
+        let epoch = cache.epoch(port.as_raw(), cap.object);
+        let have = cache.held_version(&cap);
+        let req = DirRequest::FetchDir {
+            cap,
+            owner: cache.owner(),
+            cb_port: cache.cb_port(),
+            ttl_us: cache.ttl_us(),
+            have,
+        };
+        let bytes = self.rpc.trans(ctx, port, req.encode())?;
+        let now_us = ctx.now().as_nanos() / 1_000;
+        match Fetched::decode(&bytes).map_err(|_| DirClientError::Protocol)? {
+            Fetched::Snapshot {
+                version,
+                deadline_us,
+                renewed,
+                rows,
+            } => {
+                if renewed {
+                    cache.note_renewal_saved();
                 }
-                Fetched::Snapshot {
-                    version,
-                    deadline_us,
-                    renewed,
-                    rows,
-                } => {
-                    if renewed {
-                        cache.note_renewal_saved();
-                    }
-                    // The misses are answered from the index, then the
-                    // cache takes it.
-                    let answers = names.iter().map(|n| rows.get(n)).collect();
-                    let servable = cache.install(epoch, &cur, rows, version, deadline_us, now_us);
-                    return Ok(servable.then_some(answers));
-                }
-                Fetched::Reply(DirReply::Unchanged {
-                    deadline_us,
-                    renewed,
-                }) => {
-                    if renewed {
-                        cache.note_renewal_saved();
-                    }
-                    return Ok(cache.revalidate(epoch, &cur, have, deadline_us, now_us, names));
-                }
-                Fetched::Reply(DirReply::Err(_)) => return Ok(None),
-                Fetched::Reply(_) => return Err(DirClientError::Protocol),
+                // The misses are answered from the index, then the cache
+                // takes it.
+                let answers = names.iter().map(|n| rows.get(n)).collect();
+                let servable = cache.install(epoch, &cap, rows, version, deadline_us, now_us);
+                Ok(servable.then_some(answers))
             }
+            Fetched::Reply(DirReply::Unchanged {
+                deadline_us,
+                renewed,
+            }) => {
+                if renewed {
+                    cache.note_renewal_saved();
+                }
+                Ok(cache.revalidate(epoch, &cap, have, deadline_us, now_us, names))
+            }
+            Fetched::Reply(DirReply::Err(_)) => Ok(None),
+            Fetched::Reply(_) => Err(DirClientError::Protocol),
         }
-        Err(DirClientError::Protocol)
     }
 
-    /// The uncached read path (and the cached path's fallback).
+    /// The uncached read path (and the cached path's fallback): one
+    /// `LookupSet` per shard the items name.
     fn lookup_set_uncached(
         &self,
         ctx: &Ctx,
         items: Vec<(Capability, String)>,
     ) -> Result<Vec<Option<Capability>>, DirClientError> {
-        // Bounded re-resolve loop: a `Moved` answer for any item teaches
-        // the relocation cache and redoes the grouping with the fresher
-        // translations.
-        'chase: for _ in 0..MAX_CHASE {
-            let translated: Vec<(Capability, String)> = items
-                .iter()
-                .map(|(cap, name)| (self.resolve_cap(*cap), name.clone()))
-                .collect();
-            let mut groups: Vec<(Port, Vec<usize>)> = Vec::new();
-            for (i, (cap, _)) in translated.iter().enumerate() {
-                let port = self.port_of_cap(cap);
-                match groups.iter_mut().find(|(p, _)| *p == port) {
-                    Some((_, idxs)) => idxs.push(i),
-                    None => groups.push((port, vec![i])),
-                }
+        let mut groups: Vec<(Port, Vec<usize>)> = Vec::new();
+        for (i, (cap, _)) in items.iter().enumerate() {
+            let port = self.port_of_cap(cap);
+            match groups.iter_mut().find(|(p, _)| *p == port) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((port, vec![i])),
             }
-            let mut out = vec![None; items.len()];
-            for (port, idxs) in groups {
-                let sub: Vec<(Capability, String)> =
-                    idxs.iter().map(|i| translated[*i].clone()).collect();
-                match self.call(ctx, port, &DirRequest::LookupSet { items: sub })? {
-                    DirReply::Caps(v) if v.len() == idxs.len() => {
-                        for (k, i) in idxs.into_iter().enumerate() {
-                            out[i] = v[k];
-                        }
-                    }
-                    DirReply::Moved {
-                        object,
-                        to_port,
-                        to_object,
-                    } => {
-                        self.learn((port, object), (to_port, to_object));
-                        continue 'chase;
-                    }
-                    DirReply::Err(e) => return Err(e.into()),
-                    _ => return Err(DirClientError::Protocol),
-                }
-            }
-            return Ok(out);
         }
-        Err(DirClientError::Protocol)
+        let mut out = vec![None; items.len()];
+        for (port, idxs) in groups {
+            let sub: Vec<(Capability, String)> = idxs.iter().map(|i| items[*i].clone()).collect();
+            match self.call(ctx, port, &DirRequest::LookupSet { items: sub })? {
+                DirReply::Caps(v) if v.len() == idxs.len() => {
+                    for (k, i) in idxs.into_iter().enumerate() {
+                        out[i] = v[k];
+                    }
+                }
+                DirReply::Err(e) => return Err(e.into()),
+                _ => return Err(DirClientError::Protocol),
+            }
+        }
+        Ok(out)
     }
 
     /// Looks up one name.
@@ -754,159 +654,27 @@ impl DirClient {
         items: Vec<(Capability, String, Capability)>,
     ) -> Result<(), DirClientError> {
         type Replacement = (Capability, String, Capability);
-        // Same bounded re-resolve loop as `lookup_set`. Shard groups
-        // already applied before a `Moved` round are re-applied —
-        // ReplaceSet is idempotent (same capability into the same row).
-        'chase: for _ in 0..MAX_CHASE {
-            let translated: Vec<Replacement> = items
-                .iter()
-                .map(|(dir, name, cap)| (self.resolve_cap(*dir), name.clone(), *cap))
-                .collect();
-            let mut groups: Vec<(Port, Vec<Replacement>)> = Vec::new();
-            for item in translated {
-                let port = self.port_of_cap(&item.0);
-                match groups.iter_mut().find(|(p, _)| *p == port) {
-                    Some((_, sub)) => sub.push(item),
-                    None => groups.push((port, vec![item])),
-                }
+        let mut groups: Vec<(Port, Vec<Replacement>)> = Vec::new();
+        for item in items {
+            let port = self.port_of_cap(&item.0);
+            match groups.iter_mut().find(|(p, _)| *p == port) {
+                Some((_, sub)) => sub.push(item),
+                None => groups.push((port, vec![item])),
             }
-            for (port, sub) in groups {
-                let touched: Vec<(Port, u64)> =
-                    sub.iter().map(|(d, _, _)| (d.port, d.object)).collect();
-                match self.call(ctx, port, &DirRequest::ReplaceSet { items: sub })? {
-                    DirReply::Ok => {
-                        for (p, o) in touched {
-                            self.forget_cached(p, o);
-                        }
-                    }
-                    DirReply::Moved {
-                        object,
-                        to_port,
-                        to_object,
-                    } => {
-                        self.learn((port, object), (to_port, to_object));
-                        continue 'chase;
-                    }
-                    DirReply::Err(e) => return Err(e.into()),
-                    _ => return Err(DirClientError::Protocol),
-                }
-            }
-            return Ok(());
         }
-        Err(DirClientError::Protocol)
-    }
-
-    /// Moves a directory to another shard: the crash-convergent
-    /// copy + tombstone two-step described in the [`crate::shard`]
-    /// docs. Requires the **owner** capability; returns the directory's
-    /// capability at its new home (old capabilities remain valid
-    /// through the forwarding stub). Fails [`DirError::Stale`] if a
-    /// sustained stream of concurrent updates wins every CAS round —
-    /// retry later. Any partial failure (either shard or this
-    /// coordinator crashing mid-way) leaves a retryable intermediate: a
-    /// repeat call converges on the same copy via the migration key.
-    ///
-    /// # Errors
-    ///
-    /// Service errors or transport failures; retry the whole call.
-    pub fn migrate(
-        &self,
-        ctx: &Ctx,
-        dir: Capability,
-        target_shard: usize,
-    ) -> Result<Capability, DirClientError> {
-        self.op(ctx, "cli.migrate", || {
-            self.migrate_inner(ctx, dir, target_shard)
-        })
-    }
-
-    fn migrate_inner(
-        &self,
-        ctx: &Ctx,
-        dir: Capability,
-        target_shard: usize,
-    ) -> Result<Capability, DirClientError> {
-        let map = &self.map;
-        if map.shards() < 2 || target_shard >= map.shards() {
-            return Err(DirClientError::Service(DirError::Malformed));
-        }
-        let target_port = map.public_port(target_shard);
-        for _ in 0..MAX_MIGRATE_ROUNDS {
-            // Read the directory where it currently lives (chasing any
-            // existing stubs), including its raw check and CAS seqno.
-            let (reply, home) =
-                self.call_chasing(ctx, dir, |c| DirRequest::ExportDir { cap: c })?;
-            let (check, seqno, columns, rows) = match reply {
-                DirReply::Export {
-                    check,
-                    seqno,
-                    columns,
-                    rows,
-                } => (check, seqno, columns, rows),
-                DirReply::Err(e) => return Err(e.into()),
-                _ => return Err(DirClientError::Protocol),
-            };
-            let home = Capability::owner(home.port, home.object, check);
-            if home.port == target_port {
-                return Ok(home); // already (or meanwhile) at the target
-            }
-            // Step 1: keyed upsert of the dark copy on the target shard.
-            let key = ShardMap::migration_key(&home, target_port);
-            let installed = self.expect_cap(
-                ctx,
-                target_port,
-                &DirRequest::InstallDir {
-                    columns,
-                    rows,
-                    check,
-                    key,
-                },
-            )?;
-            // Step 2: CAS the tombstone + forwarding stub onto the
-            // source. A concurrent update since the export fails it
-            // `Stale` and the loop re-copies — nothing is lost.
-            match self.call(
-                ctx,
-                home.port,
-                &DirRequest::InstallStub {
-                    dir: home,
-                    to_port: installed.port,
-                    to_object: installed.object,
-                    expected_seqno: seqno,
-                },
-            )? {
+        for (port, sub) in groups {
+            let touched: Vec<(Port, u64)> =
+                sub.iter().map(|(d, _, _)| (d.port, d.object)).collect();
+            match self.call(ctx, port, &DirRequest::ReplaceSet { items: sub })? {
                 DirReply::Ok => {
-                    self.forget_cached(home.port, home.object);
-                    self.forget_cached(installed.port, installed.object);
-                    map.learn((home.port, home.object), (installed.port, installed.object));
-                    return Ok(installed);
-                }
-                DirReply::Err(DirError::Stale) => continue,
-                DirReply::Moved {
-                    object,
-                    to_port,
-                    to_object,
-                } => {
-                    // Another coordinator migrated it first: converge on
-                    // the location it actually went to — and reclaim our
-                    // now-unreferenced dark copy if it went elsewhere
-                    // (same-shard races share one keyed copy and answer
-                    // Ok above, so this is a genuinely foreign copy).
-                    let to = (to_port, to_object);
-                    map.learn((home.port, object), to);
-                    if to != (installed.port, installed.object) {
-                        let _ = self.call(
-                            ctx,
-                            installed.port,
-                            &DirRequest::DeleteDir { cap: installed },
-                        );
+                    for (p, o) in touched {
+                        self.forget_cached(p, o);
                     }
-                    return Ok(Capability::owner(to.0, to.1, check));
                 }
                 DirReply::Err(e) => return Err(e.into()),
                 _ => return Err(DirClientError::Protocol),
             }
         }
-        Err(DirClientError::Service(DirError::Stale))
+        Ok(())
     }
 }

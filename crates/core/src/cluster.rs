@@ -9,8 +9,7 @@ use amoeba_disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
 use amoeba_flip::{HostAddr, NetParams, Network, NodeStack, SegmentId, Topology};
 use amoeba_group::{GroupConfig, GroupPeer};
 use amoeba_rpc::{RpcClient, RpcNode};
-use amoeba_rsm::Replica;
-use amoeba_sim::{Ctx, NodeId, Resource, Simulation, Spawn};
+use amoeba_sim::{NodeId, Resource, Simulation, Spawn};
 
 use amoeba_flip::Port;
 
@@ -18,7 +17,6 @@ use crate::cache::{start_invalidation_listener, CacheParams, DirCache};
 use crate::client::DirClient;
 use crate::config::{DirParams, ServiceConfig, Storage, StorageKind};
 use crate::server_group::{start_group_server, GroupDirServer, GroupServerDeps};
-use crate::server_lease::{start_lease_service, LeaseClient, LeaseMachine};
 use crate::server_nfs::{start_nfs_server, NfsServerDeps};
 use crate::server_rpc::{start_rpc_server, RpcServerDeps};
 
@@ -160,44 +158,6 @@ impl ClusterTopology {
     }
 }
 
-/// Tunables of the load-driven shard rebalancer (see
-/// [`ClusterParams::rebalancer`]): a background process that samples
-/// every shard's [`amoeba_rsm::ReplicaStats`] once per `interval` and,
-/// when the busiest shard's applied-op delta exceeds `skew_ratio` times
-/// the idlest shard's (and at least `min_hot_ops`), greedily migrates
-/// up to `moves_per_round` of the hot shard's hottest directories —
-/// each to the then-coldest shard, and only while the move still
-/// reduces the estimated imbalance (the anti-flap hysteresis) — every
-/// move fenced by a lease so at most one coordinator ever migrates a
-/// given directory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RebalancerParams {
-    /// Sampling period.
-    pub interval: Duration,
-    /// Hot/cold applied-delta ratio that triggers a move.
-    pub skew_ratio: f64,
-    /// Minimum hot-shard ops per interval (don't shuffle an idle
-    /// cluster).
-    pub min_hot_ops: u64,
-    /// Most directories migrated per sampling round.
-    pub moves_per_round: usize,
-    /// Migration-coordinator lease TTL in the lease service's logical
-    /// ticks.
-    pub lease_ttl: u64,
-}
-
-impl Default for RebalancerParams {
-    fn default() -> Self {
-        RebalancerParams {
-            interval: Duration::from_secs(2),
-            skew_ratio: 3.0,
-            min_hot_ops: 20,
-            moves_per_round: 2,
-            lease_ttl: 64,
-        }
-    }
-}
-
 /// Everything that parameterizes a deployment.
 #[derive(Debug, Clone)]
 pub struct ClusterParams {
@@ -213,14 +173,6 @@ pub struct ClusterParams {
     pub dir: DirParams,
     /// Group communication parameters (resilience defaults to n−1).
     pub group: GroupConfig,
-    /// Also run the replicated lease service ([`LeaseMachine`]) on the group variants'
-    /// shard-0 columns, as its own group over the machines' shared
-    /// kernels. A [`rebalancer`](Self::rebalancer) starts it either way.
-    pub lease_service: bool,
-    /// Run a load-driven shard rebalancer (group variants with more
-    /// than one shard). It starts the lease service too: its
-    /// migration-coordinator fence.
-    pub rebalancer: Option<RebalancerParams>,
     /// How many replica groups the directory service is sharded into
     /// (group variants only; each shard gets its own column set,
     /// object table and sequencer). `1` is the classic unsharded
@@ -259,8 +211,6 @@ impl ClusterParams {
             disk: DiskParams::wren_iv(),
             dir,
             group: GroupConfig::with_resilience(variant.servers().saturating_sub(1) as u32),
-            lease_service: false,
-            rebalancer: None,
             shards: 1,
             dir_cache: None,
             seed: 0xD1_5C,
@@ -345,10 +295,6 @@ pub struct Column {
     /// The directory server handle of the current incarnation (group
     /// variants only).
     pub server: Option<GroupDirServer>,
-    /// The lease-service replica of the current incarnation (group
-    /// variants, shard-0 columns, when the deployment runs the lease
-    /// service); see [`Cluster::lease`].
-    lease: Option<Replica<LeaseMachine>>,
 }
 
 impl std::fmt::Debug for Column {
@@ -443,14 +389,10 @@ impl Cluster {
                     bullet_store,
                     nvram,
                     server: None,
-                    lease: None,
                 };
                 start_column(sim, &params, &mut column);
                 columns.push(column);
             }
-        }
-        if params.rebalancer.is_some() {
-            start_rebalancer(sim, &params, &net, &columns);
         }
         Cluster {
             net,
@@ -472,7 +414,11 @@ impl Cluster {
     /// RPC client, for talking to other services (e.g. Bullet) from the
     /// same machine.
     pub fn client_machine(&mut self, sim: &Simulation) -> (DirClient, RpcClient, NodeId) {
-        let (id, sim_node, rpc) = self.client_node(sim, "client");
+        let id = self.next_client;
+        self.next_client += 1;
+        let sim_node = sim.add_node(&format!("client-{id}"));
+        let stack = self.net.attach_to(self.params.net_topology.client_segment);
+        let rpc = RpcNode::start(sim, sim_node, stack);
         amoeba_telemetry::Telemetry::from_handle(&sim.handle())
             .name_machine(u64::from(rpc.addr().0), &format!("client-{id}"));
         let rpc_client = RpcClient::new(&rpc);
@@ -557,35 +503,6 @@ impl Cluster {
     pub fn shard_server(&self, shard: usize, i: usize) -> &GroupDirServer {
         self.group_server(self.column_index(shard, i))
     }
-
-    /// The lease-service replica in column `i`'s current incarnation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the cluster runs the lease service (see
-    /// [`ClusterParams::lease_service`]) and `i` is a shard-0 column.
-    pub fn lease(&self, i: usize) -> &Replica<LeaseMachine> {
-        self.columns[i]
-            .lease
-            .as_ref()
-            .expect("column has no running lease server")
-    }
-
-    /// Creates a fresh client machine with a lease-service client.
-    pub fn lease_client(&mut self, sim: &Simulation) -> (LeaseClient, NodeId) {
-        let (_, sim_node, rpc) = self.client_node(sim, "lease-client");
-        (LeaseClient::new(RpcClient::new(&rpc)), sim_node)
-    }
-
-    /// Adds the next client machine, `<kind>-<id>`, on the client
-    /// segment.
-    fn client_node(&mut self, sim: &Simulation, kind: &str) -> (u32, NodeId, RpcNode) {
-        let id = self.next_client;
-        self.next_client += 1;
-        let sim_node = sim.add_node(&format!("{kind}-{id}"));
-        let stack = self.net.attach_to(self.params.net_topology.client_segment);
-        (id, sim_node, RpcNode::start(sim, sim_node, stack))
-    }
 }
 
 /// Starts (or restarts) all processes of one column.
@@ -639,8 +556,7 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
     let cpu = Resource::new(spawner.sim_handle(), &format!("cpu-{}", column.index));
     match params.variant {
         Variant::Group | Variant::GroupNvram => {
-            // One group kernel per machine, shared by every replicated
-            // service on it (each service forms its own group port).
+            // One group kernel per machine.
             let peer = GroupPeer::start(
                 spawner,
                 column.sim_node,
@@ -651,21 +567,14 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
                 cfg,
                 params: params.dir.clone(),
                 sim_node: column.sim_node,
-                rpc: rpc.clone(),
-                peer: peer.clone(),
+                rpc,
+                peer,
                 bullet,
                 partition,
                 storage,
                 cpu,
             };
             column.server = Some(start_group_server(spawner, deps));
-            // The lease service forms its own group over shard 0's
-            // machines (a second group per GroupPeer; with several
-            // shards it coexists with the shard's own group).
-            let lease = params.lease_service || params.rebalancer.is_some();
-            column.lease = (lease && column.shard == 0).then(|| {
-                start_lease_service(spawner, n, column.index, column.sim_node, &rpc, peer)
-            });
         }
         Variant::Rpc => {
             let deps = RpcServerDeps {
@@ -690,117 +599,6 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
                 cpu,
             };
             let _ = start_nfs_server(spawner, deps);
-        }
-    }
-}
-
-/// Starts the load-driven rebalancer on its own machine: it samples
-/// every shard's replica-0 driver counters, and when the busiest
-/// shard's per-interval applied delta dwarfs the idlest shard's, it
-/// migrates the hot shard's hottest directories there — each move
-/// fenced by a lease-service grant so at most one coordinator ever
-/// migrates a given directory, even if several rebalancers (or manual
-/// operators) run concurrently.
-///
-/// The per-shard handles are taken at start: a crashed-and-restarted
-/// column freezes its handle's counters, which reads as "no load" —
-/// the rebalancer idles rather than misbehaving.
-fn start_rebalancer(sim: &Simulation, params: &ClusterParams, net: &Network, columns: &[Column]) {
-    let rb = params.rebalancer.clone().expect("rebalancer configured");
-    let shards = params.effective_shards();
-    assert!(
-        matches!(params.variant, Variant::Group | Variant::GroupNvram) && shards > 1,
-        "the rebalancer needs a sharded group deployment"
-    );
-    let n = params.variant.servers();
-    let servers: Vec<GroupDirServer> = (0..shards)
-        .map(|s| columns[s * n].server.clone().expect("group server running"))
-        .collect();
-    let sim_node = sim.add_node("rebalancer");
-    let stack = net.attach_to(params.net_topology.client_segment);
-    let rpc = RpcNode::start(sim, sim_node, stack);
-    let dir = DirClient::sharded(RpcClient::new(&rpc), shards);
-    let lease = LeaseClient::new(RpcClient::new(&rpc));
-    sim.spawn_boxed(
-        Some(sim_node),
-        "rebalancer",
-        Box::new(move |ctx| rebalancer_loop(ctx, &rb, &servers, &dir, &lease)),
-    );
-}
-
-fn rebalancer_loop(
-    ctx: &Ctx,
-    rb: &RebalancerParams,
-    servers: &[GroupDirServer],
-    dir: &DirClient,
-    lease: &LeaseClient,
-) {
-    // Coordinator identity for lease grants.
-    let me = ctx.with_rng(|r| r.next_u64()) | 1;
-    let mut last: Vec<u64> = servers.iter().map(|s| s.replica_stats().applied).collect();
-    loop {
-        ctx.sleep(rb.interval);
-        let applied: Vec<u64> = servers.iter().map(|s| s.replica_stats().applied).collect();
-        let delta: Vec<u64> = applied
-            .iter()
-            .zip(&last)
-            .map(|(a, l)| a.saturating_sub(*l))
-            .collect();
-        last = applied;
-        let (hot, hot_d) = delta
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by_key(|(_, d)| *d)
-            .expect("at least two shards");
-        let cold_d = delta.iter().copied().min().expect("at least two shards");
-        // Drain every shard's per-directory counters every round —
-        // whether or not this round migrates — so the heat a move
-        // decision sees is windowed to one interval, the same window
-        // `delta` measures (accumulated heat against a one-interval
-        // delta would make the hysteresis below veto real skew).
-        let picks: Vec<Vec<(u64, u64)>> = servers
-            .iter()
-            .map(|s| s.hot_dirs(rb.moves_per_round))
-            .collect();
-        if hot_d < rb.min_hot_ops || (hot_d as f64) < rb.skew_ratio * (cold_d.max(1) as f64) {
-            continue;
-        }
-        // Greedy drain with a running per-shard load estimate: each
-        // move goes to the currently-coldest shard, and a directory
-        // only moves if doing so actually reduces the imbalance (the
-        // hot shard keeps more estimated load than the target ends up
-        // with) — the hysteresis that stops the rebalancer flapping
-        // directories back and forth around a balanced placement.
-        let mut est = delta.clone();
-        for &(object, heat) in &picks[hot] {
-            let heat = heat.max(1);
-            let (cold, cold_est) = est
-                .iter()
-                .copied()
-                .enumerate()
-                .min_by_key(|(_, d)| *d)
-                .expect("at least two shards");
-            if cold == hot || est[hot].saturating_sub(heat) < cold_est + heat {
-                break; // moving any further directory would not help
-            }
-            let Some(cap) = servers[hot].owner_cap(object) else {
-                continue; // migrated (or deleted) since the sample
-            };
-            let name = format!("mig:{:x}:{}", cap.port.as_raw(), object);
-            // The lease is the migration-coordinator fence: whoever
-            // fails to grant leaves the directory to the holder.
-            if !matches!(lease.grant(ctx, &name, me, rb.lease_ttl), Ok(Some(_))) {
-                continue;
-            }
-            // Best effort: a failed round leaves only the retryable
-            // intermediates the protocol guarantees; a later interval
-            // (or another coordinator, after the lease expires) retries.
-            if dir.migrate(ctx, cap, cold).is_ok() {
-                est[hot] = est[hot].saturating_sub(heat);
-                est[cold] += heat;
-            }
-            let _ = lease.release(ctx, &name, me);
         }
     }
 }

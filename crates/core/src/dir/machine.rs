@@ -50,7 +50,7 @@ use amoeba_rsm::StateMachine;
 use amoeba_sim::{Ctx, Resource};
 
 use super::plan::row_edit;
-use super::state::{ReadLease, Shared, StubEntry};
+use super::state::{ReadLease, Shared};
 use super::storage::CkptState;
 use super::{Applier, Effect, ENTRIES};
 use crate::config::{DirParams, Storage};
@@ -190,12 +190,14 @@ impl DirectoryStateMachine {
         let mut shared = self.applier.shared.borrow_mut();
         // The versions a row edit replaces: durable until this batch
         // is flushed, so reads placed before the edit are served them.
-        let edited: Vec<u64> = match op {
-            DirOp::ReplaceSet { items } => items.iter().map(|(o, _, _)| *o).collect(),
-            op => row_edit(op).map(|(o, _)| o).into_iter().collect(),
+        let (items, one) = match op {
+            DirOp::ReplaceSet { items } => (&items[..], None),
+            op => (&[][..], row_edit(op).map(|(o, _)| o)),
         };
-        let before: Vec<(u64, Rc<Directory>)> = edited
-            .into_iter()
+        let before: Vec<(u64, Rc<Directory>)> = items
+            .iter()
+            .map(|(o, _, _)| *o)
+            .chain(one)
             .filter_map(|o| Some((o, Rc::clone(shared.cache.get(&o)?))))
             .collect();
         let r = self.applier.plan(&mut shared, op, None, reply);
@@ -250,18 +252,18 @@ struct Snapshot {
     /// recovering replica must answer replays of the cross-shard
     /// protocol's step one.
     completions: Vec<(u64, u64)>,
-    /// Forwarding stubs with their kept entry's `(object, check, seqno)`,
-    /// so the installer rebuilds both the stub and the table row.
-    stubs: Vec<((u64, u64, u64), StubEntry)>,
     /// The read-lease table, `(object, lease)`: a joining replica must
     /// know every outstanding lease, or a write it later initiates could
     /// be acknowledged without revoking one.
     leases: Vec<(u64, ReadLease)>,
 }
 
-/// `u64 update_seq, u64 commit_seqno`, then the four sections, each
-/// counted ([`ENTRIES`]) and sorted: a directory is its object, check
-/// and framed contents.
+/// `u64 update_seq, u64 commit_seqno`, then the sections, each counted
+/// ([`ENTRIES`]) and sorted: the directories (each its object, check
+/// and framed contents), the completions, an empty section and the
+/// leases. The empty section keeps the layout's bytes: it held the
+/// forwarding stubs of migrated directories, and a snapshot whose count
+/// there is not zero is refused.
 impl Wire for Snapshot {
     fn put(&self, w: &mut WireWriter) {
         w.u64(self.update_seq).u64(self.commit_seqno);
@@ -270,7 +272,7 @@ impl Wire for Snapshot {
             dir.put_framed(w);
         });
         ENTRIES.put(w, &self.completions, <(u64, u64)>::put);
-        ENTRIES.put(w, &self.stubs, <((u64, u64, u64), StubEntry)>::put);
+        w.u32(0);
         ENTRIES.put(w, &self.leases, <(u64, ReadLease)>::put);
     }
 
@@ -283,8 +285,10 @@ impl Wire for Snapshot {
                 Ok((object, check, Rc::new(Directory::get_framed(r)?)))
             })?,
             completions: ENTRIES.get(r, <(u64, u64)>::get)?,
-            stubs: ENTRIES.get(r, <((u64, u64, u64), StubEntry)>::get)?,
-            leases: ENTRIES.get(r, <(u64, ReadLease)>::get)?,
+            leases: match r.u32("empty section")? {
+                0 => ENTRIES.get(r, <(u64, ReadLease)>::get)?,
+                _ => return Err(DecodeError::new("empty section")),
+            },
         })
     }
 }
@@ -302,14 +306,6 @@ impl Snapshot {
             .collect();
         let mut completions: Vec<(u64, u64)> =
             shared.completions.iter().map(|(k, o)| (*k, *o)).collect();
-        let mut stubs: Vec<_> = shared
-            .stubs
-            .iter()
-            .filter_map(|(object, stub)| {
-                let e = shared.table.get(*object)?;
-                Some(((*object, e.check, e.seqno), *stub))
-            })
-            .collect();
         let mut leases: Vec<(u64, ReadLease)> = shared
             .rleases
             .iter()
@@ -317,14 +313,12 @@ impl Snapshot {
             .collect();
         // Deterministic encoding.
         completions.sort_unstable();
-        stubs.sort_unstable();
         leases.sort_unstable();
         Snapshot {
             update_seq: shared.update_seq,
             commit_seqno: shared.commit.seqno,
             dirs,
             completions,
-            stubs,
             leases,
         }
     }
@@ -332,9 +326,9 @@ impl Snapshot {
     /// Whether every object it names fits a table of `capacity`: a
     /// peer's snapshot that names one past it is refused whole.
     fn fits(&self, capacity: u64) -> bool {
-        let dirs = self.dirs.iter().map(|(object, _, _)| *object);
-        let stubs = self.stubs.iter().map(|((object, _, _), _)| *object);
-        dirs.chain(stubs).all(|o| (1..=capacity).contains(&o))
+        self.dirs
+            .iter()
+            .all(|(object, _, _)| (1..=capacity).contains(object))
     }
 }
 
@@ -459,16 +453,13 @@ impl StateMachine for DirectoryStateMachine {
         let applier = &self.applier;
         // Cold cache entries are pulled from Bullet first (outside the
         // borrow), so the marshalling under it below sees every directory.
-        // Stubbed objects have no contents (their file is gone) — skip.
-        let objects: Vec<u64> = {
-            let shared = applier.shared.borrow();
-            shared
-                .table
-                .iter()
-                .map(|(o, _)| o)
-                .filter(|o| !shared.stubs.contains_key(o))
-                .collect()
-        };
+        let objects: Vec<u64> = applier
+            .shared
+            .borrow()
+            .table
+            .iter()
+            .map(|(o, _)| o)
+            .collect();
         for o in &objects {
             let _ = applier.load_dir(ctx, *o);
         }
@@ -491,7 +482,6 @@ impl StateMachine for DirectoryStateMachine {
             commit_seqno,
             dirs: installed,
             completions,
-            stubs,
             leases,
         } = snap;
         {
@@ -518,8 +508,6 @@ impl StateMachine for DirectoryStateMachine {
             shared.commit.seqno = commit_seqno;
             shared.applied_group_seq = cursor;
             shared.completions = completions.into_iter().collect();
-            shared.stubs.clear();
-            shared.heat.clear();
             // Inherit every outstanding read lease: a write this replica
             // later initiates must revoke leases granted before it joined.
             shared.rleases.clear();
@@ -531,30 +519,12 @@ impl StateMachine for DirectoryStateMachine {
             // possibly lost with the volatile state) is no longer
             // needed on this replica.
             shared.write_fence_until_us = 0;
-            for ((object, check, seqno), stub) in &stubs {
-                shared.table.set(
-                    *object,
-                    ObjEntry {
-                        file_cap: FileCap::NULL, // contentless by design
-                        seqno: *seqno,
-                        check: *check,
-                    },
-                );
-                shared.stubs.insert(*object, *stub);
-            }
         }
         // Persist every fetched directory locally (Bullet file + table
         // entry) — recovery always persists to disk; NVRAM holds only
-        // post-recovery updates. Stub entries persist their (contentless)
-        // table rows so relocated objects stay reserved across reboots.
+        // post-recovery updates.
         for (object, _, dir) in installed {
             applier.store_dir_to_disk(ctx, object, &dir);
-        }
-        for ((object, _, _), _) in &stubs {
-            let waiter = { applier.shared.borrow_mut().table.flush_begin(*object) };
-            if let Some(w) = waiter {
-                w.recv(ctx);
-            }
         }
         // The install persisted every entry, so RAM and disk agree
         // again: re-baseline the durable mirror (recovery runs on the
@@ -742,28 +712,17 @@ mod tests {
                 w.finish_payload()
             })
             .collect();
-        // And a well-formed snapshot whose directory, or whose stub,
-        // names an object past the table's capacity.
-        let far = 1_000_000;
-        let stub = StubEntry {
-            to_port: amoeba_flip::Port::from_raw(9),
-            to_object: 1,
-        };
+        // And a well-formed snapshot whose directory names an object
+        // past the table's capacity.
         let dir = Rc::new(Directory::new(vec!["o".into()]));
-        for (dirs, stubs) in [
-            (vec![(far, 1, dir)], vec![]),
-            (vec![], vec![((far, 1, 1), stub)]),
-        ] {
-            let snap = Snapshot {
-                update_seq: 1,
-                commit_seqno: 1,
-                dirs,
-                completions: Vec::new(),
-                stubs,
-                leases: Vec::new(),
-            };
-            snaps.push(snap.encode());
-        }
+        let snap = Snapshot {
+            update_seq: 1,
+            commit_seqno: 1,
+            dirs: vec![(1_000_000, 1, dir)],
+            completions: Vec::new(),
+            leases: Vec::new(),
+        };
+        snaps.push(snap.encode());
         let out = sim.spawn_on(node, "install", move |ctx| {
             snaps
                 .iter()
@@ -771,6 +730,6 @@ mod tests {
                 .collect::<Vec<_>>()
         });
         sim.run_for(Duration::from_secs(1));
-        assert_eq!(out.take(), Some(vec![false; 6]));
+        assert_eq!(out.take(), Some(vec![false; 5]));
     }
 }

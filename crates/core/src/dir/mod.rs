@@ -4,7 +4,7 @@
 //!
 //! | file | role |
 //! |---|---|
-//! | `state.rs` | [`Shared`], the replicated state, its leases and stubs |
+//! | `state.rs` | [`Shared`], the replicated state and its leases |
 //! | `plan.rs` | the pure planner ([`Applier::plan`]): an op and `Shared` in, the new state, its [`Effect`]s and the reply out; no clock, no device |
 //! | `read.rs` | reads, the read rule ([`Applier::settle`]) and leases |
 //! | `storage/` | one file per [`StorageKind`](crate::StorageKind), each owning its commit, flush, replay and boot |
@@ -71,14 +71,13 @@ const ENTRIES: Counted = Counted::u32(1_000_000, "entries");
 /// it is applied). A `ReplaceSet` names its first item's.
 pub(crate) fn op_object(op: &DirOp) -> u64 {
     match op {
-        DirOp::Create { .. } | DirOp::CreateKeyed { .. } | DirOp::InstallDir { .. } => 0,
+        DirOp::Create { .. } | DirOp::CreateKeyed { .. } => 0,
         DirOp::Delete { object }
         | DirOp::Append { object, .. }
         | DirOp::Chmod { object, .. }
         | DirOp::DeleteRow { object, .. }
         | DirOp::AppendLink { object, .. }
-        | DirOp::Unlink { object, .. }
-        | DirOp::InstallStub { object, .. } => *object,
+        | DirOp::Unlink { object, .. } => *object,
         DirOp::GrantRead { cap, .. } => cap.object,
         DirOp::ReplaceSet { items } => items.first().map(|(o, _, _)| *o).unwrap_or(0),
     }
@@ -225,41 +224,11 @@ impl Applier {
                 object: modify(dir)?,
                 name: name.clone(),
             }),
-            DirRequest::InstallDir {
-                columns,
-                rows,
-                check,
-                key,
-            } => {
-                if !(1..=4).contains(&columns.len())
-                    || rows.iter().any(|r| r.col_rights.len() != columns.len())
-                {
-                    return Err(DirError::Malformed);
-                }
-                Ok(DirOp::InstallDir {
-                    columns: columns.clone(),
-                    rows: rows.clone(),
-                    check: *check,
-                    key: *key,
-                })
-            }
-            DirRequest::InstallStub {
-                dir,
-                to_port,
-                to_object,
-                expected_seqno,
-            } => Ok(DirOp::InstallStub {
-                object: validate_dir_cap(&shared, port, dir, Rights::ALL)?,
-                to_port: *to_port,
-                to_object: *to_object,
-                expected_seqno: *expected_seqno,
-            }),
             // A lease is the group service's alone (only its initiators
             // fence revocation): see [`prepare_grant`](Self::prepare_grant).
             DirRequest::FetchDir { .. }
             | DirRequest::ListDir { .. }
-            | DirRequest::LookupSet { .. }
-            | DirRequest::ExportDir { .. } => Err(DirError::Malformed),
+            | DirRequest::LookupSet { .. } => Err(DirError::Malformed),
         }
     }
 }

@@ -13,10 +13,10 @@ use amoeba_bullet::FileCap;
 use amoeba_flip::wire::Wire;
 use amoeba_flip::Payload;
 
-use super::state::{validate_dir_cap, ReadLease, Shared, StubEntry};
-use super::{op_object, Applier};
+use super::state::{validate_dir_cap, ReadLease, Shared};
+use super::Applier;
 use crate::capability::Capability;
-use crate::directory::{Directory, Row};
+use crate::directory::Directory;
 use crate::object_table::ObjEntry;
 use crate::ops::{DirError, DirOp, DirReply};
 use crate::rights::Rights;
@@ -33,21 +33,13 @@ pub(crate) enum Effect {
         object: u64,
         old_file: FileCap,
     },
-    /// A migration tombstone: persist the kept (contentless) table
-    /// entry and free the directory's Bullet file.
-    StoreStub {
-        object: u64,
-        old_file: FileCap,
-    },
 }
 
 impl Effect {
     /// The object the effect concerns.
     pub(crate) fn object(&self) -> u64 {
         match self {
-            Effect::StoreDir { object, .. }
-            | Effect::DropDir { object, .. }
-            | Effect::StoreStub { object, .. } => *object,
+            Effect::StoreDir { object, .. } | Effect::DropDir { object, .. } => *object,
         }
     }
 }
@@ -68,18 +60,12 @@ pub(crate) fn row_edit(op: &DirOp) -> Option<(u64, &str)> {
     }
 }
 
-/// A new directory from carried columns and rows, re-validating the
-/// structural invariants (a forged install must not plant an
-/// undecodable directory).
-fn build_directory(columns: &[String], rows: &[Row]) -> Result<Rc<Directory>, DirError> {
+/// A new, empty directory with `columns`, which must number 1 to 4.
+fn new_directory(columns: &[String]) -> Result<Rc<Directory>, DirError> {
     if !(1..=4).contains(&columns.len()) {
         return Err(DirError::Malformed);
     }
-    let mut dir = Directory::new(columns.to_vec());
-    for row in rows {
-        dir.append_row(row.name.clone(), row.cap, &*row.col_rights)?;
-    }
-    Ok(Rc::new(dir))
+    Ok(Rc::new(Directory::new(columns.to_vec())))
 }
 
 /// Publishes `dir` — the copy an update just edited, or a freshly built
@@ -138,23 +124,6 @@ impl Applier {
                 Payload::empty()
             }
         };
-        // A relocated directory answers every op with its new location
-        // (checked *at apply time*, in the total order, so an op racing
-        // the stub install lands deterministically on exactly one side).
-        // InstallStub handles its own replay/forwarding cases below.
-        let moved = match op {
-            DirOp::InstallStub { .. } => None,
-            DirOp::ReplaceSet { items } => items.iter().find_map(|(o, _, _)| shared.moved(*o)),
-            _ => shared.moved(op_object(op)),
-        };
-        if let Some(moved) = moved {
-            return Ok((answer(moved), Vec::new(), useq));
-        }
-        // Advisory write-load signal for the rebalancer.
-        let hot = op_object(op);
-        if hot != 0 {
-            *shared.heat.entry(hot).or_insert(0) += 1;
-        }
         if let DirOp::GrantRead {
             cap,
             owner,
@@ -193,7 +162,7 @@ impl Applier {
         }
         match op {
             DirOp::Create { columns, check } => {
-                let dir = build_directory(columns, &[])?;
+                let dir = new_directory(columns)?;
                 self.allocate(shared, dir, *check, None, useq)
             }
             DirOp::CreateKeyed {
@@ -201,12 +170,12 @@ impl Applier {
                 check,
                 key,
             } => {
-                if let Some((cap, _)) = self.completed(shared, *key) {
+                if let Some(cap) = self.completed(shared, *key) {
                     // Replay of a completed create: hand back the
                     // original capability, change nothing.
                     return Ok((DirReply::Cap(cap), Vec::new()));
                 }
-                let dir = build_directory(columns, &[])?;
+                let dir = new_directory(columns)?;
                 self.allocate(shared, dir, *check, Some(*key), useq)
             }
             DirOp::Delete { object } => {
@@ -244,109 +213,22 @@ impl Applier {
                     .collect();
                 Ok((DirReply::Ok, effects))
             }
-            DirOp::InstallDir {
-                columns,
-                rows,
-                check,
-                key,
-            } => {
-                let dir = build_directory(columns, rows)?;
-                let Some((cap, entry)) = self.completed(shared, *key) else {
-                    // Fresh install: allocate like a create, with the
-                    // carried contents and check (so relocated
-                    // capabilities validate unchanged), and record the
-                    // migration key.
-                    return self.allocate(shared, dir, *check, Some(*key), useq);
-                };
-                if shared.stubs.contains_key(&cap.object) {
-                    // The copy itself migrated on; hand back its
-                    // (stubbed) capability — the holder chases.
-                    return Ok((DirReply::Cap(cap), Vec::new()));
-                }
-                // Upsert: a retry after a Stale CAS carries newer
-                // contents — replace the dark copy wholesale.
-                let stored = publish(shared, cap.object, dir, useq);
-                shared.table.set(
-                    cap.object,
-                    ObjEntry {
-                        seqno: useq,
-                        ..entry
-                    },
-                );
-                Ok((DirReply::Cap(cap), vec![stored]))
-            }
-            DirOp::InstallStub {
-                object,
-                to_port,
-                to_object,
-                expected_seqno,
-            } => {
-                let to = StubEntry {
-                    to_port: *to_port,
-                    to_object: *to_object,
-                };
-                if let Some(stub) = shared.stubs.get(object) {
-                    // Replay of a completed migration — or a different
-                    // one won: both are answered without touching state.
-                    let reply = if *stub == to {
-                        DirReply::Ok
-                    } else {
-                        stub.moved(*object)
-                    };
-                    return Ok((reply, Vec::new()));
-                }
-                let entry = shared.table.get(*object).ok_or(DirError::BadCapability)?;
-                // CAS: a concurrent update ordered since the export bumped
-                // the seqno — fail Stale so the coordinator re-copies. A
-                // contentless directory (NVRAM replay of an op that was
-                // already accepted, after its pre-stub state was flushed
-                // and the file freed) installs unconditionally: the CAS
-                // was checked when the op was first ordered.
-                if let Some(dir) = shared.cache.get(object) {
-                    if dir.seqno != *expected_seqno {
-                        return Err(DirError::Stale);
-                    }
-                }
-                shared.stubs.insert(*object, to);
-                shared.cache.remove(object);
-                shared.heat.remove(object);
-                // Keep the entry: the object number stays reserved forever
-                // and the check keeps validating old capabilities; the
-                // contents (and their Bullet file) are gone.
-                shared.table.set(
-                    *object,
-                    ObjEntry {
-                        file_cap: FileCap::NULL,
-                        seqno: useq,
-                        check: entry.check,
-                    },
-                );
-                // Like a delete, the migration "loses its file" (§3): the
-                // commit block must record the update.
-                shared.commit.seqno = useq;
-                let stubbed = Effect::StoreStub {
-                    object: *object,
-                    old_file: entry.file_cap,
-                };
-                Ok((DirReply::Ok, vec![stubbed]))
-            }
             // Row edits are planned above, and a grant by `plan` itself.
             _ => unreachable!("a row edit or a grant"),
         }
     }
 
-    /// The owner capability and table entry of the live directory a
-    /// keyed create or install with `key` already made, if any.
-    fn completed(&self, shared: &Shared, key: u64) -> Option<(Capability, ObjEntry)> {
+    /// The owner capability of the live directory a keyed create with
+    /// `key` already made, if any.
+    fn completed(&self, shared: &Shared, key: u64) -> Option<Capability> {
         let object = *shared.completions.get(&key)?;
         let entry = shared.table.get(object)?;
-        let cap = Capability::owner(self.cfg.public_port, object, entry.check);
-        Some((cap, entry))
+        Some(Capability::owner(self.cfg.public_port, object, entry.check))
     }
 
     /// Gives `dir` the next object number, with `check` (and, for a
-    /// keyed create or an install, records `key`'s completion): the
-    /// allocation of every create.
+    /// keyed create, records `key`'s completion): the allocation of
+    /// every create.
     fn allocate(
         &self,
         shared: &mut Shared,

@@ -42,17 +42,6 @@ impl<'a> ReadAt<'a> {
     }
 }
 
-/// The directory `cap` names if it is still stored here and `cap` holds
-/// `need`: its object, else the reply that refuses the read — the
-/// validation's error, or `Moved` for a relocated directory.
-fn open(shared: &Shared, port: Port, cap: &Capability, need: Rights) -> Result<u64, DirReply> {
-    let object = validate_dir_cap(shared, port, cap, need).map_err(DirReply::Err)?;
-    match shared.moved(object) {
-        Some(moved) => Err(moved),
-        None => Ok(object),
-    }
-}
-
 /// [`Applier::restrict_for_holder`] with the state already borrowed.
 fn restrict_with(
     shared: &Shared,
@@ -156,9 +145,7 @@ impl Applier {
     /// [`settle`](Self::settle) over every directory `req` reads.
     pub(crate) fn settle_request(&self, req: &DirRequest, at: &ReadAt) -> Result<(), DirError> {
         match req {
-            DirRequest::ListDir { cap } | DirRequest::ExportDir { cap } => {
-                self.settle(cap.object, at)
-            }
+            DirRequest::ListDir { cap } => self.settle(cap.object, at),
             DirRequest::LookupSet { items } => items
                 .iter()
                 .try_for_each(|(cap, _)| self.settle(cap.object, at)),
@@ -181,7 +168,7 @@ impl Applier {
     /// read with no yield in between.
     pub(crate) fn serve_read(&self, ctx: &Ctx, req: &DirRequest, at: &ReadAt) -> DirReply {
         self.try_serve_read(ctx, req, at)
-            .unwrap_or_else(|refused| refused)
+            .unwrap_or_else(DirReply::Err)
     }
 
     /// [`serve_read`](Self::serve_read), a refusal as its `Err`.
@@ -190,21 +177,16 @@ impl Applier {
         ctx: &Ctx,
         req: &DirRequest,
         at: &ReadAt,
-    ) -> Result<DirReply, DirReply> {
+    ) -> Result<DirReply, DirError> {
         let port = self.cfg.public_port;
         match req {
             DirRequest::ListDir { cap } => {
-                self.settle(cap.object, at).map_err(DirReply::Err)?;
-                let object = {
-                    let mut shared = self.shared.borrow_mut();
-                    let object = open(&shared, port, cap, Rights::NONE)?;
-                    *shared.heat.entry(object).or_insert(0) += 1;
-                    object
-                };
+                self.settle(cap.object, at)?;
+                let object = validate_dir_cap(&self.shared.borrow(), port, cap, Rights::NONE)?;
                 if !cap.rights.sees_any_column() {
-                    return Err(DirReply::Err(DirError::NoPermission));
+                    return Err(DirError::NoPermission);
                 }
-                let dir = self.version_at(ctx, object).map_err(DirReply::Err)?;
+                let dir = self.version_at(ctx, object)?;
                 let rows = dir
                     .rows
                     .iter()
@@ -225,55 +207,22 @@ impl Applier {
             DirRequest::LookupSet { items } => {
                 let mut out = Vec::with_capacity(items.len());
                 for (cap, name) in items {
-                    self.settle(cap.object, at).map_err(DirReply::Err)?;
-                    let object = {
-                        let mut shared = self.shared.borrow_mut();
-                        match open(&shared, port, cap, Rights::NONE) {
-                            Ok(o) => {
-                                *shared.heat.entry(o).or_insert(0) += 1;
-                                Some(o)
-                            }
-                            // A relocated directory forwards the whole
-                            // call: the client learns the hint, re-routes
-                            // this item and retries.
-                            Err(moved @ DirReply::Moved { .. }) => return Err(moved),
-                            Err(_) => None,
-                        }
-                    };
-                    let resolved =
-                        object
-                            .filter(|_| cap.rights.sees_any_column())
-                            .and_then(|object| {
-                                let dir = self.version_at(ctx, object).ok()?;
-                                let row = dir.find(name)?;
-                                let eff = dir.effective_rights(row, cap.rights);
-                                (eff != Rights::NONE)
-                                    .then(|| self.restrict_for_holder(&row.cap, eff))
-                            });
+                    self.settle(cap.object, at)?;
+                    let object = validate_dir_cap(&self.shared.borrow(), port, cap, Rights::NONE);
+                    let resolved = object
+                        .ok()
+                        .filter(|_| cap.rights.sees_any_column())
+                        .and_then(|object| {
+                            let dir = self.version_at(ctx, object).ok()?;
+                            let row = dir.find(name)?;
+                            let eff = dir.effective_rights(row, cap.rights);
+                            (eff != Rights::NONE).then(|| self.restrict_for_holder(&row.cap, eff))
+                        });
                     out.push(resolved);
                 }
                 Ok(DirReply::Caps(out))
             }
-            DirRequest::ExportDir { cap } => {
-                // Migration's copy source: full contents plus the raw
-                // check. Owner-only — the owner capability's check field
-                // already *is* the raw check, so nothing new is leaked.
-                self.settle(cap.object, at).map_err(DirReply::Err)?;
-                let (object, check) = {
-                    let shared = self.shared.borrow();
-                    let object = open(&shared, port, cap, Rights::ALL)?;
-                    let entry = shared.table.get(object).expect("validated above");
-                    (object, entry.check)
-                };
-                let dir = self.version_at(ctx, object).map_err(DirReply::Err)?;
-                Ok(DirReply::Export {
-                    check,
-                    seqno: dir.seqno,
-                    columns: dir.columns.to_vec(),
-                    rows: dir.rows.clone(),
-                })
-            }
-            _ => Err(DirReply::Err(DirError::Malformed)),
+            _ => Err(DirError::Malformed),
         }
     }
 
@@ -286,10 +235,10 @@ impl Applier {
         restrict_with(&shared, self.cfg.public_port, stored, eff)
     }
 
-    /// The directory and the latest deadline of `owner`'s registered
-    /// lease on the directory `cap` names, if that lease is still worth
-    /// serving a renewal off: live, not relocated, and with at least
-    /// half the requested TTL remaining (a nearly-expired successor
+    /// The latest deadline of `owner`'s registered lease on the
+    /// directory `cap` names, if that lease is still worth serving a
+    /// renewal off: live, and with at least half the requested TTL
+    /// remaining (a nearly-expired successor
     /// would only buy the client an immediate refetch, so it takes the
     /// full grant round instead).
     fn renewable_lease(
@@ -299,21 +248,20 @@ impl Applier {
         cap: &Capability,
         owner: u64,
         ttl_us: u64,
-    ) -> Option<(u64, u64)> {
-        let object = open(shared, self.cfg.public_port, cap, Rights::NONE).ok()?;
+    ) -> Option<u64> {
+        let object = validate_dir_cap(shared, self.cfg.public_port, cap, Rights::NONE).ok()?;
         if !cap.rights.sees_any_column() {
             return None;
         }
         let now_us = ctx.now().as_nanos() / 1_000;
         let min_left = ttl_us.max(1).min(self.max_lease_us) / 2;
-        let deadline_us = shared
+        shared
             .rleases
             .get(&object)?
             .iter()
             .filter(|l| l.owner == owner && l.deadline_us > now_us + min_left)
             .map(|l| l.deadline_us)
-            .max()?;
-        Some((object, deadline_us))
+            .max()
     }
 
     /// Whether `owner` holds a [`renewable_lease`](Self::renewable_lease)
@@ -341,7 +289,7 @@ impl Applier {
     /// is at least as new as any acknowledged write; the lease and the
     /// rows are read once no batch in flight has changed the directory,
     /// so they agree. Returns `None` when the lease vanished since the
-    /// pre-check (expired, relocated, revoked without budget) or the
+    /// pre-check (expired, revoked without budget) or the
     /// wait was aborted; the caller falls back to the full `GrantRead`
     /// round.
     pub(crate) fn serve_renewed_fetch(
@@ -354,18 +302,12 @@ impl Applier {
         at: &ReadAt,
     ) -> Option<Payload> {
         self.settle(cap.object, &at.latest()).ok()?;
-        let deadline_us = {
-            let mut shared = self.shared.borrow_mut();
-            let (object, deadline_us) = self.renewable_lease(&shared, ctx, cap, owner, ttl_us)?;
-            *shared.heat.entry(object).or_insert(0) += 1;
-            deadline_us
-        };
+        let deadline_us = self.renewable_lease(&self.shared.borrow(), ctx, cap, owner, ttl_us)?;
         self.lease_answer(ctx, cap, have, deadline_us, true).ok()
     }
 
     /// What the holder of `cap` is sent under a lease that runs until
-    /// `deadline_us`, renewed or granted: its [`lease_reply`], or
-    /// `Moved`. The caller has settled the directory, so the current
+    /// `deadline_us`, renewed or granted: its [`lease_reply`]. The caller has settled the directory, so the current
     /// version holds nothing the batch in flight could still lose;
     /// nothing here yields but the load of a cold directory.
     pub(crate) fn lease_answer(
@@ -377,11 +319,7 @@ impl Applier {
         renewed: bool,
     ) -> Result<Payload, DirError> {
         let port = self.cfg.public_port;
-        match open(&self.shared.borrow(), port, cap, Rights::NONE) {
-            Ok(_) => {}
-            Err(DirReply::Err(e)) => return Err(e),
-            Err(moved) => return Ok(moved.encode()),
-        }
+        validate_dir_cap(&self.shared.borrow(), port, cap, Rights::NONE)?;
         let dir = self.load_dir(ctx, cap.object)?;
         let shared = self.shared.borrow();
         Ok(lease_reply(

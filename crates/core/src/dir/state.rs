@@ -1,18 +1,17 @@
-//! The replicated state every role reads: [`Shared`], its leases and
-//! its forwarding stubs.
+//! The replicated state every role reads: [`Shared`] and its leases.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
-use amoeba_flip::{wire_struct, Port};
+use amoeba_flip::Port;
 use amoeba_sim::IdMap;
 
 use crate::capability::Capability;
 use crate::commit_block::CommitBlock;
 use crate::directory::Directory;
 use crate::object_table::ObjectTable;
-use crate::ops::{DirError, DirReply};
+use crate::ops::DirError;
 use crate::rights::Rights;
 
 /// Mutable replica state. Borrow discipline: never hold the borrow across
@@ -42,25 +41,12 @@ pub(crate) struct Shared {
     pub applied_group_seq: u64,
     pub commit: CommitBlock,
     pub next_nv_uid: u64,
-    /// Completion records of keyed creates and installs
-    /// (`key → object`): the idempotency memory of the cross-shard
-    /// two-step protocols (see [`crate::ShardMap`]). Replicated state —
+    /// Completion records of keyed creates (`key → object`): the
+    /// idempotency memory of the cross-shard two-step protocol (see
+    /// [`crate::ShardMap`]). Replicated state —
     /// travels in snapshots; deleting a directory deletes its records.
     /// Keyed by a key the request carries, so hashed with `RandomState`.
     pub completions: HashMap<u64, u64>,
-    /// Forwarding stubs of migrated-away directories
-    /// (`object → new location`). The object's table entry is *kept*
-    /// (its number stays reserved and its check still validates old
-    /// capabilities); its contents and Bullet file are gone. Replicated
-    /// state — travels in snapshots with the entry's check/seqno; like
-    /// completions, lost only if every replica boots from a salvaged
-    /// disk in the same window.
-    pub stubs: IdMap<u64, StubEntry>,
-    /// Per-directory operation counts since the last drain — advisory,
-    /// replica-local load signal for the rebalancer (never replicated,
-    /// never deterministic across replicas: reads count only where they
-    /// are served).
-    pub heat: IdMap<u64, u64>,
     /// Outstanding client read leases (`object → holders`). Replicated
     /// state — grants travel through the total order (a replica-local
     /// grant would be invisible to a write initiated at another
@@ -132,29 +118,6 @@ impl Wire for ReadLease {
     }
 }
 
-wire_struct! {
-    /// Where a migrated directory went (see [`Shared::stubs`]).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    pub struct StubEntry {
-        /// Port of the shard the directory now lives on.
-        pub to_port: Port,
-        /// Object number at that shard.
-        pub to_object: u64,
-    }
-}
-
-impl StubEntry {
-    /// The reply that sends the holder of `object` on to here: the one
-    /// place a [`DirReply::Moved`] is built.
-    pub(crate) fn moved(self, object: u64) -> DirReply {
-        DirReply::Moved {
-            object,
-            to_port: self.to_port,
-            to_object: self.to_object,
-        }
-    }
-}
-
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
@@ -175,18 +138,11 @@ impl Shared {
             commit: CommitBlock::initial(n),
             next_nv_uid: 1,
             completions: HashMap::new(),
-            stubs: IdMap::default(),
-            heat: IdMap::default(),
             rleases: IdMap::default(),
             revoked: IdMap::default(),
             inflight_inval: IdMap::default(),
             write_fence_until_us: 0,
         }
-    }
-
-    /// The reply that sends a holder of `object` on, if it migrated.
-    pub fn moved(&self, object: u64) -> Option<DirReply> {
-        self.stubs.get(&object).map(|stub| stub.moved(object))
     }
 
     /// Moves every lease covering `object` into the revoked parking lot

@@ -1,6 +1,6 @@
 //! The paper's in-place commit (§3.1): each update writes a new Bullet
 //! file and the object-table block that points at it, and a lost file
-//! (a delete, a migration stub) writes the commit block. Every storage
+//! (a delete) writes the commit block. Every storage
 //! kind boots from the table and commit block this path keeps.
 
 use amoeba_flip::wire::Wire;
@@ -19,15 +19,14 @@ impl Applier {
         self.write_effect(ctx, effect, true);
     }
 
-    /// Writes one effect in place. A directory deleted (or migrated
-    /// away) persists its table entry — cleared for a delete, kept but
-    /// contentless for a stub — then, if `own_commit`, records the
-    /// update in the commit block (the op loses its file, §3), and
-    /// frees the Bullet file. Enqueue under the borrow, wait outside it.
+    /// Writes one effect in place. A deleted directory persists its
+    /// cleared table entry, then, if `own_commit`, records the update in
+    /// the commit block (the op loses its file, §3), and frees the
+    /// Bullet file. Enqueue under the borrow, wait outside it.
     fn write_effect(&self, ctx: &Ctx, effect: Effect, own_commit: bool) {
         match effect {
             Effect::StoreDir { object, dir } => self.store_dir_to_disk(ctx, object, &dir),
-            Effect::DropDir { object, old_file } | Effect::StoreStub { object, old_file } => {
+            Effect::DropDir { object, old_file } => {
                 let waiter = { self.shared.borrow_mut().table.flush_begin(object) };
                 if let Some(w) = waiter {
                     w.recv(ctx);

@@ -77,7 +77,7 @@ pub(crate) struct CkptState {
     /// Highest sealed commit seqno the dirty set covers; the
     /// checkpoint's commit-block write carries it.
     covered_seqno: u64,
-    /// Whether any covered batch lost a file (delete / migration stub).
+    /// Whether any covered batch lost a file (a delete).
     need_commit: bool,
     /// A checkpoint drain is in flight.
     busy: bool,
@@ -93,7 +93,7 @@ struct StagedBatch {
     /// checkpointer runs beside the event loop, so the live value may
     /// already cover later batches that are not in the drained set.
     commit_seqno: u64,
-    /// Whether the batch lost a file (delete / migration stub), so its
+    /// Whether the batch lost a file (a delete), so its
     /// checkpoint must write the commit block.
     need_commit: bool,
 }
@@ -106,7 +106,6 @@ struct StagedBatch {
 enum StagedAct {
     Store { dir: Rc<Directory>, check: u64 },
     Drop,
-    Stub { seqno: u64, check: u64 },
 }
 
 /// The journal record of one batch: `u64 commit_seqno, u32
@@ -129,8 +128,8 @@ impl Wire for StagedBatch {
 }
 
 impl StagedAct {
-    /// The table entry the act leaves, its contents in `file_cap` (a
-    /// stub keeps none); `None` for a drop.
+    /// The table entry the act leaves, its contents in `file_cap`;
+    /// `None` for a drop.
     fn entry(&self, file_cap: FileCap) -> Option<ObjEntry> {
         match *self {
             StagedAct::Store { ref dir, check } => Some(ObjEntry {
@@ -139,17 +138,13 @@ impl StagedAct {
                 check,
             }),
             StagedAct::Drop => None,
-            StagedAct::Stub { seqno, check } => Some(ObjEntry {
-                file_cap: FileCap::NULL, // contentless by design
-                seqno,
-                check,
-            }),
         }
     }
 }
 
-/// A `u32` kind, then 0 = Store (`u64 check` + the framed directory),
-/// 1 = Drop, 2 = Stub (`u64 seqno, u64 check`).
+/// A `u32` kind, then 0 = Store (`u64 check` + the framed directory)
+/// or 1 = Drop. Kind 2, the stub of a migrated directory, is retired
+/// and refused.
 impl Wire for StagedAct {
     fn put(&self, w: &mut WireWriter) {
         match self {
@@ -159,9 +154,6 @@ impl Wire for StagedAct {
             }
             StagedAct::Drop => {
                 w.u32(1);
-            }
-            StagedAct::Stub { seqno, check } => {
-                w.u32(2).u64(*seqno).u64(*check);
             }
         }
     }
@@ -173,10 +165,6 @@ impl Wire for StagedAct {
                 dir: Rc::new(Directory::get_framed(r)?),
             },
             1 => StagedAct::Drop,
-            2 => StagedAct::Stub {
-                seqno: r.u64("seqno")?,
-                check: r.u64("check")?,
-            },
             _ => return Err(DecodeError::new("act kind")),
         })
     }
@@ -283,15 +271,10 @@ impl DirectoryStateMachine {
             .into_iter()
             .map(|act| {
                 let object = act.object();
-                let entry = shared.table.get(object);
-                let check = entry.map(|e| e.check).unwrap_or(0);
+                let check = shared.table.get(object).map(|e| e.check).unwrap_or(0);
                 let staged = match act {
                     Effect::StoreDir { dir, .. } => StagedAct::Store { dir, check },
                     Effect::DropDir { .. } => StagedAct::Drop,
-                    Effect::StoreStub { .. } => StagedAct::Stub {
-                        seqno: entry.map(|e| e.seqno).unwrap_or(0),
-                        check,
-                    },
                 };
                 (object, staged)
             })
@@ -488,30 +471,35 @@ mod tests {
                     },
                 ),
                 (2, StagedAct::Drop),
-                (
-                    3,
-                    StagedAct::Stub {
-                        seqno: 8,
-                        check: 0xC3,
-                    },
-                ),
             ],
             commit_seqno: 7,
             need_commit: true,
         };
-        // Commit seqno, need-commit flag, three acts: a store with its
-        // check and framed directory, a drop, a stub.
-        let golden = "07000000000000000100000003000000\
+        // Commit seqno, need-commit flag, two acts: a store with its
+        // check and framed directory, and a drop.
+        let golden = "07000000000000000100000002000000\
                       010000000000000000000000c1000000000000001200000009000000\
                       0000000001010000006f00000000\
-                      020000000000000001000000\
-                      030000000000000002000000\
-                      0800000000000000c300000000000000";
+                      020000000000000001000000";
         assert_eq!(hex(&batch.encode()), golden);
         let again = StagedBatch::decode(&unhex(golden)).expect("decodes");
         assert_eq!(hex(&again.encode()), golden);
         let trailing = [&unhex(golden)[..], &[0]].concat();
         assert!(StagedBatch::decode(&trailing).is_err(), "a byte too many");
+    }
+
+    /// Act kind 2, a migrated directory's stub (`u64 seqno, u64
+    /// check`), is retired: a record that carries one, as its earlier
+    /// layout wrote it, is refused whole.
+    #[test]
+    fn a_journal_record_with_a_retired_stub_act_is_refused() {
+        let with_stub = "07000000000000000100000003000000\
+                         010000000000000000000000c1000000000000001200000009000000\
+                         0000000001010000006f00000000\
+                         020000000000000001000000\
+                         030000000000000002000000\
+                         0800000000000000c300000000000000";
+        assert!(StagedBatch::decode(&unhex(with_stub)).is_err());
     }
 
     #[test]

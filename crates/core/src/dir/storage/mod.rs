@@ -30,11 +30,11 @@ fn coalesce(effects: Vec<Effect>) -> (Vec<Effect>, Vec<FileCap>, bool) {
     let mut need_commit = false;
     for (i, e) in effects.into_iter().enumerate() {
         let is_final = last.get(&e.object()) == Some(&i);
-        // A delete, or a migration tombstone like it, loses its file:
-        // the commit block must record the update. Non-final stores
+        // A delete loses its file: the commit block must record the
+        // update. Non-final stores
         // are pure coalescing wins: the object's later state supersedes
         // them and their Bullet file was never created.
-        if let Effect::DropDir { old_file, .. } | Effect::StoreStub { old_file, .. } = &e {
+        if let Effect::DropDir { old_file, .. } = &e {
             need_commit = true;
             if !is_final && !old_file.is_null() {
                 frees.push(*old_file);

@@ -33,15 +33,8 @@
 //! port). Cross-shard operations run a deterministic, idempotent
 //! two-step protocol with replicated completion records; see the
 //! [`shard`] module docs for the full contract and its invariants. A
-//! single-shard deployment is bit-identical to the unsharded service.
-//!
-//! Placement is no longer static: [`DirClient::migrate`] moves a
-//! directory between shards online as a crash-convergent
-//! copy + tombstone two-step, the old shard keeps a **forwarding stub**
-//! so old capabilities stay valid forever, and a load-driven
-//! [`Rebalancer`](cluster::RebalancerParams) — fenced by the replicated
-//! lease service ([`LeaseMachine`], a second `amoeba-rsm` state
-//! machine) — drains hot shards without a redeploy.
+//! single-shard deployment is bit-identical to the unsharded service. A
+//! directory stays on the shard that created it for its whole life.
 //!
 //! ## The cached read path
 //!
@@ -157,7 +150,6 @@ mod ops;
 pub mod path;
 mod rights;
 mod server_group;
-mod server_lease;
 mod server_nfs;
 mod server_rpc;
 pub mod shard;
@@ -175,9 +167,6 @@ pub use object_table::{ObjEntry, ObjectTable};
 pub use ops::{DirError, DirOp, DirReply, DirRequest};
 pub use rights::Rights;
 pub use server_group::{start_group_server, GroupDirServer, GroupServerDeps};
-pub use server_lease::{
-    LeaseClient, LeaseError, LeaseMachine, LeaseReply, LeaseRequest, LeaseTable, LEASE_PORT,
-};
 pub use server_nfs::{start_nfs_server, NfsDirServer, NfsServerDeps};
 pub use server_rpc::{start_rpc_server, PeerMsg, RpcDirServer, RpcServerDeps};
 pub use shard::ShardMap;

@@ -130,23 +130,6 @@ impl DirModel {
                 }
                 Ok(None)
             }
-            DirOp::InstallDir { columns, .. } => {
-                // The model is keyless and single-shard: a migration
-                // install behaves like a plain create here; upsert and
-                // forwarding semantics are covered by the service-level
-                // migration tests.
-                self.apply(&DirOp::Create {
-                    columns: columns.clone(),
-                    check: 0,
-                })
-            }
-            DirOp::InstallStub { object, .. } => {
-                // The model has no forwarding layer: a stub install
-                // removes the directory's contents from the namespace,
-                // like a delete.
-                self.dirs.remove(object).ok_or(DirError::BadCapability)?;
-                Ok(None)
-            }
             DirOp::GrantRead { cap, .. } => {
                 // The model has no lease table: a grant mutates nothing,
                 // it only requires the directory to exist. Lease fencing

@@ -107,46 +107,6 @@ wire_enum! {
             /// Row name.
             name: String,
         },
-        /// Read a directory's complete contents — including the raw check
-        /// field — for migration to another shard. Requires the **owner**
-        /// capability ([`Rights::ALL`]): the owner's check field already
-        /// *is* the raw check, so nothing is leaked that the caller does
-        /// not hold.
-        12 => ExportDir {
-            /// The directory (needs [`Rights::ALL`]).
-            cap: Capability,
-        },
-        /// Install a full directory under a migration key (step one of the
-        /// migration two-step, see [`crate::shard`]): idempotent *upsert* —
-        /// a repeat with the same key replaces the earlier copy's contents
-        /// and answers with the same capability. The copy is dark until a
-        /// forwarding stub on the source shard points at it.
-        13 => InstallDir {
-            /// Column (protection-domain) names, 1–4.
-            columns: Vec<String> as COLUMNS,
-            /// Full rows.
-            rows: Vec<Row> as ROWS,
-            /// The source directory's raw check, preserved so relocated
-            /// capabilities validate unchanged at the target.
-            check: u64,
-            /// Migration key ([`crate::ShardMap::migration_key`]).
-            key: u64,
-        },
-        /// Atomically replace a directory with a tombstone + forwarding
-        /// stub (step two of the migration two-step). Conditional on the
-        /// directory's sequence number: an update ordered between the
-        /// export and this op fails it with [`DirError::Stale`], and the
-        /// coordinator re-copies — no acknowledged update is ever dropped.
-        14 => InstallStub {
-            /// The directory (needs [`Rights::ALL`]).
-            dir: Capability,
-            /// Port of the shard the directory moved to.
-            to_port: Port,
-            /// Object number at the target shard.
-            to_object: u64,
-            /// The directory seqno the exported copy reflects.
-            expected_seqno: u64,
-        },
         /// Fetch a directory's visible rows **plus a read lease** over them
         /// (the client-cache miss path, see [`crate::cache`]). Although it
         /// mutates no rows, it is deliberately *not* classified as a read:
@@ -174,14 +134,10 @@ wire_enum! {
 
 impl DirRequest {
     /// Whether this operation only reads (paper: 98% of traffic).
-    /// `ExportDir` is a read: the migration CAS (`InstallStub`'s
-    /// expected seqno) makes any replica-local staleness safe.
     pub fn is_read(&self) -> bool {
         matches!(
             self,
-            DirRequest::ListDir { .. }
-                | DirRequest::LookupSet { .. }
-                | DirRequest::ExportDir { .. }
+            DirRequest::ListDir { .. } | DirRequest::LookupSet { .. }
         )
     }
 }
@@ -206,31 +162,6 @@ wire_enum! {
         4 => Caps(caps: Vec<Option<Capability>> as SET),
         /// The operation failed.
         5 => Err(error: DirError),
-        /// The addressed directory migrated to another shard: the holder
-        /// should retry there with the translated capability (same rights
-        /// and check — migration preserves the raw check — new port and
-        /// object). For set requests, `object` names which of the request's
-        /// directories moved.
-        6 => Moved {
-            /// The object number the request addressed (at this shard).
-            object: u64,
-            /// Port of the shard the directory now lives on.
-            to_port: Port,
-            /// Object number at that shard.
-            to_object: u64,
-        },
-        /// A directory's full contents ([`DirRequest::ExportDir`]).
-        7 => Export {
-            /// The directory's raw check field.
-            check: u64,
-            /// Sequence number of the directory's last change (the
-            /// migration CAS token).
-            seqno: u64,
-            /// Column names.
-            columns: Vec<String> as COLUMNS,
-            /// Full rows, with the stored capabilities.
-            rows: Vec<Row> as ROWS,
-        },
         /// A leased directory snapshot ([`DirRequest::FetchDir`]): the rows
         /// visible to the holder, good for local serving until
         /// `deadline_us` or an invalidation callback, whichever is first.
@@ -290,9 +221,6 @@ wire_enum! {
         7 => Malformed,
         /// Internal failure (storage layer).
         8 => Internal,
-        /// A conditional operation's expected sequence number no longer
-        /// matches (a concurrent update won the race): re-read and retry.
-        9 => Stale,
     }
 }
 
@@ -307,7 +235,6 @@ impl std::fmt::Display for DirError {
             DirError::ColumnMismatch => "rights mask count differs from column count",
             DirError::Malformed => "malformed request",
             DirError::Internal => "internal storage failure",
-            DirError::Stale => "expected sequence number no longer matches",
         };
         f.write_str(s)
     }
@@ -468,31 +395,6 @@ wire_enum! {
             /// Row name.
             name: String,
         },
-        /// Migration step one: install a full directory copy keyed for
-        /// idempotent *upsert* — a replay with the same key replaces the
-        /// earlier copy's contents and answers with the same capability.
-        10 => InstallDir {
-            /// Column names.
-            columns: Vec<String> as COLUMNS,
-            /// Full rows, with the stored capabilities.
-            rows: Vec<Row> as ROWS,
-            /// The source directory's raw check, carried verbatim.
-            check: u64,
-            /// Migration key.
-            key: u64,
-        },
-        /// Migration step two: replace the directory with a tombstone +
-        /// forwarding stub, conditional on its sequence number.
-        11 => InstallStub {
-            /// Directory object number.
-            object: u64,
-            /// Port of the target shard.
-            to_port: Port,
-            /// Object number at the target shard.
-            to_object: u64,
-            /// The seqno the exported copy reflects (CAS token).
-            expected_seqno: u64,
-        },
         /// Grant a read lease over a directory and answer with a snapshot
         /// of its visible rows. Ordered like a write so the replicated
         /// lease table stays identical on every replica; the timestamps are
@@ -539,14 +441,6 @@ mod tests {
     fn is_read_classification() {
         assert!(DirRequest::ListDir { cap: cap(1) }.is_read());
         assert!(DirRequest::LookupSet { items: vec![] }.is_read());
-        assert!(DirRequest::ExportDir { cap: cap(1) }.is_read());
-        assert!(!DirRequest::InstallStub {
-            dir: cap(1),
-            to_port: Port::from_raw(0),
-            to_object: 0,
-            expected_seqno: 0
-        }
-        .is_read());
         assert!(!DirRequest::DeleteDir { cap: cap(1) }.is_read());
         assert!(!DirRequest::CreateDir {
             columns: vec!["o".into()]

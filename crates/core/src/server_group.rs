@@ -29,6 +29,7 @@ use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
 
 use crate::config::{DirParams, ServiceConfig, Storage};
 use crate::dir::{op_objects, Applier, DirectoryStateMachine, ReadAt, ReadLease};
+use crate::directory::Directory;
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
 use crate::Capability;
 
@@ -193,43 +194,11 @@ impl GroupDirServer {
         self.replica.unclaimed_results()
     }
 
-    /// Mints the owner capability of a directory this shard stores —
-    /// **cluster-management access** (the server knows every raw
-    /// check), used by the rebalancer to coordinate migrations of
-    /// directories it never held a capability for. `None` for unknown
-    /// or already-relocated objects.
-    pub fn owner_cap(&self, object: u64) -> Option<crate::Capability> {
-        let shared = self.applier.shared.borrow();
-        if shared.stubs.contains_key(&object) {
-            return None;
-        }
-        shared
-            .table
-            .get(object)
-            .map(|e| crate::Capability::owner(self.cfg.public_port, object, e.check))
-    }
-
-    /// Drains this replica's per-directory operation counters and
-    /// returns the `k` hottest live directories as `(object, ops)` —
-    /// the rebalancer's advisory load signal. Counters are
-    /// replica-local (reads count where they are served) and reset by
-    /// the drain, so successive calls report per-interval deltas.
-    pub fn hot_dirs(&self, k: usize) -> Vec<(u64, u64)> {
-        let mut shared = self.applier.shared.borrow_mut();
-        let heat = std::mem::take(&mut shared.heat);
-        let mut v: Vec<(u64, u64)> = heat
-            .into_iter()
-            .filter(|(o, _)| !shared.stubs.contains_key(o) && shared.table.get(*o).is_some())
-            .collect();
-        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
-    }
-
-    /// Number of forwarding stubs (migrated-away directories) this
-    /// shard currently holds (diagnostics/tests).
-    pub fn stub_count(&self) -> usize {
-        self.applier.shared.borrow().stubs.len()
+    /// A directory's current version at this replica: its RAM cache's,
+    /// else its Bullet file's. For comparing replicas in tests.
+    #[doc(hidden)]
+    pub fn load_dir(&self, ctx: &Ctx, object: u64) -> Result<Rc<Directory>, DirError> {
+        self.applier.load_dir(ctx, object)
     }
 }
 
@@ -366,7 +335,7 @@ fn fetch_dir(
         .submit_ordered(ctx, grant.encode(), amoeba_telemetry::current_ctx())
         .map_err(rsm_err)?;
     if !matches!(DirReply::decode(&bytes), Ok(DirReply::Ok)) {
-        return Ok(bytes); // refused or moved, in the order
+        return Ok(bytes); // refused, in the order
     }
     applier.settle(cap.object, &latest)?;
     applier.lease_answer(ctx, cap, have, deadline_us, false)
@@ -393,10 +362,9 @@ fn read_point<'a>(
 
 /// The directories a just-applied update may have changed — the ones
 /// whose revoked leases this initiator must see through before the
-/// acknowledgement. Keyed creates and migration installs learn their
-/// object from the reply: an `InstallDir` re-running a migration round
-/// upserts a directory clients could already be leasing. Never called
-/// for a `GrantRead`, which mutates no rows.
+/// acknowledgement. A keyed create learns its object from the reply: a
+/// replayed one names a directory clients could already be leasing.
+/// Never called for a `GrantRead`, which mutates no rows.
 fn fence_objects(op: &DirOp, reply: &DirReply) -> Vec<u64> {
     // Fresh creates name no object: theirs are unleased.
     let mut v: Vec<u64> = op_objects(op).collect();

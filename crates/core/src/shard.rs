@@ -19,7 +19,7 @@
 //!   operation on an existing capability is therefore a stable hash of
 //!   the capability ([`ShardMap::shard_of_cap`] — a port-table lookup,
 //!   never a rehash), and object numbers stay local to each shard's
-//!   object table.
+//!   object table. A directory never leaves its home shard.
 //! * A *fresh* root directory ([`crate::DirClient::create_dir`]) is
 //!   placed round-robin by the creating client. A directory created
 //!   **into a parent** ([`crate::DirClient::create_in`]) is placed by
@@ -52,85 +52,28 @@
 //! between the steps leaves a dangling *row* (visible, retryable)
 //! rather than an unreachable orphan *directory*.
 //!
-//! ## Online migration (two-step copy + tombstone)
-//!
-//! Placement by capability port would pin a directory to its creation
-//! shard forever; `migrate(dir, target_shard)`
-//! ([`crate::DirClient::migrate`]) moves one online, reusing the
-//! completion-record idiom. Two replicated ops, always in this order:
-//!
-//! 1. **`InstallDir`** on the *target* shard, keyed by
-//!    [`ShardMap::migration_key`]`(home, target)`: a full copy of the
-//!    directory's rows **and its raw check field**, installed as a dark
-//!    object (nothing routes to it yet). The key makes it an idempotent
-//!    *upsert* — a retry replaces the copy's contents and answers with
-//!    the same capability, so re-copies after a lost race never leak a
-//!    second object.
-//! 2. **`InstallStub`** on the *source* shard, **conditional on the
-//!    directory's sequence number** as of the export: atomically drop
-//!    the contents and install a tombstone + forwarding stub
-//!    (`object → (target port, target object)`). An update ordered
-//!    between the export and this op bumps the seqno and fails the CAS
-//!    with `Stale`; the coordinator re-exports and re-installs (step 1
-//!    upserts), so **no acknowledged update is ever dropped**. An
-//!    access ordered *after* the stub answers `Moved` and the client
-//!    chases — every racing op lands on exactly one shard's answer.
-//!
-//! **Stub semantics.** The source keeps the object's table entry
-//! forever: the object number stays reserved (never reallocated) and
-//! the entry's check keeps validating old capabilities. Because the
-//! migration carries the raw check verbatim, an old capability
-//! `(src_port, o, rights, check)` translates to
-//! `(dst_port, o', rights, check)` — same rights, same check — and
-//! validates unchanged at the target, so **old capabilities stay valid
-//! forever**, including ones stored in rows of other directories.
-//! Stubs chain (A→B→C) and are chased with a bounded loop; they are
-//! garbage only after every referencing capability is gone (stub GC is
-//! an explicit non-goal of this layer, see ROADMAP).
-//!
-//! **Epoch rules.** Client-side, `ShardMap` is a *versioned* mapping:
-//! learned forwarding hints accumulate in a relocation cache shared by
-//! every clone of the map, and [`ShardMap::relocation_epoch`] bumps on
-//! each newly learned hint. Hints only ever *extend* (a relocated
-//! directory never moves back under its old identity — the old
-//! `(port, object)` is tombstoned for good), so a cached hint is never
-//! wrong about direction; at worst it is *short* (the chain grew) and
-//! one more `Moved` round extends it, or *dangling* (the target was
-//! deleted) and the final shard answers `BadCapability` exactly as a
-//! deleted directory should.
-//!
 //! ## Invariants
 //!
 //! * Per-shard total order: every shard is an unmodified
 //!   `Replica`-driven service, so one-copy serializability holds within
 //!   a shard. Cross-shard operations are *convergent*, not atomic: a
 //!   reader between the two steps can observe the child without the
-//!   link (create) or the link without the child (delete), and a
-//!   migration's dark copy before its stub.
-//! * Completion records (of keyed creates *and* migration installs)
-//!   live in the owning shard's replicated state and travel in its
-//!   recovery snapshots, as do forwarding stubs; deleting a directory
-//!   deletes its completion records. They survive any crash some
-//!   replica of the shard survives. They are **not** written to disk:
-//!   if *every* replica of a shard dies in the same flush window and
-//!   boots from the salvaged disk prefix, its completion records and
-//!   stubs are gone while the directories themselves survive. A
-//!   `create_in` retry then creates a fresh (orphaned, reclaimable)
-//!   child and hits `DuplicateName` on the link — which the client
-//!   resolves by converging on the row's existing directory; a
-//!   relocated capability loses its forwarding after such a disaster
-//!   (the documented, accepted salvage loss).
-//! * The *routing arithmetic* of `ShardMap` is pure over `shards`;
-//!   every client and server of a deployment computes identical
-//!   placement from the shard count alone. The relocation cache is
-//!   advisory client-side state on top — never required for
-//!   correctness, only for skipping already-learned hops.
-
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+//!   link (create) or the link without the child (delete).
+//! * Completion records live in the owning shard's replicated state
+//!   and travel in its recovery snapshots; deleting a directory deletes
+//!   its completion records. They survive any crash some replica of the
+//!   shard survives. They are **not** written to disk: if *every*
+//!   replica of a shard dies in the same flush window and boots from
+//!   the salvaged disk prefix, its completion records are gone while
+//!   the directories themselves survive. A `create_in` retry then
+//!   creates a fresh (orphaned, reclaimable) child and hits
+//!   `DuplicateName` on the link — which the client resolves by
+//!   converging on the row's existing directory.
+//! * `ShardMap` is pure over `shards`: every client and server of a
+//!   deployment computes identical placement from the shard count
+//!   alone.
 
 use amoeba_flip::Port;
-use amoeba_sim::IdMap;
 
 use crate::capability::Capability;
 
@@ -153,35 +96,12 @@ fn placement_hash(seed: u64, parts: &[&[u8]]) -> u64 {
 }
 
 /// Routing arithmetic for a directory service of `shards` replica
-/// groups, plus the client-side **versioned relocation cache** of
-/// learned forwarding hints. See the [module docs](self) for the full
-/// contract. Clones share one cache (and epoch); equality compares the
-/// routing arithmetic only.
-#[derive(Debug, Clone)]
+/// groups. See the [module docs](self) for the full contract.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     shards: usize,
     ports: Vec<Port>,
-    /// Learned forwarding hints: old `(port, object)` → new location.
-    reloc: Rc<RefCell<IdMap<Location, Location>>>,
-    /// Bumped once per newly learned hint.
-    epoch: Rc<Cell<u64>>,
 }
-
-impl PartialEq for ShardMap {
-    fn eq(&self, other: &Self) -> bool {
-        self.shards == other.shards && self.ports == other.ports
-    }
-}
-
-impl Eq for ShardMap {}
-
-/// Longest forwarding chain [`ShardMap::resolve`] follows; longer
-/// chains are finished by further `Moved` rounds, which extend the
-/// cache as they go.
-const MAX_RELOC_HOPS: usize = 16;
-
-/// A `(port, object)` directory location, relocation-cache currency.
-type Location = (Port, u64);
 
 impl ShardMap {
     /// A map for `shards` shards (0 is treated as 1).
@@ -190,12 +110,7 @@ impl ShardMap {
         let ports = (0..shards)
             .map(|k| Port::from_name(&Self::name_of(k, shards)))
             .collect();
-        ShardMap {
-            shards,
-            ports,
-            reloc: Rc::new(RefCell::new(IdMap::default())),
-            epoch: Rc::new(Cell::new(0)),
-        }
+        ShardMap { shards, ports }
     }
 
     fn name_of(shard: usize, shards: usize) -> String {
@@ -268,76 +183,6 @@ impl ShardMap {
             ],
         )
     }
-
-    /// The idempotency key a migration's
-    /// [`InstallDir`](crate::DirOp::InstallDir) carries: deterministic
-    /// for `(current home, target shard)` — across retries *and* across
-    /// coordinators, so two racing coordinators upsert the same dark
-    /// copy instead of leaking two. The home capability's check is
-    /// folded in: the key is computable only by a holder of the owner
-    /// capability (a replay answers with the copy's owner capability).
-    pub fn migration_key(home: &Capability, target: Port) -> u64 {
-        placement_hash(
-            0x319_4A7E,
-            &[
-                &home.port.as_raw().to_le_bytes(),
-                &home.object.to_le_bytes(),
-                &home.check.to_le_bytes(),
-                &target.as_raw().to_le_bytes(),
-            ],
-        )
-    }
-
-    // -----------------------------------------------------------------
-    // The versioned relocation cache (client-side forwarding hints).
-    // -----------------------------------------------------------------
-
-    /// Records a learned forwarding hint (`from` moved to `to`).
-    /// Returns true — and bumps [`relocation_epoch`](Self::relocation_epoch)
-    /// — iff the hint was new or changed (chains only ever extend, but a
-    /// hint may be *replaced* when a `Moved` answer supersedes a hop the
-    /// cache skipped).
-    pub fn learn(&self, from: (Port, u64), to: (Port, u64)) -> bool {
-        if from == to {
-            return false;
-        }
-        let changed = {
-            let mut reloc = self.reloc.borrow_mut();
-            reloc.insert(from, to) != Some(to)
-        };
-        if changed {
-            self.epoch.set(self.epoch.get() + 1);
-        }
-        changed
-    }
-
-    /// How many hints have been learned (monotone): callers caching
-    /// derived routing state re-derive when this moves.
-    pub fn relocation_epoch(&self) -> u64 {
-        self.epoch.get()
-    }
-
-    /// Translates a capability through the relocation cache: follows
-    /// the learned chain from `(cap.port, cap.object)` and rebuilds the
-    /// capability at the final hop. Rights and check are preserved —
-    /// migration carries the raw check, so the translated capability
-    /// validates unchanged. A cap with no hints (or a foreign cap)
-    /// comes back untouched.
-    pub fn resolve(&self, cap: &Capability) -> Capability {
-        let reloc = self.reloc.borrow();
-        let mut at = (cap.port, cap.object);
-        for _ in 0..MAX_RELOC_HOPS {
-            match reloc.get(&at) {
-                Some(next) => at = *next,
-                None => break,
-            }
-        }
-        Capability {
-            port: at.0,
-            object: at.1,
-            ..*cap
-        }
-    }
 }
 
 #[cfg(test)]
@@ -405,65 +250,5 @@ mod tests {
             .map(|i| m.child_shard(&parent, &format!("n{i}")))
             .collect();
         assert!(hit.len() > 1, "hashing must spread children across shards");
-    }
-
-    #[test]
-    fn relocation_cache_follows_chains_and_versions() {
-        let m = ShardMap::new(4);
-        let c = cap(4, 0, 9);
-        // Nothing learned: identity.
-        assert_eq!(m.resolve(&c), c);
-        assert_eq!(m.relocation_epoch(), 0);
-        // One hop.
-        assert!(m.learn((m.public_port(0), 9), (m.public_port(2), 5)));
-        assert_eq!(m.relocation_epoch(), 1);
-        let r = m.resolve(&c);
-        assert_eq!((r.port, r.object), (m.public_port(2), 5));
-        assert_eq!(
-            (r.rights, r.check),
-            (c.rights, c.check),
-            "identity preserved"
-        );
-        // The chain extends; resolve follows it end to end.
-        assert!(m.learn((m.public_port(2), 5), (m.public_port(3), 8)));
-        let r = m.resolve(&c);
-        assert_eq!((r.port, r.object), (m.public_port(3), 8));
-        // Re-learning the same hint neither bumps the epoch nor loops.
-        let epoch = m.relocation_epoch();
-        assert!(!m.learn((m.public_port(0), 9), (m.public_port(2), 5)));
-        assert_eq!(m.relocation_epoch(), epoch);
-        // Clones share the cache.
-        let clone = m.clone();
-        assert_eq!(
-            clone.resolve(&c).port,
-            m.public_port(3),
-            "clones see learned hints"
-        );
-        // Unrelated caps stay put.
-        let other = cap(4, 1, 9);
-        assert_eq!(m.resolve(&other), other);
-    }
-
-    #[test]
-    fn migration_keys_are_deterministic_and_secret_bearing() {
-        let m = ShardMap::new(4);
-        let home = cap(4, 1, 5);
-        let t2 = m.public_port(2);
-        let t3 = m.public_port(3);
-        assert_eq!(
-            ShardMap::migration_key(&home, t2),
-            ShardMap::migration_key(&home, t2),
-            "same (home, target) → same key, across coordinators"
-        );
-        assert_ne!(
-            ShardMap::migration_key(&home, t2),
-            ShardMap::migration_key(&home, t3)
-        );
-        let forged = Capability { check: 0, ..home };
-        assert_ne!(
-            ShardMap::migration_key(&home, t2),
-            ShardMap::migration_key(&forged, t2),
-            "key uncomputable without the owner capability"
-        );
     }
 }

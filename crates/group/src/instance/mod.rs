@@ -366,16 +366,15 @@ impl Instance {
 
     /// Sequencer: the highest slot that more than `r` members of the view
     /// (itself included) are known to hold. Acks are cumulative, so every
-    /// slot up to it has reached the resilience degree.
+    /// slot up to it has reached the resilience degree. It is the
+    /// (r+1)-th highest held slot, 0 while fewer members hold anything.
     fn resilient_to(&self) -> SeqNo {
-        let mut held: Vec<SeqNo> = self
-            .view
-            .members
-            .iter()
-            .filter_map(|m| self.held_by(m.id))
-            .collect();
-        held.sort_unstable_by(|a, b| b.cmp(a));
-        held.get(self.effective_r() as usize).copied().unwrap_or(0)
+        let need = self.effective_r() as usize + 1;
+        let held = || self.view.members.iter().filter_map(|m| self.held_by(m.id));
+        held()
+            .filter(|&slot| held().filter(|&h| h >= slot).count() >= need)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Snapshot for `GetInfoGroup`.

@@ -3,6 +3,7 @@
 //! resilience, the window, joins and the sequencer's leave.
 
 use super::*;
+use amoeba_testkit::check;
 
 #[test]
 fn create_makes_single_member_sequencer() {
@@ -455,4 +456,44 @@ fn out_of_order_msgids_are_sequenced_once_and_their_runs_collapse() {
     }
     assert_eq!(inst.highest_contiguous, 4, "duplicates not re-sequenced");
     assert_eq!(inst.seen_msgids[&MemberId(1)].0, vec![(1, 2)]);
+}
+
+/// `resilient_to` picks the (r+1)-th highest held slot without a
+/// buffer: the same slot as sorting the holds, over views of 1–5
+/// members, every resilience degree and generated holds (ties, and
+/// members nothing is known of, included).
+#[test]
+fn resilient_to_matches_sorting_the_holds() {
+    check("resilient_to is the sorted holds' (r+1)-th", 200, |g| {
+        for n in 1..=5u32 {
+            for r in 0..=n {
+                let mut view = View::default();
+                for i in 0..n {
+                    view.insert(MemberInfo {
+                        id: MemberId(i),
+                        host: HostAddr(i),
+                        tag: 100 + u64::from(i),
+                    });
+                }
+                let port = Port::from_name("g");
+                let mut inst =
+                    Instance::from_join(1, port, cfg(r), H0, 100, MemberId(0), 0, view, 0, T0);
+                inst.highest_contiguous = g.below(8) as SeqNo;
+                for i in 1..n {
+                    if g.below(4) > 0 {
+                        inst.holds.insert(MemberId(i), g.below(8) as SeqNo);
+                    }
+                }
+                let mut held: Vec<SeqNo> = inst
+                    .view
+                    .members
+                    .iter()
+                    .filter_map(|m| inst.held_by(m.id))
+                    .collect();
+                held.sort_unstable_by(|a, b| b.cmp(a));
+                let sorted = held.get(inst.effective_r() as usize).copied().unwrap_or(0);
+                assert_eq!(inst.resilient_to(), sorted, "n={n} r={r} held={held:?}");
+            }
+        }
+    });
 }

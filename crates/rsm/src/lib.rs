@@ -7,8 +7,7 @@
 //! replicated service — join/create, majority rule, view-change
 //! bookkeeping, Skeen-style recovery with state transfer, and **apply
 //! batching** (group commit) — with zero group-protocol code of your
-//! own. The directory service in `amoeba-dir-core` implements the trait,
-//! and so does its volatile lease service.
+//! own. The directory service in `amoeba-dir-core` implements the trait.
 //!
 //! ## Division of labour
 //!
@@ -40,9 +39,9 @@
 //! [`persist`](StateMachine::persist), is exactly the point where the
 //! paper's directory service writes its commit block: it sets the
 //! applied cursor and makes the configuration and the copy mark
-//! durable. A service with no durable state (like the lease service)
-//! only moves its cursor there and returns no configuration from
-//! `boot`, so its replica mourns no one.
+//! durable. A service with no durable state would only move its cursor
+//! there and return no configuration from `boot`, so its replica would
+//! mourn no one.
 //!
 //! ## Contract (what `Replica` guarantees, what `apply` must uphold)
 //!
@@ -92,8 +91,7 @@
 //! [`Replica::submit`] for a replicated write and
 //! [`Replica::read_barrier`] before a local read. A volatile service
 //! does the same with the durable half left out; there is no separate
-//! harness for one (the lease service in `amoeba-dir-core` is the
-//! example).
+//! harness for one.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -68,19 +68,14 @@ pub trait StateMachine: 'static {
     /// Group-commit barrier: make every effect of the `apply` calls
     /// since the previous `flush` durable. Called once per batch,
     /// before the driver publishes the batch (but after it woke the
-    /// batch's readers). Default: no-op (fully volatile machines rely on
-    /// their peers for durability).
-    fn flush(&self, ctx: &Ctx) {
-        let _ = ctx;
-    }
+    /// batch's readers).
+    fn flush(&self, ctx: &Ctx);
 
     /// Called when the group has been idle for the configured idle
     /// timeout (background maintenance: the directory service flushes
     /// its NVRAM log here, §4.1). Runs on the event loop, so never
     /// concurrently with `apply` or `flush`.
-    fn idle(&self, ctx: &Ctx) {
-        let _ = ctx;
-    }
+    fn idle(&self, ctx: &Ctx);
 
     /// Called periodically by the driver's background checkpointer
     /// process (only spawned when
@@ -89,10 +84,8 @@ pub trait StateMachine: 'static {
     /// form and advance the journal's tail. Runs concurrently with
     /// `apply` and `flush`, so implementations must do their own
     /// sim-safe exclusion against the flush path (and never hold a lock
-    /// across the drain's I/O). Default: no-op.
-    fn checkpoint(&self, ctx: &Ctx) {
-        let _ = ctx;
-    }
+    /// across the drain's I/O).
+    fn checkpoint(&self, ctx: &Ctx);
 
     /// Called once, at process start, before the first recovery: load
     /// whatever survived the reboot (commit block, tables, NVRAM log)
@@ -101,12 +94,9 @@ pub trait StateMachine: 'static {
     /// replica served in). The driver keeps that vector, computes the
     /// recovery protocol's mourned set from it and hands every change
     /// back through [`persist`](Self::persist). A machine that keeps no
-    /// configuration returns `None` (the default), and its replica
-    /// mourns no one: it cannot know who crashed before it.
-    fn boot(&self, ctx: &Ctx) -> Option<Vec<bool>> {
-        let _ = ctx;
-        None
-    }
+    /// configuration returns `None`, and its replica mourns no one: it
+    /// cannot know who crashed before it.
+    fn boot(&self, ctx: &Ctx) -> Option<Vec<bool>>;
 
     /// Logical version of the state (the paper's per-directory
     /// "sequence number" generalized): monotone across group

@@ -280,6 +280,63 @@ fn updates_written_while_one_server_down_reach_it_after_recovery() {
     );
 }
 
+/// Majority loss with a stayed-up survivor, under the §3.2 improved
+/// rule: the group re-forms as a **new instance** whose sequence numbers
+/// restart. Replica 1 reboots first and re-forms it with replica 0; only
+/// then does replica 2 come back. Every replica keeps its disk, so each
+/// is among the most current and none copies a peer's state: each must
+/// re-align its own applied cursor to the new instance, or it would
+/// take the new instance's first operations for ones it had already
+/// applied and silently skip them.
+#[test]
+fn new_instance_after_majority_loss_does_not_skip_operations() {
+    let mut sim = Simulation::new(107);
+    let mut params = ClusterParams::paper(Variant::Group);
+    params.dir.improved_recovery = true;
+    let mut cluster = Cluster::start(&sim, params);
+    let (client, _) = cluster.client(&sim);
+    let c2 = client.clone();
+    let formed = sim.spawn("form", move |ctx| ready_root(ctx, &c2));
+    sim.run_for(Duration::from_secs(20));
+    let root = formed.take().expect("service formed");
+    let names = |tag: &str, n| (0..n).map(|i| format!("{tag}{i}")).collect::<Vec<_>>();
+    // Drive the applied cursor well past anything the new instance
+    // will reach with its first few slots.
+    append_all(&sim, &client, root, names("pre", 25));
+    sim.run_for(Duration::from_secs(30));
+
+    cluster.crash_server(&sim, 1);
+    cluster.crash_server(&sim, 2);
+    sim.run_for(Duration::from_secs(5));
+    cluster.restart_server(&sim, 1);
+    sim.run_for(Duration::from_secs(60));
+    assert!(cluster.group_server(0).is_normal(), "survivor not serving");
+    assert!(cluster.group_server(1).is_normal(), "replica 1 not serving");
+    cluster.restart_server(&sim, 2);
+    sim.run_for(Duration::from_secs(60));
+
+    // Operations in the new instance (small sequence numbers) must
+    // apply on every replica.
+    append_all(&sim, &client, root, names("post", 5));
+    sim.run_for(Duration::from_secs(30));
+    let seq = cluster.group_server(0).update_seq();
+    let all = [names("pre", 25), names("post", 5)].concat();
+    for i in 0..3 {
+        let server = cluster.group_server(i).clone();
+        assert!(server.is_normal(), "replica {i} did not re-enter service");
+        assert_eq!(server.update_seq(), seq, "replica {i} diverged");
+        let rows = sim.spawn_on(cluster.columns[i].sim_node, "rows", move |ctx| {
+            let dir = server.load_dir(ctx, root.object).expect("the root");
+            dir.rows
+                .iter()
+                .map(|r| r.name.to_string())
+                .collect::<Vec<_>>()
+        });
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(rows.take(), Some(all.clone()), "replica {i}'s rows");
+    }
+}
+
 /// Appends `names` to `root`, retrying each until it is acknowledged.
 fn append_all(sim: &Simulation, client: &DirClient, root: Capability, names: Vec<String>) {
     let client = client.clone();

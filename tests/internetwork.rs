@@ -2,9 +2,8 @@
 //! the sequencer (column 0), column 2 and the clients on `net-a`,
 //! column 1 on `net-b`, every packet between the segments
 //! store-and-forwarded by a router. The
-//! group conformance and crash/rejoin suites must hold unchanged, the
-//! lease service must order grants across the router, and the
-//! per-segment occupancy accounting must add up.
+//! group conformance and crash/rejoin suites must hold unchanged, and
+//! the per-segment occupancy accounting must add up.
 
 use std::time::Duration;
 
@@ -210,50 +209,6 @@ fn offline_updates_reach_the_crashed_sequencer_after_recovery() {
         cluster.group_server(0).update_seq(),
         cluster.group_server(1).update_seq(),
         "recovered sequencer must hold the offline-period updates"
-    );
-}
-
-#[test]
-fn lease_grants_cross_the_router_and_every_replica_holds_them() {
-    // The lease service spread over both segments like the directory
-    // service: replica 1 on net-b, the others on net-a, so every grant
-    // reaches a replica across the router. A second owner is fenced
-    // out, and all three replicas converge on the grant.
-    let mut sim = Simulation::new(83);
-    let mut params = ClusterParams::routed(Variant::Group);
-    params.lease_service = true;
-    let mut cluster = Cluster::start(&sim, params);
-    let (lease, _) = cluster.lease_client(&sim);
-    let out = sim.spawn("grant", move |ctx| {
-        let granted = (0..50).any(|_| match lease.grant(ctx, "inter/fence", 9, 1_000) {
-            Ok(Some(_)) => true,
-            _ => {
-                ctx.sleep(Duration::from_millis(200));
-                false
-            }
-        });
-        assert!(granted, "the routed lease service must grant");
-        assert_eq!(lease.grant(ctx, "inter/fence", 10, 1_000), Ok(None));
-        lease
-            .query(ctx, "inter/fence")
-            .unwrap()
-            .map(|(owner, _)| owner)
-    });
-    sim.run_for(Duration::from_secs(60));
-    assert_eq!(out.take(), Some(Some(9)), "the holder reads back");
-    for i in 0..3 {
-        let table = cluster.lease(i).machine();
-        assert_eq!(
-            table
-                .read(|t| t.holder("inter/fence"))
-                .map(|(owner, _)| owner),
-            Some(9),
-            "replica {i} must hold the grant"
-        );
-    }
-    assert!(
-        cluster.net.stats().packets_forwarded > 0,
-        "the router carried the lease group's traffic"
     );
 }
 

@@ -220,10 +220,9 @@ fn check(
 /// Generated: creates (malformed column counts included), deletes,
 /// appends and chmods (wrong mask counts included), delete-rows,
 /// append-links, unlinks and replace-sets, on live, deleted and
-/// never-allocated objects. Left out: stubs, installs, keyed creates
-/// and grants, because the model has no forwarding layer, completion
-/// table or lease table; `tests/migration.rs` and `tests/sharding.rs`
-/// cover those ops end to end.
+/// never-allocated objects. Left out: keyed creates and grants,
+/// because the model has no completion table or lease table;
+/// `tests/sharding.rs` and `tests/cache.rs` cover those ops end to end.
 #[test]
 fn the_planner_matches_the_model_op_by_op() {
     amoeba_testkit::check("planner matches model", 20, |g: &mut Gen| {

@@ -254,9 +254,9 @@ fn a_rejected_snapshot_allocates_nothing_for_its_claimed_counts() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     let mut sim = Simulation::new(1);
     let (node, sm) = machine_that_never_flushes(&sim);
-    // One snapshot per count field (entries, completions, stubs, read
-    // leases): the counts before it are zero, it claims a million, and
-    // the body ends there.
+    // One snapshot per count field (entries, completions, the empty
+    // section, read leases): the counts before it are zero, it claims a
+    // million, and the body ends there.
     let snaps: Vec<_> = (0..4)
         .map(|zero_counts| {
             let mut w = WireWriter::new();
@@ -306,31 +306,24 @@ fn a_rejected_message_allocates_nothing_for_its_claimed_counts() {
         w.u32(count);
         w.finish()
     };
-    // Tag, then the fixed fields before the columns: two u64s for an
-    // export, and a renewed flag after them for a snapshot.
+    // Tag, then the fixed fields before the columns: two u64s and a
+    // renewed flag for a snapshot.
     let tagged = |tag: u8, fixed: usize| [&[tag][..], &vec![0; fixed]].concat();
     type Rejects = fn(&[u8]) -> bool;
     let request: Rejects = |b| DirRequest::decode(b).is_err();
     let reply: Rejects = |b| DirReply::decode(b).is_err();
     let op: Rejects = |b| DirOp::decode(b).is_err();
-    let cases: [(&str, Vec<u8>, Rejects); 10] = [
-        ("InstallDir request", claim(&[13], true, 1_000_000), request),
+    let cases: [(&str, Vec<u8>, Rejects); 7] = [
         ("LookupSet request", claim(&[7], false, 10_000), request),
         ("ReplaceSet request", claim(&[8], false, 10_000), request),
         ("Caps reply", claim(&[4], false, 10_000), reply),
         ("Listing reply", claim(&[3], true, 1_000_000), reply),
-        (
-            "Export reply",
-            claim(&tagged(7, 16), true, 1_000_000),
-            reply,
-        ),
         (
             "Snapshot reply",
             claim(&tagged(8, 17), true, 1_000_000),
             reply,
         ),
         ("ReplaceSet op", claim(&[6], false, 10_000), op),
-        ("InstallDir op", claim(&[10], true, 1_000_000), op),
         ("directory file", claim(&[0; 8], true, 1_000_000), |b| {
             Directory::decode(b).is_err()
         }),
@@ -358,16 +351,17 @@ fn an_op_and_a_directory_encode_into_one_exact_size_buffer() {
     let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
     let columns = vec!["owner".to_string(), "other".to_string()];
     let masks = vec![Rights::ALL, Rights::NONE];
-    let mut dir = Directory::new(columns.clone());
+    let mut dir = Directory::new(columns);
     for r in 0..40 {
         dir.append_row(format!("row-{r}"), owner, masks.clone())
             .expect("fresh name");
     }
-    let op = DirOp::InstallDir {
-        columns,
-        rows: dir.rows.clone(),
-        check: 0xC1,
-        key: 7,
+    let op = DirOp::ReplaceSet {
+        items: dir
+            .rows
+            .iter()
+            .map(|r| (1, r.name.to_string(), owner))
+            .collect(),
     };
     // Once first, so that the thread's scratch buffer has grown to both.
     let _ = (op.encode(), dir.encode());

@@ -1,6 +1,6 @@
 //! Conformance suite for the `amoeba-rsm` [`StateMachine`] contract,
-//! run against *both* production machines (the directory service and
-//! the lease service), plus crash tests proving the
+//! run against the directory machine on each storage path (in place,
+//! group log, NVRAM), plus crash tests proving the
 //! group-commit batching invariants: a batch becomes durable through
 //! one flush, and recovery never observes a partially applied batch.
 
@@ -11,11 +11,11 @@ use std::time::Duration;
 use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirOp, DirParams, DirectoryStateMachine, LeaseMachine, LeaseRequest, Rights,
-    ServiceConfig, Storage, StorageKind,
+    Capability, DirOp, DirParams, DirectoryStateMachine, Rights, ServiceConfig, Storage,
+    StorageKind,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
-use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
+use amoeba_dirsvc::flip::wire::WireWriter;
 use amoeba_dirsvc::flip::{NetParams, Network, Payload, Port};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
@@ -391,53 +391,6 @@ fn install_refuses_a_snapshot_naming_an_object_past_the_table() {
     });
     sim.run_for(Duration::from_secs(10));
     assert_eq!(out.take(), Some(true), "the snapshot was refused");
-}
-
-#[test]
-fn lease_machine_conforms() {
-    let mut sim = Simulation::new(7);
-    let a = LeaseMachine::default();
-    let b = LeaseMachine::default();
-    let f = LeaseMachine::default();
-    let grant = |name: &str, owner: u64| {
-        LeaseRequest::Grant {
-            name: name.into(),
-            owner,
-            ttl: 10,
-        }
-        .encode()
-    };
-    let rel = |name: &str, owner: u64| {
-        LeaseRequest::Release {
-            name: name.into(),
-            owner,
-        }
-        .encode()
-    };
-    let batch1 = vec![
-        grant("a", 1),
-        grant("b", 2),
-        grant("a", 9), // refused: busy
-        rel("b", 2),
-        rel("b", 2), // refused: not held
-        grant("c", 3),
-    ];
-    let batch2 = vec![rel("a", 1), grant("a", 9), grant("d", 4)];
-    // The grant (expires at logical time 11), the refused grant (busy,
-    // held by 1 until 11), the release and the refused release, in
-    // `LeaseReply`'s wire form.
-    let golden = [
-        (1, "010b00000000000000"),
-        (3, "0201000000000000000b00000000000000"),
-        (4, "03"),
-        (5, "04"),
-    ];
-    let out = sim.spawn("conformance", move |ctx| {
-        check_conformance(ctx, &a, &b, &f, &batch1, &batch2, &golden);
-        true
-    });
-    sim.run();
-    assert_eq!(out.take(), Some(true));
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,7 @@
 //! Decision traces of whole deployments: a golden digest captured on the
 //! commit before the simulator kernel changed hands (so "checkpoint order
-//! unchanged" is checked, not assumed), a second one of the same run on a
-//! lossy network, and same-seed trace equality for a deployment with the
-//! lease service (2 group instances per peer).
+//! unchanged" is checked, not assumed), and a second one of the same run
+//! on a lossy network.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -195,62 +194,3 @@ fn lossy_crash_reboot_trace_matches_the_golden_digest() {
 /// Captured before the group engine was split into role files.
 const LOSSY_STEPS: usize = 17_299;
 const LOSSY_DIGEST: u64 = 4_498_209_241_091_819_750;
-
-/// `paper()` + the lease service under load: three lease clients
-/// contending for one name (grant, renew, release), a fourth renewing
-/// and querying five leases of its own, and a directory writer, across
-/// a crash and reboot of one machine.
-fn record_with_auxiliary_services() -> SimTrace {
-    let mut sim = Simulation::recording(0x5E4C);
-    let mut params = ClusterParams::paper(Variant::Group);
-    params.lease_service = true;
-    let mut cluster = Cluster::start(&sim, params);
-    for owner in 1..=3u64 {
-        let (lease, _) = cluster.lease_client(&sim);
-        sim.spawn(&format!("leaser-{owner}"), move |ctx| {
-            for _ in 0..30 {
-                if matches!(lease.grant(ctx, "leader", owner, 8), Ok(Some(_))) {
-                    ctx.sleep(Duration::from_millis(30));
-                    let _ = lease.grant(ctx, "leader", owner, 8);
-                    let _ = lease.release(ctx, "leader", owner);
-                }
-                ctx.sleep(Duration::from_millis(70));
-            }
-        });
-    }
-    let (lease, _) = cluster.lease_client(&sim);
-    sim.spawn("renewer", move |ctx| {
-        for i in 0..40u32 {
-            let name = format!("svc/{}", i % 5);
-            let _ = lease.grant(ctx, &name, 9, 50);
-            let _ = lease.query(ctx, &name);
-            ctx.sleep(Duration::from_millis(90));
-        }
-    });
-    let (client, _) = cluster.client(&sim);
-    spawn_writer(&sim, client, 20);
-    // A crash makes every surviving peer's instances detect the failure
-    // on the same tick — the per-tick action order is what must repeat.
-    sim.run_for(Duration::from_secs(5));
-    cluster.crash_server(&sim, 1);
-    sim.run_for(Duration::from_secs(4));
-    cluster.restart_server(&sim, 1);
-    sim.run_for(Duration::from_secs(12));
-    sim.take_recording().expect("recording was enabled")
-}
-
-#[test]
-fn auxiliary_services_record_the_same_trace_twice() {
-    let a = record_with_auxiliary_services();
-    let b = record_with_auxiliary_services();
-    assert!(a.steps.len() > 10_000, "the load ran: {}", a.steps.len());
-    if let Some(i) = (0..a.steps.len().min(b.steps.len())).find(|&i| a.steps[i] != b.steps[i]) {
-        panic!(
-            "traces part at step {i} of {}: {:?} vs {:?}",
-            a.steps.len(),
-            a.steps[i],
-            b.steps[i]
-        );
-    }
-    assert_eq!(a.steps.len(), b.steps.len());
-}
