@@ -94,7 +94,7 @@ fn run_variant(variant: Variant) -> (f64, f64, f64) {
             // Attach a buffered file server next to the NFS machine.
             let node = tb.sim.add_node("nfs-filesrv");
             let stack = tb.cluster.net.attach();
-            let rpc = RpcNode::start(&tb.sim, node, stack);
+            let rpc = RpcNode::start(node, stack);
             let port = amoeba_flip::Port::from_name("nfs.files");
             let disk = VDisk::new(4096, 4096);
             let dsrv = DiskServer::start(&tb.sim, node, disk, DiskParams::instant());

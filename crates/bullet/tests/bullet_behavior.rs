@@ -21,7 +21,7 @@ fn rig() -> Rig {
 
     let srv_node = sim.add_node("bullet-machine");
     let srv_stack = net.attach();
-    let srv_rpc = RpcNode::start(&sim, srv_node, srv_stack);
+    let srv_rpc = RpcNode::start(srv_node, srv_stack);
     let disk = VDisk::new(4096, 4096);
     let disk_srv = DiskServer::start(&sim, srv_node, disk.clone(), DiskParams::wren_iv());
     let store = BulletStore::new(4096, 4096, 42);
@@ -29,7 +29,7 @@ fn rig() -> Rig {
 
     let cli_node = sim.add_node("client-machine");
     let cli_stack = net.attach();
-    let cli_rpc = RpcNode::start(&sim, cli_node, cli_stack);
+    let cli_rpc = RpcNode::start(cli_node, cli_stack);
     let client = BulletClient::new(RpcClient::new(&cli_rpc), service);
     Rig { sim, client, disk }
 }

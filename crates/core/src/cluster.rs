@@ -418,7 +418,7 @@ impl Cluster {
         self.next_client += 1;
         let sim_node = sim.add_node(&format!("client-{id}"));
         let stack = self.net.attach_to(self.params.net_topology.client_segment);
-        let rpc = RpcNode::start(sim, sim_node, stack);
+        let rpc = RpcNode::start(sim_node, stack);
         amoeba_telemetry::Telemetry::from_handle(&sim.handle())
             .name_machine(u64::from(rpc.addr().0), &format!("client-{id}"));
         let rpc_client = RpcClient::new(&rpc);
@@ -509,7 +509,7 @@ impl Cluster {
 fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Column) {
     let n = params.variant.servers();
     let cfg = ServiceConfig::sharded(n, column.index, column.shard, params.effective_shards());
-    let rpc = RpcNode::start(spawner, column.sim_node, column.stack.clone());
+    let rpc = RpcNode::start(column.sim_node, column.stack.clone());
     let disk_srv = DiskServer::start(
         spawner,
         column.sim_node,

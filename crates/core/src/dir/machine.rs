@@ -585,7 +585,7 @@ mod tests {
     fn machine(sim: &Simulation) -> (amoeba_sim::NodeId, DirectoryStateMachine) {
         let node = sim.add_node("m");
         let net = Network::new(sim.handle(), NetParams::default(), 1);
-        let rpc = RpcNode::start(sim, node, net.attach());
+        let rpc = RpcNode::start(node, net.attach());
         let disk = DiskServer::start(sim, node, VDisk::new(64, 4096), DiskParams::instant());
         let cfg = crate::ServiceConfig::new(3, 0);
         let store = amoeba_bullet::BulletStore::new(48, 4096, 0xB0);
@@ -640,8 +640,8 @@ mod tests {
             sm.apply(ctx, 4, &append("b").encode(), false);
             let v2 = load();
             assert!(!Rc::ptr_eq(&v1, &v2), "an update edits its own copy");
-            assert_eq!((v1.rows.len(), v1.seqno), (1, 2), "and no one else's");
-            assert_eq!((v2.rows.len(), v2.seqno), (2, 4));
+            assert_eq!((v1.rows().len(), v1.seqno), (1, 2), "and no one else's");
+            assert_eq!((v2.rows().len(), v2.seqno), (2, 4));
             // The deferred disk effect is that version, not a copy of it.
             {
                 let pending = sm.pending.borrow();

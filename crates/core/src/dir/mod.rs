@@ -129,7 +129,7 @@ impl Applier {
             .bullet
             .read(ctx, entry.file_cap)
             .map_err(|_| DirError::Internal)?;
-        let dir = Rc::new(Directory::decode(&bytes).map_err(|_| DirError::Internal)?);
+        let dir = Rc::new(Directory::decode_shared(&bytes).map_err(|_| DirError::Internal)?);
         let mut shared = self.shared.borrow_mut();
         shared.cache.insert(object, Rc::clone(&dir));
         Ok(dir)

@@ -259,11 +259,11 @@ impl Applier {
 }
 
 /// The one path of the five row edits ([`row_edit`]): the directory's
-/// current version, the op's edit of the row `name` in its one copy,
-/// and the copy published. An `AppendLink` of a row that already holds
-/// its capability and an `Unlink` of a row (or a directory) already
-/// gone are replays of completed edits: they answer `Ok` and change
-/// nothing.
+/// current version, the op's edit of the row `name` in its one copy
+/// (whose row list is allocated at its final length), and the copy
+/// published. An `AppendLink` of a row that already holds its
+/// capability and an `Unlink` of a row (or a directory) already gone
+/// are replays of completed edits: they answer `Ok` and change nothing.
 fn plan_row_edit(
     shared: &mut Shared,
     op: &DirOp,
@@ -274,17 +274,17 @@ fn plan_row_edit(
     if matches!(op, DirOp::Unlink { .. }) && shared.table.get(object).is_none() {
         return Ok((DirReply::Ok, Vec::new()));
     }
-    let mut dir = dir_for_plan(shared, object)?;
-    let row = dir.find(name);
+    let dir = dir_for_plan(shared, object)?;
     let replayed = match op {
-        DirOp::AppendLink { cap, .. } => row.is_some_and(|r| r.cap == *cap),
-        DirOp::Unlink { .. } => row.is_none(),
+        DirOp::AppendLink { cap, .. } => dir.find(name).is_some_and(|r| r.cap == *cap),
+        DirOp::Unlink { .. } => dir.find(name).is_none(),
         _ => false,
     };
     if replayed {
         return Ok((DirReply::Ok, Vec::new()));
     }
-    let edit = Rc::make_mut(&mut dir);
+    let appends = matches!(op, DirOp::Append { .. } | DirOp::AppendLink { .. });
+    let mut edit = dir.edit_copy(usize::from(appends));
     match op {
         DirOp::Append {
             cap, col_rights, ..
@@ -295,5 +295,8 @@ fn plan_row_edit(
         DirOp::Chmod { col_rights, .. } => edit.chmod_row(name, col_rights),
         _ => edit.delete_row(name),
     }?;
-    Ok((DirReply::Ok, vec![publish(shared, object, dir, useq)]))
+    Ok((
+        DirReply::Ok,
+        vec![publish(shared, object, Rc::new(edit), useq)],
+    ))
 }

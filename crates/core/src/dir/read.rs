@@ -90,14 +90,14 @@ fn lease_reply(
     renewed: bool,
 ) -> Payload {
     let visible = || {
-        dir.rows.iter().filter_map(|row| {
+        dir.rows().iter().filter_map(|row| {
             let eff = dir.effective_rights(row, cap.rights);
             (eff != Rights::NONE).then_some((row, eff))
         })
     };
     let n = visible().count();
     let put_leased = |w: &mut WireWriter| {
-        COLUMNS.put(w, dir.columns.iter(), String::put);
+        COLUMNS.put(w, dir.columns().iter(), String::put);
         ROWS.put_n(w, n, visible(), |(row, eff), w| {
             let restricted = restrict_with(shared, public_port, &row.cap, eff);
             put_row(
@@ -188,7 +188,7 @@ impl Applier {
                 }
                 let dir = self.version_at(ctx, object)?;
                 let rows = dir
-                    .rows
+                    .rows()
                     .iter()
                     .map(|row| {
                         let eff = dir.effective_rights(row, cap.rights);
@@ -200,7 +200,7 @@ impl Applier {
                     })
                     .collect();
                 Ok(DirReply::Listing {
-                    columns: dir.columns.to_vec(),
+                    columns: dir.columns().to_vec(),
                     rows,
                 })
             }

@@ -27,7 +27,7 @@ impl Applier {
         match effect {
             Effect::StoreDir { object, dir } => self.store_dir_to_disk(ctx, object, &dir),
             Effect::DropDir { object, old_file } => {
-                let waiter = { self.shared.borrow_mut().table.flush_begin(object) };
+                let waiter = { self.shared.borrow_mut().table.flush_begin(ctx, object) };
                 if let Some(w) = waiter {
                     w.recv(ctx);
                 }
@@ -57,7 +57,7 @@ impl Applier {
                     entry.file_cap = new_file;
                     entry.seqno = dir.seqno;
                     shared.table.set(object, entry);
-                    shared.table.flush_begin(object)
+                    shared.table.flush_begin(ctx, object)
                 }
                 None => None,
             }

@@ -236,7 +236,7 @@ impl DirectoryStateMachine {
             }
             let waiters: Vec<_> = blocks
                 .into_iter()
-                .filter_map(|b| shared.table.durable_flush_block_begin(b))
+                .filter_map(|b| shared.table.durable_flush_block_begin(ctx, b))
                 .collect();
             (olds, waiters)
         };

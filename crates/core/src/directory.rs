@@ -11,12 +11,22 @@
 //! shares the rest: a row's name and the column names are shared, a
 //! row's masks are inline, and copying a version copies one `Vec` of rows
 //! and allocates nothing per row.
+//!
+//! A version carries its Bullet image: its *body*, the file's bytes
+//! after the seqno (the columns, the row count, then the rows), kept
+//! beside the rows it encodes. A row edit splices the old body into the
+//! new one, writing only the row it changes, at offsets the format
+//! gives; a decoded version keeps the window of the bytes it was decoded
+//! from. So writing a version's file copies bytes and encodes nothing,
+//! and the rows and columns are private, so nothing can put the body out
+//! of step with them.
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::rc::Rc;
 
-use amoeba_flip::wire::{Counted, DecodeError, Wire, WireReader, WireWriter};
+use amoeba_flip::wire::{encode_with, Counted, DecodeError, Wire, WireReader, WireWriter};
+use amoeba_flip::Payload;
 
 use crate::capability::Capability;
 use crate::rights::Rights;
@@ -27,6 +37,9 @@ pub(crate) const COLUMNS: Counted = Counted::u8(1, 4, "columns");
 pub(crate) const MASKS: Counted = Counted::u8(0, 4, "rights masks");
 /// Full rows: a `u32` count of at most 1,000,000, then each row.
 pub(crate) const ROWS: Counted = Counted::u32(1_000_000, "rows");
+/// The bytes of a capability's wire form: its port, object, rights and
+/// check.
+const CAP_BYTES: usize = 8 + 8 + 1 + 8;
 
 /// A row's name, shared by every version of the directory that holds
 /// the row: cloning it copies a pointer. Derefs to `str`.
@@ -134,14 +147,18 @@ pub struct Row {
 
 /// A directory: protection columns plus rows, with the per-directory
 /// sequence number of the last change (paper §3: "including the sequence
-/// number of the last change").
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// number of the last change"), and its Bullet image (see the module
+/// docs).
+#[derive(Clone, PartialEq, Eq)]
 pub struct Directory {
     /// Protection-domain column names (1–4 of them), shared by every
     /// version of the directory.
-    pub columns: Rc<[String]>,
+    columns: Rc<[String]>,
     /// The rows.
-    pub rows: Vec<Row>,
+    rows: Vec<Row>,
+    /// The wire form of the columns and the rows: the Bullet file's
+    /// bytes after the seqno.
+    body: Payload,
     /// Sequence number of the last update that produced this version.
     pub seqno: u64,
 }
@@ -157,16 +174,83 @@ impl Directory {
             !columns.is_empty() && columns.len() <= 4,
             "1..=4 protection columns"
         );
+        let body = encode_with(|w| {
+            COLUMNS.put(w, columns.iter(), String::put);
+            ROWS.put_count(w, 0);
+        });
         Directory {
             columns: columns.into(),
             rows: Vec::new(),
+            body,
             seqno: 0,
+        }
+    }
+
+    /// Protection-domain column names (1–4 of them).
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    /// The rows, in the order they were appended.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    /// A copy of this version for an update to edit into the next one:
+    /// its row list is allocated once, with room for `room` more rows,
+    /// and shares every row, the columns and the body.
+    pub(crate) fn edit_copy(&self, room: usize) -> Directory {
+        let mut rows = Vec::with_capacity(self.rows.len() + room);
+        rows.extend_from_slice(&self.rows);
+        Directory {
+            columns: Rc::clone(&self.columns),
+            rows,
+            body: self.body.clone(),
+            seqno: self.seqno,
         }
     }
 
     /// Looks up a row by name.
     pub fn find(&self, name: &str) -> Option<&Row> {
         self.rows.iter().find(|r| *r.name == *name)
+    }
+
+    /// The index of the row named `name`, and the bytes it takes in the
+    /// body.
+    fn locate(&self, name: &str) -> Option<(usize, Range<usize>)> {
+        let mut at = self.rows_at() + ROW_COUNT_BYTES;
+        for (i, row) in self.rows.iter().enumerate() {
+            let end = at + row_bytes(row);
+            if *row.name == *name {
+                return Some((i, at..end));
+            }
+            at = end;
+        }
+        None
+    }
+
+    /// Where the row count sits in the body: past the columns, each a
+    /// `u32` length and its bytes after their `u8` count.
+    fn rows_at(&self) -> usize {
+        1 + self.columns.iter().map(|c| 4 + c.len()).sum::<usize>()
+    }
+
+    /// Replaces the body's bytes at `old` with the wire form of the row
+    /// at index `row` (or with nothing), and its row count with the
+    /// rows' number: one new buffer, the rest of it copied from the old
+    /// body.
+    fn splice(&mut self, old: Range<usize>, row: Option<usize>) {
+        let count_at = self.rows_at();
+        let (body, rows) = (&self.body, &self.rows);
+        self.body = encode_with(|w| {
+            w.raw(&body[..count_at]);
+            ROWS.put_count(w, rows.len());
+            w.raw(&body[count_at + ROW_COUNT_BYTES..old.start]);
+            if let Some(i) = row {
+                rows[i].put(w);
+            }
+            w.raw(&body[old.end..]);
+        });
     }
 
     /// The union of the rights masks of `row` over the columns visible to
@@ -207,6 +291,8 @@ impl Directory {
             cap,
             col_rights: col_rights.into(),
         });
+        let end = self.body.len();
+        self.splice(end..end, Some(self.rows.len() - 1));
         Ok(())
     }
 
@@ -216,13 +302,10 @@ impl Directory {
     ///
     /// [`DirStructureError::NoSuchName`] if absent.
     pub fn delete_row(&mut self, name: &str) -> Result<(), DirStructureError> {
-        let before = self.rows.len();
-        self.rows.retain(|r| *r.name != *name);
-        if self.rows.len() == before {
-            Err(DirStructureError::NoSuchName)
-        } else {
-            Ok(())
-        }
+        let (i, bytes) = self.locate(name).ok_or(DirStructureError::NoSuchName)?;
+        self.rows.remove(i);
+        self.splice(bytes, None);
+        Ok(())
     }
 
     /// Replaces a row's column rights masks.
@@ -240,13 +323,10 @@ impl Directory {
         if col_rights.len() != self.columns.len() {
             return Err(DirStructureError::ColumnMismatch);
         }
-        match self.rows.iter_mut().find(|r| *r.name == *name) {
-            Some(r) => {
-                r.col_rights = col_rights.into();
-                Ok(())
-            }
-            None => Err(DirStructureError::NoSuchName),
-        }
+        let (i, bytes) = self.locate(name).ok_or(DirStructureError::NoSuchName)?;
+        self.rows[i].col_rights = col_rights.into();
+        self.splice(bytes, Some(i));
+        Ok(())
     }
 
     /// Replaces the capability stored in a row.
@@ -255,13 +335,30 @@ impl Directory {
     ///
     /// [`DirStructureError::NoSuchName`] if absent.
     pub fn replace_cap(&mut self, name: &str, cap: Capability) -> Result<(), DirStructureError> {
-        match self.rows.iter_mut().find(|r| *r.name == *name) {
-            Some(r) => {
-                r.cap = cap;
-                Ok(())
-            }
-            None => Err(DirStructureError::NoSuchName),
-        }
+        let (i, bytes) = self.locate(name).ok_or(DirStructureError::NoSuchName)?;
+        self.rows[i].cap = cap;
+        self.splice(bytes, Some(i));
+        Ok(())
+    }
+}
+
+/// The bytes of the body's row count (a `u32`, [`ROWS`]).
+const ROW_COUNT_BYTES: usize = 4;
+
+/// The bytes of `row`'s wire form ([`put_row`]): its name behind a `u32`
+/// length, its capability, then its masks behind a `u8` count.
+fn row_bytes(row: &Row) -> usize {
+    4 + row.name.len() + CAP_BYTES + 1 + row.col_rights.len()
+}
+
+/// The rows and the seqno; the body is the bytes of the two.
+impl fmt::Debug for Directory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Directory")
+            .field("columns", &self.columns)
+            .field("rows", &self.rows)
+            .field("seqno", &self.seqno)
+            .finish_non_exhaustive()
     }
 }
 
@@ -307,16 +404,18 @@ pub(crate) fn put_row(
 }
 
 /// A directory's Bullet file: its seqno, its columns, then its rows,
-/// each with one mask per column.
+/// each with one mask per column. The columns and rows are the body the
+/// version carries, so writing one copies them and decoding one keeps
+/// them.
 impl Wire for Directory {
     fn put(&self, w: &mut WireWriter) {
         w.u64(self.seqno);
-        COLUMNS.put(w, self.columns.iter(), String::put);
-        ROWS.put(w, &self.rows, Row::put);
+        w.raw(&self.body);
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<Directory, DecodeError> {
         let seqno = r.u64("dir seqno")?;
+        let start = r.position();
         let columns: Rc<[String]> = COLUMNS.get(r, String::get)?;
         let rows = ROWS.get(r, |r| match Row::get(r)? {
             row if row.col_rights.len() == columns.len() => Ok(row),
@@ -325,6 +424,7 @@ impl Wire for Directory {
         Ok(Directory {
             columns,
             rows,
+            body: r.read_since(start),
             seqno,
         })
     }

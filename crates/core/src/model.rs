@@ -145,7 +145,7 @@ impl DirModel {
         let mut v: Vec<String> = self
             .dirs
             .get(&object)
-            .map(|d| d.rows.iter().map(|r| r.name.to_string()).collect())
+            .map(|d| d.rows().iter().map(|r| r.name.to_string()).collect())
             .unwrap_or_default();
         v.sort();
         v

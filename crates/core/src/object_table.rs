@@ -17,7 +17,7 @@ use amoeba_bullet::FileCap;
 use amoeba_disk::RawPartition;
 use amoeba_flip::wire::WireReader;
 use amoeba_flip::Payload;
-use amoeba_sim::Ctx;
+use amoeba_sim::{Ctx, ReplyRx};
 
 /// Bytes reserved per entry on disk.
 const ENTRY_BYTES: usize = 40;
@@ -132,7 +132,7 @@ impl ObjectTable {
     /// a lock shared with other simulated threads (use
     /// [`flush_begin`](Self::flush_begin) + wait in that case).
     pub fn flush_entry(&self, ctx: &Ctx, object: u64) {
-        if let Some(rx) = self.flush_begin(object) {
+        if let Some(rx) = self.flush_begin(ctx, object) {
             rx.recv(ctx);
         }
     }
@@ -140,9 +140,9 @@ impl ObjectTable {
     /// Snapshots and enqueues the write of the block containing `object`
     /// without blocking; the caller waits on the returned mailbox after
     /// releasing any borrows.
-    pub fn flush_begin(&self, object: u64) -> Option<amoeba_sim::MailboxRx<()>> {
+    pub fn flush_begin<'c>(&self, ctx: &'c Ctx, object: u64) -> Option<ReplyRx<'c, ()>> {
         let block = self.block_of(object)?;
-        Some(self.write_block_begin(&self.entries, block))
+        Some(self.write_block_begin(ctx, &self.entries, block))
     }
 
     /// Starts (or re-baselines) the durable mirror at the current
@@ -188,9 +188,9 @@ impl ObjectTable {
     /// the durable mirror (falling back to RAM entries when the mirror
     /// is off) — the checkpointer's block write, which must not leak
     /// the state of batches it has not drained onto disk.
-    pub fn durable_flush_begin(&self, object: u64) -> Option<amoeba_sim::MailboxRx<()>> {
+    pub fn durable_flush_begin<'c>(&self, ctx: &'c Ctx, object: u64) -> Option<ReplyRx<'c, ()>> {
         let block = self.block_of(object)?;
-        Some(self.write_block_begin(self.durable_or_ram(), block))
+        Some(self.write_block_begin(ctx, self.durable_or_ram(), block))
     }
 
     /// The partition block holding `object`'s entry — lets the
@@ -208,10 +208,14 @@ impl ObjectTable {
     /// block exactly once — a drain of updates to directories
     /// sharing a block costs one disk access instead of one per
     /// directory.
-    pub fn durable_flush_block_begin(&self, block: u64) -> Option<amoeba_sim::MailboxRx<()>> {
+    pub fn durable_flush_block_begin<'c>(
+        &self,
+        ctx: &'c Ctx,
+        block: u64,
+    ) -> Option<ReplyRx<'c, ()>> {
         let first = block.checked_sub(1)? * self.entries_per_block + 1;
         self.in_range(first)
-            .then(|| self.write_block_begin(self.durable_or_ram(), block))
+            .then(|| self.write_block_begin(ctx, self.durable_or_ram(), block))
     }
 
     /// The mirror, or the RAM entries when the mirror is off.
@@ -233,11 +237,12 @@ impl ObjectTable {
     /// of exactly its length (the platters keep it), writing only the
     /// present entries, so an absent one stays zeroes; then enqueues its
     /// write.
-    fn write_block_begin(
+    fn write_block_begin<'c>(
         &self,
+        ctx: &'c Ctx,
         src: &BTreeMap<u64, ObjEntry>,
         block: u64,
-    ) -> amoeba_sim::MailboxRx<()> {
+    ) -> ReplyRx<'c, ()> {
         let objects = self.objects_of(block);
         let len = (objects.end - objects.start) as usize * ENTRY_BYTES;
         let bytes = Payload::zeroed(len, |buf| {
@@ -246,7 +251,7 @@ impl ObjectTable {
                 encode_entry(&mut buf[at..at + ENTRY_BYTES], e);
             }
         });
-        self.partition.write_begin(block, bytes)
+        self.partition.write_begin(ctx, block, bytes)
     }
 
     fn decode_block(&mut self, block: u64, bytes: &[u8]) {
@@ -405,7 +410,7 @@ mod tests {
             assert_eq!(t.durable_get(2), None);
             // A mirror-sourced block write must persist the *durable*
             // state, not the RAM state running ahead of it.
-            if let Some(w) = t.durable_flush_begin(1) {
+            if let Some(w) = t.durable_flush_begin(ctx, 1) {
                 w.recv(ctx);
             }
             let loaded = ObjectTable::load(part.clone(), ctx);
@@ -415,7 +420,7 @@ mod tests {
             // block write carries them.
             t.durable_set(1, entry(9));
             t.durable_set(2, entry(2));
-            if let Some(w) = t.durable_flush_begin(2) {
+            if let Some(w) = t.durable_flush_begin(ctx, 2) {
                 w.recv(ctx);
             }
             let loaded = ObjectTable::load(part, ctx);

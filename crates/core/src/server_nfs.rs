@@ -144,7 +144,7 @@ impl Applier {
             Ok((reply, _effects, _)) => {
                 // One synchronous disk write, whatever the op.
                 let object = op_object(op).max(1);
-                let waiter = { self.shared.borrow_mut().table.flush_begin(object) };
+                let waiter = { self.shared.borrow_mut().table.flush_begin(ctx, object) };
                 if let Some(w) = waiter {
                     w.recv(ctx);
                 }

@@ -42,7 +42,9 @@
 //! record was appended since, so an append racing the checkpoint is
 //! never erased — it stays in the log and its boot-time replay is
 //! idempotent. A failed reset is not an error; the next checkpoint
-//! retries.
+//! retries. A reset frees the blocks of the records it disowns
+//! ([`RawPartition::discard`]), so a journal holds host memory for its
+//! live records only.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -287,9 +289,13 @@ impl Journal {
         self.release();
     }
 
+    /// Writes the superblock that disowns every record before `mark`,
+    /// then frees the blocks that held them: nothing reads a frame the
+    /// superblock disowns, so the platters need not keep it.
     fn reset_locked(&self, ctx: &Ctx, mark: u64) {
         self.partition.write(ctx, 0, encode_superblock(mark));
         let mut st = self.state.borrow_mut();
+        self.partition.discard(1, st.next_block - 1);
         st.start_seq = mark;
         st.next_block = 1;
     }

@@ -2,7 +2,7 @@
 //! the timing model.
 
 use amoeba_flip::Payload;
-use amoeba_sim::{Ctx, MailboxRx, MailboxTx, NodeId, SimHandle, Spawn};
+use amoeba_sim::{Ctx, MailboxRx, MailboxTx, NodeId, ReplyRx, Spawn};
 
 use crate::model::DiskParams;
 use crate::vdisk::VDisk;
@@ -51,7 +51,6 @@ impl std::fmt::Debug for DiskReq {
 #[derive(Clone, Debug)]
 pub struct DiskServer {
     tx: MailboxTx<DiskReq>,
-    handle: SimHandle,
     disk: VDisk,
 }
 
@@ -74,7 +73,7 @@ impl DiskServer {
             "disk-server",
             Box::new(move |ctx| serve(ctx, rx, served_disk, params)),
         );
-        DiskServer { tx, handle, disk }
+        DiskServer { tx, disk }
     }
 
     /// The raw platters behind this server.
@@ -84,7 +83,7 @@ impl DiskServer {
 
     /// Reads one block, paying queueing plus access time.
     pub fn read(&self, ctx: &Ctx, block: u64) -> Vec<u8> {
-        let (reply, rx) = self.handle.channel();
+        let (reply, rx) = ctx.reply_channel();
         self.tx.send(DiskReq::Read { block, reply });
         rx.recv(ctx)
     }
@@ -93,7 +92,7 @@ impl DiskServer {
     /// a `Payload` is shared, not copied, and a `Vec` is moved (only a
     /// borrowed slice is copied, by its conversion).
     pub fn write(&self, ctx: &Ctx, block: u64, data: impl Into<Payload>) {
-        let rx = self.write_begin(block, data);
+        let rx = self.write_begin(ctx, block, data);
         rx.recv(ctx)
     }
 
@@ -101,9 +100,15 @@ impl DiskServer {
     /// The request takes its place in the FIFO immediately, so callers may
     /// enqueue under a lock and wait after releasing it (waiting while
     /// holding a lock would freeze other simulated threads). The
-    /// contents reach the platters as [`write`](Self::write)'s do.
-    pub fn write_begin(&self, block: u64, data: impl Into<Payload>) -> amoeba_sim::MailboxRx<()> {
-        let (reply, rx) = self.handle.channel();
+    /// contents reach the platters as [`write`](Self::write)'s do. The
+    /// waiter is `ctx`'s reply mailbox ([`Ctx::reply_channel`]).
+    pub fn write_begin<'c>(
+        &self,
+        ctx: &'c Ctx,
+        block: u64,
+        data: impl Into<Payload>,
+    ) -> ReplyRx<'c, ()> {
+        let (reply, rx) = ctx.reply_channel();
         self.tx.send(DiskReq::Write {
             block,
             data: data.into(),
@@ -117,7 +122,7 @@ impl DiskServer {
     /// `Payload` (a Bullet file's) stay slices of it, with no byte copied
     /// and no block padded.
     pub fn write_run(&self, ctx: &Ctx, start: u64, data: Vec<impl Into<Payload>>) {
-        let (reply, rx) = self.handle.channel();
+        let (reply, rx) = ctx.reply_channel();
         self.tx.send(DiskReq::WriteRun {
             start,
             data: data.into_iter().map(Into::into).collect(),
@@ -128,7 +133,7 @@ impl DiskServer {
 
     /// Reads consecutive blocks with a single seek.
     pub fn read_run(&self, ctx: &Ctx, start: u64, count: u64) -> Vec<Vec<u8>> {
-        let (reply, rx) = self.handle.channel();
+        let (reply, rx) = ctx.reply_channel();
         self.tx.send(DiskReq::ReadRun {
             start,
             count,
@@ -252,9 +257,14 @@ impl RawPartition {
     /// # Panics
     ///
     /// Panics if `block` is out of the partition.
-    pub fn write_begin(&self, block: u64, data: impl Into<Payload>) -> amoeba_sim::MailboxRx<()> {
+    pub fn write_begin<'c>(
+        &self,
+        ctx: &'c Ctx,
+        block: u64,
+        data: impl Into<Payload>,
+    ) -> ReplyRx<'c, ()> {
         assert!(block < self.len, "partition write out of range");
-        self.server.write_begin(self.base + block, data)
+        self.server.write_begin(ctx, self.base + block, data)
     }
 
     /// Writes consecutive partition-relative blocks with a single seek
@@ -269,6 +279,18 @@ impl RawPartition {
             "partition write out of range"
         );
         self.server.write_run(ctx, self.base + start, data);
+    }
+
+    /// Frees partition-relative blocks `start..start + count`: they read
+    /// as zeroes again and hold no memory ([`VDisk::discard`]). Takes no
+    /// simulated time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the partition.
+    pub fn discard(&self, start: u64, count: u64) {
+        assert!(start + count <= self.len, "partition discard out of range");
+        self.server.vdisk().discard(self.base + start, count);
     }
 
     /// Reads the whole partition with one seek (used at boot to load the

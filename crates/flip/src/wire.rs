@@ -359,6 +359,25 @@ impl<'a> WireReader<'a> {
         std::str::from_utf8(b).map_err(|_| DecodeError { what })
     }
 
+    /// How many bytes have been read.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// The bytes read since position `start` ([`position`](Self::position)),
+    /// as a payload: a zero-copy window of a shared source (a reader
+    /// built with [`of`](WireReader::of)), else one copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is past the position.
+    pub fn read_since(&self, start: usize) -> Payload {
+        match self.src {
+            Some(p) => p.slice(start..self.pos),
+            None => Payload::copy_from_slice(&self.buf[start..self.pos]),
+        }
+    }
+
     /// Fails unless the whole buffer was consumed (trailing-garbage check).
     pub fn expect_end(&self, what: &'static str) -> Result<(), DecodeError> {
         if self.pos == self.buf.len() {
@@ -673,6 +692,16 @@ impl Counted {
         self.put_n(w, items.len(), items, put);
     }
 
+    /// Appends the count `n` alone: for a writer that copies the items'
+    /// bytes from elsewhere.
+    pub fn put_count(self, w: &mut WireWriter, n: usize) {
+        if self.wide {
+            w.u32(n as u32);
+        } else {
+            w.u8(n as u8);
+        }
+    }
+
     /// [`put`](Counted::put) for items an iterator cannot count without
     /// walking them, such as a filtered one: the caller counts `n`.
     ///
@@ -686,11 +715,7 @@ impl Counted {
         items: I,
         mut put: impl FnMut(I::Item, &mut WireWriter),
     ) {
-        if self.wide {
-            w.u32(n as u32);
-        } else {
-            w.u8(n as u8);
-        }
+        self.put_count(w, n);
         let mut written = 0;
         for item in items {
             put(item, w);

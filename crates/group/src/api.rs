@@ -231,7 +231,7 @@ impl Group {
         let now = ctx.now();
         let data = data.into();
         let (rx, actions) = {
-            let (tx, rx) = self.peer.handle.channel();
+            let (tx, rx) = ctx.reply_channel();
             let r = self.peer.with_slot(self.instance, |slot| {
                 let (msgid, actions) = slot.inst.app_send_traced(now, data, trace);
                 slot.send_waiters.insert(msgid, tx);

@@ -129,7 +129,7 @@ impl RpcClient {
                     }
                 }
             };
-            let (tid, rx) = self.node.register_call();
+            let (tid, rx) = self.node.register_call(ctx);
             let tags = if trace.is_some() {
                 vec![(0, trace)]
             } else {
@@ -233,7 +233,7 @@ impl RpcClient {
         let mut ttl = 1u8;
         loop {
             count(ctx, "rpc.locates");
-            let (lid, rx) = self.node.register_locate();
+            let (lid, rx) = self.node.register_locate(ctx);
             self.node.stack().send_with_ttl(
                 Dest::Broadcast,
                 RPC_PORT,

@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use amoeba_flip::wire::Wire;
 use amoeba_flip::{Dest, HostAddr, NodeStack, Packet, Payload, Port};
-use amoeba_sim::{IdMap, IdSet, MailboxRx, MailboxTx, NodeId, SimHandle, Spawn};
+use amoeba_sim::{Ctx, IdMap, IdSet, MailboxTx, NodeId, ReplyRx};
 
 use crate::msg::RpcMsg;
 
@@ -114,7 +114,6 @@ struct NodeInner {
 #[derive(Clone)]
 pub struct RpcNode {
     stack: NodeStack,
-    handle: SimHandle,
     inner: Rc<RefCell<NodeInner>>,
 }
 
@@ -126,11 +125,9 @@ impl std::fmt::Debug for RpcNode {
 
 impl RpcNode {
     /// Binds the RPC port to this node's packet handler on `sim_node`.
-    pub fn start(spawner: &impl Spawn, sim_node: NodeId, stack: NodeStack) -> RpcNode {
-        let handle = spawner.sim_handle();
+    pub fn start(sim_node: NodeId, stack: NodeStack) -> RpcNode {
         let node = RpcNode {
             stack,
-            handle,
             inner: Rc::new(RefCell::new(NodeInner {
                 services: IdMap::default(),
                 calls: IdMap::default(),
@@ -300,8 +297,8 @@ impl RpcNode {
         self.inner.borrow_mut().serving.remove(&(client, tid));
     }
 
-    pub(crate) fn register_call(&self) -> (u64, MailboxRx<CallEvent>) {
-        let (tx, rx) = self.handle.channel();
+    pub(crate) fn register_call<'c>(&self, ctx: &'c Ctx) -> (u64, ReplyRx<'c, CallEvent>) {
+        let (tx, rx) = ctx.reply_channel();
         let mut inner = self.inner.borrow_mut();
         let tid = inner.next_id;
         inner.next_id += 1;
@@ -313,8 +310,8 @@ impl RpcNode {
         self.inner.borrow_mut().calls.remove(&tid);
     }
 
-    pub(crate) fn register_locate(&self) -> (u64, MailboxRx<HostAddr>) {
-        let (tx, rx) = self.handle.channel();
+    pub(crate) fn register_locate<'c>(&self, ctx: &'c Ctx) -> (u64, ReplyRx<'c, HostAddr>) {
+        let (tx, rx) = ctx.reply_channel();
         let mut inner = self.inner.borrow_mut();
         let lid = inner.next_id;
         inner.next_id += 1;

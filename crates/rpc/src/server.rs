@@ -43,7 +43,7 @@ impl RpcServer {
 
     /// Blocks until a request arrives for this service.
     pub fn getreq(&self, ctx: &Ctx) -> IncomingRequest {
-        let (tx, rx) = ctx.handle().channel();
+        let (tx, rx) = ctx.reply_channel();
         self.node.push_listener(self.service, tx);
         rx.recv(ctx)
     }

@@ -20,7 +20,7 @@ struct Host {
 fn host(sim: &Simulation, net: &Network, name: &str) -> Host {
     let sim_node = sim.add_node(name);
     let stack = net.attach();
-    let node = RpcNode::start(sim, sim_node, stack.clone());
+    let node = RpcNode::start(sim_node, stack.clone());
     Host {
         node,
         sim_node,
@@ -419,14 +419,14 @@ fn expanding_ring_locate_finds_servers_across_segments() {
     let s_node = sim.add_node("server");
     let s_stack = net.attach_to(SegmentId(2));
     let s = Host {
-        node: RpcNode::start(&sim, s_node, s_stack.clone()),
+        node: RpcNode::start(s_node, s_stack.clone()),
         sim_node: s_node,
         stack: s_stack,
     };
     echo_server(&sim, &s, service);
     let c_node = sim.add_node("client");
     let c_stack = net.attach_to(SegmentId(0));
-    let c = RpcClient::new(&RpcNode::start(&sim, c_node, c_stack));
+    let c = RpcClient::new(&RpcNode::start(c_node, c_stack));
     let out = sim.spawn("client", move |ctx| {
         c.trans(ctx, service, vec![1, 2, 3])
             .ok()
@@ -458,7 +458,7 @@ fn locate_on_unreachable_segment_fails_cleanly() {
     let s_node = sim.add_node("server");
     let s_stack = net.attach_to(SegmentId(1));
     let s = Host {
-        node: RpcNode::start(&sim, s_node, s_stack.clone()),
+        node: RpcNode::start(s_node, s_stack.clone()),
         sim_node: s_node,
         stack: s_stack,
     };
@@ -469,7 +469,7 @@ fn locate_on_unreachable_segment_fails_cleanly() {
         max_attempts: 5,
         ..Default::default()
     };
-    let c = RpcClient::with_params(&RpcNode::start(&sim, c_node, c_stack), params);
+    let c = RpcClient::with_params(&RpcNode::start(c_node, c_stack), params);
     let out = sim.spawn("client", move |ctx| c.trans(ctx, service, vec![9]).is_err());
     sim.run_for(Duration::from_secs(30));
     assert_eq!(out.take(), Some(true), "unreachable service must error");

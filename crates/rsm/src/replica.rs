@@ -474,7 +474,7 @@ impl<S: StateMachine> Replica<S> {
             if at >= target {
                 return Ok(());
             }
-            let (tx, rx) = ctx.handle().channel();
+            let (tx, rx) = ctx.reply_channel();
             list.push((target, tx));
             rx
         };

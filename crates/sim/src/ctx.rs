@@ -11,7 +11,7 @@ use crate::kernel::{
     dispatch, hand_off, panic_message, HandOff, Kernel, KillToken, Next, WakeReason, Wakeup,
     YieldKind,
 };
-use crate::mailbox::{channel_impl, MailboxRx, MailboxTx};
+use crate::mailbox::{channel_impl, KeptReplies, MailboxRx, MailboxTx, ReplyRx};
 use crate::process::{spawn_impl, ProcOutput};
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -41,6 +41,8 @@ pub struct Ctx {
     /// This process's context, and what it finds when switched to.
     cell: Rc<HandOff<Wakeup>>,
     rng: RefCell<SimRng>,
+    /// The reply mailboxes [`reply_channel`](Ctx::reply_channel) lends.
+    replies: KeptReplies,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -69,6 +71,7 @@ impl Ctx {
             shared,
             cell,
             rng: RefCell::new(rng),
+            replies: KeptReplies::default(),
         }
     }
 
@@ -140,6 +143,19 @@ impl Ctx {
     pub fn channel<T: 'static>(&self) -> (MailboxTx<T>, MailboxRx<T>) {
         self.check_alive();
         channel_impl(&self.shared)
+    }
+
+    /// A mailbox for the reply to one blocking call: the one this process
+    /// kept from its last call with replies of type `T`, opened for a new
+    /// conversation, or else a new one. Dropping the receiver closes the
+    /// conversation as dropping a [`channel`](Ctx::channel)'s receiver
+    /// closes its mailbox, so nothing sent to it, before or after, is
+    /// read by a later call, and keeps the mailbox for the next call:
+    /// once a process has made a call of each type, its calls allocate no
+    /// mailbox.
+    pub fn reply_channel<T: 'static>(&self) -> (MailboxTx<T>, ReplyRx<'_, T>) {
+        self.check_alive();
+        self.replies.lend(&self.shared)
     }
 
     /// A cloneable handle for creating mailboxes and reading the clock.

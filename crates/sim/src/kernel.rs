@@ -251,8 +251,8 @@ pub(crate) struct ProcRec {
 /// [`crate::mailbox`]).
 pub(crate) trait Slot {
     /// Moves the message sent as event `seq` from in flight onto the
-    /// queue.
-    fn deliver(&self, seq: u64);
+    /// queue; false if there is none (its conversation was closed).
+    fn deliver(&self, seq: u64) -> bool;
 }
 
 pub(crate) struct MailboxRec {
@@ -675,10 +675,13 @@ impl Kernel {
     /// The message sent to `id` as event `seq` arrives: moves it onto
     /// the mailbox's queue, and resumes the process blocked on it or
     /// names the handler that reads it. `None`: the message queues, or
-    /// its receiver was dropped (and the message with it).
+    /// its receiver was dropped or its conversation closed (and the
+    /// message with it).
     fn deliver(&mut self, id: MailboxId, seq: u64) -> Option<Step> {
         let rec = self.mailboxes.get_mut(&id)?;
-        rec.slot.deliver(seq);
+        if !rec.slot.deliver(seq) {
+            return None;
+        }
         let Some((pid, gen)) = rec.waiter.take() else {
             let handler = Rc::clone(rec.handler.as_ref()?);
             self.handler_calls += 1;

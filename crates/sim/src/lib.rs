@@ -94,7 +94,7 @@ pub use fnv::{fnv1a, Fnv1a};
 pub use handle::SimHandle;
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use ids::{NodeId, ProcId};
-pub use mailbox::{MailboxRx, MailboxTx};
+pub use mailbox::{MailboxRx, MailboxTx, ReplyRx};
 pub use process::ProcOutput;
 pub use record::{fault_codes, SimTrace, StepTag, TraceStep};
 pub use resource::Resource;

@@ -16,9 +16,21 @@
 //! a `VecDeque`, whose buffer, once grown, is kept. So a message costs
 //! no allocation of its own, and a one-shot reply channel (one message
 //! in flight, then queued) never allocates past its slot.
+//!
+//! A process that makes blocking calls does not even pay for that slot
+//! per call: [`Ctx::reply_channel`] lends it the mailbox it kept from its
+//! last call of the same message type, reopened for a new *conversation*
+//! under the same id. A sender belongs to the conversation it was made
+//! for. Once that conversation is closed (the lent receiver handed back,
+//! or any receiver dropped) its messages are dropped at send, and those
+//! already in flight at close: their delivery events find nothing and
+//! wake no one, as a delivery to a dropped receiver does. So no call
+//! ever reads what was sent to an earlier one.
 
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
@@ -89,17 +101,25 @@ struct Messages<T> {
     /// Sent, not yet delivered, in send order: by the `seq` of each one's
     /// delivery event.
     in_flight: Fifo<(u64, T)>,
-    /// The receiver was dropped: nothing more is kept.
-    closed: bool,
+    /// The current conversation: senders made for another are stale.
+    conversation: u32,
+    /// Whether the current conversation is open; nothing is kept while
+    /// it is closed.
+    open: bool,
 }
 
 impl<T> Slot for RefCell<Messages<T>> {
-    fn deliver(&self, seq: u64) {
+    fn deliver(&self, seq: u64) -> bool {
         let mut m = self.borrow_mut();
         // Deliveries of one mailbox pop mostly in send order: the front.
-        let msg = m.in_flight.remove_first(|(s, _)| *s == seq);
-        m.queue
-            .push_back(msg.expect("a live mailbox's message is in flight").1);
+        // A message is missing only if its conversation was closed.
+        match m.in_flight.remove_first(|(s, _)| *s == seq) {
+            Some((_, msg)) => {
+                m.queue.push_back(msg);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -112,6 +132,8 @@ impl<T> Slot for RefCell<Messages<T>> {
 /// ```
 pub struct MailboxTx<T> {
     id: MailboxId,
+    /// The conversation this sender was made for.
+    conversation: u32,
     slot: Rc<RefCell<Messages<T>>>,
     shared: Rc<RefCell<Kernel>>,
 }
@@ -120,6 +142,7 @@ impl<T> Clone for MailboxTx<T> {
     fn clone(&self) -> Self {
         MailboxTx {
             id: self.id,
+            conversation: self.conversation,
             slot: Rc::clone(&self.slot),
             shared: Rc::clone(&self.shared),
         }
@@ -140,8 +163,9 @@ impl<T: 'static> MailboxTx<T> {
 
     /// Delivers `msg` after `delay` of virtual time.
     ///
-    /// A message to a dropped receiver is dropped at once; its delivery
-    /// is still an event, which finds no one.
+    /// A message to a dropped receiver, or to a closed conversation, is
+    /// dropped at once; its delivery is still an event, which finds no
+    /// one.
     pub fn send_after(&self, delay: Duration, msg: T) {
         let seq = {
             let mut k = self.shared.borrow_mut();
@@ -149,7 +173,7 @@ impl<T: 'static> MailboxTx<T> {
             k.schedule(t, EventKind::Deliver(self.id))
         };
         let mut m = self.slot.borrow_mut();
-        if !m.closed {
+        if m.open && m.conversation == self.conversation {
             m.in_flight.push_back((seq, msg));
         }
     }
@@ -183,10 +207,36 @@ impl<T> Drop for MailboxRx<T> {
             let record = shared.borrow_mut().mailboxes.remove(&self.id);
             drop(record);
         }
+        self.close();
+    }
+}
+
+impl<T> MailboxRx<T> {
+    /// Closes the current conversation: drops every message it holds or
+    /// is yet to be delivered, and every one sent to it later.
+    fn close(&mut self) {
         let mut m = self.slot.borrow_mut();
-        m.closed = true;
+        m.open = false;
         m.queue.clear();
         m.in_flight.clear();
+    }
+
+    /// Opens the next conversation of a closed mailbox and returns its
+    /// sender: the slot, its id and the buffers it grew are kept.
+    fn reopen(&mut self, shared: &Rc<RefCell<Kernel>>) -> MailboxTx<T> {
+        let conversation = {
+            let mut m = self.slot.borrow_mut();
+            debug_assert!(!m.open, "reopened while open");
+            m.open = true;
+            m.conversation = m.conversation.wrapping_add(1);
+            m.conversation
+        };
+        MailboxTx {
+            id: self.id,
+            conversation,
+            slot: Rc::clone(&self.slot),
+            shared: Rc::clone(shared),
+        }
     }
 }
 
@@ -249,18 +299,99 @@ impl<T: 'static> MailboxRx<T> {
     }
 }
 
+/// The reply mailboxes a process keeps between its calls: at most one
+/// closed receiver per message type, each an `Option<MailboxRx<T>>`
+/// beside its type's id.
+#[derive(Default)]
+pub(crate) struct KeptReplies(RefCell<Vec<(TypeId, Box<dyn Any>)>>);
+
+impl KeptReplies {
+    /// The kept receiver for `T`, if one was ever kept.
+    fn spot<T: 'static>(kept: &mut [(TypeId, Box<dyn Any>)]) -> Option<&mut Option<MailboxRx<T>>> {
+        let (_, spot) = kept.iter_mut().find(|(t, _)| *t == TypeId::of::<T>())?;
+        spot.downcast_mut()
+    }
+
+    /// Lends a reply mailbox for `T`: the kept one, reopened, or else a
+    /// new one ([`crate::Ctx::reply_channel`]).
+    pub(crate) fn lend<T: 'static>(
+        &self,
+        shared: &Rc<RefCell<Kernel>>,
+    ) -> (MailboxTx<T>, ReplyRx<'_, T>) {
+        let kept = Self::spot::<T>(&mut self.0.borrow_mut()).and_then(Option::take);
+        let (tx, rx) = match kept {
+            Some(mut rx) => (rx.reopen(shared), rx),
+            None => channel_impl(shared),
+        };
+        let rx = ReplyRx {
+            rx: Some(rx),
+            home: self,
+        };
+        (tx, rx)
+    }
+
+    /// Closes a lent mailbox and keeps it, unless one for `T` is kept
+    /// already (two calls of one process were in flight at once).
+    fn keep<T: 'static>(&self, mut rx: MailboxRx<T>) {
+        rx.close();
+        let mut kept = self.0.borrow_mut();
+        match Self::spot::<T>(&mut kept) {
+            Some(spot) => {
+                spot.get_or_insert(rx);
+            }
+            None => kept.push((TypeId::of::<T>(), Box::new(Some(rx)))),
+        }
+    }
+}
+
+/// The receiving half of a reply mailbox lent to one call by
+/// [`Ctx::reply_channel`]. Derefs to its [`MailboxRx`]; dropping it
+/// closes the mailbox, as dropping a receiver does, and hands it back to
+/// the process for its next call.
+pub struct ReplyRx<'c, T: 'static> {
+    /// `Some` until dropped.
+    rx: Option<MailboxRx<T>>,
+    home: &'c KeptReplies,
+}
+
+impl<T> Deref for ReplyRx<'_, T> {
+    type Target = MailboxRx<T>;
+
+    fn deref(&self) -> &MailboxRx<T> {
+        self.rx
+            .as_ref()
+            .expect("a lent mailbox until it is dropped")
+    }
+}
+
+impl<T> Drop for ReplyRx<'_, T> {
+    fn drop(&mut self) {
+        if let Some(rx) = self.rx.take() {
+            self.home.keep(rx);
+        }
+    }
+}
+
+impl<T> std::fmt::Debug for ReplyRx<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ReplyRx({:?})", self.id)
+    }
+}
+
 pub(crate) fn channel_impl<T: 'static>(
     shared: &Rc<RefCell<Kernel>>,
 ) -> (MailboxTx<T>, MailboxRx<T>) {
     let slot = Rc::new(RefCell::new(Messages {
         queue: Fifo::new(),
         in_flight: Fifo::new(),
-        closed: false,
+        conversation: 0,
+        open: true,
     }));
     let id = shared.borrow_mut().alloc_mailbox(slot.clone());
     (
         MailboxTx {
             id,
+            conversation: 0,
             slot: Rc::clone(&slot),
             shared: Rc::clone(shared),
         },

@@ -327,7 +327,7 @@ fn new_instance_after_majority_loss_does_not_skip_operations() {
         assert_eq!(server.update_seq(), seq, "replica {i} diverged");
         let rows = sim.spawn_on(cluster.columns[i].sim_node, "rows", move |ctx| {
             let dir = server.load_dir(ctx, root.object).expect("the root");
-            dir.rows
+            dir.rows()
                 .iter()
                 .map(|r| r.name.to_string())
                 .collect::<Vec<_>>()

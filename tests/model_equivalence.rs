@@ -2,17 +2,18 @@
 //! the replicated service — and against one replica's planner alone —
 //! must match the sequential in-memory model.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use amoeba_dirsvc::bullet::BulletClient;
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::model::DirModel;
 use amoeba_dirsvc::dir::{
-    Capability, DirClientError, DirError, DirOp, DirParams, DirReply, DirectoryStateMachine,
-    Rights, Row, ServiceConfig, Storage,
+    Capability, DirClientError, DirError, DirOp, DirParams, DirReply, Directory,
+    DirectoryStateMachine, Rights, Row, ServiceConfig, Storage,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
-use amoeba_dirsvc::flip::wire::Wire;
+use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
 use amoeba_dirsvc::flip::{NetParams, Network, Port};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
 use amoeba_dirsvc::rsm::StateMachine;
@@ -223,6 +224,11 @@ fn check(
 /// never-allocated objects. Left out: keyed creates and grants,
 /// because the model has no completion table or lease table;
 /// `tests/sharding.rs` and `tests/cache.rs` cover those ops end to end.
+///
+/// The same ops check the bytes a version carries: the service's
+/// versions, the model's, and a copy of each model directory decoded
+/// from its file when it appeared and edited only by the four row edits
+/// since must each hold the rows they encode ([`full_encoding`]).
 #[test]
 fn the_planner_matches_the_model_op_by_op() {
     amoeba_testkit::check("planner matches model", 20, |g: &mut Gen| {
@@ -301,7 +307,7 @@ fn plan_case(ops: Vec<DirOp>) -> Vec<String> {
     let mut sim = Simulation::new(1);
     let node = sim.add_node("m");
     let net = Network::new(sim.handle(), NetParams::default(), 1);
-    let rpc = RpcNode::start(&sim, node, net.attach());
+    let rpc = RpcNode::start(node, net.attach());
     let disk = DiskServer::start(&sim, node, VDisk::new(64, 4096), DiskParams::instant());
     let cfg = ServiceConfig::new(3, 0);
     let port = cfg.public_port;
@@ -316,6 +322,7 @@ fn plan_case(ops: Vec<DirOp>) -> Vec<String> {
     let owner = move |object| Capability::owner(port, object, CHECK);
     let out = sim.spawn_on(node, "planner", move |ctx| {
         let mut model = DirModel::new();
+        let mut decoded = BTreeMap::new();
         let mut failures = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             let got = DirReply::decode(&sm.apply(ctx, i as u64 + 1, &op.encode(), true));
@@ -328,6 +335,27 @@ fn plan_case(ops: Vec<DirOp>) -> Vec<String> {
                 failures.push(format!(
                     "op {i} {op:?}: model {expected:?}, service {got:?}"
                 ));
+            }
+            splice_into(&mut decoded, op);
+            for object in 1..=OBJECTS {
+                let Some(d) = model.dir(object) else {
+                    decoded.remove(&object);
+                    continue;
+                };
+                let copy = decoded
+                    .entry(object)
+                    .or_insert_with(|| Directory::decode_shared(&d.encode()).expect("decodes"));
+                let service = sm.load_dir(ctx, object).expect("a live directory");
+                let carried = [
+                    ("model", d),
+                    ("decoded copy", &*copy),
+                    ("service", &*service),
+                ];
+                for (whose, version) in carried {
+                    if version.encode() != full_encoding(version) || version.rows() != d.rows() {
+                        failures.push(format!("op {i} {op:?}: object {object}'s {whose} version"));
+                    }
+                }
             }
             for object in 1..=OBJECTS {
                 let leased = DirReply::decode(&sm.lease_answer(ctx, &owner(object), 0, 1));
@@ -343,10 +371,10 @@ fn plan_case(ops: Vec<DirOp>) -> Vec<String> {
                 // right over.
                 let kept = model.dir(object).map(|d| {
                     let rows = d
-                        .rows
+                        .rows()
                         .iter()
                         .filter(|r| r.col_rights.iter().any(|m| *m != Rights::NONE));
-                    (d.columns.to_vec(), rows.cloned().collect::<Vec<Row>>())
+                    (d.columns().to_vec(), rows.cloned().collect::<Vec<Row>>())
                 });
                 if seen != kept {
                     failures.push(format!(
@@ -362,4 +390,69 @@ fn plan_case(ops: Vec<DirOp>) -> Vec<String> {
     });
     sim.run();
     out.take().expect("the case ran")
+}
+
+/// Applies the row edits of `op` to the decoded copies it names. An op
+/// the model refuses changes nothing here either: a replace-set edits
+/// only when every name exists, a row edit only when its own call
+/// succeeds.
+fn splice_into(decoded: &mut BTreeMap<u64, Directory>, op: &DirOp) {
+    match op {
+        DirOp::Append {
+            object,
+            name,
+            cap,
+            col_rights,
+        }
+        | DirOp::AppendLink {
+            object,
+            name,
+            cap,
+            col_rights,
+        } => {
+            if let Some(d) = decoded.get_mut(object) {
+                let _ = d.append_row(name.as_str(), *cap, col_rights);
+            }
+        }
+        DirOp::Chmod {
+            object,
+            name,
+            col_rights,
+        } => {
+            if let Some(d) = decoded.get_mut(object) {
+                let _ = d.chmod_row(name, col_rights);
+            }
+        }
+        DirOp::DeleteRow { object, name } | DirOp::Unlink { object, name } => {
+            if let Some(d) = decoded.get_mut(object) {
+                let _ = d.delete_row(name);
+            }
+        }
+        DirOp::ReplaceSet { items } => {
+            let all_there = items.iter().all(|(object, name, _)| {
+                decoded.get(object).is_some_and(|d| d.find(name).is_some())
+            });
+            for (object, name, cap) in items.iter().filter(|_| all_there) {
+                let d = decoded.get_mut(object).expect("checked above");
+                d.replace_cap(name, *cap).expect("checked above");
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A directory file written field by field from its columns and rows,
+/// as the encoder wrote every one before a version carried its bytes:
+/// the reference the spliced bytes must equal.
+fn full_encoding(d: &Directory) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u64(d.seqno).u8(d.columns().len() as u8);
+    for column in d.columns() {
+        w.string(column);
+    }
+    w.u32(d.rows().len() as u32);
+    for row in d.rows() {
+        row.put(&mut w);
+    }
+    w.finish()
 }

@@ -20,7 +20,8 @@
 //! allocation each makes.
 //!
 //! And a message between two processes costs no heap of its own, and a
-//! one-shot reply channel none past its creation; a group whose timers
+//! one-shot reply channel none past its creation; a blocking call, whose
+//! reply mailbox its caller keeps, none at all; a group whose timers
 //! find nothing to do allocates nothing when they fire.
 //!
 //! And a group keeps only what is live: past its window, a message sent
@@ -31,10 +32,11 @@
 //! it is full, more packets across a router cost no heap.
 //!
 //! And an update copies pointers, not rows: a directory's next version
-//! shares every row the update did not change, so an append allocates
-//! as often in a big directory as in a small one; and a disk keeps the
-//! bytes its writer hands it, so a Bullet file reaches the platters
-//! without a copy of its blocks.
+//! shares every row the update did not change, and carries its file's
+//! bytes, so an append and its flush allocate as often in a big
+//! directory as in a small one; and a disk keeps the bytes its writer
+//! hands it, so a Bullet file reaches the platters without a copy of
+//! its blocks, and a journal keeps only its live records.
 //!
 //! The tests in this file count every byte the process allocates, so
 //! they take turns ([`ALONE`]).
@@ -51,11 +53,11 @@ use amoeba_dirsvc::dir::{
     Capability, DirError, DirOp, DirParams, DirReply, DirRequest, Directory, DirectoryStateMachine,
     ObjectTable, Rights, ServiceConfig, Storage,
 };
-use amoeba_dirsvc::disk::{DiskParams, DiskServer, RawPartition, VDisk};
+use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
 use amoeba_dirsvc::flip::{NetParams, Network, Payload, Port, Topology};
 use amoeba_dirsvc::group::{GroupConfig, GroupPeer};
-use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
+use amoeba_dirsvc::rpc::{RpcClient, RpcNode, RpcServer};
 use amoeba_dirsvc::rsm::StateMachine;
 use amoeba_dirsvc::sim::{mapped_stacks, NodeId, Resource, Simulation};
 
@@ -235,7 +237,7 @@ fn an_idle_group_tick_allocates_nothing() {
 fn machine_that_never_flushes(sim: &Simulation) -> (NodeId, DirectoryStateMachine) {
     let node = sim.add_node("m");
     let net = Network::new(sim.handle(), NetParams::default(), 1);
-    let rpc = RpcNode::start(sim, node, net.attach());
+    let rpc = RpcNode::start(node, net.attach());
     let disk = DiskServer::start(sim, node, VDisk::new(64, 4096), DiskParams::instant());
     let cfg = ServiceConfig::new(3, 0);
     let sm = DirectoryStateMachine::standalone(
@@ -358,7 +360,7 @@ fn an_op_and_a_directory_encode_into_one_exact_size_buffer() {
     }
     let op = DirOp::ReplaceSet {
         items: dir
-            .rows
+            .rows()
             .iter()
             .map(|r| (1, r.name.to_string(), owner))
             .collect(),
@@ -698,7 +700,7 @@ fn routed_duplicate_suppression_is_a_fixed_window() {
 fn machine_that_flushes(sim: &Simulation) -> (NodeId, DirectoryStateMachine) {
     let node = sim.add_node("m");
     let net = Network::new(sim.handle(), NetParams::default(), 1);
-    let rpc = RpcNode::start(sim, node, net.attach());
+    let rpc = RpcNode::start(node, net.attach());
     let disk = DiskServer::start(sim, node, VDisk::new(256, 4096), DiskParams::instant());
     let cfg = ServiceConfig::new(3, 0);
     let store = BulletStore::new(240, 4096, 0xB0);
@@ -724,8 +726,9 @@ fn machine_that_flushes(sim: &Simulation) -> (NodeId, DirectoryStateMachine) {
 }
 
 /// Allocations one `Append` makes, applied on a replica that owes no
-/// reply, to a directory of `rows` rows whose every earlier update was
-/// flushed.
+/// reply and then flushed (its directory's new Bullet file, the table
+/// block, the old file's delete), to a directory of `rows` rows whose
+/// every earlier update was flushed.
 fn allocations_of_one_append(rows: usize) -> usize {
     let mut sim = Simulation::new(1);
     let (node, sm) = machine_that_flushes(&sim);
@@ -755,6 +758,7 @@ fn allocations_of_one_append(rows: usize) -> usize {
         let last = append("last".into());
         let before = MINE_ALLOCS.with(Cell::get);
         sm.apply(ctx, seq + 1, &last, false);
+        sm.flush(ctx);
         let allocations = MINE_ALLOCS.with(Cell::get) - before;
         let again = DirReply::decode(&sm.apply(ctx, seq + 2, &last, true));
         assert_eq!(
@@ -769,8 +773,14 @@ fn allocations_of_one_append(rows: usize) -> usize {
 }
 
 /// An update copies the row handles of its directory, not the rows: one
-/// `Vec` whatever the directory's size. Copying each row's name and
-/// masks read about 2 more allocations per row.
+/// `Vec` whatever the directory's size, allocated at its final length;
+/// and its flush copies the body the version carries instead of
+/// encoding every row. One append and its flush allocate 24 times over
+/// any number of rows. Copying each row's name and masks read about 2
+/// more allocations per row. The count read 30 with a fresh reply
+/// mailbox for each of the flush's six blocking calls: the Bullet
+/// create and delete (each an RPC call and the server thread's
+/// `getreq`), the file's disk write and the table block's.
 #[test]
 fn an_update_allocates_the_same_in_a_big_directory() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
@@ -779,8 +789,9 @@ fn an_update_allocates_the_same_in_a_big_directory() {
         allocations_of_one_append(256),
     );
     assert_eq!(
-        small, big,
-        "one append allocated {small} times over 16 rows, {big} times over 256"
+        (small, big),
+        (24, 24),
+        "allocations of one flushed append over 16 rows and over 256"
     );
 }
 
@@ -826,4 +837,92 @@ fn a_disk_write_keeps_the_writers_bytes() {
         growth < BLOCK as isize,
         "8 blocks of {BLOCK} B left {growth} bytes more live heap"
     );
+}
+
+/// Allocations the whole process makes while a client on one machine
+/// makes `calls` null RPCs to a server thread on another, after 100
+/// that located the server and grew the kernel's tables to their
+/// working size.
+fn allocations_of_null_calls(calls: usize) -> usize {
+    let mut sim = Simulation::new(1);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 1);
+    let service = Port::from_name("null");
+    let nodes = ["server", "client"].map(|name| {
+        let sim_node = sim.add_node(name);
+        (sim_node, RpcNode::start(sim_node, net.attach()))
+    });
+    let server = RpcServer::new(&nodes[0].1, service);
+    sim.spawn_on(nodes[0].0, "null-server", move |ctx| loop {
+        let req = server.getreq(ctx);
+        server.putrep(&req, Vec::new());
+    });
+    let client = RpcClient::new(&nodes[1].1);
+    let out = sim.spawn_on(nodes[1].0, "caller", move |ctx| {
+        let null = Payload::empty();
+        for _ in 0..100 {
+            client.trans(ctx, service, null.clone()).expect("warm-up");
+        }
+        let before = allocs();
+        for _ in 0..calls {
+            client.trans(ctx, service, null.clone()).expect("null call");
+        }
+        allocs() - before
+    });
+    sim.run();
+    out.take().expect("every call returned")
+}
+
+/// A blocking call's reply mailbox is its caller's, kept between calls
+/// (`Ctx::reply_channel`): past the first call neither the client's
+/// reply channel nor the server thread's `getreq` allocates. What a
+/// null call allocates is its two messages, the request and the reply,
+/// each one shared buffer. A fresh mailbox per call and per `getreq`
+/// read 2 more.
+#[test]
+fn a_call_and_a_getreq_allocate_no_mailbox() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    // The difference of two runs: what a call allocates, without what
+    // one run allocates once.
+    assert_eq!(
+        allocations_of_null_calls(2_000) - allocations_of_null_calls(1_000),
+        2 * 1_000,
+        "allocations of 1,000 null calls"
+    );
+}
+
+/// The blocks a journal's region holds in host memory over 400
+/// appends of one-block records, checkpointed (reset) every 20.
+fn journal_resident_blocks() -> Vec<usize> {
+    const BLOCK: usize = 512;
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("m");
+    let vdisk = VDisk::new(256, BLOCK);
+    let disk = DiskServer::start(&sim, node, vdisk.clone(), DiskParams::instant());
+    let journal = Journal::disk(RawPartition::new(disk, 0, 256));
+    let out = sim.spawn_on(node, "logger", move |ctx| {
+        journal.recover(ctx);
+        let mut resident = Vec::new();
+        for i in 0..400u32 {
+            journal.append(ctx, &i.to_le_bytes()).expect("room");
+            if i % 20 == 19 {
+                assert!(journal.try_reset(ctx, journal.next_seq()), "reset");
+                resident.push(vdisk.resident_blocks());
+            }
+        }
+        resident
+    });
+    sim.run();
+    out.take().expect("the loop ran")
+}
+
+/// A journal reset frees the blocks of the records it disowns, so the
+/// region keeps only its superblock resident after each checkpoint,
+/// however long the log has run. Without the discard every frame the
+/// log ever wrote stayed resident (21 blocks here): a journaled
+/// replica held as much memory as its deepest log, up to the whole
+/// region.
+#[test]
+fn a_journal_keeps_only_its_live_records_resident() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    assert_eq!(journal_resident_blocks(), vec![1; 20]);
 }

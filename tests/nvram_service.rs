@@ -158,7 +158,7 @@ fn updates_eventually_reach_the_disk() {
 fn nvram_machine(sim: &Simulation) -> (NodeId, DirectoryStateMachine) {
     let node = sim.add_node("m");
     let net = Network::new(sim.handle(), NetParams::default(), 1);
-    let rpc = RpcNode::start(sim, node, net.attach());
+    let rpc = RpcNode::start(node, net.attach());
     let disk = DiskServer::start(sim, node, VDisk::new(256, 4096), DiskParams::instant());
     let cfg = ServiceConfig::new(3, 0);
     let store = BulletStore::new(240, 4096, 0xB0);

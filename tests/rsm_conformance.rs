@@ -138,7 +138,7 @@ fn dir_column_with(
     let cfg = ServiceConfig::new(3, idx);
     let node = sim.add_node(&format!("col-{idx}"));
     let stack = net.attach();
-    let rpc = RpcNode::start(sim, node, stack);
+    let rpc = RpcNode::start(node, stack);
     let vdisk = VDisk::new(2048, 4096);
     let disk = DiskServer::start(sim, node, vdisk.clone(), disk_params);
     let partition = RawPartition::new(disk.clone(), 0, TABLE_BLOCKS);
@@ -507,9 +507,13 @@ fn an_update_publishes_its_own_copy_sharing_every_row_it_did_not_change() {
             sm.apply(ctx, seq, &op.encode(), false);
             let after = load();
             assert!(!Rc::ptr_eq(&before, &after), "op {seq} edits its own copy");
-            assert_eq!((after.rows.len(), after.seqno), (rows, seq));
-            assert_eq!(before.columns.as_ptr(), after.columns.as_ptr(), "op {seq}");
-            for row in &after.rows {
+            assert_eq!((after.rows().len(), after.seqno), (rows, seq));
+            assert_eq!(
+                before.columns().as_ptr(),
+                after.columns().as_ptr(),
+                "op {seq}"
+            );
+            for row in after.rows() {
                 if let Some(old) = before.find(&row.name) {
                     assert_eq!(
                         old.name.as_ptr(),
@@ -524,14 +528,14 @@ fn an_update_publishes_its_own_copy_sharing_every_row_it_did_not_change() {
         // And no one else's: the version before the chmod still holds
         // the old masks, and every version its own rows.
         let v1 = &again;
-        assert_eq!((v1.rows.len(), v1.seqno), (3, 4));
+        assert_eq!((v1.rows().len(), v1.seqno), (3, 4));
         let b = v1.find("b").expect("b");
         assert_eq!(*b.col_rights, [Rights::ALL, Rights::NONE]);
         assert_eq!(
             *before.find("b").expect("b").col_rights,
             [Rights::NONE, Rights::ALL]
         );
-        let names: Vec<&str> = before.rows.iter().map(|r| &*r.name).collect();
+        let names: Vec<&str> = before.rows().iter().map(|r| &*r.name).collect();
         assert_eq!(names, ["b", "c", "d"]);
         true
     });
@@ -804,7 +808,7 @@ fn crash_mid_flush_salvages_prefix_but_mid_copy_stays_worthless() {
     let partition = RawPartition::new(disk, 0, TABLE_BLOCKS);
     let cfg = ServiceConfig::new(3, 0);
     let cpu = Resource::new(sim.handle(), "probe-cpu");
-    let rpc = RpcNode::start(&sim, col.node, net.attach());
+    let rpc = RpcNode::start(col.node, net.attach());
     let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0));
     let probe = Rc::new(DirectoryStateMachine::standalone(
         cfg.clone(),
@@ -889,7 +893,7 @@ fn dir_column_journaled(
 ) -> DirColumn {
     let cfg = ServiceConfig::new(3, idx);
     let node = sim.add_node(&format!("jcol-{idx}"));
-    let rpc = RpcNode::start(sim, node, net.attach());
+    let rpc = RpcNode::start(node, net.attach());
     let vdisk = VDisk::new(2048, 4096);
     let disk = DiskServer::start(sim, node, vdisk.clone(), disk_params);
     let partition = RawPartition::new(disk.clone(), 0, TABLE_BLOCKS);
@@ -938,7 +942,7 @@ fn journaled_probe(
     ));
     let jpart = RawPartition::new(disk, TABLE_BLOCKS, journal_blocks);
     let cfg = ServiceConfig::new(3, 0);
-    let rpc = RpcNode::start(sim, col.node, net.attach());
+    let rpc = RpcNode::start(col.node, net.attach());
     let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0));
     let cpu = Resource::new(sim.handle(), "jprobe-cpu");
     let probe = Rc::new(DirectoryStateMachine::standalone(

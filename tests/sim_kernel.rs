@@ -2,8 +2,9 @@
 //! kernel handlers, as seen through the umbrella crate (tier-1 runs only
 //! this package; the full set lives in
 //! `crates/sim/tests/kernel_behavior.rs`). The coroutine tests, the id
-//! hasher's, the delivery-order property and the per-process trace
-//! context are compiled in whole from their crates.
+//! hasher's, the delivery-order property, the kept reply mailbox's and
+//! the per-process trace context are compiled in whole from their
+//! crates.
 
 #[path = "../crates/sim/tests/coroutines.rs"]
 mod coroutines;
@@ -13,6 +14,9 @@ mod id_hasher;
 
 #[path = "../crates/sim/tests/delivery_order.rs"]
 mod delivery_order;
+
+#[path = "../crates/sim/tests/reply_mailbox.rs"]
+mod reply_mailbox;
 
 #[path = "../crates/telemetry/tests/ambient_context.rs"]
 mod ambient_context;
@@ -191,7 +195,7 @@ fn the_activation_table_of_a_null_rpc() {
     let service = Port::from_name("null");
     let nodes = ["server", "client"].map(|name| {
         let sim_node = sim.add_node(name);
-        (sim_node, RpcNode::start(&sim, sim_node, net.attach()))
+        (sim_node, RpcNode::start(sim_node, net.attach()))
     });
     let server = RpcServer::new(&nodes[0].1, service);
     sim.spawn_on(nodes[0].0, "null-server", move |ctx| loop {

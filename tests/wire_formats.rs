@@ -454,7 +454,7 @@ fn the_commit_block_keeps_its_bytes_and_ignores_its_padding() {
 fn two_machines(sim: &mut Simulation) -> (NodeId, [DirectoryStateMachine; 2]) {
     let node = sim.add_node("m");
     let net = Network::new(sim.handle(), NetParams::default(), 1);
-    let rpc = RpcNode::start(sim, node, net.attach());
+    let rpc = RpcNode::start(node, net.attach());
     let disk = DiskServer::start(sim, node, VDisk::new(64, 4096), DiskParams::instant());
     let cfg = ServiceConfig::new(3, 0);
     let machine = |first_block| {
