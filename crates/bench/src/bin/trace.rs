@@ -1,15 +1,16 @@
 //! One traced 4-shard cached deployment, exported for Perfetto.
 //!
-//! Drives one cross-shard keyed create (plus a lease-held write so the
-//! revocation fan-out shows up), asserts the client op's span tree is
-//! connected across ≥3 machines, has the cached reader pause past its
-//! lease and asserts its next lookup was revalidated (the lease renewed
-//! without re-sending the rows) with a connected span tree, and writes
-//! the whole run as
-//! Chrome-trace-event JSON that `chrome://tracing` / Perfetto can open
-//! to the given path (default `BENCH_trace.json`). The export is
-//! re-parsed and validated before writing. Also prints the ten busiest
-//! rows of the simulator's activation table.
+//! Drives a lease-held write (so the revocation fan-out shows up), then
+//! creates a directory on one shard and links it into the root on
+//! another with a plain append. Asserts both client ops' span trees are
+//! connected and the link's spans ≥3 machines; has the cached reader
+//! pause past its lease and asserts its next lookup was revalidated (the
+//! lease renewed without re-sending the rows) with a connected span
+//! tree; and writes the whole run as Chrome-trace-event JSON that
+//! `chrome://tracing` / Perfetto can open to the given path (default
+//! `BENCH_trace.json`). The export is re-parsed and validated before
+//! writing. Also prints the ten busiest rows of the simulator's
+//! activation table.
 //!
 //! Run with: `cargo run -p amoeba-bench --release --bin trace -- [out.json]`
 
@@ -76,20 +77,20 @@ fn main() {
         client
             .append_row(ctx, dir, "traced", dir, vec![Rights::ALL, Rights::NONE])
             .expect("traced append");
+        let created_at = ctx.now();
         let sub = client
-            .create_in(
-                ctx,
-                root,
-                "subdir",
-                &["owner", "other"],
-                vec![Rights::ALL, Rights::ALL],
-            )
-            .expect("traced create_in");
+            .create_dir(ctx, &["owner", "other"])
+            .expect("traced create");
+        let linked_at = ctx.now();
+        client
+            .append_row(ctx, root, "subdir", sub, vec![Rights::ALL, Rights::ALL])
+            .expect("traced link");
         let _ = client.lookup(ctx, sub, "nothing");
-        true
+        (sub, created_at, linked_at)
     });
     tb.sim.run_for(Duration::from_secs(10));
-    assert_eq!(done.take(), Some(true), "traced workload completed");
+    let (sub, created_at, linked_at) = done.take().expect("traced workload completed");
+    assert_ne!(sub.port, root.port, "the link crosses shards");
     let (revalidations, paused_lookup_at) = revalidated.take().expect("reader finished");
     assert_eq!(
         revalidations, 1,
@@ -103,21 +104,24 @@ fn main() {
     );
 
     let spans = tele.spans();
-    let create_root = spans
-        .iter()
-        .find(|s| s.name == "cli.create_in" && s.parent == 0)
-        .expect("cli.create_in root span");
-    let (roots, orphans, machines) = amoeba_telemetry::span_tree_stats(&spans, create_root.trace);
-    assert_eq!((roots, orphans), (1, 0), "create_in span tree connected");
-    assert!(machines >= 3, "create_in touched only {machines} machines");
+    let root_at = |name: &str, at| {
+        spans
+            .iter()
+            .find(|s| s.name == name && s.parent == 0 && s.start == at)
+            .unwrap_or_else(|| panic!("{name} root span"))
+    };
+    let create_root = root_at("cli.create_dir", created_at);
+    let (roots, orphans, _) = amoeba_telemetry::span_tree_stats(&spans, create_root.trace);
+    assert_eq!((roots, orphans), (1, 0), "create span tree connected");
+    let link_root = root_at("cli.append_row", linked_at);
+    let (roots, orphans, machines) = amoeba_telemetry::span_tree_stats(&spans, link_root.trace);
+    assert_eq!((roots, orphans), (1, 0), "link span tree connected");
+    assert!(machines >= 3, "the link touched only {machines} machines");
     assert!(
         spans.iter().any(|s| s.name == "cache.inval"),
         "the revocation fan-out must appear as cache.inval spans"
     );
-    let lookup_root = spans
-        .iter()
-        .find(|s| s.name == "cli.lookup" && s.parent == 0 && s.start == paused_lookup_at)
-        .expect("the revalidated cli.lookup root span");
+    let lookup_root = root_at("cli.lookup", paused_lookup_at);
     let (roots, orphans, lookup_machines) =
         amoeba_telemetry::span_tree_stats(&spans, lookup_root.trace);
     assert_eq!(
@@ -135,7 +139,7 @@ fn main() {
     std::fs::write(&out, &json).expect("write trace file");
 
     println!(
-        "  {} events ({} slices, {} flow pairs, {} tracks); create_in tree: \
+        "  {} events ({} slices, {} flow pairs, {} tracks); link tree: \
          1 root, 0 orphans, {machines} machines; revalidated lookup tree: \
          1 root, 0 orphans, {lookup_machines} machines",
         summary.events, summary.slices, summary.flow_pairs, summary.tracks

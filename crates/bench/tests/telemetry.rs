@@ -20,22 +20,16 @@ fn client_write_yields_one_connected_span_tree() {
     let root = tb.root;
     let done = tb.sim.spawn("tree-writer", move |ctx| {
         client
-            .create_in(
-                ctx,
-                root,
-                "sub",
-                &["owner", "other"],
-                vec![Rights::ALL, Rights::ALL],
-            )
+            .append_row(ctx, root, "sub", root, vec![Rights::ALL, Rights::ALL])
             .is_ok()
     });
     tb.sim.run_for(Duration::from_secs(10));
-    assert_eq!(done.take(), Some(true), "traced create_in must succeed");
+    assert_eq!(done.take(), Some(true), "traced append_row must succeed");
 
     let spans = tele.spans();
     let root_span = spans
         .iter()
-        .find(|s| s.name == "cli.create_in" && s.parent == 0)
+        .find(|s| s.name == "cli.append_row" && s.parent == 0)
         .expect("client root span");
     let (roots, orphans, machines) = amoeba_telemetry::span_tree_stats(&spans, root_span.trace);
     assert_eq!(roots, 1, "exactly one root in the write's trace");
@@ -44,9 +38,9 @@ fn client_write_yields_one_connected_span_tree() {
         machines >= 3,
         "write must cross client, sequencer, and replicas; saw {machines}"
     );
-    // The commit wait is in the tree: every replica that applied one of
-    // the write's ops also shows the durable flush the op then waited
-    // for — on the stock disk path, at least one disk access long.
+    // The commit wait is in the tree: every replica that applied the
+    // write also shows the durable flush the op then waited for — on
+    // the stock disk path, at least one disk access long.
     let one_access = tb.cluster.params.disk.access_time(1);
     let named = |name: &str| -> Vec<&amoeba_telemetry::SpanRec> {
         let in_trace =
@@ -71,7 +65,7 @@ fn client_write_yields_one_connected_span_tree() {
         amoeba_telemetry::validate_chrome_trace(&tele.export_chrome_json()).expect("valid export");
     assert!(summary.slices > 0 && summary.flow_pairs > 0);
     // And the op's latency landed in its family's histogram.
-    let in_family = tele.metrics().hists.get("cli.create_in").map(|h| h.count);
+    let in_family = tele.metrics().hists.get("cli.append_row").map(|h| h.count);
     assert_eq!(in_family, Some(1));
 }
 

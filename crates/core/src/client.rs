@@ -3,11 +3,10 @@
 //!
 //! A [`DirClient`] ([`DirClient::sharded`]) routes every operation
 //! through the [`ShardMap`]: ops on an existing directory go to the shard
-//! burned into its capability's port, fresh root creates are placed
-//! round-robin, and the cross-shard operations
-//! ([`create_in`](DirClient::create_in) /
-//! [`delete_from`](DirClient::delete_from)) run the deterministic
-//! two-step protocol described in the [`crate::shard`] module docs.
+//! burned into its capability's port, and fresh creates are placed
+//! round-robin. A directory is linked into a parent, on its shard or
+//! another, as in the paper: [`create_dir`](DirClient::create_dir), then
+//! [`append_row`](DirClient::append_row) into the parent.
 //! With one shard every port is the classic unsharded service's.
 
 use std::cell::Cell;
@@ -139,12 +138,9 @@ impl DirClient {
         self.map.public_port(k % self.map.shards())
     }
 
-    /// Wraps one public operation in a client span and a latency
-    /// histogram observation (family = span name, e.g. `cli.create_in`).
-    /// The span is a root when the process has no ambient trace context
-    /// (the normal case) and a child when one composite public op (e.g.
-    /// [`delete_from`](DirClient::delete_from)) calls another, so every
-    /// top-level client call yields exactly one connected span tree.
+    /// Wraps one public operation in a root client span and a latency
+    /// histogram observation (family = span name, e.g. `cli.append_row`),
+    /// so every client call yields exactly one connected span tree.
     /// With telemetry disabled this is a plain call to `f`.
     fn op<T>(
         &self,
@@ -157,12 +153,7 @@ impl DirClient {
             return f();
         }
         let machine = u64::from(self.rpc.addr().0);
-        let outer = amoeba_telemetry::current_ctx();
-        let span = if outer.is_some() {
-            tele.begin_child(name, machine, outer)
-        } else {
-            tele.begin_root(name, machine)
-        };
+        let span = tele.begin_root(name, machine);
         let prev = amoeba_telemetry::set_current_ctx(span);
         let start = ctx.now();
         let r = f();
@@ -228,128 +219,6 @@ impl DirClient {
         self.op(ctx, "cli.create_dir", || {
             self.expect_cap(ctx, self.create_port(), &req)
         })
-    }
-
-    /// Creates a directory *and links it into `parent` under `name`* —
-    /// the cross-shard two-step: an idempotent keyed create on the
-    /// child's home shard (a stable hash of `(parent, name)`), then an
-    /// idempotent link on the parent's shard. Retrying after any
-    /// failure converges on exactly one child directory and one row;
-    /// a name already linked to *another* directory of this service
-    /// converges on that directory ("ensure a child exists at name"),
-    /// while a row holding a foreign capability fails
-    /// [`DirError::DuplicateName`].
-    ///
-    /// # Errors
-    ///
-    /// Service errors or transport failures; after a partial failure,
-    /// retry the whole call.
-    pub fn create_in(
-        &self,
-        ctx: &Ctx,
-        parent: Capability,
-        name: &str,
-        columns: &[&str],
-        col_rights: Vec<Rights>,
-    ) -> Result<Capability, DirClientError> {
-        self.op(ctx, "cli.create_in", || {
-            self.create_in_inner(ctx, parent, name, columns, col_rights)
-        })
-    }
-
-    fn create_in_inner(
-        &self,
-        ctx: &Ctx,
-        parent: Capability,
-        name: &str,
-        columns: &[&str],
-        col_rights: Vec<Rights>,
-    ) -> Result<Capability, DirClientError> {
-        let child_port = self.map.public_port(self.map.child_shard(&parent, name));
-        // Step 1: keyed create on the child's home shard (idempotent).
-        let child = self.expect_cap(
-            ctx,
-            child_port,
-            &DirRequest::CreateKeyed {
-                columns: columns.iter().map(|s| (*s).to_owned()).collect(),
-                key: ShardMap::completion_key(&parent, name),
-            },
-        )?;
-        // Step 2: link it into the parent (idempotent).
-        let link = DirRequest::AppendLink {
-            dir: parent,
-            name: name.to_owned(),
-            cap: child,
-            col_rights,
-        };
-        match self.expect_ok(ctx, parent, &link) {
-            Ok(()) => Ok(child),
-            // The row already holds a *different* directory: converge
-            // on it ("ensure a child directory linked at name"). This
-            // is the recovery path for a completion record lost to a
-            // whole-shard disk salvage — the retry's fresh child is
-            // orphaned (storage leak, reclaimable) but the namespace
-            // converges on the originally linked directory instead of
-            // failing DuplicateName forever.
-            Err(DirClientError::Service(DirError::DuplicateName)) => {
-                match self.lookup(ctx, parent, name)? {
-                    Some(existing) if self.map.shard_of_cap(&existing).is_some() => Ok(existing),
-                    // A foreign (non-directory) capability under that
-                    // name is a genuine conflict.
-                    _ => Err(DirError::DuplicateName.into()),
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Deletes the row `name` of `parent` *and the directory it points
-    /// to* — the cross-shard two-step mirror of
-    /// [`create_in`](DirClient::create_in), child first: delete the
-    /// child directory on its home shard (already-gone is success),
-    /// then unlink the row (already-unlinked is success). A crash
-    /// between the steps leaves a visible dangling row; retrying
-    /// converges. The resolved child capability must carry
-    /// [`Rights::ADMIN`] for the delete; rows holding foreign
-    /// (non-directory-service) capabilities only lose their row.
-    ///
-    /// # Errors
-    ///
-    /// Service errors or transport failures; after a partial failure,
-    /// retry the whole call.
-    pub fn delete_from(
-        &self,
-        ctx: &Ctx,
-        parent: Capability,
-        name: &str,
-    ) -> Result<(), DirClientError> {
-        self.op(ctx, "cli.delete_from", || {
-            self.delete_from_inner(ctx, parent, name)
-        })
-    }
-
-    fn delete_from_inner(
-        &self,
-        ctx: &Ctx,
-        parent: Capability,
-        name: &str,
-    ) -> Result<(), DirClientError> {
-        if let Some(child) = self.lookup(ctx, parent, name)? {
-            if self.map.shard_of_cap(&child).is_some() {
-                match self.delete_dir(ctx, child) {
-                    Ok(()) => {}
-                    // Already deleted by an earlier, partially failed
-                    // attempt: converge.
-                    Err(DirClientError::Service(DirError::BadCapability)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        let unlink = DirRequest::Unlink {
-            dir: parent,
-            name: name.to_owned(),
-        };
-        self.expect_ok(ctx, parent, &unlink)
     }
 
     /// Deletes a directory (needs [`Rights::ADMIN`]).

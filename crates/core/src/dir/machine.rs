@@ -248,10 +248,6 @@ struct Snapshot {
     commit_seqno: u64,
     /// `(object, check, contents)` of every directory with contents.
     dirs: Vec<(u64, u64, Rc<Directory>)>,
-    /// Completion records of keyed creates, `(key, object)`: a
-    /// recovering replica must answer replays of the cross-shard
-    /// protocol's step one.
-    completions: Vec<(u64, u64)>,
     /// The read-lease table, `(object, lease)`: a joining replica must
     /// know every outstanding lease, or a write it later initiates could
     /// be acknowledged without revoking one.
@@ -260,10 +256,10 @@ struct Snapshot {
 
 /// `u64 update_seq, u64 commit_seqno`, then the sections, each counted
 /// ([`ENTRIES`]) and sorted: the directories (each its object, check
-/// and framed contents), the completions, an empty section and the
-/// leases. The empty section keeps the layout's bytes: it held the
-/// forwarding stubs of migrated directories, and a snapshot whose count
-/// there is not zero is refused.
+/// and framed contents), two empty sections and the leases. The empty
+/// sections keep the layout's bytes: they held the completion records
+/// of keyed creates and the forwarding stubs of migrated directories,
+/// and a snapshot whose count in either is not zero is refused.
 impl Wire for Snapshot {
     fn put(&self, w: &mut WireWriter) {
         w.u64(self.update_seq).u64(self.commit_seqno);
@@ -271,8 +267,7 @@ impl Wire for Snapshot {
             w.u64(*object).u64(*check);
             dir.put_framed(w);
         });
-        ENTRIES.put(w, &self.completions, <(u64, u64)>::put);
-        w.u32(0);
+        w.u32(0).u32(0);
         ENTRIES.put(w, &self.leases, <(u64, ReadLease)>::put);
     }
 
@@ -284,9 +279,8 @@ impl Wire for Snapshot {
                 let (object, check) = (r.u64("object")?, r.u64("check")?);
                 Ok((object, check, Rc::new(Directory::get_framed(r)?)))
             })?,
-            completions: ENTRIES.get(r, <(u64, u64)>::get)?,
-            leases: match r.u32("empty section")? {
-                0 => ENTRIES.get(r, <(u64, ReadLease)>::get)?,
+            leases: match (r.u32("empty section")?, r.u32("empty section")?) {
+                (0, 0) => ENTRIES.get(r, <(u64, ReadLease)>::get)?,
                 _ => return Err(DecodeError::new("empty section")),
             },
         })
@@ -304,21 +298,17 @@ impl Snapshot {
                 Some((object, entry.check, Rc::clone(dir)))
             })
             .collect();
-        let mut completions: Vec<(u64, u64)> =
-            shared.completions.iter().map(|(k, o)| (*k, *o)).collect();
         let mut leases: Vec<(u64, ReadLease)> = shared
             .rleases
             .iter()
             .flat_map(|(object, ls)| ls.iter().map(|l| (*object, *l)))
             .collect();
         // Deterministic encoding.
-        completions.sort_unstable();
         leases.sort_unstable();
         Snapshot {
             update_seq: shared.update_seq,
             commit_seqno: shared.commit.seqno,
             dirs,
-            completions,
             leases,
         }
     }
@@ -481,7 +471,6 @@ impl StateMachine for DirectoryStateMachine {
             update_seq,
             commit_seqno,
             dirs: installed,
-            completions,
             leases,
         } = snap;
         {
@@ -507,7 +496,6 @@ impl StateMachine for DirectoryStateMachine {
             shared.update_seq = update_seq;
             shared.commit.seqno = commit_seqno;
             shared.applied_group_seq = cursor;
-            shared.completions = completions.into_iter().collect();
             // Inherit every outstanding read lease: a write this replica
             // later initiates must revoke leases granted before it joined.
             shared.rleases.clear();
@@ -719,7 +707,6 @@ mod tests {
             update_seq: 1,
             commit_seqno: 1,
             dirs: vec![(1_000_000, 1, dir)],
-            completions: Vec::new(),
             leases: Vec::new(),
         };
         snaps.push(snap.encode());

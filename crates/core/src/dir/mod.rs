@@ -71,13 +71,11 @@ const ENTRIES: Counted = Counted::u32(1_000_000, "entries");
 /// it is applied). A `ReplaceSet` names its first item's.
 pub(crate) fn op_object(op: &DirOp) -> u64 {
     match op {
-        DirOp::Create { .. } | DirOp::CreateKeyed { .. } => 0,
+        DirOp::Create { .. } => 0,
         DirOp::Delete { object }
         | DirOp::Append { object, .. }
         | DirOp::Chmod { object, .. }
-        | DirOp::DeleteRow { object, .. }
-        | DirOp::AppendLink { object, .. }
-        | DirOp::Unlink { object, .. } => *object,
+        | DirOp::DeleteRow { object, .. } => *object,
         DirOp::GrantRead { cap, .. } => cap.object,
         DirOp::ReplaceSet { items } => items.first().map(|(o, _, _)| *o).unwrap_or(0),
     }
@@ -197,33 +195,6 @@ impl Applier {
                     .collect::<Result<_, DirError>>()?;
                 Ok(DirOp::ReplaceSet { items })
             }
-            DirRequest::CreateKeyed { columns, key } => {
-                if !(1..=4).contains(&columns.len()) {
-                    return Err(DirError::Malformed);
-                }
-                // The check only takes effect the first time the key is
-                // seen; replays return the original capability.
-                Ok(DirOp::CreateKeyed {
-                    columns: columns.clone(),
-                    check: check(),
-                    key: *key,
-                })
-            }
-            DirRequest::AppendLink {
-                dir,
-                name,
-                cap,
-                col_rights,
-            } => Ok(DirOp::AppendLink {
-                object: modify(dir)?,
-                name: name.clone(),
-                cap: *cap,
-                col_rights: col_rights.clone(),
-            }),
-            DirRequest::Unlink { dir, name } => Ok(DirOp::Unlink {
-                object: modify(dir)?,
-                name: name.clone(),
-            }),
             // A lease is the group service's alone (only its initiators
             // fence revocation): see [`prepare_grant`](Self::prepare_grant).
             DirRequest::FetchDir { .. }

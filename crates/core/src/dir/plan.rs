@@ -47,15 +47,13 @@ impl Effect {
 /// A planned update: its reply and its storage effects.
 type Update = (DirReply, Vec<Effect>);
 
-/// The one directory and row a row edit changes: the five ops that
+/// The one directory and row a row edit changes: the three ops that
 /// edit a single row in place.
 pub(crate) fn row_edit(op: &DirOp) -> Option<(u64, &str)> {
     match op {
         DirOp::Append { object, name, .. }
         | DirOp::Chmod { object, name, .. }
-        | DirOp::DeleteRow { object, name }
-        | DirOp::AppendLink { object, name, .. }
-        | DirOp::Unlink { object, name } => Some((*object, name)),
+        | DirOp::DeleteRow { object, name } => Some((*object, name)),
         _ => None,
     }
 }
@@ -163,26 +161,26 @@ impl Applier {
         match op {
             DirOp::Create { columns, check } => {
                 let dir = new_directory(columns)?;
-                self.allocate(shared, dir, *check, None, useq)
-            }
-            DirOp::CreateKeyed {
-                columns,
-                check,
-                key,
-            } => {
-                if let Some(cap) = self.completed(shared, *key) {
-                    // Replay of a completed create: hand back the
-                    // original capability, change nothing.
-                    return Ok((DirReply::Cap(cap), Vec::new()));
+                let object = shared.table.next_object();
+                if object > shared.table.capacity() {
+                    return Err(DirError::Internal);
                 }
-                let dir = new_directory(columns)?;
-                self.allocate(shared, dir, *check, Some(*key), useq)
+                let stored = publish(shared, object, dir, useq);
+                shared.table.set(
+                    object,
+                    ObjEntry {
+                        file_cap: FileCap::NULL, // patched by the effect
+                        seqno: useq,
+                        check: *check,
+                    },
+                );
+                let cap = Capability::owner(self.cfg.public_port, object, *check);
+                Ok((DirReply::Cap(cap), vec![stored]))
             }
             DirOp::Delete { object } => {
                 let entry = shared.table.get(*object).ok_or(DirError::BadCapability)?;
                 shared.table.clear(*object);
                 shared.cache.remove(object);
-                shared.completions.retain(|_, o| *o != *object);
                 shared.commit.seqno = useq;
                 let dropped = Effect::DropDir {
                     object: *object,
@@ -217,53 +215,12 @@ impl Applier {
             _ => unreachable!("a row edit or a grant"),
         }
     }
-
-    /// The owner capability of the live directory a keyed create with
-    /// `key` already made, if any.
-    fn completed(&self, shared: &Shared, key: u64) -> Option<Capability> {
-        let object = *shared.completions.get(&key)?;
-        let entry = shared.table.get(object)?;
-        Some(Capability::owner(self.cfg.public_port, object, entry.check))
-    }
-
-    /// Gives `dir` the next object number, with `check` (and, for a
-    /// keyed create, records `key`'s completion): the allocation of
-    /// every create.
-    fn allocate(
-        &self,
-        shared: &mut Shared,
-        dir: Rc<Directory>,
-        check: u64,
-        key: Option<u64>,
-        useq: u64,
-    ) -> Result<Update, DirError> {
-        let object = shared.table.next_object();
-        if object > shared.table.capacity() {
-            return Err(DirError::Internal);
-        }
-        let stored = publish(shared, object, dir, useq);
-        shared.table.set(
-            object,
-            ObjEntry {
-                file_cap: FileCap::NULL, // patched by the effect
-                seqno: useq,
-                check,
-            },
-        );
-        if let Some(key) = key {
-            shared.completions.insert(key, object);
-        }
-        let cap = Capability::owner(self.cfg.public_port, object, check);
-        Ok((DirReply::Cap(cap), vec![stored]))
-    }
 }
 
-/// The one path of the five row edits ([`row_edit`]): the directory's
+/// The one path of the three row edits ([`row_edit`]): the directory's
 /// current version, the op's edit of the row `name` in its one copy
 /// (whose row list is allocated at its final length), and the copy
-/// published. An `AppendLink` of a row that already holds its
-/// capability and an `Unlink` of a row (or a directory) already gone
-/// are replays of completed edits: they answer `Ok` and change nothing.
+/// published.
 fn plan_row_edit(
     shared: &mut Shared,
     op: &DirOp,
@@ -271,25 +228,11 @@ fn plan_row_edit(
     name: &str,
     useq: u64,
 ) -> Result<Update, DirError> {
-    if matches!(op, DirOp::Unlink { .. }) && shared.table.get(object).is_none() {
-        return Ok((DirReply::Ok, Vec::new()));
-    }
     let dir = dir_for_plan(shared, object)?;
-    let replayed = match op {
-        DirOp::AppendLink { cap, .. } => dir.find(name).is_some_and(|r| r.cap == *cap),
-        DirOp::Unlink { .. } => dir.find(name).is_none(),
-        _ => false,
-    };
-    if replayed {
-        return Ok((DirReply::Ok, Vec::new()));
-    }
-    let appends = matches!(op, DirOp::Append { .. } | DirOp::AppendLink { .. });
+    let appends = matches!(op, DirOp::Append { .. });
     let mut edit = dir.edit_copy(usize::from(appends));
     match op {
         DirOp::Append {
-            cap, col_rights, ..
-        }
-        | DirOp::AppendLink {
             cap, col_rights, ..
         } => edit.append_row(name, *cap, col_rights),
         DirOp::Chmod { col_rights, .. } => edit.chmod_row(name, col_rights),

@@ -1,6 +1,5 @@
 //! The replicated state every role reads: [`Shared`] and its leases.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
@@ -41,12 +40,6 @@ pub(crate) struct Shared {
     pub applied_group_seq: u64,
     pub commit: CommitBlock,
     pub next_nv_uid: u64,
-    /// Completion records of keyed creates (`key → object`): the
-    /// idempotency memory of the cross-shard two-step protocol (see
-    /// [`crate::ShardMap`]). Replicated state —
-    /// travels in snapshots; deleting a directory deletes its records.
-    /// Keyed by a key the request carries, so hashed with `RandomState`.
-    pub completions: HashMap<u64, u64>,
     /// Outstanding client read leases (`object → holders`). Replicated
     /// state — grants travel through the total order (a replica-local
     /// grant would be invisible to a write initiated at another
@@ -137,7 +130,6 @@ impl Shared {
             applied_group_seq: 0,
             commit: CommitBlock::initial(n),
             next_nv_uid: 1,
-            completions: HashMap::new(),
             rleases: IdMap::default(),
             revoked: IdMap::default(),
             inflight_inval: IdMap::default(),

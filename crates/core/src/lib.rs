@@ -30,9 +30,9 @@
 //! shard is a complete directory service — its own columns, object
 //! table, Bullet files and sequencer — on its own public port, routed
 //! by the [`ShardMap`] (the shard is burned into every capability's
-//! port). Cross-shard operations run a deterministic, idempotent
-//! two-step protocol with replicated completion records; see the
-//! [`shard`] module docs for the full contract and its invariants. A
+//! port). A client links a directory into a parent on another shard
+//! with two plain calls, a create and an append, as in the paper; see
+//! the [`shard`] module docs for the contract and its invariants. A
 //! single-shard deployment is bit-identical to the unsharded service. A
 //! directory stays on the shard that created it for its whole life.
 //!

@@ -97,39 +97,6 @@ impl DirModel {
                 }
                 Ok(None)
             }
-            DirOp::CreateKeyed { columns, .. } => {
-                // The model is keyless (no completion store): a keyed
-                // create behaves like a plain create here; idempotency
-                // is covered by the service-level sharding tests.
-                self.apply(&DirOp::Create {
-                    columns: columns.clone(),
-                    check: 0,
-                })
-            }
-            DirOp::AppendLink {
-                object,
-                name,
-                cap,
-                col_rights,
-            } => {
-                let dir = self.dirs.get_mut(object).ok_or(DirError::BadCapability)?;
-                if let Some(row) = dir.find(name) {
-                    return if row.cap == *cap {
-                        Ok(None)
-                    } else {
-                        Err(DirError::DuplicateName)
-                    };
-                }
-                dir.append_row(name.as_str(), *cap, col_rights)?;
-                Ok(None)
-            }
-            DirOp::Unlink { object, name } => {
-                // Missing row and deleted directory are both success.
-                if let Some(dir) = self.dirs.get_mut(object) {
-                    let _ = dir.delete_row(name);
-                }
-                Ok(None)
-            }
             DirOp::GrantRead { cap, .. } => {
                 // The model has no lease table: a grant mutates nothing,
                 // it only requires the directory to exist. Lease fencing

@@ -78,35 +78,6 @@ wire_enum! {
             /// (directory, name, new capability) triples.
             items: Vec<(Capability, String, Capability)> as SET,
         },
-        /// Create a directory idempotently: a repeat carrying the same key
-        /// returns the originally created directory's capability (step one
-        /// of the cross-shard create protocol, see [`crate::ShardMap`]).
-        9 => CreateKeyed {
-            /// Column (protection-domain) names, 1–4.
-            columns: Vec<String> as COLUMNS,
-            /// Completion key ([`crate::ShardMap::completion_key`]).
-            key: u64,
-        },
-        /// Add a row idempotently: succeeds silently if the row already
-        /// holds exactly `cap` (step two of the cross-shard create).
-        10 => AppendLink {
-            /// The directory (needs [`Rights::MODIFY`]).
-            dir: Capability,
-            /// Row name.
-            name: String,
-            /// Capability to store.
-            cap: Capability,
-            /// Per-column rights masks.
-            col_rights: Vec<Rights> as MASKS,
-        },
-        /// Delete a row idempotently: succeeds silently if the row is
-        /// already gone (step two of the cross-shard delete).
-        11 => Unlink {
-            /// The directory (needs [`Rights::MODIFY`]).
-            dir: Capability,
-            /// Row name.
-            name: String,
-        },
         /// Fetch a directory's visible rows **plus a read lease** over them
         /// (the client-cache miss path, see [`crate::cache`]). Although it
         /// mutates no rows, it is deliberately *not* classified as a read:
@@ -361,39 +332,6 @@ wire_enum! {
         6 => ReplaceSet {
             /// (object, name, new capability) triples.
             items: Vec<(u64, String, Capability)> as SET,
-        },
-        /// Idempotent create: if a completion record for `key` exists, the
-        /// original directory's capability is returned and no state
-        /// changes; otherwise creates like [`Create`](Self::Create) and
-        /// records `key → object`.
-        7 => CreateKeyed {
-            /// Column names.
-            columns: Vec<String> as COLUMNS,
-            /// The raw check field chosen by the initiator (only used when
-            /// the key is new).
-            check: u64,
-            /// Completion key.
-            key: u64,
-        },
-        /// Idempotent append: a row already holding exactly `cap` is
-        /// success; a row holding anything else is `DuplicateName`.
-        8 => AppendLink {
-            /// Directory object number.
-            object: u64,
-            /// Row name.
-            name: String,
-            /// Stored capability.
-            cap: Capability,
-            /// Per-column masks.
-            col_rights: Vec<Rights> as MASKS,
-        },
-        /// Idempotent row delete: a missing row (or a deleted directory) is
-        /// success.
-        9 => Unlink {
-            /// Directory object number.
-            object: u64,
-            /// Row name.
-            name: String,
         },
         /// Grant a read lease over a directory and answer with a snapshot
         /// of its visible rows. Ordered like a write so the replicated

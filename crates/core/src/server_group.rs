@@ -362,11 +362,11 @@ fn read_point<'a>(
 
 /// The directories a just-applied update may have changed — the ones
 /// whose revoked leases this initiator must see through before the
-/// acknowledgement. A keyed create learns its object from the reply: a
-/// replayed one names a directory clients could already be leasing.
-/// Never called for a `GrantRead`, which mutates no rows.
+/// acknowledgement. A create learns its object from the reply: object
+/// numbers are reused (one past the highest live), so a fresh
+/// directory's object may still have a deleted one's revoked leases
+/// parked. Never called for a `GrantRead`, which mutates no rows.
 fn fence_objects(op: &DirOp, reply: &DirReply) -> Vec<u64> {
-    // Fresh creates name no object: theirs are unleased.
     let mut v: Vec<u64> = op_objects(op).collect();
     if let DirReply::Cap(c) = reply {
         v.push(c.object);

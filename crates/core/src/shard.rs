@@ -20,55 +20,18 @@
 //!   the capability ([`ShardMap::shard_of_cap`] — a port-table lookup,
 //!   never a rehash), and object numbers stay local to each shard's
 //!   object table. A directory never leaves its home shard.
-//! * A *fresh* root directory ([`crate::DirClient::create_dir`]) is
-//!   placed round-robin by the creating client. A directory created
-//!   **into a parent** ([`crate::DirClient::create_in`]) is placed by
-//!   the stable hash of `(parent capability, name)`
-//!   ([`ShardMap::child_shard`]) — deterministic, so a retry of the
-//!   same logical create always targets the same shard.
-//!
-//! ## The cross-shard protocol (deterministic two-step)
-//!
-//! `create_in(parent, name)` whose child hashes to a different shard
-//! than its parent cannot be one replicated op. It is two, each
-//! idempotent, always in the same order:
-//!
-//! 1. **`CreateKeyed`** on the child's shard, carrying the
-//!    *completion key* [`ShardMap::completion_key`]`(parent, name)`.
-//!    The child shard's state machine keeps a replicated
-//!    `key → object` completion record: a repeat of the same key
-//!    returns the original directory's capability instead of creating
-//!    a second one.
-//! 2. **`AppendLink`** on the parent's shard: append the row, or
-//!    succeed silently if the row already holds exactly that
-//!    capability.
-//!
-//! A crash (of either shard's sequencer, or of the client) between the
-//! steps leaves at most a created-but-unlinked child; *retrying the
-//! whole operation* converges — step 1 replays to the same capability,
-//! step 2 links it. `delete_from(parent, name)` is the mirror image,
-//! child first: delete the child directory (already-gone is success),
-//! then `Unlink` the row (already-unlinked is success) — so a crash
-//! between the steps leaves a dangling *row* (visible, retryable)
-//! rather than an unreachable orphan *directory*.
+//! * A fresh directory ([`crate::DirClient::create_dir`]) is placed
+//!   round-robin by the creating client. Linking it into a parent on
+//!   another shard is a plain [`crate::DirClient::append_row`] on the
+//!   parent's shard: a row may hold a capability of any shard.
 //!
 //! ## Invariants
 //!
 //! * Per-shard total order: every shard is an unmodified
 //!   `Replica`-driven service, so one-copy serializability holds within
-//!   a shard. Cross-shard operations are *convergent*, not atomic: a
-//!   reader between the two steps can observe the child without the
-//!   link (create) or the link without the child (delete).
-//! * Completion records live in the owning shard's replicated state
-//!   and travel in its recovery snapshots; deleting a directory deletes
-//!   its completion records. They survive any crash some replica of the
-//!   shard survives. They are **not** written to disk: if *every*
-//!   replica of a shard dies in the same flush window and boots from
-//!   the salvaged disk prefix, its completion records are gone while
-//!   the directories themselves survive. A `create_in` retry then
-//!   creates a fresh (orphaned, reclaimable) child and hits
-//!   `DuplicateName` on the link — which the client resolves by
-//!   converging on the row's existing directory.
+//!   a shard. Nothing orders operations across shards: a client that
+//!   creates a directory on one shard and links it on another makes two
+//!   independent updates.
 //! * `ShardMap` is pure over `shards`: every client and server of a
 //!   deployment computes identical placement from the shard count
 //!   alone.
@@ -79,21 +42,6 @@ use crate::capability::Capability;
 
 /// The service-name prefix all shard ports derive from.
 const SERVICE_BASE: &str = "amoeba.dir";
-
-/// A seeded byte hash in FNV-1a's shape, but not FNV-1a: its multiplier
-/// is 2^48 + 0x1b3 where FNV's prime is 2^40 + 0x1b3. Kept as it is
-/// because it places every directory: another hash would move them all
-/// to other shards.
-fn placement_hash(seed: u64, parts: &[&[u8]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for part in parts {
-        for b in *part {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Routing arithmetic for a directory service of `shards` replica
 /// groups. See the [module docs](self) for the full contract.
@@ -149,40 +97,6 @@ impl ShardMap {
     pub fn shard_of_cap(&self, cap: &Capability) -> Option<usize> {
         self.shard_of_port(cap.port)
     }
-
-    /// Where a directory created into `parent` under `name` lives: a
-    /// stable hash, so every retry of the same logical create targets
-    /// the same shard.
-    pub fn child_shard(&self, parent: &Capability, name: &str) -> usize {
-        (placement_hash(
-            0x5AAD,
-            &[
-                &parent.port.as_raw().to_le_bytes(),
-                &parent.object.to_le_bytes(),
-                name.as_bytes(),
-            ],
-        ) % self.shards as u64) as usize
-    }
-
-    /// The idempotency key a [`CreateKeyed`](crate::DirOp::CreateKeyed)
-    /// for `(parent, name)` carries — deterministic across retries (of
-    /// the same parent capability), so the child shard's completion
-    /// record can dedup them. The parent's **check field is folded
-    /// in**: a completion replay answers with the child's owner
-    /// capability, so the key must be computable only by someone
-    /// actually holding a valid parent capability — the child's shard
-    /// cannot validate the (foreign-shard) parent itself.
-    pub fn completion_key(parent: &Capability, name: &str) -> u64 {
-        placement_hash(
-            0xC0_4471,
-            &[
-                &parent.port.as_raw().to_le_bytes(),
-                &parent.object.to_le_bytes(),
-                &parent.check.to_le_bytes(),
-                name.as_bytes(),
-            ],
-        )
-    }
 }
 
 #[cfg(test)]
@@ -222,33 +136,5 @@ mod tests {
         assert_eq!(m.shard_of_cap(&c), Some(2));
         let foreign = Capability::owner(Port::from_name("bullet"), 1, 2);
         assert_eq!(m.shard_of_cap(&foreign), None);
-    }
-
-    #[test]
-    fn child_placement_and_keys_are_deterministic() {
-        let m = ShardMap::new(4);
-        let parent = cap(4, 1, 5);
-        assert_eq!(m.child_shard(&parent, "x"), m.child_shard(&parent, "x"));
-        assert_eq!(
-            ShardMap::completion_key(&parent, "x"),
-            ShardMap::completion_key(&parent, "x")
-        );
-        assert_ne!(
-            ShardMap::completion_key(&parent, "x"),
-            ShardMap::completion_key(&parent, "y")
-        );
-        // The key is secret-bearing: without the parent's check field
-        // it cannot be computed (a replay answers with the child's
-        // owner capability, so guessable keys would leak it).
-        let forged = Capability { check: 0, ..parent };
-        assert_ne!(
-            ShardMap::completion_key(&parent, "x"),
-            ShardMap::completion_key(&forged, "x")
-        );
-        // Names spread over shards (not all in one bucket).
-        let hit: std::collections::BTreeSet<usize> = (0..32)
-            .map(|i| m.child_shard(&parent, &format!("n{i}")))
-            .collect();
-        assert!(hit.len() > 1, "hashing must spread children across shards");
     }
 }

@@ -9,8 +9,8 @@
 //! keyed hash per lookup. [`IdHasher`] is a multiply-rotate hash in the
 //! style of FxHash instead: one rotate, xor and multiply per word.
 //!
-//! A map keyed by data a request supplies — a row name, a completion
-//! key — keeps `RandomState`.
+//! A map keyed by data a request supplies — a row name — keeps
+//! `RandomState`.
 //!
 //! The hash is fixed, so an [`IdMap`]'s iteration order repeats from run
 //! to run. No code may rely on that: where emission order matters, the

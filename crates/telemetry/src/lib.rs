@@ -45,7 +45,7 @@
 //!   the group message; effects triggered by an apply (lease revocation
 //!   callbacks) carry the server handler's ctx onward.
 //!
-//! The result: one cross-shard write yields a single *connected* span tree
+//! The result: one client write yields a single *connected* span tree
 //! (every span's parent exists; exactly one root) spanning client,
 //! sequencer, replica, and lease-holder machines.
 //!

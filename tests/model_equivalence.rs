@@ -219,11 +219,10 @@ fn check(
 /// the owner sees for a live directory, `BadCapability` for any other.
 ///
 /// Generated: creates (malformed column counts included), deletes,
-/// appends and chmods (wrong mask counts included), delete-rows,
-/// append-links, unlinks and replace-sets, on live, deleted and
-/// never-allocated objects. Left out: keyed creates and grants,
-/// because the model has no completion table or lease table;
-/// `tests/sharding.rs` and `tests/cache.rs` cover those ops end to end.
+/// appends and chmods (wrong mask counts included), delete-rows and
+/// replace-sets, on live, deleted and never-allocated objects. Left
+/// out: grants, because the model has no lease table; `tests/cache.rs`
+/// covers them end to end.
 ///
 /// The same ops check the bytes a version carries: the service's
 /// versions, the model's, and a copy of each model directory decoded
@@ -271,25 +270,18 @@ fn gen_planned_op(g: &mut Gen) -> DirOp {
             check: CHECK,
         },
         3 => DirOp::Delete { object },
-        4..=7 => DirOp::Append {
+        4..=9 => DirOp::Append {
             object,
             name,
             cap,
             col_rights: masks(g),
         },
-        8..=9 => DirOp::Chmod {
+        10..=11 => DirOp::Chmod {
             object,
             name,
             col_rights: masks(g),
         },
-        10..=11 => DirOp::DeleteRow { object, name },
-        12..=13 => DirOp::AppendLink {
-            object,
-            name,
-            cap,
-            col_rights: masks(g),
-        },
-        14..=15 => DirOp::Unlink { object, name },
+        12..=15 => DirOp::DeleteRow { object, name },
         _ => DirOp::ReplaceSet {
             items: (0..1 + g.below(3))
                 .map(|_| {
@@ -403,12 +395,6 @@ fn splice_into(decoded: &mut BTreeMap<u64, Directory>, op: &DirOp) {
             name,
             cap,
             col_rights,
-        }
-        | DirOp::AppendLink {
-            object,
-            name,
-            cap,
-            col_rights,
         } => {
             if let Some(d) = decoded.get_mut(object) {
                 let _ = d.append_row(name.as_str(), *cap, col_rights);
@@ -423,7 +409,7 @@ fn splice_into(decoded: &mut BTreeMap<u64, Directory>, op: &DirOp) {
                 let _ = d.chmod_row(name, col_rights);
             }
         }
-        DirOp::DeleteRow { object, name } | DirOp::Unlink { object, name } => {
+        DirOp::DeleteRow { object, name } => {
             if let Some(d) = decoded.get_mut(object) {
                 let _ = d.delete_row(name);
             }

@@ -256,9 +256,9 @@ fn a_rejected_snapshot_allocates_nothing_for_its_claimed_counts() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     let mut sim = Simulation::new(1);
     let (node, sm) = machine_that_never_flushes(&sim);
-    // One snapshot per count field (entries, completions, the empty
-    // section, read leases): the counts before it are zero, it claims a
-    // million, and the body ends there.
+    // One snapshot per count field (entries, the two empty sections,
+    // read leases): the counts before it are zero, it claims a million,
+    // and the body ends there.
     let snaps: Vec<_> = (0..4)
         .map(|zero_counts| {
             let mut w = WireWriter::new();

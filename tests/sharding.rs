@@ -1,6 +1,7 @@
-//! The sharded directory service: per-shard total order, cross-shard
-//! create/delete convergence under crashes, and segment-local placement
-//! on a routed star topology.
+//! The sharded directory service: per-shard total order, a directory
+//! linked into a parent on another shard with the paper's plain calls
+//! (create, then append; also while the parent's shard is down), and
+//! segment-local placement on a routed star topology.
 
 use std::time::Duration;
 
@@ -27,20 +28,13 @@ fn sharded_cluster(shards: usize, seed: u64) -> (Simulation, Cluster, DirClient,
     let mut cluster = Cluster::start(&sim, params);
     let (client, _) = cluster.client(&sim);
     let c2 = client.clone();
-    // The client's round-robin starts at shard 0, so the first create
-    // is the shard-0 root.
+    // The client's round-robin starts at shard 0, but a create refused
+    // while the service forms still advances it: the root lands on the
+    // shard of the first create that succeeds.
     let out = sim.spawn("form", move |ctx| ready_root(ctx, &c2, &["owner"]));
     sim.run_for(Duration::from_secs(40));
     let root = out.take().expect("sharded service formed");
     (sim, cluster, client, root)
-}
-
-/// A row name whose [`ShardMap::child_shard`] hash lands on `want`.
-fn name_on_shard(map: &ShardMap, parent: &Capability, want: usize, tag: &str) -> String {
-    (0..256)
-        .map(|i| format!("{tag}{i}"))
-        .find(|n| map.child_shard(parent, n) == want)
-        .expect("some name hashes to every shard")
 }
 
 #[test]
@@ -161,62 +155,32 @@ fn per_shard_total_order_with_racing_writers() {
 }
 
 #[test]
-fn cross_shard_create_in_links_parent_and_child() {
+fn a_child_on_another_shard_is_linked_resolved_and_removed_with_plain_calls() {
     let (mut sim, _cluster, client, root) = sharded_cluster(2, 229);
     let map = ShardMap::new(2);
-    let name = name_on_shard(&map, &root, 1, "kid");
-    let n2 = name.clone();
     let out = sim.spawn("app", move |ctx| {
-        let child = client
-            .create_in(ctx, root, &n2, &["owner"], vec![Rights::ALL])
-            .unwrap();
-        assert_eq!(
-            map.shard_of_cap(&child),
-            Some(1),
-            "the child lives on its hash shard"
-        );
-        // The link is visible in the parent, and the child is a real,
-        // usable directory on the other shard.
-        let resolved = client.lookup(ctx, root, &n2).unwrap().expect("row exists");
-        assert_eq!(resolved.object, child.object);
-        assert_eq!(resolved.port, child.port);
+        // Round-robin placement: the create after the root's lands on
+        // the other shard.
+        let child = client.create_dir(ctx, &["owner"]).unwrap();
+        assert_ne!(map.shard_of_cap(&child), map.shard_of_cap(&root));
         client
-            .append_row(ctx, child, "inner", child, vec![Rights::ALL])
+            .append_row(ctx, root, "kid", child, vec![Rights::ALL])
             .unwrap();
-        // create_in is idempotent end to end: a repeat returns the same
-        // directory instead of creating a second one.
-        let again = client
-            .create_in(ctx, root, &n2, &["owner"], vec![Rights::ALL])
-            .unwrap();
-        assert_eq!(again, child, "repeat converges on the same child");
-        // A name already linked to *another* service directory (e.g.
-        // the completion record was lost to a total-shard disaster, or
-        // a different holder linked first): create_in converges on the
-        // existing directory instead of failing DuplicateName forever.
-        let other = client.create_dir(ctx, &["owner"]).unwrap();
+        // The link resolves from the parent's shard, and the child is a
+        // real, usable directory on its own.
+        let resolved = client
+            .lookup(ctx, root, "kid")
+            .unwrap()
+            .expect("row exists");
+        assert_eq!(resolved, child);
         client
-            .append_row(ctx, root, "taken", other, vec![Rights::ALL])
+            .append_row(ctx, resolved, "inner", resolved, vec![Rights::ALL])
             .unwrap();
-        let converged = client
-            .create_in(ctx, root, "taken", &["owner"], vec![Rights::ALL])
-            .unwrap();
-        assert_eq!(converged.object, other.object, "ensure-exists semantics");
-        assert_eq!(converged.port, other.port);
-        // ...but a row holding a foreign capability is a true conflict.
-        let foreign = Capability {
-            port: amoeba_dirsvc::flip::Port::from_raw(0xF0F0),
-            ..root
-        };
-        client
-            .append_row(ctx, root, "foreign", foreign, vec![Rights::ALL])
-            .unwrap();
-        assert_eq!(
-            client.create_in(ctx, root, "foreign", &["owner"], vec![Rights::ALL]),
-            Err(DirClientError::Service(DirError::DuplicateName))
-        );
-        // And the mirror two-step removes both row and directory.
-        client.delete_from(ctx, root, &n2).unwrap();
-        assert!(client.lookup(ctx, root, &n2).unwrap().is_none());
+        assert!(client.lookup(ctx, child, "inner").unwrap().is_some());
+        // Removal is the same two calls in reverse.
+        client.delete_row(ctx, root, "kid").unwrap();
+        client.delete_dir(ctx, child).unwrap();
+        assert!(client.lookup(ctx, root, "kid").unwrap().is_none());
         assert_eq!(
             client.list(ctx, child),
             Err(DirClientError::Service(DirError::BadCapability)),
@@ -229,139 +193,54 @@ fn cross_shard_create_in_links_parent_and_child() {
 }
 
 #[test]
-fn cross_shard_create_converges_after_parent_shard_crash_mid_operation() {
-    // Kill the parent shard's majority — its sequencer among the
-    // victims — so create_in completes step one (the keyed create on
-    // the child shard) and fails on step two (the link). The retry
-    // after recovery must converge on the *same* child directory via
-    // the completion record, not create a second one.
+fn a_link_refused_while_the_parent_shard_is_down_succeeds_on_retry_after_restart() {
+    // Kill the parent shard's majority, its sequencer among the
+    // victims: the other shard still creates the child, the link into
+    // the root fails, and an append retried after the restart links the
+    // same child.
     let (mut sim, mut cluster, client, root) = sharded_cluster(2, 233);
     let map = ShardMap::new(2);
-    let name = name_on_shard(&map, &root, 1, "orphan");
-    let i0 = cluster.column_index(0, 0); // shard 0's sequencer
-    let i1 = cluster.column_index(0, 1);
+    let parent = map.shard_of_cap(&root).expect("a shard's root");
+    let i0 = cluster.column_index(parent, 0); // the parent shard's sequencer
+    let i1 = cluster.column_index(parent, 1);
     cluster.crash_server(&sim, i0);
     cluster.crash_server(&sim, i1);
     let c2 = client.clone();
-    let n2 = name.clone();
     let partial = sim.spawn("partial", move |ctx| {
         ctx.sleep(Duration::from_secs(1));
-        // Step one lands on the healthy child shard; step two cannot.
-        c2.create_in(ctx, root, &n2, &["owner"], vec![Rights::ALL])
+        let child = c2
+            .create_dir(ctx, &["owner"])
+            .expect("the other shard serves");
+        let link = c2.append_row(ctx, root, "orphan", child, vec![Rights::ALL]);
+        let listed = c2.list(ctx, child).is_ok();
+        (child, link, listed)
     });
     sim.run_for(Duration::from_secs(25));
-    let err = partial.take().expect("partial attempt returned");
-    assert!(err.is_err(), "the link step must fail without a majority");
+    let (child, link, listed) = partial.take().expect("partial attempt returned");
+    assert_eq!(map.shard_of_cap(&child), Some(1 - parent));
+    assert!(link.is_err(), "the link must fail without a majority");
+    assert!(listed, "the unlinked child lives on its shard");
 
     cluster.restart_server(&sim, i0);
     cluster.restart_server(&sim, i1);
     sim.run_for(Duration::from_secs(30));
     let c3 = client.clone();
-    let n3 = name.clone();
     let retry = sim.spawn("retry", move |ctx| {
-        let mut child = None;
         for _ in 0..100 {
-            match c3.create_in(ctx, root, &n3, &["owner"], vec![Rights::ALL]) {
-                Ok(c) => {
-                    child = Some(c);
-                    break;
-                }
+            match c3.append_row(ctx, root, "orphan", child, vec![Rights::ALL]) {
+                // A duplicate is an earlier attempt that landed; the
+                // lookup below tells which directory it linked.
+                Ok(()) | Err(DirClientError::Service(DirError::DuplicateName)) => break,
                 Err(_) => ctx.sleep(Duration::from_millis(250)),
             }
         }
-        let child = child.expect("retry after recovery succeeds");
-        // The completion record resolved the retry to the directory
-        // created before the crash; a further repeat agrees.
-        let again = c3
-            .create_in(ctx, root, &n3, &["owner"], vec![Rights::ALL])
-            .unwrap();
-        assert_eq!(again, child);
-        let resolved = c3.lookup(ctx, root, &n3).unwrap().expect("row linked");
-        assert_eq!(resolved.object, child.object);
-        child
-    });
-    sim.run_for(Duration::from_secs(60));
-    let child = retry.take().expect("retry completed");
-    assert_eq!(ShardMap::new(2).shard_of_cap(&child), Some(1));
-}
-
-#[test]
-fn cross_shard_delete_converges_after_child_deleted_but_row_dangling() {
-    // The mirror crash: delete_from removes the child directory on its
-    // shard, then the parent shard dies before the unlink. The row
-    // dangles (visible, pointing at a dead directory) — the documented
-    // intermediate state — and a retry after recovery converges: the
-    // child delete replays as success, the row goes away.
-    let (mut sim, mut cluster, client, root) = sharded_cluster(2, 239);
-    let map = ShardMap::new(2);
-    let name = name_on_shard(&map, &root, 1, "dang");
-    let c2 = client.clone();
-    let n2 = name.clone();
-    let setup = sim.spawn("setup", move |ctx| {
-        c2.create_in(ctx, root, &n2, &["owner"], vec![Rights::ALL])
-            .unwrap()
-    });
-    sim.run_for(Duration::from_secs(20));
-    let child = setup.take().expect("cross-shard child created");
-
-    // Emulate the mid-operation crash at its exact interleaving: the
-    // child delete (step one, on the healthy shard 1) has landed...
-    let c3 = client.clone();
-    let n3 = name.clone();
-    let step_one = sim.spawn("step-one", move |ctx| {
-        c3.delete_dir(ctx, child).unwrap();
-        // ...leaving the parent's row dangling, pointing at a dead
-        // directory — the documented visible intermediate state.
-        let gone = matches!(
-            c3.list(ctx, child),
-            Err(DirClientError::Service(DirError::BadCapability))
-        );
-        let dangling = c3.lookup(ctx, root, &n3).unwrap().is_some();
-        (gone, dangling)
-    });
-    sim.run_for(Duration::from_secs(15));
-    let (child_gone, row_dangling) = step_one.take().expect("step one drove");
-    assert!(child_gone, "the child delete landed");
-    assert!(row_dangling, "the row dangles until the unlink");
-
-    // ...and the parent shard (sequencer included) dies before the
-    // unlink: a full delete_from now fails at the parent.
-    let i0 = cluster.column_index(0, 0);
-    let i1 = cluster.column_index(0, 1);
-    cluster.crash_server(&sim, i0);
-    cluster.crash_server(&sim, i1);
-    let c3b = client.clone();
-    let n3b = name.clone();
-    let partial = sim.spawn("partial", move |ctx| {
-        ctx.sleep(Duration::from_secs(1));
-        c3b.delete_from(ctx, root, &n3b).is_err()
-    });
-    sim.run_for(Duration::from_secs(25));
-    assert_eq!(
-        partial.take(),
-        Some(true),
-        "the unlink must fail without a parent-shard majority"
-    );
-
-    cluster.restart_server(&sim, i0);
-    cluster.restart_server(&sim, i1);
-    sim.run_for(Duration::from_secs(30));
-    let c4 = client.clone();
-    let n4 = name.clone();
-    let retry = sim.spawn("retry", move |ctx| {
-        for _ in 0..100 {
-            match c4.delete_from(ctx, root, &n4) {
-                Ok(()) => break,
-                Err(_) => ctx.sleep(Duration::from_millis(250)),
-            }
-        }
-        c4.lookup(ctx, root, &n4).unwrap().is_none()
+        c3.lookup(ctx, root, "orphan").unwrap()
     });
     sim.run_for(Duration::from_secs(60));
     assert_eq!(
         retry.take(),
-        Some(true),
-        "retry converges: dangling row unlinked"
+        Some(Some(child)),
+        "the retried append linked the child"
     );
 }
 

@@ -134,30 +134,6 @@ fn requests() -> Vec<(DirRequest, &'static str)> {
              0000000000000900000000000000ffc900000000000000",
         ),
         (
-            DirRequest::CreateKeyed {
-                columns: names(&["o"]),
-                key: 0xFEED,
-            },
-            "0901010000006fedfe000000000000",
-        ),
-        (
-            DirRequest::AppendLink {
-                dir: cap(1),
-                name: "x".into(),
-                cap: cap(2),
-                col_rights: vec![Rights::ALL],
-            },
-            "0ad1000000000000000100000000000000ffc1000000000000000100000078d10000000000\
-             00000200000000000000ffc20000000000000001ff",
-        ),
-        (
-            DirRequest::Unlink {
-                dir: cap(1),
-                name: "x".into(),
-            },
-            "0bd1000000000000000100000000000000ffc1000000000000000100000078",
-        ),
-        (
             DirRequest::FetchDir {
                 cap: cap(1),
                 owner: 0xC11E,
@@ -304,31 +280,6 @@ fn ops() -> Vec<(DirOp, &'static str)> {
              ffc600000000000000",
         ),
         (
-            DirOp::CreateKeyed {
-                columns: names(&["o", "g"]),
-                check: 31,
-                key: 0xFEED,
-            },
-            "0702010000006f01000000671f00000000000000edfe000000000000",
-        ),
-        (
-            DirOp::AppendLink {
-                object: 4,
-                name: "x".into(),
-                cap: cap(2),
-                col_rights: vec![Rights::ALL],
-            },
-            "0804000000000000000100000078d1000000000000000200000000000000ffc200000000\
-             00000001ff",
-        ),
-        (
-            DirOp::Unlink {
-                object: 4,
-                name: "x".into(),
-            },
-            "0904000000000000000100000078",
-        ),
-        (
             DirOp::GrantRead {
                 cap: cap(1),
                 owner: 0xC11E,
@@ -366,7 +317,9 @@ fn every_request_reply_and_op_keeps_its_bytes() {
 
 /// The last golden bytes of each retired variant: online migration's
 /// requests (`DirRequest` 12–14), replies (`DirReply` 6–7), error
-/// (`DirError` 9) and ops (`DirOp` 10–11). Their tags are refused, not
+/// (`DirError` 9) and ops (`DirOp` 10–11), and the keyed cross-shard
+/// create and delete's requests (`DirRequest` 9–11) and ops (`DirOp`
+/// 7–9). Their tags are refused, not
 /// reused: a peer or client speaking the old layout gets an error. (The
 /// group log's retired act kind 2 is refused in its own module's
 /// tests: the record type is private.)
@@ -377,7 +330,7 @@ fn every_retired_tag_is_refused() {
     let reply: Refuses = |b| DirReply::decode(b).is_err();
     let error: Refuses = |b| DirError::decode(b).is_err();
     let op: Refuses = |b| DirOp::decode(b).is_err();
-    let retired: [(&str, Refuses, &str); 9] = [
+    let retired: [(&str, Refuses, &str); 15] = [
         (
             "ExportDir request",
             request,
@@ -421,6 +374,34 @@ fn every_retired_tag_is_refused() {
             op,
             "0b04000000000000004d0000000000000009000000000000000c00000000000000",
         ),
+        (
+            "CreateKeyed request",
+            request,
+            "0901010000006fedfe000000000000",
+        ),
+        (
+            "AppendLink request",
+            request,
+            "0ad1000000000000000100000000000000ffc1000000000000000100000078d10000000000\
+             00000200000000000000ffc20000000000000001ff",
+        ),
+        (
+            "Unlink request",
+            request,
+            "0bd1000000000000000100000000000000ffc1000000000000000100000078",
+        ),
+        (
+            "CreateKeyed op",
+            op,
+            "0702010000006f01000000671f00000000000000edfe000000000000",
+        ),
+        (
+            "AppendLink op",
+            op,
+            "0804000000000000000100000078d1000000000000000200000000000000ffc200000000\
+             00000001ff",
+        ),
+        ("Unlink op", op, "0904000000000000000100000078"),
     ];
     for (what, refuses, golden) in retired {
         assert!(refuses(&unhex(golden)), "{what} decoded");
@@ -471,8 +452,7 @@ fn two_machines(sim: &mut Simulation) -> (NodeId, [DirectoryStateMachine; 2]) {
 }
 
 /// The ops behind the golden replica snapshot: a directory with a row,
-/// a keyed create (a second directory and its completion record) and a
-/// read lease.
+/// a second directory and a read lease.
 fn snapshot_ops() -> [DirOp; 4] {
     let owner = Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1);
     [
@@ -486,10 +466,9 @@ fn snapshot_ops() -> [DirOp; 4] {
             cap: owner,
             col_rights: vec![Rights::ALL],
         },
-        DirOp::CreateKeyed {
+        DirOp::Create {
             columns: names(&["o"]),
             check: 0xC2,
-            key: 0xFEED,
         },
         DirOp::GrantRead {
             cap: owner,
@@ -502,18 +481,18 @@ fn snapshot_ops() -> [DirOp; 4] {
 }
 
 /// The snapshot of [`snapshot_ops`]: update seq, commit seq, the two
-/// directories, the completion record, the empty section where
-/// migrated directories' stubs were, and the lease.
+/// directories, the empty sections where keyed creates' completion
+/// records and migrated directories' stubs were, and the lease.
 const SNAPSHOT: &str = "04000000000000000000000000000000\
      020000000100000000000000c100000000000000360000000200000000000000\
      01050000006f776e657201000000010000006116178d83bd2600000100000000\
      000000ffc10000000000000001ff0200000000000000c2000000000000001200\
-     0000030000000000000001010000006f0000000001000000edfe000000000000\
-     0200000000000000000000000100000001000000000000000700000000000000\
-     0800000000000000801a060000000000801a0600000000000200000000000000";
+     0000030000000000000001010000006f00000000000000000000000001000000\
+     010000000000000007000000000000000800000000000000801a060000000000\
+     801a0600000000000200000000000000";
 
-/// A replica snapshot holding two directories, a completion record and
-/// a read lease, and its install on a fresh machine.
+/// A replica snapshot holding two directories and a read lease, and its
+/// install on a fresh machine.
 #[test]
 fn a_replica_snapshot_keeps_its_bytes() {
     let mut sim = Simulation::new(1);
@@ -543,11 +522,23 @@ const SNAPSHOT_WITH_A_STUB: &str = "05000000000000000400000000000000\
      00000800000000000000801a060000000000801a060000000000020000000000\
      0000";
 
+/// A snapshot as the layout before the keyed cross-shard create was
+/// retired wrote it, holding a completion record: the section that held
+/// it must be empty now.
+const SNAPSHOT_WITH_A_COMPLETION: &str = "04000000000000000000000000000000\
+     020000000100000000000000c100000000000000360000000200000000000000\
+     01050000006f776e657201000000010000006116178d83bd2600000100000000\
+     000000ffc10000000000000001ff0200000000000000c2000000000000001200\
+     0000030000000000000001010000006f0000000001000000edfe000000000000\
+     0200000000000000000000000100000001000000000000000700000000000000\
+     0800000000000000801a060000000000801a0600000000000200000000000000";
+
 /// A peer's snapshot is refused whole, and the refusal leaves the
 /// installing machine's state as it was: every truncation of the golden
 /// snapshot, the golden with a byte appended, a directory count of
 /// `u32::MAX` with nothing behind it (refused without reserving for the
-/// claim), and a snapshot whose stub section is not empty.
+/// claim), and a snapshot whose completion or stub section is not
+/// empty.
 #[test]
 fn a_malformed_replica_snapshot_is_refused_and_changes_nothing() {
     let mut sim = Simulation::new(1);
@@ -566,6 +557,7 @@ fn a_malformed_replica_snapshot_is_refused_and_changes_nothing() {
         let mut overclaim = snap[..16].to_vec();
         overclaim.extend_from_slice(&u32::MAX.to_le_bytes());
         bad.push(overclaim);
+        bad.push(unhex(SNAPSHOT_WITH_A_COMPLETION));
         bad.push(unhex(SNAPSHOT_WITH_A_STUB));
         // Installed, or refused after changing something.
         let taken = bad
@@ -579,7 +571,7 @@ fn a_malformed_replica_snapshot_is_refused_and_changes_nothing() {
     });
     sim.run_for(Duration::from_secs(60));
     let len = unhex(SNAPSHOT).len();
-    assert_eq!(out.take(), Some((len + 3, 0)), "every snapshot refused");
+    assert_eq!(out.take(), Some((len + 4, 0)), "every snapshot refused");
 }
 
 /// The version a snapshot's bytes carry: the FNV-1a digest of what
