@@ -5,8 +5,6 @@
 //! virtual time, and reports latencies/throughputs measured on the
 //! simulated clock — the same quantities the paper's Figs. 7–9 report.
 
-pub mod microbench;
-
 use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;

@@ -16,9 +16,10 @@ use amoeba_flip::Port;
 use crate::cache::{start_invalidation_listener, CacheParams, DirCache};
 use crate::client::DirClient;
 use crate::config::{DirParams, ServiceConfig, Storage, StorageKind};
-use crate::server_group::{start_group_server, GroupDirServer, GroupServerDeps};
-use crate::server_nfs::{start_nfs_server, NfsServerDeps};
-use crate::server_rpc::{start_rpc_server, RpcServerDeps};
+use crate::server::ServerDeps;
+use crate::server_group::{start_group_server, GroupDirServer};
+use crate::server_nfs::start_nfs_server;
+use crate::server_rpc::start_rpc_server;
 
 /// Which directory service implementation a cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -553,8 +554,17 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
         2,
     );
     let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(column.index));
-    let cpu = Resource::new(spawner.sim_handle(), &format!("cpu-{}", column.index));
-    match params.variant {
+    let deps = ServerDeps {
+        cfg,
+        params: params.dir.clone(),
+        sim_node: column.sim_node,
+        rpc,
+        bullet,
+        partition,
+        storage,
+        cpu: Resource::new(spawner.sim_handle(), &format!("cpu-{}", column.index)),
+    };
+    column.server = match params.variant {
         Variant::Group | Variant::GroupNvram => {
             // One group kernel per machine.
             let peer = GroupPeer::start(
@@ -563,42 +573,15 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
                 column.stack.clone(),
                 params.group.clone(),
             );
-            let deps = GroupServerDeps {
-                cfg,
-                params: params.dir.clone(),
-                sim_node: column.sim_node,
-                rpc,
-                peer,
-                bullet,
-                partition,
-                storage,
-                cpu,
-            };
-            column.server = Some(start_group_server(spawner, deps));
+            Some(start_group_server(spawner, deps, peer))
         }
         Variant::Rpc => {
-            let deps = RpcServerDeps {
-                cfg,
-                params: params.dir.clone(),
-                sim_node: column.sim_node,
-                rpc,
-                bullet,
-                partition,
-                cpu,
-            };
-            let _ = start_rpc_server(spawner, deps);
+            start_rpc_server(spawner, deps);
+            None
         }
         Variant::Nfs => {
-            let deps = NfsServerDeps {
-                cfg,
-                params: params.dir.clone(),
-                sim_node: column.sim_node,
-                rpc,
-                bullet,
-                partition,
-                cpu,
-            };
-            let _ = start_nfs_server(spawner, deps);
+            start_nfs_server(spawner, deps);
+            None
         }
-    }
+    };
 }

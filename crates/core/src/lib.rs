@@ -18,6 +18,12 @@
 //! * **NFS-like** ([`start_nfs_server`]) — a single-copy,
 //!   no-fault-tolerance stand-in for the paper's SunOS/NFS column.
 //!
+//! They differ only in how a write is replicated and made durable. Each
+//! starts from the same [`ServerDeps`] and shares one request front end
+//! (the private `server` module): the server threads that take a
+//! request off the public port, answer `Malformed` to bytes that do not
+//! decode, and reply with what the variant's handler returns.
+//!
 //! The [`cluster`] module assembles complete deployments (Fig. 3 columns:
 //! directory + Bullet + disk server per replica) inside the deterministic
 //! simulator, with crash, reboot, disk-destruction and partition controls.
@@ -149,6 +155,7 @@ mod object_table;
 mod ops;
 pub mod path;
 mod rights;
+mod server;
 mod server_group;
 mod server_nfs;
 mod server_rpc;
@@ -166,7 +173,8 @@ pub use directory::{DirStructureError, Directory, Masks, Name, Row};
 pub use object_table::{ObjEntry, ObjectTable};
 pub use ops::{DirError, DirOp, DirReply, DirRequest};
 pub use rights::Rights;
-pub use server_group::{start_group_server, GroupDirServer, GroupServerDeps};
-pub use server_nfs::{start_nfs_server, NfsDirServer, NfsServerDeps};
-pub use server_rpc::{start_rpc_server, PeerMsg, RpcDirServer, RpcServerDeps};
+pub use server::ServerDeps;
+pub use server_group::{start_group_server, GroupDirServer};
+pub use server_nfs::start_nfs_server;
+pub use server_rpc::{start_rpc_server, PeerMsg};
 pub use shard::ShardMap;

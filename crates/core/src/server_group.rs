@@ -1,8 +1,9 @@
 //! The group directory server: the paper's Fig. 5 protocol, as a thin
 //! service layer over the generic [`amoeba_rsm::Replica`] driver.
 //!
-//! Each server machine runs several **server threads** (initiators) and
-//! one replica driver. Reads are served locally after the driver's read
+//! Each server machine runs several **server threads** (initiators; the
+//! front end they share with the baselines is `server.rs`) and one
+//! replica driver. Reads are served locally after the driver's read
 //! barrier (drain buffered group messages), and wait for the flush of
 //! the batch in flight only if it changed a directory they read (see
 //! `read_point`). Writes are validated here,
@@ -18,19 +19,18 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use amoeba_bullet::BulletClient;
-use amoeba_disk::RawPartition;
 use amoeba_flip::wire::Wire;
 use amoeba_flip::{Payload, Port};
 use amoeba_group::GroupPeer;
-use amoeba_rpc::{RpcClient, RpcNode, RpcParams, RpcServer};
+use amoeba_rpc::{RpcClient, RpcParams};
 use amoeba_rsm::{Replica, ReplicaDeps, RsmConfig, RsmError};
-use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
+use amoeba_sim::{Ctx, Resource, Spawn};
 
 use crate::config::{DirParams, ServiceConfig, Storage};
 use crate::dir::{op_objects, Applier, DirectoryStateMachine, ReadAt, ReadLease};
 use crate::directory::Directory;
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
+use crate::server::ServerDeps;
 use crate::Capability;
 
 /// Handle to one running group directory server (one replica column).
@@ -47,34 +47,6 @@ impl std::fmt::Debug for GroupDirServer {
     }
 }
 
-/// Everything needed to start one replica of the group directory service.
-pub struct GroupServerDeps {
-    /// Static service configuration.
-    pub cfg: ServiceConfig,
-    /// Performance/behaviour parameters.
-    pub params: DirParams,
-    /// The machine this replica runs on.
-    pub sim_node: NodeId,
-    /// RPC kernel of the machine.
-    pub rpc: RpcNode,
-    /// Group-communication kernel of the machine.
-    pub peer: GroupPeer,
-    /// Client stub for this column's Bullet server.
-    pub bullet: BulletClient,
-    /// The raw partition holding commit block + object table.
-    pub partition: RawPartition,
-    /// The commit path with its device, built from `params.storage`.
-    pub storage: Storage,
-    /// The machine's CPU.
-    pub cpu: Resource,
-}
-
-impl std::fmt::Debug for GroupServerDeps {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "GroupServerDeps(server {})", self.cfg.me)
-    }
-}
-
 /// Maps the directory service's parameters onto the generic driver's.
 /// Each shard derives its ports from its own service name, so every
 /// shard forms its own group with its own sequencer.
@@ -88,37 +60,25 @@ fn rsm_config(cfg: &ServiceConfig, params: &DirParams, storage: &Storage) -> Rsm
     rsm
 }
 
-/// Starts all processes of one group directory server replica.
-pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupDirServer {
-    let GroupServerDeps {
-        cfg,
-        params,
-        sim_node,
-        rpc,
-        peer,
-        bullet,
-        partition,
-        storage,
-        cpu,
-    } = deps;
-    let applier = Rc::new(Applier::new(
-        cfg.clone(),
-        &params,
-        bullet,
-        partition,
-        storage,
-    ));
+/// Starts all processes of one group directory server replica over the
+/// machine's group kernel `peer`.
+pub fn start_group_server(
+    spawner: &impl Spawn,
+    deps: ServerDeps,
+    peer: GroupPeer,
+) -> GroupDirServer {
+    let applier = deps.applier();
     let sm = Rc::new(DirectoryStateMachine::new(
         Rc::clone(&applier),
-        params.clone(),
-        cpu.clone(),
+        deps.params.clone(),
+        deps.cpu.clone(),
     ));
     let replica = Replica::start(
         spawner,
         ReplicaDeps {
-            cfg: rsm_config(&cfg, &params, &applier.storage),
-            sim_node,
-            rpc: rpc.clone(),
+            cfg: rsm_config(&deps.cfg, &deps.params, &applier.storage),
+            sim_node: deps.sim_node,
+            rpc: deps.rpc.clone(),
             peer,
             sm,
         },
@@ -126,38 +86,26 @@ pub fn start_group_server(spawner: &impl Spawn, deps: GroupServerDeps) -> GroupD
     let server = GroupDirServer {
         applier: Rc::clone(&applier),
         replica: replica.clone(),
-        cfg: cfg.clone(),
+        cfg: deps.cfg.clone(),
     };
-
-    // Initiator (server) threads.
-    for t in 0..params.server_threads.max(1) {
-        let srv = RpcServer::new(&rpc, cfg.public_port);
-        let applier = Rc::clone(&applier);
-        let replica = replica.clone();
-        // Invalidation callbacks use tightly bounded transports: a
-        // crashed lease holder must cost the write a couple of short
-        // attempts, not the default 100-second client retry budget —
-        // the fallback for an unreachable holder is waiting out its
-        // lease, which `max_lease` caps.
-        let inval = RpcClient::with_params(
-            &rpc,
-            RpcParams {
-                locate_timeout: Duration::from_millis(20),
-                reply_timeout: Duration::from_millis(40),
-                max_attempts: 2,
-                relocate_jitter: Duration::from_millis(1),
-            },
-        );
-        let params = params.clone();
-        let cpu = cpu.clone();
-        spawner.spawn_boxed(
-            Some(sim_node),
-            &format!("dir{}-srv{t}", cfg.me),
-            Box::new(move |ctx| {
-                initiator_loop(ctx, &srv, &applier, &replica, &params, &cpu, &inval)
-            }),
-        );
-    }
+    // Invalidation callbacks use tightly bounded transports: a crashed
+    // lease holder must cost the write a couple of short attempts, not
+    // the default 100-second client retry budget — the fallback for an
+    // unreachable holder is waiting out its lease, which `max_lease`
+    // caps.
+    let inval = RpcClient::with_params(
+        &deps.rpc,
+        RpcParams {
+            locate_timeout: Duration::from_millis(20),
+            reply_timeout: Duration::from_millis(40),
+            max_attempts: 2,
+            relocate_jitter: Duration::from_millis(1),
+        },
+    );
+    let (params, cpu) = (deps.params.clone(), deps.cpu.clone());
+    deps.serve(spawner, &format!("dir{}", deps.cfg.me), move |ctx, req| {
+        handle_request(ctx, &applier, &replica, &params, &cpu, &inval, req)
+    });
     server
 }
 
@@ -199,43 +147,6 @@ impl GroupDirServer {
     #[doc(hidden)]
     pub fn load_dir(&self, ctx: &Ctx, object: u64) -> Result<Rc<Directory>, DirError> {
         self.applier.load_dir(ctx, object)
-    }
-}
-
-/// The Fig. 5 initiator logic, one thread.
-#[allow(clippy::too_many_arguments)]
-fn initiator_loop(
-    ctx: &Ctx,
-    srv: &RpcServer,
-    applier: &Applier,
-    replica: &Replica<DirectoryStateMachine>,
-    params: &DirParams,
-    cpu: &Resource,
-    inval: &RpcClient,
-) {
-    loop {
-        let incoming = srv.getreq(ctx);
-        let req = match DirRequest::decode(&incoming.data) {
-            Ok(r) => r,
-            Err(_) => {
-                srv.putrep(&incoming, DirReply::Err(DirError::Malformed).encode());
-                continue;
-            }
-        };
-        // The server-side span: parented to the client's request
-        // context (silent when the request is untraced). The ambient
-        // context makes the replica submit and the revocation fan-out
-        // RPCs below part of the same tree.
-        let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
-        let span = tele.begin_child("srv.handle", u64::from(srv.addr().0), incoming.trace);
-        let prev = amoeba_telemetry::set_current_ctx(span);
-        let reply = handle_request(ctx, applier, replica, params, cpu, inval, &req);
-        amoeba_telemetry::set_current_ctx(prev);
-        tele.end(span);
-        srv.putrep(
-            &incoming,
-            reply.unwrap_or_else(|e| DirReply::Err(e).encode()),
-        );
     }
 }
 

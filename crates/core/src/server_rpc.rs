@@ -14,16 +14,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use amoeba_bullet::BulletClient;
-use amoeba_disk::RawPartition;
 use amoeba_flip::wire::Wire;
 use amoeba_flip::{wire_enum, Payload};
-use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
-use amoeba_sim::{Ctx, IdSet, MailboxTx, NodeId, Resource, Spawn};
+use amoeba_rpc::{RpcClient, RpcServer};
+use amoeba_sim::{Ctx, IdSet, MailboxTx, Spawn};
 
-use crate::config::{DirParams, ServiceConfig, Storage};
-use crate::dir::{op_object, Applier, ReadAt, Shared};
+use crate::dir::{op_object, Applier};
 use crate::ops::{DirError, DirOp, DirReply, DirRequest};
+use crate::server::ServerDeps;
 
 wire_enum! {
     /// Peer-coordination messages of the RPC service (the paper's
@@ -53,94 +51,21 @@ wire_enum! {
     }
 }
 
-/// Per-server coordination state of the RPC service.
-struct RpcCoord {
-    /// Directories currently locked by an in-flight update (object 0 is
-    /// the allocation lock taken by creates).
-    locked: IdSet<u64>,
-    /// Intentions accepted from the peer and not yet applied lazily.
-    pending_intents: Vec<(u64, Payload)>,
-}
-
-/// Handle to one running RPC directory server.
-#[derive(Clone)]
-pub struct RpcDirServer {
-    pub(crate) shared: Rc<RefCell<Shared>>,
-    coord: Rc<RefCell<RpcCoord>>,
-    cfg: ServiceConfig,
-}
-
-impl std::fmt::Debug for RpcDirServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RpcDirServer({})", self.cfg.me)
-    }
-}
-
-impl RpcDirServer {
-    /// The current logical version (diagnostics/tests).
-    pub fn update_seq(&self) -> u64 {
-        self.shared.borrow().update_seq
-    }
-
-    /// How many peer intentions are logged but not yet applied lazily.
-    pub fn pending_intents(&self) -> usize {
-        self.coord.borrow().pending_intents.len()
-    }
-}
-
-/// Everything needed to start one replica of the RPC directory service.
-pub struct RpcServerDeps {
-    /// Service configuration (`n` must be 2).
-    pub cfg: ServiceConfig,
-    /// Performance parameters.
-    pub params: DirParams,
-    /// The machine.
-    pub sim_node: NodeId,
-    /// The machine's RPC kernel.
-    pub rpc: RpcNode,
-    /// This column's Bullet client.
-    pub bullet: BulletClient,
-    /// The raw partition (commit block + object table).
-    pub partition: RawPartition,
-    /// The machine's CPU.
-    pub cpu: Resource,
-}
-
-impl std::fmt::Debug for RpcServerDeps {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RpcServerDeps(server {})", self.cfg.me)
-    }
-}
-
-/// Starts one replica of the duplicated RPC directory service.
-pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServer {
-    let RpcServerDeps {
+/// Starts one replica of the duplicated RPC directory service
+/// (`deps.cfg.n` must be 2).
+pub fn start_rpc_server(spawner: &impl Spawn, deps: ServerDeps) {
+    let ServerDeps {
         cfg,
         params,
         sim_node,
         rpc,
-        bullet,
-        partition,
-        cpu,
-    } = deps;
+        ..
+    } = &deps;
     assert_eq!(cfg.n, 2, "the RPC directory service is duplicated");
-    let applier = Rc::new(Applier::new(
-        cfg.clone(),
-        &params,
-        bullet,
-        partition,
-        Storage::InPlace,
-    ));
-    let shared = Rc::clone(&applier.shared);
-    let coord = Rc::new(RefCell::new(RpcCoord {
-        locked: IdSet::default(),
-        pending_intents: Vec::new(),
-    }));
-    let server = RpcDirServer {
-        shared: Rc::clone(&shared),
-        coord: Rc::clone(&coord),
-        cfg: cfg.clone(),
-    };
+    let applier = deps.applier();
+    // Directories locked by an in-flight update here (object 0 is the
+    // allocation lock taken by creates).
+    let locked: Rc<RefCell<IdSet<u64>>> = Rc::default();
     // Lazy-apply queue: the background thread that creates the second
     // replica of updated directories.
     let (lazy_tx, lazy_rx) = spawner.sim_handle().channel::<(u64, Payload)>();
@@ -153,43 +78,37 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
     let (apply_tx, apply_rx) = spawner.sim_handle().channel::<(u64, Payload)>();
     {
         let applier = Rc::clone(&applier);
-        let coord = Rc::clone(&coord);
         spawner.spawn_boxed(
-            Some(sim_node),
+            Some(*sim_node),
             &format!("rpcdir{}-applyworker", cfg.me),
             Box::new(move |ctx| loop {
                 let (useq, op) = apply_rx.recv(ctx);
                 if let Ok(op) = DirOp::decode(&op) {
                     let _ = applier.apply_with_seq(ctx, useq, &op);
                 }
-                coord
-                    .borrow_mut()
-                    .pending_intents
-                    .retain(|(s, _)| *s != useq);
             }),
         );
     }
     for pt in 0..2 {
-        let srv = RpcServer::new(&rpc, cfg.internal_port(cfg.me));
-        let coord = Rc::clone(&coord);
-        let params2 = params.clone();
+        let srv = RpcServer::new(rpc, cfg.internal_port(cfg.me));
+        let locked = Rc::clone(&locked);
+        let intentions_latency = params.intentions_latency;
         let apply_tx = apply_tx.clone();
         spawner.spawn_boxed(
-            Some(sim_node),
+            Some(*sim_node),
             &format!("rpcdir{}-peer{pt}", cfg.me),
             Box::new(move |ctx| loop {
                 let incoming = srv.getreq(ctx);
                 let reply = match PeerMsg::decode_shared(&incoming.data) {
-                    Ok(PeerMsg::Intent { useq, op }) => {
+                    Ok(PeerMsg::Intent { op, .. }) => {
                         let object = DirOp::decode(&op).map(|o| op_object(&o)).unwrap_or(0);
-                        let busy = { coord.borrow_mut().locked.contains(&object) };
+                        let busy = locked.borrow().contains(&object);
                         if busy {
                             PeerMsg::IntentBusy
                         } else {
                             // Sequential log append: rotation + transfer,
                             // no full seek (see DirParams).
-                            ctx.sleep(params2.intentions_latency);
-                            coord.borrow_mut().pending_intents.push((useq, op));
+                            ctx.sleep(intentions_latency);
                             PeerMsg::IntentOk
                         }
                     }
@@ -205,11 +124,12 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
     }
 
     // Lazy replication sender.
+    let rpc_client = RpcClient::new(rpc);
+    let peer_port = cfg.internal_port(1 - cfg.me);
     {
-        let rpc_client = RpcClient::new(&rpc);
-        let peer_port = cfg.internal_port(1 - cfg.me);
+        let rpc_client = rpc_client.clone();
         spawner.spawn_boxed(
-            Some(sim_node),
+            Some(*sim_node),
             &format!("rpcdir{}-lazy", cfg.me),
             Box::new(move |ctx| loop {
                 let (useq, op) = lazy_rx.recv(ctx);
@@ -219,35 +139,14 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: RpcServerDeps) -> RpcDirServ
         );
     }
 
-    // Server (initiator) threads.
-    for t in 0..params.server_threads.max(1) {
-        let srv = RpcServer::new(&rpc, cfg.public_port);
-        let applier = Rc::clone(&applier);
-        let coord = Rc::clone(&coord);
-        let params = params.clone();
-        let cpu = cpu.clone();
-        let rpc_client = RpcClient::new(&rpc);
-        let peer_port = cfg.internal_port(1 - cfg.me);
-        let lazy_tx = lazy_tx.clone();
-        spawner.spawn_boxed(
-            Some(sim_node),
-            &format!("rpcdir{}-srv{t}", cfg.me),
-            Box::new(move |ctx| {
-                rpc_initiator_loop(
-                    ctx,
-                    &srv,
-                    &applier,
-                    &coord,
-                    &params,
-                    &cpu,
-                    &rpc_client,
-                    peer_port,
-                    &lazy_tx,
-                )
-            }),
-        );
-    }
-    server
+    deps.serve_local_reads(
+        spawner,
+        &format!("rpcdir{}", cfg.me),
+        applier,
+        move |ctx, applier, req| {
+            rpc_write(ctx, applier, &locked, &rpc_client, peer_port, &lazy_tx, req)
+        },
+    );
 }
 
 impl Applier {
@@ -272,44 +171,12 @@ impl Applier {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rpc_initiator_loop(
-    ctx: &Ctx,
-    srv: &RpcServer,
-    applier: &Applier,
-    coord: &RefCell<RpcCoord>,
-    params: &DirParams,
-    cpu: &Resource,
-    rpc_client: &RpcClient,
-    peer_port: amoeba_flip::Port,
-    lazy_tx: &MailboxTx<(u64, Payload)>,
-) {
-    loop {
-        let incoming = srv.getreq(ctx);
-        let req = match DirRequest::decode(&incoming.data) {
-            Ok(r) => r,
-            Err(_) => {
-                srv.putrep(&incoming, DirReply::Err(DirError::Malformed).encode());
-                continue;
-            }
-        };
-        let reply = if req.is_read() {
-            // Reads: local, no coordination (the RPC service's semantics).
-            cpu.use_for(ctx, params.read_cpu);
-            applier.serve_read(ctx, &req, &ReadAt::LOCAL).encode()
-        } else {
-            cpu.use_for(ctx, params.write_cpu);
-            rpc_write(ctx, applier, coord, rpc_client, peer_port, lazy_tx, &req)
-                .unwrap_or_else(|e| DirReply::Err(e).encode())
-        };
-        srv.putrep(&incoming, reply);
-    }
-}
-
+/// An update through the intentions protocol: logged at the peer, applied
+/// here, copied to the peer lazily.
 fn rpc_write(
     ctx: &Ctx,
     applier: &Applier,
-    coord: &RefCell<RpcCoord>,
+    locked: &RefCell<IdSet<u64>>,
     rpc_client: &RpcClient,
     peer_port: amoeba_flip::Port,
     lazy_tx: &MailboxTx<(u64, Payload)>,
@@ -319,12 +186,8 @@ fn rpc_write(
     // A create locks the allocator, object 0.
     let lock_object = op_object(&op);
     // Local conflict lock.
-    {
-        let mut c = coord.borrow_mut();
-        if c.locked.contains(&lock_object) {
-            return Err(DirError::Internal); // busy; client retries
-        }
-        c.locked.insert(lock_object);
+    if !locked.borrow_mut().insert(lock_object) {
+        return Err(DirError::Internal); // busy; client retries
     }
     let useq = { applier.shared.borrow_mut().update_seq + 1 };
     let op_bytes = op.encode();
@@ -343,12 +206,12 @@ fn rpc_write(
         }
     };
     if !peer_ok {
-        coord.borrow_mut().locked.remove(&lock_object);
+        locked.borrow_mut().remove(&lock_object);
         return Err(DirError::Internal);
     }
     // Phase 2: perform the update locally (Bullet file + table write).
     let reply = applier.apply_with_seq(ctx, useq, &op);
-    coord.borrow_mut().locked.remove(&lock_object);
+    locked.borrow_mut().remove(&lock_object);
     // Phase 3: lazy replication in the background.
     lazy_tx.send((useq, op_bytes));
     Ok(reply)

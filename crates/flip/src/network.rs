@@ -31,11 +31,11 @@
 //! * **Routing tables** are learned backward from traffic: every node
 //!   (host or router) that sees a frame which crossed at least one
 //!   router learns "its origin is reachable via the relay that put it on
-//!   my segment", with the accumulated hop count and segment weight;
-//!   lower (weight, hops) wins. Unicasts to an off-segment destination
-//!   follow these tables hop by hop; with no route yet they flood like a
-//!   broadcast (TTL-limited, duplicate-suppressed) and the reply teaches
-//!   the direct route — the locate-then-route pattern FLIP relies on.
+//!   my segment", with the accumulated hop count; fewer hops win.
+//!   Unicasts to an off-segment destination follow these tables hop by
+//!   hop; with no route yet they flood like a broadcast (TTL-limited,
+//!   duplicate-suppressed) and the reply teaches the direct route —
+//!   the locate-then-route pattern FLIP relies on.
 //! * **Route aging**: every learned entry carries the virtual time it
 //!   was last confirmed (learning an entry again refreshes the stamp, so
 //!   routes in active use never expire). A lookup that finds an entry
@@ -139,20 +139,10 @@ struct RouteEntry {
     segment: SegmentId,
     /// Router traversals to the destination.
     hops: u8,
-    /// Accumulated segment weight of the path.
-    weight: u32,
     /// Virtual time this entry was last (re-)learned from traffic;
     /// entries older than [`NetParams::route_max_age`] are dropped at
     /// lookup time.
     confirmed_at: SimTime,
-}
-
-struct SegmentState {
-    weight: u32,
-    params: Option<NetParams>,
-    /// When this segment's wire is free again (one frame at a time; a
-    /// multicast occupies it once, however many hosts listen).
-    wire_free: SimTime,
 }
 
 /// What the medium keeps per node, host or router: one slot of
@@ -188,8 +178,9 @@ struct NetInner {
     rng: SimRng,
     stats: NetStats,
     next_packet_id: u64,
-    topology: Topology,
-    segments: Vec<SegmentState>,
+    /// When each segment's wire is free again (one frame at a time; a
+    /// multicast occupies it once, however many hosts listen).
+    wire_free: Vec<SimTime>,
     /// Every router's attached segments.
     routers: BTreeMap<HostAddr, Vec<SegmentId>>,
     /// Per-router group routing state: router → (group → attached
@@ -245,7 +236,7 @@ impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.borrow();
         f.debug_struct("Network")
-            .field("segments", &inner.segments.len())
+            .field("segments", &inner.wire_free.len())
             .field("routers", &inner.routers.len())
             .field(
                 "hosts",
@@ -280,15 +271,6 @@ impl Network {
             !topology.segments().is_empty(),
             "a network needs at least one segment"
         );
-        let segments: Vec<SegmentState> = topology
-            .segments()
-            .iter()
-            .map(|s| SegmentState {
-                weight: s.weight,
-                params: s.params.clone(),
-                wire_free: SimTime::ZERO,
-            })
-            .collect();
         let seg_stats: Vec<SegmentStats> = topology
             .segments()
             .iter()
@@ -311,8 +293,7 @@ impl Network {
                 ..Default::default()
             },
             next_packet_id: 0,
-            topology: topology.clone(),
-            segments,
+            wire_free: vec![SimTime::ZERO; topology.segments().len()],
             routers: BTreeMap::new(),
             group_routes: IdMap::default(),
             group_routes_dirty: true,
@@ -344,7 +325,7 @@ impl Network {
         let addr = {
             let mut inner = self.inner.borrow_mut();
             assert!(
-                (segment.0 as usize) < inner.segments.len(),
+                (segment.0 as usize) < inner.wire_free.len(),
                 "attach_to unknown {segment}"
             );
             inner.add_node(NodeSlot {
@@ -359,11 +340,6 @@ impl Network {
     /// A snapshot of the traffic counters.
     pub fn stats(&self) -> NetStats {
         self.inner.borrow().stats.clone()
-    }
-
-    /// The topology this network was built from.
-    pub fn topology(&self) -> Topology {
-        self.inner.borrow().topology.clone()
     }
 
     /// The segment a host (or router) is attached to; a router's
@@ -479,9 +455,8 @@ impl Network {
         inner.set_sides(std::iter::empty());
     }
 
-    /// Updates the base fault model on the fly (loss, duplication,
-    /// jitter...). Per-segment overrides from the topology keep
-    /// precedence.
+    /// Updates the fault model on the fly (loss, duplication,
+    /// jitter...), on every segment.
     pub fn set_params(&self, params: NetParams) {
         let mut inner = self.inner.borrow_mut();
         inner.handle.record_fault(
@@ -538,9 +513,8 @@ impl Network {
         pkt.hops = 0;
         pkt.relay = src;
         pkt.link_dst = None;
-        pkt.path_weight = 0;
         inner.stats.packets_sent += 1;
-        let header = inner.seg_params(seg).header_bytes;
+        let header = inner.params.header_bytes;
         inner.stats.bytes_sent += (pkt.payload.len() + header) as u64;
         match pkt.dst {
             Dest::Unicast(d) => {
@@ -598,7 +572,7 @@ impl NetInner {
     /// Segments reachable from `start` (inclusive) through routers that
     /// are up, with router `excluding` removed from the graph.
     fn segs_reachable_excluding(&self, start: SegmentId, excluding: HostAddr) -> Vec<bool> {
-        let n = self.segments.len();
+        let n = self.wire_free.len();
         let mut reach = vec![false; n];
         reach[start.0 as usize] = true;
         let mut queue = VecDeque::from([start]);
@@ -660,13 +634,6 @@ impl NetInner {
         }
     }
 
-    fn seg_params(&self, seg: SegmentId) -> &NetParams {
-        self.segments[seg.0 as usize]
-            .params
-            .as_ref()
-            .unwrap_or(&self.params)
-    }
-
     /// Looks up `from`'s route to `dst`, pruning entries whose next hop
     /// is down (the reply-path will re-teach a live one) and entries
     /// that exceeded the route-age horizon without reconfirmation.
@@ -700,14 +667,11 @@ impl NetInner {
             next_hop: pkt.relay,
             segment: seg,
             hops: pkt.hops,
-            weight: pkt.path_weight,
             confirmed_at: self.handle.now(),
         };
         let table = &mut self.nodes[who.0 as usize].routes;
         match table.get(&origin) {
-            Some(old)
-                if (old.weight, old.hops) <= (entry.weight, entry.hops)
-                    && old.next_hop != entry.next_hop => {}
+            Some(old) if old.hops <= entry.hops && old.next_hop != entry.next_hop => {}
             _ => {
                 table.insert(origin, entry);
             }
@@ -772,12 +736,8 @@ impl NetInner {
     /// and every saved packet is also one fewer store-and-forward per
     /// crossed segment.
     fn transmit_frame(&mut self, seg: SegmentId, pkt: Packet, ready: SimTime) {
-        let multi = self.segments.len() > 1;
-        let mut pkt = pkt;
-        pkt.path_weight = pkt
-            .path_weight
-            .saturating_add(self.segments[seg.0 as usize].weight);
-        let params = self.seg_params(seg);
+        let multi = self.wire_free.len() > 1;
+        let params = &self.params;
         let send_cpu = params.send_cpu;
         let recv_cpu = params.recv_cpu;
         let propagation = params.propagation;
@@ -797,10 +757,10 @@ impl NetInner {
         // The segment's ether: one frame on the wire at a time; a
         // multicast occupies it exactly once regardless of the receiver
         // count.
-        let ss = &mut self.segments[seg.0 as usize];
-        let wire_start = ss.wire_free.max(tx_done);
+        let wire_free = &mut self.wire_free[seg.0 as usize];
+        let wire_start = (*wire_free).max(tx_done);
         let wire_done = wire_start + wire_time;
-        ss.wire_free = wire_done;
+        *wire_free = wire_done;
         let wire_nanos = wire_time.as_nanos() as u64;
         self.stats.wire_busy_nanos += wire_nanos;
         let seg_stats = &mut self.stats.segments[seg.0 as usize];

@@ -48,9 +48,6 @@ pub struct Packet {
     /// router picks the frame up from the segment. Set by the routing
     /// layer, never by senders.
     pub link_dst: Option<HostAddr>,
-    /// Accumulated route cost (sum of traversed segment weights);
-    /// receivers record it in their routing tables.
-    pub path_weight: u32,
     /// Out-of-band causal-trace tags riding on this packet: `(key, ctx)`
     /// pairs whose key meaning is protocol-defined (msgid for group
     /// send-requests, seqno for accepts, 0 for RPC). **Not** part of the
@@ -79,7 +76,6 @@ impl Packet {
             packet_id: 0,
             relay: src,
             link_dst: None,
-            path_weight: 0,
             trace: Vec::new(),
         }
     }

@@ -2,19 +2,16 @@
 //!
 //! A [`Topology`] is the static wiring plan a [`Network`](crate::Network)
 //! is built from: an ordered list of named *segments* (each its own
-//! Ethernet with its own wire occupancy and, optionally, its own
-//! [`NetParams`]) and a list of *routers*, each attached to two or more
-//! segments. The degenerate [`Topology::single`] — one segment, no
-//! routers — is the default everywhere and reproduces the old
-//! single-Ethernet behaviour exactly.
+//! Ethernet with its own wire occupancy) and a list of *routers*, each
+//! attached to two or more segments. The degenerate
+//! [`Topology::single`] — one segment, no routers — is the default
+//! everywhere and reproduces the old single-Ethernet behaviour exactly.
 //!
 //! Hop counts are *router traversals*: two hosts on the same segment are
 //! 0 hops apart; one router between their segments makes them 1 hop
 //! apart. [`Topology::default_ttl`] (diameter + 1) is the TTL a packet
 //! needs to reach every host, and is what a stack stamps on packets whose
 //! sender did not choose a TTL explicitly.
-
-use crate::params::NetParams;
 
 /// Index of a segment within a [`Topology`] (and its `Network`).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -37,12 +34,6 @@ impl std::fmt::Display for SegmentId {
 pub struct SegmentSpec {
     /// Human-readable name, used in per-segment stats and bench output.
     pub name: String,
-    /// Additive route cost of traversing this segment (1 for a LAN;
-    /// raise it to make routes prefer other paths, e.g. a slow WAN hop).
-    pub weight: u32,
-    /// Timing/fault model override; `None` inherits the network's base
-    /// parameters.
-    pub params: Option<NetParams>,
 }
 
 /// One router of a topology: a store-and-forward node attached to two or
@@ -113,24 +104,11 @@ impl Topology {
         t
     }
 
-    /// Adds a segment with weight 1 and inherited parameters.
+    /// Adds a segment; it takes the network's parameters.
     pub fn add_segment(&mut self, name: &str) -> SegmentId {
-        self.add_segment_with(name, 1, None)
-    }
-
-    /// Adds a segment with an explicit route weight and an optional
-    /// [`NetParams`] override.
-    pub fn add_segment_with(
-        &mut self,
-        name: &str,
-        weight: u32,
-        params: Option<NetParams>,
-    ) -> SegmentId {
         let id = SegmentId(self.segments.len() as u32);
         self.segments.push(SegmentSpec {
             name: name.to_owned(),
-            weight: weight.max(1),
-            params,
         });
         id
     }

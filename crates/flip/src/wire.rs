@@ -70,8 +70,6 @@
 //! claims a million rows is refused without allocating for them.
 
 use std::cell::Cell;
-#[allow(clippy::disallowed_types)] // keyed by names, which requests supply
-use std::collections::HashMap;
 use std::fmt;
 
 use amoeba_sim::Fnv1a;
@@ -878,32 +876,6 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
         Ok((A::get(r)?, B::get(r)?, C::get(r)?))
     }
 }
-
-/// A `u32` count, then the entries in strictly increasing key order —
-/// the deterministic encoding of an unordered map that snapshots need.
-/// Entries whose keys repeat or go down are refused, not merged into a
-/// map other than the one the bytes claim.
-#[allow(clippy::disallowed_types)] // keyed by names, which requests supply
-impl<V: Wire> Wire for HashMap<String, V> {
-    fn put(&self, w: &mut WireWriter) {
-        let mut entries: Vec<(&String, &V)> = self.iter().collect();
-        entries.sort_unstable_by_key(|(key, _)| *key);
-        ANY.put(w, entries, |(key, value), w| {
-            key.put(w);
-            value.put(w);
-        });
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<HashMap<String, V>, DecodeError> {
-        let entries: Vec<(String, V)> = ANY.get(r, <(String, V)>::get)?;
-        if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
-            return Err(DecodeError::new("map order"));
-        }
-        Ok(entries.into_iter().collect())
-    }
-}
-
-/// The count of a collection whose only bound is what its bytes back.
-const ANY: Counted = Counted::u32(u32::MAX, "count");
 
 #[cfg(test)]
 mod tests {

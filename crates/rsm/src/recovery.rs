@@ -150,23 +150,8 @@ pub(crate) fn run_recovery<S: StateMachine>(
         // replica 0's instance instead of racing singleton groups.
         let patience = JOIN_TIMEOUT + JOIN_TIMEOUT / 2 * (cfg.me as u32);
         let group = match peer.join(ctx, cfg.group_port, cfg.me as u64, patience) {
-            Ok(g) => {
-                ctx.trace(format!(
-                    "rsm-recovery[{}]: joined instance {}",
-                    cfg.me,
-                    g.instance_id()
-                ));
-                g
-            }
-            Err(_) => {
-                let g = peer.create(cfg.group_port, cfg.me as u64);
-                ctx.trace(format!(
-                    "rsm-recovery[{}]: created instance {}",
-                    cfg.me,
-                    g.instance_id()
-                ));
-                g
-            }
+            Ok(g) => g,
+            Err(_) => peer.create(cfg.group_port, cfg.me as u64),
         };
 
         // "while (minority && !timeout) GetInfoGroup(&group_state)".
@@ -184,12 +169,10 @@ pub(crate) fn run_recovery<S: StateMachine>(
         };
         if !majority {
             // "if (minority) try again; leave group and retry".
-            ctx.trace(format!("rsm-recovery[{}]: no majority, retrying", cfg.me));
             group.leave(ctx);
             retry_sleep(ctx);
             continue;
         }
-        ctx.trace(format!("rsm-recovery[{}]: majority reached", cfg.me));
 
         // Drain membership events so the view is settled for us.
         while group.pending_events() > 0 {
@@ -281,10 +264,6 @@ pub(crate) fn run_recovery<S: StateMachine>(
             if improved_ok {
                 break Some((newgroup, seqs));
             }
-            ctx.trace(format!(
-                "rsm-recovery[{}]: last set {:?} not in newgroup {:?}; waiting",
-                cfg.me, last, newgroup
-            ));
             if ctx.now() >= skeen_deadline {
                 break None;
             }
@@ -337,10 +316,6 @@ pub(crate) fn run_recovery<S: StateMachine>(
             shared.borrow_mut().set_cursors(hc);
         }
 
-        ctx.trace(format!(
-            "rsm-recovery[{}]: entering normal operation",
-            cfg.me
-        ));
         // "write commit block; enter normal operation".
         let cursor = shared.borrow().applied_seq;
         persist(ctx, sm, shared, cursor, &newgroup, false);

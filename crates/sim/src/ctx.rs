@@ -188,13 +188,6 @@ impl Ctx {
         self.shared.borrow().node_alive(node)
     }
 
-    /// Appends a message to the simulation trace (if tracing is enabled).
-    pub fn trace(&self, msg: impl Into<String>) {
-        let mut k = self.shared.borrow_mut();
-        let line = format!("[{}] {}", self.name, msg.into());
-        k.trace_log(line);
-    }
-
     // ------------------------------------------------------------------
     // Internal plumbing.
     // ------------------------------------------------------------------

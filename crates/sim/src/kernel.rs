@@ -375,7 +375,6 @@ pub(crate) struct Kernel {
     pub handler_calls: u64,
     /// Panic text of a process that panicked; the driver re-raises it.
     pub poisoned: Option<String>,
-    pub trace: Option<Vec<(SimTime, String)>>,
     /// Decision-trace recording/replay state (see [`crate::record`]).
     pub(crate) rec: RecMode,
     /// Opaque per-simulation payload (see [`crate::SimHandle::set_user_data`]).
@@ -403,7 +402,6 @@ impl Kernel {
             handoffs: 0,
             handler_calls: 0,
             poisoned: None,
-            trace: None,
             rec: RecMode::Off,
             user_data: None,
         }
@@ -740,8 +738,6 @@ impl Kernel {
         // `NodeRec::procs` is a hash set: sort so the reap order (and thus
         // the decision trace) does not depend on how it hashes.
         doomed.sort_unstable();
-        let name = self.nodes[node.0 as usize].name.clone();
-        self.trace_log(format!("crash {node} ({name})"));
         self.record_fault(fault_codes::CRASH_NODE, node.0 as u64, 0);
         if !doomed.is_empty() {
             let t = self.now;
@@ -766,19 +762,11 @@ impl Kernel {
             n.alive = true;
             n.procs.clear();
         }
-        self.trace_log(format!("revive {node}"));
         self.record_fault(fault_codes::REVIVE_NODE, node.0 as u64, 0);
     }
 
     pub fn node_alive(&self, node: NodeId) -> bool {
         self.nodes.get(node.0 as usize).is_some_and(|n| n.alive)
-    }
-
-    pub fn trace_log(&mut self, msg: String) {
-        let now = self.now;
-        if let Some(t) = &mut self.trace {
-            t.push((now, msg));
-        }
     }
 }
 

@@ -76,7 +76,11 @@ where
         let pid = k.alloc_pid();
         if let Some(n) = node {
             let nrec = k.node_mut(n).expect("spawn_on unknown node");
-            assert!(nrec.alive, "cannot spawn on crashed node {n}");
+            assert!(
+                nrec.alive,
+                "cannot spawn on crashed node {n} ({})",
+                nrec.name
+            );
             nrec.procs.insert(pid);
         }
         let rng = k.proc_rng(pid);

@@ -146,21 +146,6 @@ impl Simulation {
         self.shared.borrow().snapshot_recording()
     }
 
-    /// Enables trace collection (see [`take_trace`](Simulation::take_trace)).
-    pub fn enable_trace(&self) {
-        self.shared.borrow_mut().trace = Some(Vec::new());
-    }
-
-    /// Drains and returns collected trace lines.
-    pub fn take_trace(&self) -> Vec<(SimTime, String)> {
-        self.shared
-            .borrow_mut()
-            .trace
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.shared.borrow().now

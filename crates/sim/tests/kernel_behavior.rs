@@ -621,21 +621,6 @@ fn rng_streams_differ_per_process() {
 }
 
 #[test]
-fn trace_collection_works() {
-    let mut sim = Simulation::new(1);
-    sim.enable_trace();
-    sim.spawn("p", |ctx| {
-        ctx.sleep(MS);
-        ctx.trace("hello");
-    });
-    sim.run();
-    let trace = sim.take_trace();
-    assert!(trace
-        .iter()
-        .any(|(t, m)| *t == SimTime::from_millis(1) && m.contains("hello")));
-}
-
-#[test]
 fn many_processes_ping_pong() {
     // A ring of processes passing a token; stresses the handshake.
     let mut sim = Simulation::new(1);

@@ -4,7 +4,8 @@
 use std::time::Duration;
 
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::{Capability, DirClient, DirClientError, DirError, Rights};
+use amoeba_dirsvc::dir::{Capability, DirClient, DirClientError, DirError, DirReply, Rights};
+use amoeba_dirsvc::flip::wire::Wire;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
 
 fn ready_root(ctx: &Ctx, client: &DirClient, columns: &[&str]) -> Capability {
@@ -69,6 +70,59 @@ fn all_fig2_operations_work_end_to_end() {
     });
     sim.run_for(Duration::from_secs(30));
     assert_eq!(out.take(), Some(true));
+}
+
+/// The Fig. 2 script against every implementation the paper compares:
+/// the group service (disk and NVRAM commit), the duplicated RPC service
+/// and the NFS-like single server all answer it alike, and each answers
+/// bytes that are no request with `Malformed`.
+#[test]
+fn every_variant_answers_the_fig2_script_and_refuses_garbage() {
+    for variant in [
+        Variant::Group,
+        Variant::GroupNvram,
+        Variant::Rpc,
+        Variant::Nfs,
+    ] {
+        let mut sim = Simulation::new(37);
+        let mut cluster = Cluster::start(&sim, ClusterParams::paper(variant));
+        let (client, rpc, _) = cluster.client_machine(&sim);
+        let out = sim.spawn("app", move |ctx| {
+            let root = ready_root(ctx, &client, &["owner", "other"]);
+            let dir = client.create_dir(ctx, &["owner"]).unwrap();
+            assert_ne!(dir.object, root.object);
+            let masks = vec![Rights::ALL, Rights::NONE];
+            client
+                .append_row(ctx, root, "a", dir, masks.clone())
+                .unwrap();
+            let hit = client.lookup(ctx, root, "a").unwrap().expect("appended");
+            assert_eq!(hit.object, dir.object);
+            let listing = client.list(ctx, root).unwrap();
+            assert_eq!(listing.columns, vec!["owner", "other"]);
+            let names: Vec<&str> = listing.rows.iter().map(|r| r.0.as_str()).collect();
+            assert_eq!((names, &listing.rows[0].2), (vec!["a"], &masks));
+            let chmod = vec![Rights::MODIFY, Rights::column(1)];
+            client.chmod_row(ctx, root, "a", chmod.clone()).unwrap();
+            assert_eq!(client.list(ctx, root).unwrap().rows[0].2, chmod);
+            client.delete_row(ctx, root, "a").unwrap();
+            assert_eq!(client.lookup(ctx, root, "a"), Ok(None));
+            client.delete_dir(ctx, dir).unwrap();
+            assert_eq!(
+                client.list(ctx, dir),
+                Err(DirClientError::Service(DirError::BadCapability))
+            );
+            let garbage = vec![0xFF; 7];
+            let reply = rpc.trans(ctx, root.port, garbage).expect("an answer");
+            DirReply::decode(&reply)
+        });
+        sim.run_for(Duration::from_secs(30));
+        assert_eq!(
+            out.take(),
+            Some(Ok(DirReply::Err(DirError::Malformed))),
+            "{}",
+            variant.label()
+        );
+    }
 }
 
 #[test]
