@@ -19,7 +19,7 @@
 //! through the group like writes, so every replica knows every lease,
 //! and any update — initiated at *any* replica — revokes the covering
 //! leases **before the write is acknowledged** (see
-//! [`start_group_server`](crate::start_group_server)): the initiator
+//! [`GroupDirServer`](crate::GroupDirServer)): the initiator
 //! sends an invalidation callback to every holder and an unreachable
 //! holder's lease is waited out in full. The client maintains the left-hand side: an entry is
 //! only served before its deadline, the invalidation listener drops

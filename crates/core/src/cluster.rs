@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use amoeba_bullet::{start_bullet_server, BulletClient, BulletStore};
-use amoeba_disk::{DiskParams, DiskServer, Journal, Nvram, RawPartition, VDisk};
+use amoeba_disk::{DiskParams, DiskServer, Nvram, RawPartition, VDisk};
 use amoeba_flip::{HostAddr, NetParams, Network, NodeStack, SegmentId, Topology};
 use amoeba_group::{GroupConfig, GroupPeer};
 use amoeba_rpc::{RpcClient, RpcNode};
@@ -15,7 +15,7 @@ use amoeba_flip::Port;
 
 use crate::cache::{start_invalidation_listener, CacheParams, DirCache};
 use crate::client::DirClient;
-use crate::config::{DirParams, ServiceConfig, Storage, StorageKind};
+use crate::config::{DirParams, ServiceConfig, StorageKind};
 use crate::server::ServerDeps;
 use crate::server_group::{start_group_server, GroupDirServer};
 use crate::server_nfs::start_nfs_server;
@@ -331,17 +331,8 @@ const DISK_BLOCKS: u64 = 16_384;
 const BLOCK_SIZE: usize = 4096;
 /// Blocks 0..TABLE_BLOCKS form the raw partition; the rest is Bullet's
 /// — less the journal region, when one is carved (see
-/// [`journal_carve`]).
+/// [`StorageKind::carved_blocks`]).
 const TABLE_BLOCKS: u64 = 64;
-
-/// Blocks reserved for the group log's journal region, carved between
-/// the table partition and the Bullet store (none for other kinds).
-fn journal_carve(params: &ClusterParams) -> u64 {
-    match params.dir.storage {
-        StorageKind::Journal { blocks, .. } => blocks,
-        _ => 0,
-    }
-}
 
 impl Cluster {
     /// Builds and starts a deployment on `sim`. Columns are laid out
@@ -350,10 +341,11 @@ impl Cluster {
     /// exactly as they addressed the whole service before sharding.
     pub fn start(sim: &Simulation, params: ClusterParams) -> Cluster {
         assert!(
-            params.dir_cache.is_none()
-                || matches!(params.variant, Variant::Group | Variant::GroupNvram),
-            "the client directory cache requires a group variant \
-             (only the group initiators fence lease revocation)"
+            matches!(params.variant, Variant::Group | Variant::GroupNvram)
+                || (params.dir_cache.is_none() && params.dir.storage == StorageKind::InPlace),
+            "the client directory cache and a storage kind other than in place \
+             require a group variant (only the group initiators fence lease \
+             revocation; the RPC and NFS-like baselines write in place)"
         );
         let net = Network::with_topology(
             sim.handle(),
@@ -375,7 +367,7 @@ impl Cluster {
                 tele.name_machine(u64::from(host.0), &format!("dir-s{shard}-{index}"));
                 let vdisk = VDisk::new(DISK_BLOCKS, BLOCK_SIZE);
                 let bullet_store = BulletStore::new(
-                    DISK_BLOCKS - TABLE_BLOCKS - journal_carve(&params),
+                    DISK_BLOCKS - TABLE_BLOCKS - params.dir.storage.carved_blocks(),
                     BLOCK_SIZE,
                     params.seed ^ ((shard * n + index) as u64) << 8,
                 );
@@ -518,39 +510,26 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
         params.disk.clone(),
     );
     let partition = RawPartition::new(disk_srv.clone(), 0, TABLE_BLOCKS);
-    // The commit path's device. A journal is carved right after the
-    // table partition, cold on every (re)start (`boot` recovers its
-    // cursor and records); the NVRAM survives the crash.
-    let storage = match params.dir.storage {
-        StorageKind::InPlace => Storage::InPlace,
-        StorageKind::Journal {
-            blocks,
-            checkpoint_interval,
-        } => Storage::Journal {
-            journal: Journal::disk(RawPartition::new(disk_srv.clone(), TABLE_BLOCKS, blocks)),
-            checkpoint_interval,
-        },
-        StorageKind::Nvram { flush_threshold } => Storage::Nvram {
-            nvram: column.nvram.clone(),
-            flush_threshold,
-        },
-    };
-    // The Bullet server of this column.
-    let bullet_disk = DiskServer::start(
+    // A second disk server that nothing calls: Bullet shares the one
+    // above, as one spindle. It stays because every process draws its
+    // RNG stream by spawn index, so dropping it would renumber every
+    // later spawn and move every seeded number.
+    let _unused = DiskServer::start(
         spawner,
         column.sim_node,
         column.vdisk.clone(),
         params.disk.clone(),
     );
-    let _ = bullet_disk; // one spindle: use the same server for fidelity
+    // The Bullet server of this column, past the table partition and
+    // the commit path's carved region.
     start_bullet_server(
         spawner,
         column.sim_node,
         &rpc,
         cfg.bullet_port(column.index),
-        disk_srv,
+        disk_srv.clone(),
         column.bullet_store.clone(),
-        TABLE_BLOCKS + journal_carve(params),
+        TABLE_BLOCKS + params.dir.storage.carved_blocks(),
         2,
     );
     let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(column.index));
@@ -561,7 +540,6 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
         rpc,
         bullet,
         partition,
-        storage,
         cpu: Resource::new(spawner.sim_handle(), &format!("cpu-{}", column.index)),
     };
     column.server = match params.variant {
@@ -573,7 +551,13 @@ fn start_column(spawner: &impl Spawn, params: &ClusterParams, column: &mut Colum
                 column.stack.clone(),
                 params.group.clone(),
             );
-            Some(start_group_server(spawner, deps, peer))
+            // The commit path: its journal is carved right after the
+            // table partition.
+            let storage = params
+                .dir
+                .storage
+                .open(&disk_srv, TABLE_BLOCKS, &column.nvram);
+            Some(start_group_server(spawner, deps, peer, storage))
         }
         Variant::Rpc => {
             start_rpc_server(spawner, deps);

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use amoeba_disk::{Journal, Nvram};
+use amoeba_disk::{DiskServer, Journal, Nvram, RawPartition};
 use amoeba_flip::Port;
 
 /// How updates reach stable storage, with the parameters only it reads.
@@ -42,10 +42,41 @@ impl StorageKind {
             flush_threshold: 0.75,
         }
     }
+
+    /// Disk blocks this kind carves out for its own region, between a
+    /// column's table partition and its Bullet store.
+    pub(crate) fn carved_blocks(self) -> u64 {
+        match self {
+            StorageKind::Journal { blocks, .. } => blocks,
+            _ => 0,
+        }
+    }
+
+    /// Opens a column's commit path over its devices: a journal over the
+    /// [`carved_blocks`](Self::carved_blocks) from block `base` of
+    /// `disk`, cold on every (re)start (`boot` recovers its cursor and
+    /// records), or the machine's `nvram`, which survives a crash.
+    pub(crate) fn open(self, disk: &DiskServer, base: u64, nvram: &Nvram) -> Storage {
+        match self {
+            StorageKind::InPlace => Storage::InPlace,
+            StorageKind::Journal {
+                blocks,
+                checkpoint_interval,
+            } => Storage::Journal {
+                journal: Journal::disk(RawPartition::new(disk.clone(), base, blocks)),
+                checkpoint_interval,
+            },
+            StorageKind::Nvram { flush_threshold } => Storage::Nvram {
+                nvram: nvram.clone(),
+                flush_threshold,
+            },
+        }
+    }
 }
 
-/// One replica's commit path with its device, built per column from a
-/// [`StorageKind`]: the one value every storage hook matches.
+/// One replica's commit path with its device, opened per group column
+/// from a [`StorageKind`]: the one value every storage hook of the
+/// directory machine matches.
 #[derive(Debug, Clone)]
 pub enum Storage {
     /// [`StorageKind::InPlace`]: the table partition and Bullet only.
@@ -75,17 +106,11 @@ pub struct ServiceConfig {
     pub n: usize,
     /// This server's index in `0..n`.
     pub me: usize,
-    /// This server's shard index in `0..shards`.
-    pub shard: usize,
-    /// Total number of shards the directory service is split into.
-    pub shards: usize,
     /// The service name every port of this shard derives from
     /// (`"amoeba.dir"` unsharded; `"amoeba.dir.s{k}"` for shard `k`).
     pub service: String,
     /// The public service port clients locate.
     pub public_port: Port,
-    /// The port the server group is formed on.
-    pub group_port: Port,
 }
 
 impl ServiceConfig {
@@ -103,21 +128,12 @@ impl ServiceConfig {
         assert!(shard < shards, "shard index out of range");
         let service = crate::shard::ShardMap::new(shards).service_name(shard);
         let public_port = Port::from_name(&service);
-        let group_port = Port::from_name(&format!("{service}.group"));
         ServiceConfig {
             n,
             me,
-            shard,
-            shards,
             service,
             public_port,
-            group_port,
         }
-    }
-
-    /// Votes needed for a majority.
-    pub fn majority(&self) -> usize {
-        self.n / 2 + 1
     }
 
     /// The internal (server-to-server) port of server `i`, used by the
@@ -144,31 +160,20 @@ pub struct DirParams {
     /// CPU time the group thread spends applying one update (besides
     /// storage operations).
     pub apply_cpu: Duration,
-    /// Server threads per machine (multiple threads per server, §3.1).
-    pub server_threads: usize,
     /// Enable the §3.2 improved two-server recovery rule.
     pub improved_recovery: bool,
-    /// The commit path and its device's parameters.
+    /// The commit path and its device's parameters, for the group
+    /// variants only: a [`Cluster`](crate::cluster::Cluster) refuses any
+    /// kind but `InPlace` on the RPC and NFS-like baselines, which write
+    /// in place.
     pub storage: StorageKind,
     /// Idle time after which the replica driver calls the machine's
     /// idle hook: the NVRAM log applies its records to disk then.
     pub nvram_idle_flush: Duration,
-    /// Latency of an intentions-log append in the RPC baseline
-    /// (sequential log write: rotation + transfer, no full seek).
-    pub intentions_latency: Duration,
     /// Upper bound on client read-lease durations ([`crate::cache`]):
     /// the longest a write can stall waiting out an unreachable lease
     /// holder, and the cap applied to any requested TTL.
     pub max_lease: Duration,
-    /// Piggybacked lease renewals budgeted per grant: each write that
-    /// revokes a holder's lease reinstates a successor (deadline
-    /// extended by the lease's own TTL, budget decremented), so the
-    /// holder's refetch after the invalidation callback is served off
-    /// the read path instead of a full group round. `0` disables
-    /// piggybacking. The budget also bounds the extra wait-outs a
-    /// crashed holder can cost writers, and widens the cold-boot write
-    /// fence to `(1 + lease_renewals) × max_lease`.
-    pub lease_renewals: u32,
 }
 
 impl Default for DirParams {
@@ -177,37 +182,19 @@ impl Default for DirParams {
             read_cpu: Duration::from_micros(3_000),
             write_cpu: Duration::from_micros(1_000),
             apply_cpu: Duration::from_micros(500),
-            server_threads: 2,
             improved_recovery: false,
             storage: StorageKind::InPlace,
             nvram_idle_flush: Duration::from_millis(200),
-            intentions_latency: Duration::from_millis(12),
             max_lease: Duration::from_millis(400),
-            lease_renewals: 2,
-        }
-    }
-}
-
-impl DirParams {
-    /// Default parameters with the NVRAM commit path.
-    pub fn nvram() -> Self {
-        DirParams {
-            storage: StorageKind::nvram(),
-            ..Self::default()
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use amoeba_rsm::RsmConfig;
 
-    #[test]
-    fn majority_is_floor_half_plus_one() {
-        assert_eq!(ServiceConfig::new(3, 0).majority(), 2);
-        assert_eq!(ServiceConfig::new(2, 0).majority(), 2);
-        assert_eq!(ServiceConfig::new(5, 4).majority(), 3);
-    }
+    use super::*;
 
     #[test]
     fn internal_ports_are_distinct() {
@@ -222,7 +209,8 @@ mod tests {
         let a = ServiceConfig::sharded(3, 0, 0, 2);
         let b = ServiceConfig::sharded(3, 0, 1, 2);
         assert_ne!(a.public_port, b.public_port);
-        assert_ne!(a.group_port, b.group_port);
+        let group_port = |c: &ServiceConfig| RsmConfig::new(&c.service, c.n, c.me).group_port;
+        assert_ne!(group_port(&a), group_port(&b));
         assert_ne!(a.internal_port(0), b.internal_port(0));
         assert_ne!(a.bullet_port(0), b.bullet_port(0));
         // A single shard is the classic unsharded configuration.
@@ -240,8 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn nvram_params() {
-        assert_eq!(DirParams::nvram().storage, StorageKind::nvram());
+    fn the_default_writes_in_place() {
         assert_eq!(DirParams::default().storage, StorageKind::InPlace);
     }
 }

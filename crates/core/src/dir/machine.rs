@@ -50,7 +50,7 @@ use amoeba_rsm::StateMachine;
 use amoeba_sim::{Ctx, Resource};
 
 use super::plan::row_edit;
-use super::state::{ReadLease, Shared};
+use super::state::{ReadLease, Shared, LEASE_RENEWALS};
 use super::storage::CkptState;
 use super::{Applier, Effect, ENTRIES};
 use crate::config::{DirParams, Storage};
@@ -65,6 +65,9 @@ pub struct DirectoryStateMachine {
     pub(crate) applier: Rc<Applier>,
     params: DirParams,
     cpu: Resource,
+    /// The commit path with its device, the one value every storage
+    /// hook matches.
+    storage: Storage,
     /// Disk effects of the batch being applied, deferred until the
     /// driver's group-commit `flush`.
     pending: RefCell<Vec<Effect>>,
@@ -89,27 +92,22 @@ impl Storage {
         }
         storage
     }
-
-    /// The replica driver's checkpoint period: only a journal drains.
-    pub(crate) fn checkpoint_interval(&self) -> Option<Duration> {
-        match *self {
-            Storage::Journal {
-                checkpoint_interval,
-                ..
-            } => Some(checkpoint_interval),
-            _ => None,
-        }
-    }
 }
 
 impl DirectoryStateMachine {
     /// Wraps an applier (shared with the initiator threads) into the
-    /// state machine the replica driver runs.
-    pub(crate) fn new(applier: Rc<Applier>, params: DirParams, cpu: Resource) -> Self {
+    /// state machine the replica driver runs, over `storage`.
+    pub(crate) fn new(
+        applier: Rc<Applier>,
+        params: DirParams,
+        cpu: Resource,
+        storage: Storage,
+    ) -> Self {
         DirectoryStateMachine {
             applier,
             params,
             cpu,
+            storage,
             pending: RefCell::new(Vec::new()),
             ckpt: RefCell::new(CkptState::default()),
         }
@@ -117,9 +115,10 @@ impl DirectoryStateMachine {
 
     /// Builds a machine with its own private state over the given
     /// storage (which alone decides the commit path: `params.storage` is
-    /// what a cluster builds it from), without any server processes — for driving the trait
-    /// directly (conformance tests, tooling). Production servers are
-    /// wired through [`crate::start_group_server`] instead.
+    /// what a cluster opens it from), without any server processes — for
+    /// driving the trait directly (conformance tests, tooling). A
+    /// [`Cluster`](crate::cluster::Cluster)'s group columns start
+    /// theirs inside their servers instead.
     pub fn standalone(
         cfg: crate::ServiceConfig,
         params: DirParams,
@@ -128,8 +127,19 @@ impl DirectoryStateMachine {
         storage: Storage,
         cpu: Resource,
     ) -> Self {
-        let applier = Applier::new(cfg, &params, bullet, partition, storage);
-        Self::new(Rc::new(applier), params, cpu)
+        let applier = Applier::new(cfg, &params, bullet, partition);
+        Self::new(Rc::new(applier), params, cpu, storage)
+    }
+
+    /// The replica driver's checkpoint period: only a journal drains.
+    pub(crate) fn checkpoint_interval(&self) -> Option<Duration> {
+        match self.storage {
+            Storage::Journal {
+                checkpoint_interval,
+                ..
+            } => Some(checkpoint_interval),
+            _ => None,
+        }
     }
 
     /// The logical version of the machine's state (diagnostics/tests).
@@ -172,7 +182,7 @@ impl DirectoryStateMachine {
             self.params.clone(),
             self.applier.bullet.clone(),
             self.applier.partition.clone(),
-            self.applier.storage.reopen(),
+            self.storage.reopen(),
             self.cpu.clone(),
         )
     }
@@ -349,7 +359,7 @@ impl StateMachine for DirectoryStateMachine {
             Ok(v) => v,
             Err(e) => return refuse(e),
         };
-        match &applier.storage {
+        match &self.storage {
             Storage::InPlace | Storage::Journal { .. } => self.pending.borrow_mut().extend(effects),
             // Lease grants are volatile replicated state: nothing to
             // make durable, so they skip the log (replaying one after a
@@ -369,7 +379,7 @@ impl StateMachine for DirectoryStateMachine {
     /// Makes the batch just applied durable: the group commit.
     fn flush(&self, ctx: &Ctx) {
         let effects = std::mem::take(&mut *self.pending.borrow_mut());
-        match &self.applier.storage {
+        match &self.storage {
             Storage::InPlace => self.applier.write_in_place(ctx, effects),
             Storage::Journal { journal, .. } => self.commit_journaled(ctx, journal, effects),
             Storage::Nvram {
@@ -388,7 +398,7 @@ impl StateMachine for DirectoryStateMachine {
     }
 
     fn checkpoint(&self, ctx: &Ctx) {
-        if let Storage::Journal { journal, .. } = &self.applier.storage {
+        if let Storage::Journal { journal, .. } = &self.storage {
             self.run_checkpoint(ctx, journal);
         }
     }
@@ -396,7 +406,7 @@ impl StateMachine for DirectoryStateMachine {
     fn idle(&self, ctx: &Ctx) {
         // §4.1: apply NVRAM modifications to disk "when the server is
         // idle or the NVRAM is full".
-        if let Storage::Nvram { nvram, .. } = &self.applier.storage {
+        if let Storage::Nvram { nvram, .. } = &self.storage {
             self.applier.flush_nvram(ctx, nvram);
         }
     }
@@ -407,7 +417,7 @@ impl StateMachine for DirectoryStateMachine {
     fn boot(&self, ctx: &Ctx) -> Option<Vec<bool>> {
         let applier = &self.applier;
         let worthless = applier.boot_in_place(ctx);
-        let replayed = match &applier.storage {
+        let replayed = match &self.storage {
             Storage::InPlace => 0,
             Storage::Journal { journal, .. } => self.replay_journal(ctx, journal, worthless),
             // NVRAM survives the crash; replay pending records into RAM.
@@ -426,10 +436,10 @@ impl StateMachine for DirectoryStateMachine {
         shared.update_seq = shared.update_seq.max(replayed);
         if shared.update_seq > 0 {
             // Piggybacked renewals can extend a lease by up to
-            // `lease_renewals × ttl` beyond its original deadline, so
+            // `LEASE_RENEWALS × ttl` beyond its original deadline, so
             // the fence outwaits the worst-case chain, not just one
             // maximum lease.
-            let worst_us = applier.max_lease_us * (1 + applier.lease_renewals as u64);
+            let worst_us = applier.max_lease_us * (1 + u64::from(LEASE_RENEWALS));
             shared.write_fence_until_us = ctx.now().as_nanos() / 1_000 + worst_us;
         }
         Some(shared.commit.config.clone())
@@ -523,7 +533,7 @@ impl StateMachine for DirectoryStateMachine {
                 shared.table.enable_durable_mirror();
             }
         }
-        if let Storage::Journal { journal, .. } = &applier.storage {
+        if let Storage::Journal { journal, .. } = &self.storage {
             self.reset_journal(ctx, journal);
         }
         true
@@ -531,7 +541,7 @@ impl StateMachine for DirectoryStateMachine {
 
     /// The driver's bookkeeping, written to the commit block.
     fn persist(&self, ctx: &Ctx, cursor: u64, config: &[bool], copying: bool) {
-        if let (true, Storage::Journal { .. }) = (copying, &self.applier.storage) {
+        if let (true, Storage::Journal { .. }) = (copying, &self.storage) {
             self.quiesce_checkpoint(ctx);
         }
         let cb = {

@@ -8,7 +8,7 @@
 //! | `plan.rs` | the pure planner ([`Applier::plan`]): an op and `Shared` in, the new state, its [`Effect`]s and the reply out; no clock, no device |
 //! | `read.rs` | reads, the read rule ([`Applier::settle`]) and leases |
 //! | `storage/` | one file per [`StorageKind`](crate::StorageKind), each owning its commit, flush, replay and boot |
-//! | `machine.rs` | [`DirectoryStateMachine`]: the `StateMachine` impl, which matches [`Storage`] once per hook, and the snapshot |
+//! | `machine.rs` | [`DirectoryStateMachine`]: the `StateMachine` impl, which holds the column's [`Storage`](crate::Storage) and matches it once per hook, and the snapshot |
 //!
 //! This file holds the [`Applier`] every server shares and the
 //! initiator's translation of a write into its op.
@@ -21,7 +21,7 @@ use amoeba_disk::RawPartition;
 use amoeba_flip::wire::{Counted, Wire};
 use amoeba_sim::Ctx;
 
-use crate::config::{DirParams, ServiceConfig, Storage};
+use crate::config::{DirParams, ServiceConfig};
 use crate::directory::Directory;
 use crate::object_table::ObjectTable;
 use crate::ops::{DirError, DirOp, DirRequest};
@@ -44,17 +44,10 @@ pub(crate) struct Applier {
     pub shared: Rc<RefCell<Shared>>,
     pub bullet: BulletClient,
     pub partition: RawPartition,
-    /// The commit path with its device, the one value every storage
-    /// hook matches.
-    pub storage: Storage,
     /// Upper bound on granted read-lease durations, in simulated
     /// microseconds ([`crate::config::DirParams::max_lease`]): bounds
     /// how long a write can stall on an unreachable lease holder.
     pub max_lease_us: u64,
-    /// Piggybacked renewals budgeted per grant
-    /// ([`crate::config::DirParams::lease_renewals`]); identical on
-    /// every replica, so apply-time reinstatement is deterministic.
-    pub lease_renewals: u32,
 }
 
 impl std::fmt::Debug for Applier {
@@ -98,7 +91,6 @@ impl Applier {
         params: &DirParams,
         bullet: BulletClient,
         partition: RawPartition,
-        storage: Storage,
     ) -> Applier {
         let table = ObjectTable::new(partition.clone());
         let shared = Rc::new(RefCell::new(Shared::new(table, cfg.n)));
@@ -107,9 +99,7 @@ impl Applier {
             shared,
             bullet,
             partition,
-            storage,
             max_lease_us: params.max_lease.as_micros() as u64,
-            lease_renewals: params.lease_renewals,
         }
     }
 

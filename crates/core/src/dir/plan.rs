@@ -13,7 +13,7 @@ use amoeba_bullet::FileCap;
 use amoeba_flip::wire::Wire;
 use amoeba_flip::Payload;
 
-use super::state::{validate_dir_cap, ReadLease, Shared};
+use super::state::{validate_dir_cap, ReadLease, Shared, LEASE_RENEWALS};
 use super::Applier;
 use crate::capability::Capability;
 use crate::directory::Directory;
@@ -144,7 +144,7 @@ impl Applier {
                 cb_port: *cb_port,
                 deadline_us: *deadline_us,
                 ttl_us: deadline_us.saturating_sub(*now_us),
-                renewals_left: self.lease_renewals,
+                renewals_left: LEASE_RENEWALS,
             });
             return Ok((answer(DirReply::Ok), Vec::new(), useq));
         }

@@ -67,6 +67,16 @@ pub(crate) struct Shared {
     pub write_fence_until_us: u64,
 }
 
+/// Piggybacked lease renewals budgeted per grant: each write that
+/// revokes a holder's lease reinstates a successor (deadline extended
+/// by the lease's own TTL, budget decremented), so the holder's refetch
+/// after the invalidation callback is served off the read path instead
+/// of a full group round. The budget also bounds the extra wait-outs a
+/// crashed holder can cost writers, and widens the cold-boot write
+/// fence to `(1 + LEASE_RENEWALS) × max_lease`. The same on every
+/// replica, so apply-time reinstatement is deterministic.
+pub(crate) const LEASE_RENEWALS: u32 = 2;
+
 /// One outstanding client read lease over a directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ReadLease {
@@ -83,8 +93,7 @@ pub struct ReadLease {
     /// a successor lease (deadline extended by `ttl_us`, budget
     /// decremented) is reinstated as long as the budget is positive, so
     /// the holder's post-invalidation refetch can be served off the read
-    /// path instead of a full group round (see
-    /// [`crate::config::DirParams::lease_renewals`]).
+    /// path instead of a full group round (see [`LEASE_RENEWALS`]).
     pub renewals_left: u32,
 }
 

@@ -5,7 +5,7 @@
 //! ICDCS 1993): a replicated mapping from ASCII names to Amoeba
 //! capabilities, built four ways so they can be compared experimentally:
 //!
-//! * **Group service** ([`start_group_server`]) — the paper's
+//! * **Group service** ([`GroupDirServer`]) — the paper's
 //!   contribution: triplicated active replication over totally-ordered
 //!   group communication (`SendToGroup`, r = 2), one-copy
 //!   serializability, majority rule under partitions, Skeen-based
@@ -13,13 +13,13 @@
 //! * **Group + NVRAM** — the same protocol committing updates to a 24 KB
 //!   NVRAM log instead of the disk (§4.1), with append/delete
 //!   annihilation.
-//! * **RPC service** ([`start_rpc_server`]) — the duplicated baseline
+//! * **RPC service** (`server_rpc.rs`) — the duplicated baseline
 //!   with an intentions log and lazy replication (§1).
-//! * **NFS-like** ([`start_nfs_server`]) — a single-copy,
+//! * **NFS-like** (`server_nfs.rs`) — a single-copy,
 //!   no-fault-tolerance stand-in for the paper's SunOS/NFS column.
 //!
 //! They differ only in how a write is replicated and made durable. Each
-//! starts from the same [`ServerDeps`] and shares one request front end
+//! starts from the same dependencies and shares one request front end
 //! (the private `server` module): the server threads that take a
 //! request off the public port, answer `Malformed` to bytes that do not
 //! decode, and reply with what the variant's handler returns.
@@ -27,6 +27,10 @@
 //! The [`cluster`] module assembles complete deployments (Fig. 3 columns:
 //! directory + Bullet + disk server per replica) inside the deterministic
 //! simulator, with crash, reboot, disk-destruction and partition controls.
+//! It is the only way to start a server: the start functions are
+//! private to this crate. It alone opens a group column's commit path
+//! ([`Storage`], from [`DirParams::storage`]), and it refuses a storage
+//! kind other than in place, or a client cache, on the two baselines.
 //!
 //! ## Sharding
 //!
@@ -71,8 +75,9 @@
 //!   (§4.1), each owning its commit, flush, replay and boot.
 //!
 //! Reads, the read rule and leases (`dir/read.rs`) sit beside them;
-//! the state machine (`dir/machine.rs`) picks the storage path once per
-//! hook. [`model::DirModel`] is the planner's sequential reference.
+//! the state machine (`dir/machine.rs`) holds the column's [`Storage`]
+//! and picks the storage path once per hook. [`model::DirModel`] is the
+//! planner's sequential reference.
 //!
 //! ## The message pipeline (zero-copy invariants)
 //!
@@ -173,8 +178,6 @@ pub use directory::{DirStructureError, Directory, Masks, Name, Row};
 pub use object_table::{ObjEntry, ObjectTable};
 pub use ops::{DirError, DirOp, DirReply, DirRequest};
 pub use rights::Rights;
-pub use server::ServerDeps;
-pub use server_group::{start_group_server, GroupDirServer};
-pub use server_nfs::start_nfs_server;
-pub use server_rpc::{start_rpc_server, PeerMsg};
+pub use server_group::GroupDirServer;
+pub use server_rpc::PeerMsg;
 pub use shard::ShardMap;

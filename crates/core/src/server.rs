@@ -20,13 +20,16 @@ use amoeba_flip::Payload;
 use amoeba_rpc::{RpcNode, RpcServer};
 use amoeba_sim::{Ctx, NodeId, Resource, Spawn};
 
-use crate::config::{DirParams, ServiceConfig, Storage};
+use crate::config::{DirParams, ServiceConfig};
 use crate::dir::{Applier, ReadAt};
 use crate::ops::{DirError, DirReply, DirRequest};
 
+/// Server threads per machine (multiple threads per server, §3.1).
+const SERVER_THREADS: usize = 2;
+
 /// Everything needed to start one directory server (one column of any
 /// variant).
-pub struct ServerDeps {
+pub(crate) struct ServerDeps {
     /// Static service configuration.
     pub cfg: ServiceConfig,
     /// Performance/behaviour parameters.
@@ -39,10 +42,6 @@ pub struct ServerDeps {
     pub bullet: BulletClient,
     /// The raw partition holding commit block + object table.
     pub partition: RawPartition,
-    /// The commit path with its device, built from `params.storage`.
-    /// Only the group service reads it: the RPC and NFS-like baselines
-    /// write in place.
-    pub storage: Storage,
     /// The machine's CPU.
     pub cpu: Resource,
 }
@@ -54,15 +53,14 @@ impl std::fmt::Debug for ServerDeps {
 }
 
 impl ServerDeps {
-    /// This server's directory state over the column's Bullet server,
-    /// table partition and commit path.
+    /// This server's directory state over the column's Bullet server
+    /// and table partition.
     pub(crate) fn applier(&self) -> Rc<Applier> {
         Rc::new(Applier::new(
             self.cfg.clone(),
             &self.params,
             self.bullet.clone(),
             self.partition.clone(),
-            self.storage.clone(),
         ))
     }
 
@@ -76,7 +74,7 @@ impl ServerDeps {
         handler: impl Fn(&Ctx, &DirRequest) -> Result<Payload, DirError> + 'static,
     ) {
         let handler = Rc::new(handler);
-        for t in 0..self.params.server_threads.max(1) {
+        for t in 0..SERVER_THREADS {
             let srv = RpcServer::new(&self.rpc, self.cfg.public_port);
             let handler = Rc::clone(&handler);
             spawner.spawn_boxed(

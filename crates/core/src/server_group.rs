@@ -50,33 +50,34 @@ impl std::fmt::Debug for GroupDirServer {
 /// Maps the directory service's parameters onto the generic driver's.
 /// Each shard derives its ports from its own service name, so every
 /// shard forms its own group with its own sequencer.
-fn rsm_config(cfg: &ServiceConfig, params: &DirParams, storage: &Storage) -> RsmConfig {
+fn rsm_config(cfg: &ServiceConfig, params: &DirParams, sm: &DirectoryStateMachine) -> RsmConfig {
     let mut rsm = RsmConfig::new(&cfg.service, cfg.n, cfg.me);
-    debug_assert_eq!(rsm.group_port, cfg.group_port);
     debug_assert_eq!(rsm.internal_ports[cfg.me], cfg.internal_port(cfg.me));
-    rsm.checkpoint_interval = storage.checkpoint_interval();
+    rsm.checkpoint_interval = sm.checkpoint_interval();
     rsm.idle_timeout = params.nvram_idle_flush;
     rsm.improved_recovery = params.improved_recovery;
     rsm
 }
 
 /// Starts all processes of one group directory server replica over the
-/// machine's group kernel `peer`.
-pub fn start_group_server(
+/// machine's group kernel `peer`, committing through `storage`.
+pub(crate) fn start_group_server(
     spawner: &impl Spawn,
     deps: ServerDeps,
     peer: GroupPeer,
+    storage: Storage,
 ) -> GroupDirServer {
     let applier = deps.applier();
     let sm = Rc::new(DirectoryStateMachine::new(
         Rc::clone(&applier),
         deps.params.clone(),
         deps.cpu.clone(),
+        storage,
     ));
     let replica = Replica::start(
         spawner,
         ReplicaDeps {
-            cfg: rsm_config(&deps.cfg, &deps.params, &applier.storage),
+            cfg: rsm_config(&deps.cfg, &deps.params, &sm),
             sim_node: deps.sim_node,
             rpc: deps.rpc.clone(),
             peer,
@@ -118,11 +119,6 @@ impl GroupDirServer {
     /// Whether the server is in normal operation.
     pub fn is_normal(&self) -> bool {
         self.replica.is_normal()
-    }
-
-    /// The shard this server belongs to.
-    pub fn shard(&self) -> usize {
-        self.cfg.shard
     }
 
     /// This replica's driver counters — scoped to this shard's group

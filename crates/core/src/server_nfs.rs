@@ -16,7 +16,7 @@ use crate::ops::DirReply;
 use crate::server::ServerDeps;
 
 /// Starts the single-server baseline (`deps.cfg.n` must be 1).
-pub fn start_nfs_server(spawner: &impl Spawn, deps: ServerDeps) {
+pub(crate) fn start_nfs_server(spawner: &impl Spawn, deps: ServerDeps) {
     assert_eq!(deps.cfg.n, 1, "the NFS-like baseline is a single server");
     let applier = deps.applier();
     // Updates serialize through a single mutation lock (one metadata

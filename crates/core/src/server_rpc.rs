@@ -13,6 +13,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Duration;
 
 use amoeba_flip::wire::Wire;
 use amoeba_flip::{wire_enum, Payload};
@@ -51,15 +52,15 @@ wire_enum! {
     }
 }
 
+/// Latency of an intentions-log append: a sequential log write,
+/// rotation + transfer, no full seek.
+const INTENTIONS_LATENCY: Duration = Duration::from_millis(12);
+
 /// Starts one replica of the duplicated RPC directory service
 /// (`deps.cfg.n` must be 2).
-pub fn start_rpc_server(spawner: &impl Spawn, deps: ServerDeps) {
+pub(crate) fn start_rpc_server(spawner: &impl Spawn, deps: ServerDeps) {
     let ServerDeps {
-        cfg,
-        params,
-        sim_node,
-        rpc,
-        ..
+        cfg, sim_node, rpc, ..
     } = &deps;
     assert_eq!(cfg.n, 2, "the RPC directory service is duplicated");
     let applier = deps.applier();
@@ -92,7 +93,6 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: ServerDeps) {
     for pt in 0..2 {
         let srv = RpcServer::new(rpc, cfg.internal_port(cfg.me));
         let locked = Rc::clone(&locked);
-        let intentions_latency = params.intentions_latency;
         let apply_tx = apply_tx.clone();
         spawner.spawn_boxed(
             Some(*sim_node),
@@ -106,9 +106,7 @@ pub fn start_rpc_server(spawner: &impl Spawn, deps: ServerDeps) {
                         if busy {
                             PeerMsg::IntentBusy
                         } else {
-                            // Sequential log append: rotation + transfer,
-                            // no full seek (see DirParams).
-                            ctx.sleep(intentions_latency);
+                            ctx.sleep(INTENTIONS_LATENCY);
                             PeerMsg::IntentOk
                         }
                     }

@@ -45,8 +45,6 @@ pub struct NvramStats {
     pub appends: u64,
     /// Records removed by annihilation before reaching the disk.
     pub annihilated: u64,
-    /// Records drained to the flusher.
-    pub flushed: u64,
 }
 
 struct NvramInner {
@@ -152,15 +150,6 @@ impl Nvram {
         removed
     }
 
-    /// Drains every record (oldest first) for flushing to disk.
-    pub fn drain_all(&self) -> Vec<NvRecord> {
-        let mut i = self.inner.borrow_mut();
-        i.used = 0;
-        let drained = std::mem::take(&mut i.records);
-        i.stats.flushed += drained.len() as u64;
-        drained
-    }
-
     /// A snapshot of the records currently logged (crash recovery replays
     /// these).
     pub fn snapshot(&self) -> Vec<NvRecord> {
@@ -250,26 +239,6 @@ mod tests {
         assert_eq!(nv.snapshot().len(), 1);
         assert_eq!(nv.stats().annihilated, 1);
         assert_eq!(nv.used(), 28);
-    }
-
-    #[test]
-    fn drain_returns_fifo_and_empties() {
-        let mut sim = Simulation::new(1);
-        let nv = Nvram::new(1024, Duration::ZERO);
-        let nv2 = nv.clone();
-        sim.spawn("w", move |ctx| {
-            for t in 0..4 {
-                nv2.append(ctx, rec(t, 1)).unwrap();
-            }
-        });
-        sim.run();
-        let drained = nv.drain_all();
-        assert_eq!(
-            drained.iter().map(|r| r.tag).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        assert_eq!(nv.used(), 0);
-        assert_eq!(nv.stats().flushed, 4);
     }
 
     #[test]

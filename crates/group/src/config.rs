@@ -19,6 +19,10 @@ const _: () = assert!(MAX_BATCH <= MAX_ACCEPT_BATCH_ITEMS);
 /// mistaken for loss.
 pub(crate) const BATCH_DELAY: Duration = Duration::from_micros(500);
 
+/// How often each member's protocol timers (heartbeats, ack and gap
+/// retransmissions, failure detection, reset votes) are driven.
+pub(crate) const TICK_INTERVAL: Duration = Duration::from_millis(20);
+
 /// Configuration for a group member's protocol engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupConfig {
@@ -50,8 +54,6 @@ pub struct GroupConfig {
     /// the data; the sequencer multicasts a short accept) instead of the
     /// PB method (sender hands data to the sequencer, which multicasts it).
     pub bb_threshold: usize,
-    /// Protocol engine tick granularity.
-    pub tick_interval: Duration,
     /// Fault-injection self-test knob: re-introduces the pre-fix gap-
     /// recovery retransmission bound (derived from the accept buffer's
     /// last key instead of `highest_seen`), under which an end-of-order
@@ -73,7 +75,6 @@ impl GroupConfig {
             reset_vote_window: Duration::from_millis(150),
             history: 1_024,
             bb_threshold: 3_000,
-            tick_interval: Duration::from_millis(20),
             buggy_retrans_bound: false,
         }
     }

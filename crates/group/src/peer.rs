@@ -13,7 +13,7 @@ use std::rc::Rc;
 use amoeba_flip::{Dest, GroupAddr, HostAddr, NodeStack, Packet, Port};
 use amoeba_sim::{IdMap, MailboxTx, NodeId, SimHandle, Spawn};
 
-use crate::config::{GroupConfig, BATCH_DELAY};
+use crate::config::{GroupConfig, BATCH_DELAY, TICK_INTERVAL};
 use crate::error::GroupError;
 use crate::instance::{Action, GroupStats, Instance};
 use crate::msg::GroupMsg;
@@ -48,7 +48,7 @@ pub(crate) struct PeerInner {
 enum Timer {
     /// Once, when the peer starts: the first tick is one interval away.
     Arm,
-    /// Every `tick_interval`: drive each instance's protocol timers.
+    /// Every [`TICK_INTERVAL`]: drive each instance's protocol timers.
     Tick,
     /// `BATCH_DELAY` after the first deferred accept: send the batch.
     Flush,
@@ -110,10 +110,10 @@ impl GroupPeer {
             &format!("grp-timer@{}", peer.stack.addr()),
             timer_rx,
             move |timer| match timer {
-                Timer::Arm => tick_tx.send_after(kernel.cfg.tick_interval, Timer::Tick),
+                Timer::Arm => tick_tx.send_after(TICK_INTERVAL, Timer::Tick),
                 Timer::Tick => {
                     kernel.tick();
-                    tick_tx.send_after(kernel.cfg.tick_interval, Timer::Tick);
+                    tick_tx.send_after(TICK_INTERVAL, Timer::Tick);
                 }
                 Timer::Flush => {
                     kernel.inner.borrow_mut().flush_scheduled = false;

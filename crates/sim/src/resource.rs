@@ -17,8 +17,6 @@ use crate::mailbox::MailboxTx;
 struct ResourceState {
     busy: bool,
     waiters: VecDeque<MailboxTx<()>>,
-    /// Total time the resource has been held, for utilization reporting.
-    busy_nanos: u64,
 }
 
 /// An exclusive, FIFO-fair resource (e.g. one machine's CPU).
@@ -68,7 +66,6 @@ impl Resource {
             state: Rc::new(RefCell::new(ResourceState {
                 busy: false,
                 waiters: VecDeque::new(),
-                busy_nanos: 0,
             })),
         }
     }
@@ -109,13 +106,7 @@ impl Resource {
     pub fn use_for(&self, ctx: &Ctx, d: Duration) {
         self.acquire(ctx);
         ctx.sleep(d);
-        self.state.borrow_mut().busy_nanos += d.as_nanos() as u64;
         self.release();
-    }
-
-    /// Cumulative held time recorded by [`use_for`](Resource::use_for).
-    pub fn busy_time(&self) -> Duration {
-        Duration::from_nanos(self.state.borrow().busy_nanos)
     }
 }
 
@@ -160,19 +151,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(out.take(), Some(SimTime::from_millis(1)));
-    }
-
-    #[test]
-    fn busy_time_accumulates() {
-        let mut sim = Simulation::new(1);
-        let r = Resource::new(sim.handle(), "cpu");
-        let r2 = r.clone();
-        sim.spawn("u", move |ctx| {
-            r2.use_for(ctx, Duration::from_millis(3));
-            r2.use_for(ctx, Duration::from_millis(4));
-        });
-        sim.run();
-        assert_eq!(r.busy_time(), Duration::from_millis(7));
     }
 
     #[test]

@@ -137,14 +137,6 @@ impl SimRng {
         }
     }
 
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     ///
     /// # Panics
@@ -153,20 +145,6 @@ impl SimRng {
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty(), "pick from empty slice");
         &xs[self.next_below(xs.len() as u64) as usize]
-    }
-
-    /// An exponentially distributed duration with the given mean, in
-    /// nanoseconds. Used for Poisson inter-arrival workloads.
-    pub fn exp_nanos(&mut self, mean_nanos: f64) -> u64 {
-        let u = 1.0 - self.next_f64(); // in (0, 1]
-        let v = -mean_nanos * u.ln();
-        if v < 0.0 {
-            0
-        } else if v >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            v as u64
-        }
     }
 }
 
@@ -261,29 +239,6 @@ mod tests {
         let mut r = SimRng::new(19);
         let hits = (0..20_000).filter(|_| r.chance(0.25)).count();
         assert!((4_300..5_700).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(23);
-        let mut xs: Vec<u32> = (0..32).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn exp_nanos_mean_is_close() {
-        let mut r = SimRng::new(29);
-        let n = 50_000;
-        let mean = 1_000_000.0;
-        let total: u128 = (0..n).map(|_| r.exp_nanos(mean) as u128).sum();
-        let observed = total as f64 / n as f64;
-        assert!(
-            (observed - mean).abs() < mean * 0.05,
-            "observed mean {observed}"
-        );
     }
 
     #[test]

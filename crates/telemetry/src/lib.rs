@@ -374,14 +374,6 @@ impl Telemetry {
         });
     }
 
-    /// Records one latency observation (µs) into the histogram for
-    /// `family` (e.g. `"op.create"`).
-    pub fn observe_us(&self, family: &str, us: u64) {
-        if let Some(c) = &self.0 {
-            c.inner.borrow_mut().metrics.observe(family, us);
-        }
-    }
-
     /// Records the simulated duration since `start` into `family`.
     pub fn observe_since(&self, family: &str, start: SimTime) {
         if let Some(c) = &self.0 {
@@ -475,7 +467,7 @@ mod tests {
         let ctx = tele.begin_root("op", 1);
         assert!(ctx.is_none());
         tele.end(ctx);
-        tele.observe_us("op", 10);
+        tele.observe_since("op", SimTime::ZERO);
         assert!(tele.spans().is_empty());
         assert!(tele.metrics().hists.is_empty());
     }
@@ -519,7 +511,7 @@ mod tests {
             tele.flow(kid, 1, sim.handle().now(), 2, sim.handle().now());
             tele.end(kid);
             tele.end(root);
-            tele.observe_us("op", 10);
+            tele.observe_since("op", SimTime::ZERO);
             if i % 3 == 0 {
                 kept.push(root.trace);
             }

@@ -1,10 +1,13 @@
 //! End-to-end behaviour of the group directory service: the Fig. 2
 //! operations, read-your-writes across servers, and replica consistency.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::{Capability, DirClient, DirClientError, DirError, DirReply, Rights};
+use amoeba_dirsvc::dir::{
+    CacheParams, Capability, DirClient, DirClientError, DirError, DirReply, Rights, StorageKind,
+};
 use amoeba_dirsvc::flip::wire::Wire;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
 
@@ -122,6 +125,29 @@ fn every_variant_answers_the_fig2_script_and_refuses_garbage() {
             "{}",
             variant.label()
         );
+    }
+}
+
+/// The commit path and the client cache are the group service's: the
+/// RPC and NFS-like baselines write in place and fence no lease, so a
+/// deployment that asks them for either is refused, not silently run
+/// without it.
+#[test]
+fn a_baseline_refuses_the_group_services_settings() {
+    type Setting = fn(&mut ClusterParams);
+    let settings: [(&str, Setting); 3] = [
+        ("journal", |p| p.dir.storage = StorageKind::journal()),
+        ("nvram", |p| p.dir.storage = StorageKind::nvram()),
+        ("dir_cache", |p| p.dir_cache = Some(CacheParams::default())),
+    ];
+    for variant in [Variant::Rpc, Variant::Nfs] {
+        for (name, set) in settings {
+            let mut params = ClusterParams::paper(variant);
+            set(&mut params);
+            let sim = Simulation::new(1);
+            let started = catch_unwind(AssertUnwindSafe(|| Cluster::start(&sim, params)));
+            assert!(started.is_err(), "{} started with {name}", variant.label());
+        }
     }
 }
 

@@ -174,7 +174,10 @@ fn nvram_machine(sim: &Simulation) -> (NodeId, DirectoryStateMachine) {
     );
     let sm = DirectoryStateMachine::standalone(
         cfg.clone(),
-        DirParams::nvram(),
+        DirParams {
+            storage: StorageKind::nvram(),
+            ..DirParams::default()
+        },
         BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0)),
         RawPartition::new(disk, 0, 16),
         Storage::Nvram {
