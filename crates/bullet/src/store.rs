@@ -6,6 +6,7 @@
 //! and charge the same disk traffic at the server layer.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use amoeba_sim::IdMap;
@@ -21,6 +22,12 @@ pub(crate) struct Inode {
 
 struct StoreInner {
     inodes: IdMap<u64, Inode>,
+    /// Every live file's extent, `(start block, object)` → end block
+    /// (exclusive): the overlap check of a wrapped store.
+    extents: BTreeMap<(u64, u64), u64>,
+    /// The most blocks any file has taken: no live extent that starts
+    /// further than this before a block reaches it.
+    longest: u64,
     next_object: u64,
     next_block: u64,
     /// The allocator has wrapped: a live file may lie over an older one.
@@ -57,6 +64,8 @@ impl BulletStore {
         BulletStore {
             inner: Rc::new(RefCell::new(StoreInner {
                 inodes: IdMap::default(),
+                extents: BTreeMap::new(),
+                longest: 1,
                 next_object: 1,
                 next_block: 0,
                 wrapped: false,
@@ -103,6 +112,8 @@ impl BulletStore {
                 check,
             },
         );
+        i.extents.insert((start, object), start + nblocks);
+        i.longest = i.longest.max(nblocks);
         Some((FileCap { object, check }, start, nblocks))
     }
 
@@ -121,25 +132,25 @@ impl BulletStore {
     /// extent `(start_block, nblocks)` the disk may forget: the file's
     /// own — or an empty one if, the allocator having wrapped around, a
     /// younger live file lies over part of it. Only a wrapped store pays
-    /// for that check (a scan of the live inodes).
+    /// for that check: a range query over the live extents that start
+    /// before the file's end, but no further before its start than the
+    /// longest file ever allocated.
     pub(crate) fn remove(&self, cap: FileCap) -> Option<(u64, u64)> {
         let mut i = self.inner.borrow_mut();
         if i.inodes.get(&cap.object)?.check != cap.check {
             return None;
         }
-        let bs = i.block_size;
-        let extent =
-            |f: &Inode| f.start_block..f.start_block + f.len_bytes.max(1).div_ceil(bs) as u64;
-        let freed = extent(&i.inodes.remove(&cap.object)?);
+        let start = i.inodes.remove(&cap.object)?.start_block;
+        let end = i
+            .extents
+            .remove(&(start, cap.object))
+            .expect("every live file has its extent");
+        let reach = start.saturating_sub(i.longest - 1);
         let overlaid = i.wrapped
-            && i.inodes
-                .values()
-                .map(extent)
-                .any(|live| live.start < freed.end && freed.start < live.end);
-        Some((
-            freed.start,
-            if overlaid { 0 } else { freed.end - freed.start },
-        ))
+            && i.extents
+                .range((reach, 0)..(end, 0))
+                .any(|(_, &live_end)| start < live_end);
+        Some((start, if overlaid { 0 } else { end - start }))
     }
 
     /// Number of live files.
@@ -213,6 +224,48 @@ mod tests {
         let (young, _, _) = s.allocate(512 * 2).unwrap(); // wraps: blocks 0..2
         assert_eq!(s.remove(old), Some((0, 0)));
         assert_eq!(s.remove(young), Some((0, 2)));
+    }
+
+    /// The overlap check as a scan of every live inode.
+    fn scanned(s: &BulletStore, cap: FileCap) -> (u64, u64) {
+        let i = s.inner.borrow();
+        let extent = |f: &Inode| {
+            f.start_block..f.start_block + f.len_bytes.max(1).div_ceil(i.block_size) as u64
+        };
+        let freed = extent(&i.inodes[&cap.object]);
+        let overlaid = i.wrapped
+            && i.inodes
+                .iter()
+                .filter(|(&object, _)| object != cap.object)
+                .map(|(_, f)| extent(f))
+                .any(|live| live.start < freed.end && freed.start < live.end);
+        (
+            freed.start,
+            if overlaid { 0 } else { freed.end - freed.start },
+        )
+    }
+
+    #[test]
+    fn the_extent_index_frees_what_a_scan_of_the_live_files_frees() {
+        let s = BulletStore::new(64, 512, 7);
+        let mut live = Vec::new();
+        let (mut wraps, mut overlaid) = (0, 0);
+        for n in 0..5_000u64 {
+            let r = mix(n);
+            if live.len() > 4 && (r.is_multiple_of(3) || live.len() > 40) {
+                let cap = live.swap_remove((r >> 8) as usize % live.len());
+                let expected = scanned(&s, cap);
+                assert_eq!(s.remove(cap), Some(expected), "delete {n}");
+                overlaid += usize::from(expected.1 == 0);
+            } else {
+                let len = ((r >> 16) % (512 * 9)) as usize;
+                let (cap, start, _) = s.allocate(len).expect("fits the area");
+                wraps += usize::from(start == 0);
+                live.push(cap);
+            }
+        }
+        assert!(wraps > 100, "the allocator wrapped {wraps} times");
+        assert!(overlaid > 100, "{overlaid} deletes found a younger file");
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   Receivers additionally accept each packet id once, so redundant
 //!   paths (topology cycles) cannot cause duplicate delivery — only
 //!   the fault model's explicit `duplicate_probability` can, exactly
-//!   as on a flat network, within a window of [`SEEN_WINDOW`] ids.
+//!   as on a flat network. Each node remembers one packet id, the last
+//!   it processed: a flood is worked out whole inside the call that
+//!   sends it, so no copy of an older packet arrives after a newer one.
 //! * **Routing tables** are learned backward from traffic: every node
 //!   (host or router) that sees a frame which crossed at least one
 //!   router learns "its origin is reachable via the relay that put it on
@@ -82,19 +84,18 @@ fn hash_hosts(pairs: impl Iterator<Item = (u32, u32)>) -> u64 {
     h.finish()
 }
 
-/// Packet ids one node remembers: the slots of its [`SeenCache`].
-const SEEN_WINDOW: usize = 4096;
-
-/// The packet ids one node has processed, with the best (highest)
-/// remaining TTL seen for each: slot `id % SEEN_WINDOW` of a ring holds
-/// `id << 8 | best_ttl` for the newest id seen there (0: empty). Ids
-/// are network-wide and a forwarded copy keeps its id. The medium works
-/// out a whole flood inside the call that sends it, so every copy of a
-/// packet is observed before the next id exists: the window is margin.
-/// A copy older than its slot's holder is processed as new; the layers
-/// above tolerate the redundant delivery or TTL-bounded re-flood (the
-/// fault model injects duplicates). The ring is allocated at the first
-/// `observe`, which a single-segment network never calls.
+/// The last packet id one node processed, with the best (highest)
+/// remaining TTL seen for it: `id << 8 | best_ttl` in one word (0:
+/// nothing yet). Ids are network-wide and a forwarded copy keeps its
+/// id. One slot is exact: [`Network::transmit`] stamps every frame with
+/// a fresh id and works out its whole flood inside that call (each
+/// forwarded copy is transmitted recursively), so every copy of a
+/// packet is observed before the next id exists, and a node never sees
+/// an id again once it has seen a newer one. Were a copy older than the
+/// slot's holder ever observed, it would be processed as new and leave
+/// the holder in place; the layers above tolerate the redundant
+/// delivery or TTL-bounded re-flood (the fault model injects
+/// duplicates).
 ///
 /// Duplicate suppression must not be path-order-dependent: copies of
 /// one flooded packet reach a router over different paths with
@@ -107,23 +108,20 @@ const SEEN_WINDOW: usize = 4096;
 /// still deliver exactly once.
 #[derive(Default)]
 struct SeenCache {
-    ring: Vec<u64>,
+    last: u64,
 }
 
 impl SeenCache {
     /// Records packet `id` at `ttl`; true iff this copy is to be processed
-    /// (first sighting, more TTL than any copy before, or past the window).
+    /// (first sighting, more TTL than any copy before, or older than the
+    /// id held).
     fn observe(&mut self, id: u64, ttl: u8) -> bool {
-        if self.ring.is_empty() {
-            self.ring = vec![0; SEEN_WINDOW];
-        }
-        let slot = &mut self.ring[(id % SEEN_WINDOW as u64) as usize];
-        let held = *slot >> 8;
-        if held == id && *slot as u8 >= ttl {
+        let held = self.last >> 8;
+        if held == id && self.last as u8 >= ttl {
             return false;
         }
         if held <= id {
-            *slot = id << 8 | u64::from(ttl);
+            self.last = id << 8 | u64::from(ttl);
         }
         true
     }
@@ -951,9 +949,7 @@ impl NetInner {
 
 #[cfg(test)]
 mod tests {
-    use super::{SeenCache, SEEN_WINDOW};
-
-    const WINDOW: u64 = SEEN_WINDOW as u64;
+    use super::SeenCache;
 
     #[test]
     fn a_first_sighting_is_processed_and_a_repeat_is_not() {
@@ -975,36 +971,28 @@ mod tests {
     }
 
     #[test]
-    fn an_id_a_window_later_takes_the_slot() {
+    fn the_next_id_takes_the_slot_with_its_own_ttl() {
         let mut seen = SeenCache::default();
         assert!(seen.observe(5, 3));
-        assert!(seen.observe(5 + WINDOW, 3), "same slot, newer id");
-        assert!(!seen.observe(5 + WINDOW, 3));
-        // The evicted id reads as new, and cannot take its slot back.
-        assert!(seen.observe(5, 3));
-        assert!(seen.observe(5, 3));
-        assert!(!seen.observe(5 + WINDOW, 3), "the holder stays");
+        assert!(seen.observe(6, 1), "the next id is new at any TTL");
+        assert!(!seen.observe(6, 1), "equal TTL");
+        assert!(!seen.observe(6, 0), "less TTL");
+        assert!(seen.observe(6, 2), "more TTL");
+        assert!(!seen.observe(6, 2));
     }
 
     #[test]
-    fn an_older_id_never_overwrites_its_slots_holder() {
+    fn an_older_id_is_processed_and_leaves_the_slot_alone() {
         let mut seen = SeenCache::default();
-        assert!(seen.observe(3 + 2 * WINDOW, 2));
-        for old in [3 + WINDOW, 3] {
-            assert!(seen.observe(old, u8::MAX), "processed as new");
-        }
-        assert!(!seen.observe(3 + 2 * WINDOW, 2), "the holder stays");
-        assert!(seen.observe(3 + 2 * WINDOW, 3), "with its own best TTL");
+        assert!(seen.observe(9, 2));
+        assert!(seen.observe(8, u8::MAX), "processed as new");
+        assert!(seen.observe(8, u8::MAX), "and not remembered");
+        assert!(!seen.observe(9, 2), "the holder stays");
+        assert!(seen.observe(9, 3), "with its own best TTL");
     }
 
     #[test]
-    fn the_ring_does_not_grow() {
-        let mut seen = SeenCache::default();
-        assert!(seen.ring.is_empty(), "nothing until the first observe");
-        for id in 1..=100_000 {
-            assert!(seen.observe(id, 2));
-        }
-        assert_eq!(seen.ring.len(), SEEN_WINDOW);
-        assert_eq!(seen.ring.capacity(), SEEN_WINDOW);
+    fn the_cache_is_one_word() {
+        assert_eq!(std::mem::size_of::<SeenCache>(), 8);
     }
 }

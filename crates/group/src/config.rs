@@ -48,7 +48,9 @@ pub struct GroupConfig {
     /// the last `history` accepts (and their BB data) for retransmission,
     /// which by the window are all that a lagging member or a reset's
     /// catch-up can ask for; a retransmission request may span no more.
-    /// Joins and leaves bypass the window.
+    /// Joins and leaves bypass the window. Each member holds one 64-byte
+    /// record per slot, `history + 1` of them in a ring allocated once,
+    /// at its first applied slot.
     pub history: u64,
     /// Payloads at least this large use the BB method (sender multicasts
     /// the data; the sequencer multicasts a short accept) instead of the

@@ -1,4 +1,4 @@
-//! Every member's receive path: accepts enter the buffer and apply in
+//! Every member's receive path: accepts enter the history and apply in
 //! slot order, progress goes back to the sequencer as cumulative acks,
 //! heartbeats keep liveness, gaps are recovered by retransmission, and
 //! each member serves the history it holds to the others.
@@ -6,7 +6,6 @@
 use amoeba_flip::{HostAddr, Payload};
 use amoeba_sim::SimTime;
 use amoeba_telemetry::TraceCtx;
-use std::collections::btree_map::Entry;
 
 use super::{AcceptRec, Action, Instance};
 use crate::msg::{AcceptBody, AcceptItem, DoneItem, GroupMsg};
@@ -16,31 +15,11 @@ impl Instance {
     pub(super) fn insert_accept(&mut self, seq: SeqNo, rec: AcceptRec) {
         self.highest_seen = self.highest_seen.max(seq);
         if seq > self.highest_contiguous {
-            match self.buffer.entry(seq) {
-                Entry::Vacant(e) => {
-                    e.insert(rec);
-                }
-                Entry::Occupied(mut e) => {
-                    // A retransmission may resolve a buffered `BbRef` into
-                    // inline data (the server substitutes the bulk bytes,
-                    // see `on_retrans`); the upgrade must win or a member
-                    // whose BbData was lost would stall on the stale
-                    // reference forever. Same slot, same message —
-                    // everything else about the record is identical.
-                    let existing = e.get();
-                    if matches!(existing.body, AcceptBody::BbRef)
-                        && matches!(rec.body, AcceptBody::Data(_))
-                        && existing.from == rec.from
-                        && existing.msgid == rec.msgid
-                    {
-                        e.insert(rec);
-                    }
-                }
-            }
+            self.history.insert(seq, rec);
         }
     }
 
-    /// Applies buffered accepts in order; returns deliveries plus, when
+    /// Applies received accepts in order; returns deliveries plus, when
     /// r > 0, one **cumulative** ack for the highest slot applied (one
     /// ack per batch of progress, not one per accept).
     pub(super) fn advance(&mut self, now: SimTime) -> Vec<Action> {
@@ -49,9 +28,8 @@ impl Instance {
         let mut handover = false;
         loop {
             let next = self.highest_contiguous + 1;
-            let rec = match self.buffer.get(&next) {
-                Some(r) => r.clone(),
-                None => break,
+            let Some(rec) = self.history.ahead(next) else {
+                break;
             };
             // BB messages can only be applied once their data is here.
             if matches!(rec.body, AcceptBody::BbRef)
@@ -62,25 +40,27 @@ impl Instance {
                 }
                 break;
             }
+            let (from, from_tag, msgid, body) =
+                (rec.from, rec.from_tag, rec.msgid, rec.body.clone());
+            // The record moves into the ring; the slot it displaces has
+            // left the history, and takes its BB data along below.
+            let left = self.history.apply(next);
             self.highest_contiguous = next;
             self.gap_since = None;
             self.stats.applied += 1;
-            if rec.msgid != 0 {
-                self.seen_msgids
-                    .entry(rec.from)
-                    .or_default()
-                    .insert(rec.msgid);
+            if msgid != 0 {
+                self.seen_msgids.entry(from).or_default().insert(msgid);
             }
             let trace = self
                 .trace_by_seq
                 .get(&next)
                 .copied()
                 .unwrap_or(TraceCtx::NONE);
-            let data = match rec.body.clone() {
+            let data = match body {
                 AcceptBody::Data(data) => Some(data),
                 AcceptBody::BbRef => Some(
                     self.bb_store
-                        .get(&(rec.from, rec.msgid))
+                        .get(&(from, msgid))
                         .cloned()
                         .unwrap_or_default(),
                 ),
@@ -135,8 +115,8 @@ impl Instance {
             if let Some(data) = data {
                 actions.push(Action::Deliver(GroupEvent::Message {
                     seq: next,
-                    from: rec.from,
-                    from_tag: rec.from_tag,
+                    from,
+                    from_tag,
                     data,
                     trace,
                 }));
@@ -144,26 +124,20 @@ impl Instance {
             }
             // r == 0 senders complete on observing their own accept;
             // others record its slot.
-            if rec.from == self.me && rec.msgid != 0 {
+            if from == self.me && msgid != 0 {
                 if self.effective_r() == 0 {
-                    if self.pending_sends.remove(&rec.msgid).is_some() {
-                        actions.push(Action::CompleteSend(rec.msgid, Ok(next)));
+                    if self.pending_sends.remove(&msgid).is_some() {
+                        actions.push(Action::CompleteSend(msgid, Ok(next)));
                     }
-                } else if let Some(p) = self.pending_sends.get_mut(&rec.msgid) {
+                } else if let Some(p) = self.pending_sends.get_mut(&msgid) {
                     p.applied_at = Some(next);
                 }
             }
-            // Prune old history, and the BB data of what leaves it.
-            let keep_from = self.highest_contiguous.saturating_sub(self.cfg.history);
-            while let Some(first) = self.buffer.first_entry() {
-                if *first.key() >= keep_from {
-                    break;
-                }
-                let rec = first.remove();
-                if rec.msgid != 0 {
-                    self.bb_store.remove(&(rec.from, rec.msgid));
-                }
+            // The BB data of the slot that left the history goes with it.
+            if let Some(old) = left.filter(|old| old.msgid != 0) {
+                self.bb_store.remove(&(old.from, old.msgid));
             }
+            let keep_from = self.highest_contiguous.saturating_sub(self.cfg.history);
             if !self.trace_by_seq.is_empty() {
                 self.trace_by_seq = self.trace_by_seq.split_off(&keep_from);
             }
@@ -233,7 +207,7 @@ impl Instance {
         actions
     }
 
-    /// Whether an incoming accept for `seq` may enter the buffer.
+    /// Whether an incoming accept for `seq` may enter the history.
     /// Accepts from an older incarnation are only acceptable while we
     /// are catching up to a reset cutoff, and only from our view/source.
     fn accept_admissible(&self, incarnation: Incarnation, seq: SeqNo, src: HostAddr) -> bool {
@@ -269,7 +243,7 @@ impl Instance {
         self.receive(now, src, seq, std::iter::once(rec))
     }
 
-    /// Handles a coalesced batch of consecutive accepts: buffer every
+    /// Handles a coalesced batch of consecutive accepts: keep every
     /// admissible slot, then apply once — producing one cumulative ack
     /// for the whole batch instead of one per slot. Piggybacked done
     /// notifications addressed to us complete their sends first.
@@ -304,7 +278,7 @@ impl Instance {
         actions
     }
 
-    /// Buffers each admissible, new accept of the consecutive slots from
+    /// Keeps each admissible, new accept of the consecutive slots from
     /// `first_seq` on, then applies what it can. Nothing happens when
     /// every slot is refused or already applied.
     fn receive(
@@ -432,21 +406,17 @@ impl Instance {
         self.gap_since = Some(now); // re-arm
         self.stats.retrans_requests += 1;
         // Ask for everything up to the highest slot we know was
-        // assigned — the buffer alone understates an end-of-order gap
-        // (its last key may already be applied history below the gap) —
+        // assigned — the history alone understates an end-of-order gap
+        // (its last slot may already be applied, below the gap) —
         // clamped to the window, which is what a server is willing to
         // serve in one request.
         let to = if self.cfg.buggy_retrans_bound {
             // Historical (pre-fix) bound, kept reachable for the explore
             // harness's seeded-bug self-test: when the lost accepts are
-            // the newest ones, the buffer's last key sits at (or below)
+            // the newest ones, the history's last slot sits at (or below)
             // `highest_contiguous`, the request comes out empty and the
             // gap never closes.
-            self.buffer
-                .keys()
-                .next_back()
-                .copied()
-                .unwrap_or(self.highest_contiguous)
+            self.history.last_slot().unwrap_or(self.highest_contiguous)
         } else {
             self.highest_seen
                 .min(self.highest_contiguous + self.cfg.history)
@@ -482,7 +452,7 @@ impl Instance {
             return Vec::new();
         }
         for seq in from_seq..=to_seq {
-            if let Some(rec) = self.buffer.get(&seq) {
+            if let Some(rec) = self.history.get(seq) {
                 let body = match &rec.body {
                     // Resolve BB references so the requester need not chase
                     // the bulk data separately.

@@ -37,6 +37,8 @@
 //!   ([`tick`](Instance::tick)) and the view helpers the roles share;
 //! * `sequencer`: slot assignment, accept batching, dones, the window,
 //!   retry answers, joins and the sequencer's leave;
+//! * `history`: the accepts a member holds — the applied history in a
+//!   ring allocated once, and the slots received ahead of a gap;
 //! * `member`: the receive path — accepts, acks, heartbeats, gap
 //!   recovery and serving retransmissions;
 //! * `send`: the application's sends, their retries, and duplicate
@@ -56,12 +58,14 @@ use crate::types::{
     GroupEvent, GroupInfo, GroupStatus, Incarnation, MemberId, MemberInfo, SeqNo, View,
 };
 
+mod history;
 mod member;
 mod reset;
 mod send;
 mod sequencer;
 mod tests;
 
+use history::History;
 use reset::{PendingInstall, ResetCoord};
 use send::{MsgidRuns, PendingSend};
 
@@ -131,8 +135,9 @@ pub(crate) struct Instance {
     next_member_id: u32,
     /// Sequencer only: the next sequence number to assign.
     next_seq: SeqNo,
-    /// Received accepts by seqno (history and out-of-order future).
-    buffer: BTreeMap<SeqNo, AcceptRec>,
+    /// Received accepts by seqno: the applied history and the slots
+    /// received ahead of a gap.
+    history: History,
     /// Everything `<= highest_contiguous` has been applied in order.
     pub highest_contiguous: SeqNo,
     /// Highest sequence number known to have been assigned anywhere
@@ -194,7 +199,7 @@ pub(crate) struct Instance {
     /// Ordering-span context per sequence number: written by the
     /// sequencer when it assigns a slot and by members when a tagged
     /// accept arrives; read at delivery and when serving
-    /// retransmissions; pruned with the accept buffer's history.
+    /// retransmissions; pruned with the history.
     trace_by_seq: BTreeMap<SeqNo, TraceCtx>,
     /// Trace tags of the packet currently being handled, keyed by msgid
     /// (send requests, BB data) or seqno (accepts). Set by the peer
@@ -263,6 +268,7 @@ impl Instance {
         Instance {
             id,
             port,
+            history: History::new(cfg.history),
             cfg,
             me,
             my_tag,
@@ -271,7 +277,6 @@ impl Instance {
             view,
             next_member_id,
             next_seq: start_seq + 1,
-            buffer: BTreeMap::new(),
             highest_contiguous: start_seq,
             highest_seen: start_seq,
             delivered: start_seq,

@@ -293,18 +293,17 @@ impl Instance {
         };
         debug_assert!(self.highest_contiguous >= p.cutoff);
         // Any accepts still queued under the old incarnation are covered
-        // by our own history buffer (we applied them locally); drop the
+        // by our own history (we applied them locally); drop the
         // stale multicast rather than leak the old incarnation.
         self.pending_batch.clear();
-        // Out-of-order buffer entries beyond what the reset agreed on are
+        // Slots received beyond what the reset agreed on are
         // abandoned old-incarnation slots. They must not survive: the new
         // sequencer will reassign those sequence numbers, and a stale
-        // record would shadow the new accept via `insert_accept`'s
-        // or_insert and break total order. `highest_seen` likewise resets
+        // record would shadow the new accept in `insert_accept` and
+        // break total order. `highest_seen` likewise resets
         // to the agreed prefix.
-        let hc = self.highest_contiguous;
-        self.buffer.retain(|seq, _| *seq <= hc);
-        self.highest_seen = hc;
+        self.history.drop_ahead();
+        self.highest_seen = self.highest_contiguous;
         self.incarnation = p.new_incarnation;
         self.view = p.view;
         let view = &self.view;

@@ -265,18 +265,16 @@ impl Instance {
                 None => return Vec::new(),
             }
         } else {
-            self.buffer
-                .range(..=self.highest_contiguous)
-                .rev()
+            self.history
+                .applied_newest_first()
                 .find(|(_, rec)| rec.from == from && rec.msgid == msgid)
-                .map(|(&seq, _)| seq)
+                .map(|(seq, _)| seq)
         };
         let at_most = seq.unwrap_or_else(|| {
             let hc = self.highest_contiguous;
-            self.buffer
-                .keys()
-                .next()
-                .map_or(hc, |&first| first - 1)
+            self.history
+                .first_slot()
+                .map_or(hc, |first| first - 1)
                 .min(hc)
         });
         if at_most > self.resilient_to() {

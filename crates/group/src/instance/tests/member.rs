@@ -216,6 +216,31 @@ fn retrans_served_from_buffer_for_view_members() {
     assert!(nothing.is_empty());
 }
 
+/// Each member keeps the slots from `highest_contiguous − history` up
+/// to `highest_contiguous`, `history + 1` of them, and serves the oldest
+/// to a member that asks for it.
+#[test]
+fn a_member_keeps_exactly_the_last_history_plus_one_slots() {
+    let mut trio = Trio::new(2, 8);
+    for k in 0..20u8 {
+        assert!(trio.send(1, vec![k]));
+    }
+    for m in &trio.members {
+        let hc = m.highest_contiguous;
+        assert_eq!(hc, 22, "two joins and 20 messages");
+        let held: Vec<SeqNo> = (1..=hc).filter(|&s| m.history.get(s).is_some()).collect();
+        assert_eq!(held, (hc - 8..=hc).collect::<Vec<_>>(), "{m:?}");
+    }
+    let served = trio.members[0].on_retrans(14, 14, H2);
+    assert!(
+        matches!(
+            served.as_slice(),
+            [Action::Unicast(h, GroupMsg::Accept { seq: 14, .. })] if *h == H2
+        ),
+        "{served:?}"
+    );
+}
+
 #[test]
 fn follower_applies_leave_and_takes_over_sequencing() {
     let mut m1 = member_one(0);

@@ -114,7 +114,7 @@ fn a_lost_done_below_the_history_completes_once_at_the_senders_slot() {
         assert!(trio.send(2, vec![k]));
     }
     for m in &trio.members {
-        assert!(!m.buffer.contains_key(&slot), "slot {slot} left {m:?}");
+        assert!(m.history.get(slot).is_none(), "slot {slot} left {m:?}");
     }
     let next_seq = trio.members[0].next_seq;
     let now = T0 + trio.members[1].cfg.ack_timeout;
@@ -155,7 +155,7 @@ fn a_duplicate_send_req_below_the_history_is_suppressed() {
     for k in 0..12u8 {
         assert!(trio.send(2, vec![k]));
     }
-    assert!(!trio.members[0].buffer.contains_key(&3));
+    assert!(trio.members[0].history.get(3).is_none());
     let next_seq = trio.members[0].next_seq;
     let answer = trio.members[0].handle(T0, H1, req);
     assert!(

@@ -25,11 +25,13 @@
 //! find nothing to do allocates nothing when they fire.
 //!
 //! And a group keeps only what is live: past its window, a message sent
-//! through a group leaves nothing behind, and a directory server's object
+//! through a group leaves nothing behind, its history is one ring of
+//! records allocated once, and a directory server's object
 //! table holds its live entries, not every slot its partition could hold.
 //!
-//! And a routed network's duplicate suppression is a fixed window: once
-//! it is full, more packets across a router cost no heap.
+//! And a routed network's duplicate suppression is one packet id per
+//! node: its first flood costs no heap, and more packets across a router
+//! cost none either.
 //!
 //! And an update copies pointers, not rows: a directory's next version
 //! shares every row the update did not change, and carries its file's
@@ -55,7 +57,7 @@ use amoeba_dirsvc::dir::{
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, RawPartition, VDisk};
 use amoeba_dirsvc::flip::wire::{Wire, WireWriter};
-use amoeba_dirsvc::flip::{NetParams, Network, Payload, Port, Topology};
+use amoeba_dirsvc::flip::{Dest, NetParams, Network, Payload, Port, Topology};
 use amoeba_dirsvc::group::{GroupConfig, GroupPeer};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode, RpcServer};
 use amoeba_dirsvc::rsm::StateMachine;
@@ -552,11 +554,12 @@ fn an_answered_grant_is_one_exact_size_buffer() {
     }
 }
 
-/// Live heap, per message, that a 3-member r = 2 group keeps while member
-/// 1 sends `10 × warm_up` messages, counted from the moment it has sent
-/// `warm_up`: every member delivers every message, and each keeps the
-/// last `history` of them.
-fn live_bytes_per_group_message(warm_up: u64) -> f64 {
+/// The live heap of a 3-member r = 2 group (at the default `history`),
+/// read once its view is whole and again after member 1 has sent each
+/// count of `phases` more messages, `message(k)` the `k`-th of a phase:
+/// every member delivers every message, and each keeps the last
+/// `history` of them.
+fn live_heap_while_a_group_sends(phases: [u64; 2], message: fn(u64) -> Vec<u8>) -> [isize; 3] {
     let mut sim = Simulation::new(3);
     let net = Network::new(sim.handle(), NetParams::default(), 1);
     let port = Port::from_name("no-leak");
@@ -581,20 +584,31 @@ fn live_bytes_per_group_message(warm_up: u64) -> f64 {
             while g.info().expect("info").view.len() < 3 {
                 ctx.sleep(Duration::from_millis(5));
             }
-            let mut live = Vec::new();
-            for n in [warm_up, 10 * warm_up] {
+            // Let the last joiner settle in.
+            ctx.sleep(Duration::from_millis(100));
+            let mut live = [self::live(); 3];
+            for (n, live) in phases.into_iter().zip(&mut live[1..]) {
                 for k in 0..n {
-                    g.send(ctx, k.to_le_bytes().to_vec()).expect("send");
+                    g.send(ctx, message(k)).expect("send");
                 }
                 // Let the last acks and deliveries land.
                 ctx.sleep(Duration::from_millis(100));
-                live.push(self::live());
+                *live = self::live();
             }
-            Some((live[1] - live[0]) as f64 / (10 * warm_up) as f64)
+            Some(live)
         }));
     }
     sim.run_for(Duration::from_secs(3_600));
     outs[1].take().flatten().expect("the sends completed")
+}
+
+/// Live heap, per message, that a 3-member r = 2 group keeps while member
+/// 1 sends `10 × warm_up` messages, counted from the moment it has sent
+/// `warm_up`.
+fn live_bytes_per_group_message(warm_up: u64) -> f64 {
+    let [_, warm, end] =
+        live_heap_while_a_group_sends([warm_up, 10 * warm_up], |k| k.to_le_bytes().to_vec());
+    (end - warm) as f64 / (10 * warm_up) as f64
 }
 
 #[test]
@@ -645,6 +659,26 @@ fn an_object_table_costs_the_same_heap_over_any_partition() {
     );
 }
 
+/// Each member's history is one ring of `history + 1` records, allocated
+/// once: a group that has sent twice its `history` of empty messages
+/// (which hold no buffer) holds those rings and next to nothing else.
+/// History kept in a sorted map read about 139 KB per member, twice the
+/// ring.
+#[test]
+fn a_group_history_is_one_ring_of_records() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let history = GroupConfig::with_resilience(2).history;
+    let [formed, _, end] = live_heap_while_a_group_sends([history, history], |_| Vec::new());
+    // `amoeba-group` pins a record (with its `Option`) at 64 bytes.
+    let rings = 3 * (history as isize + 1) * 64;
+    let growth = end - formed;
+    assert!(
+        growth <= rings + 4 * 1024,
+        "{} messages grew the live heap by {growth} bytes; the rings take {rings}",
+        2 * history
+    );
+}
+
 /// Live heap that a 4-segment star (one hub router, the `shard_star`
 /// shape) with two hosts per segment gains between its 2,000th and its
 /// 20,000th packet, each from a host to one on the next segment.
@@ -686,12 +720,64 @@ fn live_growth_of_a_routed_network() -> isize {
 }
 
 #[test]
-fn routed_duplicate_suppression_is_a_fixed_window() {
+fn a_routed_network_stays_flat_as_packets_cross_it() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     let growth = live_growth_of_a_routed_network();
     assert!(
         growth < 4 * 1024,
         "18,000 more packets across the hub left {growth} bytes more live heap"
+    );
+}
+
+/// Live heap that a 4-segment star (one hub router) gains from its
+/// first flood: a broadcast from one of the 8 hosts on the hub's first
+/// segment, which the other 7 receive and the hub forwards onto the
+/// other 3 (where no host listens). A broadcast of one hop had taught
+/// the hub the route back to the sender, so only duplicate suppression
+/// meets the flood for the first time. Returns the growth and how many
+/// nodes processed the flood.
+fn live_growth_of_a_first_flood() -> (isize, u64) {
+    let mut sim = Simulation::new(9);
+    let mut t = Topology::new();
+    let segs: Vec<_> = (0..4)
+        .map(|s| t.add_segment(&format!("net-s{s}")))
+        .collect();
+    t.add_router("hub", &segs);
+    let net = Network::with_topology(sim.handle(), NetParams::default(), t, 9);
+    let (port, unbound) = (Port::from_name("no-leak"), Port::from_name("nobody"));
+    let stacks: Vec<_> = (0..8).map(|_| net.attach_to(segs[0])).collect();
+    for (h, stack) in stacks.iter().enumerate().skip(1) {
+        let rx = stack.bind(port);
+        sim.spawn(&format!("rx{h}"), move |ctx| loop {
+            rx.recv(ctx);
+        });
+    }
+    let stats = net.clone();
+    let out = sim.spawn("send", move |ctx| {
+        let from = &stacks[0];
+        from.send_with_ttl(Dest::Broadcast, unbound, vec![0; 16], 1);
+        ctx.sleep(Duration::from_millis(100));
+        let before = live();
+        from.send(Dest::Broadcast, port, vec![0; 16]);
+        ctx.sleep(Duration::from_millis(100));
+        live() - before
+    });
+    sim.run_for(Duration::from_secs(1));
+    let s = stats.stats();
+    assert_eq!((s.deliveries, s.packets_forwarded), (7, 3), "{s:?}");
+    (out.take().expect("the flood was sent"), s.deliveries + 1)
+}
+
+/// A node's duplicate suppression is one packet id, the last it
+/// processed: a routed network's first flood costs it no heap. A ring of
+/// 4,096 recent ids per node read 32 KiB each.
+#[test]
+fn a_first_flood_costs_duplicate_suppression_no_heap() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let (growth, nodes) = live_growth_of_a_first_flood();
+    assert!(
+        growth <= 64 * nodes as isize,
+        "the first flood across {nodes} nodes left {growth} bytes more live heap"
     );
 }
 
