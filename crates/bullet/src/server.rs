@@ -126,10 +126,15 @@ fn handle(
                 }
                 let bs = store.block_size();
                 let nblocks = inode.len_bytes.max(1).div_ceil(bs) as u64;
+                // The blocks are shared with the platters; the file is
+                // copied out of them once, into a buffer of exactly its
+                // length, so the cache keeps no padding.
                 let blocks = disk.read_run(ctx, base_block + inode.start_block, nblocks);
-                let mut data: Vec<u8> = blocks.into_iter().flatten().collect();
-                data.truncate(inode.len_bytes);
-                let data = Payload::from(data);
+                let data = Payload::zeroed(inode.len_bytes, |buf| {
+                    for (dst, block) in buf.chunks_mut(bs).zip(&blocks) {
+                        dst.copy_from_slice(&block[..dst.len()]);
+                    }
+                });
                 cache.borrow_mut().insert(cap.object, data.clone());
                 BulletReply::Data { data }
             }

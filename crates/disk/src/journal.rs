@@ -441,7 +441,7 @@ mod tests {
         // Simulate a crash mid-append of record 2: corrupt its last
         // frame (in-sim the run write is atomic, so the tear is staged
         // by hand on the platters).
-        let mut torn = disk.read_block(3);
+        let mut torn = disk.read_block(3).to_vec();
         torn[40] ^= 0xFF;
         disk.write_block(3, torn);
         let r = j.reopen();

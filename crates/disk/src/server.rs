@@ -10,7 +10,7 @@ use crate::vdisk::VDisk;
 enum DiskReq {
     Read {
         block: u64,
-        reply: MailboxTx<Vec<u8>>,
+        reply: MailboxTx<Payload>,
     },
     Write {
         block: u64,
@@ -28,7 +28,7 @@ enum DiskReq {
     ReadRun {
         start: u64,
         count: u64,
-        reply: MailboxTx<Vec<Vec<u8>>>,
+        reply: MailboxTx<Vec<Payload>>,
     },
 }
 
@@ -81,8 +81,11 @@ impl DiskServer {
         &self.disk
     }
 
-    /// Reads one block, paying queueing plus access time.
-    pub fn read(&self, ctx: &Ctx, block: u64) -> Vec<u8> {
+    /// Reads one block, paying queueing plus access time. The block is
+    /// shared with the platters, as [`VDisk::read_block`] hands it back:
+    /// an unwritten block is the disk's one zero block, and only a block
+    /// shorter than the block size is copied (padded).
+    pub fn read(&self, ctx: &Ctx, block: u64) -> Payload {
         let (reply, rx) = ctx.reply_channel();
         self.tx.send(DiskReq::Read { block, reply });
         rx.recv(ctx)
@@ -131,8 +134,10 @@ impl DiskServer {
         rx.recv(ctx)
     }
 
-    /// Reads consecutive blocks with a single seek.
-    pub fn read_run(&self, ctx: &Ctx, start: u64, count: u64) -> Vec<Vec<u8>> {
+    /// Reads consecutive blocks with a single seek. Each block is shared
+    /// as [`read`](Self::read)'s is: slices of one `Payload` that a
+    /// [`write_run`](Self::write_run) stored come back as those slices.
+    pub fn read_run(&self, ctx: &Ctx, start: u64, count: u64) -> Vec<Payload> {
         let (reply, rx) = ctx.reply_channel();
         self.tx.send(DiskReq::ReadRun {
             start,
@@ -231,12 +236,13 @@ impl RawPartition {
         self.len == 0
     }
 
-    /// Reads partition-relative block `block`.
+    /// Reads partition-relative block `block`, shared as
+    /// [`DiskServer::read`]'s is.
     ///
     /// # Panics
     ///
     /// Panics if `block` is out of the partition.
-    pub fn read(&self, ctx: &Ctx, block: u64) -> Vec<u8> {
+    pub fn read(&self, ctx: &Ctx, block: u64) -> Payload {
         assert!(block < self.len, "partition read out of range");
         self.server.read(ctx, self.base + block)
     }
@@ -294,8 +300,9 @@ impl RawPartition {
     }
 
     /// Reads the whole partition with one seek (used at boot to load the
-    /// object table).
-    pub fn read_all(&self, ctx: &Ctx) -> Vec<Vec<u8>> {
+    /// object table), each block shared as [`DiskServer::read`]'s is: a
+    /// fresh partition reads as the disk's one zero block, over and over.
+    pub fn read_all(&self, ctx: &Ctx) -> Vec<Payload> {
         self.server.read_run(ctx, self.base, self.len)
     }
 }

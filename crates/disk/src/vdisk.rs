@@ -41,6 +41,8 @@ struct VDiskInner {
     /// Each written block as its writer handed it: unpadded, and
     /// sharing the writer's buffer.
     blocks: IdMap<u64, Payload>,
+    /// What every unwritten block reads as: one block of zeroes.
+    zero: Payload,
     nblocks: u64,
     block_size: usize,
     stats: DiskStats,
@@ -53,7 +55,10 @@ struct VDiskInner {
 ///
 /// A block keeps the [`Payload`] its write handed over — no byte is
 /// copied on the way in, and a block shorter than the block size costs
-/// only its own length. Reads pad it with zeroes to the block size.
+/// only its own length. Reads share blocks too: a full-size block is
+/// handed back as stored, a shorter one padded with zeroes to the block
+/// size (one copy per read), and an unwritten one is the disk's one
+/// zero block.
 #[derive(Clone)]
 pub struct VDisk {
     inner: Rc<RefCell<VDiskInner>>,
@@ -72,6 +77,7 @@ impl VDisk {
         VDisk {
             inner: Rc::new(RefCell::new(VDiskInner {
                 blocks: IdMap::default(),
+                zero: Payload::zeroed(block_size, |_| {}),
                 nblocks,
                 block_size,
                 stats: DiskStats::default(),
@@ -89,22 +95,26 @@ impl VDisk {
         self.inner.borrow().block_size
     }
 
-    /// Reads a block, zero-padded to the block size (unwritten blocks
-    /// read as zeroes).
+    /// Reads a block, zero-padded to the block size. A full-size block
+    /// shares the buffer the platters keep, a shorter one is copied once
+    /// into a padded block, and an unwritten block is the disk's one
+    /// zero block: only a short block costs a copy.
     ///
     /// # Panics
     ///
     /// Panics if `block` is out of range.
-    pub fn read_block(&self, block: u64) -> Vec<u8> {
+    pub fn read_block(&self, block: u64) -> Payload {
         let mut i = self.inner.borrow_mut();
         assert!(block < i.nblocks, "read past end of disk");
         i.stats.reads += 1;
         i.stats.blocks += 1;
-        let mut buf = vec![0; i.block_size];
-        if let Some(data) = i.blocks.get(&block) {
-            buf[..data.len()].copy_from_slice(data);
+        match i.blocks.get(&block) {
+            Some(data) if data.len() == i.block_size => data.clone(),
+            Some(data) => {
+                Payload::zeroed(i.block_size, |buf| buf[..data.len()].copy_from_slice(data))
+            }
+            None => i.zero.clone(),
         }
-        buf
     }
 
     /// Writes a block: the platters keep `data` itself (a `Payload` is
@@ -172,6 +182,22 @@ mod tests {
         let d = VDisk::new(10, 8);
         d.write_block(1, &[1, 2, 3]);
         assert_eq!(d.read_block(1), vec![1, 2, 3, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn reads_share_full_blocks_and_the_one_zero_block() {
+        let d = VDisk::new(10, 8);
+        let full = Payload::from(vec![5u8; 8]);
+        d.write_block(1, full.clone());
+        assert_eq!(d.read_block(1).as_ptr(), full.as_ptr());
+        let zero = d.read_block(2);
+        assert_eq!(zero, vec![0; 8]);
+        assert_eq!(d.read_block(7).as_ptr(), zero.as_ptr());
+        // A short block is padded anew by each read.
+        d.write_block(3, &[1]);
+        let (a, b) = (d.read_block(3), d.read_block(3));
+        assert_eq!(a, b);
+        assert_ne!(a.as_ptr(), b.as_ptr());
     }
 
     #[test]

@@ -50,7 +50,20 @@ pub struct GroupConfig {
     /// catch-up can ask for; a retransmission request may span no more.
     /// Joins and leaves bypass the window. Each member holds one 64-byte
     /// record per slot, `history + 1` of them in a ring allocated once,
-    /// at its first applied slot.
+    /// at its first applied slot, and the record pins its accept's
+    /// buffer. An r = 0 member acks at least every `history / 4` slots,
+    /// only to keep the window moving.
+    ///
+    /// The default, 64, is the smallest power of two at least three
+    /// times the largest lag measured: the sequencer's slot assigned
+    /// less the lowest slot every member is known to hold. At
+    /// resilience n − 1 a send completes only once every member holds
+    /// it, so little is ever outstanding. That lag read 2 (perfbench's
+    /// `paper_mix`), 3 (`write_burst`), 4 (`failover`), 6
+    /// (`read_cached`), 5 (`explore ci-smoke`), 6 and 8 (the pinned
+    /// small and routed sweeps) and 19 (the pinned journaled sweep).
+    /// The window never shut in any of them
+    /// ([`GroupStats::window_shut`](crate::GroupStats::window_shut)).
     pub history: u64,
     /// Payloads at least this large use the BB method (sender multicasts
     /// the data; the sequencer multicasts a short accept) instead of the
@@ -75,7 +88,7 @@ impl GroupConfig {
             ack_timeout: Duration::from_millis(50),
             gap_timeout: Duration::from_millis(25),
             reset_vote_window: Duration::from_millis(150),
-            history: 1_024,
+            history: 64,
             bb_threshold: 3_000,
             buggy_retrans_bound: false,
         }

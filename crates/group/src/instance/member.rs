@@ -201,7 +201,7 @@ impl Instance {
                     self.sequence_message(now, from, m.tag, msgid, AcceptBody::BbRef, trace);
                 actions.append(&mut more);
             } else {
-                actions.extend(self.ask_for_acks(self.window_floor()));
+                actions.extend(self.refuse_for_window());
             }
         }
         actions

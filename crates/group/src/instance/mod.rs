@@ -112,6 +112,11 @@ pub struct GroupStats {
     pub failures: u64,
     /// Successful resets.
     pub resets: u64,
+    /// Times the sequencer left a message unsequenced because its window
+    /// was shut: some member's acks lag
+    /// [`history`](crate::GroupConfig::history) slots behind. The sender
+    /// retries it.
+    pub window_shut: u64,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]

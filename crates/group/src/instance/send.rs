@@ -145,7 +145,7 @@ impl Instance {
                 self.sequence_message(now, self.me, self.my_tag, msgid, body, trace)
             } else {
                 // Retried on the tick, like a remote sender's request.
-                self.ask_for_acks(self.window_floor())
+                self.refuse_for_window()
             });
         }
         let msg = GroupMsg::SendReq {

@@ -14,7 +14,7 @@ use crate::types::{Incarnation, MemberId, MemberInfo, SeqNo};
 impl Instance {
     /// The oldest slot every member must still hold for the sequencer to
     /// assign `next_seq`.
-    pub(super) fn window_floor(&self) -> SeqNo {
+    fn window_floor(&self) -> SeqNo {
         self.next_seq.saturating_sub(self.cfg.history)
     }
 
@@ -26,6 +26,14 @@ impl Instance {
     /// window, so a view change can always make progress.
     pub(super) fn window_open(&self) -> bool {
         !self.leaving && self.lacking(self.window_floor()).next().is_none()
+    }
+
+    /// Sequencer, its window shut: counts the message it leaves
+    /// unsequenced for its sender to retry, and asks the members that
+    /// hold the window back for their acks.
+    pub(super) fn refuse_for_window(&mut self) -> Vec<Action> {
+        self.stats.window_shut += 1;
+        self.ask_for_acks(self.window_floor())
     }
 
     /// Assigns the next slot to a message and queues its accept for the
@@ -239,7 +247,7 @@ impl Instance {
             return Vec::new();
         };
         if !self.window_open() {
-            return self.ask_for_acks(self.window_floor());
+            return self.refuse_for_window();
         }
         let trace = self.rx_tag(msgid);
         self.sequence_message(now, from, tag, msgid, AcceptBody::Data(data), trace)

@@ -160,6 +160,28 @@ fn member_acks_when_r_positive() {
     )));
 }
 
+/// An r = 0 member needs no ack to complete a send, but the window does:
+/// it acks at least every quarter window, and not every slot.
+#[test]
+fn an_r0_member_acks_at_least_every_quarter_window() {
+    let mut inst = member_one(0);
+    let (history, quarter) = (inst.cfg.history, inst.cfg.history / 4);
+    let mut acked = vec![0];
+    for seq in 1..=2 * history {
+        for a in feed(&mut inst, accept(seq, 0, seq, vec![1])) {
+            if let Action::Unicast(h, GroupMsg::Ack { seq, .. }) = a {
+                assert_eq!(h, H0);
+                acked.push(seq);
+            }
+        }
+    }
+    assert!(
+        acked.windows(2).all(|w| w[1] - w[0] <= quarter),
+        "acks at {acked:?}, window {history}"
+    );
+    assert_eq!(acked.len() as u64, 2 * history / quarter + 1, "{acked:?}");
+}
+
 #[test]
 fn member_ignores_duplicate_accept() {
     let mut inst = member_one(0);

@@ -24,9 +24,10 @@ const PER_PHASE: u64 = 5 * HISTORY;
 struct Outcome {
     /// Per member, the (seq, data) of every message it delivered.
     logs: Vec<Vec<(u64, Vec<u8>)>>,
-    /// Per sender (members 1 and 2): sends completed, retries made, and
-    /// when the last send completed.
-    senders: Vec<Option<(u64, u64, Duration)>>,
+    /// Per sender (members 1 and 2): sends completed, retries made, when
+    /// the last send completed, and the times its window shut while it
+    /// sequenced.
+    senders: Vec<Option<(u64, u64, Duration, u64)>>,
 }
 
 /// The group's founder, member 0.
@@ -141,8 +142,13 @@ fn run(r: u32, params: NetParams, net_seed: u64, seconds: u64) -> Outcome {
                     sent += 1;
                 }
             }
-            let retries = g.stats().expect("stats").send_retries;
-            (sent, retries, ctx.now().saturating_since(SimTime::ZERO))
+            let stats = g.stats().expect("stats");
+            (
+                sent,
+                stats.send_retries,
+                ctx.now().saturating_since(SimTime::ZERO),
+                stats.window_shut,
+            )
         }));
     }
     sim.run_for(Duration::from_secs(seconds));
@@ -156,7 +162,7 @@ fn keeps_sequencing(r: u32) {
     let out = run(r, NetParams::default(), 1, 120);
     for (i, s) in out.senders.iter().enumerate() {
         let member = i + 1;
-        let (sent, retries, done_at) =
+        let (sent, retries, done_at, window_shut) =
             s.unwrap_or_else(|| panic!("r = {r}: member {member} stalled"));
         assert_eq!(sent, 2 * PER_PHASE, "r = {r}: member {member}");
         assert!(
@@ -171,6 +177,15 @@ fn keeps_sequencing(r: u32) {
             retries <= 2 * PER_PHASE / HISTORY,
             "r = {r}: member {member} retried {retries} times"
         );
+        // Member 1 sequences the second phase. At r = 0 its window
+        // shuts, and every send above still completed, so it opened
+        // again each time. At r = 2 a send completes only once every
+        // member holds it, so two senders never lag a window behind.
+        if r == 0 && member == 1 {
+            assert!(window_shut > 0, "r = {r}: the window never shut");
+        } else {
+            assert_eq!(window_shut, 0, "r = {r}: member {member}");
+        }
     }
     assert_eq!(out.logs[0].len() as u64, 2 * PER_PHASE, "r = {r}: founder");
     assert_eq!(out.logs[1].len() as u64, 4 * PER_PHASE, "r = {r}: member 1");

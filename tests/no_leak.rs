@@ -40,6 +40,11 @@
 //! hands it, so a Bullet file reaches the platters without a copy of
 //! its blocks, and a journal keeps only its live records.
 //!
+//! And a disk read hands back the blocks the platters keep: booting an
+//! object table from a fresh partition holds no block of its own per
+//! block read, and a cold Bullet read copies the file at most once,
+//! into a buffer of its own length that its cache keeps.
+//!
 //! The tests in this file count every byte the process allocates, so
 //! they take turns ([`ALONE`]).
 
@@ -83,6 +88,8 @@ thread_local! {
     /// Allocations this thread ever made (a `realloc` is one: the
     /// default `GlobalAlloc::realloc` allocates anew).
     static MINE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// The highest [`MINE_LIVE`] reached since the last [`mark`].
+    static MINE_PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 /// This thread's live heap ([`MINE_LIVE`]).
@@ -93,6 +100,20 @@ fn live() -> isize {
 /// This thread's allocations so far ([`MINE_ALLOCS`]).
 fn allocs() -> usize {
     MINE_ALLOCS.with(Cell::get)
+}
+
+/// Starts a new live high-water mark at this thread's live heap, and
+/// returns that heap, for [`peak_live_since`].
+fn mark() -> isize {
+    let now = live();
+    MINE_PEAK.with(|peak| peak.set(now));
+    now
+}
+
+/// How far above `mark` (what [`mark`] returned) this thread's live heap
+/// has been at its highest since.
+fn peak_live_since(mark: isize) -> isize {
+    MINE_PEAK.with(Cell::get) - mark
 }
 
 /// The bytes a shared buffer of `len` bytes requests: the `Rc`'s two
@@ -107,7 +128,10 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
         let _ = MINE.try_with(|mine| mine.set(mine.get() + layout.size()));
-        let _ = MINE_LIVE.try_with(|live| live.set(live.get() + layout.size() as isize));
+        let _ = MINE_LIVE.try_with(|live| {
+            live.set(live.get() + layout.size() as isize);
+            let _ = MINE_PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
         let _ = MINE_ALLOCS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
@@ -1011,4 +1035,130 @@ fn journal_resident_blocks() -> Vec<usize> {
 fn a_journal_keeps_only_its_live_records_resident() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     assert_eq!(journal_resident_blocks(), vec![1; 20]);
+}
+
+/// Booting reads the object table's whole partition in one run, and the
+/// blocks come back as the platters keep them: a fresh partition's are
+/// all the disk's one zero block. A disk that zero-filled a fresh buffer
+/// per block read raised the live high-water by all 64 (256 KiB).
+#[test]
+fn loading_an_object_table_holds_no_copy_of_its_blocks() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    const BLOCK: usize = 4096;
+    const BLOCKS: u64 = 64;
+    let mut sim = Simulation::new(1);
+    let node = sim.add_node("m");
+    let disk = DiskServer::start(&sim, node, VDisk::new(BLOCKS, BLOCK), DiskParams::instant());
+    let out = sim.spawn_on(node, "boot", move |ctx| {
+        let part = RawPartition::new(disk, 0, BLOCKS);
+        let mark = mark();
+        let table = ObjectTable::load(part, ctx);
+        let peak = peak_live_since(mark);
+        assert_eq!(table.iter().count(), 0);
+        peak
+    });
+    sim.run();
+    let peak = out.take().expect("the table loaded");
+    assert!(
+        peak < 2 * BLOCK as isize,
+        "loading {BLOCKS} blocks of {BLOCK} B raised the live heap by {peak} bytes"
+    );
+}
+
+/// What a client's two reads of a file of `len` bytes cost this thread:
+/// the first from a Bullet server that has never read it (cold: from the
+/// disk), the second from that server's cache (warm).
+struct ColdAndWarm {
+    /// Bytes requested by the cold read.
+    cold: usize,
+    /// Bytes requested by the warm read.
+    warm: usize,
+    /// How much the live heap grew across the cold read, once the client
+    /// dropped what it read: what the server's cache keeps of the file.
+    kept: isize,
+}
+
+/// Reads a file of `len` bytes cold and then warm ([`ColdAndWarm`]).
+/// Another Bullet server over the same disk and store creates the file,
+/// so the file's blocks are slices of its create's buffer, as after a
+/// reboot.
+fn a_cold_and_a_warm_read(len: usize) -> ColdAndWarm {
+    const BLOCK: usize = 4096;
+    let mut sim = Simulation::new(5);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 5);
+    let (writer, reader) = (Port::from_name("bullet.w"), Port::from_name("bullet.r"));
+    let srv_node = sim.add_node("bullet-machine");
+    let srv_rpc = RpcNode::start(srv_node, net.attach());
+    let disk = DiskServer::start(
+        &sim,
+        srv_node,
+        VDisk::new(256, BLOCK),
+        DiskParams::instant(),
+    );
+    let store = BulletStore::new(256, BLOCK, 42);
+    for port in [writer, reader] {
+        start_bullet_server(
+            &sim,
+            srv_node,
+            &srv_rpc,
+            port,
+            disk.clone(),
+            store.clone(),
+            0,
+            1,
+        );
+    }
+    let cli_node = sim.add_node("client-machine");
+    let cli_rpc = RpcNode::start(cli_node, net.attach());
+    let (w, r) = (
+        BulletClient::new(RpcClient::new(&cli_rpc), writer),
+        BulletClient::new(RpcClient::new(&cli_rpc), reader),
+    );
+    let out = sim.spawn_on(cli_node, "client", move |ctx| {
+        let file: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        let cap = w.create(ctx, file.clone()).expect("create");
+        // Locates the reader's server without reading the file.
+        assert_eq!(r.size(ctx, cap), Ok(len as u64));
+        let mine = || MINE.with(Cell::get);
+        let (before, live_before) = (mine(), live());
+        assert_eq!(r.read(ctx, cap).expect("cold read"), file);
+        let (cold, kept) = (mine() - before, live() - live_before);
+        let before = mine();
+        assert_eq!(r.read(ctx, cap).expect("warm read"), file);
+        ColdAndWarm {
+            cold,
+            warm: mine() - before,
+            kept,
+        }
+    });
+    sim.run_for(Duration::from_secs(10));
+    out.take().expect("the reads completed")
+}
+
+/// A cold Bullet read copies the file at most once: beyond a warm read,
+/// it requests one buffer of the file's length, the disk's padded copy of
+/// a short last block, and change. A server that padded every block,
+/// collected them into a growing `Vec` and copied that into the reply's
+/// buffer requested four times the file. And the cache keeps that one
+/// buffer: the live heap grows by it and a constant (the cache's table),
+/// so a file shorter than a block does not keep the disk's padded copy of
+/// its block alive (a cache that kept a window on that copy held 4 KiB
+/// for a 1-byte file).
+#[test]
+fn a_cold_bullet_read_copies_the_file_at_most_once() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    const BLOCK: usize = 4096;
+    for len in [1, 200, BLOCK - 1, 8 * BLOCK - BLOCK / 2, 8 * BLOCK] {
+        let read = a_cold_and_a_warm_read(len);
+        let extra = read.cold.saturating_sub(read.warm);
+        assert!(
+            extra <= len + BLOCK + 1024,
+            "a cold read of {len} bytes requested {extra} bytes more than a warm one"
+        );
+        assert!(
+            read.kept <= (shared_buffer(len) + 512) as isize,
+            "a cold read of {len} bytes left {} bytes more live",
+            read.kept
+        );
+    }
 }

@@ -1,7 +1,8 @@
 //! The sharded directory service: per-shard total order, a directory
 //! linked into a parent on another shard with the paper's plain calls
-//! (create, then append; also while the parent's shard is down), and
-//! segment-local placement on a routed star topology.
+//! (create, then append; also while the parent's shard is down),
+//! segment-local placement on a routed star topology, and a saturating
+//! write burst on it that never finds a group's window shut.
 
 use std::time::Duration;
 
@@ -311,4 +312,61 @@ fn shard_star_placement_keeps_reads_segment_local() {
         st.packets_sent + st.packets_forwarded,
         "frames = sent + forwarded, with pruning enabled"
     );
+}
+
+/// The sequencer's window is sized to the lag it must cover: 16 writers,
+/// one per directory, saturating the routed 4-shard deployment (the
+/// shape of perfbench's `write_burst`) never find it shut on any member
+/// at the default `history`. At resilience n − 1 a send completes only
+/// once every member holds it, so no member falls a window behind.
+#[test]
+fn a_saturating_routed_write_burst_never_shuts_a_group_window() {
+    const WRITERS: usize = 16;
+    let mut sim = Simulation::new(7);
+    let mut params = ClusterParams::sharded_routed(Variant::Group, 4);
+    params.seed = 7;
+    let mut cluster = Cluster::start(&sim, params);
+    let (client, _) = cluster.client(&sim);
+    let c2 = client.clone();
+    let made = sim.spawn("make-dirs", move |ctx| {
+        (0..WRITERS)
+            .map(|_| ready_root(ctx, &c2, &["owner"]))
+            .collect::<Vec<_>>()
+    });
+    sim.run_for(Duration::from_secs(40));
+    let dirs = made.take().expect("the directories were made");
+    let writers: Vec<_> = dirs
+        .into_iter()
+        .enumerate()
+        .map(|(w, dir)| {
+            let client = client.clone();
+            sim.spawn(&format!("writer{w}"), move |ctx| {
+                // Each name is deleted 8 appends later, so the directory
+                // stays small; a failed op is not retried.
+                let name = |k: u32| format!("n{k}");
+                let until = ctx.now() + Duration::from_secs(20);
+                let (mut k, mut acked) = (0, 0u32);
+                while ctx.now() < until {
+                    let append = client.append_row(ctx, dir, &name(k), dir, vec![Rights::ALL]);
+                    acked += u32::from(append.is_ok());
+                    if k >= 8 {
+                        acked += u32::from(client.delete_row(ctx, dir, &name(k - 8)).is_ok());
+                    }
+                    k += 1;
+                }
+                acked
+            })
+        })
+        .collect();
+    sim.run_for(Duration::from_secs(25));
+    let acked: u32 = writers.iter().map(|w| w.take().expect("writer done")).sum();
+    assert!(acked >= 200, "only {acked} updates acknowledged");
+    for i in 0..cluster.columns.len() {
+        let stats = cluster
+            .group_server(i)
+            .group_stats()
+            .unwrap_or_else(|| panic!("column {i} is in normal operation"));
+        assert!(stats.applied > 50, "column {i}: {stats:?}");
+        assert_eq!(stats.window_shut, 0, "column {i}: {stats:?}");
+    }
 }
