@@ -305,7 +305,14 @@ impl Group {
     /// `ResetGroup`: rebuilds the group from the still-reachable members.
     /// Succeeds only if at least `min_size` members (including this one)
     /// participate. Every member may call this concurrently; they converge
-    /// on one new view.
+    /// on one new view. The coordinator announces that view as soon as
+    /// every member of the old one has voted or been named dead in its
+    /// incarnation (by a member's failure detector, in a `FailNotice`), so
+    /// a crash costs failure detection and a round trip; only a member
+    /// that nobody suspects and that stays silent makes it wait out the
+    /// vote window (150 ms;
+    /// [`GroupStats::resets_at_deadline`](crate::GroupStats::resets_at_deadline)
+    /// counts those resets).
     ///
     /// # Errors
     ///

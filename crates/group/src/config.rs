@@ -23,6 +23,14 @@ pub(crate) const BATCH_DELAY: Duration = Duration::from_micros(500);
 /// retransmissions, failure detection, reset votes) are driven.
 pub(crate) const TICK_INTERVAL: Duration = Duration::from_millis(20);
 
+/// How long a `ResetGroup` coordinator waits for votes. It announces the
+/// new view as soon as every member of the old view has voted or been
+/// named dead in that incarnation (by its own detector or a
+/// `FailNotice`), so the window is only the fallback for a member that
+/// nobody suspects and that stays silent. A latched vote for one
+/// coordinator expires after two windows.
+pub(crate) const RESET_VOTE_WINDOW: Duration = Duration::from_millis(150);
+
 /// Configuration for a group member's protocol engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupConfig {
@@ -40,8 +48,6 @@ pub struct GroupConfig {
     /// A detected sequence gap triggers a retransmission request after
     /// this long.
     pub gap_timeout: Duration,
-    /// How long a `ResetGroup` coordinator collects votes.
-    pub reset_vote_window: Duration,
     /// The sequencer's window, in slots: it admits a new message only
     /// while no member of the view is more than `history` slots behind
     /// the next one, as far as that member's acks tell. Each member keeps
@@ -87,7 +93,6 @@ impl GroupConfig {
             failure_timeout: Duration::from_millis(400),
             ack_timeout: Duration::from_millis(50),
             gap_timeout: Duration::from_millis(25),
-            reset_vote_window: Duration::from_millis(150),
             history: 64,
             bb_threshold: 3_000,
             buggy_retrans_bound: false,

@@ -47,7 +47,7 @@
 //!   install.
 
 use amoeba_flip::{HostAddr, Payload, Port};
-use amoeba_sim::{IdMap, SimTime};
+use amoeba_sim::{IdMap, IdSet, SimTime};
 use amoeba_telemetry::{Telemetry, TraceCtx};
 use std::collections::BTreeMap;
 
@@ -112,6 +112,10 @@ pub struct GroupStats {
     pub failures: u64,
     /// Successful resets.
     pub resets: u64,
+    /// Resets this member coordinated that waited out the whole vote
+    /// window: some member of the old view neither voted nor was named
+    /// dead before the deadline.
+    pub resets_at_deadline: u64,
     /// Times the sequencer left a message unsequenced because its window
     /// was shut: some member's acks lag
     /// [`history`](crate::GroupConfig::history) slots behind. The sender
@@ -190,6 +194,11 @@ pub(crate) struct Instance {
     gap_since: Option<SimTime>,
     /// Reset: my latched vote (coordinator, round, when).
     voted: Option<(MemberId, u64, SimTime)>,
+    /// The members named dead in this incarnation, by this member's
+    /// detector or a `FailNotice`, and not heard from since (their invite,
+    /// their vote, a `FailNotice` from their host): a reset coordinator
+    /// waits for no vote of theirs. Cleared when a reset installs.
+    suspects: IdSet<MemberId>,
     reset_coord: Option<ResetCoord>,
     pending_install: Option<PendingInstall>,
     next_reset_round: u64,
@@ -301,6 +310,7 @@ impl Instance {
             failure_notified: false,
             gap_since: None,
             voted: None,
+            suspects: IdSet::default(),
             reset_coord: None,
             pending_install: None,
             next_reset_round: 1,
@@ -495,7 +505,11 @@ impl Instance {
                 member,
                 ..
             } => self.on_leave_request(now, incarnation, member),
-            GroupMsg::FailNotice { incarnation, .. } => self.on_fail_notice(incarnation),
+            GroupMsg::FailNotice {
+                incarnation,
+                suspect,
+                ..
+            } => self.on_fail_notice(now, src, incarnation, suspect),
             GroupMsg::ResetInvite {
                 old_incarnation,
                 coord,

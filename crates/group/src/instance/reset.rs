@@ -1,12 +1,28 @@
 //! Failure and `ResetGroup`: a member that suspects another fails the
-//! group; a coordinator invites votes, announces the new view with the
-//! highest prefix any voter holds as its cutoff, and every member installs
-//! it once it has caught up to that cutoff.
+//! group and names the suspect; a coordinator invites votes, announces the
+//! new view with the highest prefix any voter holds as its cutoff, and
+//! every member installs it once it has caught up to that cutoff.
+//!
+//! The coordinator announces as soon as every member of the old view has
+//! voted or is named dead in that incarnation (`Instance::suspects`), with
+//! `min_size` met; at [`RESET_VOTE_WINDOW`] it announces with the votes it
+//! has. A suspect heard from again (its invite, its vote, a `FailNotice`
+//! from its host) is waited for like any other member. Leaving out a
+//! suspect that never votes loses nothing the deadline would keep: at
+//! resilience n − 1 every completed send is held by every member, so any
+//! voter's prefix covers it.
+//!
+//! A vote is a promise to one coordinator (the latch, `Instance::voted`).
+//! A coordinator that votes for another stands down: it announces nothing,
+//! its round fails at the deadline, and it starts no new round while that
+//! latch holds. Otherwise two coordinators could each announce a view of
+//! the next incarnation with the one member in both.
 
 use amoeba_flip::HostAddr;
 use amoeba_sim::{IdMap, SimTime};
 
 use super::{Action, Instance};
+use crate::config::RESET_VOTE_WINDOW;
 use crate::error::GroupError;
 use crate::msg::GroupMsg;
 use crate::types::{GroupEvent, Incarnation, MemberId, MemberInfo, SeqNo, View};
@@ -29,8 +45,9 @@ pub(super) struct PendingInstall {
 }
 
 impl Instance {
-    /// Marks the group failed and tells everyone.
+    /// Marks the group failed, names `suspect` dead and tells everyone.
     pub(super) fn fail_group(&mut self, suspect: MemberId) -> Vec<Action> {
+        self.suspects.insert(suspect);
         if self.failed {
             return Vec::new();
         }
@@ -58,13 +75,32 @@ impl Instance {
         actions
     }
 
-    pub(super) fn on_fail_notice(&mut self, incarnation: Incarnation) -> Vec<Action> {
-        if incarnation == self.incarnation && !self.failed {
+    /// Another member (sent from `src`) names `suspect` dead.
+    pub(super) fn on_fail_notice(
+        &mut self,
+        now: SimTime,
+        src: HostAddr,
+        incarnation: Incarnation,
+        suspect: MemberId,
+    ) -> Vec<Action> {
+        if incarnation != self.incarnation {
+            return Vec::new();
+        }
+        // Whoever sent the notice is alive, even if it was named.
+        let view = &self.view;
+        self.suspects
+            .retain(|&id| view.member(id).is_none_or(|m| m.host != src));
+        if suspect != self.me {
+            self.suspects.insert(suspect);
+        }
+        let mut actions = Vec::new();
+        if !self.failed {
             self.failed = true;
             self.stats.failures += 1;
-            return self.on_failed();
+            actions = self.on_failed();
         }
-        Vec::new()
+        actions.append(&mut self.close_vote(now));
+        actions
     }
 
     /// A reset this member missed has expelled it: it dissolves.
@@ -83,6 +119,7 @@ impl Instance {
         if self.dissolved {
             return vec![Action::CompleteReset(Err(GroupError::Dead))];
         }
+        let promised_elsewhere = self.live_latch(now).is_some_and(|(c, _)| c != self.me);
         let round = self.next_reset_round;
         self.next_reset_round += 1;
         let mut votes = IdMap::default();
@@ -101,26 +138,37 @@ impl Instance {
             round,
             min_size,
             votes,
-            deadline: now + self.cfg.reset_vote_window,
+            deadline: now + RESET_VOTE_WINDOW,
             announced: false,
         });
+        if promised_elsewhere {
+            // Wait for the result voted for; the round fails at the
+            // deadline, and the caller retries.
+            return Vec::new();
+        }
         // Latch our own vote so lower-priority coordinators are ignored.
         self.voted = Some((self.me, round, now));
-        vec![Action::Multicast(GroupMsg::ResetInvite {
+        let mut actions = vec![Action::Multicast(GroupMsg::ResetInvite {
             instance: self.id,
             old_incarnation: self.incarnation,
             coord: self.me,
             coord_host: self.my_host,
             round,
-        })]
+        })];
+        actions.append(&mut self.close_vote(now));
+        actions
     }
 
     /// Coordinator, on the tick: at the vote deadline the reset is
-    /// announced with the votes it has, or fails if they are too few.
+    /// announced with the votes it has, or fails if they are too few or
+    /// this member has since voted for another coordinator.
     pub(super) fn reset_deadline(&mut self, now: SimTime) -> Vec<Action> {
         match &self.reset_coord {
             Some(rc) if rc.announced || now < rc.deadline => Vec::new(),
-            Some(rc) if rc.votes.len() >= rc.min_size => self.announce_reset(now),
+            Some(_) if self.can_announce() => {
+                self.stats.resets_at_deadline += 1;
+                self.announce_reset(now)
+            }
             Some(_) => {
                 self.reset_coord = None;
                 vec![Action::CompleteReset(Err(GroupError::ResetFailed))]
@@ -140,18 +188,12 @@ impl Instance {
         if old_incarnation != self.incarnation {
             return Vec::new();
         }
-        // Vote latching: prefer the lowest member id as coordinator; a
-        // latched vote expires after two vote windows.
-        let latch_expired = match self.voted {
-            Some((_, _, at)) => now.saturating_since(at) > self.cfg.reset_vote_window * 2,
-            None => true,
-        };
-        let better = match self.voted {
-            Some((c, r, _)) => coord < c || (coord == c && round >= r),
-            None => true,
-        };
-        if !(latch_expired || better) {
-            return Vec::new();
+        self.suspects.remove(&coord);
+        // Vote latching: prefer the lowest member id as coordinator.
+        if let Some((c, r)) = self.live_latch(now) {
+            if !(coord < c || (coord == c && round >= r)) {
+                return Vec::new();
+            }
         }
         self.voted = Some((coord, round, now));
         vec![Action::Unicast(
@@ -180,32 +222,65 @@ impl Instance {
         voter: MemberInfo,
         highest: SeqNo,
     ) -> Vec<Action> {
-        if old_incarnation != self.incarnation || coord != self.me {
+        if old_incarnation != self.incarnation {
             return Vec::new();
         }
-        let rc = match &mut self.reset_coord {
-            Some(rc) if rc.round == round && !rc.announced => rc,
+        self.suspects.remove(&voter.id);
+        if coord != self.me {
+            return Vec::new();
+        }
+        match &mut self.reset_coord {
+            Some(rc) if rc.round == round && !rc.announced => {
+                rc.votes.insert(voter.id, (voter, highest))
+            }
             _ => return Vec::new(),
         };
-        rc.votes.insert(voter.id, (voter, highest));
-        // Announce as soon as every current-view member voted; otherwise
-        // the tick announces at the deadline if min_size is met.
-        if rc.votes.len() >= self.view.len() {
+        self.close_vote(now)
+    }
+
+    /// Coordinator: announces the reset once every member of the view has
+    /// voted or is a suspect; until then the tick announces at the
+    /// deadline.
+    fn close_vote(&mut self, now: SimTime) -> Vec<Action> {
+        let complete = self.reset_coord.as_ref().is_some_and(|rc| {
+            self.view
+                .members
+                .iter()
+                .all(|m| rc.votes.contains_key(&m.id) || self.suspects.contains(&m.id))
+        });
+        if complete && self.can_announce() {
             self.announce_reset(now)
         } else {
             Vec::new()
         }
     }
 
-    /// Coordinator: finalize the reset with the votes collected so far.
+    /// The coordinator and round this member's vote is promised to, for
+    /// two vote windows after it was cast.
+    fn live_latch(&self, now: SimTime) -> Option<(MemberId, u64)> {
+        self.voted
+            .filter(|&(_, _, at)| now.saturating_since(at) <= RESET_VOTE_WINDOW * 2)
+            .map(|(c, r, _)| (c, r))
+    }
+
+    /// Whether this member's open round may announce: it has `min_size`
+    /// votes, and this member's own vote is still promised to it.
+    fn can_announce(&self) -> bool {
+        self.reset_coord.as_ref().is_some_and(|rc| {
+            !rc.announced
+                && rc.votes.len() >= rc.min_size
+                && self
+                    .voted
+                    .is_some_and(|(c, r, _)| c == self.me && r == rc.round)
+        })
+    }
+
+    /// Coordinator: finalize the reset with the votes collected so far
+    /// (the caller checked [`can_announce`](Self::can_announce)).
     fn announce_reset(&mut self, now: SimTime) -> Vec<Action> {
-        let rc = match &mut self.reset_coord {
-            Some(rc) if !rc.announced => rc,
-            _ => return Vec::new(),
-        };
-        if rc.votes.len() < rc.min_size {
+        let Some(rc) = &mut self.reset_coord else {
             return Vec::new();
-        }
+        };
         rc.announced = true;
         let round = rc.round;
         let mut view = View::default();
@@ -329,6 +404,7 @@ impl Instance {
         self.failure_notified = false;
         self.reset_coord = None;
         self.voted = None;
+        self.suspects.clear();
         self.stats.resets += 1;
         self.last_heard.clear();
         for m in &self.view.members {

@@ -4,6 +4,7 @@
 //! instant network.
 
 use super::*;
+use crate::config::RESET_VOTE_WINDOW;
 use crate::msg::{AcceptItem, MAX_ACCEPT_BATCH_ITEMS};
 use std::time::Duration;
 

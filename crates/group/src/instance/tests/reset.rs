@@ -136,10 +136,9 @@ fn reset_two_of_three_rebuilds_group() {
             _ => None,
         })
         .unwrap();
-    // The dead member never votes, so the coordinator announces at the
-    // vote-window deadline.
-    let mut result_actions = m1.handle(T0, H2, vote);
-    result_actions.extend(m1.tick(T0 + m1.cfg.reset_vote_window + Duration::from_millis(1)));
+    // The dead member was named, so the coordinator announces when the
+    // last live member votes, before any tick.
+    let result_actions = m1.handle(T0, H2, vote);
     let result = result_actions
         .iter()
         .find_map(|a| match a {
@@ -173,12 +172,179 @@ fn reset_two_of_three_rebuilds_group() {
     }
 }
 
+/// A `FailNotice` of incarnation 0 naming `suspect`.
+fn fail_notice(suspect: u32) -> GroupMsg {
+    GroupMsg::FailNotice {
+        instance: 1,
+        incarnation: 0,
+        suspect: MemberId(suspect),
+    }
+}
+
+/// Member `voter`'s vote (on host `host`) in round 1 of member 1's reset.
+fn vote_for_one(voter: u32, host: HostAddr) -> GroupMsg {
+    GroupMsg::ResetVote {
+        instance: 1,
+        old_incarnation: 0,
+        round: 1,
+        coord: MemberId(1),
+        voter: MemberInfo {
+            id: MemberId(voter),
+            host,
+            tag: 100 + u64::from(voter),
+        },
+        highest: 0,
+    }
+}
+
+/// The member ids of the view a `ResetResult` among `actions` announces.
+fn announced(actions: &[Action]) -> Option<Vec<u32>> {
+    actions.iter().find_map(|a| match a {
+        Action::Multicast(GroupMsg::ResetResult { view, .. }) => {
+            Some(view.members.iter().map(|m| m.id.0).collect())
+        }
+        _ => None,
+    })
+}
+
+#[test]
+fn a_reset_closes_when_the_last_unsuspected_member_votes() {
+    // Member 1's own detector names the silent sequencer.
+    let mut m1 = member_one(2);
+    let _ = feed(
+        &mut m1,
+        GroupMsg::Heartbeat {
+            instance: 1,
+            incarnation: 0,
+            next_seq: 1,
+            sequencer: MemberId(0),
+        },
+    );
+    let named = T0 + m1.cfg.failure_timeout + Duration::from_millis(50);
+    let _ = m1.tick(named);
+    assert!(m1.failed);
+    assert_eq!(announced(&m1.app_reset(named, 2)), None, "member 2 is live");
+    let actions = m1.handle(named, H2, vote_for_one(2, H2));
+    assert_eq!(announced(&actions), Some(vec![1, 2]));
+    assert_eq!(m1.incarnation, 1);
+    assert_eq!(m1.stats.resets_at_deadline, 0);
+}
+
+#[test]
+fn with_no_suspect_a_reset_waits_for_the_whole_view_or_the_deadline() {
+    for all_vote in [true, false] {
+        let mut m1 = member_one(2);
+        m1.failed = true;
+        let _ = m1.app_reset(T0, 2);
+        let mut actions = m1.handle(T0, H2, vote_for_one(2, H2));
+        actions.extend(m1.tick(T0 + (RESET_VOTE_WINDOW - Duration::from_millis(1))));
+        assert_eq!(announced(&actions), None, "member 0 may still vote");
+        if all_vote {
+            let actions = m1.handle(T0, H0, vote_for_one(0, H0));
+            assert_eq!(announced(&actions), Some(vec![0, 1, 2]));
+            assert_eq!(m1.stats.resets_at_deadline, 0);
+        } else {
+            let actions = m1.tick(T0 + RESET_VOTE_WINDOW);
+            assert_eq!(announced(&actions), Some(vec![1, 2]));
+            assert_eq!(m1.stats.resets_at_deadline, 1);
+        }
+    }
+}
+
+#[test]
+fn a_suspect_heard_from_again_is_waited_for() {
+    // Member 0 names member 2; then member 2 shows it is alive, by its
+    // own invite (which member 1, the better coordinator, does not
+    // answer) or by a `FailNotice` from its host.
+    let invite = GroupMsg::ResetInvite {
+        instance: 1,
+        old_incarnation: 0,
+        coord: MemberId(2),
+        coord_host: H2,
+        round: 1,
+    };
+    for heard in [invite, fail_notice(0)] {
+        let mut m1 = member_one(2);
+        let _ = m1.handle(T0, H0, fail_notice(2));
+        assert!(m1.failed);
+        let _ = m1.app_reset(T0, 2);
+        let _ = m1.handle(T0, H2, heard);
+        let actions = m1.handle(T0, H0, vote_for_one(0, H0));
+        assert_eq!(announced(&actions), None, "member 2 was heard from");
+        let actions = m1.tick(T0 + RESET_VOTE_WINDOW);
+        assert_eq!(announced(&actions), Some(vec![0, 1]));
+        assert_eq!(m1.stats.resets_at_deadline, 1);
+    }
+}
+
+#[test]
+fn a_coordinator_that_votes_for_a_better_one_stands_down() {
+    // Member 1 coordinates and has member 2's vote when member 0 invites:
+    // it votes for member 0, so its own round must not announce a view
+    // with member 1 in it beside member 0's.
+    let mut m1 = member_one(2);
+    let _ = m1.handle(T0, H2, fail_notice(0));
+    let _ = m1.app_reset(T0, 2);
+    let invite = GroupMsg::ResetInvite {
+        instance: 1,
+        old_incarnation: 0,
+        coord: MemberId(0),
+        coord_host: H0,
+        round: 1,
+    };
+    let actions = m1.handle(T0, H0, invite);
+    assert!(actions.iter().any(|a| matches!(
+        a,
+        Action::Unicast(
+            H0,
+            GroupMsg::ResetVote {
+                coord: MemberId(0),
+                ..
+            }
+        )
+    )));
+    let mut actions = m1.handle(T0, H2, vote_for_one(2, H2));
+    actions.extend(m1.tick(T0 + RESET_VOTE_WINDOW));
+    assert_eq!(announced(&actions), None);
+    assert!(actions
+        .iter()
+        .any(|a| matches!(a, Action::CompleteReset(Err(GroupError::ResetFailed)))));
+    // While the vote for member 0 holds, a retry invites no one.
+    let retry = m1.app_reset(T0 + RESET_VOTE_WINDOW, 2);
+    assert!(!retry
+        .iter()
+        .any(|a| matches!(a, Action::Multicast(GroupMsg::ResetInvite { .. }))));
+}
+
+#[test]
+fn a_suspects_vote_before_the_announcement_puts_it_in_the_view() {
+    let mut m1 = member_one(2);
+    let _ = m1.handle(T0, H2, fail_notice(0));
+    let _ = m1.app_reset(T0, 2);
+    let actions = m1.handle(T0, H0, vote_for_one(0, H0));
+    assert_eq!(announced(&actions), None, "member 2 has not voted");
+    let actions = m1.handle(T0, H2, vote_for_one(2, H2));
+    assert_eq!(announced(&actions), Some(vec![0, 1, 2]));
+}
+
+#[test]
+fn a_notice_naming_the_last_silent_member_closes_the_vote() {
+    // Votes are being collected when a `FailNotice` names the one member
+    // that has not voted.
+    let mut m1 = member_one(2);
+    m1.failed = true;
+    let _ = m1.app_reset(T0, 2);
+    assert_eq!(announced(&m1.handle(T0, H2, vote_for_one(2, H2))), None);
+    let actions = m1.handle(T0, H2, fail_notice(0));
+    assert_eq!(announced(&actions), Some(vec![1, 2]));
+}
+
 #[test]
 fn reset_without_quorum_fails_at_deadline() {
     let mut m1 = member_one(2);
     m1.failed = true;
     let _ = m1.app_reset(T0, 2); // needs 2 votes, gets only itself
-    let late = T0 + m1.cfg.reset_vote_window + Duration::from_millis(1);
+    let late = T0 + RESET_VOTE_WINDOW + Duration::from_millis(1);
     let actions = m1.tick(late);
     assert!(actions
         .iter()
@@ -222,7 +388,7 @@ fn reset_catches_up_laggard_to_cutoff_before_install() {
         })
         .unwrap();
     let mut result_actions = m1.handle(T0, H2, vote);
-    result_actions.extend(m1.tick(T0 + m1.cfg.reset_vote_window + Duration::from_millis(1)));
+    result_actions.extend(m1.tick(T0 + RESET_VOTE_WINDOW + Duration::from_millis(1)));
     let result = result_actions
         .into_iter()
         .find_map(|a| match a {

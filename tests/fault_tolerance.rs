@@ -4,6 +4,7 @@ use std::time::Duration;
 
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{Capability, CommitBlock, DirClient, Rights};
+use amoeba_dirsvc::group::GroupStats;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
 
 fn ready_root(ctx: &Ctx, client: &DirClient) -> Capability {
@@ -430,4 +431,68 @@ fn a_head_crashed_replica_keeps_the_state_it_copied_on_its_own_disk() {
     });
     sim.run_for(Duration::from_secs(10));
     assert_eq!(found.take(), Some(10), "an acknowledged row was lost");
+}
+
+/// Under a steady writer on `paper()`, crashes column `victim` (or
+/// nothing), then has a fresh client append once: how long after the
+/// crash that append was acknowledged, with the survivors' group
+/// counters.
+fn first_update_after_a_crash(victim: Option<usize>) -> (Duration, Vec<GroupStats>) {
+    let (mut sim, mut cluster, client, root) = form_cluster(41);
+    // The writer keeps the disks as busy as a loaded service's.
+    sim.spawn("writer", move |ctx| {
+        for i in 0.. {
+            let _ = client.append_row(ctx, root, &format!("w{i}"), root, vec![Rights::ALL]);
+        }
+    });
+    sim.run_for(Duration::from_secs(2));
+    if let Some(victim) = victim {
+        cluster.crash_server(&sim, victim);
+    }
+    let crashed_at = sim.now();
+    // A client that locates the service after the crash finds only the
+    // survivors, so its append waits for the reset and not for an RPC
+    // timeout.
+    let (fresh, _) = cluster.client(&sim);
+    let first = sim.spawn("first", move |ctx| {
+        fresh
+            .append_row(ctx, root, "first", root, vec![Rights::ALL])
+            .expect("the survivors commit");
+        ctx.now().saturating_since(crashed_at)
+    });
+    sim.run_for(Duration::from_secs(3));
+    let stats = (0..3)
+        .filter(|&i| Some(i) != victim)
+        .map(|i| {
+            cluster
+                .group_server(i)
+                .group_stats()
+                .expect("in normal operation")
+        })
+        .collect();
+    (first.take().expect("the append finished"), stats)
+}
+
+/// One crash costs failure detection and a reset round trip, not the
+/// reset's vote window: the crashed server is named dead by whoever
+/// detected it, so the coordinator announces when the last survivor
+/// votes. Replica 0 founds the group, so column 2 is a member and column
+/// 0 the sequencer. The append after a sequencer crash is sequenced only
+/// in the new view, so the bound is on the delay the crash adds to it.
+#[test]
+fn one_crash_costs_failure_detection_and_no_vote_window() {
+    let failure_timeout = ClusterParams::paper(Variant::Group).group.failure_timeout;
+    let (unhurried, _) = first_update_after_a_crash(None);
+    for victim in [2, 0] {
+        let (commit, survivors) = first_update_after_a_crash(Some(victim));
+        for stats in &survivors {
+            assert_eq!(stats.resets, 1, "victim {victim}: {stats:?}");
+            assert_eq!(stats.resets_at_deadline, 0, "victim {victim}: {stats:?}");
+        }
+        assert!(
+            commit <= unhurried + failure_timeout + Duration::from_millis(100),
+            "victim {victim}: the first update committed {commit:?} after the crash, \
+             {unhurried:?} without one"
+        );
+    }
 }

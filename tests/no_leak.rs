@@ -638,7 +638,7 @@ fn live_bytes_per_group_message(warm_up: u64) -> f64 {
 #[test]
 fn nothing_per_group_message_outlives_the_window() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
-    // Twice the default history of 1,024 slots.
+    // 32 windows of the default history of 64 slots.
     let per_message = live_bytes_per_group_message(2_048);
     // Duplicate suppression keeps one run of msgids per sender, so about
     // 0 B. One entry per message per member read about 105 B over the
