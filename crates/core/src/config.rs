@@ -168,7 +168,9 @@ pub struct DirParams {
     /// in place.
     pub storage: StorageKind,
     /// Idle time after which the replica driver calls the machine's
-    /// idle hook: the NVRAM log applies its records to disk then.
+    /// idle hook: the NVRAM log applies its records to disk then. Read
+    /// on the NVRAM path only: no other storage kind has idle work, so
+    /// no other sets the driver an idle timer.
     pub nvram_idle_flush: Duration,
     /// Upper bound on client read-lease durations ([`crate::cache`]):
     /// the longest a write can stall waiting out an unreachable lease

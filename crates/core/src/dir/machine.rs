@@ -142,6 +142,16 @@ impl DirectoryStateMachine {
         }
     }
 
+    /// How long the group must be quiet before the driver calls
+    /// [`idle`](StateMachine::idle): only an NVRAM log has idle work,
+    /// the flush §4.1 defers to idle time.
+    pub(crate) fn idle_interval(&self) -> Option<Duration> {
+        match self.storage {
+            Storage::Nvram { .. } => Some(self.params.nvram_idle_flush),
+            _ => None,
+        }
+    }
+
     /// The logical version of the machine's state (diagnostics/tests).
     pub fn update_seq(&self) -> u64 {
         self.applier.shared.borrow().update_seq

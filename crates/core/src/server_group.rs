@@ -54,7 +54,7 @@ fn rsm_config(cfg: &ServiceConfig, params: &DirParams, sm: &DirectoryStateMachin
     let mut rsm = RsmConfig::new(&cfg.service, cfg.n, cfg.me);
     debug_assert_eq!(rsm.internal_ports[cfg.me], cfg.internal_port(cfg.me));
     rsm.checkpoint_interval = sm.checkpoint_interval();
-    rsm.idle_timeout = params.nvram_idle_flush;
+    rsm.idle_timeout = sm.idle_interval();
     rsm.improved_recovery = params.improved_recovery;
     rsm
 }

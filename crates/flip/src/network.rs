@@ -30,6 +30,14 @@
 //!   as on a flat network. Each node remembers one packet id, the last
 //!   it processed: a flood is worked out whole inside the call that
 //!   sends it, so no copy of an older packet arrives after a newer one.
+//! * **Locates** ([`NodeStack::locate`]) are broadcasts like any other,
+//!   charged and subject to the fault model at every host they reach,
+//!   but a host that never [`serve`](NodeStack::serve)d the sought
+//!   service drops the frame in its kernel once received, as FLIP drops
+//!   a locate no local address matches: no delivery event is scheduled
+//!   ([`NetStats::locates_unheard`]). Registrations only grow, so a
+//!   rebooted server hears its locates; a host registering a service
+//!   for the first time misses the locates already on their way.
 //! * **Routing tables** are learned backward from traffic: every node
 //!   (host or router) that sees a frame which crossed at least one
 //!   router learns "its origin is reachable via the relay that put it on
@@ -163,6 +171,9 @@ struct NodeSlot {
     seen: SeenCache,
     /// Its routing table: destination → route.
     routes: IdMap<HostAddr, RouteEntry>,
+    /// The services a host ever [`serve`](NodeStack::serve)d: the
+    /// locates it hears. Only grows, and outlives the host going down.
+    serves: Vec<Port>,
 }
 
 struct NetInner {
@@ -386,6 +397,7 @@ impl Network {
                 stack: n.stack.take(),
                 segment: n.segment,
                 partition: n.partition,
+                serves: std::mem::take(&mut n.serves),
                 ..NodeSlot::default()
             };
         }
@@ -477,6 +489,15 @@ impl Network {
             members.remove(&host);
         }
         inner.group_routes_dirty = true;
+    }
+
+    pub(crate) fn serve(&self, host: HostAddr, service: Port) {
+        let mut inner = self.inner.borrow_mut();
+        if let Some(serves) = inner.nodes.get_mut(host.0 as usize).map(|n| &mut n.serves) {
+            if !serves.contains(&service) {
+                serves.push(service);
+            }
+        }
     }
 
     pub(crate) fn endpoints_of(&self, host: HostAddr) -> Option<EndpointTable> {
@@ -767,6 +788,7 @@ impl NetInner {
         let arrival = wire_done + propagation;
         let now = self.handle.now();
         let src_part = self.partition_of(pkt.src);
+        let seeks = pkt.locates;
 
         // ------------------------------------------------------------
         // Local deliveries on this segment.
@@ -821,6 +843,15 @@ impl NetInner {
             let extra = base_latency.mul_f64(self.rng.next_f64() * jitter.max(0.0));
             let deliver_at = rx_done + extra;
             self.stats.deliveries += 1;
+            let twice = self.rng.chance(dup);
+            self.stats.duplicated += u64::from(twice);
+            // The receiving kernel drops a locate for a service it has
+            // never served, having spent its receive CPU on it: a
+            // delivery event would wake a handler only to do nothing.
+            if seeks.is_some_and(|s| !self.nodes[t.0 as usize].serves.contains(&s)) {
+                self.stats.locates_unheard += 1;
+                continue;
+            }
             if let Some((_, ctx)) = pkt.trace.first() {
                 // One flow arrow per delivered copy, from the node that
                 // placed the frame (origin or forwarding router) to the
@@ -829,8 +860,7 @@ impl NetInner {
                     .flow(*ctx, relay.0 as u64, tx_start, t.0 as u64, deliver_at);
             }
             tx.send_after(deliver_at.saturating_since(now), pkt.clone());
-            if self.rng.chance(dup) {
-                self.stats.duplicated += 1;
+            if twice {
                 tx.send_after(
                     (deliver_at + base_latency.mul_f64(0.5)).saturating_since(now),
                     pkt.clone(),

@@ -55,6 +55,11 @@ pub struct Packet {
     /// timing model, empty unless telemetry is enabled — so tracing
     /// cannot perturb the simulation.
     pub trace: Vec<(u64, TraceCtx)>,
+    /// The service a locate broadcast seeks (see
+    /// [`NodeStack::locate`](crate::NodeStack::locate)); `None` for
+    /// everything else. Like a FLIP locate's sought address it rides in
+    /// the header, which the timing model charges at a fixed size.
+    pub locates: Option<Port>,
 }
 
 impl Packet {
@@ -77,6 +82,7 @@ impl Packet {
             relay: src,
             link_dst: None,
             trace: Vec::new(),
+            locates: None,
         }
     }
 

@@ -87,6 +87,26 @@ impl NodeStack {
             .unwrap_or(false)
     }
 
+    /// Registers `service` as served on this host, for good: from now on
+    /// the locates that seek it are delivered here (see
+    /// [`locate`](NodeStack::locate)). A rebooted host stays registered.
+    pub fn serve(&self, service: Port) {
+        self.net.serve(self.addr, service);
+    }
+
+    /// Broadcasts a locate for `service` on `port` with hop limit `ttl`
+    /// (as [`send_with_ttl`](NodeStack::send_with_ttl)). Every host it
+    /// reaches takes the frame and is charged its receive CPU, but only a
+    /// host that ever [`serve`](NodeStack::serve)d `service` gets it
+    /// delivered: the others drop it in their kernel, as FLIP drops a
+    /// locate that no local address matches. A host that registers the
+    /// service while the locate is on its way does not hear it.
+    pub fn locate(&self, port: Port, service: Port, payload: impl Into<Payload>, ttl: u8) {
+        let mut pkt = Packet::new(self.addr, Dest::Broadcast, port, payload).with_ttl(ttl.max(1));
+        pkt.locates = Some(service);
+        self.net.transmit(pkt);
+    }
+
     /// Joins a multicast group; future multicasts to it are delivered here.
     pub fn join_group(&self, group: GroupAddr) {
         self.net.join_group(self.addr, group);

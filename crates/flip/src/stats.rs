@@ -43,6 +43,10 @@ pub struct NetStats {
     pub dropped_no_listener: u64,
     /// Extra deliveries injected by random duplication.
     pub duplicated: u64,
+    /// Of the [`deliveries`](Self::deliveries), the locates that reached
+    /// a host which never served the service they seek: the host is
+    /// charged the receive, and no delivery event is scheduled.
+    pub locates_unheard: u64,
     /// Nanoseconds spent transmitting across all wires (the sum of the
     /// per-segment counters).
     pub wire_busy_nanos: u64,
@@ -87,6 +91,7 @@ impl NetStats {
                 .dropped_no_listener
                 .saturating_sub(earlier.dropped_no_listener),
             duplicated: self.duplicated.saturating_sub(earlier.duplicated),
+            locates_unheard: self.locates_unheard.saturating_sub(earlier.locates_unheard),
             wire_busy_nanos: self.wire_busy_nanos.saturating_sub(earlier.wire_busy_nanos),
             packets_forwarded: self
                 .packets_forwarded

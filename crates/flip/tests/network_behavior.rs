@@ -305,3 +305,51 @@ fn wire_serializes_back_to_back_sends() {
         (params.wire_time(8000) + params.wire_time(10)).as_nanos() as u64
     );
 }
+
+/// A locate is heard or not as it is transmitted: a host that registers
+/// the sought service for the first time while the locate is on its way
+/// misses it (the one case where delivering it would have reached a
+/// handler that answers); a later locate reaches it, and so does one
+/// after the host went down and came up again, because registrations
+/// only grow. A host that never served the service is charged the
+/// receive and hears nothing.
+#[test]
+fn a_locate_in_flight_when_its_service_is_first_registered_goes_unheard() {
+    let mut sim = Simulation::new(1);
+    let n = net(&sim, NetParams::lan_10mbps());
+    let (a, b, c) = (n.attach(), n.attach(), n.attach());
+    let (port, service) = (Port::from_name("kernel"), Port::from_name("svc"));
+    let (rx_b, rx_c) = (b.bind(port), c.bind(port));
+    let heard = |rx: &amoeba_sim::MailboxRx<amoeba_flip::Packet>| {
+        std::iter::from_fn(|| rx.try_recv())
+            .map(|p| p.payload)
+            .collect::<Vec<_>>()
+    };
+    let locate = |sim: &Simulation, tag: u8| {
+        let a = a.clone();
+        sim.spawn("locate", move |_| a.locate(port, service, vec![tag], 1));
+    };
+    locate(&sim, 1);
+    let b2 = b.clone();
+    sim.spawn("register", move |_| b2.serve(service));
+    sim.run();
+    assert!(heard(&rx_b).is_empty(), "registered after the locate left");
+    locate(&sim, 2);
+    sim.run();
+    assert_eq!(heard(&rx_b), [Payload::from(vec![2])]);
+    n.set_down(b.addr());
+    n.set_up(b.addr());
+    let rx_b = b.bind(port);
+    locate(&sim, 3);
+    sim.run();
+    assert_eq!(
+        heard(&rx_b),
+        [Payload::from(vec![3])],
+        "rebooted, still registered"
+    );
+    assert!(heard(&rx_c).is_empty());
+    let s = n.stats();
+    // Each locate reached b and c; a has nothing bound to the port.
+    assert_eq!((s.broadcast_sent, s.dropped_no_listener), (3, 3));
+    assert_eq!((s.deliveries, s.locates_unheard), (6, 4));
+}

@@ -221,7 +221,9 @@ impl RpcClient {
     /// topology diameter) and takes the first HEREIS. Nearby servers
     /// answer without the broadcast ever crossing a router; remote ones
     /// are found without storming every segment on every locate. On a
-    /// flat network this is exactly one full broadcast, as before.
+    /// flat network this is exactly one full broadcast, as before. It
+    /// is delivered only to hosts that serve `service`; the others are
+    /// charged its receive and drop it.
     fn locate(&self, ctx: &Ctx, service: Port) -> Option<HostAddr> {
         // Dither to avoid lockstep among competing clients.
         let jitter_nanos = self.params.relocate_jitter.as_nanos() as u64;
@@ -234,9 +236,9 @@ impl RpcClient {
         loop {
             count(ctx, "rpc.locates");
             let (lid, rx) = self.node.register_locate(ctx);
-            self.node.stack().send_with_ttl(
-                Dest::Broadcast,
+            self.node.stack().locate(
                 RPC_PORT,
+                service,
                 RpcMsg::Locate {
                     service,
                     client: self.node.addr(),

@@ -8,7 +8,11 @@
 //! * **`getreq`/`putrep`** ([`RpcServer`]): the server-thread loop.
 //! * **Locate protocol**: the client kernel broadcasts a locate; every
 //!   machine with a thread listening on the port answers HEREIS; the client
-//!   caches every answer and uses the *first* replier.
+//!   caches every answer and uses the *first* replier. Every machine the
+//!   broadcast reaches pays its receive CPU, but only one that has
+//!   registered a server for the port ever has it delivered
+//!   ([`amoeba_flip::NodeStack::locate`]); the rest drop it in the
+//!   kernel, where a delivery would have woken the handler to no end.
 //! * **NOTHERE**: a machine whose service has no listening thread refuses
 //!   requests at kernel level — the (deliberately imperfect) load-spreading
 //!   heuristic whose effect the paper measures in Fig. 8. It is a hint,

@@ -1,9 +1,11 @@
 //! The per-host RPC "kernel": packet handler, port cache, call tables.
 //!
 //! In Amoeba the kernel owns RPC port handling: it answers locate
-//! broadcasts with HEREIS when a server thread is listening, hands requests
-//! to waiting threads, and answers NOTHERE when none is — the behaviour the
-//! paper's §4.2 server-selection analysis (Fig. 8) hinges on. It also
+//! broadcasts with HEREIS when a server thread is listening (only a host
+//! that registered the service is handed them at all; see
+//! [`NodeStack::locate`]), hands requests to waiting threads, and
+//! answers NOTHERE when none is — the behaviour the paper's §4.2
+//! server-selection analysis (Fig. 8) hinges on. It also
 //! remembers which transactions its server threads hold until they reply,
 //! so a client whose reply is late can tell a busy server from a dead one
 //! (`Enquire` → `Working`). [`RpcNode`] reproduces that, one instance per
@@ -277,8 +279,11 @@ impl RpcNode {
     // Hooks used by RpcServer / RpcClient.
     // ------------------------------------------------------------------
 
+    /// Registers `service` here, and with the network, so this host
+    /// hears the locates that seek it.
     pub(crate) fn register_service(&self, service: Port) {
         self.inner.borrow_mut().services.entry(service).or_default();
+        self.stack.serve(service);
     }
 
     pub(crate) fn push_listener(&self, service: Port, tx: MailboxTx<IncomingRequest>) {

@@ -23,8 +23,11 @@ pub struct RsmConfig {
     /// this often while the replica is in normal operation (the group
     /// log's table writeback). `None` (the default) spawns nothing.
     pub checkpoint_interval: Option<Duration>,
-    /// Idle time after which [`idle`](crate::StateMachine::idle) runs.
-    pub idle_timeout: Duration,
+    /// Idle time after which [`idle`](crate::StateMachine::idle) runs,
+    /// for a machine that has idle work. `None` (the default): the
+    /// event loop waits for the group without a deadline, and `idle` is
+    /// never called.
+    pub idle_timeout: Option<Duration>,
     /// Enable the §3.2 improved rule: a replica that stayed up and
     /// holds the highest sequence number may recover even when the
     /// strict last-set check fails.
@@ -49,7 +52,7 @@ impl RsmConfig {
                 .map(|i| Port::from_name(&format!("{service}.internal.{i}")))
                 .collect(),
             checkpoint_interval: None,
-            idle_timeout: Duration::from_millis(200),
+            idle_timeout: None,
             improved_recovery: false,
         }
     }

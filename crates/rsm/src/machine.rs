@@ -71,10 +71,11 @@ pub trait StateMachine: 'static {
     /// batch's readers).
     fn flush(&self, ctx: &Ctx);
 
-    /// Called when the group has been idle for the configured idle
-    /// timeout (background maintenance: the directory service flushes
-    /// its NVRAM log here, §4.1). Runs on the event loop, so never
-    /// concurrently with `apply` or `flush`.
+    /// Called when the group has been idle for
+    /// [`idle_timeout`](crate::RsmConfig::idle_timeout), and only if
+    /// that is set (background maintenance: the directory service
+    /// flushes its NVRAM log here, §4.1). Runs on the event loop, so
+    /// never concurrently with `apply` or `flush`.
     fn idle(&self, ctx: &Ctx);
 
     /// Called periodically by the driver's background checkpointer

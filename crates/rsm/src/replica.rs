@@ -528,12 +528,17 @@ impl<S: StateMachine> Replica<S> {
     /// state.
     fn event_loop(&self, ctx: &Ctx, group: &Rc<Group>) {
         loop {
-            let first = match group.recv_timeout(ctx, self.cfg.idle_timeout) {
-                Some(e) => e,
-                None => {
-                    self.sm.idle(ctx);
-                    continue;
-                }
+            // A machine with no idle work sets no timer: the wait ends
+            // only with the group's next event.
+            let first = match self.cfg.idle_timeout {
+                None => group.recv(ctx),
+                Some(idle) => match group.recv_timeout(ctx, idle) {
+                    Some(e) => e,
+                    None => {
+                        self.sm.idle(ctx);
+                        continue;
+                    }
+                },
             };
             // Collect a batch: the first event plus every consecutive
             // already-delivered message, up to the apply-batch cap.

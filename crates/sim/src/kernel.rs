@@ -18,11 +18,19 @@
 //!
 //! An event is a plain value of at most 40 bytes ([`EventEntry`]); a
 //! delivery names only its mailbox, whose slot holds the message (see
-//! [`crate::mailbox`]). Events pop in `(time, seq)` order. Those due at
-//! the instant they are scheduled at go to a FIFO beside the heap, and a
-//! pop takes the smaller of the two fronts. That is exact: the FIFO holds
-//! one instant's events in `seq` order, and `now` cannot pass that
-//! instant while the FIFO holds one.
+//! [`crate::mailbox`]). Events pop in `(time, seq)` order, from the
+//! smallest front of three sources:
+//!
+//! - the **FIFO**: events due at the instant they are scheduled at, in
+//!   `seq` order. That is exact: the FIFO holds one instant's events,
+//!   and `now` cannot pass that instant while the FIFO holds one;
+//! - the **heap**: every other start, delivery and reap;
+//! - the **deadlines** ([`Deadlines`]): each blocked process's one
+//!   deadline, a sleep's end or a wait's timeout. A deadline takes its
+//!   `seq` when it is armed, like any event, and leaves with its waiter:
+//!   a process resumed by a message, or killed, takes it out, so no
+//!   timer outlives the wait it bounds and every deadline that pops
+//!   wakes someone.
 //!
 //! # Borrows, not locks
 //!
@@ -235,7 +243,9 @@ pub(crate) struct ProcRec {
     pub cell: Rc<HandOff<Wakeup>>,
     pub state: ProcState,
     pub block: BlockKind,
-    /// Wake generation; bumped on every resume so stale timers are ignored.
+    /// Wake generation, bumped on every resume: a mailbox's waiter
+    /// registration names the generation it blocked in, so one left
+    /// from an earlier wait wakes no one.
     pub gen: u64,
     /// The mailbox this process is currently registered as the waiter on.
     pub wait_box: Option<MailboxId>,
@@ -296,8 +306,9 @@ pub(crate) struct Wake {
 pub(crate) enum EventKind {
     /// First activation of a spawned process.
     Start(ProcId),
-    /// Sleep or wait-deadline expiry for a specific wake generation.
-    Timer { pid: ProcId, gen: u64 },
+    /// A process's sleep or wait deadline is due. Never queued: the
+    /// deadline heap holds it until it is the earliest event.
+    Timer(ProcId),
     /// The message sent to this mailbox as this event's `seq` arrives.
     Deliver(MailboxId),
     /// Kill-handshake the listed (already marked dead) processes.
@@ -336,12 +347,127 @@ impl Ord for EventEntry {
     }
 }
 
+/// One armed deadline: process `pid` wakes at `time` unless something
+/// wakes it first.
+#[derive(Copy, Clone)]
+struct Deadline {
+    time: SimTime,
+    seq: u64,
+    pid: ProcId,
+}
+
+impl Deadline {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+/// The blocked processes' deadlines, at most one per process: a binary
+/// min-heap keyed `(time, seq)` that knows where each process's entry
+/// is, so a process woken early takes its deadline out in O(log n). It
+/// allocates only to grow; arming and cancelling reuse its room.
+#[derive(Default)]
+struct Deadlines {
+    heap: Vec<Deadline>,
+    /// `at[pid]`: the index of `pid`'s entry in `heap`, or [`NONE`].
+    at: Vec<u32>,
+}
+
+/// No deadline armed.
+const NONE: u32 = u32::MAX;
+
+impl Deadlines {
+    fn earliest(&self) -> Option<&Deadline> {
+        self.heap.first()
+    }
+
+    /// Arms `pid`'s deadline; it must have none.
+    fn arm(&mut self, d: Deadline) {
+        let p = d.pid.0 as usize;
+        if self.at.len() <= p {
+            self.at.resize(p + 1, NONE);
+        }
+        debug_assert_eq!(self.at[p], NONE, "{} armed twice", d.pid);
+        self.heap.push(d);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Takes `pid`'s deadline out, if it has one.
+    fn cancel(&mut self, pid: ProcId) {
+        let Some(&i) = self.at.get(pid.0 as usize).filter(|&&i| i != NONE) else {
+            return;
+        };
+        self.remove(i as usize);
+    }
+
+    fn pop(&mut self) -> Option<Deadline> {
+        (!self.heap.is_empty()).then(|| self.remove(0))
+    }
+
+    fn remove(&mut self, i: usize) -> Deadline {
+        let gone = self.heap.swap_remove(i);
+        self.at[gone.pid.0 as usize] = NONE;
+        if i < self.heap.len() {
+            let i = self.sift_up(i);
+            self.sift_down(i);
+        }
+        gone
+    }
+
+    /// Records where the entry at `i` is.
+    fn place(&mut self, i: usize) {
+        self.at[self.heap[i].pid.0 as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].key() <= self.heap[i].key() {
+                break;
+            }
+            self.heap.swap(parent, i);
+            self.place(i);
+            i = parent;
+        }
+        self.place(i);
+        i
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let mut least = i;
+            for child in [2 * i + 1, 2 * i + 2] {
+                if child < self.heap.len() && self.heap[child].key() < self.heap[least].key() {
+                    least = child;
+                }
+            }
+            if least == i {
+                break;
+            }
+            self.heap.swap(least, i);
+            self.place(i);
+            i = least;
+        }
+        self.place(i);
+    }
+}
+
+/// Which of the three sources holds the earliest event.
+#[derive(Copy, Clone)]
+enum Source {
+    Fifo,
+    Heap,
+    Deadline,
+}
+
 pub(crate) struct Kernel {
     pub now: SimTime,
     queue: BinaryHeap<EventEntry>,
     /// Events scheduled for the instant they were scheduled at, in `seq`
     /// order; all of one instant (see the module documentation).
     at_now: VecDeque<EventEntry>,
+    /// The blocked processes' deadlines.
+    deadlines: Deadlines,
     next_seq: u64,
     /// Every process ever spawned, indexed by its [`ProcId`]: ids are
     /// handed out in order and never reused, and records are kept for
@@ -388,6 +514,7 @@ impl Kernel {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
             at_now: VecDeque::new(),
+            deadlines: Deadlines::default(),
             next_seq: 0,
             procs: Vec::new(),
             mailboxes: IdMap::default(),
@@ -456,7 +583,10 @@ impl Kernel {
         }
         let (tag, a, b, c) = match &ev.kind {
             EventKind::Start(pid) => (StepTag::EventStart, pid.0, 0, 0),
-            EventKind::Timer { pid, gen } => (StepTag::EventTimer, pid.0, *gen, 0),
+            EventKind::Timer(pid) => {
+                let gen = self.proc(*pid).map_or(0, |p| p.gen);
+                (StepTag::EventTimer, pid.0, gen, 0)
+            }
             EventKind::Deliver(_) => (StepTag::EventAction, ev.seq, 0, 0),
             EventKind::Reap(pids) => (
                 StepTag::EventReap,
@@ -489,8 +619,7 @@ impl Kernel {
     /// went back to a `run_until` deadline before it).
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) -> u64 {
         debug_assert!(time >= self.now, "scheduling into the past");
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let ev = EventEntry { time, seq, kind };
         if time == self.now && self.at_now.back().is_none_or(|b| b.time == time) {
             self.at_now.push_back(ev);
@@ -500,46 +629,71 @@ impl Kernel {
         seq
     }
 
-    /// Whether the earliest event is the FIFO's front, not the heap's
-    /// top; `None` if both are empty.
-    fn fifo_first(&self) -> Option<bool> {
-        match (self.at_now.front(), self.queue.peek()) {
-            (None, None) => None,
-            (Some(f), Some(h)) => Some(f.key() < h.key()),
-            (f, _) => Some(f.is_some()),
-        }
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
     }
 
-    pub fn pop_event(&mut self) -> Option<EventEntry> {
-        if self.fifo_first()? {
-            self.at_now.pop_front()
-        } else {
-            self.queue.pop()
-        }
+    /// Arms the deadline of `pid`, which is blocking now: it is ordered
+    /// among the events by the `seq` it takes here.
+    fn arm_deadline(&mut self, pid: ProcId, time: SimTime) {
+        let seq = self.take_seq();
+        self.deadlines.arm(Deadline { time, seq, pid });
     }
 
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let ev = if self.fifo_first()? {
-            self.at_now.front()
-        } else {
-            self.queue.peek()
+    /// The source holding the earliest event, and that event's time;
+    /// `None` if all three are empty.
+    fn first(&self) -> Option<(SimTime, Source)> {
+        let mut first = self.queue.peek().map(|e| (e.key(), Source::Heap));
+        let mut consider = |key, source| {
+            if first.is_none_or(|(k, _)| key < k) {
+                first = Some((key, source));
+            }
         };
-        ev.map(|e| e.time)
+        if let Some(e) = self.at_now.front() {
+            consider(e.key(), Source::Fifo);
+        }
+        if let Some(d) = self.deadlines.earliest() {
+            consider(d.key(), Source::Deadline);
+        }
+        first.map(|((time, _), source)| (time, source))
+    }
+
+    fn take(&mut self, source: Source) -> Option<EventEntry> {
+        match source {
+            Source::Fifo => self.at_now.pop_front(),
+            Source::Heap => self.queue.pop(),
+            Source::Deadline => self.deadlines.pop().map(|d| EventEntry {
+                time: d.time,
+                seq: d.seq,
+                kind: EventKind::Timer(d.pid),
+            }),
+        }
+    }
+
+    #[cfg(test)]
+    pub fn pop_event(&mut self) -> Option<EventEntry> {
+        let (_, source) = self.first()?;
+        self.take(source)
+    }
+
+    #[cfg(test)]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        Some(self.first()?.0)
     }
 
     /// The event loop proper: processes events until the baton has to go
     /// somewhere or a handler must be called.
     fn next(&mut self) -> Step {
         while self.budget > 0 && self.poisoned.is_none() {
-            match (self.peek_time(), self.deadline) {
-                (None, _) => break,
-                (Some(t), Some(d)) if t > d => {
-                    self.now = d;
-                    break;
-                }
-                _ => {}
+            let Some((time, source)) = self.first() else {
+                break;
+            };
+            if let Some(d) = self.deadline.filter(|d| time > *d) {
+                self.now = d;
+                break;
             }
-            let ev = self.pop_event().expect("peeked event vanished");
+            let ev = self.take(source).expect("the first event vanished");
             self.now = ev.time;
             self.events_processed += 1;
             self.budget -= 1;
@@ -552,8 +706,10 @@ impl Kernel {
                         reason: WakeReason::First,
                     })
                 }
-                EventKind::Timer { pid, gen } => match self.proc(pid) {
-                    Some(p) if p.state == ProcState::Blocked && p.gen == gen => match p.block {
+                // Armed by a process that is blocked still: resuming or
+                // killing it took its deadline out.
+                EventKind::Timer(pid) => match self.proc(pid) {
+                    Some(p) if p.state == ProcState::Blocked => match p.block {
                         BlockKind::Sleep => Some(WakeReason::Slept),
                         BlockKind::Wait => Some(WakeReason::TimedOut),
                         BlockKind::None => None,
@@ -610,7 +766,7 @@ impl Kernel {
             YieldKind::Sleep { until } => {
                 p.state = ProcState::Blocked;
                 p.block = BlockKind::Sleep;
-                self.schedule(until.max(now), EventKind::Timer { pid, gen });
+                self.arm_deadline(pid, until.max(now));
             }
             YieldKind::Wait { mailbox, deadline } => {
                 p.state = ProcState::Blocked;
@@ -620,7 +776,7 @@ impl Kernel {
                     rec.waiter = Some((pid, gen));
                 }
                 if let Some(d) = deadline {
-                    self.schedule(d.max(now), EventKind::Timer { pid, gen });
+                    self.arm_deadline(pid, d.max(now));
                 }
             }
             YieldKind::Exited { panic } => {
@@ -692,8 +848,10 @@ impl Kernel {
         (blocked && self.resume(pid, reason)).then_some(Step::Pass(Next::Run(pid, reason)))
     }
 
-    /// Clears this process's wait registration (it is about to run).
+    /// Clears this process's wait registration and deadline (it is about
+    /// to run, or it is gone).
     pub fn clear_wait(&mut self, pid: ProcId) {
+        self.deadlines.cancel(pid);
         let Some(mailbox) = self.proc_mut(pid).and_then(|p| p.wait_box.take()) else {
             return;
         };
@@ -942,6 +1100,33 @@ mod tests {
         assert_ne!(a.next_u64(), b.next_u64());
     }
 
+    /// A process record blocked in nothing yet, as a spawn leaves it.
+    fn blocked_proc(k: &mut Kernel) -> ProcId {
+        let pid = k.alloc_pid();
+        k.insert_proc(
+            pid,
+            ProcRec {
+                name: format!("p{}", pid.0),
+                node: None,
+                cell: Rc::new(HandOff::new()),
+                state: ProcState::Running,
+                block: BlockKind::None,
+                gen: 0,
+                wait_box: None,
+                dead: false,
+                resumes: [0; 4],
+                handoffs_in: [0; 4],
+            },
+        );
+        pid
+    }
+
+    fn wait_until(k: &mut Kernel, pid: ProcId, ms: u64) {
+        let deadline = Some(SimTime::from_millis(ms));
+        let mailbox = MailboxId(u64::MAX);
+        k.record_yield(pid, YieldKind::Wait { mailbox, deadline }, 0);
+    }
+
     #[test]
     fn peek_time_sees_earliest() {
         let mut k = kernel();
@@ -949,5 +1134,78 @@ mod tests {
         k.schedule(SimTime::from_millis(7), EventKind::Reap([].into()));
         k.schedule(SimTime::from_millis(3), EventKind::Reap([].into()));
         assert_eq!(k.peek_time(), Some(SimTime::from_millis(3)));
+        let pid = blocked_proc(&mut k);
+        wait_until(&mut k, pid, 2);
+        assert_eq!(k.peek_time(), Some(SimTime::from_millis(2)), "a deadline");
+        k.clear_wait(pid);
+        assert_eq!(k.peek_time(), Some(SimTime::from_millis(3)), "taken out");
+    }
+
+    /// Deadlines and queued events share one order, `(time, seq)`, with
+    /// the `seq` a deadline took when it was armed.
+    #[test]
+    fn a_deadline_and_a_delivery_due_together_run_in_seq_order() {
+        let mut k = kernel();
+        let (a, b) = (blocked_proc(&mut k), blocked_proc(&mut k));
+        wait_until(&mut k, a, 5);
+        k.schedule(SimTime::from_millis(5), EventKind::Deliver(MailboxId(0)));
+        wait_until(&mut k, b, 5);
+        k.schedule(SimTime::from_millis(5), EventKind::Start(ProcId(9)));
+        let order: Vec<_> = std::iter::from_fn(|| k.pop_event())
+            .map(|e| match e.kind {
+                EventKind::Timer(pid) => format!("timer {}", pid.0),
+                EventKind::Deliver(_) => "deliver".to_owned(),
+                EventKind::Start(_) => "start".to_owned(),
+                EventKind::Reap(_) => "reap".to_owned(),
+            })
+            .collect();
+        assert_eq!(order, ["timer 0", "deliver", "timer 1", "start"]);
+    }
+
+    /// Many waiters woken in an order of their own leave the heap in
+    /// order: each pop is the earliest deadline armed and not taken out.
+    #[test]
+    fn deadlines_taken_out_in_any_order_leave_the_rest_in_order() {
+        let mut k = kernel();
+        let pids: Vec<_> = (0..64).map(|_| blocked_proc(&mut k)).collect();
+        let due = |i: u64| (i * 37) % 23;
+        for (i, &pid) in pids.iter().enumerate() {
+            wait_until(&mut k, pid, due(i as u64));
+        }
+        for &pid in pids.iter().step_by(3) {
+            k.clear_wait(pid);
+        }
+        let popped: Vec<_> = std::iter::from_fn(|| k.pop_event())
+            .map(|e| (e.time, e.seq))
+            .collect();
+        let mut expected: Vec<_> = (0..64u64)
+            .filter(|i| i % 3 != 0)
+            .map(|i| (SimTime::from_millis(due(i)), i))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(popped, expected);
+    }
+
+    /// A crashed node's processes are killed, and their deadlines go with
+    /// them: nothing pops at the instants they named.
+    #[test]
+    fn a_crashed_or_killed_waiters_deadline_wakes_no_one() {
+        let mut sim = crate::Simulation::new(1);
+        let node = sim.add_node("n");
+        let waited = sim.spawn_on(node, "waiter", |ctx| {
+            let (_tx, rx) = ctx.channel::<u8>();
+            rx.recv_timeout(ctx, Duration::from_secs(10))
+        });
+        let slept = sim.spawn_on(node, "sleeper", |ctx| ctx.sleep(Duration::from_secs(20)));
+        let before = sim.run_until(SimTime::from_secs(1)).events;
+        sim.crash_node(node);
+        let stats = sim.run();
+        assert_eq!(stats.end_time, SimTime::from_secs(1), "no deadline popped");
+        assert_eq!(stats.events, before + 1, "the reap alone");
+        assert!(waited.take().is_none() && slept.take().is_none());
+        for row in sim.activations() {
+            assert_eq!(row.resumes[WakeReason::First.code()], 1, "{row:?}");
+            assert_eq!(row.resumes.iter().sum::<u64>(), 1, "{row:?}");
+        }
     }
 }

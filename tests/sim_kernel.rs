@@ -306,3 +306,100 @@ fn an_ordered_group_send_makes_four_handoffs() {
     // Plus the driver's hand-off to the sender and the one back.
     assert_eq!(after.handoffs - before.handoffs, 4 * SENDS + 2);
 }
+
+/// A wait that a message ends takes its deadline out of the queue with
+/// it: request/reply exchanges whose replies beat an hour-long deadline
+/// cost their two deliveries each, and nothing pops an hour later.
+#[test]
+fn an_answered_wait_leaves_no_timer_event() {
+    const ROUNDS: u64 = 1_000;
+    let mut sim = Simulation::new(1);
+    let (to_server, requests) = sim.channel::<u64>();
+    let (to_client, replies) = sim.channel::<u64>();
+    sim.spawn("client", move |ctx| {
+        for i in 0..ROUNDS {
+            to_server.send(i);
+            let reply = replies.recv_timeout(ctx, Duration::from_secs(3_600));
+            assert_eq!(reply, Some(i));
+        }
+    });
+    sim.spawn("server", move |ctx| {
+        for _ in 0..ROUNDS {
+            to_client.send(requests.recv(ctx));
+        }
+    });
+    let stats = sim.run();
+    // The two starts, then each exchange's request and reply.
+    assert_eq!(stats.events, 2 + 2 * ROUNDS);
+    assert_eq!(stats.end_time, SimTime::ZERO, "no deadline popped");
+}
+
+/// A locate is delivered only to a host that serves what it seeks. On a
+/// flat network of one server and eight client hosts, one call's locate
+/// reaches all nine hosts (the caller's own included) and is charged at
+/// each, but it calls the server's RPC kernel alone; the caller's kernel
+/// is called for the HEREIS and the reply, the server's for the request.
+#[test]
+fn a_locate_calls_only_the_kernel_of_the_host_that_serves_it() {
+    use amoeba_dirsvc::flip::{NetParams, Network, Port};
+    use amoeba_dirsvc::rpc::{RpcClient, RpcNode, RpcServer};
+    let mut sim = Simulation::new(1);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 1);
+    let service = Port::from_name("located");
+    let nodes: Vec<_> = (0..9)
+        .map(|i| {
+            let sim_node = sim.add_node(&format!("h{i}"));
+            (sim_node, RpcNode::start(sim_node, net.attach()))
+        })
+        .collect();
+    let server = RpcServer::new(&nodes[0].1, service);
+    sim.spawn_on(nodes[0].0, "server", move |ctx| loop {
+        let req = server.getreq(ctx);
+        server.putrep(&req, Vec::new());
+    });
+    let client = RpcClient::new(&nodes[1].1);
+    let done = sim.spawn_on(nodes[1].0, "caller", move |ctx| {
+        client.trans(ctx, service, Vec::new()).is_ok()
+    });
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(done.take(), Some(true), "the call was answered");
+    let calls: Vec<(String, u64)> = (sim.activations().into_iter())
+        .filter(|row| row.name.starts_with("rpc@"))
+        .map(|row| (row.name, row.handler_calls))
+        .collect();
+    let expected: Vec<(String, u64)> = (0..9)
+        .map(|h| (format!("rpc@host:{h}"), if h < 2 { 2 } else { 0 }))
+        .collect();
+    assert_eq!(calls, expected);
+    let stats = net.stats();
+    assert_eq!(stats.broadcast_sent, 1);
+    // Nine receives of the locate, then the HEREIS, request and reply.
+    assert_eq!((stats.deliveries, stats.locates_unheard), (9 + 3, 8));
+}
+
+/// A replica whose machine has no idle work sets no idle timer: an
+/// in-place group directory service left quiet for ten simulated
+/// seconds resumes no `rsm#-main` for a timeout, where an NVRAM one
+/// still wakes each replica every `nvram_idle_flush` (200 ms) to flush.
+#[test]
+fn a_quiet_in_place_replica_sets_no_idle_timer() {
+    use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
+    let timed_out = |sim: &Simulation| -> Vec<u64> {
+        (sim.activations().into_iter())
+            .filter(|row| row.name.starts_with("rsm") && row.name.ends_with("-main"))
+            .map(|row| row.resumes[3])
+            .collect()
+    };
+    for (variant, wakes) in [(Variant::Group, 0), (Variant::GroupNvram, 50)] {
+        let mut sim = Simulation::new(1);
+        let cluster = Cluster::start(&sim, ClusterParams::paper(variant));
+        sim.run_for(Duration::from_secs(5));
+        assert!((0..3).all(|i| cluster.group_server(i).is_normal()));
+        let before = timed_out(&sim);
+        sim.run_for(Duration::from_secs(10));
+        let during: Vec<u64> = (timed_out(&sim).iter().zip(&before))
+            .map(|(after, before)| after - before)
+            .collect();
+        assert_eq!(during, [wakes; 3], "{variant:?}");
+    }
+}

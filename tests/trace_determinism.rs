@@ -163,10 +163,22 @@ fn two_threads_record_the_golden_trace_at_once() {
 /// 8,743,334,673,892,708,681). The survivors install their reset about
 /// 150 ms sooner after the crash, so the writer's held append commits
 /// sooner and the steps after it move.
-const PROJECTED_STEPS: usize = 4_152;
-const PROJECTED_DIGEST: u64 = 4_746_067_278_410_982_642;
-/// Was 13,286 steps, then 13,255; see [`PROJECTED_STEPS`].
-const GOLDEN_STEPS: usize = 13_258;
+///
+/// Re-pinned, with the full trace's pair and the lossy one, when the
+/// simulator began queuing only events that do work (was 4,152 steps,
+/// digest 4,746,067,278,410,982,642): fewer kernel events; no simulated
+/// byte moved. An in-place replica's driver no longer wakes every
+/// 200 ms to call an idle hook that does nothing, so the 349 `TimedOut`
+/// resumes of `rsm#-main` and their yields are gone; with them taken
+/// out of both traces, every other `Resume` and `Yield` step of this run
+/// and of the lossy one is the parent's, time, reason and RNG digest.
+const PROJECTED_STEPS: usize = 3_454;
+const PROJECTED_DIGEST: u64 = 15_646_180_335_156_398_247;
+/// Was 13,286 steps, then 13,255, then 13,258; see
+/// [`PROJECTED_STEPS`]. The last re-pin also drops the events that woke
+/// no one: a deadline popped after a message had ended its wait, and a
+/// locate delivered to a host that serves nothing.
+const GOLDEN_STEPS: usize = 11_768;
 /// Re-pinned when the RPC client began enquiring before it resends (was
 /// 4,760,539,658,903,339,064). Each call now arms its first reply timer
 /// at `reply_timeout` minus the enquiry window rather than at
@@ -177,8 +189,11 @@ const GOLDEN_STEPS: usize = 13_258;
 /// Re-pinned again with [`PROJECTED_STEPS`] (was
 /// 14,594,688,794,652,905,712), and once more when resets stopped
 /// waiting for a named-dead member's vote (was
-/// 10,762,298,347,057,130,184).
-const GOLDEN_DIGEST: u64 = 15_247_291_622_176_040_441;
+/// 10,762,298,347,057,130,184), and with it when the simulator began
+/// queuing only events that do work (was
+/// 15,247,291,622,176,040,441): fewer kernel events; no simulated byte
+/// moved.
+const GOLDEN_DIGEST: u64 = 6_137_550_164_587_800_067;
 
 /// The same crash/reboot run on a network that loses 3 % of packets and
 /// duplicates 5 % (the lossy values of `tests/group_window.rs`), so the
@@ -208,5 +223,9 @@ fn lossy_crash_reboot_trace_matches_the_golden_digest() {
 /// digest 4,498,209,241,091,819,750): the resets after the crash no
 /// longer wait out the vote window, so the run's later traffic, and the
 /// loss draws it meets, moved.
-const LOSSY_STEPS: usize = 16_465;
-const LOSSY_DIGEST: u64 = 906_624_672_287_824_855;
+///
+/// Re-pinned when the simulator began queuing only events that do work
+/// (was 16,465 steps, digest 906,624,672,287,824,855): fewer kernel
+/// events; no simulated byte moved (see [`PROJECTED_STEPS`]).
+const LOSSY_STEPS: usize = 15_278;
+const LOSSY_DIGEST: u64 = 16_432_521_508_454_427_410;
