@@ -95,7 +95,7 @@
 //!    `BulletRequest`/`Reply`) are sized up front by hand.
 //! 2. **Never copy on the way down.** `RpcClient::trans`, `Group::send`
 //!    and `BulletClient::create` accept `impl Into<Payload>`; retries,
-//!    the sequencer's history buffer, BB stores and app-delivery queues
+//!    the sequencer's history buffer and app-delivery queues
 //!    all hold clones of the same buffer (`Payload::clone` is an `Rc`
 //!    bump, never a byte copy).
 //! 3. **Never copy on the way up.** Decoders run over the packet's

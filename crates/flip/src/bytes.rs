@@ -18,7 +18,7 @@
 //!   return embedded byte strings as sub-`Payload`s sharing the packet's
 //!   buffer ([`WireReader::payload`](crate::wire::WireReader::payload));
 //! * upper layers store and re-deliver those sub-payloads (history
-//!   buffers, BB stores, app queues) by cheap clone.
+//!   buffers, app queues) by cheap clone.
 //!
 //! Every constructor that is handed bytes copies them once into a buffer
 //! of their exact length (an owned `Vec` too: it is freed, not kept);

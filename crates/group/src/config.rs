@@ -15,13 +15,21 @@ const _: () = assert!(MAX_BATCH <= MAX_ACCEPT_BATCH_ITEMS);
 
 /// How long the sequencer may hold a sequenced accept waiting for more
 /// to coalesce; the flush also happens as soon as [`MAX_BATCH`] accepts
-/// are pending. Well below `gap_timeout`, so held accepts are never
+/// are pending. Well below [`GAP_TIMEOUT`], so held accepts are never
 /// mistaken for loss.
 pub(crate) const BATCH_DELAY: Duration = Duration::from_micros(500);
 
 /// How often each member's protocol timers (heartbeats, ack and gap
 /// retransmissions, failure detection, reset votes) are driven.
 pub(crate) const TICK_INTERVAL: Duration = Duration::from_millis(20);
+
+/// A sender retransmits a send still unanswered after this long: its
+/// request or an answer was lost, or the sequencer's window was shut.
+pub(crate) const ACK_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// A sequence gap that has lasted this long triggers a retransmission
+/// request.
+pub(crate) const GAP_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// How long a `ResetGroup` coordinator waits for votes. It announces the
 /// new view as soon as every member of the old view has voted or been
@@ -43,15 +51,10 @@ pub struct GroupConfig {
     pub heartbeat_interval: Duration,
     /// Silence longer than this marks a peer dead (group failure).
     pub failure_timeout: Duration,
-    /// Sender retransmits an unacknowledged send request after this long.
-    pub ack_timeout: Duration,
-    /// A detected sequence gap triggers a retransmission request after
-    /// this long.
-    pub gap_timeout: Duration,
     /// The sequencer's window, in slots: it admits a new message only
     /// while no member of the view is more than `history` slots behind
     /// the next one, as far as that member's acks tell. Each member keeps
-    /// the last `history` accepts (and their BB data) for retransmission,
+    /// the last `history` accepts for retransmission,
     /// which by the window are all that a lagging member or a reset's
     /// catch-up can ask for; a retransmission request may span no more.
     /// Joins and leaves bypass the window. Each member holds one 64-byte
@@ -71,10 +74,6 @@ pub struct GroupConfig {
     /// The window never shut in any of them
     /// ([`GroupStats::window_shut`](crate::GroupStats::window_shut)).
     pub history: u64,
-    /// Payloads at least this large use the BB method (sender multicasts
-    /// the data; the sequencer multicasts a short accept) instead of the
-    /// PB method (sender hands data to the sequencer, which multicasts it).
-    pub bb_threshold: usize,
     /// Fault-injection self-test knob: re-introduces the pre-fix gap-
     /// recovery retransmission bound (derived from the accept buffer's
     /// last key instead of `highest_seen`), under which an end-of-order
@@ -91,10 +90,7 @@ impl GroupConfig {
             resilience: 0,
             heartbeat_interval: Duration::from_millis(100),
             failure_timeout: Duration::from_millis(400),
-            ack_timeout: Duration::from_millis(50),
-            gap_timeout: Duration::from_millis(25),
             history: 64,
-            bb_threshold: 3_000,
             buggy_retrans_bound: false,
         }
     }

@@ -1,11 +1,9 @@
 //! The accepts one member holds, by slot: the applied history it serves
 //! to others, and the slots that arrived ahead of a gap.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use super::AcceptRec;
-use crate::msg::AcceptBody;
 use crate::types::SeqNo;
 
 // A history slot costs one record: the `Option` fits in the body's tag.
@@ -57,28 +55,10 @@ impl History {
     }
 
     /// Keeps `rec`, received for `seq` above the applied prefix, until
-    /// its turn. A slot already held keeps its record, unless this is a
-    /// retransmission that resolves the held `BbRef` into inline data
-    /// (the server substitutes the bulk bytes, see `on_retrans`): the
-    /// upgrade must win or a member whose BbData was lost would stall
-    /// on the stale reference forever. Same slot, same message —
-    /// everything else about the record is identical.
+    /// its turn. A slot already held keeps its record: a copy of it
+    /// (a duplicate or a retransmission) is the same message.
     pub(super) fn insert(&mut self, seq: SeqNo, rec: AcceptRec) {
-        match self.ahead.entry(seq) {
-            Entry::Vacant(e) => {
-                e.insert(rec);
-            }
-            Entry::Occupied(mut e) => {
-                let existing = e.get();
-                if matches!(existing.body, AcceptBody::BbRef)
-                    && matches!(rec.body, AcceptBody::Data(_))
-                    && existing.from == rec.from
-                    && existing.msgid == rec.msgid
-                {
-                    e.insert(rec);
-                }
-            }
-        }
+        self.ahead.entry(seq).or_insert(rec);
     }
 
     /// The record received for `seq`, not yet applied.
@@ -87,9 +67,9 @@ impl History {
     }
 
     /// Applies slot `seq`, the one after the applied prefix, whose record
-    /// is [`ahead`](Self::ahead): moves it into the ring and returns the
-    /// record it displaces, the slot that leaves the history.
-    pub(super) fn apply(&mut self, seq: SeqNo) -> Option<AcceptRec> {
+    /// is [`ahead`](Self::ahead): moves it into the ring, where it
+    /// displaces the slot that leaves the history.
+    pub(super) fn apply(&mut self, seq: SeqNo) {
         debug_assert!(
             self.held == 0 || seq == self.last + 1,
             "slot {seq} out of order"
@@ -103,12 +83,10 @@ impl History {
             self.ring = std::iter::repeat_with(|| None).take(slots).collect();
         }
         let i = self.index(seq);
-        let left = self.ring[i].replace(rec);
-        self.last = seq;
-        if left.is_none() {
+        if self.ring[i].replace(rec).is_none() {
             self.held += 1;
         }
-        left
+        self.last = seq;
     }
 
     /// The record of slot `seq`, applied or not.

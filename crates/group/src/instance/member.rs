@@ -3,11 +3,12 @@
 //! heartbeats keep liveness, gaps are recovered by retransmission, and
 //! each member serves the history it holds to the others.
 
-use amoeba_flip::{HostAddr, Payload};
+use amoeba_flip::HostAddr;
 use amoeba_sim::SimTime;
 use amoeba_telemetry::TraceCtx;
 
 use super::{AcceptRec, Action, Instance};
+use crate::config::GAP_TIMEOUT;
 use crate::msg::{AcceptBody, AcceptItem, DoneItem, GroupMsg};
 use crate::types::{GroupEvent, Incarnation, MemberId, SeqNo};
 
@@ -31,20 +32,11 @@ impl Instance {
             let Some(rec) = self.history.ahead(next) else {
                 break;
             };
-            // BB messages can only be applied once their data is here.
-            if matches!(rec.body, AcceptBody::BbRef)
-                && !self.bb_store.contains_key(&(rec.from, rec.msgid))
-            {
-                if self.gap_since.is_none() {
-                    self.gap_since = Some(now);
-                }
-                break;
-            }
             let (from, from_tag, msgid, body) =
                 (rec.from, rec.from_tag, rec.msgid, rec.body.clone());
-            // The record moves into the ring; the slot it displaces has
-            // left the history, and takes its BB data along below.
-            let left = self.history.apply(next);
+            // The record moves into the ring, displacing the slot that
+            // leaves the history.
+            self.history.apply(next);
             self.highest_contiguous = next;
             self.gap_since = None;
             self.stats.applied += 1;
@@ -58,12 +50,6 @@ impl Instance {
                 .unwrap_or(TraceCtx::NONE);
             let data = match body {
                 AcceptBody::Data(data) => Some(data),
-                AcceptBody::BbRef => Some(
-                    self.bb_store
-                        .get(&(from, msgid))
-                        .cloned()
-                        .unwrap_or_default(),
-                ),
                 AcceptBody::Join(m) => {
                     self.view.insert(m);
                     self.holds.insert(m.id, next);
@@ -133,10 +119,6 @@ impl Instance {
                     p.applied_at = Some(next);
                 }
             }
-            // The BB data of the slot that left the history goes with it.
-            if let Some(old) = left.filter(|old| old.msgid != 0) {
-                self.bb_store.remove(&(old.from, old.msgid));
-            }
             let keep_from = self.highest_contiguous.saturating_sub(self.cfg.history);
             if !self.trace_by_seq.is_empty() {
                 self.trace_by_seq = self.trace_by_seq.split_off(&keep_from);
@@ -163,45 +145,6 @@ impl Instance {
             if self.highest_contiguous >= p.cutoff {
                 let mut more = self.install_reset(now);
                 actions.append(&mut more);
-            }
-        }
-        actions
-    }
-
-    /// BB data: stored until its accept applies, and sequenced by the
-    /// sequencer, which learns of the message from the data itself.
-    pub(super) fn on_bb_data(
-        &mut self,
-        now: SimTime,
-        incarnation: Incarnation,
-        from: MemberId,
-        msgid: u64,
-        data: Payload,
-    ) -> Vec<Action> {
-        if incarnation != self.incarnation {
-            return Vec::new();
-        }
-        if self.seen(from, msgid) {
-            // A retry of a message already applied: its data is stored
-            // while its slot is in the history, and needed no more after.
-            if self.is_sequencer() && !self.failed {
-                return self.answer_retry(from, msgid);
-            }
-            return Vec::new();
-        }
-        self.bb_store.insert((from, msgid), data);
-        let mut actions = self.advance(now); // a stalled BbRef may now apply
-        if !self.is_sequencer() || self.failed || self.seen(from, msgid) {
-            return actions;
-        }
-        if let Some(m) = self.view.member(from) {
-            if self.window_open() {
-                let trace = self.rx_tag(msgid);
-                let mut more =
-                    self.sequence_message(now, from, m.tag, msgid, AcceptBody::BbRef, trace);
-                actions.append(&mut more);
-            } else {
-                actions.extend(self.refuse_for_window());
             }
         }
         actions
@@ -396,11 +339,11 @@ impl Instance {
         actions
     }
 
-    /// Gap recovery, on the tick: once a gap has lasted `gap_timeout`, a
+    /// Gap recovery, on the tick: once a gap has lasted [`GAP_TIMEOUT`], a
     /// multicast request for the missing slots (re-armed each time).
     pub(super) fn recover_gap(&mut self, now: SimTime) -> Option<Action> {
         let since = self.gap_since?;
-        if now.saturating_since(since) < self.cfg.gap_timeout {
+        if now.saturating_since(since) < GAP_TIMEOUT {
             return None;
         }
         self.gap_since = Some(now); // re-arm
@@ -453,15 +396,6 @@ impl Instance {
         }
         for seq in from_seq..=to_seq {
             if let Some(rec) = self.history.get(seq) {
-                let body = match &rec.body {
-                    // Resolve BB references so the requester need not chase
-                    // the bulk data separately.
-                    AcceptBody::BbRef => match self.bb_store.get(&(rec.from, rec.msgid)) {
-                        Some(d) => AcceptBody::Data(d.clone()),
-                        None => continue,
-                    },
-                    other => other.clone(),
-                };
                 self.stats.retrans_served += 1;
                 let tags = match self.trace_by_seq.get(&seq) {
                     Some(&c) => vec![(seq, c)],
@@ -478,7 +412,7 @@ impl Instance {
                             from: rec.from,
                             from_tag: rec.from_tag,
                             msgid: rec.msgid,
-                            body,
+                            body: rec.body.clone(),
                         },
                     ),
                 ));

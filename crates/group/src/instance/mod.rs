@@ -8,13 +8,14 @@
 //! ## Protocol summary
 //!
 //! Total order comes from a **sequencer** — the lowest-id member of the
-//! current view. Two data paths (Kaashoek & Tanenbaum 1991):
-//!
-//! * **PB method** (small messages): sender unicasts `SendReq` to the
-//!   sequencer, which assigns the next sequence number and multicasts an
-//!   `Accept` carrying the data.
-//! * **BB method** (large messages): sender multicasts the data (`BbData`);
-//!   the sequencer multicasts a short `Accept` referencing it.
+//! current view. Every message takes one data path, the PB method of
+//! Kaashoek & Tanenbaum 1991: the sender unicasts `SendReq` to the
+//! sequencer, which assigns the next sequence number and multicasts an
+//! `Accept` carrying the data. Their BB method (the sender multicasts the
+//! data, the sequencer a short `Accept` referencing it) saves bandwidth
+//! only on large messages, and no run of the directory service sends a
+//! group message larger than 63 bytes; FLIP has no MTU, so PB carries a
+//! payload of any size.
 //!
 //! With resilience degree *r* > 0, members acknowledge each accept and the
 //! sequencer notifies the sender (`Done`) only after `r + 1` members hold
@@ -46,7 +47,7 @@
 //! * `reset`: failure, and the `ResetGroup` vote, announcement and
 //!   install.
 
-use amoeba_flip::{HostAddr, Payload, Port};
+use amoeba_flip::{HostAddr, Port};
 use amoeba_sim::{IdMap, IdSet, SimTime};
 use amoeba_telemetry::{Telemetry, TraceCtx};
 use std::collections::BTreeMap;
@@ -155,9 +156,6 @@ pub(crate) struct Instance {
     highest_seen: SeqNo,
     /// Last seqno handed to the application.
     pub delivered: SeqNo,
-    /// BB payloads waiting for (or paired with) their accept; dropped
-    /// when the slot leaves the history.
-    bb_store: IdMap<(MemberId, u64), Payload>,
     /// Duplicate suppression: per member of the view, the msgids of its
     /// messages applied here. Filled at apply, dropped when the member
     /// leaves the view (whose check refuses its sends from then on).
@@ -216,7 +214,7 @@ pub(crate) struct Instance {
     /// retransmissions; pruned with the history.
     trace_by_seq: BTreeMap<SeqNo, TraceCtx>,
     /// Trace tags of the packet currently being handled, keyed by msgid
-    /// (send requests, BB data) or seqno (accepts). Set by the peer
+    /// (send requests) or seqno (accepts). Set by the peer
     /// before each `handle_deferred` call; empty for untraced packets.
     rx_tags: Vec<(u64, TraceCtx)>,
 }
@@ -294,7 +292,6 @@ impl Instance {
             highest_contiguous: start_seq,
             highest_seen: start_seq,
             delivered: start_seq,
-            bb_store: IdMap::default(),
             seen_msgids: IdMap::default(),
             next_msgid: 1,
             pending_sends: IdMap::default(),
@@ -447,13 +444,6 @@ impl Instance {
                 data,
                 ..
             } => self.on_send_req(now, incarnation, from, msgid, data),
-            GroupMsg::BbData {
-                incarnation,
-                from,
-                msgid,
-                data,
-                ..
-            } => self.on_bb_data(now, incarnation, from, msgid, data),
             GroupMsg::Accept {
                 incarnation,
                 seq,

@@ -7,6 +7,7 @@ use amoeba_sim::SimTime;
 use amoeba_telemetry::TraceCtx;
 
 use super::{Action, Instance};
+use crate::config::ACK_TIMEOUT;
 use crate::error::GroupError;
 use crate::msg::{AcceptBody, DoneItem, GroupMsg};
 use crate::types::{MemberId, SeqNo};
@@ -16,7 +17,6 @@ pub(super) struct PendingSend {
     /// Shared payload; retries re-send the same buffer.
     pub(super) data: Payload,
     pub(super) sent_at: SimTime,
-    pub(super) bb: bool,
     /// Submitter's causal-trace context (NONE when untraced); retries
     /// re-attach it so the span tree stays connected across loss.
     pub(super) trace: TraceCtx,
@@ -69,7 +69,7 @@ impl Instance {
     /// `SendToGroup` with the submitter's causal-trace context: begins
     /// sending; completion arrives via [`Action::CompleteSend`]. The
     /// payload is shared from here on: retries, sequencing and delivery
-    /// never copy the bytes again. Outgoing `SendReq`/`BbData` carry the
+    /// never copy the bytes again. An outgoing `SendReq` carries the
     /// context keyed by msgid, and the sequencer parents its ordering
     /// span to it.
     pub fn app_send_traced(
@@ -87,7 +87,6 @@ impl Instance {
                 vec![Action::CompleteSend(msgid, Err(GroupError::Failed))],
             );
         }
-        let bb = data.len() >= self.cfg.bb_threshold;
         // Register before sequencing: a sequencer's own r=0 send completes
         // during the local apply inside sequence_message.
         self.pending_sends.insert(
@@ -95,12 +94,11 @@ impl Instance {
             PendingSend {
                 data: data.clone(),
                 sent_at: now,
-                bb,
                 trace,
                 applied_at: None,
             },
         );
-        let Some(mut actions) = self.transmit(now, msgid, data, bb, trace) else {
+        let Some(mut actions) = self.transmit(now, msgid, data, trace) else {
             self.pending_sends.remove(&msgid);
             return (
                 msgid,
@@ -111,8 +109,7 @@ impl Instance {
         (msgid, actions)
     }
 
-    /// Sends message `msgid` on its way, first send or retry alike: BB
-    /// data is multicast (the sequencer learns of the message from it), the
+    /// Sends message `msgid` on its way, first send or retry alike: the
     /// sequencer sequences its own message while its window is open, and
     /// any other member asks the sequencer with a `SendReq`. `None` when
     /// there is no sequencer to ask.
@@ -121,24 +118,8 @@ impl Instance {
         now: SimTime,
         msgid: u64,
         data: Payload,
-        bb: bool,
         trace: TraceCtx,
     ) -> Option<Vec<Action>> {
-        let tags = if trace.is_some() {
-            vec![(msgid, trace)]
-        } else {
-            Vec::new()
-        };
-        if bb {
-            let msg = GroupMsg::BbData {
-                instance: self.id,
-                incarnation: self.incarnation,
-                from: self.me,
-                msgid,
-                data,
-            };
-            return Some(vec![Self::traced(tags, Action::Multicast(msg))]);
-        }
         if self.is_sequencer() {
             return Some(if self.window_open() {
                 let body = AcceptBody::Data(data);
@@ -156,13 +137,18 @@ impl Instance {
             data,
         };
         let to = self.sequencer_host()?;
+        let tags = if trace.is_some() {
+            vec![(msgid, trace)]
+        } else {
+            Vec::new()
+        };
         Some(vec![Self::traced(tags, Action::Unicast(to, msg))])
     }
 
-    /// Sends pending message `msgid` again, after `ack_timeout` or a
+    /// Sends pending message `msgid` again, after [`ACK_TIMEOUT`] or a
     /// reset. The sequencer's own message that it has applied already is
     /// answered as any retry is.
-    fn resend_pending(&mut self, now: SimTime, msgid: u64, data: Payload, bb: bool) -> Vec<Action> {
+    fn resend_pending(&mut self, now: SimTime, msgid: u64, data: Payload) -> Vec<Action> {
         self.stats.send_retries += 1;
         let mut trace = TraceCtx::NONE;
         let mut applied = false;
@@ -171,28 +157,27 @@ impl Instance {
             trace = p.trace;
             applied = p.applied_at.is_some();
         }
-        if !bb && applied && self.is_sequencer() {
+        if applied && self.is_sequencer() {
             // Sequenced, here or by a sequencer that has since left.
             return self.answer_retry(self.me, msgid);
         }
-        self.transmit(now, msgid, data, bb, trace)
-            .unwrap_or_default()
+        self.transmit(now, msgid, data, trace).unwrap_or_default()
     }
 
     /// Sender retransmission, on the tick: every send unanswered for
-    /// `ack_timeout`. Sorted by msgid so the resend (and thus message)
+    /// [`ACK_TIMEOUT`]. Sorted by msgid so the resend (and thus message)
     /// order does not depend on hash-map iteration order.
     pub(super) fn resend_stale(&mut self, now: SimTime) -> Vec<Action> {
-        let mut stale: Vec<(u64, Payload, bool)> = self
+        let mut stale: Vec<(u64, Payload)> = self
             .pending_sends
             .iter()
-            .filter(|(_, p)| now.saturating_since(p.sent_at) >= self.cfg.ack_timeout)
-            .map(|(id, p)| (*id, p.data.clone(), p.bb))
+            .filter(|(_, p)| now.saturating_since(p.sent_at) >= ACK_TIMEOUT)
+            .map(|(id, p)| (*id, p.data.clone()))
             .collect();
-        stale.sort_unstable_by_key(|(id, _, _)| *id);
+        stale.sort_unstable_by_key(|(id, _)| *id);
         let mut actions = Vec::new();
-        for (msgid, data, bb) in stale {
-            actions.append(&mut self.resend_pending(now, msgid, data, bb));
+        for (msgid, data) in stale {
+            actions.append(&mut self.resend_pending(now, msgid, data));
         }
         actions
     }
@@ -203,20 +188,20 @@ impl Instance {
     /// Sorted by msgid: hash-map iteration order is no contract, and the
     /// re-drive order decides seqno assignment.
     pub(super) fn redrive_pending(&mut self, now: SimTime) -> Vec<Action> {
-        let mut pending: Vec<(u64, Payload, bool, Option<SeqNo>)> = self
+        let mut pending: Vec<(u64, Payload, Option<SeqNo>)> = self
             .pending_sends
             .iter()
-            .map(|(id, p)| (*id, p.data.clone(), p.bb, p.applied_at))
+            .map(|(id, p)| (*id, p.data.clone(), p.applied_at))
             .collect();
         pending.sort_unstable_by_key(|(id, ..)| *id);
         let mut actions = Vec::new();
-        for (msgid, data, bb, applied_at) in pending {
+        for (msgid, data, applied_at) in pending {
             if let Some(seq) = applied_at {
                 self.pending_sends.remove(&msgid);
                 actions.push(Action::CompleteSend(msgid, Ok(seq)));
                 continue;
             }
-            actions.append(&mut self.resend_pending(now, msgid, data, bb));
+            actions.append(&mut self.resend_pending(now, msgid, data));
         }
         actions
     }

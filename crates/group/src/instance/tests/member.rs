@@ -1,6 +1,6 @@
 #![cfg(test)]
 //! Every member's receive path: ordered delivery, acks, duplicates, gap
-//! recovery, serving retransmissions and the BB data path.
+//! recovery and serving retransmissions.
 
 use super::*;
 
@@ -35,42 +35,42 @@ fn accept_batch_applies_in_order_with_one_cumulative_ack() {
     assert_eq!(acks, vec![3]);
 }
 
+/// A member that missed a large accept gets it back whole by gap
+/// retransmission, and delivers exactly the bytes that were sent.
 #[test]
-fn retrans_resolved_data_upgrades_buffered_bbref() {
-    // A member buffered the short BbRef accept but its BbData was
-    // lost; the retransmission substitutes inline data for the same
-    // slot — the upgrade must replace the stale reference.
-    let mut inst = member_one(0);
-    // Out of order so the BbRef stays buffered instead of applying.
-    let bbref = GroupMsg::Accept {
-        instance: 1,
-        incarnation: 0,
-        seq: 2,
-        from: MemberId(2),
-        from_tag: 102,
-        msgid: 30,
-        body: AcceptBody::BbRef,
-    };
-    let a = feed(&mut inst, bbref);
-    assert_eq!(deliver_count(&a), 0);
-    // Retrans-served accept for the same slot carries the data.
-    let resolved = GroupMsg::Accept {
-        instance: 1,
-        incarnation: 0,
-        seq: 2,
-        from: MemberId(2),
-        from_tag: 102,
-        msgid: 30,
-        body: AcceptBody::Data(vec![7, 7].into()),
-    };
-    let _ = feed(&mut inst, resolved);
-    // Fill the gap; both must now deliver — seq 2 with the data.
-    let actions = feed(&mut inst, accept(1, 0, 10, vec![1]));
-    assert_eq!(deliver_count(&actions), 2);
-    assert!(actions.iter().any(|a| matches!(
-        a,
-        Action::Deliver(GroupEvent::Message { seq: 2, data, .. }) if data.as_slice() == [7, 7]
-    )));
+fn a_missed_large_accept_is_retransmitted_whole() {
+    let mut trio = Trio::new(2, 16);
+    let big: Vec<u8> = (0..5_000u32).map(|i| i as u8).collect();
+    trio.blind.push(H1);
+    assert!(!trio.send(2, big.clone()), "member 1 lacks it");
+    trio.blind.clear();
+    assert_eq!(trio.members[1].highest_contiguous, 2);
+    // The next slot shows member 1 its gap, which it asks for in time.
+    assert!(!trio.send(2, vec![1]));
+    assert_eq!(trio.members[1].highest_contiguous, 2);
+    let now = T0 + GAP_TIMEOUT;
+    let actions = trio.members[1].tick(now);
+    assert!(
+        actions
+            .iter()
+            .any(|a| matches!(a, Action::Multicast(GroupMsg::Retrans { from_seq: 3, .. }))),
+        "{actions:?}"
+    );
+    trio.route_at(now, H1, actions);
+    for i in 0..3 {
+        let got: Vec<_> = trio
+            .local
+            .iter()
+            .filter_map(|(h, a)| match a {
+                Action::Deliver(GroupEvent::Message { seq, data, .. }) if *h == HostAddr(i) => {
+                    Some((*seq, data.to_vec()))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(got, vec![(3, big.clone()), (4, vec![1])], "member {i}");
+    }
+    assert!(trio.members[2].pending_sends.is_empty(), "both completed");
 }
 
 #[test]
@@ -87,7 +87,7 @@ fn gap_recovery_request_is_clamped_to_serveable_span() {
             sequencer: MemberId(0),
         },
     );
-    let later = T0 + inst.cfg.gap_timeout + Duration::from_millis(1);
+    let later = T0 + GAP_TIMEOUT + Duration::from_millis(1);
     let actions = inst.tick(later);
     let req = actions
         .iter()
@@ -217,7 +217,7 @@ fn heartbeat_gap_triggers_retrans_request_on_tick() {
         sequencer: MemberId(0),
     };
     let _ = feed(&mut inst, hb);
-    let later = T0 + inst.cfg.gap_timeout + Duration::from_millis(1);
+    let later = T0 + GAP_TIMEOUT + Duration::from_millis(1);
     let actions = inst.tick(later);
     assert!(actions
         .iter()
@@ -296,48 +296,6 @@ fn follower_applies_leave_and_takes_over_sequencing() {
 }
 
 #[test]
-fn bb_method_waits_for_data_then_delivers() {
-    let mut inst = member_one(0);
-    let bbref = GroupMsg::Accept {
-        instance: 1,
-        incarnation: 0,
-        seq: 1,
-        from: MemberId(2),
-        from_tag: 102,
-        msgid: 30,
-        body: AcceptBody::BbRef,
-    };
-    let a1 = feed(&mut inst, bbref);
-    assert_eq!(deliver_count(&a1), 0, "no data yet");
-    let data = GroupMsg::BbData {
-        instance: 1,
-        incarnation: 0,
-        from: MemberId(2),
-        msgid: 30,
-        data: vec![0; 5000].into(),
-    };
-    let a2 = feed(&mut inst, data);
-    assert_eq!(deliver_count(&a2), 1);
-    assert_eq!(inst.highest_contiguous, 1);
-}
-
-#[test]
-fn bb_data_leaves_with_its_slot() {
-    for r in [0, 2] {
-        let mut trio = Trio::new(r, 16);
-        let big = vec![7u8; trio.members[0].cfg.bb_threshold];
-        for k in 0..160 {
-            assert!(trio.send(1 + k % 2, big.clone()), "r = {r}, send {k}");
-            for m in &trio.members {
-                // The newest slot and the `history` before it.
-                assert!(m.bb_store.len() <= 17, "r = {r}: {}", m.bb_store.len());
-            }
-        }
-        assert!(trio.members.iter().all(|m| m.highest_contiguous == 162));
-    }
-}
-
-#[test]
 fn info_reports_buffered() {
     let mut inst = member_one(0);
     let _ = feed(&mut inst, accept(1, 0, 10, vec![1]));
@@ -356,7 +314,7 @@ fn a_singular_accept_is_received_as_a_batch_of_one() {
     for r in [0, 2] {
         let mut single = member_one(r);
         let mut batched = member_one(r);
-        let later = T0 + single.cfg.gap_timeout + Duration::from_millis(1);
+        let later = T0 + GAP_TIMEOUT + Duration::from_millis(1);
         // Slot 3 lands past a gap, 1 and 2 close it, and 2 comes again.
         for (seq, msgid) in [(3, 12), (1, 10), (2, 11), (2, 11)] {
             let one_item = GroupMsg::AcceptBatch {

@@ -4,8 +4,9 @@
 //! instant network.
 
 use super::*;
-use crate::config::RESET_VOTE_WINDOW;
+use crate::config::{ACK_TIMEOUT, GAP_TIMEOUT, RESET_VOTE_WINDOW};
 use crate::msg::{AcceptItem, MAX_ACCEPT_BATCH_ITEMS};
+use amoeba_flip::Payload;
 use std::time::Duration;
 
 mod member;
@@ -117,6 +118,8 @@ struct Trio {
     mute: Vec<HostAddr>,
     /// Done notifications unicast to these hosts are lost.
     deaf: Vec<HostAddr>,
+    /// Accepts multicast to these hosts are lost.
+    blind: Vec<HostAddr>,
     /// Every action that is not a packet, with the host it arose at.
     local: Vec<(HostAddr, Action)>,
 }
@@ -135,6 +138,7 @@ impl Trio {
             )],
             mute: Vec::new(),
             deaf: Vec::new(),
+            blind: Vec::new(),
             local: Vec::new(),
         };
         for host in [H1, H2] {
@@ -196,7 +200,12 @@ impl Trio {
             {
                 continue;
             }
+            let multicast_accept = to.len() > 1
+                && matches!(msg, GroupMsg::Accept { .. } | GroupMsg::AcceptBatch { .. });
             for h in to {
+                if multicast_accept && self.blind.contains(&h) {
+                    continue;
+                }
                 if let Some(m) = self.members.get_mut(h.0 as usize) {
                     let out = m.handle(now, from, msg.clone());
                     queue.extend(out.into_iter().map(|a| (h, a)));

@@ -32,20 +32,10 @@ fn send_on_failed_group_errors() {
 }
 
 #[test]
-fn large_app_send_uses_bb() {
-    let mut inst = seq_with_three(0);
-    let big = vec![0u8; inst.cfg.bb_threshold + 1];
-    let (_, actions) = inst.app_send(T0, big.into());
-    assert!(actions
-        .iter()
-        .any(|a| matches!(a, Action::Multicast(GroupMsg::BbData { .. }))));
-}
-
-#[test]
 fn pending_send_retries_on_tick() {
     let mut inst = member_one(0);
     let (_msgid, _) = inst.app_send(T0, vec![1].into());
-    let later = T0 + inst.cfg.ack_timeout + Duration::from_millis(1);
+    let later = T0 + ACK_TIMEOUT + Duration::from_millis(1);
     let actions = inst.tick(later);
     assert!(actions.iter().any(|a| matches!(
         a,
@@ -61,7 +51,7 @@ fn a_retried_send_req_keeps_its_trace_tag() {
     let mut inst = member_one(0);
     let trace = TraceCtx { trace: 7, span: 9 };
     let (msgid, _) = inst.app_send_traced(T0, vec![1].into(), trace);
-    let later = T0 + inst.cfg.ack_timeout + Duration::from_millis(1);
+    let later = T0 + ACK_TIMEOUT + Duration::from_millis(1);
     let actions = inst.tick(later);
     assert!(
         actions.iter().any(|a| matches!(
@@ -77,18 +67,17 @@ fn a_retried_send_req_keeps_its_trace_tag() {
 /// One lost ack must not hold a send back for good in an idle group:
 /// the retry finds the slot short of r + 1 holders, and the sequencer
 /// asks the member that lacks it for its ack. Whoever sends, and
-/// whether the message goes through the sequencer or as BB data.
+/// whatever the message's size.
 #[test]
 fn a_retry_completes_after_a_lost_ack_in_an_idle_group() {
-    let bb = cfg(2).bb_threshold;
-    for (sender, size) in [(1, 1), (1, bb), (0, 1), (0, bb)] {
+    for (sender, size) in [(1, 1), (1, 5_000), (0, 1), (0, 5_000)] {
         let mut trio = Trio::new(2, 16);
         let lost = if sender == 1 { H2 } else { H1 };
         trio.mute.push(lost);
         let case = format!("member {sender}, {size} bytes");
         assert!(!trio.send(sender, vec![1; size]), "{case}: an ack was lost");
         trio.mute.clear();
-        let now = T0 + trio.members[sender].cfg.ack_timeout;
+        let now = T0 + ACK_TIMEOUT;
         let actions = trio.members[sender].tick(now);
         trio.route_at(now, HostAddr(sender as u32), actions);
         assert!(trio.members[sender].pending_sends.is_empty(), "{case}");
@@ -117,7 +106,7 @@ fn a_lost_done_below_the_history_completes_once_at_the_senders_slot() {
         assert!(m.history.get(slot).is_none(), "slot {slot} left {m:?}");
     }
     let next_seq = trio.members[0].next_seq;
-    let now = T0 + trio.members[1].cfg.ack_timeout;
+    let now = T0 + ACK_TIMEOUT;
     let retry = trio.members[1].tick(now);
     assert!(
         retry

@@ -402,9 +402,8 @@ fn the_sequencer_stays_within_history_slots_of_every_member() {
     assert_eq!(trio.members[2].highest_contiguous, 18);
     // The sender's retry brings the message back, and the member that
     // shuts the window is asked for its ack: lost again, then heard.
-    let timeout = trio.members[1].cfg.ack_timeout;
     let retry = |trio: &mut Trio, k: u32| {
-        let now = T0 + timeout * k;
+        let now = T0 + ACK_TIMEOUT * k;
         let actions = trio.members[1].tick(now);
         trio.route_at(now, H1, actions);
     };

@@ -22,10 +22,12 @@
 //! member before resuming.
 //!
 //! **Mechanism.** A sequencer (lowest member id) assigns sequence numbers.
-//! Small messages take the PB path (point-to-point to the sequencer, which
-//! multicasts an accept carrying the data — 5 packets for n=3, r=2, §3.1 of
-//! the '93 paper); large messages take the BB path (sender multicasts data,
-//! sequencer multicasts a short accept). Gaps are repaired by
+//! Every message takes the '91 paper's PB path: point-to-point to the
+//! sequencer, which multicasts an accept carrying the data — 5 packets for
+//! n=3, r=2, §3.1 of the '93 paper. The '91 paper's BB path (the sender
+//! multicasts the data, the sequencer a short accept) pays only for large
+//! messages, and no measured run of the directory service sends one of
+//! more than 63 bytes, so it is not implemented. Gaps are repaired by
 //! retransmission; liveness comes from heartbeats.
 //!
 //! **Layout.** The protocol is a pure state machine, one per group

@@ -7,16 +7,15 @@ use amoeba_flip::{wire_enum, wire_struct, HostAddr, Payload, Port};
 use crate::types::{Incarnation, MemberId, MemberInfo, SeqNo, View};
 
 wire_enum! {
-    /// The body of a sequenced [`GroupMsg::Accept`].
+    /// The body of a sequenced [`GroupMsg::Accept`]. Tag 1 is retired:
+    /// it was the BB method's reference to data multicast apart, and it
+    /// stays refused, not reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum AcceptBody {
-        /// An application message carried inline (PB method). The payload is
-        /// shared: sequencing, history buffering and delivery all clone the
-        /// same buffer.
+        /// An application message, carried inline whatever its size. The
+        /// payload is shared: sequencing, history buffering and delivery
+        /// all clone the same buffer.
         0 => Data(data: Payload),
-        /// An application message whose data travelled separately as
-        /// [`GroupMsg::BbData`] (BB method); pair by `(from, msgid)`.
-        1 => BbRef,
         /// Membership change: a member joined.
         2 => Join(member: MemberInfo),
         /// Membership change: a member left gracefully.
@@ -95,7 +94,9 @@ pub(crate) const MAX_ACCEPT_BATCH_ITEMS: usize = 4096;
 const BATCH: Counted = Counted::u32(MAX_ACCEPT_BATCH_ITEMS as u32, "batch len");
 
 wire_enum! {
-    /// Everything that travels on the group port.
+    /// Everything that travels on the group port. Tag 6 is retired: it
+    /// was the BB method's data multicast, and it stays refused, not
+    /// reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     #[allow(missing_docs)] // field meanings documented on the protocol engine
     pub enum GroupMsg {
@@ -130,16 +131,8 @@ wire_enum! {
             view: View,
             start_seq: SeqNo,
         },
-        /// Unicast to the sequencer: please sequence this message (PB).
+        /// Unicast to the sequencer: please sequence this message.
         5 => SendReq {
-            instance: u64,
-            incarnation: Incarnation,
-            from: MemberId,
-            msgid: u64,
-            data: Payload,
-        },
-        /// Multicast by the sender: the bulk data of a BB-method message.
-        6 => BbData {
             instance: u64,
             incarnation: Incarnation,
             from: MemberId,

@@ -411,7 +411,6 @@ fn instance_of(msg: &GroupMsg) -> Option<u64> {
         GroupMsg::JoinLocate { .. } | GroupMsg::JoinReply { .. } | GroupMsg::JoinAck { .. } => None,
         GroupMsg::JoinRequest { instance, .. }
         | GroupMsg::SendReq { instance, .. }
-        | GroupMsg::BbData { instance, .. }
         | GroupMsg::Accept { instance, .. }
         | GroupMsg::AcceptBatch { instance, .. }
         | GroupMsg::Ack { instance, .. }

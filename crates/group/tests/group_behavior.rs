@@ -417,15 +417,14 @@ fn total_order_holds_under_packet_loss() {
 }
 
 #[test]
-fn big_messages_use_bb_and_still_order() {
+fn big_and_small_messages_share_one_order() {
     let mut sim = Simulation::new(37);
     let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 1);
-    let mut cfg = cfg_r(2);
-    cfg.bb_threshold = 1000;
-    let outs = run_members(&sim, &net, &cfg, 3, move |i, g, ctx| {
+    let outs = run_members(&sim, &net, &cfg_r(2), 3, move |i, g, ctx| {
         if i == 1 {
             ctx.sleep(Duration::from_millis(100));
-            // Interleave small (PB) and large (BB) messages.
+            // Interleave small and large messages: both go through the
+            // sequencer.
             g.send(ctx, vec![1u8; 10]).unwrap();
             g.send(ctx, vec![2u8; 5000]).unwrap();
             g.send(ctx, vec![3u8; 10]).unwrap();

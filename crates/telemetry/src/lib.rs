@@ -35,7 +35,7 @@
 //!   `getreq` surfaces it on `IncomingRequest`, and `putrep` echoes it onto
 //!   the reply so client-side completion can be attributed.
 //! - The **group layer** tags each application message with the submitter's
-//!   ctx (`SendReq`/`BbData` → packet metadata keyed by msgid). The
+//!   ctx (`SendReq` → packet metadata keyed by msgid). The
 //!   sequencer opens an ordering span *parented to the submitter's ctx*
 //!   when it assigns a sequence number, and the ordering ctx travels with
 //!   `Accept`/`AcceptBatch` items (keyed by seqno) — including

@@ -6,6 +6,9 @@
 //! And on a network that loses and duplicates packets, every message is
 //! still delivered exactly once, in one total order, with members that
 //! reset the group whenever it fails.
+//!
+//! And a message of any size takes the one path through the sequencer:
+//! large and small ones share the total order.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -295,4 +298,59 @@ fn an_r0_group_delivers_exactly_once_on_a_lossy_network() {
 #[test]
 fn an_r2_group_delivers_exactly_once_on_a_lossy_network() {
     delivers_exactly_once_under_loss(2);
+}
+
+/// Member 1 sends 10 B, 5,000 B, 10 B and 64 KiB through the sequencer
+/// at r = 2; every member delivers those bytes, in that order.
+#[test]
+fn large_and_small_messages_share_one_total_order() {
+    let mut sim = Simulation::new(37);
+    let net = Network::new(sim.handle(), NetParams::default(), 1);
+    let cfg = GroupConfig::with_resilience(2);
+    let port = Port::from_name("sizes");
+    let message = |k: u8, size: usize| -> Vec<u8> {
+        (0..size).map(|i| (i as u8).wrapping_mul(7) ^ k).collect()
+    };
+    let sent: Vec<Vec<u8>> = [10, 5_000, 10, 64 << 10]
+        .into_iter()
+        .enumerate()
+        .map(|(k, size)| message(k as u8, size))
+        .collect();
+    let mut outs = Vec::new();
+    for i in 0..3u64 {
+        let node = sim.add_node(&format!("m{i}"));
+        let peer = GroupPeer::start(&sim, node, net.attach(), cfg.clone());
+        let sent = sent.clone();
+        outs.push(sim.spawn_on(node, &format!("app{i}"), move |ctx| {
+            let g = if i == 0 {
+                peer.create(port, 0)
+            } else {
+                ctx.sleep(Duration::from_millis(10 * i));
+                peer.join(ctx, port, i, Duration::from_secs(2))
+                    .expect("join")
+            };
+            if i == 1 {
+                while g.info().expect("info").view.len() < 3 {
+                    ctx.sleep(Duration::from_millis(5));
+                }
+                for data in &sent {
+                    g.send(ctx, data.clone()).expect("send");
+                }
+            }
+            let mut got = Vec::new();
+            while got.len() < sent.len() {
+                match g.recv_timeout(ctx, Duration::from_secs(5)) {
+                    Some(Ok(GroupEvent::Message { data, .. })) => got.push(data.to_vec()),
+                    Some(Ok(_)) => {}
+                    other => panic!("member {i}: {other:?}"),
+                }
+            }
+            got
+        }));
+    }
+    sim.run_for(Duration::from_secs(20));
+    for (i, out) in outs.iter().enumerate() {
+        // Not `assert_eq!`: a mismatch would print 64 KiB.
+        assert!(out.take() == Some(sent.clone()), "member {i}");
+    }
 }

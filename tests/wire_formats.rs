@@ -319,10 +319,11 @@ fn every_request_reply_and_op_keeps_its_bytes() {
 /// requests (`DirRequest` 12–14), replies (`DirReply` 6–7), error
 /// (`DirError` 9) and ops (`DirOp` 10–11), and the keyed cross-shard
 /// create and delete's requests (`DirRequest` 9–11) and ops (`DirOp`
-/// 7–9). Their tags are refused, not
-/// reused: a peer or client speaking the old layout gets an error. (The
-/// group log's retired act kind 2 is refused in its own module's
-/// tests: the record type is private.)
+/// 7–9), and the group's BB method: its data multicast (`GroupMsg` 6)
+/// and its accept body (`AcceptBody` 1), alone and in a batch. Their
+/// tags are refused, not reused: a peer or client speaking the old
+/// layout gets an error. (The group log's retired act kind 2 is refused
+/// in its own module's tests: the record type is private.)
 #[test]
 fn every_retired_tag_is_refused() {
     type Refuses = fn(&[u8]) -> bool;
@@ -330,7 +331,8 @@ fn every_retired_tag_is_refused() {
     let reply: Refuses = |b| DirReply::decode(b).is_err();
     let error: Refuses = |b| DirError::decode(b).is_err();
     let op: Refuses = |b| DirOp::decode(b).is_err();
-    let retired: [(&str, Refuses, &str); 15] = [
+    let group: Refuses = |b| GroupMsg::decode(&Payload::from(b.to_vec())).is_err();
+    let retired: [(&str, Refuses, &str); 18] = [
         (
             "ExportDir request",
             request,
@@ -402,6 +404,27 @@ fn every_retired_tag_is_refused() {
              00000001ff",
         ),
         ("Unlink op", op, "0904000000000000000100000078"),
+        (
+            "BbData message",
+            group,
+            "0609000000000000000200000000000000010000005800000000000000020000000405",
+        ),
+        (
+            "Accept of a BbRef body",
+            group,
+            "07090000000000000002000000000000000a000000000000000100000065000000000000\
+             00580000000000000001",
+        ),
+        (
+            "AcceptBatch holding a BbRef item",
+            group,
+            "13090000000000000002000000000000000a000000000000000400000001000000650000\
+             000000000058000000000000000002000000090901000000650000000000000059000000\
+             00000000010100000065000000000000005a000000000000000204000000280000006800\
+             0000000000000100000065000000000000005b0000000000000003020000000200000002\
+             0000002c0000000000000008000000000000000100000057000000000000000900000000\
+             000000",
+        ),
     ];
     for (what, refuses, golden) in retired {
         assert!(refuses(&unhex(golden)), "{what} decoded");
@@ -898,10 +921,9 @@ fn three_members() -> View {
     view
 }
 
-fn accept_bodies() -> [AcceptBody; 4] {
+fn accept_bodies() -> [AcceptBody; 3] {
     [
         AcceptBody::Data(vec![9, 9].into()),
-        AcceptBody::BbRef,
         AcceptBody::Join(member(4)),
         AcceptBody::Leave(MemberId(2)),
     ]
@@ -970,41 +992,10 @@ fn group_msgs() -> Vec<(GroupMsg, &'static str)> {
             },
             "050900000000000000020000000000000001000000580000000000000003000000010203",
         ),
-        (
-            GroupMsg::BbData {
-                instance: 9,
-                incarnation: 2,
-                from: MemberId(1),
-                msgid: 88,
-                data: vec![4, 5].into(),
-            },
-            "0609000000000000000200000000000000010000005800000000000000020000000405",
-        ),
-        (
-            // A payload longer than 255 bytes: its length needs two bytes.
-            GroupMsg::BbData {
-                instance: 9,
-                incarnation: 2,
-                from: MemberId(1),
-                msgid: 88,
-                data: (0..=255).collect::<Vec<u8>>().into(),
-            },
-            "060900000000000000020000000000000001000000580000000000000000010000000102\
-             030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526\
-             2728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445464748494a\
-             4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e\
-             6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192\
-             939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6\
-             b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9da\
-             dbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfe\
-             ff",
-        ),
     ];
     let accepts = [
         "07090000000000000002000000000000000a000000000000000100000065000000000000\
          00580000000000000000020000000909",
-        "07090000000000000002000000000000000a000000000000000100000065000000000000\
-         00580000000000000001",
         "07090000000000000002000000000000000a000000000000000100000065000000000000\
          0058000000000000000204000000280000006800000000000000",
         "07090000000000000002000000000000000a000000000000000100000065000000000000\
@@ -1042,11 +1033,11 @@ fn group_msgs() -> Vec<(GroupMsg, &'static str)> {
                     .collect(),
                 dones: vec![done(2, 44, 8), done(1, 87, 9)],
             },
-            "13090000000000000002000000000000000a000000000000000400000001000000650000\
+            "13090000000000000002000000000000000a000000000000000300000001000000650000\
              000000000058000000000000000002000000090901000000650000000000000059000000\
-             00000000010100000065000000000000005a000000000000000204000000280000006800\
-             0000000000000100000065000000000000005b0000000000000003020000000200000002\
-             0000002c0000000000000008000000000000000100000057000000000000000900000000\
+             000000000204000000280000006800000000000000010000006500000000000000\
+             5a0000000000000003020000000200000002000000\
+             2c0000000000000008000000000000000100000057000000000000000900000000\
              000000",
         ),
         (
