@@ -20,10 +20,15 @@ pub enum StorageKind {
         /// How often the background checkpointer drains the journal.
         checkpoint_interval: Duration,
     },
-    /// Log updates to NVRAM, apply them to disk lazily (paper §4.1).
+    /// Log updates to NVRAM, apply them to disk lazily (paper §4.1):
+    /// "when the server is idle or the NVRAM is full".
     Nvram {
         /// NVRAM fill fraction that triggers a flush after a batch.
         flush_threshold: f64,
+        /// How long the group must be quiet before the log is applied
+        /// to disk: the replica driver runs the flush as the machine's
+        /// [`WhenIdle`](amoeba_rsm::Upkeep::WhenIdle) upkeep.
+        idle_flush: Duration,
     },
 }
 
@@ -36,10 +41,11 @@ impl StorageKind {
         }
     }
 
-    /// The NVRAM log with its default flush threshold.
+    /// The NVRAM log with its default flush threshold and idle period.
     pub fn nvram() -> StorageKind {
         StorageKind::Nvram {
             flush_threshold: 0.75,
+            idle_flush: Duration::from_millis(200),
         }
     }
 
@@ -66,9 +72,13 @@ impl StorageKind {
                 journal: Journal::disk(RawPartition::new(disk.clone(), base, blocks)),
                 checkpoint_interval,
             },
-            StorageKind::Nvram { flush_threshold } => Storage::Nvram {
+            StorageKind::Nvram {
+                flush_threshold,
+                idle_flush,
+            } => Storage::Nvram {
                 nvram: nvram.clone(),
                 flush_threshold,
+                idle_flush,
             },
         }
     }
@@ -94,6 +104,8 @@ pub enum Storage {
         nvram: Nvram,
         /// Fill fraction that triggers a flush after a batch.
         flush_threshold: f64,
+        /// Quiet time after which the log is applied to disk.
+        idle_flush: Duration,
     },
 }
 
@@ -167,11 +179,6 @@ pub struct DirParams {
     /// kind but `InPlace` on the RPC and NFS-like baselines, which write
     /// in place.
     pub storage: StorageKind,
-    /// Idle time after which the replica driver calls the machine's
-    /// idle hook: the NVRAM log applies its records to disk then. Read
-    /// on the NVRAM path only: no other storage kind has idle work, so
-    /// no other sets the driver an idle timer.
-    pub nvram_idle_flush: Duration,
     /// Upper bound on client read-lease durations ([`crate::cache`]):
     /// the longest a write can stall waiting out an unreachable lease
     /// holder, and the cap applied to any requested TTL.
@@ -186,7 +193,6 @@ impl Default for DirParams {
             apply_cpu: Duration::from_micros(500),
             improved_recovery: false,
             storage: StorageKind::InPlace,
-            nvram_idle_flush: Duration::from_millis(200),
             max_lease: Duration::from_millis(400),
         }
     }

@@ -41,12 +41,11 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Duration;
 
 use amoeba_bullet::FileCap;
 use amoeba_flip::wire::{DecodeError, Wire, WireReader, WireWriter};
 use amoeba_flip::Payload;
-use amoeba_rsm::StateMachine;
+use amoeba_rsm::{StateMachine, Upkeep};
 use amoeba_sim::{Ctx, Resource};
 
 use super::plan::row_edit;
@@ -129,27 +128,6 @@ impl DirectoryStateMachine {
     ) -> Self {
         let applier = Applier::new(cfg, &params, bullet, partition);
         Self::new(Rc::new(applier), params, cpu, storage)
-    }
-
-    /// The replica driver's checkpoint period: only a journal drains.
-    pub(crate) fn checkpoint_interval(&self) -> Option<Duration> {
-        match self.storage {
-            Storage::Journal {
-                checkpoint_interval,
-                ..
-            } => Some(checkpoint_interval),
-            _ => None,
-        }
-    }
-
-    /// How long the group must be quiet before the driver calls
-    /// [`idle`](StateMachine::idle): only an NVRAM log has idle work,
-    /// the flush §4.1 defers to idle time.
-    pub(crate) fn idle_interval(&self) -> Option<Duration> {
-        match self.storage {
-            Storage::Nvram { .. } => Some(self.params.nvram_idle_flush),
-            _ => None,
-        }
     }
 
     /// The logical version of the machine's state (diagnostics/tests).
@@ -395,6 +373,7 @@ impl StateMachine for DirectoryStateMachine {
             Storage::Nvram {
                 nvram,
                 flush_threshold,
+                ..
             } => {
                 // The log appends in `apply` were the durable commit;
                 // only police the fill threshold here.
@@ -407,24 +386,31 @@ impl StateMachine for DirectoryStateMachine {
         self.applier.shared.borrow_mut().unflushed.clear();
     }
 
-    fn checkpoint(&self, ctx: &Ctx) {
-        if let Storage::Journal { journal, .. } = &self.storage {
-            self.run_checkpoint(ctx, journal);
+    fn upkeep(&self) -> Option<Upkeep> {
+        match self.storage {
+            Storage::InPlace => None,
+            Storage::Journal {
+                checkpoint_interval,
+                ..
+            } => Some(Upkeep::Every(checkpoint_interval)),
+            Storage::Nvram { idle_flush, .. } => Some(Upkeep::WhenIdle(idle_flush)),
         }
     }
 
-    fn idle(&self, ctx: &Ctx) {
-        // §4.1: apply NVRAM modifications to disk "when the server is
-        // idle or the NVRAM is full".
-        if let Storage::Nvram { nvram, .. } = &self.storage {
-            self.applier.flush_nvram(ctx, nvram);
+    fn tend(&self, ctx: &Ctx) {
+        match &self.storage {
+            Storage::InPlace => {}
+            Storage::Journal { journal, .. } => self.run_checkpoint(ctx, journal),
+            // §4.1: apply NVRAM modifications to disk "when the server
+            // is idle or the NVRAM is full".
+            Storage::Nvram { nvram, .. } => self.applier.flush_nvram(ctx, nvram),
         }
     }
 
     /// Loads commit block, object table and the storage path's log
     /// after a reboot, and returns the commit block's configuration
     /// vector.
-    fn boot(&self, ctx: &Ctx) -> Option<Vec<bool>> {
+    fn boot(&self, ctx: &Ctx) -> Vec<bool> {
         let applier = &self.applier;
         let worthless = applier.boot_in_place(ctx);
         let replayed = match &self.storage {
@@ -452,7 +438,7 @@ impl StateMachine for DirectoryStateMachine {
             let worst_us = applier.max_lease_us * (1 + u64::from(LEASE_RENEWALS));
             shared.write_fence_until_us = ctx.now().as_nanos() / 1_000 + worst_us;
         }
-        Some(shared.commit.config.clone())
+        shared.commit.config.clone()
     }
 
     fn version(&self) -> u64 {
@@ -579,6 +565,8 @@ impl StateMachine for DirectoryStateMachine {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use amoeba_disk::{DiskParams, DiskServer, RawPartition, VDisk};
     use amoeba_flip::{NetParams, Network};

@@ -50,11 +50,9 @@ impl std::fmt::Debug for GroupDirServer {
 /// Maps the directory service's parameters onto the generic driver's.
 /// Each shard derives its ports from its own service name, so every
 /// shard forms its own group with its own sequencer.
-fn rsm_config(cfg: &ServiceConfig, params: &DirParams, sm: &DirectoryStateMachine) -> RsmConfig {
+fn rsm_config(cfg: &ServiceConfig, params: &DirParams) -> RsmConfig {
     let mut rsm = RsmConfig::new(&cfg.service, cfg.n, cfg.me);
     debug_assert_eq!(rsm.internal_ports[cfg.me], cfg.internal_port(cfg.me));
-    rsm.checkpoint_interval = sm.checkpoint_interval();
-    rsm.idle_timeout = sm.idle_interval();
     rsm.improved_recovery = params.improved_recovery;
     rsm
 }
@@ -77,7 +75,7 @@ pub(crate) fn start_group_server(
     let replica = Replica::start(
         spawner,
         ReplicaDeps {
-            cfg: rsm_config(&deps.cfg, &deps.params, &sm),
+            cfg: rsm_config(&deps.cfg, &deps.params),
             sim_node: deps.sim_node,
             rpc: deps.rpc.clone(),
             peer,

@@ -484,12 +484,11 @@ fn whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, DecodeError> {
     Ok(value)
 }
 
-/// Declares a tagged enum and derives its [`Wire`](crate::wire::Wire) codec
-/// from the same list: each variant is `tag => Variant`, with its
-/// fields (`{ name: Type, .. }`, or `(name: Type)` for a tuple
-/// variant, whose fields are named for the codec only) in wire order.
-/// A counted field, in either form, names its
-/// [`Counted`](crate::wire::Counted) after `as`. An unknown tag is
+/// Declares a tagged enum and derives its [`Wire`] codec from the same
+/// list: each variant is `tag => Variant`, with its fields
+/// (`{ name: Type, .. }`, or `(name: Type)` for a tuple variant, whose
+/// fields are named for the codec only) in wire order. A counted field,
+/// in either form, names its [`Counted`] after `as`. An unknown tag is
 /// refused as `"<Enum> tag"`. See the [module docs](crate::wire).
 ///
 /// ```
@@ -587,10 +586,9 @@ macro_rules! wire_enum {
     };
 }
 
-/// Declares a struct and derives its [`Wire`](crate::wire::Wire) codec
-/// from the same list: its fields in wire order, each in its own
-/// [`Wire`](crate::wire::Wire) form, a counted one naming its
-/// [`Counted`](crate::wire::Counted) after `as`, as in
+/// Declares a struct and derives its [`Wire`] codec from the same list:
+/// its fields in wire order, each in its own [`Wire`] form, a counted
+/// one naming its [`Counted`] after `as`, as in
 /// [`wire_enum!`](crate::wire_enum) but with no tag. For a record whose
 /// fields need no check beyond their own: a value another field must
 /// agree with keeps a hand-written impl. See the

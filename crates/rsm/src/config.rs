@@ -1,7 +1,5 @@
 //! Static configuration of one replicated service.
 
-use std::time::Duration;
-
 use amoeba_flip::Port;
 
 /// Everything the [`Replica`](crate::Replica) driver needs to know
@@ -18,16 +16,6 @@ pub struct RsmConfig {
     /// The internal (replica-to-replica) RPC port of each replica,
     /// used by the recovery protocol's exchanges and state transfer.
     pub internal_ports: Vec<Port>,
-    /// When set, a background checkpointer process calls
-    /// [`StateMachine::checkpoint`](crate::StateMachine::checkpoint)
-    /// this often while the replica is in normal operation (the group
-    /// log's table writeback). `None` (the default) spawns nothing.
-    pub checkpoint_interval: Option<Duration>,
-    /// Idle time after which [`idle`](crate::StateMachine::idle) runs,
-    /// for a machine that has idle work. `None` (the default): the
-    /// event loop waits for the group without a deadline, and `idle` is
-    /// never called.
-    pub idle_timeout: Option<Duration>,
     /// Enable the §3.2 improved rule: a replica that stayed up and
     /// holds the highest sequence number may recover even when the
     /// strict last-set check fails.
@@ -51,8 +39,6 @@ impl RsmConfig {
             internal_ports: (0..n)
                 .map(|i| Port::from_name(&format!("{service}.internal.{i}")))
                 .collect(),
-            checkpoint_interval: None,
-            idle_timeout: None,
             improved_recovery: false,
         }
     }

@@ -30,18 +30,20 @@
 //!   everything the kernel has ordered before us);
 //! * **apply batching**: consecutive delivered operations are applied
 //!   as one batch followed by a single [`StateMachine::flush`] — the
-//!   group commit that amortizes per-update storage cost.
+//!   group commit that amortizes per-update storage cost;
+//! * the **schedule** of the machine's background storage work: it
+//!   reads [`StateMachine::upkeep`] once and runs
+//!   [`StateMachine::tend`] on it ([`Upkeep`]).
 //!
 //! The **state machine** owns everything service-shaped: deterministic
-//! apply, storage, snapshot encoding, its logical
+//! apply, storage and its upkeep, snapshot encoding, its logical
 //! [`version`](StateMachine::version), and the durable form of what
 //! the driver decides. The one bookkeeping hook,
 //! [`persist`](StateMachine::persist), is exactly the point where the
 //! paper's directory service writes its commit block: it sets the
 //! applied cursor and makes the configuration and the copy mark
-//! durable. A service with no durable state would only move its cursor
-//! there and return no configuration from `boot`, so its replica would
-//! mourn no one.
+//! durable, and [`boot`](StateMachine::boot) reads the configuration
+//! back after a reboot. What upkeep its storage needs is its to say.
 //!
 //! ## Contract (what `Replica` guarantees, what `apply` must uphold)
 //!
@@ -89,9 +91,9 @@
 //! A service implements [`StateMachine`] and hands it to
 //! [`Replica::start`]; any request thread then calls
 //! [`Replica::submit`] for a replicated write and
-//! [`Replica::read_barrier`] before a local read. A volatile service
-//! does the same with the durable half left out; there is no separate
-//! harness for one.
+//! [`Replica::read_barrier`] before a local read. A machine with no
+//! other durable state still keeps the configuration `persist` hands
+//! it, for `boot` to return: recovery's mourned set is computed from it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -102,6 +104,6 @@ mod recovery;
 mod replica;
 
 pub use config::RsmConfig;
-pub use machine::{RsmError, StateMachine};
+pub use machine::{RsmError, StateMachine, Upkeep};
 pub use recovery::InternalMsg;
 pub use replica::{Replica, ReplicaDeps, ReplicaStats};

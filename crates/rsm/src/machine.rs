@@ -1,6 +1,8 @@
 //! The [`StateMachine`] trait: what a service implements to become a
 //! replicated, fault-tolerant service.
 
+use std::time::Duration;
+
 use amoeba_flip::Payload;
 use amoeba_group::SeqNo;
 use amoeba_sim::Ctx;
@@ -34,6 +36,17 @@ impl std::fmt::Display for RsmError {
 
 impl std::error::Error for RsmError {}
 
+/// When the replica driver runs a machine's [`tend`](StateMachine::tend).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Upkeep {
+    /// Every period, from a process of its own, while the replica is in
+    /// service. It runs beside `apply` and `flush`, so the machine keeps
+    /// its own exclusion and holds no borrow across the work's I/O.
+    Every(Duration),
+    /// On the event loop, once the group has been quiet this long.
+    WhenIdle(Duration),
+}
+
 /// A deterministic replicated state machine, driven by a
 /// [`Replica`](crate::Replica).
 ///
@@ -49,6 +62,13 @@ impl std::error::Error for RsmError {}
 /// cursor in the same critical section that mutates state (so
 /// `snapshot` is consistent), and effects may be buffered until the
 /// next `flush` — the driver publishes results only after `flush`.
+///
+/// Background storage work is one hook on the machine's own schedule:
+/// [`upkeep`](Self::upkeep) names it, [`tend`](Self::tend) does it. Of
+/// the directory service's storage kinds, writing in place has none;
+/// the group log checkpoints [`Every`](Upkeep::Every) period, beside
+/// `apply` and `flush`; the NVRAM log flushes
+/// [`WhenIdle`](Upkeep::WhenIdle) (§4.1), never beside them.
 pub trait StateMachine: 'static {
     /// Applies the operation at sequence number `seq` of the total
     /// order. Durable effects may be deferred to [`flush`](Self::flush).
@@ -71,22 +91,12 @@ pub trait StateMachine: 'static {
     /// batch's readers).
     fn flush(&self, ctx: &Ctx);
 
-    /// Called when the group has been idle for
-    /// [`idle_timeout`](crate::RsmConfig::idle_timeout), and only if
-    /// that is set (background maintenance: the directory service
-    /// flushes its NVRAM log here, §4.1). Runs on the event loop, so
-    /// never concurrently with `apply` or `flush`.
-    fn idle(&self, ctx: &Ctx);
+    /// When the driver runs [`tend`](Self::tend), read once at start.
+    /// `None`: never, so it spawns no process and sets no timer for it.
+    fn upkeep(&self) -> Option<Upkeep>;
 
-    /// Called periodically by the driver's background checkpointer
-    /// process (only spawned when
-    /// [`checkpoint_interval`](crate::RsmConfig::checkpoint_interval)
-    /// is set): drain journaled commits into their long-term durable
-    /// form and advance the journal's tail. Runs concurrently with
-    /// `apply` and `flush`, so implementations must do their own
-    /// sim-safe exclusion against the flush path (and never hold a lock
-    /// across the drain's I/O).
-    fn checkpoint(&self, ctx: &Ctx);
+    /// Runs the background work [`upkeep`](Self::upkeep) schedules.
+    fn tend(&self, ctx: &Ctx);
 
     /// Called once, at process start, before the first recovery: load
     /// whatever survived the reboot (commit block, tables, NVRAM log)
@@ -94,10 +104,9 @@ pub trait StateMachine: 'static {
     /// (`config[i]` = server *i* was in the last configuration this
     /// replica served in). The driver keeps that vector, computes the
     /// recovery protocol's mourned set from it and hands every change
-    /// back through [`persist`](Self::persist). A machine that keeps no
-    /// configuration returns `None`, and its replica mourns no one: it
-    /// cannot know who crashed before it.
-    fn boot(&self, ctx: &Ctx) -> Option<Vec<bool>>;
+    /// back through [`persist`](Self::persist). A fresh machine returns
+    /// the configuration it was created with.
+    fn boot(&self, ctx: &Ctx) -> Vec<bool>;
 
     /// Logical version of the state (the paper's per-directory
     /// "sequence number" generalized): monotone across group
@@ -120,7 +129,7 @@ pub trait StateMachine: 'static {
 
     /// The driver's one bookkeeping hook: set the applied cursor to
     /// exactly `cursor` and make `config` and the copy mark durable
-    /// (a machine without durable state only moves its cursor).
+    /// (a machine without durable state keeps `config` in memory).
     ///
     /// The driver calls it at three points, always between batches:
     /// * `copying` true — the copy phase of recovery is about to

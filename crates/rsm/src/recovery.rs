@@ -295,10 +295,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
             // cursor and configuration stay as they are.
             let (cursor, config) = {
                 let shared = shared.borrow();
-                (
-                    shared.applied_seq,
-                    shared.config.clone().unwrap_or_default(),
-                )
+                (shared.applied_seq, shared.config.clone())
             };
             persist(ctx, sm, shared, cursor, &config, true);
             if !fetch_state(ctx, sm, cfg, shared, rpc, best, group.instance_id()) {
@@ -325,16 +322,18 @@ pub(crate) fn run_recovery<S: StateMachine>(
 
 /// The replica's mourned set over `n` replicas: `mourned[i]` iff its
 /// configuration says server *i* crashed before it (Skeen's initial
-/// set, Fig. 6). A replica without a configuration mourns no one.
+/// set, Fig. 6). Before `boot` has loaded the configuration it mourns
+/// no one.
 fn mourned_set(shared: &DriverShared, n: usize) -> Vec<bool> {
-    let config = shared.config.as_deref().unwrap_or_default();
-    (0..n).map(|i| config.get(i) == Some(&false)).collect()
+    (0..n)
+        .map(|i| shared.config.get(i) == Some(&false))
+        .collect()
 }
 
-/// Records `config` as the replica's configuration (when its machine
-/// keeps one), then has the machine set its cursor to `cursor` and make
-/// the configuration and the copy mark durable. The vector changes
-/// before the write, so an exchange answered meanwhile mourns by it.
+/// Records `config` as the replica's configuration, then has the
+/// machine set its cursor to `cursor` and make the configuration and
+/// the copy mark durable. The vector changes before the write, so an
+/// exchange answered meanwhile mourns by it.
 pub(crate) fn persist<S: StateMachine>(
     ctx: &Ctx,
     sm: &S,
@@ -343,9 +342,7 @@ pub(crate) fn persist<S: StateMachine>(
     config: &[bool],
     copying: bool,
 ) {
-    if let Some(kept) = shared.borrow_mut().config.as_mut() {
-        *kept = config.to_vec();
-    }
+    shared.borrow_mut().config = config.to_vec();
     sm.persist(ctx, cursor, config, copying);
 }
 

@@ -12,7 +12,7 @@ use amoeba_rpc::{RpcClient, RpcNode, RpcServer};
 use amoeba_sim::{Ctx, IdMap, MailboxTx, NodeId, Spawn};
 
 use crate::config::RsmConfig;
-use crate::machine::{RsmError, StateMachine};
+use crate::machine::{RsmError, StateMachine, Upkeep};
 use crate::recovery::{persist, run_recovery, serve_internal};
 
 /// Most consecutive delivered operations applied as one batch before
@@ -78,9 +78,8 @@ pub(crate) struct DriverShared {
     /// *i* was in the last configuration this replica served in), the
     /// source of its mourned set: loaded once from
     /// [`StateMachine::boot`], replaced at every
-    /// [`persist`](StateMachine::persist). `None` for a machine that
-    /// keeps no configuration.
-    pub config: Option<Vec<bool>>,
+    /// [`persist`](StateMachine::persist). Empty until `boot` returns.
+    pub config: Vec<bool>,
     /// Work counters for [`Replica::stats`].
     pub stats: ReplicaStats,
     /// Highest sequence number *applied*, flushed or not. Readers and
@@ -111,7 +110,7 @@ impl DriverShared {
         DriverShared {
             mode: Mode::Recovering,
             group: None,
-            config: None,
+            config: Vec::new(),
             stats: ReplicaStats::default(),
             applied_seq: 0,
             published_seq: 0,
@@ -235,8 +234,9 @@ impl<S> std::fmt::Debug for Replica<S> {
 
 impl<S: StateMachine> Replica<S> {
     /// Starts all driver processes of one replica: the always-on
-    /// internal recovery RPC service and the main (recovery → event
-    /// loop) process.
+    /// internal recovery RPC service, the machine's periodic
+    /// [`upkeep`](StateMachine::upkeep) if it has one, and the main
+    /// (recovery → event loop) process, in that order.
     pub fn start(spawner: &(impl Spawn + ?Sized), deps: ReplicaDeps<S>) -> Replica<S> {
         let ReplicaDeps {
             cfg,
@@ -268,12 +268,11 @@ impl<S: StateMachine> Replica<S> {
             );
         }
 
-        // Group-log checkpointer: a background process that periodically
-        // asks the machine to drain its journal into long-term durable
-        // form ([`StateMachine::checkpoint`]). Spawned only when the
-        // machine journals; runs concurrently with the event loop (the
-        // machine does its own sim-safe exclusion).
-        if let Some(interval) = cfg.checkpoint_interval {
+        // The machine's background storage work, on its schedule, read
+        // once: a periodic one runs in a process of its own, beside the
+        // event loop; an idle one runs on the event loop.
+        let upkeep = sm.upkeep();
+        if let Some(Upkeep::Every(period)) = upkeep {
             let sm = Rc::clone(&sm);
             let shared = Rc::clone(&shared);
             let machine = replica.machine;
@@ -283,7 +282,7 @@ impl<S: StateMachine> Replica<S> {
                 Box::new(move |ctx| {
                     let tele = amoeba_telemetry::Telemetry::from_handle(&ctx.handle());
                     loop {
-                        ctx.sleep(interval);
+                        ctx.sleep(period);
                         if shared.borrow_mut().mode != Mode::Normal {
                             continue; // recovery owns the disk right now
                         }
@@ -292,7 +291,7 @@ impl<S: StateMachine> Replica<S> {
                             machine,
                             amoeba_telemetry::TraceCtx::NONE,
                         );
-                        sm.checkpoint(ctx);
+                        sm.tend(ctx);
                         tele.end(span);
                     }
                 }),
@@ -306,7 +305,7 @@ impl<S: StateMachine> Replica<S> {
             spawner.spawn_boxed(
                 Some(sim_node),
                 &format!("rsm{}-main", cfg.me),
-                Box::new(move |ctx| replica.main_loop(ctx, &peer, &rpc_client)),
+                Box::new(move |ctx| replica.main_loop(ctx, &peer, &rpc_client, upkeep)),
             );
         }
         replica
@@ -498,7 +497,7 @@ impl<S: StateMachine> Replica<S> {
     // ------------------------------------------------------------------
 
     /// Recovery → normal operation → (on collapse) recovery, forever.
-    fn main_loop(&self, ctx: &Ctx, peer: &GroupPeer, rpc: &RpcClient) {
+    fn main_loop(&self, ctx: &Ctx, peer: &GroupPeer, rpc: &RpcClient, upkeep: Option<Upkeep>) {
         // Load whatever survived the reboot, once.
         let config = self.sm.boot(ctx);
         self.shared.borrow_mut().config = config;
@@ -506,7 +505,7 @@ impl<S: StateMachine> Replica<S> {
             let group = run_recovery(ctx, &*self.sm, &self.cfg, &self.shared, peer, rpc);
             let group = Rc::new(group);
             self.shared.borrow_mut().enter_instance(Rc::clone(&group));
-            self.event_loop(ctx, &group);
+            self.event_loop(ctx, &group, upkeep);
             // Collapsed: back to recovery.
             {
                 let mut shared = self.shared.borrow_mut();
@@ -526,19 +525,19 @@ impl<S: StateMachine> Replica<S> {
     /// [`flush`](StateMachine::flush) and only then publishes it, so
     /// [`submit`](Replica::submit) callers never observe un-flushed
     /// state.
-    fn event_loop(&self, ctx: &Ctx, group: &Rc<Group>) {
+    fn event_loop(&self, ctx: &Ctx, group: &Rc<Group>, upkeep: Option<Upkeep>) {
         loop {
             // A machine with no idle work sets no timer: the wait ends
             // only with the group's next event.
-            let first = match self.cfg.idle_timeout {
-                None => group.recv(ctx),
-                Some(idle) => match group.recv_timeout(ctx, idle) {
+            let first = match upkeep {
+                Some(Upkeep::WhenIdle(quiet)) => match group.recv_timeout(ctx, quiet) {
                     Some(e) => e,
                     None => {
-                        self.sm.idle(ctx);
+                        self.sm.tend(ctx);
                         continue;
                     }
                 },
+                _ => group.recv(ctx),
             };
             // Collect a batch: the first event plus every consecutive
             // already-delivered message, up to the apply-batch cap.

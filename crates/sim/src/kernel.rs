@@ -1,5 +1,5 @@
 //! The simulator kernel: event queue, process table, wake bookkeeping and
-//! the event loop ([`Kernel::dispatch`]).
+//! the event loop ([`dispatch`]).
 //!
 //! The kernel enforces the central invariant of the simulator: **exactly
 //! one context holds the baton** — the driver (the code inside

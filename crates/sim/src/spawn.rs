@@ -3,7 +3,7 @@
 //! Infrastructure layers (network stacks, servers) need to spawn their
 //! internal processes both from test setup code (which holds a
 //! [`Simulation`](crate::Simulation)) and from inside running processes
-//! (which hold a [`Ctx`](crate::Ctx)). `Spawn` is the common interface.
+//! (which hold a [`Ctx`]). `Spawn` is the common interface.
 
 use crate::ctx::Ctx;
 use crate::handle::SimHandle;

@@ -85,7 +85,10 @@ fn updates_survive_crash_via_nvram_replay() {
     let mut sim = Simulation::new(89);
     let mut params = ClusterParams::paper(Variant::GroupNvram);
     // Keep the flusher lazy so the update is only in NVRAM at crash time.
-    params.dir.nvram_idle_flush = Duration::from_secs(300);
+    params.dir.storage = StorageKind::Nvram {
+        flush_threshold: 0.75,
+        idle_flush: Duration::from_secs(300),
+    };
     let mut cluster = Cluster::start(&sim, params);
     let (client, _) = cluster.client(&sim);
     let c2 = client.clone();
@@ -183,6 +186,7 @@ fn nvram_machine(sim: &Simulation) -> (NodeId, DirectoryStateMachine) {
         Storage::Nvram {
             nvram: Nvram::paper_24k(),
             flush_threshold: 0.75,
+            idle_flush: Duration::from_millis(200),
         },
         Resource::new(sim.handle(), "cpu"),
     );
@@ -227,7 +231,7 @@ fn two_dirs_on_disk(ctx: &Ctx, sm: &DirectoryStateMachine, rows: usize) -> u64 {
             });
         }
     }
-    sm.idle(ctx);
+    sm.tend(ctx);
     seq + 1
 }
 
@@ -293,7 +297,7 @@ fn nvram_flush_writes_every_directory_a_replace_set_edits() {
         let seq = two_dirs_on_disk(ctx, sm, 2);
         sm.apply(ctx, seq, &replace_in_both(2).encode(), false);
         sm.flush(ctx);
-        sm.idle(ctx);
+        sm.tend(ctx);
     });
     assert_eq!(after, before, "the flush dropped part of the ReplaceSet");
 }
@@ -325,7 +329,7 @@ fn nvram_flush_writes_the_directory_a_create_made() {
         };
         sm.apply(ctx, 1, &create.encode(), false);
         sm.flush(ctx);
-        sm.idle(ctx);
+        sm.tend(ctx);
     });
     assert_eq!(after, before, "the idle flush lost the create");
 }

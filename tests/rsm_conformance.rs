@@ -310,6 +310,7 @@ fn nvram_directory_machine_conforms() {
         let nvram = Storage::Nvram {
             nvram: Nvram::paper_24k(),
             flush_threshold: 0.75,
+            idle_flush: Duration::from_millis(200),
         };
         dir_column_with(sim, net, idx, DiskParams::instant(), params, nvram)
     });
@@ -1094,7 +1095,7 @@ fn checkpoint_drains_journal_and_replay_is_idempotent() {
         }
         sm.flush(ctx); // record 1
                        // Drain it into long-term form; the journal tail advances.
-        sm.checkpoint(ctx);
+        sm.tend(ctx);
         for op in dir_ops_batch2() {
             seq += 1;
             let _ = sm.apply(ctx, seq, &op, false);

@@ -377,29 +377,47 @@ fn a_locate_calls_only_the_kernel_of_the_host_that_serves_it() {
     assert_eq!((stats.deliveries, stats.locates_unheard), (9 + 3, 8));
 }
 
-/// A replica whose machine has no idle work sets no idle timer: an
-/// in-place group directory service left quiet for ten simulated
-/// seconds resumes no `rsm#-main` for a timeout, where an NVRAM one
-/// still wakes each replica every `nvram_idle_flush` (200 ms) to flush.
+/// A quiet replica wakes only for the upkeep its storage kind asks for:
+/// over ten quiet simulated seconds of the group directory service, an
+/// in-place replica resumes no `rsm#-main` for a timeout and runs no
+/// upkeep process; a journaled one sets no idle timer either, but its
+/// `rsm#-checkpoint` sleeps a checkpoint interval (250 ms) after each
+/// checkpoint, and each writes the journal's superblock even with
+/// nothing logged, so it wakes 35 times; an NVRAM one wakes its
+/// `rsm#-main` every `idle_flush` (200 ms) to flush.
 #[test]
-fn a_quiet_in_place_replica_sets_no_idle_timer() {
+fn a_quiet_replica_wakes_only_for_its_storage_upkeep() {
     use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-    let timed_out = |sim: &Simulation| -> Vec<u64> {
+    use amoeba_dirsvc::dir::StorageKind;
+    let resumes = |sim: &Simulation, suffix: &str, reason: usize| -> Vec<u64> {
         (sim.activations().into_iter())
-            .filter(|row| row.name.starts_with("rsm") && row.name.ends_with("-main"))
-            .map(|row| row.resumes[3])
+            .filter(|row| row.name.starts_with("rsm") && row.name.ends_with(suffix))
+            .map(|row| row.resumes[reason])
             .collect()
     };
-    for (variant, wakes) in [(Variant::Group, 0), (Variant::GroupNvram, 50)] {
+    let mut journaled = ClusterParams::paper(Variant::Group);
+    journaled.dir.storage = StorageKind::journal();
+    for (params, idle_wakes, checkpoints) in [
+        (ClusterParams::paper(Variant::Group), [0; 3], vec![]),
+        (journaled, [0; 3], vec![35; 3]),
+        (ClusterParams::paper(Variant::GroupNvram), [50; 3], vec![]),
+    ] {
+        let storage = params.dir.storage;
         let mut sim = Simulation::new(1);
-        let cluster = Cluster::start(&sim, ClusterParams::paper(variant));
+        let cluster = Cluster::start(&sim, params);
         sim.run_for(Duration::from_secs(5));
         assert!((0..3).all(|i| cluster.group_server(i).is_normal()));
-        let before = timed_out(&sim);
+        let during = |before: Vec<u64>, after: Vec<u64>| -> Vec<u64> {
+            (after.iter().zip(&before)).map(|(a, b)| a - b).collect()
+        };
+        let (main, ckpt) = (resumes(&sim, "-main", 3), resumes(&sim, "-checkpoint", 1));
         sim.run_for(Duration::from_secs(10));
-        let during: Vec<u64> = (timed_out(&sim).iter().zip(&before))
-            .map(|(after, before)| after - before)
-            .collect();
-        assert_eq!(during, [wakes; 3], "{variant:?}");
+        assert_eq!(
+            during(main, resumes(&sim, "-main", 3)),
+            idle_wakes,
+            "{storage:?}"
+        );
+        let ckpt = during(ckpt, resumes(&sim, "-checkpoint", 1));
+        assert_eq!(ckpt, checkpoints, "{storage:?}");
     }
 }
