@@ -264,15 +264,17 @@ impl Journal {
     }
 
     /// Empties the log iff no record was appended since `mark` was read
-    /// via [`next_seq`](Self::next_seq). Returns whether the reset
-    /// happened. Seqs keep growing across resets.
+    /// via [`next_seq`](Self::next_seq). Returns whether the log is
+    /// empty at `mark` now. Seqs keep growing across resets. A log that
+    /// already starts at `mark` holds nothing to disown, so the
+    /// superblock is not rewritten: a quiet log costs no write.
     pub fn try_reset(&self, ctx: &Ctx, mark: u64) -> bool {
         self.acquire(ctx);
-        let ok = {
+        let (ok, empty) = {
             let st = self.state.borrow();
-            st.next_seq == mark
+            (st.next_seq == mark, st.start_seq == mark)
         };
-        if ok {
+        if ok && !empty {
             self.reset_locked(ctx, mark);
         }
         self.release();
@@ -492,6 +494,33 @@ mod tests {
         });
         sim.run();
         assert_eq!(out.take(), Some((0, 3)));
+    }
+
+    /// A checkpoint over a quiet log (nothing appended since the last
+    /// reset) writes nothing: the superblock already starts at the mark.
+    #[test]
+    fn a_quiet_try_reset_writes_nothing() {
+        let mut sim = Simulation::new(1);
+        let (j, disk) = setup(&mut sim);
+        let j2 = j.clone();
+        let out = sim.spawn("w", move |ctx| {
+            j2.recover(ctx);
+            j2.append(ctx, b"a").unwrap();
+            let reset = j2.try_reset(ctx, j2.next_seq());
+            let writes = disk.stats().writes;
+            let quiet = j2.try_reset(ctx, j2.next_seq());
+            (reset, quiet, disk.stats().writes - writes, j2.depth())
+        });
+        sim.run();
+        assert_eq!(out.take(), Some((true, true, 0, 0)));
+        // The reset that did write is the one a reboot reads.
+        let r = j.reopen();
+        let out = sim.spawn("boot", move |ctx| {
+            let recs = r.recover(ctx);
+            (recs.len(), r.append(ctx, b"b").unwrap())
+        });
+        sim.run();
+        assert_eq!(out.take(), Some((0, 2)));
     }
 
     #[test]

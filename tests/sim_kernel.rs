@@ -382,8 +382,8 @@ fn a_locate_calls_only_the_kernel_of_the_host_that_serves_it() {
 /// in-place replica resumes no `rsm#-main` for a timeout and runs no
 /// upkeep process; a journaled one sets no idle timer either, but its
 /// `rsm#-checkpoint` sleeps a checkpoint interval (250 ms) after each
-/// checkpoint, and each writes the journal's superblock even with
-/// nothing logged, so it wakes 35 times; an NVRAM one wakes its
+/// checkpoint, and a checkpoint over an empty log writes nothing, so it
+/// wakes 40 times; an NVRAM one wakes its
 /// `rsm#-main` every `idle_flush` (200 ms) to flush.
 #[test]
 fn a_quiet_replica_wakes_only_for_its_storage_upkeep() {
@@ -399,7 +399,7 @@ fn a_quiet_replica_wakes_only_for_its_storage_upkeep() {
     journaled.dir.storage = StorageKind::journal();
     for (params, idle_wakes, checkpoints) in [
         (ClusterParams::paper(Variant::Group), [0; 3], vec![]),
-        (journaled, [0; 3], vec![35; 3]),
+        (journaled, [0; 3], vec![40; 3]),
         (ClusterParams::paper(Variant::GroupNvram), [50; 3], vec![]),
     ] {
         let storage = params.dir.storage;
