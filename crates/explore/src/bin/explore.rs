@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! explore sweep [--big] [--schedules N] [--seed S] [--buggy] [--journal]
+//! explore tally --seeds A..B [--schedules N] [--journal]
 //! explore ci-smoke
 //! explore replay <bundle.amrx>
 //! explore probe [--seeds N] [--fixed] [--loss L] [--trace out.json]
@@ -13,6 +14,12 @@
 //!   repro bundle. Exits nonzero if any failure was found. `--journal`
 //!   turns the group log on, so crash windows land on journaled commits
 //!   and mid-checkpoint drains.
+//! - `tally` runs the small sweep at every seed from `A` to `B`, both
+//!   included (`N` schedules each, 500 by default), and counts the
+//!   failing schedules by the class of the failure their shrunk
+//!   reproduction shows: the fault surface a change to group or
+//!   recovery traffic must not worsen. It records nothing and writes no
+//!   bundles.
 //! - `ci-smoke` is the CI gate: a small clean sweep must find nothing
 //!   (in place and journaled — the journaled pass includes the
 //!   checkpoint-phase schedule, whose crash windows bracket the
@@ -23,22 +30,26 @@
 //! - `replay` re-executes a repro bundle under verify-mode replay. A
 //!   bundle of another layout version is refused, naming its version.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use amoeba_explore::scenario::{run_scenario, RunMode, ScenarioParams, WRITE_START_MS};
 use amoeba_explore::schedule::{FaultKind, FaultSchedule, Injection};
-use amoeba_explore::search::{find_seeded_bug, record_and_verify, shrink, sweep, ReproBundle};
+use amoeba_explore::search::{
+    find_seeded_bug, record_and_verify, shrink, sweep, tally, ReproBundle,
+};
 use amoeba_flip::wire::Wire;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("sweep") => cmd_sweep(&args[1..]),
+        Some("tally") => cmd_tally(&args[1..]),
         Some("ci-smoke") => cmd_ci_smoke(),
         Some("replay") => cmd_replay(&args[1..]),
         Some("probe") => cmd_probe(&args[1..]),
         _ => {
-            eprintln!("usage: explore <sweep [--big] [--schedules N] [--seed S] [--buggy] [--journal] | ci-smoke | replay <bundle.amrx>>");
+            eprintln!("usage: explore <sweep [--big] [--schedules N] [--seed S] [--buggy] [--journal] | tally --seeds A..B [--schedules N] [--journal] | ci-smoke | replay <bundle.amrx>>");
             ExitCode::from(2)
         }
     }
@@ -86,7 +97,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             ""
         }
     );
-    let report = sweep(&params, n, seed.wrapping_mul(0x9E37_79B9));
+    let report = sweep(&params, n, schedule_seed(seed));
     for (i, f) in report.failures.iter().enumerate() {
         println!("failure {i}: {}", f.report.summary());
         println!(
@@ -127,6 +138,45 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         );
         ExitCode::FAILURE
     }
+}
+
+/// The seed a sweep at scenario seed `seed` draws its schedules from.
+fn schedule_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9)
+}
+
+fn cmd_tally(args: &[String]) -> ExitCode {
+    let seeds = opt_str(args, "--seeds")
+        .and_then(|s| s.split_once(".."))
+        .and_then(|(a, b)| Some((a.parse::<u64>().ok()?, b.parse::<u64>().ok()?)));
+    let Some((first, last)) = seeds.filter(|(a, b)| a <= b) else {
+        eprintln!("usage: explore tally --seeds A..B [--schedules N] [--journal]");
+        return ExitCode::from(2);
+    };
+    let n = opt_u64(args, "--schedules", 500) as usize;
+    let journal = flag(args, "--journal");
+    let mut total = BTreeMap::new();
+    for seed in first..=last {
+        let mut params = ScenarioParams::small(seed);
+        params.journal = journal;
+        let classes = tally(&params, n, schedule_seed(seed));
+        let line: Vec<String> = classes.iter().map(|(c, k)| format!("{k} {c}")).collect();
+        let failed: usize = classes.values().sum();
+        println!("seed {seed}: {failed} of {n} failed  {}", line.join(", "));
+        for (class, k) in classes {
+            *total.entry(class).or_insert(0) += k;
+        }
+    }
+    println!(
+        "{} of {} schedules failed (seeds {first}..{last}, {n} each{}), by the class of the first failure:",
+        total.values().sum::<usize>(),
+        n as u64 * (last - first + 1),
+        if journal { ", group log on" } else { "" }
+    );
+    for (class, k) in total {
+        println!("{k:>7}  {class}");
+    }
+    ExitCode::SUCCESS
 }
 
 /// The schedule that resurrects the historical stall: a packet-loss

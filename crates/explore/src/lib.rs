@@ -57,4 +57,4 @@ pub mod search;
 
 pub use scenario::{run_scenario, RunMode, ScenarioParams, ScenarioReport};
 pub use schedule::{FaultKind, FaultSchedule, Injection};
-pub use search::{shrink, sweep, ReproBundle, SweepReport};
+pub use search::{shrink, sweep, tally, ReproBundle, SweepReport};

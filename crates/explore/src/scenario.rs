@@ -199,6 +199,28 @@ impl ScenarioReport {
         !self.invariant_failures.is_empty() || self.panic.is_some()
     }
 
+    /// The class of the first failure: its kind, without the client,
+    /// shard, replica or object it names. What a tally of many failing
+    /// runs counts (`explore tally`). A clean run is `"ok"`.
+    pub fn class(&self) -> &'static str {
+        const CLASSES: [(&str, &str); 6] = [
+            ("unreadable after settle", "acked write unreadable"),
+            ("invisible to own lookup", "acked append invisible"),
+            ("did not finish its workload", "client did not finish"),
+            ("checker did not finish", "checker did not finish"),
+            ("not normal after settle", "replica not normal"),
+            ("update_seq diverged", "update_seq diverged"),
+        ];
+        match (&self.panic, self.invariant_failures.first()) {
+            (Some(_), _) => "panic",
+            (None, None) => "ok",
+            (None, Some(first)) => CLASSES
+                .iter()
+                .find(|(says, _)| first.contains(says))
+                .map_or("other", |&(_, class)| class),
+        }
+    }
+
     /// A one-line summary of the outcome.
     pub fn summary(&self) -> String {
         if let Some(p) = &self.panic {
