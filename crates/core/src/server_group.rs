@@ -91,7 +91,9 @@ pub(crate) fn start_group_server(
     // lease holder must cost the write a couple of short attempts, not
     // the default 100-second client retry budget — the fallback for an
     // unreachable holder is waiting out its lease, which `max_lease`
-    // caps.
+    // caps. The enquiry interval clamps to `reply_timeout` minus the
+    // 20 ms window, so a silent holder is dropped 20 + 2 × 20 = 60 ms
+    // after each send, and no attempt outlives 80 ms.
     let inval = RpcClient::with_params(
         &deps.rpc,
         RpcParams {

@@ -44,8 +44,8 @@ fn known_bug_schedule() -> FaultSchedule {
 /// can stall after a faulted run with its published cursor behind the
 /// group (ROADMAP item 2): a read it takes waits in `read_barrier` for
 /// good, and its kernel answers every enquiry about that read with
-/// `Working`. The client must still finish, because `Working` buys an
-/// attempt one more reply timeout and no more; this seed and schedule
+/// `Working`. The client must still finish, because an attempt ends two
+/// reply timeouts after its send whatever the answers; this seed and schedule
 /// are where such a stall was first seen. `rpc_behavior.rs` pins the
 /// bound itself.
 #[test]

@@ -11,17 +11,30 @@ use crate::error::RpcError;
 use crate::msg::RpcMsg;
 use crate::node::{CallEvent, RpcNode, RPC_PORT};
 
+/// How long a call may go without word from its server before the
+/// client asks the server's kernel whether a thread still holds it.
+/// Longer than any call of the paper's deployment below saturation, so
+/// that deployment sends no enquiry; clamped to `reply_timeout` minus
+/// the enquiry window for clients with shorter timeouts.
+const ENQUIRY_INTERVAL: Duration = Duration::from_millis(200);
+
+/// Enquiries in a row that must each go unanswered within the window
+/// before the server is taken for silent: one lost packet does not
+/// evict a live server.
+const SILENT_ENQUIRIES: u32 = 2;
+
 /// Tunables for the client transaction logic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RpcParams {
     /// How long to wait for a HEREIS after broadcasting a locate. Also
-    /// the enquiry window, clamped to half of `reply_timeout`: a reply
-    /// that is late by `reply_timeout` minus the window sends an enquiry,
-    /// and the server's kernel has the window to answer it.
+    /// the enquiry window, clamped to half of `reply_timeout`: an
+    /// enquiry the server's kernel has not answered within it counts as
+    /// unanswered.
     pub locate_timeout: Duration,
-    /// How long a server may stay silent before it is taken for crashed.
-    /// A server that answers the enquiry with `Working` gets one more
-    /// `reply_timeout`, so an attempt waits at most twice this long.
+    /// Bounds one attempt: whatever the server's kernel answers, an
+    /// attempt ends 2 × `reply_timeout` after its send. A crashed server
+    /// is found by enquiries, not by this timeout; it only clamps the
+    /// enquiry interval to `reply_timeout` minus the window.
     pub reply_timeout: Duration,
     /// Attempts (locates + sends) before giving up; each waits at most
     /// 2 × `reply_timeout` for its reply.
@@ -52,11 +65,13 @@ impl Default for RpcParams {
 ///   skips it for the rest of the call; the client re-locates only once
 ///   every cached server has refused it. After that locate, the cached
 ///   servers get another turn before the next one.
-/// * **A late reply** sends an enquiry to the server's kernel. `Working`
-///   (a thread holds the call) buys the attempt one more `reply_timeout`;
-///   no answer is silence: the server is evicted and the request re-sent.
-///   Crash detection therefore still takes `reply_timeout`, and the
-///   worst-case wait per attempt is 2 × `reply_timeout`.
+/// * **No word for 200 ms** (`ENQUIRY_INTERVAL`) sends an enquiry to the
+///   server's kernel. `Working` (a thread holds the call) starts a fresh
+///   200 ms; two enquiries in a row unanswered within the window are
+///   silence: the server is evicted and the request re-sent. A crashed
+///   server is thus dropped 200 ms + 2 × 60 ms = 320 ms after the send
+///   under the default parameters, and an attempt ends 2 ×
+///   `reply_timeout` after its send whatever the answers.
 #[derive(Debug, Clone)]
 pub struct RpcClient {
     node: RpcNode,
@@ -169,10 +184,10 @@ impl RpcClient {
         })
     }
 
-    /// Waits for the reply or refusal of call `tid` at `server`. A reply
-    /// late by `reply_timeout` minus the enquiry window sends one
-    /// enquiry; a `Working` answer moves the deadline from `reply_timeout`
-    /// to 2 × `reply_timeout` after the send, once.
+    /// Waits for the reply or refusal of call `tid` at `server`. After
+    /// `ENQUIRY_INTERVAL` without word it enquires; a `Working` answer
+    /// starts a fresh interval, and `SILENT_ENQUIRIES` unanswered in a row
+    /// are silence. The attempt ends 2 × `reply_timeout` after the send.
     fn await_reply(
         &self,
         ctx: &Ctx,
@@ -182,25 +197,23 @@ impl RpcClient {
     ) -> Attempt {
         let reply_timeout = self.params.reply_timeout;
         let window = self.params.locate_timeout.min(reply_timeout / 2);
-        let sent = ctx.now();
-        let mut deadline = sent + (reply_timeout - window);
-        let mut enquired = false;
-        let mut extended = false;
+        let interval = ENQUIRY_INTERVAL.min(reply_timeout - window);
+        let end = ctx.now() + 2 * reply_timeout;
+        let mut deadline = ctx.now() + interval;
+        let mut unanswered = 0;
         loop {
-            match rx.recv_deadline(ctx, deadline) {
+            match rx.recv_deadline(ctx, deadline.min(end)) {
                 Some(CallEvent::Working) => {
-                    if !extended {
-                        count(ctx, "rpc.working");
-                        extended = true;
-                        deadline = sent + 2 * reply_timeout;
-                    }
+                    count(ctx, "rpc.working");
+                    unanswered = 0;
+                    deadline = ctx.now() + interval;
                 }
                 Some(CallEvent::Reply(data)) => return Attempt::Reply(data),
                 Some(CallEvent::NotHere) => return Attempt::NotHere,
-                None if !enquired => {
+                None if unanswered < SILENT_ENQUIRIES && ctx.now() < end => {
                     count(ctx, "rpc.enquiries");
-                    enquired = true;
-                    deadline = sent + reply_timeout;
+                    unanswered += 1;
+                    deadline = ctx.now() + window;
                     self.node.stack().send(
                         Dest::Unicast(server),
                         RPC_PORT,
@@ -264,7 +277,8 @@ impl RpcClient {
 enum Attempt {
     Reply(Payload),
     NotHere,
-    /// No reply, and no `Working` answer that bought more time.
+    /// Enquiries went unanswered, or the attempt ran out its
+    /// 2 × `reply_timeout`.
     Silence,
 }
 

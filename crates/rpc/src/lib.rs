@@ -20,12 +20,16 @@
 //!   back of its port cache and tries the next cached one, and re-locates
 //!   only once every cached server has refused the call (each locate
 //!   gives the cached servers another turn).
-//! * **Enquiry**: a reply late by `reply_timeout` minus a short window
+//! * **Enquiry**: a call that has had no word from its server for 200 ms
 //!   makes the client ask the server's kernel whether a thread still holds
-//!   the call. `Working` buys the attempt one more `reply_timeout`; no
-//!   answer is silence, and only silence evicts a server and re-sends.
-//!   Crash detection still takes `reply_timeout`; the worst-case wait per
-//!   attempt is 2 × `reply_timeout`.
+//!   the call (as Amoeba's kernel finds a dead server, rather than by
+//!   timing the call out). `Working` starts a fresh 200 ms; two enquiries
+//!   in a row unanswered within a short window (min(`locate_timeout`,
+//!   `reply_timeout`/2), 60 ms by default) are silence, and only silence
+//!   evicts a server and re-sends. A crashed server is dropped 320 ms
+//!   after the send by default. The interval is clamped to
+//!   `reply_timeout` minus the window, and an attempt ends 2 ×
+//!   `reply_timeout` after its send whatever the answers.
 //!
 //! The client counts `rpc.locates`, `rpc.locate_timeouts`, `rpc.nothere`,
 //! `rpc.enquiries`, `rpc.working` and `rpc.silences` in the telemetry

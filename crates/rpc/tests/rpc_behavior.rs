@@ -156,8 +156,9 @@ fn counter(tele: &Telemetry, name: &str) -> u64 {
     tele.metrics().counters.get(name).copied().unwrap_or(0)
 }
 
-/// A reply 300 ms later than `reply_timeout`: the enquiry finds the
-/// request held by a thread, so the client waits instead of resending.
+/// A reply 800 ms after the send: each enquiry, 200 ms after the last
+/// word, finds the request held by a thread, so the client waits
+/// instead of resending.
 #[test]
 fn a_server_that_takes_800_ms_is_handled_once_and_stays_cached() {
     let mut sim = Simulation::new(5);
@@ -179,16 +180,17 @@ fn a_server_that_takes_800_ms_is_handled_once_and_stays_cached() {
     assert!(took < Duration::from_millis(850), "{took:?}");
     assert_eq!(*handled.borrow_mut(), 1, "handled exactly once");
     assert_eq!(cached, [s.node.addr()], "a slow server stays cached");
-    assert_eq!(counter(&tele, "rpc.enquiries"), 1);
-    assert_eq!(counter(&tele, "rpc.working"), 1);
+    assert_eq!(counter(&tele, "rpc.enquiries"), 3);
+    assert_eq!(counter(&tele, "rpc.working"), 3);
     assert_eq!(counter(&tele, "rpc.silences"), 0);
 }
 
-/// A crashed server's kernel answers no enquiry: the client abandons it
-/// `reply_timeout` after the send, as it did before enquiries existed,
-/// and the next server answers.
+/// A crashed server's kernel answers no enquiry: the client enquires
+/// 200 ms after the send, again when the 60 ms window passes, and
+/// abandons the server when the second window passes, 320 ms after the
+/// send. The next server answers.
 #[test]
-fn a_crashed_server_is_abandoned_after_reply_timeout() {
+fn a_crashed_server_is_abandoned_after_two_unanswered_enquiries() {
     let mut sim = Simulation::new(3);
     let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 2);
     let service = Port::from_name("echo");
@@ -221,14 +223,63 @@ fn a_crashed_server_is_abandoned_after_reply_timeout() {
     sim.run_for(Duration::from_secs(5));
     let (crashed, served_by, took, cached) = out.take().unwrap();
     assert_ne!(served_by, crashed);
-    let reply_timeout = RpcParams::default().reply_timeout;
-    assert!(took >= reply_timeout, "{took:?}");
-    assert!(took < reply_timeout + Duration::from_millis(20), "{took:?}");
+    assert!(took >= Duration::from_millis(320), "{took:?}");
+    assert!(took < Duration::from_millis(340), "{took:?}");
     assert_eq!(cached, [served_by], "the silent server is evicted");
 }
 
-/// A kernel that answers every enquiry with `Working` buys the attempt
-/// one more `reply_timeout`, and no more.
+/// One lost answer is not silence: a live server cut off from the
+/// client for its first enquiry's window answers the second, stays
+/// cached and handles the call once. (The host is isolated, not set
+/// down: a host set down forgets its ports, as a crashed one does.)
+#[test]
+fn a_live_server_whose_first_enquiry_answer_is_lost_stays_cached() {
+    let mut sim = Simulation::new(17);
+    let tele = Telemetry::install(&sim.handle());
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 2);
+    let service = Port::from_name("slow");
+    let s = host(&sim, &net, "server");
+    let handled = slow_server(&sim, &s, service, Duration::from_millis(300));
+    let c = host(&sim, &net, "client");
+    let client = RpcClient::new(&c.node);
+    let node = c.node.clone();
+    let probe = tele.clone();
+    // A first call locates the server; the second is sent at 1 s, so
+    // its first enquiry goes at 1.2 s and its window ends at 1.26 s.
+    let sent = amoeba_sim::SimTime::from_millis(1_000);
+    let out = sim.spawn("client", move |ctx| {
+        client.trans(ctx, service, vec![0]).unwrap();
+        ctx.sleep_until(sent);
+        let enquiries = counter(&probe, "rpc.enquiries");
+        let working = counter(&probe, "rpc.working");
+        let (r, took) = timed_trans(ctx, &client, service);
+        (
+            r.is_ok(),
+            took,
+            node.cached_servers(service),
+            counter(&probe, "rpc.enquiries") - enquiries,
+            counter(&probe, "rpc.working") - working,
+        )
+    });
+    let server = s.node.addr();
+    sim.spawn("chaos", move |ctx| {
+        ctx.sleep_until(sent + Duration::from_millis(190));
+        net.isolate(&[server]);
+        ctx.sleep_until(sent + Duration::from_millis(255));
+        net.heal();
+    });
+    sim.run_for(Duration::from_secs(5));
+    let (ok, took, cached, enquiries, working) = out.take().unwrap();
+    assert!(ok);
+    assert!(took < Duration::from_millis(350), "{took:?}");
+    assert_eq!(*handled.borrow_mut(), 2, "the second call handled once");
+    assert_eq!(cached, [server], "a live server stays cached");
+    assert_eq!((enquiries, working), (2, 1), "the first answer was lost");
+    assert_eq!(counter(&tele, "rpc.silences"), 0);
+}
+
+/// A kernel that answers every enquiry with `Working` keeps the attempt
+/// alive until 2 × `reply_timeout` after the send, and no longer.
 #[test]
 fn a_server_that_answers_working_forever_is_abandoned_within_two_reply_timeouts() {
     let mut sim = Simulation::new(9);
@@ -254,7 +305,8 @@ fn a_server_that_answers_working_forever_is_abandoned_within_two_reply_timeouts(
         took < 2 * reply_timeout + Duration::from_millis(20),
         "{took:?}"
     );
-    assert_eq!(counter(&tele, "rpc.working"), 1);
+    assert_eq!(counter(&tele, "rpc.enquiries"), 4);
+    assert_eq!(counter(&tele, "rpc.working"), 4);
     assert_eq!(counter(&tele, "rpc.silences"), 1);
 }
 

@@ -496,3 +496,36 @@ fn one_crash_costs_failure_detection_and_no_vote_window() {
         );
     }
 }
+
+/// A client whose cached server crashes finds it silent by enquiry, not
+/// by timing the call out: two unanswered enquiries drop the server 320
+/// ms after the send, and the lookup re-sent to a survivor finishes
+/// within 450 ms. Waiting out the 500 ms reply timeout took longer.
+/// Each replica in turn is the victim, so one run crashes the server the
+/// client has cached.
+#[test]
+fn a_lookup_at_a_crashed_cached_server_moves_on_within_450_ms() {
+    let took: Vec<Duration> = (0..3)
+        .map(|victim| {
+            let (mut sim, cluster, client, root) = form_cluster(41);
+            let warm = client.clone();
+            let warm = sim.spawn("warm", move |ctx| warm.lookup(ctx, root, "x").is_ok());
+            sim.run_for(Duration::from_secs(1));
+            assert_eq!(warm.take(), Some(true));
+            cluster.crash_server(&sim, victim);
+            let lookup = sim.spawn("lookup", move |ctx| {
+                let start = ctx.now();
+                client.lookup(ctx, root, "x").expect("the survivors answer");
+                ctx.now().saturating_since(start)
+            });
+            sim.run_for(Duration::from_secs(3));
+            lookup.take().expect("the lookup finished")
+        })
+        .collect();
+    let slowest = *took.iter().max().unwrap();
+    assert!(
+        slowest >= Duration::from_millis(320),
+        "no victim was the cached server: {took:?}"
+    );
+    assert!(slowest < Duration::from_millis(450), "{took:?}");
+}

@@ -11,9 +11,9 @@ use amoeba_explore::schedule::{FaultKind, FaultSchedule, Injection};
 
 /// Mirrors `crates/explore/tests/explore_search.rs`: a faulted run at the
 /// seed and schedule where a replica was first seen to stall with its
-/// reads held in `read_barrier` must still finish clean, because a
-/// `Working` answer buys an RPC attempt one more reply timeout and no
-/// more.
+/// reads held in `read_barrier` must still finish clean, because an RPC
+/// attempt ends two reply timeouts after its send whatever `Working`
+/// answers its enquiries get.
 #[test]
 fn fixed_service_finishes_the_known_bug_schedule_at_seed_3() {
     let degrade = |at_ms, dur_ms, loss_pm, dup_pm| Injection {
