@@ -192,6 +192,12 @@ pub struct ClusterParams {
 impl ClusterParams {
     /// The paper's configuration for a variant, storage included: in
     /// place (§3.1), or the NVRAM log for [`Variant::GroupNvram`] (§4.1).
+    /// Recovery is Skeen's last-set rule (Fig. 6). §3.2's improved
+    /// two-server rule is not reproduced: as built it let two replicas
+    /// re-form without a third that held a later operation, and
+    /// `tests/fault_tolerance.rs`'s two
+    /// `a_loss_window_at_sweep_seed_32_*` tests are the schedules that
+    /// showed it.
     pub fn paper(variant: Variant) -> ClusterParams {
         let mut dir = DirParams {
             storage: StorageKind::InPlace,

@@ -172,8 +172,6 @@ pub struct DirParams {
     /// CPU time the group thread spends applying one update (besides
     /// storage operations).
     pub apply_cpu: Duration,
-    /// Enable the §3.2 improved two-server recovery rule.
-    pub improved_recovery: bool,
     /// The commit path and its device's parameters, for the group
     /// variants only: a [`Cluster`](crate::cluster::Cluster) refuses any
     /// kind but `InPlace` on the RPC and NFS-like baselines, which write
@@ -191,7 +189,6 @@ impl Default for DirParams {
             read_cpu: Duration::from_micros(3_000),
             write_cpu: Duration::from_micros(1_000),
             apply_cpu: Duration::from_micros(500),
-            improved_recovery: false,
             storage: StorageKind::InPlace,
             max_lease: Duration::from_millis(400),
         }

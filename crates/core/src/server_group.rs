@@ -47,13 +47,12 @@ impl std::fmt::Debug for GroupDirServer {
     }
 }
 
-/// Maps the directory service's parameters onto the generic driver's.
+/// Maps a replica's service configuration onto the generic driver's.
 /// Each shard derives its ports from its own service name, so every
 /// shard forms its own group with its own sequencer.
-fn rsm_config(cfg: &ServiceConfig, params: &DirParams) -> RsmConfig {
-    let mut rsm = RsmConfig::new(&cfg.service, cfg.n, cfg.me);
+fn rsm_config(cfg: &ServiceConfig) -> RsmConfig {
+    let rsm = RsmConfig::new(&cfg.service, cfg.n, cfg.me);
     debug_assert_eq!(rsm.internal_ports[cfg.me], cfg.internal_port(cfg.me));
-    rsm.improved_recovery = params.improved_recovery;
     rsm
 }
 
@@ -75,7 +74,7 @@ pub(crate) fn start_group_server(
     let replica = Replica::start(
         spawner,
         ReplicaDeps {
-            cfg: rsm_config(&deps.cfg, &deps.params),
+            cfg: rsm_config(&deps.cfg),
             sim_node: deps.sim_node,
             rpc: deps.rpc.clone(),
             peer,

@@ -3,8 +3,8 @@
 use amoeba_flip::Port;
 
 /// Everything the [`Replica`](crate::Replica) driver needs to know
-/// about the deployment: who the replicas are, which ports they use,
-/// and the recovery rule.
+/// about the deployment: who the replicas are and which ports they
+/// use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsmConfig {
     /// Total number of replicas.
@@ -16,10 +16,6 @@ pub struct RsmConfig {
     /// The internal (replica-to-replica) RPC port of each replica,
     /// used by the recovery protocol's exchanges and state transfer.
     pub internal_ports: Vec<Port>,
-    /// Enable the §3.2 improved rule: a replica that stayed up and
-    /// holds the highest sequence number may recover even when the
-    /// strict last-set check fails.
-    pub improved_recovery: bool,
 }
 
 impl RsmConfig {
@@ -39,7 +35,6 @@ impl RsmConfig {
             internal_ports: (0..n)
                 .map(|i| Port::from_name(&format!("{service}.internal.{i}")))
                 .collect(),
-            improved_recovery: false,
         }
     }
 

@@ -16,8 +16,9 @@
 //! * the group event loop (`ReceiveFromGroup`), including reset on
 //!   failure and fallback to full recovery;
 //! * the Fig. 6 recovery protocol: mourned-set exchange over internal
-//!   RPC, last-set check (with the §3.2 improved two-server rule),
-//!   choice of the most up-to-date member, state fetch/install;
+//!   RPC, Skeen's last-set check (the only rule: §3.2's improved
+//!   two-server rule is not reproduced), choice of the most up-to-date
+//!   member, state fetch/install;
 //! * recovery's bookkeeping: the replica's **configuration vector**
 //!   (loaded once from [`StateMachine::boot`], replaced at every
 //!   membership change and every entry into service), the **mourned

@@ -17,9 +17,16 @@
 //! ([`StateMachine::snapshot`] → [`StateMachine::install`]); a
 //! [`persist`](StateMachine::persist) with the copy mark set guards the
 //! copy phase against a crash mid-copy, and one with it clear records
-//! the configuration the replica enters service in. The optional
-//! improved rule (§3.2 end) lets a replica that stayed up pair with a
-//! rebooted one even when the strict last-set check fails.
+//! the configuration the replica enters service in.
+//!
+//! This strict last-set check is the only rule. §3.2 ends with an
+//! improved one, under which a replica that stayed up may re-form with
+//! a single rebooted peer; it is not reproduced. "Stayed up" would have
+//! to mean "up since the last update any missing replica performed",
+//! and nothing a replica holds tells it that: a loss window that trips
+//! the failure detector collapses the group without a crash, and two
+//! replicas that re-form on their own may miss an operation the third
+//! performed.
 
 use std::cell::RefCell;
 use std::time::Duration;
@@ -53,25 +60,16 @@ wire_enum! {
     /// state itself is an opaque [`StateMachine`]-encoded payload.
     #[derive(Debug, Clone, PartialEq)]
     pub enum InternalMsg {
-        /// "exchange info with server s": my mourned set and version.
-        1 => Exchange {
-            /// The asking replica's index.
-            from: u32,
-            /// Its mourned set, one flag per replica.
-            mourned: Vec<bool>,
-            /// Its logical version.
-            update_seq: u64,
-            /// Whether it stayed up through the failure (§3.2 improved rule).
-            stayed_up: bool,
-        },
+        /// "exchange info with server s": asks for its mourned set and
+        /// version. The asker sends nothing of its own: each replica
+        /// merges only the answers to its own exchanges.
+        1 => Exchange,
         /// The answer to an [`Exchange`](InternalMsg::Exchange).
         2 => ExchangeReply {
             /// The answering replica's mourned set.
             mourned: Vec<bool>,
             /// Its logical version.
             update_seq: u64,
-            /// Whether it stayed up through the failure.
-            stayed_up: bool,
         },
         /// "get copies of latest version of the state from s".
         3 => Fetch,
@@ -101,14 +99,10 @@ pub(crate) fn serve_internal<S: StateMachine>(
     loop {
         let incoming = srv.getreq(ctx);
         let reply = match InternalMsg::decode_shared(&incoming.data) {
-            Ok(InternalMsg::Exchange { .. }) => {
-                let shared = shared.borrow();
-                InternalMsg::ExchangeReply {
-                    mourned: mourned_set(&shared, n),
-                    update_seq: sm.version(),
-                    stayed_up: shared.stayed_up,
-                }
-            }
+            Ok(InternalMsg::Exchange) => InternalMsg::ExchangeReply {
+                mourned: mourned_set(&shared.borrow(), n),
+                update_seq: sm.version(),
+            },
             Ok(InternalMsg::Fetch) => {
                 // The machine reads cursor + state in one critical
                 // section, so the installer can skip exactly the
@@ -186,14 +180,11 @@ pub(crate) fn run_recovery<S: StateMachine>(
         // and rebuilding from scratch.
         let skeen_deadline = ctx.now() + MAJORITY_TIMEOUT * 2;
         let outcome = loop {
-            let (mut mourned, my_seq, my_stayed) = {
-                let shared = shared.borrow();
-                (mourned_set(&shared, cfg.n), sm.version(), shared.stayed_up)
-            };
+            let mut mourned = mourned_set(&shared.borrow(), cfg.n);
             let mut newgroup = vec![false; cfg.n];
             newgroup[cfg.me] = true;
-            let mut seqs: Vec<Option<(u64, bool)>> = vec![None; cfg.n];
-            seqs[cfg.me] = Some((my_seq, my_stayed));
+            let mut seqs: Vec<Option<u64>> = vec![None; cfg.n];
+            seqs[cfg.me] = Some(sm.version());
 
             let members: Vec<usize> = match group.info() {
                 Ok(i) if !i.failed => i
@@ -206,24 +197,17 @@ pub(crate) fn run_recovery<S: StateMachine>(
                 _ => break None,
             };
             for s in members {
-                let req = InternalMsg::Exchange {
-                    from: cfg.me as u32,
-                    mourned: mourned.clone(),
-                    update_seq: my_seq,
-                    stayed_up: my_stayed,
-                };
-                match rpc.trans(ctx, cfg.internal_ports[s], req.encode()) {
+                match rpc.trans(ctx, cfg.internal_ports[s], InternalMsg::Exchange.encode()) {
                     Ok(bytes) => {
                         if let Ok(InternalMsg::ExchangeReply {
                             mourned: theirs,
                             update_seq,
-                            stayed_up,
                         }) = InternalMsg::decode_shared(&bytes)
                         {
                             // "newgroup[s] = 1; SequenceNo[s] = SeqNr;
                             //  mourned set += received mourned set".
                             newgroup[s] = true;
-                            seqs[s] = Some((update_seq, stayed_up));
+                            seqs[s] = Some(update_seq);
                             for (i, m) in theirs.iter().enumerate() {
                                 if *m && i < cfg.n {
                                     mourned[i] = true;
@@ -246,22 +230,7 @@ pub(crate) fn run_recovery<S: StateMachine>(
 
             // "last = all servers − mourned set;
             //  if (last is not subset of new group) try again".
-            let last: Vec<usize> = (0..cfg.n).filter(|i| !mourned[*i]).collect();
-            let last_ok = last.iter().all(|i| newgroup[*i]);
-            let improved_ok = if last_ok {
-                true
-            } else if cfg.improved_recovery {
-                // §3.2: a replica that stayed up holds every update the
-                // missing replicas could have performed, provided it
-                // has the highest version among the assembled group.
-                let max_seq = seqs.iter().flatten().map(|(s, _)| *s).max().unwrap_or(0);
-                seqs.iter()
-                    .flatten()
-                    .any(|(s, stayed)| *stayed && *s >= max_seq)
-            } else {
-                false
-            };
-            if improved_ok {
+            if (0..cfg.n).all(|i| mourned[i] || newgroup[i]) {
                 break Some((newgroup, seqs));
             }
             if ctx.now() >= skeen_deadline {
@@ -283,11 +252,11 @@ pub(crate) fn run_recovery<S: StateMachine>(
         };
 
         // "s = HighestSeq(SequenceNo); get copies from s".
-        let my_seq = seqs[cfg.me].map(|(s, _)| s).unwrap_or(0);
+        let my_seq = seqs[cfg.me].unwrap_or(0);
         let (best, best_seq) = seqs
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.map(|(seq, _)| (i, seq)))
+            .filter_map(|(i, s)| s.map(|seq| (i, seq)))
             .max_by_key(|(i, seq)| (*seq, usize::MAX - *i))
             .expect("at least ourselves");
         if best != cfg.me && best_seq > my_seq {

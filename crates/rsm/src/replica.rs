@@ -89,8 +89,6 @@ pub(crate) struct DriverShared {
     /// group-commit flush. Durable submitters wait on this, never on the
     /// raw apply cursor, so they cannot observe un-flushed state.
     pub published_seq: SeqNo,
-    /// Continuously up since last being in a majority configuration.
-    pub stayed_up: bool,
     /// Readers and ordered-only submitters waiting for `applied_seq` to
     /// reach a target.
     pub readers: Vec<(SeqNo, MailboxTx<Wake>)>,
@@ -114,7 +112,6 @@ impl DriverShared {
             stats: ReplicaStats::default(),
             applied_seq: 0,
             published_seq: 0,
-            stayed_up: false,
             readers: Vec::new(),
             waiters: Vec::new(),
             results: IdMap::default(),
@@ -131,7 +128,6 @@ impl DriverShared {
     fn enter_instance(&mut self, group: Rc<Group>) {
         self.group = Some(group);
         self.mode = Mode::Normal;
-        self.stayed_up = true;
         self.stats.recoveries += 1;
         self.results.clear();
     }

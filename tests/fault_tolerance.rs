@@ -3,9 +3,14 @@
 use std::time::Duration;
 
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
-use amoeba_dirsvc::dir::{Capability, CommitBlock, DirClient, Rights};
+use amoeba_dirsvc::dir::{Capability, CommitBlock, DirClient, Rights, ServiceConfig};
+use amoeba_dirsvc::flip::wire::Wire;
 use amoeba_dirsvc::group::GroupStats;
+use amoeba_dirsvc::rsm::InternalMsg;
 use amoeba_dirsvc::sim::{Ctx, Simulation};
+use amoeba_explore::scenario::{run_scenario, RunMode, ScenarioParams};
+use amoeba_explore::schedule::{FaultKind, FaultSchedule, Injection};
+use amoeba_testkit::unhex;
 
 fn ready_root(ctx: &Ctx, client: &DirClient) -> Capability {
     loop {
@@ -120,44 +125,6 @@ fn two_simultaneous_crashes_require_all_servers_back() {
         Some(true),
         "service resumed with full last set"
     );
-}
-
-#[test]
-fn improved_rule_lets_a_stayed_up_server_recover_with_one_reboot() {
-    // §3.2's improvement: server 0 never crashed, so it has every update
-    // servers 1/2 could have performed; with the improved rule enabled it
-    // may pair with a rebooted server instead of waiting for both.
-    let mut sim = Simulation::new(45);
-    let mut params = ClusterParams::paper(Variant::Group);
-    params.dir.improved_recovery = true;
-    let mut cluster = Cluster::start(&sim, params);
-    let (client, _) = cluster.client(&sim);
-    let c2 = client.clone();
-    let setup = sim.spawn("setup", move |ctx| {
-        let root = ready_root(ctx, &c2);
-        c2.append_row(ctx, root, "kept", root, vec![Rights::ALL])
-            .unwrap();
-        root
-    });
-    sim.run_for(Duration::from_secs(20));
-    let root = setup.take().expect("formed");
-
-    cluster.crash_server(&sim, 1);
-    cluster.crash_server(&sim, 2);
-    sim.run_for(Duration::from_secs(5));
-    // Only server 1 returns; server 0 stayed up with the newest state.
-    cluster.restart_server(&sim, 1);
-    sim.run_for(Duration::from_secs(30));
-    assert!(
-        cluster.group_server(0).is_normal(),
-        "improved rule: stayed-up server 0 + rebooted server 1 may serve"
-    );
-    let c3 = client.clone();
-    let check = sim.spawn("check", move |ctx| {
-        c3.lookup(ctx, root, "kept").unwrap().is_some()
-    });
-    sim.run_for(Duration::from_secs(10));
-    assert_eq!(check.take(), Some(true), "no update was lost");
 }
 
 #[test]
@@ -281,20 +248,19 @@ fn updates_written_while_one_server_down_reach_it_after_recovery() {
     );
 }
 
-/// Majority loss with a stayed-up survivor, under the §3.2 improved
-/// rule: the group re-forms as a **new instance** whose sequence numbers
-/// restart. Replica 1 reboots first and re-forms it with replica 0; only
-/// then does replica 2 come back. Every replica keeps its disk, so each
-/// is among the most current and none copies a peer's state: each must
-/// re-align its own applied cursor to the new instance, or it would
-/// take the new instance's first operations for ones it had already
-/// applied and silently skip them.
+/// Majority loss with a survivor: the group re-forms as a **new
+/// instance** whose sequence numbers restart. Replica 1 reboots first,
+/// but the last-set rule keeps it and replica 0 out of service until
+/// replica 2, which may have performed the last update, comes back too.
+/// Every replica keeps its disk, so each is among the most current and
+/// none copies a peer's state: each must re-align its own applied
+/// cursor to the new instance, or it would take the new instance's
+/// first operations for ones it had already applied and silently skip
+/// them.
 #[test]
 fn new_instance_after_majority_loss_does_not_skip_operations() {
     let mut sim = Simulation::new(107);
-    let mut params = ClusterParams::paper(Variant::Group);
-    params.dir.improved_recovery = true;
-    let mut cluster = Cluster::start(&sim, params);
+    let mut cluster = Cluster::start(&sim, ClusterParams::paper(Variant::Group));
     let (client, _) = cluster.client(&sim);
     let c2 = client.clone();
     let formed = sim.spawn("form", move |ctx| ready_root(ctx, &c2));
@@ -311,8 +277,10 @@ fn new_instance_after_majority_loss_does_not_skip_operations() {
     sim.run_for(Duration::from_secs(5));
     cluster.restart_server(&sim, 1);
     sim.run_for(Duration::from_secs(60));
-    assert!(cluster.group_server(0).is_normal(), "survivor not serving");
-    assert!(cluster.group_server(1).is_normal(), "replica 1 not serving");
+    assert!(
+        !cluster.group_server(0).is_normal(),
+        "the survivor serves without replica 2, which may hold the last update"
+    );
     cluster.restart_server(&sim, 2);
     sim.run_for(Duration::from_secs(60));
 
@@ -528,4 +496,82 @@ fn a_lookup_at_a_crashed_cached_server_moves_on_within_450_ms() {
         "no victim was the cached server: {took:?}"
     );
     assert!(slowest < Duration::from_millis(450), "{took:?}");
+}
+
+/// Runs the small sweep deployment at seed 32 under one loss window.
+fn sweep_seed_32_under(at_ms: u64, dur_ms: u64, loss_pm: u16, dup_pm: u16, jitter_pm: u16) {
+    let schedule = FaultSchedule::new(vec![Injection {
+        at_ms,
+        dur_ms,
+        kind: FaultKind::Degrade {
+            loss_pm,
+            dup_pm,
+            jitter_pm,
+        },
+    }]);
+    let report = run_scenario(&ScenarioParams::small(32), &schedule, RunMode::Fast);
+    assert!(!report.failed(), "{}", report.summary());
+    assert!(report.acked_writes > 0, "a vacuous run");
+}
+
+/// A loss window late in the write phase trips the failure detector and
+/// collapses the group with no replica crashed. The last-set rule
+/// re-forms it with every replica that may hold the last update; §3.2's
+/// improved rule, which let any replica that had served since boot
+/// re-form with one peer, left the three at `update_seq` [21, 22, 21].
+#[test]
+fn a_loss_window_at_sweep_seed_32_late_leaves_the_replicas_agreed() {
+    sweep_seed_32_under(7_801, 3_283, 285, 60, 79);
+}
+
+/// The same as
+/// [`a_loss_window_at_sweep_seed_32_late_leaves_the_replicas_agreed`]
+/// for a window early in the writes, where the improved rule left
+/// [14, 13, 13].
+#[test]
+fn a_loss_window_at_sweep_seed_32_early_leaves_the_replicas_agreed() {
+    sweep_seed_32_under(4_018, 3_543, 206, 45, 143);
+}
+
+/// Malformed requests on a replica's internal (recovery) port are
+/// answered `Busy`, and the replica keeps serving: garbage, a reply
+/// sent as a request, and an exchange carrying a body (the request is
+/// a bare tag, so its trailing bytes are refused).
+#[test]
+fn the_internal_port_answers_malformed_requests_busy() {
+    let (mut sim, mut cluster, client, root) = form_cluster(53);
+    let (_, rpc, _) = cluster.client_machine(&sim);
+    let port = ServiceConfig::new(3, 0).internal_port(0);
+    let requests: Vec<Vec<u8>> = vec![
+        vec![0xFF; 7],
+        InternalMsg::ExchangeReply {
+            mourned: vec![false; 3],
+            update_seq: 4,
+        }
+        .encode()
+        .to_vec(),
+        unhex("010100000003000100090000000000000001"),
+    ];
+    let answers = sim.spawn("probe", move |ctx| {
+        requests
+            .into_iter()
+            .map(|req| {
+                let reply = rpc.trans(ctx, port, req).expect("an answer");
+                InternalMsg::decode_shared(&reply).ok()
+            })
+            .collect::<Vec<_>>()
+    });
+    sim.run_for(Duration::from_secs(5));
+    assert_eq!(answers.take(), Some(vec![Some(InternalMsg::Busy); 3]));
+    assert!(
+        cluster.group_server(0).is_normal(),
+        "replica 0 left service"
+    );
+    let c2 = client.clone();
+    let write = sim.spawn("write", move |ctx| {
+        c2.append_row(ctx, root, "after", root, vec![Rights::ALL])
+            .is_ok()
+    });
+    sim.run_for(Duration::from_secs(5));
+    assert_eq!(write.take(), Some(true), "the service kept serving");
 }

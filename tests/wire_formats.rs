@@ -1231,22 +1231,13 @@ fn bullet_replies() -> Vec<(BulletReply, &'static str)> {
 
 fn internal_msgs() -> Vec<(InternalMsg, &'static str)> {
     vec![
-        (
-            InternalMsg::Exchange {
-                from: 1,
-                mourned: vec![false, true, false],
-                update_seq: 9,
-                stayed_up: true,
-            },
-            "010100000003000100090000000000000001",
-        ),
+        (InternalMsg::Exchange, "01"),
         (
             InternalMsg::ExchangeReply {
                 mourned: vec![true, false],
                 update_seq: 3,
-                stayed_up: false,
             },
-            "02020100030000000000000000",
+            "020201000300000000000000",
         ),
         (InternalMsg::Fetch, "03"),
         (
